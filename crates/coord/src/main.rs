@@ -140,12 +140,7 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
         "slot-secs" => cfg.slot_secs = num(key, value)?,
         "bg-allowance" => cfg.bg_allowance = num(key, value)?,
         "ratio" => cfg.ratio = num(key, value)?,
-        "speedup" => {
-            cfg.speedup = num(key, value)?;
-            if !(cfg.speedup.is_finite() && cfg.speedup > 0.0) {
-                return Err("speedup must be positive and finite".to_string());
-            }
-        }
+        "speedup" => cfg.speedup = procutil::parse_speedup(value)?,
         "shards" => cfg.shards = num(key, value)?,
         "round-max" => cfg.round_max = num(key, value)?,
         "team-capacity" => cfg.team_capacity = Some(num(key, value)?),

@@ -69,7 +69,9 @@ pub struct LintConfig {
     /// with `// ORDERING:` — the <3%-overhead hot paths.
     pub hot_path_files: Vec<String>,
     /// Crates (by `crates/<name>/` directory) whose non-test code must
-    /// not panic: the binaries that are supposed to run for months.
+    /// not panic: the binaries that are supposed to run for months, and
+    /// `procutil`, whose peer library *is* the serving path of two of
+    /// them.
     pub panic_crates: Vec<String>,
     /// Crates holding durable state: raw `File::create` /
     /// `OpenOptions` / `fs::write` are forbidden — writes go through
@@ -82,7 +84,8 @@ pub struct LintConfig {
     /// rule (fixture trees have no journal).
     pub journal: Option<JournalConfig>,
     /// Path fragments naming reactor modules (matched against each
-    /// `/`-separated segment): non-test code there must never
+    /// `/`-separated segment) — the event loop, the roles' hooks, and
+    /// the peer library they plug into: non-test code there must never
     /// `thread::sleep` — a blocked shard stalls every connection the
     /// epoll loop drives.
     pub reactor_path_fragments: Vec<String>,
@@ -136,7 +139,13 @@ impl Default for LintConfig {
                 "crates/obs/src/metrics.rs".into(),
                 "crates/proto/src/blast.rs".into(),
             ],
-            panic_crates: vec!["measurer".into(), "relay".into(), "coord".into(), "top".into()],
+            panic_crates: vec![
+                "measurer".into(),
+                "relay".into(),
+                "procutil".into(),
+                "coord".into(),
+                "top".into(),
+            ],
             durable_crates: vec!["coord".into()],
             codec: Some(CodecConfig {
                 enum_file: "crates/proto/src/msg.rs".into(),
@@ -153,7 +162,7 @@ impl Default for LintConfig {
                 decode_fn: "parse".into(),
                 apply_fn: "apply".into(),
             }),
-            reactor_path_fragments: vec!["reactor".into()],
+            reactor_path_fragments: vec!["reactor".into(), "peer.rs".into()],
             allow: BTreeSet::new(),
         }
     }

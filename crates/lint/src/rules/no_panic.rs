@@ -1,5 +1,6 @@
 //! `no-panic`: the long-running binaries (`measurer`, `relay`,
-//! `coord`, `top`) must not contain `unwrap()` / `expect()` /
+//! `coord`, `top`) and the `procutil` serving library the first two
+//! are built from must not contain `unwrap()` / `expect()` /
 //! `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test
 //! code. PR 7's crash-recovery guarantee — SIGKILL the daemon, restart
 //! it, resume the roster — is only meaningful if the daemon does not

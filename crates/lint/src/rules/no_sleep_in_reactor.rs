@@ -9,7 +9,7 @@
 //!
 //! Scope: non-test code in files whose path names a reactor module
 //! (any segment or file name containing a configured fragment —
-//! `reactor` by default). Test modules and `tests/`/`benches/` trees
+//! `reactor` and `peer.rs` by default). Test modules and `tests/`/`benches/` trees
 //! are exempt: a harness thread sleeping between assertions blocks
 //! nobody's data plane.
 

@@ -191,6 +191,24 @@ fn no_sleep_in_reactor_fixtures() {
     assert_eq!(good, vec![], "tick/deadline waiting and a local `sleep` binding must be silent");
 }
 
+/// Lint scope follows the code: the peer library the relay and measurer
+/// serving paths moved into is held to the same two rules they were.
+#[test]
+fn peer_library_is_in_scope_for_no_panic_and_no_sleep() {
+    let cfg = LintConfig::default();
+    let panics = include_str!("fixtures/no_panic_bad.rs");
+    let sleeps = include_str!("fixtures/no_sleep_in_reactor_bad.rs");
+    let peer = "crates/procutil/src/peer.rs";
+    assert_eq!(rules_of(&lint_file(peer, panics, &cfg)), vec!["no-panic"; 4]);
+    assert_eq!(rules_of(&lint_file(peer, sleeps, &cfg)), vec!["no-sleep-in-reactor"; 2]);
+
+    // The rest of procutil may not panic either, but its supervisor
+    // and endpoint threads are not shards and may sleep.
+    let lib = "crates/procutil/src/lib.rs";
+    assert_eq!(rules_of(&lint_file(lib, panics, &cfg)), vec!["no-panic"; 4]);
+    assert_eq!(lint_file(lib, sleeps, &cfg), vec![]);
+}
+
 #[test]
 fn findings_render_as_file_line_rule_message() {
     let cfg = LintConfig::default();

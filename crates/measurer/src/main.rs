@@ -8,11 +8,12 @@
 //! [`DataChannelHello`](flashflow_proto::blast::DataChannelHello)), and
 //! serves both concurrently.
 //!
-//! Serving is **reactor-driven**: every accepted connection becomes a
-//! state machine (see the `reactor` module) driven by a shard of a
-//! shared epoll event loop (`flashflow-procutil`'s `reactor`), so
-//! thousands of channels share `--io-threads` threads instead of one
-//! thread each:
+//! The process is the **measurer role** of the shared peer library
+//! (`flashflow_procutil::peer`), which owns the common flags, the
+//! bootstrap and SIGTERM drain, the reactor-driven connection shell
+//! (every accepted connection a state machine on one of `--io-threads`
+//! epoll shards), and the control-conversation skeleton. This crate is
+//! only what the role adds (see the `reactor` module for the hooks):
 //!
 //! * Control connections run `MeasurerSession`s — and keep running
 //!   them: after a conversation ends cleanly the process waits for the
@@ -47,19 +48,19 @@
 //!   classification deadline (pre-`Auth` silence);
 //! * a data connection that dials but never completes its hello — or
 //!   presents a nonce no authenticated control session ever accepted —
-//!   is dropped at the same deadline, so a half-open data dial between
-//!   `AuthOk` and the first `DataChannelHello` cannot pin a slot
-//!   forever (it used to be only the control side that was bounded).
+//!   is dropped at the same deadline (or as soon as it closes, floods,
+//!   or the process drains), so a half-open data dial between `AuthOk`
+//!   and the first `DataChannelHello` cannot pin a slot forever.
 //!
 //! Operator tooling: `--config FILE` loads `key=value` lines (same keys
 //! as the flags, `#` comments); later command-line flags override the
 //! file. On **SIGTERM** the process drains gracefully: it stops
 //! accepting, lets running slots finish, aborts still-handshaking
 //! sessions with `Shutdown` (flushing the `Abort` frames), joins every
-//! serving thread, and exits 0.
+//! reactor shard, and exits 0.
 //!
 //! Replay protection across sessions: the process keeps one shared
-//! [`ReplayWindow`]. Each session starts from a clone of it, and the
+//! `ReplayWindow`. Each session starts from a clone of it, and the
 //! moment a session accepts an `Auth` nonce it *claims* it in the
 //! shared window under the lock — of two concurrent connections
 //! replaying one opener, exactly one wins. The same claim registers the
@@ -67,10 +68,10 @@
 //! always finds its session.
 //!
 //! **Observability**: process logging goes through one `flashflow-obs`
-//! [`EventSink`] — human text on stderr by default, and with
+//! `EventSink` — human text on stderr by default, and with
 //! `--log-json FILE` the same structured events as JSONL (line-atomic
 //! under concurrent session threads). `--metrics-addr ADDR` serves
-//! token-gated [`MetricsRegistry`] snapshots (blast/echo byte counters)
+//! token-gated `MetricsRegistry` snapshots (blast/echo byte counters)
 //! over TCP; see `flashflow-top` for the consumer side.
 //!
 //! ```text
@@ -90,81 +91,33 @@
 mod reactor;
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use flashflow_procutil as procutil;
-use procutil::reactor::{Reactor, ReactorConfig, ReactorObs};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
 
-use flashflow_obs::{fields, Counter, EventSink, MetricsRegistry, Span};
+use flashflow_obs::{fields, Span};
+use flashflow_procutil as procutil;
 use flashflow_proto::blast::{
     binding_nonce, secret_channel_key, BlastCounters, BlastParser, ReportSource, TrafficSource,
 };
-use flashflow_proto::msg::{PeerRole, AUTH_TOKEN_LEN};
-use flashflow_proto::session::ReplayWindow;
+use flashflow_proto::msg::PeerRole;
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_simnet::time::SimTime;
 
-/// Parsed configuration (command line and/or `--config` file).
+/// The measurer role's own flags.
 #[derive(Debug, Clone)]
 struct Config {
-    listen: String,
     role: PeerRole,
-    token: [u8; AUTH_TOKEN_LEN],
-    /// Whether a token was given explicitly. The built-in default token
-    /// is public knowledge (it is in the source), so it is only
-    /// acceptable on loopback; a non-loopback listener must be given a
-    /// real secret.
-    token_explicit: bool,
     /// Where measurer-role `SecondReport`s come from.
     report: ReportSource,
     /// Scripted measurer rate; `None` follows the commanded `rate_cap`.
     rate: Option<u64>,
     /// Target role: per-second background bytes (always scripted).
     bg: u64,
-    /// Report pacing multiplier (50 = a "second" every 20 ms). The
-    /// coordinator's clock does not speed up with the peer unless it
-    /// runs the same multiplier, so either match the speedup on both
-    /// sides or raise the coordinator's report-ahead cap.
-    speedup: f64,
-    /// Exit after completing this many control conversations; `None`
-    /// serves until SIGTERM.
-    sessions: Option<u64>,
-    /// Reactor shard threads serving every connection.
-    io_threads: usize,
-    /// Mirror the structured event stream to this file as JSONL.
-    log_json: Option<String>,
-    /// Serve token-gated metric snapshots on this TCP address.
-    metrics_addr: Option<String>,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            listen: "127.0.0.1:0".to_string(),
-            role: PeerRole::Measurer,
-            token: [0x42; AUTH_TOKEN_LEN],
-            token_explicit: false,
-            report: ReportSource::Counters,
-            rate: None,
-            bg: 0,
-            speedup: 1.0,
-            sessions: None,
-            io_threads: 4,
-            log_json: None,
-            metrics_addr: None,
-        }
-    }
-}
-
-impl Config {
-    /// The identification window for fresh connections (shared
-    /// scaffolding, scaled by `--speedup`).
-    fn hello_window(&self) -> Duration {
-        procutil::hello_window(self.speedup)
+        Config { role: PeerRole::Measurer, report: ReportSource::Counters, rate: None, bg: 0 }
     }
 }
 
@@ -173,51 +126,6 @@ const USAGE: &str = "usage: flashflow-measurer [--config FILE] [--listen ADDR] \
                      [--token-hex HEX64] [--rate BYTES] [--bg BYTES] [--speedup X] \
                      [--sessions N] [--io-threads N] [--log-json FILE] \
                      [--metrics-addr ADDR]";
-
-/// Applies one `key=value` setting. Shared by the command line (`--key
-/// value`) and the config file (`key=value`), so the two cannot drift.
-fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
-    match key {
-        "listen" => cfg.listen = value.to_string(),
-        "role" => {
-            cfg.role = match value {
-                "measurer" => PeerRole::Measurer,
-                "target" => PeerRole::Target,
-                other => return Err(format!("role: unknown role {other:?}")),
-            }
-        }
-        "report" => cfg.report = value.parse()?,
-        "token-hex" => {
-            cfg.token = procutil::parse_token_hex(value)?;
-            cfg.token_explicit = true;
-        }
-        "rate" => cfg.rate = Some(value.parse().map_err(|e| format!("rate: {e}"))?),
-        "bg" => cfg.bg = value.parse().map_err(|e| format!("bg: {e}"))?,
-        "speedup" => {
-            cfg.speedup = value.parse().map_err(|e| format!("speedup: {e}"))?;
-            if !(cfg.speedup.is_finite() && cfg.speedup > 0.0) {
-                return Err("speedup must be positive and finite".to_string());
-            }
-        }
-        "sessions" => cfg.sessions = Some(value.parse().map_err(|e| format!("sessions: {e}"))?),
-        "io-threads" => {
-            cfg.io_threads = value.parse().map_err(|e| format!("io-threads: {e}"))?;
-            if cfg.io_threads == 0 {
-                return Err("io-threads must be at least 1".to_string());
-            }
-        }
-        "log-json" => cfg.log_json = Some(value.to_string()),
-        "metrics-addr" => cfg.metrics_addr = Some(value.to_string()),
-        other => return Err(format!("unknown setting {other:?}\n{USAGE}")),
-    }
-    Ok(())
-}
-
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
-    let mut cfg = Config::default();
-    procutil::parse_args(args, USAGE, &mut |key, value| apply(&mut cfg, key, value))?;
-    Ok(cfg)
-}
 
 /// Per-session data-plane counters, fed by however many data channels
 /// bound to the session's nonce.
@@ -259,36 +167,16 @@ impl DataPlane {
     }
 }
 
-/// Everything the serving threads share.
-struct Shared {
+/// The measurer role's process-wide state.
+struct Measurer {
     cfg: Config,
-    replay: Mutex<ReplayWindow>,
     data: DataPlane,
-    /// Set when draining: no new conversations, finish in-flight slots.
-    draining: AtomicBool,
-    /// Control conversations completed (the `--sessions` quota).
-    sessions_done: AtomicU64,
-    /// Root span of the process's structured event stream.
-    span: Span,
     /// Process-global counters fed by inbound blast channels (the
     /// coordinator-blasted data plane; `--metrics-addr` snapshot).
     blast: BlastCounters,
     /// Process-global counters fed by echo-topology verify parsers
     /// (bytes the target relay echoed back at this measurer).
     echo_blast: BlastCounters,
-    /// Conversations re-adopted via the `Resume` handshake (a restarted
-    /// coordinator picking its parked sessions back up).
-    resumed: Counter,
-}
-
-impl Shared {
-    fn quota_reached(&self) -> bool {
-        self.cfg.sessions.is_some_and(|n| self.sessions_done.load(Ordering::SeqCst) >= n)
-    }
-
-    fn stop_serving(&self) -> bool {
-        self.draining.load(Ordering::SeqCst) || self.quota_reached()
-    }
 }
 
 /// One echo channel to the target relay: this measurer's blast source
@@ -314,7 +202,7 @@ fn dial_echo_channels(
     spec: &flashflow_proto::msg::MeasureSpec,
     now: SimTime,
     span: &Span,
-    shared: &Shared,
+    echo_blast: &BlastCounters,
 ) -> Vec<EchoChannel> {
     let Some(addr) = spec.target.socket_addr() else { return Vec::new() };
     let nonce = binding_nonce(spec.measurement_secret);
@@ -343,7 +231,7 @@ fn dial_echo_channels(
         source.start(now);
         channels.push(EchoChannel {
             source,
-            echo: BlastParser::new().with_key(key).with_counters(shared.echo_blast.clone()),
+            echo: BlastParser::new().with_key(key).with_counters(echo_blast.clone()),
         });
     }
     span.emit(
@@ -354,140 +242,5 @@ fn dial_echo_channels(
 }
 
 fn main() {
-    let cfg = match parse_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    procutil::install_sigterm_handler();
-    // SO_REUSEADDR: a replacement measurer must re-take its configured
-    // port while the killed incarnation's connections sit in TIME_WAIT.
-    let listener = match procutil::listen_reuseaddr(&*cfg.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("query bound address for {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    if !addr.ip().is_loopback() && !cfg.token_explicit {
-        eprintln!(
-            "refusing to serve {addr} with the built-in default token; \
-             pass --token-hex with a real pre-shared secret"
-        );
-        std::process::exit(2);
-    }
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &cfg.log_json {
-        // Opened with the shared journal discipline (O_APPEND, one
-        // write per line): a crash tears at most the final line.
-        sink = match procutil::journal_writer(std::path::Path::new(path)) {
-            Ok(file) => sink.with_jsonl(Box::new(file)),
-            Err(e) => {
-                eprintln!("open --log-json {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let span = Span::root(sink);
-    let registry = MetricsRegistry::new();
-    let mut metrics_line = None;
-    if let Some(maddr) = &cfg.metrics_addr {
-        match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok(bound) => metrics_line = Some(format!("metrics {bound}")),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // The machine-readable stdout lines: the advertised endpoints. A
-    // failed flush means whoever spawned us cannot learn the bound
-    // address — serving anyway would wedge the parent, so exit instead.
-    println!("listening {addr}");
-    if let Some(line) = metrics_line {
-        println!("{line}");
-    }
-    if let Err(e) = std::io::stdout().flush() {
-        eprintln!("flush advertised endpoints to stdout: {e}");
-        std::process::exit(1);
-    }
-    span.emit(
-        "measurer.start",
-        fields![
-            role = format!("{:?}", cfg.role),
-            report = format!("{:?}", cfg.report),
-            speedup = cfg.speedup,
-        ],
-    );
-
-    let shared = Arc::new(Shared {
-        cfg,
-        replay: Mutex::new(ReplayWindow::default()),
-        data: DataPlane::default(),
-        draining: AtomicBool::new(false),
-        sessions_done: AtomicU64::new(0),
-        span,
-        blast: BlastCounters {
-            verified: registry.counter("measurer.blast.verified_bytes"),
-            corrupt: registry.counter("measurer.blast.corrupt_bytes"),
-            forged: registry.counter("measurer.blast.forged_bytes"),
-            replayed: registry.counter("measurer.blast.replayed_bytes"),
-        },
-        echo_blast: BlastCounters {
-            verified: registry.counter("measurer.echo.verified_bytes"),
-            corrupt: registry.counter("measurer.echo.corrupt_bytes"),
-            forged: registry.counter("measurer.echo.forged_bytes"),
-            replayed: registry.counter("measurer.echo.replayed_bytes"),
-        },
-        resumed: registry.counter("measurer.sessions_resumed"),
-    });
-    // Serve everything — control sessions, inbound blast channels —
-    // from the sharded reactor; this thread only watches for the drain
-    // signal and the session quota.
-    let reactor = match Reactor::serve_observed(
-        Some(listener),
-        ReactorConfig { shards: shared.cfg.io_threads, tick: Duration::from_millis(1) },
-        reactor::accept_factory(Arc::clone(&shared)),
-        Some(ReactorObs {
-            registry: registry.clone(),
-            prefix: "measurer.reactor".to_string(),
-            span: shared.span.clone(),
-            stall_budget: Duration::from_millis(20),
-        }),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.span.emit("measurer.fatal", fields![error = format!("start reactor: {e}")]);
-            std::process::exit(1);
-        }
-    };
-    loop {
-        if procutil::drain_requested() {
-            shared.span.event("measurer.drain");
-            break;
-        }
-        if shared.quota_reached() {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    // Stop serving: running slots finish, handshakes abort, data
-    // channels wind down, and every shard joins before exit.
-    shared.draining.store(true, Ordering::SeqCst);
-    reactor.stop();
-    if let Err(e) = reactor.join() {
-        shared.span.emit("measurer.fatal", fields![error = e]);
-    }
-    shared
-        .span
-        .emit("measurer.exit", fields![sessions = shared.sessions_done.load(Ordering::SeqCst)]);
+    procutil::peer::run::<Measurer>();
 }

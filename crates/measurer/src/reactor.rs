@@ -1,557 +1,265 @@
-//! The measurer's reactor-driven serving layer: every accepted
-//! connection becomes one [`MeasurerConn`] state machine driven by a
-//! shard of the shared [`procutil::reactor`] event loop, replacing the
-//! thread-per-connection dispatch the process started with.
-//!
-//! A connection classifies on its first bytes — control frames begin
-//! with a length prefix, data channels with
-//! [`DATA_HELLO_TAG`] — and then runs either the warm-reuse control
-//! conversation loop (a [`MeasurerSession`] per conversation, echo
-//! channels dialed at `Go` in the echo topology) or the inbound blast
-//! sink (verify, count into the bound session's counters). The serving
-//! *logic* is the thread-based code's loop bodies verbatim — one loop
-//! iteration per readiness event or shard tick instead of per 1ms
-//! sleep — so the protocol behavior, event stream, and accounting are
-//! unchanged while thousands of channels share a handful of threads.
+//! The measurer role's hooks into the shared peer library
+//! ([`procutil::peer`]) and its data connection. The library drives the
+//! connection shell and the control conversation; this module says what
+//! a conversation means to the data plane — register the claimed nonce
+//! for inbound blast channels, or in the echo topology dial the target
+//! relay at `Go`, blast, and report the verified echo — and serves bound
+//! inbound channels as a verifying sink counting into their session.
 
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use flashflow_obs::{fields, Span};
+use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_procutil as procutil;
-use flashflow_proto::blast::{channel_key, BlastEvent, BlastParser, ReportSource, DATA_HELLO_TAG};
-use flashflow_proto::endpoint::Endpoint;
-use flashflow_proto::msg::{AbortReason, PeerRole};
-use flashflow_proto::session::{MeasurerAction, MeasurerPhase, MeasurerSession, SessionTimeouts};
+use flashflow_proto::blast::{
+    channel_key, BlastCounters, BlastEvent, BlastParser, DataChannelHello, ReportSource,
+};
+use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::{LeasedTransport, Transport};
+use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
-use procutil::reactor::{Driven, Step};
+use procutil::peer::{Bind, Peer, Role};
+use procutil::reactor::Step;
 
-use crate::{dial_echo_channels, EchoChannel, SessionCounters, Shared};
+use crate::{dial_echo_channels, Config, DataPlane, EchoChannel, Measurer, SessionCounters};
 
-/// Builds the reactor's accept callback: admission control (drain,
-/// session quota), the `conn.accept` event, and a fresh
-/// [`MeasurerConn`] in its classify window.
-pub fn accept_factory(shared: Arc<Shared>) -> Arc<procutil::reactor::AcceptFn> {
-    let conn_ids = AtomicU64::new(0);
-    Arc::new(move |stream: TcpStream, peer: SocketAddr| {
-        if shared.stop_serving() {
-            return None;
-        }
-        let transport = TcpTransport::from_stream(stream).ok()?;
-        let conn_id = conn_ids.fetch_add(1, Ordering::SeqCst);
-        shared.span.channel(conn_id).emit("conn.accept", fields![peer = format!("{peer}")]);
-        let deadline = Instant::now() + shared.cfg.hello_window();
-        Some(Box::new(MeasurerConn {
-            shared: Arc::clone(&shared),
-            conn_id,
-            fd: transport.raw_fd(),
-            state: State::Classify { transport, buf: Vec::new(), deadline },
-        }) as Box<dyn Driven>)
-    })
-}
-
-/// Why the shard called into the connection.
-#[derive(Clone, Copy)]
-enum Why {
-    Ready,
-    Tick,
-}
-
-/// One reactor-driven measurer connection.
-pub struct MeasurerConn {
-    shared: Arc<Shared>,
-    conn_id: u64,
-    /// Cached at accept: [`Driven::fd`] must stay stable across state
-    /// transitions that move the transport between owners.
-    fd: i32,
-    state: State,
-}
-
-enum State {
-    /// Awaiting the first bytes that classify the connection.
-    Classify {
-        transport: TcpTransport,
-        buf: Vec<u8>,
-        deadline: Instant,
-    },
-    Control(Box<ControlConn>),
-    Data(Box<DataConn>),
-    Gone,
-}
-
-/// Whether a state handler settled or wants an immediate follow-up
-/// (classification should not wait a tick to start the handshake).
-enum Flow {
-    Settle(Step),
-    Again,
-}
-
-impl Driven for MeasurerConn {
-    fn fd(&self) -> i32 {
-        self.fd
-    }
-
-    fn on_ready(&mut self) -> Step {
-        self.drive(Why::Ready)
-    }
-
-    fn on_tick(&mut self) -> Step {
-        self.drive(Why::Tick)
-    }
-
-    fn wants_write(&self) -> bool {
-        match &self.state {
-            State::Control(c) => c.backlog,
-            // The blast sink never writes.
-            State::Classify { .. } | State::Data(_) | State::Gone => false,
-        }
-    }
-}
-
-impl MeasurerConn {
-    fn drive(&mut self, why: Why) -> Step {
-        loop {
-            let state = std::mem::replace(&mut self.state, State::Gone);
-            let (next, flow) = match state {
-                State::Classify { transport, buf, deadline } => {
-                    self.classify(why, transport, buf, deadline)
-                }
-                State::Control(mut c) => {
-                    let step = c.step();
-                    let next = if step == Step::Done { State::Gone } else { State::Control(c) };
-                    (next, Flow::Settle(step))
-                }
-                State::Data(mut d) => {
-                    let step = match why {
-                        Why::Ready => d.step_ready(),
-                        Why::Tick => d.step_tick(),
-                    };
-                    let next = if step == Step::Done { State::Gone } else { State::Data(d) };
-                    (next, Flow::Settle(step))
-                }
-                State::Gone => (State::Gone, Flow::Settle(Step::Done)),
-            };
-            self.state = next;
-            match flow {
-                Flow::Again => {}
-                Flow::Settle(step) => return step,
-            }
-        }
-    }
-
-    /// The old `await_first_bytes`: read until the first bytes arrive,
-    /// drop silent/dead dials at the hello window (or on drain).
-    fn classify(
-        &mut self,
-        why: Why,
-        mut transport: TcpTransport,
-        mut buf: Vec<u8>,
-        deadline: Instant,
-    ) -> (State, Flow) {
-        if matches!(why, Why::Ready) {
-            match transport.recv(SimTime::ZERO) {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => {
-                    self.shared.span.channel(self.conn_id).event("conn.silent");
-                    return (State::Gone, Flow::Settle(Step::Done));
-                }
-            }
-        }
-        if !buf.is_empty() {
-            if buf[0] == DATA_HELLO_TAG {
-                match DataConn::new(&self.shared, self.conn_id, transport, &buf) {
-                    Some(d) => return (State::Data(Box::new(d)), Flow::Settle(Step::Continue)),
-                    None => return (State::Gone, Flow::Settle(Step::Done)),
-                }
-            }
-            let control = ControlConn::new(&self.shared, self.conn_id, transport, buf);
-            return (State::Control(Box::new(control)), Flow::Again);
-        }
-        if Instant::now() >= deadline || self.shared.draining.load(Ordering::SeqCst) {
-            self.shared.span.channel(self.conn_id).event("conn.silent");
-            return (State::Gone, Flow::Settle(Step::Done));
-        }
-        (State::Classify { transport, buf, deadline }, Flow::Settle(Step::Continue))
-    }
-}
-
-/// The old `serve_control`/`serve_one` pair as a state machine: one
-/// control connection serving conversations back to back on a leased
-/// transport, so a coordinator-side pool reuses warm connections. In
-/// the echo topology the conversation also owns the dialed echo
-/// channels, pumped from this connection's steps (their dialed sockets
-/// ride the shard's tick; they are not separately registered).
-struct ControlConn {
-    shared: Arc<Shared>,
-    conn_id: u64,
-    conversation: u64,
-    endpoint: Option<Endpoint<MeasurerSession, LeasedTransport<TcpTransport>>>,
-    span: Span,
-    t0: Instant,
-    report_every: Duration,
-    /// (slot_secs, scripted bg, scripted measured) once Go arrives.
-    slot: Option<(u32, u64, u64)>,
-    started_at: Instant,
-    reported: u32,
-    claimed_nonce: Option<u64>,
-    registered_nonce: Option<u64>,
-    counters: Option<Arc<SessionCounters>>,
+/// The measurer's state for one control conversation.
+#[derive(Default)]
+pub struct Conv {
+    /// Scripted (background, measured) bytes per second, once Go
+    /// arrives; zero where the report is counter- or echo-derived.
+    scripted: (u64, u64),
+    /// The `Auth` nonce this conversation registered with the data
+    /// plane, with the counters its data channels feed.
+    registered: Option<(u64, Arc<SessionCounters>)>,
     counted_through: u64,
-    /// Echo-topology state: this measurer's own blast channels to the
-    /// target relay (empty outside the echo topology).
+    /// Echo topology: this measurer's own blast channels to the target
+    /// relay (empty outside the echo topology). Their dialed sockets
+    /// ride the control connection's steps; they are not separately
+    /// registered with the shard.
     echo_channels: Vec<EchoChannel>,
     /// Reused receive buffer for draining the echo channels' sockets.
     rxbuf: Vec<u8>,
-    /// Terminal sessions get three flush steps before the conversation
-    /// ends (the thread code's 3×1ms pump-and-sleep tail).
-    terminal_flushes: u8,
-    /// Unflushed outbound bytes at the end of the last step; the shard
-    /// re-arms the socket for write readiness while this holds.
-    backlog: bool,
 }
 
-impl ControlConn {
-    fn new(
-        shared: &Arc<Shared>,
-        conn_id: u64,
+impl Role for Measurer {
+    const NAME: &'static str = "measurer";
+    const USAGE: &'static str = crate::USAGE;
+    type Config = Config;
+    type Conv = Conv;
+    type Data = DataConn;
+
+    fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<bool, String> {
+        match key {
+            "role" => {
+                cfg.role = match value {
+                    "measurer" => PeerRole::Measurer,
+                    "target" => PeerRole::Target,
+                    other => return Err(format!("role: unknown role {other:?}")),
+                }
+            }
+            "report" => cfg.report = value.parse()?,
+            "rate" => cfg.rate = Some(value.parse().map_err(|e| format!("rate: {e}"))?),
+            "bg" => cfg.bg = value.parse().map_err(|e| format!("bg: {e}"))?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn new(cfg: Config, registry: &MetricsRegistry) -> Measurer {
+        Measurer {
+            cfg,
+            data: DataPlane::default(),
+            blast: BlastCounters {
+                verified: registry.counter("measurer.blast.verified_bytes"),
+                corrupt: registry.counter("measurer.blast.corrupt_bytes"),
+                forged: registry.counter("measurer.blast.forged_bytes"),
+                replayed: registry.counter("measurer.blast.replayed_bytes"),
+            },
+            echo_blast: BlastCounters {
+                verified: registry.counter("measurer.echo.verified_bytes"),
+                corrupt: registry.counter("measurer.echo.corrupt_bytes"),
+                forged: registry.counter("measurer.echo.forged_bytes"),
+                replayed: registry.counter("measurer.echo.replayed_bytes"),
+            },
+        }
+    }
+
+    fn start_fields(&self) -> Vec<(String, Value)> {
+        fields![role = format!("{:?}", self.cfg.role), report = format!("{:?}", self.cfg.report)]
+    }
+
+    fn session_role(&self) -> PeerRole {
+        self.cfg.role
+    }
+
+    fn conversation(&self) -> Conv {
+        Conv::default()
+    }
+
+    /// Registers the claimed nonce with the data plane *before* `AuthOk`
+    /// reaches the coordinator, so the hellos it then sends always find
+    /// their session.
+    fn on_claimed(&self, conv: &mut Conv, nonce: u64) {
+        if self.cfg.role == PeerRole::Measurer {
+            conv.registered = Some((nonce, self.data.register(nonce)));
+        }
+    }
+
+    fn on_start(&self, conv: &mut Conv, span: &Span, spec: &MeasureSpec, snow: SimTime) {
+        let cfg = &self.cfg;
+        conv.scripted = match (cfg.role, cfg.report) {
+            (PeerRole::Measurer, ReportSource::Counters) => (0, 0),
+            (PeerRole::Measurer, ReportSource::Scripted) => (0, cfg.rate.unwrap_or(spec.rate_cap)),
+            (PeerRole::Target, _) => (cfg.bg, 0),
+        };
+        conv.counted_through = 0;
+        if cfg.role == PeerRole::Measurer && !spec.target.is_none() {
+            // Echo topology: this measurer blasts the target relay
+            // itself and reports the verified echo.
+            conv.echo_channels = dial_echo_channels(spec, snow, span, &self.echo_blast);
+        } else if let (Some((_, c)), ReportSource::Counters) = (&conv.registered, cfg.report) {
+            span.emit("session.go", fields![channels = c.channels.load(Ordering::Relaxed)]);
+        } else {
+            span.emit("session.go", fields![scripted_rate = conv.scripted.1]);
+        }
+    }
+
+    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, snow: SimTime) {
+        for ch in &mut conv.echo_channels {
+            ch.source.stop(snow);
+        }
+        // Dropping the channels closes the dialed connections; the
+        // relay's echo side sees EOF.
+        conv.echo_channels.clear();
+        match &conv.registered {
+            Some((_, c)) => span.emit(
+                "session.stop",
+                fields![
+                    seconds = seconds,
+                    received = c.received.load(Ordering::Relaxed),
+                    corrupt = c.corrupt.load(Ordering::Relaxed),
+                    rejected = c.rejected.load(Ordering::Relaxed),
+                ],
+            ),
+            None => span.emit("session.stop", fields![seconds = seconds]),
+        }
+    }
+
+    /// Drives the echo channels: blast the pacing budget out and verify
+    /// whatever the relay has echoed back so far.
+    fn drive(&self, conv: &mut Conv, span: &Span, snow: SimTime, live: bool) {
+        if !live {
+            return;
+        }
+        for ch in &mut conv.echo_channels {
+            ch.source.pump(snow);
+            // A recv error means the relay hung up; verified() keeps
+            // its total either way.
+            if let Ok(got) = ch.source.transport_mut().recv_into(snow, &mut conv.rxbuf) {
+                if got > 0 {
+                    if let Err(e) = ch.echo.push(&conv.rxbuf) {
+                        span.emit("echo.stream_broke", fields![error = format!("{e}")]);
+                    }
+                }
+            }
+        }
+    }
+
+    fn second_report(&self, conv: &mut Conv, _span: &Span, _second: u32) -> (u64, u64) {
+        let (bg, scripted) = conv.scripted;
+        let through = if !conv.echo_channels.is_empty() {
+            // Echo-derived: the verified bytes the relay echoed back
+            // across this session's channels.
+            conv.echo_channels.iter().map(EchoChannel::verified).sum()
+        } else if let (Some((_, c)), ReportSource::Counters) = (&conv.registered, self.cfg.report) {
+            // Counter-derived: the bytes that actually arrived on this
+            // session's data channels.
+            c.received.load(Ordering::Relaxed)
+        } else {
+            return (bg, scripted);
+        };
+        let delta = through - conv.counted_through;
+        conv.counted_through = through;
+        (bg, delta)
+    }
+
+    /// Releases only a registration THIS conversation created: a
+    /// replay-losing conversation never registers, and must not unbind
+    /// the concurrent winner's data channels.
+    fn release(&self, conv: &mut Conv) {
+        if let Some((nonce, _)) = conv.registered.take() {
+            self.data.release(nonce);
+        }
+        conv.echo_channels.clear();
+    }
+
+    fn backlog(conv: &mut Conv) -> bool {
+        conv.echo_channels.iter_mut().any(|ch| ch.source.transport_mut().backlog() > 0)
+    }
+
+    fn bind_data(
+        peer: &Arc<Peer<Measurer>>,
+        span: Span,
         transport: TcpTransport,
-        preread: Vec<u8>,
-    ) -> ControlConn {
-        let mut conn = ControlConn {
-            shared: Arc::clone(shared),
-            conn_id,
-            conversation: 0,
-            endpoint: None,
-            span: shared.span.session(conn_id * 1_000),
-            t0: Instant::now(),
-            report_every: Duration::from_secs_f64(1.0 / shared.cfg.speedup),
-            slot: None,
-            started_at: Instant::now(),
-            reported: 0,
-            claimed_nonce: None,
-            registered_nonce: None,
-            counters: None,
-            counted_through: 0,
-            echo_channels: Vec::new(),
-            rxbuf: Vec::new(),
-            terminal_flushes: 0,
-            backlog: false,
-        };
-        conn.start_conversation(LeasedTransport::new(transport), Some(preread));
-        conn
-    }
-
-    /// Begins the next conversation on the (possibly warm) transport.
-    fn start_conversation(
-        &mut self,
-        mut leased: LeasedTransport<TcpTransport>,
-        preread: Option<Vec<u8>>,
-    ) {
-        leased.reset_close();
-        let session_id = self.conn_id * 1_000 + self.conversation;
-        self.conversation += 1;
-        self.span = self.shared.span.session(session_id);
-        let cfg = &self.shared.cfg;
-        let window = procutil::lock_recover(&self.shared.replay).clone();
-        let session =
-            MeasurerSession::new(cfg.token, cfg.role, session_id, SessionTimeouts::default())
-                .with_replay_window(window);
-        let mut endpoint = Endpoint::new(session, leased);
-        self.t0 = Instant::now();
-        if let Some(bytes) = preread {
-            endpoint.session_mut().receive(SimTime::ZERO, &bytes);
+        preread: &[u8],
+        hello: DataChannelHello,
+    ) -> Bind<DataConn> {
+        if peer.role.data.lookup(hello.nonce).is_none() {
+            return Bind::Unknown(transport);
         }
-        self.slot = None;
-        self.started_at = Instant::now();
-        self.reported = 0;
-        self.claimed_nonce = None;
-        self.registered_nonce = None;
-        self.counters = None;
-        self.counted_through = 0;
-        self.echo_channels.clear();
-        self.terminal_flushes = 0;
-        self.endpoint = Some(endpoint);
-    }
-
-    /// One iteration of the old `serve_one` loop body.
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self) -> Step {
-        let cfg = &self.shared.cfg;
-        let Some(endpoint) = self.endpoint.as_mut() else {
-            return Step::Done;
-        };
-        let now = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64());
-        // The blast clocks run sped up, like the reports: a "second" of
-        // the commanded rate goes out per 1/speedup wall seconds.
-        let snow = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * cfg.speedup);
-        endpoint.pump(now);
-        endpoint.tick(now);
-        // Claim the accepted nonce in the process-wide window the moment
-        // the handshake passes: of two concurrent connections replaying
-        // the same opener, exactly one witnesses it first and the loser
-        // is dropped — a session-local window cannot arbitrate that. The
-        // same claim registers the nonce with the data plane *before*
-        // AuthOk reaches the coordinator, so the hellos it then sends
-        // always find their session.
-        if self.claimed_nonce.is_none() {
-            if let Some(nonce) = endpoint.session().accepted_nonce() {
-                self.claimed_nonce = Some(nonce);
-                if !procutil::lock_recover(&self.shared.replay).witness(nonce) {
-                    // The loser of a concurrent replay must NOT release
-                    // the winner's registration below — it never
-                    // registered (registered_nonce stays None).
-                    self.span.event("session.replay_drop");
-                    endpoint.session_mut().abort(AbortReason::AuthFailed);
-                } else {
-                    if endpoint.session().resumed() {
-                        self.shared.resumed.inc();
-                        // A resumed conversation learns its trace id
-                        // from the Resume opener itself, before the
-                        // re-sent MeasureCmd arrives.
-                        if let Some(trace) =
-                            endpoint.session().resume_trace_id().filter(|&t| t != 0)
-                        {
-                            self.span = self.span.trace(trace);
-                        }
-                        self.span.emit("session.resumed", fields![nonce = nonce]);
-                    }
-                    if cfg.role == PeerRole::Measurer {
-                        self.counters = Some(self.shared.data.register(nonce));
-                        self.registered_nonce = Some(nonce);
-                    }
-                }
-            }
-        }
-        // Drain: finish a running slot, but abort a conversation still
-        // in its handshake — the Abort frame is flushed below.
-        if self.shared.draining.load(Ordering::SeqCst)
-            && matches!(
-                endpoint.session().phase(),
-                MeasurerPhase::AwaitAuth | MeasurerPhase::AwaitCmd | MeasurerPhase::AwaitGo
-            )
-        {
-            endpoint.session_mut().abort(AbortReason::Shutdown);
-        }
-        while let Some(action) = endpoint.session_mut().poll_action() {
-            match action {
-                MeasurerAction::Prepare { spec } => {
-                    // Every event from here on carries the coordinator's
-                    // trace id for this item-attempt.
-                    if spec.trace_id != 0 {
-                        self.span = self.span.trace(spec.trace_id);
-                    }
-                    self.span.emit(
-                        "session.prepare",
-                        fields![
-                            fp = format!("{:02x}{:02x}", spec.relay_fp[0], spec.relay_fp[1]),
-                            slot_secs = spec.slot_secs,
-                            sockets = spec.sockets,
-                        ],
-                    );
-                }
-                MeasurerAction::Start { spec } => {
-                    let (bg, measured) = match (cfg.role, cfg.report) {
-                        (PeerRole::Measurer, ReportSource::Counters) => (0, 0),
-                        (PeerRole::Measurer, ReportSource::Scripted) => {
-                            (0, cfg.rate.unwrap_or(spec.rate_cap))
-                        }
-                        (PeerRole::Target, _) => (cfg.bg, 0),
-                    };
-                    self.slot = Some((spec.slot_secs, bg, measured));
-                    self.started_at = Instant::now();
-                    self.counted_through = 0;
-                    if cfg.role == PeerRole::Measurer && !spec.target.is_none() {
-                        // Echo topology: this measurer blasts the target
-                        // relay itself and reports the verified echo.
-                        self.echo_channels =
-                            dial_echo_channels(&spec, snow, &self.span, &self.shared);
-                    } else {
-                        match (cfg.role, cfg.report) {
-                            (PeerRole::Measurer, ReportSource::Counters) => {
-                                let channels = self
-                                    .counters
-                                    .as_ref()
-                                    .map_or(0, |c| c.channels.load(Ordering::Relaxed));
-                                self.span.emit("session.go", fields![channels = channels]);
-                            }
-                            _ => self.span.emit("session.go", fields![scripted_rate = measured]),
-                        }
-                    }
-                }
-                MeasurerAction::Stop => {
-                    for ch in &mut self.echo_channels {
-                        ch.source.stop(snow);
-                    }
-                    // Dropping the channels closes the dialed
-                    // connections; the relay's echo side sees EOF.
-                    self.echo_channels.clear();
-                    match &self.counters {
-                        Some(c) => self.span.emit(
-                            "session.stop",
-                            fields![
-                                seconds = self.reported,
-                                received = c.received.load(Ordering::Relaxed),
-                                corrupt = c.corrupt.load(Ordering::Relaxed),
-                                rejected = c.rejected.load(Ordering::Relaxed),
-                            ],
-                        ),
-                        None => self.span.emit("session.stop", fields![seconds = self.reported]),
-                    }
-                }
-            }
-        }
-        // Drive the echo channels: blast the pacing budget out and
-        // verify whatever the relay has echoed back so far.
-        if !self.echo_channels.is_empty() && !endpoint.is_terminal() {
-            for ch in &mut self.echo_channels {
-                ch.source.pump(snow);
-                // A recv error means the relay hung up; verified()
-                // keeps its total either way.
-                if let Ok(got) = ch.source.transport_mut().recv_into(snow, &mut self.rxbuf) {
-                    if got > 0 {
-                        if let Err(e) = ch.echo.push(&self.rxbuf) {
-                            self.span.emit("echo.stream_broke", fields![error = format!("{e}")]);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((slot_secs, bg, measured)) = self.slot {
-            // One report per (sped-up) second, paced off the Go instant.
-            while self.reported < slot_secs
-                && !endpoint.is_terminal()
-                && self.started_at.elapsed() >= self.report_every * (self.reported + 1)
-            {
-                let measured = if !self.echo_channels.is_empty() {
-                    // Echo-derived: the verified bytes the relay echoed
-                    // back across this session's channels since the
-                    // previous report.
-                    let through: u64 = self.echo_channels.iter().map(EchoChannel::verified).sum();
-                    let delta = through - self.counted_through;
-                    self.counted_through = through;
-                    delta
-                } else {
-                    match (&self.counters, cfg.report, cfg.role) {
-                        (Some(c), ReportSource::Counters, PeerRole::Measurer) => {
-                            // Counter-derived: the bytes that actually
-                            // arrived on this session's data channels
-                            // since the previous report.
-                            let through = c.received.load(Ordering::Relaxed);
-                            let delta = through - self.counted_through;
-                            self.counted_through = through;
-                            delta
-                        }
-                        _ => measured,
-                    }
-                };
-                endpoint.session_mut().report_second(bg, measured);
-                self.reported += 1;
-            }
-        }
-        if endpoint.is_terminal() {
-            // Flush the tail (SlotDone / Abort) before returning.
-            endpoint.pump(SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64()));
-            self.terminal_flushes += 1;
-            if self.terminal_flushes >= 3 {
-                return self.finish_conversation();
-            }
-        }
-        let mut backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
-        backlog |= self.echo_channels.iter_mut().any(|ch| ch.source.transport_mut().backlog() > 0);
-        self.backlog = backlog;
-        Step::Continue
-    }
-
-    /// Ends the current conversation: release the data-plane binding,
-    /// count the session, and either start the next conversation on the
-    /// warm transport or finish the connection.
-    fn finish_conversation(&mut self) -> Step {
-        let Some(endpoint) = self.endpoint.take() else {
-            return Step::Done;
-        };
-        let reusable = endpoint.session().phase() == MeasurerPhase::Done
-            && endpoint.transport_error().is_none();
-        let authed = self.claimed_nonce.is_some();
-        let (_session, leased) = endpoint.into_parts();
-        // Release only a registration THIS conversation created: a
-        // replay-losing conversation claims the nonce but never
-        // registers, and must not unbind the concurrent winner's data
-        // channels.
-        if let Some(nonce) = self.registered_nonce.take() {
-            self.shared.data.release(nonce);
-        }
-        self.echo_channels.clear();
-        if authed {
-            self.shared.sessions_done.fetch_add(1, Ordering::SeqCst);
-        }
-        if !reusable || self.shared.stop_serving() {
-            return Step::Done;
-        }
-        self.start_conversation(leased, None);
-        self.backlog = false;
-        Step::Continue
+        DataConn::new(peer, span, transport, preread).map_or(Bind::Refused, Bind::Bound)
     }
 }
 
-/// The old `serve_data` loop as a state machine: one inbound blast
-/// channel — bind via hello, then count verified blast bytes into the
-/// bound session's counters. A later hello on the same connection
+/// One inbound blast channel: verify and count blast bytes into the
+/// session its hello bound it to. A later hello on the same connection
 /// re-binds it (coordinator-side pooled data channels).
-struct DataConn {
-    shared: Arc<Shared>,
+pub struct DataConn {
+    peer: Arc<Peer<Measurer>>,
     span: Span,
     transport: TcpTransport,
     parser: BlastParser,
     counters: Option<Arc<SessionCounters>>,
-    /// Bytes that arrived between a hello and its nonce registration
-    /// landing (sub-millisecond race); credited once bound.
-    unbound: (u64, u64),
-    pending_nonce: Option<u64>,
-    bind_deadline: Instant,
     last_activity: Instant,
     /// Reused receive buffer ([`Transport::recv_into`]).
     rxbuf: Vec<u8>,
 }
 
 impl DataConn {
-    /// Wraps a classified data connection and feeds the pre-read bytes
-    /// (the hello — possibly partial — plus whatever blast followed).
+    /// Wraps an identified data connection and feeds the pre-read bytes
+    /// (the hello plus whatever blast followed).
     fn new(
-        shared: &Arc<Shared>,
-        conn_id: u64,
+        peer: &Arc<Peer<Measurer>>,
+        span: Span,
         transport: TcpTransport,
         preread: &[u8],
     ) -> Option<DataConn> {
         let mut conn = DataConn {
-            shared: Arc::clone(shared),
-            span: shared.span.channel(conn_id),
+            peer: Arc::clone(peer),
+            span,
             transport,
             // Coordinator-blasted channels are tagged under the
             // pre-shared control token (which never crosses a data
             // connection).
             parser: BlastParser::new()
-                .with_key(channel_key(&shared.cfg.token))
-                .with_counters(shared.blast.clone()),
+                .with_key(channel_key(&peer.settings.token))
+                .with_counters(peer.role.blast.clone()),
             counters: None,
-            unbound: (0, 0),
-            pending_nonce: None,
-            bind_deadline: Instant::now() + shared.cfg.hello_window(),
             last_activity: Instant::now(),
             rxbuf: Vec::new(),
         };
         if conn.ingest(preread).is_err() {
+            conn.unbind();
             return None;
         }
-        conn.resolve_binding();
         Some(conn)
     }
 
     /// Parses a chunk of wire bytes into the session counters. An `Err`
-    /// means the stream broke framing and the channel must close.
+    /// means the channel must close: the stream broke framing, or a
+    /// hello named a nonce no live session registered.
     fn ingest(&mut self, bytes: &[u8]) -> Result<(), ()> {
         if bytes.is_empty() {
             return Ok(());
@@ -567,23 +275,24 @@ impl DataConn {
         for event in events {
             match event {
                 BlastEvent::Hello(hello) => {
-                    if let Some(c) = self.counters.take() {
-                        c.channels.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    self.pending_nonce = Some(hello.nonce);
-                    self.bind_deadline = Instant::now() + self.shared.cfg.hello_window();
-                    self.unbound = (0, 0);
+                    self.unbind();
+                    // A session registers its nonce before its `AuthOk`
+                    // is sent, and the coordinator greets only after
+                    // `AuthOk`: an unregistered nonce is never honest.
+                    let Some(c) = self.peer.role.data.lookup(hello.nonce) else {
+                        self.span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
+                        return Err(());
+                    };
+                    c.channels.fetch_add(1, Ordering::Relaxed);
+                    self.counters = Some(c);
+                    self.span.emit("channel.bound", fields![nonce = hello.nonce]);
                 }
-                BlastEvent::Data { bytes, corrupt } => match &self.counters {
-                    Some(c) => {
+                BlastEvent::Data { bytes, corrupt } => {
+                    if let Some(c) = &self.counters {
                         c.received.fetch_add(bytes, Ordering::Relaxed);
                         c.corrupt.fetch_add(corrupt, Ordering::Relaxed);
                     }
-                    None => {
-                        self.unbound.0 += bytes;
-                        self.unbound.1 += corrupt;
-                    }
-                },
+                }
                 BlastEvent::Forged { bytes } | BlastEvent::Replayed { bytes } => {
                     if let Some(c) = &self.counters {
                         c.rejected.fetch_add(bytes, Ordering::Relaxed);
@@ -594,79 +303,42 @@ impl DataConn {
         Ok(())
     }
 
-    /// Resolves a pending hello against the registry.
-    fn resolve_binding(&mut self) {
-        if let Some(nonce) = self.pending_nonce {
-            if let Some(c) = self.shared.data.lookup(nonce) {
-                c.channels.fetch_add(1, Ordering::Relaxed);
-                c.received.fetch_add(self.unbound.0, Ordering::Relaxed);
-                c.corrupt.fetch_add(self.unbound.1, Ordering::Relaxed);
-                self.unbound = (0, 0);
-                self.counters = Some(c);
-                self.pending_nonce = None;
-                self.span.emit("channel.bound", fields![nonce = nonce]);
-            }
+    fn unbind(&mut self) {
+        if let Some(c) = self.counters.take() {
+            c.channels.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Deadline and drain bookkeeping; `Done` when the channel must
-    /// close (unknown nonce, no hello, drained and quiet).
-    fn check_liveness(&mut self) -> Step {
-        if let Some(nonce) = self.pending_nonce {
-            if Instant::now() >= self.bind_deadline {
-                // The nonce never belonged to an authenticated session
-                // (or its session is long gone): refuse the channel.
-                self.span.emit("channel.unknown_nonce", fields![nonce = nonce]);
-                return self.close();
-            }
-        } else if self.counters.is_none() && Instant::now() >= self.bind_deadline {
-            // Connected but never completed a hello: the half-open-dial
-            // guard.
-            self.span.event("channel.no_hello");
-            return self.close();
-        }
-        // Drain: once the control sessions are gone and the channel has
-        // gone quiet, let it end.
-        if self.shared.draining.load(Ordering::SeqCst)
-            && self.last_activity.elapsed() > Duration::from_millis(500)
-        {
-            return self.close();
-        }
-        Step::Continue
+    fn close(&mut self) -> Step {
+        self.unbind();
+        Step::Done
     }
+}
 
-    fn step_ready(&mut self) -> Step {
+impl procutil::peer::DataConn for DataConn {
+    fn on_ready(&mut self) -> Step {
         // One bounded drain per readiness event: `recv_into` reads until
         // `WouldBlock` or its budget; level-triggered polling re-delivers
         // whatever remains, so the shard's other channels get their turn.
         let mut rx = std::mem::take(&mut self.rxbuf);
-        let got = self.transport.recv_into(SimTime::ZERO, &mut rx);
-        let fed = match got {
+        let fed = match self.transport.recv_into(SimTime::ZERO, &mut rx) {
             Ok(_) => self.ingest(&rx),
-            Err(_) => {
-                self.rxbuf = rx;
-                return self.close(); // peer closed or failed
-            }
+            Err(_) => Err(()), // peer closed or failed
         };
         self.rxbuf = rx;
         if fed.is_err() {
             return self.close();
         }
-        self.resolve_binding();
-        self.check_liveness()
+        Step::Continue
     }
 
-    fn step_tick(&mut self) -> Step {
-        // A quiet bound channel costs nothing per tick beyond the
-        // deadline checks; readiness events carry all the data.
-        self.resolve_binding();
-        self.check_liveness()
-    }
-
-    fn close(&mut self) -> Step {
-        if let Some(c) = self.counters.take() {
-            c.channels.fetch_sub(1, Ordering::Relaxed);
+    /// The blast sink never writes, so the tick only watches for the
+    /// drain: once the control sessions are gone and the channel has
+    /// gone quiet, let it end.
+    fn on_tick(&mut self) -> Step {
+        if self.peer.drained_quiet(self.last_activity) {
+            return self.close();
         }
-        Step::Done
+        Step::Continue
     }
 }

@@ -1,17 +1,19 @@
-//! Shared scaffolding for the standalone FlashFlow processes
-//! (`flashflow-measurer`, `flashflow-relay`).
+//! Shared scaffolding for the standalone FlashFlow processes.
 //!
-//! Both binaries are the same *kind* of program — a loopback-friendly
-//! TCP listener that classifies connections by first byte, drains
+//! `flashflow-measurer` and `flashflow-relay` are the same *kind* of
+//! program — a loopback-friendly TCP listener that classifies
+//! connections by first byte, serves them on the [`reactor`], drains
 //! gracefully on SIGTERM, and is configured by `--key value` flags
-//! and/or `key=value` config files. The pieces that are identical by
-//! construction live here once, so a fix to signal handling or config
-//! parsing cannot silently miss one of the binaries; everything
-//! protocol-shaped (what the sessions do, what the data plane means)
-//! stays in the binaries themselves.
+//! and/or `key=value` config files. All of that lives once in [`peer`],
+//! so a fix to the serving path cannot silently miss one of the
+//! binaries; each binary keeps only its role (what a conversation means
+//! to its data plane). The pieces the coordinator and the tools also
+//! use — signal flag, command-line parsing, durable writes, the metrics
+//! endpoint — sit beside it.
 
 mod metrics_endpoint;
 pub mod net;
+pub mod peer;
 pub mod persist;
 pub mod reactor;
 
@@ -21,12 +23,9 @@ pub use persist::{append_line, append_torn_line, atomic_write, journal_writer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use flashflow_proto::msg::AUTH_TOKEN_LEN;
-use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::Transport;
-use flashflow_simnet::time::SimTime;
 
 /// Set by the SIGTERM handler; the process's accept loop begins its
 /// drain when this flips.
@@ -103,6 +102,19 @@ pub fn parse_token_hex(s: &str) -> Result<[u8; AUTH_TOKEN_LEN], String> {
     Ok(token)
 }
 
+/// Parses a `--speedup` value: the clock multiplier every process in a
+/// deployment paces by.
+///
+/// # Errors
+/// Not a number, or not positive and finite.
+pub fn parse_speedup(s: &str) -> Result<f64, String> {
+    let speedup: f64 = s.parse().map_err(|e| format!("speedup: {e}"))?;
+    if !(speedup.is_finite() && speedup > 0.0) {
+        return Err("speedup must be positive and finite".to_string());
+    }
+    Ok(speedup)
+}
+
 /// Loads a `key=value` config file (blank lines and `#` comments
 /// skipped), feeding each setting to `apply` — the same function the
 /// command line uses, so the two surfaces cannot drift.
@@ -164,28 +176,17 @@ pub fn hello_window(speedup: f64) -> Duration {
     Duration::from_secs_f64((10.0 / speedup).clamp(0.05, 30.0))
 }
 
-/// Reads a freshly accepted connection's first bytes so the caller can
-/// classify it (control frame vs data hello). Returns `None` — the
-/// connection should be dropped — if it stays silent past `window`
-/// (a half-open dial must not hold a serving thread), dies, or the
-/// process starts draining while we wait.
-pub fn await_first_bytes(
-    transport: &mut TcpTransport,
-    window: Duration,
-    draining: &dyn Fn() -> bool,
-) -> Option<Vec<u8>> {
-    let deadline = Instant::now() + window;
+/// Parks the calling supervisor thread until SIGTERM arrives (`true`)
+/// or `done` holds (`false`). Never call this from a reactor shard.
+pub fn wait_for_drain(done: &dyn Fn() -> bool) -> bool {
     loop {
-        match transport.recv(SimTime::ZERO) {
-            Ok(bytes) if !bytes.is_empty() => return Some(bytes),
-            Ok(_) => {
-                if Instant::now() >= deadline || draining() {
-                    return None;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return None,
+        if drain_requested() {
+            return true;
         }
+        if done() {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

@@ -10,22 +10,20 @@
 //! protocol, served by a `RelaySession`) or **data** (an echo channel
 //! opening with a `DataChannelHello`) — and serves both concurrently.
 //!
-//! Serving is **reactor-driven** (see [`reactor`] and
-//! `flashflow_procutil::reactor`): `--io-threads N` epoll shards share
-//! the listening socket via `EPOLLEXCLUSIVE` and drive every accepted
-//! connection as a state machine, so thousands of concurrent echo
-//! channels multiplex over a fixed thread budget instead of a thread
-//! per connection.
+//! The process is the **relay role** of the shared peer library
+//! (`flashflow_procutil::peer`), which owns the common flags, the
+//! bootstrap and SIGTERM drain, the reactor-driven connection shell
+//! (`--io-threads N` epoll shards driving every accepted connection as
+//! a state machine), and the control-conversation skeleton. This crate
+//! is only what the role adds (see [`reactor`] for the hooks):
 //!
-//! * Control connections run [`RelaySession`](flashflow_proto::session::RelaySession)s
-//!   (the target role of the
-//!   protocol) and keep running them across conversations, so a
-//!   coordinator-side connection pool reuses warm connections. Once a
-//!   `MeasureCmd` is accepted, the session's
-//!   [`EchoBinding`](flashflow_proto::session::EchoBinding) — binding
-//!   nonce, frame-tag key, background allowance — is registered with
-//!   the data plane *before* `Ready` goes back, so the measurers' echo
-//!   dials (which only start at `Go`) always find their measurement.
+//! * Control conversations answer the protocol's target role and keep
+//!   running across conversations, so a coordinator-side connection
+//!   pool reuses warm connections. Once a `MeasureCmd` is accepted, the
+//!   measurement's binding nonce, frame-tag key and background
+//!   allowance are registered with the [`EchoPlane`] *before* `Ready`
+//!   goes back, so the measurers' echo dials (which only start at `Go`)
+//!   always find their measurement.
 //! * Data connections must open with a hello carrying a registered
 //!   binding nonce; each is served by an
 //!   [`Echoer`](flashflow_proto::blast::Echoer) that verifies
@@ -47,14 +45,15 @@
 //! corrupt and refuse to credit).
 //!
 //! Liveness, replay protection, `--config` files, and SIGTERM draining
-//! all match the measurer process; stdout carries `listening <addr>`
-//! and, with `--metrics-addr`, a second `metrics <addr>` line.
+//! are the peer library's, identical to the measurer process; stdout
+//! carries `listening <addr>` and, with `--metrics-addr`, a second
+//! `metrics <addr>` line.
 //!
 //! **Observability**: all process logging goes through one
-//! `flashflow-obs` [`EventSink`] — human text on stderr, and with
+//! `flashflow-obs` `EventSink` — human text on stderr, and with
 //! `--log-json FILE` the same events as JSONL (line-atomic under
 //! concurrency). `--metrics-addr ADDR` serves token-gated
-//! [`MetricsRegistry`] snapshots (echo-plane byte counters, background
+//! `MetricsRegistry` snapshots (echo-plane byte counters, background
 //! accounting) over TCP. When `--claim-bg` makes the relay lie, each
 //! reported second also emits a `bg.divergence` event carrying the
 //! claimed and metered figures — the ground truth the audit tests
@@ -70,28 +69,16 @@
 mod reactor;
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use flashflow_procutil as procutil;
-use procutil::reactor::{Reactor, ReactorConfig, ReactorObs};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
 
-use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
+use flashflow_obs::Counter;
+use flashflow_procutil as procutil;
 use flashflow_proto::blast::BlastCounters;
-use flashflow_proto::msg::AUTH_TOKEN_LEN;
-use flashflow_proto::session::ReplayWindow;
 
-/// Parsed configuration (command line and/or `--config` file).
-#[derive(Debug, Clone)]
+/// The relay role's own flags.
+#[derive(Debug, Clone, Default)]
 struct Config {
-    listen: String,
-    token: [u8; AUTH_TOKEN_LEN],
-    /// See the measurer process: the built-in default token is only
-    /// acceptable on loopback.
-    token_explicit: bool,
     /// Offered client traffic in bytes/second (simulated background).
     background: u64,
     /// Adversarial: report this background figure instead of what the
@@ -99,88 +86,12 @@ struct Config {
     claim_bg: Option<u64>,
     /// Adversarial: echo keystream-violating garbage.
     corrupt_echo: bool,
-    /// Clock multiplier (a "second" is `1/speedup` wall seconds).
-    speedup: f64,
-    /// Exit after this many control conversations; `None` serves until
-    /// SIGTERM.
-    sessions: Option<u64>,
-    /// Reactor shard (event-loop thread) count.
-    io_threads: usize,
-    /// Mirror the structured event stream to this file as JSONL.
-    log_json: Option<String>,
-    /// Serve token-gated metric snapshots on this TCP address.
-    metrics_addr: Option<String>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            listen: "127.0.0.1:0".to_string(),
-            token: [0x42; AUTH_TOKEN_LEN],
-            token_explicit: false,
-            background: 0,
-            claim_bg: None,
-            corrupt_echo: false,
-            speedup: 1.0,
-            sessions: None,
-            io_threads: 4,
-            log_json: None,
-            metrics_addr: None,
-        }
-    }
-}
-
-impl Config {
-    /// The identification window for fresh connections (shared
-    /// scaffolding, scaled by `--speedup`).
-    fn hello_window(&self) -> Duration {
-        procutil::hello_window(self.speedup)
-    }
 }
 
 const USAGE: &str = "usage: flashflow-relay [--config FILE] [--listen ADDR] \
                      [--token-hex HEX64] [--background BYTES] [--claim-bg BYTES] \
                      [--corrupt-echo true|false] [--speedup X] [--sessions N] \
                      [--io-threads N] [--log-json FILE] [--metrics-addr ADDR]";
-
-/// Applies one `key=value` setting (shared by CLI and config file).
-fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
-    match key {
-        "listen" => cfg.listen = value.to_string(),
-        "token-hex" => {
-            cfg.token = procutil::parse_token_hex(value)?;
-            cfg.token_explicit = true;
-        }
-        "background" => cfg.background = value.parse().map_err(|e| format!("background: {e}"))?,
-        "claim-bg" => cfg.claim_bg = Some(value.parse().map_err(|e| format!("claim-bg: {e}"))?),
-        "corrupt-echo" => {
-            cfg.corrupt_echo = value.parse().map_err(|e| format!("corrupt-echo: {e}"))?
-        }
-        "speedup" => {
-            cfg.speedup = value.parse().map_err(|e| format!("speedup: {e}"))?;
-            if !(cfg.speedup.is_finite() && cfg.speedup > 0.0) {
-                return Err("speedup must be positive and finite".to_string());
-            }
-        }
-        "sessions" => cfg.sessions = Some(value.parse().map_err(|e| format!("sessions: {e}"))?),
-        "io-threads" => {
-            cfg.io_threads = value.parse().map_err(|e| format!("io-threads: {e}"))?;
-            if cfg.io_threads == 0 {
-                return Err("io-threads must be at least 1".to_string());
-            }
-        }
-        "log-json" => cfg.log_json = Some(value.to_string()),
-        "metrics-addr" => cfg.metrics_addr = Some(value.to_string()),
-        other => return Err(format!("unknown setting {other:?}\n{USAGE}")),
-    }
-    Ok(())
-}
-
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
-    let mut cfg = Config::default();
-    procutil::parse_args(args, USAGE, &mut |key, value| apply(&mut cfg, key, value))?;
-    Ok(cfg)
-}
 
 /// One commanded measurement's aggregated echo accounting, fed by
 /// however many concurrent echo channels bound to its nonce.
@@ -232,163 +143,19 @@ impl EchoPlane {
     }
 }
 
-/// Everything the serving threads share.
-struct Shared {
+/// The relay role's process-wide state.
+struct Relay {
     cfg: Config,
-    replay: Mutex<ReplayWindow>,
     echo: EchoPlane,
-    draining: AtomicBool,
-    sessions_done: AtomicU64,
-    /// Root span of the process's structured event stream.
-    span: Span,
     /// Process-global echo-plane byte counters: every echo channel's
     /// verifying parser feeds these (the `--metrics-addr` snapshot).
     blast: BlastCounters,
-    echoed_bytes: flashflow_obs::Counter,
-    bg_admitted: flashflow_obs::Counter,
-    bg_reported: flashflow_obs::Counter,
-    seconds_reported: flashflow_obs::Counter,
-    /// Conversations re-adopted via the `Resume` handshake (a restarted
-    /// coordinator picking its parked sessions back up).
-    resumed: flashflow_obs::Counter,
-}
-
-impl Shared {
-    fn quota_reached(&self) -> bool {
-        self.cfg.sessions.is_some_and(|n| self.sessions_done.load(Ordering::SeqCst) >= n)
-    }
+    echoed_bytes: Counter,
+    bg_admitted: Counter,
+    bg_reported: Counter,
+    seconds_reported: Counter,
 }
 
 fn main() {
-    let cfg = match parse_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    procutil::install_sigterm_handler();
-    // SO_REUSEADDR: a replacement relay must re-take its configured
-    // port while the killed incarnation's connections sit in TIME_WAIT.
-    let listener = match procutil::listen_reuseaddr(&*cfg.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("query bound address for {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    if !addr.ip().is_loopback() && !cfg.token_explicit {
-        eprintln!(
-            "refusing to serve {addr} with the built-in default token; \
-             pass --token-hex with a real pre-shared secret"
-        );
-        std::process::exit(2);
-    }
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &cfg.log_json {
-        // Opened with the shared journal discipline (O_APPEND, one
-        // write per line): a crash tears at most the final line.
-        sink = match procutil::journal_writer(std::path::Path::new(path)) {
-            Ok(file) => sink.with_jsonl(Box::new(file)),
-            Err(e) => {
-                eprintln!("open --log-json {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let span = Span::root(sink);
-    let registry = MetricsRegistry::new();
-    let mut metrics_line = None;
-    if let Some(maddr) = &cfg.metrics_addr {
-        match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok(bound) => metrics_line = Some(format!("metrics {bound}")),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // A failed flush means whoever spawned us cannot learn the bound
-    // address — serving anyway would wedge the parent, so exit instead.
-    println!("listening {addr}");
-    if let Some(line) = metrics_line {
-        println!("{line}");
-    }
-    if let Err(e) = std::io::stdout().flush() {
-        eprintln!("flush advertised endpoints to stdout: {e}");
-        std::process::exit(1);
-    }
-    span.emit(
-        "relay.start",
-        fields![
-            background = cfg.background,
-            claim_bg = cfg.claim_bg.unwrap_or(0),
-            lying = cfg.claim_bg.is_some(),
-            corrupt_echo = cfg.corrupt_echo,
-            speedup = cfg.speedup,
-        ],
-    );
-
-    let shared = Arc::new(Shared {
-        cfg,
-        replay: Mutex::new(ReplayWindow::default()),
-        echo: EchoPlane::default(),
-        draining: AtomicBool::new(false),
-        sessions_done: AtomicU64::new(0),
-        span,
-        blast: BlastCounters {
-            verified: registry.counter("relay.echo.verified_bytes"),
-            corrupt: registry.counter("relay.echo.corrupt_bytes"),
-            forged: registry.counter("relay.echo.forged_bytes"),
-            replayed: registry.counter("relay.echo.replayed_bytes"),
-        },
-        echoed_bytes: registry.counter("relay.echo.echoed_bytes"),
-        bg_admitted: registry.counter("relay.bg.admitted_bytes"),
-        bg_reported: registry.counter("relay.bg.reported_bytes"),
-        seconds_reported: registry.counter("relay.reported_seconds"),
-        resumed: registry.counter("relay.sessions_resumed"),
-    });
-    // The reactor owns the listener from here: `--io-threads` epoll
-    // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
-    // state machine; this thread only supervises drain and quota.
-    let reactor = match Reactor::serve_observed(
-        Some(listener),
-        ReactorConfig { shards: shared.cfg.io_threads, tick: Duration::from_millis(1) },
-        reactor::accept_factory(Arc::clone(&shared)),
-        Some(ReactorObs {
-            registry: registry.clone(),
-            prefix: "relay.reactor".to_string(),
-            span: shared.span.clone(),
-            stall_budget: Duration::from_millis(20),
-        }),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.span.emit("relay.fatal", fields![error = format!("start reactor: {e}")]);
-            std::process::exit(1);
-        }
-    };
-    loop {
-        if procutil::drain_requested() {
-            shared.span.event("relay.drain");
-            break;
-        }
-        if shared.quota_reached() {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    shared.draining.store(true, Ordering::SeqCst);
-    reactor.stop();
-    if let Err(e) = reactor.join() {
-        shared.span.emit("relay.fatal", fields![error = e]);
-    }
-    shared.span.emit("relay.exit", fields![sessions = shared.sessions_done.load(Ordering::SeqCst)]);
+    procutil::peer::run::<Relay>();
 }

@@ -1,491 +1,177 @@
-//! The relay's reactor-driven serving layer: every accepted connection
-//! becomes one [`RelayConn`] state machine driven by a shard of the
-//! shared [`procutil::reactor`] event loop, replacing the
-//! thread-per-connection dispatch the process started with.
-//!
-//! A connection moves through at most four states: **Classify** (await
-//! the first bytes, exactly the old `await_first_bytes` window),
-//! **Bind** (a data dial accumulating its hello and waiting for its
-//! nonce to be registered), then either **Control** (the warm-reuse
-//! conversation loop around a [`RelaySession`]) or **Data** (an
-//! [`Echoer`] verifying and looping the blast back). The serving
-//! *logic* is the thread-based code's loop bodies verbatim — one loop
-//! iteration per readiness event or shard tick instead of per 1ms
-//! sleep — so the protocol behavior, event stream, and accounting are
-//! unchanged while thousands of channels share a handful of threads.
+//! The relay role's hooks into the shared peer library
+//! ([`procutil::peer`]) and its data connection. The library drives the
+//! connection shell and the control conversation; this module says what
+//! a conversation means to the echo plane — register the commanded
+//! measurement, meter background traffic, report both columns each
+//! second — and serves bound echo channels with an [`Echoer`] that
+//! verifies the blast and loops exactly the verified bytes back.
 
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use flashflow_obs::{fields, Span};
+use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_procutil as procutil;
 use flashflow_proto::blast::{
-    BackgroundMeter, DataChannelHello, Echoer, DATA_HELLO_TAG, HELLO_LEN,
+    binding_nonce, secret_channel_key, BackgroundMeter, BlastCounters, DataChannelHello, Echoer,
 };
-use flashflow_proto::endpoint::Endpoint;
-use flashflow_proto::msg::AbortReason;
-use flashflow_proto::session::{
-    MeasurerAction, MeasurerPhase, RelaySession, SessionState as _, SessionTimeouts,
-};
+use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::{LeasedTransport, Transport};
 use flashflow_simnet::time::SimTime;
-use procutil::reactor::{Driven, Step};
+use procutil::peer::{Bind, Peer, Role};
+use procutil::reactor::Step;
 
-use crate::{EchoCounters, Measurement, Shared};
+use crate::{Config, EchoCounters, EchoPlane, Measurement, Relay};
 
-/// Builds the reactor's accept callback: admission control (drain,
-/// session quota), the `conn.accept` event, and a fresh [`RelayConn`]
-/// in its classify window.
-pub fn accept_factory(shared: Arc<Shared>) -> Arc<procutil::reactor::AcceptFn> {
-    let conn_ids = AtomicU64::new(0);
-    Arc::new(move |stream: TcpStream, peer: SocketAddr| {
-        if shared.draining.load(Ordering::SeqCst) || shared.quota_reached() {
-            return None;
-        }
-        let transport = TcpTransport::from_stream(stream).ok()?;
-        let conn_id = conn_ids.fetch_add(1, Ordering::SeqCst);
-        shared.span.channel(conn_id).emit("conn.accept", fields![peer = format!("{peer}")]);
-        let deadline = Instant::now() + shared.cfg.hello_window();
-        Some(Box::new(RelayConn {
-            shared: Arc::clone(&shared),
-            conn_id,
-            fd: transport.raw_fd(),
-            state: State::Classify { transport, buf: Vec::new(), deadline },
-        }) as Box<dyn Driven>)
-    })
-}
-
-/// Why the shard called into the connection.
-#[derive(Clone, Copy)]
-enum Why {
-    Ready,
-    Tick,
-}
-
-/// One reactor-driven relay connection.
-pub struct RelayConn {
-    shared: Arc<Shared>,
-    conn_id: u64,
-    /// Cached at accept: [`Driven::fd`] must stay stable across state
-    /// transitions that move the transport between owners.
-    fd: i32,
-    state: State,
-}
-
-enum State {
-    /// Awaiting the first bytes that classify the connection.
-    Classify {
-        transport: TcpTransport,
-        buf: Vec<u8>,
-        deadline: Instant,
-    },
-    /// A data dial: accumulate the hello, wait for its nonce.
-    Bind {
-        transport: TcpTransport,
-        buf: Vec<u8>,
-        deadline: Instant,
-    },
-    Control(Box<ControlConn>),
-    Data(Box<DataConn>),
-    Gone,
-}
-
-/// Whether a state handler settled or wants an immediate follow-up
-/// (classification should not wait a tick to start the handshake).
-enum Flow {
-    Settle(Step),
-    Again,
-}
-
-impl Driven for RelayConn {
-    fn fd(&self) -> i32 {
-        self.fd
-    }
-
-    fn on_ready(&mut self) -> Step {
-        self.drive(Why::Ready)
-    }
-
-    fn on_tick(&mut self) -> Step {
-        self.drive(Why::Tick)
-    }
-
-    fn wants_write(&self) -> bool {
-        match &self.state {
-            State::Control(c) => c.backlog,
-            State::Data(d) => d.backlog,
-            State::Classify { .. } | State::Bind { .. } | State::Gone => false,
-        }
-    }
-}
-
-impl RelayConn {
-    fn drive(&mut self, why: Why) -> Step {
-        loop {
-            let state = std::mem::replace(&mut self.state, State::Gone);
-            let (next, flow) = match state {
-                State::Classify { transport, buf, deadline } => {
-                    self.classify(why, transport, buf, deadline)
-                }
-                State::Bind { transport, buf, deadline } => {
-                    self.bind(why, transport, buf, deadline)
-                }
-                State::Control(mut c) => {
-                    let step = c.step();
-                    let next = if step == Step::Done { State::Gone } else { State::Control(c) };
-                    (next, Flow::Settle(step))
-                }
-                State::Data(mut d) => {
-                    let step = match why {
-                        Why::Ready => d.step_ready(),
-                        Why::Tick => d.step_tick(),
-                    };
-                    let next = if step == Step::Done { State::Gone } else { State::Data(d) };
-                    (next, Flow::Settle(step))
-                }
-                State::Gone => (State::Gone, Flow::Settle(Step::Done)),
-            };
-            self.state = next;
-            match flow {
-                Flow::Again => {}
-                Flow::Settle(step) => return step,
-            }
-        }
-    }
-
-    /// The old `await_first_bytes`: read until the first bytes arrive,
-    /// drop silent/dead dials at the hello window (or on drain).
-    fn classify(
-        &mut self,
-        why: Why,
-        mut transport: TcpTransport,
-        mut buf: Vec<u8>,
-        deadline: Instant,
-    ) -> (State, Flow) {
-        if matches!(why, Why::Ready) {
-            match transport.recv(SimTime::ZERO) {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => {
-                    self.shared.span.channel(self.conn_id).event("conn.silent");
-                    return (State::Gone, Flow::Settle(Step::Done));
-                }
-            }
-        }
-        if !buf.is_empty() {
-            if buf[0] == DATA_HELLO_TAG {
-                return (State::Bind { transport, buf, deadline }, Flow::Again);
-            }
-            let control = ControlConn::new(&self.shared, self.conn_id, transport, buf);
-            return (State::Control(Box::new(control)), Flow::Again);
-        }
-        if Instant::now() >= deadline || self.shared.draining.load(Ordering::SeqCst) {
-            self.shared.span.channel(self.conn_id).event("conn.silent");
-            return (State::Gone, Flow::Settle(Step::Done));
-        }
-        (State::Classify { transport, buf, deadline }, Flow::Settle(Step::Continue))
-    }
-
-    /// The old `serve_data` preamble: accumulate the hello, then wait
-    /// out the window for the nonce to appear in the echo plane (the
-    /// command may land microseconds after the dial).
-    fn bind(
-        &mut self,
-        why: Why,
-        mut transport: TcpTransport,
-        mut buf: Vec<u8>,
-        deadline: Instant,
-    ) -> (State, Flow) {
-        if matches!(why, Why::Ready) && buf.len() < HELLO_LEN {
-            match transport.recv(SimTime::ZERO) {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return (State::Gone, Flow::Settle(Step::Done)),
-            }
-        }
-        let span = self.shared.span.channel(self.conn_id);
-        if buf.len() < HELLO_LEN {
-            if Instant::now() >= deadline {
-                span.event("channel.no_hello");
-                return (State::Gone, Flow::Settle(Step::Done));
-            }
-            return (State::Bind { transport, buf, deadline }, Flow::Settle(Step::Continue));
-        }
-        let mut raw = [0u8; HELLO_LEN];
-        raw.copy_from_slice(&buf[..HELLO_LEN]);
-        let hello = match DataChannelHello::decode(&raw) {
-            Ok(h) => h,
-            Err(e) => {
-                span.emit("channel.bad_hello", fields![error = format!("{e}")]);
-                return (State::Gone, Flow::Settle(Step::Done));
-            }
-        };
-        match self.shared.echo.lookup(hello.nonce) {
-            Some(m) => match DataConn::bind(&self.shared, span, transport, &buf, &m) {
-                Some(d) => (State::Data(Box::new(d)), Flow::Settle(Step::Continue)),
-                None => (State::Gone, Flow::Settle(Step::Done)),
-            },
-            None if Instant::now() >= deadline => {
-                span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
-                (State::Gone, Flow::Settle(Step::Done))
-            }
-            None => (State::Bind { transport, buf, deadline }, Flow::Settle(Step::Continue)),
-        }
-    }
-}
-
-/// The old `serve_control`/`serve_one` pair as a state machine: one
-/// control connection serving conversations back to back on a leased
-/// transport, so a coordinator-side pool reuses warm connections.
-struct ControlConn {
-    shared: Arc<Shared>,
-    conn_id: u64,
-    conversation: u64,
-    endpoint: Option<Endpoint<RelaySession, LeasedTransport<TcpTransport>>>,
-    span: Span,
-    t0: Instant,
-    report_every: Duration,
-    slot: Option<u32>,
-    started_at: Instant,
-    reported: u32,
-    claimed_nonce: Option<u64>,
-    registered_binding: Option<u64>,
-    counters: Option<Arc<EchoCounters>>,
+/// The relay's state for one control conversation.
+pub struct Conv {
     meter: BackgroundMeter,
+    /// The binding nonce this conversation registered, with the
+    /// measurement's aggregate counters.
+    registered: Option<(u64, Arc<EchoCounters>)>,
     echoed_through: u64,
     bg_through: u64,
-    /// Terminal sessions get three flush steps before the conversation
-    /// ends (the thread code's 3×1ms pump-and-sleep tail).
-    terminal_flushes: u8,
-    /// Unflushed outbound bytes at the end of the last step; the shard
-    /// re-arms the socket for write readiness while this holds.
-    backlog: bool,
 }
 
-impl ControlConn {
-    fn new(
-        shared: &Arc<Shared>,
-        conn_id: u64,
-        transport: TcpTransport,
-        preread: Vec<u8>,
-    ) -> ControlConn {
-        let mut conn = ControlConn {
-            shared: Arc::clone(shared),
-            conn_id,
-            conversation: 0,
-            endpoint: None,
-            span: shared.span.session(conn_id * 1_000),
-            t0: Instant::now(),
-            report_every: Duration::from_secs_f64(1.0 / shared.cfg.speedup),
-            slot: None,
-            started_at: Instant::now(),
-            reported: 0,
-            claimed_nonce: None,
-            registered_binding: None,
-            counters: None,
-            meter: BackgroundMeter::new(shared.cfg.background),
+impl Conv {
+    fn counter(&self, pick: impl Fn(&EchoCounters) -> u64) -> u64 {
+        self.registered.as_ref().map_or(0, |(_, c)| pick(c))
+    }
+}
+
+impl Role for Relay {
+    const NAME: &'static str = "relay";
+    const USAGE: &'static str = crate::USAGE;
+    type Config = Config;
+    type Conv = Conv;
+    type Data = DataConn;
+
+    fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<bool, String> {
+        match key {
+            "background" => {
+                cfg.background = value.parse().map_err(|e| format!("background: {e}"))?;
+            }
+            "claim-bg" => cfg.claim_bg = Some(value.parse().map_err(|e| format!("claim-bg: {e}"))?),
+            "corrupt-echo" => {
+                cfg.corrupt_echo = value.parse().map_err(|e| format!("corrupt-echo: {e}"))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn new(cfg: Config, registry: &MetricsRegistry) -> Relay {
+        Relay {
+            cfg,
+            echo: EchoPlane::default(),
+            blast: BlastCounters {
+                verified: registry.counter("relay.echo.verified_bytes"),
+                corrupt: registry.counter("relay.echo.corrupt_bytes"),
+                forged: registry.counter("relay.echo.forged_bytes"),
+                replayed: registry.counter("relay.echo.replayed_bytes"),
+            },
+            echoed_bytes: registry.counter("relay.echo.echoed_bytes"),
+            bg_admitted: registry.counter("relay.bg.admitted_bytes"),
+            bg_reported: registry.counter("relay.bg.reported_bytes"),
+            seconds_reported: registry.counter("relay.reported_seconds"),
+        }
+    }
+
+    fn start_fields(&self) -> Vec<(String, Value)> {
+        fields![
+            background = self.cfg.background,
+            claim_bg = self.cfg.claim_bg.unwrap_or(0),
+            lying = self.cfg.claim_bg.is_some(),
+            corrupt_echo = self.cfg.corrupt_echo,
+        ]
+    }
+
+    fn session_role(&self) -> PeerRole {
+        PeerRole::Target
+    }
+
+    fn conversation(&self) -> Conv {
+        Conv {
+            meter: BackgroundMeter::new(self.cfg.background),
+            registered: None,
             echoed_through: 0,
             bg_through: 0,
-            terminal_flushes: 0,
-            backlog: false,
-        };
-        conn.start_conversation(LeasedTransport::new(transport), Some(preread));
-        conn
+        }
     }
 
-    /// Begins the next conversation on the (possibly warm) transport.
-    fn start_conversation(
-        &mut self,
-        mut leased: LeasedTransport<TcpTransport>,
-        preread: Option<Vec<u8>>,
-    ) {
-        leased.reset_close();
-        let session_id = self.conn_id * 1_000 + self.conversation;
-        self.conversation += 1;
-        self.span = self.shared.span.session(session_id);
-        let window = procutil::lock_recover(&self.shared.replay).clone();
-        let session =
-            RelaySession::new(self.shared.cfg.token, session_id, SessionTimeouts::default())
-                .with_replay_window(window);
-        let mut endpoint = Endpoint::new(session, leased);
-        self.t0 = Instant::now();
-        if let Some(bytes) = preread {
-            endpoint.session_mut().receive(SimTime::ZERO, &bytes);
-        }
-        self.slot = None;
-        self.started_at = Instant::now();
-        self.reported = 0;
-        self.claimed_nonce = None;
-        self.registered_binding = None;
-        self.counters = None;
-        self.meter = BackgroundMeter::new(self.shared.cfg.background);
-        self.echoed_through = 0;
-        self.bg_through = 0;
-        self.terminal_flushes = 0;
-        self.endpoint = Some(endpoint);
+    /// Registers the commanded measurement with the data plane the
+    /// moment the command is accepted, so the echo dials that follow
+    /// `Go` always find it.
+    fn on_command(&self, conv: &mut Conv, span: &Span, spec: &MeasureSpec) {
+        let nonce = binding_nonce(spec.measurement_secret);
+        let key = secret_channel_key(spec.measurement_secret);
+        conv.registered = Some((nonce, self.echo.register(nonce, key, spec.trace_id)));
+        // The commanded rate cap is the relay's background allowance.
+        conv.meter.set_cap(spec.rate_cap);
+        span.emit("session.registered", fields![nonce = nonce, bg_allowance = spec.rate_cap]);
     }
 
-    /// One iteration of the old `serve_one` loop body.
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self) -> Step {
-        let cfg = &self.shared.cfg;
-        let Some(endpoint) = self.endpoint.as_mut() else {
-            return Step::Done;
-        };
-        let now = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64());
-        let snow = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * cfg.speedup);
-        endpoint.pump(now);
-        endpoint.tick(now);
-        // Claim the accepted Auth nonce in the process-wide replay
-        // window (concurrent-replay arbitration, as in the measurer).
-        if self.claimed_nonce.is_none() {
-            if let Some(nonce) = endpoint.session().accepted_nonce() {
-                self.claimed_nonce = Some(nonce);
-                if !procutil::lock_recover(&self.shared.replay).witness(nonce) {
-                    self.span.event("session.replay_drop");
-                    endpoint.session_mut().abort(AbortReason::AuthFailed);
-                } else if endpoint.session().resumed() {
-                    self.shared.resumed.inc();
-                    // A resumed conversation learns its trace id from
-                    // the Resume opener itself, before the re-sent
-                    // MeasureCmd arrives.
-                    if let Some(trace) = endpoint.session().resume_trace_id().filter(|&t| t != 0) {
-                        self.span = self.span.trace(trace);
-                    }
-                    self.span.emit("session.resumed", fields![nonce = nonce]);
-                }
-            }
-        }
-        // Register the commanded measurement with the data plane the
-        // moment the command is accepted — Ready goes back on this same
-        // step, so the echo dials that follow Go always find it.
-        if self.registered_binding.is_none() {
-            if let Some(binding) = endpoint.session().echo_binding() {
-                self.counters = Some(self.shared.echo.register(
-                    binding.binding_nonce,
-                    binding.channel_key,
-                    binding.trace_id,
-                ));
-                self.registered_binding = Some(binding.binding_nonce);
-                self.meter.set_cap(binding.background_allowance);
-                self.span.emit(
-                    "session.registered",
-                    fields![
-                        nonce = binding.binding_nonce,
-                        bg_allowance = binding.background_allowance,
-                    ],
+    fn on_start(&self, conv: &mut Conv, span: &Span, _spec: &MeasureSpec, snow: SimTime) {
+        conv.echoed_through = 0;
+        conv.bg_through = 0;
+        conv.meter.start(snow);
+        span.emit("session.go", fields![bg_rate = conv.meter.admitted_rate()]);
+    }
+
+    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, _snow: SimTime) {
+        let channels = conv.counter(|c| c.channels.load(Ordering::Relaxed));
+        span.emit("session.stop", fields![seconds = seconds, channels = channels]);
+    }
+
+    fn drive(&self, conv: &mut Conv, _span: &Span, snow: SimTime, _live: bool) {
+        conv.meter.tick(snow);
+    }
+
+    fn second_report(&self, conv: &mut Conv, span: &Span, second: u32) -> (u64, u64) {
+        let echoed = conv.counter(|c| c.echoed.load(Ordering::Relaxed));
+        let echo_delta = echoed - conv.echoed_through;
+        conv.echoed_through = echoed;
+        let admitted = conv.meter.admitted_total();
+        let metered = admitted - conv.bg_through;
+        conv.bg_through = admitted;
+        let bg = match self.cfg.claim_bg {
+            // The liar: a fixed per-second claim, regardless of what the
+            // meter admitted. The lie leaves a trail: both figures go
+            // into the event stream, which is what the audit tests
+            // cross-check against the coordinator's ledger flags.
+            Some(claim) => {
+                span.emit(
+                    "bg.divergence",
+                    fields![second = second, claimed = claim, metered = metered],
                 );
+                claim
             }
-        }
-        if self.shared.draining.load(Ordering::SeqCst)
-            && matches!(
-                endpoint.session().phase(),
-                MeasurerPhase::AwaitAuth | MeasurerPhase::AwaitCmd | MeasurerPhase::AwaitGo
-            )
-        {
-            endpoint.session_mut().abort(AbortReason::Shutdown);
-        }
-        while let Some(action) = endpoint.session_mut().poll_action() {
-            match action {
-                MeasurerAction::Prepare { spec } => {
-                    // Every event from here on carries the coordinator's
-                    // trace id for this item-attempt.
-                    if spec.trace_id != 0 {
-                        self.span = self.span.trace(spec.trace_id);
-                    }
-                    self.span.emit(
-                        "session.prepare",
-                        fields![
-                            fp = format!("{:02x}{:02x}", spec.relay_fp[0], spec.relay_fp[1]),
-                            slot_secs = spec.slot_secs,
-                        ],
-                    );
-                }
-                MeasurerAction::Start { spec } => {
-                    self.slot = Some(spec.slot_secs);
-                    self.started_at = Instant::now();
-                    self.echoed_through = 0;
-                    self.bg_through = 0;
-                    self.meter.start(snow);
-                    self.span.emit("session.go", fields![bg_rate = self.meter.admitted_rate()]);
-                }
-                MeasurerAction::Stop => {
-                    let ch =
-                        self.counters.as_ref().map_or(0, |c| c.channels.load(Ordering::Relaxed));
-                    self.span.emit("session.stop", fields![seconds = self.reported, channels = ch]);
-                }
-            }
-        }
-        self.meter.tick(snow);
-        if let Some(slot_secs) = self.slot {
-            while self.reported < slot_secs
-                && !endpoint.is_terminal()
-                && self.started_at.elapsed() >= self.report_every * (self.reported + 1)
-            {
-                let echoed = self.counters.as_ref().map_or(0, |c| c.echoed.load(Ordering::Relaxed));
-                let echo_delta = echoed - self.echoed_through;
-                self.echoed_through = echoed;
-                let admitted = self.meter.admitted_total();
-                let metered = admitted - self.bg_through;
-                self.bg_through = admitted;
-                let bg = match cfg.claim_bg {
-                    // The liar: a fixed per-second claim, regardless of
-                    // what the meter admitted. The lie leaves a trail:
-                    // both figures go into the event stream, which is
-                    // what the audit tests cross-check against the
-                    // coordinator's ledger flags.
-                    Some(claim) => {
-                        self.span.emit(
-                            "bg.divergence",
-                            fields![second = self.reported, claimed = claim, metered = metered,],
-                        );
-                        claim
-                    }
-                    None => metered,
-                };
-                self.shared.bg_admitted.add(metered);
-                self.shared.bg_reported.add(bg);
-                self.shared.seconds_reported.inc();
-                endpoint.session_mut().report_second(bg, echo_delta);
-                self.reported += 1;
-            }
-        }
-        if endpoint.is_terminal() {
-            endpoint.pump(SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64()));
-            self.terminal_flushes += 1;
-            if self.terminal_flushes >= 3 {
-                return self.finish_conversation();
-            }
-        }
-        let backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
-        self.backlog = backlog;
-        Step::Continue
+            None => metered,
+        };
+        self.bg_admitted.add(metered);
+        self.bg_reported.add(bg);
+        self.seconds_reported.inc();
+        (bg, echo_delta)
     }
 
-    /// Ends the current conversation: release the measurement, count
-    /// the session, and either start the next conversation on the warm
-    /// transport or finish the connection.
-    fn finish_conversation(&mut self) -> Step {
-        let Some(endpoint) = self.endpoint.take() else {
-            return Step::Done;
-        };
-        let reusable = endpoint.session().phase() == MeasurerPhase::Done
-            && endpoint.transport_error().is_none();
-        let authed = self.claimed_nonce.is_some();
-        let (_session, leased) = endpoint.into_parts();
-        if let Some(nonce) = self.registered_binding.take() {
-            self.shared.echo.release(nonce);
+    fn release(&self, conv: &mut Conv) {
+        if let Some((nonce, _)) = conv.registered.take() {
+            self.echo.release(nonce);
         }
-        if authed {
-            self.shared.sessions_done.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn bind_data(
+        peer: &Arc<Peer<Relay>>,
+        span: Span,
+        transport: TcpTransport,
+        preread: &[u8],
+        hello: DataChannelHello,
+    ) -> Bind<DataConn> {
+        match peer.role.echo.lookup(hello.nonce) {
+            Some(m) => DataConn::bind(peer, span, transport, preread, &m)
+                .map_or(Bind::Refused, Bind::Bound),
+            None => Bind::Unknown(transport),
         }
-        if !reusable || self.shared.draining.load(Ordering::SeqCst) || self.shared.quota_reached() {
-            return Step::Done;
-        }
-        self.start_conversation(leased, None);
-        self.backlog = false;
-        Step::Continue
     }
 }
 
@@ -494,11 +180,10 @@ impl ControlConn {
 /// (level-triggered polling re-delivers whatever remains).
 const PUMP_ROUNDS: u32 = 8;
 
-/// The old `serve_data` echo loop as a state machine: one bound echo
-/// channel, pumped on socket readiness, publishing counter deltas into
-/// its measurement's aggregate.
-struct DataConn {
-    shared: Arc<Shared>,
+/// One bound echo channel, pumped on socket readiness, publishing
+/// counter deltas into its measurement's aggregate.
+pub struct DataConn {
+    peer: Arc<Peer<Relay>>,
     span: Span,
     echoer: Echoer<TcpTransport>,
     counters: Arc<EchoCounters>,
@@ -515,7 +200,7 @@ impl DataConn {
     /// Binds a decoded hello to its registered measurement and feeds
     /// the pre-read bytes (hello + whatever blast followed it).
     fn bind(
-        shared: &Arc<Shared>,
+        peer: &Arc<Peer<Relay>>,
         span: Span,
         transport: TcpTransport,
         preread: &[u8],
@@ -527,15 +212,16 @@ impl DataConn {
         // plane's events join the same cross-process timeline.
         let span = if measurement.trace_id != 0 { span.trace(measurement.trace_id) } else { span };
         span.emit("channel.bound", fields![channels = counters.channels.load(Ordering::Relaxed)]);
+        let relay = &peer.role;
         let mut echoer = Echoer::new(transport)
             .with_key(measurement.key)
-            .with_counters(shared.blast.clone(), shared.echoed_bytes.clone());
-        echoer.set_corrupt_echo(shared.cfg.corrupt_echo);
+            .with_counters(relay.blast.clone(), relay.echoed_bytes.clone());
+        echoer.set_corrupt_echo(relay.cfg.corrupt_echo);
         let t0 = Instant::now();
-        let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * shared.cfg.speedup);
+        let now = peer.snow(t0);
         echoer.start(now);
         let mut conn = DataConn {
-            shared: Arc::clone(shared),
+            peer: Arc::clone(peer),
             span,
             echoer,
             counters,
@@ -551,45 +237,6 @@ impl DataConn {
         }
         conn.publish();
         Some(conn)
-    }
-
-    fn snow(&self) -> SimTime {
-        SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * self.shared.cfg.speedup)
-    }
-
-    fn step_ready(&mut self) -> Step {
-        let now = self.snow();
-        for _ in 0..PUMP_ROUNDS {
-            match self.echoer.pump(now) {
-                Ok(true) => self.last_activity = Instant::now(),
-                Ok(false) => break,
-                Err(e) => {
-                    self.span.emit("channel.framing_error", fields![error = format!("{e}")]);
-                    return self.close();
-                }
-            }
-        }
-        self.publish();
-        if self.echoer.transport_error().is_some() {
-            return self.close(); // measurer hung up: the normal end
-        }
-        self.backlog =
-            self.echoer.pending_echo() > 0 || self.echoer.transport_mut().pending_send_bytes() > 0;
-        Step::Continue
-    }
-
-    fn step_tick(&mut self) -> Step {
-        // A quiet bound channel costs nothing per tick; only a flush
-        // backlog or the drain deadline brings it back to the socket.
-        if self.backlog {
-            return self.step_ready();
-        }
-        if self.shared.draining.load(Ordering::SeqCst)
-            && self.last_activity.elapsed() > Duration::from_millis(500)
-        {
-            return self.close();
-        }
-        Step::Continue
     }
 
     /// Publishes counter deltas into the measurement's aggregate (the
@@ -621,5 +268,44 @@ impl DataConn {
             ],
         );
         Step::Done
+    }
+}
+
+impl procutil::peer::DataConn for DataConn {
+    fn on_ready(&mut self) -> Step {
+        let now = self.peer.snow(self.t0);
+        for _ in 0..PUMP_ROUNDS {
+            match self.echoer.pump(now) {
+                Ok(true) => self.last_activity = Instant::now(),
+                Ok(false) => break,
+                Err(e) => {
+                    self.span.emit("channel.framing_error", fields![error = format!("{e}")]);
+                    return self.close();
+                }
+            }
+        }
+        self.publish();
+        if self.echoer.transport_error().is_some() {
+            return self.close(); // measurer hung up: the normal end
+        }
+        self.backlog =
+            self.echoer.pending_echo() > 0 || self.echoer.transport_mut().pending_send_bytes() > 0;
+        Step::Continue
+    }
+
+    fn on_tick(&mut self) -> Step {
+        // A quiet bound channel costs nothing per tick; only a flush
+        // backlog or the drain deadline brings it back to the socket.
+        if self.backlog {
+            return self.on_ready();
+        }
+        if self.peer.drained_quiet(self.last_activity) {
+            return self.close();
+        }
+        Step::Continue
+    }
+
+    fn wants_write(&self) -> bool {
+        self.backlog
     }
 }

@@ -1,0 +1,128 @@
+//! An unauthenticated data dial must cost a peer process nothing. Both
+//! binaries get the same two dials: a well-formed hello naming a nonce
+//! no session registered, followed by junk — one then half-closes, one
+//! just holds the connection open. Under level-triggered polling a
+//! serving path that stops reading such a dial spins its shard until
+//! the hello window ends, and a wait that ignores the drain flag holds
+//! SIGTERM for as long. `/proc/<pid>/stat` is the witness for the first,
+//! the exit latency for the second.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use flashflow_proto::blast::DataChannelHello;
+
+/// How long the process is watched after the dials land. At the default
+/// `--speedup 1` the hello window is 10 s, so this sits inside it.
+const WATCH: Duration = Duration::from_secs(3);
+/// CPU the whole process may burn over [`WATCH`]; a pinned shard burns
+/// the full three seconds.
+const CPU_BUDGET_SECS: f64 = 0.3;
+const EXIT_BUDGET: Duration = Duration::from_secs(1);
+
+/// Builds (if stale) and locates a workspace binary beside this test's
+/// own executable.
+fn sibling_bin(name: &str) -> PathBuf {
+    let mut path = std::env::current_exe().expect("test exe path");
+    path.pop(); // deps/
+    path.pop(); // target/<profile>/
+    let release = path.ends_with("release");
+    path.push(name);
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let mut build = Command::new(cargo);
+    build.args(["build", "-p", name, "--bin", name]);
+    if release {
+        build.arg("--release");
+    }
+    assert!(build.status().expect("spawn cargo build").success(), "building {name} failed");
+    path
+}
+
+fn spawn_listener(bin: PathBuf) -> (Child, SocketAddr) {
+    let mut child = Command::new(&bin)
+        .args(["--listen", "127.0.0.1:0", "--io-threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("child stdout"))
+        .read_line(&mut line)
+        .expect("read advertised address");
+    let addr = line
+        .trim()
+        .strip_prefix("listening ")
+        .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
+        .parse()
+        .expect("parse advertised address");
+    (child, addr)
+}
+
+/// User + system CPU seconds the process has consumed so far.
+fn cpu_secs(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    // Fields after the parenthesised command name: state is the first,
+    // utime and stime the 12th and 13th, in USER_HZ (100) ticks.
+    let rest = stat.rsplit_once(')').expect("comm field").1;
+    let ticks = |ix: usize| -> f64 {
+        rest.split_whitespace().nth(ix).expect("stat field").parse().expect("tick count")
+    };
+    (ticks(11) + ticks(12)) / 100.0
+}
+
+fn hostile_dial(addr: SocketAddr, nonce: u64, half_close: bool) -> TcpStream {
+    let mut dial = TcpStream::connect(addr).expect("dial");
+    let mut bytes = DataChannelHello { nonce, channel: 0 }.encode().to_vec();
+    bytes.extend_from_slice(&[0xA5; 100]);
+    dial.write_all(&bytes).expect("send hello + junk");
+    if half_close {
+        dial.shutdown(Shutdown::Write).expect("half-close");
+    }
+    dial
+}
+
+fn stays_quiet_and_drains(bin: PathBuf) {
+    let (mut child, addr) = spawn_listener(bin);
+    let pid = child.id();
+    let _closed = hostile_dial(addr, 0xBAD0_0000_0000_D1A1, true);
+    let _held = hostile_dial(addr, 0xBAD0_0000_0000_D1A2, false);
+    std::thread::sleep(Duration::from_millis(100));
+    let before = cpu_secs(pid);
+    std::thread::sleep(WATCH);
+    let burned = cpu_secs(pid) - before;
+
+    let term = Command::new("kill").args(["-TERM", &pid.to_string()]).status().expect("kill");
+    assert!(term.success(), "kill -TERM failed");
+    let sent = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break Some(status);
+        }
+        if sent.elapsed() > EXIT_BUDGET {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    assert!(
+        burned < CPU_BUDGET_SECS,
+        "two unauthenticated dials cost {burned:.2} CPU-s over {WATCH:?} (budget {CPU_BUDGET_SECS})"
+    );
+    let status = status.unwrap_or_else(|| panic!("SIGTERM not honoured within {EXIT_BUDGET:?}"));
+    assert!(status.success(), "drained exit must be 0, got {status:?}");
+}
+
+#[test]
+fn relay_shrugs_off_hostile_dials() {
+    stays_quiet_and_drains(PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")));
+}
+
+#[test]
+fn measurer_shrugs_off_hostile_dials() {
+    stays_quiet_and_drains(sibling_bin("flashflow-measurer"));
+}
