@@ -117,8 +117,7 @@ fn main() {
     let mut total_sent = 0u64;
     let mut total_back = 0u64;
     for channels in CHANNEL_COUNTS {
-        // Fresh dials per round: the echo path is about the round trip,
-        // not pooling (blast_throughput covers warm reuse).
+        // Fresh dials per round, as a measurer dials fresh per slot.
         let mut lanes = Vec::new();
         for chan in 0..channels {
             let t = TcpTransport::connect(addr).expect("dial relay");

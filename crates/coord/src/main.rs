@@ -157,6 +157,15 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
     let mut cfg = Config::default();
     procutil::parse_args(args, USAGE, &mut |key, value| apply(&mut cfg, key, value))?;
+    // Checked once everything is parsed: `--roster` and `--relays` may
+    // come in either order, or from the config file.
+    let (roster, least) = match cfg.source {
+        RosterSource::Shadow => ("shadow", 3), // circuits need three hops
+        RosterSource::Synth => ("synth", 1),
+    };
+    if cfg.relays.is_some_and(|n| n < least) {
+        return Err(format!("relays: the {roster} roster needs at least {least}\n{USAGE}"));
+    }
     Ok(cfg)
 }
 
@@ -304,4 +313,43 @@ fn main() {
     }
     span.emit("coord.exit", fields![code = u64::from(exit != 0)]);
     std::process::exit(exit);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Config, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn relays_must_fit_the_roster() {
+        let accepted = [
+            ("", None),
+            ("--relays 3", Some(3)),
+            ("--roster synth --relays 1", Some(1)),
+            ("--relays 1 --roster synth", Some(1)),
+        ];
+        for (line, relays) in accepted {
+            let cfg = parse(line).unwrap_or_else(|msg| panic!("{line:?} refused: {msg}"));
+            assert_eq!(cfg.relays, relays, "{line:?}");
+        }
+        let refused = [
+            "--roster shadow --relays 2",
+            "--relays 2 --roster shadow",
+            "--relays 2", // shadow is the default roster
+            "--relays 0 --roster synth",
+            "--relays many",
+        ];
+        for line in refused {
+            let msg = parse(line).expect_err(line);
+            assert!(msg.starts_with("relays: "), "{line:?}: {msg}");
+        }
+        // A refused count reads like every other bad setting.
+        assert_eq!(
+            parse("--relays 0").unwrap_err(),
+            format!("relays: the shadow roster needs at least 3\n{USAGE}")
+        );
+    }
 }

@@ -274,7 +274,7 @@ pub fn measure_echo_period(
 
 /// [`measure_echo_period`] with telemetry: when `span` is given, every
 /// engine event of every group is mirrored onto it live (`sample`,
-/// `counted`, `peer.*`, `item.complete`, …) and the post-run audit
+/// `peer.*`, `item.complete`, …) and the post-run audit
 /// trail (`divergence`, `target.estimate`, `pool.stats`,
 /// `period.done`) follows — the stream `flashflow-top` renders and the
 /// JSONL schema the CI job validates. See [`crate::observe`].

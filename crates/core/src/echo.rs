@@ -5,11 +5,10 @@
 //! verified bytes back while admitting (capped) client traffic
 //! alongside.
 //!
-//! The control plane is unchanged — one [`CoordinatorSession`] per peer
-//! over pooled TCP connections — but unlike the PR-4 topology the
-//! coordinator runs **no data channels of its own**: the measurement
-//! bytes flow measurer → relay → measurer, and the coordinator's
-//! cross-checks are structural instead of counted. Each `MeasureCmd`
+//! The control plane is one [`CoordinatorSession`] per peer over pooled
+//! TCP connections; the coordinator moves **no measurement bytes of its
+//! own**: they flow measurer → relay → measurer, and the coordinator's
+//! cross-checks are structural. Each `MeasureCmd`
 //! carries the relay's data endpoint and a per-item measurement secret;
 //! measurers derive the public hello binding nonce and the secret frame
 //! tag key from it, the relay accepts exactly that nonce, and the

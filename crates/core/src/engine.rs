@@ -34,7 +34,6 @@
 
 use std::collections::VecDeque;
 
-use flashflow_proto::blast::{SourceState, TrafficSource};
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole};
 use flashflow_proto::session::{CoordAction, CoordPhase, CoordinatorSession};
@@ -103,21 +102,6 @@ pub enum EngineEvent {
         /// Which conversation.
         peer: PeerId,
     },
-    /// One second of **locally counted** data-plane bytes completed on
-    /// a peer's blast channels (summed across its channels). This is
-    /// the coordinator's own observation, independent of what the peer
-    /// *reports* — [`SampleLedger::rows`] pairs the two and flags
-    /// divergence.
-    CountedSecond {
-        /// Which conversation the channels belong to.
-        peer: PeerId,
-        /// Which measurement item.
-        item: usize,
-        /// Zero-based second index since the blast's Go.
-        second: u32,
-        /// Payload bytes this engine's sources pushed in that second.
-        bytes: u64,
-    },
     /// The peer's session died; its samples must not be trusted.
     PeerFailed {
         /// Which conversation.
@@ -137,17 +121,6 @@ pub enum EngineEvent {
 struct Channel {
     endpoint: Endpoint<CoordinatorSession, Box<dyn Transport>>,
     item: usize,
-}
-
-/// One data channel: a blast source serving a peer's conversation, plus
-/// its driving state. The hello goes out once the control session has
-/// passed `AuthOk` (so the serving side has already accepted the nonce
-/// the hello binds to), the blast starts at the item's `Go`, and the
-/// channel stops at the end of the commanded slot or the moment its
-/// session dies.
-struct DataSlot {
-    peer: usize,
-    source: TrafficSource<Box<dyn Transport>>,
 }
 
 /// Builder for a [`MeasurementEngine`].
@@ -175,7 +148,6 @@ struct DataSlot {
 #[derive(Default)]
 pub struct EngineBuilder {
     channels: Vec<Channel>,
-    data: Vec<(usize, Box<dyn Transport>)>,
     hard_deadline: Option<SimTime>,
 }
 
@@ -198,18 +170,6 @@ impl EngineBuilder {
         id
     }
 
-    /// Adds one **data channel** under `peer`'s conversation: a blast
-    /// source over its own transport, bound to the control session via
-    /// a [`DataChannelHello`](flashflow_proto::blast::DataChannelHello)
-    /// carrying that session's handshake nonce. The peer's commanded
-    /// `rate_cap` is split evenly across its channels; blasting starts
-    /// at the item's `Go` and the per-second sent counters surface as
-    /// [`EngineEvent::CountedSecond`]s.
-    pub fn add_data_channel(&mut self, peer: PeerId, transport: Box<dyn Transport>) {
-        assert!(peer.0 < self.channels.len(), "data channel for unknown peer");
-        self.data.push((peer.0, transport));
-    }
-
     /// Aborts everything still live at `deadline` (a wall against driver
     /// bugs; session timeouts normally fire far earlier).
     #[must_use]
@@ -230,41 +190,8 @@ impl EngineBuilder {
         for c in &mut channels {
             c.endpoint.session_mut().start(now);
         }
-        // Data channels: per-peer channel indices and an even rate split
-        // of the peer's commanded cap.
-        let mut per_peer_count = vec![0u32; channels.len()];
-        for &(peer, _) in &self.data {
-            per_peer_count[peer] += 1;
-        }
-        let mut next_channel = vec![0u32; channels.len()];
-        let data = self
-            .data
-            .into_iter()
-            .map(|(peer, transport)| {
-                let session = channels[peer].endpoint.session();
-                let channel = next_channel[peer];
-                next_channel[peer] += 1;
-                // Tagged under the session's pre-shared token: the
-                // serving process verifies the same key, so a data-wire
-                // MITM who reads the hello nonce cannot forge frames.
-                let mut source = TrafficSource::new(transport, session.nonce(), channel)
-                    .with_key(session.channel_key());
-                let cap = session.spec().rate_cap;
-                let n = u64::from(per_peer_count[peer]);
-                if cap > 0 {
-                    // Even split; the first channels absorb the remainder
-                    // so the shares sum back to the commanded cap.
-                    let share = cap / n + u64::from(u64::from(channel) < cap % n);
-                    source.set_rate_cap(share);
-                }
-                DataSlot { peer, source }
-            })
-            .collect();
-        let data_emitted = vec![0usize; channels.len()];
         MeasurementEngine {
             channels,
-            data,
-            data_emitted,
             events: VecDeque::new(),
             go_released: vec![false; items],
             // An item index nothing was registered under (sparse
@@ -279,9 +206,6 @@ impl EngineBuilder {
 /// The coordinator event loop. See the [module docs](self).
 pub struct MeasurementEngine {
     channels: Vec<Channel>,
-    data: Vec<DataSlot>,
-    /// Counted seconds already emitted per peer (dense peer index).
-    data_emitted: Vec<usize>,
     events: VecDeque<EngineEvent>,
     go_released: Vec<bool>,
     item_completed: Vec<bool>,
@@ -374,8 +298,7 @@ impl MeasurementEngine {
     }
 
     /// Completes one tick at `now` *without* pumping: drains session
-    /// actions into events, releases due `Go` barriers, drives the data
-    /// channels (hello → blast → stop, paced per second), fires
+    /// actions into events, releases due `Go` barriers, fires
     /// timeouts, and emits [`EngineEvent::ItemComplete`]s. Use after one
     /// or more [`MeasurementEngine::pump`] calls; or use
     /// [`MeasurementEngine::step`] which does both.
@@ -387,7 +310,6 @@ impl MeasurementEngine {
         }
         self.drain_actions();
         self.release_barriers(now);
-        self.blast_tick(now);
         for c in &mut self.channels {
             c.endpoint.tick(now);
         }
@@ -437,125 +359,6 @@ impl MeasurementEngine {
                 break;
             }
         }
-    }
-
-    /// Drives every data channel one tick: sends the hello once the
-    /// control session has passed `AuthOk`, starts the blast at `Go`,
-    /// writes the pacing budget, stops at the end of the commanded slot
-    /// (or the session's death), and emits a
-    /// [`EngineEvent::CountedSecond`] per newly completed second.
-    fn blast_tick(&mut self, now: SimTime) {
-        for slot in &mut self.data {
-            let session = self.channels[slot.peer].endpoint.session();
-            let phase = session.phase();
-            let spec = session.spec();
-            // A single tick may carry the session through several
-            // phases (zero-latency transports); let the source keep up.
-            loop {
-                let state = slot.source.state();
-                match state {
-                    SourceState::Idle => {
-                        if matches!(
-                            phase,
-                            CoordPhase::AwaitReady | CoordPhase::Armed | CoordPhase::Running
-                        ) {
-                            // AuthOk has crossed back, so the serving
-                            // side has already accepted (and registered)
-                            // the nonce this hello binds to — no race.
-                            slot.source.greet(now);
-                        } else if matches!(phase, CoordPhase::Done | CoordPhase::Failed) {
-                            slot.source.stop(now);
-                        }
-                    }
-                    SourceState::Greeted => {
-                        if phase == CoordPhase::Running {
-                            slot.source.start(now);
-                            slot.source.pump(now);
-                        } else if matches!(phase, CoordPhase::Done | CoordPhase::Failed) {
-                            slot.source.stop(now);
-                        }
-                    }
-                    SourceState::Blasting => {
-                        let slot_over =
-                            slot.source.completed_seconds().len() >= spec.slot_secs as usize;
-                        if slot_over || matches!(phase, CoordPhase::Done | CoordPhase::Failed) {
-                            slot.source.stop(now);
-                        } else {
-                            slot.source.pump(now);
-                        }
-                    }
-                    SourceState::Stopped => {}
-                }
-                if slot.source.state() == state {
-                    break;
-                }
-            }
-        }
-        // Emit one CountedSecond per (peer, second), summed across the
-        // peer's channels, once every channel has either completed that
-        // second or stopped for good. Crucially, a peer whose channels
-        // ALL died early still gets its remaining seconds emitted — as
-        // zeros — because "we counted nothing" must stay distinguishable
-        // from "no data plane ran": a peer that kills its channels and
-        // then asserts full-rate reports has to trip the divergence
-        // flag, not erase the counted column.
-        for peer in 0..self.channels.len() {
-            let mut has_channels = false;
-            let slot_secs = self.channels[peer].endpoint.session().spec().slot_secs as usize;
-            loop {
-                let s = self.data_emitted[peer];
-                if s >= slot_secs {
-                    break;
-                }
-                let mut bytes = 0u64;
-                let mut ready = true;
-                for slot in self.data.iter().filter(|d| d.peer == peer) {
-                    has_channels = true;
-                    let completed = slot.source.completed_seconds();
-                    if completed.len() > s {
-                        bytes += completed[s];
-                    } else if slot.source.state() != SourceState::Stopped {
-                        ready = false;
-                    }
-                }
-                if !has_channels || !ready {
-                    break;
-                }
-                self.data_emitted[peer] = s + 1;
-                self.events.push_back(EngineEvent::CountedSecond {
-                    peer: PeerId(peer),
-                    item: self.channels[peer].item,
-                    second: s as u32,
-                    bytes,
-                });
-            }
-        }
-    }
-
-    /// Number of data channels registered under `peer`.
-    pub fn data_channel_count(&self, peer: PeerId) -> usize {
-        self.data.iter().filter(|s| s.peer == peer.0).count()
-    }
-
-    /// True if none of `peer`'s data channels hit a transport error
-    /// (vacuously true for a peer without data channels).
-    pub fn data_channels_clean(&self, peer: PeerId) -> bool {
-        self.data.iter().filter(|s| s.peer == peer.0).all(|s| s.source.error().is_none())
-    }
-
-    /// Locally counted payload bytes per completed second for `peer`,
-    /// summed across its data channels (empty without data channels).
-    pub fn counted_seconds(&self, peer: PeerId) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for slot in self.data.iter().filter(|s| s.peer == peer.0) {
-            for (ix, &bytes) in slot.source.completed_seconds().iter().enumerate() {
-                if out.len() <= ix {
-                    out.resize(ix + 1, 0);
-                }
-                out[ix] += bytes;
-            }
-        }
-        out
     }
 
     /// Steps the engine on `clock` until every conversation is terminal,
@@ -772,7 +575,7 @@ impl MeasurementEngine {
 }
 
 /// Relative tolerance of the reported-vs-counted cross-check: a
-/// [`LedgerRow`] whose reported and locally counted rates differ by
+/// [`LedgerRow`] whose reported and cross-checked rates differ by
 /// more than this fraction (of the larger of the two) is flagged
 /// divergent. Loopback pacing jitter stays well inside this; asserted
 /// bytes that never moved (TorMult-style inflation) do not.
@@ -787,9 +590,8 @@ pub const DEFAULT_BACKGROUND_RATIO: f64 = 0.25;
 
 /// One second of one peer's slot, as the ledger recorded it: what the
 /// peer **reported** across the control channel next to what this
-/// coordinator could **cross-check** it against — its own data-plane
-/// counters for a blasted measurer, the aggregated measurer echo for a
-/// target relay.
+/// coordinator could **cross-check** it against: the aggregated
+/// measurer echo, for a target relay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerRow {
     /// Which conversation.
@@ -797,17 +599,15 @@ pub struct LedgerRow {
     /// Zero-based second index.
     pub second: u32,
     /// The measurement rate the peer reported: `measured_bytes` — a
-    /// measurer's received blast, or the target relay's own claim of
+    /// measurer's verified echo, or the target relay's own claim of
     /// what it echoed.
     pub reported: u64,
     /// The background bytes the peer reported (`bg_bytes`; zero for
     /// measurers, the client-traffic claim for the target role).
     pub bg: u64,
-    /// The cross-check column for `reported`: locally counted
-    /// data-plane bytes for a measurer the coordinator blasted
-    /// directly, or the k measurers' summed reported echo for a target
-    /// relay (`None` when neither exists — sim, scripted peers, a
-    /// target in a slot whose measurers all failed).
+    /// The cross-check column for `reported`: the k measurers' summed
+    /// reported echo for a target relay (`None` for a measurer's own
+    /// row, and for a target in a slot no measurer reported).
     pub counted: Option<u64>,
     /// True when the row fails a cross-check: `reported` vs `counted`
     /// beyond [`DIVERGENCE_TOLERANCE`] (gated, for targets, on the
@@ -827,17 +627,14 @@ pub struct LedgerRow {
 /// wholesale, so a lie-then-stall peer cannot leave inflated seconds
 /// behind.
 ///
-/// Alongside the reported samples it records the coordinator's own
-/// data-plane counters ([`EngineEvent::CountedSecond`]); the
-/// [`SampleLedger::rows`] view pairs the two per second and flags
-/// divergence, which is what makes a lying `SecondReport`
-/// cross-checkable instead of merely believed.
+/// The [`SampleLedger::rows`] view pairs a target relay's claims with
+/// the measurers' aggregated reports per second and flags divergence,
+/// which is what makes a lying `SecondReport` cross-checkable instead
+/// of merely believed.
 #[derive(Debug)]
 pub struct SampleLedger {
     /// Samples per peer, keyed by dense peer index.
     per_peer: Vec<Vec<(u32, u64, u64)>>,
-    /// Locally counted data-plane bytes per peer: `(second, bytes)`.
-    counted: Vec<Vec<(u32, u64)>>,
     /// Background ratio `r` for the plausibility bound on target
     /// `bg` claims (see [`DEFAULT_BACKGROUND_RATIO`]).
     bg_ratio: f64,
@@ -845,11 +642,7 @@ pub struct SampleLedger {
 
 impl Default for SampleLedger {
     fn default() -> Self {
-        SampleLedger {
-            per_peer: Vec::new(),
-            counted: Vec::new(),
-            bg_ratio: DEFAULT_BACKGROUND_RATIO,
-        }
+        SampleLedger { per_peer: Vec::new(), bg_ratio: DEFAULT_BACKGROUND_RATIO }
     }
 }
 
@@ -866,23 +659,13 @@ impl SampleLedger {
         self.bg_ratio = ratio;
     }
 
-    /// Records sample and counted-second events; ignores everything
-    /// else.
+    /// Records sample events; ignores everything else.
     pub fn observe(&mut self, event: &EngineEvent) {
-        match *event {
-            EngineEvent::Sample { peer, second, bg_bytes, measured_bytes, .. } => {
-                if self.per_peer.len() <= peer.index() {
-                    self.per_peer.resize(peer.index() + 1, Vec::new());
-                }
-                self.per_peer[peer.index()].push((second, bg_bytes, measured_bytes));
+        if let EngineEvent::Sample { peer, second, bg_bytes, measured_bytes, .. } = *event {
+            if self.per_peer.len() <= peer.index() {
+                self.per_peer.resize(peer.index() + 1, Vec::new());
             }
-            EngineEvent::CountedSecond { peer, second, bytes, .. } => {
-                if self.counted.len() <= peer.index() {
-                    self.counted.resize(peer.index() + 1, Vec::new());
-                }
-                self.counted[peer.index()].push((second, bytes));
-            }
-            _ => {}
+            self.per_peer[peer.index()].push((second, bg_bytes, measured_bytes));
         }
     }
 
@@ -913,11 +696,11 @@ impl SampleLedger {
     }
 
     /// The reported-vs-cross-checked view of `item`: one row per (peer,
-    /// second) that was reported. Measurer rows pair the reported rate
-    /// with the coordinator's own data-plane counters (where it blasted
-    /// the peer directly); target rows pair the relay's echo claim with
-    /// the k measurers' aggregated reports and bound its background
-    /// claim by plausibility (`bg ≤ r/(1−r) ·` echoed, within
+    /// second) that was reported. Measurer rows carry the reported echo
+    /// alone (it *is* the cross-check, summed into the target's row);
+    /// target rows pair the relay's echo claim with the k measurers'
+    /// aggregated reports and bound its background claim by
+    /// plausibility (`bg ≤ r/(1−r) ·` echoed, within
     /// tolerance) — the TorMult-shaped channel where a relay inflates
     /// the client traffic it never carried. Rows cover every peer of
     /// the item regardless of how its session ended — this is the audit
@@ -935,13 +718,7 @@ impl SampleLedger {
             for &(second, bg_bytes, measured_bytes) in samples {
                 let reported = measured_bytes;
                 let counted = match role {
-                    // Coordinator-side sends on the peer's own data
-                    // channels, when the engine ran any.
-                    PeerRole::Measurer => self
-                        .counted
-                        .get(ix)
-                        .and_then(|c| c.iter().find(|&&(s, _)| s == second))
-                        .map(|&(_, bytes)| bytes),
+                    PeerRole::Measurer => None,
                     // The k measurers' summed echo reports: the other
                     // side of the same bytes the relay claims it echoed.
                     PeerRole::Target => echoed.get(second as usize).copied(),
@@ -949,8 +726,8 @@ impl SampleLedger {
                 let mut divergent = match counted {
                     // Agreement within the tolerance is the honest
                     // case. A reporting-only target (echo claim zero,
-                    // pre-echo topologies) has nothing to cross-check.
-                    Some(c) if role == PeerRole::Measurer || reported > 0 => {
+                    // the simulated path) has nothing to cross-check.
+                    Some(c) if reported > 0 => {
                         let hi = reported.max(c) as f64;
                         hi > 0.0 && (reported as f64 - c as f64).abs() > DIVERGENCE_TOLERANCE * hi
                     }
@@ -1358,229 +1135,6 @@ mod tests {
         assert!(x.is_empty(), "a flooding peer's samples must never merge: {x:?}");
     }
 
-    #[test]
-    fn data_channels_blast_and_counters_cross_check_reports() {
-        use flashflow_proto::blast::{channel_key, TrafficSink};
-
-        // One measurer peer with two data channels over in-memory
-        // links. The peer derives its SecondReports from what its sinks
-        // actually received — the counter-backed path — and the ledger
-        // pairs those reports with the engine's own sent-byte counters.
-        let token = [9u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let rate = 40_000u64;
-        let slot_secs = 3u32;
-        let spec = MeasureSpec {
-            relay_fp: [3; FINGERPRINT_LEN],
-            slot_secs,
-            sockets: 2,
-            rate_cap: rate,
-            ..MeasureSpec::default()
-        };
-        let mut builder = MeasurementEngine::builder();
-        let (ca, cb) = Duplex::loopback().into_endpoints();
-        let peer = builder.add_peer(
-            0,
-            CoordinatorSession::new(token, PeerRole::Measurer, spec, 0xDA7A, t),
-            Box::new(ca),
-        );
-        let mut sinks = Vec::new();
-        for _ in 0..2 {
-            let (da, db) = Duplex::loopback().into_endpoints();
-            builder.add_data_channel(peer, Box::new(da));
-            // The engine tags frames under the session token; an
-            // unkeyed sink would count everything as forged.
-            sinks.push(TrafficSink::new(db).with_key(channel_key(&token)));
-        }
-        let mut engine = builder.hard_deadline(SimTime::from_secs(60)).build(SimTime::ZERO);
-        let mut local = Endpoint::new(MeasurerSession::new(token, PeerRole::Measurer, 1, t), cb);
-
-        let mut started = false;
-        let mut reported = 0u32;
-        let mut events = Vec::new();
-        for tick in 0..400u64 {
-            // Fine ticks so the pacing budget spreads inside seconds.
-            let now = SimTime::from_secs_f64(tick as f64 * 0.05);
-            loop {
-                let moved = engine.pump(now) | local.pump(now);
-                if !moved {
-                    break;
-                }
-            }
-            while let Some(a) = local.session_mut().poll_action() {
-                if matches!(a, MeasurerAction::Start { .. }) {
-                    started = true;
-                    for s in sinks.iter_mut() {
-                        s.start(now);
-                    }
-                }
-            }
-            for s in sinks.iter_mut() {
-                let _ = s.pump(now).expect("clean blast stream");
-            }
-            if started && !local.is_terminal() {
-                // Report each second the sinks have completed on *all*
-                // channels: received bytes, not scripted numbers.
-                let complete = sinks.iter().map(|s| s.completed_seconds().len()).min().unwrap_or(0);
-                while (reported as usize) < complete && reported < slot_secs {
-                    let bytes: u64 =
-                        sinks.iter().map(|s| s.completed_seconds()[reported as usize]).sum();
-                    local.session_mut().report_second(0, bytes);
-                    reported += 1;
-                }
-            }
-            local.tick(now);
-            engine.finish_tick(now);
-            while let Some(ev) = engine.poll_event() {
-                events.push(ev);
-            }
-            if engine.is_finished() {
-                break;
-            }
-        }
-        assert!(engine.is_finished(), "slot did not complete: {events:?}");
-        assert_eq!(engine.phase(peer), CoordPhase::Done, "{events:?}");
-        assert!(engine.data_channels_clean(peer));
-        assert_eq!(engine.data_channel_count(peer), 2);
-
-        // Every sink byte passed pattern verification.
-        for s in &sinks {
-            assert_eq!(s.corrupt_total(), 0);
-            assert!(s.received_total() > 0);
-        }
-
-        let mut ledger = SampleLedger::new();
-        for ev in &events {
-            ledger.observe(ev);
-        }
-        // The engine counted slot_secs seconds and the rows pair each
-        // reported second with the counted one, none divergent (the
-        // reports *are* the delivered bytes).
-        let counted = engine.counted_seconds(peer);
-        assert_eq!(counted.len(), slot_secs as usize);
-        let rows = ledger.rows(&engine, 0);
-        assert_eq!(rows.len(), slot_secs as usize);
-        for row in &rows {
-            assert_eq!(row.counted, Some(counted[row.second as usize]));
-            assert!(!row.divergent, "honest counters flagged: {row:?}");
-        }
-        // Pacing held near the commanded cap on the interior seconds.
-        assert!(
-            (rate * 9 / 10..=rate * 11 / 10).contains(&counted[1]),
-            "second 1 counted {} (cap {rate})",
-            counted[1]
-        );
-
-        // A forged report (asserting bytes that never moved) *would*
-        // trip the flag: rebuild the rows with an inflated report.
-        let mut forged = SampleLedger::new();
-        for ev in &events {
-            match ev {
-                EngineEvent::Sample { peer, item, second, bg_bytes, measured_bytes } => {
-                    forged.observe(&EngineEvent::Sample {
-                        peer: *peer,
-                        item: *item,
-                        second: *second,
-                        bg_bytes: *bg_bytes,
-                        measured_bytes: measured_bytes * 3,
-                    });
-                }
-                other => forged.observe(other),
-            }
-        }
-        assert_eq!(
-            forged.divergent_count(&engine, 0),
-            slot_secs as usize,
-            "inflated reports must diverge from the counters"
-        );
-    }
-
-    #[test]
-    fn dead_data_channels_still_emit_counted_zeros_so_forged_reports_diverge() {
-        // The TorMult shape: a peer kills its data channels right after
-        // Go, then keeps asserting full-rate SecondReports. The engine
-        // must keep emitting CountedSecond (zeros once nothing moves),
-        // so the audit rows pair every reported second with a counted
-        // one and flag the divergence — "we counted nothing" must never
-        // collapse into "no data plane ran".
-        let token = [9u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let rate = 40_000u64;
-        let slot_secs = 4u32;
-        let spec = MeasureSpec {
-            relay_fp: [3; FINGERPRINT_LEN],
-            slot_secs,
-            sockets: 1,
-            rate_cap: rate,
-            ..MeasureSpec::default()
-        };
-        let mut builder = MeasurementEngine::builder();
-        let (ca, cb) = Duplex::loopback().into_endpoints();
-        let peer = builder.add_peer(
-            0,
-            CoordinatorSession::new(token, PeerRole::Measurer, spec, 0x7045, t)
-                .with_report_ahead_cap(slot_secs),
-            Box::new(ca),
-        );
-        let (da, mut data_peer_end) = Duplex::loopback().into_endpoints();
-        builder.add_data_channel(peer, Box::new(da));
-        let mut engine = builder.hard_deadline(SimTime::from_secs(60)).build(SimTime::ZERO);
-        let mut local = Endpoint::new(MeasurerSession::new(token, PeerRole::Measurer, 1, t), cb);
-
-        let mut started = false;
-        let mut reported = 0u32;
-        let mut events = Vec::new();
-        for tick in 0..200u64 {
-            let now = SimTime::from_secs(tick);
-            loop {
-                let moved = engine.pump(now) | local.pump(now);
-                if !moved {
-                    break;
-                }
-            }
-            while let Some(a) = local.session_mut().poll_action() {
-                if matches!(a, MeasurerAction::Start { .. }) {
-                    started = true;
-                    // The attack: the data channel dies the moment the
-                    // slot starts...
-                    data_peer_end.close();
-                }
-            }
-            if started && reported < slot_secs && !local.is_terminal() {
-                // ...but the peer reports the full commanded rate.
-                local.session_mut().report_second(0, rate);
-                reported += 1;
-            }
-            local.tick(now);
-            engine.finish_tick(now);
-            while let Some(ev) = engine.poll_event() {
-                events.push(ev);
-            }
-            if engine.is_finished() {
-                break;
-            }
-        }
-        assert_eq!(engine.phase(peer), CoordPhase::Done, "{events:?}");
-        assert!(!engine.data_channels_clean(peer), "the dead channel was noticed");
-
-        let mut ledger = SampleLedger::new();
-        for ev in &events {
-            ledger.observe(ev);
-        }
-        let rows = ledger.rows(&engine, 0);
-        assert_eq!(rows.len(), slot_secs as usize, "{rows:?}");
-        for row in &rows {
-            assert!(
-                row.counted.is_some(),
-                "every reported second must carry a counted rate: {row:?}"
-            );
-        }
-        assert!(
-            ledger.divergent_count(&engine, 0) >= slot_secs as usize - 1,
-            "full-rate reports over a dead channel must diverge: {rows:?}"
-        );
-    }
-
     /// A fixed-role directory for ledger-only tests (no live engine).
     struct TestDir {
         roles: Vec<PeerRole>,
@@ -1677,9 +1231,8 @@ mod tests {
 
     #[test]
     fn reporting_only_targets_have_no_echo_claim_to_check() {
-        // The pre-echo topologies: the target reports background only
-        // (measured = 0) while measurers sink the coordinator's blast.
-        // Its zero echo claim must not be "divergent" against the
+        // The simulated path: the target reports background only
+        // (measured = 0) beside the measurers' rates. Its zero echo claim must not be "divergent" against the
         // measurers' nonzero series, and a modest bg claim passes.
         let dir = TestDir { roles: vec![PeerRole::Measurer, PeerRole::Target], slot_secs: 2 };
         let mut ledger = SampleLedger::new();

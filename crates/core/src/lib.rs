@@ -22,7 +22,7 @@
 //! | [`team`] | §4, §4.2 | measurement teams, measuring measurers |
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
 //! | [`measure`] | §4.1 | one (or many concurrent) measurement slots |
-//! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`), data channels, counter-backed ledger |
+//! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
 //! | [`shard`] | §4.3, §7 | sharding a period's item groups across engines and worker threads (`ShardedEngine`), LPT group ordering |
 //! | [`pool`] | §7 | long-lived pool of warm TCP connections to measurer processes |
 //! | [`echo`] | §4.1, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back |

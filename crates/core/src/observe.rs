@@ -65,10 +65,6 @@ pub fn emit_engine_event(span: &Span, target_peer: Option<usize>, event: &Engine
                 ],
             );
         }
-        EngineEvent::CountedSecond { peer, item, second, bytes } => {
-            span.item(item as u64)
-                .emit("counted", fields![peer = peer.index(), second = second, bytes = bytes]);
-        }
         EngineEvent::PeerDone { peer } => span.emit(
             "peer.done",
             fields![peer = peer.index(), role = role_of(peer.index(), target_peer)],

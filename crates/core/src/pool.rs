@@ -1,7 +1,7 @@
 //! A long-lived pool of warm TCP connections to measurer processes.
 //!
-//! Before this existed, every measurement item dialed fresh control and
-//! data connections to each measurer process — a period of thousands of
+//! Before this existed, every measurement item dialed a fresh control
+//! connection to each peer process — a period of thousands of
 //! items meant thousands of TCP handshakes against the same handful of
 //! hosts (the ROADMAP's "long-lived connection pool" scaling item). The
 //! [`ConnectionPool`] keeps connections **across items**: a
@@ -10,11 +10,10 @@
 //! cleanly, and the connection parks itself back in the pool when the
 //! engine drops it.
 //!
-//! Reuse is safe because both ends agree on it: the serving measurer
+//! Reuse is safe because both ends agree on it: the serving peer
 //! process loops sessions on one connection (each new `Auth` starts a
 //! fresh [`MeasurerSession`](flashflow_proto::session::MeasurerSession)
-//! with the shared replay window), and data channels re-bind with a new
-//! [`DataChannelHello`](flashflow_proto::blast::DataChannelHello). The
+//! with the shared replay window). The
 //! coordinator side defers the endpoint's terminal hang-up exactly like
 //! [`LeasedTransport`](flashflow_proto::transport::LeasedTransport): a
 //! [`PooledConn`]'s `close` is recorded, not executed, and the *driver*
@@ -54,7 +53,7 @@ pub const DEFAULT_IDLE_PROBE_AGE: Duration = Duration::from_secs(30);
 /// is not a peer a fresh measurement item should be handed.
 pub const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// What a pooled connection is used for. A serving measurer process
+/// What a pooled connection is used for. A serving peer process
 /// classifies each accepted connection **once** — control frames or
 /// blast data — so the pool must never hand a parked data connection
 /// out as a control channel (or vice versa); the idle map is keyed by
@@ -291,7 +290,7 @@ impl ReuseHandle {
 }
 
 /// One checked-out pool connection, usable anywhere a
-/// [`Transport`] is (engine control channels, blast data channels).
+/// [`Transport`] is.
 ///
 /// `close` is deferred (recorded, not executed) so the engine's
 /// terminal hang-up cannot destroy a connection the driver wants back.

@@ -142,10 +142,8 @@ pub struct ProtoMeasurement {
     pub frames_tx: u64,
     /// Control frames received by the coordinator, across its sessions.
     pub frames_rx: u64,
-    /// The per-second audit rows: reported rates next to locally
-    /// counted ones (counted is `None` on the simulated path — the
-    /// fluid sim moves its bytes through the network model, not through
-    /// data channels; the deployment path fills it in).
+    /// The per-second audit rows: each peer's reported rates, a
+    /// target's next to the measurers' aggregated echo.
     pub rows: Vec<crate::engine::LedgerRow>,
 }
 

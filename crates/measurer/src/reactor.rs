@@ -1,20 +1,14 @@
 //! The measurer role's hooks into the shared peer library
-//! ([`procutil::peer`]) and its data connection. The library drives the
-//! connection shell and the control conversation; this module says what
-//! a conversation means to the data plane — register the claimed nonce
-//! for inbound blast channels, or in the echo topology dial the target
-//! relay at `Go`, blast, and report the verified echo — and serves bound
-//! inbound channels as a verifying sink counting into their session.
+//! ([`procutil::peer`]). The library drives the connection shell and the
+//! control conversation; this module says what a conversation means to
+//! the data plane — dial the target relay at `Go`, blast, and report the
+//! verified echo — and refuses every inbound data dial.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_procutil as procutil;
-use flashflow_proto::blast::{
-    channel_key, BlastCounters, BlastEvent, BlastParser, DataChannelHello, ReportSource,
-};
+use flashflow_proto::blast::{BlastCounters, DataChannelHello};
 use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::Transport;
@@ -22,61 +16,56 @@ use flashflow_simnet::time::SimTime;
 use procutil::peer::{Bind, Peer, Role};
 use procutil::reactor::Step;
 
-use crate::{dial_echo_channels, Config, DataPlane, EchoChannel, Measurer, SessionCounters};
+use crate::{dial_echo_channels, EchoChannel, Measurer};
 
 /// The measurer's state for one control conversation.
 #[derive(Default)]
 pub struct Conv {
-    /// Scripted (background, measured) bytes per second, once Go
-    /// arrives; zero where the report is counter- or echo-derived.
-    scripted: (u64, u64),
-    /// The `Auth` nonce this conversation registered with the data
-    /// plane, with the counters its data channels feed.
-    registered: Option<(u64, Arc<SessionCounters>)>,
-    counted_through: u64,
-    /// Echo topology: this measurer's own blast channels to the target
-    /// relay (empty outside the echo topology). Their dialed sockets
-    /// ride the control connection's steps; they are not separately
-    /// registered with the shard.
+    /// This measurer's blast channels to the target relay, dialed at
+    /// `Go`. Their sockets ride the control connection's steps; they are
+    /// not separately registered with the shard.
     echo_channels: Vec<EchoChannel>,
+    /// Verified echoed bytes already reported.
+    counted_through: u64,
     /// Reused receive buffer for draining the echo channels' sockets.
     rxbuf: Vec<u8>,
+}
+
+/// The measurer serves no data connections, so none is ever built.
+pub enum NoData {}
+
+impl procutil::peer::DataConn for NoData {
+    fn on_ready(&mut self) -> Step {
+        match *self {}
+    }
+
+    fn on_tick(&mut self) -> Step {
+        match *self {}
+    }
 }
 
 impl Role for Measurer {
     const NAME: &'static str = "measurer";
     const USAGE: &'static str = crate::USAGE;
-    type Config = Config;
+    type Config = ();
     type Conv = Conv;
-    type Data = DataConn;
+    type Data = NoData;
 
-    fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<bool, String> {
-        match key {
-            "role" => {
-                cfg.role = match value {
-                    "measurer" => PeerRole::Measurer,
-                    "target" => PeerRole::Target,
-                    other => return Err(format!("role: unknown role {other:?}")),
-                }
+    /// `--role` is a self-check for the scripts and harnesses that
+    /// spawn this binary by role: it accepts exactly `measurer`.
+    fn apply(_cfg: &mut (), key: &str, value: &str) -> Result<bool, String> {
+        match (key, value) {
+            ("role", "measurer") => Ok(true),
+            ("role", "target") => {
+                Err("role: the target role is the flashflow-relay binary".to_string())
             }
-            "report" => cfg.report = value.parse()?,
-            "rate" => cfg.rate = Some(value.parse().map_err(|e| format!("rate: {e}"))?),
-            "bg" => cfg.bg = value.parse().map_err(|e| format!("bg: {e}"))?,
-            _ => return Ok(false),
+            ("role", other) => Err(format!("role: unknown role {other:?}")),
+            _ => Ok(false),
         }
-        Ok(true)
     }
 
-    fn new(cfg: Config, registry: &MetricsRegistry) -> Measurer {
+    fn new(_cfg: (), registry: &MetricsRegistry) -> Measurer {
         Measurer {
-            cfg,
-            data: DataPlane::default(),
-            blast: BlastCounters {
-                verified: registry.counter("measurer.blast.verified_bytes"),
-                corrupt: registry.counter("measurer.blast.corrupt_bytes"),
-                forged: registry.counter("measurer.blast.forged_bytes"),
-                replayed: registry.counter("measurer.blast.replayed_bytes"),
-            },
             echo_blast: BlastCounters {
                 verified: registry.counter("measurer.echo.verified_bytes"),
                 corrupt: registry.counter("measurer.echo.corrupt_bytes"),
@@ -87,43 +76,19 @@ impl Role for Measurer {
     }
 
     fn start_fields(&self) -> Vec<(String, Value)> {
-        fields![role = format!("{:?}", self.cfg.role), report = format!("{:?}", self.cfg.report)]
+        Vec::new()
     }
 
     fn session_role(&self) -> PeerRole {
-        self.cfg.role
+        PeerRole::Measurer
     }
 
     fn conversation(&self) -> Conv {
         Conv::default()
     }
 
-    /// Registers the claimed nonce with the data plane *before* `AuthOk`
-    /// reaches the coordinator, so the hellos it then sends always find
-    /// their session.
-    fn on_claimed(&self, conv: &mut Conv, nonce: u64) {
-        if self.cfg.role == PeerRole::Measurer {
-            conv.registered = Some((nonce, self.data.register(nonce)));
-        }
-    }
-
     fn on_start(&self, conv: &mut Conv, span: &Span, spec: &MeasureSpec, snow: SimTime) {
-        let cfg = &self.cfg;
-        conv.scripted = match (cfg.role, cfg.report) {
-            (PeerRole::Measurer, ReportSource::Counters) => (0, 0),
-            (PeerRole::Measurer, ReportSource::Scripted) => (0, cfg.rate.unwrap_or(spec.rate_cap)),
-            (PeerRole::Target, _) => (cfg.bg, 0),
-        };
-        conv.counted_through = 0;
-        if cfg.role == PeerRole::Measurer && !spec.target.is_none() {
-            // Echo topology: this measurer blasts the target relay
-            // itself and reports the verified echo.
-            conv.echo_channels = dial_echo_channels(spec, snow, span, &self.echo_blast);
-        } else if let (Some((_, c)), ReportSource::Counters) = (&conv.registered, cfg.report) {
-            span.emit("session.go", fields![channels = c.channels.load(Ordering::Relaxed)]);
-        } else {
-            span.emit("session.go", fields![scripted_rate = conv.scripted.1]);
-        }
+        conv.echo_channels = dial_echo_channels(spec, snow, span, &self.echo_blast);
     }
 
     fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, snow: SimTime) {
@@ -133,18 +98,7 @@ impl Role for Measurer {
         // Dropping the channels closes the dialed connections; the
         // relay's echo side sees EOF.
         conv.echo_channels.clear();
-        match &conv.registered {
-            Some((_, c)) => span.emit(
-                "session.stop",
-                fields![
-                    seconds = seconds,
-                    received = c.received.load(Ordering::Relaxed),
-                    corrupt = c.corrupt.load(Ordering::Relaxed),
-                    rejected = c.rejected.load(Ordering::Relaxed),
-                ],
-            ),
-            None => span.emit("session.stop", fields![seconds = seconds]),
-        }
+        span.emit("session.stop", fields![seconds = seconds]);
     }
 
     /// Drives the echo channels: blast the pacing budget out and verify
@@ -167,178 +121,66 @@ impl Role for Measurer {
         }
     }
 
+    /// The verified bytes the relay echoed back across this session's
+    /// channels since the previous report.
     fn second_report(&self, conv: &mut Conv, _span: &Span, _second: u32) -> (u64, u64) {
-        let (bg, scripted) = conv.scripted;
-        let through = if !conv.echo_channels.is_empty() {
-            // Echo-derived: the verified bytes the relay echoed back
-            // across this session's channels.
-            conv.echo_channels.iter().map(EchoChannel::verified).sum()
-        } else if let (Some((_, c)), ReportSource::Counters) = (&conv.registered, self.cfg.report) {
-            // Counter-derived: the bytes that actually arrived on this
-            // session's data channels.
-            c.received.load(Ordering::Relaxed)
-        } else {
-            return (bg, scripted);
-        };
+        let through: u64 = conv.echo_channels.iter().map(EchoChannel::verified).sum();
         let delta = through - conv.counted_through;
         conv.counted_through = through;
-        (bg, delta)
-    }
-
-    /// Releases only a registration THIS conversation created: a
-    /// replay-losing conversation never registers, and must not unbind
-    /// the concurrent winner's data channels.
-    fn release(&self, conv: &mut Conv) {
-        if let Some((nonce, _)) = conv.registered.take() {
-            self.data.release(nonce);
-        }
-        conv.echo_channels.clear();
+        (0, delta)
     }
 
     fn backlog(conv: &mut Conv) -> bool {
         conv.echo_channels.iter_mut().any(|ch| ch.source.transport_mut().backlog() > 0)
     }
 
+    /// Measurement bytes only ever flow measurer → relay → measurer: no
+    /// nonce a data dial can name is one this process serves.
     fn bind_data(
-        peer: &Arc<Peer<Measurer>>,
+        _peer: &Arc<Peer<Measurer>>,
         span: Span,
-        transport: TcpTransport,
-        preread: &[u8],
+        _transport: TcpTransport,
+        _preread: &[u8],
         hello: DataChannelHello,
-    ) -> Bind<DataConn> {
-        if peer.role.data.lookup(hello.nonce).is_none() {
-            return Bind::Unknown(transport);
-        }
-        DataConn::new(peer, span, transport, preread).map_or(Bind::Refused, Bind::Bound)
+    ) -> Bind<NoData> {
+        span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
+        Bind::Refused
     }
 }
 
-/// One inbound blast channel: verify and count blast bytes into the
-/// session its hello bound it to. A later hello on the same connection
-/// re-binds it (coordinator-side pooled data channels).
-pub struct DataConn {
-    peer: Arc<Peer<Measurer>>,
-    span: Span,
-    transport: TcpTransport,
-    parser: BlastParser,
-    counters: Option<Arc<SessionCounters>>,
-    last_activity: Instant,
-    /// Reused receive buffer ([`Transport::recv_into`]).
-    rxbuf: Vec<u8>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use procutil::peer::Settings;
 
-impl DataConn {
-    /// Wraps an identified data connection and feeds the pre-read bytes
-    /// (the hello plus whatever blast followed).
-    fn new(
-        peer: &Arc<Peer<Measurer>>,
-        span: Span,
-        transport: TcpTransport,
-        preread: &[u8],
-    ) -> Option<DataConn> {
-        let mut conn = DataConn {
-            peer: Arc::clone(peer),
-            span,
-            transport,
-            // Coordinator-blasted channels are tagged under the
-            // pre-shared control token (which never crosses a data
-            // connection).
-            parser: BlastParser::new()
-                .with_key(channel_key(&peer.settings.token))
-                .with_counters(peer.role.blast.clone()),
-            counters: None,
-            last_activity: Instant::now(),
-            rxbuf: Vec::new(),
-        };
-        if conn.ingest(preread).is_err() {
-            conn.unbind();
-            return None;
-        }
-        Some(conn)
-    }
-
-    /// Parses a chunk of wire bytes into the session counters. An `Err`
-    /// means the channel must close: the stream broke framing, or a
-    /// hello named a nonce no live session registered.
-    fn ingest(&mut self, bytes: &[u8]) -> Result<(), ()> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        self.last_activity = Instant::now();
-        let events = match self.parser.push(bytes) {
-            Ok(events) => events,
-            Err(e) => {
-                self.span.emit("channel.framing_error", fields![error = format!("{e}")]);
-                return Err(());
-            }
-        };
-        for event in events {
-            match event {
-                BlastEvent::Hello(hello) => {
-                    self.unbind();
-                    // A session registers its nonce before its `AuthOk`
-                    // is sent, and the coordinator greets only after
-                    // `AuthOk`: an unregistered nonce is never honest.
-                    let Some(c) = self.peer.role.data.lookup(hello.nonce) else {
-                        self.span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
-                        return Err(());
-                    };
-                    c.channels.fetch_add(1, Ordering::Relaxed);
-                    self.counters = Some(c);
-                    self.span.emit("channel.bound", fields![nonce = hello.nonce]);
-                }
-                BlastEvent::Data { bytes, corrupt } => {
-                    if let Some(c) = &self.counters {
-                        c.received.fetch_add(bytes, Ordering::Relaxed);
-                        c.corrupt.fetch_add(corrupt, Ordering::Relaxed);
-                    }
-                }
-                BlastEvent::Forged { bytes } | BlastEvent::Replayed { bytes } => {
-                    if let Some(c) = &self.counters {
-                        c.rejected.fetch_add(bytes, Ordering::Relaxed);
+    #[test]
+    fn role_accepts_only_measurer_and_unknown_settings_carry_the_usage() {
+        // (command line, what the refusal must contain; `None` = accepted)
+        let cases: [(&[&str], Option<&str>); 7] = [
+            (&[], None),
+            (&["--role", "measurer", "--speedup", "10"], None),
+            (&["--role", "target"], Some("flashflow-relay")),
+            (&["--role", "relay"], Some("unknown role \"relay\"")),
+            (&["--report", "scripted"], Some(crate::USAGE)),
+            (&["--rate", "1000"], Some(crate::USAGE)),
+            (&["--bg", "1000"], Some(crate::USAGE)),
+        ];
+        for (args, refusal) in cases {
+            let got = Settings::parse(
+                args.iter().map(|a| a.to_string()),
+                crate::USAGE,
+                &mut |key, value| Measurer::apply(&mut (), key, value),
+            );
+            match refusal {
+                None => assert!(got.is_ok(), "{args:?}: {got:?}"),
+                Some(needle) => {
+                    let msg = got.expect_err(&args.join(" "));
+                    assert!(msg.contains(needle), "{args:?}: {msg}");
+                    if needle == crate::USAGE {
+                        assert!(msg.starts_with("unknown setting"), "{args:?}: {msg}");
                     }
                 }
             }
         }
-        Ok(())
-    }
-
-    fn unbind(&mut self) {
-        if let Some(c) = self.counters.take() {
-            c.channels.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn close(&mut self) -> Step {
-        self.unbind();
-        Step::Done
-    }
-}
-
-impl procutil::peer::DataConn for DataConn {
-    fn on_ready(&mut self) -> Step {
-        // One bounded drain per readiness event: `recv_into` reads until
-        // `WouldBlock` or its budget; level-triggered polling re-delivers
-        // whatever remains, so the shard's other channels get their turn.
-        let mut rx = std::mem::take(&mut self.rxbuf);
-        let fed = match self.transport.recv_into(SimTime::ZERO, &mut rx) {
-            Ok(_) => self.ingest(&rx),
-            Err(_) => Err(()), // peer closed or failed
-        };
-        self.rxbuf = rx;
-        if fed.is_err() {
-            return self.close();
-        }
-        Step::Continue
-    }
-
-    /// The blast sink never writes, so the tick only watches for the
-    /// drain: once the control sessions are gone and the channel has
-    /// gone quiet, let it end.
-    fn on_tick(&mut self) -> Step {
-        if self.peer.drained_quiet(self.last_activity) {
-            return self.close();
-        }
-        Step::Continue
     }
 }

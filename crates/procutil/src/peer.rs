@@ -147,8 +147,8 @@ pub enum Bind<D> {
     /// The hello's nonce is registered; the connection is now served by
     /// the role's data connection.
     Bound(D),
-    /// The nonce is known but the connection cannot be served (its
-    /// pre-read bytes broke framing); drop it.
+    /// The connection cannot be served (its pre-read bytes broke
+    /// framing, or the role serves no data connections); drop it.
     Refused,
     /// No session has registered the nonce (yet); the transport comes
     /// back so the shell can wait out the hello window.
@@ -169,7 +169,7 @@ pub trait DataConn: Send {
 }
 
 /// What one kind of peer does differently from the other. The library
-/// calls the conversation hooks from [`Role::on_claimed`] to
+/// calls the conversation hooks from [`Role::on_command`] to
 /// [`Role::release`] in that order over one control conversation; every
 /// hook runs on a reactor shard and must not block.
 pub trait Role: Send + Sync + Sized + 'static {
@@ -201,9 +201,6 @@ pub trait Role: Send + Sync + Sized + 'static {
     fn session_role(&self) -> PeerRole;
     /// Fresh state for the next conversation.
     fn conversation(&self) -> Self::Conv;
-    /// The conversation's `Auth` nonce won the process-wide replay
-    /// claim; `AuthOk` has not reached the wire yet.
-    fn on_claimed(&self, _conv: &mut Self::Conv, _nonce: u64) {}
     /// A `MeasureCmd` was accepted; `Ready` has not reached the wire
     /// yet.
     fn on_command(&self, _conv: &mut Self::Conv, _span: &Span, _spec: &MeasureSpec) {}
@@ -670,8 +667,7 @@ impl<R: Role> Conversation<R> {
         // witnesses it first and the loser is dropped — a session-local
         // window cannot arbitrate that. This runs before the pump below
         // flushes the `AuthOk` the session queued when it accepted the
-        // opener, so whatever the role registers in `on_claimed` is in
-        // place before the coordinator can act on the handshake.
+        // opener, so the loser's coordinator never sees a handshake.
         if self.claimed_nonce.is_none() {
             if let Some(nonce) = endpoint.session().accepted_nonce() {
                 self.claimed_nonce = Some(nonce);
@@ -688,9 +684,8 @@ impl<R: Role> Conversation<R> {
                         }
                         self.span.emit("session.resumed", fields![nonce = nonce]);
                     }
-                    peer.role.on_claimed(&mut self.conv, nonce);
                 } else {
-                    // The loser never reaches `on_claimed`, so its
+                    // The loser never reaches `on_command`, so its
                     // `release` cannot undo the winner's registration.
                     self.span.event("session.replay_drop");
                     endpoint.session_mut().abort(AbortReason::AuthFailed);

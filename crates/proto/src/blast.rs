@@ -3,23 +3,25 @@
 //!
 //! The control protocol ([`crate::session`]) decides *when* a slot runs;
 //! this module is what actually moves the measurement bytes (§4.1's
-//! blast). A coordinator-side [`TrafficSource`] pumps [`blast
+//! blast). A measurer's [`TrafficSource`] pumps [`blast
 //! frames`](BLAST_FRAME_TAG) — bulk payloads stamped with a keystream
-//! derived from the control session's handshake nonce — over any
-//! [`Transport`], paced against a caller-injected clock; a peer-side
-//! [`BlastParser`] (usually wrapped in a [`TrafficSink`]) reassembles
-//! the stream from arbitrary chunks, verifies every payload byte
-//! against the same keystream, and counts received and corrupt bytes.
-//! Both sides sample their counters per second with a [`ByteCounter`],
-//! which is what makes a `SecondReport` *derivable from observation*
-//! instead of asserted — and what lets the coordinator cross-check a
-//! peer's reported rates against its own locally counted ones
-//! (inflation attacks in the TorMult family assert bytes that never
-//! moved; honest counters on both ends make that visible).
+//! derived from the hello nonce — over any [`Transport`], paced against
+//! a caller-injected clock; the target relay's [`Echoer`] verifies
+//! every frame and loops exactly the verified bytes back; and the
+//! measurer's [`BlastParser`] (in tests usually wrapped in a
+//! [`TrafficSink`]) reassembles the echo from arbitrary chunks,
+//! verifies every payload byte against the same keystream, and counts
+//! received and corrupt bytes. Every party samples its counters per
+//! second with a [`ByteCounter`], which is what makes a `SecondReport`
+//! *derivable from observation* instead of asserted — and what lets the
+//! coordinator cross-check the relay's claimed echo against the
+//! measurers' verified one (inflation attacks in the TorMult family
+//! assert bytes that never moved; honest counters on both ends make
+//! that visible).
 //!
 //! A data connection is not anonymous: its first bytes are a
-//! [`DataChannelHello`] carrying the nonce of an authenticated control
-//! session, so the serving side can bind the channel to a conversation
+//! [`DataChannelHello`] carrying the binding nonce of a commanded
+//! measurement, so the relay can bind the channel to a conversation
 //! that actually passed the token handshake and refuse the rest.
 //!
 //! Everything here is sans-IO in the same sense as the sessions: time
@@ -29,7 +31,7 @@
 //! three, including partial delivery and mid-blast disconnects.
 
 use flashflow_obs::Counter;
-use flashflow_simnet::time::SimTime;
+use flashflow_simnet::time::{SimDuration, SimTime};
 
 use crate::transport::{Transport, TransportError};
 
@@ -97,39 +99,13 @@ pub const SEND_BATCH_BYTES: usize = 64 * 1024;
 /// without bound.
 pub const ECHO_BACKLOG_HIGH_WATER: usize = 1 << 20;
 
-/// Where a peer's `SecondReport` numbers come from.
-///
-/// The real measurement path derives reports from byte counters fed by
-/// the data plane ([`ReportSource::Counters`]); scripted rates remain
-/// available for the deterministic simulation, benches, and tests that
-/// need exact known numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportSource {
-    /// Report fixed, configured per-second rates (sim/test harnesses).
-    Scripted,
-    /// Report what the data-plane byte counters actually observed.
-    Counters,
-}
-
-impl std::str::FromStr for ReportSource {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scripted" => Ok(ReportSource::Scripted),
-            "counters" => Ok(ReportSource::Counters),
-            other => Err(format!("unknown report source {other:?} (scripted|counters)")),
-        }
-    }
-}
-
-/// The opener of every data connection: binds the channel to an
-/// authenticated control session's handshake nonce.
+/// The opener of every data connection: binds the channel to a
+/// commanded measurement's [binding nonce](binding_nonce).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataChannelHello {
-    /// The `Auth` nonce of the control session this channel serves.
+    /// The binding nonce of the measurement this channel serves.
     pub nonce: u64,
-    /// Zero-based channel index within that session's data channels.
+    /// Zero-based channel index within the dialing measurer's channels.
     pub channel: u32,
 }
 
@@ -242,9 +218,9 @@ pub fn secret_channel_key(secret: u64) -> u64 {
     splitmix64(secret ^ SECRET_KEY_SALT) ^ secret.rotate_left(17)
 }
 
-/// The frame-tag key derived from a pre-shared control token
-/// (coordinator-blasted channels: both ends hold the token, which never
-/// crosses a data connection).
+/// The frame-tag key derived from a pre-shared control token (for a
+/// channel whose two ends both hold the token, which never crosses a
+/// data connection).
 pub fn channel_key(token: &[u8; crate::msg::AUTH_TOKEN_LEN]) -> u64 {
     let mut key = TOKEN_KEY_SALT;
     for chunk in token.chunks(8) {
@@ -1319,26 +1295,45 @@ impl BackgroundMeter {
         self.last = Some(now);
     }
 
-    /// Accrues admitted bytes for the time elapsed since the last tick.
+    /// Accrues admitted bytes for the time elapsed since the last tick,
+    /// second by second: a late tick's span is split at every second
+    /// boundary it crossed, so no second is credited more than its own
+    /// share of the admitted rate. A `now` behind the last tick is a
+    /// no-op.
     pub fn tick(&mut self, now: SimTime) {
-        let Some(last) = self.last else { return };
-        let dt = now.saturating_duration_since(last).as_secs_f64();
-        self.carry += self.admitted_rate() as f64 * dt;
-        let whole = self.carry.floor();
-        if whole > 0.0 {
-            // Credited at the interval's *start*, so bytes accrued over
-            // a span ending exactly on a second boundary land in the
-            // second they were admitted in, not the next one.
-            self.counter.add(last, whole as u64);
-            self.carry -= whole;
+        let (Some(mut last), Some(epoch)) = (self.last, self.counter.epoch) else { return };
+        while last < now {
+            let second = last.saturating_duration_since(epoch).as_secs();
+            let until = now.min(epoch + SimDuration::from_secs(second + 1));
+            self.carry += self.admitted_rate() as f64 * until.duration_since(last).as_secs_f64();
+            let whole = self.carry.floor();
+            if whole > 0.0 {
+                // Credited at the piece's *start*, so bytes accrued over
+                // a span ending exactly on a second boundary land in the
+                // second they were admitted in, not the next one.
+                self.counter.add(last, whole as u64);
+                self.carry -= whole;
+            }
+            last = until;
         }
-        self.counter.roll(now);
-        self.last = Some(now);
+        self.counter.roll(last);
+        self.last = Some(last);
     }
 
     /// Total admitted bytes since [`BackgroundMeter::start`].
     pub fn admitted_total(&self) -> u64 {
         self.counter.total()
+    }
+
+    /// Admitted bytes of second `second` (zero-based since
+    /// [`BackgroundMeter::start`]). A caller whose own clock says that
+    /// second is over may ask a hair before this meter's last tick got
+    /// there; the meter first advances to the second's end.
+    pub fn admitted_in(&mut self, second: u32) -> u64 {
+        if let Some(epoch) = self.counter.epoch {
+            self.tick(epoch + SimDuration::from_secs(u64::from(second) + 1));
+        }
+        self.counter.completed().get(second as usize).copied().unwrap_or(0)
     }
 
     /// Admitted bytes per completed second.
@@ -1673,6 +1668,23 @@ mod tests {
         // Cap zero = uncapped.
         meter.set_cap(0);
         assert_eq!(meter.admitted_rate(), 10_000);
+    }
+
+    #[test]
+    fn background_meter_splits_a_late_tick_at_second_boundaries() {
+        // One tick at 0.9 s, the next not until 2.3 s: the 1.4 s span
+        // must land in three different seconds, none above the cap.
+        let mut meter = BackgroundMeter::new(40_000);
+        meter.set_cap(20_000);
+        meter.start(SimTime::ZERO);
+        meter.tick(SimTime::from_secs_f64(0.9));
+        meter.tick(SimTime::from_secs_f64(2.3));
+        assert_eq!(meter.completed_seconds(), &[20_000, 20_000]);
+        assert_eq!(meter.admitted_total(), 46_000);
+        // A tick behind the meter's clock neither rewinds nor recounts.
+        meter.tick(SimTime::from_secs(1));
+        meter.tick(SimTime::from_secs(3));
+        assert_eq!(meter.completed_seconds(), &[20_000, 20_000, 20_000]);
     }
 
     #[test]

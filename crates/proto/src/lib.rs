@@ -66,8 +66,8 @@ pub mod transport;
 pub mod prelude {
     pub use crate::blast::{
         binding_nonce, channel_key, frame_tag, secret_channel_key, BackgroundMeter, BlastError,
-        BlastEvent, BlastParser, BlastPattern, ByteCounter, DataChannelHello, Echoer, ReportSource,
-        TrafficSink, TrafficSource,
+        BlastEvent, BlastParser, BlastPattern, ByteCounter, DataChannelHello, Echoer, TrafficSink,
+        TrafficSource,
     };
     pub use crate::endpoint::Endpoint;
     pub use crate::fault::{FaultMode, FaultyTransport};
@@ -78,8 +78,7 @@ pub mod prelude {
     };
     pub use crate::session::{
         CoordAction, CoordPhase, CoordinatorSession, MeasurerAction, MeasurerPhase,
-        MeasurerSession, RelaySession, ReplayWindow, SessionState, SessionTimeouts,
-        DEFAULT_REPORT_AHEAD_CAP,
+        MeasurerSession, ReplayWindow, SessionState, SessionTimeouts, DEFAULT_REPORT_AHEAD_CAP,
     };
     pub use crate::tcp::{TcpAcceptor, TcpTransport};
     pub use crate::transport::{Duplex, DuplexEnd, End, Readiness, Transport, TransportError};

@@ -331,13 +331,6 @@ impl CoordinatorSession {
         self.resume_prior
     }
 
-    /// The data-channel frame-tag key derived from this session's
-    /// pre-shared token (see [`channel_key`](crate::blast::channel_key)):
-    /// what the engine keys this peer's blast sources with.
-    pub fn channel_key(&self) -> u64 {
-        crate::blast::channel_key(&self.token)
-    }
-
     /// Opens the conversation: queues `Auth` and starts the handshake
     /// timer.
     ///
@@ -665,12 +658,6 @@ impl MeasurerSession {
         self.seconds_sent
     }
 
-    /// The data-channel frame-tag key derived from this peer's
-    /// pre-shared token (see [`channel_key`](crate::blast::channel_key)).
-    pub fn channel_key(&self) -> u64 {
-        crate::blast::channel_key(&self.expected_token)
-    }
-
     /// Feeds received bytes; decoded frames advance the state machine.
     pub fn receive(&mut self, now: SimTime, bytes: &[u8]) {
         if self.is_terminal() {
@@ -846,207 +833,6 @@ impl MeasurerSession {
         if was_running {
             self.actions.push_back(MeasurerAction::Stop);
         }
-    }
-}
-
-/// Everything a relay's data plane needs to serve one commanded
-/// measurement, derived from the `MeasureCmd` a [`RelaySession`]
-/// accepted: which hello nonce binds the measurers' echo channels, the
-/// key their frame tags must verify under, and the background allowance
-/// for the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EchoBinding {
-    /// The **public** hello nonce every echo channel of this
-    /// measurement must present (see
-    /// [`binding_nonce`](crate::blast::binding_nonce)).
-    pub binding_nonce: u64,
-    /// The frame-tag key shared by the item's peers through the
-    /// `MeasureCmd`'s measurement secret.
-    pub channel_key: u64,
-    /// Background-traffic allowance (bytes/second) during the window;
-    /// `0` means uncapped.
-    pub background_allowance: u64,
-    /// Slot length in whole seconds.
-    pub slot_secs: u32,
-    /// The item-attempt's trace id from the commanding `MeasureCmd`
-    /// (`0` = untraced); the relay stamps it onto the echo channels'
-    /// telemetry so the data plane joins the same timeline.
-    pub trace_id: u64,
-}
-
-/// The target relay's half of one conversation: the relay-side role of
-/// the control protocol.
-///
-/// Protocol-wise this is a [`MeasurerSession`] pinned to
-/// [`PeerRole::Target`] — same handshake, same replay window, same
-/// hardening — so the state machine is shared rather than forked. What
-/// the relay role adds on top is the **echo subsystem contract**:
-///
-/// * once a `MeasureCmd` is accepted, [`RelaySession::echo_binding`]
-///   exposes the measurement's [`EchoBinding`] — the one public nonce
-///   that *k* measurers' concurrent data channels must present, the
-///   frame-tag key they share through the command's measurement secret,
-///   and the background allowance the relay must hold client traffic
-///   under while the window runs;
-/// * [`RelaySession::bind_channel`] / [`RelaySession::release_channel`]
-///   account the concurrent echo channels bound to that nonce (a hello
-///   carrying any other nonce is refused), so the driver can refuse
-///   strays and report how many measurers actually connected;
-/// * [`RelaySession::report_second`] sends the per-second
-///   `SecondReport` with **both** columns filled: background bytes
-///   admitted and measurement bytes echoed — the relay is the one peer
-///   whose report carries `y_j` *and* its own view of `x_j`.
-#[derive(Debug)]
-pub struct RelaySession {
-    inner: MeasurerSession,
-    /// Echo channels currently bound to the accepted measurement.
-    channels: u32,
-    /// Most channels ever concurrently bound (reporting/logs).
-    peak_channels: u32,
-    /// Hellos refused because their nonce was not the measurement's.
-    refused_channels: u64,
-}
-
-impl RelaySession {
-    /// A relay session expecting `expected_token` from its coordinator,
-    /// with an empty replay window.
-    pub fn new(
-        expected_token: [u8; AUTH_TOKEN_LEN],
-        session_id: u64,
-        timeouts: SessionTimeouts,
-    ) -> Self {
-        RelaySession {
-            inner: MeasurerSession::new(expected_token, PeerRole::Target, session_id, timeouts),
-            channels: 0,
-            peak_channels: 0,
-            refused_channels: 0,
-        }
-    }
-
-    /// Seeds the replay window (see
-    /// [`MeasurerSession::with_replay_window`]).
-    #[must_use]
-    pub fn with_replay_window(mut self, window: ReplayWindow) -> Self {
-        self.inner = self.inner.with_replay_window(window);
-        self
-    }
-
-    /// Hands the replay window back (see
-    /// [`MeasurerSession::take_replay_window`]).
-    pub fn take_replay_window(&mut self) -> ReplayWindow {
-        self.inner.take_replay_window()
-    }
-
-    /// The `Auth` nonce this session accepted, once past that step.
-    pub fn accepted_nonce(&self) -> Option<u64> {
-        self.inner.accepted_nonce()
-    }
-
-    /// True when the conversation was opened by an accepted `Resume`
-    /// (see [`MeasurerSession::resumed`]).
-    pub fn resumed(&self) -> bool {
-        self.inner.resumed()
-    }
-
-    /// The trace id the accepted `Resume` opener carried, if any (see
-    /// [`MeasurerSession::resume_trace_id`]).
-    pub fn resume_trace_id(&self) -> Option<u64> {
-        self.inner.resume_trace_id()
-    }
-
-    /// Current phase (shared with the measurer role).
-    pub fn phase(&self) -> MeasurerPhase {
-        self.inner.phase()
-    }
-
-    /// Seconds reported so far.
-    pub fn seconds_sent(&self) -> u32 {
-        self.inner.seconds_sent()
-    }
-
-    /// The commanded measurement's echo-binding material, once a
-    /// `MeasureCmd` has been accepted. `None` before that (there is
-    /// nothing for a data channel to bind to yet).
-    pub fn echo_binding(&self) -> Option<EchoBinding> {
-        let spec = self.inner.spec?;
-        Some(EchoBinding {
-            binding_nonce: crate::blast::binding_nonce(spec.measurement_secret),
-            channel_key: crate::blast::secret_channel_key(spec.measurement_secret),
-            background_allowance: spec.rate_cap,
-            slot_secs: spec.slot_secs,
-            trace_id: spec.trace_id,
-        })
-    }
-
-    /// Offers a data-channel hello for binding: accepted (and counted)
-    /// iff a measurement is commanded and the hello carries its binding
-    /// nonce. Concurrent channels from multiple measurers all bind to
-    /// the same nonce; a stray or stale hello is refused and counted.
-    pub fn bind_channel(&mut self, hello: crate::blast::DataChannelHello) -> bool {
-        match self.echo_binding() {
-            Some(binding) if binding.binding_nonce == hello.nonce => {
-                self.channels += 1;
-                self.peak_channels = self.peak_channels.max(self.channels);
-                true
-            }
-            _ => {
-                self.refused_channels += 1;
-                false
-            }
-        }
-    }
-
-    /// Notes a bound echo channel going away.
-    pub fn release_channel(&mut self) {
-        self.channels = self.channels.saturating_sub(1);
-    }
-
-    /// Echo channels currently bound.
-    pub fn active_channels(&self) -> u32 {
-        self.channels
-    }
-
-    /// Most channels ever concurrently bound.
-    pub fn peak_channels(&self) -> u32 {
-        self.peak_channels
-    }
-
-    /// Hellos refused for carrying the wrong nonce.
-    pub fn refused_channels(&self) -> u64 {
-        self.refused_channels
-    }
-
-    /// Reports one completed second: background bytes admitted and
-    /// measurement bytes echoed (see [`MeasurerSession::report_second`]
-    /// for the pacing/termination contract).
-    ///
-    /// # Panics
-    /// Panics unless the session is `Running`.
-    pub fn report_second(&mut self, bg_bytes: u64, echoed_bytes: u64) {
-        self.inner.report_second(bg_bytes, echoed_bytes);
-    }
-}
-
-impl SessionState for RelaySession {
-    type Action = MeasurerAction;
-
-    fn receive(&mut self, now: SimTime, bytes: &[u8]) {
-        self.inner.receive(now, bytes);
-    }
-    fn poll_outbound(&mut self) -> Option<Vec<u8>> {
-        self.inner.poll_outbound()
-    }
-    fn poll_action(&mut self) -> Option<MeasurerAction> {
-        self.inner.poll_action()
-    }
-    fn on_tick(&mut self, now: SimTime) {
-        self.inner.on_tick(now);
-    }
-    fn abort(&mut self, reason: AbortReason) {
-        self.inner.abort(reason);
-    }
-    fn is_terminal(&self) -> bool {
-        self.inner.is_terminal()
     }
 }
 
@@ -1529,32 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn relay_session_resumes_like_the_measurer_role() {
-        let token = [5u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let now = SimTime::ZERO;
-        let mut first = RelaySession::new(token, 1, t);
-        first.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Target, nonce: 0x9 }));
-        assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
-        let mut second =
-            RelaySession::new(token, 2, t).with_replay_window(first.take_replay_window());
-        second.receive(
-            now,
-            &encode(&Msg::Resume {
-                token,
-                role: PeerRole::Target,
-                nonce_prior: 0x9,
-                nonce: 0xA,
-                trace_id: 0x7ACE,
-            }),
-        );
-        assert_eq!(second.phase(), MeasurerPhase::AwaitCmd);
-        assert!(second.resumed());
-        assert_eq!(second.accepted_nonce(), Some(0xA));
-        assert_eq!(second.resume_trace_id(), Some(0x7ACE), "resume carries the trace id");
-    }
-
-    #[test]
     fn replay_window_is_bounded_with_recency_eviction() {
         let mut w = ReplayWindow::new(2);
         assert!(w.witness(1));
@@ -1668,111 +1428,6 @@ mod tests {
             pump(now, &mut coord, &mut meas);
         }
         assert_eq!(coord.phase(), CoordPhase::Done);
-    }
-
-    #[test]
-    fn relay_session_runs_the_target_role_and_binds_echo_channels() {
-        use crate::blast::{binding_nonce, secret_channel_key, DataChannelHello};
-
-        let token = [6u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let secret = 0x5EC2_0042;
-        let spec = MeasureSpec {
-            relay_fp: [9; FINGERPRINT_LEN],
-            slot_secs: 2,
-            sockets: 0,
-            rate_cap: 5_000, // background allowance for the target role
-            measurement_secret: secret,
-            ..MeasureSpec::default()
-        };
-        let mut coord = CoordinatorSession::new(token, PeerRole::Target, spec, 0xC0, t);
-        let mut relay = RelaySession::new(token, 77, t);
-        let now = SimTime::ZERO;
-
-        // Nothing to bind to before the command arrives.
-        assert_eq!(relay.echo_binding(), None);
-        assert!(!relay.bind_channel(DataChannelHello { nonce: binding_nonce(secret), channel: 0 }));
-
-        coord.start(now);
-        loop {
-            let mut moved = false;
-            while let Some(f) = coord.poll_outbound() {
-                relay.receive(now, &f);
-                moved = true;
-            }
-            while let Some(f) = relay.poll_outbound() {
-                coord.receive(now, &f);
-                moved = true;
-            }
-            if !moved {
-                break;
-            }
-        }
-        assert_eq!(coord.phase(), CoordPhase::Armed);
-        let binding = relay.echo_binding().expect("command accepted");
-        assert_eq!(binding.binding_nonce, binding_nonce(secret));
-        assert_eq!(binding.channel_key, secret_channel_key(secret));
-        assert_eq!(binding.background_allowance, 5_000);
-        assert_eq!(binding.slot_secs, 2);
-
-        // Two measurers' concurrent channels bind to the one nonce; a
-        // stray nonce is refused and counted.
-        assert!(relay.bind_channel(DataChannelHello { nonce: binding.binding_nonce, channel: 0 }));
-        assert!(relay.bind_channel(DataChannelHello { nonce: binding.binding_nonce, channel: 1 }));
-        assert!(!relay.bind_channel(DataChannelHello { nonce: 0xBAD, channel: 0 }));
-        assert_eq!((relay.active_channels(), relay.peak_channels()), (2, 2));
-        assert_eq!(relay.refused_channels(), 2, "pre-command and stray hellos both counted");
-        relay.release_channel();
-        assert_eq!(relay.active_channels(), 1);
-
-        // Run the slot: the relay reports BOTH columns (admitted
-        // background and echoed measurement bytes).
-        coord.go(now);
-        while let Some(f) = coord.poll_outbound() {
-            relay.receive(now, &f);
-        }
-        assert!(matches!(relay.poll_action(), Some(MeasurerAction::Prepare { .. })));
-        assert!(matches!(relay.poll_action(), Some(MeasurerAction::Start { .. })));
-        relay.report_second(4_000, 90_000);
-        relay.report_second(4_100, 91_000);
-        while let Some(f) = relay.poll_outbound() {
-            coord.receive(now, &f);
-        }
-        assert_eq!(relay.phase(), MeasurerPhase::Done);
-        assert_eq!(coord.phase(), CoordPhase::Done);
-        let samples: Vec<_> = std::iter::from_fn(|| coord.poll_action())
-            .filter_map(|a| match a {
-                CoordAction::Sample { second, bg_bytes, measured_bytes } => {
-                    Some((second, bg_bytes, measured_bytes))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(samples, vec![(0, 4_000, 90_000), (1, 4_100, 91_000)]);
-    }
-
-    #[test]
-    fn relay_session_shares_the_measurer_hardening() {
-        // Same state machine underneath: wrong token fails auth, and a
-        // replayed opener is rejected across conversations.
-        let t = SessionTimeouts::default();
-        let mut relay = RelaySession::new([1; AUTH_TOKEN_LEN], 1, t);
-        relay.receive(
-            SimTime::ZERO,
-            &encode(&Msg::Auth { token: [2; AUTH_TOKEN_LEN], role: PeerRole::Target, nonce: 5 }),
-        );
-        assert_eq!(relay.phase(), MeasurerPhase::Failed);
-
-        let token = [3u8; AUTH_TOKEN_LEN];
-        let auth = Msg::Auth { token, role: PeerRole::Target, nonce: 0x77 };
-        let mut first = RelaySession::new(token, 2, t);
-        first.receive(SimTime::ZERO, &encode(&auth));
-        assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
-        assert_eq!(first.accepted_nonce(), Some(0x77));
-        let mut second =
-            RelaySession::new(token, 3, t).with_replay_window(first.take_replay_window());
-        second.receive(SimTime::ZERO, &encode(&auth));
-        assert_eq!(second.phase(), MeasurerPhase::Failed, "replayed opener rejected");
     }
 
     #[test]

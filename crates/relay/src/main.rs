@@ -7,7 +7,7 @@
 //! self-reported background bytes (§4.1). This process plays that role
 //! on a real socket: it listens on TCP, classifies each accepted
 //! connection by its first byte — **control** (the framed session
-//! protocol, served by a `RelaySession`) or **data** (an echo channel
+//! protocol, answered in the target role) or **data** (an echo channel
 //! opening with a `DataChannelHello`) — and serves both concurrently.
 //!
 //! The process is the **relay role** of the shared peer library

@@ -30,7 +30,6 @@ pub struct Conv {
     /// measurement's aggregate counters.
     registered: Option<(u64, Arc<EchoCounters>)>,
     echoed_through: u64,
-    bg_through: u64,
 }
 
 impl Conv {
@@ -95,7 +94,6 @@ impl Role for Relay {
             meter: BackgroundMeter::new(self.cfg.background),
             registered: None,
             echoed_through: 0,
-            bg_through: 0,
         }
     }
 
@@ -113,7 +111,6 @@ impl Role for Relay {
 
     fn on_start(&self, conv: &mut Conv, span: &Span, _spec: &MeasureSpec, snow: SimTime) {
         conv.echoed_through = 0;
-        conv.bg_through = 0;
         conv.meter.start(snow);
         span.emit("session.go", fields![bg_rate = conv.meter.admitted_rate()]);
     }
@@ -131,9 +128,11 @@ impl Role for Relay {
         let echoed = conv.counter(|c| c.echoed.load(Ordering::Relaxed));
         let echo_delta = echoed - conv.echoed_through;
         conv.echoed_through = echoed;
-        let admitted = conv.meter.admitted_total();
-        let metered = admitted - conv.bg_through;
-        conv.bg_through = admitted;
+        // The claim is the meter's own bucket for `second`, not "what
+        // accrued since the last report": a late report tick must not
+        // fold part of the next second into this one and push an honest
+        // relay over its allowance.
+        let metered = conv.meter.admitted_in(second);
         let bg = match self.cfg.claim_bg {
             // The liar: a fixed per-second claim, regardless of what the
             // meter admitted. The lie leaves a trail: both figures go
@@ -307,5 +306,35 @@ impl procutil::peer::DataConn for DataConn {
 
     fn wants_write(&self) -> bool {
         self.backlog
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flashflow_obs::EventSink;
+
+    #[test]
+    fn one_late_tick_reports_two_seconds_each_within_the_allowance() {
+        let relay =
+            Relay::new(Config { background: 40_000, ..Config::default() }, &MetricsRegistry::new());
+        let span = Span::root(EventSink::new());
+        let spec = MeasureSpec { slot_secs: 3, rate_cap: 20_000, ..MeasureSpec::default() };
+        let mut conv = relay.conversation();
+        relay.on_command(&mut conv, &span, &spec);
+        relay.on_start(&mut conv, &span, &spec, SimTime::from_secs(5));
+        relay.drive(&mut conv, &span, SimTime::from_secs_f64(5.9), true);
+        // The shard stalls: the next step lands 2.3 s into the slot and
+        // owes two reports at once.
+        relay.drive(&mut conv, &span, SimTime::from_secs_f64(7.3), true);
+        let first = relay.second_report(&mut conv, &span, 0);
+        let second = relay.second_report(&mut conv, &span, 1);
+        assert_eq!((first, second), ((20_000, 0), (20_000, 0)), "cap is 20 kB/s");
+        // A report the library paces a hair ahead of the meter's clock
+        // still gets its whole second, and the meter does not recount it.
+        let third = relay.second_report(&mut conv, &span, 2);
+        relay.drive(&mut conv, &span, SimTime::from_secs_f64(8.5), true);
+        assert_eq!(third, (20_000, 0));
+        assert_eq!(conv.meter.admitted_total(), 70_000);
     }
 }

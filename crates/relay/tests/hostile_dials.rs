@@ -6,14 +6,22 @@
 //! the hello window ends, and a wait that ignores the drain flag holds
 //! SIGTERM for as long. `/proc/<pid>/stat` is the witness for the first,
 //! the exit latency for the second.
+//!
+//! The measurer gets a third, better-informed dial: a hello naming a
+//! nonce one of its own authenticated control sessions really claimed.
+//! Measurement bytes only ever flow measurer → relay → measurer, so even
+//! that hello binds nothing and is refused at once.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use flashflow_obs::{Event, Value};
 use flashflow_proto::blast::DataChannelHello;
+use flashflow_proto::frame::{encode, FrameDecoder};
+use flashflow_proto::msg::{Msg, PeerRole, AUTH_TOKEN_LEN};
 
 /// How long the process is watched after the dials land. At the default
 /// `--speedup 1` the hello window is 10 s, so this sits inside it.
@@ -42,8 +50,13 @@ fn sibling_bin(name: &str) -> PathBuf {
 }
 
 fn spawn_listener(bin: PathBuf) -> (Child, SocketAddr) {
+    spawn_listener_with(bin, &[])
+}
+
+fn spawn_listener_with(bin: PathBuf, extra: &[&str]) -> (Child, SocketAddr) {
     let mut child = Command::new(&bin)
         .args(["--listen", "127.0.0.1:0", "--io-threads", "2"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -85,10 +98,17 @@ fn hostile_dial(addr: SocketAddr, nonce: u64, half_close: bool) -> TcpStream {
 }
 
 fn stays_quiet_and_drains(bin: PathBuf) {
-    let (mut child, addr) = spawn_listener(bin);
-    let pid = child.id();
+    let (child, addr) = spawn_listener(bin);
     let _closed = hostile_dial(addr, 0xBAD0_0000_0000_D1A1, true);
     let _held = hostile_dial(addr, 0xBAD0_0000_0000_D1A2, false);
+    assert_quiet_then_drains(child);
+}
+
+/// Watches the process's CPU over [`WATCH`], then SIGTERMs it: it must
+/// have stayed inside [`CPU_BUDGET_SECS`] and exit 0 inside
+/// [`EXIT_BUDGET`].
+fn assert_quiet_then_drains(mut child: Child) {
+    let pid = child.id();
     std::thread::sleep(Duration::from_millis(100));
     let before = cpu_secs(pid);
     std::thread::sleep(WATCH);
@@ -111,7 +131,7 @@ fn stays_quiet_and_drains(bin: PathBuf) {
 
     assert!(
         burned < CPU_BUDGET_SECS,
-        "two unauthenticated dials cost {burned:.2} CPU-s over {WATCH:?} (budget {CPU_BUDGET_SECS})"
+        "the hostile dials cost {burned:.2} CPU-s over {WATCH:?} (budget {CPU_BUDGET_SECS})"
     );
     let status = status.unwrap_or_else(|| panic!("SIGTERM not honoured within {EXIT_BUDGET:?}"));
     assert!(status.success(), "drained exit must be 0, got {status:?}");
@@ -125,4 +145,58 @@ fn relay_shrugs_off_hostile_dials() {
 #[test]
 fn measurer_shrugs_off_hostile_dials() {
     stays_quiet_and_drains(sibling_bin("flashflow-measurer"));
+}
+
+#[test]
+fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
+    let log = std::env::temp_dir().join(format!("ff-hostile-claimed-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let (child, addr) = spawn_listener_with(
+        sibling_bin("flashflow-measurer"),
+        &["--log-json", log.to_str().expect("utf-8 temp path")],
+    );
+
+    // A real handshake under the built-in loopback token: once `AuthOk`
+    // is back, the process has claimed this nonce for a live session.
+    let nonce = 0xC1A1_3ED0_0000_0001u64;
+    let token = [0x42u8; AUTH_TOKEN_LEN];
+    let mut control = TcpStream::connect(addr).expect("dial control");
+    control
+        .write_all(&encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce }))
+        .expect("Auth");
+    control.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 256];
+    let answer = loop {
+        let n = control.read(&mut buf).expect("read the handshake answer");
+        assert!(n > 0, "control connection closed before AuthOk");
+        decoder.push(&buf[..n]);
+        if let Some(msg) = decoder.next_msg().expect("well-formed frame") {
+            break msg;
+        }
+    };
+    assert!(matches!(answer, Msg::AuthOk { nonce: n, .. } if n == nonce), "{answer:?}");
+
+    // The data dial: a bare, well-formed hello naming the claimed nonce,
+    // then silence. Refused at once means EOF long before the 10 s hello
+    // window could have expired it.
+    let mut dial = TcpStream::connect(addr).expect("dial data");
+    dial.write_all(&DataChannelHello { nonce, channel: 0 }.encode()).expect("send hello");
+    dial.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+    let closed = dial.read(&mut buf);
+    assert!(matches!(closed, Ok(0)), "the dial was not closed at once: {closed:?}");
+
+    let kinds_naming_the_nonce: Vec<String> = std::fs::read_to_string(&log)
+        .expect("read the event log")
+        .lines()
+        .map(|line| Event::parse_json_line(line).expect("well-formed JSONL"))
+        .filter(|ev| ev.field("nonce") == Some(&Value::U64(nonce)))
+        .map(|ev| ev.kind)
+        .collect();
+    assert_eq!(kinds_naming_the_nonce, ["channel.unknown_nonce"]);
+
+    // The parked control connection and the refused dial cost nothing,
+    // and the drain still aborts the handshake and exits 0 in time.
+    assert_quiet_then_drains(child);
+    let _ = std::fs::remove_file(&log);
 }

@@ -13,23 +13,27 @@
 //! must land within 5% of the deterministic Duplex reference, with the
 //! audit ledger clean; the adversarial cases (a relay inflating its
 //! background claim, a relay echoing garbage) must be *flagged* in the
-//! ledger rows instead of silently believed. All children exit 0.
+//! ledger rows instead of silently believed. All children exit 0 —
+//! including a measurer SIGTERMed mid-slot, which must finish the slot
+//! it is running before it goes.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_core::bwauth::measure_echo_period;
-use flashflow_core::echo::{item_trace_id, EchoDeployment, EchoItem, EchoMeasurer};
-use flashflow_core::engine::PeerDirectory;
+use flashflow_core::echo::{echo_group, item_trace_id, EchoDeployment, EchoItem, EchoMeasurer};
+use flashflow_core::engine::{EngineEvent, PeerDirectory};
 use flashflow_core::measure::build_second_samples;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_core::shard::script::{self, ScriptConfig, ScriptedPeer};
 use flashflow_core::shard::ShardedEngine;
-use flashflow_proto::msg::{PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::frame::{encode, FrameDecoder};
+use flashflow_proto::msg::{AbortReason, Msg, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::session::CoordPhase;
 use flashflow_simnet::stats::median;
 
 const ITEMS: usize = 3;
@@ -430,5 +434,70 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
 
     drop(pool);
     drop(file);
+    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+}
+
+#[test]
+fn sigtermed_measurer_finishes_its_slot_aborts_parked_handshakes_and_exits_zero() {
+    // Long enough (1 s of wall time) that the SIGTERM lands mid-slot.
+    const DRAIN_SLOT_SECS: u32 = 10;
+    // Measurer 0 has quota to spare: only the SIGTERM ends it.
+    let (m0, a0) = spawn_measurer(0, 99);
+    let (m1, a1) = spawn_measurer(1, 1);
+    let (relay, relay_addr) = spawn_relay(&[], 1);
+
+    // A second coordinator connection that stops after `AuthOk`: still
+    // mid-handshake when the drain starts, it must be told so.
+    let mut parked = TcpStream::connect(a0).expect("dial parked conversation");
+    let auth = Msg::Auth { token: token_for(0), role: PeerRole::Measurer, nonce: 0xF00 };
+    parked.write_all(&encode(&auth)).expect("send Auth");
+
+    let pool = ConnectionPool::new();
+    let item = EchoItem { slot_secs: DRAIN_SLOT_SECS, ..items().remove(0) };
+    let mut events = Vec::new();
+    let mut termed = false;
+    let snapshot =
+        echo_group(&deployment([a0, a1], relay_addr), item, pool.clone()).run(&mut |ev| {
+            events.push(ev);
+            // Mid-slot (first sample seen): ask measurer 0 to drain.
+            if !termed && matches!(ev, EngineEvent::Sample { .. }) {
+                let kill = Command::new("kill").args(["-TERM", &m0.id().to_string()]).status();
+                assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
+                termed = true;
+            }
+        });
+
+    // Every conversation — the draining measurer's included — ran its
+    // whole slot to `Done`.
+    assert!(termed, "never saw a sample: {events:?}");
+    for peer in snapshot.peers() {
+        assert_eq!(snapshot.phase(peer), CoordPhase::Done, "peer {peer:?}: {events:?}");
+        let samples = events
+            .iter()
+            .filter(|e| matches!(e, EngineEvent::Sample { peer: p, .. } if *p == peer))
+            .count();
+        assert_eq!(samples, DRAIN_SLOT_SECS as usize, "peer {peer:?}: {events:?}");
+    }
+
+    // The parked handshake got `AuthOk`, then a flushed `Abort(Shutdown)`.
+    parked.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut decoder = FrameDecoder::new();
+    let mut frames = Vec::new();
+    let mut buf = [0u8; 256];
+    while let Ok(n @ 1..) = parked.read(&mut buf) {
+        decoder.push(&buf[..n]);
+        while let Some(msg) = decoder.next_msg().expect("well-formed frames") {
+            frames.push(msg);
+        }
+    }
+    assert!(
+        matches!(
+            frames[..],
+            [Msg::AuthOk { nonce: 0xF00, .. }, Msg::Abort { reason: AbortReason::Shutdown }]
+        ),
+        "parked conversation saw {frames:?}"
+    );
+
+    drop(pool);
     wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
 }

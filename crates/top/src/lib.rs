@@ -5,7 +5,7 @@
 //! offline, and a status screen needs nothing more than clear + home).
 //!
 //! The event vocabulary consumed here is the one `flashflow-core`'s
-//! observe bridge emits (`period.start`, `sample`, `counted`,
+//! observe bridge emits (`period.start`, `sample`,
 //! `divergence`, `item.complete`, `pool.stats`, `target.estimate`,
 //! `period.done`); unknown kinds are ignored, so process-level events
 //! from the measurer/relay binaries can share the same file.

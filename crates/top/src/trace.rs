@@ -28,7 +28,7 @@ pub fn phase_of(kind: &str) -> Option<&'static str> {
     match kind {
         "session.prepare" | "peer.ready" | "session.resumed" => Some("handshake"),
         "slot.go" | "session.go" => Some("go"),
-        "sample" | "counted" | "channel.bound" => Some("slots"),
+        "sample" | "channel.bound" => Some("slots"),
         "session.stop" | "peer.done" => Some("report"),
         "divergence" | "target.estimate" | "item.complete" => Some("ledger"),
         _ => None,
@@ -383,7 +383,6 @@ mod tests {
                 ev("peer.ready", Some(7), 0.5, vec![]),
                 ev("slot.go", Some(7), 1.0, vec![]),
                 ev("sample", Some(7), 1.5, vec![]),
-                ev("counted", Some(7), 1.6, vec![]),
                 ev("peer.done", Some(7), 2.0, vec![]),
                 ev(
                     "target.estimate",

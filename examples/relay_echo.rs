@@ -23,8 +23,7 @@ use flashflow_repro::proto::msg::{
     MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
 };
 use flashflow_repro::proto::session::{
-    CoordinatorSession, MeasurerAction, MeasurerSession, RelaySession, SessionState as _,
-    SessionTimeouts,
+    CoordinatorSession, MeasurerAction, MeasurerSession, SessionTimeouts,
 };
 use flashflow_repro::proto::transport::{Duplex, DuplexEnd, Transport as _};
 use flashflow_repro::simnet::stats::median;
@@ -108,7 +107,9 @@ fn main() {
             .with_report_ahead_cap(SLOT_SECS),
         Box::new(ca),
     );
-    let mut relay = Endpoint::new(RelaySession::new(token, 99, timeouts), cb);
+    // The relay runs the same session state machine as the measurers,
+    // answering the protocol's target role.
+    let mut relay = Endpoint::new(MeasurerSession::new(token, PeerRole::Target, 99, timeouts), cb);
     let mut meter = BackgroundMeter::new(BG_OFFERED);
     let mut relay_echoed = ByteCounter::new();
     let mut relay_echoed_through = 0u64;
@@ -136,10 +137,13 @@ fn main() {
         // Relay side: register the measurement, start the clocks at Go.
         while let Some(action) = relay.session_mut().poll_action() {
             match action {
-                MeasurerAction::Prepare { .. } => {
-                    let binding = relay.session().echo_binding().expect("command accepted");
-                    assert_eq!(binding.binding_nonce, nonce);
-                    meter.set_cap(binding.background_allowance);
+                // Like the relay binary, derive the echo binding from
+                // the commanded spec: which hello nonce its channels
+                // must present, and the background allowance.
+                MeasurerAction::Prepare { spec } => {
+                    assert_eq!(binding_nonce(spec.measurement_secret), nonce);
+                    assert_eq!(secret_channel_key(spec.measurement_secret), key);
+                    meter.set_cap(spec.rate_cap);
                 }
                 MeasurerAction::Start { .. } => {
                     relay_running = true;
@@ -163,12 +167,6 @@ fn main() {
                     m.verified.start(now);
                     let mut echoer = Echoer::new(relay_end).with_key(key);
                     echoer.start(now);
-                    // The relay's session accounts the bound channel.
-                    let hello = flashflow_repro::proto::blast::DataChannelHello {
-                        nonce,
-                        channel: ix as u32,
-                    };
-                    assert!(relay.session_mut().bind_channel(hello), "hello bound");
                     echo_lanes.push(echoer);
                 }
             }

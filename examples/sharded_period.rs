@@ -4,8 +4,9 @@
 //!
 //! This is the deployment topology of the period driver (the full-size
 //! version is `crates/bench/benches/sharded_period.rs`, and the real
-//! multi-process variant — against spawned `flashflow-measurer`
-//! binaries — is `crates/measurer/tests/multiprocess.rs`). Here each
+//! multi-process variant — against spawned `flashflow-measurer` and
+//! `flashflow-relay` binaries — is `crates/relay/tests/three_party.rs`).
+//! Here each
 //! group scripts its peers over in-memory transports so the example
 //! runs instantly and deterministically.
 //!
