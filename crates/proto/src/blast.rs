@@ -24,6 +24,18 @@
 //! measurement, so the relay can bind the channel to a conversation
 //! that actually passed the token handshake and refuse the rest.
 //!
+//! Data flow: each payload byte is touched once per direction. A
+//! sender generates the keystream straight into its reused batch
+//! buffer (no zero-fill first) and hands that buffer to the transport;
+//! a receiver's [`BlastParser`] verifies payload bytes where they lie
+//! in the slice the caller read them into — the keystream is
+//! regenerated a `u64` word at a time and XORed against the received
+//! word, never materialised — and copies nothing but a hello or header
+//! that a chunk boundary split (at most [`BLAST_HEADER_LEN`] − 1 = 20
+//! bytes held between pushes). What the relay echoes is regenerated
+//! from the verified-byte *count*, so no received payload is retained
+//! anywhere.
+//!
 //! Everything here is sans-IO in the same sense as the sessions: time
 //! enters through method arguments, transports are the caller's, and
 //! the simulated `Duplex`, loopback TCP, and `FaultyTransport` all work
@@ -91,12 +103,14 @@ pub const MAX_TICK_BYTES: u64 = 256 * 1024;
 /// ~4 frames instead of one per frame.
 pub const SEND_BATCH_BYTES: usize = 64 * 1024;
 
-/// Send-side backlog ([`Transport::backlog`]) above which an
-/// [`Echoer`] stops emitting: the verified backlog then waits in
-/// `pending_echo` (a `u64` count, not buffered bytes) until the peer
-/// drains the return stream. Without this, a measurer that blasts but
-/// never reads its echo would grow the relay's transport outbox
-/// without bound.
+/// Send-side backlog ([`Transport::backlog`]) at which both blast
+/// senders stop emitting. An [`Echoer`]'s verified backlog then waits
+/// in `pending_echo` (a `u64` count, not buffered bytes) until the peer
+/// drains the return stream; a [`TrafficSource`] simply sends less, its
+/// pacing allowance catching up later. Without this, a measurer that
+/// blasts but never reads its echo would grow the relay's transport
+/// outbox without bound, and a relay that falls behind would grow the
+/// measurer's.
 pub const ECHO_BACKLOG_HIGH_WATER: usize = 1 << 20;
 
 /// The opener of every data connection: binds the channel to a
@@ -170,18 +184,19 @@ impl std::fmt::Display for BlastError {
 
 impl std::error::Error for BlastError {}
 
-/// Appends one pattern-stamped frame (header + payload, keystream via
-/// [`BlastPattern::fill`]) for `seq` to `buf` — the shared hot-path
-/// builder both blast senders batch with.
+/// Appends one pattern-stamped frame (header + payload) for `seq` to
+/// `buf` — the shared hot-path builder both blast senders batch with.
+/// The keystream is generated straight into `buf`'s reserved capacity
+/// ([`BlastPattern::append`]): each payload byte is written once, never
+/// zero-filled first.
 fn append_frame(buf: &mut Vec<u8>, pattern: BlastPattern, key: u64, seq: u64, len: usize) {
+    buf.reserve(BLAST_HEADER_LEN + len);
     buf.push(BLAST_FRAME_TAG);
     buf.extend_from_slice(&seq.to_be_bytes());
     buf.extend_from_slice(&(len as u32).to_be_bytes());
     let tag = frame_tag(key, pattern.nonce(), seq, len as u32);
     buf.extend_from_slice(&tag.to_be_bytes());
-    let start = buf.len();
-    buf.resize(start + len, 0);
-    pattern.fill(seq, &mut buf[start..]);
+    pattern.append(seq, len, buf);
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -271,13 +286,75 @@ impl BlastPattern {
         self.nonce
     }
 
+    /// Word `k` of frame `seq`'s keystream is `splitmix64(seed ^ k)`,
+    /// big-endian; payload byte `p` is byte `p % 8` of word `p / 8`.
+    fn seed(&self, seq: u64) -> u64 {
+        self.nonce ^ seq.wrapping_mul(0xA076_1D64_78BD_642F)
+    }
+
     /// Fills `buf` with the payload bytes of frame `seq`.
     pub fn fill(&self, seq: u64, buf: &mut [u8]) {
-        let seed = self.nonce ^ seq.wrapping_mul(0xA076_1D64_78BD_642F);
-        for (k, word) in buf.chunks_mut(8).enumerate() {
-            let w = splitmix64(seed ^ k as u64).to_be_bytes();
-            word.copy_from_slice(&w[..word.len()]);
+        let seed = self.seed(seq);
+        let mut words = buf.chunks_exact_mut(8);
+        let mut k = 0u64;
+        for word in words.by_ref() {
+            word.copy_from_slice(&splitmix64(seed ^ k).to_be_bytes());
+            k += 1;
         }
+        let tail = words.into_remainder();
+        tail.copy_from_slice(&splitmix64(seed ^ k).to_be_bytes()[..tail.len()]);
+    }
+
+    /// Appends the `len` payload bytes of frame `seq` to `buf`.
+    fn append(&self, seq: u64, len: usize, buf: &mut Vec<u8>) {
+        let seed = self.seed(seq);
+        let words = (len / 8) as u64;
+        for k in 0..words {
+            buf.extend_from_slice(&splitmix64(seed ^ k).to_be_bytes());
+        }
+        buf.extend_from_slice(&splitmix64(seed ^ words).to_be_bytes()[..len % 8]);
+    }
+
+    /// Counts the bytes of `got` that differ from frame `seq`'s
+    /// keystream from payload offset `offset` on — the receive-side
+    /// verification, done in place on the caller's bytes. The keystream
+    /// is regenerated a word at a time and XORed with the received
+    /// word; a payload that verifies (the overwhelmingly common case)
+    /// costs one pass that only asks whether any XOR is non-zero, and
+    /// only a payload that does not is walked again for the exact
+    /// per-byte count. Fragments that do not cover a whole keystream
+    /// word (before the first word boundary when `offset % 8 != 0`,
+    /// after the last) are compared bytewise.
+    fn mismatches(&self, seq: u64, offset: usize, got: &[u8]) -> u64 {
+        let seed = self.seed(seq);
+        let bytewise = |k: u64, skip: usize, part: &[u8]| -> u64 {
+            let word = splitmix64(seed ^ k).to_be_bytes();
+            part.iter().zip(&word[skip..]).filter(|(a, b)| a != b).count() as u64
+        };
+        let skew = offset % 8;
+        let lead_len = if skew == 0 { 0 } else { (8 - skew).min(got.len()) };
+        let (lead, rest) = got.split_at(lead_len);
+        let mut first = (offset / 8) as u64;
+        let mut bad = 0;
+        if !lead.is_empty() {
+            bad += bytewise(first, skew, lead);
+            first += 1;
+        }
+        let words = rest.chunks_exact(8);
+        let xored = || {
+            words.clone().zip(first..).map(|(word, k)| {
+                u64::from_be_bytes(word.try_into().expect("8 bytes")) ^ splitmix64(seed ^ k)
+            })
+        };
+        // `any`, not an OR-reduction: a reduction gets auto-vectorised,
+        // and with baseline SSE2 that means emulated 64-bit multiplies
+        // at half the speed of this scalar early-exit loop.
+        if xored().any(|x| x != 0) {
+            bad += xored()
+                .map(|x| x.to_ne_bytes().iter().filter(|&&b| b != 0).count() as u64)
+                .sum::<u64>();
+        }
+        bad + bytewise(first + (rest.len() / 8) as u64, 0, words.remainder())
     }
 }
 
@@ -490,12 +567,25 @@ impl<T: Transport> TrafficSource<T> {
 
     /// Writes as many pattern-stamped frames as the pacing budget at
     /// `now` allows (bounded by [`MAX_TICK_BYTES`] per call); returns
-    /// `true` if any bytes went out.
+    /// `true` if any bytes went out. Emits nothing while the
+    /// transport's send backlog sits at or above
+    /// [`ECHO_BACKLOG_HIGH_WATER`] — the loop the echo's back-pressure
+    /// closes: a relay that falls behind slows the source down instead
+    /// of growing the measurer's outbox. A paced source catches up once
+    /// the backlog drains (its allowance follows the clock, not the
+    /// pumps).
     pub fn pump(&mut self, now: SimTime) -> bool {
         if self.state != SourceState::Blasting {
             return false;
         }
         self.counter.roll(now);
+        if self.transport.backlog() >= ECHO_BACKLOG_HIGH_WATER {
+            // Nudge the queued outbox toward the kernel, emit nothing.
+            if let Err(err) = self.transport.send(now, &[]) {
+                self.fail(err);
+            }
+            return false;
+        }
         let started = self.started_at.expect("Blasting implies start");
         let allowed = if self.rate_cap == 0 {
             self.sent + MAX_TICK_BYTES
@@ -571,14 +661,15 @@ pub enum BlastEvent {
 }
 
 enum ParseState {
-    /// Waiting for a tag byte (hello or blast header).
+    /// Between frames: waiting for (the rest of) a hello or a blast
+    /// header.
     Header,
-    /// Mid-payload: `got` of the current frame's bytes consumed (the
-    /// expected bytes live in the parser's reused buffer).
-    Payload { got: usize },
-    /// Draining the payload of a rejected frame (failed tag, or a
+    /// Mid-payload of the tag-valid frame `seq`: `got` of its `len`
+    /// bytes verified so far.
+    Payload { seq: u64, len: usize, got: usize },
+    /// Discarding the payload of a rejected frame (failed tag, or a
     /// replayed sequence number): `remaining` declared bytes are
-    /// discarded without crediting.
+    /// skipped without crediting.
     SkipForged { remaining: usize },
 }
 
@@ -586,9 +677,19 @@ enum ParseState {
 /// and pattern-verified blast frames, reassembled from arbitrary
 /// chunks. The first [`BlastError`] poisons the parser (framing is
 /// lost); callers drop the connection.
+///
+/// The parser works on the caller's slice: payload bytes are verified
+/// where they lie (`BlastPattern::mismatches`) and never copied. All
+/// it carries from one [`BlastParser::push`] to the next is its
+/// position in the current frame and, when a chunk ends inside a hello
+/// or header, those at most [`BLAST_HEADER_LEN`] − 1 bytes.
 pub struct BlastParser {
     state: ParseState,
-    buf: Vec<u8>,
+    /// The first `stashed` bytes of a hello or header whose rest has
+    /// not arrived yet (its tag byte, already checked, says how long it
+    /// will be).
+    stash: [u8; BLAST_HEADER_LEN],
+    stashed: usize,
     pattern: Option<BlastPattern>,
     /// Frame-tag key (see [`frame_tag`]); must match the sender's.
     key: u64,
@@ -599,9 +700,6 @@ pub struct BlastParser {
     /// rewinds the window, so replaying the original hello cannot
     /// reopen it.
     next_seq: u64,
-    /// Reused expected-payload buffer for the frame being parsed
-    /// (regenerating per frame would allocate on the hot path).
-    expected: Vec<u8>,
     received: u64,
     corrupt: u64,
     forged: u64,
@@ -623,11 +721,11 @@ impl BlastParser {
     pub fn new() -> Self {
         BlastParser {
             state: ParseState::Header,
-            buf: Vec::new(),
+            stash: [0; BLAST_HEADER_LEN],
+            stashed: 0,
             pattern: None,
             key: 0,
             next_seq: 0,
-            expected: Vec::new(),
             received: 0,
             corrupt: 0,
             forged: 0,
@@ -646,8 +744,9 @@ impl BlastParser {
     }
 
     /// Streams this parser's byte accounting into shared telemetry
-    /// counters (one relaxed fetch-add per parsed chunk or rejected
-    /// frame — cheap enough for the blast hot path).
+    /// counters (one relaxed fetch-add per push that verified payload,
+    /// one more per push that met corrupt bytes and per rejected frame
+    /// — cheap enough for the blast hot path).
     #[must_use]
     pub fn with_counters(mut self, counters: BlastCounters) -> Self {
         self.counters = Some(counters);
@@ -685,25 +784,32 @@ impl BlastParser {
         if let Some(err) = self.poisoned {
             return Err(err);
         }
-        self.buf.extend_from_slice(bytes);
+        let mut rest = bytes;
         let mut events = Vec::new();
         let mut batch_bytes = 0u64;
         let mut batch_corrupt = 0u64;
-        loop {
-            match &mut self.state {
+        // Telemetry is fed once per push, not once per frame.
+        let mut push_verified = 0u64;
+        let mut push_corrupt = 0u64;
+        let outcome = loop {
+            match self.state {
                 ParseState::Header => {
-                    let Some(&tag) = self.buf.first() else { break };
+                    let tag = if self.stashed > 0 {
+                        self.stash[0]
+                    } else if let Some(&tag) = rest.first() {
+                        tag
+                    } else {
+                        break Ok(());
+                    };
                     match tag {
                         DATA_HELLO_TAG => {
-                            if self.buf.len() < HELLO_LEN {
-                                break;
-                            }
-                            let mut raw = [0u8; HELLO_LEN];
-                            raw.copy_from_slice(&self.buf[..HELLO_LEN]);
-                            self.buf.drain(..HELLO_LEN);
-                            let hello = match DataChannelHello::decode(&raw) {
+                            let Some(raw) = self.take_unit(&mut rest, HELLO_LEN) else {
+                                break Ok(());
+                            };
+                            let raw = raw[..HELLO_LEN].try_into().expect("HELLO_LEN bytes");
+                            let hello = match DataChannelHello::decode(raw) {
                                 Ok(h) => h,
-                                Err(e) => return Err(self.poison(e)),
+                                Err(e) => break Err(e),
                             };
                             // Only a *different* nonce rewinds the
                             // replay window: a pooled-reuse rebind is a
@@ -718,22 +824,18 @@ impl BlastParser {
                             events.push(BlastEvent::Hello(hello));
                         }
                         BLAST_FRAME_TAG => {
-                            if self.buf.len() < BLAST_HEADER_LEN {
-                                break;
-                            }
-                            let Some(pattern) = self.pattern else {
-                                return Err(self.poison(BlastError::MissingHello));
+                            let Some(raw) = self.take_unit(&mut rest, BLAST_HEADER_LEN) else {
+                                break Ok(());
                             };
-                            let seq =
-                                u64::from_be_bytes(self.buf[1..9].try_into().expect("8 bytes"));
-                            let len =
-                                u32::from_be_bytes(self.buf[9..13].try_into().expect("4 bytes"));
-                            let tag =
-                                u64::from_be_bytes(self.buf[13..21].try_into().expect("8 bytes"));
+                            let Some(pattern) = self.pattern else {
+                                break Err(BlastError::MissingHello);
+                            };
+                            let seq = u64::from_be_bytes(raw[1..9].try_into().expect("8 bytes"));
+                            let len = u32::from_be_bytes(raw[9..13].try_into().expect("4 bytes"));
+                            let tag = u64::from_be_bytes(raw[13..21].try_into().expect("8 bytes"));
                             if len as usize > MAX_BLAST_PAYLOAD {
-                                return Err(self.poison(BlastError::OversizedFrame(len)));
+                                break Err(BlastError::OversizedFrame(len));
                             }
-                            self.buf.drain(..BLAST_HEADER_LEN);
                             if tag != frame_tag(self.key, pattern.nonce(), seq, len) {
                                 // Forged: the sender knew the (public)
                                 // nonce but not the channel key. Skip the
@@ -748,9 +850,7 @@ impl BlastParser {
                                 flush_data(&mut events, &mut batch_bytes, &mut batch_corrupt);
                                 events.push(BlastEvent::Forged { bytes: u64::from(len) });
                                 self.state = ParseState::SkipForged { remaining: len as usize };
-                                continue;
-                            }
-                            if seq < self.next_seq {
+                            } else if seq < self.next_seq {
                                 // Tag-valid but already past: a wire
                                 // MITM re-sending a captured frame (it
                                 // cannot mint tags for fresh sequence
@@ -762,62 +862,75 @@ impl BlastParser {
                                 flush_data(&mut events, &mut batch_bytes, &mut batch_corrupt);
                                 events.push(BlastEvent::Replayed { bytes: u64::from(len) });
                                 self.state = ParseState::SkipForged { remaining: len as usize };
-                                continue;
+                            } else {
+                                self.next_seq = seq + 1;
+                                self.state = ParseState::Payload { seq, len: len as usize, got: 0 };
                             }
-                            self.next_seq = seq + 1;
-                            self.expected.resize(len as usize, 0);
-                            pattern.fill(seq, &mut self.expected);
-                            self.state = ParseState::Payload { got: 0 };
                         }
-                        other => return Err(self.poison(BlastError::BadTag(other))),
+                        other => break Err(BlastError::BadTag(other)),
                     }
                 }
                 ParseState::SkipForged { remaining } => {
-                    if self.buf.is_empty() {
-                        break;
-                    }
-                    let take = (*remaining).min(self.buf.len());
-                    self.buf.drain(..take);
-                    *remaining -= take;
-                    if *remaining == 0 {
+                    let take = remaining.min(rest.len());
+                    rest = &rest[take..];
+                    if take == remaining {
                         self.state = ParseState::Header;
+                    } else {
+                        self.state = ParseState::SkipForged { remaining: remaining - take };
+                        break Ok(());
                     }
                 }
-                ParseState::Payload { got } => {
-                    if self.buf.is_empty() {
-                        break;
-                    }
-                    let want = self.expected.len() - *got;
-                    let take = want.min(self.buf.len());
-                    let mismatches = self.buf[..take]
-                        .iter()
-                        .zip(&self.expected[*got..*got + take])
-                        .filter(|(a, b)| a != b)
-                        .count() as u64;
-                    self.buf.drain(..take);
-                    *got += take;
+                ParseState::Payload { seq, len, got } => {
+                    let take = (len - got).min(rest.len());
+                    let (payload, after) = rest.split_at(take);
+                    rest = after;
+                    let pattern = self.pattern.expect("a payload follows a hello");
+                    let mismatches = pattern.mismatches(seq, got, payload);
                     batch_bytes += take as u64;
                     batch_corrupt += mismatches;
-                    self.received += take as u64;
-                    self.corrupt += mismatches;
-                    if let Some(c) = &self.counters {
-                        c.verified.add(take as u64 - mismatches);
-                        c.corrupt.add(mismatches);
-                    }
-                    if *got == self.expected.len() {
+                    push_verified += take as u64 - mismatches;
+                    push_corrupt += mismatches;
+                    if got + take == len {
                         self.state = ParseState::Header;
+                    } else {
+                        self.state = ParseState::Payload { seq, len, got: got + take };
+                        break Ok(());
                     }
                 }
             }
+        };
+        self.received += push_verified + push_corrupt;
+        self.corrupt += push_corrupt;
+        if let Some(c) = &self.counters {
+            if push_verified > 0 {
+                c.verified.add(push_verified);
+            }
+            if push_corrupt > 0 {
+                c.corrupt.add(push_corrupt);
+            }
+        }
+        if let Err(err) = outcome {
+            self.poisoned = Some(err);
+            return Err(err);
         }
         flush_data(&mut events, &mut batch_bytes, &mut batch_corrupt);
         Ok(events)
     }
 
-    fn poison(&mut self, err: BlastError) -> BlastError {
-        self.poisoned = Some(err);
-        self.buf.clear();
-        err
+    /// Moves bytes of the `need`-byte hello or header at the front of
+    /// the stream from `rest` into the stash, and returns the unit once
+    /// it is complete (`None`: `rest` ran out first, the part that
+    /// arrived stays stashed for the next push).
+    fn take_unit(&mut self, rest: &mut &[u8], need: usize) -> Option<[u8; BLAST_HEADER_LEN]> {
+        let take = (need - self.stashed).min(rest.len());
+        self.stash[self.stashed..self.stashed + take].copy_from_slice(&rest[..take]);
+        self.stashed += take;
+        *rest = &rest[take..];
+        if self.stashed < need {
+            return None;
+        }
+        self.stashed = 0;
+        Some(self.stash)
     }
 }
 
@@ -1740,6 +1853,139 @@ mod tests {
         assert_eq!(sink.hello(), Some(DataChannelHello { nonce: 222, channel: 0 }));
         assert!(sink.received_total() > after_first);
         assert_eq!(sink.corrupt_total(), 0, "new pattern verified after rebind");
+    }
+
+    /// The reference the word-wise verifier is checked against: the
+    /// keystream materialised with `fill`, compared byte by byte.
+    fn mismatches_bytewise(pattern: BlastPattern, seq: u64, offset: usize, got: &[u8]) -> u64 {
+        let mut keystream = vec![0u8; offset + got.len()];
+        pattern.fill(seq, &mut keystream);
+        got.iter().zip(&keystream[offset..]).filter(|(a, b)| a != b).count() as u64
+    }
+
+    #[test]
+    fn word_wise_verifier_agrees_with_bytewise_compare_at_every_alignment() {
+        let pattern = BlastPattern::new(0x0DD_BA11);
+        let seq = 41;
+        let mut keystream = vec![0u8; 64];
+        pattern.fill(seq, &mut keystream);
+        for offset in 0..24 {
+            for len in 0..40 {
+                let clean = &keystream[offset..offset + len];
+                assert_eq!(pattern.mismatches(seq, offset, clean), 0, "clean {offset}+{len}");
+                // One flipped bit, at every bit of every position, is
+                // exactly one corrupt byte.
+                let mut got = clean.to_vec();
+                for at in 0..len {
+                    for bit in 0..8 {
+                        got[at] ^= 1 << bit;
+                        assert_eq!(pattern.mismatches(seq, offset, &got), 1, "{offset}+{len}@{at}");
+                        got[at] ^= 1 << bit;
+                    }
+                }
+                // Several corrupt bytes in one word are several, not
+                // one: a byte pattern that is wrong everywhere, and one
+                // wrong at every other byte.
+                for stride in [1, 2] {
+                    let mut got = clean.to_vec();
+                    got.iter_mut().step_by(stride).for_each(|b| *b ^= 0xA5);
+                    assert_eq!(
+                        pattern.mismatches(seq, offset, &got),
+                        mismatches_bytewise(pattern, seq, offset, &got),
+                        "{offset}+{len}/{stride}"
+                    );
+                    assert_eq!(pattern.mismatches(seq, offset, &got), len.div_ceil(stride) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appended_frames_carry_the_filled_keystream() {
+        let pattern = BlastPattern::new(77);
+        for len in [0, 1, 7, 8, 9, 4096, BLAST_CHUNK] {
+            let mut frame = vec![0xEE; 3];
+            append_frame(&mut frame, pattern, 5, 9, len);
+            let mut payload = vec![0u8; len];
+            pattern.fill(9, &mut payload);
+            assert_eq!(frame.len(), 3 + BLAST_HEADER_LEN + len);
+            assert_eq!(&frame[3 + BLAST_HEADER_LEN..], &payload[..], "len {len}");
+        }
+    }
+
+    #[test]
+    fn source_pauses_at_the_backlog_high_water_and_resumes_when_the_peer_drains() {
+        // The peer does not read: the kernel's buffers fill, the
+        // transport's outbox takes the rest, and the source must stop
+        // there instead of queueing `MAX_TICK_BYTES` a pump for ever.
+        let (peer, dialed) = crate::tcp::loopback_pair();
+        let mut src = TrafficSource::new(dialed, 0x5AFE, 0);
+        src.greet(SimTime::ZERO);
+        src.start(SimTime::ZERO);
+        for _ in 0..2_000 {
+            src.pump(SimTime::ZERO);
+        }
+        let bound = ECHO_BACKLOG_HIGH_WATER + MAX_TICK_BYTES as usize;
+        let backlog = src.transport_mut().backlog();
+        assert!(backlog >= ECHO_BACKLOG_HIGH_WATER, "2000 uncapped pumps must hit the mark");
+        assert!(backlog <= bound, "outbox {backlog} B grew past {bound} B");
+        let paused_at = src.sent_total();
+        assert!(!src.pump(SimTime::ZERO), "a paused pump reports no progress");
+        assert_eq!(src.sent_total(), paused_at);
+        assert_eq!(src.state(), SourceState::Blasting, "paused, not stopped");
+
+        // The peer starts draining: the source resumes by itself.
+        let mut sink = TrafficSink::new(peer);
+        let mut resumed = false;
+        for _ in 0..100_000 {
+            sink.pump(SimTime::ZERO).expect("clean stream");
+            if src.pump(SimTime::ZERO) {
+                resumed = true;
+                break;
+            }
+        }
+        assert!(resumed, "source never resumed after the peer drained");
+        assert!(src.sent_total() > paused_at);
+    }
+
+    #[test]
+    fn paced_source_reaches_its_commanded_total_after_a_backlog_pause() {
+        // 100 MB/s commanded for 0.3 s of injected time, 1 ms ticks; the
+        // peer reads nothing for the first 0.2 s, so the source pauses
+        // some megabytes in. Its allowance follows the clock, so once
+        // the peer drains it catches up to rate × time exactly.
+        let rate = 100_000_000u64;
+        let (peer, dialed) = crate::tcp::loopback_pair();
+        let mut src = TrafficSource::new(dialed, 0xFACE, 0);
+        src.set_rate_cap(rate);
+        src.greet(SimTime::ZERO);
+        src.start(SimTime::ZERO);
+        let mut paused = false;
+        for tick in 1..=200u64 {
+            let before = src.sent_total();
+            src.pump(SimTime::from_secs_f64(tick as f64 * 1e-3));
+            paused |= src.sent_total() == before;
+            let backlog = src.transport_mut().backlog();
+            assert!(backlog <= ECHO_BACKLOG_HIGH_WATER + MAX_TICK_BYTES as usize, "{backlog}");
+        }
+        assert!(paused, "20 MB into a socket nobody reads must pause the source");
+        assert!(src.sent_total() < rate / 5, "the pause held bytes back");
+
+        let end = SimTime::from_secs_f64(0.3);
+        let commanded = (rate as f64 * 0.3) as u64;
+        let mut sink = TrafficSink::new(peer);
+        for _ in 0..1_000_000 {
+            src.pump(end);
+            // Flush the outbox's tail as a driver polling the echo would.
+            src.transport_mut().send(end, &[]).expect("open connection");
+            sink.pump(end).expect("clean stream");
+            if sink.received_total() == commanded {
+                break;
+            }
+        }
+        assert_eq!(src.sent_total(), commanded, "paced source caught up to rate × time");
+        assert_eq!(sink.received_total(), commanded, "and every byte arrived");
+        assert_eq!(sink.corrupt_total(), 0);
     }
 
     #[test]

@@ -7,6 +7,17 @@
 //! chunks, and the sessions' [`FrameDecoder`](crate::frame::FrameDecoder)
 //! reassembles them.
 //!
+//! Data flow: a byte is copied once per direction on this side of the
+//! kernel boundary, by the kernel. Receiving, `recv(2)` writes straight
+//! into the spare capacity of the buffer the caller passed to
+//! [`Transport::recv_into`] (grown 64 KiB or more at a time while reads
+//! fill it, at most 256 KiB returned per call), and the transport holds
+//! no read buffer of its own; a buffer that has no allocation yet gets
+//! 64 bytes until something arrives, so a connection nothing arrives on
+//! costs next to no receive memory. Sending, `send` writes from the
+//! caller's slice; only what the kernel refuses is copied into the
+//! outbox.
+//!
 //! Time discipline: `now` is caller-injected and **ignored** here — TCP
 //! delivery happens when the kernel says so — but no wall clock is ever
 //! read either. Liveness (handshake/report timeouts) stays entirely in
@@ -15,7 +26,7 @@
 //! and on real elapsed time in deployment without touching this code.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
 use flashflow_simnet::time::SimTime;
@@ -86,8 +97,16 @@ impl TcpAcceptor {
     }
 }
 
-/// How many bytes one `recv` pulls from the kernel per read call.
-const READ_CHUNK: usize = 4096;
+/// Least capacity `recv_into` adds when the caller's buffer is full:
+/// loopback segments are 64 KiB, so reads from a smaller buffer split
+/// one segment over several syscalls.
+const READ_MIN: usize = 64 * 1024;
+
+/// Capacity given to a buffer that has none: enough to learn whether
+/// anything is there to read before committing [`READ_MIN`] to it, so a
+/// one-off idle `recv` or a channel nothing ever arrives on does not
+/// hold a 64 KiB read buffer.
+const PROBE: usize = 64;
 
 /// Upper bound on bytes one `recv` returns. A peer that floods faster
 /// than we drain must not wedge the caller inside a single call (the
@@ -138,10 +157,36 @@ pub struct TcpTransport {
     broken: Option<TransportError>,
     /// The peer sent EOF; drained reads then error.
     eof: bool,
-    /// Read scratch, zeroed once at construction: `recv_into` reads
-    /// here and copies only the bytes that actually arrived, so an
-    /// idle poll (`WouldBlock`) costs no buffer zeroing.
-    scratch: Box<[u8]>,
+}
+
+// SAFETY: the libc prototype of `recv(2)` on every Unix we target: an
+// integer fd, a pointer + length buffer the call only writes to, C
+// `int` flags, and an `ssize_t` return with errno.
+extern "C" {
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+}
+
+/// One `recv(2)` of at most `limit` bytes from `stream` straight into
+/// `out`'s spare capacity: the kernel's copy is the only one, and
+/// nothing is zero-filled first. Returns the bytes appended (`Ok(0)` is
+/// EOF when `limit` and the spare capacity are non-zero).
+fn recv_spare(stream: &TcpStream, out: &mut Vec<u8>, limit: usize) -> std::io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    let spare = out.spare_capacity_mut();
+    let want = spare.len().min(limit);
+    // SAFETY: `spare` is `out`'s own allocation past its length, valid
+    // for writes of `spare.len() >= want` bytes, and is handed over as
+    // a raw pointer (no reference to uninitialised bytes is formed);
+    // `recv` writes at most `want` bytes there and reads none. The fd
+    // belongs to `stream`, which outlives the call.
+    let got = unsafe { recv(stream.as_raw_fd(), spare.as_mut_ptr().cast::<u8>(), want, 0) };
+    // A negative return is the only failure; errno holds the cause.
+    let got = usize::try_from(got).map_err(|_| std::io::Error::last_os_error())?;
+    assert!(got <= want, "recv(2) returned {got} bytes for a {want}-byte buffer");
+    // SAFETY: the kernel initialised the first `got <= want` bytes of
+    // the spare capacity (asserted above).
+    unsafe { out.set_len(out.len() + got) };
+    Ok(got)
 }
 
 impl TcpTransport {
@@ -163,7 +208,6 @@ impl TcpTransport {
             fin_sent: false,
             broken: None,
             eof: false,
-            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -321,15 +365,20 @@ impl Transport for TcpTransport {
             let _ = self.flush_outbox();
         }
         while out.len() < RECV_BUDGET {
-            // Read into the pre-zeroed scratch and copy only what
-            // arrived: the caller's buffer grows by `extend_from_slice`
-            // (a memcpy), never by zero-filling capacity it may not use.
-            match self.stream.read(&mut self.scratch) {
+            // The caller's reused buffer is the only read buffer: it
+            // grows (amortised, to about `RECV_BUDGET` at most) only
+            // once the reads so far have filled it, and keeps that
+            // capacity across calls.
+            let left = RECV_BUDGET - out.len();
+            if out.capacity() == out.len() {
+                out.reserve(if out.capacity() == 0 { PROBE } else { READ_MIN.min(left) });
+            }
+            match recv_spare(&self.stream, out, left) {
                 Ok(0) => {
                     self.eof = true;
                     break;
                 }
-                Ok(n) => out.extend_from_slice(&self.scratch[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -386,19 +435,20 @@ impl Transport for TcpTransport {
     }
 }
 
+/// Loopback pair for unit tests: (accepted, connected).
+#[cfg(test)]
+pub(crate) fn loopback_pair() -> (TcpTransport, TcpTransport) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("addr");
+    let client = TcpTransport::connect(addr).expect("connect");
+    let (accepted, _) = listener.accept().expect("accept");
+    (TcpTransport::from_stream(accepted).expect("wrap"), client)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::loopback_pair as pair;
     use super::*;
-    use std::net::TcpListener;
-
-    /// Loopback pair: (accepted, connected).
-    fn pair() -> (TcpTransport, TcpTransport) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpTransport::connect(addr).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
-        (TcpTransport::from_stream(accepted).expect("wrap"), client)
-    }
 
     /// Drains `t` until `want` bytes arrived (bounded retries — loopback
     /// delivery is asynchronous but fast).
@@ -438,6 +488,98 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         panic!("peer close never observed");
+    }
+
+    /// Polls `recv_into` until it returns bytes or fails (bounded —
+    /// loopback delivery is asynchronous but fast).
+    fn recv_some(t: &mut TcpTransport, out: &mut Vec<u8>) -> Result<usize, TransportError> {
+        for _ in 0..2000 {
+            match t.recv_into(SimTime::ZERO, out) {
+                Ok(0) => std::thread::sleep(std::time::Duration::from_millis(1)),
+                other => return other,
+            }
+        }
+        panic!("nothing arrived");
+    }
+
+    #[test]
+    fn burst_arrives_in_order_within_the_per_call_budget() {
+        let (mut a, mut b) = pair();
+        let burst: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let mut seen = Vec::with_capacity(burst.len());
+        let mut rx = Vec::new();
+        // Idle first: nothing to read is `Ok(0)` and an empty buffer —
+        // and no read-sized allocation, if the buffer had none.
+        assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Ok(0));
+        assert!(rx.capacity() <= PROBE, "an idle poll allocated a {} B buffer", rx.capacity());
+        rx.extend_from_slice(b"stale");
+        assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Ok(0));
+        assert!(rx.is_empty(), "an idle poll still replaces the buffer's contents");
+
+        a.send(SimTime::ZERO, &burst).unwrap();
+        while seen.len() < burst.len() {
+            // The sender's outbox drains on its own polls.
+            let _ = a.recv_into(SimTime::ZERO, &mut rx);
+            let got = recv_some(&mut b, &mut rx).expect("open connection");
+            assert_eq!(got, rx.len());
+            assert!(got <= RECV_BUDGET, "one call returned {got} B");
+            seen.extend_from_slice(&rx);
+        }
+        assert!(seen == burst, "bytes reordered, lost or duplicated");
+    }
+
+    #[test]
+    fn eof_surfaces_only_after_the_bytes_before_it() {
+        let (mut a, mut b) = pair();
+        let tail: Vec<u8> = (0..100_000usize).map(|i| (i % 241) as u8).collect();
+        a.send(SimTime::ZERO, &tail).unwrap();
+        a.close();
+        assert_eq!(a.pending_send_bytes(), 0, "100 kB fits the loopback buffers");
+        let mut seen = Vec::new();
+        let mut rx = Vec::new();
+        let err = loop {
+            match recv_some(&mut b, &mut rx) {
+                Ok(_) => seen.extend_from_slice(&rx),
+                Err(err) => break err,
+            }
+        };
+        assert_eq!(err, TransportError::Closed);
+        assert!(rx.is_empty(), "the failing call delivers nothing");
+        assert!(seen == tail, "every byte sent before the FIN was delivered before the error");
+        assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Err(TransportError::Closed), "sticky");
+    }
+
+    #[test]
+    fn warm_receive_buffer_keeps_its_allocation() {
+        let (mut a, mut b) = pair();
+        let mut rx = Vec::new();
+        // Warm-up: a burst well past the per-call budget grows the
+        // caller's buffer to its working size.
+        a.send(SimTime::ZERO, &vec![7u8; 1 << 20]).unwrap();
+        let mut warm = 0;
+        while warm < 1 << 20 {
+            let _ = a.recv_into(SimTime::ZERO, &mut Vec::new());
+            warm += recv_some(&mut b, &mut rx).expect("open connection");
+        }
+        let (ptr, capacity) = (rx.as_ptr(), rx.capacity());
+        assert!((RECV_BUDGET..2 * RECV_BUDGET).contains(&capacity), "capacity {capacity}");
+        // Steady state: idle polls, small frames and full-budget drains
+        // all reuse that one allocation.
+        let sizes = [0usize, 1, 1448, 65_536, 300_000];
+        for call in 0..1000 {
+            let size = sizes[call % sizes.len()];
+            a.send(SimTime::ZERO, &vec![call as u8; size]).unwrap();
+            let mut got = 0;
+            while got < size {
+                let _ = a.recv_into(SimTime::ZERO, &mut Vec::new());
+                got += recv_some(&mut b, &mut rx).expect("open connection");
+                assert!(rx.iter().all(|&byte| byte == call as u8));
+            }
+            if size == 0 {
+                assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Ok(0));
+            }
+            assert_eq!((rx.as_ptr(), rx.capacity()), (ptr, capacity), "call {call} reallocated");
+        }
     }
 
     #[test]
