@@ -300,12 +300,8 @@ fn instrumentation_overhead_guard() -> Json {
 /// round trip (smaller than the parser rounds: every byte crosses the
 /// loopback twice and is verified twice).
 const REACTOR_STREAM: u64 = 8 << 20;
-/// Interleaved rounds per reactor variant; minimums are compared. A
-/// round is a handful of milliseconds, and only a few in a hundred run
-/// undisturbed end to end: both variants need enough rounds to find
-/// their floor, or the comparison is between one's luck and the
-/// other's.
-const REACTOR_ROUNDS: usize = 64;
+/// Interleaved rounds per reactor variant; minimums are compared.
+const REACTOR_ROUNDS: usize = 5;
 /// Shards for the overhead reactors — enough to exercise the sharded
 /// accept without spreading the tiny workload thin.
 const REACTOR_SHARDS: usize = 2;

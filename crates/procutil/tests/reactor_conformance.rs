@@ -10,6 +10,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,6 +32,9 @@ struct EchoConn {
     echoer: Echoer<TcpTransport>,
     t0: Instant,
     backlog: bool,
+    /// Raised once a write of this connection's echo hit `WouldBlock`
+    /// and left bytes queued in the echoer's outbox.
+    echo_blocked: Arc<AtomicBool>,
 }
 
 impl EchoConn {
@@ -46,8 +50,13 @@ impl EchoConn {
         if self.echoer.transport_error().is_some() {
             return Step::Done; // peer hung up: the normal end
         }
-        self.backlog =
-            self.echoer.pending_echo() > 0 || self.echoer.transport_mut().pending_send_bytes() > 0;
+        let unflushed = self.echoer.transport_mut().pending_send_bytes() > 0;
+        if unflushed {
+            // ORDERING: Relaxed — the flag is the whole message; the
+            // test reads nothing else this thread wrote.
+            self.echo_blocked.store(true, Ordering::Relaxed);
+        }
+        self.backlog = self.echoer.pending_echo() > 0 || unflushed;
         Step::Continue
     }
 }
@@ -75,6 +84,15 @@ impl Driven for EchoConn {
 
 /// A 2-shard reactor serving keyed echo connections on loopback.
 fn echo_reactor(key: u64) -> (Reactor, SocketAddr) {
+    let (reactor, addr, _) = watched_echo_reactor(key);
+    (reactor, addr)
+}
+
+/// [`echo_reactor`], plus a flag its connections raise once an echo
+/// write hit `WouldBlock` and queued.
+fn watched_echo_reactor(key: u64) -> (Reactor, SocketAddr, Arc<AtomicBool>) {
+    let echo_blocked = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&echo_blocked);
     let factory: Arc<AcceptFn> = Arc::new(move |stream: TcpStream, _peer: SocketAddr| {
         let transport = TcpTransport::from_stream(stream).ok()?;
         Some(Box::new(EchoConn {
@@ -82,6 +100,7 @@ fn echo_reactor(key: u64) -> (Reactor, SocketAddr) {
             echoer: Echoer::new(transport).with_key(key),
             t0: Instant::now(),
             backlog: false,
+            echo_blocked: Arc::clone(&flag),
         }) as Box<dyn Driven>)
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -92,7 +111,7 @@ fn echo_reactor(key: u64) -> (Reactor, SocketAddr) {
         factory,
     )
     .expect("start reactor");
-    (reactor, addr)
+    (reactor, addr, echo_blocked)
 }
 
 /// Dials one rate-capped keyed channel at the reactor, blasts for
@@ -233,28 +252,36 @@ fn reactor_reassembles_frames_dripped_at_arbitrary_boundaries() {
 #[test]
 fn reactor_flushes_echo_backlog_through_write_readiness() {
     let key = secret_channel_key(SECRET);
-    let (reactor, addr) = echo_reactor(key);
+    let (reactor, addr, echo_blocked) = watched_echo_reactor(key);
 
     let t = TcpTransport::connect(addr).expect("dial reactor");
     let mut src = TrafficSource::new(t, binding_nonce(SECRET), 2).with_key(key);
     src.greet(SimTime::ZERO);
     src.start(SimTime::ZERO);
     // Uncapped pumps while reading nothing: both directions' kernel
-    // buffers fill, the echoer queues its unflushed tail. A shard that
-    // is already awake drains the forward path as fast as the source
-    // fills it (it reads a whole burst per syscall and verifies in
-    // place), so the client's own send buffer may never fill; the burst
-    // then runs on until it is several times what loopback can buffer
-    // on the return path, which blocks the echoer's writes just the
-    // same.
-    const RETURN_PATH_OVERFLOW: u64 = 64 << 20;
+    // buffers fill, the echoer queues its unflushed tail.
     let mut saw_backpressure = false;
-    let mut pumps = 0;
-    while pumps < 48 || !(saw_backpressure || src.sent_total() >= RETURN_PATH_OVERFLOW) {
+    for _ in 0..48 {
         src.pump(SimTime::ZERO);
         saw_backpressure |= src.transport_mut().pending_send_bytes() > 0;
-        pumps += 1;
     }
+    // Whether the client's own send buffer fills is a race against a
+    // shard that may already be awake and draining as fast as the
+    // source writes. The subject here is the other direction, and it is
+    // observed rather than assumed: with the client still reading
+    // nothing, the echo of the burst must overrun the return path and
+    // leave bytes queued in the echoer's outbox.
+    let seen_by = Instant::now() + Duration::from_secs(10);
+    while !echo_blocked.load(Ordering::Relaxed) && Instant::now() < seen_by {
+        // Our own queued tail still has to reach the echoer.
+        let _ = src.transport_mut().send(SimTime::ZERO, &[]);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        echo_blocked.load(Ordering::Relaxed),
+        "no echo write ever blocked (client send buffer filled: {saw_backpressure}); \
+         burst too small?"
+    );
     src.stop(SimTime::from_secs_f64(1.0));
     let sent = src.sent_total();
 

@@ -12,11 +12,14 @@
 //! into the spare capacity of the buffer the caller passed to
 //! [`Transport::recv_into`] (grown 64 KiB or more at a time while reads
 //! fill it, at most 256 KiB returned per call), and the transport holds
-//! no read buffer of its own; a buffer that has no allocation yet gets
-//! 64 bytes until something arrives, so a connection nothing arrives on
-//! costs next to no receive memory. Sending, `send` writes from the
+//! no read buffer of its own; the allocating [`Transport::recv`] hands
+//! back a `Vec` shrunk to what arrived. Sending, `send` writes from the
 //! caller's slice; only what the kernel refuses is copied into the
 //! outbox.
+//!
+//! Platform: Unix only. The spare-capacity read declares `recv(2)`
+//! itself (crates.io is unreachable, so no `libc`), as the reactor in
+//! `flashflow-procutil` that drives these sockets does for `epoll`.
 //!
 //! Time discipline: `now` is caller-injected and **ignored** here — TCP
 //! delivery happens when the kernel says so — but no wall clock is ever
@@ -101,12 +104,6 @@ impl TcpAcceptor {
 /// loopback segments are 64 KiB, so reads from a smaller buffer split
 /// one segment over several syscalls.
 const READ_MIN: usize = 64 * 1024;
-
-/// Capacity given to a buffer that has none: enough to learn whether
-/// anything is there to read before committing [`READ_MIN`] to it, so a
-/// one-off idle `recv` or a channel nothing ever arrives on does not
-/// hold a 64 KiB read buffer.
-const PROBE: usize = 64;
 
 /// Upper bound on bytes one `recv` returns. A peer that floods faster
 /// than we drain must not wedge the caller inside a single call (the
@@ -351,6 +348,8 @@ impl Transport for TcpTransport {
     fn recv(&mut self, now: SimTime) -> Result<Vec<u8>, TransportError> {
         let mut out = Vec::new();
         self.recv_into(now, &mut out)?;
+        // A one-off `Vec` keeps what arrived, not the read buffer.
+        out.shrink_to_fit();
         Ok(out)
     }
 
@@ -371,7 +370,7 @@ impl Transport for TcpTransport {
             // capacity across calls.
             let left = RECV_BUDGET - out.len();
             if out.capacity() == out.len() {
-                out.reserve(if out.capacity() == 0 { PROBE } else { READ_MIN.min(left) });
+                out.reserve(READ_MIN.min(left));
             }
             match recv_spare(&self.stream, out, left) {
                 Ok(0) => {
@@ -508,10 +507,10 @@ mod tests {
         let burst: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
         let mut seen = Vec::with_capacity(burst.len());
         let mut rx = Vec::new();
-        // Idle first: nothing to read is `Ok(0)` and an empty buffer —
-        // and no read-sized allocation, if the buffer had none.
+        // Idle first: nothing to read is `Ok(0)` and an empty buffer.
         assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Ok(0));
-        assert!(rx.capacity() <= PROBE, "an idle poll allocated a {} B buffer", rx.capacity());
+        assert!(rx.is_empty());
+        assert_eq!(b.recv(SimTime::ZERO).map(|v| v.capacity()), Ok(0), "idle `recv` holds nothing");
         rx.extend_from_slice(b"stale");
         assert_eq!(b.recv_into(SimTime::ZERO, &mut rx), Ok(0));
         assert!(rx.is_empty(), "an idle poll still replaces the buffer's contents");
