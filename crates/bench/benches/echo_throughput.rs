@@ -39,6 +39,7 @@ use flashflow_proto::blast::{
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{Duplex, Transport};
+use flashflow_simnet::stats::median;
 use flashflow_simnet::time::SimTime;
 
 const CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
@@ -297,11 +298,16 @@ fn instrumentation_overhead_guard() -> Json {
 }
 
 /// Bytes each reactor-overhead round pushes through the verified-echo
-/// round trip (smaller than the parser rounds: every byte crosses the
-/// loopback twice and is verified twice).
-const REACTOR_STREAM: u64 = 8 << 20;
-/// Interleaved rounds per reactor variant; minimums are compared.
-const REACTOR_ROUNDS: usize = 5;
+/// round trip: enough that a round (over 100 ms at sustained loopback
+/// rates) outlasts a scheduler quantum, so one descheduling cannot
+/// decide its reading.
+const REACTOR_STREAM: u64 = 64 << 20;
+/// Bare/observed round pairs; the median of the per-pair time ratios is
+/// the reading, and the variant that goes first alternates so drift
+/// inside a pair cancels across pairs. A round's wall time still varies
+/// by ±15 % between back-to-back runs on a shared two-core host, so
+/// even this median carries about 2.5 points of error there.
+const REACTOR_PAIRS: usize = 21;
 /// Shards for the overhead reactors — enough to exercise the sharded
 /// accept without spreading the tiny workload thin.
 const REACTOR_SHARDS: usize = 2;
@@ -416,9 +422,11 @@ fn reactor_round(addr: SocketAddr, key: u64, nonce: u64) -> f64 {
 
 /// Times the reactor-served verified-echo round trip bare
 /// (`Reactor::serve`) vs fully instrumented (`serve_observed` with
-/// per-shard histograms, gauges, and the stall watchdog), asserts the
-/// same overhead bound, and returns the `reactor` block of
-/// `BENCH_obs.json`.
+/// per-shard histograms, gauges, and the stall watchdog) in
+/// [`REACTOR_PAIRS`] back-to-back pairs, asserts the same overhead
+/// bound on the median paired ratio, and returns the `reactor` block of
+/// `BENCH_obs.json` (`bare_secs`/`observed_secs` are per-variant
+/// medians, `rounds` the number of pairs).
 fn reactor_overhead_guard() -> Json {
     let key = secret_channel_key(SECRET);
     let nonce = binding_nonce(SECRET);
@@ -444,12 +452,22 @@ fn reactor_overhead_guard() -> Json {
         stall_budget: Duration::from_millis(50),
     }));
 
-    let mut bare = f64::INFINITY;
-    let mut observed = f64::INFINITY;
-    for _ in 0..REACTOR_ROUNDS {
-        bare = bare.min(reactor_round(bare_addr, key, nonce));
-        observed = observed.min(reactor_round(observed_addr, key, nonce));
+    let (mut bare_secs, mut observed_secs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..REACTOR_PAIRS {
+        let (bare, observed) = if pair % 2 == 0 {
+            let bare = reactor_round(bare_addr, key, nonce);
+            (bare, reactor_round(observed_addr, key, nonce))
+        } else {
+            let observed = reactor_round(observed_addr, key, nonce);
+            (reactor_round(bare_addr, key, nonce), observed)
+        };
+        bare_secs.push(bare);
+        observed_secs.push(observed);
+        ratios.push(observed / bare);
     }
+    let bare = median(&bare_secs).expect("rounds ran");
+    let observed = median(&observed_secs).expect("rounds ran");
+    let ratio = median(&ratios).expect("rounds ran");
     bare_reactor.stop();
     bare_reactor.join().expect("bare reactor shards");
     observed_reactor.stop();
@@ -466,9 +484,10 @@ fn reactor_overhead_guard() -> Json {
     assert!(dwell_turns > 0, "observed reactor rounds must feed the histograms");
 
     let bytes = REACTOR_STREAM as f64;
-    let overhead_pct = ((observed - bare) / bare * 100.0).max(0.0);
+    let overhead_pct = ((ratio - 1.0) * 100.0).max(0.0);
     println!(
-        "reactor overhead: bare {:.1} MB/s, observed {:.1} MB/s, overhead {overhead_pct:.2}%",
+        "reactor overhead: bare {:.1} MB/s, observed {:.1} MB/s (medians of {REACTOR_PAIRS}), \
+         median paired overhead {overhead_pct:.2}%",
         bytes / bare / 1e6,
         bytes / observed / 1e6,
     );
@@ -480,7 +499,7 @@ fn reactor_overhead_guard() -> Json {
 
     Json::Obj(vec![
         ("stream_bytes".to_string(), Json::Int(REACTOR_STREAM as i128)),
-        ("rounds".to_string(), Json::Int(REACTOR_ROUNDS as i128)),
+        ("rounds".to_string(), Json::Int(REACTOR_PAIRS as i128)),
         ("shards".to_string(), Json::Int(REACTOR_SHARDS as i128)),
         ("bare_secs".to_string(), Json::Num(bare)),
         ("observed_secs".to_string(), Json::Num(observed)),

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use flashflow_core::bwauth::measure_echo_period_observed;
 use flashflow_core::echo::{EchoDeployment, EchoItem};
-use flashflow_core::engine::EngineEvent;
+use flashflow_core::engine::{EngineEvent, PeerDirectory};
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, Counter, Gauge, Json, MetricsRegistry, Span};
 use flashflow_proto::msg::AbortReason;
@@ -65,8 +65,6 @@ pub struct DaemonConfig {
     pub team_capacity: f64,
     /// Hard cap on items per round (`0` = capacity-bound only).
     pub round_max: usize,
-    /// Shard worker threads per round.
-    pub shards: usize,
     /// Directory authorities voting the consensus.
     pub dirauths: usize,
 }
@@ -272,7 +270,7 @@ pub fn run_period(
             "round.start",
             fields![round = round_ix as u64, of = total_rounds as u64, items = items.len() as u64],
         );
-        let file = measure_echo_period_observed(deployment, &items, cfg.shards, pool, Some(span));
+        let file = measure_echo_period_observed(deployment, &items, pool, Some(span));
 
         // A resumed item whose peer aborted the handshake with
         // `AuthFailed` hit a peer that cannot honor the `Resume`
@@ -287,12 +285,12 @@ pub fn run_period(
             .enumerate()
             .filter(|(g, item)| {
                 item.resume
-                    && file.run.events.iter().any(|ev| {
-                        ev.group == *g
-                            && matches!(
-                                ev.event,
-                                EngineEvent::PeerFailed { reason: AbortReason::AuthFailed, .. }
-                            )
+                    && file.events.iter().any(|ev| {
+                        matches!(
+                            *ev,
+                            EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed }
+                                if file.peers.item(peer) == *g
+                        )
                     })
             })
             .map(|(g, _)| g)
@@ -331,13 +329,7 @@ pub fn run_period(
                 );
                 retry_items.push(EchoItem { attempt, resume: false, trace_id, ..item });
             }
-            let retry = measure_echo_period_observed(
-                deployment,
-                &retry_items,
-                cfg.shards,
-                pool,
-                Some(span),
-            );
+            let retry = measure_echo_period_observed(deployment, &retry_items, pool, Some(span));
             for (entry, &g) in retry.entries.into_iter().zip(&refused) {
                 entries[g] = entry;
             }
@@ -558,7 +550,6 @@ mod tests {
             bg_allowance: 0,
             team_capacity: 1e9,
             round_max: 0,
-            shards: 1,
             dirauths: 3,
         };
         let roster = roster::build(cfg.source, cfg.seed, cfg.relays);

@@ -20,7 +20,7 @@
 //!     --measurer ADDR [--measurer ADDR ...] --relay ADDR
 //!     [--token-hex HEX64] [--relay-token-hex HEX64]
 //!     [--measurer-rate BYTES] [--sockets N] [--slot-secs N]
-//!     [--bg-allowance BYTES] [--ratio X] [--speedup X] [--shards N]
+//!     [--bg-allowance BYTES] [--ratio X] [--speedup X]
 //!     [--round-max N] [--team-capacity BYTES] [--dirauths N]
 //!     [--once true] [--interval-secs N] [--log-json FILE]
 //!     [--metrics-addr ADDR]
@@ -43,7 +43,7 @@ use flashflow_core::echo::{EchoDeployment, EchoMeasurer};
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
 use flashflow_procutil as procutil;
-use flashflow_proto::msg::AUTH_TOKEN_LEN;
+use flashflow_proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN};
 
 /// Parsed configuration (command line and/or `--config` file).
 #[derive(Debug, Clone)]
@@ -63,7 +63,6 @@ struct Config {
     bg_allowance: u64,
     ratio: f64,
     speedup: f64,
-    shards: usize,
     round_max: usize,
     /// `None` derives the budget from the team's commanded rates
     /// (one item per round).
@@ -93,7 +92,6 @@ impl Default for Config {
             bg_allowance: 0,
             ratio: 0.25,
             speedup: 1.0,
-            shards: 1,
             round_max: 0,
             team_capacity: None,
             dirauths: 3,
@@ -110,7 +108,7 @@ const USAGE: &str = "usage: flashflow-coord [--config FILE] --state-dir DIR \
                      --measurer ADDR [--measurer ADDR ...] --relay ADDR \
                      [--token-hex HEX64] [--relay-token-hex HEX64] \
                      [--measurer-rate BYTES] [--sockets N] [--slot-secs N] \
-                     [--bg-allowance BYTES] [--ratio X] [--speedup X] [--shards N] \
+                     [--bg-allowance BYTES] [--ratio X] [--speedup X] \
                      [--round-max N] [--team-capacity BYTES] [--dirauths N] \
                      [--once true|false] [--interval-secs N] [--log-json FILE] \
                      [--metrics-addr ADDR]";
@@ -141,7 +139,10 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
         "bg-allowance" => cfg.bg_allowance = num(key, value)?,
         "ratio" => cfg.ratio = num(key, value)?,
         "speedup" => cfg.speedup = procutil::parse_speedup(value)?,
-        "shards" => cfg.shards = num(key, value)?,
+        // Accepted and ignored: every item of a round runs at once on
+        // one engine, so there is no worker count to set — but the
+        // benchmark harness (crates/perf) still passes the key.
+        "shards" => drop(num::<usize>(key, value)?),
         "round-max" => cfg.round_max = num(key, value)?,
         "team-capacity" => cfg.team_capacity = Some(num(key, value)?),
         "dirauths" => cfg.dirauths = num(key, value)?,
@@ -173,6 +174,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
 fn deployment(cfg: &Config) -> Result<EchoDeployment, String> {
     let relay = cfg.relay.as_deref().ok_or("--relay is required")?;
     let relay_addr: SocketAddr = relay.parse().map_err(|e| format!("relay {relay:?}: {e}"))?;
+    // Checked here, where the address enters: every measurer's
+    // `MeasureCmd` carries the relay's data endpoint as four octets.
+    let relay = TargetEndpoint::from_addr(relay_addr)
+        .ok_or_else(|| format!("relay {relay:?}: must be an IPv4 address"))?;
     if cfg.measurers.is_empty() {
         return Err("at least one --measurer is required".to_string());
     }
@@ -188,7 +193,7 @@ fn deployment(cfg: &Config) -> Result<EchoDeployment, String> {
     }
     Ok(EchoDeployment {
         measurers,
-        relay_addr,
+        relay,
         relay_token: cfg.relay_token,
         speedup: cfg.speedup,
         ratio: cfg.ratio,
@@ -257,7 +262,6 @@ fn main() {
         bg_allowance: cfg.bg_allowance,
         team_capacity,
         round_max: cfg.round_max,
-        shards: cfg.shards.max(1),
         dirauths: cfg.dirauths.max(1),
     };
     let roster = flashflow_coord::roster::build(dcfg.source, dcfg.seed, dcfg.relays);
@@ -351,5 +355,24 @@ mod tests {
             parse("--relays 0").unwrap_err(),
             format!("relays: the shadow roster needs at least 3\n{USAGE}")
         );
+    }
+
+    #[test]
+    fn relay_must_be_a_dialable_ipv4_address() {
+        let team = "--measurer 127.0.0.1:9001";
+        let relay = deployment(&parse(&format!("{team} --relay 127.0.0.1:9000")).unwrap())
+            .expect("an IPv4 relay is accepted")
+            .relay;
+        assert_eq!((relay.ip, relay.port), ([127, 0, 0, 1], 9000));
+        let refused = [
+            (team.to_string(), "--relay is required"),
+            (format!("{team} --relay [::1]:9000"), "relay \"[::1]:9000\": must be an IPv4 address"),
+            (format!("{team} --relay localhost"), "relay \"localhost\": invalid socket address"),
+            ("--relay 127.0.0.1:9000".to_string(), "at least one --measurer is required"),
+        ];
+        for (line, want) in refused {
+            let msg = deployment(&parse(&line).unwrap()).expect_err(&line);
+            assert!(msg.starts_with(want), "{line:?}: {msg}");
+        }
     }
 }

@@ -4,10 +4,13 @@
 //! across concurrent measurements: relay `j` gets `excess × prior_j`
 //! of blast so the measurement saturates it, and as many relays run
 //! concurrently as the team can saturate at once. Here each round is
-//! one `measure_echo_period` call — every item in a round runs
-//! concurrently against the k measurer processes, so the round's total
-//! commanded blast (`k × per-measurer rate per item`) must fit inside
-//! the team budget.
+//! one `measure_echo_period` call, and every item in a round runs
+//! concurrently against the k measurer processes by construction: the
+//! round's items are the items of one `MeasurementEngine`, which opens
+//! every item's sessions before its first tick and releases each item's
+//! `Go` as soon as that item's own peers are armed. So the round's
+//! total commanded blast (`k × per-measurer rate per item`) must fit
+//! inside the team budget.
 //!
 //! Packing is greedy, largest prior first (the order
 //! `BwAuth::measure_network` uses), deterministic given the same

@@ -1,7 +1,7 @@
 //! The daemon harness: `flashflow-coord` as a real process driving real
 //! `flashflow-measurer` / `flashflow-relay` processes over loopback.
 //!
-//! Three scenarios:
+//! Four scenarios:
 //!
 //! 1. **End to end** — one `--once` daemon invocation walks a small
 //!    Shadow roster against the live team, and the state directory ends
@@ -24,6 +24,9 @@
 //!    `Auth` as attempt `n+1` (journal shows both starts) and still
 //!    finish the period with every relay measured exactly once, all
 //!    clean.
+//! 4. **Concurrent round** — given team capacity for three items, the
+//!    daemon measures a three-relay roster in one round whose three
+//!    `Go` barriers release together, on one coordinator thread.
 
 use std::io::{BufRead, BufReader, Read as _};
 use std::net::SocketAddr;
@@ -33,7 +36,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_coord::journal;
-use flashflow_obs::Json;
+use flashflow_obs::{Event, Json};
 use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
 /// Both sides run their clocks at this multiple of wall time.
@@ -148,6 +151,18 @@ fn spawn_coord(
     relays: usize,
     slot_secs: u32,
 ) -> Child {
+    spawn_coord_with(state_dir, measurers, relay, relays, slot_secs, &[])
+}
+
+/// [`spawn_coord`] with scenario-specific settings appended.
+fn spawn_coord_with(
+    state_dir: &Path,
+    measurers: &[SocketAddr],
+    relay: SocketAddr,
+    relays: usize,
+    slot_secs: u32,
+    extra: &[(&str, String)],
+) -> Child {
     let mut args: Vec<String> = Vec::new();
     for (k, v) in [
         ("--state-dir", state_dir.display().to_string()),
@@ -160,12 +175,15 @@ fn spawn_coord(
         ("--measurer-rate", "200000".to_string()),
         ("--slot-secs", slot_secs.to_string()),
         ("--speedup", SPEEDUP.to_string()),
-        ("--shards", "1".to_string()),
         ("--dirauths", "3".to_string()),
         ("--once", "true".to_string()),
     ] {
         args.push(k.to_string());
         args.push(v);
+    }
+    for (k, v) in extra {
+        args.push((*k).to_string());
+        args.push(v.clone());
     }
     for m in measurers {
         args.push("--measurer".to_string());
@@ -469,6 +487,88 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
 
     let doc = read_consensus(&state_dir);
     assert_eq!(doc.get("measured").unwrap().as_u64(), Some(RELAYS as u64));
+
+    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// The `Threads:` figure from `/proc/<pid>/status`.
+fn thread_count(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read /proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line")
+        .trim()
+        .parse()
+        .expect("thread count")
+}
+
+#[test]
+fn a_round_runs_its_items_concurrently_on_one_thread() {
+    const RELAYS: usize = 3;
+    const SLOT_SECS: u32 = 10;
+    // One slot, in wall seconds.
+    let slot_wall = f64::from(SLOT_SECS) / SPEEDUP;
+    let state_dir = temp_state_dir("concurrent");
+    let log_path = state_dir.join("coord.jsonl");
+    let (m0, a0) = spawn_measurer(0);
+    let (m1, a1) = spawn_measurer(0);
+    let (relay, relay_addr) = spawn_relay();
+
+    // Team capacity worth three items (two measurers at 200 kB/s each
+    // per item) and nothing said about how to run them.
+    let coord = spawn_coord_with(
+        &state_dir,
+        &[a0, a1],
+        relay_addr,
+        RELAYS,
+        SLOT_SECS,
+        &[
+            ("--team-capacity", (3 * 2 * 200_000).to_string()),
+            ("--log-json", log_path.display().to_string()),
+        ],
+    );
+
+    // While the round runs (a Go has released, the slot is a second
+    // long): the coordinator is one thread, however many items it
+    // drives.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !std::fs::read_to_string(&log_path).unwrap_or_default().contains("\"slot.go\"") {
+        assert!(Instant::now() < deadline, "no slot.go logged");
+        thread::sleep(Duration::from_millis(10));
+    }
+    let threads = thread_count(coord.id());
+    assert!(threads <= 2, "the coordinator runs {threads} threads mid-round");
+
+    let stdout = wait_success("flashflow-coord", coord);
+    assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
+
+    let text = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
+    let events: Vec<Event> = text
+        .lines()
+        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .collect();
+    let ts_of = |kind: &str| -> Vec<f64> {
+        events.iter().filter(|e| e.kind == kind).map(|e| e.ts).collect()
+    };
+    let round_starts = ts_of("round.start");
+    assert_eq!(round_starts.len(), 1, "three items fit one round");
+    let gos = ts_of("slot.go");
+    assert_eq!(gos.len(), RELAYS, "one Go per item");
+    let spread =
+        gos.iter().fold(0.0f64, |m, t| m.max(*t)) - gos.iter().fold(f64::MAX, |m, t| m.min(*t));
+    assert!(
+        spread < slot_wall / 2.0,
+        "the round's Go barriers released {spread:.3}s apart (slot {slot_wall}s): {gos:?}"
+    );
+    let done = ts_of("period.complete");
+    assert_eq!(done.len(), 1);
+    let wall = done[0] - round_starts[0];
+    assert!(wall < 2.0 * slot_wall, "three concurrent slots took {wall:.3}s (slot {slot_wall}s)");
+
+    let state = journal::recover(&state_dir.join("journal.jsonl")).expect("recover");
+    assert!(state.period_done && state.done.values().all(|d| d.clean), "{:?}", state.done);
 
     terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
     let _ = std::fs::remove_dir_all(&state_dir);

@@ -239,25 +239,33 @@ pub struct EchoEntry {
     pub divergent_rows: usize,
 }
 
-/// The bandwidth file an echo-topology period produces: the deployment
+/// The bandwidth file an echo-topology round produces: the deployment
 /// twin of [`BandwidthFile`], keyed by wire fingerprint because the
-/// peers are real processes rather than simulated [`RelayId`]s.
+/// peers are real processes rather than simulated [`RelayId`]s, with
+/// the round's raw audit trail beside the estimates.
 #[derive(Debug)]
 pub struct EchoPeriodFile {
     /// One entry per item, in item order.
     pub entries: Vec<EchoEntry>,
-    /// The full partitioned run (events, snapshots, ledger) for callers
-    /// that want the raw audit trail.
-    pub run: crate::shard::ShardedRun,
+    /// Every engine event of the round, per-item order preserved.
+    pub events: Vec<crate::engine::EngineEvent>,
+    /// The sample quarantine, fed with every event; item `g` of its
+    /// per-item views is `entries[g]`.
+    pub ledger: crate::engine::SampleLedger,
+    /// Final state of every conversation (the directory `ledger`'s
+    /// views take), peers numbered item by item with the relay last.
+    pub peers: crate::engine::EngineSnapshot,
+    /// The pool's dial/reuse/probe/discard counts after the round.
+    pub pool: crate::pool::PoolStats,
 }
 
-/// Runs one measurement period against **spawned processes** in the
+/// Runs one round of measurements against **spawned processes** in the
 /// paper's echo topology: for each item, k `flashflow-measurer`
 /// processes blast the `flashflow-relay` process, which echoes and
-/// reports background, and the period's item groups are partitioned
-/// across `shards` worker threads exactly like the simulated path
-/// ([`ShardedEngine::run_partitioned`](crate::shard::ShardedEngine::run_partitioned)).
-/// Warm control connections ride `pool` across items.
+/// reports background. Every item runs at the same time — they are the
+/// items of one engine on the calling thread (see
+/// [`crate::echo::run_round`]). Warm control connections ride `pool`
+/// across rounds.
 ///
 /// The per-item estimate is §4.1's: `z_j = x_j + min(y_j, r·z_j)` per
 /// second (echoed measurement bytes plus ratio-clamped background),
@@ -266,78 +274,54 @@ pub struct EchoPeriodFile {
 pub fn measure_echo_period(
     deployment: &crate::echo::EchoDeployment,
     items: &[crate::echo::EchoItem],
-    shards: usize,
     pool: &crate::pool::ConnectionPool,
 ) -> EchoPeriodFile {
-    measure_echo_period_observed(deployment, items, shards, pool, None)
+    measure_echo_period_observed(deployment, items, pool, None)
 }
 
 /// [`measure_echo_period`] with telemetry: when `span` is given, every
-/// engine event of every group is mirrored onto it live (`sample`,
-/// `peer.*`, `item.complete`, …) and the post-run audit
-/// trail (`divergence`, `target.estimate`, `pool.stats`,
-/// `period.done`) follows — the stream `flashflow-top` renders and the
-/// JSONL schema the CI job validates. See [`crate::observe`].
+/// engine event is mirrored onto it live (`sample`, `peer.*`,
+/// `item.complete`, …) and the post-run audit trail (`divergence`,
+/// `target.estimate`, `pool.stats`, `period.done`) follows — the stream
+/// `flashflow-top` renders and the JSONL schema the CI job validates.
+/// See [`crate::observe`].
 pub fn measure_echo_period_observed(
     deployment: &crate::echo::EchoDeployment,
     items: &[crate::echo::EchoItem],
-    shards: usize,
     pool: &crate::pool::ConnectionPool,
     span: Option<&flashflow_obs::Span>,
 ) -> EchoPeriodFile {
     use flashflow_simnet::stats::median;
 
-    if let Some(span) = span {
-        span.emit(
-            "period.start",
-            vec![
-                ("items".to_string(), flashflow_obs::Value::U64(items.len() as u64)),
-                ("shards".to_string(), flashflow_obs::Value::U64(shards as u64)),
-            ],
-        );
-    }
-    let groups: Vec<Box<dyn crate::shard::GroupRunner>> = items
-        .iter()
-        .enumerate()
-        .map(|(g, item)| {
-            let runner = crate::echo::echo_group(deployment, *item, pool.clone());
-            match span {
-                // The relay's reporting session is always the last peer
-                // of an echo group (after the k measurers). The group
-                // span carries the item's trace id so the coordinator's
-                // stream joins the peers' on the same key.
-                Some(span) => crate::observe::observed(
-                    runner,
-                    span.group(g as u64).trace(item.trace_id),
-                    Some(deployment.measurers.len()),
-                ),
-                None => runner,
-            }
-        })
-        .collect();
-    let mut run = crate::shard::ShardedEngine::run_partitioned(groups, shards);
-    run.ledger.set_bg_ratio(deployment.ratio);
-    run.pool = Some(pool.stats());
+    let round = span.map(|span| crate::observe::RoundSpans::start(span, deployment, items));
+    let mut events = Vec::new();
+    let mut ledger = crate::engine::SampleLedger::new();
+    ledger.set_bg_ratio(deployment.ratio);
+    let peers = crate::echo::run_round(deployment, items, pool, &mut |event| {
+        if let Some(round) = &round {
+            round.engine_event(&event);
+        }
+        ledger.observe(&event);
+        events.push(event);
+    });
     let entries = items
         .iter()
         .enumerate()
         .map(|(g, item)| {
-            let (x, y) = run.merged_series(g, 0);
+            let (x, y) = ledger.merged_series(&peers, g);
             let seconds = crate::measure::build_second_samples(&x, &y, deployment.ratio);
             let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-            let capacity = Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0));
-            let divergent_rows = run.rows(g, 0).iter().filter(|r| r.divergent).count();
             EchoEntry {
                 relay_fp: item.relay_fp,
-                capacity,
-                clean: run.snapshots[g].all_clean(),
-                divergent_rows,
+                capacity: Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0)),
+                clean: peers.item_clean(g),
+                divergent_rows: ledger.divergent_count(&peers, g),
             }
         })
         .collect();
-    let file = EchoPeriodFile { entries, run };
-    if let Some(span) = span {
-        crate::observe::emit_period_audit(span, items, &file);
+    let file = EchoPeriodFile { entries, events, ledger, peers, pool: pool.stats() };
+    if let Some(round) = &round {
+        round.audit(items, &file);
     }
     file
 }

@@ -16,12 +16,11 @@
 //! aggregated reports (plus the background-plausibility bound) — see
 //! [`SampleLedger::rows`](crate::engine::SampleLedger::rows).
 //!
-//! [`echo_group`] builds one item's [`GroupRunner`];
-//! [`crate::bwauth::measure_echo_period`] spreads a period of them
-//! across
-//! [`ShardedEngine::run_partitioned`](crate::shard::ShardedEngine::run_partitioned)
-//! workers and turns the fan-in into a fingerprint-keyed bandwidth
-//! file.
+//! [`run_round`] is the one driving loop: every item of a round is an
+//! item of a single [`MeasurementEngine`] stepped on the calling
+//! thread, so the round's items run concurrently by construction.
+//! [`crate::bwauth::measure_echo_period`] turns what it returns into a
+//! fingerprint-keyed bandwidth file.
 
 use std::net::SocketAddr;
 
@@ -33,9 +32,8 @@ use flashflow_simnet::time::{SimDuration, SimTime};
 
 use flashflow_proto::transport::{Duplex, Transport};
 
-use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine};
+use crate::engine::{EngineBuilder, EngineEvent, EngineSnapshot, MeasurementEngine};
 use crate::pool::{ChannelKind, ConnectionPool, ReuseHandle};
-use crate::shard::GroupRunner;
 
 /// One measurer process the deployment commands.
 #[derive(Debug, Clone, Copy)]
@@ -57,8 +55,9 @@ pub struct EchoDeployment {
     /// The measurer processes.
     pub measurers: Vec<EchoMeasurer>,
     /// The relay process's listener (control *and* echo data: the
-    /// relay classifies connections by first byte, like the measurer).
-    pub relay_addr: SocketAddr,
+    /// relay classifies connections by first byte, like the measurer),
+    /// in the IPv4-only form every measurer's `MeasureCmd` carries it.
+    pub relay: TargetEndpoint,
     /// The relay's pre-shared control token.
     pub relay_token: [u8; AUTH_TOKEN_LEN],
     /// Clock multiplier both sides run (a "second" is `1/speedup` wall
@@ -69,6 +68,11 @@ pub struct EchoDeployment {
 }
 
 impl EchoDeployment {
+    /// The relay's listener as a dialable address.
+    pub fn relay_addr(&self) -> SocketAddr {
+        SocketAddr::from((self.relay.ip, self.relay.port))
+    }
+
     fn timeouts(&self) -> SessionTimeouts {
         // Sped-up clocks shrink the default timeouts to fractions of a
         // wall second — too tight for a loaded CI box. Scale them so
@@ -153,7 +157,7 @@ pub fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
 /// peer that could not be dialed: a pre-closed in-memory end, so the
 /// session fails with `ConnectionLost` on its first send and the item
 /// *degrades* (that peer's samples quarantined, everyone else's kept)
-/// instead of panicking the shard worker and killing the whole period.
+/// instead of panicking the coordinator and killing the whole period.
 fn checkout_or_dead(
     pool: &ConnectionPool,
     addr: SocketAddr,
@@ -172,102 +176,106 @@ fn checkout_or_dead(
     }
 }
 
-/// Builds the [`GroupRunner`] for one echo item: control sessions to
-/// every measurer and the relay over pooled connections, specs carrying
-/// the relay's data endpoint and the item's measurement secret, clean
-/// sessions parked back in the pool. A peer whose dial fails degrades
-/// the item (its session aborts with `ConnectionLost`) rather than
-/// aborting the period.
-pub fn echo_group(
+/// Adds one echo item to `builder` as engine item `g`: control sessions
+/// to every measurer and then the relay (always the item's last peer)
+/// over pooled connections, specs carrying the relay's data endpoint
+/// and the item's measurement secret. Each peer's reuse handle (`None`
+/// for a peer whose dial failed — its session aborts with
+/// `ConnectionLost` and only this item degrades) is pushed onto
+/// `handles` in peer order.
+fn add_item(
+    builder: &mut EngineBuilder,
+    g: usize,
     deployment: &EchoDeployment,
-    item: EchoItem,
-    pool: ConnectionPool,
-) -> Box<dyn GroupRunner> {
-    let deployment = deployment.clone();
-    Box::new(move |emit: &mut dyn FnMut(EngineEvent)| -> EngineSnapshot {
-        let timeouts = deployment.timeouts();
-        let target = TargetEndpoint::from_addr(deployment.relay_addr)
-            .expect("relay data listener must be IPv4");
-        let mut builder = MeasurementEngine::builder();
-        let mut handles = Vec::new();
-        for (ix, m) in deployment.measurers.iter().enumerate() {
-            let spec = MeasureSpec {
-                relay_fp: item.relay_fp,
-                slot_secs: item.slot_secs,
-                sockets: m.sockets,
-                rate_cap: m.rate_cap,
-                target,
-                measurement_secret: item.measurement_secret,
-                trace_id: item.trace_id,
-            };
-            let (conn, handle) = checkout_or_dead(&pool, m.addr);
-            handles.push(handle);
-            let peer_ix = ix as u32 + 1;
-            let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
-            let mut session =
-                CoordinatorSession::new(m.token, PeerRole::Measurer, spec, nonce, timeouts)
-                    .with_report_ahead_cap(item.slot_secs + 2);
-            if item.resume {
-                if let Some(prior) = item.attempt.checked_sub(1) {
-                    session = session.resuming(peer_nonce(item.measurement_secret, peer_ix, prior));
-                }
+    item: &EchoItem,
+    pool: &ConnectionPool,
+    handles: &mut Vec<Option<ReuseHandle>>,
+) {
+    let timeouts = deployment.timeouts();
+    let mut add = |peer_ix: u32, addr, token, role, spec| {
+        let (conn, handle) = checkout_or_dead(pool, addr);
+        handles.push(handle);
+        let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
+        let mut session = CoordinatorSession::new(token, role, spec, nonce, timeouts)
+            .with_report_ahead_cap(item.slot_secs + 2);
+        if item.resume {
+            if let Some(prior) = item.attempt.checked_sub(1) {
+                session = session.resuming(peer_nonce(item.measurement_secret, peer_ix, prior));
             }
-            builder.add_peer(0, session, conn);
         }
-        // The relay's reporting session: its "rate cap" is the
-        // background allowance for the window.
+        builder.add_peer(g, session, conn);
+    };
+    for (ix, m) in deployment.measurers.iter().enumerate() {
         let spec = MeasureSpec {
             relay_fp: item.relay_fp,
             slot_secs: item.slot_secs,
-            sockets: 0,
-            rate_cap: item.bg_allowance,
-            target: TargetEndpoint::NONE,
+            sockets: m.sockets,
+            rate_cap: m.rate_cap,
+            target: deployment.relay,
             measurement_secret: item.measurement_secret,
             trace_id: item.trace_id,
         };
-        let (conn, handle) = checkout_or_dead(&pool, deployment.relay_addr);
-        handles.push(handle);
-        let nonce = peer_nonce(item.measurement_secret, 0, item.attempt);
-        let mut session = CoordinatorSession::new(
-            deployment.relay_token,
-            PeerRole::Target,
-            spec,
-            nonce,
-            timeouts,
-        )
-        .with_report_ahead_cap(item.slot_secs + 2);
-        if item.resume {
-            if let Some(prior) = item.attempt.checked_sub(1) {
-                session = session.resuming(peer_nonce(item.measurement_secret, 0, prior));
-            }
-        }
-        builder.add_peer(0, session, conn);
+        add(ix as u32 + 1, m.addr, m.token, PeerRole::Measurer, spec);
+    }
+    // The relay's reporting session: its "rate cap" is the background
+    // allowance for the window.
+    let spec = MeasureSpec {
+        relay_fp: item.relay_fp,
+        slot_secs: item.slot_secs,
+        sockets: 0,
+        rate_cap: item.bg_allowance,
+        target: TargetEndpoint::NONE,
+        measurement_secret: item.measurement_secret,
+        trace_id: item.trace_id,
+    };
+    add(0, deployment.relay_addr(), deployment.relay_token, PeerRole::Target, spec);
+}
 
-        // 60 sped-up seconds of hard wall: far beyond one slot.
-        let deadline = SimTime::from_secs_f64(60.0 * deployment.speedup.max(1.0));
-        let mut engine = builder.hard_deadline(deadline).build(SimTime::ZERO);
-        let t0 = std::time::Instant::now();
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * deployment.speedup);
-            let live = engine.step(now);
-            while let Some(ev) = engine.poll_event() {
-                emit(ev);
-            }
-            if !live {
-                break;
+/// Runs one round of echo items to completion on the calling thread:
+/// one engine whose item `g` is `items[g]` (peers numbered item by
+/// item, each item's k measurers then its relay), stepped every
+/// millisecond on the deployment's sped-up clock until every
+/// conversation is terminal. `emit` sees every engine event, in engine
+/// order, as it happens. Sessions that ended cleanly park their
+/// connections back in `pool`; everything else really closes. The
+/// returned snapshot is the round's peer directory, detached so the
+/// engine can be dropped (which is what hands the connections back).
+///
+/// Dials are blocking `pool.checkout` calls made one after another
+/// before the first `Auth` leaves.
+pub fn run_round(
+    deployment: &EchoDeployment,
+    items: &[EchoItem],
+    pool: &ConnectionPool,
+    emit: &mut dyn FnMut(EngineEvent),
+) -> EngineSnapshot {
+    let mut builder = MeasurementEngine::builder();
+    let mut handles = Vec::new();
+    for (g, item) in items.iter().enumerate() {
+        add_item(&mut builder, g, deployment, item, pool, &mut handles);
+    }
+    // 60 sped-up seconds of hard wall: far beyond one slot.
+    let deadline = SimTime::from_secs_f64(60.0 * deployment.speedup.max(1.0));
+    let mut engine = builder.hard_deadline(deadline).build(SimTime::ZERO);
+    let t0 = std::time::Instant::now();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * deployment.speedup);
+        let live = engine.step(now);
+        while let Some(ev) = engine.poll_event() {
+            emit(ev);
+        }
+        if !live {
+            break;
+        }
+    }
+    // Park what ended cleanly; everything else really closes.
+    for (peer, handle) in engine.peers().zip(&handles) {
+        if let Some(handle) = handle {
+            if engine.phase(peer) == CoordPhase::Done {
+                handle.approve();
             }
         }
-        // Park what ended cleanly; everything else really closes.
-        for (peer, handle) in engine.peers().zip(&handles) {
-            if let Some(handle) = handle {
-                if engine.phase(peer) == CoordPhase::Done {
-                    handle.approve();
-                }
-            }
-        }
-        let snapshot = engine.snapshot();
-        drop(engine);
-        snapshot
-    })
+    }
+    engine.snapshot()
 }

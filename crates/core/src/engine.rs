@@ -21,11 +21,9 @@
 //!
 //! An *item* is one concurrent measurement (one target relay); peers are
 //! grouped by item for the `Go` barrier and completion tracking, which is
-//! what lets a single engine run a whole slot-packed batch — the
-//! ROADMAP's "batch session pumping" scaling step. Engines are fully
-//! independent per item group, which is what
-//! [`ShardedEngine`] exploits to partition a
-//! period's item groups across worker threads.
+//! what lets a single engine run a whole round of concurrent items on
+//! one thread: no session, barrier, or timeout ever crosses an item
+//! boundary, so a stalling peer delays only its own item.
 //!
 //! Security invariant carried over from the sessions: per-second samples
 //! are quarantined per peer by [`SampleLedger`] and only merged into an
@@ -39,8 +37,6 @@ use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole};
 use flashflow_proto::session::{CoordAction, CoordPhase, CoordinatorSession};
 use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
-
-pub use crate::shard::{GroupRunner, PeriodLedger, ShardEvent, ShardedEngine, ShardedRun};
 
 /// Pump rounds one [`MeasurementEngine::step`] will run before declaring
 /// the tick done anyway. Endpoints hang up once their session is
@@ -452,9 +448,9 @@ impl MeasurementEngine {
 /// What [`SampleLedger::merged_series`] needs to know about each peer:
 /// who belongs to which item, how their session ended, and what they
 /// were commanded. Implemented by the live [`MeasurementEngine`] and by
-/// the detached, thread-portable [`EngineSnapshot`], so merging works
-/// both inside a driver loop and after a worker thread has torn its
-/// engine (and its non-`Send` transports) down.
+/// the detached [`EngineSnapshot`], so merging works both inside a
+/// driver loop and after the engine has been dropped to hand its
+/// transports back (pooled connections park when the engine lets go).
 pub trait PeerDirectory {
     /// Number of conversations.
     fn peer_count(&self) -> usize;
@@ -497,12 +493,11 @@ struct PeerRecord {
     frames_rx: u64,
 }
 
-/// A detached, `Send + Clone` record of an engine's conversations —
-/// everything aggregation needs (items, roles, specs, terminal phases,
-/// frame counters) without the engine's transports. Workers in a
-/// [`ShardedEngine`] return one per item
-/// group; [`SampleLedger::merged_series`] accepts it wherever it accepts
-/// the live engine.
+/// A detached record of an engine's conversations — everything
+/// aggregation needs (items, roles, specs, terminal phases, frame
+/// counters) without the engine's transports: what a finished round
+/// returns as its audit trail. [`SampleLedger::merged_series`] accepts
+/// it wherever it accepts the live engine.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     peers: Vec<PeerRecord>,
@@ -529,6 +524,11 @@ impl EngineSnapshot {
     /// True if every conversation ended [`CoordPhase::Done`].
     pub fn all_clean(&self) -> bool {
         self.peers.iter().all(|p| p.phase == CoordPhase::Done)
+    }
+
+    /// True if every conversation of `item` ended [`CoordPhase::Done`].
+    pub fn item_clean(&self, item: usize) -> bool {
+        self.peers.iter().filter(|p| p.item == item).all(|p| p.phase == CoordPhase::Done)
     }
 }
 
@@ -826,24 +826,43 @@ mod tests {
     }
 
     fn harness(peers: &[(PeerRole, u64)], slot_secs: u32) -> (MeasurementEngine, Vec<LocalPeer>) {
+        harness_items(&[peers], slot_secs, None)
+    }
+
+    /// One engine over `items` (item `g` of the engine is `items[g]`).
+    /// The coordinator's link to peer `stalled` (dense index) goes dark
+    /// mid-handshake: it delivers the `AuthOk` and nothing after.
+    fn harness_items(
+        items: &[&[(PeerRole, u64)]],
+        slot_secs: u32,
+        stalled: Option<usize>,
+    ) -> (MeasurementEngine, Vec<LocalPeer>) {
         let token = [9u8; AUTH_TOKEN_LEN];
         let t = SessionTimeouts::default();
         let mut builder = MeasurementEngine::builder();
         let mut locals = Vec::new();
-        for (ix, &(role, per_second)) in peers.iter().enumerate() {
-            let (ca, cb) = Duplex::loopback().into_endpoints();
-            builder.add_peer(
-                0,
-                CoordinatorSession::new(token, role, spec(slot_secs), 1000 + ix as u64, t),
-                Box::new(ca),
-            );
-            locals.push(LocalPeer {
-                endpoint: Endpoint::new(MeasurerSession::new(token, role, ix as u64, t), cb),
-                per_second,
-                started: false,
-                reported: 0,
-                slot_secs,
-            });
+        for (item, peers) in items.iter().enumerate() {
+            for &(role, per_second) in peers.iter() {
+                let ix = locals.len();
+                let (ca, cb) = Duplex::loopback().into_endpoints();
+                let transport: Box<dyn Transport> = if stalled == Some(ix) {
+                    Box::new(FaultyTransport::new(ca, FaultMode::Blackhole).trip_after_bytes(1))
+                } else {
+                    Box::new(ca)
+                };
+                builder.add_peer(
+                    item,
+                    CoordinatorSession::new(token, role, spec(slot_secs), 1000 + ix as u64, t),
+                    transport,
+                );
+                locals.push(LocalPeer {
+                    endpoint: Endpoint::new(MeasurerSession::new(token, role, ix as u64, t), cb),
+                    per_second,
+                    started: false,
+                    reported: 0,
+                    slot_secs,
+                });
+            }
         }
         (builder.build(SimTime::ZERO), locals)
     }
@@ -919,6 +938,53 @@ mod tests {
         let (x, y) = ledger.merged_series(&engine, 0);
         assert_eq!(x, vec![150.0; 3]);
         assert_eq!(y, vec![3.0; 3]);
+    }
+
+    #[test]
+    fn stalling_peer_delays_only_its_own_item() {
+        // Three items on one engine. Item 0's measurer goes dark after
+        // `AuthOk`; nothing of items 1 and 2 may wait for it.
+        let item = [(PeerRole::Measurer, 100), (PeerRole::Target, 30)];
+        let (mut engine, mut locals) = harness_items(&[&item, &item, &item], 3, Some(0));
+        let events = drive(&mut engine, &mut locals);
+        let pos = |want: EngineEvent| {
+            events
+                .iter()
+                .position(|e| *e == want)
+                .unwrap_or_else(|| panic!("{want:?} missing: {events:?}"))
+        };
+        // Item 0 fails by its own handshake timeout, and only then
+        // completes; its Go never released.
+        let stalled =
+            pos(EngineEvent::PeerFailed { peer: PeerId(0), reason: AbortReason::HandshakeTimeout });
+        assert!(stalled < pos(EngineEvent::ItemComplete { item: 0 }), "{events:?}");
+        let go_of = |item: usize| {
+            events.iter().position(
+                |e| matches!(e, EngineEvent::GoReleased { item: released, .. } if *released == item),
+            )
+        };
+        assert_eq!(go_of(0), None, "{events:?}");
+
+        let mut ledger = SampleLedger::new();
+        for ev in &events {
+            ledger.observe(ev);
+        }
+        for item in [1, 2] {
+            // Go, every sample, and completion all while item 0 is
+            // still pending.
+            let go = go_of(item).expect("go released");
+            let complete = pos(EngineEvent::ItemComplete { item });
+            assert!(go < complete && complete < stalled, "item {item}: {events:?}");
+            let samples = events[go..complete]
+                .iter()
+                .filter(|e| matches!(e, EngineEvent::Sample { item: of, .. } if *of == item))
+                .count();
+            assert_eq!(samples, 2 * 3, "item {item}: {events:?}");
+            let (x, y) = ledger.merged_series(&engine, item);
+            assert_eq!((x, y), (vec![100.0; 3], vec![3.0; 3]), "item {item}");
+        }
+        let (x, _) = ledger.merged_series(&engine, 0);
+        assert!(x.is_empty(), "the stalled item measured nothing: {x:?}");
     }
 
     #[test]

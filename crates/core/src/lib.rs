@@ -23,10 +23,10 @@
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
 //! | [`measure`] | §4.1 | one (or many concurrent) measurement slots |
 //! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
-//! | [`shard`] | §4.3, §7 | sharding a period's item groups across engines and worker threads (`ShardedEngine`), LPT group ordering |
+//! | [`script`] | §7 | scripted in-memory reference peers driving one multi-item engine: what harnesses and benches compare a deployment against |
 //! | [`pool`] | §7 | long-lived pool of warm TCP connections to measurer processes |
-//! | [`echo`] | §4.1, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back |
-//! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: observed group runners, period audits, `PeriodExport` |
+//! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs a round's items concurrently on one engine |
+//! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
 //! | [`proto_driver`] | §4.1 | the same slots driven end-to-end through the `flashflow-proto` control protocol over the engine |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
 //! | [`sequence`] | §4.2 | adaptive re-measurement with doubling |
@@ -73,9 +73,9 @@ pub mod params;
 pub mod pool;
 pub mod proto_driver;
 pub mod schedule;
+pub mod script;
 pub mod security;
 pub mod sequence;
-pub mod shard;
 pub mod sybil;
 pub mod team;
 pub mod verify;
@@ -90,7 +90,7 @@ pub mod prelude {
         BwAuth, BwEntry, EchoEntry, EchoPeriodFile, MeasureBackend,
     };
     pub use crate::dynamic::{adjust_weights, DynamicPolicy, DynamicReport};
-    pub use crate::echo::{echo_group, EchoDeployment, EchoItem, EchoMeasurer};
+    pub use crate::echo::{run_round, EchoDeployment, EchoItem, EchoMeasurer};
     pub use crate::engine::{
         EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerDirectory,
         PeerId, SampleLedger, DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,
@@ -114,9 +114,6 @@ pub mod prelude {
         capacity_on_demand_failure_probability, max_inflation_factor, summarize,
     };
     pub use crate::sequence::{measure_relay, new_relay_prior, SequenceEnd, SequenceOutcome};
-    pub use crate::shard::{
-        sized, GroupRunner, PeriodLedger, ShardEvent, ShardedEngine, ShardedRun,
-    };
     pub use crate::sybil::{measure_family, FamilyMeasurement};
     pub use crate::team::{Measurer, Team};
     pub use crate::verify::{evasion_probability, spot_check, TargetBehavior, VerificationOutcome};

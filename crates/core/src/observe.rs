@@ -1,17 +1,19 @@
 //! The bridge from the measurement engine's typed events to
-//! `flashflow-obs` telemetry: wraps [`GroupRunner`]s so every
-//! [`EngineEvent`] is mirrored as a structured [`Event`]
-//! on a [`Span`], emits the post-run audit trail (ledger divergence
-//! rows, per-target estimates, pool stats), and builds the period's
-//! machine-readable [`PeriodExport`].
+//! `flashflow-obs` telemetry: mirrors every [`EngineEvent`] of a round
+//! as a structured [`Event`] on a [`Span`], emits the post-run audit
+//! trail (ledger divergence rows, per-target estimates, pool stats),
+//! and builds the period's machine-readable [`PeriodExport`].
 //!
 //! The engine itself stays telemetry-free — it already *is* an event
 //! stream — so this module is a pure translation layer: engine events
-//! in, obs events out, with the one piece of context the engine does
-//! not carry: **peer roles**. In the echo topology the target relay is
-//! always the last peer of its group (see [`crate::echo::echo_group`]),
-//! and the `role` field on peer-scoped events is what lets a consumer
-//! like `flashflow-top` read the relay's echo claim without
+//! in, obs events out, re-keyed the way the stream's consumers
+//! (`flashflow-top`, `flashflow-trace`) read it. An item of the round
+//! is `scope.group` (with `scope.item` always 0), peers are numbered
+//! within their item, and peer-scoped events carry the one piece of
+//! context the engine does not: **roles**. In the echo topology the
+//! target relay is always the last peer of its item (see
+//! [`crate::echo::run_round`]), and the `role` field is what lets a
+//! consumer like `flashflow-top` read the relay's echo claim without
 //! double-counting the measurers' received-blast reports.
 
 use flashflow_obs::{
@@ -20,9 +22,8 @@ use flashflow_obs::{
 
 use crate::bwauth::EchoPeriodFile;
 use crate::echo::{EchoDeployment, EchoItem};
-use crate::engine::EngineEvent;
+use crate::engine::{EngineEvent, PeerId};
 use crate::pool::PoolStats;
-use crate::shard::GroupRunner;
 
 /// Builds a `fields` vector tersely (local shorthand; the values go
 /// through [`Value::from`]).
@@ -32,101 +33,94 @@ macro_rules! fields {
     };
 }
 
-/// The `role` field value for a peer index, given that peers
-/// `0..target_peer` are measurers and `target_peer` is the relay
-/// (`None` when the group has no target — every peer is a measurer).
-fn role_of(peer: usize, target_peer: Option<usize>) -> &'static str {
-    if target_peer == Some(peer) {
-        "target"
-    } else {
-        "measurer"
-    }
+/// The telemetry context of one round: where its events go and how the
+/// engine's dense [`PeerId`]s map onto the stream's coordinates.
+pub struct RoundSpans {
+    /// The period span (`period.start`, `pool.stats`, `period.done`).
+    period: Span,
+    /// One span per item: the period span narrowed to the item's group
+    /// index and stamped with its trace id, so the coordinator's stream
+    /// joins the peers' on the same key.
+    items: Vec<Span>,
+    /// Conversations per item: its k measurers, then the target relay.
+    peers_per_item: usize,
 }
 
-/// Mirrors one engine event onto `span` (already scoped to the group).
-pub fn emit_engine_event(span: &Span, target_peer: Option<usize>, event: &EngineEvent) {
-    match *event {
-        EngineEvent::PeerReady { peer } => span.emit(
-            "peer.ready",
-            fields![peer = peer.index(), role = role_of(peer.index(), target_peer)],
-        ),
-        EngineEvent::GoReleased { item, at } => {
-            span.item(item as u64).emit("slot.go", fields![at_secs = at.as_secs_f64()])
-        }
-        EngineEvent::Sample { peer, item, second, bg_bytes, measured_bytes } => {
-            span.item(item as u64).emit(
-                "sample",
-                fields![
-                    peer = peer.index(),
-                    role = role_of(peer.index(), target_peer),
-                    second = second,
-                    bg = bg_bytes,
-                    measured = measured_bytes,
-                ],
-            );
-        }
-        EngineEvent::PeerDone { peer } => span.emit(
-            "peer.done",
-            fields![peer = peer.index(), role = role_of(peer.index(), target_peer)],
-        ),
-        EngineEvent::PeerFailed { peer, reason } => span.emit(
-            "peer.failed",
-            fields![
-                peer = peer.index(),
-                role = role_of(peer.index(), target_peer),
-                reason = format!("{reason:?}"),
-            ],
-        ),
-        EngineEvent::ItemComplete { item } => {
-            span.item(item as u64).event("item.complete");
+impl RoundSpans {
+    /// The context for running `items` against `deployment` under the
+    /// period span `span`; emits `period.start`.
+    pub fn start(span: &Span, deployment: &EchoDeployment, items: &[EchoItem]) -> RoundSpans {
+        span.emit("period.start", fields![items = items.len()]);
+        RoundSpans {
+            period: span.clone(),
+            items: items
+                .iter()
+                .enumerate()
+                .map(|(g, item)| span.group(g as u64).trace(item.trace_id))
+                .collect(),
+            peers_per_item: deployment.measurers.len() + 1,
         }
     }
-}
 
-struct ObservedGroup {
-    inner: Box<dyn GroupRunner>,
-    span: Span,
-    target_peer: Option<usize>,
-}
-
-impl GroupRunner for ObservedGroup {
-    fn run(self: Box<Self>, emit: &mut dyn FnMut(EngineEvent)) -> crate::engine::EngineSnapshot {
-        let span = self.span;
-        let target_peer = self.target_peer;
-        self.inner.run(&mut |event| {
-            emit_engine_event(&span, target_peer, &event);
-            emit(event);
-        })
+    /// The span, number within its item, and role of engine peer
+    /// `peer`: every item's conversations are registered together, the
+    /// target relay last (see [`crate::echo::run_round`]).
+    fn peer(&self, peer: PeerId) -> (&Span, usize, &'static str) {
+        let (group, local) =
+            (peer.index() / self.peers_per_item, peer.index() % self.peers_per_item);
+        let role = if local + 1 == self.peers_per_item { "target" } else { "measurer" };
+        (&self.items[group], local, role)
     }
 
-    fn estimated_cost(&self) -> u64 {
-        self.inner.estimated_cost()
+    /// Mirrors one engine event of the round onto its item's span.
+    pub fn engine_event(&self, event: &EngineEvent) {
+        match *event {
+            EngineEvent::PeerReady { peer } => {
+                let (span, peer, role) = self.peer(peer);
+                span.emit("peer.ready", fields![peer = peer, role = role]);
+            }
+            EngineEvent::GoReleased { item, at } => {
+                self.items[item].item(0).emit("slot.go", fields![at_secs = at.as_secs_f64()])
+            }
+            EngineEvent::Sample { peer, second, bg_bytes, measured_bytes, .. } => {
+                let (span, peer, role) = self.peer(peer);
+                span.item(0).emit(
+                    "sample",
+                    fields![
+                        peer = peer,
+                        role = role,
+                        second = second,
+                        bg = bg_bytes,
+                        measured = measured_bytes,
+                    ],
+                );
+            }
+            EngineEvent::PeerDone { peer } => {
+                let (span, peer, role) = self.peer(peer);
+                span.emit("peer.done", fields![peer = peer, role = role]);
+            }
+            EngineEvent::PeerFailed { peer, reason } => {
+                let (span, peer, role) = self.peer(peer);
+                span.emit(
+                    "peer.failed",
+                    fields![peer = peer, role = role, reason = format!("{reason:?}")],
+                );
+            }
+            EngineEvent::ItemComplete { item } => self.items[item].item(0).event("item.complete"),
+        }
     }
-}
 
-/// Wraps `runner` so every engine event is mirrored onto `span` before
-/// reaching the shard fan-in. `target_peer` names the peer index whose
-/// reports are the target relay's own claims (see [`emit_engine_event`]).
-pub fn observed(
-    runner: Box<dyn GroupRunner>,
-    span: Span,
-    target_peer: Option<usize>,
-) -> Box<dyn GroupRunner> {
-    Box::new(ObservedGroup { inner: runner, span, target_peer })
-}
-
-/// Emits the post-run audit trail of an echo period onto `span`: one
-/// `divergence` event per flagged ledger row, one `target.estimate`
-/// per entry, the `pool.stats` snapshot, and `period.done`.
-pub fn emit_period_audit(span: &Span, items: &[EchoItem], file: &EchoPeriodFile) {
-    for (group, (item, entry)) in items.iter().zip(&file.entries).enumerate() {
-        let group_span = span.group(group as u64).trace(item.trace_id);
-        for row in file.run.rows(group, 0) {
-            if row.divergent {
-                group_span.item(0).emit(
+    /// Emits the post-run audit trail of the round: per item, one
+    /// `divergence` event per flagged ledger row and its
+    /// `target.estimate`; then the `pool.stats` snapshot and
+    /// `period.done`.
+    pub fn audit(&self, items: &[EchoItem], file: &EchoPeriodFile) {
+        for (group, (item, entry)) in items.iter().zip(&file.entries).enumerate() {
+            for row in file.ledger.rows(&file.peers, group).iter().filter(|row| row.divergent) {
+                self.items[group].item(0).emit(
                     "divergence",
                     fields![
-                        peer = row.peer.index(),
+                        peer = self.peer(row.peer).1,
                         second = row.second,
                         reported = row.reported,
                         bg = row.bg,
@@ -134,21 +128,22 @@ pub fn emit_period_audit(span: &Span, items: &[EchoItem], file: &EchoPeriodFile)
                     ],
                 );
             }
+            self.items[group].emit(
+                "target.estimate",
+                fields![
+                    fp = hex_fp(&item.relay_fp),
+                    capacity = entry.capacity.bytes_per_sec(),
+                    clean = entry.clean,
+                    divergent_rows = entry.divergent_rows,
+                ],
+            );
         }
-        group_span.emit(
-            "target.estimate",
-            fields![
-                fp = hex_fp(&item.relay_fp),
-                capacity = entry.capacity.bytes_per_sec(),
-                clean = entry.clean,
-                divergent_rows = entry.divergent_rows,
-            ],
+        emit_pool_stats(&self.period, &file.pool);
+        self.period.emit(
+            "period.done",
+            fields![items = file.entries.len(), clean = file.peers.all_clean()],
         );
     }
-    if let Some(pool) = file.run.pool {
-        emit_pool_stats(span, &pool);
-    }
-    span.emit("period.done", fields![items = file.entries.len(), clean = file.run.all_clean()]);
 }
 
 /// Emits one `pool.stats` event carrying a [`PoolStats`] snapshot.
@@ -179,7 +174,7 @@ pub fn period_export(
         .zip(&file.entries)
         .enumerate()
         .map(|(group, (item, entry))| {
-            let (x, y) = file.run.merged_series(group, 0);
+            let (x, y) = file.ledger.merged_series(&file.peers, group);
             let z: Vec<f64> = crate::measure::build_second_samples(&x, &y, deployment.ratio)
                 .iter()
                 .map(|s| s.z)
@@ -199,14 +194,13 @@ pub fn period_export(
     PeriodExport {
         schema: EXPORT_SCHEMA,
         ratio: deployment.ratio,
-        shards: file.run.shards as u64,
         targets,
-        pool: file.run.pool.map(|p| PoolSummary {
-            dials: p.dials,
-            reuses: p.reuses,
-            discarded: p.discarded,
-            probes: p.probes,
-            idle: p.idle,
+        pool: Some(PoolSummary {
+            dials: file.pool.dials,
+            reuses: file.pool.reuses,
+            discarded: file.pool.discarded,
+            probes: file.pool.probes,
+            idle: file.pool.idle,
         }),
         // The coordinator has no reactor of its own; harnesses that
         // fetch peer metrics snapshots fill this block via
@@ -235,27 +229,62 @@ mod tests {
     #[test]
     fn engine_events_map_to_obs_kinds_with_roles() {
         let sink = EventSink::new();
-        let span = Span::root(sink.clone()).period(0).group(3);
-        let peer = crate::engine::PeerId::from_index(2);
-        emit_engine_event(
-            &span,
-            Some(2),
-            &EngineEvent::Sample { peer, item: 0, second: 4, bg_bytes: 100, measured_bytes: 5000 },
-        );
-        emit_engine_event(
-            &span,
-            Some(2),
-            &EngineEvent::GoReleased { item: 0, at: SimTime::from_secs_f64(1.5) },
-        );
+        // Four items of three peers each; engine peer 11 is the last
+        // (target) peer of item 3, engine peer 9 its first measurer.
+        let items: Vec<EchoItem> = (0..4)
+            .map(|g| EchoItem {
+                relay_fp: [0; flashflow_proto::msg::FINGERPRINT_LEN],
+                slot_secs: 5,
+                bg_allowance: 0,
+                measurement_secret: 0,
+                attempt: 0,
+                resume: false,
+                trace_id: 0x70 + g,
+            })
+            .collect();
+        let measurer = crate::echo::EchoMeasurer {
+            addr: "127.0.0.1:1".parse().expect("literal address"),
+            token: [0; flashflow_proto::msg::AUTH_TOKEN_LEN],
+            rate_cap: 0,
+            sockets: 1,
+        };
+        let deployment = EchoDeployment {
+            measurers: vec![measurer; 2],
+            relay: flashflow_proto::msg::TargetEndpoint::NONE,
+            relay_token: [0; flashflow_proto::msg::AUTH_TOKEN_LEN],
+            speedup: 1.0,
+            ratio: 0.25,
+        };
+        let round = RoundSpans::start(&Span::root(sink.clone()).period(0), &deployment, &items);
+        let peer = PeerId::from_index(11);
+        round.engine_event(&EngineEvent::Sample {
+            peer,
+            item: 3,
+            second: 4,
+            bg_bytes: 100,
+            measured_bytes: 5000,
+        });
+        round.engine_event(&EngineEvent::GoReleased { item: 3, at: SimTime::from_secs_f64(1.5) });
+        round.engine_event(&EngineEvent::PeerDone { peer: PeerId::from_index(9) });
         let ring = sink.ring();
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.len(), 4);
+        assert_eq!((ring[0].kind.as_str(), ring[0].u64_field("items")), ("period.start", Some(4)));
+        let ring = &ring[1..];
         assert_eq!(ring[0].kind, "sample");
         assert_eq!(ring[0].scope.group, Some(3));
         assert_eq!(ring[0].scope.item, Some(0));
+        assert_eq!(ring[0].scope.trace, Some(0x73));
+        assert_eq!(ring[0].u64_field("peer"), Some(2));
         assert_eq!(ring[0].field("role").and_then(Value::as_str), Some("target"));
         assert_eq!(ring[0].u64_field("measured"), Some(5000));
         assert_eq!(ring[1].kind, "slot.go");
+        assert_eq!(ring[1].scope.group, Some(3));
         assert_eq!(ring[1].f64_field("at_secs"), Some(1.5));
+        assert_eq!(ring[2].kind, "peer.done");
+        assert_eq!(ring[2].scope.group, Some(3));
+        assert_eq!(ring[2].scope.item, None);
+        assert_eq!(ring[2].u64_field("peer"), Some(0));
+        assert_eq!(ring[2].field("role").and_then(Value::as_str), Some("measurer"));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! connection to each peer process — a period of thousands of
 //! items meant thousands of TCP handshakes against the same handful of
 //! hosts (the ROADMAP's "long-lived connection pool" scaling item). The
-//! [`ConnectionPool`] keeps connections **across items**: a
-//! [`GroupRunner`](crate::shard::GroupRunner) checks a connection out,
-//! runs its conversation over it, marks it reusable if the session ended
-//! cleanly, and the connection parks itself back in the pool when the
-//! engine drops it.
+//! [`ConnectionPool`] keeps connections **across rounds**: the round
+//! driver ([`run_round`](crate::echo::run_round)) checks one connection
+//! out per conversation, runs the conversation over it, marks it
+//! reusable if the session ended cleanly, and the connection parks
+//! itself back in the pool when the engine drops it.
 //!
 //! Reuse is safe because both ends agree on it: the serving peer
 //! process loops sessions on one connection (each new `Auth` starts a
@@ -22,11 +22,10 @@
 //! outbox still holds bytes) is really closed, never parked, so a torn
 //! or half-poisoned stream can never leak into the next item.
 //!
-//! The pool is `Sync`:
-//! [`ShardedEngine::run_partitioned`](crate::shard::ShardedEngine::run_partitioned)
-//! workers share one behind an `Arc`, so
-//! warm connections migrate to whichever shard runs the next item
-//! against that process.
+//! The pool is `Sync` and cheap to clone (one `Arc`): the coordinator
+//! keeps a single pool for the life of the process, so a connection
+//! warmed in one round serves whichever item of the next round dials
+//! that process first.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;

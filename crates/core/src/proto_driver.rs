@@ -10,21 +10,19 @@
 //! estimate is computed from what the frames said, not from shared
 //! state.
 //!
-//! The layering: each batch item is its own item group with its own
-//! [`MeasurementEngine`], and the whole slot-packed batch runs through a
-//! cooperative [`ShardedEngine`] — the same partitioning that
-//! [`ShardedEngine::run_partitioned`] spreads across worker threads in
-//! deployment (the fluid simulator itself is single-threaded, so here
-//! the groups interleave on one thread). The engines own the
-//! coordinator side (sessions, barriers, timeouts, events) and know
-//! nothing about the simulator; this module owns the *peer* side — it
-//! binds each `MeasurerSession` to the other end of the simulated link,
-//! converts ticked flow bytes into `report_second` calls, starts and
-//! stops blast flows in response to session actions, and aggregates the
-//! fan-in [`ShardEvent`] stream into [`ProtoMeasurement`]s via the
-//! shared [`PeriodLedger`]. Swap this module's transports and peer loop
-//! for TCP sockets and real measurer processes and the engine code does
-//! not change — see `examples/tcp_coordinator.rs` and the
+//! The layering: the whole slot-packed batch is one
+//! [`MeasurementEngine`] whose item `ix` is the batch's `ix`-th item —
+//! the same shape the deployment's round driver
+//! ([`crate::echo::run_round`]) steps against real processes. The
+//! engine owns the coordinator side (sessions, barriers, timeouts,
+//! events) and knows nothing about the simulator; this module owns the
+//! *peer* side — it binds each `MeasurerSession` to the other end of
+//! the simulated link, converts ticked flow bytes into `report_second`
+//! calls, starts and stops blast flows in response to session actions,
+//! and aggregates the [`EngineEvent`] stream into [`ProtoMeasurement`]s
+//! via the [`SampleLedger`]. Swap this module's transports and peer
+//! loop for TCP sockets and real measurer processes and the engine code
+//! does not change — see `examples/tcp_coordinator.rs` and the
 //! `flashflow-measurer` binary crate.
 //!
 //! One slot, per peer (measurers and the reporting target):
@@ -61,10 +59,9 @@ use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
 use crate::alloc::AllocError;
-use crate::engine::{EngineBuilder, EngineEvent, MeasurementEngine};
+use crate::engine::{EngineBuilder, EngineEvent, MeasurementEngine, SampleLedger};
 use crate::measure::{assignments_for, build_second_samples, BatchItem, Measurement};
 use crate::params::Params;
-use crate::shard::{PeriodLedger, ShardEvent, ShardedEngine};
 use crate::team::Team;
 use crate::verify::{spot_check, TargetBehavior};
 
@@ -265,17 +262,14 @@ impl<'a> SlotRunner<'a> {
         assert!(slot_secs > 0, "slot must be at least one second");
         let now0 = tor.now();
 
-        // Build every conversation: one engine (item group) per batch
-        // item — the period partitioning ShardedEngine is built around —
-        // with the coordinator half of each link in the engine and the
-        // peer half kept by this runner. `locals_of[g]` maps a group's
-        // dense PeerIds back to this runner's flat peer list.
-        let mut builders: Vec<EngineBuilder> = Vec::new();
+        // Build every conversation: batch item `ix` is engine item
+        // `ix`, with the coordinator half of each link in the engine
+        // and the peer half kept by this runner. Both sides are filled
+        // in the same order, so the engine's dense PeerIds index
+        // `locals` directly.
+        let mut builder = MeasurementEngine::builder();
         let mut locals: Vec<LocalPeer> = Vec::new();
-        let mut locals_of: Vec<Vec<usize>> = Vec::new();
         for (ix, item) in items.iter().enumerate() {
-            let mut builder = MeasurementEngine::builder();
-            let mut of_group = Vec::new();
             let fp = fingerprint_for(item.target);
             let active: Vec<_> =
                 item.assignments.iter().filter(|a| !a.allocation.is_zero()).collect();
@@ -290,7 +284,6 @@ impl<'a> SlotRunner<'a> {
                 };
                 let fault =
                     self.faults.iter().find(|f| f.item == ix && f.host == a.host).map(|f| f.fault);
-                of_group.push(locals.len());
                 self.add_peer(
                     &mut builder,
                     &mut locals,
@@ -311,7 +304,6 @@ impl<'a> SlotRunner<'a> {
                 rate_cap: 0,
                 ..MeasureSpec::default()
             };
-            of_group.push(locals.len());
             self.add_peer(
                 &mut builder,
                 &mut locals,
@@ -323,12 +315,9 @@ impl<'a> SlotRunner<'a> {
                 None,
                 rng,
             );
-            builders.push(builder);
-            locals_of.push(of_group);
         }
-        let mut sharded =
-            ShardedEngine::from_engines(builders.into_iter().map(|b| b.build(now0)).collect());
-        let mut ledger = PeriodLedger::new(items.len());
+        let mut engine = builder.build(now0);
+        let mut ledger = SampleLedger::new();
 
         // Per-item records, filled from engine events.
         let mut failures: Vec<Vec<PeerFailure>> = vec![Vec::new(); items.len()];
@@ -342,10 +331,10 @@ impl<'a> SlotRunner<'a> {
             + SimDuration::from_secs(30);
 
         let dt = tor.net.engine().tick_duration().as_secs_f64();
-        while !sharded.is_finished() {
+        while !engine.is_finished() {
             let now = tor.now();
             if now >= hard_deadline {
-                sharded.abort_all(AbortReason::Shutdown);
+                engine.abort_all(AbortReason::Shutdown);
             }
 
             tor.tick();
@@ -395,9 +384,9 @@ impl<'a> SlotRunner<'a> {
             }
 
             // Pump frames until this tick moves no more bytes, across
-            // both halves of every conversation in every group.
+            // both halves of every conversation.
             loop {
-                let mut moved = sharded.pump(now);
+                let mut moved = engine.pump(now);
                 for p in locals.iter_mut() {
                     moved |= p.endpoint.pump(now);
                 }
@@ -468,34 +457,32 @@ impl<'a> SlotRunner<'a> {
             }
 
             // Coordinator side: actions → events, Go barriers, timeouts.
-            sharded.finish_tick(now);
+            engine.finish_tick(now);
             // Peer-side liveness: a peer mid-handshake whose coordinator
             // went silent gives up too.
             for p in locals.iter_mut() {
                 p.endpoint.tick(now);
             }
 
-            // Consume the tick's fan-in stream. Group indices are batch
-            // item indices; PeerIds are dense within their group.
-            while let Some(shard_event) = sharded.poll_event() {
-                ledger.observe(&shard_event);
-                let ShardEvent { group, event } = shard_event;
+            // Consume the tick's events.
+            while let Some(event) = engine.poll_event() {
+                ledger.observe(&event);
                 match event {
                     EngineEvent::PeerFailed { peer, reason } => {
-                        let local = &locals[locals_of[group][peer.index()]];
+                        let local = &locals[peer.index()];
                         failures[local.item].push(PeerFailure {
                             host: local.host,
                             role: local.role,
                             reason,
                         });
                     }
-                    EngineEvent::ItemComplete { .. } => {
+                    EngineEvent::ItemComplete { item } => {
                         // Tear the item down so the network returns to
                         // normal.
-                        if governor_on[group] {
-                            tor.end_measurement(items[group].target);
+                        if governor_on[item] {
+                            tor.end_measurement(items[item].target);
                         }
-                        for p in locals.iter().filter(|p| p.item == group) {
+                        for p in locals.iter().filter(|p| p.item == item) {
                             for f in &p.flows {
                                 tor.net.engine_mut().stop_flow(*f);
                             }
@@ -514,7 +501,7 @@ impl<'a> SlotRunner<'a> {
             .enumerate()
             .map(|(ix, item)| {
                 let ratio = tor.relay(item.target).config.ratio;
-                let (x, y) = ledger.merged_series(ix, sharded.group(ix), 0);
+                let (x, y) = ledger.merged_series(&engine, ix);
                 let seconds = build_second_samples(&x, &y, ratio);
                 let z_values: Vec<f64> = seconds.iter().map(|s| s.z).collect();
                 let estimate = Rate::from_bytes_per_sec(median(&z_values).unwrap_or(0.0));
@@ -532,9 +519,8 @@ impl<'a> SlotRunner<'a> {
                     .map(|a| a.allocation)
                     .sum();
                 let (mut frames_tx, mut frames_rx) = (0u64, 0u64);
-                let group = sharded.group(ix);
-                for peer in group.peers() {
-                    let (tx, rx) = group.frames(peer);
+                for peer in engine.peers().filter(|p| engine.item(*p) == ix) {
+                    let (tx, rx) = engine.frames(peer);
                     frames_tx += tx;
                     frames_rx += rx;
                 }
@@ -543,7 +529,7 @@ impl<'a> SlotRunner<'a> {
                     failures: failures[ix].clone(),
                     frames_tx,
                     frames_rx,
-                    rows: ledger.rows(ix, sharded.group(ix), 0),
+                    rows: ledger.rows(&engine, ix),
                 }
             })
             .collect()
@@ -590,7 +576,7 @@ impl<'a> SlotRunner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn add_peer(
         &self,
-        builder: &mut crate::engine::EngineBuilder,
+        builder: &mut EngineBuilder,
         locals: &mut Vec<LocalPeer>,
         item: usize,
         host: Option<HostId>,
@@ -604,9 +590,7 @@ impl<'a> SlotRunner<'a> {
         let nonce = rng.next_u64();
         let coord = CoordinatorSession::new(token, role, spec, nonce, self.cfg.timeouts);
         let (coord_end, peer_end) = self.cfg.link().into_endpoints();
-        // Each batch item is its own single-item engine: group-local
-        // item index 0; `item` remains the batch index on the LocalPeer.
-        builder.add_peer(0, coord, Box::new(coord_end));
+        builder.add_peer(item, coord, Box::new(coord_end));
         let session = MeasurerSession::new(token, role, rng.next_u64(), self.cfg.timeouts);
         locals.push(LocalPeer {
             item,

@@ -13,7 +13,7 @@
 use crate::json::Json;
 
 /// Schema version stamped into every export.
-pub const EXPORT_SCHEMA: u64 = 1;
+pub const EXPORT_SCHEMA: u64 = 2;
 
 /// Five-number summary plus mean: 5th percentile, quartiles, median,
 /// mean, 95th percentile.
@@ -316,8 +316,6 @@ pub struct PeriodExport {
     pub schema: u64,
     /// Background ratio `r` the estimates used.
     pub ratio: f64,
-    /// Worker shards the period ran across.
-    pub shards: u64,
     /// One summary per measured relay, item order.
     pub targets: Vec<TargetSummary>,
     /// Pool traffic, when a pool drove the period.
@@ -335,7 +333,6 @@ impl PeriodExport {
         let mut pairs = vec![
             ("schema".to_string(), Json::Int(i128::from(self.schema))),
             ("ratio".to_string(), Json::Num(self.ratio)),
-            ("shards".to_string(), Json::Int(i128::from(self.shards))),
             (
                 "targets".to_string(),
                 Json::Arr(self.targets.iter().map(TargetSummary::to_json).collect()),
@@ -365,7 +362,6 @@ impl PeriodExport {
         Ok(PeriodExport {
             schema,
             ratio: doc.get("ratio").and_then(Json::as_f64).ok_or("missing ratio")?,
-            shards: doc.get("shards").and_then(Json::as_u64).ok_or("missing shards")?,
             targets: doc
                 .get("targets")
                 .and_then(Json::as_arr)
@@ -393,12 +389,11 @@ impl PeriodExport {
         let divergent: u64 = self.targets.iter().map(|t| t.divergent_rows).sum();
         let _ = writeln!(
             out,
-            "period summary: {} targets ({} clean), {} divergent rows, r={}, {} shards",
+            "period summary: {} targets ({} clean), {} divergent rows, r={}",
             self.targets.len(),
             clean,
             divergent,
             self.ratio,
-            self.shards,
         );
         let _ = writeln!(
             out,
@@ -466,7 +461,6 @@ mod tests {
         PeriodExport {
             schema: EXPORT_SCHEMA,
             ratio: 0.25,
-            shards: 2,
             targets: vec![
                 TargetSummary {
                     relay_fp: "aa".repeat(20),
@@ -505,15 +499,19 @@ mod tests {
 
     #[test]
     fn unknown_schema_is_rejected() {
-        let mut export = sample_export();
-        export.schema = 99;
-        assert!(PeriodExport::parse(&export.to_json_string()).is_err());
+        // Schema 1 (the export that still carried a worker-shard count)
+        // is refused like any other version that is not the current one.
+        for schema in [1, 99] {
+            let mut export = sample_export();
+            export.schema = schema;
+            assert!(PeriodExport::parse(&export.to_json_string()).is_err(), "schema {schema}");
+        }
     }
 
     #[test]
     fn text_summary_golden() {
         let summary = sample_export().text_summary();
-        let expected = "period summary: 2 targets (1 clean), 3 divergent rows, r=0.25, 2 shards\n  target               capacity   clean divergent  echo.median    bg.median\n  aaaaaaaaaaaaaaaa    36.0 MB/s     yes         0       16 B/s        0 B/s\n  bbbbbbbbbbbbbbbb   150.0 kB/s      NO         3            -            -\n  pool: 4 dials, 8 reuses, 1 discarded, 6 probes, 2 idle\n";
+        let expected = "period summary: 2 targets (1 clean), 3 divergent rows, r=0.25\n  target               capacity   clean divergent  echo.median    bg.median\n  aaaaaaaaaaaaaaaa    36.0 MB/s     yes         0       16 B/s        0 B/s\n  bbbbbbbbbbbbbbbb   150.0 kB/s      NO         3            -            -\n  pool: 4 dials, 8 reuses, 1 discarded, 6 probes, 2 idle\n";
         assert_eq!(summary, expected, "golden text summary drifted:\n{summary}");
     }
 

@@ -272,17 +272,20 @@ mod tests {
     fn concurrent_emitters_never_tear_lines() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = EventSink::new().with_jsonl(Box::new(SharedBuf(buf.clone())));
-        std::thread::scope(|scope| {
-            for t in 0..8 {
+        let emitters: Vec<_> = (0..8)
+            .map(|t| {
                 let sink = sink.clone();
-                scope.spawn(move || {
+                std::thread::spawn(move || {
                     let span = Span::root(sink).session(t);
                     for i in 0..50u64 {
                         span.emit("spam", fields![i = i, pad = "x".repeat(64)]);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for emitter in emitters {
+            emitter.join().expect("emitter thread");
+        }
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 400);

@@ -25,8 +25,8 @@
 //! ## Layering
 //!
 //! ```text
-//!   ShardedEngine (flashflow-core)          flashflow-measurer process
-//!        │ one MeasurementEngine per item group   │ one session per connection
+//!   MeasurementEngine (flashflow-core)      flashflow-measurer process
+//!        │ one engine per round, item by item     │ one session per connection
 //!   Endpoint<CoordinatorSession, _>         Endpoint<MeasurerSession, _>
 //!        │ bytes                                 │ bytes
 //!        └────────────── dyn Transport ──────────┘

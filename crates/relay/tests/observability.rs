@@ -35,10 +35,9 @@ use flashflow_obs::{
     Event, EventSink, Json, PeriodExport, ReactorSummary, RegistrySnapshot, Span, Value,
 };
 use flashflow_procutil::fetch_metrics;
-use flashflow_proto::msg::{AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 
 const ITEMS: usize = 3;
-const SHARDS: usize = 2;
 const SLOT_SECS: u32 = 5;
 const SPEEDUP: f64 = 10.0;
 const MEASURER_CAPS: [u64; 2] = [300_000, 150_000];
@@ -183,7 +182,7 @@ fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDe
                 sockets: SOCKETS,
             })
             .collect(),
-        relay_addr,
+        relay: TargetEndpoint::from_addr(relay_addr).expect("the relay listens on IPv4 loopback"),
         relay_token: token_for(9),
         speedup: SPEEDUP,
         ratio: RATIO,
@@ -191,11 +190,17 @@ fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDe
 }
 
 fn items() -> Vec<EchoItem> {
+    round_items(0)
+}
+
+/// The items of round `round`: the same relays every round, under
+/// secrets no earlier round used.
+fn round_items(round: u64) -> Vec<EchoItem> {
     (0..ITEMS)
         .map(|ix| {
             let mut fp = [0u8; FINGERPRINT_LEN];
             fp[0] = ix as u8 + 1;
-            let secret = 0x0B5E_0000_0000_0000 + ix as u64 * 0x1_0001;
+            let secret = 0x0B5E_0000_0000_0000 + (round << 32) + ix as u64 * 0x1_0001;
             EchoItem {
                 relay_fp: fp,
                 slot_secs: SLOT_SECS,
@@ -245,11 +250,12 @@ fn observed_period_exports_metrics_and_renders_in_top() {
     // Measurer 0 gets a metrics endpoint and a session quota above the
     // period's demand so it is still alive (and serving snapshots) when
     // the reactor-telemetry assertions below run; it is killed at the
-    // end alongside the relay. Measurer 1 drains on its quota as usual.
+    // end alongside the relay. Measurer 1 drains on its quota as usual
+    // (two rounds: the observed one and the warm-pool one).
     let (mut m0, a0, m0_metrics) =
         spawn_measurer(0, 99, &[("--metrics-addr", "127.0.0.1:0".to_string())]);
     let m0_metrics = m0_metrics.expect("measurer advertised its metrics endpoint");
-    let (m1, a1, _) = spawn_measurer(1, ITEMS, &[]);
+    let (m1, a1, _) = spawn_measurer(1, 2 * ITEMS, &[]);
     // The relay's session quota is left above the period's demand so it
     // is still alive (and serving metrics) after the period completes;
     // it is killed at the end instead of draining on its own.
@@ -268,9 +274,9 @@ fn observed_period_exports_metrics_and_renders_in_top() {
     let dep = deployment([a0, a1], relay_addr);
     let period_items = items();
     let pool = ConnectionPool::new();
-    let file = measure_echo_period_observed(&dep, &period_items, SHARDS, &pool, Some(&span));
+    let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
     assert_eq!(file.entries.len(), ITEMS);
-    assert!(file.run.all_clean(), "honest observed period must stay clean");
+    assert!(file.peers.all_clean(), "honest observed period must stay clean");
 
     // --- the JSONL stream is schema-valid and complete -------------
     let events = parse_jsonl(&jsonl_path);
@@ -324,9 +330,19 @@ fn observed_period_exports_metrics_and_renders_in_top() {
             target.relay_fp
         );
     }
+    // Every item of a round runs at once, so a cold round dials one
+    // connection per conversation; the next round on the same pool
+    // dials nothing and reuses them all.
+    let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
     let pool_summary = export.pool.expect("pool stats must reach the export");
-    assert!(pool_summary.dials > 0, "the period dialed nothing: {pool_summary:?}");
-    assert!(pool_summary.reuses > 0, "warm connections should ride the pool across items");
+    assert_eq!((pool_summary.dials, pool_summary.reuses), (peers_per_round, 0));
+    let warm_items = round_items(1);
+    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &warm_items, &pool);
+    assert!(warm.peers.all_clean(), "the warm round must stay clean");
+    let warm_summary =
+        period_export(&dep, &warm_items, &warm).pool.expect("pool stats must reach the export");
+    assert_eq!(warm_summary.dials, peers_per_round, "the warm round dialed: {warm_summary:?}");
+    assert!(warm_summary.reuses >= peers_per_round, "warm round reused too few: {warm_summary:?}");
 
     // --- the relay's metrics endpoint saw the traffic --------------
     let body = fetch_metrics(metrics_addr, &token_for(9), Duration::from_secs(5))
@@ -428,6 +444,7 @@ fn observed_period_exports_metrics_and_renders_in_top() {
 
     drop(pool);
     drop(file);
+    drop(warm);
     wait_exit_zero(vec![("measurer-1", m1)]);
     for held_open in [&mut m0, &mut relay] {
         held_open.kill().expect("kill held-open peer");
@@ -460,7 +477,6 @@ fn lying_relay_writes_bg_divergence_into_its_own_jsonl() {
     let file = flashflow_core::bwauth::measure_echo_period(
         &deployment([a0, a1], relay_addr),
         &one_item,
-        1,
         &pool,
     );
     assert!(
@@ -520,8 +536,8 @@ fn trace_pipeline_reconstructs_complete_timelines() {
     let dep = deployment([a0, a1], relay_addr);
     let period_items = items();
     let pool = ConnectionPool::new();
-    let file = measure_echo_period_observed(&dep, &period_items, SHARDS, &pool, Some(&span));
-    assert!(file.run.all_clean(), "honest observed period must stay clean");
+    let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
+    assert!(file.peers.all_clean(), "honest observed period must stay clean");
     drop(pool);
     drop(file);
     // Every peer drains on its session quota, flushing its JSONL

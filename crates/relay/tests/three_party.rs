@@ -1,7 +1,7 @@
 //! The three-party deployment harness: the paper's full topology as
 //! real processes over loopback TCP.
 //!
-//! A sharded coordinator (in this test process) commands **two spawned
+//! A coordinator (in this test process) commands **two spawned
 //! `flashflow-measurer` processes** and **one spawned `flashflow-relay`
 //! process**. Each item's `MeasureCmd` carries the relay's data
 //! endpoint and a fresh measurement secret; at `Go` the measurers dial
@@ -25,19 +25,19 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_core::bwauth::measure_echo_period;
-use flashflow_core::echo::{echo_group, item_trace_id, EchoDeployment, EchoItem, EchoMeasurer};
+use flashflow_core::echo::{item_trace_id, run_round, EchoDeployment, EchoItem, EchoMeasurer};
 use flashflow_core::engine::{EngineEvent, PeerDirectory};
 use flashflow_core::measure::build_second_samples;
 use flashflow_core::pool::ConnectionPool;
-use flashflow_core::shard::script::{self, ScriptConfig, ScriptedPeer};
-use flashflow_core::shard::ShardedEngine;
+use flashflow_core::script::{self, ScriptConfig, ScriptedPeer};
 use flashflow_proto::frame::{encode, FrameDecoder};
-use flashflow_proto::msg::{AbortReason, Msg, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::msg::{
+    AbortReason, Msg, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
+};
 use flashflow_proto::session::CoordPhase;
 use flashflow_simnet::stats::median;
 
 const ITEMS: usize = 3;
-const SHARDS: usize = 2;
 const SLOT_SECS: u32 = 5;
 /// Both sides run their clocks at this multiple of wall time.
 const SPEEDUP: f64 = 10.0;
@@ -162,7 +162,7 @@ fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDe
                 sockets: SOCKETS,
             })
             .collect(),
-        relay_addr,
+        relay: TargetEndpoint::from_addr(relay_addr).expect("the relay listens on IPv4 loopback"),
         relay_token: token_for(9),
         speedup: SPEEDUP,
         ratio: RATIO,
@@ -170,13 +170,19 @@ fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDe
 }
 
 fn items() -> Vec<EchoItem> {
+    round_items(0)
+}
+
+/// The items of round `round`: the same relays every round, under
+/// secrets no earlier round used.
+fn round_items(round: u64) -> Vec<EchoItem> {
     (0..ITEMS)
         .map(|ix| {
             let mut fp = [0u8; FINGERPRINT_LEN];
             fp[0] = ix as u8 + 1;
             // Fresh per item; unpredictability is the coordinator's
             // job in deployment, distinctness is what the test needs.
-            let secret = 0x3A11_0000_0000_0000 + ix as u64 * 0x1_0001;
+            let secret = 0x3A11_0000_0000_0000 + (round << 32) + ix as u64 * 0x1_0001;
             EchoItem {
                 relay_fp: fp,
                 slot_secs: SLOT_SECS,
@@ -237,19 +243,17 @@ fn wait_exit_zero(children: Vec<(&'static str, Child)>) {
 /// in-memory Duplex links (measurers report their caps as echoed
 /// bytes, the relay reports the admitted background).
 fn duplex_reference_estimates() -> Vec<f64> {
-    let groups = (0..ITEMS)
-        .map(|_| {
-            let mut peers: Vec<ScriptedPeer> =
-                MEASURER_CAPS.iter().map(|&cap| ScriptedPeer::measurer(cap)).collect();
-            peers.push(ScriptedPeer::target(BG_ALLOWANCE));
-            script::group(vec![peers], ScriptConfig { slot_secs: SLOT_SECS, ..Default::default() })
-        })
-        .collect::<Vec<_>>();
-    let run = ShardedEngine::run_partitioned(groups, SHARDS);
-    assert!(run.all_clean(), "reference run had failures");
+    let mut peers: Vec<ScriptedPeer> =
+        MEASURER_CAPS.iter().map(|&cap| ScriptedPeer::measurer(cap)).collect();
+    peers.push(ScriptedPeer::target(BG_ALLOWANCE));
+    let run = script::run(
+        &vec![peers; ITEMS],
+        ScriptConfig { slot_secs: SLOT_SECS, ..Default::default() },
+    );
+    assert!(run.peers.all_clean(), "reference run had failures");
     (0..ITEMS)
         .map(|g| {
-            let (x, y) = run.merged_series(g, 0);
+            let (x, y) = run.ledger.merged_series(&run.peers, g);
             let seconds = build_second_samples(&x, &y, RATIO);
             let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
             median(&z).expect("reference seconds")
@@ -262,23 +266,28 @@ fn three_party_topology_estimates_match_duplex_reference() {
     let reference = duplex_reference_estimates();
     let skew_before = pacing_skew();
 
-    let (m0, a0) = spawn_measurer(0, ITEMS);
-    let (m1, a1) = spawn_measurer(1, ITEMS);
-    let (relay, relay_addr) = spawn_relay(&[], ITEMS);
+    // Two rounds' worth of sessions: the second round rides the
+    // connections the first one warmed.
+    let (m0, a0) = spawn_measurer(0, 2 * ITEMS);
+    let (m1, a1) = spawn_measurer(1, 2 * ITEMS);
+    let (relay, relay_addr) = spawn_relay(&[], 2 * ITEMS);
+    let dep = deployment([a0, a1], relay_addr);
+    let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
 
     let pool = ConnectionPool::new();
-    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &items(), SHARDS, &pool);
+    let file = measure_echo_period(&dep, &items(), &pool);
     let tolerance = estimate_tolerance(skew_before.max(pacing_skew()));
+    // Every item of a round runs at once, so a cold round dials one
+    // connection per conversation.
+    assert_eq!((pool.dials(), pool.reuses()), (peers_per_round, 0));
 
     assert_eq!(file.entries.len(), ITEMS);
     for (g, entry) in file.entries.iter().enumerate() {
         let failures: Vec<_> = file
-            .run
             .events
             .iter()
             .filter(|e| {
-                e.group == g
-                    && matches!(e.event, flashflow_core::engine::EngineEvent::PeerFailed { .. })
+                matches!(e, EngineEvent::PeerFailed { peer, .. } if file.peers.item(*peer) == g)
             })
             .collect();
         assert!(
@@ -297,7 +306,7 @@ fn three_party_topology_estimates_match_duplex_reference() {
             entry.divergent_rows < SLOT_SECS as usize - 1,
             "item {g}: honest topology flagged {} rows: {:?}",
             entry.divergent_rows,
-            file.run.rows(g, 0)
+            file.ledger.rows(&file.peers, g)
         );
         let est = entry.capacity.bytes_per_sec();
         let reference = reference[g];
@@ -314,12 +323,11 @@ fn three_party_topology_estimates_match_duplex_reference() {
     // The relay reported real background: every target row carries a
     // bg column near the allowance, cross-checked against the
     // aggregated measurer echo.
-    let snapshot = &file.run.snapshots[0];
     let target_rows: Vec<_> = file
-        .run
-        .rows(0, 0)
+        .ledger
+        .rows(&file.peers, 0)
         .into_iter()
-        .filter(|r| snapshot.role(r.peer) == PeerRole::Target)
+        .filter(|r| file.peers.role(r.peer) == PeerRole::Target)
         .collect();
     assert_eq!(target_rows.len(), SLOT_SECS as usize);
     for row in &target_rows {
@@ -330,11 +338,16 @@ fn three_party_topology_estimates_match_duplex_reference() {
         );
     }
 
-    // Warm connections rode the pool across items.
-    assert!(pool.reuses() > 0, "no warm connection reused (dials {})", pool.dials());
+    // Warm connections rode the pool into the next round: it dialed
+    // nothing and reused one connection per conversation.
+    let second = measure_echo_period(&dep, &round_items(1), &pool);
+    assert!(second.peers.all_clean(), "second round had failures: {:?}", second.events);
+    assert_eq!(pool.dials(), peers_per_round, "the warm round dialed");
+    assert!(pool.reuses() >= peers_per_round, "warm round reused only {}", pool.reuses());
 
     drop(pool);
     drop(file);
+    drop(second);
     wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
 }
 
@@ -342,7 +355,7 @@ fn three_party_topology_estimates_match_duplex_reference() {
 fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
     // One measurer process is down (its address refuses connections):
     // the item must complete degraded — unclean, with the surviving
-    // measurer's echo still measured — not panic the shard worker.
+    // measurer's echo still measured — not panic the coordinator.
     let (m0, a0) = spawn_measurer(0, 1);
     let (relay, relay_addr) = spawn_relay(&[], 1);
     // A port that refused: bind, read the addr, drop the listener.
@@ -353,12 +366,12 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![items().remove(0)];
-    let file = measure_echo_period(&deployment([a0, dead_addr], relay_addr), &one_item, 1, &pool);
+    let file = measure_echo_period(&deployment([a0, dead_addr], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
     assert!(!entry.clean, "a failed dial must mark the item unclean");
     // The surviving measurer still demonstrated its share.
-    let (x, _) = file.run.merged_series(0, 0);
+    let (x, _) = file.ledger.merged_series(&file.peers, 0);
     let survivor_rate = MEASURER_CAPS[0] as f64;
     let mid = x.get(2).copied().unwrap_or(0.0);
     assert!(
@@ -382,21 +395,20 @@ fn background_inflating_relay_is_flagged_in_the_ledger() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![items().remove(0)];
-    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, 1, &pool);
+    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
     assert!(entry.clean, "the lie is in the numbers, not the protocol");
     assert!(
         entry.divergent_rows >= SLOT_SECS as usize - 1,
         "inflated background claims must flag the audit rows: {:?}",
-        file.run.rows(0, 0)
+        file.ledger.rows(&file.peers, 0)
     );
-    let snapshot = &file.run.snapshots[0];
     let flagged_bg = file
-        .run
-        .rows(0, 0)
+        .ledger
+        .rows(&file.peers, 0)
         .iter()
-        .filter(|r| snapshot.role(r.peer) == PeerRole::Target && r.divergent)
+        .filter(|r| file.peers.role(r.peer) == PeerRole::Target && r.divergent)
         .all(|r| r.bg == claim);
     assert!(flagged_bg, "the flagged rows carry the inflated claim");
 
@@ -417,7 +429,7 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![items().remove(0)];
-    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, 1, &pool);
+    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
     let honest_x: u64 = MEASURER_CAPS.iter().sum();
@@ -429,7 +441,7 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
     assert!(
         entry.divergent_rows > 0,
         "the relay's echo claim must diverge from what the measurers verified: {:?}",
-        file.run.rows(0, 0)
+        file.ledger.rows(&file.peers, 0)
     );
 
     drop(pool);
@@ -456,16 +468,15 @@ fn sigtermed_measurer_finishes_its_slot_aborts_parked_handshakes_and_exits_zero(
     let item = EchoItem { slot_secs: DRAIN_SLOT_SECS, ..items().remove(0) };
     let mut events = Vec::new();
     let mut termed = false;
-    let snapshot =
-        echo_group(&deployment([a0, a1], relay_addr), item, pool.clone()).run(&mut |ev| {
-            events.push(ev);
-            // Mid-slot (first sample seen): ask measurer 0 to drain.
-            if !termed && matches!(ev, EngineEvent::Sample { .. }) {
-                let kill = Command::new("kill").args(["-TERM", &m0.id().to_string()]).status();
-                assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
-                termed = true;
-            }
-        });
+    let snapshot = run_round(&deployment([a0, a1], relay_addr), &[item], &pool, &mut |ev| {
+        events.push(ev);
+        // Mid-slot (first sample seen): ask measurer 0 to drain.
+        if !termed && matches!(ev, EngineEvent::Sample { .. }) {
+            let kill = Command::new("kill").args(["-TERM", &m0.id().to_string()]).status();
+            assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
+            termed = true;
+        }
+    });
 
     // Every conversation — the draining measurer's included — ran its
     // whole slot to `Done`.

@@ -94,8 +94,6 @@ pub struct TopState {
     pub targets: BTreeMap<u64, TargetView>,
     /// Items the period announced.
     pub items_total: Option<u64>,
-    /// Shards the period announced.
-    pub shards: Option<u64>,
     /// Items completed so far.
     pub items_done: u64,
     /// Peers that authenticated and armed.
@@ -127,10 +125,7 @@ impl TopState {
         self.last_ts = self.last_ts.max(ev.ts);
         let group = ev.scope.group.unwrap_or(0);
         match ev.kind.as_str() {
-            "period.start" => {
-                self.items_total = ev.u64_field("items");
-                self.shards = ev.u64_field("shards");
-            }
+            "period.start" => self.items_total = ev.u64_field("items"),
             // Only the target's own report carries the echo claim;
             // measurer samples describe received blast and would
             // double-count the same bytes.
@@ -281,11 +276,7 @@ mod tests {
     #[test]
     fn state_folds_samples_divergence_and_progress() {
         let mut state = TopState::new();
-        state.apply(&ev(
-            "period.start",
-            None,
-            vec![("items", Value::U64(2)), ("shards", Value::U64(2))],
-        ));
+        state.apply(&ev("period.start", None, vec![("items", Value::U64(2))]));
         for second in 0..5u64 {
             state.apply(&ev(
                 "sample",
