@@ -30,6 +30,8 @@ use std::path::{Path, PathBuf};
 use flashflow_core::bwauth::measure_echo_period_observed;
 use flashflow_core::echo::{EchoDeployment, EchoItem};
 use flashflow_core::engine::{EngineEvent, PeerDirectory};
+// Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
+pub use flashflow_core::observe::hex_fp as hex;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, Counter, Gauge, Json, MetricsRegistry, Span};
 use flashflow_proto::msg::AbortReason;
@@ -145,8 +147,9 @@ pub struct PeriodOutcome {
     pub consensus_entries: usize,
 }
 
-/// Runs one measurement period: walks the roster remainder in rounds
-/// against the deployment's processes, journaling every step, and —
+/// Runs one measurement period: walks the remainder of `roster` (built
+/// from `cfg`'s source, seed and size) in rounds against the
+/// deployment's processes, journaling every step, and —
 /// when the roster completes — votes and writes the consensus.
 /// `draining` is polled between rounds (SIGTERM leaves a resumable
 /// journal rather than finishing the walk).
@@ -157,6 +160,7 @@ pub struct PeriodOutcome {
 /// path.
 pub fn run_period(
     cfg: &DaemonConfig,
+    roster: &Roster,
     deployment: &EchoDeployment,
     pool: &ConnectionPool,
     span: &Span,
@@ -165,7 +169,6 @@ pub fn run_period(
 ) -> io::Result<PeriodOutcome> {
     std::fs::create_dir_all(&cfg.state_dir)?;
     let journal_path = cfg.journal_path();
-    let roster = roster::build(cfg.source, cfg.seed, cfg.relays);
     let state = journal::recover(&journal_path)?;
     metrics.roster_total.set(roster.entries.len() as i64);
 
@@ -244,27 +247,7 @@ pub fn run_period(
                 metrics.items_resumed.inc();
                 span.emit("item.resumed", fields![ix = ix as u64, attempt = attempt]);
             }
-            journal::append(
-                &journal_path,
-                &Record::ItemStart {
-                    ix: ix as u64,
-                    fp: hex(&entry.fp),
-                    secret,
-                    attempt: u64::from(attempt),
-                    ts: journal::now_ts(),
-                },
-            )?;
-            let trace_id = flashflow_core::echo::item_trace_id(secret, attempt);
-            span.emit("item.trace", fields![ix = ix as u64, attempt = attempt, trace = trace_id]);
-            items.push(EchoItem {
-                relay_fp: entry.fp,
-                slot_secs: cfg.slot_secs,
-                bg_allowance: cfg.bg_allowance,
-                measurement_secret: secret,
-                attempt,
-                resume: attempt > 0,
-                trace_id,
-            });
+            items.push(start_item(cfg, span, ix, entry.fp, secret, attempt, attempt > 0)?);
         }
         span.emit(
             "round.start",
@@ -300,7 +283,7 @@ pub fn run_period(
             let mut retry_items = Vec::with_capacity(refused.len());
             for &g in &refused {
                 let ix = round.items[g];
-                let item = items[g];
+                let item = &items[g];
                 let attempt = item.attempt + 1;
                 resume_refused += 1;
                 metrics.resume_refused.inc();
@@ -308,26 +291,18 @@ pub fn run_period(
                     "item.resume_refused",
                     fields![ix = ix as u64, attempt = u64::from(attempt)],
                 );
-                journal::append(
-                    &journal_path,
-                    &Record::ItemStart {
-                        ix: ix as u64,
-                        fp: hex(&roster.entries[ix].fp),
-                        secret: item.measurement_secret,
-                        attempt: u64::from(attempt),
-                        ts: journal::now_ts(),
-                    },
-                )?;
-                // A fresh attempt is a fresh trace: re-mint so the
-                // retry's telemetry never merges into the refused
+                // A fresh attempt is a fresh trace: the helper re-mints it
+                // so the retry's telemetry never merges into the refused
                 // attempt's timeline.
-                let trace_id =
-                    flashflow_core::echo::item_trace_id(item.measurement_secret, attempt);
-                span.emit(
-                    "item.trace",
-                    fields![ix = ix as u64, attempt = u64::from(attempt), trace = trace_id],
-                );
-                retry_items.push(EchoItem { attempt, resume: false, trace_id, ..item });
+                retry_items.push(start_item(
+                    cfg,
+                    span,
+                    ix,
+                    item.relay_fp,
+                    item.measurement_secret,
+                    attempt,
+                    false,
+                )?);
             }
             let retry = measure_echo_period_observed(deployment, &retry_items, pool, Some(span));
             for (entry, &g) in retry.entries.into_iter().zip(&refused) {
@@ -377,7 +352,7 @@ pub fn run_period(
     // between the writes re-votes from the journal next time, which is
     // idempotent).
     write_period_file(&cfg.period_path(), period, &done)?;
-    let consensus = vote_consensus(cfg, &roster, &done, span)?;
+    let consensus = vote_consensus(cfg, roster, &done, span)?;
     journal::append(
         &journal_path,
         &Record::PeriodDone { period, entries: done.len() as u64, ts: journal::now_ts() },
@@ -399,9 +374,40 @@ pub fn run_period(
     })
 }
 
-/// Lowercase hex of a fingerprint.
-pub fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+/// Opens one attempt at a roster item: journals its `ItemStart`, mints
+/// and emits the attempt's trace id, and returns the item to command.
+/// `resume` opens the sessions with the `Resume` handshake (the
+/// journaled conversation) instead of a fresh `Auth`.
+fn start_item(
+    cfg: &DaemonConfig,
+    span: &Span,
+    ix: usize,
+    fp: [u8; flashflow_proto::msg::FINGERPRINT_LEN],
+    secret: u64,
+    attempt: u32,
+    resume: bool,
+) -> io::Result<EchoItem> {
+    journal::append(
+        &cfg.journal_path(),
+        &Record::ItemStart {
+            ix: ix as u64,
+            fp: hex(&fp),
+            secret,
+            attempt: u64::from(attempt),
+            ts: journal::now_ts(),
+        },
+    )?;
+    let trace_id = flashflow_core::echo::item_trace_id(secret, attempt);
+    span.emit("item.trace", fields![ix = ix as u64, attempt = attempt, trace = trace_id]);
+    Ok(EchoItem {
+        relay_fp: fp,
+        slot_secs: cfg.slot_secs,
+        bg_allowance: cfg.bg_allowance,
+        measurement_secret: secret,
+        attempt,
+        resume,
+        trace_id,
+    })
 }
 
 /// Writes the period's bandwidth file (the deployment twin of the

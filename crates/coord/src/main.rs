@@ -279,7 +279,15 @@ fn main() {
     let pool = ConnectionPool::new();
     let mut exit = 0;
     loop {
-        match run_period(&dcfg, &deployment, &pool, &span, &metrics, &procutil::drain_requested) {
+        match run_period(
+            &dcfg,
+            &roster,
+            &deployment,
+            &pool,
+            &span,
+            &metrics,
+            &procutil::drain_requested,
+        ) {
             Ok(outcome) if outcome.drained => {
                 println!("drained");
                 break;

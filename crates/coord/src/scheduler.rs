@@ -1,22 +1,33 @@
-//! Partitioning a roster into measurement rounds.
+//! Partitioning a roster into measurement rounds — a stand-in for the
+//! paper's schedule, not an implementation of it.
 //!
-//! The paper's schedule (§4.3) allocates the team's aggregate capacity
-//! across concurrent measurements: relay `j` gets `excess × prior_j`
-//! of blast so the measurement saturates it, and as many relays run
-//! concurrently as the team can saturate at once. Here each round is
-//! one `measure_echo_period` call, and every item in a round runs
-//! concurrently against the k measurer processes by construction: the
-//! round's items are the items of one `MeasurementEngine`, which opens
-//! every item's sessions before its first tick and releases each item's
-//! `Go` as soon as that item's own peers are armed. So the round's
-//! total commanded blast (`k × per-measurer rate per item`) must fit
-//! inside the team budget.
+//! The paper (§4.2, §4.3) gives relay `j` an allocation of `f·z₀ⱼ`
+//! split over measurers with unequal capacities, packs as many relays
+//! into a slot as the team's spare capacity allows, and re-measures a
+//! relay whose estimate the allocation may have clipped from
+//! `max(z, 2·z₀)`. That loop exists once, in
+//! `flashflow_core::sequence::measure_period` (the decision alone is
+//! `sequence::judge`), over plain numbers and a caller-supplied slot
+//! executor, so this daemon can run it with a round of processes as the
+//! executor: `EchoEntry.capacity` is the estimate, the round's summed
+//! `rate_cap` the allocation. ROADMAP's "the daemon runs the paper's
+//! schedule" item makes that switch and deletes this module; it waits on
+//! relays with a forwarding limit, because an unbounded relay can never
+//! pass the acceptance test.
 //!
-//! Packing is greedy, largest prior first (the order
-//! `BwAuth::measure_network` uses), deterministic given the same
-//! pending set — which matters because a restarted coordinator replans
-//! from its journal and should walk the remainder in a predictable
-//! order.
+//! Until then: every item costs the same fixed blast (the deployment
+//! commands one `rate_cap` per measurer whatever the relay's prior),
+//! each relay is measured once, and a round carries as many items as
+//! that fixed cost fits into the team budget. Each round is one
+//! `measure_echo_period` call whose items run concurrently by
+//! construction: they are the items of one `MeasurementEngine`, which
+//! opens every item's sessions before its first tick and releases each
+//! item's `Go` as soon as that item's own peers are armed.
+//!
+//! Packing is largest prior first (the order `measure_period` uses),
+//! deterministic given the same pending set — which matters because a
+//! restarted coordinator replans from its journal and should walk the
+//! remainder in a predictable order.
 
 use crate::roster::RosterEntry;
 
@@ -37,8 +48,8 @@ pub struct PlanConfig {
     /// paper's `excess × prior`, here a fixed per-item cost because the
     /// echo deployment commands one rate per measurer.
     pub per_item_blast: f64,
-    /// Hard cap on items per round (`0` = no cap beyond capacity);
-    /// bounds the `--sessions`-style fan-out per round.
+    /// Hard cap on items per round (`0` = no cap beyond capacity):
+    /// `flashflow-coord --round-max`.
     pub round_max: usize,
 }
 

@@ -1,12 +1,11 @@
 //! BWAuths: driving a measurement period and aggregating across
 //! authorities (§4.3, §4 "Trust and Diversity").
 //!
-//! Each BWAuth owns a measurement team, derives the (secret, shared)
-//! randomized schedule for the period, executes the slots — measuring
-//! multiple relays concurrently when team capacity allows — and emits a
-//! *bandwidth file* with a capacity estimate per relay. The DirAuths then
-//! take the median across BWAuths, so a minority of malicious authorities
-//! cannot move a relay's weight.
+//! Each BWAuth owns a measurement team, runs [`measure_period`] over the
+//! relays — measuring several concurrently when team capacity allows —
+//! and emits a *bandwidth file* with a capacity estimate per relay. The
+//! DirAuths then take the median across BWAuths, so a minority of
+//! malicious authorities cannot move a relay's weight.
 
 use std::collections::BTreeMap;
 
@@ -15,11 +14,9 @@ use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
-use crate::measure::{assignments_for, BatchItem};
+use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
 use crate::params::Params;
-use crate::proto_driver::SlotRunner;
-use crate::schedule::{build_randomized_schedule, Schedule, ScheduleError};
-use crate::sequence::SequenceEnd;
+use crate::sequence::{measure_period, SequenceEnd, Settled};
 use crate::team::Team;
 use crate::verify::TargetBehavior;
 
@@ -44,6 +41,15 @@ pub struct BandwidthFile {
 }
 
 impl BandwidthFile {
+    /// The file for a finished [`measure_period`].
+    pub fn from_settled(settled: &[Settled<RelayId>]) -> Self {
+        let entries = settled.iter().map(|s| {
+            let capacity = Rate::from_bytes_per_sec(s.estimate);
+            (s.key, BwEntry { relay: s.key, capacity, end: s.end, rounds: s.rounds })
+        });
+        BandwidthFile { entries: entries.collect() }
+    }
+
     /// Per-relay weights for consensus voting: FlashFlow uses the
     /// capacity estimates directly as weights.
     pub fn weights(&self) -> BTreeMap<RelayId, f64> {
@@ -60,17 +66,6 @@ impl BandwidthFile {
     }
 }
 
-/// How a BWAuth executes its measurement slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeasureBackend {
-    /// Direct calls into the blast loop (the original shared-memory path).
-    #[default]
-    Direct,
-    /// The `flashflow-proto` control protocol: sessions, frames, and
-    /// timeouts between the coordinator and every measurer and target.
-    Protocol,
-}
-
 /// A Bandwidth Authority with its measurement team.
 #[derive(Debug)]
 pub struct BwAuth {
@@ -80,46 +75,21 @@ pub struct BwAuth {
     pub team: Team,
     /// FlashFlow parameters.
     pub params: Params,
-    /// How slots are executed.
-    pub backend: MeasureBackend,
     rng: SimRng,
 }
 
 impl BwAuth {
-    /// Creates an authority with its own RNG stream, using the direct
-    /// measurement backend.
+    /// Measurements a relay gets per period before its last estimate
+    /// stands as a lower bound.
+    pub const MAX_ROUNDS: u32 = 6;
+
+    /// Creates an authority with its own RNG stream.
     pub fn new(name: impl Into<String>, team: Team, params: Params, seed: u64) -> Self {
-        BwAuth {
-            name: name.into(),
-            team,
-            params,
-            backend: MeasureBackend::default(),
-            rng: SimRng::seed_from_u64(seed),
-        }
+        BwAuth { name: name.into(), team, params, rng: SimRng::seed_from_u64(seed) }
     }
 
-    /// Selects the measurement backend (builder style).
-    pub fn with_backend(mut self, backend: MeasureBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Derives this period's randomized schedule for the given old relays
-    /// and their priors.
-    ///
-    /// # Errors
-    /// Propagates [`ScheduleError`].
-    pub fn plan_period(
-        &self,
-        relays: &[(RelayId, Rate)],
-        shared_seed: u64,
-    ) -> Result<Schedule, ScheduleError> {
-        build_randomized_schedule(relays, self.team.total_capacity(), &self.params, shared_seed)
-    }
-
-    /// Measures all `relays` (with priors) against the live network,
-    /// packing concurrent measurements into slots greedily and re-queuing
-    /// relays whose measurements were inconclusive with doubled priors.
+    /// Measures all `relays` (with priors) against the live network: a
+    /// [`measure_period`] whose slots run directly on the blast loop.
     /// `behavior_of` supplies each relay's echo honesty.
     ///
     /// This is the engine behind the §7 Shadow experiments: it produces
@@ -130,93 +100,14 @@ impl BwAuth {
         relays: &[(RelayId, Rate)],
         behavior_of: &dyn Fn(RelayId) -> TargetBehavior,
     ) -> BandwidthFile {
-        // Work queue: (relay, prior, rounds so far).
-        let mut queue: Vec<(RelayId, Rate, u32)> =
-            relays.iter().map(|(r, z0)| (*r, *z0, 0u32)).collect();
-        let mut file = BandwidthFile::default();
-        let max_rounds = 6;
-        let team_total = self.team.total_capacity().bytes_per_sec();
-
-        while !queue.is_empty() {
-            // Pack a slot greedily: largest demand first.
-            queue.sort_by(|a, b| {
-                b.1.bytes_per_sec().partial_cmp(&a.1.bytes_per_sec()).expect("finite")
-            });
-            let mut slot_items: Vec<(RelayId, Rate, u32, Vec<Rate>)> = Vec::new();
-            let mut reserved = vec![Rate::ZERO; self.team.len()];
-            let mut rest: Vec<(RelayId, Rate, u32)> = Vec::new();
-            for (relay, prior, rounds) in queue.drain(..) {
-                // Clamp priors beyond the team so huge relays still get a
-                // best-effort full-team measurement.
-                let prior_clamped = Rate::from_bytes_per_sec(
-                    prior.bytes_per_sec().min(team_total / self.params.excess_factor()),
-                );
-                match self.team.allocate(prior_clamped, &self.params, &reserved) {
-                    Ok(alloc) => {
-                        for (res, a) in reserved.iter_mut().zip(&alloc) {
-                            *res = *res + *a;
-                        }
-                        slot_items.push((relay, prior_clamped, rounds, alloc));
-                    }
-                    Err(_) => rest.push((relay, prior, rounds)),
-                }
-            }
-            queue = rest;
-            assert!(!slot_items.is_empty(), "slot packing made no progress");
-
-            let batch: Vec<BatchItem> = slot_items
-                .iter()
-                .map(|(relay, _, _, alloc)| BatchItem {
-                    target: *relay,
-                    assignments: assignments_for(&self.team, alloc, &self.params),
-                    behavior: behavior_of(*relay),
-                })
-                .collect();
-            let results = match self.backend {
-                MeasureBackend::Direct => crate::measure::run_concurrent_measurements(
-                    tor,
-                    &batch,
-                    &self.params,
-                    &mut self.rng,
-                ),
-                MeasureBackend::Protocol => SlotRunner::new(&self.params)
-                    .run(tor, &batch, &mut self.rng)
-                    .into_iter()
-                    .map(|p| p.measurement)
-                    .collect(),
-            };
-
-            for ((relay, prior, rounds, _), m) in slot_items.into_iter().zip(results) {
-                let rounds = rounds + 1;
-                if !m.verified() {
-                    file.entries.insert(
-                        relay,
-                        BwEntry {
-                            relay,
-                            capacity: Rate::ZERO,
-                            end: SequenceEnd::VerificationFailed,
-                            rounds,
-                        },
-                    );
-                    continue;
-                }
-                let at_team_limit = self.params.excess_factor() * prior.bytes_per_sec()
-                    >= team_total * (1.0 - 1e-9);
-                if m.conclusive(&self.params) || rounds >= max_rounds || at_team_limit {
-                    let end = if m.conclusive(&self.params) {
-                        SequenceEnd::Converged
-                    } else {
-                        SequenceEnd::TeamExhausted
-                    };
-                    file.entries
-                        .insert(relay, BwEntry { relay, capacity: m.estimate, end, rounds });
-                } else {
-                    let next = m.estimate.bytes_per_sec().max(2.0 * prior.bytes_per_sec());
-                    queue.push((relay, Rate::from_bytes_per_sec(next), rounds));
-                }
-            }
-        }
-        file
+        let BwAuth { team, params, rng, .. } = self;
+        let priors = relays.iter().map(|(relay, z0)| (*relay, z0.bytes_per_sec()));
+        let settled = measure_period(team, params, priors, Self::MAX_ROUNDS, |slot| {
+            let batch = batch_for(team, params, slot, behavior_of);
+            let measured = run_concurrent_measurements(tor, &batch, params, rng);
+            measured.iter().map(Measurement::slot_result).collect()
+        });
+        BandwidthFile::from_settled(&settled)
     }
 }
 
@@ -391,11 +282,62 @@ mod tests {
     }
 
     #[test]
-    fn plan_period_schedules_everything() {
-        let (_, team, relays) = testbed();
-        let auth = BwAuth::new("bwauth-1", team, Params::paper(), 11);
-        let schedule = auth.plan_period(&relays, 777).unwrap();
-        assert_eq!(schedule.measurement_count(), 4);
+    fn one_relay_period_agrees_with_measure_relay() {
+        // (relay limit, prior, behavior, expected end, expected rounds):
+        // converge in one, double up, run out of team, get caught forging.
+        let cases = [
+            (Some(250.0), 250.0, TargetBehavior::Honest, SequenceEnd::Converged, 1),
+            (Some(500.0), 50.0, TargetBehavior::Honest, SequenceEnd::Converged, 4),
+            (None, 100.0, TargetBehavior::Honest, SequenceEnd::TeamExhausted, 3),
+            (
+                Some(500.0),
+                500.0,
+                TargetBehavior::Forging { fraction: 1.0 },
+                SequenceEnd::VerificationFailed,
+                1,
+            ),
+        ];
+        for (limit, prior, behavior, end, rounds) in cases {
+            // Identical fresh networks and RNG streams for the two paths.
+            let bed = || {
+                let mut tor = TorNet::new();
+                let m = tor.add_host(HostProfile::us_e());
+                let host = tor.add_host(HostProfile::us_sw());
+                tor.net.set_rtt(m, host, SimDuration::from_millis(62));
+                let mut config = RelayConfig::new("target");
+                if let Some(l) = limit {
+                    config = config.with_rate_limit(Rate::from_mbit(l));
+                }
+                let relay = tor.add_relay(host, config);
+                (tor, Team::with_capacities(&[(m, Rate::from_mbit(1611.0))]), relay)
+            };
+            let params = Params::paper();
+            let prior = Rate::from_mbit(prior);
+
+            let (mut tor, team, relay) = bed();
+            let mut rng = SimRng::seed_from_u64(21);
+            let single = crate::sequence::measure_relay(
+                &mut tor,
+                relay,
+                &team,
+                prior,
+                &params,
+                behavior,
+                &mut rng,
+                BwAuth::MAX_ROUNDS,
+            )
+            .unwrap();
+
+            let (mut tor, team, relay) = bed();
+            let mut auth = BwAuth::new("bwauth-1", team, params, 21);
+            let file = auth.measure_network(&mut tor, &[(relay, prior)], &|_| behavior);
+            let entry = &file.entries[&relay];
+
+            assert_eq!((&single.end, single.rounds.len()), (&end, rounds), "limit {limit:?}");
+            assert_eq!(entry.end, single.end, "limit {limit:?}");
+            assert_eq!(entry.rounds as usize, single.rounds.len(), "limit {limit:?}");
+            assert_eq!(entry.capacity, single.estimate, "limit {limit:?}");
+        }
     }
 
     #[test]

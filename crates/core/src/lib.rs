@@ -29,10 +29,12 @@
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
 //! | [`proto_driver`] | §4.1 | the same slots driven end-to-end through the `flashflow-proto` control protocol over the engine |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
-//! | [`sequence`] | §4.2 | adaptive re-measurement with doubling |
+//! | [`sequence`] | §4.2, §4.3 | the accept-or-double rule over plain numbers (`judge`) and the one period loop that packs slots by spare team capacity and applies it (`measure_period`), generic over the relay key and the slot executor |
 //! | [`schedule`] | §4.3 | randomized period schedules, greedy packing |
-//! | [`bwauth`] | §4.3, §7 | period driver, bandwidth files, aggregation |
+//! | [`bwauth`] | §4.3, §7 | a BWAuth's period on the direct executor, bandwidth files, echo-topology rounds, cross-BWAuth aggregation |
 //! | [`security`] | §5 | analytical attack bounds |
+//! | [`sybil`] | §5 | simultaneous measurement of a declared family vs. one at a time |
+//! | [`dynamic`] | §9 | downward-only weight adjustment from insecure self-reported load |
 //!
 //! ## Quickstart
 //!
@@ -87,7 +89,7 @@ pub mod prelude {
     pub use crate::alloc::{greedy_allocate, greedy_allocate_rates, AllocError};
     pub use crate::bwauth::{
         aggregate_bwauths, measure_echo_period, measure_echo_period_observed, BandwidthFile,
-        BwAuth, BwEntry, EchoEntry, EchoPeriodFile, MeasureBackend,
+        BwAuth, BwEntry, EchoEntry, EchoPeriodFile,
     };
     pub use crate::dynamic::{adjust_weights, DynamicPolicy, DynamicReport};
     pub use crate::echo::{run_round, EchoDeployment, EchoItem, EchoMeasurer};
@@ -96,8 +98,8 @@ pub mod prelude {
         PeerId, SampleLedger, DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,
     };
     pub use crate::measure::{
-        assignments_for, measure_once, run_concurrent_measurements, run_measurement, Assignment,
-        BatchItem, Measurement, SecondSample,
+        assignments_for, batch_for, measure_once, run_concurrent_measurements, run_measurement,
+        Assignment, BatchItem, Measurement, SecondSample,
     };
     pub use crate::params::Params;
     pub use crate::pool::{
@@ -113,7 +115,10 @@ pub mod prelude {
     pub use crate::security::{
         capacity_on_demand_failure_probability, max_inflation_factor, summarize,
     };
-    pub use crate::sequence::{measure_relay, new_relay_prior, SequenceEnd, SequenceOutcome};
+    pub use crate::sequence::{
+        judge, measure_period, measure_relay, new_relay_prior, SequenceEnd, SequenceOutcome,
+        Settled, SlotItem, SlotResult, Verdict,
+    };
     pub use crate::sybil::{measure_family, FamilyMeasurement};
     pub use crate::team::{Measurer, Team};
     pub use crate::verify::{evasion_probability, spot_check, TargetBehavior, VerificationOutcome};

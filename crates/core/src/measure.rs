@@ -23,6 +23,7 @@ use flashflow_tornet::relay::RelayId;
 use flashflow_tornet::sched::clamp_reported_background;
 
 use crate::params::Params;
+use crate::sequence::{SlotItem, SlotResult};
 use crate::team::Team;
 use crate::verify::{spot_check, TargetBehavior, VerificationOutcome};
 
@@ -110,6 +111,15 @@ impl Measurement {
     pub fn conclusive(&self, params: &Params) -> bool {
         self.estimate.bytes_per_sec() < params.acceptance_threshold(self.allocated.bytes_per_sec())
     }
+
+    /// The numbers [`judge`](crate::sequence::judge) decides on.
+    pub fn slot_result(&self) -> SlotResult {
+        SlotResult {
+            estimate: self.estimate.bytes_per_sec(),
+            allocated: self.allocated.bytes_per_sec(),
+            verified: self.verified(),
+        }
+    }
 }
 
 /// One entry in a concurrent measurement batch.
@@ -121,6 +131,24 @@ pub struct BatchItem {
     pub assignments: Vec<Assignment>,
     /// The target's echo honesty for the spot-check layer.
     pub behavior: TargetBehavior,
+}
+
+/// The batch for a slot [`measure_period`](crate::sequence::measure_period)
+/// packed: each item's allocation split into per-measurer assignments,
+/// with `behavior_of` supplying each relay's echo honesty.
+pub fn batch_for(
+    team: &Team,
+    params: &Params,
+    slot: &[SlotItem<RelayId>],
+    behavior_of: &dyn Fn(RelayId) -> TargetBehavior,
+) -> Vec<BatchItem> {
+    slot.iter()
+        .map(|item| BatchItem {
+            target: item.key,
+            assignments: assignments_for(team, &item.allocation, params),
+            behavior: behavior_of(item.key),
+        })
+        .collect()
 }
 
 /// Runs several measurements *concurrently* in one slot — a FlashFlow

@@ -16,8 +16,9 @@ use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
-use crate::measure::{assignments_for, run_concurrent_measurements, BatchItem};
+use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
 use crate::params::Params;
+use crate::sequence::measure_period;
 use crate::team::Team;
 use crate::verify::TargetBehavior;
 
@@ -64,7 +65,8 @@ impl FamilyMeasurement {
 /// simultaneously, so the BWAuth can compare.
 ///
 /// # Panics
-/// Panics if the family has fewer than two members.
+/// Panics if the family has fewer than two members, or the team cannot
+/// serve all of them in one slot.
 pub fn measure_family(
     tor: &mut TorNet,
     family: &[RelayId],
@@ -76,40 +78,21 @@ pub fn measure_family(
     assert!(family.len() >= 2, "a family needs at least two members");
     assert_eq!(family.len(), priors.len(), "one prior per member");
 
-    // Individual (separate-time) estimates.
-    let mut individual = BTreeMap::new();
-    for (relay, prior) in family.iter().zip(priors) {
-        let reserved = vec![Rate::ZERO; team.len()];
-        let alloc = team.allocate(*prior, params, &reserved).expect("team capacity");
-        let assignments = assignments_for(team, &alloc, params);
-        let m = crate::measure::run_measurement(
-            tor,
-            *relay,
-            &assignments,
-            params,
-            TargetBehavior::Honest,
-            rng,
-        );
-        individual.insert(*relay, m.estimate);
-    }
-
-    // Simultaneous estimates: one batch, shared slot.
-    let mut reserved = vec![Rate::ZERO; team.len()];
-    let mut items = Vec::new();
-    for (relay, prior) in family.iter().zip(priors) {
-        let alloc = team.allocate(*prior, params, &reserved).expect("team capacity");
-        for (res, a) in reserved.iter_mut().zip(&alloc) {
-            *res = *res + *a;
-        }
-        items.push(BatchItem {
-            target: *relay,
-            assignments: assignments_for(team, &alloc, params),
-            behavior: TargetBehavior::Honest,
+    // One measurement each, every member of `members` in the same slot.
+    let mut measure = |members: &[(RelayId, Rate)]| -> BTreeMap<RelayId, Rate> {
+        let priors = members.iter().map(|(relay, prior)| (*relay, prior.bytes_per_sec()));
+        let settled = measure_period(team, params, priors, 1, |slot| {
+            assert_eq!(slot.len(), members.len(), "team capacity");
+            let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
+            let measured = run_concurrent_measurements(tor, &batch, params, rng);
+            measured.iter().map(Measurement::slot_result).collect()
         });
-    }
-    let results = run_concurrent_measurements(tor, &items, params, rng);
-    let concurrent: BTreeMap<RelayId, Rate> =
-        family.iter().zip(results).map(|(r, m)| (*r, m.estimate)).collect();
+        settled.iter().map(|s| (s.key, Rate::from_bytes_per_sec(s.estimate))).collect()
+    };
+    let members: Vec<(RelayId, Rate)> =
+        family.iter().copied().zip(priors.iter().copied()).collect();
+    let individual = members.iter().flat_map(|member| measure(&[*member])).collect();
+    let concurrent = measure(&members);
 
     FamilyMeasurement { concurrent, individual }
 }

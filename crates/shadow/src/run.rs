@@ -4,8 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use flashflow_core::measure::{assignments_for, BatchItem};
+use flashflow_core::measure::{batch_for, run_concurrent_measurements, Measurement};
 use flashflow_core::params::Params;
+use flashflow_core::sequence::measure_period;
 use flashflow_core::team::Team;
 use flashflow_core::verify::TargetBehavior;
 use flashflow_metrics::error::nwe_against_truth;
@@ -191,8 +192,8 @@ pub fn run_measurement_phase(cfg: &ShadowConfig) -> MeasurementPhase {
 }
 
 /// FlashFlow whole-network measurement with the Markov driver ticking
-/// between slots: packs relays into slots greedily by demand, doubles
-/// priors on inconclusive measurements, and returns per-relay estimates.
+/// between slots: a [`measure_period`] from the relays' observed
+/// bandwidths, returning per-relay estimates in bytes/s.
 pub fn measure_network_with_background(
     net: &mut PrivateNetwork,
     markov: &mut MarkovDriver,
@@ -200,65 +201,22 @@ pub fn measure_network_with_background(
     params: &Params,
     rng: &mut SimRng,
 ) -> BTreeMap<RelayId, f64> {
-    let team_total = team.total_capacity().bytes_per_sec();
     // Priors: new-relay style — the 75th percentile of (a noisy view of)
     // current advertised values; here we simply start at the observed
     // bandwidths, which is what a first deployment would have.
-    let mut queue: Vec<(RelayId, f64, u32)> = net
+    let priors: Vec<(RelayId, f64)> = net
         .relays
         .iter()
-        .map(|r| {
-            let obs = net.tor.relay(*r).observed.observed().bytes_per_sec();
-            (*r, obs.max(1e6), 0u32)
-        })
+        .map(|r| (*r, net.tor.relay(*r).observed.observed().bytes_per_sec().max(1e6)))
         .collect();
-    let mut out = BTreeMap::new();
-    let max_rounds = 5;
-
-    while !queue.is_empty() {
-        queue.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        let mut reserved = vec![Rate::ZERO; team.len()];
-        let mut slot: Vec<(RelayId, f64, u32, Vec<Rate>)> = Vec::new();
-        let mut rest = Vec::new();
-        for (relay, prior, rounds) in queue.drain(..) {
-            let clamped = prior.min(team_total / params.excess_factor());
-            match team.allocate(Rate::from_bytes_per_sec(clamped), params, &reserved) {
-                Ok(alloc) => {
-                    for (res, a) in reserved.iter_mut().zip(&alloc) {
-                        *res = *res + *a;
-                    }
-                    slot.push((relay, clamped, rounds, alloc));
-                }
-                Err(_) => rest.push((relay, prior, rounds)),
-            }
-        }
-        queue = rest;
-        assert!(!slot.is_empty(), "no progress packing a slot");
-
-        let items: Vec<BatchItem> = slot
-            .iter()
-            .map(|(relay, _, _, alloc)| BatchItem {
-                target: *relay,
-                assignments: assignments_for(team, alloc, params),
-                behavior: TargetBehavior::Honest,
-            })
-            .collect();
-        let results =
-            flashflow_core::measure::run_concurrent_measurements(&mut net.tor, &items, params, rng);
+    let settled = measure_period(team, params, priors, 5, |slot| {
+        let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
+        let measured = run_concurrent_measurements(&mut net.tor, &batch, params, rng);
         // Let the background clients respawn with the elapsed slot time.
         markov.on_tick(&mut net.tor);
-
-        for ((relay, prior, rounds, _), m) in slot.into_iter().zip(results) {
-            let rounds = rounds + 1;
-            let at_limit = params.excess_factor() * prior >= team_total * (1.0 - 1e-9);
-            if m.conclusive(params) || rounds >= max_rounds || at_limit {
-                out.insert(relay, m.estimate.bytes_per_sec());
-            } else {
-                queue.push((relay, m.estimate.bytes_per_sec().max(2.0 * prior), rounds));
-            }
-        }
-    }
-    out
+        measured.iter().map(Measurement::slot_result).collect()
+    });
+    settled.iter().map(|s| (s.key, s.estimate)).collect()
 }
 
 /// Result of one performance run (one system × one load level).

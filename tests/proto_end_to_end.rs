@@ -113,8 +113,9 @@ fn stalled_measurer_triggers_abort_not_hang() {
 
 #[test]
 fn bwauth_period_runs_over_protocol_backend() {
-    // The BWAuth period driver produces an accurate bandwidth file with
-    // every slot executed through protocol sessions.
+    // The period driver `BwAuth::measure_network` runs produces an
+    // accurate bandwidth file with every slot executed through protocol
+    // sessions instead: the executor is the only thing that differs.
     let mut tor = TorNet::new();
     let m1 = tor.add_host(HostProfile::us_e());
     let m2 = tor.add_host(HostProfile::host_nl());
@@ -131,9 +132,15 @@ fn bwauth_period_runs_over_protocol_backend() {
     }
     let team =
         Team::with_capacities(&[(m1, Rate::from_mbit(941.0)), (m2, Rate::from_mbit(1611.0))]);
-    let mut auth = BwAuth::new("bwauth-proto", team, Params::paper(), 11)
-        .with_backend(MeasureBackend::Protocol);
-    let file = auth.measure_network(&mut tor, &relays, &|_| TargetBehavior::Honest);
+    let params = Params::paper();
+    let mut rng = SimRng::seed_from_u64(11);
+    let priors = relays.iter().map(|(relay, z0)| (*relay, z0.bytes_per_sec()));
+    let settled = measure_period(&team, &params, priors, BwAuth::MAX_ROUNDS, |slot| {
+        let batch = batch_for(&team, &params, slot, &|_| TargetBehavior::Honest);
+        let measured = SlotRunner::new(&params).run(&mut tor, &batch, &mut rng);
+        measured.iter().map(|p| p.measurement.slot_result()).collect()
+    });
+    let file = BandwidthFile::from_settled(&settled);
     assert_eq!(file.entries.len(), 2);
     for (relay, truth) in &relays {
         let entry = &file.entries[relay];
