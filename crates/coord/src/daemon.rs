@@ -14,7 +14,11 @@
 //!   nonces;
 //! * every item start and completion is journaled before/after the
 //!   round runs, so the next incarnation — however this one dies —
-//!   knows exactly what remains.
+//!   knows exactly what remains. A round pays one fsync on each side:
+//!   its `ItemStart`s are one write, durable before the first `Auth`
+//!   leaves, and its `ItemDone`s plus `RoundDone` are one write after
+//!   the round (and any refused-`Resume` retry, whose starts are a
+//!   batch of their own) has ended.
 //!
 //! When the roster is complete the loop closes: the accumulated
 //! estimates become one BWAuth's vote, `flashflow-tornet`'s
@@ -233,6 +237,7 @@ pub fn run_period(
             });
         }
         let mut items = Vec::with_capacity(round.items.len());
+        let mut starts = Vec::with_capacity(round.items.len());
         for &ix in &round.items {
             let entry = roster.entries[ix];
             // The journal is the authority for a resumed item's secret:
@@ -247,8 +252,13 @@ pub fn run_period(
                 metrics.items_resumed.inc();
                 span.emit("item.resumed", fields![ix = ix as u64, attempt = attempt]);
             }
-            items.push(start_item(cfg, span, ix, entry.fp, secret, attempt, attempt > 0)?);
+            let (item, start) = start_item(cfg, span, ix, entry.fp, secret, attempt, attempt > 0);
+            items.push(item);
+            starts.push(start);
         }
+        // One write, one fsync: every start is durable before any
+        // session of the round opens.
+        journal::append_all(&journal_path, &starts)?;
         span.emit(
             "round.start",
             fields![round = round_ix as u64, of = total_rounds as u64, items = items.len() as u64],
@@ -281,6 +291,7 @@ pub fn run_period(
         let mut entries = file.entries;
         if !refused.is_empty() {
             let mut retry_items = Vec::with_capacity(refused.len());
+            let mut retry_starts = Vec::with_capacity(refused.len());
             for &g in &refused {
                 let ix = round.items[g];
                 let item = &items[g];
@@ -294,7 +305,7 @@ pub fn run_period(
                 // A fresh attempt is a fresh trace: the helper re-mints it
                 // so the retry's telemetry never merges into the refused
                 // attempt's timeline.
-                retry_items.push(start_item(
+                let (retry_item, start) = start_item(
                     cfg,
                     span,
                     ix,
@@ -302,47 +313,47 @@ pub fn run_period(
                     item.measurement_secret,
                     attempt,
                     false,
-                )?);
+                );
+                retry_items.push(retry_item);
+                retry_starts.push(start);
             }
+            journal::append_all(&journal_path, &retry_starts)?;
             let retry = measure_echo_period_observed(deployment, &retry_items, pool, Some(span));
             for (entry, &g) in retry.entries.into_iter().zip(&refused) {
                 entries[g] = entry;
             }
         }
 
+        // The round's completions and its `RoundDone`: one write, one
+        // fsync, and no `ItemDone` before the round (retry included)
+        // has ended.
+        let mut records = Vec::with_capacity(entries.len() + 1);
         for (entry, &ix) in entries.iter().zip(&round.items) {
-            journal::append(
-                &journal_path,
-                &Record::ItemDone {
-                    ix: ix as u64,
-                    fp: hex(&entry.relay_fp),
-                    capacity: entry.capacity.bytes_per_sec(),
-                    clean: entry.clean,
-                    divergent: entry.divergent_rows as u64,
-                    ts: journal::now_ts(),
-                },
-            )?;
-            done.insert(
-                ix as u64,
-                DoneItem {
-                    fp: hex(&entry.relay_fp),
-                    capacity: entry.capacity.bytes_per_sec(),
-                    clean: entry.clean,
-                    divergent: entry.divergent_rows as u64,
-                },
-            );
-            measured += 1;
-            metrics.items_done.inc();
-        }
-        metrics.roster_remaining.set((pending.len() - measured) as i64);
-        journal::append(
-            &journal_path,
-            &Record::RoundDone {
-                round: round_ix as u64,
-                items: round.items.len() as u64,
+            let item = DoneItem {
+                fp: hex(&entry.relay_fp),
+                capacity: entry.capacity.bytes_per_sec(),
+                clean: entry.clean,
+                divergent: entry.divergent_rows as u64,
+            };
+            records.push(Record::ItemDone {
+                ix: ix as u64,
+                fp: item.fp.clone(),
+                capacity: item.capacity,
+                clean: item.clean,
+                divergent: item.divergent,
                 ts: journal::now_ts(),
-            },
-        )?;
+            });
+            done.insert(ix as u64, item);
+        }
+        records.push(Record::RoundDone {
+            round: round_ix as u64,
+            items: round.items.len() as u64,
+            ts: journal::now_ts(),
+        });
+        journal::append_all(&journal_path, &records)?;
+        measured += entries.len();
+        metrics.items_done.add(entries.len() as u64);
+        metrics.roster_remaining.set((pending.len() - measured) as i64);
         rounds_run += 1;
         metrics.rounds.inc();
     }
@@ -374,10 +385,11 @@ pub fn run_period(
     })
 }
 
-/// Opens one attempt at a roster item: journals its `ItemStart`, mints
-/// and emits the attempt's trace id, and returns the item to command.
-/// `resume` opens the sessions with the `Resume` handshake (the
-/// journaled conversation) instead of a fresh `Auth`.
+/// Opens one attempt at a roster item: mints and emits the attempt's
+/// trace id, and returns the item to command with the `ItemStart` the
+/// caller journals (batched with the rest of the round) before any
+/// session opens. `resume` opens the sessions with the `Resume`
+/// handshake (the journaled conversation) instead of a fresh `Auth`.
 fn start_item(
     cfg: &DaemonConfig,
     span: &Span,
@@ -386,20 +398,17 @@ fn start_item(
     secret: u64,
     attempt: u32,
     resume: bool,
-) -> io::Result<EchoItem> {
-    journal::append(
-        &cfg.journal_path(),
-        &Record::ItemStart {
-            ix: ix as u64,
-            fp: hex(&fp),
-            secret,
-            attempt: u64::from(attempt),
-            ts: journal::now_ts(),
-        },
-    )?;
+) -> (EchoItem, Record) {
+    let start = Record::ItemStart {
+        ix: ix as u64,
+        fp: hex(&fp),
+        secret,
+        attempt: u64::from(attempt),
+        ts: journal::now_ts(),
+    };
     let trace_id = flashflow_core::echo::item_trace_id(secret, attempt);
     span.emit("item.trace", fields![ix = ix as u64, attempt = attempt, trace = trace_id]);
-    Ok(EchoItem {
+    let item = EchoItem {
         relay_fp: fp,
         slot_secs: cfg.slot_secs,
         bg_allowance: cfg.bg_allowance,
@@ -407,7 +416,8 @@ fn start_item(
         attempt,
         resume,
         trace_id,
-    })
+    };
+    (item, start)
 }
 
 /// Writes the period's bandwidth file (the deployment twin of the

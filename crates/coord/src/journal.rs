@@ -1,11 +1,12 @@
 //! The daemon's crash-safe period journal.
 //!
 //! One JSONL file (`journal.jsonl` inside the state directory), written
-//! with the [`flashflow_procutil::append_line`] discipline: `O_APPEND`,
-//! one `write` per line, fsync after. A crash — SIGKILL included — can
-//! tear at most the final line, so [`recover`] parses leniently: a
-//! malformed *last* line is counted and skipped, and every complete
-//! line before it is trusted.
+//! with the [`flashflow_procutil::append_lines`] discipline: `O_APPEND`,
+//! one `write` per record or batch of records ([`append_all`]), fsync
+//! after. A crash — SIGKILL included — leaves a prefix of the last
+//! write, so it can tear at most the final line, and [`recover`] parses
+//! leniently: a malformed *last* line is counted and skipped, and every
+//! complete line before it is trusted.
 //!
 //! The record vocabulary is deliberately tiny, because the journal is
 //! the *authority* for exactly three questions a restarted coordinator
@@ -335,6 +336,17 @@ pub fn append(path: &Path, record: &Record) -> io::Result<()> {
     flashflow_procutil::append_line(path, &record.to_json_line())
 }
 
+/// Appends `records` as one write and one fsync: a round's starts, or
+/// its completions and `RoundDone`, become durable together. A crash
+/// mid-write keeps a prefix of the batch — whole records, then at most
+/// one torn line — which [`recover`] reads like any torn tail.
+///
+/// # Errors
+/// Propagates the underlying append/fsync failure.
+pub fn append_all(path: &Path, records: &[Record]) -> io::Result<()> {
+    flashflow_procutil::append_lines(path, records.iter().map(Record::to_json_line))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +446,107 @@ mod tests {
         assert_eq!(state.period, 2);
         assert_eq!(state.torn_lines, 1);
         assert!(state.done.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// How many of `records` land whole in the first `cut` bytes of the
+    /// one write [`append_all`] makes of them, and whether a torn
+    /// fragment follows those. A record whose text landed but whose
+    /// newline did not is whole: no strict prefix of a JSON object
+    /// parses.
+    fn landed(records: &[Record], cut: usize) -> (usize, bool) {
+        let mut start = 0;
+        for (n, record) in records.iter().enumerate() {
+            let end = start + record.to_json_line().len();
+            if cut < end {
+                return (n, cut > start);
+            }
+            start = end + 1;
+        }
+        (records.len(), false)
+    }
+
+    /// A round of four items: their `ItemStart` batch and their
+    /// `ItemDone`s plus `RoundDone`.
+    fn round_batches() -> (Vec<Record>, Vec<Record>) {
+        let fp = |ix: u64| format!("{ix:040x}");
+        let starts = (0..4u64)
+            .map(|ix| Record::ItemStart { ix, fp: fp(ix), secret: 100 + ix, attempt: 0, ts: 2.0 })
+            .collect();
+        let mut dones: Vec<Record> = (0..4u64)
+            .map(|ix| Record::ItemDone {
+                ix,
+                fp: fp(ix),
+                capacity: 1_000.0 * (ix + 1) as f64,
+                clean: ix != 2,
+                divergent: ix,
+                ts: 3.0,
+            })
+            .collect();
+        dones.push(Record::RoundDone { round: 0, items: 4, ts: 3.5 });
+        (starts, dones)
+    }
+
+    /// Replays a journal of a period start, the whole batches in
+    /// `written`, and `batch` torn after `cut` bytes.
+    fn recover_torn(
+        path: &Path,
+        written: &[&[Record]],
+        batch: &[Record],
+        cut: usize,
+    ) -> JournalState {
+        let _ = std::fs::remove_file(path);
+        let start =
+            Record::PeriodStart { period: 1, roster: 4, seed: 9, source: "synth".into(), ts: 1.0 };
+        append(path, &start).unwrap();
+        for records in written {
+            append_all(path, records).unwrap();
+        }
+        let bytes: String = batch.iter().map(|r| r.to_json_line() + "\n").collect();
+        flashflow_procutil::append_torn_line(path, &bytes[..cut]).unwrap();
+        recover(path).expect("recover")
+    }
+
+    #[test]
+    fn every_prefix_of_a_batched_item_start_write_recovers_whole_lines_only() {
+        let path = temp_path("start-batch");
+        let (starts, _) = round_batches();
+        let len: usize = starts.iter().map(|r| r.to_json_line().len() + 1).sum();
+        for cut in 0..=len {
+            let state = recover_torn(&path, &[], &starts, cut);
+            let (whole, torn) = landed(&starts, cut);
+            assert_eq!(state.torn_lines, u64::from(torn), "cut {cut}");
+            let in_flight: Vec<u64> = state.in_flight.keys().copied().collect();
+            assert_eq!(in_flight, (0..whole as u64).collect::<Vec<_>>(), "cut {cut}");
+            assert!(state.done.is_empty(), "cut {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_prefix_of_a_batched_round_end_write_recovers_whole_lines_only() {
+        let path = temp_path("done-batch");
+        let (starts, dones) = round_batches();
+        let len: usize = dones.iter().map(|r| r.to_json_line().len() + 1).sum();
+        for cut in 0..=len {
+            let state = recover_torn(&path, &[&starts], &dones, cut);
+            let (whole, torn) = landed(&dones, cut);
+            assert_eq!(state.torn_lines, u64::from(torn), "cut {cut}");
+            // Items 0..done have a whole `ItemDone`; the rest are still
+            // in flight with their journaled secrets.
+            let done = whole.min(4) as u64;
+            assert_eq!(
+                state.done.keys().copied().collect::<Vec<_>>(),
+                (0..done).collect::<Vec<_>>()
+            );
+            for ix in 0..done {
+                assert_eq!(state.done[&ix].clean, ix != 2, "cut {cut}");
+            }
+            let in_flight: Vec<u64> = state.in_flight.keys().copied().collect();
+            assert_eq!(in_flight, (done..4).collect::<Vec<_>>(), "cut {cut}");
+            assert!(state.in_flight.iter().all(|(ix, item)| item.secret == 100 + ix));
+            assert_eq!(state.rounds_done, u64::from(whole == dones.len()), "cut {cut}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -12,8 +12,8 @@
 //!   respecting the paper's k-measurer allocation: each round's total
 //!   commanded blast must fit inside the team's aggregate capacity.
 //! * [`journal`] — the crash-safe on-disk period journal (JSONL,
-//!   O_APPEND, one write per line via
-//!   [`flashflow_procutil::append_line`]). Recovery replays the journal
+//!   O_APPEND, one write and one fsync per record or per round-side
+//!   batch via [`flashflow_procutil::append_lines`]). Recovery replays the journal
 //!   and tolerates a torn final line, so a SIGKILLed coordinator
 //!   restarts exactly where it stopped: completed relays are never
 //!   re-measured, and relays that were mid-measurement are re-run as
@@ -24,7 +24,8 @@
 //!   replays).
 //! * [`daemon`] — the period loop itself: recover → plan rounds →
 //!   [`measure_echo_period_observed`](flashflow_core::bwauth::measure_echo_period_observed)
-//!   per round → journal every item → vote a consensus through
+//!   per round → journal every item (one fsync before the round, one
+//!   after) → vote a consensus through
 //!   `flashflow-tornet`'s [`DirAuths`](flashflow_tornet::consensus::DirAuths)
 //!   and compare the weights against `flashflow-balance`'s TorFlow
 //!   baseline — one command measures a live multi-process network and

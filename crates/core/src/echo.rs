@@ -18,14 +18,22 @@
 //!
 //! [`run_round`] is the one driving loop: every item of a round is an
 //! item of a single [`MeasurementEngine`] stepped on the calling
-//! thread, so the round's items run concurrently by construction.
+//! thread, so the round's items run concurrently by construction. The
+//! loop is woken by its control sockets: it steps, then blocks in
+//! `epoll_wait` on the live peers' sockets for at most a millisecond,
+//! so a peer's frame is answered when it lands and a timeout fires no
+//! later than a fixed 1 ms step would fire it. The dials before the
+//! first step are still blocking.
 //! [`crate::bwauth::measure_echo_period`] turns what it returns into a
 //! fingerprint-keyed bandwidth file.
 
+use std::io;
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
+use flashflow_procutil::reactor::{Event, Interest, Poller};
 use flashflow_proto::msg::{
-    MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
+    AbortReason, MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
 };
 use flashflow_proto::session::{CoordPhase, CoordinatorSession, SessionTimeouts};
 use flashflow_simnet::time::{SimDuration, SimTime};
@@ -34,6 +42,10 @@ use flashflow_proto::transport::{Duplex, Transport};
 
 use crate::engine::{EngineBuilder, EngineEvent, EngineSnapshot, MeasurementEngine};
 use crate::pool::{ChannelKind, ConnectionPool, ReuseHandle};
+
+/// What the round loop keeps of a dialed peer: the grant it approves
+/// reuse through, and the socket it waits on.
+type Dialed = (ReuseHandle, i32);
 
 /// One measurer process the deployment commands.
 #[derive(Debug, Clone, Copy)]
@@ -161,11 +173,11 @@ pub fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
 fn checkout_or_dead(
     pool: &ConnectionPool,
     addr: SocketAddr,
-) -> (Box<dyn Transport>, Option<ReuseHandle>) {
+) -> (Box<dyn Transport>, Option<Dialed>) {
     match pool.checkout(addr, ChannelKind::Control) {
         Ok(conn) => {
-            let handle = conn.reuse_handle();
-            (Box::new(conn) as Box<dyn Transport>, Some(handle))
+            let dialed = (conn.reuse_handle(), conn.raw_fd());
+            (Box::new(conn) as Box<dyn Transport>, Some(dialed))
         }
         Err(e) => {
             eprintln!("echo item: dialing {addr} failed ({e}); peer degraded");
@@ -179,22 +191,22 @@ fn checkout_or_dead(
 /// Adds one echo item to `builder` as engine item `g`: control sessions
 /// to every measurer and then the relay (always the item's last peer)
 /// over pooled connections, specs carrying the relay's data endpoint
-/// and the item's measurement secret. Each peer's reuse handle (`None`
-/// for a peer whose dial failed — its session aborts with
+/// and the item's measurement secret. Each peer's reuse handle and fd
+/// (`None` for a peer whose dial failed — its session aborts with
 /// `ConnectionLost` and only this item degrades) is pushed onto
-/// `handles` in peer order.
+/// `dialed` in peer order.
 fn add_item(
     builder: &mut EngineBuilder,
     g: usize,
     deployment: &EchoDeployment,
     item: &EchoItem,
     pool: &ConnectionPool,
-    handles: &mut Vec<Option<ReuseHandle>>,
+    dialed: &mut Vec<Option<Dialed>>,
 ) {
     let timeouts = deployment.timeouts();
     let mut add = |peer_ix: u32, addr, token, role, spec| {
-        let (conn, handle) = checkout_or_dead(pool, addr);
-        handles.push(handle);
+        let (conn, peer) = checkout_or_dead(pool, addr);
+        dialed.push(peer);
         let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
         let mut session = CoordinatorSession::new(token, role, spec, nonce, timeouts)
             .with_report_ahead_cap(item.slot_secs + 2);
@@ -231,18 +243,67 @@ fn add_item(
     add(0, deployment.relay_addr(), deployment.relay_token, PeerRole::Target, spec);
 }
 
+/// Longest the round loop blocks between engine steps. Session
+/// timeouts and the hard deadline are checked at every step, so this
+/// is how late either can fire.
+const STEP_WAIT: Duration = Duration::from_millis(1);
+
+/// The round's control sockets, registered for readability under their
+/// peer index.
+struct Sockets {
+    poller: Poller,
+    /// Per peer, the fd still being watched.
+    fds: Vec<Option<i32>>,
+    ready: Vec<Event>,
+}
+
+impl Sockets {
+    fn watch(dialed: &[Option<Dialed>]) -> io::Result<Sockets> {
+        let poller = Poller::new()?;
+        let fds: Vec<Option<i32>> = dialed.iter().map(|d| d.as_ref().map(|&(_, fd)| fd)).collect();
+        for (peer, fd) in fds.iter().enumerate() {
+            if let Some(fd) = *fd {
+                poller.register(fd, peer as u64, Interest::READ)?;
+            }
+        }
+        Ok(Sockets { poller, fds, ready: Vec::new() })
+    }
+
+    /// Blocks until a live peer's socket is readable, for at most
+    /// [`STEP_WAIT`]. The sockets of terminal sessions are dropped
+    /// from the set first: a terminal endpoint no longer reads, so a
+    /// socket its peer hung up on would stay readable and spin the
+    /// loop.
+    fn wait(&mut self, engine: &MeasurementEngine) -> io::Result<()> {
+        for (peer, fd) in engine.peers().zip(&mut self.fds) {
+            if matches!(engine.phase(peer), CoordPhase::Done | CoordPhase::Failed) {
+                if let Some(fd) = fd.take() {
+                    // The socket stays open until the engine drops it,
+                    // so this cannot fail on a stale fd.
+                    let _ = self.poller.deregister(fd);
+                }
+            }
+        }
+        self.poller.wait(&mut self.ready, STEP_WAIT)
+    }
+}
+
 /// Runs one round of echo items to completion on the calling thread:
 /// one engine whose item `g` is `items[g]` (peers numbered item by
-/// item, each item's k measurers then its relay), stepped every
-/// millisecond on the deployment's sped-up clock until every
-/// conversation is terminal. `emit` sees every engine event, in engine
-/// order, as it happens. Sessions that ended cleanly park their
-/// connections back in `pool`; everything else really closes. The
-/// returned snapshot is the round's peer directory, detached so the
-/// engine can be dropped (which is what hands the connections back).
+/// item, each item's k measurers then its relay), stepped on the
+/// deployment's sped-up clock until every conversation is terminal.
+/// Between steps the loop blocks on the live peers' control sockets,
+/// so a frame is handled as soon as it arrives, and never for longer
+/// than 1 ms, so timeouts fire on time. `emit` sees every engine
+/// event, in engine order, as it happens. Sessions that ended cleanly
+/// park their connections back in `pool`; everything else really
+/// closes. The returned snapshot is the round's peer directory,
+/// detached so the engine can be dropped (which is what hands the
+/// connections back).
 ///
 /// Dials are blocking `pool.checkout` calls made one after another
-/// before the first `Auth` leaves.
+/// before the first `Auth` leaves. A round that cannot watch its
+/// sockets aborts every session rather than step blind.
 pub fn run_round(
     deployment: &EchoDeployment,
     items: &[EchoItem],
@@ -250,16 +311,20 @@ pub fn run_round(
     emit: &mut dyn FnMut(EngineEvent),
 ) -> EngineSnapshot {
     let mut builder = MeasurementEngine::builder();
-    let mut handles = Vec::new();
+    let mut dialed = Vec::new();
     for (g, item) in items.iter().enumerate() {
-        add_item(&mut builder, g, deployment, item, pool, &mut handles);
+        add_item(&mut builder, g, deployment, item, pool, &mut dialed);
     }
     // 60 sped-up seconds of hard wall: far beyond one slot.
     let deadline = SimTime::from_secs_f64(60.0 * deployment.speedup.max(1.0));
     let mut engine = builder.hard_deadline(deadline).build(SimTime::ZERO);
-    let t0 = std::time::Instant::now();
+    let mut sockets = Sockets::watch(&dialed);
+    if let Err(e) = &sockets {
+        eprintln!("echo round: cannot watch the peer sockets ({e}); round aborted");
+        engine.abort_all(AbortReason::Shutdown);
+    }
+    let t0 = Instant::now();
     loop {
-        std::thread::sleep(std::time::Duration::from_millis(1));
         let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * deployment.speedup);
         let live = engine.step(now);
         while let Some(ev) = engine.poll_event() {
@@ -268,10 +333,18 @@ pub fn run_round(
         if !live {
             break;
         }
+        // An aborted engine is finished after one more step, so a round
+        // without sockets to wait on ends without spinning.
+        if let Ok(sockets) = &mut sockets {
+            if let Err(e) = sockets.wait(&engine) {
+                eprintln!("echo round: waiting on the peer sockets failed ({e}); round aborted");
+                engine.abort_all(AbortReason::Shutdown);
+            }
+        }
     }
     // Park what ended cleanly; everything else really closes.
-    for (peer, handle) in engine.peers().zip(&handles) {
-        if let Some(handle) = handle {
+    for (peer, dialed) in engine.peers().zip(&dialed) {
+        if let Some((handle, _)) = dialed {
             if engine.phase(peer) == CoordPhase::Done {
                 handle.approve();
             }

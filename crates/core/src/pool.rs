@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use flashflow_procutil::reactor::{Interest, Poller};
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::Msg;
 use flashflow_proto::tcp::TcpTransport;
@@ -101,14 +102,20 @@ impl Default for PoolShared {
 /// `Ping`, wait (bounded) for the matching `Pong`. The serving process
 /// answers from its parked `AwaitAuth` session, so a positive answer
 /// proves the whole path — socket, process, session loop — is alive,
-/// which no amount of local socket inspection can.
+/// which no amount of local socket inspection can. The wait is on the
+/// socket's readiness, so the `Pong` is read the moment it lands.
 fn ping_probe(transport: &mut TcpTransport, probe: u64) -> bool {
     if transport.send(SimTime::ZERO, &encode(&Msg::Ping { probe })).is_err() {
         return false;
     }
+    let Ok(poller) = Poller::new() else { return false };
+    if poller.register(transport.raw_fd(), 0, Interest::READ).is_err() {
+        return false;
+    }
     let mut decoder = FrameDecoder::new();
+    let mut ready = Vec::new();
     let deadline = Instant::now() + PROBE_TIMEOUT;
-    while Instant::now() < deadline {
+    loop {
         match transport.recv(SimTime::ZERO) {
             Ok(bytes) => {
                 decoder.push(&bytes);
@@ -119,13 +126,16 @@ fn ping_probe(transport: &mut TcpTransport, probe: u64) -> bool {
                     Ok(Some(Msg::Pong { probe: got })) => return got == probe,
                     Ok(Some(_)) | Err(_) => return false,
                     // Partial (or no) frame yet; wait for more bytes.
-                    Ok(None) => std::thread::sleep(Duration::from_millis(1)),
+                    Ok(None) => {}
                 }
             }
             Err(_) => return false,
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || poller.wait(&mut ready, left).is_err() {
+            return false;
+        }
     }
-    false
 }
 
 /// A shared pool of warm [`TcpTransport`] connections, keyed by peer
@@ -313,6 +323,12 @@ impl PooledConn {
     /// Bytes accepted for send but not yet taken by the kernel.
     pub fn pending_send_bytes(&self) -> usize {
         self.inner.as_ref().map_or(0, TcpTransport::pending_send_bytes)
+    }
+
+    /// The socket's raw fd, for registering it with a readiness poller.
+    /// Stable until the connection is dropped.
+    pub fn raw_fd(&self) -> i32 {
+        self.inner.as_ref().expect("present until drop").raw_fd()
     }
 
     fn transport(&mut self) -> &mut TcpTransport {

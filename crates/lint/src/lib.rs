@@ -83,11 +83,12 @@ pub struct LintConfig {
     /// The journal-exhaustiveness rule's anchors; `None` disables the
     /// rule (fixture trees have no journal).
     pub journal: Option<JournalConfig>,
-    /// Path fragments naming reactor modules (matched against each
-    /// `/`-separated segment) — the event loop, the roles' hooks, and
-    /// the peer library they plug into: non-test code there must never
-    /// `thread::sleep` — a blocked shard stalls every connection the
-    /// epoll loop drives.
+    /// Path fragments naming reactor modules (matched as substrings of
+    /// the workspace-relative path) — the event loop, the roles' hooks,
+    /// the peer library they plug into, and the coordinator's round
+    /// loop and connection pool, which wait on socket readiness too:
+    /// non-test code there must never `thread::sleep` — a blocked shard
+    /// stalls every connection the epoll loop drives.
     pub reactor_path_fragments: Vec<String>,
     /// Rules downgraded to advisory: still reported, but exempt from
     /// the nonzero exit.
@@ -162,7 +163,12 @@ impl Default for LintConfig {
                 decode_fn: "parse".into(),
                 apply_fn: "apply".into(),
             }),
-            reactor_path_fragments: vec!["reactor".into(), "peer.rs".into()],
+            reactor_path_fragments: vec![
+                "reactor".into(),
+                "peer.rs".into(),
+                "core/src/echo.rs".into(),
+                "core/src/pool.rs".into(),
+            ],
             allow: BTreeSet::new(),
         }
     }

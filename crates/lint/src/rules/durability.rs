@@ -2,8 +2,8 @@
 //! whose journal and consensus documents must survive SIGKILL), every
 //! file write goes through `flashflow-procutil::persist` — that is
 //! where the fsync discipline lives (`atomic_write`'s
-//! stage/fsync/rename/dirsync, `append_line`'s O_APPEND +
-//! one-write-per-line + fsync). A raw `File::create`, `OpenOptions`,
+//! stage/fsync/rename/dirsync, `append_line`/`append_lines`' O_APPEND +
+//! one write per line or batch + fsync). A raw `File::create`, `OpenOptions`,
 //! or `std::fs::write` in such a crate is a write the crash-recovery
 //! proof does not cover, even in tests: a test helper that bypasses
 //! the discipline rots into a production pattern.

@@ -7,11 +7,12 @@
 //! per-connection deadlines/ticks express "later" without parking the
 //! thread.
 //!
-//! Scope: non-test code in files whose path names a reactor module
-//! (any segment or file name containing a configured fragment —
-//! `reactor` and `peer.rs` by default). Test modules and `tests/`/`benches/` trees
-//! are exempt: a harness thread sleeping between assertions blocks
-//! nobody's data plane.
+//! Scope: non-test code in files whose path contains a configured
+//! fragment — `reactor`, `peer.rs`, and the coordinator's
+//! `core/src/echo.rs` round loop and `core/src/pool.rs` keepalive
+//! probe by default. Test modules and `tests/`/`benches/` trees are
+//! exempt: a harness thread sleeping between assertions blocks nobody's
+//! data plane.
 
 use crate::scan::FileScan;
 use crate::{Finding, LintConfig};
@@ -19,10 +20,7 @@ use crate::{Finding, LintConfig};
 pub const RULE: &str = "no-sleep-in-reactor";
 
 pub fn check(scan: &FileScan<'_>, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    let in_scope = cfg
-        .reactor_path_fragments
-        .iter()
-        .any(|frag| scan.path.split('/').any(|seg| seg.contains(frag.as_str())));
+    let in_scope = cfg.reactor_path_fragments.iter().any(|frag| scan.path.contains(frag.as_str()));
     if !in_scope {
         return;
     }

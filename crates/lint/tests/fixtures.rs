@@ -191,6 +191,20 @@ fn no_sleep_in_reactor_fixtures() {
     assert_eq!(good, vec![], "tick/deadline waiting and a local `sleep` binding must be silent");
 }
 
+/// The coordinator's round loop and connection pool wait on socket
+/// readiness; a sleep-step creeping back into either is caught.
+#[test]
+fn coordinator_round_loop_and_pool_are_in_scope_for_no_sleep() {
+    let cfg = LintConfig::default();
+    let sleeps = include_str!("fixtures/no_sleep_round_loop_bad.rs");
+    for path in ["crates/core/src/echo.rs", "crates/core/src/pool.rs"] {
+        let found = lint_file(path, sleeps, &cfg);
+        assert_eq!(rules_of(&found), vec!["no-sleep-in-reactor"; 2], "{path}: {found:?}");
+    }
+    // The rest of core is simulation and policy code; it may sleep.
+    assert_eq!(lint_file("crates/core/src/engine.rs", sleeps, &cfg), vec![]);
+}
+
 /// Lint scope follows the code: the peer library the relay and measurer
 /// serving paths moved into is held to the same two rules they were.
 #[test]

@@ -19,7 +19,7 @@ pub mod reactor;
 
 pub use metrics_endpoint::{fetch_metrics, spawn_metrics_endpoint, start_metrics_endpoint};
 pub use net::listen_reuseaddr;
-pub use persist::{append_line, append_torn_line, atomic_write, journal_writer};
+pub use persist::{append_line, append_lines, append_torn_line, atomic_write, journal_writer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};

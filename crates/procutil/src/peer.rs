@@ -650,49 +650,61 @@ impl<R: Role> Conversation<R> {
         self.terminal_flushes = 0;
         self.conv = peer.role.conversation();
         self.endpoint = Some(endpoint);
+        // The pre-read bytes may have carried the whole opener.
+        self.claim_opener();
     }
 
-    /// One step of the conversation, on socket readiness or shard tick.
+    /// Claims the nonce the session accepted, if it accepted one since
+    /// the last call, in the process-wide window: of two concurrent
+    /// connections replaying the same opener, exactly one witnesses it
+    /// first and the loser is dropped — a session-local window cannot
+    /// arbitrate that. Runs after every read and before anything is
+    /// flushed, and the loser's queued `AuthOk` is discarded before its
+    /// `Abort`, so the loser's coordinator never sees a handshake.
+    fn claim_opener(&mut self) {
+        if self.claimed_nonce.is_some() {
+            return;
+        }
+        let peer = &self.peer;
+        let Some(endpoint) = self.endpoint.as_mut() else { return };
+        let Some(nonce) = endpoint.session().accepted_nonce() else { return };
+        self.claimed_nonce = Some(nonce);
+        if crate::lock_recover(&peer.replay).witness(nonce) {
+            if endpoint.session().resumed() {
+                peer.resumed.inc();
+                // A resumed conversation learns its trace id from the
+                // Resume opener itself, before the re-sent MeasureCmd
+                // arrives.
+                if let Some(trace) = endpoint.session().resume_trace_id().filter(|&t| t != 0) {
+                    self.span = self.span.trace(trace);
+                }
+                self.span.emit("session.resumed", fields![nonce = nonce]);
+            }
+        } else {
+            // The loser never reaches `on_command`, so its `release`
+            // cannot undo the winner's registration.
+            self.span.event("session.replay_drop");
+            while endpoint.session_mut().poll_outbound().is_some() {}
+            endpoint.session_mut().abort(AbortReason::AuthFailed);
+        }
+    }
+
+    /// One step of the conversation, on socket readiness or shard tick:
+    /// read, act, and flush every frame the step queued before
+    /// returning, so a reply leaves in the step that heard the question.
     fn step(&mut self) -> Step {
+        let elapsed = self.t0.elapsed().as_secs_f64();
+        let now = SimTime::from_secs_f64(elapsed);
+        if let Some(endpoint) = self.endpoint.as_mut() {
+            endpoint.pump(now);
+        }
+        self.claim_opener();
         let peer = &self.peer;
         let Some(endpoint) = self.endpoint.as_mut() else {
             return Step::Done;
         };
-        let elapsed = self.t0.elapsed().as_secs_f64();
-        let now = SimTime::from_secs_f64(elapsed);
         // The blast and background clocks run sped up, like the reports.
         let snow = SimTime::from_secs_f64(elapsed * peer.settings.speedup);
-        // Claim the accepted nonce in the process-wide window: of two
-        // concurrent connections replaying the same opener, exactly one
-        // witnesses it first and the loser is dropped — a session-local
-        // window cannot arbitrate that. This runs before the pump below
-        // flushes the `AuthOk` the session queued when it accepted the
-        // opener, so the loser's coordinator never sees a handshake.
-        if self.claimed_nonce.is_none() {
-            if let Some(nonce) = endpoint.session().accepted_nonce() {
-                self.claimed_nonce = Some(nonce);
-                if crate::lock_recover(&peer.replay).witness(nonce) {
-                    if endpoint.session().resumed() {
-                        peer.resumed.inc();
-                        // A resumed conversation learns its trace id
-                        // from the Resume opener itself, before the
-                        // re-sent MeasureCmd arrives.
-                        if let Some(trace) =
-                            endpoint.session().resume_trace_id().filter(|&t| t != 0)
-                        {
-                            self.span = self.span.trace(trace);
-                        }
-                        self.span.emit("session.resumed", fields![nonce = nonce]);
-                    }
-                } else {
-                    // The loser never reaches `on_command`, so its
-                    // `release` cannot undo the winner's registration.
-                    self.span.event("session.replay_drop");
-                    endpoint.session_mut().abort(AbortReason::AuthFailed);
-                }
-            }
-        }
-        endpoint.pump(now);
         endpoint.tick(now);
         // Drain: finish a running slot, but abort a conversation still
         // in its handshake — the Abort frame is flushed below.
@@ -707,9 +719,9 @@ impl<R: Role> Conversation<R> {
         while let Some(action) = endpoint.session_mut().poll_action() {
             match action {
                 MeasurerAction::Prepare { spec } => {
-                    // `Ready` goes out with the next step's pump, so a
-                    // data dial that waits for `Go` always finds what
-                    // the role registers here.
+                    // `Ready` goes out with this step's flush, after
+                    // the role registers here, so a data dial that
+                    // waits for `Go` always finds the registration.
                     peer.role.on_command(&mut self.conv, &self.span, &spec);
                     // Every event from here on carries the coordinator's
                     // trace id for this item-attempt.
@@ -749,8 +761,8 @@ impl<R: Role> Conversation<R> {
                 self.reported += 1;
             }
         }
+        endpoint.flush(now);
         if endpoint.is_terminal() {
-            endpoint.pump(now);
             self.terminal_flushes += 1;
             if self.terminal_flushes >= 3 {
                 return self.finish_conversation();
@@ -781,5 +793,176 @@ impl<R: Role> Conversation<R> {
         self.start_conversation(leased, None);
         self.backlog = false;
         Step::Continue
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+    use std::net::TcpListener;
+
+    use flashflow_proto::frame::{encode, FrameDecoder};
+    use flashflow_proto::msg::{Msg, FINGERPRINT_LEN};
+
+    use crate::reactor::{Interest, Poller};
+
+    /// A role with no data plane: it answers the control protocol and
+    /// reports zero bytes.
+    struct Bare;
+
+    struct NoData;
+
+    impl DataConn for NoData {
+        fn on_ready(&mut self) -> Step {
+            Step::Done
+        }
+        fn on_tick(&mut self) -> Step {
+            Step::Done
+        }
+    }
+
+    impl Role for Bare {
+        const NAME: &'static str = "bare";
+        const USAGE: &'static str = "";
+        type Config = ();
+        type Conv = ();
+        type Data = NoData;
+
+        fn apply(_cfg: &mut (), _key: &str, _value: &str) -> Result<bool, String> {
+            Ok(false)
+        }
+        fn new(_cfg: (), _registry: &MetricsRegistry) -> Self {
+            Bare
+        }
+        fn start_fields(&self) -> Vec<(String, Value)> {
+            Vec::new()
+        }
+        fn session_role(&self) -> PeerRole {
+            PeerRole::Target
+        }
+        fn conversation(&self) {}
+        fn on_start(&self, _conv: &mut (), _span: &Span, _spec: &MeasureSpec, _snow: SimTime) {}
+        fn on_stop(&self, _conv: &mut (), _span: &Span, _seconds: u32, _snow: SimTime) {}
+        fn second_report(&self, _conv: &mut (), _span: &Span, _second: u32) -> (u64, u64) {
+            (0, 0)
+        }
+        fn bind_data(
+            _peer: &Arc<Peer<Self>>,
+            _span: Span,
+            _transport: TcpTransport,
+            _preread: &[u8],
+            _hello: DataChannelHello,
+        ) -> Bind<NoData> {
+            Bind::Refused
+        }
+    }
+
+    /// The coordinator's end of one control connection.
+    struct Coord {
+        stream: TcpStream,
+        decoder: FrameDecoder,
+    }
+
+    impl Coord {
+        fn send(&mut self, msg: Msg) {
+            self.stream.write_all(&encode(&msg)).expect("send");
+        }
+
+        /// The next frame, if one arrives within `wait`.
+        fn next(&mut self, wait: Duration) -> Option<Msg> {
+            let deadline = Instant::now() + wait;
+            loop {
+                if let Some(msg) = self.decoder.next_msg().expect("well-formed frames") {
+                    return Some(msg);
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                self.stream.set_read_timeout(Some(left)).expect("read timeout");
+                let mut buf = [0u8; 512];
+                match self.stream.read(&mut buf) {
+                    Ok(n @ 1..) => self.decoder.push(&buf[..n]),
+                    _ => return None,
+                }
+            }
+        }
+    }
+
+    /// Sends `msg` and, once it is readable, gives the connection
+    /// exactly one readiness step — no tick, no second step.
+    fn ask(conn: &mut dyn Driven, poller: &Poller, coord: &mut Coord, msg: Msg) {
+        coord.send(msg);
+        let mut events = Vec::new();
+        poller.wait(&mut events, Duration::from_secs(5)).expect("wait");
+        assert!(!events.is_empty(), "{msg:?} never arrived");
+        assert_eq!(conn.on_ready(), Step::Continue);
+    }
+
+    /// Replies leave in the step that read the question: on the first
+    /// conversation of a connection and on the warm second one, `Auth`
+    /// gets `AuthOk` and `MeasureCmd` gets `Ready` without another step.
+    #[test]
+    fn replies_leave_in_the_readiness_step_that_heard_the_question() {
+        let peer = Arc::new(Peer {
+            settings: Settings { speedup: 1000.0, ..Settings::default() },
+            role: Bare,
+            span: Span::root(EventSink::new()),
+            replay: Mutex::new(ReplayWindow::default()),
+            draining: AtomicBool::new(false),
+            sessions_done: AtomicU64::new(0),
+            resumed: Counter::new(),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (served, from) = listener.accept().expect("accept");
+        let mut conn = accept_factory(Arc::clone(&peer))(served, from).expect("admitted");
+        let poller = Poller::new().expect("poller");
+        poller.register(conn.fd(), 0, Interest::READ).expect("register");
+        let mut coord = Coord { stream, decoder: FrameDecoder::new() };
+
+        let token = peer.settings.token;
+        let spec =
+            MeasureSpec { relay_fp: [7; FINGERPRINT_LEN], slot_secs: 1, ..MeasureSpec::default() };
+        // Far longer than a loopback hop; a reply waiting for the next
+        // step never comes, because no step follows.
+        let reply = Duration::from_millis(500);
+        for (conversation, nonce) in [("first", 0xA1), ("warm", 0xA2)] {
+            ask(
+                &mut *conn,
+                &poller,
+                &mut coord,
+                Msg::Auth { token, role: PeerRole::Target, nonce },
+            );
+            let got = coord.next(reply);
+            assert!(
+                matches!(got, Some(Msg::AuthOk { nonce: n, .. }) if n == nonce),
+                "{conversation} conversation: Auth answered with {got:?}"
+            );
+            ask(&mut *conn, &poller, &mut coord, Msg::MeasureCmd(spec));
+            let got = coord.next(reply);
+            assert_eq!(got, Some(Msg::Ready), "{conversation} conversation: MeasureCmd answered");
+
+            // Run the one-second slot (a millisecond at this speedup) to
+            // its report and `SlotDone`, then the terminal steps that
+            // hand the connection to its next conversation.
+            ask(&mut *conn, &poller, &mut coord, Msg::Go);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut tail = Vec::new();
+            while !tail.contains(&Msg::SlotDone) {
+                assert!(Instant::now() < deadline, "{conversation} slot never ended: {tail:?}");
+                assert_eq!(conn.on_ready(), Step::Continue);
+                tail.extend(coord.next(Duration::from_millis(2)));
+            }
+            assert!(
+                matches!(tail[..], [Msg::SecondReport { second: 0, .. }, Msg::SlotDone]),
+                "{conversation} slot: {tail:?}"
+            );
+            for _ in 0..3 {
+                assert_eq!(conn.on_ready(), Step::Continue, "the connection stays warm");
+            }
+        }
+        assert_eq!(peer.sessions_done.load(Ordering::SeqCst), 2);
     }
 }

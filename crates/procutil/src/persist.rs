@@ -10,9 +10,10 @@
 //!   process) sees either the old complete document or the new complete
 //!   document, never a torn one, no matter when the writer is killed;
 //! * **journals** (append-only JSONL) go through [`journal_writer`] /
-//!   [`append_line`] — `O_APPEND` with one `write` call per line, so
-//!   concurrent appenders interleave at line granularity and a crash can
-//!   tear at most the final line, which journal readers must tolerate.
+//!   [`append_line`] / [`append_lines`] — `O_APPEND` with one `write`
+//!   call per line or batch of lines, so concurrent appenders interleave
+//!   at line granularity and a crash can tear at most the final line,
+//!   which journal readers must tolerate.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -70,10 +71,28 @@ pub fn journal_writer(path: &Path) -> io::Result<File> {
 /// # Errors
 /// Whatever opening, writing, or syncing returned.
 pub fn append_line(path: &Path, line: &str) -> io::Result<()> {
+    append_lines(path, [line])
+}
+
+/// Appends a batch of lines (a newline after each) to the journal at
+/// `path` in one `write` call, then fsyncs once: records that become
+/// durable together pay for one sync, not one each. A crash mid-write
+/// leaves a prefix of the batch, so readers see whole lines followed
+/// by at most one torn line, as with [`append_line`].
+///
+/// # Errors
+/// Whatever opening, writing, or syncing returned.
+pub fn append_lines<I>(path: &Path, lines: I) -> io::Result<()>
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut buf = Vec::new();
+    for line in lines {
+        buf.extend_from_slice(line.as_ref().as_bytes());
+        buf.push(b'\n');
+    }
     let mut file = journal_writer(path)?;
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
     file.write_all(&buf)?;
     file.sync_all()
 }
@@ -131,6 +150,18 @@ mod tests {
         append_line(&journal, "{\"n\":2}").expect("append");
         let text = std::fs::read_to_string(&journal).expect("read");
         assert_eq!(text, "{\"n\":1}\n{\"n\":2}\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_lines_writes_a_batch_after_earlier_lines() {
+        let dir = temp_dir("batch");
+        let journal = dir.join("journal.jsonl");
+        append_line(&journal, "{\"n\":1}").expect("append");
+        append_lines(&journal, ["{\"n\":2}", "{\"n\":3}"]).expect("batch");
+        append_lines(&journal, Vec::<String>::new()).expect("empty batch");
+        let text = std::fs::read_to_string(&journal).expect("read");
+        assert_eq!(text, "{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

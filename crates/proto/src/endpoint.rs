@@ -3,7 +3,8 @@
 //! An [`Endpoint`] pairs any [`SessionState`] (either protocol half)
 //! with any [`Transport`] and owns the only code that moves bytes
 //! between them. Drivers call [`Endpoint::pump`] whenever the transport
-//! may have made progress and [`Endpoint::tick`] when time advances;
+//! may have made progress, [`Endpoint::tick`] when time advances, and
+//! [`Endpoint::flush`] to send what they queued after the read;
 //! everything else (actions, phases) is read straight off the session.
 //!
 //! Transport failures are where the byte world meets the state-machine
@@ -90,13 +91,23 @@ impl<S: SessionState, T: Transport> Endpoint<S, T> {
         }
         // The conversation is over: flush the tail the session may have
         // queued while going terminal during this very pump (its Abort
-        // or SlotDone), then hang up. In-flight bytes still deliver to
-        // the peer; `close` is idempotent.
+        // or SlotDone), then hang up.
+        if self.session.is_terminal() {
+            moved |= self.flush(now);
+        }
+        moved
+    }
+
+    /// Sends every frame the session has queued, without reading: the
+    /// write half of [`Endpoint::pump`], for a driver that has already
+    /// read this step and wants its replies on the wire before it
+    /// returns. A terminal session's tail goes out and the transport is
+    /// closed, as in `pump`. In-flight bytes still deliver to the peer;
+    /// `close` is idempotent. Returns `true` if a frame was sent.
+    pub fn flush(&mut self, now: SimTime) -> bool {
+        let moved = self.flush_outbound(now);
         if self.session.is_terminal() && self.error.is_none() {
-            moved |= self.flush_outbound(now);
-            if self.error.is_none() {
-                self.transport.close();
-            }
+            self.transport.close();
         }
         moved
     }
@@ -204,6 +215,26 @@ mod tests {
         assert!(!coord.pump(now), "a terminal endpoint must not report the flood as progress");
         // The wire is released: the peer's next send fails.
         assert_eq!(cb.send(now, b"more"), Err(TransportError::Closed));
+    }
+
+    #[test]
+    fn flush_sends_the_reply_a_read_queued_without_reading_again() {
+        let token = [4u8; AUTH_TOKEN_LEN];
+        let t = SessionTimeouts::default();
+        let (ca, cb) = Duplex::loopback().into_endpoints();
+        let mut coord =
+            Endpoint::new(CoordinatorSession::new(token, PeerRole::Measurer, spec(), 5, t), ca);
+        let mut meas = Endpoint::new(MeasurerSession::new(token, PeerRole::Measurer, 1, t), cb);
+        let now = SimTime::ZERO;
+        coord.session_mut().start(now);
+        coord.pump(now);
+        // The read queues `AuthOk`; `pump` flushed before it read.
+        assert!(meas.pump(now));
+        assert_eq!(coord.transport_mut().recv(now), Ok(Vec::new()), "reply still queued");
+        assert!(meas.flush(now), "the queued AuthOk goes out");
+        assert!(!meas.flush(now), "nothing left to send");
+        coord.pump(now);
+        assert_eq!(coord.session().phase(), CoordPhase::AwaitReady);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! nonce one of its own authenticated control sessions really claimed.
 //! Measurement bytes only ever flow measurer → relay → measurer, so even
 //! that hello binds nothing and is refused at once.
+//!
+//! A replayed control opener is hostile too: presented on two
+//! connections at once, it is answered on exactly one.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -21,7 +24,9 @@ use std::time::{Duration, Instant};
 use flashflow_obs::{Event, Value};
 use flashflow_proto::blast::DataChannelHello;
 use flashflow_proto::frame::{encode, FrameDecoder};
-use flashflow_proto::msg::{Msg, PeerRole, AUTH_TOKEN_LEN};
+use flashflow_proto::msg::{
+    AbortReason, MeasureSpec, Msg, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
+};
 
 /// How long the process is watched after the dials land. At the default
 /// `--speedup 1` the hello window is 10 s, so this sits inside it.
@@ -164,17 +169,7 @@ fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
     control
         .write_all(&encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce }))
         .expect("Auth");
-    control.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 256];
-    let answer = loop {
-        let n = control.read(&mut buf).expect("read the handshake answer");
-        assert!(n > 0, "control connection closed before AuthOk");
-        decoder.push(&buf[..n]);
-        if let Some(msg) = decoder.next_msg().expect("well-formed frame") {
-            break msg;
-        }
-    };
+    let answer = next_frame(&mut control, &mut FrameDecoder::new());
     assert!(matches!(answer, Msg::AuthOk { nonce: n, .. } if n == nonce), "{answer:?}");
 
     // The data dial: a bare, well-formed hello naming the claimed nonce,
@@ -183,7 +178,7 @@ fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
     let mut dial = TcpStream::connect(addr).expect("dial data");
     dial.write_all(&DataChannelHello { nonce, channel: 0 }.encode()).expect("send hello");
     dial.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
-    let closed = dial.read(&mut buf);
+    let closed = dial.read(&mut [0u8; 256]);
     assert!(matches!(closed, Ok(0)), "the dial was not closed at once: {closed:?}");
 
     let kinds_naming_the_nonce: Vec<String> = std::fs::read_to_string(&log)
@@ -199,4 +194,103 @@ fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
     // and the drain still aborts the handshake and exits 0 in time.
     assert_quiet_then_drains(child);
     let _ = std::fs::remove_file(&log);
+}
+
+/// Reads frames off a control connection until it closes or stays
+/// quiet for `quiet`.
+fn frames_until_quiet(stream: &mut TcpStream, quiet: Duration) -> Vec<Msg> {
+    stream.set_read_timeout(Some(quiet)).expect("read timeout");
+    let mut decoder = FrameDecoder::new();
+    let mut frames = Vec::new();
+    let mut buf = [0u8; 512];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        decoder.push(&buf[..n]);
+        while let Some(msg) = decoder.next_msg().expect("well-formed frames") {
+            frames.push(msg);
+        }
+    }
+    frames
+}
+
+/// The next frame on a control connection (five seconds at most).
+fn next_frame(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Msg {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let mut buf = [0u8; 512];
+    loop {
+        if let Some(msg) = decoder.next_msg().expect("well-formed frames") {
+            return msg;
+        }
+        let n = stream.read(&mut buf).expect("read a frame");
+        assert!(n > 0, "control connection closed mid-conversation");
+        decoder.push(&buf[..n]);
+    }
+}
+
+/// Runs one whole conversation on `stream` under `nonce`, leaving the
+/// connection warm for the next.
+fn complete_conversation(stream: &mut TcpStream, nonce: u64) {
+    let token = [0x42u8; AUTH_TOKEN_LEN];
+    let spec =
+        MeasureSpec { relay_fp: [5; FINGERPRINT_LEN], slot_secs: 1, ..MeasureSpec::default() };
+    let mut decoder = FrameDecoder::new();
+    stream.write_all(&encode(&Msg::Auth { token, role: PeerRole::Target, nonce })).expect("Auth");
+    let mut answers = vec![next_frame(stream, &mut decoder)];
+    stream.write_all(&encode(&Msg::MeasureCmd(spec))).expect("MeasureCmd");
+    answers.push(next_frame(stream, &mut decoder));
+    stream.write_all(&encode(&Msg::Go)).expect("Go");
+    answers.push(next_frame(stream, &mut decoder));
+    answers.push(next_frame(stream, &mut decoder));
+    assert!(
+        matches!(
+            answers[..],
+            [Msg::AuthOk { .. }, Msg::Ready, Msg::SecondReport { second: 0, .. }, Msg::SlotDone]
+        ),
+        "warm-up conversation: {answers:?}"
+    );
+}
+
+/// Two connections present the same opener — one fresh, one warm from a
+/// finished conversation — in both orders. The process-wide replay
+/// window lets exactly one through; the other sees `Abort(AuthFailed)`
+/// and never an `AuthOk`, so its coordinator never believes it holds a
+/// handshake.
+#[test]
+fn replayed_opener_is_answered_once_across_fresh_and_warm_connections() {
+    let (child, addr) = spawn_listener_with(
+        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
+        &["--speedup", "50"],
+    );
+    let token = [0x42u8; AUTH_TOKEN_LEN];
+    for (round, warm_first) in [(0u64, true), (1, false)] {
+        let mut warm = TcpStream::connect(addr).expect("dial warm");
+        complete_conversation(&mut warm, 0x7E57_0000_0000_0010 + round);
+        let mut fresh = TcpStream::connect(addr).expect("dial fresh");
+        let opener = encode(&Msg::Auth {
+            token,
+            role: PeerRole::Target,
+            nonce: 0x7E57_0000_0000_0020 + round,
+        });
+        let (first, second) = if warm_first { (&warm, &fresh) } else { (&fresh, &warm) };
+        (&*first).write_all(&opener).expect("opener");
+        (&*second).write_all(&opener).expect("replayed opener");
+
+        let quiet = Duration::from_millis(500);
+        let streams = [
+            ("warm", frames_until_quiet(&mut warm, quiet)),
+            ("fresh", frames_until_quiet(&mut fresh, quiet)),
+        ];
+        let (answered, refused): (Vec<_>, Vec<_>) = streams
+            .iter()
+            .partition(|(_, frames)| frames.iter().any(|m| matches!(m, Msg::AuthOk { .. })));
+        assert_eq!(
+            (answered.len(), refused.len()),
+            (1, 1),
+            "round {round}: exactly one AuthOk: {streams:?}"
+        );
+        assert!(
+            refused[0].1.contains(&Msg::Abort { reason: AbortReason::AuthFailed }),
+            "round {round}: the replay was not refused: {streams:?}"
+        );
+    }
+    assert_quiet_then_drains(child);
 }

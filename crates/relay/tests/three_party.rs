@@ -18,7 +18,7 @@
 //! it is running before it goes.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread;
@@ -507,6 +507,83 @@ fn sigtermed_measurer_finishes_its_slot_aborts_parked_handshakes_and_exits_zero(
             [Msg::AuthOk { nonce: 0xF00, .. }, Msg::Abort { reason: AbortReason::Shutdown }]
         ),
         "parked conversation saw {frames:?}"
+    );
+
+    drop(pool);
+    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+}
+
+/// User + system CPU seconds the calling thread has used: its
+/// `/proc/self/task/<tid>/stat` line, which `/proc/thread-self` names.
+fn thread_cpu_secs() -> f64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read thread stat");
+    // Fields after the parenthesised command name: state is the first,
+    // utime and stime the 12th and 13th, in USER_HZ (100) ticks.
+    let rest = stat.rsplit_once(')').expect("comm field").1;
+    let ticks = |ix: usize| -> f64 {
+        rest.split_whitespace().nth(ix).expect("stat field").parse().expect("tick count")
+    };
+    (ticks(11) + ticks(12)) / 100.0
+}
+
+/// Copies one direction of a proxied connection until either side ends.
+fn pipe(mut from: TcpStream, mut to: TcpStream) {
+    thread::spawn(move || {
+        let _ = std::io::copy(&mut from, &mut to);
+        let _ = to.shutdown(Shutdown::Both);
+    });
+}
+
+#[test]
+fn hung_up_measurer_degrades_its_item_without_spinning_the_round() {
+    // Measurer 0 sits behind a proxy. Its first connection — item 0's
+    // control session — hangs up once the `Auth` is in; the others are
+    // piped through to the real process.
+    let (m0, a0) = spawn_measurer(0, ITEMS - 1);
+    let (m1, a1) = spawn_measurer(1, ITEMS);
+    let (relay, relay_addr) = spawn_relay(&[], ITEMS);
+    let proxy = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let proxy_addr = proxy.local_addr().expect("proxy addr");
+    thread::spawn(move || {
+        for (n, coord) in proxy.incoming().take(ITEMS).enumerate() {
+            let mut coord = coord.expect("accept");
+            if n == 0 {
+                let mut auth = [0u8; 256];
+                let _ = coord.read(&mut auth);
+                continue;
+            }
+            let measurer = TcpStream::connect(a0).expect("dial measurer 0");
+            pipe(coord.try_clone().expect("clone"), measurer.try_clone().expect("clone"));
+            pipe(measurer, coord);
+        }
+    });
+
+    let pool = ConnectionPool::new();
+    let mut events = Vec::new();
+    let (cpu_before, started) = (thread_cpu_secs(), Instant::now());
+    let snapshot =
+        run_round(&deployment([proxy_addr, a1], relay_addr), &items(), &pool, &mut |ev| {
+            events.push(ev);
+        });
+    let (cpu, wall) = (thread_cpu_secs() - cpu_before, started.elapsed().as_secs_f64());
+
+    assert!(!snapshot.item_clean(0), "the hung-up peer's item must degrade: {events:?}");
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            EngineEvent::PeerFailed { peer, reason: AbortReason::ConnectionLost }
+                if snapshot.item(*peer) == 0
+        )),
+        "{events:?}"
+    );
+    for g in 1..ITEMS {
+        assert!(snapshot.item_clean(g), "item {g} must stay clean: {events:?}");
+    }
+    // A terminal session's socket that stayed registered would be
+    // readable (EOF) for the rest of the round and spin the loop.
+    assert!(
+        cpu < 0.25 * wall,
+        "the round thread burned {cpu:.2} CPU-s over {wall:.2} s of wall time"
     );
 
     drop(pool);
