@@ -14,6 +14,7 @@
 //! | `msg-exhaustive`  | every `Msg::` variant appears in encode, decode, and the codec property test |
 //! | `journal-exhaustive` | every journal `Record::` variant appears in the encoder, decoder, and recovery fold |
 //! | `no-sleep-in-reactor` | no `thread::sleep` in non-test reactor code — a blocked shard stalls every connection it drives |
+//! | `no-blocking-dial` | no `TcpStream::connect` / `TcpTransport::connect` on the peer processes' shard paths — dial with `reactor::dial` |
 //!
 //! Findings print as `file:line: rule-id: message`; `--json` emits the
 //! same findings machine-readably; `--allow RULE` downgrades one rule
@@ -57,6 +58,7 @@ pub const RULES: &[&str] = &[
     rules::msg_exhaustive::RULE,
     rules::journal_exhaustive::RULE,
     rules::no_sleep_in_reactor::RULE,
+    rules::no_blocking_dial::RULE,
 ];
 
 /// What the rules key off: which files are hot paths, which crates are
@@ -194,6 +196,7 @@ pub fn lint_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
     rules::no_panic::check(&scan, cfg, &mut findings);
     rules::durability::check(&scan, cfg, &mut findings);
     rules::no_sleep_in_reactor::check(&scan, cfg, &mut findings);
+    rules::no_blocking_dial::check(&scan, &mut findings);
     findings
 }
 

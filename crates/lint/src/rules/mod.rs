@@ -9,6 +9,7 @@ pub mod durability;
 pub mod journal_exhaustive;
 pub mod lock_order;
 pub mod msg_exhaustive;
+pub mod no_blocking_dial;
 pub mod no_panic;
 pub mod no_sleep_in_reactor;
 pub mod ordering;

@@ -120,7 +120,8 @@ fn list_rules_names_the_full_catalogue() {
             "lock-order",
             "msg-exhaustive",
             "journal-exhaustive",
-            "no-sleep-in-reactor"
+            "no-sleep-in-reactor",
+            "no-blocking-dial"
         ]
     );
 }

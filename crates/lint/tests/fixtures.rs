@@ -205,6 +205,32 @@ fn coordinator_round_loop_and_pool_are_in_scope_for_no_sleep() {
     assert_eq!(lint_file("crates/core/src/engine.rs", sleeps, &cfg), vec![]);
 }
 
+#[test]
+fn no_blocking_dial_fixtures() {
+    let cfg = LintConfig::default();
+    let bad_src = include_str!("fixtures/no_blocking_dial_bad.rs");
+    for path in [
+        "crates/measurer/src/reactor.rs",
+        "crates/relay/src/main.rs",
+        "crates/procutil/src/peer.rs",
+        "crates/procutil/src/reactor.rs",
+    ] {
+        let bad = lint_file(path, bad_src, &cfg);
+        assert_eq!(rules_of(&bad), vec!["no-blocking-dial"; 3], "{path}: {bad:?}");
+        assert!(bad[0].msg.contains("reactor::dial"), "{}", bad[0]);
+    }
+
+    // The coordinator's pool dials on its round thread, and the rest of
+    // procutil runs no shard.
+    for path in ["crates/core/src/pool.rs", "crates/procutil/src/lib.rs"] {
+        assert_eq!(lint_file(path, bad_src, &cfg), vec![], "{path} is out of scope");
+    }
+
+    let good_src = include_str!("fixtures/no_blocking_dial_good.rs");
+    let good = lint_file("crates/measurer/src/reactor.rs", good_src, &cfg);
+    assert_eq!(good, vec![], "a reactor dial and a local `connect` must be silent");
+}
+
 /// Lint scope follows the code: the peer library the relay and measurer
 /// serving paths moved into is held to the same two rules they were.
 #[test]
@@ -246,8 +272,9 @@ fn rule_set_is_closed_under_the_ids_fixtures_use() {
         "msg-exhaustive",
         "journal-exhaustive",
         "no-sleep-in-reactor",
+        "no-blocking-dial",
     ] {
         assert!(seen.contains(id), "{id} missing from RULES");
     }
-    assert_eq!(seen.len(), 8);
+    assert_eq!(seen.len(), 9);
 }

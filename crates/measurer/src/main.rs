@@ -23,6 +23,21 @@
 //!   next `Auth` on the *same* connection, which is what lets a
 //!   coordinator-side connection pool reuse warm connections across
 //!   measurement items instead of dialing fresh per item.
+//! * Echo channels are **dialed without blocking** at `Go` and each one
+//!   is a reactor connection of its own, driven on its own socket's
+//!   readiness: an uncapped channel blasts whenever its socket takes
+//!   bytes and verifies the echo whenever it arrives, a paced one sends
+//!   its allowance, a tick ahead, and verifies the echo on the shard
+//!   tick and is never armed for write readiness while it has nothing
+//!   queued. The channels and their
+//!   conversation share one atomic tally of verified bytes, which the
+//!   conversation closes with the slot's last report: a channel that
+//!   finds it closed hangs up at its next wakeup or tick.
+//! * A slot opens at most **16** echo channels, whatever `sockets` the
+//!   command asks for (the `echo.channels` event logs both figures, as
+//!   `commanded` and `channels`). The cap stays while the benchmark's
+//!   unverified-bytes gate assumes it: that gate allows one in-flight
+//!   window per channel, and counts channels with the same cap.
 //! * A measurer serves **no inbound data channels**: measurement bytes
 //!   only ever flow measurer → relay → measurer, so a connection that
 //!   opens with a
@@ -70,13 +85,8 @@
 
 mod reactor;
 
-use flashflow_obs::{fields, Span};
 use flashflow_procutil as procutil;
-use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastCounters, BlastParser, TrafficSource,
-};
-use flashflow_proto::tcp::TcpTransport;
-use flashflow_simnet::time::SimTime;
+use flashflow_proto::blast::BlastCounters;
 
 const USAGE: &str = "usage: flashflow-measurer [--config FILE] [--listen ADDR] \
                      [--role measurer] [--token-hex HEX64] [--speedup X] \
@@ -88,68 +98,6 @@ const USAGE: &str = "usage: flashflow-measurer [--config FILE] [--listen ADDR] \
 /// this measurer; the `--metrics-addr` snapshot).
 struct Measurer {
     echo_blast: BlastCounters,
-}
-
-/// One echo channel to the target relay: this measurer's blast source
-/// and the verifying parser for the relay's echo stream, sharing the
-/// dialed connection.
-struct EchoChannel {
-    source: TrafficSource<TcpTransport>,
-    echo: BlastParser,
-}
-
-impl EchoChannel {
-    /// Verified echoed bytes this channel has received back.
-    fn verified(&self) -> u64 {
-        self.echo.received_total() - self.echo.corrupt_total()
-    }
-}
-
-/// Dials the slot's echo channels to the target relay and starts their
-/// blasts (clocks run on the sped-up `now`). Channels that fail to dial
-/// are skipped — the slot degrades rather than wedging; the coordinator
-/// sees it in the reported rates.
-fn dial_echo_channels(
-    spec: &flashflow_proto::msg::MeasureSpec,
-    now: SimTime,
-    span: &Span,
-    echo_blast: &BlastCounters,
-) -> Vec<EchoChannel> {
-    let Some(addr) = spec.target.socket_addr() else { return Vec::new() };
-    let nonce = binding_nonce(spec.measurement_secret);
-    let key = secret_channel_key(spec.measurement_secret);
-    let n = spec.sockets.clamp(1, 16);
-    let mut channels = Vec::new();
-    for chan in 0..n {
-        let transport = match TcpTransport::connect(addr) {
-            Ok(t) => t,
-            Err(e) => {
-                span.channel(u64::from(chan)).emit(
-                    "echo.dial_failed",
-                    fields![addr = format!("{addr}"), error = format!("{e}")],
-                );
-                continue;
-            }
-        };
-        let mut source = TrafficSource::new(transport, nonce, chan).with_key(key);
-        if spec.rate_cap > 0 {
-            // Even split; the first channels absorb the remainder.
-            let cap = spec.rate_cap;
-            let share = cap / u64::from(n) + u64::from(u64::from(chan) < cap % u64::from(n));
-            source.set_rate_cap(share);
-        }
-        source.greet(now);
-        source.start(now);
-        channels.push(EchoChannel {
-            source,
-            echo: BlastParser::new().with_key(key).with_counters(echo_blast.clone()),
-        });
-    }
-    span.emit(
-        "echo.channels",
-        fields![channels = channels.len(), addr = format!("{addr}"), cap = spec.rate_cap],
-    );
-    channels
 }
 
 fn main() {

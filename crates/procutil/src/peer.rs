@@ -19,7 +19,7 @@
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use flashflow_obs::{fields, Counter, EventSink, MetricsRegistry, Span, Value};
@@ -33,7 +33,11 @@ use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{LeasedTransport, Transport};
 use flashflow_simnet::time::SimTime;
 
-use crate::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, ReactorObs, Step};
+use crate::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, ReactorObs, Spawner, Step};
+
+/// The serving reactor's tick: how often every connection it drives,
+/// a role's own included, is stepped without readiness.
+pub const TICK: Duration = Duration::from_millis(1);
 
 /// The settings every peer process takes (command line and/or
 /// `--config` file), whatever its role.
@@ -204,8 +208,16 @@ pub trait Role: Send + Sync + Sized + 'static {
     /// A `MeasureCmd` was accepted; `Ready` has not reached the wire
     /// yet.
     fn on_command(&self, _conv: &mut Self::Conv, _span: &Span, _spec: &MeasureSpec) {}
-    /// `Go` arrived: the slot starts at `snow` on the sped-up clock.
-    fn on_start(&self, conv: &mut Self::Conv, span: &Span, spec: &MeasureSpec, snow: SimTime);
+    /// `Go` arrived: the slot starts at `snow` on the sped-up clock. The
+    /// peer is passed whole so a role can start connections of its own
+    /// ([`Peer::spawn`]).
+    fn on_start(
+        peer: &Peer<Self>,
+        conv: &mut Self::Conv,
+        span: &Span,
+        spec: &MeasureSpec,
+        snow: SimTime,
+    );
     /// The slot is over (or the session died) after `seconds` reports.
     fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32, snow: SimTime);
     /// One step of clock-driven work; `live` is false once the session
@@ -215,11 +227,6 @@ pub trait Role: Send + Sync + Sized + 'static {
     fn second_report(&self, conv: &mut Self::Conv, span: &Span, second: u32) -> (u64, u64);
     /// The conversation ended: undo what **it** registered.
     fn release(&self, _conv: &mut Self::Conv) {}
-    /// True while the conversation holds unflushed output besides the
-    /// control connection's own.
-    fn backlog(_conv: &mut Self::Conv) -> bool {
-        false
-    }
     /// Offers a data dial's decoded hello to the data plane, with every
     /// byte read so far (`preread` starts with the hello).
     fn bind_data(
@@ -245,6 +252,8 @@ pub struct Peer<R: Role> {
     /// Conversations re-adopted via the `Resume` handshake (a restarted
     /// coordinator picking its parked sessions back up).
     resumed: Counter,
+    /// The serving reactor's adoption handle, set once it runs.
+    spawner: OnceLock<Spawner>,
 }
 
 /// How long a bound data channel may stay quiet during a drain before
@@ -252,6 +261,30 @@ pub struct Peer<R: Role> {
 const DRAIN_QUIET: Duration = Duration::from_millis(500);
 
 impl<R: Role> Peer<R> {
+    /// The state a peer process's connections share, before its reactor
+    /// runs; `<NAME>.sessions_resumed` registers in `registry`.
+    pub fn new(settings: Settings, role: R, span: Span, registry: &MetricsRegistry) -> Peer<R> {
+        Peer {
+            settings,
+            role,
+            span,
+            replay: Mutex::new(ReplayWindow::default()),
+            draining: AtomicBool::new(false),
+            sessions_done: AtomicU64::new(0),
+            resumed: registry.counter(&format!("{}.sessions_resumed", R::NAME)),
+            spawner: OnceLock::new(),
+        }
+    }
+
+    /// Hands a connection the role started (an outbound dial) to the
+    /// serving reactor, where it is driven on its own readiness. Returns
+    /// `false`, dropping `conn`, when no reactor runs yet.
+    pub fn spawn(&self, conn: Box<dyn Driven>) -> bool {
+        let Some(spawner) = self.spawner.get() else { return false };
+        spawner.adopt(conn);
+        true
+    }
+
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
@@ -337,21 +370,13 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     let mut start = role.start_fields();
     start.extend(fields![speedup = settings.speedup]);
     span.emit(&format!("{name}.start"), start);
-    let peer = Arc::new(Peer {
-        role,
-        span,
-        replay: Mutex::new(ReplayWindow::default()),
-        draining: AtomicBool::new(false),
-        sessions_done: AtomicU64::new(0),
-        resumed: registry.counter(&format!("{name}.sessions_resumed")),
-        settings,
-    });
+    let peer = Arc::new(Peer::new(settings, role, span, &registry));
     // The reactor owns the listener from here: `--io-threads` epoll
     // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
     // state machine; this thread only supervises drain and quota.
     let reactor = Reactor::serve_observed(
         Some(listener),
-        ReactorConfig { shards: peer.settings.io_threads, tick: Duration::from_millis(1) },
+        ReactorConfig { shards: peer.settings.io_threads, tick: TICK },
         accept_factory(Arc::clone(&peer)),
         Some(ReactorObs {
             registry,
@@ -365,6 +390,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
         peer.span.emit(&format!("{name}.fatal"), fields![error = error.clone()]);
         (1, error)
     })?;
+    let _ = peer.spawner.set(reactor.spawner());
     if crate::wait_for_drain(&|| peer.quota_reached()) {
         peer.span.event(&format!("{name}.drain"));
     }
@@ -740,7 +766,7 @@ impl<R: Role> Conversation<R> {
                 MeasurerAction::Start { spec } => {
                     self.slot_secs = Some(spec.slot_secs);
                     self.started_at = Instant::now();
-                    peer.role.on_start(&mut self.conv, &self.span, &spec, snow);
+                    R::on_start(peer, &mut self.conv, &self.span, &spec, snow);
                 }
                 MeasurerAction::Stop => {
                     peer.role.on_stop(&mut self.conv, &self.span, self.reported, snow);
@@ -768,8 +794,7 @@ impl<R: Role> Conversation<R> {
                 return self.finish_conversation();
             }
         }
-        self.backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0
-            || R::backlog(&mut self.conv);
+        self.backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
         Step::Continue
     }
 
@@ -842,7 +867,7 @@ mod tests {
             PeerRole::Target
         }
         fn conversation(&self) {}
-        fn on_start(&self, _conv: &mut (), _span: &Span, _spec: &MeasureSpec, _snow: SimTime) {}
+        fn on_start(_: &Peer<Self>, _: &mut (), _: &Span, _: &MeasureSpec, _: SimTime) {}
         fn on_stop(&self, _conv: &mut (), _span: &Span, _seconds: u32, _snow: SimTime) {}
         fn second_report(&self, _conv: &mut (), _span: &Span, _second: u32) -> (u64, u64) {
             (0, 0)
@@ -905,15 +930,12 @@ mod tests {
     /// gets `AuthOk` and `MeasureCmd` gets `Ready` without another step.
     #[test]
     fn replies_leave_in_the_readiness_step_that_heard_the_question() {
-        let peer = Arc::new(Peer {
-            settings: Settings { speedup: 1000.0, ..Settings::default() },
-            role: Bare,
-            span: Span::root(EventSink::new()),
-            replay: Mutex::new(ReplayWindow::default()),
-            draining: AtomicBool::new(false),
-            sessions_done: AtomicU64::new(0),
-            resumed: Counter::new(),
-        });
+        let peer = Arc::new(Peer::new(
+            Settings { speedup: 1000.0, ..Settings::default() },
+            Bare,
+            Span::root(EventSink::new()),
+            &MetricsRegistry::new(),
+        ));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
         let (served, from) = listener.accept().expect("accept");

@@ -27,10 +27,22 @@
 //! pacing) at the shard's tick cadence and is expected to stay
 //! syscall-free while idle. Polling is level-triggered; a connection
 //! that wants to flush a backlog raises [`Driven::wants_write`] and is
-//! re-armed for `EPOLLOUT` until the backlog drains.
+//! re-armed for `EPOLLOUT` until the backlog drains, and one that reads
+//! on its tick instead of on arrival lowers [`Driven::wants_read`].
+//!
+//! Dial-out: [`dial`] opens a TCP connection without blocking
+//! (`socket(2)` + `connect(2)` with `SOCK_NONBLOCK`, expecting
+//! `EINPROGRESS`), and the connection it belongs to is handed to the
+//! running reactor through a [`Spawner`] — from any thread, including a
+//! hook running on one of the reactor's own shards. The connection stays
+//! armed for write readiness while the dial is in flight; the first
+//! `EPOLLOUT` (or error) lands in its `on_ready`, where [`dialed`] says
+//! whether the handshake completed, is still in flight, or failed. No
+//! shard ever waits for a handshake.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::FromRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -41,10 +53,12 @@ use crate::lock_recover;
 
 // SAFETY: these are the exact kernel/libc prototypes on every Linux
 // we target (see `epoll_create1(2)`, `epoll_ctl(2)`, `epoll_wait(2)`,
-// `eventfd(2)`, `read(2)`, `write(2)`, `close(2)`): plain integer fds,
-// pointer + length buffers, and C `int` returns with errno. The
-// `EpollEvent` pointee matches the kernel's `struct epoll_event`
-// layout (packed on x86/x86_64, naturally aligned elsewhere).
+// `eventfd(2)`, `read(2)`, `write(2)`, `close(2)`, `socket(2)`,
+// `connect(2)`): plain integer fds, pointer + length buffers, and C
+// `int` returns with errno. The `EpollEvent` pointee matches the
+// kernel's `struct epoll_event` layout (packed on x86/x86_64, naturally
+// aligned elsewhere); `connect`'s address is a `struct sockaddr_in` /
+// `sockaddr_in6` byte image whose length travels with it.
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -53,6 +67,8 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
 }
 
 const EPOLL_CLOEXEC: i32 = 0x80000;
@@ -70,6 +86,87 @@ const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x80000;
+
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0x800;
+const SOCK_CLOEXEC: i32 = 0x80000;
+/// `connect(2)` on a nonblocking socket: the handshake continues in
+/// the kernel and completes (or fails) as write readiness.
+const EINPROGRESS: i32 = 115;
+
+/// `addr` as the kernel's `struct sockaddr_in` (16 bytes) or
+/// `sockaddr_in6` (28 bytes): family in host order, port and address in
+/// network order, IPv6 flow info and scope id in host order (as
+/// `std` passes them).
+fn sockaddr(addr: SocketAddr) -> ([u8; 28], u32) {
+    let mut raw = [0u8; 28];
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    match addr {
+        SocketAddr::V4(v4) => {
+            raw[..2].copy_from_slice(&AF_INET.to_ne_bytes());
+            raw[4..8].copy_from_slice(&v4.ip().octets());
+            (raw, 16)
+        }
+        SocketAddr::V6(v6) => {
+            raw[..2].copy_from_slice(&AF_INET6.to_ne_bytes());
+            raw[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
+            raw[8..24].copy_from_slice(&v6.ip().octets());
+            raw[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+            (raw, 28)
+        }
+    }
+}
+
+/// Starts a TCP connection to `addr` without blocking: the returned
+/// stream is nonblocking and close-on-exec, and its handshake is still
+/// in flight. Register it for write readiness and ask [`dialed`] on the
+/// first wakeup.
+///
+/// # Errors
+/// The `socket(2)` errno, or a `connect(2)` errno other than
+/// `EINPROGRESS` (a refusal the kernel already knows about).
+pub fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+    let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+    // SAFETY: no pointers cross; the returned fd (or -1) is checked
+    // before use.
+    let fd = unsafe { socket(i32::from(family), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a fresh socket this function exclusively owns;
+    // the stream takes that ownership and closes it on every path below.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let (raw, len) = sockaddr(addr);
+    // SAFETY: `raw` is a live stack buffer of at least `len` bytes
+    // holding a kernel-layout socket address; the kernel copies it
+    // before returning.
+    let rc = unsafe { connect(fd, raw.as_ptr(), len) };
+    if rc < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
+}
+
+/// Where a [`dial`] stands, asked on a readiness wakeup: `Ok(true)` once
+/// the handshake completed, `Ok(false)` while it is still in flight.
+///
+/// # Errors
+/// The handshake failed (`SO_ERROR`: refused, unreachable, timed out).
+pub fn dialed(stream: &TcpStream) -> io::Result<bool> {
+    if let Some(err) = stream.take_error()? {
+        return Err(err);
+    }
+    match stream.peer_addr() {
+        Ok(_) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotConnected => Ok(false),
+        Err(e) => Err(e),
+    }
+}
 
 /// The kernel's `struct epoll_event`. Packed on x86/x86_64 (the
 /// kernel ABI there has no padding between the `u32` and the `u64`);
@@ -94,8 +191,6 @@ pub struct Interest {
 impl Interest {
     /// Read-side readiness only (the common case).
     pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Read and write readiness (a connection flushing a backlog).
-    pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
 
     fn bits(self) -> u32 {
         let mut bits = EPOLLRDHUP;
@@ -326,6 +421,19 @@ pub trait Driven: Send {
     fn wants_write(&self) -> bool {
         false
     }
+
+    /// False while the connection reads on its tick instead of on
+    /// arrival (a paced stream whose replies may wait for the next
+    /// tick): the shard then wakes it only for write readiness (when
+    /// [`Driven::wants_write`]) and for hang-ups and errors.
+    fn wants_read(&self) -> bool {
+        true
+    }
+}
+
+/// The readiness `conn` asks to be woken for.
+fn interest_of(conn: &dyn Driven) -> Interest {
+    Interest { readable: conn.wants_read(), writable: conn.wants_write() }
 }
 
 /// Reactor sizing.
@@ -443,17 +551,37 @@ struct Flags {
 
 struct ShardRemote {
     waker: Arc<Waker>,
-    /// Connections handed in from other threads ([`Reactor::adopt`]).
+    /// Connections handed in from other threads ([`Spawner::adopt`]).
     inbox: Mutex<Vec<Box<dyn Driven>>>,
+}
+
+/// A cloneable handle that hands connections to a running reactor's
+/// shards (round-robin) from any thread — including a hook running on
+/// one of its own shards, which is how a connection dialed mid-step
+/// ([`dial`]) joins the loop. The shard picks an adopted connection up
+/// at the end of its current turn.
+#[derive(Clone)]
+pub struct Spawner {
+    shards: Arc<[Arc<ShardRemote>]>,
+    next: Arc<AtomicUsize>,
+}
+
+impl Spawner {
+    /// Hands `conn` to the next shard and wakes it.
+    pub fn adopt(&self, conn: Box<dyn Driven>) {
+        let ix = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        let shard = &self.shards[ix];
+        lock_recover(&shard.inbox).push(conn);
+        shard.waker.wake();
+    }
 }
 
 /// A running sharded event loop. Dropping the handle does **not** stop
 /// it; call [`Reactor::stop`] then [`Reactor::join`].
 pub struct Reactor {
-    shards: Vec<Arc<ShardRemote>>,
+    spawner: Spawner,
     threads: Vec<std::thread::JoinHandle<()>>,
     flags: Arc<Flags>,
-    next_shard: AtomicUsize,
 }
 
 impl Reactor {
@@ -522,15 +650,19 @@ impl Reactor {
             );
             shards.push(remote);
         }
-        Ok(Reactor { shards, threads, flags, next_shard: AtomicUsize::new(0) })
+        let spawner = Spawner { shards: shards.into(), next: Arc::new(AtomicUsize::new(0)) };
+        Ok(Reactor { spawner, threads, flags })
     }
 
     /// Hands an externally created connection to a shard (round-robin).
     pub fn adopt(&self, conn: Box<dyn Driven>) {
-        let ix = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[ix];
-        lock_recover(&shard.inbox).push(conn);
-        shard.waker.wake();
+        self.spawner.adopt(conn);
+    }
+
+    /// A handle that keeps adopting connections into this reactor after
+    /// the caller has moved on (see [`Spawner`]).
+    pub fn spawner(&self) -> Spawner {
+        self.spawner.clone()
     }
 
     /// Live connections across all shards.
@@ -548,7 +680,7 @@ impl Reactor {
     /// caller's to drain (their `on_tick` deadlines decide).
     pub fn stop(&self) {
         self.flags.stop.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
+        for shard in self.spawner.shards.iter() {
             shard.waker.wake();
         }
     }
@@ -578,8 +710,8 @@ const TOKEN_CONN0: u64 = 2;
 
 struct Slot {
     conn: Box<dyn Driven>,
-    /// Whether the registration currently includes write interest.
-    writing: bool,
+    /// What the registration currently asks for.
+    interest: Interest,
 }
 
 struct Shard {
@@ -654,7 +786,8 @@ impl Shard {
             }
             if let Some(obs) = &self.obs {
                 obs.occupancy.set(slots.iter().flatten().count() as i64);
-                obs.backlog.set(slots.iter().flatten().filter(|s| s.writing).count() as i64);
+                obs.backlog
+                    .set(slots.iter().flatten().filter(|s| s.interest.writable).count() as i64);
                 if let Some(turn_start) = turn_start {
                     let busy = turn_start.elapsed();
                     if busy > obs.stall_budget {
@@ -702,15 +835,14 @@ impl Shard {
             }
         };
         let token = TOKEN_CONN0 + slot_ix as u64;
-        let writing = conn.wants_write();
-        let interest = if writing { Interest::READ_WRITE } else { Interest::READ };
+        let interest = interest_of(&*conn);
         if self.poller.register(conn.fd(), token, interest).is_err() {
             // Registration failing (fd limit, dead socket) drops the
             // connection; the slot returns to the free list.
             free.push(slot_ix);
             return;
         }
-        slots[slot_ix] = Some(Slot { conn, writing });
+        slots[slot_ix] = Some(Slot { conn, interest });
         self.flags.served.fetch_add(1, Ordering::SeqCst);
         self.flags.live.fetch_add(1, Ordering::SeqCst);
     }
@@ -733,12 +865,11 @@ impl Shard {
         };
         match step {
             Step::Continue => {
-                let wants = slot.conn.wants_write();
-                if wants != slot.writing {
-                    let interest = if wants { Interest::READ_WRITE } else { Interest::READ };
+                let wants = interest_of(&*slot.conn);
+                if wants != slot.interest {
                     let token = TOKEN_CONN0 + slot_ix as u64;
-                    if self.poller.modify(slot.conn.fd(), token, interest).is_ok() {
-                        slot.writing = wants;
+                    if self.poller.modify(slot.conn.fd(), token, wants).is_ok() {
+                        slot.interest = wants;
                     }
                 }
             }

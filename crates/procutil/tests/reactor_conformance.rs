@@ -10,11 +10,13 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_procutil::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, Step};
+use flashflow_procutil::reactor::{self, AcceptFn, Driven, Reactor, ReactorConfig, Step};
 use flashflow_proto::blast::{
     binding_nonce, secret_channel_key, BlastEvent, BlastParser, Echoer, TrafficSource,
 };
@@ -351,4 +353,239 @@ fn reactor_reaps_midblast_hangup_and_keeps_serving() {
 
     reactor.stop();
     reactor.join().expect("clean join");
+}
+
+/// This thread's CPU time (user + system) in seconds, from its
+/// `/proc/self/task/<tid>/stat` line, which `/proc/thread-self` names.
+fn thread_cpu_secs() -> f64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read thread stat");
+    // Fields after the parenthesised command name: state is the first,
+    // utime and stime the 12th and 13th, in USER_HZ (100) ticks.
+    let rest = stat.rsplit_once(')').expect("comm field").1;
+    let ticks = |ix: usize| -> f64 {
+        rest.split_whitespace().nth(ix).expect("stat field").parse().expect("tick count")
+    };
+    (ticks(11) + ticks(12)) / 100.0
+}
+
+/// How a [`Dialer`] ended: the bytes it got back, or its dial's error.
+type DialOutcome = std::io::Result<Vec<u8>>;
+
+/// A CPU-time sample of the shard thread: when, and its CPU seconds.
+type CpuSample = (Instant, f64);
+
+/// What a dial test watches on the shard: the shard thread's CPU time
+/// ((first, latest) samples), the dialer's wakeups, and the flag that
+/// ends the [`Sentinel`].
+#[derive(Default)]
+struct Watch {
+    cpu: Mutex<Option<(CpuSample, CpuSample)>>,
+    wakeups: AtomicU64,
+    quit: AtomicBool,
+}
+
+impl Watch {
+    /// The shard thread's CPU seconds per wall second between the first
+    /// and the latest sample, and the wall seconds they span.
+    fn cpu_share(&self) -> (f64, f64) {
+        let ((t0, cpu0), (t1, cpu1)) = lock(&self.cpu).expect("the sentinel ticked");
+        let wall = t1.duration_since(t0).as_secs_f64();
+        ((cpu1 - cpu0) / wall, wall)
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// An outbound connection started with [`reactor::dial`]: once the
+/// handshake settles it writes `out` and reads until as many bytes came
+/// back, then reports and ends.
+struct Dialer {
+    stream: TcpStream,
+    connected: bool,
+    out: Vec<u8>,
+    written: usize,
+    back: Vec<u8>,
+    watch: Arc<Watch>,
+    done: mpsc::Sender<DialOutcome>,
+}
+
+impl Dialer {
+    fn end(&mut self, outcome: DialOutcome) -> Step {
+        let _ = self.done.send(outcome);
+        Step::Done
+    }
+}
+
+impl Driven for Dialer {
+    fn fd(&self) -> i32 {
+        self.stream.as_raw_fd()
+    }
+
+    fn on_ready(&mut self) -> Step {
+        // ORDERING: Relaxed — a counter the test reads after the fact.
+        self.watch.wakeups.fetch_add(1, Ordering::Relaxed);
+        if !self.connected {
+            match reactor::dialed(&self.stream) {
+                Ok(false) => return Step::Continue,
+                Ok(true) => self.connected = true,
+                Err(e) => return self.end(Err(e)),
+            }
+        }
+        while self.written < self.out.len() {
+            match self.stream.write(&self.out[self.written..]) {
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return self.end(Err(e)),
+            }
+        }
+        let mut buf = [0u8; 4096];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => self.back.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return self.end(Err(e)),
+            }
+        }
+        if self.back.len() >= self.out.len() {
+            let back = std::mem::take(&mut self.back);
+            return self.end(Ok(back));
+        }
+        Step::Continue
+    }
+
+    fn on_tick(&mut self) -> Step {
+        Step::Continue
+    }
+
+    fn wants_write(&self) -> bool {
+        !self.connected || self.written < self.out.len()
+    }
+}
+
+/// A connection with nothing to say, sharing the shard with the dial
+/// under test: on its first tick it dials and hands the [`Dialer`] to
+/// the running reactor (adoption from inside a hook), and on every tick
+/// it samples the shard thread's CPU time.
+struct Sentinel {
+    /// Its own socket, which never becomes ready: ticks only.
+    idle: TcpListener,
+    launch: Option<Box<dyn FnOnce() + Send>>,
+    watch: Arc<Watch>,
+}
+
+impl Driven for Sentinel {
+    fn fd(&self) -> i32 {
+        self.idle.as_raw_fd()
+    }
+
+    fn on_ready(&mut self) -> Step {
+        Step::Continue
+    }
+
+    fn on_tick(&mut self) -> Step {
+        if let Some(launch) = self.launch.take() {
+            launch();
+        }
+        let sample = (Instant::now(), thread_cpu_secs());
+        let mut cpu = lock(&self.watch.cpu);
+        *cpu = Some((cpu.map_or(sample, |(first, _)| first), sample));
+        // ORDERING: Relaxed — the flag is the whole message.
+        if self.watch.quit.load(Ordering::Relaxed) {
+            return Step::Done;
+        }
+        Step::Continue
+    }
+}
+
+/// A one-shard reactor (10 ms tick) whose [`Sentinel`] dials `target`
+/// on its first tick and spawns a [`Dialer`] sending `out`.
+fn dial_from_a_hook(
+    target: SocketAddr,
+    out: Vec<u8>,
+) -> (Reactor, mpsc::Receiver<DialOutcome>, Arc<Watch>) {
+    let reactor = Reactor::serve(
+        None,
+        ReactorConfig { shards: 1, tick: Duration::from_millis(10) },
+        Arc::new(|_, _| None),
+    )
+    .expect("start reactor");
+    let watch = Arc::new(Watch::default());
+    let (done, outcome) = mpsc::channel();
+    let spawner = reactor.spawner();
+    let dial_watch = Arc::clone(&watch);
+    let launch = Box::new(move || match reactor::dial(target) {
+        Ok(stream) => spawner.adopt(Box::new(Dialer {
+            stream,
+            connected: false,
+            out,
+            written: 0,
+            back: Vec::new(),
+            watch: dial_watch,
+            done,
+        })),
+        // The kernel may know at once that nothing listens there.
+        Err(e) => {
+            let _ = done.send(Err(e));
+        }
+    });
+    let idle = TcpListener::bind("127.0.0.1:0").expect("bind idle socket");
+    reactor.adopt(Box::new(Sentinel { idle, launch: Some(launch), watch: Arc::clone(&watch) }));
+    (reactor, outcome, watch)
+}
+
+/// Ends the [`Sentinel`] and joins the reactor.
+fn shut_down(reactor: Reactor, watch: &Watch) {
+    // ORDERING: Relaxed — the flag is the whole message; the sentinel
+    // reads nothing else this thread wrote.
+    watch.quit.store(true, Ordering::Relaxed);
+    reactor.stop();
+    reactor.join().expect("clean join");
+}
+
+#[test]
+fn a_dial_started_in_a_hook_completes_on_write_readiness_and_round_trips_bytes() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let target = listener.local_addr().expect("addr");
+    let echo = thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept the dial");
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = conn.read(&mut buf) {
+            conn.write_all(&buf[..n]).expect("echo");
+        }
+    });
+    let out: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+    let (reactor, outcome, watch) = dial_from_a_hook(target, out.clone());
+    let back = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the dial settles")
+        .expect("the dial connects");
+    assert_eq!(back, out, "bytes round-trip through the dialed connection");
+    assert!(watch.wakeups.load(Ordering::Relaxed) >= 1, "driven on readiness");
+    assert_eq!(reactor.served(), 2, "the dial joined the running reactor");
+    shut_down(reactor, &watch);
+    echo.join().expect("echo thread");
+}
+
+#[test]
+fn a_dial_to_a_closed_port_surfaces_its_error_and_ends_without_spinning() {
+    // A port just bound and released: nothing listens on it.
+    let target = TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
+    let (reactor, outcome, watch) = dial_from_a_hook(target, b"unheard".to_vec());
+    let err = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the dial settles")
+        .expect_err("nothing listens there");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{err}");
+    // Loopback reports the refusal as the dial's first readiness, not
+    // from `connect(2)` itself.
+    assert_eq!(watch.wakeups.load(Ordering::Relaxed), 1, "one wakeup settles a failed dial");
+    thread::sleep(Duration::from_millis(200));
+    let (share, wall) = watch.cpu_share();
+    assert!(wall >= 0.15, "the sentinel sampled {wall:.3} s only");
+    assert!(share < 0.25, "the shard spun: {share:.2} CPU-s per s over {wall:.2} s");
+    assert_eq!(reactor.live(), 1, "only the sentinel stays registered");
+    shut_down(reactor, &watch);
 }

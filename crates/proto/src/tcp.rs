@@ -372,11 +372,16 @@ impl Transport for TcpTransport {
             if out.capacity() == out.len() {
                 out.reserve(READ_MIN.min(left));
             }
+            let room = (out.capacity() - out.len()).min(left);
             match recv_spare(&self.stream, out, left) {
                 Ok(0) => {
                     self.eof = true;
                     break;
                 }
+                // A short read emptied the receive queue: another call
+                // would only return `WouldBlock` (or an EOF the next
+                // call, or readiness, reports).
+                Ok(got) if got < room => break,
                 Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

@@ -109,7 +109,7 @@ impl Role for Relay {
         span.emit("session.registered", fields![nonce = nonce, bg_allowance = spec.rate_cap]);
     }
 
-    fn on_start(&self, conv: &mut Conv, span: &Span, _spec: &MeasureSpec, snow: SimTime) {
+    fn on_start(_peer: &Peer<Relay>, conv: &mut Conv, span: &Span, _: &MeasureSpec, snow: SimTime) {
         conv.echoed_through = 0;
         conv.meter.start(snow);
         span.emit("session.go", fields![bg_rate = conv.meter.admitted_rate()]);
@@ -313,16 +313,19 @@ impl procutil::peer::DataConn for DataConn {
 mod tests {
     use super::*;
     use flashflow_obs::EventSink;
+    use procutil::peer::Settings;
 
     #[test]
     fn one_late_tick_reports_two_seconds_each_within_the_allowance() {
-        let relay =
-            Relay::new(Config { background: 40_000, ..Config::default() }, &MetricsRegistry::new());
+        let registry = MetricsRegistry::new();
+        let relay = Relay::new(Config { background: 40_000, ..Config::default() }, &registry);
         let span = Span::root(EventSink::new());
+        let peer = Peer::new(Settings::default(), relay, span.clone(), &registry);
+        let relay = &peer.role;
         let spec = MeasureSpec { slot_secs: 3, rate_cap: 20_000, ..MeasureSpec::default() };
         let mut conv = relay.conversation();
         relay.on_command(&mut conv, &span, &spec);
-        relay.on_start(&mut conv, &span, &spec, SimTime::from_secs(5));
+        Relay::on_start(&peer, &mut conv, &span, &spec, SimTime::from_secs(5));
         relay.drive(&mut conv, &span, SimTime::from_secs_f64(5.9), true);
         // The shard stalls: the next step lands 2.3 s into the slot and
         // owes two reports at once.

@@ -21,6 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -83,18 +84,38 @@ fn sibling_bin(name: &str) -> PathBuf {
     path
 }
 
-/// Spawns a process and reads its advertised `listening <addr>` line.
-fn spawn_listener(bin: PathBuf, args: &[String]) -> (Child, SocketAddr) {
+/// A child's stderr event lines, each stamped with when this process
+/// read it: the children's own timestamps count from their own starts.
+type StderrLog = Arc<Mutex<Vec<(Instant, String)>>>;
+
+/// Spawns a process and reads its advertised `listening <addr>` line;
+/// with `log`, its stderr lines are collected there as they arrive.
+fn spawn_listener(bin: PathBuf, args: &[String], log: Option<StderrLog>) -> (Child, SocketAddr) {
     // FF_RELAY_DEBUG=1 streams the children's stderr into the test
     // output for debugging.
-    let stderr =
-        if std::env::var_os("FF_RELAY_DEBUG").is_some() { Stdio::inherit() } else { Stdio::null() };
+    let debug = std::env::var_os("FF_RELAY_DEBUG").is_some();
+    let stderr = match (&log, debug) {
+        (Some(_), _) => Stdio::piped(),
+        (None, true) => Stdio::inherit(),
+        (None, false) => Stdio::null(),
+    };
     let mut child = Command::new(&bin)
         .args(args)
         .stdout(Stdio::piped())
         .stderr(stderr)
         .spawn()
         .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
+    if let Some(log) = log {
+        let stderr = child.stderr.take().expect("child stderr");
+        thread::spawn(move || {
+            for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+                if debug {
+                    eprintln!("{line}");
+                }
+                log.lock().expect("stderr log").push((Instant::now(), line));
+            }
+        });
+    }
     let stdout = child.stdout.take().expect("child stdout");
     let mut line = String::new();
     BufReader::new(stdout).read_line(&mut line).expect("read advertised address");
@@ -108,7 +129,11 @@ fn spawn_listener(bin: PathBuf, args: &[String]) -> (Child, SocketAddr) {
 }
 
 fn spawn_measurer(peer_ix: usize, sessions: usize) -> (Child, SocketAddr) {
-    let args: Vec<String> = [
+    spawn_listener(sibling_bin("flashflow-measurer"), &measurer_args(peer_ix, sessions), None)
+}
+
+fn measurer_args(peer_ix: usize, sessions: usize) -> Vec<String> {
+    [
         "--listen",
         "127.0.0.1:0",
         "--role",
@@ -122,11 +147,18 @@ fn spawn_measurer(peer_ix: usize, sessions: usize) -> (Child, SocketAddr) {
     ]
     .iter()
     .map(|s| s.to_string())
-    .collect();
-    spawn_listener(sibling_bin("flashflow-measurer"), &args)
+    .collect()
 }
 
 fn spawn_relay(extra: &[(&str, String)], sessions: usize) -> (Child, SocketAddr) {
+    spawn_listener(relay_bin(), &relay_args(extra, sessions), None)
+}
+
+fn relay_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay"))
+}
+
+fn relay_args(extra: &[(&str, String)], sessions: usize) -> Vec<String> {
     let mut args: Vec<String> = [
         "--listen",
         "127.0.0.1:0",
@@ -146,7 +178,7 @@ fn spawn_relay(extra: &[(&str, String)], sessions: usize) -> (Child, SocketAddr)
         args.push((*k).to_string());
         args.push(v.clone());
     }
-    spawn_listener(PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")), &args)
+    args
 }
 
 fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDeployment {
@@ -588,4 +620,74 @@ fn hung_up_measurer_degrades_its_item_without_spinning_the_round() {
 
     drop(pool);
     wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+}
+
+/// The events of kind `kind` in a child's stderr log: when each line
+/// arrived, and the line.
+fn logged(log: &StderrLog, kind: &str) -> Vec<(Instant, String)> {
+    log.lock()
+        .expect("stderr log")
+        .iter()
+        .filter(|(_, line)| {
+            line.split_once(']').and_then(|(_, rest)| rest.split_whitespace().next()) == Some(kind)
+        })
+        .cloned()
+        .collect()
+}
+
+/// The integer field `key` of a text event line.
+fn field(line: &str, key: &str) -> u64 {
+    let needle = format!(" {key}=");
+    let (_, rest) = line.split_once(&needle).unwrap_or_else(|| panic!("no {key} in {line:?}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|e| panic!("{key} in {line:?}: {e}"))
+}
+
+#[test]
+fn echo_channels_hang_up_with_the_slot_and_report_every_verified_byte() {
+    let logs: [StderrLog; 3] = Default::default();
+    let measurer_bin = sibling_bin("flashflow-measurer");
+    let (m0, a0) =
+        spawn_listener(measurer_bin.clone(), &measurer_args(0, 1), Some(Arc::clone(&logs[0])));
+    let (m1, a1) = spawn_listener(measurer_bin, &measurer_args(1, 1), Some(Arc::clone(&logs[1])));
+    let (relay, relay_addr) =
+        spawn_listener(relay_bin(), &relay_args(&[], 1), Some(Arc::clone(&logs[2])));
+
+    let pool = ConnectionPool::new();
+    let mut reported = [0u64; 2];
+    let snapshot = run_round(&deployment([a0, a1], relay_addr), &items()[..1], &pool, &mut |ev| {
+        if let EngineEvent::Sample { peer, measured_bytes, .. } = ev {
+            if let Some(sum) = reported.get_mut(peer.index()) {
+                *sum += measured_bytes;
+            }
+        }
+    });
+    assert!(snapshot.all_clean(), "the round must run clean");
+    drop(pool);
+    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+
+    let mut last_stop = None;
+    for (ix, log) in logs[..2].iter().enumerate() {
+        let stops = logged(log, "session.stop");
+        let [(stopped, stop)] = &stops[..] else { panic!("measurer {ix}: stops {stops:?}") };
+        last_stop = last_stop.max(Some(*stopped));
+        // The per-second reports add up to the tally the slot closed
+        // with, which is what the channels credited before hanging up.
+        let tally = field(stop, "verified");
+        assert!(tally > 0, "measurer {ix} verified nothing");
+        assert_eq!(reported[ix], tally, "measurer {ix}: reports vs the tally at Stop");
+        let closed = logged(log, "echo.closed");
+        assert_eq!(closed.len(), SOCKETS as usize, "measurer {ix}: {closed:?}");
+        let credited: u64 = closed.iter().map(|(_, line)| field(line, "verified")).sum();
+        assert_eq!(credited, tally, "measurer {ix}: channel credits vs the tally");
+    }
+    let last_stop = last_stop.expect("both measurers stopped");
+    // Each channel hangs up at its first wakeup or tick after the close,
+    // and the relay reads the EOF on its socket's readiness.
+    let closed = logged(&logs[2], "channel.closed");
+    assert_eq!(closed.len(), 2 * SOCKETS as usize, "relay: {closed:?}");
+    for (at, line) in &closed {
+        let late = at.saturating_duration_since(last_stop);
+        assert!(late <= Duration::from_millis(50), "{line:?} came {late:?} after the last stop");
+    }
 }
