@@ -16,9 +16,21 @@
 //!   round runs, so the next incarnation — however this one dies —
 //!   knows exactly what remains. A round pays one fsync on each side:
 //!   its `ItemStart`s are one write, durable before the first `Auth`
-//!   leaves, and its `ItemDone`s plus `RoundDone` are one write after
-//!   the round (and any refused-`Resume` retry, whose starts are a
-//!   batch of their own) has ended.
+//!   leaves, and its `ItemDone`s plus `RoundDone` are one write once
+//!   the round has ended.
+//!
+//! Rounds are staged and finalized one at a time on
+//! [`flashflow_core::echo::run_rounds`]' slot clock, two in flight: the
+//! next round is planned, journaled and handshaken while the current
+//! one blasts, and the current one's reports, ledger and completions
+//! are handled during the next one's slot. So the journal can hold
+//! round n+1's starts before round n's completions, and a crash there
+//! leaves both rounds in flight; the restart resumes both. The rounds
+//! are asked for lazily, one per staging. A resumed item whose `Resume`
+//! a restarted peer refused is retried with a fresh `Auth` as one more
+//! staged round. `draining` (SIGTERM) is polled before each staging:
+//! nothing new is staged, and the rounds already staged finish and are
+//! journaled.
 //!
 //! When the roster is complete the loop closes: the accumulated
 //! estimates become one BWAuth's vote, `flashflow-tornet`'s
@@ -27,27 +39,27 @@
 //! baseline weight set the paper compares against (§8), and the
 //! consensus document is written atomically next to the journal.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use flashflow_core::bwauth::measure_echo_period_observed;
-use flashflow_core::echo::{EchoDeployment, EchoItem};
-use flashflow_core::engine::{EngineEvent, PeerDirectory};
+use flashflow_core::bwauth::EchoRound;
+use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
+use flashflow_core::engine::{EngineEvent, EngineSnapshot, PeerDirectory};
 // Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
 pub use flashflow_core::observe::hex_fp as hex;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, Counter, Gauge, Json, MetricsRegistry, Span};
-use flashflow_proto::msg::AbortReason;
+use flashflow_proto::msg::{AbortReason, FINGERPRINT_LEN};
 use flashflow_simnet::time::SimTime;
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::consensus::DirAuths;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayConfig;
 
-use crate::journal::{self, DoneItem, Record};
+use crate::journal::{self, DoneItem, InFlightItem, Record};
 use crate::roster::{self, Roster, RosterSource};
-use crate::scheduler::{plan_rounds, PlanConfig};
+use crate::scheduler::{plan_rounds, PlanConfig, Round};
 
 /// Everything one period run needs beyond the deployment itself.
 #[derive(Debug, Clone)]
@@ -155,8 +167,9 @@ pub struct PeriodOutcome {
 /// from `cfg`'s source, seed and size) in rounds against the
 /// deployment's processes, journaling every step, and —
 /// when the roster completes — votes and writes the consensus.
-/// `draining` is polled between rounds (SIGTERM leaves a resumable
-/// journal rather than finishing the walk).
+/// `draining` is polled before each round is staged (SIGTERM lets the
+/// staged rounds finish and leaves a resumable journal rather than
+/// finishing the walk).
 ///
 /// # Errors
 /// Journal/output I/O failures. Measurement failures are not errors:
@@ -192,7 +205,7 @@ pub fn run_period(
             },
         )?;
     }
-    let mut done: BTreeMap<u64, DoneItem> = if fresh { BTreeMap::new() } else { state.done };
+    let done: BTreeMap<u64, DoneItem> = if fresh { BTreeMap::new() } else { state.done };
     let in_flight = if fresh { BTreeMap::new() } else { state.in_flight };
     let recovered_done = done.len();
     if state.torn_lines > 0 {
@@ -216,146 +229,48 @@ pub fn run_period(
     let plan =
         PlanConfig { team_capacity: cfg.team_capacity, per_item_blast, round_max: cfg.round_max };
     let rounds = plan_rounds(&pending, &plan);
-    let total_rounds = rounds.len();
 
-    let mut measured = 0usize;
-    let mut resumed = 0usize;
-    let mut resume_refused = 0usize;
-    let mut rounds_run = 0usize;
-    for (round_ix, round) in rounds.into_iter().enumerate() {
-        if draining() {
-            span.emit("coord.drain", fields![pending = (pending.len() - measured) as u64]);
-            return Ok(PeriodOutcome {
-                period,
-                measured,
-                recovered_done,
-                resumed,
-                resume_refused,
-                rounds: rounds_run,
-                drained: true,
-                consensus_entries: 0,
-            });
-        }
-        let mut items = Vec::with_capacity(round.items.len());
-        let mut starts = Vec::with_capacity(round.items.len());
-        for &ix in &round.items {
-            let entry = roster.entries[ix];
-            // The journal is the authority for a resumed item's secret:
-            // attempt n+1 must re-derive attempt n's nonces from the
-            // *same* secret or the Resume lineage proof fails.
-            let (secret, attempt) = match in_flight.get(&(ix as u64)) {
-                Some(parked) => (parked.secret, u32::try_from(parked.attempt + 1).unwrap_or(1)),
-                None => (roster::item_secret(cfg.secret_seed, ix), 0),
-            };
-            if attempt > 0 {
-                resumed += 1;
-                metrics.items_resumed.inc();
-                span.emit("item.resumed", fields![ix = ix as u64, attempt = attempt]);
-            }
-            let (item, start) = start_item(cfg, span, ix, entry.fp, secret, attempt, attempt > 0);
-            items.push(item);
-            starts.push(start);
-        }
-        // One write, one fsync: every start is durable before any
-        // session of the round opens.
-        journal::append_all(&journal_path, &starts)?;
-        span.emit(
-            "round.start",
-            fields![round = round_ix as u64, of = total_rounds as u64, items = items.len() as u64],
-        );
-        let file = measure_echo_period_observed(deployment, &items, pool, Some(span));
-
-        // A resumed item whose peer aborted the handshake with
-        // `AuthFailed` hit a peer that cannot honor the `Resume`
-        // lineage — it restarted since the prior attempt and lost its
-        // replay window, so *no* retry of the proof can succeed. Fall
-        // back to a fresh `Auth` as attempt `n+1`: its nonce has never
-        // been offered to anyone, so surviving peers (which simply see
-        // a new conversation) and restarted peers (fresh windows)
-        // both accept it.
-        let refused: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(g, item)| {
-                item.resume
-                    && file.events.iter().any(|ev| {
-                        matches!(
-                            *ev,
-                            EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed }
-                                if file.peers.item(peer) == *g
-                        )
-                    })
-            })
-            .map(|(g, _)| g)
-            .collect();
-        let mut entries = file.entries;
-        if !refused.is_empty() {
-            let mut retry_items = Vec::with_capacity(refused.len());
-            let mut retry_starts = Vec::with_capacity(refused.len());
-            for &g in &refused {
-                let ix = round.items[g];
-                let item = &items[g];
-                let attempt = item.attempt + 1;
-                resume_refused += 1;
-                metrics.resume_refused.inc();
-                span.emit(
-                    "item.resume_refused",
-                    fields![ix = ix as u64, attempt = u64::from(attempt)],
-                );
-                // A fresh attempt is a fresh trace: the helper re-mints it
-                // so the retry's telemetry never merges into the refused
-                // attempt's timeline.
-                let (retry_item, start) = start_item(
-                    cfg,
-                    span,
-                    ix,
-                    item.relay_fp,
-                    item.measurement_secret,
-                    attempt,
-                    false,
-                );
-                retry_items.push(retry_item);
-                retry_starts.push(start);
-            }
-            journal::append_all(&journal_path, &retry_starts)?;
-            let retry = measure_echo_period_observed(deployment, &retry_items, pool, Some(span));
-            for (entry, &g) in retry.entries.into_iter().zip(&refused) {
-                entries[g] = entry;
-            }
-        }
-
-        // The round's completions and its `RoundDone`: one write, one
-        // fsync, and no `ItemDone` before the round (retry included)
-        // has ended.
-        let mut records = Vec::with_capacity(entries.len() + 1);
-        for (entry, &ix) in entries.iter().zip(&round.items) {
-            let item = DoneItem {
-                fp: hex(&entry.relay_fp),
-                capacity: entry.capacity.bytes_per_sec(),
-                clean: entry.clean,
-                divergent: entry.divergent_rows as u64,
-            };
-            records.push(Record::ItemDone {
-                ix: ix as u64,
-                fp: item.fp.clone(),
-                capacity: item.capacity,
-                clean: item.clean,
-                divergent: item.divergent,
-                ts: journal::now_ts(),
-            });
-            done.insert(ix as u64, item);
-        }
-        records.push(Record::RoundDone {
-            round: round_ix as u64,
-            items: round.items.len() as u64,
-            ts: journal::now_ts(),
+    let mut walk = RosterWalk {
+        cfg,
+        deployment,
+        pool,
+        span,
+        metrics,
+        draining,
+        journal_path: &journal_path,
+        roster,
+        total_rounds: rounds.len(),
+        planned: rounds.into_iter(),
+        in_flight,
+        retries: VecDeque::new(),
+        staged: BTreeMap::new(),
+        next_round: 0,
+        done,
+        pending: pending.len(),
+        measured: 0,
+        resumed: 0,
+        resume_refused: 0,
+        rounds_run: 0,
+        drained: false,
+        error: None,
+    };
+    run_rounds(deployment, pool, &mut walk);
+    let RosterWalk { measured, resumed, resume_refused, rounds_run, done, drained, error, .. } =
+        walk;
+    if let Some(e) = error {
+        return Err(e);
+    }
+    if drained {
+        return Ok(PeriodOutcome {
+            period,
+            measured,
+            recovered_done,
+            resumed,
+            resume_refused,
+            rounds: rounds_run,
+            drained: true,
+            consensus_entries: 0,
         });
-        journal::append_all(&journal_path, &records)?;
-        measured += entries.len();
-        metrics.items_done.add(entries.len() as u64);
-        metrics.roster_remaining.set((pending.len() - measured) as i64);
-        rounds_run += 1;
-        metrics.rounds.inc();
     }
 
     // Roster complete: write the bandwidth file, vote the consensus,
@@ -385,6 +300,223 @@ pub fn run_period(
     })
 }
 
+/// One attempt at a roster item, ready to be staged.
+struct Attempt {
+    ix: usize,
+    fp: [u8; FINGERPRINT_LEN],
+    secret: u64,
+    attempt: u32,
+    /// Open with the `Resume` handshake (the journaled conversation).
+    resume: bool,
+}
+
+/// A staged round: the roster items it carries, and its recording.
+struct StagedRound {
+    ixs: Vec<usize>,
+    record: EchoRound,
+}
+
+/// [`run_period`]'s side of the staged-round loop: it hands out the
+/// plan's rounds one at a time, journals each round's starts as it is
+/// staged and its completions as it ends, and turns a refused `Resume`
+/// into one more staged round.
+struct RosterWalk<'a> {
+    cfg: &'a DaemonConfig,
+    roster: &'a Roster,
+    deployment: &'a EchoDeployment,
+    pool: &'a ConnectionPool,
+    span: &'a Span,
+    metrics: &'a CoordMetrics,
+    draining: &'a dyn Fn() -> bool,
+    journal_path: &'a Path,
+    total_rounds: usize,
+    /// The plan's rounds not yet staged.
+    planned: std::vec::IntoIter<Round>,
+    /// What the journal showed in flight when this incarnation started.
+    in_flight: BTreeMap<u64, InFlightItem>,
+    /// Fresh-`Auth` retries of refused resumes, staged before the plan
+    /// goes on.
+    retries: VecDeque<Vec<Attempt>>,
+    /// Rounds staged and not yet ended, by staging number.
+    staged: BTreeMap<usize, StagedRound>,
+    next_round: usize,
+    done: BTreeMap<u64, DoneItem>,
+    /// Relays this incarnation set out to measure.
+    pending: usize,
+    measured: usize,
+    resumed: usize,
+    resume_refused: usize,
+    rounds_run: usize,
+    drained: bool,
+    /// The first journal write that failed: nothing more is staged, and
+    /// `run_period` returns it once the staged rounds have ended.
+    error: Option<io::Error>,
+}
+
+impl RosterWalk<'_> {
+    /// The next attempt at roster item `ix`. The journal is the
+    /// authority for a resumed item's secret: attempt n+1 must re-derive
+    /// attempt n's nonces from the *same* secret, or the `Resume`
+    /// lineage proof fails.
+    fn attempt_at(&mut self, ix: usize) -> Attempt {
+        let fp = self.roster.entries[ix].fp;
+        match self.in_flight.get(&(ix as u64)) {
+            Some(parked) => {
+                let attempt = u32::try_from(parked.attempt + 1).unwrap_or(1);
+                self.resumed += 1;
+                self.metrics.items_resumed.inc();
+                self.span.emit("item.resumed", fields![ix = ix as u64, attempt = attempt]);
+                Attempt { ix, fp, secret: parked.secret, attempt, resume: true }
+            }
+            None => Attempt {
+                ix,
+                fp,
+                secret: roster::item_secret(self.cfg.secret_seed, ix),
+                attempt: 0,
+                resume: false,
+            },
+        }
+    }
+}
+
+impl RoundSource for RosterWalk<'_> {
+    fn next_round(&mut self) -> Option<Vec<EchoItem>> {
+        // Asked again after every round ends (a refused `Resume` may
+        // have queued a retry), so a drain or an error is reported once.
+        if self.error.is_some()
+            || self.drained
+            || (self.retries.is_empty() && self.planned.len() == 0)
+        {
+            return None;
+        }
+        // SIGTERM stops the staging; the rounds already staged finish.
+        if (self.draining)() {
+            self.drained = true;
+            self.span.emit("coord.drain", fields![pending = (self.pending - self.measured) as u64]);
+            return None;
+        }
+        let attempts = match self.retries.pop_front() {
+            Some(retry) => retry,
+            None => {
+                let round = self.planned.next()?;
+                round.items.iter().map(|&ix| self.attempt_at(ix)).collect()
+            }
+        };
+        let (items, starts): (Vec<EchoItem>, Vec<Record>) = attempts
+            .iter()
+            .map(|a| start_item(self.cfg, self.span, a.ix, a.fp, a.secret, a.attempt, a.resume))
+            .unzip();
+        // One write, one fsync: every start is durable before any
+        // session of the round opens.
+        if let Err(e) = journal::append_all(self.journal_path, &starts) {
+            self.error = Some(e);
+            return None;
+        }
+        let round = self.next_round;
+        self.next_round += 1;
+        self.span.emit(
+            "round.start",
+            fields![
+                round = round as u64,
+                of = self.total_rounds as u64,
+                items = items.len() as u64
+            ],
+        );
+        let record = EchoRound::start(self.deployment, &items, Some(self.span));
+        self.staged
+            .insert(round, StagedRound { ixs: attempts.iter().map(|a| a.ix).collect(), record });
+        Some(items)
+    }
+
+    fn event(&mut self, round: usize, event: EngineEvent) {
+        if let Some(staged) = self.staged.get_mut(&round) {
+            staged.record.observe(event);
+        }
+    }
+
+    fn finished(&mut self, round: usize, peers: EngineSnapshot) {
+        let Some(StagedRound { ixs, record }) = self.staged.remove(&round) else { return };
+        let items = record.items().to_vec();
+        let file = record.finish(peers, self.pool);
+        if self.error.is_some() {
+            return;
+        }
+        // A resumed item whose peer aborted the handshake with
+        // `AuthFailed` hit a peer that cannot honor the `Resume`
+        // lineage — it restarted since the prior attempt and lost its
+        // replay window, so *no* retry of the proof can succeed. Fall
+        // back to a fresh `Auth` as attempt `n+1`: its nonce has never
+        // been offered to anyone, so surviving peers (which simply see
+        // a new conversation) and restarted peers (fresh windows)
+        // both accept it.
+        let refused = |g: usize| {
+            items[g].resume
+                && file.events.iter().any(|ev| {
+                    matches!(
+                        *ev,
+                        EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed }
+                            if file.peers.item(peer) == g
+                    )
+                })
+        };
+        // The round's completions and its `RoundDone`: one write, one
+        // fsync, with no `ItemDone` for a refused item — its retry is a
+        // round of its own.
+        let mut records = Vec::with_capacity(ixs.len() + 1);
+        let mut retry = Vec::new();
+        for (g, (entry, &ix)) in file.entries.iter().zip(&ixs).enumerate() {
+            if refused(g) {
+                let attempt = items[g].attempt + 1;
+                self.resume_refused += 1;
+                self.metrics.resume_refused.inc();
+                self.span.emit(
+                    "item.resume_refused",
+                    fields![ix = ix as u64, attempt = u64::from(attempt)],
+                );
+                // A fresh attempt is a fresh trace: `start_item` re-mints
+                // it when the retry is staged, so the retry's telemetry
+                // never merges into the refused attempt's timeline.
+                let (fp, secret) = (items[g].relay_fp, items[g].measurement_secret);
+                retry.push(Attempt { ix, fp, secret, attempt, resume: false });
+                continue;
+            }
+            let item = DoneItem {
+                fp: hex(&entry.relay_fp),
+                capacity: entry.capacity.bytes_per_sec(),
+                clean: entry.clean,
+                divergent: entry.divergent_rows as u64,
+            };
+            records.push(Record::ItemDone {
+                ix: ix as u64,
+                fp: item.fp.clone(),
+                capacity: item.capacity,
+                clean: item.clean,
+                divergent: item.divergent,
+                ts: journal::now_ts(),
+            });
+            self.done.insert(ix as u64, item);
+        }
+        let measured = records.len();
+        records.push(Record::RoundDone {
+            round: round as u64,
+            items: measured as u64,
+            ts: journal::now_ts(),
+        });
+        if let Err(e) = journal::append_all(self.journal_path, &records) {
+            self.error = Some(e);
+            return;
+        }
+        if !retry.is_empty() {
+            self.retries.push_back(retry);
+        }
+        self.measured += measured;
+        self.metrics.items_done.add(measured as u64);
+        self.metrics.roster_remaining.set((self.pending - self.measured) as i64);
+        self.rounds_run += 1;
+        self.metrics.rounds.inc();
+    }
+}
+
 /// Opens one attempt at a roster item: mints and emits the attempt's
 /// trace id, and returns the item to command with the `ItemStart` the
 /// caller journals (batched with the rest of the round) before any
@@ -394,7 +526,7 @@ fn start_item(
     cfg: &DaemonConfig,
     span: &Span,
     ix: usize,
-    fp: [u8; flashflow_proto::msg::FINGERPRINT_LEN],
+    fp: [u8; FINGERPRINT_LEN],
     secret: u64,
     attempt: u32,
     resume: bool,
@@ -490,6 +622,11 @@ fn vote_consensus(
     let torflow = flashflow_balance::torflow::compute_weights(&advertised, &speeds);
     let torflow_total: f64 = torflow.values().sum();
     let normalized = consensus.normalized();
+    // Both lookups indexed once: a scan per entry is quadratic in the
+    // roster, paid at the end of every period.
+    let ix_of: BTreeMap<_, usize> = ids.iter().enumerate().map(|(ix, id)| (*id, ix)).collect();
+    let weight_of: BTreeMap<_, f64> =
+        consensus.entries.iter().map(|e| (e.relay, e.weight)).collect();
     let mut max_diff = 0.0f64;
     let mut sum_diff = 0.0f64;
     let mut entries = Vec::new();
@@ -497,8 +634,8 @@ fn vote_consensus(
         // Every consensus entry is keyed by an id minted above; an
         // unknown one would mean the voting machinery invented a
         // relay. Skip it rather than panic the daemon mid-period.
-        let Some(ix) = ids.iter().position(|r| r == relay) else { continue };
-        let weight = consensus.entries.iter().find(|e| e.relay == *relay).map_or(0.0, |e| e.weight);
+        let Some(&ix) = ix_of.get(relay) else { continue };
+        let weight = weight_of.get(relay).copied().unwrap_or(0.0);
         let tf_norm = if torflow_total > 0.0 {
             torflow.get(relay).copied().unwrap_or(0.0) / torflow_total
         } else {
@@ -602,6 +739,58 @@ mod tests {
         let balance = doc.get("balance").unwrap();
         let max_diff = balance.get("max_abs_diff").unwrap().as_f64().unwrap();
         assert!(max_diff.is_finite());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn consensus_entries_match_a_direct_lookup_on_a_large_roster() {
+        let dir = temp_dir("vote-large");
+        let cfg = DaemonConfig {
+            state_dir: dir.clone(),
+            source: RosterSource::Synth,
+            seed: 11,
+            relays: Some(2500),
+            secret_seed: 1,
+            slot_secs: 1,
+            bg_allowance: 0,
+            team_capacity: 1e9,
+            round_max: 0,
+            dirauths: 3,
+        };
+        let roster = roster::build(cfg.source, cfg.seed, cfg.relays);
+        assert_eq!(roster.entries.len(), 2500);
+        // Every seventh relay went unmeasured: it has no vote and no entry.
+        let mut done = BTreeMap::new();
+        for entry in roster.entries.iter().filter(|e| e.ix % 7 != 3) {
+            let capacity = entry.prior * (1.0 + (entry.ix % 13) as f64 / 100.0);
+            done.insert(
+                entry.ix as u64,
+                DoneItem { fp: hex(&entry.fp), capacity, clean: true, divergent: 0 },
+            );
+        }
+        let span = Span::root(EventSink::new());
+        let n = vote_consensus(&cfg, &roster, &done, &span).expect("vote");
+        assert_eq!(n, done.len());
+
+        let text = std::fs::read_to_string(cfg.consensus_path()).expect("consensus written");
+        let doc = Json::parse(text.trim()).expect("valid json");
+        let entries = doc.get("entries").unwrap().as_arr().unwrap();
+        let total: f64 = done.values().map(|d| d.capacity).sum();
+        // In roster order, one per measured relay, each carrying its own
+        // relay's numbers.
+        let ixs: Vec<u64> =
+            entries.iter().map(|e| e.get("ix").unwrap().as_u64().unwrap()).collect();
+        assert_eq!(ixs, done.keys().copied().collect::<Vec<_>>());
+        for e in entries {
+            let ix = e.get("ix").unwrap().as_u64().unwrap();
+            let entry = &roster.entries[ix as usize];
+            let measured = &done[&ix];
+            assert_eq!(e.get("fp").unwrap().as_str(), Some(hex(&entry.fp).as_str()), "{ix}");
+            assert_eq!(e.get("prior").unwrap().as_f64(), Some(entry.prior), "{ix}");
+            assert_eq!(e.get("weight").unwrap().as_f64(), Some(measured.capacity), "{ix}");
+            let norm = e.get("normalized").unwrap().as_f64().unwrap();
+            assert!((norm - measured.capacity / total).abs() < 1e-12, "{ix}: {norm}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

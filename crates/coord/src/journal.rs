@@ -551,6 +551,52 @@ mod tests {
     }
 
     #[test]
+    fn every_prefix_of_two_rounds_in_flight_recovers_whole_lines_only() {
+        // The order a pipelined coordinator writes: round n's starts,
+        // round n+1's starts (staged while n blasts), then round n's
+        // completions and its `RoundDone`.
+        let path = temp_path("interleaved");
+        let fp = |ix: u64| format!("{ix:040x}");
+        let (starts_n, dones_n) = round_batches();
+        let starts_next: Vec<Record> = (4..8u64)
+            .map(|ix| Record::ItemStart { ix, fp: fp(ix), secret: 100 + ix, attempt: 0, ts: 2.5 })
+            .collect();
+        let order: Vec<Record> = [starts_n, starts_next, dones_n].concat();
+        let len: usize = order.iter().map(|r| r.to_json_line().len() + 1).sum();
+        for cut in 0..=len {
+            let state = recover_torn(&path, &[], &order, cut);
+            let (whole, torn) = landed(&order, cut);
+            assert_eq!(state.torn_lines, u64::from(torn), "cut {cut}");
+            // Exactly the whole records apply, in order.
+            let mut expected = JournalState::default();
+            expected.apply(&Record::PeriodStart {
+                period: 1,
+                roster: 4,
+                seed: 9,
+                source: "synth".into(),
+                ts: 1.0,
+            });
+            for record in &order[..whole] {
+                expected.apply(record);
+            }
+            assert_eq!(state.done, expected.done, "cut {cut}");
+            assert_eq!(state.in_flight, expected.in_flight, "cut {cut}");
+            assert_eq!(state.rounds_done, expected.rounds_done, "cut {cut}");
+            // Nothing is done that was not whole, and both rounds' items
+            // stay in flight with their journaled secrets until their
+            // own `ItemDone` lands.
+            assert!(state.done.keys().all(|&ix| ix < 4), "cut {cut}");
+            assert!(state.in_flight.iter().all(|(ix, item)| item.secret == 100 + ix));
+            if whole >= 8 {
+                let in_flight: Vec<u64> = state.in_flight.keys().copied().collect();
+                let done = (whole - 8).min(4) as u64;
+                assert_eq!(in_flight, (done..8).collect::<Vec<_>>(), "cut {cut}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn a_completed_period_resets_for_the_next() {
         let mut state = JournalState::default();
         state.apply(&Record::PeriodStart {

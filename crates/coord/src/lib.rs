@@ -23,9 +23,9 @@
 //!   conversations instead of rejecting the re-derived nonces as
 //!   replays).
 //! * [`daemon`] — the period loop itself: recover → plan rounds →
-//!   [`measure_echo_period_observed`](flashflow_core::bwauth::measure_echo_period_observed)
-//!   per round → journal every item (one fsync before the round, one
-//!   after) → vote a consensus through
+//!   [`run_rounds`](flashflow_core::echo::run_rounds), which stages
+//!   round n+1 while round n blasts → journal every item (one fsync as
+//!   a round is staged, one as it ends) → vote a consensus through
 //!   `flashflow-tornet`'s [`DirAuths`](flashflow_tornet::consensus::DirAuths)
 //!   and compare the weights against `flashflow-balance`'s TorFlow
 //!   baseline — one command measures a live multi-process network and

@@ -30,8 +30,9 @@
 //! to key on — `coordinating <n> relays`, `metrics <addr>`,
 //! `period <n> complete entries <k>`, `drained` — everything else goes
 //! to stderr (or `--log-json` as structured JSONL). On SIGTERM the
-//! daemon finishes its current round, journals, and exits 0; the next
-//! start continues the period.
+//! daemon stages no further round; the rounds already staged (the one
+//! blasting and the one handshaking behind it) finish and are
+//! journaled, and it exits 0. The next start continues the period.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;

@@ -1,7 +1,7 @@
 //! The daemon harness: `flashflow-coord` as a real process driving real
 //! `flashflow-measurer` / `flashflow-relay` processes over loopback.
 //!
-//! Four scenarios:
+//! Seven scenarios:
 //!
 //! 1. **End to end** — one `--once` daemon invocation walks a small
 //!    Shadow roster against the live team, and the state directory ends
@@ -27,6 +27,15 @@
 //! 4. **Concurrent round** — given team capacity for three items, the
 //!    daemon measures a three-relay roster in one round whose three
 //!    `Go` barriers release together, on one coordinator thread.
+//! 5. **Two rounds in flight** — the daemon is SIGKILLed while the
+//!    journal holds round n+1's starts but not round n's end; the
+//!    restart resumes both rounds' items as attempt n+1 and measures
+//!    every relay exactly once.
+//! 6. **Slot clock** — round n+1 is armed before round n's last
+//!    `peer.done`, and consecutive rounds' `Go`s are a slot apart.
+//! 7. **Refused resume, last round** — like 3, but the refused item is
+//!    the only one left: its retry is queued after every planned round
+//!    has been staged, and the period still waits for it.
 
 use std::io::{BufRead, BufReader, Read as _};
 use std::net::SocketAddr;
@@ -395,6 +404,144 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
 }
 
 #[test]
+fn sigkill_with_two_rounds_in_flight_resumes_both() {
+    const RELAYS: usize = 4;
+    let state_dir = temp_state_dir("two-in-flight");
+    let journal_path = state_dir.join("journal.jsonl");
+    let (m0, a0) = spawn_measurer(0);
+    let (m1, a1) = spawn_measurer(0);
+    let (relay, relay_addr) = spawn_relay();
+
+    // One item per round, 0.8 s of wall per slot. Round n+1 is staged
+    // once round n's Go is out, so for most of round n's slot the
+    // journal holds both rounds' starts and neither round's end.
+    let mut first = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let text = std::fs::read_to_string(&journal_path).unwrap_or_default();
+        if text.matches("\"item.start\"").count() >= 2 {
+            assert!(!text.contains("round.done"), "round n ended before n+1 was staged:\n{text}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "round n+1 never staged; journal:\n{text}");
+        thread::sleep(Duration::from_millis(2));
+    }
+    // Let round n+1's handshakes reach the peers (a few milliseconds on
+    // loopback), so their replay windows hold both rounds' nonces: a
+    // kill between the journal write and the first `Auth` would leave
+    // nothing to resume, and the item would fall back to a fresh `Auth`.
+    thread::sleep(Duration::from_millis(100));
+    first.kill().expect("SIGKILL coordinator");
+    let _ = first.wait();
+
+    let killed = journal::recover(&journal_path).expect("recover after kill");
+    assert_eq!(killed.rounds_done, 0, "the kill must land inside round n");
+    let interrupted: Vec<u64> = killed.in_flight.keys().copied().collect();
+    assert_eq!(interrupted.len(), 2, "both rounds in flight: {interrupted:?}");
+    assert!(killed.done.is_empty(), "{:?}", killed.done);
+
+    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
+    let stdout = wait_success("flashflow-coord (restarted)", second);
+    assert!(
+        stdout.contains(&format!("period 1 complete entries {RELAYS}")),
+        "restart must complete period 1:\n{stdout}"
+    );
+
+    let text = std::fs::read_to_string(&journal_path).expect("journal");
+    let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
+    let mut done_count = std::collections::BTreeMap::new();
+    let mut attempts: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+    for record in &records {
+        match record {
+            journal::Record::ItemDone { ix, .. } => *done_count.entry(*ix).or_insert(0u32) += 1,
+            journal::Record::ItemStart { ix, attempt, .. } => {
+                attempts.entry(*ix).or_default().push(*attempt);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(done_count.len(), RELAYS, "every relay measured: {done_count:?}");
+    assert!(done_count.values().all(|&n| n == 1), "one item.done per relay: {done_count:?}");
+    // Both rounds' unfinished items were re-commanded as attempt n+1.
+    for ix in &interrupted {
+        assert_eq!(attempts[ix], vec![0, 1], "item {ix}: {attempts:?}");
+    }
+    let state = journal::recover(&journal_path).expect("recover final");
+    assert!(state.period_done && state.in_flight.is_empty());
+    assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
+
+    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn the_next_round_handshakes_during_the_slot_and_goes_when_it_ends() {
+    const RELAYS: usize = 4;
+    const SLOT_SECS: u32 = 4;
+    let slot_wall = f64::from(SLOT_SECS) / SPEEDUP;
+    let state_dir = temp_state_dir("slot-clock");
+    let log_path = state_dir.join("coord.jsonl");
+    let (m0, a0) = spawn_measurer(0);
+    let (m1, a1) = spawn_measurer(0);
+    let (relay, relay_addr) = spawn_relay();
+
+    // One item per round, so each trace is one round.
+    let coord = spawn_coord_with(
+        &state_dir,
+        &[a0, a1],
+        relay_addr,
+        RELAYS,
+        SLOT_SECS,
+        &[("--log-json", log_path.display().to_string())],
+    );
+    let stdout = wait_success("flashflow-coord", coord);
+    assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
+
+    let text = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
+    let events: Vec<Event> = text
+        .lines()
+        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .collect();
+    // Per round, in slot order: its Go, its last peer.ready, its last
+    // peer.done. The Go is read on the loop's clock (`at_secs`, sped
+    // up): `ts` is stamped when the event is written, after the step
+    // that sent the Go, and a preempted coordinator shifts it.
+    let last = |kind: &str, trace: u64| {
+        events
+            .iter()
+            .filter(|e| e.kind == kind && e.scope.trace == Some(trace))
+            .map(|e| e.ts)
+            .fold(f64::MIN, f64::max)
+    };
+    let mut rounds: Vec<(f64, f64, f64)> = events
+        .iter()
+        .filter(|e| e.kind == "slot.go")
+        .map(|e| {
+            let trace = e.scope.trace.expect("a slot.go carries its trace");
+            let go = e.f64_field("at_secs").expect("a slot.go carries at_secs") / SPEEDUP;
+            (go, last("peer.ready", trace), last("peer.done", trace))
+        })
+        .collect();
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!(rounds.len(), RELAYS, "{rounds:?}");
+    for pair in rounds.windows(2) {
+        let ((go, _, done), (next_go, next_ready, _)) = (pair[0], pair[1]);
+        assert!(
+            next_ready < done,
+            "round n+1 armed at {next_ready:.4}, after round n ended at {done:.4}"
+        );
+        assert!(
+            next_go - go >= slot_wall - 0.001,
+            "Gos {:.4}s apart, closer than one {slot_wall}s slot: {rounds:?}",
+            next_go - go
+        );
+    }
+
+    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
     const RELAYS: usize = 3;
     let state_dir = temp_state_dir("refused");
@@ -487,6 +634,70 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
 
     let doc = read_consensus(&state_dir);
     assert_eq!(doc.get("measured").unwrap().as_u64(), Some(RELAYS as u64));
+
+    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
+    const RELAYS: usize = 3;
+    let state_dir = temp_state_dir("refused-last");
+    let journal_path = state_dir.join("journal.jsonl");
+    let (m0, a0) = spawn_measurer(0);
+    let (m1, a1) = spawn_measurer(0);
+    let (relay, relay_addr) = spawn_relay();
+
+    // Incarnation 1: one item per round, 0.8 s of wall per slot. Once
+    // rounds 0 and 1 are journaled done, round 2 (the last) is mid-slot.
+    let mut first = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let text = std::fs::read_to_string(&journal_path).unwrap_or_default();
+        if text.matches("\"item.done\"").count() >= RELAYS - 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no item.done journaled; journal:\n{text}");
+        thread::sleep(Duration::from_millis(2));
+    }
+    thread::sleep(Duration::from_millis(100));
+    first.kill().expect("SIGKILL coordinator");
+    let _ = first.wait();
+    let killed = journal::recover(&journal_path).expect("recover after kill");
+    assert_eq!(killed.done.len(), RELAYS - 1, "{:?}", killed.done);
+    assert_eq!(killed.in_flight.len(), 1, "the last round in flight: {:?}", killed.in_flight);
+
+    // A restarted measurer refuses the `Resume` of the only round left;
+    // its fresh-`Auth` retry is queued once that round has ended, with
+    // no planned round after it.
+    let mut m1 = m1;
+    m1.kill().expect("SIGKILL measurer-1");
+    let _ = m1.wait();
+    let (m1, a1_again) = spawn_measurer_at(0, &a1.to_string());
+    assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
+
+    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
+    let stdout = wait_success("flashflow-coord (restarted)", second);
+    assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
+
+    let text = std::fs::read_to_string(&journal_path).expect("journal");
+    let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
+    let mut done_count = std::collections::BTreeMap::new();
+    let mut max_attempt = 0;
+    for record in &records {
+        match record {
+            journal::Record::ItemDone { ix, .. } => *done_count.entry(*ix).or_insert(0u32) += 1,
+            journal::Record::ItemStart { attempt, .. } => max_attempt = max_attempt.max(*attempt),
+            _ => {}
+        }
+    }
+    assert_eq!(done_count.len(), RELAYS, "every relay measured: {done_count:?}");
+    assert!(done_count.values().all(|&n| n == 1), "one item.done per relay: {done_count:?}");
+    assert!(max_attempt >= 2, "the refused resume must be retried with a fresh Auth");
+    let state = journal::recover(&journal_path).expect("recover final");
+    assert!(state.period_done && state.in_flight.is_empty());
+    assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
+    assert_eq!(read_consensus(&state_dir).get("measured").unwrap().as_u64(), Some(RELAYS as u64));
 
     terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
     let _ = std::fs::remove_dir_all(&state_dir);

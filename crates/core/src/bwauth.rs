@@ -182,39 +182,91 @@ pub fn measure_echo_period_observed(
     pool: &crate::pool::ConnectionPool,
     span: Option<&flashflow_obs::Span>,
 ) -> EchoPeriodFile {
-    use flashflow_simnet::stats::median;
+    let mut round = EchoRound::start(deployment, items, span);
+    let peers = crate::echo::run_round(deployment, items, pool, &mut |event| round.observe(event));
+    round.finish(peers, pool)
+}
 
-    let round = span.map(|span| crate::observe::RoundSpans::start(span, deployment, items));
-    let mut events = Vec::new();
-    let mut ledger = crate::engine::SampleLedger::new();
-    ledger.set_bg_ratio(deployment.ratio);
-    let peers = crate::echo::run_round(deployment, items, pool, &mut |event| {
-        if let Some(round) = &round {
-            round.engine_event(&event);
+/// One echo round being recorded: its events, its sample ledger and,
+/// when given a span, its telemetry, fed while the round runs and turned
+/// into the round's [`EchoPeriodFile`] when it ends.
+/// [`measure_echo_period_observed`] wraps one around
+/// [`crate::echo::run_round`]; a caller that keeps two rounds in flight
+/// with [`crate::echo::run_rounds`] keeps one per staged round.
+pub struct EchoRound {
+    items: Vec<crate::echo::EchoItem>,
+    ratio: f64,
+    spans: Option<crate::observe::RoundSpans>,
+    events: Vec<crate::engine::EngineEvent>,
+    ledger: crate::engine::SampleLedger,
+}
+
+impl EchoRound {
+    /// Starts recording a round of `items` against `deployment`. With a
+    /// `span`, emits `period.start` on it and mirrors every event (see
+    /// [`crate::observe`]).
+    pub fn start(
+        deployment: &crate::echo::EchoDeployment,
+        items: &[crate::echo::EchoItem],
+        span: Option<&flashflow_obs::Span>,
+    ) -> EchoRound {
+        let mut ledger = crate::engine::SampleLedger::new();
+        ledger.set_bg_ratio(deployment.ratio);
+        EchoRound {
+            items: items.to_vec(),
+            ratio: deployment.ratio,
+            spans: span.map(|span| crate::observe::RoundSpans::start(span, deployment, items)),
+            events: Vec::new(),
+            ledger,
         }
-        ledger.observe(&event);
-        events.push(event);
-    });
-    let entries = items
-        .iter()
-        .enumerate()
-        .map(|(g, item)| {
-            let (x, y) = ledger.merged_series(&peers, g);
-            let seconds = crate::measure::build_second_samples(&x, &y, deployment.ratio);
-            let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-            EchoEntry {
-                relay_fp: item.relay_fp,
-                capacity: Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0)),
-                clean: peers.item_clean(g),
-                divergent_rows: ledger.divergent_count(&peers, g),
-            }
-        })
-        .collect();
-    let file = EchoPeriodFile { entries, events, ledger, peers, pool: pool.stats() };
-    if let Some(round) = &round {
-        round.audit(items, &file);
     }
-    file
+
+    /// The round's items, in engine item order.
+    pub fn items(&self) -> &[crate::echo::EchoItem] {
+        &self.items
+    }
+
+    /// Records one engine event of the round.
+    pub fn observe(&mut self, event: crate::engine::EngineEvent) {
+        if let Some(spans) = &self.spans {
+            spans.engine_event(&event);
+        }
+        self.ledger.observe(&event);
+        self.events.push(event);
+    }
+
+    /// Ends the round: §4.1's estimate per item from the ledger and the
+    /// round's final directory `peers`, with the audit trail emitted
+    /// after it and `pool`'s counters as they stand now.
+    pub fn finish(
+        self,
+        peers: crate::engine::EngineSnapshot,
+        pool: &crate::pool::ConnectionPool,
+    ) -> EchoPeriodFile {
+        use flashflow_simnet::stats::median;
+
+        let EchoRound { items, ratio, spans, events, ledger } = self;
+        let entries = items
+            .iter()
+            .enumerate()
+            .map(|(g, item)| {
+                let (x, y) = ledger.merged_series(&peers, g);
+                let seconds = crate::measure::build_second_samples(&x, &y, ratio);
+                let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
+                EchoEntry {
+                    relay_fp: item.relay_fp,
+                    capacity: Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0)),
+                    clean: peers.item_clean(g),
+                    divergent_rows: ledger.divergent_count(&peers, g),
+                }
+            })
+            .collect();
+        let file = EchoPeriodFile { entries, events, ledger, peers, pool: pool.stats() };
+        if let Some(spans) = &spans {
+            spans.audit(&items, &file);
+        }
+        file
+    }
 }
 
 /// Aggregates several BWAuths' bandwidth files by taking, for each relay

@@ -145,6 +145,7 @@ struct Channel {
 pub struct EngineBuilder {
     channels: Vec<Channel>,
     hard_deadline: Option<SimTime>,
+    go_gate: Option<SimTime>,
 }
 
 impl EngineBuilder {
@@ -174,6 +175,17 @@ impl EngineBuilder {
         self
     }
 
+    /// Holds every item's `Go` barrier until `gate`: an item whose
+    /// surviving peers are all armed earlier stays armed, and is released
+    /// in the first step at or after `gate`. This is how a staged round
+    /// handshakes while the round before it still blasts, and starts its
+    /// slot when that round's slot ends (see [`crate::echo::run_rounds`]).
+    #[must_use]
+    pub fn go_not_before(mut self, gate: SimTime) -> Self {
+        self.go_gate = Some(gate);
+        self
+    }
+
     /// Finishes construction and opens every conversation (queues the
     /// `Auth` frames; the first [`MeasurementEngine::step`] sends them).
     pub fn build(self, now: SimTime) -> MeasurementEngine {
@@ -195,6 +207,7 @@ impl EngineBuilder {
             item_completed: channels_by_item.iter().map(|chans| chans.is_empty()).collect(),
             channels_by_item,
             hard_deadline: self.hard_deadline,
+            go_gate: self.go_gate,
         }
     }
 }
@@ -209,6 +222,8 @@ pub struct MeasurementEngine {
     /// O(channels of that item) across a large slot-packed batch.
     channels_by_item: Vec<Vec<usize>>,
     hard_deadline: Option<SimTime>,
+    /// No `Go` leaves before this (see [`EngineBuilder::go_not_before`]).
+    go_gate: Option<SimTime>,
 }
 
 impl MeasurementEngine {
@@ -256,6 +271,12 @@ impl MeasurementEngine {
     pub fn frames(&self, peer: PeerId) -> (u64, u64) {
         let s = self.channels[peer.0].endpoint.session();
         (s.frames_tx, s.frames_rx)
+    }
+
+    /// Bytes the peer's transport accepted but the wire has not taken
+    /// yet (a connecting socket's `Auth`, or send-buffer backpressure).
+    pub fn backlog(&self, peer: PeerId) -> usize {
+        self.channels[peer.0].endpoint.transport().backlog()
     }
 
     /// True once every conversation is terminal.
@@ -396,8 +417,11 @@ impl MeasurementEngine {
     /// Releases the `Go` barrier of every item whose surviving peers are
     /// all armed (and at least one measurer is among them — a slot with
     /// only a reporting target left measures nothing and is left to its
-    /// barrier timeout).
+    /// barrier timeout), once the Go gate, if any, has passed.
     fn release_barriers(&mut self, now: SimTime) {
+        if self.go_gate.is_some_and(|gate| now < gate) {
+            return;
+        }
         for item in 0..self.go_released.len() {
             if self.go_released[item] {
                 continue;
@@ -938,6 +962,60 @@ mod tests {
         let (x, y) = ledger.merged_series(&engine, 0);
         assert_eq!(x, vec![150.0; 3]);
         assert_eq!(y, vec![3.0; 3]);
+    }
+
+    #[test]
+    fn armed_peers_wait_for_the_go_gate_and_go_in_the_first_step_after_it() {
+        let token = [9u8; AUTH_TOKEN_LEN];
+        let t = SessionTimeouts::default();
+        let gate = SimTime::from_secs_f64(2.1);
+        let mut builder = MeasurementEngine::builder().go_not_before(gate);
+        let mut locals = Vec::new();
+        for (ix, role) in [PeerRole::Measurer, PeerRole::Target].into_iter().enumerate() {
+            let (ca, cb) = Duplex::loopback().into_endpoints();
+            let session = CoordinatorSession::new(token, role, spec(1), 1000 + ix as u64, t);
+            builder.add_peer(0, session, Box::new(ca));
+            locals.push(Endpoint::new(MeasurerSession::new(token, role, ix as u64, t), cb));
+        }
+        let mut engine = builder.build(SimTime::ZERO);
+        let mut events = Vec::new();
+        let mut go_at = None;
+        // Steps every 0.25 s of injected time: 2.0 is the last before the
+        // gate, 2.25 the first after it.
+        for step in 0..12u64 {
+            let now = SimTime::from_secs_f64(step as f64 * 0.25);
+            loop {
+                let mut moved = engine.pump(now);
+                for peer in &mut locals {
+                    moved |= peer.pump(now);
+                }
+                if !moved {
+                    break;
+                }
+            }
+            engine.finish_tick(now);
+            while let Some(event) = engine.poll_event() {
+                if let EngineEvent::GoReleased { at, .. } = event {
+                    go_at = Some(at);
+                }
+                events.push((now, event));
+            }
+            let started = locals.iter_mut().any(|peer| {
+                std::iter::from_fn(|| peer.session_mut().poll_action())
+                    .any(|action| matches!(action, MeasurerAction::Start { .. }))
+            });
+            if now < gate {
+                assert!(!started, "a peer started at {now} before the gate");
+                assert!(go_at.is_none(), "Go released at {now}, before the gate: {events:?}");
+                if step > 0 {
+                    assert!(
+                        engine.peers().all(|p| engine.phase(p) == CoordPhase::Armed),
+                        "both peers armed and held at {now}"
+                    );
+                }
+            }
+        }
+        assert_eq!(go_at, Some(SimTime::from_secs_f64(2.25)), "{events:?}");
     }
 
     #[test]

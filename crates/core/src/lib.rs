@@ -25,7 +25,7 @@
 //! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
 //! | [`script`] | §7 | scripted in-memory reference peers driving one multi-item engine: what harnesses and benches compare a deployment against |
 //! | [`pool`] | §7 | long-lived pool of warm TCP connections to measurer processes |
-//! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs a round's items concurrently on one engine |
+//! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
 //! | [`proto_driver`] | §4.1 | the same slots driven end-to-end through the `flashflow-proto` control protocol over the engine |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
@@ -89,10 +89,12 @@ pub mod prelude {
     pub use crate::alloc::{greedy_allocate, greedy_allocate_rates, AllocError};
     pub use crate::bwauth::{
         aggregate_bwauths, measure_echo_period, measure_echo_period_observed, BandwidthFile,
-        BwAuth, BwEntry, EchoEntry, EchoPeriodFile,
+        BwAuth, BwEntry, EchoEntry, EchoPeriodFile, EchoRound,
     };
     pub use crate::dynamic::{adjust_weights, DynamicPolicy, DynamicReport};
-    pub use crate::echo::{run_round, EchoDeployment, EchoItem, EchoMeasurer};
+    pub use crate::echo::{
+        run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
+    };
     pub use crate::engine::{
         EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerDirectory,
         PeerId, SampleLedger, DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,

@@ -5,7 +5,7 @@
 //! items meant thousands of TCP handshakes against the same handful of
 //! hosts (the ROADMAP's "long-lived connection pool" scaling item). The
 //! [`ConnectionPool`] keeps connections **across rounds**: the round
-//! driver ([`run_round`](crate::echo::run_round)) checks one connection
+//! driver ([`run_rounds`](crate::echo::run_rounds)) checks one connection
 //! out per conversation, runs the conversation over it, marks it
 //! reusable if the session ended cleanly, and the connection parks
 //! itself back in the pool when the engine drops it.
@@ -22,6 +22,17 @@
 //! outbox still holds bytes) is really closed, never parked, so a torn
 //! or half-poisoned stream can never leak into the next item.
 //!
+//! Fresh dials never block. [`ConnectionPool::checkout`] starts the
+//! connect with `procutil::reactor::dial` and hands the still-connecting
+//! socket out wrapped in a [`TcpTransport`]: the first frames queue in
+//! its outbox until the handshake settles, and the round loop watches
+//! such a socket for write readiness. A refused dial fails the next
+//! flush (the session aborts with `ConnectionLost`); an unanswered one
+//! runs into the session's handshake timeout. Either way only that
+//! conversation degrades, so a round being staged can never freeze the
+//! one that is running. The one bounded wait left at checkout is the
+//! keepalive probe of a connection parked for longer than the probe age.
+//!
 //! The pool is `Sync` and cheap to clone (one `Arc`): the coordinator
 //! keeps a single pool for the life of the process, so a connection
 //! warmed in one round serves whichever item of the next round dials
@@ -33,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flashflow_procutil::reactor::{Interest, Poller};
+use flashflow_procutil::reactor::{self, Interest, Poller};
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::Msg;
 use flashflow_proto::tcp::TcpTransport;
@@ -174,10 +185,15 @@ impl ConnectionPool {
     /// Checks a `kind` connection to `addr` out: a parked warm one when
     /// available (stale ones — peer hung up while parked — are
     /// discarded on the spot; ones idle past the probe age are
-    /// keepalive-probed first), a fresh dial otherwise.
+    /// keepalive-probed first), a fresh dial otherwise. A fresh dial
+    /// never waits for its handshake, so a peer that refuses or never
+    /// answers costs the caller nothing here: the refusal fails the
+    /// first send or read, and silence runs into the session's own
+    /// handshake timeout.
     ///
     /// # Errors
-    /// Propagates the dial failure.
+    /// A dial the kernel failed at once: no socket, or a refusal it
+    /// already knew of.
     pub fn checkout(&self, addr: SocketAddr, kind: ChannelKind) -> std::io::Result<PooledConn> {
         let key = (addr, kind);
         loop {
@@ -216,7 +232,9 @@ impl ConnectionPool {
             self.shared.reuses.fetch_add(1, Ordering::Relaxed);
             return Ok(self.wrap(key, transport));
         }
-        let transport = TcpTransport::connect(addr)?;
+        // Until the handshake settles, `send` queues in the outbox (the
+        // kernel answers `EAGAIN`).
+        let transport = TcpTransport::from_stream(reactor::dial(addr)?)?;
         self.shared.dials.fetch_add(1, Ordering::Relaxed);
         Ok(self.wrap(key, transport))
     }
@@ -394,6 +412,47 @@ mod tests {
         (listener, addr)
     }
 
+    /// Waits for a fresh dial's handshake to settle: its first write
+    /// readiness.
+    fn settled(conn: &PooledConn) {
+        let poller = Poller::new().expect("poller");
+        let interest = Interest { readable: false, writable: true };
+        poller.register(conn.raw_fd(), 0, interest).expect("register");
+        let mut ready = Vec::new();
+        poller.wait(&mut ready, Duration::from_secs(5)).expect("wait");
+        assert!(ready.iter().any(|e| e.writable), "the dial never settled");
+    }
+
+    #[test]
+    fn a_fresh_dial_queues_until_connected_and_a_refusal_fails_the_flush() {
+        let (listener, addr) = echo_listener();
+        let pool = ConnectionPool::new();
+        let mut conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+        // Whether or not the handshake has settled yet, the bytes are
+        // accepted: sent, or queued behind the connect.
+        conn.send(SimTime::ZERO, b"hello").expect("queued or sent");
+        settled(&conn);
+        conn.send(SimTime::ZERO, &[]).expect("flush");
+        assert_eq!(conn.pending_send_bytes(), 0, "flushed once connected");
+        let (mut accepted, _) = listener.accept().expect("accept");
+        let mut got = [0u8; 5];
+        accepted.read_exact(&mut got).expect("read");
+        assert_eq!(&got, b"hello");
+
+        // A port nobody listens on: the refusal surfaces as a transport
+        // error, never as a blocked checkout.
+        drop(listener);
+        drop(accepted);
+        let Ok(mut refused) = pool.checkout(addr, ChannelKind::Data) else {
+            return; // the kernel knew at once
+        };
+        let poller = Poller::new().expect("poller");
+        poller.register(refused.raw_fd(), 0, Interest::READ).expect("register");
+        let mut ready = Vec::new();
+        poller.wait(&mut ready, Duration::from_secs(5)).expect("wait");
+        assert!(refused.recv(SimTime::ZERO).is_err(), "a refused dial fails its first read");
+    }
+
     #[test]
     fn approved_connections_are_reused_not_redialed() {
         let (listener, addr) = echo_listener();
@@ -415,6 +474,7 @@ mod tests {
         let pool = ConnectionPool::new();
         {
             let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            settled(&conn);
             let mut conn = conn;
             conn.send(SimTime::ZERO, b"first").unwrap();
             conn.reuse_handle().approve();
@@ -504,6 +564,7 @@ mod tests {
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
         {
             let conn = pool.checkout(addr, ChannelKind::Control).expect("dial healthy");
+            settled(&conn);
             conn.reuse_handle().approve();
         }
         let probes_before = pool.probes();
@@ -526,6 +587,7 @@ mod tests {
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
         {
             let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            settled(&conn);
             conn.reuse_handle().approve();
         }
         let (_mute, _) = listener.accept().expect("accept");

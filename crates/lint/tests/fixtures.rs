@@ -205,6 +205,21 @@ fn coordinator_round_loop_and_pool_are_in_scope_for_no_sleep() {
     assert_eq!(lint_file("crates/core/src/engine.rs", sleeps, &cfg), vec![]);
 }
 
+/// The coordinator's round loop and the pool it checks connections out
+/// of dial without blocking; a blocking dial creeping back into either
+/// is caught.
+#[test]
+fn coordinator_round_loop_and_pool_are_in_scope_for_no_blocking_dial() {
+    let cfg = LintConfig::default();
+    let dials = include_str!("fixtures/no_blocking_dial_pool_bad.rs");
+    for path in ["crates/core/src/pool.rs", "crates/core/src/echo.rs"] {
+        let found = lint_file(path, dials, &cfg);
+        assert_eq!(rules_of(&found), vec!["no-blocking-dial"; 2], "{path}: {found:?}");
+    }
+    // The rest of core drives no sockets.
+    assert_eq!(lint_file("crates/core/src/engine.rs", dials, &cfg), vec![]);
+}
+
 #[test]
 fn no_blocking_dial_fixtures() {
     let cfg = LintConfig::default();
@@ -214,17 +229,19 @@ fn no_blocking_dial_fixtures() {
         "crates/relay/src/main.rs",
         "crates/procutil/src/peer.rs",
         "crates/procutil/src/reactor.rs",
+        "crates/core/src/pool.rs",
     ] {
         let bad = lint_file(path, bad_src, &cfg);
         assert_eq!(rules_of(&bad), vec!["no-blocking-dial"; 3], "{path}: {bad:?}");
         assert!(bad[0].msg.contains("reactor::dial"), "{}", bad[0]);
     }
 
-    // The coordinator's pool dials on its round thread, and the rest of
-    // procutil runs no shard.
-    for path in ["crates/core/src/pool.rs", "crates/procutil/src/lib.rs"] {
-        assert_eq!(lint_file(path, bad_src, &cfg), vec![], "{path} is out of scope");
-    }
+    // The rest of procutil runs no event loop.
+    assert_eq!(
+        lint_file("crates/procutil/src/lib.rs", bad_src, &cfg),
+        vec![],
+        "procutil/src/lib.rs is out of scope"
+    );
 
     let good_src = include_str!("fixtures/no_blocking_dial_good.rs");
     let good = lint_file("crates/measurer/src/reactor.rs", good_src, &cfg);

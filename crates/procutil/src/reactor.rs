@@ -53,16 +53,24 @@ use crate::lock_recover;
 
 // SAFETY: these are the exact kernel/libc prototypes on every Linux
 // we target (see `epoll_create1(2)`, `epoll_ctl(2)`, `epoll_wait(2)`,
-// `eventfd(2)`, `read(2)`, `write(2)`, `close(2)`, `socket(2)`,
-// `connect(2)`): plain integer fds, pointer + length buffers, and C
-// `int` returns with errno. The `EpollEvent` pointee matches the
-// kernel's `struct epoll_event` layout (packed on x86/x86_64, naturally
-// aligned elsewhere); `connect`'s address is a `struct sockaddr_in` /
+// `epoll_pwait2(2)`, `eventfd(2)`, `read(2)`, `write(2)`, `close(2)`,
+// `socket(2)`, `connect(2)`): plain integer fds, pointer + length
+// buffers, and C `int` returns with errno. The `EpollEvent` pointee
+// matches the kernel's `struct epoll_event` layout (packed on
+// x86/x86_64, naturally aligned elsewhere), and `Timespec` matches
+// `struct timespec`; `connect`'s address is a `struct sockaddr_in` /
 // `sockaddr_in6` byte image whose length travels with it.
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
+    fn epoll_pwait2(
+        epfd: i32,
+        events: *mut EpollEvent,
+        maxevents: i32,
+        timeout: *const Timespec,
+        sigmask: *const u8,
+    ) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
@@ -95,6 +103,8 @@ const SOCK_CLOEXEC: i32 = 0x80000;
 /// `connect(2)` on a nonblocking socket: the handshake continues in
 /// the kernel and completes (or fails) as write readiness.
 const EINPROGRESS: i32 = 115;
+/// `epoll_pwait2(2)` on a kernel older than 5.11.
+const ENOSYS: i32 = 38;
 
 /// `addr` as the kernel's `struct sockaddr_in` (16 bytes) or
 /// `sockaddr_in6` (28 bytes): family in host order, port and address in
@@ -177,6 +187,14 @@ pub fn dialed(stream: &TcpStream) -> io::Result<bool> {
 struct EpollEvent {
     events: u32,
     data: u64,
+}
+
+/// The kernel's `struct timespec`: `time_t` and `long` are both the
+/// native word on Linux.
+#[repr(C)]
+struct Timespec {
+    tv_sec: isize,
+    tv_nsec: isize,
 }
 
 /// What a registration wants to be woken for.
@@ -283,19 +301,34 @@ impl Poller {
     }
 
     /// Waits up to `timeout` for readiness, appending into `out`
-    /// (cleared first). A signal-interrupted wait returns empty.
+    /// (cleared first). A signal-interrupted wait returns empty. The
+    /// timeout has the kernel timer's resolution, not whole
+    /// milliseconds, so a short wait sleeps rather than polls (on
+    /// kernels before 5.11 it is rounded up to the next millisecond).
     ///
     /// # Errors
-    /// The `epoll_wait(2)` errno (except `EINTR`).
+    /// The `epoll_pwait2(2)` errno (except `EINTR`).
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         out.clear();
         const MAX_EVENTS: usize = 256;
         let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX).max(0);
+        let ts = Timespec {
+            tv_sec: isize::try_from(timeout.as_secs()).unwrap_or(isize::MAX),
+            tv_nsec: timeout.subsec_nanos() as isize,
+        };
         // SAFETY: `raw` is a valid, writable array of MAX_EVENTS
         // kernel-layout events; the kernel writes at most that many
-        // and returns the count.
-        let n = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
+        // and returns the count. `ts` outlives the call, and a null
+        // signal mask leaves the mask alone.
+        let mut n = unsafe {
+            epoll_pwait2(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, &ts, std::ptr::null())
+        };
+        if n < 0 && io::Error::last_os_error().raw_os_error() == Some(ENOSYS) {
+            let ms = timeout.as_nanos().div_ceil(1_000_000);
+            let timeout_ms = i32::try_from(ms).unwrap_or(i32::MAX);
+            // SAFETY: as above.
+            n = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
+        }
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {

@@ -51,6 +51,11 @@ impl<S: SessionState, T: Transport> Endpoint<S, T> {
         &mut self.session
     }
 
+    /// The transport (backlog queries).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// The transport, mutably (fault tripping in tests and drivers).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport

@@ -26,7 +26,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_core::bwauth::measure_echo_period;
-use flashflow_core::echo::{item_trace_id, run_round, EchoDeployment, EchoItem, EchoMeasurer};
+use flashflow_core::echo::{
+    item_trace_id, run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
+};
 use flashflow_core::engine::{EngineEvent, PeerDirectory};
 use flashflow_core::measure::build_second_samples;
 use flashflow_core::pool::ConnectionPool;
@@ -690,4 +692,175 @@ fn echo_channels_hang_up_with_the_slot_and_report_every_verified_byte() {
         let late = at.saturating_duration_since(last_stop);
         assert!(late <= Duration::from_millis(50), "{line:?} came {late:?} after the last stop");
     }
+}
+
+/// What measurer 1's stand-in address does with dials after the first
+/// `piped` ones, which it pipes through to the real process.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LaterDials {
+    /// Piped through like the first.
+    Piped,
+    /// Refused: nothing listens any more.
+    Refused,
+    /// Never answered: every SYN is dropped, so the connect never settles.
+    Unanswered,
+}
+
+/// A stand-in address for measurer 1 at `real`; it holds its listener
+/// until the returned sender is dropped.
+fn measurer_stand_in(
+    real: SocketAddr,
+    piped: usize,
+    later: LaterDials,
+) -> (SocketAddr, std::sync::mpsc::Sender<()>) {
+    use std::os::fd::AsRawFd;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stand-in");
+    let addr = listener.local_addr().expect("stand-in addr");
+    let (hold, held) = std::sync::mpsc::channel::<()>();
+    thread::spawn(move || {
+        let forward = |coord: TcpStream| {
+            let measurer = TcpStream::connect(real).expect("dial measurer 1");
+            pipe(coord.try_clone().expect("clone"), measurer.try_clone().expect("clone"));
+            pipe(measurer, coord);
+        };
+        for _ in 0..piped {
+            forward(listener.accept().expect("accept").0);
+        }
+        match later {
+            LaterDials::Piped => {
+                while let Ok((coord, _)) = listener.accept() {
+                    forward(coord);
+                }
+            }
+            LaterDials::Refused => drop(listener),
+            LaterDials::Unanswered => {
+                // One connection waits in the accept queue, then the
+                // queue shrinks to that one: the kernel drops every later
+                // SYN, and the dialer retries until it gives up.
+                let _filler = TcpStream::connect(addr).expect("fill the accept queue");
+                // SAFETY: `listen(2)`'s POSIX prototype, declared
+                // verbatim; the fd belongs to `listener`, which this
+                // thread owns until the function returns.
+                extern "C" {
+                    fn listen(fd: i32, backlog: i32) -> i32;
+                }
+                // SAFETY: see the declaration; no pointers cross.
+                let rc = unsafe { listen(listener.as_raw_fd(), 0) };
+                assert_eq!(rc, 0, "shrink the accept queue");
+                let _ = held.recv();
+            }
+        }
+    });
+    (addr, hold)
+}
+
+/// Runs its rounds in order and records every event with when it
+/// arrived.
+struct Recorded {
+    rounds: Vec<Vec<EchoItem>>,
+    staged: usize,
+    events: Vec<(usize, Instant, EngineEvent)>,
+    peers: Vec<Option<flashflow_core::engine::EngineSnapshot>>,
+}
+
+impl RoundSource for Recorded {
+    fn next_round(&mut self) -> Option<Vec<EchoItem>> {
+        let round = self.rounds.get(self.staged).cloned();
+        self.staged += 1;
+        round
+    }
+    fn event(&mut self, round: usize, event: EngineEvent) {
+        self.events.push((round, Instant::now(), event));
+    }
+    fn finished(&mut self, round: usize, peers: flashflow_core::engine::EngineSnapshot) {
+        self.peers[round] = Some(peers);
+    }
+}
+
+impl Recorded {
+    /// When round `round` released its last `Go`.
+    fn last_go(&self, round: usize) -> Instant {
+        self.events
+            .iter()
+            .filter(|(r, _, e)| *r == round && matches!(e, EngineEvent::GoReleased { .. }))
+            .map(|(_, at, _)| *at)
+            .max()
+            .unwrap_or_else(|| panic!("round {round} released no Go: {:?}", self.events))
+    }
+
+    /// Median seconds from round 0's last `Go` to each of its
+    /// `peer.done`s.
+    fn done_lag(&self) -> f64 {
+        let go = self.last_go(0);
+        let lags: Vec<f64> = self
+            .events
+            .iter()
+            .filter(|(r, _, e)| *r == 0 && matches!(e, EngineEvent::PeerDone { .. }))
+            .map(|(_, at, _)| at.saturating_duration_since(go).as_secs_f64())
+            .collect();
+        median(&lags).expect("round 0 ended")
+    }
+}
+
+#[test]
+fn a_staged_round_that_cannot_dial_never_freezes_the_running_one() {
+    let (m0, a0) = spawn_measurer(0, 99);
+    let (m1, a1) = spawn_measurer(1, 99);
+    let (relay, relay_addr) = spawn_relay(&[], 99);
+    // Round 0 (two items) dials measurer 1 through its stand-in; round 1
+    // (one item) is staged while round 0 blasts, and dials it again.
+    let run = |base: u64, later: LaterDials| {
+        let (stand_in, hold) = measurer_stand_in(a1, 2, later);
+        let mut source = Recorded {
+            rounds: vec![round_items(base)[..2].to_vec(), round_items(base + 1)[..1].to_vec()],
+            staged: 0,
+            events: Vec::new(),
+            peers: vec![None, None],
+        };
+        run_rounds(&deployment([a0, stand_in], relay_addr), &ConnectionPool::new(), &mut source);
+        drop(hold);
+        source
+    };
+
+    let reference = run(10, LaterDials::Piped);
+    for peers in &reference.peers {
+        assert!(peers.as_ref().expect("round ended").all_clean(), "{:?}", reference.events);
+    }
+    for (base, later, reason) in [
+        (20, LaterDials::Refused, AbortReason::ConnectionLost),
+        (30, LaterDials::Unanswered, AbortReason::HandshakeTimeout),
+    ] {
+        let bad = run(base, later);
+        let [Some(running), Some(staged)] = &bad.peers[..] else { panic!("{later:?}: unfinished") };
+        assert!(running.all_clean(), "{later:?}: the running round degraded: {:?}", bad.events);
+        // Only the staged item failed: its measurer-1 session, and — when
+        // that session holds the item's `Go` until the handshake timeout
+        // — possibly the armed peers that waited with it.
+        let failed: Vec<_> = bad
+            .events
+            .iter()
+            .filter_map(|(r, _, e)| match e {
+                EngineEvent::PeerFailed { peer, reason } => Some((*r, peer.index(), *reason)),
+                _ => None,
+            })
+            .collect();
+        assert!(failed.contains(&(1, 1, reason)), "{later:?}: {failed:?}");
+        assert!(failed.iter().all(|&(round, ..)| round == 1), "{later:?}: {failed:?}");
+        assert!(!staged.item_clean(0), "{later:?}: the staged item must degrade");
+        // The running round's peers finished when they finish without
+        // the bad dial (within two loop waits).
+        let (lag, reference_lag) = (bad.done_lag(), reference.done_lag());
+        assert!(
+            lag <= reference_lag + 0.002,
+            "{later:?}: round 0 ended {:.2} ms after its Go, {:.2} ms without the bad dial",
+            lag * 1e3,
+            reference_lag * 1e3
+        );
+    }
+
+    for child in [&m0, &m1, &relay] {
+        let kill = Command::new("kill").args(["-TERM", &child.id().to_string()]).status();
+        assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
+    }
+    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
 }

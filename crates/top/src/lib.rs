@@ -39,7 +39,29 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// One target's accumulated view, keyed by item group.
+/// What a [`TargetView`] is keyed by: the item-attempt's trace id, or,
+/// for an event that carries none, its group (the item's index within
+/// its round). Groups repeat from round to round, so only the trace
+/// keeps two rounds' items apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ViewKey {
+    /// The item-attempt's trace id.
+    Trace(u64),
+    /// The item's index within its round.
+    Group(u64),
+}
+
+impl ViewKey {
+    /// The key an event's view is filed under.
+    pub fn of(ev: &Event) -> ViewKey {
+        match ev.scope.trace {
+            Some(trace) => ViewKey::Trace(trace),
+            None => ViewKey::Group(ev.scope.group.unwrap_or(0)),
+        }
+    }
+}
+
+/// One target's accumulated view, keyed by [`ViewKey`].
 #[derive(Debug, Default, Clone)]
 pub struct TargetView {
     /// Relay fingerprint (hex), once a `sample` or `target.estimate`
@@ -90,8 +112,8 @@ pub struct PoolView {
 /// [`apply`](TopState::apply), draw with [`render`](TopState::render).
 #[derive(Debug, Default)]
 pub struct TopState {
-    /// Per-group target views.
-    pub targets: BTreeMap<u64, TargetView>,
+    /// Per-item target views.
+    pub targets: BTreeMap<ViewKey, TargetView>,
     /// Items the period announced.
     pub items_total: Option<u64>,
     /// Items completed so far.
@@ -123,14 +145,14 @@ impl TopState {
     pub fn apply(&mut self, ev: &Event) {
         self.events_seen += 1;
         self.last_ts = self.last_ts.max(ev.ts);
-        let group = ev.scope.group.unwrap_or(0);
+        let key = ViewKey::of(ev);
         match ev.kind.as_str() {
             "period.start" => self.items_total = ev.u64_field("items"),
             // Only the target's own report carries the echo claim;
             // measurer samples describe received blast and would
             // double-count the same bytes.
             "sample" if ev.field("role").and_then(|v| v.as_str()) == Some("target") => {
-                let view = self.targets.entry(group).or_default();
+                let view = self.targets.entry(key).or_default();
                 if let Some(second) = ev.u64_field("second") {
                     *TargetView::second_slot(&mut view.echo, second) +=
                         ev.u64_field("measured").unwrap_or(0) as f64;
@@ -140,7 +162,7 @@ impl TopState {
             }
             "divergence" => {
                 if let Some(second) = ev.u64_field("second") {
-                    let view = self.targets.entry(group).or_default();
+                    let view = self.targets.entry(key).or_default();
                     if !view.divergent.contains(&second) {
                         view.divergent.push(second);
                     }
@@ -151,10 +173,10 @@ impl TopState {
             "peer.failed" => self.peers_failed += 1,
             "item.complete" => {
                 self.items_done += 1;
-                self.targets.entry(group).or_default().complete = true;
+                self.targets.entry(key).or_default().complete = true;
             }
             "target.estimate" => {
-                let view = self.targets.entry(group).or_default();
+                let view = self.targets.entry(key).or_default();
                 view.fp = ev.field("fp").and_then(|v| v.as_str()).map(str::to_string);
                 view.capacity = ev.f64_field("capacity");
                 view.clean = ev.field("clean").and_then(|v| match v {
@@ -197,12 +219,12 @@ impl TopState {
             self.events_seen,
             if self.period_done { " · period done" } else { "" },
         );
-        for (group, view) in &self.targets {
-            let label = view
-                .fp
-                .as_deref()
-                .map(|fp| fp[..fp.len().min(8)].to_string())
-                .unwrap_or_else(|| format!("group {group}"));
+        for (key, view) in &self.targets {
+            let label = match (view.fp.as_deref(), key) {
+                (Some(fp), _) => fp[..fp.len().min(8)].to_string(),
+                (None, ViewKey::Trace(trace)) => format!("{trace:08x}"),
+                (None, ViewKey::Group(group)) => format!("group {group}"),
+            };
             let cap = view.capacity.map(fmt_rate).unwrap_or_else(|| {
                 if view.complete {
                     "…".into()
@@ -307,7 +329,7 @@ mod tests {
             vec![("dials", Value::U64(4)), ("reuses", Value::U64(9))],
         ));
 
-        let view = &state.targets[&0];
+        let view = &state.targets[&ViewKey::Group(0)];
         assert_eq!(view.echo.len(), 5);
         assert_eq!(view.echo[0], 1000.0);
         assert_eq!(view.divergent, vec![3]);
@@ -322,5 +344,54 @@ mod tests {
         assert!(body.contains("pool: 4 dials"), "{body}");
         let frame = state.render_ansi(100);
         assert!(frame.starts_with("\x1b[2J\x1b[H"));
+    }
+
+    #[test]
+    fn interleaved_rounds_keep_one_view_per_trace() {
+        // Item 0 of two rounds: the same group, different traces, their
+        // events interleaved the way two rounds in flight emit them.
+        let traced = |kind: &str, trace: u64, fields: Vec<(&str, Value)>| {
+            let mut event = ev(kind, Some(0), fields);
+            event.scope.trace = Some(trace);
+            event
+        };
+        let sample = |trace: u64, second: u64, measured: u64| {
+            traced(
+                "sample",
+                trace,
+                vec![
+                    ("role", Value::Str("target".into())),
+                    ("second", Value::U64(second)),
+                    ("measured", Value::U64(measured)),
+                    ("bg", Value::U64(0)),
+                ],
+            )
+        };
+        let estimate = |trace: u64, fp: &str, capacity: f64| {
+            traced(
+                "target.estimate",
+                trace,
+                vec![("fp", Value::Str(fp.into())), ("capacity", Value::F64(capacity))],
+            )
+        };
+        let mut state = TopState::new();
+        for event in [
+            sample(0xA, 0, 100),
+            sample(0xA, 1, 100),
+            sample(0xB, 0, 7),
+            estimate(0xA, "aaaaaaaa", 100.0),
+            sample(0xB, 1, 7),
+            sample(0xB, 2, 7),
+            estimate(0xB, "bbbbbbbb", 7.0),
+        ] {
+            state.apply(&event);
+        }
+        assert_eq!(state.targets.len(), 2, "{:?}", state.targets);
+        let a = &state.targets[&ViewKey::Trace(0xA)];
+        let b = &state.targets[&ViewKey::Trace(0xB)];
+        assert_eq!(a.echo, vec![100.0, 100.0], "only its own seconds");
+        assert_eq!(b.echo, vec![7.0, 7.0, 7.0], "only its own seconds");
+        assert_eq!((a.fp.as_deref(), a.capacity), (Some("aaaaaaaa"), Some(100.0)));
+        assert_eq!((b.fp.as_deref(), b.capacity), (Some("bbbbbbbb"), Some(7.0)));
     }
 }
