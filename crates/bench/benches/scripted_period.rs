@@ -4,10 +4,11 @@
 //!
 //! Every item is a real protocol conversation — handshake, Go barrier,
 //! 30 `SecondReport`s, `SlotDone` — between the coordinator engine and
-//! scripted peers over in-memory `Duplex` transports, packed into
-//! rounds exactly as `SlotRunner` packs a batch. The run verifies every
-//! one of the 6500 items completed cleanly with the expected sample
-//! count, and prints the wall clock it took.
+//! fixed-rate peers over in-memory `Duplex` transports: each round is
+//! one `proto_driver::run_scripted` call, on the same executor that
+//! runs a `SlotRunner` batch. The run verifies every one of the 6500
+//! items completed cleanly with the expected sample count, and prints
+//! the wall clock it took.
 //!
 //! Plain `harness = false` timing (Criterion is unavailable offline):
 //! run with `cargo bench -p flashflow-bench --bench scripted_period`.
@@ -15,8 +16,7 @@
 use std::time::Instant;
 
 use flashflow_core::engine::EngineEvent;
-use flashflow_core::script::{self, ScriptConfig, ScriptedPeer};
-use flashflow_simnet::time::SimDuration;
+use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
 
 const TOTAL_ITEMS: usize = 6_500;
 const ITEMS_PER_ROUND: usize = 10;
@@ -26,11 +26,6 @@ fn main() {
     println!(
         "scripted_period: {TOTAL_ITEMS} items, {ITEMS_PER_ROUND} per round, slot {SLOT_SECS}s"
     );
-    let cfg = ScriptConfig {
-        slot_secs: SLOT_SECS,
-        hard_deadline: SimDuration::from_secs(300),
-        ..ScriptConfig::default()
-    };
     let start = Instant::now();
     let (mut completions, mut samples) = (0usize, 0usize);
     for first in (0..TOTAL_ITEMS).step_by(ITEMS_PER_ROUND) {
@@ -42,7 +37,7 @@ fn main() {
                 vec![ScriptedPeer::measurer(rate), ScriptedPeer::target(rate / 8)]
             })
             .collect();
-        let run = script::run(&items, cfg);
+        let run = run_scripted(&items, SLOT_SECS);
         assert!(run.peers.all_clean(), "round at item {first}: a session failed");
         for event in &run.events {
             match event {

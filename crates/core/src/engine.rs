@@ -10,8 +10,9 @@
 //! library, or a clock. Time enters exclusively through
 //! [`MeasurementEngine::step`], so the same engine drives:
 //!
-//! * the deterministic fluid simulation (`proto_driver` feeds it
-//!   simulated time and in-memory transports),
+//! * the in-memory executor (`proto_driver::run_in_memory` feeds it
+//!   simulated time and in-memory transports, with the fluid
+//!   simulation's flows or fixed-rate reference peers behind them),
 //! * real TCP connections to measurer processes (wall-clock time mapped
 //!   to [`SimTime`], see `examples/tcp_coordinator.rs`),
 //! * fault-injection harnesses

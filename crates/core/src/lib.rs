@@ -23,11 +23,10 @@
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
 //! | [`measure`] | §4.1 | one (or many concurrent) measurement slots |
 //! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
-//! | [`script`] | §7 | scripted in-memory reference peers driving one multi-item engine: what harnesses and benches compare a deployment against |
 //! | [`pool`] | §7 | long-lived pool of warm TCP connections to measurer processes |
 //! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
-//! | [`proto_driver`] | §4.1 | the same slots driven end-to-end through the `flashflow-proto` control protocol over the engine |
+//! | [`proto_driver`] | §4.1, §7 | the in-memory round executor: one engine over simulated links, its one parameter the peer behaviour — `TorNet` flows (`SlotRunner`) or fixed-rate reference peers (`run_scripted`, what harnesses and benches compare a deployment against) |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
 //! | [`sequence`] | §4.2, §4.3 | the accept-or-double rule over plain numbers (`judge`) and the one period loop that packs slots by spare team capacity and applies it (`measure_period`), generic over the relay key and the slot executor |
 //! | [`schedule`] | §4.3 | randomized period schedules, greedy packing |
@@ -75,7 +74,6 @@ pub mod params;
 pub mod pool;
 pub mod proto_driver;
 pub mod schedule;
-pub mod script;
 pub mod security;
 pub mod sequence;
 pub mod sybil;
@@ -108,8 +106,7 @@ pub mod prelude {
         ChannelKind, ConnectionPool, PooledConn, ReuseHandle, DEFAULT_IDLE_PROBE_AGE,
     };
     pub use crate::proto_driver::{
-        fingerprint_for, FaultSpec, PeerFailure, PeerFault, ProtoConfig, ProtoMeasurement,
-        SlotRunner,
+        fingerprint_for, FaultSpec, PeerFailure, PeerFault, ProtoMeasurement, SlotRunner,
     };
     pub use crate::schedule::{
         assign_new_relay, build_randomized_schedule, greedy_pack, Planned, Schedule,

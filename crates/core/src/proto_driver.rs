@@ -1,29 +1,31 @@
-//! Running measurements *through* the control protocol (§4.1).
+//! Running measurements *through* the control protocol (§4.1), in memory.
 //!
 //! [`measure_once`](crate::measure::measure_once) and friends call the
 //! blast loop directly — coordinator and measurers share memory. This
-//! module is the production-shaped path: a [`SlotRunner`] drives each
-//! measurer and the target relay through `flashflow-proto` sessions
-//! pumped by transport-agnostic engines, over simulated byte-stream
-//! transports, and **only** session actions start or stop traffic.
-//! Per-second byte counts cross the wire as `SecondReport` frames; the
-//! estimate is computed from what the frames said, not from shared
-//! state.
+//! module is the production-shaped path: [`run_in_memory`] drives every
+//! measurer and target relay of a round through `flashflow-proto`
+//! sessions over simulated byte-stream transports, and **only** session
+//! actions start or stop traffic. Per-second byte counts cross the wire
+//! as `SecondReport` frames; the estimate is computed from what the
+//! frames said, not from shared state.
 //!
-//! The layering: the whole slot-packed batch is one
-//! [`MeasurementEngine`] whose item `ix` is the batch's `ix`-th item —
-//! the same shape the deployment's round driver
-//! ([`crate::echo::run_round`]) steps against real processes. The
+//! The layering: a round is one [`MeasurementEngine`] whose item `g` is
+//! the round's `g`-th item — the same shape the deployment's round
+//! driver ([`crate::echo::run_round`]) steps against real processes. The
 //! engine owns the coordinator side (sessions, barriers, timeouts,
-//! events) and knows nothing about the simulator; this module owns the
-//! *peer* side — it binds each `MeasurerSession` to the other end of
-//! the simulated link, converts ticked flow bytes into `report_second`
-//! calls, starts and stops blast flows in response to session actions,
-//! and aggregates the [`EngineEvent`] stream into [`ProtoMeasurement`]s
-//! via the [`SampleLedger`]. Swap this module's transports and peer
-//! loop for TCP sockets and real measurer processes and the engine code
-//! does not change — see `examples/tcp_coordinator.rs` and the
-//! `flashflow-measurer` binary crate.
+//! events) and knows nothing about the simulator. [`run_in_memory`] owns the
+//! peer side's plumbing: each `MeasurerSession` bound to the other end of
+//! its simulated link, the per-tick order, the [`SampleLedger`]. What the
+//! peers *do* is its one parameter, a [`PeerBehaviour`]:
+//!
+//! * [`SlotRunner`]: `TorNet` flows under the ratio governor, the
+//!   fluid-simulation front end;
+//! * [`run_scripted`]: fixed-rate [`ScriptedPeer`]s, the deterministic
+//!   reference a deployment's numbers are compared against.
+//!
+//! Swap the transports and peers for TCP sockets and real measurer
+//! processes and the engine code does not change — see
+//! `examples/tcp_coordinator.rs` and the `flashflow-measurer` binary crate.
 //!
 //! One slot, per peer (measurers and the reporting target):
 //!
@@ -39,8 +41,8 @@
 //! A peer that fails authentication, stalls mid-handshake, goes silent
 //! mid-slot, or loses its transport is aborted by its session timeout
 //! (or transport error) and its contribution dropped: the measurement
-//! *degrades* instead of wedging, and the slot always terminates (there
-//! is also a hard wall-clock bound).
+//! *degrades* instead of wedging, and the round always terminates (there
+//! is also a hard deadline).
 
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::fault::{FaultMode, FaultyTransport};
@@ -53,47 +55,227 @@ use flashflow_simnet::engine::FlowId;
 use flashflow_simnet::host::HostId;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::stats::{median, SecondsAccumulator};
-use flashflow_simnet::time::SimDuration;
+use flashflow_simnet::time::{SimDuration, SimTime};
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
 use crate::alloc::AllocError;
-use crate::engine::{EngineBuilder, EngineEvent, MeasurementEngine, SampleLedger};
+use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine, PeerDirectory, SampleLedger};
 use crate::measure::{assignments_for, build_second_samples, BatchItem, Measurement};
 use crate::params::Params;
 use crate::team::Team;
 use crate::verify::{spot_check, TargetBehavior};
 
-/// Transport and liveness knobs for a protocol-driven slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtoConfig {
-    /// Session timeouts (handshake steps, report gaps).
-    pub timeouts: SessionTimeouts,
-    /// One-way latency of every control connection.
-    pub control_latency: SimDuration,
-    /// Stream chunk size; deliberately not frame-aligned so reassembly
-    /// is exercised on every message.
-    pub chunk: usize,
+/// What the peers of an in-memory round do: the one parameter of
+/// [`run_in_memory`]. A peer is named by its index in the slice handed to
+/// `run_in_memory`.
+pub trait PeerBehaviour {
+    /// The clock.
+    fn now(&self) -> SimTime;
+    /// Advances the world one tick: the clock, and any traffic.
+    fn advance(&mut self);
+    /// Carries out one of `peer`'s session actions; only these start or
+    /// stop traffic.
+    fn act(&mut self, peer: usize, action: MeasurerAction, now: SimTime);
+    /// Second `j` of `peer`'s slot as `(bg, measured)` bytes, once it has
+    /// completed.
+    fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)>;
+    /// Reported seconds after which `peer` stalls: it is told to `Stop`
+    /// and its end of the control link goes dark.
+    fn stall_after(&self, _peer: usize) -> Option<u32> {
+        None
+    }
+    /// Sees every engine event as the round collects it.
+    fn observe(&mut self, _event: &EngineEvent) {}
 }
 
-impl Default for ProtoConfig {
-    fn default() -> Self {
-        ProtoConfig {
-            timeouts: SessionTimeouts::default(),
-            control_latency: SimDuration::from_secs_f64(0.040),
-            chunk: 97,
+/// What an in-memory round left behind: every engine event in order, the
+/// ledger already fed with them, and the detached peer directory the
+/// ledger's per-item views take.
+#[derive(Debug)]
+pub struct RoundRun {
+    /// Every event, per-item order preserved.
+    pub events: Vec<EngineEvent>,
+    /// The sample quarantine, fed with every event.
+    pub ledger: SampleLedger,
+    /// Final state of every conversation.
+    pub peers: EngineSnapshot,
+}
+
+/// The peer half of one conversation.
+struct LocalPeer {
+    endpoint: Endpoint<MeasurerSession, FaultyTransport<DuplexEnd>>,
+    started: bool,
+    reported: u32,
+}
+
+/// Runs one round to completion in memory. Peer `ix` is `peers[ix]`, an
+/// `(item, role, command)` triple: its coordinator session joins one
+/// engine under `item`, its own session sits at the far end of a
+/// simulated link (40 ms one way, re-chunked at 97 bytes so every message
+/// is reassembled), and both share a token drawn from `rng`.
+///
+/// Each tick, in order: the world advances, every started peer reports
+/// its completed seconds, both halves pump to quiescence, session actions
+/// go to `behaviour`, the engine finishes the tick, the peers tick, and
+/// the events are collected. A hard deadline ends the round even if a
+/// behaviour never completes a second.
+pub fn run_in_memory(
+    behaviour: &mut impl PeerBehaviour,
+    peers: &[(usize, PeerRole, MeasureSpec)],
+    rng: &mut SimRng,
+) -> RoundRun {
+    let timeouts = SessionTimeouts::default();
+    let now0 = behaviour.now();
+    let slot_secs = peers.iter().map(|p| p.2.slot_secs).max().unwrap_or(0);
+    // Generous: handshake, slot, report-timeout drain, margin.
+    let deadline = now0
+        + timeouts.handshake * 3
+        + SimDuration::from_secs(slot_secs.into())
+        + timeouts.report * 3
+        + SimDuration::from_secs(30);
+    let mut builder = MeasurementEngine::builder().hard_deadline(deadline);
+    let mut locals = Vec::with_capacity(peers.len());
+    for &(item, role, spec) in peers {
+        let token = fresh_token(rng);
+        let coord = CoordinatorSession::new(token, role, spec, rng.next_u64(), timeouts);
+        let (coord_end, peer_end) = Duplex::new(SimDuration::from_millis(40), 97).into_endpoints();
+        builder.add_peer(item, coord, Box::new(coord_end));
+        let session = MeasurerSession::new(token, role, rng.next_u64(), timeouts);
+        locals.push(LocalPeer {
+            endpoint: Endpoint::new(session, FaultyTransport::new(peer_end, FaultMode::Blackhole)),
+            started: false,
+            reported: 0,
+        });
+    }
+    let mut engine = builder.build(now0);
+    let mut events = Vec::new();
+    let mut ledger = SampleLedger::new();
+    while !engine.is_finished() {
+        behaviour.advance();
+        let now = behaviour.now();
+        for (ix, p) in locals.iter_mut().enumerate() {
+            while p.started && !p.endpoint.is_terminal() && !p.endpoint.transport().is_tripped() {
+                let Some((bg, measured)) = behaviour.second(ix, p.reported) else { break };
+                if behaviour.stall_after(ix).is_some_and(|n| p.reported >= n) {
+                    // A crash: traffic and the control connection both go
+                    // dark; the coordinator's timeout must react.
+                    behaviour.act(ix, MeasurerAction::Stop, now);
+                    p.endpoint.transport_mut().trip();
+                } else {
+                    p.endpoint.session_mut().report_second(bg, measured);
+                    p.reported += 1;
+                }
+            }
+        }
+        loop {
+            let mut moved = engine.pump(now);
+            for p in locals.iter_mut() {
+                moved |= p.endpoint.pump(now);
+            }
+            if !moved {
+                break;
+            }
+        }
+        for (ix, p) in locals.iter_mut().enumerate() {
+            while let Some(action) = p.endpoint.session_mut().poll_action() {
+                p.started |= matches!(action, MeasurerAction::Start { .. });
+                behaviour.act(ix, action, now);
+            }
+        }
+        engine.finish_tick(now);
+        // A peer mid-handshake whose coordinator went silent gives up too.
+        for p in locals.iter_mut() {
+            p.endpoint.tick(now);
+        }
+        while let Some(event) = engine.poll_event() {
+            ledger.observe(&event);
+            behaviour.observe(&event);
+            events.push(event);
         }
     }
+    RoundRun { events, ledger, peers: engine.snapshot() }
 }
 
-impl ProtoConfig {
-    /// One control connection as this config describes it — the single
-    /// place the simulated link's latency/chunking is turned into a
-    /// transport.
-    pub fn link(&self) -> Duplex {
-        Duplex::new(self.control_latency, self.chunk)
+fn fresh_token(rng: &mut SimRng) -> [u8; AUTH_TOKEN_LEN] {
+    let mut token = [0u8; AUTH_TOKEN_LEN];
+    for chunk in token.chunks_mut(8) {
+        let word = rng.next_u64().to_be_bytes();
+        chunk.copy_from_slice(&word[..chunk.len()]);
     }
+    token
+}
+
+/// One fixed-rate peer of an item: its role and the constant per-second
+/// byte counts it reports once its slot starts.
+#[derive(Debug, Clone, Copy)]
+pub struct ScriptedPeer {
+    /// Protocol role.
+    pub role: PeerRole,
+    /// Background bytes reported per second (`y_j` share).
+    pub bg: u64,
+    /// Measurement bytes reported per second (`x_j` share).
+    pub measured: u64,
+}
+
+impl ScriptedPeer {
+    /// A measurer blasting `rate` bytes per second.
+    pub fn measurer(rate: u64) -> Self {
+        ScriptedPeer { role: PeerRole::Measurer, bg: 0, measured: rate }
+    }
+
+    /// The target reporting `bg` background bytes per second.
+    pub fn target(bg: u64) -> Self {
+        ScriptedPeer { role: PeerRole::Target, bg, measured: 0 }
+    }
+}
+
+/// Fixed-rate peers on a clock of one simulated second per tick.
+struct Scripted {
+    now: SimTime,
+    peers: Vec<ScriptedPeer>,
+    started: Vec<Option<SimTime>>,
+}
+
+impl PeerBehaviour for Scripted {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn advance(&mut self) {
+        self.now += SimDuration::from_secs(1);
+    }
+    fn act(&mut self, peer: usize, action: MeasurerAction, now: SimTime) {
+        if matches!(action, MeasurerAction::Start { .. }) {
+            self.started[peer] = Some(now);
+        }
+    }
+    fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)> {
+        let elapsed = self.now.duration_since(self.started[peer]?).as_secs();
+        let p = self.peers[peer];
+        (u64::from(j) < elapsed).then_some((p.bg, p.measured))
+    }
+}
+
+/// Runs fixed-rate peers through one round on [`run_in_memory`]: item `g` of
+/// the round is `items[g]`, every peer commanded a `slot_secs` slot.
+pub fn run_scripted(items: &[Vec<ScriptedPeer>], slot_secs: u32) -> RoundRun {
+    let (mut behaviour, peers) = scripted(items, slot_secs);
+    run_in_memory(&mut behaviour, &peers, &mut SimRng::seed_from_u64(0))
+}
+
+fn scripted(
+    items: &[Vec<ScriptedPeer>],
+    slot_secs: u32,
+) -> (Scripted, Vec<(usize, PeerRole, MeasureSpec)>) {
+    let spec = MeasureSpec { slot_secs, ..MeasureSpec::default() };
+    let peers: Vec<_> = items
+        .iter()
+        .enumerate()
+        .flat_map(|(g, item)| item.iter().map(move |p| (g, p.role, spec)))
+        .collect();
+    let started = vec![None; peers.len()];
+    (Scripted { now: SimTime::ZERO, peers: items.concat(), started }, peers)
 }
 
 /// Fault injection for tests and failure-mode experiments.
@@ -166,44 +348,158 @@ pub fn fingerprint_for(relay: RelayId) -> [u8; FINGERPRINT_LEN] {
     fp
 }
 
-fn fresh_token(rng: &mut SimRng) -> [u8; AUTH_TOKEN_LEN] {
-    let mut token = [0u8; AUTH_TOKEN_LEN];
-    for chunk in token.chunks_mut(8) {
-        let word = rng.next_u64().to_be_bytes();
-        chunk.copy_from_slice(&word[..chunk.len()]);
-    }
-    token
-}
-
-/// The peer side of one conversation: the measurer (or target) session
-/// bound to its end of the simulated link, plus its local traffic state.
-struct LocalPeer {
+/// One peer of a [`SlotRunner`] batch and its traffic.
+struct TorPeer {
     item: usize,
+    /// The measurer host, or `None` for the target's reporting session.
     host: Option<HostId>,
-    role: PeerRole,
-    endpoint: Endpoint<MeasurerSession, FaultyTransport<DuplexEnd>>,
+    processes: u32,
+    stall: Option<u32>,
     /// Blast flows (measurer role only), live once started.
     flows: Vec<FlowId>,
     acc: SecondsAccumulator,
-    reported: u32,
-    /// Background seconds already forwarded (target role only).
-    bg_sent: usize,
-    processes: u32,
-    fault: Option<PeerFault>,
     started: bool,
+    /// Stopped, or failed before it started.
+    ended: bool,
 }
 
-impl LocalPeer {
-    fn stalled(&self) -> bool {
-        match self.fault {
-            Some(PeerFault::StallAfterSeconds(n)) => self.reported >= n,
-            None => false,
+impl TorPeer {
+    fn new(item: usize, host: Option<HostId>, processes: u32, stall: Option<u32>) -> Self {
+        TorPeer {
+            item,
+            host,
+            processes,
+            stall,
+            flows: Vec::new(),
+            acc: SecondsAccumulator::new(),
+            started: false,
+            ended: false,
+        }
+    }
+}
+
+/// [`SlotRunner`]'s behaviour: each measurer is `TorNet` blast flows, each
+/// target its relay's background reports, under the ratio governor.
+struct TorPeers<'t> {
+    tor: &'t mut TorNet,
+    items: &'t [BatchItem],
+    peers: Vec<TorPeer>,
+    governed: Vec<bool>,
+}
+
+impl TorPeers<'_> {
+    /// Installs `item`'s ratio governor once its surviving measurers are
+    /// all blasting (uniform control latency makes this one tick).
+    fn govern(&mut self, item: usize) {
+        let measurers = self.peers.iter().filter(|p| p.item == item && p.host.is_some());
+        if self.governed[item] || !measurers.clone().all(|p| p.started || p.ended) {
+            return;
+        }
+        let flows: Vec<FlowId> = measurers.flat_map(|p| p.flows.iter().copied()).collect();
+        if !flows.is_empty() {
+            self.tor.begin_measurement(self.items[item].target, flows);
+            self.governed[item] = true;
+        }
+    }
+
+    fn stop_flows(&mut self, peer: usize) {
+        for f in &self.peers[peer].flows {
+            self.tor.net.engine_mut().stop_flow(*f);
+        }
+    }
+}
+
+impl PeerBehaviour for TorPeers<'_> {
+    fn now(&self) -> SimTime {
+        self.tor.now()
+    }
+
+    fn advance(&mut self) {
+        self.tor.tick();
+        let engine = self.tor.net.engine();
+        let dt = engine.tick_duration().as_secs_f64();
+        for p in self.peers.iter_mut().filter(|p| p.host.is_some() && p.started && !p.ended) {
+            let bytes: f64 = p.flows.iter().map(|f| engine.flow_bytes_last_tick(*f)).sum();
+            p.acc.push(bytes, dt);
+        }
+    }
+
+    fn act(&mut self, peer: usize, action: MeasurerAction, _now: SimTime) {
+        let p = &mut self.peers[peer];
+        match action {
+            MeasurerAction::Prepare { .. } => {}
+            MeasurerAction::Start { spec } => {
+                p.started = true;
+                if let Some(host) = p.host {
+                    let target = self.items[p.item].target;
+                    let k = p.processes;
+                    let per_process_cap =
+                        Rate::from_bytes_per_sec(spec.rate_cap as f64 / f64::from(k));
+                    let per_process_sockets = (spec.sockets / k).max(1);
+                    for _ in 0..k {
+                        let flow = self.tor.start_measurement_flow(
+                            host,
+                            target,
+                            per_process_sockets,
+                            Some(per_process_cap),
+                        );
+                        p.flows.push(flow);
+                    }
+                    let item = p.item;
+                    self.govern(item);
+                }
+            }
+            MeasurerAction::Stop => {
+                p.ended = true;
+                self.stop_flows(peer);
+            }
+        }
+    }
+
+    fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)> {
+        let p = &self.peers[peer];
+        match p.host {
+            Some(_) => p.acc.seconds().get(j as usize).map(|x| (0, x.round() as u64)),
+            None => self
+                .tor
+                .relay_background_seconds(self.items[p.item].target)
+                .get(j as usize)
+                .map(|s| (s.reported_background.round() as u64, 0)),
+        }
+    }
+
+    fn stall_after(&self, peer: usize) -> Option<u32> {
+        self.peers[peer].stall
+    }
+
+    fn observe(&mut self, event: &EngineEvent) {
+        match *event {
+            EngineEvent::PeerFailed { peer, .. } => {
+                // One that failed before starting degrades its item
+                // instead of holding the governor back.
+                let p = &mut self.peers[peer.index()];
+                p.ended = true;
+                let item = p.item;
+                self.govern(item);
+            }
+            EngineEvent::ItemComplete { item } => {
+                // Tear the item down so the network returns to normal.
+                if self.governed[item] {
+                    self.tor.end_measurement(self.items[item].target);
+                }
+                for peer in 0..self.peers.len() {
+                    if self.peers[peer].item == item {
+                        self.stop_flows(peer);
+                    }
+                }
+            }
+            _ => {}
         }
     }
 }
 
 /// Runs protocol-driven measurement slots against the fluid simulation:
-/// the sim-facing front end of the [`MeasurementEngine`].
+/// the sim-facing front end of [`run_in_memory`].
 ///
 /// ```no_run
 /// # use flashflow_core::prelude::*;
@@ -220,21 +516,13 @@ impl LocalPeer {
 #[derive(Debug, Clone)]
 pub struct SlotRunner<'a> {
     params: &'a Params,
-    cfg: ProtoConfig,
     faults: Vec<FaultSpec>,
 }
 
 impl<'a> SlotRunner<'a> {
-    /// A runner with the default [`ProtoConfig`] and no faults.
+    /// A runner with no faults.
     pub fn new(params: &'a Params) -> Self {
-        SlotRunner { params, cfg: ProtoConfig::default(), faults: Vec::new() }
-    }
-
-    /// Overrides the transport/liveness knobs.
-    #[must_use]
-    pub fn with_config(mut self, cfg: ProtoConfig) -> Self {
-        self.cfg = cfg;
-        self
+        SlotRunner { params, faults: Vec::new() }
     }
 
     /// Injects peer faults (failure-mode experiments).
@@ -260,238 +548,41 @@ impl<'a> SlotRunner<'a> {
     ) -> Vec<ProtoMeasurement> {
         let slot_secs = self.params.slot.as_secs() as u32;
         assert!(slot_secs > 0, "slot must be at least one second");
-        let now0 = tor.now();
-
-        // Build every conversation: batch item `ix` is engine item
-        // `ix`, with the coordinator half of each link in the engine
-        // and the peer half kept by this runner. Both sides are filled
-        // in the same order, so the engine's dense PeerIds index
-        // `locals` directly.
-        let mut builder = MeasurementEngine::builder();
-        let mut locals: Vec<LocalPeer> = Vec::new();
+        // Batch item `ix` is round item `ix`: its measurers, then its
+        // target's reporting session.
+        let mut specs = Vec::new();
+        let mut peers = Vec::new();
         for (ix, item) in items.iter().enumerate() {
-            let fp = fingerprint_for(item.target);
-            let active: Vec<_> =
-                item.assignments.iter().filter(|a| !a.allocation.is_zero()).collect();
-            assert!(!active.is_empty(), "measurement needs at least one participating measurer");
-            for a in &active {
+            let relay_fp = fingerprint_for(item.target);
+            let mut active = item.assignments.iter().filter(|a| !a.allocation.is_zero()).peekable();
+            assert!(
+                active.peek().is_some(),
+                "measurement needs at least one participating measurer"
+            );
+            for a in active {
                 let spec = MeasureSpec {
-                    relay_fp: fp,
+                    relay_fp,
                     slot_secs,
                     sockets: a.sockets,
                     rate_cap: a.allocation.bytes_per_sec() as u64,
                     ..MeasureSpec::default()
                 };
-                let fault =
-                    self.faults.iter().find(|f| f.item == ix && f.host == a.host).map(|f| f.fault);
-                self.add_peer(
-                    &mut builder,
-                    &mut locals,
-                    ix,
-                    Some(a.host),
-                    PeerRole::Measurer,
-                    spec,
-                    a.processes.max(1),
-                    fault,
-                    rng,
-                );
+                let fault = self.faults.iter().find(|f| f.item == ix && f.host == a.host);
+                let stall =
+                    fault.map(|&FaultSpec { fault: PeerFault::StallAfterSeconds(n), .. }| n);
+                specs.push((ix, PeerRole::Measurer, spec));
+                peers.push(TorPeer::new(ix, Some(a.host), a.processes.max(1), stall));
             }
-            // The target relay's reporting session.
-            let spec = MeasureSpec {
-                relay_fp: fp,
-                slot_secs,
-                sockets: 0,
-                rate_cap: 0,
-                ..MeasureSpec::default()
-            };
-            self.add_peer(
-                &mut builder,
-                &mut locals,
+            specs.push((
                 ix,
-                None,
                 PeerRole::Target,
-                spec,
-                0,
-                None,
-                rng,
-            );
+                MeasureSpec { relay_fp, slot_secs, ..MeasureSpec::default() },
+            ));
+            peers.push(TorPeer::new(ix, None, 0, None));
         }
-        let mut engine = builder.build(now0);
-        let mut ledger = SampleLedger::new();
-
-        // Per-item records, filled from engine events.
-        let mut failures: Vec<Vec<PeerFailure>> = vec![Vec::new(); items.len()];
-        let mut governor_on: Vec<bool> = vec![false; items.len()];
-
-        // Generous hard wall: handshake, slot, report-timeout drain, margin.
-        let hard_deadline = now0
-            + self.cfg.timeouts.handshake * 3
-            + self.params.slot
-            + self.cfg.timeouts.report * 3
-            + SimDuration::from_secs(30);
-
-        let dt = tor.net.engine().tick_duration().as_secs_f64();
-        while !engine.is_finished() {
-            let now = tor.now();
-            if now >= hard_deadline {
-                engine.abort_all(AbortReason::Shutdown);
-            }
-
-            tor.tick();
-            let now = tor.now();
-
-            // Account the tick's bytes and complete seconds at every peer.
-            for p in locals.iter_mut() {
-                match p.role {
-                    PeerRole::Measurer => {
-                        if !p.started || p.endpoint.is_terminal() {
-                            continue;
-                        }
-                        let bytes: f64 =
-                            p.flows.iter().map(|f| tor.net.engine().flow_bytes_last_tick(*f)).sum();
-                        p.acc.push(bytes, dt);
-                        while (p.reported as usize) < p.acc.seconds().len()
-                            && !p.endpoint.is_terminal()
-                        {
-                            if p.stalled() {
-                                // Crash simulation: traffic and the control
-                                // connection both go dark; the
-                                // coordinator's timeout must react.
-                                for f in &p.flows {
-                                    tor.net.engine_mut().stop_flow(*f);
-                                }
-                                p.endpoint.transport_mut().trip();
-                                break;
-                            }
-                            let measured = p.acc.seconds()[p.reported as usize].round() as u64;
-                            p.endpoint.session_mut().report_second(0, measured);
-                            p.reported += 1;
-                        }
-                    }
-                    PeerRole::Target => {
-                        if !p.started || p.endpoint.is_terminal() {
-                            continue;
-                        }
-                        let target = items[p.item].target;
-                        let reports = tor.relay_background_seconds(target);
-                        while p.bg_sent < reports.len() && !p.endpoint.is_terminal() {
-                            let bg = reports[p.bg_sent].reported_background.round() as u64;
-                            p.endpoint.session_mut().report_second(bg, 0);
-                            p.bg_sent += 1;
-                        }
-                    }
-                }
-            }
-
-            // Pump frames until this tick moves no more bytes, across
-            // both halves of every conversation.
-            loop {
-                let mut moved = engine.pump(now);
-                for p in locals.iter_mut() {
-                    moved |= p.endpoint.pump(now);
-                }
-                if !moved {
-                    break;
-                }
-            }
-
-            // Peer-side actions: only these start or stop traffic.
-            for p in locals.iter_mut() {
-                while let Some(action) = p.endpoint.session_mut().poll_action() {
-                    match action {
-                        MeasurerAction::Prepare { .. } => {}
-                        MeasurerAction::Start { spec } => {
-                            p.started = true;
-                            if p.role == PeerRole::Measurer {
-                                let host = p.host.expect("measurer has host");
-                                let target = items[p.item].target;
-                                let k = p.processes;
-                                let per_process_cap =
-                                    Rate::from_bytes_per_sec(spec.rate_cap as f64 / f64::from(k));
-                                let per_process_sockets = (spec.sockets / k).max(1);
-                                for _ in 0..k {
-                                    let flow = tor.start_measurement_flow(
-                                        host,
-                                        target,
-                                        per_process_sockets,
-                                        Some(per_process_cap),
-                                    );
-                                    p.flows.push(flow);
-                                }
-                            }
-                        }
-                        MeasurerAction::Stop => {
-                            for f in &p.flows {
-                                tor.net.engine_mut().stop_flow(*f);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Install the ratio governor once an item's surviving
-            // measurers are all blasting (uniform control latency makes
-            // this one tick).
-            for ix in 0..items.len() {
-                if governor_on[ix] {
-                    continue;
-                }
-                let mut flows = Vec::new();
-                let mut all_started = true;
-                let mut any = false;
-                for p in locals.iter().filter(|p| p.item == ix && p.role == PeerRole::Measurer) {
-                    if p.endpoint.is_terminal() && !p.started {
-                        continue; // failed before starting; degraded slot
-                    }
-                    any = true;
-                    if p.started {
-                        flows.extend(p.flows.iter().copied());
-                    } else {
-                        all_started = false;
-                    }
-                }
-                if any && all_started && !flows.is_empty() {
-                    tor.begin_measurement(items[ix].target, flows);
-                    governor_on[ix] = true;
-                }
-            }
-
-            // Coordinator side: actions → events, Go barriers, timeouts.
-            engine.finish_tick(now);
-            // Peer-side liveness: a peer mid-handshake whose coordinator
-            // went silent gives up too.
-            for p in locals.iter_mut() {
-                p.endpoint.tick(now);
-            }
-
-            // Consume the tick's events.
-            while let Some(event) = engine.poll_event() {
-                ledger.observe(&event);
-                match event {
-                    EngineEvent::PeerFailed { peer, reason } => {
-                        let local = &locals[peer.index()];
-                        failures[local.item].push(PeerFailure {
-                            host: local.host,
-                            role: local.role,
-                            reason,
-                        });
-                    }
-                    EngineEvent::ItemComplete { item } => {
-                        // Tear the item down so the network returns to
-                        // normal.
-                        if governor_on[item] {
-                            tor.end_measurement(items[item].target);
-                        }
-                        for p in locals.iter().filter(|p| p.item == item) {
-                            for f in &p.flows {
-                                tor.net.engine_mut().stop_flow(*f);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let mut behaviour = TorPeers { tor, items, peers, governed: vec![false; items.len()] };
+        let run = run_in_memory(&mut behaviour, &specs, rng);
+        let TorPeers { tor, peers, .. } = behaviour;
 
         // Aggregate exactly as §4.1 specifies, from what crossed the
         // wire — only peers whose sessions completed cleanly contribute
@@ -501,7 +592,7 @@ impl<'a> SlotRunner<'a> {
             .enumerate()
             .map(|(ix, item)| {
                 let ratio = tor.relay(item.target).config.ratio;
-                let (x, y) = ledger.merged_series(&engine, ix);
+                let (x, y) = run.ledger.merged_series(&run.peers, ix);
                 let seconds = build_second_samples(&x, &y, ratio);
                 let z_values: Vec<f64> = seconds.iter().map(|s| s.z).collect();
                 let estimate = Rate::from_bytes_per_sec(median(&z_values).unwrap_or(0.0));
@@ -518,18 +609,29 @@ impl<'a> SlotRunner<'a> {
                     .filter(|a| !a.allocation.is_zero())
                     .map(|a| a.allocation)
                     .sum();
+                let failures = run
+                    .events
+                    .iter()
+                    .filter_map(|event| match *event {
+                        EngineEvent::PeerFailed { peer, reason } => {
+                            let (p, role) = (&peers[peer.index()], run.peers.role(peer));
+                            (p.item == ix).then_some(PeerFailure { host: p.host, role, reason })
+                        }
+                        _ => None,
+                    })
+                    .collect();
                 let (mut frames_tx, mut frames_rx) = (0u64, 0u64);
-                for peer in engine.peers().filter(|p| engine.item(*p) == ix) {
-                    let (tx, rx) = engine.frames(peer);
+                for peer in run.peers.peers().filter(|p| run.peers.item(*p) == ix) {
+                    let (tx, rx) = run.peers.frames(peer);
                     frames_tx += tx;
                     frames_rx += rx;
                 }
                 ProtoMeasurement {
                     measurement: Measurement { estimate, seconds, allocated, verification },
-                    failures: failures[ix].clone(),
+                    failures,
                     frames_tx,
                     frames_rx,
-                    rows: ledger.rows(&engine, ix),
+                    rows: run.ledger.rows(&run.peers, ix),
                 }
             })
             .collect()
@@ -572,45 +674,12 @@ impl<'a> SlotRunner<'a> {
         let assignments = assignments_for(team, &allocations, self.params);
         Ok(self.run_one(tor, target, &assignments, TargetBehavior::Honest, rng))
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn add_peer(
-        &self,
-        builder: &mut EngineBuilder,
-        locals: &mut Vec<LocalPeer>,
-        item: usize,
-        host: Option<HostId>,
-        role: PeerRole,
-        spec: MeasureSpec,
-        processes: u32,
-        fault: Option<PeerFault>,
-        rng: &mut SimRng,
-    ) {
-        let token = fresh_token(rng);
-        let nonce = rng.next_u64();
-        let coord = CoordinatorSession::new(token, role, spec, nonce, self.cfg.timeouts);
-        let (coord_end, peer_end) = self.cfg.link().into_endpoints();
-        builder.add_peer(item, coord, Box::new(coord_end));
-        let session = MeasurerSession::new(token, role, rng.next_u64(), self.cfg.timeouts);
-        locals.push(LocalPeer {
-            item,
-            host,
-            role,
-            endpoint: Endpoint::new(session, FaultyTransport::new(peer_end, FaultMode::Blackhole)),
-            flows: Vec::new(),
-            acc: SecondsAccumulator::new(),
-            reported: 0,
-            bg_sent: 0,
-            processes,
-            fault,
-            started: false,
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PeerId;
     use flashflow_simnet::host::HostProfile;
     use flashflow_tornet::relay::RelayConfig;
 
@@ -659,5 +728,107 @@ mod tests {
         let r2 = tor.add_relay(h, RelayConfig::new("b"));
         assert_ne!(fingerprint_for(r1), fingerprint_for(r2));
         assert_eq!(fingerprint_for(r1), fingerprint_for(r1));
+    }
+
+    /// Item `g`'s events: its Go, samples and completion.
+    fn events_of(events: &[EngineEvent], g: usize) -> Vec<&EngineEvent> {
+        events
+            .iter()
+            .filter(|e| match **e {
+                EngineEvent::GoReleased { item, .. }
+                | EngineEvent::Sample { item, .. }
+                | EngineEvent::ItemComplete { item } => item == g,
+                _ => false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_item_completes_with_ordered_events_and_its_own_series() {
+        const SLOT_SECS: u32 = 3;
+        let items: Vec<Vec<ScriptedPeer>> = (0..10u64)
+            .map(|g| {
+                let rate = 1_000 * (g + 1);
+                vec![ScriptedPeer::measurer(rate), ScriptedPeer::target(rate / 10)]
+            })
+            .collect();
+        let run = run_scripted(&items, SLOT_SECS);
+        assert!(run.peers.all_clean());
+        assert_eq!(run.peers.item_count(), 10);
+        for g in 0..10 {
+            // Per-item event order: Go before every sample, one
+            // ItemComplete at the end.
+            let of_g = events_of(&run.events, g);
+            assert!(matches!(of_g.first(), Some(EngineEvent::GoReleased { .. })), "{of_g:?}");
+            assert!(matches!(of_g.last(), Some(EngineEvent::ItemComplete { .. })), "{of_g:?}");
+            assert_eq!(of_g.len(), 2 + 2 * SLOT_SECS as usize, "item {g}: {of_g:?}");
+            let (x, y) = run.ledger.merged_series(&run.peers, g);
+            let rate = 1_000.0 * (g as f64 + 1.0);
+            assert_eq!(x, vec![rate; SLOT_SECS as usize], "item {g}");
+            assert_eq!(y, vec![(rate / 10.0).floor(); SLOT_SECS as usize], "item {g}");
+        }
+    }
+
+    /// Fixed-rate peers of which peer 0 stalls after two reported seconds.
+    struct FirstStalls(Scripted);
+
+    impl PeerBehaviour for FirstStalls {
+        fn now(&self) -> SimTime {
+            self.0.now()
+        }
+        fn advance(&mut self) {
+            self.0.advance();
+        }
+        fn act(&mut self, peer: usize, action: MeasurerAction, now: SimTime) {
+            self.0.act(peer, action, now);
+        }
+        fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)> {
+            self.0.second(peer, j)
+        }
+        fn stall_after(&self, peer: usize) -> Option<u32> {
+            (peer == 0).then_some(2)
+        }
+    }
+
+    #[test]
+    fn a_stalled_scripted_measurer_degrades_only_its_own_item() {
+        const SLOT_SECS: u32 = 3;
+        let item =
+            vec![ScriptedPeer::measurer(100), ScriptedPeer::measurer(50), ScriptedPeer::target(30)];
+        let (scripted, peers) = scripted(&[item.clone(), item.clone(), item], SLOT_SECS);
+        let run = run_in_memory(&mut FirstStalls(scripted), &peers, &mut SimRng::seed_from_u64(3));
+        let pos = |want: EngineEvent| {
+            run.events
+                .iter()
+                .position(|e| *e == want)
+                .unwrap_or_else(|| panic!("{want:?} missing: {:?}", run.events))
+        };
+        // Item 0's first measurer goes silent after two seconds and is
+        // aborted by the report timeout; only then does item 0 complete.
+        let stalled = pos(EngineEvent::PeerFailed {
+            peer: PeerId::from_index(0),
+            reason: AbortReason::ReportTimeout,
+        });
+        assert!(stalled < pos(EngineEvent::ItemComplete { item: 0 }), "{:?}", run.events);
+        assert_eq!(
+            run.events.iter().filter(|e| matches!(e, EngineEvent::PeerFailed { .. })).count(),
+            1,
+            "{:?}",
+            run.events
+        );
+        // Its clean measurer and target still merge; the stalled one's two
+        // seconds do not.
+        assert!(!run.peers.item_clean(0));
+        let rows = run.ledger.rows(&run.peers, 0);
+        assert_eq!(rows.iter().filter(|r| r.peer == PeerId::from_index(0)).count(), 2);
+        let (x, y) = run.ledger.merged_series(&run.peers, 0);
+        assert_eq!((x, y), (vec![50.0; 3], vec![30.0; 3]));
+        for g in [1, 2] {
+            assert!(run.peers.item_clean(g), "item {g}");
+            assert!(pos(EngineEvent::ItemComplete { item: g }) < stalled, "item {g}");
+            assert_eq!(events_of(&run.events, g).len(), 2 + 3 * SLOT_SECS as usize, "item {g}");
+            let (x, y) = run.ledger.merged_series(&run.peers, g);
+            assert_eq!((x, y), (vec![150.0; 3], vec![30.0; 3]), "item {g}");
+        }
     }
 }

@@ -32,7 +32,7 @@ use flashflow_core::echo::{
 use flashflow_core::engine::{EngineEvent, PeerDirectory};
 use flashflow_core::measure::build_second_samples;
 use flashflow_core::pool::ConnectionPool;
-use flashflow_core::script::{self, ScriptConfig, ScriptedPeer};
+use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::{
     AbortReason, Msg, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
@@ -280,10 +280,7 @@ fn duplex_reference_estimates() -> Vec<f64> {
     let mut peers: Vec<ScriptedPeer> =
         MEASURER_CAPS.iter().map(|&cap| ScriptedPeer::measurer(cap)).collect();
     peers.push(ScriptedPeer::target(BG_ALLOWANCE));
-    let run = script::run(
-        &vec![peers; ITEMS],
-        ScriptConfig { slot_secs: SLOT_SECS, ..Default::default() },
-    );
+    let run = run_scripted(&vec![peers; ITEMS], SLOT_SECS);
     assert!(run.peers.all_clean(), "reference run had failures");
     (0..ITEMS)
         .map(|g| {

@@ -12,22 +12,18 @@
 //!
 //! Run with: `cargo run --example relay_echo`
 
-use flashflow_repro::core::engine::{MeasurementEngine, SampleLedger};
 use flashflow_repro::core::measure::build_second_samples;
+use flashflow_repro::core::proto_driver::{run_in_memory, PeerBehaviour};
 use flashflow_repro::proto::blast::{
     binding_nonce, secret_channel_key, BackgroundMeter, BlastEvent, BlastParser, ByteCounter,
     Echoer, TrafficSource,
 };
-use flashflow_repro::proto::endpoint::Endpoint;
-use flashflow_repro::proto::msg::{
-    MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
-};
-use flashflow_repro::proto::session::{
-    CoordinatorSession, MeasurerAction, MeasurerSession, SessionTimeouts,
-};
+use flashflow_repro::proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERPRINT_LEN};
+use flashflow_repro::proto::session::MeasurerAction;
 use flashflow_repro::proto::transport::{Duplex, DuplexEnd, Transport as _};
+use flashflow_repro::simnet::rng::SimRng;
 use flashflow_repro::simnet::stats::median;
-use flashflow_repro::simnet::time::SimTime;
+use flashflow_repro::simnet::time::{SimDuration, SimTime};
 
 const SLOT_SECS: u32 = 5;
 const RATIO: f64 = 0.25;
@@ -36,210 +32,140 @@ const BG_OFFERED: u64 = 9_000;
 const BG_ALLOWANCE: u64 = 5_000;
 const SECRET: u64 = 0x0EC0_5EC2_E7D0_0001;
 
-/// One measurer: its control endpoint plus its echo lane to the relay.
+/// One measurer: its echo lane to the relay once started, and the
+/// echo it verified.
 struct Measurer {
-    control: Endpoint<MeasurerSession, DuplexEnd>,
-    source: Option<TrafficSource<DuplexEnd>>,
+    lane: Option<(TrafficSource<DuplexEnd>, Echoer<DuplexEnd>)>,
     back: BlastParser,
     verified: ByteCounter,
-    counted_through: u64,
-    reported: u32,
+}
+
+/// The in-process data plane: peers `0..MEASURER_CAPS.len()` are the
+/// measurers, the last peer the relay. Each tick the measurers blast,
+/// the relay echoes, and the measurers verify.
+struct EchoTopology {
+    now: SimTime,
+    nonce: u64,
+    key: u64,
+    measurers: Vec<Measurer>,
+    meter: BackgroundMeter,
+    relay_echoed: ByteCounter,
+}
+
+impl PeerBehaviour for EchoTopology {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn advance(&mut self) {
+        self.now += SimDuration::from_millis(50);
+        let now = self.now;
+        let mut relay_echo_delta = 0u64;
+        for m in self.measurers.iter_mut() {
+            let Some((src, echoer)) = m.lane.as_mut() else { continue };
+            let before = echoer.echoed_total();
+            src.pump(now);
+            echoer.pump(now).expect("clean inbound stream");
+            relay_echo_delta += echoer.echoed_total() - before;
+            let bytes = src.transport_mut().recv(now).expect("echo stream open");
+            for ev in m.back.push(&bytes).expect("clean echo stream") {
+                if let BlastEvent::Data { bytes, corrupt } = ev {
+                    m.verified.add(now, bytes - corrupt);
+                }
+            }
+        }
+        if self.relay_echoed.is_running() && relay_echo_delta > 0 {
+            self.relay_echoed.add(now, relay_echo_delta);
+        } else {
+            self.relay_echoed.roll(now);
+        }
+        self.meter.tick(now);
+    }
+
+    fn act(&mut self, peer: usize, action: MeasurerAction, now: SimTime) {
+        match (self.measurers.get_mut(peer), action) {
+            // Like the relay binary, derive the echo binding from the
+            // commanded spec: which hello nonce its channels must
+            // present, and the background allowance.
+            (None, MeasurerAction::Prepare { spec }) => {
+                assert_eq!(binding_nonce(spec.measurement_secret), self.nonce);
+                assert_eq!(secret_channel_key(spec.measurement_secret), self.key);
+                self.meter.set_cap(spec.rate_cap);
+            }
+            (None, MeasurerAction::Start { .. }) => {
+                self.meter.start(now);
+                self.relay_echoed.start(now);
+            }
+            // A measurer dials its own echo lane at Go (a fresh Duplex
+            // stands in for the TCP dial to the relay's listener).
+            (Some(m), MeasurerAction::Start { spec }) => {
+                let (me, relay_end) = Duplex::loopback().into_endpoints();
+                let mut src = TrafficSource::new(me, self.nonce, peer as u32).with_key(self.key);
+                src.set_rate_cap(spec.rate_cap);
+                src.greet(now);
+                src.start(now);
+                let mut echoer = Echoer::new(relay_end).with_key(self.key);
+                echoer.start(now);
+                m.lane = Some((src, echoer));
+                m.verified.start(now);
+            }
+            _ => {}
+        }
+    }
+
+    /// Reports: one per completed second on each peer's own counters.
+    fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)> {
+        let j = j as usize;
+        match self.measurers.get(peer) {
+            Some(m) => Some((0, *m.verified.completed().get(j)?)),
+            None => Some((
+                *self.meter.completed_seconds().get(j)?,
+                *self.relay_echoed.completed().get(j)?,
+            )),
+        }
+    }
 }
 
 fn main() {
-    let token = [7u8; AUTH_TOKEN_LEN];
-    let timeouts = SessionTimeouts::default();
-    let nonce = binding_nonce(SECRET);
-    let key = secret_channel_key(SECRET);
-
-    // Control wiring: the coordinator's engine holds one session per
-    // peer; the peer halves live in this function.
-    let mut builder = MeasurementEngine::builder();
-    let mut measurers = Vec::new();
-    let mut echo_lanes: Vec<Echoer<DuplexEnd>> = Vec::new();
-    for (ix, &cap) in MEASURER_CAPS.iter().enumerate() {
-        let spec = MeasureSpec {
-            relay_fp: [0xEC; FINGERPRINT_LEN],
-            slot_secs: SLOT_SECS,
-            sockets: 1,
-            rate_cap: cap,
-            // In-process there is nothing to dial — the example wires
-            // the data lanes itself — but the secret still rides the
-            // command, exactly as it does over TCP.
-            target: TargetEndpoint::NONE,
-            measurement_secret: SECRET,
-            trace_id: 0,
-        };
-        let (ca, cb) = Duplex::loopback().into_endpoints();
-        builder.add_peer(
-            0,
-            CoordinatorSession::new(token, PeerRole::Measurer, spec, 100 + ix as u64, timeouts)
-                .with_report_ahead_cap(SLOT_SECS),
-            Box::new(ca),
-        );
-        measurers.push(Measurer {
-            control: Endpoint::new(
-                MeasurerSession::new(token, PeerRole::Measurer, ix as u64, timeouts),
-                cb,
-            ),
-            source: None,
-            back: BlastParser::new().with_key(key),
-            verified: ByteCounter::new(),
-            counted_through: 0,
-            reported: 0,
-        });
-    }
-    // The relay's reporting session (target role); its rate_cap is the
-    // background allowance.
-    let relay_spec = MeasureSpec {
+    let spec = MeasureSpec {
         relay_fp: [0xEC; FINGERPRINT_LEN],
         slot_secs: SLOT_SECS,
-        sockets: 0,
-        rate_cap: BG_ALLOWANCE,
+        // In-process there is nothing to dial — the example wires the
+        // data lanes itself — but the secret still rides the command,
+        // exactly as it does over TCP.
         target: TargetEndpoint::NONE,
         measurement_secret: SECRET,
-        trace_id: 0,
+        ..MeasureSpec::default()
     };
-    let (ca, cb) = Duplex::loopback().into_endpoints();
-    builder.add_peer(
-        0,
-        CoordinatorSession::new(token, PeerRole::Target, relay_spec, 200, timeouts)
-            .with_report_ahead_cap(SLOT_SECS),
-        Box::new(ca),
-    );
-    // The relay runs the same session state machine as the measurers,
-    // answering the protocol's target role.
-    let mut relay = Endpoint::new(MeasurerSession::new(token, PeerRole::Target, 99, timeouts), cb);
-    let mut meter = BackgroundMeter::new(BG_OFFERED);
-    let mut relay_echoed = ByteCounter::new();
-    let mut relay_echoed_through = 0u64;
-    let mut relay_bg_through = 0u64;
-    let mut relay_reported = 0u32;
-    let mut relay_running = false;
-
-    let mut engine = builder.hard_deadline(SimTime::from_secs(120)).build(SimTime::ZERO);
-    let mut ledger = SampleLedger::new();
-    let mut events = Vec::new();
-
-    for tick in 0..2_000u64 {
-        let now = SimTime::from_secs_f64(tick as f64 * 0.05);
-        // Move control bytes until the tick quiesces.
-        loop {
-            let mut moved = engine.pump(now);
-            for m in measurers.iter_mut() {
-                moved |= m.control.pump(now);
-            }
-            moved |= relay.pump(now);
-            if !moved {
-                break;
-            }
-        }
-        // Relay side: register the measurement, start the clocks at Go.
-        while let Some(action) = relay.session_mut().poll_action() {
-            match action {
-                // Like the relay binary, derive the echo binding from
-                // the commanded spec: which hello nonce its channels
-                // must present, and the background allowance.
-                MeasurerAction::Prepare { spec } => {
-                    assert_eq!(binding_nonce(spec.measurement_secret), nonce);
-                    assert_eq!(secret_channel_key(spec.measurement_secret), key);
-                    meter.set_cap(spec.rate_cap);
-                }
-                MeasurerAction::Start { .. } => {
-                    relay_running = true;
-                    meter.start(now);
-                    relay_echoed.start(now);
-                }
-                MeasurerAction::Stop => {}
-            }
-        }
-        // Measurer side: dial the echo lanes at Go (a fresh Duplex per
-        // measurer stands in for the TCP dial to the relay's listener).
-        for (ix, m) in measurers.iter_mut().enumerate() {
-            while let Some(action) = m.control.session_mut().poll_action() {
-                if let MeasurerAction::Start { spec } = action {
-                    let (me, relay_end) = Duplex::loopback().into_endpoints();
-                    let mut src = TrafficSource::new(me, nonce, ix as u32).with_key(key);
-                    src.set_rate_cap(spec.rate_cap);
-                    src.greet(now);
-                    src.start(now);
-                    m.source = Some(src);
-                    m.verified.start(now);
-                    let mut echoer = Echoer::new(relay_end).with_key(key);
-                    echoer.start(now);
-                    echo_lanes.push(echoer);
-                }
-            }
-        }
-        // Data plane: blast → echo → verify, all on this tick.
-        let mut relay_echo_delta = 0u64;
-        for (m, echoer) in measurers.iter_mut().zip(echo_lanes.iter_mut()) {
-            let before = echoer.echoed_total();
-            if let Some(src) = m.source.as_mut() {
-                src.pump(now);
-                echoer.pump(now).expect("clean inbound stream");
-                relay_echo_delta += echoer.echoed_total() - before;
-                let bytes = src.transport_mut().recv(now).expect("echo stream open");
-                for ev in m.back.push(&bytes).expect("clean echo stream") {
-                    if let BlastEvent::Data { bytes, corrupt } = ev {
-                        m.verified.add(now, bytes - corrupt);
-                    }
-                }
-            }
-        }
-        if relay_echoed.is_running() && relay_echo_delta > 0 {
-            relay_echoed.add(now, relay_echo_delta);
-        } else {
-            relay_echoed.roll(now);
-        }
-        meter.tick(now);
-        // Reports: one per completed second on each peer's own counters.
-        for m in measurers.iter_mut() {
-            while (m.reported as usize) < m.verified.completed().len()
-                && m.reported < SLOT_SECS
-                && !m.control.is_terminal()
-            {
-                let through: u64 = m.verified.completed()[..=m.reported as usize].iter().sum();
-                let delta = through - m.counted_through;
-                m.counted_through = through;
-                m.control.session_mut().report_second(0, delta);
-                m.reported += 1;
-            }
-        }
-        if relay_running {
-            let complete = relay_echoed.completed().len().min(meter.completed_seconds().len());
-            while (relay_reported as usize) < complete
-                && relay_reported < SLOT_SECS
-                && !relay.is_terminal()
-            {
-                let j = relay_reported as usize;
-                let echoed: u64 = relay_echoed.completed()[..=j].iter().sum();
-                let echo_delta = echoed - relay_echoed_through;
-                relay_echoed_through = echoed;
-                let bg: u64 = meter.completed_seconds()[..=j].iter().sum();
-                let bg_delta = bg - relay_bg_through;
-                relay_bg_through = bg;
-                relay.session_mut().report_second(bg_delta, echo_delta);
-                relay_reported += 1;
-            }
-        }
-        for m in measurers.iter_mut() {
-            m.control.tick(now);
-        }
-        relay.tick(now);
-        engine.finish_tick(now);
-        while let Some(ev) = engine.poll_event() {
-            ledger.observe(&ev);
-            events.push(ev);
-        }
-        if engine.is_finished() {
-            break;
-        }
+    let mut peers = Vec::new();
+    for rate_cap in MEASURER_CAPS {
+        peers.push((0, PeerRole::Measurer, MeasureSpec { sockets: 1, rate_cap, ..spec }));
     }
-    assert!(engine.is_finished(), "topology did not complete: {events:?}");
+    // The relay runs the same session state machine as the measurers,
+    // answering the protocol's target role; its rate_cap is the
+    // background allowance.
+    peers.push((0, PeerRole::Target, MeasureSpec { rate_cap: BG_ALLOWANCE, ..spec }));
+    let key = secret_channel_key(SECRET);
+    let mut topology = EchoTopology {
+        now: SimTime::ZERO,
+        nonce: binding_nonce(SECRET),
+        key,
+        measurers: MEASURER_CAPS
+            .iter()
+            .map(|_| Measurer {
+                lane: None,
+                back: BlastParser::new().with_key(key),
+                verified: ByteCounter::new(),
+            })
+            .collect(),
+        meter: BackgroundMeter::new(BG_OFFERED),
+        relay_echoed: ByteCounter::new(),
+    };
+    let run = run_in_memory(&mut topology, &peers, &mut SimRng::seed_from_u64(7));
+    assert!(run.peers.all_clean(), "topology did not complete: {:?}", run.events);
 
     // The estimate, exactly as §4.1 computes it.
-    let (x, y) = ledger.merged_series(&engine, 0);
+    let (x, y) = run.ledger.merged_series(&run.peers, 0);
     let seconds = build_second_samples(&x, &y, RATIO);
     let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
     let estimate = median(&z).expect("seconds");
@@ -249,14 +175,14 @@ fn main() {
     println!("estimate  median(x+y clamped): {estimate:.0} B/s");
     println!(
         "audit: {} rows, {} divergent",
-        ledger.rows(&engine, 0).len(),
-        ledger.divergent_count(&engine, 0)
+        run.ledger.rows(&run.peers, 0).len(),
+        run.ledger.divergent_count(&run.peers, 0)
     );
     let expect = (honest_x + BG_ALLOWANCE) as f64;
     assert!(
         (estimate - expect).abs() / expect < 0.10,
         "estimate {estimate:.0} differs from expected {expect:.0} by >10%"
     );
-    assert_eq!(ledger.divergent_count(&engine, 0), 0, "honest topology flagged");
+    assert_eq!(run.ledger.divergent_count(&run.peers, 0), 0, "honest topology flagged");
     println!("ok: full echo topology reproduced the commanded capacity");
 }

@@ -13,7 +13,7 @@
 
 use flashflow_repro::core::engine::PeerDirectory;
 use flashflow_repro::core::measure::build_second_samples;
-use flashflow_repro::core::script::{self, ScriptConfig, ScriptedPeer};
+use flashflow_repro::core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_repro::simnet::stats::median;
 
 const ITEMS: usize = 6;
@@ -29,7 +29,7 @@ fn item(ix: usize) -> Vec<ScriptedPeer> {
 fn main() {
     println!("scripted period: {ITEMS} items on one engine");
     let items: Vec<_> = (0..ITEMS).map(item).collect();
-    let run = script::run(&items, ScriptConfig { slot_secs: SLOT_SECS, ..ScriptConfig::default() });
+    let run = run_scripted(&items, SLOT_SECS);
 
     assert!(run.peers.all_clean(), "a session failed");
     println!("event stream: {} events, per-item order preserved", run.events.len());

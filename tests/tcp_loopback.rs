@@ -19,8 +19,9 @@ use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_repro::core::engine::{EngineEvent, MeasurementEngine, SampleLedger};
+use flashflow_repro::core::engine::{EngineEvent, MeasurementEngine, PeerDirectory, SampleLedger};
 use flashflow_repro::core::measure::build_second_samples;
+use flashflow_repro::core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_repro::proto::endpoint::Endpoint;
 use flashflow_repro::proto::fault::{FaultMode, FaultyTransport};
 use flashflow_repro::proto::msg::{
@@ -30,26 +31,17 @@ use flashflow_repro::proto::session::{
     CoordinatorSession, MeasurerAction, MeasurerSession, SessionTimeouts,
 };
 use flashflow_repro::proto::tcp::TcpTransport;
-use flashflow_repro::proto::transport::{Duplex, Transport};
+use flashflow_repro::proto::transport::Transport;
 use flashflow_repro::simnet::stats::median;
 use flashflow_repro::simnet::time::{SimDuration, SimTime};
 
 const SLOT_SECS: u32 = 5;
 
-/// One scripted peer: role plus the constant (bg, measured) bytes it
-/// reports for every second of the slot.
-#[derive(Clone, Copy)]
-struct ScriptedPeer {
-    role: PeerRole,
-    bg: u64,
-    measured: u64,
-}
-
 fn scenario() -> Vec<ScriptedPeer> {
     vec![
-        ScriptedPeer { role: PeerRole::Measurer, bg: 0, measured: 40_000_000 },
-        ScriptedPeer { role: PeerRole::Measurer, bg: 0, measured: 20_000_000 },
-        ScriptedPeer { role: PeerRole::Target, bg: 2_000_000, measured: 0 },
+        ScriptedPeer::measurer(40_000_000),
+        ScriptedPeer::measurer(20_000_000),
+        ScriptedPeer::target(2_000_000),
     ]
 }
 
@@ -104,7 +96,11 @@ fn drive_peer<T: Transport>(
 
 /// Runs the scenario, estimate = median over per-second z, computed
 /// from engine events exactly as the sim driver does it.
-fn estimate_from(events: &[EngineEvent], ledger: &SampleLedger, engine: &MeasurementEngine) -> f64 {
+fn estimate_from(
+    events: &[EngineEvent],
+    ledger: &SampleLedger,
+    engine: &impl PeerDirectory,
+) -> f64 {
     assert!(
         events.iter().any(|e| matches!(e, EngineEvent::ItemComplete { item: 0 })),
         "slot never completed: {events:?}"
@@ -117,64 +113,10 @@ fn estimate_from(events: &[EngineEvent], ledger: &SampleLedger, engine: &Measure
     median(&z).expect("slot produced seconds")
 }
 
-/// In-memory reference: everything on one thread over `Duplex` ends.
+/// In-memory reference: the same scenario on the in-memory executor.
 fn run_over_duplex() -> f64 {
-    let timeouts = SessionTimeouts::default();
-    let mut builder = MeasurementEngine::builder();
-    let mut locals = Vec::new();
-    for (ix, peer) in scenario().into_iter().enumerate() {
-        let (coord_end, peer_end) = Duplex::new(SimDuration::from_millis(2), 7).into_endpoints();
-        builder.add_peer(
-            0,
-            CoordinatorSession::new(token_for(ix), peer.role, spec_for(&peer), ix as u64, timeouts),
-            Box::new(coord_end),
-        );
-        locals.push((
-            Endpoint::new(
-                MeasurerSession::new(token_for(ix), peer.role, ix as u64, timeouts),
-                peer_end,
-            ),
-            peer,
-        ));
-    }
-    let mut engine = builder.hard_deadline(SimTime::from_secs(120)).build(SimTime::ZERO);
-    let mut ledger = SampleLedger::new();
-    let mut events = Vec::new();
-    let mut started = vec![false; locals.len()];
-    let mut reported = vec![0u32; locals.len()];
-    for tick in 0..500u64 {
-        let now = SimTime::ZERO + SimDuration::from_millis(10 * tick);
-        loop {
-            let mut moved = engine.pump(now);
-            for (ep, _) in locals.iter_mut() {
-                moved |= ep.pump(now);
-            }
-            if !moved {
-                break;
-            }
-        }
-        for (ix, (ep, script)) in locals.iter_mut().enumerate() {
-            while let Some(action) = ep.session_mut().poll_action() {
-                if matches!(action, MeasurerAction::Start { .. }) {
-                    started[ix] = true;
-                }
-            }
-            if started[ix] && reported[ix] < SLOT_SECS && !ep.is_terminal() {
-                ep.session_mut().report_second(script.bg, script.measured);
-                reported[ix] += 1;
-            }
-            ep.tick(now);
-        }
-        engine.finish_tick(now);
-        while let Some(ev) = engine.poll_event() {
-            ledger.observe(&ev);
-            events.push(ev);
-        }
-        if engine.is_finished() {
-            return estimate_from(&events, &ledger, &engine);
-        }
-    }
-    panic!("duplex run never finished: {events:?}");
+    let run = run_scripted(&[scenario()], SLOT_SECS);
+    estimate_from(&run.events, &run.ledger, &run.peers)
 }
 
 /// The real thing: coordinator on this thread, one OS thread per peer,
@@ -244,7 +186,7 @@ fn faulty_tcp_disconnect_aborts_in_bounded_time() {
     let addr = listener.local_addr().expect("addr");
     let timeouts =
         SessionTimeouts { handshake: SimDuration::from_secs(5), report: SimDuration::from_secs(5) };
-    let peer = ScriptedPeer { role: PeerRole::Measurer, bg: 0, measured: 1_000_000 };
+    let peer = ScriptedPeer::measurer(1_000_000);
 
     let handle = thread::spawn(move || {
         let transport = TcpTransport::connect(addr).expect("connect");
