@@ -26,7 +26,8 @@
 //! * Echo channels are **dialed without blocking** at `Go` and each one
 //!   is a reactor connection of its own, driven on its own socket's
 //!   readiness: an uncapped channel blasts whenever its socket takes
-//!   bytes and verifies the echo whenever it arrives, a paced one sends
+//!   bytes, keeping at most 8 MiB in flight (sent, not yet back in its
+//!   echo), and verifies the echo whenever it arrives; a paced one sends
 //!   its allowance, a tick ahead, and verifies the echo on the shard
 //!   tick and is never armed for write readiness while it has nothing
 //!   queued. The channels and their

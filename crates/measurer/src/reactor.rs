@@ -41,6 +41,19 @@ const MAX_SOCKETS: u32 = 16;
 /// bound the relay's echo side uses.
 const PUMP_ROUNDS: u32 = 8;
 
+/// Most payload bytes an uncapped channel keeps in flight: sent, and
+/// not yet back in its echo. Past a few bursts more in flight only
+/// queues in kernel buffers, which autotune to tens of MiB on loopback,
+/// and what is in flight when the slot closes is echoed by the relay
+/// but never verified: the window bounds that tail per channel.
+const IN_FLIGHT_WINDOW: u64 = 8 << 20;
+
+/// Whether `source` is under its [`IN_FLIGHT_WINDOW`]. The echo is the
+/// relay's to send, so it may claim more than was sent: saturate.
+fn window_open(source: &TrafficSource<TcpTransport>, echo: &BlastParser) -> bool {
+    source.sent_total().saturating_sub(echo.received_total()) < IN_FLIGHT_WINDOW
+}
+
 /// The top bit of an [`EchoTally`]: the slot is over.
 const CLOSED: u64 = 1 << 63;
 
@@ -398,7 +411,7 @@ impl EchoChannel {
         let Link::Blasting(source) = &mut self.link else { return Step::Continue };
         let mut hung_up = false;
         for _ in 0..PUMP_ROUNDS {
-            let sent = source.pump(now);
+            let sent = window_open(source, &self.echo) && source.pump(now);
             // Reading also flushes the transport's queued outbox.
             let got = match source.transport_mut().recv_into(now, &mut self.rx) {
                 Ok(got) => got,
@@ -424,9 +437,11 @@ impl EchoChannel {
             }
         }
         hung_up |= source.state() == SourceState::Stopped;
-        // An uncapped source sends whenever the socket would take bytes;
-        // a paced one only needs write readiness to flush a backlog.
-        self.wants_write = self.cap == 0 || source.transport_mut().pending_send_bytes() > 0;
+        // An uncapped source sends whenever the socket would take bytes
+        // and its window is open (else the echo's arrival wakes it); a
+        // paced one only needs write readiness to flush a backlog.
+        self.wants_write = (self.cap == 0 && window_open(source, &self.echo))
+            || source.transport_mut().pending_send_bytes() > 0;
         if !self.publish() || hung_up {
             return self.close();
         }
@@ -480,7 +495,9 @@ impl Driven for EchoChannel {
 mod tests {
     use super::*;
     use flashflow_obs::EventSink;
-    use flashflow_proto::blast::Echoer;
+    use flashflow_proto::blast::{
+        Echoer, BLAST_CHUNK, BLAST_HEADER_LEN, HELLO_LEN, MAX_TICK_BYTES,
+    };
     use flashflow_proto::msg::TargetEndpoint;
     use procutil::peer::Settings;
     use procutil::reactor::{Reactor, ReactorConfig};
@@ -653,6 +670,117 @@ mod tests {
             reactor.join().expect("clean join");
         }
         (verified, elapsed, share)
+    }
+
+    /// The relay's side of a channel that reads the blast and never
+    /// echoes any of it, counting what it swallowed.
+    struct SwallowPeer {
+        stream: TcpStream,
+        read: Arc<AtomicU64>,
+    }
+
+    impl Driven for SwallowPeer {
+        fn fd(&self) -> i32 {
+            self.stream.as_raw_fd()
+        }
+
+        fn on_ready(&mut self) -> Step {
+            let mut buf = [0u8; 64 << 10];
+            loop {
+                match std::io::Read::read(&mut self.stream, &mut buf) {
+                    Ok(0) => return Step::Done,
+                    Ok(n) => {
+                        self.read.fetch_add(n as u64, Ordering::SeqCst);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Step::Continue,
+                    Err(_) => return Step::Done,
+                }
+            }
+        }
+
+        fn on_tick(&mut self) -> Step {
+            Step::Continue
+        }
+
+        fn wants_write(&self) -> bool {
+            false
+        }
+    }
+
+    /// An uncapped channel whose echo never comes back stops sending
+    /// at its in-flight window: what a closing slot leaves unverified is
+    /// bounded per channel, not by how far the kernel's buffers grow.
+    #[test]
+    fn an_uncapped_channel_keeps_at_most_its_window_in_flight() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let target = listener.local_addr().expect("addr");
+        let read = Arc::new(AtomicU64::new(0));
+        let swallowed = Arc::clone(&read);
+        let peer = Reactor::serve(
+            Some(listener),
+            ReactorConfig { shards: 1, tick: Duration::from_millis(1) },
+            Arc::new(move |stream: TcpStream, _| {
+                stream.set_nonblocking(true).ok()?;
+                let read = Arc::clone(&swallowed);
+                Some(Box::new(SwallowPeer { stream, read }) as Box<dyn Driven>)
+            }),
+        )
+        .expect("start swallowing peer");
+        let shard = Reactor::serve(
+            None,
+            ReactorConfig { shards: 1, tick: Duration::from_millis(50) },
+            Arc::new(|_, _| None),
+        )
+        .expect("start measurer shard");
+        let spec = MeasureSpec {
+            slot_secs: 1,
+            sockets: 1,
+            target: TargetEndpoint::from_addr(target).expect("IPv4 loopback"),
+            measurement_secret: 0x5EED_0001,
+            ..MeasureSpec::default()
+        };
+        let tally = Arc::new(EchoTally::default());
+        let counters = BlastCounters::default();
+        let plane =
+            EchoPlane { speedup: 1.0, lead: Duration::ZERO, counters: &counters, tally: &tally };
+        let spawn = |channel| {
+            shard.adopt(channel);
+            true
+        };
+        assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), 1);
+
+        // The swallowed count grows while the window is open, then stops.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut last = 0;
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let now = read.load(Ordering::SeqCst);
+            if now > 0 && now == last {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the channel kept sending: {now} B swallowed");
+            last = now;
+        }
+        // At most one pump's burst past the window, in frames, after the
+        // hello.
+        let frames = |payload: u64| payload.div_ceil(BLAST_CHUNK as u64) * BLAST_HEADER_LEN as u64;
+        let most = IN_FLIGHT_WINDOW + MAX_TICK_BYTES;
+        let most = most + frames(most) + HELLO_LEN as u64;
+        assert!(
+            (IN_FLIGHT_WINDOW..=most).contains(&last),
+            "{last} B in flight, window {IN_FLIGHT_WINDOW} B"
+        );
+
+        tally.close();
+        let gone_by = Instant::now() + Duration::from_secs(5);
+        while shard.live() > 0 {
+            assert!(Instant::now() < gone_by, "the channel outlived its closed tally");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for reactor in [shard, peer] {
+            reactor.stop();
+            reactor.join().expect("clean join");
+        }
     }
 
     /// An uncapped channel moves bytes on its socket's readiness: a

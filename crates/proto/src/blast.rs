@@ -4,8 +4,8 @@
 //! The control protocol ([`crate::session`]) decides *when* a slot runs;
 //! this module moves the measurement bytes (§4.1's blast). A measurer's
 //! [`TrafficSource`] pumps [`blast frames`](BLAST_FRAME_TAG) — payloads
-//! stamped with a keystream derived from the hello nonce, headers with a
-//! keyed tag — over any [`Transport`], paced against a caller-injected
+//! stamped with a public keystream derived from the hello nonce, headers
+//! with a keyed tag — over any [`Transport`], paced against a caller-injected
 //! clock; the target relay's [`Echoer`] verifies every frame and sends
 //! the measurer's own accepted frames back; and the measurer's
 //! [`BlastParser`] (in tests usually inside a [`TrafficSink`]) verifies
@@ -19,14 +19,14 @@
 //! binding nonce of a commanded measurement, so the relay binds it to a
 //! conversation that passed the token handshake and refuses the rest.
 //!
-//! Data flow: only the measurer generates keystream, straight into its
-//! reused batch buffer. A [`BlastParser`] verifies payload bytes where
-//! they lie in the caller's slice (the keystream regenerated a `u64`
-//! word at a time, never materialised) and copies nothing but a hello or
-//! header a chunk boundary split (at most [`BLAST_HEADER_LEN`] − 1 = 20
-//! bytes held between pushes). The relay forwards what it accepted
-//! straight from its receive buffer: one verification and no copy on
-//! this side of the kernel.
+//! Data flow: only the measurer generates keystream ([`BlastPattern`]:
+//! a compile-time table masked once per frame), copied into its reused
+//! batch buffer. A [`BlastParser`] verifies payload bytes where they lie
+//! in the caller's slice and copies nothing but a hello or header a
+//! chunk boundary split (at most [`BLAST_HEADER_LEN`] − 1 = 20 bytes
+//! held between pushes). The relay forwards what it accepted straight
+//! from its receive buffer: one verification and no copy on this side
+//! of the kernel.
 //!
 //! Everything here is sans-IO like the sessions: time enters through
 //! method arguments and transports are the caller's, so `Duplex`,
@@ -66,8 +66,9 @@ pub const DATA_HELLO_TAG: u8 = 0xD1;
 pub const BLAST_FRAME_TAG: u8 = 0xD2;
 
 /// Data-plane wire version, carried in every hello. Version 2 added the
-/// keyed integrity tag to every blast frame header.
-pub const DATA_PLANE_VERSION: u8 = 2;
+/// keyed frame tag; version 3 cut the keystream from a fixed table, so a
+/// v2 peer is refused at its hello instead of counting bytes corrupt.
+pub const DATA_PLANE_VERSION: u8 = 3;
 
 /// Encoded size of a [`DataChannelHello`]:
 /// tag + version + nonce (u64) + channel (u32).
@@ -175,10 +176,9 @@ impl std::fmt::Display for BlastError {
 impl std::error::Error for BlastError {}
 
 /// Appends one pattern-stamped frame (header + payload) for `seq` to
-/// `buf` — the shared hot-path builder both blast senders batch with.
-/// The keystream is generated straight into `buf`'s reserved capacity
-/// ([`BlastPattern::append`]): each payload byte is written once, never
-/// zero-filled first.
+/// `buf` — the hot-path builder a [`TrafficSource`] batches with. The
+/// payload is copied from the keystream table straight into `buf`'s
+/// reserved capacity and masked there, never zero-filled first.
 fn append_frame(buf: &mut Vec<u8>, pattern: BlastPattern, key: u64, seq: u64, len: usize) {
     buf.reserve(BLAST_HEADER_LEN + len);
     buf.push(BLAST_FRAME_TAG);
@@ -186,10 +186,12 @@ fn append_frame(buf: &mut Vec<u8>, pattern: BlastPattern, key: u64, seq: u64, le
     buf.extend_from_slice(&(len as u32).to_be_bytes());
     let tag = frame_tag(key, pattern.nonce(), seq, len as u32);
     buf.extend_from_slice(&tag.to_be_bytes());
-    pattern.append(seq, len, buf);
+    let start = buf.len();
+    buf.extend_from_slice(&BLOCK[..len]);
+    pattern.stamp(seq, &mut buf[start..]);
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+const fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -254,11 +256,29 @@ pub fn frame_tag(key: u64, nonce: u64, seq: u64, len: u32) -> u64 {
     splitmix64(h ^ u64::from(len)) ^ key
 }
 
-/// The keystream every blast payload is stamped with: a cheap PRF of
-/// (nonce, frame sequence number, word index). The sink regenerates it
-/// from the hello it accepted, so any byte a middlebox (or a lying
-/// serializer) flips is counted as corrupt instead of inflating the
-/// measurement.
+/// The fixed table every blast keystream is cut from: bytes `8k..8k + 8`
+/// are `splitmix64(k)`, big-endian. Built at compile time: read-only
+/// data shared by every channel.
+static BLOCK: [u8; MAX_BLAST_PAYLOAD] = block();
+
+const fn block() -> [u8; MAX_BLAST_PAYLOAD] {
+    let mut table = [0u8; MAX_BLAST_PAYLOAD];
+    let mut at = 0;
+    while at < MAX_BLAST_PAYLOAD {
+        table[at] = splitmix64((at / 8) as u64).to_be_bytes()[at % 8];
+        at += 1;
+    }
+    table
+}
+
+/// The keystream every blast payload is stamped with: payload byte `p`
+/// of frame `seq` under nonce `n` is `BLOCK[p] ^ mask[p % 8]`, where
+/// `mask` is `splitmix64(n ^ seq·0xA076_1D64_78BD_642F)`, big-endian —
+/// one mix per frame, no multiply per byte. The keystream is public
+/// (anyone holding the hello nonce can compute it) and detects
+/// corruption: flipped or shifted bytes, or a payload under another
+/// frame's header or another hello. The keyed [`frame_tag`] is what
+/// stops forgery.
 #[derive(Debug, Clone, Copy)]
 pub struct BlastPattern {
     nonce: u64,
@@ -276,76 +296,55 @@ impl BlastPattern {
         self.nonce
     }
 
-    /// Word `k` of frame `seq`'s keystream is `splitmix64(seed ^ k)`,
-    /// big-endian; payload byte `p` is byte `p % 8` of word `p / 8`.
-    fn seed(&self, seq: u64) -> u64 {
-        self.nonce ^ seq.wrapping_mul(0xA076_1D64_78BD_642F)
+    /// Frame `seq`'s mask rotated to start at payload offset `offset`,
+    /// as a native-endian word, like the table and payload words.
+    fn mask(&self, seq: u64, offset: usize) -> u64 {
+        let mask = splitmix64(self.nonce ^ seq.wrapping_mul(0xA076_1D64_78BD_642F));
+        u64::from_ne_bytes(mask.rotate_left(8 * (offset % 8) as u32).to_be_bytes())
     }
 
-    /// Fills `buf` with the payload bytes of frame `seq`.
+    /// Fills `buf` with the payload bytes of frame `seq`; panics if `buf`
+    /// is longer than [`MAX_BLAST_PAYLOAD`], the longest frame.
     pub fn fill(&self, seq: u64, buf: &mut [u8]) {
-        let seed = self.seed(seq);
-        let mut words = buf.chunks_exact_mut(8);
-        let mut k = 0u64;
-        for word in words.by_ref() {
-            word.copy_from_slice(&splitmix64(seed ^ k).to_be_bytes());
-            k += 1;
-        }
-        let tail = words.into_remainder();
-        tail.copy_from_slice(&splitmix64(seed ^ k).to_be_bytes()[..tail.len()]);
+        buf.copy_from_slice(&BLOCK[..buf.len()]);
+        self.stamp(seq, buf);
     }
 
-    /// Appends the `len` payload bytes of frame `seq` to `buf`.
-    fn append(&self, seq: u64, len: usize, buf: &mut Vec<u8>) {
-        let seed = self.seed(seq);
-        let words = (len / 8) as u64;
-        for k in 0..words {
-            buf.extend_from_slice(&splitmix64(seed ^ k).to_be_bytes());
+    /// Turns `buf`, a copy of the table's first `buf.len()` bytes, into
+    /// frame `seq`'s payload.
+    fn stamp(&self, seq: u64, buf: &mut [u8]) {
+        let mask = self.mask(seq, 0);
+        let mut words = buf.chunks_exact_mut(8);
+        for w in words.by_ref() {
+            w.copy_from_slice(&(word(w) ^ mask).to_ne_bytes());
         }
-        buf.extend_from_slice(&splitmix64(seed ^ words).to_be_bytes()[..len % 8]);
+        words.into_remainder().iter_mut().zip(mask.to_ne_bytes()).for_each(|(b, m)| *b ^= m);
     }
 
     /// Counts the bytes of `got` that differ from frame `seq`'s
-    /// keystream from payload offset `offset` on — the receive-side
-    /// verification, done in place on the caller's bytes. The keystream
-    /// is regenerated a word at a time and XORed with the received
-    /// word; a payload that verifies (the overwhelmingly common case)
-    /// costs one pass that only asks whether any XOR is non-zero, and
-    /// only a payload that does not is walked again for the exact
-    /// per-byte count. Fragments that do not cover a whole keystream
-    /// word (before the first word boundary when `offset % 8 != 0`,
-    /// after the last) are compared bytewise.
+    /// keystream from payload offset `offset` on. `got` and the table
+    /// share the offset, so a word of `got` XORed with the table's and
+    /// the rotated mask is zero exactly when it verifies: a clean payload
+    /// costs one OR-reduction (which vectorises), a dirty one a second
+    /// pass for the exact count. A tail under 8 bytes goes bytewise.
     fn mismatches(&self, seq: u64, offset: usize, got: &[u8]) -> u64 {
-        let seed = self.seed(seq);
-        let bytewise = |k: u64, skip: usize, part: &[u8]| -> u64 {
-            let word = splitmix64(seed ^ k).to_be_bytes();
-            part.iter().zip(&word[skip..]).filter(|(a, b)| a != b).count() as u64
-        };
-        let skew = offset % 8;
-        let lead_len = if skew == 0 { 0 } else { (8 - skew).min(got.len()) };
-        let (lead, rest) = got.split_at(lead_len);
-        let mut first = (offset / 8) as u64;
+        let mask = self.mask(seq, offset);
+        let expected = &BLOCK[offset..offset + got.len()];
+        let words = got.chunks_exact(8);
+        let xored =
+            || words.clone().zip(expected.chunks_exact(8)).map(|(g, e)| word(g) ^ word(e) ^ mask);
         let mut bad = 0;
-        if !lead.is_empty() {
-            bad += bytewise(first, skew, lead);
-            first += 1;
+        if xored().fold(0, |any, x| any | x) != 0 {
+            bad = xored().map(|x| x.to_ne_bytes().iter().filter(|&&b| b != 0).count() as u64).sum();
         }
-        let words = rest.chunks_exact(8);
-        let xored = || {
-            words.clone().zip(first..).map(|(word, k)| {
-                u64::from_be_bytes(word.try_into().expect("8 bytes")) ^ splitmix64(seed ^ k)
-            })
-        };
-        // `any`, not an OR-reduction: a reduction gets auto-vectorised,
-        // and with baseline SSE2 that means emulated 64-bit multiplies
-        // at half the speed of this scalar early-exit loop.
-        if xored().any(|x| x != 0) {
-            bad += xored()
-                .map(|x| x.to_ne_bytes().iter().filter(|&&b| b != 0).count() as u64)
-                .sum::<u64>();
-        }
-        bad + bytewise(first + (rest.len() / 8) as u64, 0, words.remainder())
+        let tail = words.remainder().iter().zip(&expected[got.len() - words.remainder().len()..]);
+        bad + tail.zip(mask.to_ne_bytes()).filter(|((g, e), m)| **g != *e ^ m).count() as u64
     }
+}
+
+/// An 8-byte chunk as a native-endian word.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_ne_bytes(bytes.try_into().expect("8 bytes"))
 }
 
 /// Per-second byte accounting on a caller-injected clock.
@@ -1476,6 +1475,24 @@ mod tests {
     }
 
     #[test]
+    fn a_version_2_hello_is_refused_loudly() {
+        let mut v2 = DataChannelHello { nonce: 0x0DD, channel: 0 }.encode();
+        v2[1] = 2;
+        assert_eq!(DataChannelHello::decode(&v2), Err(BlastError::BadVersion(2)));
+
+        // A v2 peer's channel poisons the parser at its hello, before any
+        // payload could be counted corrupt.
+        let mut parser = BlastParser::new();
+        assert_eq!(parser.push(&v2), Err(BlastError::BadVersion(2)));
+        assert_eq!(parser.push(&[BLAST_FRAME_TAG]), Err(BlastError::BadVersion(2)), "sticky");
+        assert_eq!(parser.received_total() + parser.corrupt_total(), 0);
+
+        let text = BlastError::BadVersion(2).to_string();
+        assert_eq!(text, format!("data-plane version 2 (expected {DATA_PLANE_VERSION})"));
+        assert!(text.ends_with("(expected 3)"), "{text}");
+    }
+
+    #[test]
     fn byte_counter_finalizes_whole_seconds_only() {
         let mut c = ByteCounter::new();
         c.start(SimTime::from_secs(10));
@@ -1914,9 +1931,10 @@ mod tests {
     fn word_wise_verifier_agrees_with_bytewise_compare_at_every_alignment() {
         let pattern = BlastPattern::new(0x0DD_BA11);
         let seq = 41;
-        let mut keystream = vec![0u8; 64];
+        let mut keystream = vec![0u8; MAX_BLAST_PAYLOAD];
         pattern.fill(seq, &mut keystream);
-        for offset in 0..24 {
+        // From the table's start, and up to its last byte.
+        for offset in (0..24).chain(MAX_BLAST_PAYLOAD - 62..MAX_BLAST_PAYLOAD - 38) {
             for len in 0..40 {
                 let clean = &keystream[offset..offset + len];
                 assert_eq!(pattern.mismatches(seq, offset, clean), 0, "clean {offset}+{len}");

@@ -1,11 +1,12 @@
 //! Differential and property tests for [`BlastParser`].
 //!
-//! The parser verifies payload bytes in place, a keystream word at a
-//! time, and carries almost nothing between pushes — so its answer must
-//! not depend on where the stream was cut. The oracle here is the
-//! algorithm the parser replaced, at its plainest: it sees the whole
-//! stream at once, materialises each frame's keystream with
-//! [`BlastPattern::fill`] and compares byte by byte. For generated
+//! The parser verifies payload bytes in place, a word at a time, and
+//! carries almost nothing between pushes — so its answer must not
+//! depend on where the stream was cut. The oracle here is the plainest
+//! reading of the spec: it sees the whole stream at once, computes each
+//! frame's keystream byte by byte from the formula [`BlastPattern`]
+//! documents (with its own `splitmix64`, sharing no table or mask code
+//! with the library), and compares byte by byte. For generated
 //! streams (valid frames, flipped bytes at and around word boundaries,
 //! forged tags, replayed sequence numbers, same-nonce and new-nonce
 //! re-hellos, an optional framing error, a missing opening hello or a
@@ -20,6 +21,12 @@
 //! exactly the oracle's verified bytes, and a measurer-side parser over
 //! the echo must credit exactly that, count the inbound corrupt bytes
 //! corrupt, and meet no forged or replayed frame.
+//!
+//! A second property pins what the keystream must still catch now that
+//! a frame's keystream is a fixed table under a per-frame mask: payloads
+//! shifted by 1–7 bytes, moved under the next frame's header, or sent
+//! under another nonce's hello are counted corrupt in at least 95 % of
+//! their bytes.
 
 use flashflow_proto::blast::{
     frame_tag, BlastError, BlastEvent, BlastParser, BlastPattern, DataChannelHello, Echoer,
@@ -31,6 +38,22 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 const KEY: u64 = 0x6B65_795F_6B65_7921;
+
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The first `len` keystream bytes of frame `seq` under `nonce`, from
+/// the spec: byte `p` is `BLOCK[p] ^ mask[p % 8]`, where table word `k`
+/// (bytes `8k..8k + 8`) is `splitmix64(k)` and the mask is
+/// `splitmix64(nonce ^ seq·0xA076_1D64_78BD_642F)`, both big-endian.
+fn keystream(nonce: u64, seq: u64, len: usize) -> Vec<u8> {
+    let mask = splitmix64(nonce ^ seq.wrapping_mul(0xA076_1D64_78BD_642F)).to_be_bytes();
+    (0..len).map(|p| splitmix64((p / 8) as u64).to_be_bytes()[p % 8] ^ mask[p % 8]).collect()
+}
 
 /// What one pass over a stream observed.
 #[derive(Debug, Default)]
@@ -66,7 +89,7 @@ impl Outcome {
 fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
     let mut out = Outcome::default();
     let mut echo = Vec::new();
-    let mut pattern: Option<BlastPattern> = None;
+    let mut nonce: Option<u64> = None;
     let mut next_seq = 0u64;
     let mut rest = stream;
     while let Some(&tag) = rest.first() {
@@ -76,10 +99,10 @@ fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
                 rest = &rest[HELLO_LEN..];
                 match DataChannelHello::decode(raw) {
                     Ok(hello) => {
-                        if pattern.map(|p| p.nonce()) != Some(hello.nonce) {
+                        if nonce != Some(hello.nonce) {
                             next_seq = 0;
                         }
-                        pattern = Some(BlastPattern::new(hello.nonce));
+                        nonce = Some(hello.nonce);
                         out.record(BlastEvent::Hello(hello));
                         echo.extend_from_slice(raw);
                     }
@@ -92,7 +115,7 @@ fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
             BLAST_FRAME_TAG => {
                 let Some(raw) = rest.first_chunk::<BLAST_HEADER_LEN>() else { break };
                 rest = &rest[BLAST_HEADER_LEN..];
-                let Some(pattern) = pattern else {
+                let Some(nonce) = nonce else {
                     out.error = Some(BlastError::MissingHello);
                     break;
                 };
@@ -106,7 +129,7 @@ fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
                 let arrived = (len as usize).min(rest.len());
                 let (payload, after) = rest.split_at(arrived);
                 rest = after;
-                if tag != frame_tag(KEY, pattern.nonce(), seq, len) {
+                if tag != frame_tag(KEY, nonce, seq, len) {
                     out.forged += u64::from(len);
                     out.record(BlastEvent::Forged { bytes: u64::from(len) });
                 } else if seq < next_seq {
@@ -114,8 +137,7 @@ fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
                     out.record(BlastEvent::Replayed { bytes: u64::from(len) });
                 } else {
                     next_seq = seq + 1;
-                    let mut keystream = vec![0u8; len as usize];
-                    pattern.fill(seq, &mut keystream);
+                    let keystream = keystream(nonce, seq, len as usize);
                     let corrupt =
                         payload.iter().zip(&keystream).filter(|(a, b)| a != b).count() as u64;
                     out.received += arrived as u64;
@@ -235,8 +257,7 @@ fn script(seed: u64, steps: usize, ending: u8) -> Script {
             s.stream.extend_from_slice(&(len as u32).to_be_bytes());
             s.stream.extend_from_slice(&frame_tag(key, nonce, seq, len as u32).to_be_bytes());
             let start = s.stream.len();
-            s.stream.resize(start + len, 0);
-            BlastPattern::new(nonce).fill(seq, &mut s.stream[start..]);
+            s.stream.extend_from_slice(&keystream(nonce, seq, len));
             for _ in 0..flips.min(len) {
                 // Flips land on word edges as often as anywhere else.
                 let edges = [0, 7, 8, 9, len - 1, len / 2, rng.gen_index(len)];
@@ -357,4 +378,99 @@ fn oracle_sees_what_the_generator_planted() {
     assert!(seen.received > 0 && seen.corrupt > 0 && seen.forged > 0 && seen.replayed > 0);
     assert!(seen.corrupt < seen.received / 100, "flips are a few bytes per frame: {seen:?}");
     assert!((16..=32).contains(&errors), "4 of 8 endings are framing errors: {errors}");
+}
+
+#[test]
+fn fill_writes_the_spec_keystream() {
+    let mut rng = TestRng::from_seed(0xF111);
+    for len in [0, 1, 7, 8, 9, 100, BLAST_CHUNK, MAX_BLAST_PAYLOAD - 1, MAX_BLAST_PAYLOAD] {
+        let (nonce, seq) = (rng.next_u64(), rng.next_u64());
+        let mut filled = vec![0xEE; len];
+        BlastPattern::new(nonce).fill(seq, &mut filled);
+        assert!(filled == keystream(nonce, seq, len), "nonce {nonce:#x} seq {seq} len {len}");
+    }
+}
+
+/// A hello for `nonce`, then one tag-valid frame per `(seq, payload)`.
+fn stream_of(nonce: u64, frames: impl IntoIterator<Item = (u64, Vec<u8>)>) -> Vec<u8> {
+    let mut stream = DataChannelHello { nonce, channel: 0 }.encode().to_vec();
+    for (seq, payload) in frames {
+        let len = payload.len() as u32;
+        stream.push(BLAST_FRAME_TAG);
+        stream.extend_from_slice(&seq.to_be_bytes());
+        stream.extend_from_slice(&len.to_be_bytes());
+        stream.extend_from_slice(&frame_tag(KEY, nonce, seq, len).to_be_bytes());
+        stream.extend_from_slice(&payload);
+    }
+    stream
+}
+
+/// Payload lengths for the keystream property: mostly `len % 8 != 0`,
+/// and the two that end at the table's last byte.
+const ATTACK_LENGTHS: [usize; 9] = [
+    1,
+    7,
+    9,
+    1001,
+    BLAST_CHUNK - 1,
+    BLAST_CHUNK + 3,
+    MAX_BLAST_PAYLOAD - 7,
+    MAX_BLAST_PAYLOAD - 1,
+    MAX_BLAST_PAYLOAD,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn the_keystream_catches_shifted_and_misplaced_payloads(
+        nonce in any::<u64>(),
+        other in any::<u64>(),
+        first in any::<u32>(),
+        len_ix in 0usize..ATTACK_LENGTHS.len(),
+        shift in 1usize..8,
+        cut in 1usize..4096,
+    ) {
+        prop_assume!(nonce != other);
+        let len = ATTACK_LENGTHS[len_ix];
+        // Enough frames that one frame's luck cannot carry the share:
+        // two masks that happen to share a byte leave an eighth of that
+        // frame's bytes matching.
+        let frames = 16.max(4096usize.div_ceil(len)) as u64;
+        let seqs = u64::from(first)..u64::from(first) + frames;
+        let payloads: Vec<Vec<u8>> = seqs.clone().map(|seq| keystream(nonce, seq, len)).collect();
+        let framed = |payloads: &[Vec<u8>], seq_step: u64| -> Vec<(u64, Vec<u8>)> {
+            seqs.clone().map(|seq| seq + seq_step).zip(payloads.iter().cloned()).collect()
+        };
+        let mut cases = vec![
+            ("clean", stream_of(nonce, framed(&payloads, 0))),
+            ("under the next header", stream_of(nonce, framed(&payloads, 1))),
+            ("under another hello", stream_of(other, framed(&payloads, 0))),
+        ];
+        if len > shift {
+            let mut shifted = payloads.clone();
+            shifted.iter_mut().for_each(|p| p.rotate_left(shift));
+            cases.push(("shifted", stream_of(nonce, framed(&shifted, 0))));
+        }
+        for (how, stream) in cases {
+            // Pushes that start payload fragments at every offset mod 8
+            // and end some of them at the table's last byte.
+            let cuts: Vec<usize> = (cut..stream.len()).step_by(cut + 1447).collect();
+            let got = parse(&stream, &cuts);
+            let (want, _) = oracle(&stream);
+            prop_assert_eq!((got.received, got.corrupt), (want.received, want.corrupt), "{}", how);
+            prop_assert_eq!((got.forged, got.replayed, got.error), (0, 0, None), "{}", how);
+            prop_assert_eq!(got.received, frames * len as u64, "{}", how);
+            if how == "clean" {
+                prop_assert_eq!(got.corrupt, 0);
+            } else {
+                prop_assert!(
+                    got.corrupt * 100 >= got.received * 95,
+                    "{how}: only {} of {} bytes counted corrupt (len {len}, shift {shift})",
+                    got.corrupt,
+                    got.received
+                );
+            }
+        }
+    }
 }

@@ -26,10 +26,12 @@
 //!   always find their measurement.
 //! * Data connections must open with a hello carrying a registered
 //!   binding nonce; each is served by an
-//!   [`Echoer`](flashflow_proto::blast::Echoer) that verifies
-//!   every inbound payload byte (pattern keystream + keyed frame tag)
-//!   and forwards the measurers' accepted frames back, leaving forged
-//!   and replayed ones out. Concurrent channels
+//!   [`Echoer`](flashflow_proto::blast::Echoer) that checks every
+//!   frame's keyed tag (the integrity check) and every inbound payload
+//!   byte against the public keystream (a fixed table XORed with a
+//!   per-frame mask, which detects corruption), and forwards the
+//!   measurers' accepted frames back, leaving forged and replayed ones
+//!   out. The relay generates no keystream itself. Concurrent channels
 //!   from multiple measurers aggregate into one measurement's counters.
 //! * A [`BackgroundMeter`](flashflow_proto::blast::BackgroundMeter)
 //!   simulates the relay's client traffic:
