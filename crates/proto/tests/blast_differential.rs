@@ -228,6 +228,17 @@ fn check_echo(stream: &[u8], cuts: &[usize], want: &Outcome, want_echo: &[u8], h
     );
 }
 
+/// Appends a blast frame for `seq` carrying `payload`, tagged under
+/// `key`.
+fn push_frame(stream: &mut Vec<u8>, key: u64, nonce: u64, seq: u64, payload: &[u8]) {
+    let len = payload.len() as u32;
+    stream.push(BLAST_FRAME_TAG);
+    stream.extend_from_slice(&seq.to_be_bytes());
+    stream.extend_from_slice(&len.to_be_bytes());
+    stream.extend_from_slice(&frame_tag(key, nonce, seq, len).to_be_bytes());
+    stream.extend_from_slice(payload);
+}
+
 /// A generated stream and where its hellos and headers start.
 struct Script {
     stream: Vec<u8>,
@@ -252,12 +263,8 @@ fn script(seed: u64, steps: usize, ending: u8) -> Script {
         let len = LENGTHS[rng.gen_index(LENGTHS.len())];
         let frame = |s: &mut Script, seq: u64, key: u64, flips: usize, rng: &mut TestRng| {
             s.units.push(s.stream.len());
-            s.stream.push(BLAST_FRAME_TAG);
-            s.stream.extend_from_slice(&seq.to_be_bytes());
-            s.stream.extend_from_slice(&(len as u32).to_be_bytes());
-            s.stream.extend_from_slice(&frame_tag(key, nonce, seq, len as u32).to_be_bytes());
-            let start = s.stream.len();
-            s.stream.extend_from_slice(&keystream(nonce, seq, len));
+            push_frame(&mut s.stream, key, nonce, seq, &keystream(nonce, seq, len));
+            let start = s.stream.len() - len;
             for _ in 0..flips.min(len) {
                 // Flips land on word edges as often as anywhere else.
                 let edges = [0, 7, 8, 9, len - 1, len / 2, rng.gen_index(len)];
@@ -395,12 +402,7 @@ fn fill_writes_the_spec_keystream() {
 fn stream_of(nonce: u64, frames: impl IntoIterator<Item = (u64, Vec<u8>)>) -> Vec<u8> {
     let mut stream = DataChannelHello { nonce, channel: 0 }.encode().to_vec();
     for (seq, payload) in frames {
-        let len = payload.len() as u32;
-        stream.push(BLAST_FRAME_TAG);
-        stream.extend_from_slice(&seq.to_be_bytes());
-        stream.extend_from_slice(&len.to_be_bytes());
-        stream.extend_from_slice(&frame_tag(KEY, nonce, seq, len).to_be_bytes());
-        stream.extend_from_slice(&payload);
+        push_frame(&mut stream, KEY, nonce, seq, &payload);
     }
     stream
 }
