@@ -238,6 +238,7 @@ pub fn run_period(
         metrics,
         draining,
         journal_path: &journal_path,
+        period,
         roster,
         total_rounds: rounds.len(),
         planned: rounds.into_iter(),
@@ -329,6 +330,8 @@ struct RosterWalk<'a> {
     metrics: &'a CoordMetrics,
     draining: &'a dyn Fn() -> bool,
     journal_path: &'a Path,
+    /// The period being walked (fresh attempts' secrets derive from it).
+    period: u64,
     total_rounds: usize,
     /// The plan's rounds not yet staged.
     planned: std::vec::IntoIter<Round>,
@@ -371,7 +374,7 @@ impl RosterWalk<'_> {
             None => Attempt {
                 ix,
                 fp,
-                secret: roster::item_secret(self.cfg.secret_seed, ix),
+                secret: roster::item_secret(self.cfg.secret_seed, self.period, ix),
                 attempt: 0,
                 resume: false,
             },

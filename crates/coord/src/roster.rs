@@ -102,13 +102,17 @@ pub fn roster_fingerprint(seed: u64, ix: usize) -> [u8; FINGERPRINT_LEN] {
     fp
 }
 
-/// The measurement secret for attempt derivation of relay `ix` under
-/// `secret_seed`. Deterministic so a restarted coordinator re-derives
-/// the secret an in-flight journal record refers to — though recovery
-/// always prefers the journaled secret itself (the journal is the
-/// authority; the derivation only has to be collision-free).
-pub fn item_secret(secret_seed: u64, ix: usize) -> u64 {
-    splitmix64(secret_seed ^ 0x5EC2_E700_0000_0000 ^ (ix as u64).rotate_left(17))
+/// The measurement secret for attempt derivation of relay `ix` in
+/// `period` under `secret_seed`. Deterministic so a restarted
+/// coordinator re-derives the secret an in-flight journal record refers
+/// to — though recovery always prefers the journaled secret itself (the
+/// journal is the authority; the derivation only has to be
+/// collision-free). The period enters because long-lived peers remember
+/// every nonce they accepted: a second period re-deriving the first
+/// one's secrets would be refused as a replay.
+pub fn item_secret(secret_seed: u64, period: u64, ix: usize) -> u64 {
+    let period = period.wrapping_sub(1).rotate_left(40);
+    splitmix64(secret_seed ^ 0x5EC2_E700_0000_0000 ^ (ix as u64).rotate_left(17) ^ period)
 }
 
 /// Builds a roster from the `flashflow-shadow` private-network sample:
@@ -203,7 +207,15 @@ mod tests {
     #[test]
     fn secrets_and_fingerprints_do_not_collide_across_indices() {
         let secrets: std::collections::BTreeSet<u64> =
-            (0..512).map(|ix| item_secret(99, ix)).collect();
+            (0..512).map(|ix| item_secret(99, 1, ix)).collect();
         assert_eq!(secrets.len(), 512);
+    }
+
+    #[test]
+    fn secrets_do_not_repeat_across_periods() {
+        let secrets: std::collections::BTreeSet<u64> = (1..=8)
+            .flat_map(|period| (0..512).map(move |ix| item_secret(99, period, ix)))
+            .collect();
+        assert_eq!(secrets.len(), 8 * 512);
     }
 }

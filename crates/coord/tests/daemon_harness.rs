@@ -1,7 +1,7 @@
 //! The daemon harness: `flashflow-coord` as a real process driving real
 //! `flashflow-measurer` / `flashflow-relay` processes over loopback.
 //!
-//! Seven scenarios:
+//! Eight scenarios:
 //!
 //! 1. **End to end** — one `--once` daemon invocation walks a small
 //!    Shadow roster against the live team, and the state directory ends
@@ -36,6 +36,10 @@
 //! 7. **Refused resume, last round** — like 3, but the refused item is
 //!    the only one left: its retry is queued after every planned round
 //!    has been staged, and the period still waits for it.
+//! 8. **Peer restart between periods** — a continuous daemon measures a
+//!    second period after one measurer was SIGKILLed and respawned on
+//!    its port during the interval: the dead peer's parked connection
+//!    is discarded and redialed at checkout, and period 2 is all clean.
 
 use std::io::{BufRead, BufReader, Read as _};
 use std::net::SocketAddr;
@@ -698,6 +702,97 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     assert!(state.period_done && state.in_flight.is_empty());
     assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
     assert_eq!(read_consensus(&state_dir).get("measured").unwrap().as_u64(), Some(RELAYS as u64));
+
+    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_measurer_restarted_between_periods_is_redialed_and_period_two_is_clean() {
+    const RELAYS: usize = 3;
+    let state_dir = temp_state_dir("restart-between");
+    let journal_path = state_dir.join("journal.jsonl");
+    let log_path = state_dir.join("coord.jsonl");
+    let (m0, a0) = spawn_measurer(0);
+    let (m1, a1) = spawn_measurer(0);
+    let (relay, relay_addr) = spawn_relay();
+
+    // A continuous daemon whose 2 s interval is inside the pool's reuse
+    // window: the surviving peers' parked connections are reused in
+    // period 2, the dead peer's must not be.
+    let coord = spawn_coord_with(
+        &state_dir,
+        &[a0, a1],
+        relay_addr,
+        RELAYS,
+        8,
+        &[
+            ("--once", "false".to_string()),
+            ("--interval-secs", "2".to_string()),
+            ("--log-json", log_path.display().to_string()),
+        ],
+    );
+    let periods_done = || {
+        let text = std::fs::read_to_string(&journal_path).unwrap_or_default();
+        text.matches("\"period.done\"").count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while periods_done() < 1 {
+        assert!(Instant::now() < deadline, "period 1 never finished");
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    // Inside the interval: the measurer dies without a goodbye and a
+    // replacement re-takes its port.
+    let mut m1 = m1;
+    m1.kill().expect("SIGKILL measurer-1");
+    let _ = m1.wait();
+    let (m1, a1_again) = spawn_measurer_at(0, &a1.to_string());
+    assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
+
+    while periods_done() < 2 {
+        assert!(Instant::now() < deadline, "period 2 never finished");
+        thread::sleep(Duration::from_millis(5));
+    }
+    terminate_peers(vec![("flashflow-coord", coord)]);
+
+    // Every item of period 2 measured once, clean.
+    let text = std::fs::read_to_string(&journal_path).expect("journal");
+    let mut period = 0;
+    let mut second = Vec::new();
+    for record in text.lines().filter_map(journal::Record::parse) {
+        match record {
+            journal::Record::PeriodStart { period: p, .. } => period = p,
+            journal::Record::ItemDone { ix, clean, .. } if period == 2 => second.push((ix, clean)),
+            _ => {}
+        }
+    }
+    assert_eq!(second.len(), RELAYS, "period 2 items: {second:?}");
+    assert!(second.iter().all(|&(_, clean)| clean), "period 2 must be clean: {second:?}");
+
+    // The pool snapshot that closes period 1 against the first one of
+    // period 2: the dead peer's parked connection was discarded and a
+    // fresh one dialed, with no probe anywhere.
+    let log = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
+    let events: Vec<Event> = log
+        .lines()
+        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .collect();
+    let period_two = events
+        .iter()
+        .position(|e| e.kind == "coord.period" && e.scope.period == Some(2))
+        .expect("period 2 started");
+    let stats: Vec<_> = events.iter().filter(|e| e.kind == "pool.stats").collect();
+    assert!(stats.iter().all(|e| e.field("probes").is_none()), "no probes field: {stats:?}");
+    let pool = |e: Option<&Event>| {
+        let e = e.expect("a pool.stats on each side of the interval");
+        (e.u64_field("dials").expect("dials"), e.u64_field("discarded").expect("discarded"))
+    };
+    let before = events[..period_two].iter().rev().find(|e| e.kind == "pool.stats");
+    let after = events[period_two..].iter().find(|e| e.kind == "pool.stats");
+    let ((dials_1, discarded_1), (dials_2, discarded_2)) = (pool(before), pool(after));
+    assert!(discarded_2 > discarded_1, "dead parked connection discarded: {stats:?}");
+    assert!(dials_2 > dials_1, "dead peer redialed: {stats:?}");
 
     terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
     let _ = std::fs::remove_dir_all(&state_dir);

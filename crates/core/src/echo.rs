@@ -651,7 +651,6 @@ mod tests {
         let mut leased = LeasedTransport::new(TcpTransport::from_stream(stream).expect("wrap"));
         let t0 = Instant::now();
         for id in 0.. {
-            leased.reset_close();
             let session = MeasurerSession::new(TOKEN, role, id, SessionTimeouts::default());
             let mut endpoint = Endpoint::new(session, leased);
             let mut started = None;

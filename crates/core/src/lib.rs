@@ -23,7 +23,7 @@
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
 //! | [`measure`] | §4.1 | one (or many concurrent) measurement slots |
 //! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
-//! | [`pool`] | §7 | long-lived pool of warm TCP connections to measurer processes |
+//! | [`pool`] | §7 | warm TCP connections to measurer processes, reused inside the peer's accept window |
 //! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
 //! | [`proto_driver`] | §4.1, §7 | the in-memory round executor: one engine over simulated links, its one parameter the peer behaviour — `TorNet` flows (`SlotRunner`) or fixed-rate reference peers (`run_scripted`, what harnesses and benches compare a deployment against) |
@@ -102,9 +102,7 @@ pub mod prelude {
         Assignment, BatchItem, Measurement, SecondSample,
     };
     pub use crate::params::Params;
-    pub use crate::pool::{
-        ChannelKind, ConnectionPool, PooledConn, ReuseHandle, DEFAULT_IDLE_PROBE_AGE,
-    };
+    pub use crate::pool::{ChannelKind, ConnectionPool, PooledConn, ReuseHandle};
     pub use crate::proto_driver::{
         fingerprint_for, FaultSpec, PeerFailure, PeerFault, ProtoMeasurement, SlotRunner,
     };

@@ -154,7 +154,6 @@ pub fn emit_pool_stats(span: &Span, stats: &PoolStats) {
             dials = stats.dials,
             reuses = stats.reuses,
             discarded = stats.discarded,
-            probes = stats.probes,
             idle = stats.idle,
         ],
     );
@@ -199,7 +198,6 @@ pub fn period_export(
             dials: file.pool.dials,
             reuses: file.pool.reuses,
             discarded: file.pool.discarded,
-            probes: file.pool.probes,
             idle: file.pool.idle,
         }),
         // The coordinator has no reactor of its own; harnesses that

@@ -13,25 +13,37 @@
 //! Reuse is safe because both ends agree on it: the serving peer
 //! process loops sessions on one connection (each new `Auth` starts a
 //! fresh [`MeasurerSession`](flashflow_proto::session::MeasurerSession)
-//! with the shared replay window). The
-//! coordinator side defers the endpoint's terminal hang-up exactly like
+//! with the shared replay window), and that session waits for its
+//! `Auth` for [`SessionTimeouts::DEFAULT`]'s `handshake` before it
+//! aborts and the peer hangs up. The pool's reuse rule is that
+//! contract, with no wire message: a parked connection is handed out
+//! only while it is quiet (no FIN, no `Abort`, no stray bytes) and has
+//! been parked for less than half that accept window. Anything else is
+//! closed unread and unwritten, and the checkout dials fresh. The half
+//! leaves the `Auth` room to cross a path with RTT before the peer's
+//! deadline. A connection freed when one round ends is checked out
+//! again when the round after next is staged, about a slot minus the
+//! staging lead later (5 s of wall time): sped-up slots reuse, while
+//! wall-clock slots of 10 s or more, and period gaps past the window,
+//! dial fresh.
+//!
+//! The coordinator side defers the endpoint's terminal hang-up like
 //! [`LeasedTransport`](flashflow_proto::transport::LeasedTransport): a
-//! [`PooledConn`]'s `close` is recorded, not executed, and the *driver*
-//! decides at return time — a connection whose session did not end
+//! [`PooledConn`]'s `close` only flushes, and the *driver* decides at
+//! return time — a connection whose session did not end
 //! [`Done`](flashflow_proto::session::CoordPhase::Done) (or whose
 //! outbox still holds bytes) is really closed, never parked, so a torn
 //! or half-poisoned stream can never leak into the next item.
 //!
-//! Fresh dials never block. [`ConnectionPool::checkout`] starts the
-//! connect with `procutil::reactor::dial` and hands the still-connecting
-//! socket out wrapped in a [`TcpTransport`]: the first frames queue in
-//! its outbox until the handshake settles, and the round loop watches
-//! such a socket for write readiness. A refused dial fails the next
-//! flush (the session aborts with `ConnectionLost`); an unanswered one
-//! runs into the session's handshake timeout. Either way only that
-//! conversation degrades, so a round being staged can never freeze the
-//! one that is running. The one bounded wait left at checkout is the
-//! keepalive probe of a connection parked for longer than the probe age.
+//! Checkout never waits on the network. [`ConnectionPool::checkout`]
+//! starts a fresh connect with `procutil::reactor::dial` and hands the
+//! still-connecting socket out wrapped in a [`TcpTransport`]: the first
+//! frames queue in its outbox until the handshake settles, and the
+//! round loop watches such a socket for write readiness. A refused dial
+//! fails the next flush (the session aborts with `ConnectionLost`); an
+//! unanswered one runs into the session's handshake timeout. Either way
+//! only that conversation degrades, so a round being staged can never
+//! freeze the one that is running.
 //!
 //! The pool is `Sync` and cheap to clone (one `Arc`): the coordinator
 //! keeps a single pool for the life of the process, so a connection
@@ -44,25 +56,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flashflow_procutil::reactor::{self, Interest, Poller};
-use flashflow_proto::frame::{encode, FrameDecoder};
-use flashflow_proto::msg::Msg;
+use flashflow_procutil::reactor;
+use flashflow_proto::session::SessionTimeouts;
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{Readiness, Transport, TransportError};
 use flashflow_simnet::time::SimTime;
 
-/// Default idle age past which a parked connection is health-probed at
-/// checkout (see [`ConnectionPool::with_idle_probe_age`]). Within a
-/// period, items reuse connections within milliseconds; 30 seconds of
-/// idleness means the connection sat across a period gap, where serving
-/// processes restart and NATs expire mappings.
-pub const DEFAULT_IDLE_PROBE_AGE: Duration = Duration::from_secs(30);
-
-/// Longest a keepalive probe waits for its `Pong` before declaring the
-/// parked connection dead. One loopback/LAN round trip is microseconds
-/// to low milliseconds; a peer that cannot answer a ping in this long
-/// is not a peer a fresh measurement item should be handed.
-pub const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a parked connection stays reusable: half the accept window
+/// a serving peer gives each parked conversation (see the
+/// [module docs](self)).
+const REUSE_WINDOW: Duration =
+    Duration::from_nanos(SessionTimeouts::DEFAULT.handshake.as_nanos() / 2);
 
 /// What a pooled connection is used for. A serving peer process
 /// classifies each accepted connection **once** — control frames or
@@ -78,75 +82,19 @@ pub enum ChannelKind {
 }
 
 /// A connection waiting in the pool, stamped with when it was parked so
-/// checkout can tell a warm handoff from one that idled across a period
-/// gap.
+/// checkout can tell a warm handoff from one the peer may have timed
+/// out.
 struct Parked {
     transport: TcpTransport,
     parked_at: Instant,
 }
 
+#[derive(Default)]
 struct PoolShared {
     idle: Mutex<HashMap<(SocketAddr, ChannelKind), Vec<Parked>>>,
-    idle_probe_age: Duration,
     dials: AtomicU64,
     reuses: AtomicU64,
     discarded: AtomicU64,
-    probes: AtomicU64,
-    probe_seq: AtomicU64,
-}
-
-impl Default for PoolShared {
-    fn default() -> Self {
-        PoolShared {
-            idle: Mutex::new(HashMap::new()),
-            idle_probe_age: DEFAULT_IDLE_PROBE_AGE,
-            dials: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            probe_seq: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Runs one keepalive probe over a parked **control** connection: send
-/// `Ping`, wait (bounded) for the matching `Pong`. The serving process
-/// answers from its parked `AwaitAuth` session, so a positive answer
-/// proves the whole path — socket, process, session loop — is alive,
-/// which no amount of local socket inspection can. The wait is on the
-/// socket's readiness, so the `Pong` is read the moment it lands.
-fn ping_probe(transport: &mut TcpTransport, probe: u64) -> bool {
-    if transport.send(SimTime::ZERO, &encode(&Msg::Ping { probe })).is_err() {
-        return false;
-    }
-    let Ok(poller) = Poller::new() else { return false };
-    if poller.register(transport.raw_fd(), 0, Interest::READ).is_err() {
-        return false;
-    }
-    let mut decoder = FrameDecoder::new();
-    let mut ready = Vec::new();
-    let deadline = Instant::now() + PROBE_TIMEOUT;
-    loop {
-        match transport.recv(SimTime::ZERO) {
-            Ok(bytes) => {
-                decoder.push(&bytes);
-                match decoder.next_msg() {
-                    // Anything but our echo — a stale frame, a
-                    // mismatched probe, garbage — disqualifies the
-                    // connection.
-                    Ok(Some(Msg::Pong { probe: got })) => return got == probe,
-                    Ok(Some(_)) | Err(_) => return false,
-                    // Partial (or no) frame yet; wait for more bytes.
-                    Ok(None) => {}
-                }
-            }
-            Err(_) => return false,
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || poller.wait(&mut ready, left).is_err() {
-            return false;
-        }
-    }
 }
 
 /// A shared pool of warm [`TcpTransport`] connections, keyed by peer
@@ -162,75 +110,43 @@ impl ConnectionPool {
         ConnectionPool::default()
     }
 
-    /// Sets the idle age past which a parked connection is
-    /// **health-probed** at checkout rather than trusted: on top of the
-    /// always-on readiness check (catches a FIN/RST that arrived while
-    /// parked), a control connection gets a `Ping` that the serving
-    /// process's parked session must answer within [`PROBE_TIMEOUT`] —
-    /// a peer that died without saying goodbye fails it now, at
-    /// checkout, where discard-and-redial is cheap, instead of
-    /// mid-handshake inside an engine. Idle *data* connections (no
-    /// session on the far end to answer) are simply redialed past the
-    /// age. Defaults to [`DEFAULT_IDLE_PROBE_AGE`]; [`Duration::ZERO`]
-    /// probes every parked checkout.
-    #[must_use]
-    pub fn with_idle_probe_age(self, age: Duration) -> Self {
-        // The shared state is fresh (builder-style, pre-clone): there
-        // is exactly one Arc holder.
-        let mut shared = Arc::try_unwrap(self.shared).ok().expect("configure before cloning");
-        shared.idle_probe_age = age;
-        ConnectionPool { shared: Arc::new(shared) }
-    }
-
-    /// Checks a `kind` connection to `addr` out: a parked warm one when
-    /// available (stale ones — peer hung up while parked — are
-    /// discarded on the spot; ones idle past the probe age are
-    /// keepalive-probed first), a fresh dial otherwise. A fresh dial
-    /// never waits for its handshake, so a peer that refuses or never
-    /// answers costs the caller nothing here: the refusal fails the
-    /// first send or read, and silence runs into the session's own
+    /// Checks a `kind` connection to `addr` out: a parked one that is
+    /// quiet and inside the reuse window when available (any other
+    /// parked one is closed on the spot), a fresh dial otherwise. A
+    /// fresh dial never waits for its handshake, so a peer that refuses
+    /// or never answers costs the caller nothing here: the refusal fails
+    /// the first send or read, and silence runs into the session's own
     /// handshake timeout.
     ///
     /// # Errors
     /// A dial the kernel failed at once: no socket, or a refusal it
     /// already knew of.
     pub fn checkout(&self, addr: SocketAddr, kind: ChannelKind) -> std::io::Result<PooledConn> {
+        self.checkout_at(addr, kind, Instant::now())
+    }
+
+    /// [`ConnectionPool::checkout`] with the clock the reuse window is
+    /// read on passed in.
+    fn checkout_at(
+        &self,
+        addr: SocketAddr,
+        kind: ChannelKind,
+        now: Instant,
+    ) -> std::io::Result<PooledConn> {
         let key = (addr, kind);
         loop {
             let parked =
                 self.shared.idle.lock().expect("pool lock").get_mut(&key).and_then(Vec::pop);
             let Some(Parked { mut transport, parked_at }) = parked else { break };
-            // A parked connection can rot: the process exited, or sent
-            // bytes we never asked for. Either disqualifies it.
-            if transport.readiness(SimTime::ZERO) != Readiness::Quiet {
-                self.shared.discarded.fetch_add(1, Ordering::Relaxed);
-                continue;
+            // Readable means the peer hung up, aborted its parked
+            // session, or sent bytes nobody asked for; past the window
+            // it may be about to. Either way the connection goes.
+            let quiet = transport.readiness(SimTime::ZERO) == Readiness::Quiet;
+            if quiet && now.saturating_duration_since(parked_at) < REUSE_WINDOW {
+                self.shared.reuses.fetch_add(1, Ordering::Relaxed);
+                return Ok(self.wrap(key, transport));
             }
-            // Idle long enough to distrust: run a real keepalive. A
-            // peer that vanished without a FIN (process killed, NAT
-            // mapping expired) looks perfectly quiet locally; only a
-            // `Ping` answered by the serving process's parked session
-            // proves the connection can still carry a conversation.
-            // Data-kind connections have no control session on the
-            // other end to answer, so for them age past the threshold
-            // is itself the verdict: redial rather than trust.
-            if parked_at.elapsed() >= self.shared.idle_probe_age {
-                let alive = if kind == ChannelKind::Control {
-                    self.shared.probes.fetch_add(1, Ordering::Relaxed);
-                    let probe = self.shared.probe_seq.fetch_add(1, Ordering::Relaxed) ^ 0x50B0_BE4C;
-                    ping_probe(&mut transport, probe)
-                } else {
-                    // No session on the far end to answer a ping: age
-                    // past the threshold is itself the verdict.
-                    false
-                };
-                if !alive {
-                    self.shared.discarded.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            self.shared.reuses.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.wrap(key, transport));
+            self.shared.discarded.fetch_add(1, Ordering::Relaxed);
         }
         // Until the handshake settles, `send` queues in the outbox (the
         // kernel answers `EAGAIN`).
@@ -258,14 +174,9 @@ impl ConnectionPool {
         self.shared.reuses.load(Ordering::Relaxed)
     }
 
-    /// Parked connections found stale and thrown away.
+    /// Connections closed instead of parked or reused.
     pub fn discarded(&self) -> u64 {
         self.shared.discarded.load(Ordering::Relaxed)
-    }
-
-    /// Keepalive probes run on idle-past-threshold checkouts.
-    pub fn probes(&self) -> u64 {
-        self.shared.probes.load(Ordering::Relaxed)
     }
 
     /// Connections currently parked.
@@ -280,7 +191,6 @@ impl ConnectionPool {
             dials: self.dials(),
             reuses: self.reuses(),
             discarded: self.discarded(),
-            probes: self.probes(),
             idle: self.idle_count() as u64,
         }
     }
@@ -295,10 +205,8 @@ pub struct PoolStats {
     pub dials: u64,
     /// Checkouts served from a parked warm connection.
     pub reuses: u64,
-    /// Parked connections found stale and thrown away.
+    /// Connections closed instead of parked or reused.
     pub discarded: u64,
-    /// Keepalive probes run on idle-past-threshold checkouts.
-    pub probes: u64,
     /// Connections parked at snapshot time.
     pub idle: u64,
 }
@@ -403,6 +311,7 @@ impl Drop for PooledConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashflow_procutil::reactor::{Interest, Poller};
     use std::io::Read;
     use std::net::TcpListener;
 
@@ -502,118 +411,48 @@ mod tests {
         assert_eq!(pool.discarded(), 1);
     }
 
-    /// A minimal serving peer for probe tests: accepts one connection
-    /// and answers every `Ping` with the matching `Pong`, like a parked
-    /// `MeasurerSession` does, until the prober hangs up.
-    fn pong_server(listener: TcpListener) -> std::thread::JoinHandle<u64> {
-        std::thread::spawn(move || {
-            use flashflow_proto::frame::{encode, FrameDecoder};
-            use flashflow_proto::msg::Msg;
-            use std::io::{Read as _, Write as _};
-            let (mut stream, _) = listener.accept().expect("accept");
-            stream.set_nonblocking(true).expect("nonblocking");
-            let mut dec = FrameDecoder::new();
-            let mut buf = [0u8; 1024];
-            let mut pongs = 0u64;
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while Instant::now() < deadline {
-                match stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => dec.push(&buf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-                while let Ok(Some(Msg::Ping { probe })) = dec.next_msg() {
-                    stream.write_all(&encode(&Msg::Pong { probe })).expect("pong");
-                    pongs += 1;
-                }
-            }
-            pongs
-        })
+    #[test]
+    fn the_reuse_window_sits_strictly_inside_the_peers_accept_window() {
+        let accept = Duration::from_nanos(SessionTimeouts::default().handshake.as_nanos());
+        assert!(REUSE_WINDOW > Duration::ZERO);
+        assert!(REUSE_WINDOW < accept, "{REUSE_WINDOW:?} vs the peer's {accept:?}");
     }
 
     #[test]
-    fn idle_connections_are_probed_and_dead_ones_redialed() {
+    fn young_parked_connections_are_reused() {
         let (listener, addr) = echo_listener();
-        // Probe age zero: every parked checkout is probed.
-        let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
-        {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
-            let _accepted = listener.accept().expect("accept");
-            conn.reuse_handle().approve();
-            drop(conn);
-            // The peer dies while the connection idles in the pool.
-            drop(_accepted);
-        }
-        assert_eq!(pool.idle_count(), 1);
-        std::thread::sleep(Duration::from_millis(20));
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after probe discard");
-        let _accepted2 = listener.accept().expect("accept fresh");
-        assert_eq!(pool.dials(), 2, "dead parked connection was redialed, not handed out");
-        assert_eq!(pool.reuses(), 0);
-        assert!(pool.discarded() >= 1);
-        drop(conn2);
-    }
-
-    #[test]
-    fn healthy_idle_connection_answers_its_ping_and_is_reused() {
-        let (listener, addr) = echo_listener();
-        let server = pong_server(listener);
-        let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
-        {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial healthy");
-            settled(&conn);
-            conn.reuse_handle().approve();
-        }
-        let probes_before = pool.probes();
-        let reused = pool.checkout(addr, ChannelKind::Control).expect("probed reuse");
-        assert!(pool.probes() > probes_before, "idle checkout was probed");
-        assert_eq!(pool.reuses(), 1, "healthy probed connection handed back out");
-        assert_eq!(pool.dials(), 1, "no redial needed");
-        drop(reused);
-        assert!(server.join().expect("server") >= 1, "the peer answered the keepalive");
-    }
-
-    #[test]
-    fn silently_dead_peer_fails_the_ping_probe() {
-        // The case local socket inspection cannot catch: the peer
-        // accepts, never answers, and never closes — readiness stays
-        // Quiet, but the Ping goes unanswered and the connection is
-        // discarded at the probe timeout instead of being handed to an
-        // engine.
-        let (listener, addr) = echo_listener();
-        let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
-        {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
-            settled(&conn);
-            conn.reuse_handle().approve();
-        }
-        let (_mute, _) = listener.accept().expect("accept");
-        assert_eq!(pool.idle_count(), 1);
-        let t0 = Instant::now();
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after mute peer");
-        let _accepted2 = listener.accept().expect("accept fresh");
-        assert!(t0.elapsed() >= PROBE_TIMEOUT, "probe waited out its timeout");
-        assert_eq!(pool.dials(), 2, "mute peer's connection was not reused");
-        assert_eq!(pool.reuses(), 0);
-        drop(conn2);
-    }
-
-    #[test]
-    fn young_connections_skip_the_keepalive_probe() {
-        let (listener, addr) = echo_listener();
-        // A generous probe age: a connection parked moments ago is
-        // trusted without the extra probe.
-        let pool = ConnectionPool::new().with_idle_probe_age(Duration::from_secs(3600));
+        let pool = ConnectionPool::new();
         let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
         let _accepted = listener.accept().expect("accept");
         conn.reuse_handle().approve();
         drop(conn);
         let conn2 = pool.checkout(addr, ChannelKind::Control).expect("warm reuse");
-        assert_eq!(pool.probes(), 0, "young parked connection not probed");
-        assert_eq!((pool.dials(), pool.reuses()), (1, 1));
+        assert_eq!((pool.dials(), pool.reuses(), pool.discarded()), (1, 1, 0));
+        drop(conn2);
+    }
+
+    #[test]
+    fn connections_parked_past_the_window_are_closed_unwritten_and_redialed() {
+        let (listener, addr) = echo_listener();
+        let pool = ConnectionPool::new();
+        let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+        settled(&conn);
+        let (mut parked_peer, _) = listener.accept().expect("accept");
+        conn.reuse_handle().approve();
+        drop(conn);
+        assert_eq!(pool.idle_count(), 1);
+
+        // Quiet, but read at the window's end: the peer may be timing
+        // its parked session out, so the connection is not handed out.
+        let late = Instant::now() + REUSE_WINDOW;
+        let conn2 = pool.checkout_at(addr, ChannelKind::Control, late).expect("redial");
+        assert_eq!((pool.dials(), pool.reuses(), pool.discarded()), (2, 0, 1));
+        assert_eq!(pool.idle_count(), 0);
+        let _fresh = listener.accept().expect("accept fresh");
+        // Nothing was written to the old connection before it closed.
+        parked_peer.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut buf = [0u8; 16];
+        assert_eq!(parked_peer.read(&mut buf).expect("read"), 0, "EOF, not a frame");
         drop(conn2);
     }
 
@@ -633,9 +472,9 @@ mod tests {
         // Give the FIN a moment to land.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after stale discard");
-        let _accepted2 = listener.accept().expect("accept fresh");
         assert_eq!(pool.dials(), 2, "stale connection was not handed back out");
         assert_eq!(pool.reuses(), 0);
+        let _accepted2 = listener.accept().expect("accept fresh");
         drop(conn2);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! Scope: non-test code in files whose path contains a configured
 //! fragment — `reactor`, `peer.rs`, and the coordinator's
-//! `core/src/echo.rs` round loop and `core/src/pool.rs` keepalive
-//! probe by default. Test modules and `tests/`/`benches/` trees are
+//! `core/src/echo.rs` round loop and `core/src/pool.rs` checkout by
+//! default. Test modules and `tests/`/`benches/` trees are
 //! exempt: a harness thread sleeping between assertions blocks nobody's
 //! data plane.
 

@@ -12,8 +12,9 @@
 
 use crate::json::Json;
 
-/// Schema version stamped into every export.
-pub const EXPORT_SCHEMA: u64 = 2;
+/// Schema version stamped into every export. Version 3 dropped the
+/// pool block's `probes` count (the pool no longer probes).
+pub const EXPORT_SCHEMA: u64 = 3;
 
 /// Five-number summary plus mean: 5th percentile, quartiles, median,
 /// mean, 95th percentile.
@@ -160,18 +161,16 @@ impl TargetSummary {
     }
 }
 
-/// Connection-pool traffic over the period (dial/reuse/probe/discard
-/// counts surfaced from the coordinator's pool).
+/// Connection-pool traffic over the period (dial/reuse/discard counts
+/// surfaced from the coordinator's pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolSummary {
     /// Fresh TCP dials.
     pub dials: u64,
     /// Checkouts satisfied by an idle warm connection.
     pub reuses: u64,
-    /// Idle connections discarded (failed probe, dead socket).
+    /// Connections closed instead of parked or reused.
     pub discarded: u64,
-    /// Keepalive probes sent.
-    pub probes: u64,
     /// Idle connections parked at export time.
     pub idle: u64,
 }
@@ -182,7 +181,6 @@ impl PoolSummary {
             ("dials".to_string(), Json::Int(i128::from(self.dials))),
             ("reuses".to_string(), Json::Int(i128::from(self.reuses))),
             ("discarded".to_string(), Json::Int(i128::from(self.discarded))),
-            ("probes".to_string(), Json::Int(i128::from(self.probes))),
             ("idle".to_string(), Json::Int(i128::from(self.idle))),
         ])
     }
@@ -195,7 +193,6 @@ impl PoolSummary {
             dials: int("dials")?,
             reuses: int("reuses")?,
             discarded: int("discarded")?,
-            probes: int("probes")?,
             idle: int("idle")?,
         })
     }
@@ -416,8 +413,8 @@ impl PeriodExport {
         if let Some(pool) = self.pool {
             let _ = writeln!(
                 out,
-                "  pool: {} dials, {} reuses, {} discarded, {} probes, {} idle",
-                pool.dials, pool.reuses, pool.discarded, pool.probes, pool.idle
+                "  pool: {} dials, {} reuses, {} discarded, {} idle",
+                pool.dials, pool.reuses, pool.discarded, pool.idle
             );
         }
         if let Some(r) = self.reactor {
@@ -483,7 +480,7 @@ mod tests {
                     combined: None,
                 },
             ],
-            pool: Some(PoolSummary { dials: 4, reuses: 8, discarded: 1, probes: 6, idle: 2 }),
+            pool: Some(PoolSummary { dials: 4, reuses: 8, discarded: 1, idle: 2 }),
             reactor: None,
         }
     }
@@ -501,7 +498,7 @@ mod tests {
     fn unknown_schema_is_rejected() {
         // Schema 1 (the export that still carried a worker-shard count)
         // is refused like any other version that is not the current one.
-        for schema in [1, 99] {
+        for schema in [1, 2, 99] {
             let mut export = sample_export();
             export.schema = schema;
             assert!(PeriodExport::parse(&export.to_json_string()).is_err(), "schema {schema}");
@@ -511,7 +508,7 @@ mod tests {
     #[test]
     fn text_summary_golden() {
         let summary = sample_export().text_summary();
-        let expected = "period summary: 2 targets (1 clean), 3 divergent rows, r=0.25\n  target               capacity   clean divergent  echo.median    bg.median\n  aaaaaaaaaaaaaaaa    36.0 MB/s     yes         0       16 B/s        0 B/s\n  bbbbbbbbbbbbbbbb   150.0 kB/s      NO         3            -            -\n  pool: 4 dials, 8 reuses, 1 discarded, 6 probes, 2 idle\n";
+        let expected = "period summary: 2 targets (1 clean), 3 divergent rows, r=0.25\n  target               capacity   clean divergent  echo.median    bg.median\n  aaaaaaaaaaaaaaaa    36.0 MB/s     yes         0       16 B/s        0 B/s\n  bbbbbbbbbbbbbbbb   150.0 kB/s      NO         3            -            -\n  pool: 4 dials, 8 reuses, 1 discarded, 2 idle\n";
         assert_eq!(summary, expected, "golden text summary drifted:\n{summary}");
     }
 

@@ -671,10 +671,9 @@ impl<R: Role> Conversation<R> {
     /// Begins the next conversation on the (possibly warm) transport.
     fn start_conversation(
         &mut self,
-        mut leased: LeasedTransport<TcpTransport>,
+        leased: LeasedTransport<TcpTransport>,
         preread: Option<Vec<u8>>,
     ) {
-        leased.reset_close();
         let peer = &self.peer;
         let session_id = self.conn_id * 1_000 + self.started;
         self.started += 1;

@@ -8,8 +8,7 @@
 //! with a keyed tag — over any [`Transport`], paced against a caller-injected
 //! clock; the target relay's [`Echoer`] verifies every frame and sends
 //! the measurer's own accepted frames back; and the measurer's
-//! [`BlastParser`] (in tests usually inside a [`TrafficSink`]) verifies
-//! the echo again. Every party counts per second with a [`ByteCounter`],
+//! [`BlastParser`] verifies the echo again. Every party counts per second with a [`ByteCounter`],
 //! so a `SecondReport` is *derived from observation*, and the
 //! coordinator can cross-check the relay's claimed echo against the
 //! measurers' verified one (TorMult-style inflation asserts bytes that
@@ -981,147 +980,6 @@ fn flush_data(events: &mut Vec<BlastEvent>, bytes: &mut u64, corrupt: &mut u64) 
     }
 }
 
-/// The receiving half of one data channel: a [`BlastParser`] bound to a
-/// transport, with per-second received/corrupt counters on the caller's
-/// clock. This is the in-process sink used by tests and benches; the
-/// standalone measurer process drives a bare [`BlastParser`] so it can
-/// aggregate counters across channels.
-pub struct TrafficSink<T: Transport> {
-    transport: T,
-    parser: BlastParser,
-    counter: ByteCounter,
-    corrupt_counter: ByteCounter,
-    hello: Option<DataChannelHello>,
-    error: Option<TransportError>,
-    /// Reused receive buffer ([`Transport::recv_into`]).
-    rxbuf: Vec<u8>,
-}
-
-impl<T: Transport> TrafficSink<T> {
-    /// A sink draining `transport`.
-    pub fn new(transport: T) -> Self {
-        TrafficSink {
-            transport,
-            parser: BlastParser::new(),
-            counter: ByteCounter::new(),
-            corrupt_counter: ByteCounter::new(),
-            hello: None,
-            error: None,
-            rxbuf: Vec::new(),
-        }
-    }
-
-    /// Keys the integrity-tag check of the underlying parser.
-    #[must_use]
-    pub fn with_key(mut self, key: u64) -> Self {
-        self.parser = std::mem::take(&mut self.parser).with_key(key);
-        self
-    }
-
-    /// Streams the underlying parser's byte accounting into shared
-    /// telemetry counters (see [`BlastParser::with_counters`]).
-    #[must_use]
-    pub fn with_counters(mut self, counters: BlastCounters) -> Self {
-        self.parser = std::mem::take(&mut self.parser).with_counters(counters);
-        self
-    }
-
-    /// Starts the per-second counting clock (the slot's Go instant).
-    pub fn start(&mut self, now: SimTime) {
-        self.counter.start(now);
-        self.corrupt_counter.start(now);
-    }
-
-    /// Drains the transport once; returns `true` if bytes arrived.
-    ///
-    /// # Errors
-    /// Returns the first **framing** error (sticky; the stream has lost
-    /// sync). A *transport* failure is not an `Err` — the sink records
-    /// it (see [`TrafficSink::transport_error`]) and later pumps return
-    /// `Ok(false)`, because "the peer hung up" is the normal end of a
-    /// blast channel, not a protocol violation.
-    pub fn pump(&mut self, now: SimTime) -> Result<bool, BlastError> {
-        if self.error.is_some() {
-            return Ok(false);
-        }
-        self.counter.roll(now);
-        self.corrupt_counter.roll(now);
-        // Swap the reused buffer out so the parser can borrow `self`.
-        let mut rx = std::mem::take(&mut self.rxbuf);
-        let got = match self.transport.recv_into(now, &mut rx) {
-            Ok(got) => got,
-            Err(err) => {
-                self.error = Some(err);
-                self.rxbuf = rx;
-                return Ok(false);
-            }
-        };
-        if got == 0 {
-            self.rxbuf = rx;
-            return Ok(false);
-        }
-        let events = self.parser.push(&rx);
-        self.rxbuf = rx;
-        for event in events? {
-            match event {
-                BlastEvent::Hello(h) => self.hello = Some(h),
-                BlastEvent::Data { bytes, corrupt } => {
-                    if self.counter.is_running() {
-                        self.counter.add(now, bytes);
-                        self.corrupt_counter.add(now, corrupt);
-                    }
-                }
-                // Forgeries and replays accrue on the parser's
-                // counters only; neither is credited to the received
-                // series.
-                BlastEvent::Forged { .. } | BlastEvent::Replayed { .. } => {}
-            }
-        }
-        Ok(true)
-    }
-
-    /// The most recent hello, once one arrived.
-    pub fn hello(&self) -> Option<DataChannelHello> {
-        self.hello
-    }
-
-    /// Total payload bytes received.
-    pub fn received_total(&self) -> u64 {
-        self.parser.received_total()
-    }
-
-    /// Total payload bytes failing pattern verification.
-    pub fn corrupt_total(&self) -> u64 {
-        self.parser.corrupt_total()
-    }
-
-    /// Total declared bytes of frames whose integrity tag failed.
-    pub fn forged_total(&self) -> u64 {
-        self.parser.forged_total()
-    }
-
-    /// Total declared bytes of tag-valid frames with replayed
-    /// sequence numbers.
-    pub fn replayed_total(&self) -> u64 {
-        self.parser.replayed_total()
-    }
-
-    /// Received bytes per completed second since [`TrafficSink::start`].
-    pub fn completed_seconds(&self) -> &[u64] {
-        self.counter.completed()
-    }
-
-    /// The first transport error observed, if any.
-    pub fn transport_error(&self) -> Option<TransportError> {
-        self.error
-    }
-
-    /// The transport (fault tripping in tests).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-}
-
 /// The target relay's half of one echo data channel: verifies every
 /// inbound payload byte against the keystream and every header against
 /// the keyed tag, then sends the measurer's own frames back — the
@@ -1460,6 +1318,21 @@ mod tests {
     use crate::transport::Duplex;
     use flashflow_simnet::time::SimDuration;
 
+    /// Feeds what `transport` holds to `parser`, the way the measurer's
+    /// echo channel drives its bare parser; returns the last hello seen.
+    fn feed(
+        transport: &mut impl Transport,
+        parser: &mut BlastParser,
+        now: SimTime,
+    ) -> Option<DataChannelHello> {
+        let bytes = transport.recv(now).expect("open transport");
+        let events = parser.push(&bytes).expect("clean stream");
+        events.into_iter().rev().find_map(|ev| match ev {
+            BlastEvent::Hello(h) => Some(h),
+            _ => None,
+        })
+    }
+
     #[test]
     fn hello_round_trips_and_rejects_garbage() {
         let hello = DataChannelHello { nonce: 0xFEED_F00D, channel: 3 };
@@ -1509,24 +1382,24 @@ mod tests {
     #[test]
     fn source_to_sink_stream_verifies_clean_over_chunked_link() {
         // 3-byte re-chunking: every hello and frame crosses reassembly.
-        let (a, b) = Duplex::new(SimDuration::ZERO, 3).into_endpoints();
+        let (a, mut b) = Duplex::new(SimDuration::ZERO, 3).into_endpoints();
         let mut src = TrafficSource::new(a, 0xABCD, 0);
         src.set_rate_cap(40_000);
-        let mut sink = TrafficSink::new(b);
+        let mut sink = BlastParser::new();
 
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
+        let mut hello = None;
         for tick in 0..=30u64 {
             let now = SimTime::from_secs_f64(tick as f64 * 0.1);
             src.pump(now);
-            sink.pump(now).expect("clean stream");
+            hello = feed(&mut b, &mut sink, now).or(hello);
         }
         let now = SimTime::from_secs(3);
         src.stop(now);
-        sink.pump(now).expect("clean stream");
+        feed(&mut b, &mut sink, now);
 
-        assert_eq!(sink.hello(), Some(DataChannelHello { nonce: 0xABCD, channel: 0 }));
+        assert_eq!(hello, Some(DataChannelHello { nonce: 0xABCD, channel: 0 }));
         assert!(src.sent_total() > 0);
         assert_eq!(sink.received_total(), src.sent_total(), "every payload byte arrived");
         assert_eq!(sink.corrupt_total(), 0, "pattern verified");
@@ -1539,13 +1412,12 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_are_counted_not_trusted() {
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, 7, 0);
         src.set_rate_cap(1_000);
-        let mut sink = TrafficSink::new(b);
+        let mut sink = BlastParser::new();
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
 
         // Flip bytes in flight by re-sending a doctored copy: build a
@@ -1559,7 +1431,7 @@ mod tests {
         frame.extend_from_slice(&[0xFF; 8]);
         src.transport_mut().send(SimTime::from_secs(1), &frame).unwrap();
 
-        sink.pump(SimTime::from_secs(1)).expect("framing intact");
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         assert!(sink.corrupt_total() >= 7, "doctored payload flagged: {}", sink.corrupt_total());
         assert!(sink.corrupt_total() < sink.received_total(), "honest bytes still counted");
     }
@@ -1571,15 +1443,14 @@ mod tests {
         // key, so its frames fail the tag and credit nothing.
         let key = secret_channel_key(0xDEAD_5EC2);
         let nonce = binding_nonce(0xDEAD_5EC2);
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, nonce, 0).with_key(key);
         src.set_rate_cap(2_000);
-        let mut sink = TrafficSink::new(b).with_key(key);
+        let mut sink = BlastParser::new().with_key(key);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         let honest = sink.received_total();
         assert!(honest > 0);
         assert_eq!(sink.forged_total(), 0);
@@ -1597,14 +1468,14 @@ mod tests {
         BlastPattern::new(nonce).fill(seq, &mut payload);
         forged.extend_from_slice(&payload);
         src.transport_mut().send(SimTime::from_secs(1), &forged).unwrap();
-        sink.pump(SimTime::from_secs(1)).expect("framing survives a forgery");
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         assert_eq!(sink.forged_total(), u64::from(len), "forgery counted");
         assert_eq!(sink.received_total(), honest, "forged payload never credited");
         assert_eq!(sink.corrupt_total(), 0);
 
         // And the stream keeps working after the skipped frame.
         src.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(2));
         assert!(sink.received_total() > honest, "honest frames resume after the forgery");
     }
 
@@ -1615,15 +1486,14 @@ mod tests {
         // pair is credited at most once.
         let key = secret_channel_key(0x4E91);
         let nonce = binding_nonce(0x4E91);
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, nonce, 0).with_key(key);
         src.set_rate_cap(2_000);
-        let mut sink = TrafficSink::new(b).with_key(key);
+        let mut sink = BlastParser::new().with_key(key);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         let honest = sink.received_total();
         assert!(honest > 0);
 
@@ -1641,14 +1511,14 @@ mod tests {
         for _ in 0..5 {
             src.transport_mut().send(SimTime::from_secs(1), &replay).unwrap();
         }
-        sink.pump(SimTime::from_secs(1)).expect("framing survives replays");
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         assert_eq!(sink.received_total(), honest, "replayed bytes never credited");
         assert_eq!(sink.replayed_total(), 5 * u64::from(len), "every replay counted");
         assert_eq!(sink.forged_total(), 0);
 
         // Honest traffic continues past the replays.
         src.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(2));
         assert!(sink.received_total() > honest);
         assert_eq!(sink.corrupt_total(), 0);
 
@@ -1657,22 +1527,21 @@ mod tests {
         src.transport_mut().send(SimTime::from_secs(2), &hello).unwrap();
         src.transport_mut().send(SimTime::from_secs(2), &replay).unwrap();
         let before = sink.received_total();
-        sink.pump(SimTime::from_secs(2)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(2));
         assert_eq!(sink.received_total(), before, "hello replay cannot reopen old sequences");
         assert_eq!(sink.replayed_total(), 6 * u64::from(len));
     }
 
     #[test]
     fn mismatched_keys_reject_everything() {
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, 42, 0).with_key(111);
         src.set_rate_cap(1_000);
-        let mut sink = TrafficSink::new(b).with_key(222);
+        let mut sink = BlastParser::new().with_key(222);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         assert_eq!(sink.received_total(), 0);
         assert_eq!(sink.forged_total(), src.sent_total());
     }
@@ -1894,15 +1763,14 @@ mod tests {
     fn rebinding_hello_switches_the_pattern_mid_stream() {
         // Session 1 blasts, then a new hello rebinds the channel to
         // session 2 — the pooled-connection reuse path.
-        let (a1, b) = Duplex::loopback().into_endpoints();
-        let mut sink = TrafficSink::new(b);
+        let (a1, mut b) = Duplex::loopback().into_endpoints();
+        let mut sink = BlastParser::new();
         let mut src1 = TrafficSource::new(a1, 111, 0);
         src1.set_rate_cap(1_000);
         src1.greet(SimTime::ZERO);
         src1.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src1.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
+        feed(&mut b, &mut sink, SimTime::from_secs(1));
         let after_first = sink.received_total();
         assert!(after_first > 0);
         assert_eq!(sink.corrupt_total(), 0);
@@ -1913,8 +1781,8 @@ mod tests {
         src2.greet(SimTime::from_secs(1));
         src2.start(SimTime::from_secs(1));
         src2.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
-        assert_eq!(sink.hello(), Some(DataChannelHello { nonce: 222, channel: 0 }));
+        let hello = feed(&mut b, &mut sink, SimTime::from_secs(2));
+        assert_eq!(hello, Some(DataChannelHello { nonce: 222, channel: 0 }));
         assert!(sink.received_total() > after_first);
         assert_eq!(sink.corrupt_total(), 0, "new pattern verified after rebind");
     }
@@ -1983,7 +1851,7 @@ mod tests {
         // The peer does not read: the kernel's buffers fill, the
         // transport's outbox takes the rest, and the source must stop
         // there instead of queueing `MAX_TICK_BYTES` a pump for ever.
-        let (peer, dialed) = crate::tcp::loopback_pair();
+        let (mut peer, dialed) = crate::tcp::loopback_pair();
         let mut src = TrafficSource::new(dialed, 0x5AFE, 0);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
@@ -2000,10 +1868,10 @@ mod tests {
         assert_eq!(src.state(), SourceState::Blasting, "paused, not stopped");
 
         // The peer starts draining: the source resumes by itself.
-        let mut sink = TrafficSink::new(peer);
+        let mut sink = BlastParser::new();
         let mut resumed = false;
         for _ in 0..100_000 {
-            sink.pump(SimTime::ZERO).expect("clean stream");
+            feed(&mut peer, &mut sink, SimTime::ZERO);
             if src.pump(SimTime::ZERO) {
                 resumed = true;
                 break;
@@ -2020,7 +1888,7 @@ mod tests {
         // some megabytes in. Its allowance follows the clock, so once
         // the peer drains it catches up to rate × time exactly.
         let rate = 100_000_000u64;
-        let (peer, dialed) = crate::tcp::loopback_pair();
+        let (mut peer, dialed) = crate::tcp::loopback_pair();
         let mut src = TrafficSource::new(dialed, 0xFACE, 0);
         src.set_rate_cap(rate);
         src.greet(SimTime::ZERO);
@@ -2038,12 +1906,12 @@ mod tests {
 
         let end = SimTime::from_secs_f64(0.3);
         let commanded = (rate as f64 * 0.3) as u64;
-        let mut sink = TrafficSink::new(peer);
+        let mut sink = BlastParser::new();
         for _ in 0..1_000_000 {
             src.pump(end);
             // Flush the outbox's tail as a driver polling the echo would.
             src.transport_mut().send(end, &[]).expect("open connection");
-            sink.pump(end).expect("clean stream");
+            feed(&mut peer, &mut sink, end);
             if sink.received_total() == commanded {
                 break;
             }

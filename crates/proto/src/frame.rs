@@ -143,14 +143,6 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             body.push(MsgType::Abort as u8);
             body.push(*reason as u8);
         }
-        Msg::Ping { probe } => {
-            body.push(MsgType::Ping as u8);
-            body.extend_from_slice(&probe.to_be_bytes());
-        }
-        Msg::Pong { probe } => {
-            body.push(MsgType::Pong as u8);
-            body.extend_from_slice(&probe.to_be_bytes());
-        }
         Msg::Resume { token, role, nonce_prior, nonce, trace_id } => {
             body.push(MsgType::Resume as u8);
             body.extend_from_slice(token);
@@ -294,18 +286,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, WireError> {
             b.finish()?;
             Msg::Abort { reason }
         }
-        MsgType::Ping => {
-            let mut b = Body::new("Ping", body);
-            let probe = b.u64()?;
-            b.finish()?;
-            Msg::Ping { probe }
-        }
-        MsgType::Pong => {
-            let mut b = Body::new("Pong", body);
-            let probe = b.u64()?;
-            b.finish()?;
-            Msg::Pong { probe }
-        }
         MsgType::Resume => {
             let mut b = Body::new("Resume", body);
             let mut token = [0u8; AUTH_TOKEN_LEN];
@@ -412,8 +392,6 @@ mod tests {
             Msg::SecondReport { second: 12, bg_bytes: 1_000_000, measured_bytes: 31_250_000 },
             Msg::SlotDone,
             Msg::Abort { reason: AbortReason::ReportTimeout },
-            Msg::Ping { probe: 0x1357_9BDF_0246_8ACE },
-            Msg::Pong { probe: 0x1357_9BDF_0246_8ACE },
             Msg::Resume {
                 token: [7u8; AUTH_TOKEN_LEN],
                 role: PeerRole::Measurer,
@@ -481,6 +459,25 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&frame);
         assert!(matches!(dec.next_msg().unwrap_err(), WireError::UnknownType(0xEE)));
+    }
+
+    /// Protocol v7 dropped the keepalive: its old type tags are unknown
+    /// now, and a v6 peer is refused at its first frame.
+    #[test]
+    fn v7_retired_keepalive_tags_and_v6_frames_are_refused() {
+        assert_eq!(PROTOCOL_VERSION, 7);
+        for tag in [9u8, 10] {
+            let mut frame = encode(&Msg::Ready);
+            frame[LEN_PREFIX + 1] = tag;
+            let mut dec = FrameDecoder::new();
+            dec.push(&frame);
+            assert_eq!(dec.next_msg().unwrap_err(), WireError::UnknownType(tag));
+        }
+        let mut frame = encode(&Msg::Ready);
+        frame[LEN_PREFIX] = 6;
+        let mut dec = FrameDecoder::new();
+        dec.push(&frame);
+        assert_eq!(dec.next_msg().unwrap_err(), WireError::BadVersion { got: 6 });
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod transport;
 pub mod prelude {
     pub use crate::blast::{
         binding_nonce, channel_key, frame_tag, secret_channel_key, BackgroundMeter, BlastError,
-        BlastEvent, BlastParser, BlastPattern, ByteCounter, DataChannelHello, Echoer, TrafficSink,
+        BlastEvent, BlastParser, BlastPattern, ByteCounter, DataChannelHello, Echoer,
         TrafficSource,
     };
     pub use crate::endpoint::Endpoint;

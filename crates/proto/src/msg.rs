@@ -31,10 +31,13 @@
 /// version 6 added the `trace_id` to `MeasureCmd` and `Resume` (the
 /// coordinator-minted correlation key every peer stamps into its own
 /// telemetry, making the per-process JSONL streams one joinable causal
-/// record per item-attempt).
+/// record per item-attempt); version 7 removed the connection
+/// keepalive (type tags 9 and 10 are now unknown: a pooled connection
+/// is reused only inside the serving peer's accept window, so no wire
+/// message checks its liveness).
 /// An older peer is rejected with a clean `BadVersion` error instead of
 /// a confusing body-layout failure.
-pub const PROTOCOL_VERSION: u8 = 6;
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Length of the pre-shared authentication token.
 pub const AUTH_TOKEN_LEN: usize = 32;
@@ -258,21 +261,6 @@ pub enum Msg {
         /// Why.
         reason: AbortReason,
     },
-    /// Coordinator → parked peer: a connection-liveness probe. A
-    /// serving peer awaiting its next `Auth` answers with [`Msg::Pong`]
-    /// echoing the probe value (and refreshes its accept deadline);
-    /// this is what lets a connection pool health-check a warm
-    /// connection that idled across a period gap without starting a
-    /// conversation.
-    Ping {
-        /// Prober-chosen value the `Pong` must echo.
-        probe: u64,
-    },
-    /// Peer → coordinator: answer to [`Msg::Ping`].
-    Pong {
-        /// Echo of the probe value.
-        probe: u64,
-    },
     /// Coordinator → peer: authenticate *and* re-adopt a conversation
     /// begun by an earlier coordinator incarnation. Nonces are derived
     /// deterministically from a journaled measurement secret, so a
@@ -314,8 +302,6 @@ pub(crate) enum MsgType {
     SecondReport = 6,
     SlotDone = 7,
     Abort = 8,
-    Ping = 9,
-    Pong = 10,
     Resume = 11,
 }
 
@@ -330,8 +316,6 @@ impl MsgType {
             6 => Some(MsgType::SecondReport),
             7 => Some(MsgType::SlotDone),
             8 => Some(MsgType::Abort),
-            9 => Some(MsgType::Ping),
-            10 => Some(MsgType::Pong),
             11 => Some(MsgType::Resume),
             _ => None,
         }
@@ -350,8 +334,6 @@ impl Msg {
             Msg::SecondReport { .. } => "SecondReport",
             Msg::SlotDone => "SlotDone",
             Msg::Abort { .. } => "Abort",
-            Msg::Ping { .. } => "Ping",
-            Msg::Pong { .. } => "Pong",
             Msg::Resume { .. } => "Resume",
         }
     }

@@ -155,9 +155,19 @@ pub struct SessionTimeouts {
     pub report: SimDuration,
 }
 
+impl SessionTimeouts {
+    /// The timeouts serving peers run every session with. `handshake`
+    /// is also how long a parked connection's next session waits for
+    /// its `Auth`.
+    pub const DEFAULT: SessionTimeouts = SessionTimeouts {
+        handshake: SimDuration::from_secs(10),
+        report: SimDuration::from_secs(5),
+    };
+}
+
 impl Default for SessionTimeouts {
     fn default() -> Self {
-        SessionTimeouts { handshake: SimDuration::from_secs(10), report: SimDuration::from_secs(5) }
+        SessionTimeouts::DEFAULT
     }
 }
 
@@ -747,13 +757,6 @@ impl MeasurerSession {
 
     fn on_msg(&mut self, now: SimTime, msg: Msg) {
         match (self.phase, msg) {
-            // A liveness probe on a parked connection: answer and
-            // refresh the accept deadline — the prober (a connection
-            // pool at checkout) is about to start a conversation.
-            (MeasurerPhase::AwaitAuth, Msg::Ping { probe }) => {
-                self.send(Msg::Pong { probe });
-                self.deadline = Some(now + self.timeouts.handshake);
-            }
             (MeasurerPhase::AwaitAuth, Msg::Auth { token, role, nonce }) => {
                 if token != self.expected_token || role != self.expected_role {
                     self.fail(AbortReason::AuthFailed, true);
@@ -1124,37 +1127,22 @@ mod tests {
     }
 
     #[test]
-    fn parked_session_answers_pings_and_still_accepts_auth() {
+    fn parked_session_fails_on_a_retired_keepalive_frame() {
+        // Type 9 was the keepalive probe before protocol v7: a parked
+        // session now treats it as any unknown frame and fails,
+        // answering nothing but its abort.
         let token = [8u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts {
-            handshake: SimDuration::from_secs(5),
-            report: SimDuration::from_secs(2),
-        };
-        let mut meas = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
-        meas.on_tick(SimTime::ZERO); // accept deadline armed at t+5
-        meas.receive(SimTime::from_secs(4), &encode(&Msg::Ping { probe: 0xABCD }));
-        assert_eq!(meas.phase(), MeasurerPhase::AwaitAuth, "ping does not open a conversation");
+        let mut meas =
+            MeasurerSession::new(token, PeerRole::Measurer, 1, SessionTimeouts::default());
+        meas.on_tick(SimTime::ZERO);
+        let mut frame = encode(&Msg::Ready);
+        frame[crate::frame::LEN_PREFIX + 1] = 9;
+        meas.receive(SimTime::from_secs(1), &frame);
+        assert_eq!(meas.phase(), MeasurerPhase::Failed);
         let mut dec = FrameDecoder::new();
-        dec.push(&meas.poll_outbound().expect("pong"));
-        assert_eq!(dec.next_msg().unwrap(), Some(Msg::Pong { probe: 0xABCD }));
-        // The keepalive refreshed the accept deadline: t=8 is past the
-        // original t+5 but within 5 s of the ping.
-        meas.on_tick(SimTime::from_secs(8));
-        assert_eq!(meas.phase(), MeasurerPhase::AwaitAuth, "keepalive extended the lease");
-        // And a real conversation still opens normally afterwards.
-        meas.receive(
-            SimTime::from_secs(8),
-            &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x44 }),
-        );
-        assert_eq!(meas.phase(), MeasurerPhase::AwaitCmd);
-        // Mid-conversation pings are protocol violations, as before.
-        let mut running = MeasurerSession::new(token, PeerRole::Measurer, 2, t);
-        running.receive(
-            SimTime::ZERO,
-            &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x45 }),
-        );
-        running.receive(SimTime::ZERO, &encode(&Msg::Ping { probe: 1 }));
-        assert_eq!(running.phase(), MeasurerPhase::Failed);
+        dec.push(&meas.poll_outbound().expect("abort frame"));
+        assert_eq!(dec.next_msg().unwrap(), Some(Msg::Abort { reason: AbortReason::Malformed }));
+        assert_eq!(meas.poll_outbound(), None);
     }
 
     #[test]

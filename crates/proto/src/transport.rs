@@ -158,17 +158,15 @@ impl<T: Transport + ?Sized> Transport for &mut T {
     }
 }
 
-/// A [`Transport`] decorator that **defers** `close`: the underlying
+/// A [`Transport`] decorator that **ignores** `close`: the underlying
 /// connection stays open so it can serve another session.
 ///
-/// Pooled connections need this. An
+/// A serving peer loops conversations on one connection. An
 /// [`Endpoint`](crate::endpoint::Endpoint) hangs up the moment its
 /// session is terminal — correct for one-shot conversations, fatal for a
-/// warm connection a pool wants back. A lease records the close request
-/// instead of executing it; the owner inspects
-/// [`LeasedTransport::close_requested`], resets it with
-/// [`LeasedTransport::reset_close`] before the next session, or tears
-/// the real connection down with [`LeasedTransport::into_inner`].
+/// connection that should carry the next one. A lease drops the hang-up;
+/// the owner takes the lease back from the endpoint and starts the next
+/// session on it, or drops it to really close the connection.
 ///
 /// The anti-flood property the endpoint's hang-up protects is preserved:
 /// a terminal endpoint stops reading regardless, so a flooding peer
@@ -177,33 +175,17 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 #[derive(Debug)]
 pub struct LeasedTransport<T: Transport> {
     inner: T,
-    close_requested: bool,
 }
 
 impl<T: Transport> LeasedTransport<T> {
     /// Leases `inner` out for (re)use across sessions.
     pub fn new(inner: T) -> Self {
-        LeasedTransport { inner, close_requested: false }
-    }
-
-    /// True once some driver called [`Transport::close`] on the lease.
-    pub fn close_requested(&self) -> bool {
-        self.close_requested
-    }
-
-    /// Clears the deferred close before starting another session.
-    pub fn reset_close(&mut self) {
-        self.close_requested = false;
+        LeasedTransport { inner }
     }
 
     /// The wrapped transport.
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-
-    /// Unwraps the lease *without* closing the connection.
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 }
 
@@ -220,9 +202,7 @@ impl<T: Transport> Transport for LeasedTransport<T> {
     fn readiness(&mut self, now: SimTime) -> Readiness {
         self.inner.readiness(now)
     }
-    fn close(&mut self) {
-        self.close_requested = true;
-    }
+    fn close(&mut self) {}
     fn backlog(&self) -> usize {
         self.inner.backlog()
     }
@@ -457,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn leased_transport_defers_close_across_sessions() {
+    fn leased_transport_ignores_close_across_sessions() {
         let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut lease = LeasedTransport::new(a);
         let t = SimTime::ZERO;
@@ -465,14 +445,11 @@ mod tests {
         assert_eq!(b.recv(t).unwrap(), b"session 1");
         // A driver "hangs up" — the wire survives.
         lease.close();
-        assert!(lease.close_requested());
-        lease.reset_close();
         lease.send(t, b"session 2").unwrap();
-        assert_eq!(b.recv(t).unwrap(), b"session 2", "connection survived the deferred close");
-        // Unwrapping keeps it open; a real close still works.
-        let mut inner = lease.into_inner();
-        inner.send(t, b"still open").unwrap();
-        assert_eq!(b.recv(t).unwrap(), b"still open");
+        assert_eq!(b.recv(t).unwrap(), b"session 2", "connection survived the ignored close");
+        // The owner still reaches the real connection to close it.
+        lease.inner_mut().close();
+        assert_eq!(b.readiness(t), Readiness::Closed);
     }
 
     #[test]

@@ -362,10 +362,12 @@ fn blast_would_block_backpressure_never_tears_frames() {
 
 /// A data connection that dies mid-blast must stop the source in
 /// bounded rounds (error recorded, no wedging, counters frozen at what
-/// actually moved) and surface as a closed stream at the sink.
+/// actually moved) and surface as a closed stream at the receiver, a
+/// bare [`BlastParser`] fed from `Transport::recv` as the measurer's
+/// echo channel feeds it.
 #[test]
 fn mid_blast_disconnect_stops_source_and_sink_in_bounded_rounds() {
-    use flashflow_proto::blast::{SourceState, TrafficSink, TrafficSource};
+    use flashflow_proto::blast::{BlastParser, SourceState, TrafficSource};
 
     for base in [duplex_pair(), tcp_pair()] {
         let name = base.name;
@@ -374,21 +376,28 @@ fn mid_blast_disconnect_stops_source_and_sink_in_bounded_rounds() {
         // the fault on wall time/calls instead: trip explicitly after a
         // few pumped rounds.
         let mut faulty = FaultyTransport::new(base.a, FaultMode::Disconnect);
-        let mut sink = TrafficSink::new(base.b);
+        let mut sink = base.b;
+        let mut parser = BlastParser::new();
+        // Set once the receiving transport reports the connection gone.
+        let mut closed = false;
         let mut src_rounds = 0u64;
         let mut src = {
             let mut s = TrafficSource::new(&mut faulty, 0xDEAD, 0);
             s.set_rate_cap(100_000);
             s.greet(now_for(0));
             s.start(now_for(0));
-            sink.start(now_for(0));
             s
         };
         let mut tripped = false;
         for round in 0..2000u64 {
             let now = now_for(round);
             src.pump(now);
-            let _ = sink.pump(now).expect("pre-trip stream is clean");
+            match sink.recv(now) {
+                Ok(bytes) => {
+                    parser.push(&bytes).expect("pre-trip stream is clean");
+                }
+                Err(_) => closed = true,
+            }
             src_rounds = round;
             if round == 20 && !tripped {
                 tripped = true;
@@ -405,18 +414,23 @@ fn mid_blast_disconnect_stops_source_and_sink_in_bounded_rounds() {
             src_rounds < 100,
             "[{name}] disconnect took {src_rounds} rounds to stop the source"
         );
-        let received_at_death = sink.received_total();
-        assert_eq!(sink.corrupt_total(), 0, "[{name}] pre-trip bytes verified");
-        // The sink drains what was in flight, then observes the close.
+        let received_at_death = parser.received_total();
+        assert_eq!(parser.corrupt_total(), 0, "[{name}] pre-trip bytes verified");
+        // The receiver drains what was in flight, then observes the close.
         for round in 0..2000u64 {
-            let _ = sink.pump(now_for(round));
-            if sink.transport_error().is_some() {
+            if closed {
                 break;
+            }
+            match sink.recv(now_for(round)) {
+                Ok(bytes) => {
+                    let _ = parser.push(&bytes);
+                }
+                Err(_) => closed = true,
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(sink.transport_error().is_some(), "[{name}] sink never saw the disconnect");
-        assert!(sink.received_total() >= received_at_death, "[{name}] counters moved backwards");
+        assert!(closed, "[{name}] sink never saw the disconnect");
+        assert!(parser.received_total() >= received_at_death, "[{name}] counters moved backwards");
     }
 }
 

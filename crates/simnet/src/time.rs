@@ -113,7 +113,7 @@ impl SimDuration {
     }
 
     /// Raw nanoseconds.
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

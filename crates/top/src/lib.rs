@@ -94,14 +94,12 @@ impl TargetView {
 /// Aggregated pool counters from the latest `pool.stats` event.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PoolView {
-    /// Fresh dials / warm reuses / discards / keepalive probes / idle depth.
+    /// Fresh dials.
     pub dials: u64,
     /// Checkouts satisfied warm.
     pub reuses: u64,
-    /// Idle connections discarded.
+    /// Connections closed instead of parked or reused.
     pub discarded: u64,
-    /// Keepalive probes sent.
-    pub probes: u64,
     /// Idle connections parked.
     pub idle: u64,
     /// True once any `pool.stats` event arrived.
@@ -189,7 +187,6 @@ impl TopState {
                     dials: ev.u64_field("dials").unwrap_or(0),
                     reuses: ev.u64_field("reuses").unwrap_or(0),
                     discarded: ev.u64_field("discarded").unwrap_or(0),
-                    probes: ev.u64_field("probes").unwrap_or(0),
                     idle: ev.u64_field("idle").unwrap_or(0),
                     seen: true,
                 };
@@ -254,12 +251,8 @@ impl TopState {
         if self.pool.seen {
             let _ = writeln!(
                 out,
-                "  pool: {} dials · {} reuses · {} discarded · {} probes · {} idle",
-                self.pool.dials,
-                self.pool.reuses,
-                self.pool.discarded,
-                self.pool.probes,
-                self.pool.idle,
+                "  pool: {} dials · {} reuses · {} discarded · {} idle",
+                self.pool.dials, self.pool.reuses, self.pool.discarded, self.pool.idle,
             );
         }
         out
