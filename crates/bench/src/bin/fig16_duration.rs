@@ -1,17 +1,16 @@
 //! Figure 16 (Appendix E.3): measurement-duration strategies — the CDF
 //! of relative accuracy when summarising the same 60-second runs by the
-//! median of their first 10, 20, 30, or all 60 seconds.
+//! §4.1 estimate of their first 10, 20, 30, or all 60 seconds.
 //!
 //! Paper: the 30-second median has the tightest range (0.84–1.01 of
 //! ground truth) and is chosen as the deployment setting.
 
 use flashflow_bench::{compare, header, print_cdf};
-use flashflow_core::measure::{run_measurement, Assignment};
+use flashflow_core::measure::{estimate, run_measurement, Assignment, SecondSample};
 use flashflow_core::params::Params;
 use flashflow_core::verify::TargetBehavior;
 use flashflow_simnet::host::Net;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::stats::median;
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayConfig;
@@ -25,7 +24,7 @@ fn main() {
     let limits: [Option<f64>; 4] = [Some(250.0), Some(500.0), Some(750.0), None];
 
     // Collect 60-second per-second series across configurations.
-    let mut runs: Vec<(Vec<f64>, f64)> = Vec::new(); // (z series, ground truth)
+    let mut runs: Vec<(Vec<SecondSample>, f64, f64)> = Vec::new(); // (seconds, ratio, ground truth)
     for (li, limit) in limits.iter().enumerate() {
         let gt = limit
             .map(|v| Rate::from_mbit(v).bytes_per_sec())
@@ -59,15 +58,21 @@ fn main() {
                 TargetBehavior::Honest,
                 &mut rng,
             );
-            let z: Vec<f64> = m.seconds.iter().map(|s| s.z).collect();
-            runs.push((z, gt));
+            runs.push((m.seconds, tor.relay(relay).config.ratio, gt));
         }
     }
 
     let mut best: Option<(&str, f64)> = None;
     for (label, k) in [("10s", 10usize), ("20s", 20), ("30s", 30), ("60s", 60)] {
-        let fractions: Vec<f64> =
-            runs.iter().map(|(z, gt)| median(&z[..k.min(z.len())]).unwrap_or(0.0) / gt).collect();
+        let fractions: Vec<f64> = runs
+            .iter()
+            .map(|(seconds, ratio, gt)| {
+                let first = &seconds[..k.min(seconds.len())];
+                let x: Vec<f64> = first.iter().map(|s| s.x).collect();
+                let y: Vec<f64> = first.iter().map(|s| s.y_reported).collect();
+                estimate(&x, &y, *ratio).1.bytes_per_sec() / gt
+            })
+            .collect();
         print_cdf(&format!("{label} median, fraction of capacity"), &fractions, 7);
         let lo = fractions.iter().cloned().fold(f64::MAX, f64::min);
         let hi = fractions.iter().cloned().fold(f64::MIN, f64::max);

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 use flashflow_core::bwauth::EchoRound;
 use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
-use flashflow_core::engine::{EngineEvent, EngineSnapshot, PeerDirectory};
+use flashflow_core::engine::{EngineEvent, EngineSnapshot};
 // Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
 pub use flashflow_core::observe::hex_fp as hex;
 use flashflow_core::pool::ConnectionPool;

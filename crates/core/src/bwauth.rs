@@ -6,6 +6,11 @@
 //! and emits a *bandwidth file* with a capacity estimate per relay. The
 //! DirAuths then take the median across BWAuths, so a minority of
 //! malicious authorities cannot move a relay's weight.
+//!
+//! The deployed twin is [`measure_echo_period`]: one round against
+//! real processes, whose [`EchoPeriodFile`] takes every estimate and
+//! audit count from the round's
+//! [`EngineSnapshot`](crate::engine::EngineSnapshot).
 
 use std::collections::BTreeMap;
 
@@ -140,11 +145,9 @@ pub struct EchoPeriodFile {
     pub entries: Vec<EchoEntry>,
     /// Every engine event of the round, per-item order preserved.
     pub events: Vec<crate::engine::EngineEvent>,
-    /// The sample quarantine, fed with every event; item `g` of its
-    /// per-item views is `entries[g]`.
-    pub ledger: crate::engine::SampleLedger,
-    /// Final state of every conversation (the directory `ledger`'s
-    /// views take), peers numbered item by item with the relay last.
+    /// Final state and reports of every conversation, peers numbered
+    /// item by item with the relay last; item `g` of its per-item views
+    /// is `entries[g]`.
     pub peers: crate::engine::EngineSnapshot,
     /// The pool's dial/reuse/probe/discard counts after the round.
     pub pool: crate::pool::PoolStats,
@@ -161,7 +164,7 @@ pub struct EchoPeriodFile {
 /// The per-item estimate is §4.1's: `z_j = x_j + min(y_j, r·z_j)` per
 /// second (echoed measurement bytes plus ratio-clamped background),
 /// median over seconds — computed from clean sessions only, with the
-/// ledger's cross-check rows surfaced per entry.
+/// snapshot's cross-check rows surfaced per entry.
 pub fn measure_echo_period(
     deployment: &crate::echo::EchoDeployment,
     items: &[crate::echo::EchoItem],
@@ -187,8 +190,8 @@ pub fn measure_echo_period_observed(
     round.finish(peers, pool)
 }
 
-/// One echo round being recorded: its events, its sample ledger and,
-/// when given a span, its telemetry, fed while the round runs and turned
+/// One echo round being recorded: its events and, when given a span,
+/// its telemetry, fed while the round runs and turned
 /// into the round's [`EchoPeriodFile`] when it ends.
 /// [`measure_echo_period_observed`] wraps one around
 /// [`crate::echo::run_round`]; a caller that keeps two rounds in flight
@@ -198,7 +201,6 @@ pub struct EchoRound {
     ratio: f64,
     spans: Option<crate::observe::RoundSpans>,
     events: Vec<crate::engine::EngineEvent>,
-    ledger: crate::engine::SampleLedger,
 }
 
 impl EchoRound {
@@ -210,14 +212,11 @@ impl EchoRound {
         items: &[crate::echo::EchoItem],
         span: Option<&flashflow_obs::Span>,
     ) -> EchoRound {
-        let mut ledger = crate::engine::SampleLedger::new();
-        ledger.set_bg_ratio(deployment.ratio);
         EchoRound {
             items: items.to_vec(),
             ratio: deployment.ratio,
             spans: span.map(|span| crate::observe::RoundSpans::start(span, deployment, items)),
             events: Vec::new(),
-            ledger,
         }
     }
 
@@ -231,39 +230,31 @@ impl EchoRound {
         if let Some(spans) = &self.spans {
             spans.engine_event(&event);
         }
-        self.ledger.observe(&event);
         self.events.push(event);
     }
 
-    /// Ends the round: §4.1's estimate per item from the ledger and the
-    /// round's final directory `peers`, with the audit trail emitted
-    /// after it and `pool`'s counters as they stand now.
+    /// Ends the round: §4.1's estimate per item from the round's
+    /// record `peers`, with the audit trail emitted after it and
+    /// `pool`'s counters as they stand now.
     pub fn finish(
         self,
         peers: crate::engine::EngineSnapshot,
         pool: &crate::pool::ConnectionPool,
     ) -> EchoPeriodFile {
-        use flashflow_simnet::stats::median;
-
-        let EchoRound { items, ratio, spans, events, ledger } = self;
+        let EchoRound { items, ratio, spans, events } = self;
         let entries = items
             .iter()
             .enumerate()
-            .map(|(g, item)| {
-                let (x, y) = ledger.merged_series(&peers, g);
-                let seconds = crate::measure::build_second_samples(&x, &y, ratio);
-                let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-                EchoEntry {
-                    relay_fp: item.relay_fp,
-                    capacity: Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0)),
-                    clean: peers.item_clean(g),
-                    divergent_rows: ledger.divergent_count(&peers, g),
-                }
+            .map(|(g, item)| EchoEntry {
+                relay_fp: item.relay_fp,
+                capacity: peers.estimate(g, ratio).1,
+                clean: peers.item_clean(g),
+                divergent_rows: peers.divergent_count(g, ratio),
             })
             .collect();
-        let file = EchoPeriodFile { entries, events, ledger, peers, pool: pool.stats() };
+        let file = EchoPeriodFile { entries, events, peers, pool: pool.stats() };
         if let Some(spans) = &spans {
-            spans.audit(&items, &file);
+            spans.audit(&items, &file, ratio);
         }
         file
     }

@@ -12,9 +12,9 @@
 //! carries the relay's data endpoint and a per-item measurement secret;
 //! measurers derive the public hello binding nonce and the secret frame
 //! tag key from it, the relay accepts exactly that nonce, and the
-//! ledger pairs the relay's echo claim against the k measurers'
-//! aggregated reports (plus the background-plausibility bound) — see
-//! [`SampleLedger::rows`](crate::engine::SampleLedger::rows).
+//! round's [`EngineSnapshot`] pairs the relay's echo claim against the
+//! k measurers' aggregated reports (plus the background-plausibility
+//! bound) — see [`EngineSnapshot::rows`].
 //!
 //! [`run_rounds`] is the one driving loop. Every item of a round is an
 //! item of a single [`MeasurementEngine`], so a round's items run
@@ -28,7 +28,7 @@
 //! * Round n+1's engine holds its `Go` barrier until round n's last
 //!   `Go` plus one slot ([`EngineBuilder::go_not_before`]), and releases
 //!   it in the first step after that. Slots follow each other back to
-//!   back, and handshakes, report lag, the ledger and the caller's
+//!   back, and handshakes, report lag, the estimate and the caller's
 //!   journal writes overlap the slot before.
 //! * Staging starts no earlier than round n's slot end minus half the
 //!   session handshake timeout, so an armed session never waits for its
@@ -232,8 +232,7 @@ fn add_item(
         let (conn, peer) = checkout_or_dead(pool, addr);
         dialed.push(peer);
         let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
-        let mut session = CoordinatorSession::new(token, role, spec, nonce, timeouts)
-            .with_report_ahead_cap(item.slot_secs + 2);
+        let mut session = CoordinatorSession::new(token, role, spec, nonce, timeouts);
         if item.resume {
             if let Some(prior) = item.attempt.checked_sub(1) {
                 session = session.resuming(peer_nonce(item.measurement_secret, peer_ix, prior));
@@ -288,7 +287,7 @@ pub trait RoundSource {
 
     /// Round `round` ended: every conversation is terminal and the clean
     /// ones' connections are back in the pool. `peers` is the round's
-    /// detached directory.
+    /// record.
     fn finished(&mut self, round: usize, peers: EngineSnapshot);
 }
 
@@ -434,7 +433,7 @@ impl Staged {
 
     /// Ends a finished round: stops watching its sockets, parks what
     /// ended cleanly (everything else really closes when the engine
-    /// drops), and hands the detached directory to `source`.
+    /// drops), and hands the round's record to `source`.
     fn finish(self, poller: Option<&Poller>, source: &mut dyn RoundSource) {
         let Staged { round, engine, reuse, watched, .. } = self;
         if let Some(poller) = poller {
@@ -579,8 +578,8 @@ pub fn run_rounds(
 /// Runs one round of echo items to completion on the calling thread:
 /// [`run_rounds`] with a source of one round. `emit` sees every engine
 /// event, in engine order, as it happens. The returned snapshot is the
-/// round's peer directory, detached so the engine could be dropped
-/// (which is what hands the clean connections back to `pool`).
+/// round's record, detached so the engine could be dropped (which is
+/// what hands the clean connections back to `pool`).
 pub fn run_round(
     deployment: &EchoDeployment,
     items: &[EchoItem],
@@ -627,8 +626,9 @@ mod tests {
 
     /// A stand-in peer process on threads: serves `role` conversations
     /// back to back on every connection it accepts, reporting one second
-    /// per sped-up second after `Go`, until `stop`.
-    fn peer(role: PeerRole, stop: &Arc<AtomicBool>) -> SocketAddr {
+    /// per sped-up second after `Go` (or, if `flood`, the whole slot at
+    /// `Go`), until `stop`.
+    fn peer(role: PeerRole, flood: bool, stop: &Arc<AtomicBool>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         listener.set_nonblocking(true).expect("nonblocking");
@@ -638,7 +638,7 @@ mod tests {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let stop = Arc::clone(&stop);
-                        std::thread::spawn(move || converse(stream, role, &stop));
+                        std::thread::spawn(move || converse(stream, role, flood, &stop));
                     }
                     Err(_) => std::thread::sleep(Duration::from_millis(1)),
                 }
@@ -647,7 +647,7 @@ mod tests {
         addr
     }
 
-    fn converse(stream: TcpStream, role: PeerRole, stop: &AtomicBool) {
+    fn converse(stream: TcpStream, role: PeerRole, flood: bool, stop: &AtomicBool) {
         let mut leased = LeasedTransport::new(TcpTransport::from_stream(stream).expect("wrap"));
         let t0 = Instant::now();
         for id in 0.. {
@@ -667,7 +667,8 @@ mod tests {
                     }
                 }
                 if let Some((go, slot)) = started {
-                    let due = (go.elapsed().as_secs_f64() * SPEEDUP) as u32;
+                    let due =
+                        if flood { slot } else { (go.elapsed().as_secs_f64() * SPEEDUP) as u32 };
                     while reported < slot.min(due) && !endpoint.is_terminal() {
                         endpoint.session_mut().report_second(0, 1_000);
                         reported += 1;
@@ -688,12 +689,12 @@ mod tests {
     /// serving until `stop`.
     fn deployment(stop: &Arc<AtomicBool>) -> EchoDeployment {
         let measurer = EchoMeasurer {
-            addr: peer(PeerRole::Measurer, stop),
+            addr: peer(PeerRole::Measurer, false, stop),
             token: TOKEN,
             rate_cap: 1_000,
             sockets: 1,
         };
-        let relay = TargetEndpoint::from_addr(peer(PeerRole::Target, stop)).expect("IPv4");
+        let relay = TargetEndpoint::from_addr(peer(PeerRole::Target, false, stop)).expect("IPv4");
         EchoDeployment {
             measurers: vec![measurer],
             relay,
@@ -762,6 +763,26 @@ mod tests {
         // published through it.
         stop.store(true, Ordering::Relaxed);
         assert_eq!(source.clean, BTreeMap::from([(0, true), (1, true)]), "{:?}", source.events);
+    }
+
+    #[test]
+    fn a_measurer_reporting_its_whole_slot_at_go_is_flooded() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut deployment = deployment(&stop);
+        deployment.measurers[0].addr = peer(PeerRole::Measurer, true, &stop);
+        // A slot long enough that the last reports lead the coordinator's
+        // clock by more than the cap for over a second of real time.
+        let mut source = Recorder::new(vec![vec![EchoItem { slot_secs: 40, ..item(100) }]]);
+        run_rounds(&deployment, &ConnectionPool::new(), &mut source);
+        // ORDERING: a stop flag the peer threads poll; nothing is
+        // published through it.
+        stop.store(true, Ordering::Relaxed);
+        let flooded = source.events.iter().any(|(_, e)| {
+            matches!(e, EngineEvent::PeerFailed { peer, reason: AbortReason::Flooded }
+                if peer.index() == 0)
+        });
+        assert!(flooded, "{:?}", source.events);
+        assert_eq!(source.clean, BTreeMap::from([(0, false)]));
     }
 
     #[test]

@@ -27,17 +27,24 @@
 //! boundary, so a stalling peer delays only its own item.
 //!
 //! Security invariant carried over from the sessions: per-second samples
-//! are quarantined per peer by [`SampleLedger`] and only merged into an
-//! estimate if that peer's session ended cleanly ([`CoordPhase::Done`]),
-//! so a peer that lies and then stalls contributes nothing.
+//! are kept per peer and only merged into an estimate if that peer's
+//! session ended cleanly ([`CoordPhase::Done`]), so a peer that lies and
+//! then stalls contributes nothing. A round's whole record, every peer's
+//! reports beside how its session ended, is the [`EngineSnapshot`]: it
+//! answers the audit ([`EngineSnapshot::rows`]), the quarantine
+//! ([`EngineSnapshot::merged_series`]) and §4.1's estimate
+//! ([`EngineSnapshot::estimate`]).
 
 use std::collections::VecDeque;
 
 use flashflow_proto::endpoint::Endpoint;
-use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole};
+use flashflow_proto::msg::{AbortReason, PeerRole};
 use flashflow_proto::session::{CoordAction, CoordPhase, CoordinatorSession};
 use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
+use flashflow_simnet::units::Rate;
+
+use crate::measure::SecondSample;
 
 /// Pump rounds one [`MeasurementEngine::step`] will run before declaring
 /// the tick done anyway. Endpoints hang up once their session is
@@ -113,11 +120,17 @@ pub enum EngineEvent {
     },
 }
 
+/// One per-second report as the engine received it: `(second, bg,
+/// measured)`.
+type Report = (u32, u64, u64);
+
 /// One conversation: a coordinator session bound to its transport, plus
 /// engine bookkeeping.
 struct Channel {
     endpoint: Endpoint<CoordinatorSession, Box<dyn Transport>>,
     item: usize,
+    /// Every report the peer sent, in order.
+    reports: Vec<Report>,
 }
 
 /// Builder for a [`MeasurementEngine`].
@@ -164,7 +177,8 @@ impl EngineBuilder {
         transport: Box<dyn Transport>,
     ) -> PeerId {
         let id = PeerId(self.channels.len());
-        self.channels.push(Channel { endpoint: Endpoint::new(session, transport), item });
+        let endpoint = Endpoint::new(session, transport);
+        self.channels.push(Channel { endpoint, item, reports: Vec::new() });
         id
     }
 
@@ -233,11 +247,6 @@ impl MeasurementEngine {
         EngineBuilder::new()
     }
 
-    /// Number of conversations.
-    pub fn peer_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Number of measurement items (max item index + 1).
     pub fn item_count(&self) -> usize {
         self.go_released.len()
@@ -248,30 +257,9 @@ impl MeasurementEngine {
         (0..self.channels.len()).map(PeerId)
     }
 
-    /// The item a peer belongs to.
-    pub fn item(&self, peer: PeerId) -> usize {
-        self.channels[peer.0].item
-    }
-
     /// The peer's current phase.
     pub fn phase(&self, peer: PeerId) -> CoordPhase {
         self.channels[peer.0].endpoint.session().phase()
-    }
-
-    /// The role commanded of the peer.
-    pub fn role(&self, peer: PeerId) -> PeerRole {
-        self.channels[peer.0].endpoint.session().role()
-    }
-
-    /// The command the peer's session was built around.
-    pub fn spec(&self, peer: PeerId) -> MeasureSpec {
-        self.channels[peer.0].endpoint.session().spec()
-    }
-
-    /// Control frames (sent, received) by the peer's coordinator session.
-    pub fn frames(&self, peer: PeerId) -> (u64, u64) {
-        let s = self.channels[peer.0].endpoint.session();
-        (s.frames_tx, s.frames_rx)
     }
 
     /// Bytes the peer's transport accepted but the wire has not taken
@@ -288,12 +276,6 @@ impl MeasurementEngine {
     /// Next queued event, if any.
     pub fn poll_event(&mut self) -> Option<EngineEvent> {
         self.events.pop_front()
-    }
-
-    /// Aborts one conversation (its peer is notified if the wire still
-    /// works).
-    pub fn abort_peer(&mut self, peer: PeerId, reason: AbortReason) {
-        self.channels[peer.0].endpoint.session_mut().abort(reason);
     }
 
     /// Aborts every live conversation (operator shutdown, hard wall).
@@ -405,6 +387,7 @@ impl MeasurementEngine {
                 let event = match action {
                     CoordAction::PeerReady => EngineEvent::PeerReady { peer },
                     CoordAction::Sample { second, bg_bytes, measured_bytes } => {
+                        c.reports.push((second, bg_bytes, measured_bytes));
                         EngineEvent::Sample { peer, item, second, bg_bytes, measured_bytes }
                     }
                     CoordAction::PeerDone => EngineEvent::PeerDone { peer },
@@ -470,59 +453,24 @@ impl MeasurementEngine {
     }
 }
 
-/// What [`SampleLedger::merged_series`] needs to know about each peer:
-/// who belongs to which item, how their session ended, and what they
-/// were commanded. Implemented by the live [`MeasurementEngine`] and by
-/// the detached [`EngineSnapshot`], so merging works both inside a
-/// driver loop and after the engine has been dropped to hand its
-/// transports back (pooled connections park when the engine lets go).
-pub trait PeerDirectory {
-    /// Number of conversations.
-    fn peer_count(&self) -> usize;
-    /// The item a peer belongs to.
-    fn item(&self, peer: PeerId) -> usize;
-    /// The peer's final (or current) phase.
-    fn phase(&self, peer: PeerId) -> CoordPhase;
-    /// The role commanded of the peer.
-    fn role(&self, peer: PeerId) -> PeerRole;
-    /// The command the peer's session was built around.
-    fn spec(&self, peer: PeerId) -> MeasureSpec;
-}
-
-impl PeerDirectory for MeasurementEngine {
-    fn peer_count(&self) -> usize {
-        MeasurementEngine::peer_count(self)
-    }
-    fn item(&self, peer: PeerId) -> usize {
-        MeasurementEngine::item(self, peer)
-    }
-    fn phase(&self, peer: PeerId) -> CoordPhase {
-        MeasurementEngine::phase(self, peer)
-    }
-    fn role(&self, peer: PeerId) -> PeerRole {
-        MeasurementEngine::role(self, peer)
-    }
-    fn spec(&self, peer: PeerId) -> MeasureSpec {
-        MeasurementEngine::spec(self, peer)
-    }
-}
-
 /// One peer's record inside an [`EngineSnapshot`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct PeerRecord {
     item: usize,
     role: PeerRole,
-    spec: MeasureSpec,
+    slot_secs: u32,
     phase: CoordPhase,
     frames_tx: u64,
     frames_rx: u64,
+    reports: Vec<Report>,
 }
 
-/// A detached record of an engine's conversations — everything
-/// aggregation needs (items, roles, specs, terminal phases, frame
-/// counters) without the engine's transports: what a finished round
-/// returns as its audit trail. [`SampleLedger::merged_series`] accepts
-/// it wherever it accepts the live engine.
+/// A detached record of an engine's conversations — items, roles,
+/// terminal phases, frame counters and every peer's per-second reports,
+/// without the engine's transports: what a finished round returns. Its
+/// per-item views are the round's audit ([`EngineSnapshot::rows`]), its
+/// quarantine ([`EngineSnapshot::merged_series`]) and §4.1's estimate
+/// ([`EngineSnapshot::estimate`]).
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     peers: Vec<PeerRecord>,
@@ -540,6 +488,21 @@ impl EngineSnapshot {
         (0..self.peers.len()).map(PeerId)
     }
 
+    /// The item a peer belongs to.
+    pub fn item(&self, peer: PeerId) -> usize {
+        self.peers[peer.0].item
+    }
+
+    /// The peer's final phase.
+    pub fn phase(&self, peer: PeerId) -> CoordPhase {
+        self.peers[peer.0].phase
+    }
+
+    /// The role commanded of the peer.
+    pub fn role(&self, peer: PeerId) -> PeerRole {
+        self.peers[peer.0].role
+    }
+
     /// Control frames (sent, received) by the peer's coordinator session.
     pub fn frames(&self, peer: PeerId) -> (u64, u64) {
         let p = &self.peers[peer.0];
@@ -553,26 +516,131 @@ impl EngineSnapshot {
 
     /// True if every conversation of `item` ended [`CoordPhase::Done`].
     pub fn item_clean(&self, item: usize) -> bool {
-        self.peers.iter().filter(|p| p.item == item).all(|p| p.phase == CoordPhase::Done)
+        self.of_item(item).all(|(_, p)| p.phase == CoordPhase::Done)
+    }
+
+    /// `item`'s peers, in assignment order.
+    fn of_item(&self, item: usize) -> impl Iterator<Item = (PeerId, &PeerRecord)> {
+        self.peers
+            .iter()
+            .enumerate()
+            .filter(move |(_, p)| p.item == item)
+            .map(|(ix, p)| (PeerId(ix), p))
+    }
+
+    /// Per-second **echoed measurement bytes** of `item`, aggregated
+    /// across its k measurers' reports (every measurer of the item,
+    /// regardless of how its session ended — this feeds the audit view;
+    /// the estimate-side quarantine lives in
+    /// [`EngineSnapshot::merged_series`]).
+    pub fn echoed_series(&self, item: usize) -> Vec<u64> {
+        let mut series = Vec::new();
+        for (_, p) in self.of_item(item).filter(|(_, p)| p.role == PeerRole::Measurer) {
+            for &(second, _, measured_bytes) in &p.reports {
+                add_at(&mut series, second, measured_bytes);
+            }
+        }
+        series
+    }
+
+    /// The reported-vs-cross-checked view of `item`: one row per (peer,
+    /// second) that was reported. Measurer rows carry the reported echo
+    /// alone (it *is* the cross-check, summed into the target's row);
+    /// target rows pair the relay's echo claim with the k measurers'
+    /// aggregated reports and bound its background claim by
+    /// plausibility (`bg ≤ r/(1−r) ·` echoed, within tolerance, for the
+    /// background ratio `ratio`) — the TorMult-shaped channel where a
+    /// relay inflates the client traffic it never carried. Rows cover
+    /// every peer of the item regardless of how its session ended —
+    /// this is the audit view; the quarantine lives in
+    /// [`EngineSnapshot::merged_series`].
+    pub fn rows(&self, item: usize, ratio: f64) -> Vec<LedgerRow> {
+        let echoed = self.echoed_series(item);
+        let bg_bound = ratio / (1.0 - ratio);
+        let mut rows = Vec::new();
+        for (peer, p) in self.of_item(item) {
+            for &(second, bg_bytes, measured_bytes) in &p.reports {
+                let reported = measured_bytes;
+                let counted = match p.role {
+                    PeerRole::Measurer => None,
+                    // The k measurers' summed echo reports: the other
+                    // side of the same bytes the relay claims it echoed.
+                    PeerRole::Target => echoed.get(second as usize).copied(),
+                };
+                let mut divergent = match counted {
+                    // Agreement within the tolerance is the honest
+                    // case. A reporting-only target (echo claim zero,
+                    // the simulated path) has nothing to cross-check.
+                    Some(c) if reported > 0 => {
+                        let hi = reported.max(c) as f64;
+                        hi > 0.0 && (reported as f64 - c as f64).abs() > DIVERGENCE_TOLERANCE * hi
+                    }
+                    _ => false,
+                };
+                if p.role == PeerRole::Target {
+                    // Background plausibility: during the window the
+                    // relay may admit at most r of its capacity as
+                    // client traffic, and the echo demonstrates the
+                    // other (1−r) share — so bg beyond r/(1−r) of the
+                    // echoed bytes claims capacity that was never
+                    // demonstrated.
+                    if let Some(echo) = counted {
+                        let allowance = bg_bound * echo as f64 * (1.0 + DIVERGENCE_TOLERANCE);
+                        if echo > 0 && bg_bytes as f64 > allowance {
+                            divergent = true;
+                        }
+                    }
+                }
+                rows.push(LedgerRow { peer, second, reported, bg: bg_bytes, counted, divergent });
+            }
+        }
+        rows.sort_by_key(|r| (r.peer, r.second));
+        rows
+    }
+
+    /// Count of divergent rows for `item` (see [`EngineSnapshot::rows`]).
+    pub fn divergent_count(&self, item: usize, ratio: f64) -> usize {
+        self.rows(item, ratio).iter().filter(|r| r.divergent).count()
+    }
+
+    /// The quarantine: the per-second measurement (`x`) and background
+    /// (`y`) byte series of `item`, summed across exactly those peers
+    /// whose sessions ended [`CoordPhase::Done`] — measurement bytes
+    /// from measurers, background bytes from the target. An aborted
+    /// peer's samples are discarded wholesale, so a lie-then-stall peer
+    /// cannot leave inflated seconds behind.
+    pub fn merged_series(&self, item: usize) -> (Vec<f64>, Vec<f64>) {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        for (_, p) in self.of_item(item).filter(|(_, p)| p.phase == CoordPhase::Done) {
+            // The session already rejects out-of-range seconds; keep
+            // the bound as defense in depth.
+            for &(second, bg_bytes, measured_bytes) in
+                p.reports.iter().filter(|r| r.0 < p.slot_secs)
+            {
+                match p.role {
+                    PeerRole::Measurer => add_at(&mut x, second, measured_bytes as f64),
+                    PeerRole::Target => add_at(&mut y, second, bg_bytes as f64),
+                }
+            }
+        }
+        (x, y)
+    }
+
+    /// §4.1's estimate of `item` under background ratio `ratio`:
+    /// [`crate::measure::estimate`] over the quarantined series.
+    pub fn estimate(&self, item: usize, ratio: f64) -> (Vec<SecondSample>, Rate) {
+        let (x, y) = self.merged_series(item);
+        crate::measure::estimate(&x, &y, ratio)
     }
 }
 
-impl PeerDirectory for EngineSnapshot {
-    fn peer_count(&self) -> usize {
-        self.peers.len()
+/// Adds `value` to `series[second]`, growing the series with zeros.
+fn add_at<T: Copy + Default + std::ops::AddAssign>(series: &mut Vec<T>, second: u32, value: T) {
+    let j = second as usize;
+    if series.len() <= j {
+        series.resize(j + 1, T::default());
     }
-    fn item(&self, peer: PeerId) -> usize {
-        self.peers[peer.0].item
-    }
-    fn phase(&self, peer: PeerId) -> CoordPhase {
-        self.peers[peer.0].phase
-    }
-    fn role(&self, peer: PeerId) -> PeerRole {
-        self.peers[peer.0].role
-    }
-    fn spec(&self, peer: PeerId) -> MeasureSpec {
-        self.peers[peer.0].spec
-    }
+    series[j] += value;
 }
 
 impl MeasurementEngine {
@@ -587,10 +655,11 @@ impl MeasurementEngine {
                     PeerRecord {
                         item: c.item,
                         role: s.role(),
-                        spec: s.spec(),
+                        slot_secs: s.spec().slot_secs,
                         phase: s.phase(),
                         frames_tx: s.frames_tx,
                         frames_rx: s.frames_rx,
+                        reports: c.reports.clone(),
                     }
                 })
                 .collect(),
@@ -606,14 +675,14 @@ impl MeasurementEngine {
 /// bytes that never moved (TorMult-style inflation) do not.
 pub const DIVERGENCE_TOLERANCE: f64 = 0.10;
 
-/// Default background ratio `r` used by the ledger's background-claim
-/// plausibility check (the paper's deployment value): during a slot a
-/// relay may carry at most `r` of its capacity as client traffic, so a
+/// The paper's deployment background ratio `r`: during a slot a relay
+/// may carry at most `r` of its capacity as client traffic, so a
 /// claimed `bg_j` beyond `r/(1−r)` of that second's echoed measurement
-/// bytes is not physically plausible and flags the row.
+/// bytes is not physically plausible and flags the row. Callers with no
+/// deployment ratio of their own pass it to [`EngineSnapshot::rows`].
 pub const DEFAULT_BACKGROUND_RATIO: f64 = 0.25;
 
-/// One second of one peer's slot, as the ledger recorded it: what the
+/// One second of one peer's slot, as the snapshot recorded it: what the
 /// peer **reported** across the control channel next to what this
 /// coordinator could **cross-check** it against: the aggregated
 /// measurer echo, for a target relay.
@@ -642,191 +711,12 @@ pub struct LedgerRow {
     pub divergent: bool,
 }
 
-/// Quarantined per-second samples, merged only for clean sessions.
-///
-/// Feed it every event ([`SampleLedger::observe`]); when the engine is
-/// finished, [`SampleLedger::merged_series`] returns the per-second
-/// measurement (`x`) and background (`y`) byte series of one item,
-/// summed across exactly those peers whose sessions ended
-/// [`CoordPhase::Done`] — an aborted peer's samples are discarded
-/// wholesale, so a lie-then-stall peer cannot leave inflated seconds
-/// behind.
-///
-/// The [`SampleLedger::rows`] view pairs a target relay's claims with
-/// the measurers' aggregated reports per second and flags divergence,
-/// which is what makes a lying `SecondReport` cross-checkable instead
-/// of merely believed.
-#[derive(Debug)]
-pub struct SampleLedger {
-    /// Samples per peer, keyed by dense peer index.
-    per_peer: Vec<Vec<(u32, u64, u64)>>,
-    /// Background ratio `r` for the plausibility bound on target
-    /// `bg` claims (see [`DEFAULT_BACKGROUND_RATIO`]).
-    bg_ratio: f64,
-}
-
-impl Default for SampleLedger {
-    fn default() -> Self {
-        SampleLedger { per_peer: Vec::new(), bg_ratio: DEFAULT_BACKGROUND_RATIO }
-    }
-}
-
-impl SampleLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        SampleLedger::default()
-    }
-
-    /// Overrides the background ratio `r` the plausibility bound uses
-    /// (deployments running a different ratio than the paper's 0.25).
-    pub fn set_bg_ratio(&mut self, ratio: f64) {
-        assert!((0.0..1.0).contains(&ratio), "ratio must be in [0, 1)");
-        self.bg_ratio = ratio;
-    }
-
-    /// Records sample events; ignores everything else.
-    pub fn observe(&mut self, event: &EngineEvent) {
-        if let EngineEvent::Sample { peer, second, bg_bytes, measured_bytes, .. } = *event {
-            if self.per_peer.len() <= peer.index() {
-                self.per_peer.resize(peer.index() + 1, Vec::new());
-            }
-            self.per_peer[peer.index()].push((second, bg_bytes, measured_bytes));
-        }
-    }
-
-    /// Per-second **echoed measurement bytes** of `item`, aggregated
-    /// across its k measurers' reports (every measurer of the item,
-    /// regardless of how its session ended — this feeds the audit view;
-    /// the estimate-side quarantine lives in
-    /// [`SampleLedger::merged_series`]).
-    pub fn echoed_series(&self, dir: &impl PeerDirectory, item: usize) -> Vec<u64> {
-        let mut series: Vec<u64> = Vec::new();
-        for (ix, samples) in self.per_peer.iter().enumerate() {
-            let peer = PeerId(ix);
-            if ix >= dir.peer_count()
-                || dir.item(peer) != item
-                || dir.role(peer) != PeerRole::Measurer
-            {
-                continue;
-            }
-            for &(second, _, measured_bytes) in samples {
-                let j = second as usize;
-                if series.len() <= j {
-                    series.resize(j + 1, 0);
-                }
-                series[j] += measured_bytes;
-            }
-        }
-        series
-    }
-
-    /// The reported-vs-cross-checked view of `item`: one row per (peer,
-    /// second) that was reported. Measurer rows carry the reported echo
-    /// alone (it *is* the cross-check, summed into the target's row);
-    /// target rows pair the relay's echo claim with the k measurers'
-    /// aggregated reports and bound its background claim by
-    /// plausibility (`bg ≤ r/(1−r) ·` echoed, within
-    /// tolerance) — the TorMult-shaped channel where a relay inflates
-    /// the client traffic it never carried. Rows cover every peer of
-    /// the item regardless of how its session ended — this is the audit
-    /// view; the quarantine lives in [`SampleLedger::merged_series`].
-    pub fn rows(&self, dir: &impl PeerDirectory, item: usize) -> Vec<LedgerRow> {
-        let echoed = self.echoed_series(dir, item);
-        let bg_bound = self.bg_ratio / (1.0 - self.bg_ratio);
-        let mut rows = Vec::new();
-        for (ix, samples) in self.per_peer.iter().enumerate() {
-            let peer = PeerId(ix);
-            if ix >= dir.peer_count() || dir.item(peer) != item {
-                continue;
-            }
-            let role = dir.role(peer);
-            for &(second, bg_bytes, measured_bytes) in samples {
-                let reported = measured_bytes;
-                let counted = match role {
-                    PeerRole::Measurer => None,
-                    // The k measurers' summed echo reports: the other
-                    // side of the same bytes the relay claims it echoed.
-                    PeerRole::Target => echoed.get(second as usize).copied(),
-                };
-                let mut divergent = match counted {
-                    // Agreement within the tolerance is the honest
-                    // case. A reporting-only target (echo claim zero,
-                    // the simulated path) has nothing to cross-check.
-                    Some(c) if reported > 0 => {
-                        let hi = reported.max(c) as f64;
-                        hi > 0.0 && (reported as f64 - c as f64).abs() > DIVERGENCE_TOLERANCE * hi
-                    }
-                    _ => false,
-                };
-                if role == PeerRole::Target {
-                    // Background plausibility: during the window the
-                    // relay may admit at most r of its capacity as
-                    // client traffic, and the echo demonstrates the
-                    // other (1−r) share — so bg beyond r/(1−r) of the
-                    // echoed bytes claims capacity that was never
-                    // demonstrated.
-                    if let Some(echo) = counted {
-                        let allowance = bg_bound * echo as f64 * (1.0 + DIVERGENCE_TOLERANCE);
-                        if echo > 0 && bg_bytes as f64 > allowance {
-                            divergent = true;
-                        }
-                    }
-                }
-                rows.push(LedgerRow { peer, second, reported, bg: bg_bytes, counted, divergent });
-            }
-        }
-        rows.sort_by_key(|r| (r.peer, r.second));
-        rows
-    }
-
-    /// Count of divergent rows for `item` (see [`SampleLedger::rows`]).
-    pub fn divergent_count(&self, dir: &impl PeerDirectory, item: usize) -> usize {
-        self.rows(dir, item).iter().filter(|r| r.divergent).count()
-    }
-
-    /// Merges the series of `item`: measurement bytes per second from
-    /// clean measurer sessions, background bytes per second from clean
-    /// target sessions. `dir` is the live engine or a detached
-    /// [`EngineSnapshot`].
-    pub fn merged_series(&self, dir: &impl PeerDirectory, item: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for (ix, samples) in self.per_peer.iter().enumerate() {
-            let peer = PeerId(ix);
-            if dir.item(peer) != item || dir.phase(peer) != CoordPhase::Done {
-                continue;
-            }
-            let slot_secs = dir.spec(peer).slot_secs;
-            let series = match dir.role(peer) {
-                PeerRole::Measurer => &mut x,
-                PeerRole::Target => &mut y,
-            };
-            for &(second, bg_bytes, measured_bytes) in samples {
-                // The session already rejects out-of-range seconds; keep
-                // the bound as defense in depth.
-                if second >= slot_secs {
-                    continue;
-                }
-                let j = second as usize;
-                if series.len() <= j {
-                    series.resize(j + 1, 0.0);
-                }
-                series[j] += match dir.role(peer) {
-                    PeerRole::Measurer => measured_bytes as f64,
-                    PeerRole::Target => bg_bytes as f64,
-                };
-            }
-        }
-        (x, y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flashflow_proto::endpoint::Endpoint;
     use flashflow_proto::fault::{FaultMode, FaultyTransport};
-    use flashflow_proto::msg::{AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+    use flashflow_proto::msg::{MeasureSpec, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
     use flashflow_proto::session::{MeasurerAction, MeasurerSession, SessionTimeouts};
     use flashflow_proto::transport::{Duplex, DuplexEnd};
     use flashflow_simnet::time::SimDuration;
@@ -935,11 +825,7 @@ mod tests {
             &[(PeerRole::Measurer, 100), (PeerRole::Measurer, 50), (PeerRole::Target, 30)],
             3,
         );
-        let mut ledger = SampleLedger::new();
         let events = drive(&mut engine, &mut locals);
-        for ev in &events {
-            ledger.observe(ev);
-        }
         // All three conversations done, one barrier, one completion.
         assert_eq!(events.iter().filter(|e| matches!(e, EngineEvent::PeerDone { .. })).count(), 3);
         assert_eq!(
@@ -959,8 +845,8 @@ mod tests {
         let first_sample =
             events.iter().position(|e| matches!(e, EngineEvent::Sample { .. })).expect("samples");
         assert!(last_ready < go_pos && go_pos < first_sample, "{events:?}");
-        // Ledger merges measurers into x, the target into y.
-        let (x, y) = ledger.merged_series(&engine, 0);
+        // The snapshot merges measurers into x, the target into y.
+        let (x, y) = engine.snapshot().merged_series(0);
         assert_eq!(x, vec![150.0; 3]);
         assert_eq!(y, vec![3.0; 3]);
     }
@@ -1044,10 +930,7 @@ mod tests {
         };
         assert_eq!(go_of(0), None, "{events:?}");
 
-        let mut ledger = SampleLedger::new();
-        for ev in &events {
-            ledger.observe(ev);
-        }
+        let snapshot = engine.snapshot();
         for item in [1, 2] {
             // Go, every sample, and completion all while item 0 is
             // still pending.
@@ -1059,10 +942,10 @@ mod tests {
                 .filter(|e| matches!(e, EngineEvent::Sample { item: of, .. } if *of == item))
                 .count();
             assert_eq!(samples, 2 * 3, "item {item}: {events:?}");
-            let (x, y) = ledger.merged_series(&engine, item);
+            let (x, y) = snapshot.merged_series(item);
             assert_eq!((x, y), (vec![100.0; 3], vec![3.0; 3]), "item {item}");
         }
-        let (x, _) = ledger.merged_series(&engine, 0);
+        let (x, _) = snapshot.merged_series(0);
         assert!(x.is_empty(), "the stalled item measured nothing: {x:?}");
     }
 
@@ -1272,65 +1155,48 @@ mod tests {
             samples <= DEFAULT_REPORT_AHEAD_CAP as usize + 3,
             "{samples} samples buffered from a flood"
         );
-        let mut ledger = SampleLedger::new();
-        for ev in &events {
-            ledger.observe(ev);
-        }
-        let (x, _) = ledger.merged_series(&engine, 0);
+        let (x, _) = engine.snapshot().merged_series(0);
         assert!(x.is_empty(), "a flooding peer's samples must never merge: {x:?}");
     }
 
-    /// A fixed-role directory for ledger-only tests (no live engine).
-    struct TestDir {
-        roles: Vec<PeerRole>,
+    /// The record of a finished one-item round whose peer `ix` had role
+    /// `roles[ix]` and ended clean, with each `(peer, second, bg,
+    /// measured)` of `reports` as one of its reports.
+    fn finished(
+        roles: &[PeerRole],
         slot_secs: u32,
-    }
-
-    impl PeerDirectory for TestDir {
-        fn peer_count(&self) -> usize {
-            self.roles.len()
-        }
-        fn item(&self, _peer: PeerId) -> usize {
-            0
-        }
-        fn phase(&self, _peer: PeerId) -> CoordPhase {
-            CoordPhase::Done
-        }
-        fn role(&self, peer: PeerId) -> PeerRole {
-            self.roles[peer.index()]
-        }
-        fn spec(&self, _peer: PeerId) -> MeasureSpec {
-            MeasureSpec { slot_secs: self.slot_secs, ..MeasureSpec::default() }
-        }
-    }
-
-    fn sample(peer: usize, second: u32, bg: u64, measured: u64) -> EngineEvent {
-        EngineEvent::Sample {
-            peer: PeerId(peer),
+        reports: &[(usize, u32, u64, u64)],
+    ) -> EngineSnapshot {
+        let record = |&role: &PeerRole| PeerRecord {
             item: 0,
-            second,
-            bg_bytes: bg,
-            measured_bytes: measured,
+            role,
+            slot_secs,
+            phase: CoordPhase::Done,
+            frames_tx: 0,
+            frames_rx: 0,
+            reports: Vec::new(),
+        };
+        let mut peers: Vec<PeerRecord> = roles.iter().map(record).collect();
+        for &(peer, second, bg, measured) in reports {
+            peers[peer].reports.push((second, bg, measured));
         }
+        EngineSnapshot { peers, items: 1 }
     }
+
+    const R: f64 = DEFAULT_BACKGROUND_RATIO;
 
     #[test]
     fn target_rows_cross_check_echo_against_aggregated_measurer_reports() {
         // Two measurers report 40 kB/s of echoed blast each; the relay
         // honestly claims it echoed the 80 kB/s total and admitted a
         // plausible background. Nothing diverges.
-        let dir = TestDir {
-            roles: vec![PeerRole::Measurer, PeerRole::Measurer, PeerRole::Target],
-            slot_secs: 2,
-        };
-        let mut ledger = SampleLedger::new();
-        for second in 0..2 {
-            ledger.observe(&sample(0, second, 0, 40_000));
-            ledger.observe(&sample(1, second, 0, 40_000));
-            ledger.observe(&sample(2, second, 20_000, 80_000));
-        }
-        assert_eq!(ledger.echoed_series(&dir, 0), vec![80_000, 80_000]);
-        let rows = ledger.rows(&dir, 0);
+        let reports: Vec<_> = (0..2)
+            .flat_map(|s| [(0, s, 0, 40_000), (1, s, 0, 40_000), (2, s, 20_000, 80_000)])
+            .collect();
+        let snapshot =
+            finished(&[PeerRole::Measurer, PeerRole::Measurer, PeerRole::Target], 2, &reports);
+        assert_eq!(snapshot.echoed_series(0), vec![80_000, 80_000]);
+        let rows = snapshot.rows(0, R);
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(!row.divergent, "honest reports flagged: {row:?}");
@@ -1344,34 +1210,31 @@ mod tests {
             assert_eq!(row.bg, 20_000);
             assert_eq!(row.reported, 80_000);
         }
-        assert_eq!(ledger.divergent_count(&dir, 0), 0);
+        assert_eq!(snapshot.divergent_count(0, R), 0);
     }
 
     #[test]
     fn background_claim_inflation_and_echo_inflation_diverge_target_rows() {
-        let dir = TestDir {
-            roles: vec![PeerRole::Measurer, PeerRole::Measurer, PeerRole::Target],
-            slot_secs: 3,
-        };
-        let mut ledger = SampleLedger::new();
-        for second in 0..3 {
-            ledger.observe(&sample(0, second, 0, 40_000));
-            ledger.observe(&sample(1, second, 0, 40_000));
-        }
-        // Second 0: a background claim far beyond the r/(1−r) share of
-        // the demonstrated echo (TorMult-style inflation over the
-        // self-reported channel).
-        ledger.observe(&sample(2, 0, 60_000, 80_000));
-        // Second 1: an inflated echo claim (the relay says it echoed
-        // twice what the measurers saw).
-        ledger.observe(&sample(2, 1, 10_000, 160_000));
-        // Second 2: honest (bound is 80_000/3 ≈ 26.7k, ×1.1 tolerance).
-        ledger.observe(&sample(2, 2, 26_000, 80_000));
-        let rows = ledger.rows(&dir, 0);
+        let mut reports: Vec<_> =
+            (0..3).flat_map(|s| [(0, s, 0, 40_000), (1, s, 0, 40_000)]).collect();
+        reports.extend([
+            // Second 0: a background claim far beyond the r/(1−r) share
+            // of the demonstrated echo (TorMult-style inflation over the
+            // self-reported channel).
+            (2, 0, 60_000, 80_000),
+            // Second 1: an inflated echo claim (the relay says it echoed
+            // twice what the measurers saw).
+            (2, 1, 10_000, 160_000),
+            // Second 2: honest (bound is 80_000/3 ≈ 26.7k, ×1.1 tolerance).
+            (2, 2, 26_000, 80_000),
+        ]);
+        let snapshot =
+            finished(&[PeerRole::Measurer, PeerRole::Measurer, PeerRole::Target], 3, &reports);
+        let rows = snapshot.rows(0, R);
         let flags: Vec<bool> =
             rows.iter().filter(|r| r.peer == PeerId(2)).map(|r| r.divergent).collect();
         assert_eq!(flags, vec![true, true, false], "{rows:?}");
-        assert_eq!(ledger.divergent_count(&dir, 0), 2);
+        assert_eq!(snapshot.divergent_count(0, R), 2);
     }
 
     #[test]
@@ -1379,22 +1242,17 @@ mod tests {
         // The simulated path: the target reports background only
         // (measured = 0) beside the measurers' rates. Its zero echo claim must not be "divergent" against the
         // measurers' nonzero series, and a modest bg claim passes.
-        let dir = TestDir { roles: vec![PeerRole::Measurer, PeerRole::Target], slot_secs: 2 };
-        let mut ledger = SampleLedger::new();
-        for second in 0..2 {
-            ledger.observe(&sample(0, second, 0, 100_000));
-            ledger.observe(&sample(1, second, 5_000, 0));
-        }
-        assert_eq!(ledger.divergent_count(&dir, 0), 0, "{:?}", ledger.rows(&dir, 0));
+        let roles = [PeerRole::Measurer, PeerRole::Target];
+        let honest: Vec<_> = (0..2).flat_map(|s| [(0, s, 0, 100_000), (1, s, 5_000, 0)]).collect();
+        let snapshot = finished(&roles, 2, &honest);
+        assert_eq!(snapshot.divergent_count(0, R), 0, "{:?}", snapshot.rows(0, R));
         // But an absurd bg claim is still caught even with no echo
         // claim: plausibility binds on the measurers' demonstrated
         // bytes, not on the relay's own assertion.
-        let mut lying = SampleLedger::new();
-        for second in 0..2 {
-            lying.observe(&sample(0, second, 0, 100_000));
-            lying.observe(&sample(1, second, 2_000_000, 0));
-        }
-        assert_eq!(lying.divergent_count(&dir, 0), 2, "{:?}", lying.rows(&dir, 0));
+        let lying: Vec<_> =
+            (0..2).flat_map(|s| [(0, s, 0, 100_000), (1, s, 2_000_000, 0)]).collect();
+        let lying = finished(&roles, 2, &lying);
+        assert_eq!(lying.divergent_count(0, R), 2, "{:?}", lying.rows(0, R));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! | [`params`] | §6.1, App. E | deployment parameters, excess factor `f` |
 //! | [`team`] | §4, §4.2 | measurement teams, measuring measurers |
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
-//! | [`measure`] | §4.1 | one (or many concurrent) measurement slots |
-//! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and the audit ledger (`SampleLedger`) |
+//! | [`measure`] | §4.1 | one (or many concurrent) measurement slots, and §4.1's estimate (`estimate`) every executor computes |
+//! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and a round's record (`EngineSnapshot`): every peer's reports, the audit rows, the quarantine and the estimate |
 //! | [`pool`] | §7 | warm TCP connections to measurer processes, reused inside the peer's accept window |
 //! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
@@ -94,12 +94,12 @@ pub mod prelude {
         run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
     };
     pub use crate::engine::{
-        EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerDirectory,
-        PeerId, SampleLedger, DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,
+        EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerId,
+        DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,
     };
     pub use crate::measure::{
-        assignments_for, batch_for, measure_once, run_concurrent_measurements, run_measurement,
-        Assignment, BatchItem, Measurement, SecondSample,
+        assignments_for, batch_for, estimate, measure_once, run_concurrent_measurements,
+        run_measurement, Assignment, BatchItem, Measurement, SecondSample,
     };
     pub use crate::params::Params;
     pub use crate::pool::{ChannelKind, ConnectionPool, PooledConn, ReuseHandle};

@@ -72,19 +72,23 @@ pub struct SecondSample {
     pub z: f64,
 }
 
-/// Builds per-second protocol records from measurement (`x_j`) and
-/// reported-background (`y_j`) series, applying the BWAuth ratio clamp.
-/// Missing trailing background reports (a target that stopped reporting)
-/// count as zero rather than truncating the slot.
-pub fn build_second_samples(x: &[f64], y_reported: &[f64], ratio: f64) -> Vec<SecondSample> {
-    x.iter()
+/// §4.1's estimate from measurement (`x_j`) and reported-background
+/// (`y_j`) series: the per-second records, each `y_j` clamped to
+/// `x_j · r/(1−r)`, and `z = median(x_j + ŷ_j)`. Missing trailing
+/// background reports (a target that stopped reporting) count as zero
+/// rather than truncating the slot; an empty slot estimates zero.
+pub fn estimate(x: &[f64], y_reported: &[f64], ratio: f64) -> (Vec<SecondSample>, Rate) {
+    let seconds: Vec<SecondSample> = x
+        .iter()
         .enumerate()
         .map(|(j, &x)| {
             let y_reported = y_reported.get(j).copied().unwrap_or(0.0);
             let y_accepted = clamp_reported_background(y_reported, x, ratio);
             SecondSample { x, y_reported, y_accepted, z: x + y_accepted }
         })
-        .collect()
+        .collect();
+    let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
+    (seconds, Rate::from_bytes_per_sec(median(&z).unwrap_or(0.0)))
 }
 
 /// The result of one measurement.
@@ -215,10 +219,7 @@ pub fn run_concurrent_measurements(
         let x_seconds = x_acc.into_seconds();
         let n = x_seconds.len().min(y_reports.len());
         let y_seconds: Vec<f64> = y_reports[..n].iter().map(|r| r.reported_background).collect();
-        let seconds = build_second_samples(&x_seconds[..n], &y_seconds, ratio);
-
-        let z_values: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-        let estimate = Rate::from_bytes_per_sec(median(&z_values).unwrap_or(0.0));
+        let (seconds, estimate) = estimate(&x_seconds[..n], &y_seconds, ratio);
 
         let total_measurement_bytes: f64 = seconds.iter().map(|s| s.x).sum();
         let verification =
@@ -369,6 +370,24 @@ mod tests {
             &mut rng,
         );
         assert!(!m.verified(), "forging an entire slot must be caught");
+    }
+
+    #[test]
+    fn estimate_clamps_background_and_takes_the_median() {
+        // r = 0.25 bounds each second's background at x/3. Second 0's
+        // claim of 200 is clamped to 100, second 1's 100 stands, and
+        // second 2 has no report, so it counts as 0.
+        let (seconds, z) = estimate(&[300.0, 600.0, 900.0], &[200.0, 100.0], 0.25);
+        let accepted: Vec<_> = seconds.iter().map(|s| (s.y_reported, s.y_accepted, s.z)).collect();
+        assert_eq!(accepted, vec![(200.0, 100.0, 400.0), (100.0, 100.0, 700.0), (0.0, 0.0, 900.0)]);
+        assert_eq!(z, Rate::from_bytes_per_sec(700.0));
+        // An even number of seconds: the mean of the middle two.
+        let (_, z) = estimate(&[1200.0, 300.0, 900.0, 600.0], &[], 0.25);
+        assert_eq!(z, Rate::from_bytes_per_sec(750.0));
+        // An empty slot estimates zero.
+        let (seconds, z) = estimate(&[], &[50.0], 0.25);
+        assert!(seconds.is_empty());
+        assert_eq!(z, Rate::ZERO);
     }
 
     #[test]

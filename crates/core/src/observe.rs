@@ -1,7 +1,7 @@
 //! The bridge from the measurement engine's typed events to
 //! `flashflow-obs` telemetry: mirrors every [`EngineEvent`] of a round
 //! as a structured [`Event`] on a [`Span`], emits the post-run audit
-//! trail (ledger divergence rows, per-target estimates, pool stats),
+//! trail (divergent audit rows, per-target estimates, pool stats),
 //! and builds the period's machine-readable [`PeriodExport`].
 //!
 //! The engine itself stays telemetry-free — it already *is* an event
@@ -111,12 +111,12 @@ impl RoundSpans {
     }
 
     /// Emits the post-run audit trail of the round: per item, one
-    /// `divergence` event per flagged ledger row and its
-    /// `target.estimate`; then the `pool.stats` snapshot and
-    /// `period.done`.
-    pub fn audit(&self, items: &[EchoItem], file: &EchoPeriodFile) {
+    /// `divergence` event per audit row flagged under background ratio
+    /// `ratio` and its `target.estimate`; then the `pool.stats`
+    /// snapshot and `period.done`.
+    pub fn audit(&self, items: &[EchoItem], file: &EchoPeriodFile, ratio: f64) {
         for (group, (item, entry)) in items.iter().zip(&file.entries).enumerate() {
-            for row in file.ledger.rows(&file.peers, group).iter().filter(|row| row.divergent) {
+            for row in file.peers.rows(group, ratio).iter().filter(|row| row.divergent) {
                 self.items[group].item(0).emit(
                     "divergence",
                     fields![
@@ -173,11 +173,9 @@ pub fn period_export(
         .zip(&file.entries)
         .enumerate()
         .map(|(group, (item, entry))| {
-            let (x, y) = file.ledger.merged_series(&file.peers, group);
-            let z: Vec<f64> = crate::measure::build_second_samples(&x, &y, deployment.ratio)
-                .iter()
-                .map(|s| s.z)
-                .collect();
+            let (x, y) = file.peers.merged_series(group);
+            let (seconds, _) = crate::measure::estimate(&x, &y, deployment.ratio);
+            let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
             TargetSummary {
                 relay_fp: hex_fp(&item.relay_fp),
                 capacity_bytes_per_sec: entry.capacity.bytes_per_sec(),

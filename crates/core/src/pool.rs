@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use flashflow_procutil::reactor;
 use flashflow_proto::session::SessionTimeouts;
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::{Readiness, Transport, TransportError};
+use flashflow_proto::transport::{Transport, TransportError};
 use flashflow_simnet::time::SimTime;
 
 /// How long a parked connection stays reusable: half the accept window
@@ -137,12 +137,11 @@ impl ConnectionPool {
         loop {
             let parked =
                 self.shared.idle.lock().expect("pool lock").get_mut(&key).and_then(Vec::pop);
-            let Some(Parked { mut transport, parked_at }) = parked else { break };
+            let Some(Parked { transport, parked_at }) = parked else { break };
             // Readable means the peer hung up, aborted its parked
             // session, or sent bytes nobody asked for; past the window
             // it may be about to. Either way the connection goes.
-            let quiet = transport.readiness(SimTime::ZERO) == Readiness::Quiet;
-            if quiet && now.saturating_duration_since(parked_at) < REUSE_WINDOW {
+            if transport.is_quiet() && now.saturating_duration_since(parked_at) < REUSE_WINDOW {
                 self.shared.reuses.fetch_add(1, Ordering::Relaxed);
                 return Ok(self.wrap(key, transport));
             }
@@ -271,10 +270,6 @@ impl Transport for PooledConn {
         self.transport().recv(now)
     }
 
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        self.transport().readiness(now)
-    }
-
     fn close(&mut self) {
         // Deferred: the drop decides between parking and real close.
         // Flush what the kernel will take so a clean conversation's
@@ -312,7 +307,7 @@ impl Drop for PooledConn {
 mod tests {
     use super::*;
     use flashflow_procutil::reactor::{Interest, Poller};
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     fn echo_listener() -> (TcpListener, SocketAddr) {
@@ -453,6 +448,26 @@ mod tests {
         parked_peer.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         let mut buf = [0u8; 16];
         assert_eq!(parked_peer.read(&mut buf).expect("read"), 0, "EOF, not a frame");
+        drop(conn2);
+    }
+
+    #[test]
+    fn a_parked_connection_with_a_stray_byte_is_discarded_at_checkout() {
+        let (listener, addr) = echo_listener();
+        let pool = ConnectionPool::new();
+        let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+        settled(&conn);
+        let (mut parked_peer, _) = listener.accept().expect("accept");
+        conn.reuse_handle().approve();
+        drop(conn);
+        assert_eq!(pool.idle_count(), 1);
+        // The peer writes a byte nobody asked for while the connection
+        // is parked; give it a moment to land.
+        parked_peer.write_all(b"?").expect("stray byte");
+        std::thread::sleep(Duration::from_millis(20));
+        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial");
+        assert_eq!((pool.dials(), pool.reuses(), pool.discarded()), (2, 0, 1));
+        let _fresh = listener.accept().expect("accept fresh");
         drop(conn2);
     }
 

@@ -15,8 +15,9 @@
 //! engine owns the coordinator side (sessions, barriers, timeouts,
 //! events) and knows nothing about the simulator. [`run_in_memory`] owns the
 //! peer side's plumbing: each `MeasurerSession` bound to the other end of
-//! its simulated link, the per-tick order, the [`SampleLedger`]. What the
-//! peers *do* is its one parameter, a [`PeerBehaviour`]:
+//! its simulated link, the per-tick order. It returns the engine's
+//! [`EngineSnapshot`], the same record a deployment round returns. What
+//! the peers *do* is its one parameter, a [`PeerBehaviour`]:
 //!
 //! * [`SlotRunner`]: `TorNet` flows under the ratio governor, the
 //!   fluid-simulation front end;
@@ -54,15 +55,15 @@ use flashflow_proto::transport::{Duplex, DuplexEnd};
 use flashflow_simnet::engine::FlowId;
 use flashflow_simnet::host::HostId;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::stats::{median, SecondsAccumulator};
+use flashflow_simnet::stats::SecondsAccumulator;
 use flashflow_simnet::time::{SimDuration, SimTime};
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
 use crate::alloc::AllocError;
-use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine, PeerDirectory, SampleLedger};
-use crate::measure::{assignments_for, build_second_samples, BatchItem, Measurement};
+use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine, DEFAULT_BACKGROUND_RATIO};
+use crate::measure::{assignments_for, BatchItem, Measurement};
 use crate::params::Params;
 use crate::team::Team;
 use crate::verify::{spot_check, TargetBehavior};
@@ -90,16 +91,13 @@ pub trait PeerBehaviour {
     fn observe(&mut self, _event: &EngineEvent) {}
 }
 
-/// What an in-memory round left behind: every engine event in order, the
-/// ledger already fed with them, and the detached peer directory the
-/// ledger's per-item views take.
+/// What an in-memory round left behind: every engine event in order,
+/// and the round's record.
 #[derive(Debug)]
 pub struct RoundRun {
     /// Every event, per-item order preserved.
     pub events: Vec<EngineEvent>,
-    /// The sample quarantine, fed with every event.
-    pub ledger: SampleLedger,
-    /// Final state of every conversation.
+    /// Final state and reports of every conversation.
     pub peers: EngineSnapshot,
 }
 
@@ -151,7 +149,6 @@ pub fn run_in_memory(
     }
     let mut engine = builder.build(now0);
     let mut events = Vec::new();
-    let mut ledger = SampleLedger::new();
     while !engine.is_finished() {
         behaviour.advance();
         let now = behaviour.now();
@@ -190,12 +187,11 @@ pub fn run_in_memory(
             p.endpoint.tick(now);
         }
         while let Some(event) = engine.poll_event() {
-            ledger.observe(&event);
             behaviour.observe(&event);
             events.push(event);
         }
     }
-    RoundRun { events, ledger, peers: engine.snapshot() }
+    RoundRun { events, peers: engine.snapshot() }
 }
 
 fn fresh_token(rng: &mut SimRng) -> [u8; AUTH_TOKEN_LEN] {
@@ -586,16 +582,13 @@ impl<'a> SlotRunner<'a> {
 
         // Aggregate exactly as §4.1 specifies, from what crossed the
         // wire — only peers whose sessions completed cleanly contribute
-        // (the ledger enforces the quarantine).
+        // (the snapshot enforces the quarantine).
         items
             .iter()
             .enumerate()
             .map(|(ix, item)| {
                 let ratio = tor.relay(item.target).config.ratio;
-                let (x, y) = run.ledger.merged_series(&run.peers, ix);
-                let seconds = build_second_samples(&x, &y, ratio);
-                let z_values: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-                let estimate = Rate::from_bytes_per_sec(median(&z_values).unwrap_or(0.0));
+                let (seconds, estimate) = run.peers.estimate(ix, ratio);
                 let total_measurement_bytes: f64 = seconds.iter().map(|s| s.x).sum();
                 let verification = spot_check(
                     total_measurement_bytes,
@@ -631,7 +624,7 @@ impl<'a> SlotRunner<'a> {
                     failures,
                     frames_tx,
                     frames_rx,
-                    rows: run.ledger.rows(&run.peers, ix),
+                    rows: run.peers.rows(ix, DEFAULT_BACKGROUND_RATIO),
                 }
             })
             .collect()
@@ -762,7 +755,7 @@ mod tests {
             assert!(matches!(of_g.first(), Some(EngineEvent::GoReleased { .. })), "{of_g:?}");
             assert!(matches!(of_g.last(), Some(EngineEvent::ItemComplete { .. })), "{of_g:?}");
             assert_eq!(of_g.len(), 2 + 2 * SLOT_SECS as usize, "item {g}: {of_g:?}");
-            let (x, y) = run.ledger.merged_series(&run.peers, g);
+            let (x, y) = run.peers.merged_series(g);
             let rate = 1_000.0 * (g as f64 + 1.0);
             assert_eq!(x, vec![rate; SLOT_SECS as usize], "item {g}");
             assert_eq!(y, vec![(rate / 10.0).floor(); SLOT_SECS as usize], "item {g}");
@@ -819,15 +812,15 @@ mod tests {
         // Its clean measurer and target still merge; the stalled one's two
         // seconds do not.
         assert!(!run.peers.item_clean(0));
-        let rows = run.ledger.rows(&run.peers, 0);
+        let rows = run.peers.rows(0, DEFAULT_BACKGROUND_RATIO);
         assert_eq!(rows.iter().filter(|r| r.peer == PeerId::from_index(0)).count(), 2);
-        let (x, y) = run.ledger.merged_series(&run.peers, 0);
+        let (x, y) = run.peers.merged_series(0);
         assert_eq!((x, y), (vec![50.0; 3], vec![30.0; 3]));
         for g in [1, 2] {
             assert!(run.peers.item_clean(g), "item {g}");
             assert!(pos(EngineEvent::ItemComplete { item: g }) < stalled, "item {g}");
             assert_eq!(events_of(&run.events, g).len(), 2 + 3 * SLOT_SECS as usize, "item {g}");
-            let (x, y) = run.ledger.merged_series(&run.peers, g);
+            let (x, y) = run.peers.merged_series(g);
             assert_eq!((x, y), (vec![150.0; 3], vec![30.0; 3]), "item {g}");
         }
     }

@@ -12,7 +12,7 @@
 
 use flashflow_simnet::time::SimTime;
 
-use crate::transport::{Readiness, Transport, TransportError};
+use crate::transport::{Transport, TransportError};
 
 /// How a tripped connection misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,17 +139,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         Ok(bytes)
     }
 
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        self.check_armed(now);
-        if self.tripped {
-            return match self.mode {
-                FaultMode::Blackhole => Readiness::Quiet,
-                FaultMode::Disconnect => Readiness::Closed,
-            };
-        }
-        self.inner.readiness(now)
-    }
-
     fn close(&mut self) {
         self.inner.close();
     }
@@ -177,8 +166,7 @@ mod tests {
         a.send(t, b"lost").unwrap();
         assert_eq!(b.recv(t).unwrap(), b"", "blackholed send never arrives");
         b.send(t, b"unheard").unwrap();
-        assert_eq!(a.recv(t).unwrap(), b"", "blackholed recv sees silence");
-        assert_eq!(a.readiness(t), Readiness::Quiet, "blackhole still looks open");
+        assert_eq!(a.recv(t).unwrap(), b"", "blackholed recv sees silence, not a close");
     }
 
     #[test]

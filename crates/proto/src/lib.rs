@@ -33,9 +33,9 @@
 //!            DuplexEnd │ TcpTransport │ FaultyTransport<_>
 //! ```
 //!
-//! The listener side lives here too: [`tcp::TcpAcceptor`] is what a
-//! standalone measurer process binds and accepts coordinator
-//! connections through.
+//! The listener side is not here: the serving processes accept on
+//! `flashflow-procutil`'s reactor and wrap each connection in a
+//! [`tcp::TcpTransport`].
 //!
 //! The sessions are **sans-IO**: they consume bytes and emit bytes plus
 //! actions, never touching sockets or clocks. Every transport takes its
@@ -80,6 +80,6 @@ pub mod prelude {
         CoordAction, CoordPhase, CoordinatorSession, MeasurerAction, MeasurerPhase,
         MeasurerSession, ReplayWindow, SessionState, SessionTimeouts, DEFAULT_REPORT_AHEAD_CAP,
     };
-    pub use crate::tcp::{TcpAcceptor, TcpTransport};
-    pub use crate::transport::{Duplex, DuplexEnd, End, Readiness, Transport, TransportError};
+    pub use crate::tcp::TcpTransport;
+    pub use crate::transport::{Duplex, DuplexEnd, End, Transport, TransportError};
 }

@@ -17,8 +17,8 @@
 //! * any frame the current state cannot accept aborts with
 //!   [`AbortReason::OutOfOrder`];
 //! * any undecodable byte stream aborts with [`AbortReason::Malformed`];
-//! * a running peer may report at most [`CoordinatorSession`]'s
-//!   report-ahead cap seconds beyond the wall time elapsed since `Go`; a
+//! * a running peer may report at most [`DEFAULT_REPORT_AHEAD_CAP`]
+//!   seconds beyond the time elapsed since `Go`; a
 //!   flood of unsolicited `SecondReport`s beyond it aborts with
 //!   [`AbortReason::Flooded`] instead of growing buffers without bound;
 //! * a terminal session ignores further input instead of erroring, so a
@@ -171,19 +171,17 @@ impl Default for SessionTimeouts {
     }
 }
 
-/// Default for [`CoordinatorSession::with_report_ahead_cap`]: how many
-/// seconds a peer may report beyond the time elapsed since its `Go`.
+/// How many seconds a peer may report beyond the time elapsed since its
+/// `Go`, on the coordinator's clock, before its session aborts with
+/// [`AbortReason::Flooded`].
 ///
-/// Legitimate peers run at most a couple of seconds ahead (latency
-/// jitter, coalesced TCP delivery); a peer blasting a whole slot's
-/// worth of reports at once is inflating or probing, and buffering its
-/// backlog is how memory grows without bound.
-///
-/// A coordinator that *knows* its peer reports faster than the
-/// coordinator's own clock — e.g. a `flashflow-measurer --speedup N`
-/// peer in an accelerated harness — must raise the cap to at least the
-/// slot length via [`CoordinatorSession::with_report_ahead_cap`], or
-/// the legitimate fast reports will be mistaken for a flood.
+/// Peers run the coordinator's own clock (a sped-up deployment runs
+/// every process at the same speedup), and a peer reports second `j`
+/// only once it has passed after the `Go` it received, so honest
+/// reports trail the coordinator's clock; latency jitter and coalesced
+/// TCP delivery bunch them by a second or two at most. A peer blasting
+/// a whole slot's worth of reports at once is inflating or probing, and
+/// buffering its backlog is how memory grows without bound.
 pub const DEFAULT_REPORT_AHEAD_CAP: u32 = 8;
 
 /// Where a coordinator-side session stands.
@@ -245,7 +243,6 @@ pub struct CoordinatorSession {
     seconds_received: u32,
     /// When `Go` was sent; the reference point for the flood cap.
     go_at: Option<SimTime>,
-    report_ahead_cap: u32,
     decoder: FrameDecoder,
     outbound: VecDeque<Vec<u8>>,
     actions: VecDeque<CoordAction>,
@@ -277,24 +274,12 @@ impl CoordinatorSession {
             deadline: None,
             seconds_received: 0,
             go_at: None,
-            report_ahead_cap: DEFAULT_REPORT_AHEAD_CAP,
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
             actions: VecDeque::new(),
             frames_rx: 0,
             frames_tx: 0,
         }
-    }
-
-    /// Overrides the per-session `SecondReport` backpressure cap: the
-    /// peer may report at most `cap` seconds beyond the time elapsed
-    /// since its `Go` (as measured by the caller-supplied clock) before
-    /// the session aborts with [`AbortReason::Flooded`]. Defaults to
-    /// [`DEFAULT_REPORT_AHEAD_CAP`].
-    #[must_use]
-    pub fn with_report_ahead_cap(mut self, cap: u32) -> Self {
-        self.report_ahead_cap = cap;
-        self
     }
 
     /// Current phase.
@@ -473,7 +458,7 @@ impl CoordinatorSession {
                 let since_go = now
                     .saturating_duration_since(self.go_at.expect("Running implies go_at"))
                     .as_secs();
-                if u64::from(second) > since_go + u64::from(self.report_ahead_cap) {
+                if u64::from(second) > since_go + u64::from(DEFAULT_REPORT_AHEAD_CAP) {
                     self.fail(AbortReason::Flooded, true);
                     return;
                 }

@@ -30,75 +30,11 @@
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use flashflow_simnet::time::SimTime;
 
-use crate::transport::{Readiness, Transport, TransportError};
-
-/// The listener side of a control endpoint: binds a TCP socket and
-/// wraps every accepted connection as a ready-to-pump [`TcpTransport`].
-///
-/// This is what a standalone measurer process (see the
-/// `flashflow-measurer` binary crate) serves sessions from; a sharded
-/// coordinator connects one conversation per measurement item.
-#[derive(Debug)]
-pub struct TcpAcceptor {
-    listener: TcpListener,
-}
-
-impl TcpAcceptor {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    ///
-    /// # Errors
-    /// Propagates bind failures.
-    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(TcpAcceptor { listener: TcpListener::bind(addr)? })
-    }
-
-    /// The bound socket address (the port to advertise).
-    ///
-    /// # Errors
-    /// Propagates `getsockname` failure.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Blocks for the next connection and wraps it non-blocking.
-    ///
-    /// # Errors
-    /// Propagates accept and socket-option failures.
-    pub fn accept(&self) -> std::io::Result<(TcpTransport, SocketAddr)> {
-        let (stream, peer) = self.listener.accept()?;
-        Ok((TcpTransport::from_stream(stream)?, peer))
-    }
-
-    /// Switches the listener between blocking and non-blocking accepts.
-    /// A draining process (see the `flashflow-measurer` binary) polls
-    /// with [`TcpAcceptor::try_accept`] so a shutdown signal is never
-    /// stuck behind a blocking `accept`.
-    ///
-    /// # Errors
-    /// Propagates the socket-option failure.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(nonblocking)
-    }
-
-    /// Accepts one pending connection if there is one (requires
-    /// [`TcpAcceptor::set_nonblocking`]); `Ok(None)` when none is
-    /// waiting.
-    ///
-    /// # Errors
-    /// Propagates accept and socket-option failures other than
-    /// `WouldBlock`.
-    pub fn try_accept(&self) -> std::io::Result<Option<(TcpTransport, SocketAddr)>> {
-        match self.listener.accept() {
-            Ok((stream, peer)) => Ok(Some((TcpTransport::from_stream(stream)?, peer))),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
+use crate::transport::{Transport, TransportError};
 
 /// Least capacity `recv_into` adds when the caller's buffer is full:
 /// loopback segments are 64 KiB, so reads from a smaller buffer split
@@ -249,6 +185,13 @@ impl TcpTransport {
     /// outbox) before parking a transport for reuse.
     pub fn is_reusable(&self) -> bool {
         self.broken.is_none() && !self.eof && !self.closed
+    }
+
+    /// True if the connection is reusable and has nothing to read: no
+    /// FIN, no bytes the peer sent unasked. Peeks; consumes nothing.
+    pub fn is_quiet(&self) -> bool {
+        let would_block = |e: std::io::Error| e.kind() == std::io::ErrorKind::WouldBlock;
+        self.is_reusable() && self.stream.peek(&mut [0u8; 1]).is_err_and(would_block)
     }
 
     /// Queues `bytes` behind whatever is already backpressured,
@@ -403,19 +346,6 @@ impl Transport for TcpTransport {
         Ok(out.len())
     }
 
-    fn readiness(&mut self, _now: SimTime) -> Readiness {
-        if self.closed || self.broken.is_some() || self.eof {
-            return Readiness::Closed;
-        }
-        let mut buf = [0u8; 1];
-        match self.stream.peek(&mut buf) {
-            Ok(0) => Readiness::Closed,
-            Ok(_) => Readiness::Readable,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Readiness::Quiet,
-            Err(_) => Readiness::Closed,
-        }
-    }
-
     fn close(&mut self) {
         self.closed = true;
         if self.fin_sent {
@@ -442,7 +372,7 @@ impl Transport for TcpTransport {
 /// Loopback pair for unit tests: (accepted, connected).
 #[cfg(test)]
 pub(crate) fn loopback_pair() -> (TcpTransport, TcpTransport) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("addr");
     let client = TcpTransport::connect(addr).expect("connect");
     let (accepted, _) = listener.accept().expect("accept");
@@ -483,11 +413,12 @@ mod tests {
         a.send(SimTime::ZERO, b"bye").unwrap();
         a.close();
         assert_eq!(recv_exactly(&mut b, 3), b"bye");
-        // Poll until the FIN is visible; then recv must error.
+        // Poll until the FIN is visible: recv reads empty until then,
+        // and errors after.
         for _ in 0..1000 {
-            if b.readiness(SimTime::ZERO) == Readiness::Closed {
-                assert!(b.recv(SimTime::ZERO).is_err());
-                return;
+            match b.recv(SimTime::ZERO) {
+                Ok(bytes) => assert!(bytes.is_empty(), "bytes after the drain: {bytes:?}"),
+                Err(e) => return assert_eq!(e, TransportError::Closed),
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }

@@ -45,19 +45,6 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Readiness of a transport endpoint, as reported by
-/// [`Transport::readiness`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Readiness {
-    /// Bytes are available to [`Transport::recv`] right now.
-    Readable,
-    /// Nothing readable at this instant, but the connection is open and
-    /// bytes may yet arrive.
-    Quiet,
-    /// The connection is closed or failed; once drained, `recv` errors.
-    Closed,
-}
-
 /// One endpoint of a byte-stream control connection.
 ///
 /// Contract:
@@ -99,11 +86,8 @@ pub trait Transport {
         Ok(out.len())
     }
 
-    /// Polls readiness without consuming bytes.
-    fn readiness(&mut self, now: SimTime) -> Readiness;
-
-    /// Closes this endpoint; the peer observes [`Readiness::Closed`]
-    /// after draining. Idempotent.
+    /// Closes this endpoint; the peer's `recv` fails with
+    /// [`TransportError::Closed`] after draining. Idempotent.
     fn close(&mut self);
 
     /// Bytes accepted by [`Transport::send`] but not yet taken by the
@@ -126,9 +110,6 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     fn recv_into(&mut self, now: SimTime, out: &mut Vec<u8>) -> Result<usize, TransportError> {
         (**self).recv_into(now, out)
     }
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        (**self).readiness(now)
-    }
     fn close(&mut self) {
         (**self).close();
     }
@@ -146,9 +127,6 @@ impl<T: Transport + ?Sized> Transport for &mut T {
     }
     fn recv_into(&mut self, now: SimTime, out: &mut Vec<u8>) -> Result<usize, TransportError> {
         (**self).recv_into(now, out)
-    }
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        (**self).readiness(now)
     }
     fn close(&mut self) {
         (**self).close();
@@ -198,9 +176,6 @@ impl<T: Transport> Transport for LeasedTransport<T> {
     }
     fn recv_into(&mut self, now: SimTime, out: &mut Vec<u8>) -> Result<usize, TransportError> {
         self.inner.recv_into(now, out)
-    }
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        self.inner.readiness(now)
     }
     fn close(&mut self) {}
     fn backlog(&self) -> usize {
@@ -305,15 +280,6 @@ impl Duplex {
         }
     }
 
-    /// True if at least one byte toward `at` is deliverable by `now`.
-    fn peek_deliverable(&self, at: End, now: SimTime) -> bool {
-        let pipe = match at {
-            End::A => &self.b_to_a,
-            End::B => &self.a_to_b,
-        };
-        pipe.queue.front().is_some_and(|(deliver, _)| *deliver <= now)
-    }
-
     /// Splits the connection into its two [`Transport`] endpoints. The
     /// halves share this duplex through interior mutability (they stay
     /// on one thread — cross-thread control connections are what
@@ -374,18 +340,6 @@ impl Transport for DuplexEnd {
         Ok(bytes)
     }
 
-    fn readiness(&mut self, now: SimTime) -> Readiness {
-        let shared = self.shared.borrow();
-        let end = self.end;
-        if shared.duplex.peek_deliverable(end, now) {
-            return Readiness::Readable;
-        }
-        if shared.any_closed() && !shared.duplex.has_in_flight(end) {
-            return Readiness::Closed;
-        }
-        Readiness::Quiet
-    }
-
     fn close(&mut self) {
         self.shared.borrow_mut().closed[self.end as usize] = true;
     }
@@ -427,10 +381,8 @@ mod tests {
         let (mut a, mut b) = Duplex::new(SimDuration::from_millis(10), 3).into_endpoints();
         let t0 = SimTime::ZERO;
         a.send(t0, b"hello").unwrap();
-        assert_eq!(b.readiness(t0), Readiness::Quiet);
         assert_eq!(b.recv(t0).unwrap(), b"");
         let t1 = t0 + SimDuration::from_millis(10);
-        assert_eq!(b.readiness(t1), Readiness::Readable);
         assert_eq!(b.recv(t1).unwrap(), b"hello");
         b.send(t1, b"hi").unwrap();
         assert_eq!(a.recv(t1 + SimDuration::from_millis(10)).unwrap(), b"hi");
@@ -449,7 +401,7 @@ mod tests {
         assert_eq!(b.recv(t).unwrap(), b"session 2", "connection survived the ignored close");
         // The owner still reaches the real connection to close it.
         lease.inner_mut().close();
-        assert_eq!(b.readiness(t), Readiness::Closed);
+        assert_eq!(b.recv(t), Err(TransportError::Closed));
     }
 
     #[test]
@@ -463,10 +415,9 @@ mod tests {
         assert_eq!(b.send(t0, b"x"), Err(TransportError::Closed));
         // In-flight bytes still deliver...
         let t1 = t0 + SimDuration::from_millis(10);
-        assert_eq!(b.readiness(t0), Readiness::Quiet, "in flight, not yet due");
+        assert_eq!(b.recv(t0).unwrap(), b"", "in flight, not yet due: no error yet");
         assert_eq!(b.recv(t1).unwrap(), b"last words");
         // ...then the endpoint reports closed.
-        assert_eq!(b.readiness(t1), Readiness::Closed);
         assert_eq!(b.recv(t1), Err(TransportError::Closed));
     }
 }

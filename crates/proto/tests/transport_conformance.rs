@@ -1,7 +1,8 @@
 //! One conformance suite, every transport.
 //!
 //! The `Transport` contract (ordered un-duplicated delivery with no
-//! message boundaries, close-drains-then-errors, readiness reporting)
+//! message boundaries, close-drains-then-errors, an idle read that is
+//! empty rather than an error)
 //! is what lets the sessions and the measurement engine stay identical
 //! across the simulated stream, real TCP, and the fault decorator. This
 //! suite runs the same generic scenarios against all three, including
@@ -20,7 +21,7 @@ use flashflow_proto::session::{
     CoordPhase, CoordinatorSession, MeasurerAction, MeasurerPhase, MeasurerSession, SessionTimeouts,
 };
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::{Duplex, Readiness, Transport};
+use flashflow_proto::transport::{Duplex, Transport};
 use flashflow_simnet::time::{SimDuration, SimTime};
 
 /// A transport pair under test. `now(round)` supplies the simulated
@@ -145,25 +146,14 @@ fn close_drains_in_flight_bytes_then_errors() {
 }
 
 #[test]
-fn readiness_tracks_available_bytes() {
+fn idle_recv_is_empty_not_an_error() {
     for mut pair in all_pairs() {
-        // Nothing sent yet: quiet.
-        assert_eq!(pair.b.readiness(now_for(0)), Readiness::Quiet, "[{}]", pair.name);
+        // Nothing sent yet: an open connection reads empty.
+        assert_eq!(pair.b.recv(now_for(0)).as_deref(), Ok(&[][..]), "[{}]", pair.name);
         pair.a.send(now_for(0), b"x").expect("send");
-        // Eventually readable...
-        let mut readable = false;
-        for round in 0..2000 {
-            if pair.b.readiness(now_for(round)) == Readiness::Readable {
-                readable = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(readable, "[{}] sent byte never became readable", pair.name);
-        // ...and quiet again once drained.
-        let last = recv_exactly(pair.name, &mut *pair.b, 1);
-        assert_eq!(last, b"x");
-        assert_eq!(pair.b.readiness(now_for(2000)), Readiness::Quiet, "[{}]", pair.name);
+        assert_eq!(recv_exactly(pair.name, &mut *pair.b, 1), b"x");
+        // Drained: empty again, still open.
+        assert_eq!(pair.b.recv(now_for(2000)).as_deref(), Ok(&[][..]), "[{}]", pair.name);
     }
 }
 

@@ -97,12 +97,11 @@ const USAGE: &str = "usage: flashflow-relay [--config FILE] [--listen ADDR] \
                      [--io-threads N] [--log-json FILE] [--metrics-addr ADDR]";
 
 /// One commanded measurement's aggregated echo accounting, fed by
-/// however many concurrent echo channels bound to its nonce.
+/// however many concurrent echo channels bound to its nonce. What each
+/// channel received, and found corrupt or forged, is counted
+/// process-wide by the `relay.echo.*` metrics.
 #[derive(Default)]
 struct EchoCounters {
-    received: AtomicU64,
-    corrupt: AtomicU64,
-    forged: AtomicU64,
     echoed: AtomicU64,
     channels: AtomicU64,
 }

@@ -180,8 +180,8 @@ impl Role for Relay {
 /// (level-triggered polling re-delivers whatever remains).
 const PUMP_ROUNDS: u32 = 8;
 
-/// One bound echo channel, pumped on socket readiness, publishing
-/// counter deltas into its measurement's aggregate. While the echo
+/// One bound echo channel, pumped on socket readiness, publishing its
+/// echoed bytes into its measurement's aggregate. While the echo
 /// backlog sits at [`ECHO_BACKLOG_HIGH_WATER`] it drops read interest:
 /// the blast waits in the kernel until the measurer drains its echo.
 pub struct DataConn {
@@ -190,8 +190,8 @@ pub struct DataConn {
     echoer: Echoer<TcpTransport>,
     counters: Arc<EchoCounters>,
     t0: Instant,
-    /// (received, corrupt, forged, echoed) through the last publish.
-    last: (u64, u64, u64, u64),
+    /// Echoed bytes through the last publish.
+    published: u64,
     last_activity: Instant,
 }
 
@@ -225,7 +225,7 @@ impl DataConn {
             echoer,
             counters,
             t0,
-            last: (0, 0, 0, 0),
+            published: 0,
             last_activity: Instant::now(),
         };
         if let Err(e) = conn.echoer.inject(now, preread) {
@@ -237,20 +237,12 @@ impl DataConn {
         Some(conn)
     }
 
-    /// Publishes counter deltas into the measurement's aggregate (the
-    /// control session reports from those totals).
+    /// Publishes the echoed-bytes delta into the measurement's
+    /// aggregate (the control session reports from that total).
     fn publish(&mut self) {
-        let now = (
-            self.echoer.received_total(),
-            self.echoer.corrupt_total(),
-            self.echoer.forged_total(),
-            self.echoer.echoed_total(),
-        );
-        self.counters.received.fetch_add(now.0 - self.last.0, Ordering::Relaxed);
-        self.counters.corrupt.fetch_add(now.1 - self.last.1, Ordering::Relaxed);
-        self.counters.forged.fetch_add(now.2 - self.last.2, Ordering::Relaxed);
-        self.counters.echoed.fetch_add(now.3 - self.last.3, Ordering::Relaxed);
-        self.last = now;
+        let echoed = self.echoer.echoed_total();
+        self.counters.echoed.fetch_add(echoed - self.published, Ordering::Relaxed);
+        self.published = echoed;
     }
 
     fn close(&mut self) -> Step {

@@ -11,9 +11,9 @@
 //! second — measurers their verified echo, the relay echoed + admitted
 //! background. The per-relay estimate (echoed + clamped background)
 //! must land within 5% of the deterministic Duplex reference, with the
-//! audit ledger clean; the adversarial cases (a relay inflating its
+//! audit rows clean; the adversarial cases (a relay inflating its
 //! background claim, a relay echoing garbage) must be *flagged* in the
-//! ledger rows instead of silently believed. All children exit 0 —
+//! audit rows instead of silently believed. All children exit 0 —
 //! including a measurer SIGTERMed mid-slot, which must finish the slot
 //! it is running before it goes.
 
@@ -29,8 +29,7 @@ use flashflow_core::bwauth::measure_echo_period;
 use flashflow_core::echo::{
     item_trace_id, run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
 };
-use flashflow_core::engine::{EngineEvent, PeerDirectory};
-use flashflow_core::measure::build_second_samples;
+use flashflow_core::engine::EngineEvent;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_proto::frame::{encode, FrameDecoder};
@@ -284,10 +283,9 @@ fn duplex_reference_estimates() -> Vec<f64> {
     assert!(run.peers.all_clean(), "reference run had failures");
     (0..ITEMS)
         .map(|g| {
-            let (x, y) = run.ledger.merged_series(&run.peers, g);
-            let seconds = build_second_samples(&x, &y, RATIO);
-            let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-            median(&z).expect("reference seconds")
+            let (seconds, estimate) = run.peers.estimate(g, RATIO);
+            assert!(!seconds.is_empty(), "reference item {g} produced no seconds");
+            estimate.bytes_per_sec()
         })
         .collect()
 }
@@ -337,7 +335,7 @@ fn three_party_topology_estimates_match_duplex_reference() {
             entry.divergent_rows < SLOT_SECS as usize - 1,
             "item {g}: honest topology flagged {} rows: {:?}",
             entry.divergent_rows,
-            file.ledger.rows(&file.peers, g)
+            file.peers.rows(g, RATIO)
         );
         let est = entry.capacity.bytes_per_sec();
         let reference = reference[g];
@@ -355,8 +353,8 @@ fn three_party_topology_estimates_match_duplex_reference() {
     // bg column near the allowance, cross-checked against the
     // aggregated measurer echo.
     let target_rows: Vec<_> = file
-        .ledger
-        .rows(&file.peers, 0)
+        .peers
+        .rows(0, RATIO)
         .into_iter()
         .filter(|r| file.peers.role(r.peer) == PeerRole::Target)
         .collect();
@@ -402,7 +400,7 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
     let entry = &file.entries[0];
     assert!(!entry.clean, "a failed dial must mark the item unclean");
     // The surviving measurer still demonstrated its share.
-    let (x, _) = file.ledger.merged_series(&file.peers, 0);
+    let (x, _) = file.peers.merged_series(0);
     let survivor_rate = MEASURER_CAPS[0] as f64;
     let mid = x.get(2).copied().unwrap_or(0.0);
     assert!(
@@ -433,11 +431,11 @@ fn background_inflating_relay_is_flagged_in_the_ledger() {
     assert!(
         entry.divergent_rows >= SLOT_SECS as usize - 1,
         "inflated background claims must flag the audit rows: {:?}",
-        file.ledger.rows(&file.peers, 0)
+        file.peers.rows(0, RATIO)
     );
     let flagged_bg = file
-        .ledger
-        .rows(&file.peers, 0)
+        .peers
+        .rows(0, RATIO)
         .iter()
         .filter(|r| file.peers.role(r.peer) == PeerRole::Target && r.divergent)
         .all(|r| r.bg == claim);
@@ -472,7 +470,7 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
     assert!(
         entry.divergent_rows > 0,
         "the relay's echo claim must diverge from what the measurers verified: {:?}",
-        file.ledger.rows(&file.peers, 0)
+        file.peers.rows(0, RATIO)
     );
 
     drop(pool);

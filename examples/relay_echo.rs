@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --example relay_echo`
 
-use flashflow_repro::core::measure::build_second_samples;
 use flashflow_repro::core::proto_driver::{run_in_memory, PeerBehaviour};
 use flashflow_repro::proto::blast::{
     binding_nonce, secret_channel_key, BackgroundMeter, BlastEvent, BlastParser, ByteCounter,
@@ -22,7 +21,6 @@ use flashflow_repro::proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERP
 use flashflow_repro::proto::session::MeasurerAction;
 use flashflow_repro::proto::transport::{Duplex, DuplexEnd, Transport as _};
 use flashflow_repro::simnet::rng::SimRng;
-use flashflow_repro::simnet::stats::median;
 use flashflow_repro::simnet::time::{SimDuration, SimTime};
 
 const SLOT_SECS: u32 = 5;
@@ -165,24 +163,21 @@ fn main() {
     assert!(run.peers.all_clean(), "topology did not complete: {:?}", run.events);
 
     // The estimate, exactly as §4.1 computes it.
-    let (x, y) = run.ledger.merged_series(&run.peers, 0);
-    let seconds = build_second_samples(&x, &y, RATIO);
-    let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-    let estimate = median(&z).expect("seconds");
+    let estimate = run.peers.estimate(0, RATIO).1.bytes_per_sec();
     let honest_x: u64 = MEASURER_CAPS.iter().sum();
     println!("echoed measurement rate (x): ~{honest_x} B/s commanded");
     println!("admitted background    (y): {BG_ALLOWANCE} B/s (offered {BG_OFFERED}, capped)");
     println!("estimate  median(x+y clamped): {estimate:.0} B/s");
     println!(
         "audit: {} rows, {} divergent",
-        run.ledger.rows(&run.peers, 0).len(),
-        run.ledger.divergent_count(&run.peers, 0)
+        run.peers.rows(0, RATIO).len(),
+        run.peers.divergent_count(0, RATIO)
     );
     let expect = (honest_x + BG_ALLOWANCE) as f64;
     assert!(
         (estimate - expect).abs() / expect < 0.10,
         "estimate {estimate:.0} differs from expected {expect:.0} by >10%"
     );
-    assert_eq!(run.ledger.divergent_count(&run.peers, 0), 0, "honest topology flagged");
+    assert_eq!(run.peers.divergent_count(0, RATIO), 0, "honest topology flagged");
     println!("ok: full echo topology reproduced the commanded capacity");
 }

@@ -1,6 +1,6 @@
 //! A measurement round in miniature: several items measured at the same
 //! time as the items of one `MeasurementEngine`, their events in one
-//! stream and their samples in one ledger.
+//! stream and their samples in one record.
 //!
 //! This is the shape of the deployment's round driver (the full-size
 //! version is `crates/bench/benches/scripted_period.rs`, and the real
@@ -11,10 +11,7 @@
 //!
 //! Run with: `cargo run --example scripted_period`
 
-use flashflow_repro::core::engine::PeerDirectory;
-use flashflow_repro::core::measure::build_second_samples;
 use flashflow_repro::core::proto_driver::{run_scripted, ScriptedPeer};
-use flashflow_repro::simnet::stats::median;
 
 const ITEMS: usize = 6;
 const SLOT_SECS: u32 = 5;
@@ -34,10 +31,7 @@ fn main() {
     assert!(run.peers.all_clean(), "a session failed");
     println!("event stream: {} events, per-item order preserved", run.events.len());
     for item in 0..ITEMS {
-        let (x, y) = run.ledger.merged_series(&run.peers, item);
-        let seconds = build_second_samples(&x, &y, 0.25);
-        let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-        let estimate = median(&z).expect("seconds");
+        let estimate = run.peers.estimate(item, 0.25).1.bytes_per_sec();
         let (tx, rx) =
             run.peers.peers().filter(|p| run.peers.item(*p) == item).fold((0, 0), |(tx, rx), p| {
                 let (ptx, prx) = run.peers.frames(p);

@@ -16,15 +16,13 @@ use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_repro::core::engine::{EngineEvent, MeasurementEngine, SampleLedger};
-use flashflow_repro::core::measure::build_second_samples;
+use flashflow_repro::core::engine::{EngineEvent, MeasurementEngine};
 use flashflow_repro::proto::endpoint::Endpoint;
 use flashflow_repro::proto::msg::{MeasureSpec, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 use flashflow_repro::proto::session::{
     CoordinatorSession, MeasurerAction, MeasurerSession, SessionTimeouts,
 };
 use flashflow_repro::proto::tcp::TcpTransport;
-use flashflow_repro::simnet::stats::median;
 use flashflow_repro::simnet::time::SimTime;
 
 const SLOT_SECS: u32 = 5;
@@ -125,9 +123,7 @@ fn main() {
         handle.join().expect("peer thread");
     }
 
-    let mut ledger = SampleLedger::new();
     for event in &events {
-        ledger.observe(event);
         match event {
             EngineEvent::GoReleased { at, .. } => {
                 println!("[coordinator] barrier released at {at}")
@@ -140,10 +136,7 @@ fn main() {
         }
     }
 
-    let (x, y) = ledger.merged_series(&engine, 0);
-    let seconds = build_second_samples(&x, &y, 0.25);
-    let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-    let estimate = median(&z).unwrap_or(0.0);
+    let (seconds, estimate) = engine.snapshot().estimate(0, 0.25);
     println!("\nper-second series ({} seconds):", seconds.len());
     for (j, s) in seconds.iter().enumerate() {
         println!(
@@ -155,7 +148,7 @@ fn main() {
     }
     println!(
         "estimate: {:.1} MB/s over TCP in {:.0} ms of wall time",
-        estimate / 1e6,
+        estimate.bytes_per_sec() / 1e6,
         t0.elapsed().as_secs_f64() * 1e3
     );
 }

@@ -19,8 +19,7 @@ use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_repro::core::engine::{EngineEvent, MeasurementEngine, PeerDirectory, SampleLedger};
-use flashflow_repro::core::measure::build_second_samples;
+use flashflow_repro::core::engine::{EngineEvent, EngineSnapshot, MeasurementEngine};
 use flashflow_repro::core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_repro::proto::endpoint::Endpoint;
 use flashflow_repro::proto::fault::{FaultMode, FaultyTransport};
@@ -32,7 +31,6 @@ use flashflow_repro::proto::session::{
 };
 use flashflow_repro::proto::tcp::TcpTransport;
 use flashflow_repro::proto::transport::Transport;
-use flashflow_repro::simnet::stats::median;
 use flashflow_repro::simnet::time::{SimDuration, SimTime};
 
 const SLOT_SECS: u32 = 5;
@@ -96,27 +94,22 @@ fn drive_peer<T: Transport>(
 
 /// Runs the scenario, estimate = median over per-second z, computed
 /// from engine events exactly as the sim driver does it.
-fn estimate_from(
-    events: &[EngineEvent],
-    ledger: &SampleLedger,
-    engine: &impl PeerDirectory,
-) -> f64 {
+fn estimate_from(events: &[EngineEvent], peers: &EngineSnapshot) -> f64 {
     assert!(
         events.iter().any(|e| matches!(e, EngineEvent::ItemComplete { item: 0 })),
         "slot never completed: {events:?}"
     );
-    let (x, y) = ledger.merged_series(engine, 0);
     // Paper ratio r = 0.25; the scripted background (2 MB/s) is far
     // under the allowance, so z = x + y exactly.
-    let seconds = build_second_samples(&x, &y, 0.25);
-    let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-    median(&z).expect("slot produced seconds")
+    let (seconds, estimate) = peers.estimate(0, 0.25);
+    assert!(!seconds.is_empty(), "slot produced no seconds");
+    estimate.bytes_per_sec()
 }
 
 /// In-memory reference: the same scenario on the in-memory executor.
 fn run_over_duplex() -> f64 {
     let run = run_scripted(&[scenario()], SLOT_SECS);
-    estimate_from(&run.events, &run.ledger, &run.peers)
+    estimate_from(&run.events, &run.peers)
 }
 
 /// The real thing: coordinator on this thread, one OS thread per peer,
@@ -151,10 +144,6 @@ fn run_over_tcp() -> f64 {
         thread::sleep(Duration::from_millis(1));
         SimTime::from_secs_f64(t0.elapsed().as_secs_f64())
     });
-    let mut ledger = SampleLedger::new();
-    for ev in &events {
-        ledger.observe(ev);
-    }
     for handle in threads {
         handle.join().expect("peer thread");
     }
@@ -164,7 +153,7 @@ fn run_over_tcp() -> f64 {
             "clean run had a failure: {events:?}"
         );
     }
-    estimate_from(&events, &ledger, &engine)
+    estimate_from(&events, &engine.snapshot())
 }
 
 #[test]
