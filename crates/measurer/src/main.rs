@@ -26,8 +26,9 @@
 //! * Echo channels are **dialed without blocking** at `Go` and each one
 //!   is a reactor connection of its own, driven on its own socket's
 //!   readiness: an uncapped channel blasts whenever its socket takes
-//!   bytes, keeping at most 8 MiB in flight (sent, not yet back in its
-//!   echo), and verifies the echo whenever it arrives; a paced one sends
+//!   bytes, one `send` per pump, keeping at most its even share of the
+//!   slot's 8 MiB in flight (sent, not yet back in its echo), and
+//!   verifies the echo whenever it arrives; a paced one sends
 //!   its allowance, a tick ahead, and verifies the echo on the shard
 //!   tick and is never armed for write readiness while it has nothing
 //!   queued. The channels and their
@@ -36,9 +37,9 @@
 //!   finds it closed hangs up at its next wakeup or tick.
 //! * A slot opens at most **16** echo channels, whatever `sockets` the
 //!   command asks for (the `echo.channels` event logs both figures, as
-//!   `commanded` and `channels`). The cap stays while the benchmark's
-//!   unverified-bytes gate assumes it: that gate allows one in-flight
-//!   window per channel, and counts channels with the same cap.
+//!   `commanded` and `channels`). The slot's bytes in flight do not grow
+//!   with the channel count; the cap stays while the benchmark's
+//!   unverified-bytes gate counts channels with the same cap.
 //! * A measurer serves **no inbound data channels**: measurement bytes
 //!   only ever flow measurer → relay → measurer, so a connection that
 //!   opens with a

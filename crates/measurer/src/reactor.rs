@@ -31,8 +31,9 @@ use procutil::reactor::{self, Driven, Step};
 use crate::Measurer;
 
 /// Most echo channels one slot opens, whatever `sockets` the command
-/// asks for. The benchmark's unverified-bytes gate counts in-flight
-/// windows with this same cap, so raising it waits on that gate.
+/// asks for. The slot's bytes in flight do not grow with it (its
+/// channels split one [`IN_FLIGHT_WINDOW`]); what pins it is the
+/// benchmark's `MEASURER_SOCKET_CLAMP`, which must move with it.
 const MAX_SOCKETS: u32 = 16;
 
 /// How many pump + drain rounds one wakeup may spend on a single echo
@@ -41,17 +42,20 @@ const MAX_SOCKETS: u32 = 16;
 /// bound the relay's echo side uses.
 const PUMP_ROUNDS: u32 = 8;
 
-/// Most payload bytes an uncapped channel keeps in flight: sent, and
-/// not yet back in its echo. Past a few bursts more in flight only
-/// queues in kernel buffers, which autotune to tens of MiB on loopback,
-/// and what is in flight when the slot closes is echoed by the relay
-/// but never verified: the window bounds that tail per channel.
+/// Most payload bytes one measured item keeps in flight: sent, and not
+/// yet back in its echo, summed over the slot's channels, each of which
+/// keeps an even share. Past a few bursts more in flight only queues in
+/// kernel buffers, which autotune to tens of MiB on loopback, and what
+/// is in flight when the slot closes is echoed by the relay but never
+/// verified: the budget bounds that tail per measurer, whatever the
+/// channel count.
 const IN_FLIGHT_WINDOW: u64 = 8 << 20;
 
-/// Whether `source` is under its [`IN_FLIGHT_WINDOW`]. The echo is the
-/// relay's to send, so it may claim more than was sent: saturate.
-fn window_open(source: &TrafficSource<TcpTransport>, echo: &BlastParser) -> bool {
-    source.sent_total().saturating_sub(echo.received_total()) < IN_FLIGHT_WINDOW
+/// Whether `source` is under its `window` (its channel's share of
+/// [`IN_FLIGHT_WINDOW`]). The echo is the relay's to send, so it may
+/// claim more than was sent: saturate.
+fn window_open(source: &TrafficSource<TcpTransport>, echo: &BlastParser, window: u64) -> bool {
+    source.sent_total().saturating_sub(echo.received_total()) < window
 }
 
 /// The top bit of an [`EchoTally`]: the slot is over.
@@ -247,6 +251,7 @@ impl EchoPlane<'_> {
         let nonce = binding_nonce(spec.measurement_secret);
         let key = secret_channel_key(spec.measurement_secret);
         let n = spec.sockets.clamp(1, MAX_SOCKETS);
+        let window = IN_FLIGHT_WINDOW / u64::from(n);
         // `Go` is now; the blast clock runs from a tick earlier.
         let t0 = Instant::now().checked_sub(self.lead).unwrap_or_else(Instant::now);
         let mut dialed = 0;
@@ -271,6 +276,7 @@ impl EchoPlane<'_> {
                 hello: DataChannelHello { nonce, channel: chan },
                 key,
                 cap: share,
+                window,
                 echo: BlastParser::new().with_key(key).with_counters(self.counters.clone()),
                 tally: Arc::clone(self.tally),
                 credited: 0,
@@ -324,6 +330,8 @@ struct EchoChannel {
     key: u64,
     /// This channel's share of the commanded rate cap (0 = uncapped).
     cap: u64,
+    /// This channel's share of the slot's [`IN_FLIGHT_WINDOW`].
+    window: u64,
     echo: BlastParser,
     tally: Arc<EchoTally>,
     /// Verified bytes of this channel already credited to the tally.
@@ -411,7 +419,7 @@ impl EchoChannel {
         let Link::Blasting(source) = &mut self.link else { return Step::Continue };
         let mut hung_up = false;
         for _ in 0..PUMP_ROUNDS {
-            let sent = window_open(source, &self.echo) && source.pump(now);
+            let sent = window_open(source, &self.echo, self.window) && source.pump(now);
             // Reading also flushes the transport's queued outbox.
             let got = match source.transport_mut().recv_into(now, &mut self.rx) {
                 Ok(got) => got,
@@ -440,7 +448,7 @@ impl EchoChannel {
         // An uncapped source sends whenever the socket would take bytes
         // and its window is open (else the echo's arrival wakes it); a
         // paced one only needs write readiness to flush a backlog.
-        self.wants_write = (self.cap == 0 && window_open(source, &self.echo))
+        self.wants_write = (self.cap == 0 && window_open(source, &self.echo, self.window))
             || source.transport_mut().pending_send_bytes() > 0;
         if !self.publish() || hung_up {
             return self.close();
@@ -502,8 +510,19 @@ mod tests {
     use procutil::peer::Settings;
     use procutil::reactor::{Reactor, ReactorConfig};
     use std::net::{SocketAddr, TcpListener};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::Duration;
+
+    /// Held by every test that runs reactors: they time rates and CPU
+    /// shares, and an uncapped channel beside them takes the CPU they
+    /// are timed on.
+    static REACTORS: Mutex<()> = Mutex::new(());
+
+    /// Waits for the other reactor tests (a failed one does not poison
+    /// the rest).
+    fn serialised() -> MutexGuard<'static, ()> {
+        REACTORS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// This thread's CPU time (user + system) in seconds, from its
     /// `/proc/self/task/<tid>/stat` line, which `/proc/thread-self` names.
@@ -622,6 +641,7 @@ mod tests {
     fn one_channel(rate_cap: u64, wall: Duration, enough: u64) -> (u64, Duration, Option<f64>) {
         const SECRET: u64 = 0x5EED_EC40;
         const TICK: Duration = Duration::from_millis(50);
+        let _serial = serialised();
         let (peer, target) = echo_peer(secret_channel_key(SECRET));
         let shard =
             Reactor::serve(None, ReactorConfig { shards: 1, tick: TICK }, Arc::new(|_, _| None))
@@ -707,11 +727,11 @@ mod tests {
         }
     }
 
-    /// An uncapped channel whose echo never comes back stops sending
-    /// at its in-flight window: what a closing slot leaves unverified is
-    /// bounded per channel, not by how far the kernel's buffers grow.
-    #[test]
-    fn an_uncapped_channel_keeps_at_most_its_window_in_flight() {
+    /// Dials an uncapped slot of `sockets` channels at a peer that reads
+    /// every channel's blast and never echoes any of it; returns the
+    /// bytes it swallowed once they stopped growing.
+    fn swallowed_by_a_silent_peer(sockets: u32) -> u64 {
+        let _serial = serialised();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let target = listener.local_addr().expect("addr");
         let read = Arc::new(AtomicU64::new(0));
@@ -734,7 +754,7 @@ mod tests {
         .expect("start measurer shard");
         let spec = MeasureSpec {
             slot_secs: 1,
-            sockets: 1,
+            sockets,
             target: TargetEndpoint::from_addr(target).expect("IPv4 loopback"),
             measurement_secret: 0x5EED_0001,
             ..MeasureSpec::default()
@@ -747,9 +767,10 @@ mod tests {
             shard.adopt(channel);
             true
         };
-        assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), 1);
+        assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), sockets);
 
-        // The swallowed count grows while the window is open, then stops.
+        // The swallowed count grows while the windows are open, then
+        // stops.
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut last = 0;
         loop {
@@ -758,29 +779,55 @@ mod tests {
             if now > 0 && now == last {
                 break;
             }
-            assert!(Instant::now() < deadline, "the channel kept sending: {now} B swallowed");
+            assert!(Instant::now() < deadline, "the channels kept sending: {now} B swallowed");
             last = now;
         }
-        // At most one pump's burst past the window, in frames, after the
-        // hello.
-        let frames = |payload: u64| payload.div_ceil(BLAST_CHUNK as u64) * BLAST_HEADER_LEN as u64;
-        let most = IN_FLIGHT_WINDOW + MAX_TICK_BYTES;
-        let most = most + frames(most) + HELLO_LEN as u64;
-        assert!(
-            (IN_FLIGHT_WINDOW..=most).contains(&last),
-            "{last} B in flight, window {IN_FLIGHT_WINDOW} B"
-        );
 
         tally.close();
         let gone_by = Instant::now() + Duration::from_secs(5);
         while shard.live() > 0 {
-            assert!(Instant::now() < gone_by, "the channel outlived its closed tally");
+            assert!(Instant::now() < gone_by, "a channel outlived its closed tally");
             std::thread::sleep(Duration::from_millis(5));
         }
         for reactor in [shard, peer] {
             reactor.stop();
             reactor.join().expect("clean join");
         }
+        last
+    }
+
+    /// The most a silent peer may swallow from `sockets` channels: the
+    /// measurer's whole window, plus one pump's burst per channel past
+    /// its share, in frames, after each channel's hello.
+    fn most_in_flight(sockets: u32) -> u64 {
+        let headers = |payload: u64| payload.div_ceil(BLAST_CHUNK as u64) * BLAST_HEADER_LEN as u64;
+        let burst = MAX_TICK_BYTES + headers(MAX_TICK_BYTES) + HELLO_LEN as u64;
+        IN_FLIGHT_WINDOW + headers(IN_FLIGHT_WINDOW) + u64::from(sockets) * burst
+    }
+
+    /// An uncapped channel whose echo never comes back stops sending
+    /// at its in-flight window: what a closing slot leaves unverified is
+    /// bounded, not by how far the kernel's buffers grow.
+    #[test]
+    fn an_uncapped_channel_keeps_at_most_its_window_in_flight() {
+        let last = swallowed_by_a_silent_peer(1);
+        let most = most_in_flight(1);
+        assert!(
+            (IN_FLIGHT_WINDOW..=most).contains(&last),
+            "{last} B in flight, window {IN_FLIGHT_WINDOW} B"
+        );
+    }
+
+    /// A slot's channels split one window: four silent channels stop at
+    /// the measurer's window (plus a burst each), not at four windows.
+    #[test]
+    fn a_slots_channels_share_one_window_in_flight() {
+        let last = swallowed_by_a_silent_peer(4);
+        let most = most_in_flight(4);
+        assert!(
+            (IN_FLIGHT_WINDOW..=most).contains(&last),
+            "{last} B in flight over 4 channels, window {IN_FLIGHT_WINDOW} B for all"
+        );
     }
 
     /// An uncapped channel moves bytes on its socket's readiness: a

@@ -83,16 +83,15 @@ pub const MAX_BLAST_PAYLOAD: usize = 64 * 1024;
 /// Payload bytes per frame a [`TrafficSource`] emits.
 pub const BLAST_CHUNK: usize = 16 * 1024;
 
-/// Upper bound on bytes one [`TrafficSource::pump`] call writes, so a
-/// zero-latency transport (or an uncapped blast) cannot trap the caller
-/// or balloon an in-memory queue inside a single tick.
+/// Upper bound on payload bytes one [`TrafficSource::pump`] call
+/// writes (16 frames of [`BLAST_CHUNK`]), so a zero-latency transport
+/// (or an uncapped blast) cannot trap the caller or balloon an
+/// in-memory queue inside a single tick. The pump hands all of it to
+/// the transport in one `send`.
 pub const MAX_TICK_BYTES: u64 = 256 * 1024;
 
-/// Target size of one batched `Transport::send`: the blast senders
-/// assemble several frames into their reused buffer and hand them to
-/// the transport together, so a full-rate blast costs one syscall per
-/// ~4 frames instead of one per frame.
-pub const SEND_BATCH_BYTES: usize = 64 * 1024;
+/// Most frames one [`TrafficSource::pump`] call builds.
+const MAX_TICK_FRAMES: usize = (MAX_TICK_BYTES as usize).div_ceil(BLAST_CHUNK);
 
 /// Send-side backlog ([`Transport::backlog`]) at which both blast
 /// senders pause: a [`TrafficSource`] sends less (its pacing allowance
@@ -443,8 +442,9 @@ pub struct TrafficSource<T: Transport> {
     seq: u64,
     counter: ByteCounter,
     error: Option<TransportError>,
-    /// Reused frame buffer (header + payload): the blast path runs at
-    /// hundreds of MB/s, so per-frame allocation is pure overhead.
+    /// Reused buffer for one pump's frames (headers + payloads): the
+    /// blast path runs at hundreds of MB/s, so per-frame allocation is
+    /// pure overhead.
     frame: Vec<u8>,
 }
 
@@ -464,7 +464,7 @@ impl<T: Transport> TrafficSource<T> {
             seq: 0,
             counter: ByteCounter::new(),
             error: None,
-            frame: Vec::with_capacity(BLAST_HEADER_LEN + BLAST_CHUNK),
+            frame: Vec::with_capacity(MAX_TICK_BYTES as usize + MAX_TICK_FRAMES * BLAST_HEADER_LEN),
         }
     }
 
@@ -554,7 +554,9 @@ impl<T: Transport> TrafficSource<T> {
     }
 
     /// Writes as many pattern-stamped frames as the pacing budget at
-    /// `now` allows (bounded by [`MAX_TICK_BYTES`] per call); returns
+    /// `now` allows (bounded by [`MAX_TICK_BYTES`] per call), built in
+    /// the reused buffer and handed to the transport in one `send` —
+    /// one syscall per pump on a socket that takes it all; returns
     /// `true` if any bytes went out. Emits nothing while the
     /// transport's send backlog sits at or above
     /// [`ECHO_BACKLOG_HIGH_WATER`] — the loop the echo's back-pressure
@@ -581,30 +583,25 @@ impl<T: Transport> TrafficSource<T> {
             let elapsed = now.saturating_duration_since(started).as_secs_f64();
             (self.rate_cap as f64 * elapsed) as u64
         };
-        let mut budget = allowed.saturating_sub(self.sent).min(MAX_TICK_BYTES);
-        let mut moved = false;
-        while budget > 0 {
-            // Assemble a batch of frames in the reused buffer and hand
-            // them to the transport together (one vectored write /
-            // syscall per batch instead of per frame).
-            self.frame.clear();
-            let mut batch_payload = 0u64;
-            while budget > 0 && self.frame.len() < SEND_BATCH_BYTES {
-                let len = (budget as usize).min(BLAST_CHUNK);
-                append_frame(&mut self.frame, self.pattern, self.key, self.seq, len);
-                self.seq += 1;
-                batch_payload += len as u64;
-                budget -= len as u64;
-            }
-            if let Err(err) = self.transport.send(now, &self.frame) {
-                self.fail(err);
-                return moved;
-            }
-            self.sent += batch_payload;
-            self.counter.add(now, batch_payload);
-            moved = true;
+        let budget = allowed.saturating_sub(self.sent).min(MAX_TICK_BYTES);
+        if budget == 0 {
+            return false;
         }
-        moved
+        self.frame.clear();
+        let mut left = budget;
+        while left > 0 {
+            let len = (left as usize).min(BLAST_CHUNK);
+            append_frame(&mut self.frame, self.pattern, self.key, self.seq, len);
+            self.seq += 1;
+            left -= len as u64;
+        }
+        if let Err(err) = self.transport.send(now, &self.frame) {
+            self.fail(err);
+            return false;
+        }
+        self.sent += budget;
+        self.counter.add(now, budget);
+        true
     }
 
     fn fail(&mut self, err: TransportError) {
@@ -1921,14 +1918,61 @@ mod tests {
         assert_eq!(sink.corrupt_total(), 0);
     }
 
+    /// A transport that counts the `send` calls made into it.
+    struct CountingSends<T> {
+        inner: T,
+        sends: usize,
+    }
+
+    impl<T: Transport> Transport for CountingSends<T> {
+        fn send(&mut self, now: SimTime, bytes: &[u8]) -> Result<(), TransportError> {
+            self.sends += 1;
+            self.inner.send(now, bytes)
+        }
+
+        fn recv(&mut self, now: SimTime) -> Result<Vec<u8>, TransportError> {
+            self.inner.recv(now)
+        }
+
+        fn close(&mut self) {
+            self.inner.close();
+        }
+
+        fn backlog(&self) -> usize {
+            self.inner.backlog()
+        }
+    }
+
     #[test]
-    fn uncapped_pump_is_bounded_per_tick() {
-        let (a, _b) = Duplex::loopback().into_endpoints();
-        let mut src = TrafficSource::new(a, 1, 0);
-        src.greet(SimTime::ZERO);
-        src.start(SimTime::ZERO);
-        src.pump(SimTime::ZERO);
-        assert_eq!(src.sent_total(), MAX_TICK_BYTES, "one tick, one budget");
+    fn one_pump_hands_its_whole_budget_to_one_send() {
+        const KEY: u64 = 0x0DD_5E4D;
+        // (rate cap, pump instant, payload, frames): an uncapped pump
+        // sends a full tick's budget; one paced at 1 MB/s, 125 ms in,
+        // its allowance, which ends in a short frame.
+        let cases = [
+            (0, SimTime::ZERO, MAX_TICK_BYTES, MAX_TICK_FRAMES),
+            (1_000_000, SimTime::from_secs_f64(0.125), 125_000, 8),
+        ];
+        for (rate_cap, now, payload, frames) in cases {
+            let (a, mut b) = Duplex::loopback().into_endpoints();
+            let mut src =
+                TrafficSource::new(CountingSends { inner: a, sends: 0 }, 0xC0DE, 0).with_key(KEY);
+            src.set_rate_cap(rate_cap);
+            src.greet(SimTime::ZERO);
+            src.start(SimTime::ZERO);
+            let mut sink = BlastParser::new().with_key(KEY);
+            assert!(feed(&mut b, &mut sink, SimTime::ZERO).is_some(), "the hello");
+            let greeted = src.transport_mut().sends;
+
+            assert!(src.pump(now), "cap {rate_cap}: the pump sent");
+            assert_eq!(src.transport_mut().sends - greeted, 1, "cap {rate_cap}: one send");
+            assert_eq!(src.sent_total(), payload, "cap {rate_cap}");
+            let wire = b.recv(now).expect("open transport");
+            assert_eq!(wire.len() as u64, payload + (frames * BLAST_HEADER_LEN) as u64);
+            sink.push(&wire).expect("clean stream");
+            assert_eq!(sink.received_total(), payload, "cap {rate_cap}: every frame verified");
+            assert_eq!(sink.corrupt_total() + sink.forged_total() + sink.replayed_total(), 0);
+        }
     }
 
     #[test]
