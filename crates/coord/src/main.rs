@@ -237,9 +237,13 @@ fn main() {
     let span = Span::root(sink);
     let registry = MetricsRegistry::new();
     let metrics = CoordMetrics::register(&registry);
+    let mut metrics_thread = None;
     if let Some(maddr) = &cfg.metrics_addr {
         match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok(bound) => println!("metrics {bound}"),
+            Ok((bound, thread)) => {
+                println!("metrics {bound}");
+                metrics_thread = Some(thread);
+            }
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(1);
@@ -323,6 +327,10 @@ fn main() {
             println!("drained");
             break;
         }
+    }
+    procutil::stop_serving();
+    if metrics_thread.is_some_and(|thread| thread.join().is_err()) {
+        span.emit("coord.fatal", fields![error = "metrics endpoint panicked"]);
     }
     span.emit("coord.exit", fields![code = u64::from(exit != 0)]);
     std::process::exit(exit);

@@ -28,13 +28,15 @@
 //!   readiness: an uncapped channel blasts whenever its socket takes
 //!   bytes, one `send` per pump, keeping at most its even share of the
 //!   slot's 8 MiB in flight (sent, not yet back in its echo), and
-//!   verifies the echo whenever it arrives; a paced one sends
-//!   its allowance, a tick ahead, and verifies the echo on the shard
-//!   tick and is never armed for write readiness while it has nothing
-//!   queued. The channels and their
+//!   verifies the echo whenever it arrives; a paced one acts at its
+//!   own deadline, once per burst (4 ms of wall time, shorter at a high
+//!   `--speedup`): it sends its allowance, a burst ahead, verifies the
+//!   echo that came back, and arms its next burst, so its shard wakes
+//!   once per burst, and it is never armed for write readiness while it
+//!   has nothing queued. The channels and their
 //!   conversation share one atomic tally of verified bytes, which the
 //!   conversation closes with the slot's last report: a channel that
-//!   finds it closed hangs up at its next wakeup or tick.
+//!   finds it closed hangs up at its next wakeup.
 //! * A slot opens at most **16** echo channels, whatever `sockets` the
 //!   command asks for (the `echo.channels` event logs both figures, as
 //!   `commanded` and `channels`). The slot's bytes in flight do not grow

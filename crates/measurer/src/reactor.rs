@@ -7,19 +7,21 @@
 //!
 //! Each echo channel is a reactor connection of its own ([`EchoChannel`]):
 //! dialed without blocking ([`reactor::dial`]), handed to the serving
-//! reactor ([`Peer::spawn`]), and driven on its own socket's readiness.
+//! reactor ([`Peer::spawn`]), and driven on its own socket's readiness —
+//! or, paced, on its own burst deadlines ([`Driven::deadline`]): the
+//! shard it runs on wakes once per burst, not once per shard tick.
 
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_procutil as procutil;
 use flashflow_proto::blast::{
     binding_nonce, secret_channel_key, BlastCounters, BlastParser, DataChannelHello, SourceState,
-    TrafficSource,
+    TrafficSource, MAX_TICK_BYTES,
 };
 use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
@@ -50,6 +52,42 @@ const PUMP_ROUNDS: u32 = 8;
 /// verified: the budget bounds that tail per measurer, whatever the
 /// channel count.
 const IN_FLIGHT_WINDOW: u64 = 8 << 20;
+
+/// Longest wall time between a paced channel's bursts. Each burst is
+/// one `send` and one wakeup of the channel's shard, so fewer, larger
+/// bursts cost less CPU per byte; the echo a burst's channel has not
+/// read back yet when a report falls is at most about one burst.
+const MAX_BURST_INTERVAL: Duration = Duration::from_millis(4);
+
+/// Fewest bursts per sped-up second: at a high `--speedup` a second is
+/// short (20 ms of wall at 50x), and the burst must stay a small part
+/// of it.
+const MIN_BURSTS_PER_SECOND: f64 = 20.0;
+
+/// The wall time between the bursts of a channel paced at `cap` bytes
+/// per sped-up second on a clock `speedup` times wall time: 4 ms, or a
+/// 20th of a sped-up second if that is shorter, and never longer than
+/// it takes the rate to fill one pump ([`MAX_TICK_BYTES`]).
+fn burst_interval(speedup: f64, cap: u64) -> Duration {
+    let second = 1.0 / speedup;
+    let mut secs = MAX_BURST_INTERVAL.as_secs_f64().min(second / MIN_BURSTS_PER_SECOND);
+    if cap > 0 {
+        secs = secs.min(MAX_TICK_BYTES as f64 / cap as f64 * second);
+    }
+    Duration::from_secs_f64(secs)
+}
+
+/// The first instant after `now` on the process's grid of `every`-long
+/// burst intervals. Every paced channel bursts on the grid of its
+/// interval, counted from one process-wide origin, so the channels one
+/// shard drives come due together and wake it once for all of them.
+fn next_burst_after(now: Instant, every: Duration) -> Instant {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    let origin = *ORIGIN.get_or_init(Instant::now);
+    let every_ns = every.as_nanos().max(1);
+    let passed = now.saturating_duration_since(origin).as_nanos() / every_ns + 1;
+    origin + Duration::from_nanos(u64::try_from(passed * every_ns).unwrap_or(u64::MAX))
+}
 
 /// Whether `source` is under its `window` (its channel's share of
 /// [`IN_FLIGHT_WINDOW`]). The echo is the relay's to send, so it may
@@ -182,7 +220,6 @@ impl Role for Measurer {
         conv.slot_secs = spec.slot_secs;
         let echo = EchoPlane {
             speedup: peer.settings.speedup,
-            lead: procutil::peer::TICK,
             counters: &peer.role.echo_blast,
             tally: &conv.tally,
         };
@@ -225,11 +262,6 @@ impl Role for Measurer {
 struct EchoPlane<'a> {
     /// The peer's clock multiplier: the blast paces on the sped-up clock.
     speedup: f64,
-    /// The serving shard's tick. A paced channel reads its echo a tick
-    /// after it sends, so its blast clock starts this long before `Go`:
-    /// what the slot's last report counts then runs up to the channel's
-    /// last tick, not the tick before.
-    lead: Duration,
     /// Process-wide counters every channel's parser feeds.
     counters: &'a BlastCounters,
     tally: &'a Arc<EchoTally>,
@@ -252,8 +284,13 @@ impl EchoPlane<'_> {
         let key = secret_channel_key(spec.measurement_secret);
         let n = spec.sockets.clamp(1, MAX_SOCKETS);
         let window = IN_FLIGHT_WINDOW / u64::from(n);
-        // `Go` is now; the blast clock runs from a tick earlier.
-        let t0 = Instant::now().checked_sub(self.lead).unwrap_or_else(Instant::now);
+        // A paced channel reads a burst's echo at its next burst, so it
+        // sends one burst ahead: `Go` is now, and the blast clock runs
+        // from one burst interval earlier. What the slot's last report
+        // counts then runs up to the channel's last burst, not the one
+        // before.
+        let every = burst_interval(self.speedup, spec.rate_cap / u64::from(n));
+        let t0 = Instant::now().checked_sub(every).unwrap_or_else(Instant::now);
         let mut dialed = 0;
         for chan in 0..n {
             let span = span.channel(u64::from(chan));
@@ -285,6 +322,8 @@ impl EchoPlane<'_> {
                 span,
                 t0,
                 speedup: self.speedup,
+                every,
+                next_burst: Instant::now(),
             };
             if spawn(Box::new(channel)) {
                 dialed += 1;
@@ -313,14 +352,15 @@ enum Link {
     Closed,
 }
 
-/// One echo channel to the target relay, driven by the reactor on its
-/// own socket's readiness: an uncapped channel stays armed for read and
-/// write readiness, blasting whenever the socket takes bytes and
-/// verifying the echo as it arrives; a paced one sends its allowance,
-/// a tick ahead, and verifies the echo on the shard tick, and is armed
-/// only for hang-ups and, while its transport holds a backlog, write
-/// readiness. Either credits what it verified to the slot's
-/// [`EchoTally`].
+/// One echo channel to the target relay, driven by the reactor: an
+/// uncapped channel stays armed for read and write readiness, blasting
+/// whenever the socket takes bytes and verifying the echo as it
+/// arrives; a paced one acts at its own deadline, once per burst
+/// interval ([`burst_interval`]): it sends its allowance, one burst
+/// ahead, reads the echo that came back, and arms the next deadline.
+/// Between bursts it is armed only for hang-ups and, while its
+/// transport holds a backlog, write readiness. Either credits what it
+/// verified to the slot's [`EchoTally`].
 struct EchoChannel {
     /// Cached at dial: [`Driven::fd`] must stay stable across states.
     fd: i32,
@@ -342,9 +382,13 @@ struct EchoChannel {
     rx: Vec<u8>,
     span: Span,
     /// Origin of the channel's sped-up clock and of its blast: `Go`,
-    /// less the [`EchoPlane::lead`].
+    /// less one burst interval.
     t0: Instant,
     speedup: f64,
+    /// Wall time between a paced channel's bursts.
+    every: Duration,
+    /// A paced channel's next burst: its deadline.
+    next_burst: Instant,
 }
 
 impl EchoChannel {
@@ -379,6 +423,8 @@ impl EchoChannel {
                 source.greet(now);
                 source.start(SimTime::ZERO);
                 self.link = Link::Blasting(Box::new(source));
+                // The first burst goes out in this wakeup.
+                self.next_burst = next_burst_after(Instant::now(), self.every);
                 None
             }
             Err(e) => {
@@ -473,27 +519,36 @@ impl Driven for EchoChannel {
         self.exchange(now)
     }
 
-    /// The stop check, and a paced channel's whole exchange: it sends
-    /// its allowance and reads the echo on the tick. An uncapped channel
-    /// moves bytes on readiness only.
+    /// The stop check, and, once its deadline falls, a paced channel's
+    /// burst: it sends its allowance, reads the echo, and arms the next
+    /// deadline on the grid of burst intervals (a burst the shard ran
+    /// late does not push the rest back). An uncapped channel moves
+    /// bytes on readiness only.
     fn on_tick(&mut self) -> Step {
         if self.tally.is_closed() {
             return self.close();
         }
-        if self.cap == 0 {
+        let wall = Instant::now();
+        if self.cap == 0 || wall < self.next_burst {
             return Step::Continue;
         }
+        self.next_burst = next_burst_after(wall, self.every);
         let now = self.now();
         self.exchange(now)
+    }
+
+    /// A blasting paced channel's next burst.
+    fn deadline(&self) -> Option<Instant> {
+        (self.cap > 0 && matches!(self.link, Link::Blasting(_))).then_some(self.next_burst)
     }
 
     fn wants_write(&self) -> bool {
         self.wants_write
     }
 
-    /// A paced channel reads on the tick: waking it for every echo that
-    /// lands would cost its shard one more wakeup per tick, for bytes
-    /// the next tick reads anyway.
+    /// A paced channel reads at its bursts: waking it for every echo
+    /// that lands would cost its shard one more wakeup per burst, for
+    /// bytes the next burst reads anyway.
     fn wants_read(&self) -> bool {
         self.cap == 0
     }
@@ -503,9 +558,7 @@ impl Driven for EchoChannel {
 mod tests {
     use super::*;
     use flashflow_obs::EventSink;
-    use flashflow_proto::blast::{
-        Echoer, BLAST_CHUNK, BLAST_HEADER_LEN, HELLO_LEN, MAX_TICK_BYTES,
-    };
+    use flashflow_proto::blast::{Echoer, BLAST_CHUNK, BLAST_HEADER_LEN, HELLO_LEN};
     use flashflow_proto::msg::TargetEndpoint;
     use procutil::peer::Settings;
     use procutil::reactor::{Reactor, ReactorConfig};
@@ -538,11 +591,28 @@ mod tests {
         (ticks(11) + ticks(12)) / 100.0
     }
 
-    /// (first, latest) CPU samples of a shard thread, with wall times.
-    type CpuSamples = Arc<Mutex<Option<((Instant, f64), (Instant, f64))>>>;
+    /// This thread's voluntary context switches so far (each one a
+    /// sleep in `epoll_pwait2`, for a reactor shard), from its
+    /// `/proc/thread-self/status`.
+    fn thread_voluntary_switches() -> u64 {
+        let status =
+            std::fs::read_to_string("/proc/thread-self/status").expect("read thread status");
+        let line = status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .expect("voluntary_ctxt_switches line");
+        line.trim().parse().expect("switch count")
+    }
 
-    /// Wraps a connection to sample the CPU time of the shard thread it
-    /// runs on, once per tick, after the connection's own tick.
+    /// One sample of a shard thread: wall time, CPU seconds, voluntary
+    /// context switches.
+    type Sample = (Instant, f64, u64);
+
+    /// (first, latest) samples of a shard thread.
+    type CpuSamples = Arc<Mutex<Option<(Sample, Sample)>>>;
+
+    /// Wraps a connection to sample the shard thread it runs on, at
+    /// every tick, after the connection's own tick.
     struct Sampled {
         inner: Box<dyn Driven>,
         cpu: CpuSamples,
@@ -559,10 +629,14 @@ mod tests {
 
         fn on_tick(&mut self) -> Step {
             let step = self.inner.on_tick();
-            let sample = (Instant::now(), thread_cpu_secs());
+            let sample = (Instant::now(), thread_cpu_secs(), thread_voluntary_switches());
             let mut cpu = self.cpu.lock().expect("cpu samples");
             *cpu = Some((cpu.map_or(sample, |(first, _)| first), sample));
             step
+        }
+
+        fn deadline(&self) -> Option<Instant> {
+            self.inner.deadline()
         }
 
         fn wants_write(&self) -> bool {
@@ -632,20 +706,28 @@ mod tests {
         (reactor, addr)
     }
 
+    /// What [`one_channel`] saw.
+    struct Run {
+        /// Verified bytes when the tally closed.
+        verified: u64,
+        /// Wall time from the dial to the tally's close.
+        elapsed: Duration,
+        /// The shard thread's CPU seconds per second and voluntary
+        /// context switches per second, between its first and latest
+        /// tick (`None` if no tick came first).
+        shard: Option<(f64, f64)>,
+    }
+
     /// Runs one echo channel capped at `rate_cap` (0 = uncapped) on a
-    /// one-shard reactor whose tick is 50 ms, against an echo peer, until
-    /// `enough` bytes verified or `wall` passed, then closes the tally
-    /// just after the channel's next tick, as a report falls. Returns the
-    /// verified bytes, the wall time from the dial to the tally's close,
-    /// and the shard thread's CPU share (`None` if no tick came first).
-    fn one_channel(rate_cap: u64, wall: Duration, enough: u64) -> (u64, Duration, Option<f64>) {
+    /// one-shard reactor whose sweep is `tick` apart, against an echo
+    /// peer, until `enough` bytes verified or `wall` passed, then closes
+    /// the tally just after the channel's next tick, as a report falls.
+    fn one_channel(rate_cap: u64, tick: Duration, wall: Duration, enough: u64) -> Run {
         const SECRET: u64 = 0x5EED_EC40;
-        const TICK: Duration = Duration::from_millis(50);
         let _serial = serialised();
         let (peer, target) = echo_peer(secret_channel_key(SECRET));
-        let shard =
-            Reactor::serve(None, ReactorConfig { shards: 1, tick: TICK }, Arc::new(|_, _| None))
-                .expect("start measurer shard");
+        let shard = Reactor::serve(None, ReactorConfig { shards: 1, tick }, Arc::new(|_, _| None))
+            .expect("start measurer shard");
         let spec = MeasureSpec {
             slot_secs: 1,
             sockets: 1,
@@ -657,7 +739,7 @@ mod tests {
         let tally = Arc::new(EchoTally::default());
         let cpu: CpuSamples = Arc::new(Mutex::new(None));
         let counters = BlastCounters::default();
-        let plane = EchoPlane { speedup: 1.0, lead: TICK, counters: &counters, tally: &tally };
+        let plane = EchoPlane { speedup: 1.0, counters: &counters, tally: &tally };
         let dialed_at = Instant::now();
         let spawn = |channel| {
             shard.adopt(Box::new(Sampled { inner: channel, cpu: Arc::clone(&cpu) }));
@@ -667,7 +749,7 @@ mod tests {
         while dialed_at.elapsed() < wall && tally.verified() < enough {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let latest = || cpu.lock().expect("cpu samples").map(|(_, (at, _))| at);
+        let latest = || cpu.lock().expect("cpu samples").map(|(_, (at, _, _))| at);
         let seen = latest();
         while latest() == seen {
             std::thread::sleep(Duration::from_millis(1));
@@ -675,8 +757,9 @@ mod tests {
         let verified = tally.close();
         let elapsed = dialed_at.elapsed();
         let samples = *cpu.lock().expect("cpu samples");
-        let share = samples.map(|((t0, cpu0), (t1, cpu1))| {
-            (cpu1 - cpu0) / t1.duration_since(t0).as_secs_f64().max(f64::EPSILON)
+        let shard_rates = samples.map(|((t0, cpu0, switches0), (t1, cpu1, switches1))| {
+            let secs = t1.duration_since(t0).as_secs_f64().max(f64::EPSILON);
+            ((cpu1 - cpu0) / secs, (switches1 - switches0) as f64 / secs)
         });
         // The closed tally hangs the channel up at its next wakeup or
         // tick.
@@ -689,7 +772,7 @@ mod tests {
             reactor.stop();
             reactor.join().expect("clean join");
         }
-        (verified, elapsed, share)
+        Run { verified, elapsed, shard: shard_rates }
     }
 
     /// The relay's side of a channel that reads the blast and never
@@ -761,8 +844,7 @@ mod tests {
         };
         let tally = Arc::new(EchoTally::default());
         let counters = BlastCounters::default();
-        let plane =
-            EchoPlane { speedup: 1.0, lead: Duration::ZERO, counters: &counters, tally: &tally };
+        let plane = EchoPlane { speedup: 1.0, counters: &counters, tally: &tally };
         let spawn = |channel| {
             shard.adopt(channel);
             true
@@ -830,54 +912,102 @@ mod tests {
         );
     }
 
-    /// An uncapped channel moves bytes on its socket's readiness: a
-    /// tick-driven one could move at most 256 KiB per 50 ms tick, 5 MiB
-    /// in a second. An optimised build gets 250 ms (a tick-driven
-    /// channel: 1.3 MiB); an unoptimised one a second.
+    /// The measurer shard's sweep in the rate tests: far longer than a
+    /// paced channel's burst interval.
+    const SLOW_SWEEP: Duration = Duration::from_millis(50);
+
+    /// An uncapped channel moves bytes on its socket's readiness: one
+    /// driven by the 50 ms sweep could move at most 256 KiB per sweep,
+    /// 5 MiB in a second. An optimised build gets 250 ms (a
+    /// sweep-driven channel: 1.3 MiB); an unoptimised one a second.
     #[test]
     fn an_uncapped_channel_runs_on_readiness_not_on_the_tick() {
         let wall = Duration::from_millis(if cfg!(debug_assertions) { 1000 } else { 250 });
-        let (verified, elapsed, _) = one_channel(0, wall, 16 << 20);
+        let Run { verified, elapsed, .. } = one_channel(0, SLOW_SWEEP, wall, 16 << 20);
         assert!(
             verified >= 16 << 20,
             "verified {verified} B in {elapsed:?}: the channel waited for ticks"
         );
     }
 
-    /// A paced channel sends its allowance and reads its echo on the
-    /// tick, and is never armed for write readiness while it has nothing
-    /// queued: it keeps its rate and leaves the shard idle. (It sends a
-    /// tick ahead, so it may verify up to a tick, 2 % of the 2.5 s run,
-    /// more than the commanded bytes.)
+    /// A paced channel sends its allowance and reads its echo at its own
+    /// burst deadlines, and is never armed for write readiness while it
+    /// has nothing queued: it keeps its rate and leaves the shard idle.
+    /// (It sends a burst ahead, so it may verify up to a burst, 0.4 % of
+    /// the 2.5 s run, more than the commanded bytes.)
     #[test]
     fn a_paced_channel_keeps_its_rate_without_spinning_the_shard() {
         const RATE: u64 = 4_000_000;
-        let (verified, elapsed, share) = one_channel(RATE, Duration::from_millis(2500), u64::MAX);
+        let run = one_channel(RATE, SLOW_SWEEP, Duration::from_millis(2500), u64::MAX);
+        let Run { verified, elapsed, .. } = run;
         let commanded = RATE as f64 * elapsed.as_secs_f64();
         let ratio = verified as f64 / commanded;
         assert!(
             (0.95..=1.02).contains(&ratio),
             "verified {verified} of {commanded:.0} commanded B"
         );
-        let share = share.expect("the shard ticked");
+        let (share, _) = run.shard.expect("the shard ticked");
         assert!(share < 0.25, "the shard spun: {share:.2} CPU-s per s");
     }
 
-    /// A paced channel reads its echo a tick after it sends, so it sends
-    /// a tick ahead: a report just after a tick finds the tally level
-    /// with the commanded bytes (or ahead, by what of that tick's own
-    /// echo it already read). Sent on time, the tally would be a tick
-    /// short, 200 KB, 5 % of this 1 s run.
+    /// A paced channel reads a burst's echo at its next burst, so it
+    /// sends a burst ahead: a report just after a burst finds the tally
+    /// level with the commanded bytes (or ahead, by what of that burst's
+    /// own echo it already read). Sent on time, the tally would trail by
+    /// up to a burst.
     #[test]
     fn a_paced_channel_is_level_with_its_rate_when_the_slot_ends() {
         const RATE: u64 = 4_000_000;
-        let (verified, elapsed, _) = one_channel(RATE, Duration::from_secs(1), u64::MAX);
+        let Run { verified, elapsed, .. } =
+            one_channel(RATE, SLOW_SWEEP, Duration::from_secs(1), u64::MAX);
         let commanded = RATE as f64 * elapsed.as_secs_f64();
         let ratio = verified as f64 / commanded;
         assert!(
             (0.98..=1.05).contains(&ratio),
             "verified {verified} of {commanded:.0} commanded B"
         );
+    }
+
+    /// On a shard with the peers' sweep, a 10 MB/s paced channel wakes
+    /// its shard about once per burst interval (4 ms), not once per
+    /// millisecond: the shard thread sleeps in `epoll_pwait2` at most
+    /// twice per burst, counting the sweeps and the odd flush.
+    #[test]
+    fn a_paced_channel_wakes_its_shard_once_per_burst() {
+        const RATE: u64 = 10_000_000;
+        let every = burst_interval(1.0, RATE);
+        assert_eq!(every, MAX_BURST_INTERVAL);
+        let run = one_channel(RATE, procutil::peer::TICK, Duration::from_secs(1), u64::MAX);
+        let (_, switches) = run.shard.expect("the shard ticked");
+        let most = 2.0 / every.as_secs_f64();
+        assert!(switches <= most, "{switches:.0} wakeups per s, most {most:.0}");
+    }
+
+    /// A paced burst is 4 ms of its rate, shorter where a sped-up second
+    /// is short, and never more than one pump.
+    #[test]
+    fn burst_intervals_shrink_with_the_speedup_and_the_rate() {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        assert!((ms(burst_interval(1.0, 10_000_000)) - 4.0).abs() < 1e-9);
+        // At 50x a second is 20 ms of wall: a burst every millisecond.
+        assert!((ms(burst_interval(50.0, 100_000)) - 1.0).abs() < 1e-9);
+        // 128 MB/s would fill a pump in about 2 ms.
+        let full = burst_interval(1.0, 128_000_000);
+        assert!((full.as_secs_f64() * 128e6 - MAX_TICK_BYTES as f64).abs() < 1.0, "{full:?}");
+    }
+
+    /// Channels with one burst interval burst on one grid, whenever
+    /// each started: a shard driving several wakes once per burst.
+    #[test]
+    fn paced_channels_burst_on_one_grid() {
+        let every = Duration::from_millis(4);
+        let now = Instant::now();
+        let first = next_burst_after(now, every);
+        assert!(first > now && first <= now + every, "{:?} out", first - now);
+        for later in [1_300, 4_000, 5_300, 12_999] {
+            let next = next_burst_after(now + Duration::from_micros(later), every);
+            assert_eq!((next - first).as_nanos() % every.as_nanos(), 0, "{later} us later");
+        }
     }
 
     #[test]

@@ -21,15 +21,35 @@ pub use metrics_endpoint::{fetch_metrics, spawn_metrics_endpoint, start_metrics_
 pub use net::listen_reuseaddr;
 pub use persist::{append_line, append_lines, append_torn_line, atomic_write, journal_writer};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 pub use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
+use reactor::{Interest, Poller, Waker};
+
 /// Set by the SIGTERM handler; the process's accept loop begins its
 /// drain when this flips.
 static DRAIN: AtomicBool = AtomicBool::new(false);
+
+/// The drain latch: an eventfd that becomes readable, and stays so,
+/// once the process stops serving — SIGTERM, or whatever else the
+/// process calls [`stop_serving`] for. [`wait_for_drain`] and the
+/// metrics endpoint sleep on it instead of polling.
+static LATCH: OnceLock<Waker> = OnceLock::new();
+
+/// The latch's fd, for the SIGTERM handler (-1 until installed).
+static LATCH_FD: AtomicI32 = AtomicI32::new(-1);
+
+/// The process's drain latch, created on first use.
+pub(crate) fn drain_latch() -> std::io::Result<&'static Waker> {
+    if let Some(latch) = LATCH.get() {
+        return Ok(latch);
+    }
+    let latch = Waker::new()?;
+    Ok(LATCH.get_or_init(|| latch))
+}
 
 /// True once SIGTERM has been received (see
 /// [`install_sigterm_handler`]).
@@ -37,24 +57,55 @@ pub fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
 }
 
+/// Wakes everything parked on the drain latch, for good: a
+/// [`wait_for_drain`] re-checks its condition, and the metrics endpoint
+/// thread exits.
+pub fn stop_serving() {
+    if let Ok(latch) = drain_latch() {
+        latch.wake();
+    }
+}
+
 /// Installs the SIGTERM handler backing [`drain_requested`]. The
-/// handler does only async-signal-safe work (flips one flag); the
-/// serving process polls the flag from its accept loop.
+/// handler does only async-signal-safe work: it flips one flag and
+/// writes the drain latch, leaving `errno` as it found it.
 #[cfg(unix)]
 #[allow(clippy::fn_to_numeric_cast_any)]
 pub fn install_sigterm_handler() {
-    // SAFETY: the handler is async-signal-safe — it performs exactly
-    // one lock-free atomic store and touches no allocator, lock, or
-    // errno state.
-    extern "C" fn on_sigterm(_sig: i32) {
-        DRAIN.store(true, Ordering::SeqCst);
-    }
-    // SAFETY: `signal(2)` has this exact prototype in every libc we
-    // target (POSIX: `void (*signal(int, void (*)(int)))(int)`); the
-    // handler address is passed as `usize`, matching the ABI's
-    // pointer-sized argument.
+    // SAFETY: these are the exact libc prototypes on every Linux we
+    // target: `write(2)`, and glibc's/musl's `__errno_location`, which
+    // returns the calling thread's `errno` slot. `signal(2)` has this
+    // exact prototype in every libc we target (POSIX:
+    // `void (*signal(int, void (*)(int)))(int)`); the handler address is
+    // passed as `usize`, matching the ABI's pointer-sized argument.
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn __errno_location() -> *mut i32;
+    }
+    // SAFETY: the handler is async-signal-safe — lock-free atomics, one
+    // `write(2)` (async-signal-safe by POSIX), no allocator or lock —
+    // and leaves `errno` as it found it.
+    extern "C" fn on_sigterm(_sig: i32) {
+        // SAFETY: `__errno_location` returns this thread's live `errno`
+        // slot; the write hands 8 bytes from the stack to the latch's
+        // eventfd (the documented eventfd contract), and the saved
+        // `errno` is put back so the interrupted code never sees the
+        // write's.
+        unsafe {
+            let errno = __errno_location();
+            let saved = *errno;
+            DRAIN.store(true, Ordering::SeqCst);
+            let fd = LATCH_FD.load(Ordering::SeqCst);
+            if fd >= 0 {
+                let one = 1u64.to_ne_bytes();
+                write(fd, one.as_ptr(), one.len());
+            }
+            *errno = saved;
+        }
+    }
+    if let Ok(latch) = drain_latch() {
+        LATCH_FD.store(latch.fd(), Ordering::SeqCst);
     }
     const SIGTERM: i32 = 15;
     // SAFETY: installing a handler that is itself async-signal-safe
@@ -177,8 +228,16 @@ pub fn hello_window(speedup: f64) -> Duration {
 }
 
 /// Parks the calling supervisor thread until SIGTERM arrives (`true`)
-/// or `done` holds (`false`). Never call this from a reactor shard.
+/// or `done` holds (`false`), asleep on the drain latch: whatever makes
+/// `done` true must call [`stop_serving`]. Never call this from a
+/// reactor shard.
 pub fn wait_for_drain(done: &dyn Fn() -> bool) -> bool {
+    let poller = drain_latch().and_then(|latch| {
+        let poller = Poller::new()?;
+        poller.register(latch.fd(), 0, Interest::READ)?;
+        Ok(poller)
+    });
+    let mut events = Vec::new();
     loop {
         if drain_requested() {
             return true;
@@ -186,7 +245,13 @@ pub fn wait_for_drain(done: &dyn Fn() -> bool) -> bool {
         if done() {
             return false;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        // The latch stays readable once woken, so a wake between the
+        // checks above and this wait is not lost. Without a poller (no
+        // fds left), fall back to polling.
+        if poller.as_ref().map_or(true, |p| p.wait(&mut events, Duration::from_secs(3600)).is_err())
+        {
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 }
 

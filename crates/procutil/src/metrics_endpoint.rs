@@ -12,47 +12,66 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use flashflow_obs::MetricsRegistry;
 use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
-use crate::{drain_requested, hello_window};
+use crate::reactor::{Interest, Poller};
+use crate::{drain_latch, hello_window};
+
+const TOKEN_LATCH: u64 = 0;
+const TOKEN_LISTENER: u64 = 1;
 
 /// Serves registry snapshots on `listener` from a background thread
-/// until the process drains (see [`drain_requested`]). Each accepted
-/// connection must send the `token` as its first [`AUTH_TOKEN_LEN`]
-/// raw bytes within the speedup-scaled hello window; it then receives
-/// `registry`'s snapshot as one JSON line and is closed.
+/// until the process stops serving (see [`crate::stop_serving`]; SIGTERM
+/// does it too). The thread sleeps on one [`Poller`] holding the
+/// listener and the drain latch, so it wakes only for a dial or the
+/// end. Each accepted connection must send the `token` as its first
+/// [`AUTH_TOKEN_LEN`] raw bytes within the speedup-scaled hello window;
+/// it then receives `registry`'s snapshot as one JSON line and is
+/// closed.
 ///
 /// # Errors
-/// Propagates the listener's nonblocking-mode switch failing.
+/// The listener's nonblocking-mode switch, or the poller's set-up.
 pub fn spawn_metrics_endpoint(
     listener: TcpListener,
     token: [u8; AUTH_TOKEN_LEN],
     registry: MetricsRegistry,
     speedup: f64,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
+) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
+    let poller = Poller::new()?;
+    poller.register(drain_latch()?.fd(), TOKEN_LATCH, Interest::READ)?;
+    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     let window = hello_window(speedup);
-    Ok(std::thread::spawn(move || loop {
-        if drain_requested() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => serve_snapshot(stream, &token, &registry, window),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+    std::thread::Builder::new().name("metrics".to_string()).spawn(move || {
+        let mut events = Vec::new();
+        loop {
+            if poller.wait(&mut events, Duration::from_secs(3600)).is_err()
+                || events.iter().any(|ev| ev.token == TOKEN_LATCH)
+            {
+                return;
             }
-            Err(_) => return,
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => serve_snapshot(stream, &token, &registry, window),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(_) => return,
+                }
+            }
         }
-    }))
+    })
 }
 
-/// Binds `addr`, spawns the snapshot endpoint on it, and returns the
-/// bound address (for the process's `metrics <addr>` stdout line).
-/// One call with one string error so the binaries share a single
-/// graceful failure path instead of each panicking its own way.
+/// Binds `addr` and spawns the snapshot endpoint on it. Returns the
+/// bound address (for the process's `metrics <addr>` stdout line) and
+/// the endpoint's thread, which the process joins once it stops
+/// serving, so a panic in it is reported rather than lost. One call
+/// with one string error so the binaries share a single graceful
+/// failure path instead of each panicking its own way.
 ///
 /// # Errors
 /// Describes which step failed: the bind, the local-address query, or
@@ -62,15 +81,15 @@ pub fn start_metrics_endpoint(
     token: [u8; AUTH_TOKEN_LEN],
     registry: MetricsRegistry,
     speedup: f64,
-) -> Result<SocketAddr, String> {
+) -> Result<(SocketAddr, JoinHandle<()>), String> {
     let listener =
         TcpListener::bind(addr).map_err(|e| format!("bind --metrics-addr {addr}: {e}"))?;
     let bound = listener
         .local_addr()
         .map_err(|e| format!("--metrics-addr {addr}: query bound address: {e}"))?;
-    spawn_metrics_endpoint(listener, token, registry, speedup)
+    let thread = spawn_metrics_endpoint(listener, token, registry, speedup)
         .map_err(|e| format!("--metrics-addr {addr}: start endpoint: {e}"))?;
-    Ok(bound)
+    Ok((bound, thread))
 }
 
 fn serve_snapshot(

@@ -35,9 +35,15 @@ use flashflow_simnet::time::SimTime;
 
 use crate::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, ReactorObs, Spawner, Step};
 
-/// The serving reactor's tick: how often every connection it drives,
-/// a role's own included, is stepped without readiness.
-pub const TICK: Duration = Duration::from_millis(1);
+/// The serving reactor's sweep: how often every connection it drives, a
+/// role's own included, is stepped without readiness or a deadline of
+/// its own. Work that is due sooner arms a deadline
+/// ([`Driven::deadline`]): a fresh connection's hello window, a control
+/// conversation's next report or session timeout, a paced channel's
+/// next burst. What is left to the sweep is the drain (a data channel
+/// gone quiet, an echo channel whose slot closed), which must end
+/// within 50 ms of the slot's close.
+pub const TICK: Duration = Duration::from_millis(20);
 
 /// The settings every peer process takes (command line and/or
 /// `--config` file), whatever its role.
@@ -164,7 +170,8 @@ pub enum Bind<D> {
 pub trait DataConn: Send {
     /// The socket is readable and/or writable: move bytes now.
     fn on_ready(&mut self) -> Step;
-    /// The shard's tick: backlog flushes and the drain deadline only.
+    /// The shard's sweep ([`TICK`]): backlog flushes and the drain
+    /// deadline only. A data connection has no deadline of its own.
     fn on_tick(&mut self) -> Step;
     /// True while the connection holds output it could not flush.
     fn wants_write(&self) -> bool {
@@ -226,9 +233,10 @@ pub trait Role: Send + Sync + Sized + 'static {
     );
     /// The slot is over (or the session died) after `seconds` reports.
     fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32, snow: SimTime);
-    /// One step of clock-driven work, on every step once `Go` arrived
-    /// (before it, only on readiness); `live` is false once the session
-    /// is terminal.
+    /// One step of clock-driven work, on every step once `Go` arrived:
+    /// at each report, on readiness, and on every sweep while the
+    /// process drains (before `Go`, only on readiness); `live` is false
+    /// once the session is terminal.
     fn drive(&self, _conv: &mut Self::Conv, _span: &Span, _snow: SimTime, _live: bool) {}
     /// The `(background, measured)` byte columns of report `second`.
     fn second_report(&self, conv: &mut Self::Conv, span: &Span, second: u32) -> (u64, u64);
@@ -353,8 +361,9 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     let span = Span::root(sink);
     let registry = MetricsRegistry::new();
     let mut advertised = format!("listening {addr}\n");
+    let mut metrics = None;
     if let Some(maddr) = &settings.metrics_addr {
-        let bound = crate::start_metrics_endpoint(
+        let (bound, thread) = crate::start_metrics_endpoint(
             maddr,
             settings.token,
             registry.clone(),
@@ -362,6 +371,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
         )
         .map_err(|msg| (1, msg))?;
         advertised += &format!("metrics {bound}\n");
+        metrics = Some(thread);
     }
     // The machine-readable stdout lines. A failed flush means whoever
     // spawned us cannot learn the bound address — serving anyway would
@@ -380,7 +390,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     let peer = Arc::new(Peer::new(settings, role, span, &registry));
     // The reactor owns the listener from here: `--io-threads` epoll
     // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
-    // state machine; this thread only supervises drain and quota.
+    // state machine; this thread sleeps until SIGTERM or the quota.
     let reactor = Reactor::serve_observed(
         Some(listener),
         ReactorConfig { shards: peer.settings.io_threads, tick: TICK },
@@ -407,6 +417,10 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     reactor.stop();
     if let Err(e) = reactor.join() {
         peer.span.emit(&format!("{name}.fatal"), fields![error = e]);
+    }
+    crate::stop_serving();
+    if metrics.is_some_and(|thread| thread.join().is_err()) {
+        peer.span.emit(&format!("{name}.fatal"), fields![error = "metrics endpoint panicked"]);
     }
     let sessions = peer.sessions_done.load(Ordering::SeqCst);
     peer.span.emit(&format!("{name}.exit"), fields![sessions = sessions]);
@@ -489,6 +503,14 @@ impl<R: Role> Driven for Conn<R> {
 
     fn on_tick(&mut self) -> Step {
         self.drive(Why::Tick)
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        match &self.state {
+            State::Fresh { deadline, .. } => Some(*deadline),
+            State::Control(c) => c.deadline(),
+            State::Data(_) | State::Gone => None,
+        }
     }
 
     fn wants_write(&self) -> bool {
@@ -634,10 +656,6 @@ struct Conversation<R: Role> {
     /// Unflushed outbound bytes at the end of the last step; the shard
     /// re-arms the socket for write readiness while this holds.
     backlog: bool,
-    /// Ticks before this instant skip the step (see
-    /// [`Conversation::idle_until`]): an idle connection's tick costs a
-    /// clock read, no syscall.
-    quiet_until: Option<Instant>,
     conv: R::Conv,
 }
 
@@ -661,7 +679,6 @@ impl<R: Role> Conversation<R> {
             claimed_nonce: None,
             terminal_flushes: 0,
             backlog: false,
-            quiet_until: None,
             conv: peer.role.conversation(),
         };
         conversation.start_conversation(LeasedTransport::new(transport), Some(preread));
@@ -696,7 +713,6 @@ impl<R: Role> Conversation<R> {
         self.reported = 0;
         self.claimed_nonce = None;
         self.terminal_flushes = 0;
-        self.quiet_until = None;
         self.conv = peer.role.conversation();
         self.endpoint = Some(endpoint);
         // The pre-read bytes may have carried the whole opener.
@@ -738,14 +754,15 @@ impl<R: Role> Conversation<R> {
         }
     }
 
-    /// One step of the conversation, on socket readiness or shard tick:
-    /// read (on readiness only: an idle connection's tick makes no
-    /// syscall), act, and flush every frame the step queued before
-    /// returning, so a reply leaves in the step that heard the question.
-    /// The tick keeps the session's deadlines and the report pacing.
+    /// One step of the conversation, on socket readiness or at its
+    /// [`Conversation::deadline`]: read (on readiness only: an idle
+    /// connection's tick makes no syscall), act, and flush every frame
+    /// the step queued before returning, so a reply leaves in the step
+    /// that heard the question. A sweep before the deadline is skipped,
+    /// unless the process drains.
     fn step(&mut self, why: Why) -> Step {
-        if let (Why::Tick, Some(until)) = (why, self.quiet_until) {
-            if !self.peer.draining() && Instant::now() < until {
+        if let (Why::Tick, Some(due)) = (why, self.deadline()) {
+            if !self.peer.draining() && Instant::now() < due {
                 return Step::Continue;
             }
         }
@@ -825,20 +842,26 @@ impl<R: Role> Conversation<R> {
             }
         }
         self.backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
-        self.quiet_until = self.idle_until();
         Step::Continue
     }
 
-    /// Until when ticks find nothing to do: before `Go` the only
-    /// clock-driven work is the session's deadline, so until it is due
-    /// (and unless the process drains) only readiness moves the
-    /// conversation.
-    fn idle_until(&self) -> Option<Instant> {
-        if self.slot_secs.is_some() {
-            return None;
+    /// When the conversation next has clock-driven work: the earliest of
+    /// its next report, its session's deadline, and — for the step that
+    /// arms a fresh session's accept deadline and for the terminal
+    /// flushes — now.
+    fn deadline(&self) -> Option<Instant> {
+        let session = self.endpoint.as_ref()?.session();
+        if session.is_terminal()
+            || (session.phase() == MeasurerPhase::AwaitAuth && session.deadline().is_none())
+        {
+            return Some(Instant::now());
         }
-        let deadline = self.endpoint.as_ref()?.session().deadline()?;
-        Some(self.t0 + Duration::from_nanos(deadline.as_nanos()))
+        let timeout = session.deadline().map(|d| self.t0 + Duration::from_nanos(d.as_nanos()));
+        let report = self.slot_secs.filter(|&secs| self.reported < secs).map(|_| {
+            let report_every = Duration::from_secs_f64(1.0 / self.peer.settings.speedup);
+            self.started_at + report_every * (self.reported + 1)
+        });
+        timeout.into_iter().chain(report).min()
     }
 
     /// Ends the current conversation: release what it registered, count
@@ -854,6 +877,9 @@ impl<R: Role> Conversation<R> {
         self.peer.role.release(&mut self.conv);
         if self.claimed_nonce.is_some() {
             self.peer.sessions_done.fetch_add(1, Ordering::SeqCst);
+            if self.peer.quota_reached() {
+                crate::stop_serving();
+            }
         }
         if !reusable || self.peer.stop_serving() {
             return Step::Done;

@@ -23,12 +23,19 @@
 //! externally-created connections, stop requests).
 //!
 //! Connections implement [`Driven`]: `on_ready` moves bytes when the
-//! socket says so, `on_tick` runs clock-driven work (deadlines,
-//! pacing) at the shard's tick cadence and is expected to stay
-//! syscall-free while idle. Polling is level-triggered; a connection
-//! that wants to flush a backlog raises [`Driven::wants_write`] and is
-//! re-armed for `EPOLLOUT` until the backlog drains, and one that reads
-//! on its tick instead of on arrival lowers [`Driven::wants_read`].
+//! socket says so, `on_tick` runs clock-driven work (deadlines, pacing)
+//! and is expected to stay syscall-free while idle. A shard wakes only
+//! for work: it keeps its connections' [`Driven::deadline`]s in a
+//! min-heap and sleeps in `epoll_pwait2` until the earliest of them, a
+//! readiness event, or the coarse sweep every [`ReactorConfig::tick`]
+//! that steps every connection (drain checks, a connection without a
+//! deadline of its own). A heap entry names its slot and the slot's
+//! generation, so an entry left by a finished connection never drives
+//! the one that reuses its slot. Polling is level-triggered; a
+//! connection that wants to flush a backlog raises
+//! [`Driven::wants_write`] and is re-armed for `EPOLLOUT` until the
+//! backlog drains, and one that reads on its deadline instead of on
+//! arrival lowers [`Driven::wants_read`].
 //!
 //! Dial-out: [`dial`] opens a TCP connection without blocking
 //! (`socket(2)` + `connect(2)` with `SOCK_NONBLOCK`, expecting
@@ -40,6 +47,8 @@
 //! whether the handshake completed, is still in flight, or failed. No
 //! shard ever waits for a handshake.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::FromRawFd;
@@ -363,9 +372,10 @@ impl Drop for Poller {
     }
 }
 
-/// A cross-thread wakeup for one shard: an `eventfd` registered in the
-/// shard's poller, so another thread can interrupt `epoll_wait` (stop
-/// requests, adopted connections).
+/// A cross-thread wakeup: an `eventfd` registered in a poller, so
+/// another thread can interrupt its wait (a shard's stop requests and
+/// adopted connections; the process's drain latch, which the SIGTERM
+/// handler writes too).
 #[derive(Debug)]
 pub struct Waker {
     fd: i32,
@@ -435,9 +445,10 @@ pub enum Step {
 }
 
 /// One reactor-driven connection: a state machine the shard calls into
-/// on socket readiness and on its tick clock. Implementations own
-/// their transport (and close it on drop) and compute their own
-/// notion of time — the reactor is deliberately clock-agnostic.
+/// on socket readiness, at its own deadline, and on the shard's sweep.
+/// Implementations own their transport (and close it on drop) and
+/// compute their own notion of time — the reactor is deliberately
+/// clock-agnostic.
 pub trait Driven: Send {
     /// The raw fd the shard registers. Must stay stable for the
     /// connection's lifetime.
@@ -447,10 +458,21 @@ pub trait Driven: Send {
     /// and error conditions arrive as readable). Move bytes now.
     fn on_ready(&mut self) -> Step;
 
-    /// The shard's tick fired (at least every [`ReactorConfig::tick`]).
-    /// Clock-driven work only — deadlines, pacing, backlog flushes; an
-    /// idle connection should return without a syscall.
+    /// Clock-driven work — deadlines, pacing, backlog flushes: called
+    /// once [`Driven::deadline`] falls, and on every sweep (at least
+    /// every [`ReactorConfig::tick`]), so a call may come before the
+    /// connection's own deadline. An idle connection should return
+    /// without a syscall.
     fn on_tick(&mut self) -> Step;
+
+    /// When the connection next wants [`Driven::on_tick`] without
+    /// readiness: the shard sleeps no later than this. Asked after
+    /// every call into the connection; an instant already past means
+    /// "on the next loop turn". `None` (the default) leaves the
+    /// connection to readiness and the sweep.
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
 
     /// True while the connection has queued output it could not flush:
     /// the shard re-arms it for write readiness until this clears.
@@ -458,12 +480,12 @@ pub trait Driven: Send {
         false
     }
 
-    /// False while the connection reads on its tick instead of on
-    /// arrival (a paced stream whose replies may wait for the next
-    /// tick), or not at all for now (a full output backlog): the shard
-    /// then wakes it only for write readiness (when
-    /// [`Driven::wants_write`]) and for hang-ups and errors, not for
-    /// arriving bytes or the peer's half-close.
+    /// False while the connection reads on its deadline instead of on
+    /// arrival (a paced stream whose replies wait for its next burst),
+    /// or not at all for now (a full output backlog): the shard then
+    /// wakes it only for write readiness (when [`Driven::wants_write`])
+    /// and for hang-ups and errors, not for arriving bytes or the
+    /// peer's half-close.
     fn wants_read(&self) -> bool {
         true
     }
@@ -479,8 +501,9 @@ fn interest_of(conn: &dyn Driven) -> Interest {
 pub struct ReactorConfig {
     /// Shard (event-loop thread) count; clamped to at least 1.
     pub shards: usize,
-    /// Tick cadence for clock-driven work, and the upper bound on how
-    /// long a shard sleeps in `epoll_wait`.
+    /// The sweep: how often every connection's [`Driven::on_tick`] runs
+    /// whatever its deadline, and so the longest a shard sleeps in
+    /// `epoll_pwait2`.
     pub tick: Duration,
 }
 
@@ -505,33 +528,39 @@ pub struct ReactorObs {
     /// Span `reactor.stall` events are emitted on.
     pub span: Span,
     /// Budget for one full loop turn (event dispatch + adoption +
-    /// ticks, excluding the `epoll_wait` sleep). A turn exceeding it
-    /// increments `<prefix>.stalls` and emits one `reactor.stall`
-    /// event — a loop that stalls is a loop whose tick clock (report
-    /// pacing, deadlines) is drifting, which is exactly the §4.2
-    /// per-second accounting hazard worth an operator page.
+    /// deadlines and sweeps, excluding the `epoll_pwait2` sleep). A
+    /// turn exceeding it increments `<prefix>.stalls` and emits one
+    /// `reactor.stall` event — a loop that stalls is a loop whose
+    /// clock-driven work (report pacing, deadlines) is drifting, which
+    /// is exactly the §4.2 per-second accounting hazard worth an
+    /// operator page.
     pub stall_budget: Duration,
 }
 
-/// Bucket upper bounds (µs) for the `epoll_wait` dwell histogram: the
-/// sleep is bounded by the tick (1–2 ms in the binaries), so buckets
-/// concentrate there with headroom for scheduler overshoot.
-const DWELL_BOUNDS_US: &[u64] = &[50, 100, 250, 500, 1_000, 2_000, 5_000, 10_000, 25_000];
+/// Bucket upper bounds (µs) for the `epoll_pwait2` dwell histogram: a
+/// busy shard wakes on readiness within microseconds, a paced one at
+/// its connections' deadlines (a few ms), and an idle one at the sweep
+/// (20 ms in the binaries), so buckets span all three with headroom
+/// past the sweep.
+const DWELL_BOUNDS_US: &[u64] =
+    &[50, 100, 250, 500, 1_000, 2_000, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000];
 /// Bucket upper bounds (µs) for per-`on_ready` dispatch latency: a
 /// healthy dispatch is microseconds, so the low buckets are fine-grained
 /// and the tail marks connections doing too much work per readiness.
 const DISPATCH_BOUNDS_US: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 1_000, 5_000];
-/// Bucket upper bounds (µs) for tick-to-tick jitter (elapsed minus the
-/// configured cadence when a tick sweep fires).
-const JITTER_BOUNDS_US: &[u64] = &[10, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000];
+/// Bucket upper bounds (µs) for timer lateness: how long after its due
+/// instant a deadline or a sweep fired.
+const JITTER_BOUNDS_US: &[u64] =
+    &[10, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000];
 
 /// One shard's registered instruments (see [`ReactorObs`]).
 struct ShardObs {
-    /// Time spent inside `epoll_wait` per loop turn.
+    /// Time spent inside `epoll_pwait2` per loop turn.
     dwell_us: Histogram,
     /// Per-`on_ready` dispatch latency.
     dispatch_us: Histogram,
-    /// Tick-sweep overshoot beyond the configured cadence.
+    /// How late a timer fired past its due instant, for connection
+    /// deadlines and sweeps alike.
     tick_jitter_us: Histogram,
     /// Live slots in this shard's slab.
     occupancy: Gauge,
@@ -713,9 +742,10 @@ impl Reactor {
         self.flags.served.load(Ordering::SeqCst)
     }
 
-    /// Requests a graceful stop: shards stop accepting and exit once
-    /// their connections finish. Connections that linger are the
-    /// caller's to drain (their `on_tick` deadlines decide).
+    /// Requests a graceful stop: shards stop accepting, sweep every
+    /// connection at once, and exit once their connections finish.
+    /// Connections that linger are the caller's to drain (their
+    /// `on_tick` decides).
     pub fn stop(&self) {
         self.flags.stop.store(true, Ordering::SeqCst);
         for shard in self.spawner.shards.iter() {
@@ -750,6 +780,94 @@ struct Slot {
     conn: Box<dyn Driven>,
     /// What the registration currently asks for.
     interest: Interest,
+    /// Tells this connection's heap entries from those a previous
+    /// occupant of the slot left behind.
+    generation: u64,
+    /// The deadline this connection has in the heap, if any: an entry
+    /// for any other instant is stale.
+    armed: Option<Instant>,
+}
+
+/// One connection deadline in a shard's heap. Ordered by `due` first,
+/// so the heap's least entry is the next one to fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Timer {
+    due: Instant,
+    slot: usize,
+    generation: u64,
+}
+
+impl Timer {
+    /// Whether the connection that armed this entry still holds its
+    /// slot and still wants this instant.
+    fn is_live(&self, slots: &[Option<Slot>]) -> bool {
+        slots
+            .get(self.slot)
+            .and_then(Option::as_ref)
+            .is_some_and(|slot| slot.generation == self.generation && slot.armed == Some(self.due))
+    }
+}
+
+/// One shard's connections: the slab, its free list and the deadline
+/// heap.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+    timers: BinaryHeap<Reverse<Timer>>,
+    /// Generations handed out so far.
+    generations: u64,
+}
+
+impl Slab {
+    /// The earliest live deadline, dropping the stale entries above it.
+    fn next_due(&mut self) -> Option<Instant> {
+        while let Some(Reverse(timer)) = self.timers.peek() {
+            if timer.is_live(&self.slots) {
+                return Some(timer.due);
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// Moves every live deadline due by `now` out of the heap into
+    /// `due` (the connection re-arms when it is driven).
+    fn take_due(&mut self, now: Instant, due: &mut Vec<Timer>) {
+        due.clear();
+        while let Some(&Reverse(timer)) = self.timers.peek() {
+            if timer.due > now {
+                break;
+            }
+            self.timers.pop();
+            if timer.is_live(&self.slots) {
+                if let Some(slot) = self.slots[timer.slot].as_mut() {
+                    slot.armed = None;
+                }
+                due.push(timer);
+            }
+        }
+    }
+
+    /// Puts the connection in `slot_ix`'s deadline in the heap, unless
+    /// it is there already.
+    fn arm(&mut self, slot_ix: usize) {
+        let Some(slot) = self.slots[slot_ix].as_mut() else { return };
+        let due = slot.conn.deadline();
+        if due == slot.armed {
+            return;
+        }
+        slot.armed = due;
+        if let Some(due) = due {
+            self.timers.push(Reverse(Timer { due, slot: slot_ix, generation: slot.generation }));
+        }
+        // A connection that keeps moving its deadline leaves stale
+        // entries behind; past twice the live count, sweep them out.
+        if self.timers.len() > 2 * self.slots.len() + 64 {
+            let slots = &self.slots;
+            self.timers.retain(|Reverse(timer)| timer.is_live(slots));
+        }
+    }
 }
 
 struct Shard {
@@ -765,16 +883,18 @@ struct Shard {
 
 impl Shard {
     fn run(self) {
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
+        let mut slab = Slab::default();
         let mut events: Vec<Event> = Vec::with_capacity(256);
-        let mut listening = self.listener.is_some();
-        let mut last_tick = Instant::now();
+        let mut due: Vec<Timer> = Vec::new();
+        let mut stopping = false;
+        let mut next_sweep = Instant::now() + self.tick;
         loop {
+            let wake_at = slab.next_due().map_or(next_sweep, |due| due.min(next_sweep));
             // Clock reads below are Option-gated so an uninstrumented
             // reactor's loop stays exactly as it was.
             let slept = self.obs.as_ref().map(|_| Instant::now());
-            if self.poller.wait(&mut events, self.tick).is_err() {
+            let timeout = wake_at.saturating_duration_since(Instant::now());
+            if self.poller.wait(&mut events, timeout).is_err() {
                 self.flags.failed.fetch_add(1, Ordering::SeqCst);
                 break;
             }
@@ -789,11 +909,11 @@ impl Shard {
             for ev in &events {
                 match ev.token {
                     TOKEN_WAKER => self.remote.waker.drain(),
-                    TOKEN_LISTENER => self.accept_burst(&mut slots, &mut free),
+                    TOKEN_LISTENER => self.accept_burst(&mut slab),
                     token => {
                         let slot_ix = (token - TOKEN_CONN0) as usize;
                         let before = self.obs.as_ref().map(|_| Instant::now());
-                        self.drive(&mut slots, &mut free, slot_ix, DriveWhy::Ready);
+                        self.drive(&mut slab, slot_ix, DriveWhy::Ready);
                         if let (Some(obs), Some(before)) = (&self.obs, before) {
                             obs.dispatch_us.observe(whole_us(before.elapsed()));
                         }
@@ -803,29 +923,39 @@ impl Shard {
             // Adopted connections join this shard's slab.
             let adopted = std::mem::take(&mut *lock_recover(&self.remote.inbox));
             for conn in adopted {
-                self.insert(&mut slots, &mut free, conn);
+                self.insert(&mut slab, conn);
             }
-            if self.flags.stop.load(Ordering::SeqCst) && listening {
+            if self.flags.stop.load(Ordering::SeqCst) && !stopping {
+                stopping = true;
                 if let Some(listener) = &self.listener {
                     use std::os::fd::AsRawFd;
                     let _ = self.poller.deregister(listener.as_raw_fd());
                 }
-                listening = false;
+                // Every connection hears of the stop now, not a sweep
+                // later.
+                next_sweep = Instant::now();
             }
-            if last_tick.elapsed() >= self.tick {
+            let now = Instant::now();
+            slab.take_due(now, &mut due);
+            for timer in &due {
                 if let Some(obs) = &self.obs {
-                    let overshoot = last_tick.elapsed().saturating_sub(self.tick);
-                    obs.tick_jitter_us.observe(whole_us(overshoot));
+                    obs.tick_jitter_us.observe(whole_us(now.saturating_duration_since(timer.due)));
                 }
-                last_tick = Instant::now();
-                for slot_ix in 0..slots.len() {
-                    self.drive(&mut slots, &mut free, slot_ix, DriveWhy::Tick);
+                self.drive(&mut slab, timer.slot, DriveWhy::Tick);
+            }
+            if now >= next_sweep {
+                if let Some(obs) = &self.obs {
+                    obs.tick_jitter_us.observe(whole_us(now.duration_since(next_sweep)));
+                }
+                next_sweep = now + self.tick;
+                for slot_ix in 0..slab.slots.len() {
+                    self.drive(&mut slab, slot_ix, DriveWhy::Tick);
                 }
             }
             if let Some(obs) = &self.obs {
-                obs.occupancy.set(slots.iter().flatten().count() as i64);
-                obs.backlog
-                    .set(slots.iter().flatten().filter(|s| s.interest.writable).count() as i64);
+                let live = || slab.slots.iter().flatten();
+                obs.occupancy.set(live().count() as i64);
+                obs.backlog.set(live().filter(|s| s.interest.writable).count() as i64);
                 if let Some(turn_start) = turn_start {
                     let busy = turn_start.elapsed();
                     if busy > obs.stall_budget {
@@ -840,15 +970,13 @@ impl Shard {
                     }
                 }
             }
-            if self.flags.stop.load(Ordering::SeqCst)
-                && slots.iter().all(std::option::Option::is_none)
-            {
+            if stopping && slab.slots.iter().all(Option::is_none) {
                 break;
             }
         }
     }
 
-    fn accept_burst(&self, slots: &mut Vec<Option<Slot>>, free: &mut Vec<usize>) {
+    fn accept_burst(&self, slab: &mut Slab) {
         let Some(listener) = &self.listener else { return };
         if self.flags.stop.load(Ordering::SeqCst) {
             return;
@@ -859,17 +987,17 @@ impl Shard {
         // readiness event retries.
         while let Ok((stream, addr)) = listener.accept() {
             if let Some(conn) = (self.factory)(stream, addr) {
-                self.insert(slots, free, conn);
+                self.insert(slab, conn);
             }
         }
     }
 
-    fn insert(&self, slots: &mut Vec<Option<Slot>>, free: &mut Vec<usize>, conn: Box<dyn Driven>) {
-        let slot_ix = match free.pop() {
+    fn insert(&self, slab: &mut Slab, conn: Box<dyn Driven>) {
+        let slot_ix = match slab.free.pop() {
             Some(ix) => ix,
             None => {
-                slots.push(None);
-                slots.len() - 1
+                slab.slots.push(None);
+                slab.slots.len() - 1
             }
         };
         let token = TOKEN_CONN0 + slot_ix as u64;
@@ -877,22 +1005,19 @@ impl Shard {
         if self.poller.register(conn.fd(), token, interest).is_err() {
             // Registration failing (fd limit, dead socket) drops the
             // connection; the slot returns to the free list.
-            free.push(slot_ix);
+            slab.free.push(slot_ix);
             return;
         }
-        slots[slot_ix] = Some(Slot { conn, interest });
+        slab.generations += 1;
+        let generation = slab.generations;
+        slab.slots[slot_ix] = Some(Slot { conn, interest, generation, armed: None });
+        slab.arm(slot_ix);
         self.flags.served.fetch_add(1, Ordering::SeqCst);
         self.flags.live.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn drive(
-        &self,
-        slots: &mut [Option<Slot>],
-        free: &mut Vec<usize>,
-        slot_ix: usize,
-        why: DriveWhy,
-    ) {
-        let Some(slot) = slots.get_mut(slot_ix).and_then(std::option::Option::as_mut) else {
+    fn drive(&self, slab: &mut Slab, slot_ix: usize, why: DriveWhy) {
+        let Some(slot) = slab.slots.get_mut(slot_ix).and_then(Option::as_mut) else {
             // Stale token: the connection finished earlier in this
             // same event batch.
             return;
@@ -910,11 +1035,12 @@ impl Shard {
                         slot.interest = wants;
                     }
                 }
+                slab.arm(slot_ix);
             }
             Step::Done => {
                 let _ = self.poller.deregister(slot.conn.fd());
-                slots[slot_ix] = None;
-                free.push(slot_ix);
+                slab.slots[slot_ix] = None;
+                slab.free.push(slot_ix);
                 self.flags.live.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -1222,6 +1348,112 @@ mod tests {
         );
 
         drop(client);
+        reactor.stop();
+        reactor.join().expect("clean join");
+    }
+
+    /// A connection with no socket traffic (its fd is an eventfd): it
+    /// records when it was ticked and asks for one deadline, `due`,
+    /// until that passes. Waking its eventfd finishes it.
+    struct Timed {
+        fd: Arc<Waker>,
+        due: Option<Instant>,
+        ticks: Ticks,
+    }
+
+    impl Driven for Timed {
+        fn fd(&self) -> i32 {
+            self.fd.fd()
+        }
+
+        fn on_ready(&mut self) -> Step {
+            Step::Done
+        }
+
+        fn on_tick(&mut self) -> Step {
+            let now = Instant::now();
+            lock_recover(&self.ticks).push(now);
+            if self.due.is_some_and(|due| due <= now) {
+                self.due = None;
+            }
+            Step::Continue
+        }
+
+        fn deadline(&self) -> Option<Instant> {
+            self.due
+        }
+    }
+
+    /// When a [`Timed`] connection was ticked.
+    type Ticks = Arc<Mutex<Vec<Instant>>>;
+
+    /// A [`Timed`] connection due at `due`, its finishing waker, and its
+    /// tick record.
+    fn timed(due: Option<Instant>) -> (Box<dyn Driven>, Arc<Waker>, Ticks) {
+        let fd = Arc::new(Waker::new().expect("eventfd"));
+        let ticks = Arc::new(Mutex::new(Vec::new()));
+        let conn = Timed { fd: Arc::clone(&fd), due, ticks: Arc::clone(&ticks) };
+        (Box::new(conn), fd, ticks)
+    }
+
+    /// On a shard whose sweep is a second apart, a deadline drives its
+    /// connection when it falls; a connection without one waits for
+    /// the sweep; and the deadline a finished connection left in the
+    /// heap never drives the connection that reuses its slot.
+    #[test]
+    fn deadlines_drive_their_own_connection_on_time_and_nothing_else() {
+        let started = Instant::now();
+        let reactor = Reactor::serve(
+            None,
+            ReactorConfig { shards: 1, tick: Duration::from_secs(1) },
+            Arc::new(|_, _| None),
+        )
+        .expect("reactor");
+        let due = started + Duration::from_millis(30);
+        let (on_time, on_time_fd, on_time_ticks) = timed(Some(due));
+        let (idle, idle_fd, idle_ticks) = timed(None);
+        let (finished, finished_fd, finished_ticks) =
+            timed(Some(started + Duration::from_millis(100)));
+        for conn in [finished, on_time, idle] {
+            reactor.adopt(conn);
+        }
+        let live = |n: u64| {
+            let by = Instant::now() + Duration::from_secs(5);
+            while reactor.live() != n {
+                assert!(Instant::now() < by, "{} live, want {n}", reactor.live());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        live(3);
+        // The first connection finishes before its deadline; the next
+        // one takes its slot, the shard's only free one.
+        finished_fd.wake();
+        live(2);
+        let (reuser, reuser_fd, reuser_ticks) = timed(None);
+        reactor.adopt(reuser);
+        live(3);
+
+        std::thread::sleep(
+            (started + Duration::from_millis(300)).saturating_duration_since(Instant::now()),
+        );
+        let ticks = lock_recover(&on_time_ticks).clone();
+        let [fired] = ticks[..] else { panic!("the deadline drove {} ticks", ticks.len()) };
+        let late = fired.saturating_duration_since(due);
+        assert!(fired >= due && late < Duration::from_millis(20), "fired {late:?} late");
+        assert!(lock_recover(&finished_ticks).is_empty(), "a finished connection was ticked");
+        assert!(lock_recover(&idle_ticks).is_empty(), "driven before the sweep");
+        assert!(lock_recover(&reuser_ticks).is_empty(), "a stale deadline drove the reuser");
+
+        // The sweep does come, a second after the shard started.
+        let by = Instant::now() + Duration::from_secs(5);
+        while lock_recover(&idle_ticks).is_empty() {
+            assert!(Instant::now() < by, "the sweep never came");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(lock_recover(&idle_ticks)[0] >= started + Duration::from_secs(1));
+        for fd in [on_time_fd, idle_fd, reuser_fd] {
+            fd.wake();
+        }
         reactor.stop();
         reactor.join().expect("clean join");
     }

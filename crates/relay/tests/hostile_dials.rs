@@ -141,26 +141,36 @@ fn assert_quiet_for_then_drains(mut child: Child, watch: Duration, budget: f64) 
     let before = cpu_secs(pid);
     std::thread::sleep(watch);
     let burned = cpu_secs(pid) - before;
-
-    let term = Command::new("kill").args(["-TERM", &pid.to_string()]).status().expect("kill");
-    assert!(term.success(), "kill -TERM failed");
-    let sent = Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            break Some(status);
-        }
-        if sent.elapsed() > EXIT_BUDGET {
-            let _ = child.kill();
-            let _ = child.wait();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
-
+    let drained = sigterm(&mut child);
     assert!(
         burned < budget,
         "the hostile dials cost {burned:.2} CPU-s over {watch:?} (budget {budget})"
     );
+    assert_drained(drained);
+}
+
+/// SIGTERMs the process and waits up to [`EXIT_BUDGET`] for it to exit
+/// (`None`: it did not, and was killed).
+fn sigterm(child: &mut Child) -> Option<std::process::ExitStatus> {
+    let pid = child.id().to_string();
+    let term = Command::new("kill").args(["-TERM", &pid]).status().expect("kill");
+    assert!(term.success(), "kill -TERM failed");
+    let sent = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            return Some(status);
+        }
+        if sent.elapsed() > EXIT_BUDGET {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The process exited 0 within [`EXIT_BUDGET`] of its SIGTERM.
+fn assert_drained(status: Option<std::process::ExitStatus>) {
     let status = status.unwrap_or_else(|| panic!("SIGTERM not honoured within {EXIT_BUDGET:?}"));
     assert!(status.success(), "drained exit must be 0, got {status:?}");
 }
@@ -325,7 +335,7 @@ const IDLE_BUDGET_SECS: f64 = 0.08 * 2.0;
 
 /// Parks [`IDLE_CONTROLS`] control connections on one shard, each having
 /// sent the first byte of a length prefix: the shard must not read them
-/// on its 1 ms tick, only on readiness, so over 2 s the process stays
+/// on its sweep, only on readiness, so over 2 s the process stays
 /// below 8 % of a core (a `recv(2)` per connection per tick cost 17 % of
 /// a core at 300 connections). The budget is the optimised binary's, as
 /// it ships: unoptimised, the shard's own per-connection bookkeeping
@@ -354,6 +364,57 @@ fn relay_idle_control_connections_cost_no_tick_work() {
 #[test]
 fn measurer_idle_control_connections_cost_no_tick_work() {
     idle_control_connections_cost_no_tick_work("flashflow-measurer");
+}
+
+/// Voluntary context switches per second an idle peer may make, summed
+/// over its threads. Asleep, it wakes only for its shard's 20 ms sweep
+/// (50 a second); a 1 ms tick, a supervisor polling for the drain and
+/// a metrics endpoint polling its listener made about 1,700.
+const IDLE_WAKEUPS_PER_SEC: f64 = 150.0;
+
+/// Voluntary context switches so far, summed over every thread of
+/// process `pid`: each is a sleep, so their rate is the wakeup rate.
+fn voluntary_switches(pid: u32) -> u64 {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("list the process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .filter_map(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
+            line.trim().parse::<u64>().ok()
+        })
+        .sum()
+}
+
+/// A peer with nothing to serve, its metrics endpoint up, sleeps: its
+/// shard wakes for the sweep and its supervisor and endpoint threads
+/// not at all. SIGTERM still wakes it, and it drains to exit 0. The
+/// rate is the optimised binary's, as it ships.
+fn idle_peer_stays_asleep(name: &str) {
+    let (mut child, _) = spawn_listener_with(
+        built_bin(name, true),
+        &["--io-threads", "1", "--metrics-addr", "127.0.0.1:0"],
+    );
+    let pid = child.id();
+    std::thread::sleep(Duration::from_millis(200));
+    let (before, from) = (voluntary_switches(pid), Instant::now());
+    std::thread::sleep(Duration::from_secs(2));
+    let rate = voluntary_switches(pid).saturating_sub(before) as f64 / from.elapsed().as_secs_f64();
+    let drained = sigterm(&mut child);
+    assert!(
+        rate < IDLE_WAKEUPS_PER_SEC,
+        "{name} idled at {rate:.0} wakeups per s (most {IDLE_WAKEUPS_PER_SEC})"
+    );
+    assert_drained(drained);
+}
+
+#[test]
+fn relay_idle_peer_stays_asleep() {
+    idle_peer_stays_asleep("flashflow-relay");
+}
+
+#[test]
+fn measurer_idle_peer_stays_asleep() {
+    idle_peer_stays_asleep("flashflow-measurer");
 }
 
 /// A measurer that blasts a bound echo channel and never reads the echo:
