@@ -128,10 +128,10 @@ pub fn scan_once(
 }
 
 /// The hourly weight computation: `weight = advertised × speed/mean_speed`.
-pub fn compute_weights(
-    advertised: &BTreeMap<RelayId, Rate>,
-    speeds: &BTreeMap<RelayId, f64>,
-) -> BTreeMap<RelayId, f64> {
+pub fn compute_weights<K: Ord + Copy>(
+    advertised: &BTreeMap<K, Rate>,
+    speeds: &BTreeMap<K, f64>,
+) -> BTreeMap<K, f64> {
     let mean_speed =
         if speeds.is_empty() { 1.0 } else { speeds.values().sum::<f64>() / speeds.len() as f64 };
     let mean_speed = mean_speed.max(1.0);

@@ -42,6 +42,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use flashflow_core::bwauth::EchoRound;
 use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
@@ -54,8 +55,6 @@ use flashflow_proto::msg::{AbortReason, FINGERPRINT_LEN};
 use flashflow_simnet::time::SimTime;
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::consensus::DirAuths;
-use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::RelayConfig;
 
 use crate::journal::{self, DoneItem, InFlightItem, Record};
 use crate::roster::{self, Roster, RosterSource};
@@ -256,6 +255,7 @@ pub fn run_period(
         error: None,
     };
     run_rounds(deployment, pool, &mut walk);
+    let closing = Instant::now();
     let RosterWalk { measured, resumed, resume_refused, rounds_run, done, drained, error, .. } =
         walk;
     if let Some(e) = error {
@@ -274,12 +274,19 @@ pub fn run_period(
         });
     }
 
-    // Roster complete: write the bandwidth file, vote the consensus,
-    // then seal the period in the journal (in that order — a crash
-    // between the writes re-votes from the journal next time, which is
-    // idempotent).
-    write_period_file(&cfg.period_path(), period, &done)?;
-    let consensus = vote_consensus(cfg, roster, &done, span)?;
+    // Roster complete: write the bandwidth file and vote the consensus,
+    // then seal the period in the journal once both are durable — a
+    // crash before the seal re-votes from the journal next time, which
+    // is idempotent. The two documents are independent, so the
+    // bandwidth file is encoded and synced on a second thread while the
+    // vote runs.
+    let (written, consensus) = std::thread::scope(|scope| {
+        let period_file = scope.spawn(|| write_period_file(&cfg.period_path(), period, &done));
+        let consensus = vote_consensus(cfg, roster, &done, span);
+        (period_file.join(), consensus)
+    });
+    written.map_err(|_| io::Error::other("the period file writer panicked"))??;
+    let consensus = consensus?;
     journal::append(
         &journal_path,
         &Record::PeriodDone { period, entries: done.len() as u64, ts: journal::now_ts() },
@@ -287,7 +294,12 @@ pub fn run_period(
     metrics.periods.inc();
     span.emit(
         "period.complete",
-        fields![period = period, entries = done.len() as u64, consensus = consensus as u64],
+        fields![
+            period = period,
+            entries = done.len() as u64,
+            consensus = consensus as u64,
+            close_ms = closing.elapsed().as_secs_f64() * 1e3,
+        ],
     );
     Ok(PeriodOutcome {
         period,
@@ -575,7 +587,14 @@ fn write_period_file(path: &Path, period: u64, done: &BTreeMap<u64, DoneItem>) -
         ("period".into(), Json::Int(i128::from(period))),
         ("entries".into(), Json::Arr(entries)),
     ]);
-    flashflow_procutil::atomic_write(path, format!("{doc}\n").as_bytes())
+    flashflow_procutil::atomic_write(path, encode_line(&doc).as_bytes())
+}
+
+/// A document as the one line its file holds.
+fn encode_line(doc: &Json) -> String {
+    let mut line = doc.encode();
+    line.push('\n');
+    line
 }
 
 /// Votes the consensus from the period's estimates and writes the
@@ -594,65 +613,41 @@ fn vote_consensus(
     done: &BTreeMap<u64, DoneItem>,
     span: &Span,
 ) -> io::Result<usize> {
-    // Mint simulated RelayIds for the roster: the consensus machinery
-    // is keyed by them, and they are deliberately not constructible
-    // outside flashflow-tornet.
-    let mut tor = TorNet::new();
-    let host = tor.add_host(flashflow_simnet::host::HostProfile::new(
-        "coord-consensus",
-        Rate::from_gbit(1.0),
-    ));
-    let ids: Vec<_> = (0..roster.entries.len())
-        .map(|ix| tor.add_relay(host, RelayConfig::new(format!("roster-{ix}"))))
+    // The vote is keyed by roster index: the consensus machinery only
+    // orders and matches relay keys.
+    let advertised: BTreeMap<usize, Rate> =
+        roster.entries.iter().map(|e| (e.ix, Rate::from_bytes_per_sec(e.prior))).collect();
+    let weights: BTreeMap<usize, f64> = roster
+        .entries
+        .iter()
+        .filter_map(|e| Some((e.ix, done.get(&(e.ix as u64))?.capacity)))
         .collect();
-
-    let mut weights = BTreeMap::new();
-    let mut advertised = BTreeMap::new();
-    let mut speeds = BTreeMap::new();
-    for entry in &roster.entries {
-        let id = ids[entry.ix];
-        advertised.insert(id, Rate::from_bytes_per_sec(entry.prior));
-        if let Some(d) = done.get(&(entry.ix as u64)) {
-            weights.insert(id, d.capacity);
-            speeds.insert(id, d.capacity);
-        }
-    }
     let votes = vec![weights; cfg.dirauths.max(1)];
     let consensus = DirAuths::new(cfg.dirauths.max(1)).vote(SimTime::ZERO, &votes, &advertised);
 
     // The §8 baseline: what TorFlow would have voted from the same
     // priors (as self-reports) and measurements (as probe speeds).
-    let torflow = flashflow_balance::torflow::compute_weights(&advertised, &speeds);
+    let torflow = flashflow_balance::torflow::compute_weights(&advertised, &votes[0]);
     let torflow_total: f64 = torflow.values().sum();
-    let normalized = consensus.normalized();
-    // Both lookups indexed once: a scan per entry is quadratic in the
-    // roster, paid at the end of every period.
-    let ix_of: BTreeMap<_, usize> = ids.iter().enumerate().map(|(ix, id)| (*id, ix)).collect();
-    let weight_of: BTreeMap<_, f64> =
-        consensus.entries.iter().map(|e| (e.relay, e.weight)).collect();
     let mut max_diff = 0.0f64;
     let mut sum_diff = 0.0f64;
-    let mut entries = Vec::new();
-    for (relay, norm) in &normalized {
-        // Every consensus entry is keyed by an id minted above; an
-        // unknown one would mean the voting machinery invented a
-        // relay. Skip it rather than panic the daemon mid-period.
-        let Some(&ix) = ix_of.get(relay) else { continue };
-        let weight = weight_of.get(relay).copied().unwrap_or(0.0);
+    let mut entries = Vec::with_capacity(consensus.entries.len());
+    for (entry, (ix, norm)) in consensus.entries.iter().zip(consensus.normalized()) {
         let tf_norm = if torflow_total > 0.0 {
-            torflow.get(relay).copied().unwrap_or(0.0) / torflow_total
+            torflow.get(&ix).copied().unwrap_or(0.0) / torflow_total
         } else {
             0.0
         };
         let diff = (norm - tf_norm).abs();
         max_diff = max_diff.max(diff);
         sum_diff += diff;
+        let relay = &roster.entries[ix];
         entries.push(Json::Obj(vec![
             ("ix".into(), Json::Int(ix as i128)),
-            ("fp".into(), Json::Str(hex(&roster.entries[ix].fp))),
-            ("weight".into(), Json::Num(weight)),
-            ("normalized".into(), Json::Num(*norm)),
-            ("prior".into(), Json::Num(roster.entries[ix].prior)),
+            ("fp".into(), Json::Str(hex(&relay.fp))),
+            ("weight".into(), Json::Num(entry.weight)),
+            ("normalized".into(), Json::Num(norm)),
+            ("prior".into(), Json::Num(relay.prior)),
             ("torflow_normalized".into(), Json::Num(tf_norm)),
         ]));
     }
@@ -673,7 +668,7 @@ fn vote_consensus(
             ]),
         ),
     ]);
-    flashflow_procutil::atomic_write(&cfg.consensus_path(), format!("{doc}\n").as_bytes())?;
+    flashflow_procutil::atomic_write(&cfg.consensus_path(), encode_line(&doc).as_bytes())?;
     span.emit(
         "consensus.voted",
         fields![entries = count as u64, max_abs_diff = max_diff, mean_abs_diff = mean_diff],

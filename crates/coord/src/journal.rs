@@ -152,7 +152,7 @@ impl Record {
                 ("ts".into(), Json::Num(*ts)),
             ]),
         };
-        obj.to_string()
+        obj.encode()
     }
 
     /// Parses one journal line; `None` for lines that don't parse or

@@ -36,7 +36,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flashflow_coord::daemon::{run_period, CoordMetrics, DaemonConfig};
 use flashflow_coord::roster::RosterSource;
@@ -221,6 +221,11 @@ fn main() {
         }
     };
     procutil::install_sigterm_handler();
+    // The round loop sleeps to each `Go` gate: wake at the gate, not a
+    // timer slack after it.
+    if let Err(e) = procutil::tighten_timer_slack() {
+        eprintln!("timer slack left at the default: {e}");
+    }
 
     let mut sink = EventSink::new().with_stderr_text();
     if let Some(path) = &cfg.log_json {
@@ -269,13 +274,16 @@ fn main() {
         round_max: cfg.round_max,
         dirauths: cfg.dirauths.max(1),
     };
+    let building = Instant::now();
     let roster = flashflow_coord::roster::build(dcfg.source, dcfg.seed, dcfg.relays);
+    let roster_ms = building.elapsed().as_secs_f64() * 1e3;
     println!("coordinating {} relays", roster.entries.len());
     span.emit(
         "coord.start",
         fields![
             relays = roster.entries.len() as u64,
             measurers = deployment.measurers.len() as u64,
+            roster_ms = roster_ms,
         ],
     );
 

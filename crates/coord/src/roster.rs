@@ -11,7 +11,11 @@
 //!   log-normal capacities become the priors;
 //! * [`synth_roster`] — capacities drawn from the `flashflow-metrics`
 //!   synthetic consensus corpus, for scaling the roster past the Shadow
-//!   sample toward full-network size.
+//!   sample toward full-network size. Only the relays' ground truths
+//!   are walked ([`flashflow_metrics::synth::truths`]), not their
+//!   archive series, so a 1000-relay roster builds in under a
+//!   millisecond — a cost every coordinator start, restart included,
+//!   pays before it commands anything.
 //!
 //! Roster fingerprints are derived from `(seed, index)` with a
 //! splitmix64 mix — stable across restarts, distinct across relays, and
@@ -133,23 +137,27 @@ pub fn shadow_roster(seed: u64, relays: Option<usize>) -> Roster {
     Roster { source: RosterSource::Shadow, seed, entries }
 }
 
+/// The synthetic-corpus configuration a `relays`-relay roster draws
+/// from: a 0.05-year archive (73 six-hour steps) whose population holds
+/// at `relays`, so the first `relays` relays are the step-zero spawns.
+fn synth_config(seed: u64, relays: usize) -> flashflow_metrics::synth::SynthConfig {
+    flashflow_metrics::synth::SynthConfig {
+        years: 0.05,
+        initial_relays: relays,
+        final_relays: relays,
+        ..flashflow_metrics::synth::SynthConfig::paper_scale(seed)
+    }
+}
+
 /// Builds a roster from the `flashflow-metrics` synthetic corpus:
 /// `relays` capacities drawn from the calibrated log-normal the archive
 /// generator uses, scaling the roster toward full-network size.
 /// Deterministic in `seed`.
 pub fn synth_roster(seed: u64, relays: usize) -> Roster {
-    let cfg = flashflow_metrics::synth::SynthConfig {
-        // A short archive: the roster only needs the capacity draw, not
-        // years of utilisation history.
-        years: 0.05,
-        initial_relays: relays,
-        final_relays: relays,
-        ..flashflow_metrics::synth::SynthConfig::paper_scale(seed)
-    };
-    let synth = flashflow_metrics::synth::generate(&cfg);
-    let entries = synth
-        .truths
-        .iter()
+    // The truths-only walk: the same priors `synth::generate` would
+    // give, without the utilisation and weight series it would draw
+    // (and this roster would throw away) for every relay.
+    let entries = flashflow_metrics::synth::truths(&synth_config(seed, relays))
         .take(relays)
         .enumerate()
         .map(|(ix, truth)| RosterEntry {
@@ -202,6 +210,19 @@ mod tests {
         assert!(r.entries.iter().all(|e| e.prior > 0.0));
         let again = synth_roster(11, 16);
         assert_eq!(r.entries[3].prior, again.entries[3].prior, "deterministic in the seed");
+    }
+
+    #[test]
+    fn synth_priors_are_the_generated_archives_capacities() {
+        for (seed, relays) in [(11, 1000), (7301, 1), (3, 17), (42, 250)] {
+            let archive = flashflow_metrics::synth::generate(&synth_config(seed, relays));
+            let priors: Vec<u64> =
+                synth_roster(seed, relays).entries.iter().map(|e| e.prior.to_bits()).collect();
+            let capacities: Vec<u64> =
+                archive.truths.iter().take(relays).map(|t| t.capacity.to_bits()).collect();
+            assert_eq!(priors.len(), relays, "seed {seed}");
+            assert_eq!(priors, capacities, "seed {seed}, {relays} relays");
+        }
     }
 
     #[test]

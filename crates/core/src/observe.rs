@@ -207,7 +207,13 @@ pub fn period_export(
 
 /// Lowercase-hex rendering of a wire fingerprint.
 pub fn hex_fp(fp: &[u8]) -> String {
-    fp.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * fp.len());
+    for &b in fp {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
 }
 
 /// Replays a slice of obs [`Event`]s (a sink ring or parsed JSONL) —

@@ -107,42 +107,94 @@ pub struct SynthArchive {
     pub truths: Vec<RelayTruth>,
 }
 
+/// The relays `generate` spawns: one start step per relay, in spawn
+/// order, on a grid of `steps` steps whose relays live
+/// `lifetime_steps` on average.
+struct SpawnSchedule {
+    steps: usize,
+    lifetime_steps: f64,
+    starts: Vec<usize>,
+}
+
+impl SpawnSchedule {
+    /// Linear population ramp with exponential lifetimes: the initial
+    /// population spawns at step zero, then each step spawns what
+    /// sustains the ramp (replacement plus growth).
+    fn new(cfg: &SynthConfig) -> Self {
+        let steps = cfg.steps();
+        let lifetime_steps = (cfg.mean_lifetime_days * 24.0 / cfg.step_hours).max(1.0);
+        let mut starts: Vec<usize> = vec![0; cfg.initial_relays];
+        let growth_per_step = (cfg.final_relays as f64 - cfg.initial_relays as f64) / steps as f64;
+        let mut acc = 0.0f64;
+        for t in 1..steps {
+            let pop_now = cfg.initial_relays as f64 + growth_per_step * t as f64;
+            let replacement = pop_now / lifetime_steps;
+            acc += replacement + growth_per_step;
+            while acc >= 1.0 {
+                starts.push(t);
+                acc -= 1.0;
+            }
+        }
+        SpawnSchedule { steps, lifetime_steps, starts }
+    }
+
+    /// A spawned relay's head draws — its capacity (two raw draws) and
+    /// lifetime (one) — and the truth they make, or `None` for a relay
+    /// present fewer than two steps, which is dropped before any of its
+    /// series is drawn.
+    fn draw_truth(&self, rng: &mut SimRng, cfg: &SynthConfig, start: usize) -> Option<RelayTruth> {
+        let capacity = cfg.median_capacity * rng.gen_lognormal(0.0, cfg.capacity_sigma);
+        let lifetime = rng.gen_exponential(self.lifetime_steps).ceil().max(2.0) as usize;
+        let end = (start + lifetime).min(self.steps);
+        (end > start + 1).then_some(RelayTruth { capacity, start_step: start, end_step: end })
+    }
+}
+
+/// The raw `next_u64` draws `generate` makes for the series of a relay
+/// present `n` steps, after its head: the base utilisation (a normal,
+/// two), the slow and fast utilisation walks (two normals a step), the
+/// static weight bias (a `gen_bool` and a normal, three), the ratio's
+/// start (a normal, two) and its walk (one normal a step).
+fn series_draws(n: usize) -> usize {
+    7 + 6 * n
+}
+
+/// The ground truth of [`generate`]'s archive without the archive:
+/// yields exactly `generate(cfg).truths`, in order, lazily. It walks
+/// the same RNG stream — the spawn schedule, each relay's head draws —
+/// and steps over each relay's series draws as raw `next_u64`s instead
+/// of building series nobody reads, so a caller that only wants
+/// capacities pays for the draws it keeps.
+pub fn truths(cfg: &SynthConfig) -> impl Iterator<Item = RelayTruth> + '_ {
+    let mut schedule = SpawnSchedule::new(cfg);
+    let mut starts = std::mem::take(&mut schedule.starts).into_iter();
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
+    std::iter::from_fn(move || loop {
+        let start = starts.next()?;
+        if let Some(truth) = schedule.draw_truth(&mut rng, cfg, start) {
+            for _ in 0..series_draws(truth.end_step - truth.start_step) {
+                rng.next_u64();
+            }
+            return Some(truth);
+        }
+    })
+}
+
 /// Generates a synthetic archive.
 pub fn generate(cfg: &SynthConfig) -> SynthArchive {
-    let steps = cfg.steps();
+    let schedule = SpawnSchedule::new(cfg);
+    let steps = schedule.steps;
     let mut archive = Archive::new(cfg.step_hours, steps);
     let mut truths = Vec::new();
     let mut rng = SimRng::seed_from_u64(cfg.seed);
 
-    // Spawn schedule: linear population ramp with exponential lifetimes.
-    // We spawn relays at a rate that sustains the ramp.
-    let lifetime_steps = (cfg.mean_lifetime_days * 24.0 / cfg.step_hours).max(1.0);
-    // Initial population spawns at step zero.
-    let mut spawn_events: Vec<usize> = vec![0; cfg.initial_relays];
-    // Ongoing: at each step, expected spawns = replacement + growth.
-    let growth_per_step = (cfg.final_relays as f64 - cfg.initial_relays as f64) / steps as f64;
-    let mut acc = 0.0f64;
-    for t in 1..steps {
-        let pop_now = cfg.initial_relays as f64 + growth_per_step * t as f64;
-        let replacement = pop_now / lifetime_steps;
-        acc += replacement + growth_per_step;
-        while acc >= 1.0 {
-            spawn_events.push(t);
-            acc -= 1.0;
-        }
-    }
-
     let window_5d = ((5.0 * 24.0) / cfg.step_hours).round().max(1.0) as usize;
     let publish_every = ((18.0 / cfg.step_hours).round() as usize).max(1);
 
-    for &start in &spawn_events {
-        let capacity = cfg.median_capacity * rng.gen_lognormal(0.0, cfg.capacity_sigma);
-        let lifetime = rng.gen_exponential(lifetime_steps).ceil().max(2.0) as usize;
-        let end = (start + lifetime).min(steps);
-        if end <= start + 1 {
-            continue;
-        }
-        let n = end - start;
+    for &start in &schedule.starts {
+        let Some(truth) = schedule.draw_truth(&mut rng, cfg, start) else { continue };
+        let capacity = truth.capacity;
+        let n = truth.end_step - start;
 
         // Utilisation: base + slow AR(1) + fast AR(1), clamped to [0, 1].
         let base = (cfg.utilization_mean + rng.gen_normal(0.0, 0.15)).clamp(0.05, 0.9);
@@ -193,7 +245,7 @@ pub fn generate(cfg: &SynthConfig) -> SynthArchive {
         }
 
         archive.add_relay(RelaySeries { start_step: start, advertised, weight });
-        truths.push(RelayTruth { capacity, start_step: start, end_step: end });
+        truths.push(truth);
     }
 
     SynthArchive { archive, truths }
@@ -212,6 +264,42 @@ mod tests {
         assert_eq!(a.archive, b.archive);
         let c = generate(&SynthConfig::test_scale(6));
         assert_ne!(a.archive, c.archive);
+    }
+
+    /// `truths` walks the stream `generate` draws: over 100+
+    /// configurations — the coordinator roster's own, a one-step grid
+    /// where every relay is dropped, quarter-day lifetimes, and random
+    /// shapes — it yields `generate`'s truths bit for bit.
+    #[test]
+    fn truths_walk_the_stream_generate_draws() {
+        let mut configs = vec![
+            SynthConfig {
+                years: 0.05,
+                initial_relays: 1000,
+                final_relays: 1000,
+                ..SynthConfig::paper_scale(7301)
+            },
+            SynthConfig { years: 6.0 / (365.25 * 24.0), ..SynthConfig::test_scale(3) },
+            SynthConfig { years: 0.05, mean_lifetime_days: 0.25, ..SynthConfig::test_scale(5) },
+        ];
+        let mut rng = SimRng::seed_from_u64(0x5EED_7A11);
+        while configs.len() < 120 {
+            let years = [0.001, 0.002, 0.01, 0.05, 0.2, 0.5][rng.gen_index(6)];
+            configs.push(SynthConfig {
+                years,
+                initial_relays: rng.gen_index(300),
+                final_relays: rng.gen_index(300),
+                mean_lifetime_days: rng.gen_range_f64(0.05, 600.0),
+                ..SynthConfig::paper_scale(rng.next_u64())
+            });
+        }
+        let bits = |truths: &[RelayTruth]| -> Vec<(u64, usize, usize)> {
+            truths.iter().map(|t| (t.capacity.to_bits(), t.start_step, t.end_step)).collect()
+        };
+        for cfg in &configs {
+            let walked: Vec<RelayTruth> = truths(cfg).collect();
+            assert_eq!(bits(&walked), bits(&generate(cfg).truths), "{cfg:?}");
+        }
     }
 
     #[test]

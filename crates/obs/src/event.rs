@@ -223,7 +223,7 @@ impl Event {
         for (key, value) in &self.fields {
             pairs.push((key.clone(), value.to_json()));
         }
-        Json::Obj(pairs).to_string()
+        Json::Obj(pairs).encode()
     }
 
     /// Parses one JSONL line back into an event.

@@ -341,7 +341,7 @@ impl PeriodExport {
         if let Some(reactor) = self.reactor {
             pairs.push(("reactor".to_string(), reactor.to_json()));
         }
-        Json::Obj(pairs).to_string()
+        Json::Obj(pairs).encode()
     }
 
     /// Parses an export previously encoded by

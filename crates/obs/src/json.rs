@@ -10,8 +10,16 @@
 //! `i128` so `u64` byte counters round-trip exactly instead of being
 //! flattened through an `f64` (which silently loses precision past
 //! 2^53).
+//!
+//! [`Json::encode`] writes a document into one `String` in one pass:
+//! each run of string bytes that needs no escape is one push, and
+//! numbers are formatted in place (integers through 64 bits whenever
+//! they fit). A coordinator writes its ~190 KB 1000-relay consensus
+//! this way at the end of every period, so the encoder is on the path
+//! between the last round and the next start. `Display` produces the
+//! same bytes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts; anything deeper is a
 /// hostile or corrupt document, not telemetry.
@@ -116,53 +124,107 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// The encoded document: compact, keys in insertion order, strings
+    /// with standard escapes, non-finite `Num`s as `null`.
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded document to `out`: one pass, no temporary
+    /// per value.
+    fn encode_into(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Shortest representation that round-trips; force a
-                    // fraction so the value re-parses as Num, not Int.
-                    let s = format!("{x}");
-                    if s.contains('.') || s.contains('e') || s.contains('E') {
-                        f.write_str(&s)
-                    } else {
-                        write!(f, "{s}.0")
-                    }
-                } else {
-                    // JSON has no NaN/inf; telemetry never produces
-                    // them, but a lossy `null` beats invalid output.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => encode_int(out, *i),
+            Json::Num(x) => encode_num(out, *x),
+            Json::Str(s) => encode_str(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (ix, item) in items.iter().enumerate() {
                     if ix > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.encode_into(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (ix, (key, value)) in pairs.iter().enumerate() {
                     if ix > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, key)?;
-                    f.write_str(":")?;
-                    write!(f, "{value}")?;
+                    encode_str(out, key);
+                    out.push(':');
+                    value.encode_into(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.encode())
+    }
+}
+
+/// An integer in decimal, through a 64-bit path when it fits (every
+/// counter and index does): `i128`'s own formatting divides in 128
+/// bits.
+fn encode_int(out: &mut String, i: i128) {
+    let _ = match (i64::try_from(i), u64::try_from(i)) {
+        (Ok(small), _) => write!(out, "{small}"),
+        (_, Ok(unsigned)) => write!(out, "{unsigned}"),
+        _ => write!(out, "{i}"),
+    };
+}
+
+/// A float, written in place with Rust's shortest round-trip `Display`
+/// and a forced fraction so it re-parses as `Num`, not `Int`. JSON has
+/// no NaN/inf; telemetry never produces them, but a lossy `null` beats
+/// invalid output.
+fn encode_num(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out.as_bytes()[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.push_str(".0");
+    }
+}
+
+/// A string, quoted: each run of bytes that needs no escape is one
+/// push. A run ends only at an ASCII byte, so every run is whole UTF-8.
+fn encode_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (ix, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..ix]);
+        run = ix + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{:04x}", b);
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Why a parse failed, with the byte offset of the offense.
@@ -181,22 +243,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -398,6 +444,8 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn scalars_round_trip() {
@@ -447,5 +495,206 @@ mod tests {
     fn depth_limit_is_enforced() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    /// The reference encoder: every string character through `write!`,
+    /// every number through a temporary `String`. [`Json::encode`] must
+    /// match it byte for byte.
+    struct Oracle<'a>(&'a Json);
+
+    impl fmt::Display for Oracle<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Int(i) => write!(f, "{i}"),
+                Json::Num(x) => {
+                    if x.is_finite() {
+                        let s = format!("{x}");
+                        if s.contains('.') || s.contains('e') || s.contains('E') {
+                            f.write_str(&s)
+                        } else {
+                            write!(f, "{s}.0")
+                        }
+                    } else {
+                        f.write_str("null")
+                    }
+                }
+                Json::Str(s) => oracle_escaped(f, s),
+                Json::Arr(items) => {
+                    f.write_str("[")?;
+                    for (ix, item) in items.iter().enumerate() {
+                        if ix > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", Oracle(item))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Obj(pairs) => {
+                    f.write_str("{")?;
+                    for (ix, (key, value)) in pairs.iter().enumerate() {
+                        if ix > 0 {
+                            f.write_str(",")?;
+                        }
+                        oracle_escaped(f, key)?;
+                        f.write_str(":")?;
+                        write!(f, "{}", Oracle(value))?;
+                    }
+                    f.write_str("}")
+                }
+            }
+        }
+    }
+
+    fn oracle_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    /// Arbitrary documents up to `depth` levels of nesting, weighted
+    /// toward what an encoder gets wrong: escapes next to multi-byte
+    /// UTF-8, integers at the 64-bit boundaries and the `i128`
+    /// extremes, and floats from raw bit patterns (NaN, infinities,
+    /// subnormals, `-0.0`, integral values).
+    struct ArbJson {
+        depth: usize,
+    }
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        const PALETTE: [char; 14] = [
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '☃',
+        ];
+        (0..rng.gen_index(12))
+            .map(|_| match rng.gen_index(4) {
+                0 => char::from_u32(rng.gen_index(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                1 => '😀',
+                _ => PALETTE[rng.gen_index(PALETTE.len())],
+            })
+            .collect()
+    }
+
+    fn arb_int(rng: &mut TestRng) -> i128 {
+        const EDGES: [i128; 12] = [
+            0,
+            -1,
+            i64::MIN as i128,
+            i64::MIN as i128 - 1,
+            i64::MAX as i128,
+            i64::MAX as i128 + 1,
+            u64::MAX as i128,
+            u64::MAX as i128 + 1,
+            -(u64::MAX as i128),
+            -(u64::MAX as i128) - 1,
+            i128::MIN,
+            i128::MAX,
+        ];
+        match rng.gen_index(4) {
+            0 => EDGES[rng.gen_index(EDGES.len())],
+            1 => i128::from(rng.next_u64() as i64),
+            2 => i128::from(rng.next_u64()),
+            _ => (i128::from(rng.next_u64()) << 64) | i128::from(rng.next_u64()),
+        }
+    }
+
+    fn arb_float(rng: &mut TestRng) -> f64 {
+        const EDGES: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            1e21,
+            1e-7,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        match rng.gen_index(3) {
+            0 => EDGES[rng.gen_index(EDGES.len())],
+            1 => (rng.next_u64() as i64 >> rng.gen_index(64)) as f64,
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            let leaf = self.depth == 0;
+            match rng.gen_index(if leaf { 6 } else { 8 }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.next_u64() & 1 == 1),
+                2 => Json::Int(arb_int(rng)),
+                3 => Json::Num(arb_float(rng)),
+                4 | 5 => Json::Str(arb_string(rng)),
+                6 => {
+                    let inner = ArbJson { depth: self.depth - 1 };
+                    Json::Arr((0..rng.gen_index(5)).map(|_| inner.sample(rng)).collect())
+                }
+                _ => {
+                    let inner = ArbJson { depth: self.depth - 1 };
+                    Json::Obj(
+                        (0..rng.gen_index(5))
+                            .map(|_| (arb_string(rng), inner.sample(rng)))
+                            .collect(),
+                    )
+                }
+            }
+        }
+    }
+
+    /// What a document reads back as: a non-finite `Num` is written
+    /// `null`.
+    fn read_back(doc: &Json) -> Json {
+        match doc {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(read_back).collect()),
+            Json::Obj(pairs) => {
+                Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), read_back(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Whether two documents are the same, floats by their bits (so
+    /// `-0.0` and `0.0` differ).
+    fn same(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs.iter().zip(ys).all(|((kx, x), (ky, y))| kx == ky && same(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+        #[test]
+        fn encoder_matches_the_display_oracle_and_reparses(doc in ArbJson { depth: 4 }) {
+            let encoded = doc.encode();
+            prop_assert_eq!(&encoded, &Oracle(&doc).to_string(), "{:?}", doc);
+            prop_assert_eq!(&doc.to_string(), &encoded);
+            let parsed = Json::parse(&encoded).unwrap_or_else(|e| panic!("{encoded:?}: {e}"));
+            prop_assert!(same(&parsed, &read_back(&doc)), "{:?} read back as {:?}", doc, parsed);
+        }
     }
 }

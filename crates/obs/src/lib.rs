@@ -10,7 +10,7 @@
 //!
 //! * [`json`] — a minimal JSON value/encoder/parser (no serde
 //!   available); integers are `i128` so `u64` counters round-trip
-//!   exactly.
+//!   exactly, and [`Json::encode`] writes a document in one pass.
 //! * [`metrics`] — [`MetricsRegistry`] of atomic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket [`Histogram`]s. Handles are
 //!   `Arc<Atomic…>` clones: updating one from a frame parser is a

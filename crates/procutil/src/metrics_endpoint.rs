@@ -103,7 +103,7 @@ fn serve_snapshot(
     if stream.read_exact(&mut presented).is_err() || &presented != token {
         return;
     }
-    let mut line = registry.snapshot().to_json().to_string();
+    let mut line = registry.snapshot().to_json().encode();
     line.push('\n');
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.shutdown(std::net::Shutdown::Both);

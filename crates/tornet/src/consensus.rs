@@ -38,11 +38,13 @@ impl Descriptor {
     }
 }
 
-/// One relay's entry in a consensus.
+/// One relay's entry in a consensus. `K` names the relay: a simulated
+/// network's [`RelayId`] by default, or whatever key a deployment's
+/// roster already has (the vote only orders and matches keys).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConsensusEntry {
+pub struct ConsensusEntry<K = RelayId> {
     /// The relay.
-    pub relay: RelayId,
+    pub relay: K,
     /// Its (unnormalized) consensus weight.
     pub weight: f64,
     /// Its advertised bandwidth at consensus time.
@@ -50,17 +52,17 @@ pub struct ConsensusEntry {
 }
 
 /// A network consensus document.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Consensus {
+#[derive(Debug, Clone, PartialEq)]
+pub struct Consensus<K = RelayId> {
     /// When the consensus takes effect.
     pub valid_after: SimTime,
     /// Per-relay entries, sorted by relay id.
-    pub entries: Vec<ConsensusEntry>,
+    pub entries: Vec<ConsensusEntry<K>>,
 }
 
-impl Consensus {
+impl<K: Ord + Copy> Consensus<K> {
     /// Builds a consensus from entries (sorts them by relay id).
-    pub fn new(valid_after: SimTime, mut entries: Vec<ConsensusEntry>) -> Self {
+    pub fn new(valid_after: SimTime, mut entries: Vec<ConsensusEntry<K>>) -> Self {
         entries.sort_by_key(|e| e.relay);
         Consensus { valid_after, entries }
     }
@@ -72,7 +74,7 @@ impl Consensus {
 
     /// A relay's normalized weight (its circuit-selection probability),
     /// or `None` if absent.
-    pub fn normalized_weight(&self, relay: RelayId) -> Option<f64> {
+    pub fn normalized_weight(&self, relay: K) -> Option<f64> {
         let total = self.total_weight();
         if total <= 0.0 {
             return None;
@@ -81,7 +83,7 @@ impl Consensus {
     }
 
     /// Iterates `(relay, normalized weight)` pairs.
-    pub fn normalized(&self) -> Vec<(RelayId, f64)> {
+    pub fn normalized(&self) -> Vec<(K, f64)> {
         let total = self.total_weight();
         if total <= 0.0 {
             return self.entries.iter().map(|e| (e.relay, 0.0)).collect();
@@ -122,27 +124,32 @@ impl DirAuths {
     /// weights reported by the BWAuth votes that include it. A relay must
     /// appear in a majority of votes to be included (it is otherwise
     /// unmeasured and excluded, as on the live network).
-    pub fn vote(
+    pub fn vote<K: Ord + Copy>(
         &self,
         valid_after: SimTime,
-        bwauth_votes: &[BTreeMap<RelayId, f64>],
-        advertised: &BTreeMap<RelayId, Rate>,
-    ) -> Consensus {
+        bwauth_votes: &[BTreeMap<K, f64>],
+        advertised: &BTreeMap<K, Rate>,
+    ) -> Consensus<K> {
         assert!(!bwauth_votes.is_empty(), "need at least one vote");
         let majority = bwauth_votes.len() / 2 + 1;
-        let mut per_relay: BTreeMap<RelayId, Vec<f64>> = BTreeMap::new();
-        for vote in bwauth_votes {
-            for (relay, weight) in vote {
-                per_relay.entry(*relay).or_default().push(*weight);
-            }
-        }
-        let entries = per_relay
-            .into_iter()
-            .filter(|(_, ws)| ws.len() >= majority)
-            .map(|(relay, mut ws)| ConsensusEntry {
-                relay,
-                weight: low_median(&mut ws).expect("non-empty"),
-                advertised: advertised.get(&relay).copied().unwrap_or(Rate::ZERO),
+        // Every vote's weights, grouped by relay: each vote is already in
+        // relay order, so the stable sort only merges them.
+        let mut reports: Vec<(K, f64)> =
+            bwauth_votes.iter().flat_map(|vote| vote.iter().map(|(r, w)| (*r, *w))).collect();
+        reports.sort_by_key(|&(relay, _)| relay);
+        let mut weights = Vec::with_capacity(bwauth_votes.len());
+        let entries = reports
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.len() >= majority)
+            .map(|run| {
+                let relay = run[0].0;
+                weights.clear();
+                weights.extend(run.iter().map(|&(_, weight)| weight));
+                ConsensusEntry {
+                    relay,
+                    weight: low_median(&mut weights).expect("non-empty"),
+                    advertised: advertised.get(&relay).copied().unwrap_or(Rate::ZERO),
+                }
             })
             .collect();
         Consensus::new(valid_after, entries)
