@@ -1,7 +1,7 @@
 //! Micro-benchmarks of FlashFlow's core algorithms: the allocator, the
-//! scheduler, the max-min fair solver, the metrics analyses, the onion
-//! crypto, and a full measurement slot — the hot paths of a deployment
-//! and of this reproduction.
+//! slot packer in both orders, the max-min fair solver, the metrics
+//! analyses, the onion crypto, and a full measurement slot — the hot
+//! paths of a deployment and of this reproduction.
 //!
 //! Criterion is unavailable in the build environment, so this is a plain
 //! `harness = false` benchmark: each case is timed with
@@ -11,10 +11,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use flashflow_bench::{gbit_team, packed_slots};
 use flashflow_core::alloc::greedy_allocate;
 use flashflow_core::measure::measure_once;
 use flashflow_core::params::Params;
-use flashflow_core::schedule::{build_randomized_schedule, greedy_pack};
+use flashflow_core::sequence::{measure_period, perfect_slot, Order};
 use flashflow_core::team::Team;
 use flashflow_simnet::flow::{max_min_rates, AllocFlow};
 use flashflow_simnet::host::HostProfile;
@@ -22,7 +23,7 @@ use flashflow_simnet::resource::ResourceId;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::{RelayConfig, RelayId};
+use flashflow_tornet::relay::RelayConfig;
 
 /// Times `f` over `iters` iterations, repeated `samples` times; returns
 /// the median nanoseconds per iteration.
@@ -58,32 +59,29 @@ fn bench_greedy_allocate() {
     report("alloc/greedy_allocate_64_measurers", ns);
 }
 
-fn relay_set(n: usize) -> Vec<(RelayId, Rate)> {
+/// Priors (bytes/s) of `n` relays with July-2019-like capacities.
+fn prior_set(n: usize) -> Vec<f64> {
     let mut rng = SimRng::seed_from_u64(1);
-    let mut tor = TorNet::new();
-    let h = tor.add_host(HostProfile::new("h", Rate::from_gbit(1.0)));
     (0..n)
-        .map(|i| {
-            let r = tor.add_relay(h, RelayConfig::new(format!("r{i}")));
-            (r, Rate::from_mbit((36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0)))
-        })
+        .map(|_| Rate::from_mbit((36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0)).bytes_per_sec())
         .collect()
 }
 
-fn bench_greedy_pack() {
+fn bench_packed_period() {
     let params = Params::paper();
-    let relays = relay_set(6500);
-    let ns = time_ns(5, 1, || greedy_pack(&relays, Rate::from_gbit(3.0), &params).unwrap());
-    report("schedule/greedy_pack_6500_relays", ns);
+    let (team, priors) = (gbit_team(3), prior_set(6500));
+    let ns = time_ns(5, 1, || packed_slots(&team, &params, priors.iter().copied()));
+    report("sequence/packed_period_6500_relays", ns);
 }
 
-fn bench_randomized_schedule() {
+fn bench_secret_period() {
     let params = Params::paper();
-    let relays = relay_set(1000);
+    let (team, priors) = (gbit_team(3), prior_set(1000));
+    let order = Order::Secret { seed: 7 };
     let ns = time_ns(7, 5, || {
-        build_randomized_schedule(&relays, Rate::from_gbit(3.0), &params, 7).unwrap()
+        measure_period(&team, &params, order, priors.iter().copied().enumerate(), 1, perfect_slot)
     });
-    report("schedule/randomized_period_1000_relays", ns);
+    report("sequence/secret_period_1000_relays", ns);
 }
 
 fn bench_max_min() {
@@ -145,8 +143,8 @@ fn bench_onion_crypto() {
 
 fn main() {
     bench_greedy_allocate();
-    bench_greedy_pack();
-    bench_randomized_schedule();
+    bench_packed_period();
+    bench_secret_period();
     bench_max_min();
     bench_measurement_slot();
     bench_archive_analysis();

@@ -1,15 +1,16 @@
 //! §7 "Network Measurement Efficiency": how fast a 3 × 1 Gbit/s team
-//! measures the whole July-2019 network with greedy slot packing, and
-//! how quickly new relays get their first measurement.
+//! measures the whole July-2019 network with its slots packed largest
+//! prior first, and how quickly new relays get their first measurement
+//! in a period drawn in §4.3's secret order.
 //!
 //! Paper: median day needs 599 30-second slots (~5 h, range 4.9–5.1) for
 //! a median 6,419 relays / 608 Gbit/s; new relays (median 3 per
 //! consensus, prior = 51 Mbit/s) are measured within a median 30 s,
 //! max 13 min.
 
-use flashflow_bench::{compare, header};
+use flashflow_bench::{compare, gbit_team, header, packed_slots};
 use flashflow_core::params::Params;
-use flashflow_core::schedule::{assign_new_relay, build_randomized_schedule, greedy_pack};
+use flashflow_core::sequence::{measure_period, perfect_slot, Order, ToMeasure};
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::stats::median;
 use flashflow_simnet::units::Rate;
@@ -18,30 +19,22 @@ fn main() {
     let seed = 77;
     header("exp_network_speed", "Whole-network measurement efficiency", seed);
     let params = Params::paper();
-    let team = Rate::from_gbit(3.0);
+    let team = gbit_team(3);
 
     // 31 "days" of July: re-sample the network each day.
     let mut slot_counts = Vec::new();
     let mut relay_counts = Vec::new();
     let mut totals = Vec::new();
-    use flashflow_simnet::host::HostProfile;
     for day in 0..31u64 {
         let mut rng = SimRng::seed_from_u64(seed ^ day);
-        let mut tor = flashflow_tornet::netbuild::TorNet::new();
-        let h = tor.add_host(HostProfile::new("all", Rate::from_gbit(1.0)));
         let n = 6355 + rng.gen_index(174); // paper range 6355..6528
-        let relays: Vec<_> = (0..n)
-            .map(|i| {
-                let relay =
-                    tor.add_relay(h, flashflow_tornet::relay::RelayConfig::new(format!("r{i}")));
-                let cap = (36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0);
-                (relay, Rate::from_mbit(cap))
-            })
+        let caps: Vec<Rate> = (0..n)
+            .map(|_| Rate::from_mbit((36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0)))
             .collect();
-        let schedule = greedy_pack(&relays, team, &params).expect("packable");
-        slot_counts.push(schedule.slots.len() as f64);
+        let slots = packed_slots(&team, &params, caps.iter().map(|c| c.bytes_per_sec()));
+        slot_counts.push(slots as f64);
         relay_counts.push(n as f64);
-        totals.push(relays.iter().map(|(_, c)| c.as_gbit()).sum::<f64>());
+        totals.push(caps.iter().map(|c| c.as_gbit()).sum::<f64>());
     }
     let med_slots = median(&slot_counts).unwrap();
     let med_hours = med_slots * params.slot.as_secs_f64() / 3600.0;
@@ -63,38 +56,34 @@ fn main() {
         &format!("{:.0} Gbit/s", median(&totals).unwrap()),
     );
 
-    // New-relay latency: a period schedule for the old relays, then new
-    // arrivals (median 3 per hourly consensus, prior 51 Mbit/s) assigned
-    // to the earliest free slot after arrival.
+    // New-relay latency: the old relays draw their slots in the secret
+    // order, then new arrivals (median 3 per hourly consensus, prior
+    // 51 Mbit/s) go to the earliest slot with room from their arrival on.
     let mut rng = SimRng::seed_from_u64(seed ^ 0x4E455721);
-    let mut tor = flashflow_tornet::netbuild::TorNet::new();
-    let h = tor.add_host(HostProfile::new("all", Rate::from_gbit(1.0)));
-    let old: Vec<_> = (0..6419)
+    let mut relays: Vec<ToMeasure<usize>> = (0..6419)
         .map(|i| {
-            let relay =
-                tor.add_relay(h, flashflow_tornet::relay::RelayConfig::new(format!("r{i}")));
-            let cap = (36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0);
-            (relay, Rate::from_mbit(cap))
+            let cap = Rate::from_mbit((36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0));
+            (i, cap.bytes_per_sec()).into()
         })
         .collect();
-    let mut schedule =
-        build_randomized_schedule(&old, team, &params, seed).expect("period schedulable");
-    let prior = Rate::from_mbit(51.0);
+    let prior = Rate::from_mbit(51.0).bytes_per_sec();
     let slots_per_hour = 3600 / params.slot.as_secs() as usize;
-    let mut waits_secs = Vec::new();
     for hour in 0..24usize {
-        let arrivals = [3usize, 0, 5, 2, 3, 1][hour % 6];
-        for a in 0..arrivals {
-            let relay = tor
-                .add_relay(h, flashflow_tornet::relay::RelayConfig::new(format!("new-{hour}-{a}")));
-            let arrival_slot = hour * slots_per_hour;
-            match assign_new_relay(&mut schedule, relay, prior, &params, arrival_slot) {
-                Ok(slot) => waits_secs
-                    .push(((slot - arrival_slot) as f64 + 1.0) * params.slot.as_secs_f64()),
-                Err(e) => println!("  new relay unschedulable: {e}"),
-            }
+        for _ in 0..[3usize, 0, 5, 2, 3, 1][hour % 6] {
+            let arrives = Some(hour * slots_per_hour);
+            relays.push(ToMeasure { key: relays.len(), z0: prior, arrives });
         }
     }
+    let mut waits_secs = Vec::new();
+    let order = Order::Secret { seed };
+    measure_period(&team, &params, order, relays.iter().copied(), 1, |index, slot| {
+        for item in slot {
+            if let Some(arrival) = relays[item.key].arrives {
+                waits_secs.push(((index - arrival) as f64 + 1.0) * params.slot.as_secs_f64());
+            }
+        }
+        perfect_slot(index, slot)
+    });
     let med_wait = median(&waits_secs).unwrap();
     let max_wait = waits_secs.iter().cloned().fold(f64::MIN, f64::max);
     compare("median time to measure a new relay", "30 s", &format!("{med_wait:.0} s"));

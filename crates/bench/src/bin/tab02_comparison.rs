@@ -5,39 +5,28 @@
 use flashflow_balance::attacks::{
     eigenspeed_drift_attack, flashflow_advantage_bound, peerflow_advantage_bound, torflow_attack,
 };
-use flashflow_bench::{compare, header};
+use flashflow_bench::{compare, gbit_team, header, packed_slots};
 use flashflow_core::params::Params;
-use flashflow_core::schedule::greedy_pack;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
 
-fn july_2019_network(seed: u64) -> Vec<(flashflow_tornet::relay::RelayId, Rate)> {
+fn july_2019_network(seed: u64) -> Vec<Rate> {
     // 6,500 relays, log-normal capacities clamped at 998 Mbit/s,
     // calibrated to the paper's ≈608 Gbit/s total.
-    use flashflow_simnet::host::HostProfile;
     let mut rng = SimRng::seed_from_u64(seed);
-    let mut tor = flashflow_tornet::netbuild::TorNet::new();
-    let h = tor.add_host(HostProfile::new("all", Rate::from_gbit(1.0)));
-    (0..6500)
-        .map(|i| {
-            let relay =
-                tor.add_relay(h, flashflow_tornet::relay::RelayConfig::new(format!("r{i}")));
-            let cap = (36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0);
-            (relay, Rate::from_mbit(cap))
-        })
-        .collect()
+    (0..6500).map(|_| Rate::from_mbit((36.0 * rng.gen_lognormal(0.0, 1.45)).min(998.0))).collect()
 }
 
 fn main() {
     header("tab02", "Comparison of Tor load-balancing systems", 42);
     let params = Params::paper();
 
-    // FlashFlow speed: greedy-pack the July-2019-like network on a
-    // 3 Gbit/s team.
+    // FlashFlow speed: the July-2019-like network packed largest prior
+    // first on a 3 × 1 Gbit/s team.
     let relays = july_2019_network(42);
-    let total: f64 = relays.iter().map(|(_, c)| c.as_gbit()).sum();
-    let schedule = greedy_pack(&relays, Rate::from_gbit(3.0), &params).expect("packable");
-    let hours = schedule.slots.len() as f64 * params.slot.as_secs_f64() / 3600.0;
+    let total: f64 = relays.iter().map(|c| c.as_gbit()).sum();
+    let slots = packed_slots(&gbit_team(3), &params, relays.iter().map(|c| c.bytes_per_sec()));
+    let hours = slots as f64 * params.slot.as_secs_f64() / 3600.0;
 
     let tf = torflow_attack(10_000, 177.0);
     let es = eigenspeed_drift_attack(100, 3, 7, 2.0, 7);

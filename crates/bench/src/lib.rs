@@ -6,7 +6,12 @@
 //! paper's published values alongside for comparison, and is
 //! deterministic given its default seed.
 
+use flashflow_core::params::Params;
+use flashflow_core::sequence::{measure_period, perfect_slot, Order};
+use flashflow_core::team::Team;
+use flashflow_simnet::host::{HostProfile, Net};
 use flashflow_simnet::stats::{mean, quantile, Ecdf};
+use flashflow_simnet::units::Rate;
 
 /// Five-number summary matching the paper's boxplots (Figure 9): 5th
 /// percentile, first quartile, median, mean, third quartile, 95th
@@ -101,6 +106,29 @@ pub fn compare(metric: &str, paper: &str, measured: &str) {
     println!("  {metric:<44} paper: {paper:<16} measured: {measured}");
 }
 
+/// §7's measurement team: `n` measurers of 1 Gbit/s each.
+pub fn gbit_team(n: usize) -> Team {
+    let mut net = Net::new();
+    let members: Vec<_> = (0..n)
+        .map(|i| {
+            let host = net.add_host(HostProfile::new(format!("m{i}"), Rate::from_gbit(1.0)));
+            (host, Rate::from_gbit(1.0))
+        })
+        .collect();
+    Team::with_capacities(&members)
+}
+
+/// The slots §7's whole-network measurement takes: a period packed
+/// largest prior first for relays whose priors (bytes/s) are exact.
+pub fn packed_slots(team: &Team, params: &Params, priors: impl IntoIterator<Item = f64>) -> usize {
+    let mut slots = 0;
+    measure_period(team, params, Order::Packed, priors.into_iter().enumerate(), 1, |i, slot| {
+        slots += 1;
+        perfect_slot(i, slot)
+    });
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +140,27 @@ mod tests {
         assert_eq!(b.median, 50.5);
         assert_eq!(b.mean, 50.5);
         assert!(b.p5 < b.q1 && b.q1 < b.median && b.median < b.q3 && b.q3 < b.p95);
+    }
+
+    #[test]
+    fn packed_slots_fill_each_slot_largest_first() {
+        // Demands (f·z₀) of 2.0, 1.0, 1.0 and 0.9 Gbit/s on a 3 Gbit/s
+        // team: 2.0 + 1.0, then 1.0 + 0.9.
+        let params = Params::paper();
+        let f = params.excess_factor();
+        let priors = [2.0, 1.0, 1.0, 0.9].map(|d| Rate::from_gbit(d / f).bytes_per_sec());
+        assert_eq!(packed_slots(&gbit_team(3), &params, priors), 2);
+    }
+
+    #[test]
+    fn packed_slots_of_a_uniform_network() {
+        // 100 relays of 100 Mbit/s each demand ≈ 295 Mbit/s: ten share a
+        // 3 Gbit/s slot, so ten slots, 300 s.
+        let params = Params::paper();
+        let priors = vec![Rate::from_mbit(100.0).bytes_per_sec(); 100];
+        let slots = packed_slots(&gbit_team(3), &params, priors);
+        assert_eq!(slots, 10);
+        assert_eq!(params.slot.as_secs() * slots as u64, 300);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! opens every item's sessions before its first tick and releases each
 //! item's `Go` as soon as that item's own peers are armed.
 //!
-//! Packing is largest prior first (the order `measure_period` uses),
-//! deterministic given the same pending set — which matters because a
-//! restarted coordinator replans from its journal and should walk the
-//! remainder in a predictable order.
+//! Packing is largest prior first (`measure_period`'s `Order::Packed`,
+//! not §4.3's secret `Order::Secret`), deterministic given the same
+//! pending set — which matters because a restarted coordinator replans
+//! from its journal and should walk the remainder in a predictable
+//! order.
 
 use crate::roster::RosterEntry;
 

@@ -7,8 +7,6 @@
 //! use all its remaining capacity or as much as is needed to reach
 //! `f·z₀`."
 
-use flashflow_simnet::units::Rate;
-
 /// Failure to allocate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AllocError {
@@ -78,21 +76,10 @@ pub fn greedy_allocate(residual: &[f64], needed: f64) -> Result<Vec<f64>, AllocE
     Ok(alloc)
 }
 
-/// Convenience wrapper over [`Rate`]s.
-///
-/// # Errors
-/// Propagates [`AllocError`].
-pub fn greedy_allocate_rates(residual: &[Rate], needed: Rate) -> Result<Vec<Rate>, AllocError> {
-    let raw: Vec<f64> = residual.iter().map(|r| r.bytes_per_sec()).collect();
-    Ok(greedy_allocate(&raw, needed.bytes_per_sec())?
-        .into_iter()
-        .map(Rate::from_bytes_per_sec)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashflow_simnet::units::Rate;
 
     #[test]
     fn biggest_measurer_first() {
@@ -146,10 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_wrapper_round_trips() {
-        let residual = [Rate::from_mbit(1000.0), Rate::from_mbit(500.0)];
-        let alloc = greedy_allocate_rates(&residual, Rate::from_mbit(1200.0)).unwrap();
-        assert!((alloc[0].as_mbit() - 1000.0).abs() < 1e-9);
-        assert!((alloc[1].as_mbit() - 200.0).abs() < 1e-9);
+    fn largest_residual_is_used_up_first() {
+        let residual = [Rate::from_mbit(1000.0), Rate::from_mbit(500.0)].map(|r| r.bytes_per_sec());
+        let alloc = greedy_allocate(&residual, Rate::from_mbit(1200.0).bytes_per_sec()).unwrap();
+        assert!((Rate::from_bytes_per_sec(alloc[0]).as_mbit() - 1000.0).abs() < 1e-9);
+        assert!((Rate::from_bytes_per_sec(alloc[1]).as_mbit() - 200.0).abs() < 1e-9);
     }
 }

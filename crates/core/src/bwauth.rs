@@ -21,7 +21,7 @@ use flashflow_tornet::relay::RelayId;
 
 use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
 use crate::params::Params;
-use crate::sequence::{measure_period, SequenceEnd, Settled};
+use crate::sequence::{measure_period, Order, SequenceEnd, Settled};
 use crate::team::Team;
 use crate::verify::TargetBehavior;
 
@@ -107,11 +107,12 @@ impl BwAuth {
     ) -> BandwidthFile {
         let BwAuth { team, params, rng, .. } = self;
         let priors = relays.iter().map(|(relay, z0)| (*relay, z0.bytes_per_sec()));
-        let settled = measure_period(team, params, priors, Self::MAX_ROUNDS, |slot| {
-            let batch = batch_for(team, params, slot, behavior_of);
-            let measured = run_concurrent_measurements(tor, &batch, params, rng);
-            measured.iter().map(Measurement::slot_result).collect()
-        });
+        let settled =
+            measure_period(team, params, Order::Packed, priors, Self::MAX_ROUNDS, |_, slot| {
+                let batch = batch_for(team, params, slot, behavior_of);
+                let measured = run_concurrent_measurements(tor, &batch, params, rng);
+                measured.iter().map(Measurement::slot_result).collect()
+            });
         BandwidthFile::from_settled(&settled)
     }
 }

@@ -28,8 +28,7 @@
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events, period audits, `PeriodExport` |
 //! | [`proto_driver`] | §4.1, §7 | the in-memory round executor: one engine over simulated links, its one parameter the peer behaviour — `TorNet` flows (`SlotRunner`) or fixed-rate reference peers (`run_scripted`, what harnesses and benches compare a deployment against) |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
-//! | [`sequence`] | §4.2, §4.3 | the accept-or-double rule over plain numbers (`judge`) and the one period loop that packs slots by spare team capacity and applies it (`measure_period`), generic over the relay key and the slot executor |
-//! | [`schedule`] | §4.3 | randomized period schedules, greedy packing |
+//! | [`sequence`] | §4.2, §4.3, §7 | the accept-or-double rule over plain numbers (`judge`) and the one slot packer that applies it (`measure_period`): per-measurer spare capacity, largest prior first (`Order::Packed`, §7's slot count) or §4.3's seeded uniform draw (`Order::Secret`), generic over the relay key and the slot executor |
 //! | [`bwauth`] | §4.3, §7 | a BWAuth's period on the direct executor, bandwidth files, echo-topology rounds, cross-BWAuth aggregation |
 //! | [`security`] | §5 | analytical attack bounds |
 //! | [`sybil`] | §5 | simultaneous measurement of a declared family vs. one at a time |
@@ -73,7 +72,6 @@ pub mod observe;
 pub mod params;
 pub mod pool;
 pub mod proto_driver;
-pub mod schedule;
 pub mod security;
 pub mod sequence;
 pub mod sybil;
@@ -84,7 +82,7 @@ pub use params::Params;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::alloc::{greedy_allocate, greedy_allocate_rates, AllocError};
+    pub use crate::alloc::{greedy_allocate, AllocError};
     pub use crate::bwauth::{
         aggregate_bwauths, measure_echo_period, measure_echo_period_observed, BandwidthFile,
         BwAuth, BwEntry, EchoEntry, EchoPeriodFile, EchoRound,
@@ -106,15 +104,12 @@ pub mod prelude {
     pub use crate::proto_driver::{
         fingerprint_for, FaultSpec, PeerFailure, PeerFault, ProtoMeasurement, SlotRunner,
     };
-    pub use crate::schedule::{
-        assign_new_relay, build_randomized_schedule, greedy_pack, Planned, Schedule,
-    };
     pub use crate::security::{
         capacity_on_demand_failure_probability, max_inflation_factor, summarize,
     };
     pub use crate::sequence::{
-        judge, measure_period, measure_relay, new_relay_prior, SequenceEnd, SequenceOutcome,
-        Settled, SlotItem, SlotResult, Verdict,
+        judge, measure_period, measure_relay, new_relay_prior, perfect_slot, Order, SequenceEnd,
+        SequenceOutcome, Settled, SlotItem, SlotResult, ToMeasure, Verdict,
     };
     pub use crate::sybil::{measure_family, FamilyMeasurement};
     pub use crate::team::{Measurer, Team};

@@ -9,10 +9,14 @@
 //! could not have been clipped by the allocation itself. Otherwise it
 //! sets `z₀ ← max(z, 2z₀)` (at least doubling the allocation) and
 //! retries. [`judge`] is that decision over plain numbers, and
-//! [`measure_period`] the one loop that packs relays into slots by spare
-//! team capacity, runs each slot through a caller-supplied executor and
-//! re-queues what `judge` sends back — whether the executor is the
-//! fluid simulation, protocol sessions, or a round of real processes.
+//! [`measure_period`] the one slot packer: it packs relays into slots
+//! by spare per-measurer capacity, in one of two [`Order`]s —
+//! [`Order::Packed`] (largest prior first, §7's slot count) or
+//! [`Order::Secret`] (§4.3's seeded uniform draw among the slots with
+//! room) — runs each slot through a caller-supplied executor and
+//! re-queues what `judge` sends back, whether the executor is the fluid
+//! simulation, protocol sessions, a round of real processes, or
+//! [`perfect_slot`]'s priors.
 
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::stats::quantile;
@@ -64,7 +68,14 @@ pub enum Verdict {
 /// `f·z₀` for; larger ones are clamped to it so huge relays still get a
 /// best-effort full-team measurement.
 fn team_limit(team_total: f64, params: &Params) -> f64 {
-    team_total / params.excess_factor()
+    let f = params.excess_factor();
+    let mut limit = team_total / f;
+    // Rounding can leave `f·limit` an ulp above the team, beyond the
+    // allocator's tolerance: step down until an idle team can serve it.
+    while f * limit > team_total + 1e-9 {
+        limit = limit.next_down();
+    }
+    limit
 }
 
 /// §4.2's decision after a relay's `rounds`-th measurement, taken from
@@ -92,6 +103,46 @@ pub fn judge(
         return Verdict::Accept(SequenceEnd::TeamExhausted);
     }
     Verdict::Retry(result.estimate.max(2.0 * z0).min(team_limit(team_total, params)))
+}
+
+/// The order [`measure_period`] packs slots in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Order {
+    /// Largest prior first: each slot takes every waiting relay whose
+    /// reservation still fits, and the rest wait for the next slot. With
+    /// [`perfect_slot`] as the executor it gives §7's whole-network slot
+    /// count, but a relay can predict its slot from the public consensus.
+    Packed,
+    /// §4.3's secret order. Before the first slot, each relay, in input
+    /// order, draws its slot uniformly among the period's
+    /// [`slots_per_period`](Params::slots_per_period) whose reservation
+    /// still fits, with one `gen_index` per relay from `seed` (the
+    /// BWAuths' shared secret randomness). Re-measures, relays no slot
+    /// fits, and relays marked as arriving go first-fit from the current
+    /// or arrival slot on, past the period if need be.
+    Secret {
+        /// The shared seed the draws come from.
+        seed: u64,
+    },
+}
+
+/// A relay handed to [`measure_period`]. A `(key, z₀)` pair converts to
+/// one present from the start of the period.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ToMeasure<K> {
+    /// The caller's name for the relay.
+    pub key: K,
+    /// The prior `z₀` in bytes/s.
+    pub z0: f64,
+    /// For a relay that joins mid-period, the slot it arrives at: it is
+    /// placed first-fit from there on, in either order.
+    pub arrives: Option<usize>,
+}
+
+impl<K> From<(K, f64)> for ToMeasure<K> {
+    fn from((key, z0): (K, f64)) -> Self {
+        ToMeasure { key, z0, arrives: None }
+    }
 }
 
 /// One relay's place in a packed slot.
@@ -122,15 +173,51 @@ pub struct Settled<K> {
     pub rounds: u32,
 }
 
-/// Measures every relay in `relays` (key, prior in bytes/s) to the end
-/// of its §4.2 sequence, at most `max_rounds` measurements each.
+/// A slot being packed: its items, each measurer's reserved capacity,
+/// and the team's spare capacity left after those reservations.
+struct Slot<K> {
+    items: Vec<SlotItem<K>>,
+    reserved: Vec<Rate>,
+    spare: f64,
+}
+
+impl<K> Slot<K> {
+    fn new(team: &Team) -> Self {
+        let reserved = vec![Rate::ZERO; team.len()];
+        Slot { items: Vec::new(), spare: team.spare(&reserved), reserved }
+    }
+
+    /// Whether `f·z₀ = needed` still fits: [`Team::allocate`]'s test,
+    /// without building the allocation.
+    fn fits(&self, needed: f64) -> bool {
+        self.spare + 1e-9 >= needed
+    }
+
+    /// Reserves `f·z₀` for a relay that [`fits`](Self::fits) and adds it.
+    fn join(&mut self, team: &Team, params: &Params, key: K, z0: f64, rounds: u32) {
+        let allocation = team
+            .allocate(Rate::from_bytes_per_sec(z0), params, &self.reserved)
+            .expect("a relay that fits can be allocated");
+        for (res, a) in self.reserved.iter_mut().zip(&allocation) {
+            *res = *res + *a;
+        }
+        self.spare = team.spare(&self.reserved);
+        self.items.push(SlotItem { key, z0, rounds, allocation });
+    }
+}
+
+/// Measures every relay in `relays` (key and prior in bytes/s, see
+/// [`ToMeasure`]) to the end of its §4.2 sequence, at most `max_rounds`
+/// measurements each.
 ///
-/// Each slot is packed §4.3-style: largest prior first, every relay
-/// whose `f·z₀` still fits the measurers' unreserved capacity joins, the
-/// rest wait. `run_slot` executes one packed slot and returns one
-/// [`SlotResult`] per item, in order; [`judge`] then settles each relay
-/// or re-queues it with its next prior. Returns the relays in the order
-/// they settled.
+/// A relay joins a slot when its `f·z₀` still fits the measurers'
+/// unreserved capacity; `order` decides which slot that is
+/// ([`Order::Packed`]: largest prior first, [`Order::Secret`]: §4.3's
+/// seeded draw). `run_slot` executes one packed slot, given its index
+/// and items, and returns one [`SlotResult`] per item, in order. Empty
+/// slots are skipped but keep their index. [`judge`] then settles each
+/// relay or re-queues it with its next prior, from the next slot on.
+/// Returns the relays in the order they settled.
 ///
 /// # Panics
 /// Panics if `max_rounds` is zero, the team has no capacity, or
@@ -138,41 +225,66 @@ pub struct Settled<K> {
 pub fn measure_period<K: Copy>(
     team: &Team,
     params: &Params,
-    relays: impl IntoIterator<Item = (K, f64)>,
+    order: Order,
+    relays: impl IntoIterator<Item = impl Into<ToMeasure<K>>>,
     max_rounds: u32,
-    mut run_slot: impl FnMut(&[SlotItem<K>]) -> Vec<SlotResult>,
+    mut run_slot: impl FnMut(usize, &[SlotItem<K>]) -> Vec<SlotResult>,
 ) -> Vec<Settled<K>> {
     assert!(max_rounds >= 1, "need at least one round");
+    let f = params.excess_factor();
     let team_total = team.total_capacity().bytes_per_sec();
     let limit = team_limit(team_total, params);
-    // Work queue: (relay, prior, measurements so far). `min` also maps a
-    // NaN prior to the limit.
-    let mut queue: Vec<(K, f64, u32)> =
-        relays.into_iter().map(|(key, z0)| (key, z0.min(limit), 0)).collect();
-    let mut settled = Vec::with_capacity(queue.len());
-
-    while !queue.is_empty() {
-        queue.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut reserved = vec![Rate::ZERO; team.len()];
-        let mut slot: Vec<SlotItem<K>> = Vec::new();
-        let mut rest = Vec::new();
-        for (key, z0, rounds) in queue.drain(..) {
-            match team.allocate(Rate::from_bytes_per_sec(z0), params, &reserved) {
-                Ok(allocation) => {
-                    for (res, a) in reserved.iter_mut().zip(&allocation) {
-                        *res = *res + *a;
-                    }
-                    slot.push(SlotItem { key, z0, rounds, allocation });
-                }
-                Err(_) => rest.push((key, z0, rounds)),
+    // Slots planned ahead (the secret draws), and the waiting relays:
+    // (relay, prior, measurements so far, first slot it may join). `min`
+    // also maps a NaN prior to the limit.
+    let (mut planned, mut rng) = match order {
+        Order::Secret { seed } => {
+            let slots = params.slots_per_period() as usize;
+            ((0..slots).map(|_| Slot::new(team)).collect(), Some(SimRng::seed_from_u64(seed)))
+        }
+        Order::Packed => (Vec::new(), None),
+    };
+    let mut queue: Vec<(K, f64, u32, usize)> = Vec::new();
+    let mut feasible = Vec::new();
+    for relay in relays {
+        let ToMeasure { key, z0, arrives } = relay.into();
+        let z0 = z0.min(limit);
+        if let (Some(rng), None) = (&mut rng, arrives) {
+            feasible.clear();
+            feasible.extend((0..planned.len()).filter(|&s| planned[s].fits(f * z0)));
+            if !feasible.is_empty() {
+                planned[feasible[rng.gen_index(feasible.len())]].join(team, params, key, z0, 0);
+                continue;
             }
         }
-        queue = rest;
-        assert!(!slot.is_empty(), "slot packing made no progress");
+        queue.push((key, z0, 0, arrives.unwrap_or(0)));
+    }
+    let mut settled = Vec::new();
 
-        let results = run_slot(&slot);
-        assert_eq!(results.len(), slot.len(), "one result per slot item");
-        for (item, result) in slot.iter().zip(&results) {
+    let mut planned = planned.into_iter();
+    let mut index = 0;
+    while planned.len() > 0 || !queue.is_empty() {
+        let mut slot = planned.next().unwrap_or_else(|| Slot::new(team));
+        if order == Order::Packed {
+            queue.sort_by(|a, b| b.1.total_cmp(&a.1));
+        }
+        queue.retain(|&(key, z0, rounds, from)| {
+            let joins = from <= index && slot.fits(f * z0);
+            if joins {
+                slot.join(team, params, key, z0, rounds);
+            }
+            !joins
+        });
+        if slot.items.is_empty() {
+            assert!(queue.iter().all(|w| w.3 > index), "slot packing made no progress");
+            index += 1;
+            continue;
+        }
+
+        let results = run_slot(index, &slot.items);
+        assert_eq!(results.len(), slot.items.len(), "one result per slot item");
+        index += 1;
+        for (item, result) in slot.items.iter().zip(&results) {
             let rounds = item.rounds + 1;
             match judge(result, item.z0, team_total, rounds, max_rounds, params) {
                 Verdict::Accept(end) => {
@@ -180,11 +292,25 @@ pub fn measure_period<K: Copy>(
                         if end == SequenceEnd::VerificationFailed { 0.0 } else { result.estimate };
                     settled.push(Settled { key: item.key, estimate, end, rounds });
                 }
-                Verdict::Retry(next) => queue.push((item.key, next, rounds)),
+                Verdict::Retry(next) => queue.push((item.key, next, rounds, index)),
             }
         }
     }
     settled
+}
+
+/// The slot executor for relays whose priors are exact: each estimate
+/// is the prior and every allocation verifies, so each relay converges
+/// in its first measurement. Under [`Order::Packed`] the slots it is
+/// called for are §7's whole-network packing.
+pub fn perfect_slot<K>(_index: usize, slot: &[SlotItem<K>]) -> Vec<SlotResult> {
+    slot.iter()
+        .map(|item| SlotResult {
+            estimate: item.z0,
+            allocated: item.allocation.iter().map(|a| a.bytes_per_sec()).sum(),
+            verified: true,
+        })
+        .collect()
 }
 
 /// The outcome of measuring one relay.
@@ -234,12 +360,12 @@ pub fn measure_relay(
 ) -> Result<SequenceOutcome, AllocError> {
     team.allocate(prior, params, &vec![Rate::ZERO; team.len()])?;
     let mut rounds: Vec<Measurement> = Vec::new();
-    let settled =
-        measure_period(team, params, [(target, prior.bytes_per_sec())], max_rounds, |slot| {
-            let batch = batch_for(team, params, slot, &|_| behavior);
-            rounds.extend(run_concurrent_measurements(tor, &batch, params, rng));
-            vec![rounds.last().expect("one item yields one measurement").slot_result()]
-        });
+    let relay = [(target, prior.bytes_per_sec())];
+    let settled = measure_period(team, params, Order::Packed, relay, max_rounds, |_, slot| {
+        let batch = batch_for(team, params, slot, &|_| behavior);
+        rounds.extend(run_concurrent_measurements(tor, &batch, params, rng));
+        vec![rounds.last().expect("one item yields one measurement").slot_result()]
+    });
     let Settled { estimate, end, .. } = settled[0];
     Ok(SequenceOutcome { estimate: Rate::from_bytes_per_sec(estimate), rounds, end })
 }
@@ -248,7 +374,10 @@ pub fn measure_relay(
 /// an executor, and no simulated network in scope.
 #[cfg(test)]
 mod rule_tests {
-    use super::{judge, measure_period, SequenceEnd, SlotItem, SlotResult, Verdict};
+    use super::{
+        judge, measure_period, perfect_slot, team_limit, Order, SequenceEnd, SlotItem, SlotResult,
+        ToMeasure, Verdict,
+    };
     use crate::params::Params;
     use crate::team::Team;
     use flashflow_simnet::host::{HostProfile, Net};
@@ -337,8 +466,8 @@ mod rule_tests {
     fn saturating<'a>(
         truth: &'a [f64],
         slots: &'a mut Vec<Vec<usize>>,
-    ) -> impl FnMut(&[SlotItem<usize>]) -> Vec<SlotResult> + 'a {
-        move |slot| {
+    ) -> impl FnMut(usize, &[SlotItem<usize>]) -> Vec<SlotResult> + 'a {
+        move |_, slot| {
             slots.push(slot.iter().map(|item| item.key).collect());
             slot.iter()
                 .map(|item| {
@@ -360,6 +489,7 @@ mod rule_tests {
         let settled = measure_period(
             &team(),
             &p,
+            Order::Packed,
             [(0, 400.0), (1, 300.0), (2, 500.0)],
             6,
             saturating(&truth, &mut slots),
@@ -381,6 +511,7 @@ mod rule_tests {
         let settled = measure_period(
             &team(),
             &p,
+            Order::Packed,
             [(0, f64::NAN), (1, 1e12), (2, 100.0)],
             6,
             saturating(&truth, &mut slots),
@@ -391,6 +522,150 @@ mod rule_tests {
             assert!((s.estimate - TEAM).abs() < 1e-6, "lower bound {}", s.estimate);
         }
         assert_eq!(settled[2].end, SequenceEnd::Converged);
+    }
+
+    #[test]
+    fn team_limit_fits_an_idle_team_despite_rounding() {
+        let p = Params::paper();
+        let f = p.excess_factor();
+        let totals = (1..10_000).map(|i| 1e8 + f64::from(i) * 12_345.678);
+        assert!(totals.clone().any(|t| f * (t / f) > t + 1e-9), "no total rounds over");
+        for t in totals {
+            let limit = team_limit(t, &p);
+            assert!(f * limit <= t + 1e-9 && limit >= (t / f).next_down().next_down(), "{t}");
+        }
+    }
+
+    /// The prior whose allocation `f·z₀` is `demand` bytes/s.
+    fn prior_for(demand: f64) -> f64 {
+        demand / Params::paper().excess_factor()
+    }
+
+    /// The paper's parameters with a period of `slots` slots.
+    fn period_of(slots: u64) -> Params {
+        let p = Params::paper();
+        Params { period: p.slot * slots, ..p }
+    }
+
+    /// Runs a perfect period of `slots` slots and returns each executed
+    /// (slot, key).
+    fn secret_slots(seed: u64, slots: u64, relays: &[ToMeasure<usize>]) -> Vec<(usize, usize)> {
+        let mut ran = Vec::new();
+        measure_period(
+            &team(),
+            &period_of(slots),
+            Order::Secret { seed },
+            relays.iter().copied(),
+            1,
+            |index, slot| {
+                ran.extend(slot.iter().map(|item| (index, item.key)));
+                perfect_slot(index, slot)
+            },
+        );
+        ran
+    }
+
+    #[test]
+    fn secret_draw_is_uniform_among_feasible_slots() {
+        // Two relays that cannot share a slot: relay 0 draws among all
+        // five slots, relay 1 among the four relay 0 left it.
+        let big = prior_for(2000.0);
+        let relays = [(0, big).into(), (1, big).into()];
+        let (mut first, mut second) = ([0.0; 5], [0.0; 4]);
+        for seed in 0..1000 {
+            let ran = secret_slots(seed, 5, &relays);
+            let slot_of = |k| ran.iter().filter(|r| r.1 == k).map(|r| r.0).collect::<Vec<_>>();
+            let (a, b) = (slot_of(0), slot_of(1));
+            assert!(a.len() == 1 && b.len() == 1 && a[0] != b[0] && b[0] < 5, "seed {seed}");
+            first[a[0]] += 1.0;
+            second[b[0] - usize::from(b[0] > a[0])] += 1.0;
+        }
+        // χ² critical values at p = 0.001 for 4 and 3 degrees of freedom.
+        let chi2 = |counts: &[f64]| {
+            let expected = 1000.0 / counts.len() as f64;
+            counts.iter().map(|c| (c - expected).powi(2) / expected).sum::<f64>()
+        };
+        assert!(chi2(&first) < 18.467, "{first:?}");
+        assert!(chi2(&second) < 16.266, "{second:?}");
+    }
+
+    #[test]
+    fn secret_draw_repeats_for_a_seed_and_differs_across_seeds() {
+        // Twenty relays of which ten fit a slot: one seed is one placement.
+        let relays: Vec<ToMeasure<usize>> = (0..20).map(|k| (k, prior_for(295.0)).into()).collect();
+        let (a, b) = (secret_slots(9, 2880, &relays), secret_slots(9, 2880, &relays));
+        assert_eq!(a.len(), 20);
+        assert_eq!(a, b);
+        assert_ne!(a, secret_slots(10, 2880, &relays), "different seeds should shuffle slots");
+    }
+
+    #[test]
+    fn secret_order_overflows_first_fit_and_requeues_later() {
+        // Six relays that each need most of the team, in a four-slot
+        // period: four draw a slot, two go first-fit past the period.
+        // Relay 6 is really twice its prior, so it is measured again in a
+        // later slot than its first.
+        let p = period_of(4);
+        let mut truth = vec![prior_for(2000.0); 6];
+        truth.push(2.0 * prior_for(900.0));
+        let mut relays: Vec<(usize, f64)> = (0..6).map(|k| (k, prior_for(2000.0))).collect();
+        relays.push((6, prior_for(900.0)));
+        for seed in 0..50 {
+            let mut slots = Vec::new();
+            let mut indices = Vec::new();
+            let settled = {
+                let mut run = saturating(&truth, &mut slots);
+                measure_period(
+                    &team(),
+                    &p,
+                    Order::Secret { seed },
+                    relays.iter().copied(),
+                    6,
+                    |index, slot| {
+                        indices.push(index);
+                        let reserved: f64 = slot
+                            .iter()
+                            .flat_map(|i| &i.allocation)
+                            .map(|a| a.bytes_per_sec())
+                            .sum();
+                        assert!(reserved <= TEAM + 1e-6, "slot {index} reserves {reserved}");
+                        run(index, slot)
+                    },
+                )
+            };
+            assert!(indices.windows(2).all(|w| w[0] < w[1]), "{indices:?}");
+            assert_eq!(indices.iter().filter(|&&i| i >= 4).count(), 2 + 1, "{indices:?}");
+            let at = |k| {
+                slots.iter().zip(&indices).filter(move |(s, _)| s.contains(&k)).map(|(_, i)| *i)
+            };
+            let relay6: Vec<usize> = at(6).collect();
+            assert!(relay6.len() == 2 && relay6[0] < relay6[1], "{relay6:?}");
+            assert!((0..6).all(|k| at(k).count() == 1), "seed {seed}");
+            assert!(settled.iter().all(|s| s.end == SequenceEnd::Converged));
+        }
+    }
+
+    #[test]
+    fn arrivals_go_first_fit_from_their_slot() {
+        // Three relays that each fill most of a slot draw three of four
+        // slots; an arrival at slot 1 takes the first slot from 1 on that
+        // none of them drew — slot 4, past the period, if that is none.
+        let mut relays: Vec<ToMeasure<usize>> =
+            (0..3).map(|k| (k, prior_for(2500.0)).into()).collect();
+        relays.push(ToMeasure { key: 3, z0: prior_for(1000.0), arrives: Some(1) });
+        for seed in 0..50 {
+            let ran = secret_slots(seed, 4, &relays);
+            let drawn: Vec<usize> = ran.iter().filter(|r| r.1 < 3).map(|r| r.0).collect();
+            let expected = (1..).find(|s| !drawn.contains(s)).unwrap();
+            assert!(ran.contains(&(expected, 3)), "seed {seed}: {ran:?}");
+        }
+        // Largest first waits for the arrival too.
+        let mut ran = Vec::new();
+        measure_period(&team(), &Params::paper(), Order::Packed, relays, 1, |index, slot| {
+            ran.extend(slot.iter().map(|item| (index, item.key)));
+            perfect_slot(index, slot)
+        });
+        assert_eq!(ran, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 }
 

@@ -18,7 +18,7 @@ use flashflow_tornet::relay::RelayId;
 
 use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
 use crate::params::Params;
-use crate::sequence::measure_period;
+use crate::sequence::{measure_period, Order};
 use crate::team::Team;
 use crate::verify::TargetBehavior;
 
@@ -81,7 +81,7 @@ pub fn measure_family(
     // One measurement each, every member of `members` in the same slot.
     let mut measure = |members: &[(RelayId, Rate)]| -> BTreeMap<RelayId, Rate> {
         let priors = members.iter().map(|(relay, prior)| (*relay, prior.bytes_per_sec()));
-        let settled = measure_period(team, params, priors, 1, |slot| {
+        let settled = measure_period(team, params, Order::Packed, priors, 1, |_, slot| {
             assert_eq!(slot.len(), members.len(), "team capacity");
             let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
             let measured = run_concurrent_measurements(tor, &batch, params, rng);

@@ -94,6 +94,25 @@ impl Team {
             >= params.excess_factor() * relay_capacity.bytes_per_sec()
     }
 
+    /// Each measurer's capacity left after `reserved[i]`, in bytes/s.
+    fn residuals<'a>(&'a self, reserved: &'a [Rate]) -> impl Iterator<Item = f64> + 'a {
+        assert_eq!(reserved.len(), self.measurers.len(), "reserved length mismatch");
+        self.measurers
+            .iter()
+            .zip(reserved)
+            .map(|(m, r)| (m.capacity.bytes_per_sec() - r.bytes_per_sec()).max(0.0))
+    }
+
+    /// The team capacity (bytes/s) still unreserved after `reserved`:
+    /// the residual sum [`Team::allocate`] tests `f·z₀` against, so an
+    /// allocation succeeds exactly when `spare + 1e-9 ≥ f·z₀`.
+    ///
+    /// # Panics
+    /// Panics if `reserved` has the wrong length.
+    pub fn spare(&self, reserved: &[Rate]) -> f64 {
+        self.residuals(reserved).sum()
+    }
+
     /// Allocates `f·z0` of team capacity for a measurement of a relay
     /// whose current estimate is `z0`, greedily (§4.2). `reserved[i]`
     /// holds capacity already committed to concurrent measurements.
@@ -110,13 +129,7 @@ impl Team {
         params: &Params,
         reserved: &[Rate],
     ) -> Result<Vec<Rate>, AllocError> {
-        assert_eq!(reserved.len(), self.measurers.len(), "reserved length mismatch");
-        let residual: Vec<f64> = self
-            .measurers
-            .iter()
-            .zip(reserved)
-            .map(|(m, r)| (m.capacity.bytes_per_sec() - r.bytes_per_sec()).max(0.0))
-            .collect();
+        let residual: Vec<f64> = self.residuals(reserved).collect();
         let needed = params.excess_factor() * z0.bytes_per_sec();
         Ok(greedy_allocate(&residual, needed)?.into_iter().map(Rate::from_bytes_per_sec).collect())
     }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use flashflow_core::measure::{batch_for, run_concurrent_measurements, Measurement};
 use flashflow_core::params::Params;
-use flashflow_core::sequence::measure_period;
+use flashflow_core::sequence::{measure_period, Order};
 use flashflow_core::team::Team;
 use flashflow_core::verify::TargetBehavior;
 use flashflow_metrics::error::nwe_against_truth;
@@ -209,7 +209,7 @@ pub fn measure_network_with_background(
         .iter()
         .map(|r| (*r, net.tor.relay(*r).observed.observed().bytes_per_sec().max(1e6)))
         .collect();
-    let settled = measure_period(team, params, priors, 5, |slot| {
+    let settled = measure_period(team, params, Order::Packed, priors, 5, |_, slot| {
         let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
         let measured = run_concurrent_measurements(&mut net.tor, &batch, params, rng);
         // Let the background clients respawn with the elapsed slot time.

@@ -30,15 +30,17 @@ fn main() {
         &m_hosts.iter().map(|h| (*h, Rate::from_gbit(1.0))).collect::<Vec<_>>(),
     );
 
-    // The period schedule: seeded, randomized, capacity-packed.
-    let schedule = build_randomized_schedule(&relays, team.total_capacity(), &params, 99)
-        .expect("schedulable");
-    println!(
-        "scheduled {} measurements across {} slots (last busy slot {})",
-        schedule.measurement_count(),
-        schedule.slots.len(),
-        schedule.last_busy_slot().unwrap()
-    );
+    // The period's slots in §4.3's secret order: each relay draws one
+    // uniformly among those with room, from a seed the BWAuths share.
+    let (mut measured, mut last_busy) = (0, 0);
+    let priors = relays.iter().map(|(relay, cap)| (*relay, cap.bytes_per_sec()));
+    measure_period(&team, &params, Order::Secret { seed: 99 }, priors, 1, |index, slot| {
+        measured += slot.len();
+        last_busy = index;
+        perfect_slot(index, slot)
+    });
+    let slots = params.slots_per_period();
+    println!("scheduled {measured} measurements across {slots} slots (last busy slot {last_busy})");
 
     // Three independent BWAuths measure; the DirAuths take the median.
     let mut files = Vec::new();

@@ -100,24 +100,45 @@ fn zero_capacity_relay_yields_zero_not_panic() {
 
 #[test]
 fn schedule_survives_relay_churn() {
-    // Relays disappearing mid-period simply leave their slots unused;
-    // new arrivals fill the earliest free slots.
+    // Ten new relays arrive at slot 100 of a period whose forty old
+    // relays drew their slots in secret: each lands in the earliest slot
+    // from 100 on that still has room, and no slot over-reserves.
     let params = Params::paper();
-    let mut tor = TorNet::new();
-    let h = tor.add_host(HostProfile::new("h", Rate::from_gbit(1.0)));
-    let relays: Vec<(RelayId, Rate)> = (0..40)
-        .map(|i| (tor.add_relay(h, RelayConfig::new(format!("r{i}"))), Rate::from_mbit(100.0)))
-        .collect();
-    let mut schedule =
-        build_randomized_schedule(&relays, Rate::from_gbit(3.0), &params, 3).unwrap();
-    let before = schedule.measurement_count();
-    // Ten new relays arrive mid-period.
-    for i in 0..10 {
-        let relay = tor.add_relay(h, RelayConfig::new(format!("new{i}")));
-        assign_new_relay(&mut schedule, relay, Rate::from_mbit(51.0), &params, 100).unwrap();
+    let (_, ids) = Net::table1();
+    let team = Team::with_capacities(
+        &ids[..3].iter().map(|h| (*h, Rate::from_gbit(1.0))).collect::<Vec<_>>(),
+    );
+    let old = (0..40).map(|i| (i, Rate::from_mbit(100.0).bytes_per_sec()).into());
+    let new = (40..50).map(|i| ToMeasure {
+        key: i,
+        z0: Rate::from_mbit(51.0).bytes_per_sec(),
+        arrives: Some(100),
+    });
+    // (slot, relay, reserved Mbit/s) for every measurement taken.
+    let mut placed: Vec<(usize, usize, f64)> = Vec::new();
+    let order = Order::Secret { seed: 3 };
+    measure_period(&team, &params, order, old.chain(new), 1, |index, slot| {
+        for m in 0..3 {
+            let reserved: f64 = slot.iter().map(|item| item.allocation[m].as_mbit()).sum();
+            assert!(reserved <= 1000.0 + 1e-6, "slot {index} measurer {m}: {reserved}");
+        }
+        for item in slot {
+            placed.push((index, item.key, item.allocation.iter().map(|a| a.as_mbit()).sum()));
+        }
+        perfect_slot(index, slot)
+    });
+
+    assert_eq!(placed.len(), 50);
+    for key in 0..50 {
+        assert_eq!(placed.iter().filter(|p| p.1 == key).count(), 1, "relay {key}");
     }
-    assert_eq!(schedule.measurement_count(), before + 10);
-    for s in 0..schedule.slots.len() {
-        assert!(schedule.free_capacity(s).bytes_per_sec() >= -1.0);
+    for &(landed, key, need) in placed.iter().filter(|p| p.1 >= 40) {
+        assert!(landed >= 100, "relay {key} measured at {landed}, before it arrived");
+        // First fit: each slot it passed over was too full for it, given
+        // the relays placed there before it.
+        for index in 100..landed {
+            let load: f64 = placed.iter().filter(|p| p.0 == index && p.1 < key).map(|p| p.2).sum();
+            assert!(load + need > 3000.0 + 1e-6, "relay {key} skipped slot {index}");
+        }
     }
 }

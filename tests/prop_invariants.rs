@@ -63,32 +63,84 @@ proptest! {
     }
 
     #[test]
+    fn team_allocate_fits_exactly_the_residual_sum(
+        members in prop::collection::vec((0.0f64..1.0, 0.0f64..1.2), 1..6),
+        exponent in 0i32..10,
+        tolerance in 0usize..3,
+        ulps in -3i64..4,
+    ) {
+        // The one fit rule both orders of `measure_period` pack by: a
+        // relay fits exactly when the residuals sum to its need, the
+        // aggregate test a whole-team packer makes. Needs straddle that
+        // boundary by the 1e-9 tolerance and by a few ulps.
+        let params = Params::paper();
+        let (_, ids) = Net::table1();
+        let scale = 10f64.powi(exponent);
+        let caps: Vec<(HostId, Rate)> = ids
+            .iter()
+            .zip(&members)
+            .map(|(h, (c, _))| (*h, Rate::from_bytes_per_sec(c * scale)))
+            .collect();
+        let reserved: Vec<Rate> = caps
+            .iter()
+            .zip(&members)
+            .map(|((_, c), (_, r))| Rate::from_bytes_per_sec(c.bytes_per_sec() * r))
+            .collect();
+        let residuals: f64 = caps
+            .iter()
+            .zip(&reserved)
+            .map(|((_, c), r)| (c.bytes_per_sec() - r.bytes_per_sec()).max(0.0))
+            .sum();
+        let team = Team::with_capacities(&caps);
+        prop_assert_eq!(team.spare(&reserved).to_bits(), residuals.to_bits());
+        let target = (residuals + [0.0, 1e-9, -1e-9][tolerance]).max(0.0);
+        let needed = f64::from_bits((target.to_bits() as i64 + ulps).max(0) as u64);
+        let z0 = Rate::from_bytes_per_sec(needed / params.excess_factor());
+        let fits = residuals + 1e-9 >= params.excess_factor() * z0.bytes_per_sec();
+        prop_assert_eq!(team.allocate(z0, &params, &reserved).is_ok(), fits);
+    }
+
+    #[test]
     fn schedule_never_overpacks(
         caps_mbit in prop::collection::vec(1.0f64..900.0, 1..60),
+        team_mbit in prop::collection::vec(300.0f64..1500.0, 1..6),
         seed in 0u64..1000,
+        slots in 1u64..40,
     ) {
-        let params = Params::paper();
-        let mut tor = TorNet::new();
-        let h = tor.add_host(HostProfile::new("h", Rate::from_gbit(1.0)));
-        let relays: Vec<(RelayId, Rate)> = caps_mbit
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (tor.add_relay(h, RelayConfig::new(format!("r{i}"))), Rate::from_mbit(*c))
-            })
-            .collect();
-        let team = Rate::from_gbit(3.0);
-        if let Ok(schedule) = build_randomized_schedule(&relays, team, &params, seed) {
-            prop_assert_eq!(schedule.measurement_count(), relays.len());
-            for s in 0..schedule.slots.len() {
-                prop_assert!(schedule.free_capacity(s).bytes_per_sec() >= -1.0);
+        let paper = Params::paper();
+        let params = Params { period: paper.slot * slots, ..paper };
+        let (_, ids) = Net::table1();
+        let members: Vec<(HostId, Rate)> =
+            ids.iter().zip(&team_mbit).map(|(h, c)| (*h, Rate::from_mbit(*c))).collect();
+        let team = Team::with_capacities(&members);
+        let priors: Vec<(usize, f64)> =
+            caps_mbit.iter().map(|c| Rate::from_mbit(*c).bytes_per_sec()).enumerate().collect();
+        for order in [Order::Packed, Order::Secret { seed }] {
+            let mut ran: Vec<(usize, Vec<SlotItem<usize>>)> = Vec::new();
+            measure_period(&team, &params, order, priors.iter().copied(), 1, |index, slot| {
+                ran.push((index, slot.to_vec()));
+                perfect_slot(index, slot)
+            });
+            // Every relay lands in exactly one slot, slots run in order…
+            let mut keys: Vec<usize> =
+                ran.iter().flat_map(|(_, slot)| slot.iter().map(|item| item.key)).collect();
+            keys.sort_unstable();
+            prop_assert_eq!(keys, (0..priors.len()).collect::<Vec<_>>());
+            prop_assert!(ran.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", order);
+            // …and none reserves more of a measurer than it has.
+            for (index, slot) in &ran {
+                for (m, (_, capacity)) in members.iter().enumerate() {
+                    let reserved: f64 =
+                        slot.iter().map(|item| item.allocation[m].bytes_per_sec()).sum();
+                    prop_assert!(
+                        reserved <= capacity.bytes_per_sec() + 1e-6,
+                        "{:?} slot {} measurer {}: {} > {}", order, index, m, reserved, capacity
+                    );
+                }
             }
-        }
-        let packed = greedy_pack(&relays, team, &params).unwrap();
-        prop_assert_eq!(packed.measurement_count(), relays.len());
-        for s in 0..packed.slots.len() {
-            prop_assert!(packed.free_capacity(s).bytes_per_sec() >= -1.0);
-            prop_assert!(!packed.slots[s].is_empty(), "greedy pack left an empty slot");
+            if order == Order::Packed {
+                prop_assert!(ran.iter().enumerate().all(|(i, (index, _))| i == *index));
+            }
         }
     }
 

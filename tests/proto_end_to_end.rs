@@ -135,11 +135,12 @@ fn bwauth_period_runs_over_protocol_backend() {
     let params = Params::paper();
     let mut rng = SimRng::seed_from_u64(11);
     let priors = relays.iter().map(|(relay, z0)| (*relay, z0.bytes_per_sec()));
-    let settled = measure_period(&team, &params, priors, BwAuth::MAX_ROUNDS, |slot| {
-        let batch = batch_for(&team, &params, slot, &|_| TargetBehavior::Honest);
-        let measured = SlotRunner::new(&params).run(&mut tor, &batch, &mut rng);
-        measured.iter().map(|p| p.measurement.slot_result()).collect()
-    });
+    let settled =
+        measure_period(&team, &params, Order::Packed, priors, BwAuth::MAX_ROUNDS, |_, slot| {
+            let batch = batch_for(&team, &params, slot, &|_| TargetBehavior::Honest);
+            let measured = SlotRunner::new(&params).run(&mut tor, &batch, &mut rng);
+            measured.iter().map(|p| p.measurement.slot_result()).collect()
+        });
     let file = BandwidthFile::from_settled(&settled);
     assert_eq!(file.entries.len(), 2);
     for (relay, truth) in &relays {
