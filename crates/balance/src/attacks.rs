@@ -10,15 +10,12 @@
 //!
 //! The TorFlow/EigenSpeed numbers are *demonstrated* factors from prior
 //! work, reproduced here as executable scenarios; the PeerFlow and
-//! FlashFlow numbers are analytical bounds that the scenarios approach.
+//! FlashFlow numbers are analytical bounds.
 
 use std::collections::BTreeMap;
 
-use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
 
-use crate::eigenspeed::{eigenspeed, liar_attack, EigenSpeedConfig, ObservationMatrix};
-use crate::peerflow::{peerflow_weights, PeerFlowConfig, TrafficReports};
 use crate::torflow::compute_weights;
 
 /// Result of one attack scenario.
@@ -68,24 +65,6 @@ pub fn torflow_attack(n_honest: usize, inflation: f64) -> AttackOutcome {
     }
 }
 
-/// The EigenSpeed targeted-liar attack, single period: a clique among
-/// `n` equal-capacity relays inflates its mutual observations by the
-/// largest factor that evades the cosine liar flag. Gains a small
-/// multiple on its own; the multi-period *drift* variant below is what
-/// reaches Table 2's ≈21.5×.
-pub fn eigenspeed_attack(n: usize, clique_size: usize, inflation: f64, seed: u64) -> AttackOutcome {
-    assert!(clique_size < n, "clique must be a strict subset");
-    let mut rng = SimRng::seed_from_u64(seed);
-    let capacities = vec![10e6f64; n];
-    let honest = ObservationMatrix::honest(&capacities, 0.05, &mut rng);
-    let clique: Vec<usize> = ((n - clique_size)..n).collect();
-    let attacked = liar_attack(&honest, &clique, inflation);
-    let cfg = EigenSpeedConfig { trusted: (0..(n / 10).max(1)).collect(), ..Default::default() };
-    let res = eigenspeed(&attacked, &cfg);
-    let obtained: f64 = clique.iter().map(|&i| res.weights[i]).sum();
-    AttackOutcome { deserved_fraction: clique_size as f64 / n as f64, obtained_fraction: obtained }
-}
-
 /// The EigenSpeed drift attack (prior work's demonstrated 7.4–28.1×,
 /// Table 2 cites 21.5×): inflate gradually across periods so each step
 /// resembles the previously accepted baseline. Returns the final-period
@@ -111,25 +90,6 @@ pub fn eigenspeed_drift_attack(
 pub fn peerflow_advantage_bound(tau: f64) -> f64 {
     assert!(tau > 0.0 && tau <= 1.0, "tau out of range");
     2.0 / tau
-}
-
-/// Simulates the PeerFlow attack: the clique keeps real traffic with
-/// trusted relays at its capacity share but reports `inflation ×`
-/// everything. The min-rule keeps its gain near 1.
-pub fn peerflow_attack(n: usize, clique_size: usize, inflation: f64, seed: u64) -> AttackOutcome {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let capacities = vec![10e6f64; n];
-    let honest = TrafficReports::honest(&capacities, 3600.0, 0.0, &mut rng);
-    let clique: Vec<usize> = ((n - clique_size)..n).collect();
-    let attacked = crate::peerflow::collusion_attack(&honest, &clique, inflation);
-    let cfg = PeerFlowConfig { trusted: (0..(n / 5).max(1)).collect(), tau: 0.2, max_growth: 4.5 };
-    let honest_w = peerflow_weights(&honest, &cfg);
-    let attacked_w = peerflow_weights(&attacked, &cfg);
-    let total_honest: f64 = honest_w.iter().sum();
-    let total_attacked: f64 = attacked_w.iter().sum();
-    let deserved: f64 = clique.iter().map(|&i| honest_w[i]).sum::<f64>() / total_honest;
-    let obtained: f64 = clique.iter().map(|&i| attacked_w[i]).sum::<f64>() / total_attacked;
-    AttackOutcome { deserved_fraction: deserved, obtained_fraction: obtained }
 }
 
 /// FlashFlow's analytical inflation bound `1/(1−r)` (§5); the executable
@@ -168,25 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn eigenspeed_single_period_attack_gains() {
-        let outcome = eigenspeed_attack(50, 3, 8.0, 7);
-        let adv = outcome.advantage();
-        assert!(adv > 1.3, "advantage {adv}");
-    }
-
-    #[test]
     fn eigenspeed_drift_attack_reaches_table2_scale() {
         let outcome = eigenspeed_drift_attack(100, 3, 7, 2.0, 7);
         let adv = outcome.advantage();
         assert!((12.0..35.0).contains(&adv), "advantage {adv}");
-    }
-
-    #[test]
-    fn peerflow_attack_is_contained() {
-        let outcome = peerflow_attack(20, 3, 1000.0, 9);
-        let adv = outcome.advantage();
-        assert!(adv < peerflow_advantage_bound(0.2), "advantage {adv}");
-        assert!(adv < 1.5, "min-rule should stop naive collusion: {adv}");
     }
 
     #[test]

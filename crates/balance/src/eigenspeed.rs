@@ -27,7 +27,7 @@ pub struct ObservationMatrix {
 
 impl ObservationMatrix {
     /// A zero matrix for `n` relays.
-    pub fn zeros(n: usize) -> Self {
+    fn zeros(n: usize) -> Self {
         ObservationMatrix { n, obs: vec![vec![0.0; n]; n] }
     }
 
@@ -199,11 +199,7 @@ pub fn eigenspeed(matrix: &ObservationMatrix, cfg: &EigenSpeedConfig) -> EigenSp
 /// Mounts the colluding-clique liar attack: relays in `clique` report
 /// `inflation ×` their honest observations about each other. Returns the
 /// modified matrix.
-pub fn liar_attack(
-    honest: &ObservationMatrix,
-    clique: &[usize],
-    inflation: f64,
-) -> ObservationMatrix {
+fn liar_attack(honest: &ObservationMatrix, clique: &[usize], inflation: f64) -> ObservationMatrix {
     let mut m = honest.clone();
     for &i in clique {
         for &j in clique {

@@ -6,24 +6,20 @@
 //! * [`torflow`] — the deployed scanner: 2-hop download probes × advertised
 //!   bandwidth self-reports;
 //! * [`eigenspeed`] — peer observation matrix + principal eigenvector;
-//! * [`peerflow`] — peer byte-count reports confirmed by a trusted subset;
 //! * [`attacks`] — the weight-inflation attack scenarios producing
 //!   Table 2's "Attack Advantage" column.
 
 pub mod attacks;
 pub mod eigenspeed;
-pub mod peerflow;
 pub mod torflow;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use crate::attacks::{
-        eigenspeed_attack, flashflow_advantage_bound, peerflow_advantage_bound, peerflow_attack,
-        torflow_attack, AttackOutcome,
+        flashflow_advantage_bound, peerflow_advantage_bound, torflow_attack, AttackOutcome,
     };
     pub use crate::eigenspeed::{
         eigenspeed, EigenSpeedConfig, EigenSpeedResult, ObservationMatrix,
     };
-    pub use crate::peerflow::{peerflow_weights, PeerFlowConfig, TrafficReports};
-    pub use crate::torflow::{compute_weights, run_torflow, scan_once, TorFlowConfig};
+    pub use crate::torflow::compute_weights;
 }

@@ -93,12 +93,12 @@ impl DaemonConfig {
     }
 
     /// The consensus document path.
-    pub fn consensus_path(&self) -> PathBuf {
+    fn consensus_path(&self) -> PathBuf {
         self.state_dir.join("consensus.json")
     }
 
     /// The per-period bandwidth-file path.
-    pub fn period_path(&self) -> PathBuf {
+    fn period_path(&self) -> PathBuf {
         self.state_dir.join("period.json")
     }
 }

@@ -16,7 +16,7 @@
 //!    them),
 //! 2. which were **in flight** (re-run them as attempt `n+1`, resuming
 //!    the parked control sessions with attempt `n`'s journaled secret —
-//!    see [`flashflow_core::echo::peer_nonce`]),
+//!    see `flashflow_core::echo::peer_nonce`),
 //! 3. whether the period **completed** (start the next one).
 //!
 //! Everything else (estimates, round boundaries, timestamps) rides

@@ -6,7 +6,7 @@
 //! Two sources, both deterministic in the seed so a restarted
 //! coordinator rebuilds the *identical* roster its journal refers to:
 //!
-//! * [`shadow_roster`] — the `flashflow-shadow` private-network sample
+//! * `shadow_roster` — the `flashflow-shadow` private-network sample
 //!   (the paper's 5%-scale 328-relay configuration by default), whose
 //!   log-normal capacities become the priors;
 //! * [`synth_roster`] — capacities drawn from the `flashflow-metrics`
@@ -76,13 +76,6 @@ pub struct Roster {
     pub entries: Vec<RosterEntry>,
 }
 
-impl Roster {
-    /// Sum of the priors (bytes/s).
-    pub fn total_prior(&self) -> f64 {
-        self.entries.iter().map(|e| e.prior).sum()
-    }
-}
-
 /// splitmix64: the standard 64-bit finalizing mix (public domain,
 /// Steele et al.), used here to derive stable per-relay identifiers.
 fn splitmix64(mut x: u64) -> u64 {
@@ -122,7 +115,7 @@ pub fn item_secret(secret_seed: u64, period: u64, ix: usize) -> u64 {
 /// Builds a roster from the `flashflow-shadow` private-network sample:
 /// `relays` hosts with log-normal capacities (`None` keeps the paper's
 /// 328-relay 5%-scale count). Deterministic in `seed`.
-pub fn shadow_roster(seed: u64, relays: Option<usize>) -> Roster {
+fn shadow_roster(seed: u64, relays: Option<usize>) -> Roster {
     let mut cfg = flashflow_shadow::config::ShadowConfig::paper_scale(seed);
     if let Some(n) = relays {
         cfg.relays = n;
@@ -194,7 +187,7 @@ mod tests {
         fps.sort();
         fps.dedup();
         assert_eq!(fps.len(), 12, "fingerprints must be distinct");
-        assert!(a.total_prior() > 0.0);
+        assert!(a.entries.iter().map(|e| e.prior).sum::<f64>() > 0.0);
     }
 
     #[test]

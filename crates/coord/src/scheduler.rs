@@ -57,7 +57,7 @@ pub struct PlanConfig {
 impl PlanConfig {
     /// Items one round can carry under this configuration (at least 1 —
     /// a relay larger than the team still gets a best-effort round).
-    pub fn items_per_round(&self) -> usize {
+    fn items_per_round(&self) -> usize {
         let by_capacity = if self.per_item_blast > 0.0 {
             (self.team_capacity / self.per_item_blast).floor() as usize
         } else {

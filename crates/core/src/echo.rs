@@ -139,7 +139,7 @@ pub struct EchoItem {
     /// Which attempt at this item this is. `0` is a fresh measurement;
     /// attempt `n > 0` means an earlier attempt was commanded and did
     /// not complete. Each attempt derives its own nonces (see
-    /// [`peer_nonce`]), so re-running never replays.
+    /// `peer_nonce`), so re-running never replays.
     pub attempt: u32,
     /// Open the control sessions with a v5 `Resume` handshake proving
     /// attempt `n-1`'s lineage (requires `attempt > 0`): peers whose
@@ -159,7 +159,7 @@ pub struct EchoItem {
 }
 
 /// The correlation key for one attempt at an echo item, derived from
-/// the item's journaled measurement secret like [`peer_nonce`] — same
+/// the item's journaled measurement secret like `peer_nonce` — same
 /// journal replay, same trace id — but over a disjoint constant so a
 /// trace id can never collide with (or leak) a handshake nonce. Public
 /// by design: it appears in every peer's telemetry.
@@ -185,7 +185,7 @@ pub fn item_trace_id(secret: u64, attempt: u32) -> u64 {
 /// correctly reject the replay. Peer index `0` is the target relay;
 /// measurer `ix` uses `ix + 1`. The attempt number occupies high bits
 /// so attempts never collide with peer indices.
-pub fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
+fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
     secret ^ (0xEC40_0000 + u64::from(peer_ix)) ^ (u64::from(attempt) << 32)
 }
 

@@ -533,7 +533,7 @@ impl EngineSnapshot {
     /// regardless of how its session ended — this feeds the audit view;
     /// the estimate-side quarantine lives in
     /// [`EngineSnapshot::merged_series`]).
-    pub fn echoed_series(&self, item: usize) -> Vec<u64> {
+    fn echoed_series(&self, item: usize) -> Vec<u64> {
         let mut series = Vec::new();
         for (_, p) in self.of_item(item).filter(|(_, p)| p.role == PeerRole::Measurer) {
             for &(second, _, measured_bytes) in &p.reports {
@@ -673,7 +673,7 @@ impl MeasurementEngine {
 /// more than this fraction (of the larger of the two) is flagged
 /// divergent. Loopback pacing jitter stays well inside this; asserted
 /// bytes that never moved (TorMult-style inflation) do not.
-pub const DIVERGENCE_TOLERANCE: f64 = 0.10;
+const DIVERGENCE_TOLERANCE: f64 = 0.10;
 
 /// The paper's deployment background ratio `r`: during a slot a relay
 /// may carry at most `r` of its capacity as client traffic, so a
@@ -704,7 +704,7 @@ pub struct LedgerRow {
     /// row, and for a target in a slot no measurer reported).
     pub counted: Option<u64>,
     /// True when the row fails a cross-check: `reported` vs `counted`
-    /// beyond [`DIVERGENCE_TOLERANCE`] (gated, for targets, on the
+    /// beyond `DIVERGENCE_TOLERANCE`, 10 %, (gated, for targets, on the
     /// relay claiming a nonzero echo — a reporting-only target has no
     /// echo claim to check), or a target's `bg` claim beyond the
     /// [background plausibility bound](DEFAULT_BACKGROUND_RATIO).

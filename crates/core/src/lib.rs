@@ -32,7 +32,6 @@
 //! | [`bwauth`] | §4.3, §7 | a BWAuth's period on the direct executor, bandwidth files, echo-topology rounds, cross-BWAuth aggregation |
 //! | [`security`] | §5 | analytical attack bounds |
 //! | [`sybil`] | §5 | simultaneous measurement of a declared family vs. one at a time |
-//! | [`dynamic`] | §9 | downward-only weight adjustment from insecure self-reported load |
 //!
 //! ## Quickstart
 //!
@@ -64,7 +63,6 @@
 
 pub mod alloc;
 pub mod bwauth;
-pub mod dynamic;
 pub mod echo;
 pub mod engine;
 pub mod measure;
@@ -87,13 +85,12 @@ pub mod prelude {
         aggregate_bwauths, measure_echo_period, measure_echo_period_observed, BandwidthFile,
         BwAuth, BwEntry, EchoEntry, EchoPeriodFile, EchoRound,
     };
-    pub use crate::dynamic::{adjust_weights, DynamicPolicy, DynamicReport};
     pub use crate::echo::{
         run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
     };
     pub use crate::engine::{
         EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerId,
-        DEFAULT_BACKGROUND_RATIO, DIVERGENCE_TOLERANCE,
+        DEFAULT_BACKGROUND_RATIO,
     };
     pub use crate::measure::{
         assignments_for, batch_for, estimate, measure_once, run_concurrent_measurements,

@@ -147,7 +147,7 @@ impl RoundSpans {
 }
 
 /// Emits one `pool.stats` event carrying a [`PoolStats`] snapshot.
-pub fn emit_pool_stats(span: &Span, stats: &PoolStats) {
+fn emit_pool_stats(span: &Span, stats: &PoolStats) {
     span.emit(
         "pool.stats",
         fields![
@@ -225,12 +225,27 @@ pub fn count_kind(events: &[Event], kind: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashflow_obs::EventSink;
+    use flashflow_obs::{Event, EventSink};
     use flashflow_simnet::time::SimTime;
+    use std::sync::{Arc, Mutex};
+
+    /// A `Write` that appends into a shared buffer.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("buffer lock").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn engine_events_map_to_obs_kinds_with_roles() {
-        let sink = EventSink::new();
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let sink = EventSink::new().with_jsonl(Box::new(SharedBuf(buf.clone())));
         // Four items of three peers each; engine peer 11 is the last
         // (target) peer of item 3, engine peer 9 its first measurer.
         let items: Vec<EchoItem> = (0..4)
@@ -268,7 +283,9 @@ mod tests {
         });
         round.engine_event(&EngineEvent::GoReleased { item: 3, at: SimTime::from_secs_f64(1.5) });
         round.engine_event(&EngineEvent::PeerDone { peer: PeerId::from_index(9) });
-        let ring = sink.ring();
+        let text = String::from_utf8(buf.lock().expect("buffer lock").clone()).expect("utf-8");
+        let ring: Vec<Event> =
+            text.lines().map(|l| Event::parse_json_line(l).expect("event line")).collect();
         assert_eq!(ring.len(), 4);
         assert_eq!((ring[0].kind.as_str(), ring[0].u64_field("items")), ("period.start", Some(4)));
         let ring = &ring[1..];

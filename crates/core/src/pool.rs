@@ -179,7 +179,7 @@ impl ConnectionPool {
     }
 
     /// Connections currently parked.
-    pub fn idle_count(&self) -> usize {
+    fn idle_count(&self) -> usize {
         self.shared.idle.lock().expect("pool lock").values().map(Vec::len).sum()
     }
 

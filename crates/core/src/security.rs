@@ -23,7 +23,7 @@ pub fn max_inflation_factor(r: f64) -> f64 {
 
 /// Binomial coefficient as `f64` (exact for the small `n` used by
 /// BWAuth counts).
-pub fn binomial_coefficient(n: u64, k: u64) -> f64 {
+fn binomial_coefficient(n: u64, k: u64) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -39,7 +39,7 @@ pub fn binomial_coefficient(n: u64, k: u64) -> f64 {
 ///
 /// # Panics
 /// Panics if `p` is outside `[0, 1]`.
-pub fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
+fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p out of range");
     if k > n {
         return 0.0;
@@ -48,7 +48,7 @@ pub fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
 }
 
 /// `Pr[B(n, p) >= k]`.
-pub fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
+fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
     (k..=n).map(|i| binomial_pmf(n, p, i)).sum()
 }
 
@@ -66,12 +66,6 @@ pub fn capacity_on_demand_failure_probability(n_bwauths: u64, q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "q out of range");
     let majority = n_bwauths / 2 + n_bwauths % 2; // ⌈n/2⌉
     binomial_tail(n_bwauths, 1.0 - q, majority)
-}
-
-/// Expected number of forged cells that get spot-checked when a relay
-/// forges `k` of the echoed cells at check probability `p`.
-pub fn expected_forgeries_checked(p: f64, k: u64) -> f64 {
-    p * k as f64
 }
 
 /// Summary of the §5/Table 2 attack-advantage guarantee for FlashFlow
@@ -160,10 +154,5 @@ mod tests {
         assert!(s.half_time_attack_failure >= 0.5);
         // (1 - 1e-5)^1e6 ≈ e^-10 ≈ 4.5e-5.
         assert!(s.megacell_forgery_evasion < 1e-4);
-    }
-
-    #[test]
-    fn expected_checks_scale() {
-        assert_eq!(expected_forgeries_checked(1e-5, 1_000_000), 10.0);
     }
 }

@@ -35,13 +35,13 @@ pub struct FamilyMeasurement {
 impl FamilyMeasurement {
     /// The sum of simultaneous estimates — the family's true shared
     /// capacity if the relays are co-located.
-    pub fn concurrent_total(&self) -> Rate {
+    fn concurrent_total(&self) -> Rate {
         self.concurrent.values().copied().sum()
     }
 
     /// The sum of individual estimates — what the family would be
     /// credited without the mitigation.
-    pub fn individual_total(&self) -> Rate {
+    fn individual_total(&self) -> Rate {
         self.individual.values().copied().sum()
     }
 

@@ -85,15 +85,6 @@ impl Team {
         self.measurers.iter().map(|m| m.capacity).sum()
     }
 
-    /// Whether the team can measure a relay of the given capacity (§4:
-    /// "sufficient capacity if the sum of capacities over all measurers is
-    /// at least some constant factor f times the highest Tor-relaying
-    /// capacity").
-    pub fn sufficient_for(&self, relay_capacity: Rate, params: &Params) -> bool {
-        self.total_capacity().bytes_per_sec()
-            >= params.excess_factor() * relay_capacity.bytes_per_sec()
-    }
-
     /// Each measurer's capacity left after `reserved[i]`, in bytes/s.
     fn residuals<'a>(&'a self, reserved: &'a [Rate]) -> impl Iterator<Item = f64> + 'a {
         assert_eq!(reserved.len(), self.measurers.len(), "reserved length mismatch");
@@ -176,16 +167,6 @@ mod tests {
     fn total_capacity_sums() {
         let team = team_of(&[1000.0, 1000.0, 1000.0]);
         assert!((team.total_capacity().as_mbit() - 3000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sufficiency_uses_excess_factor() {
-        let params = Params::paper();
-        let team = team_of(&[1000.0, 1000.0, 1000.0]);
-        // f ≈ 2.95: 3 Gbit/s team can measure a 998 Mbit/s relay…
-        assert!(team.sufficient_for(Rate::from_mbit(998.0), &params));
-        // …but not a 1.2 Gbit/s one.
-        assert!(!team.sufficient_for(Rate::from_mbit(1200.0), &params));
     }
 
     #[test]

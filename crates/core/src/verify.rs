@@ -54,14 +54,14 @@ pub fn evasion_probability(p: f64, k: u64) -> f64 {
 }
 
 /// Number of cells a measurement of `bytes` total traffic comprises.
-pub fn cells_in(bytes: f64) -> u64 {
+fn cells_in(bytes: f64) -> u64 {
     (bytes / flashflow_tornet::cell::CELL_LEN as f64).floor() as u64
 }
 
 /// Samples how many of `cells` get recorded for checking at probability
 /// `p`, using a normal approximation for large counts and exact Bernoulli
 /// draws for small ones.
-pub fn sample_checked_count(cells: u64, p: f64, rng: &mut SimRng) -> u64 {
+fn sample_checked_count(cells: u64, p: f64, rng: &mut SimRng) -> u64 {
     assert!((0.0..=1.0).contains(&p), "p out of range");
     if cells == 0 || p == 0.0 {
         return 0;

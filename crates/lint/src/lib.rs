@@ -15,6 +15,7 @@
 //! | `journal-exhaustive` | every journal `Record::` variant appears in the encoder, decoder, and recovery fold |
 //! | `no-sleep-in-reactor` | no `thread::sleep` in non-test reactor code — a blocked shard stalls every connection it drives |
 //! | `no-blocking-dial` | no `TcpStream::connect` / `TcpTransport::connect` on the peer processes' shard paths — dial with `reactor::dial` |
+//! | `orphan-pub`      | every bare `pub` item of a library crate is named in another `.rs` file, or allowlisted under the ROADMAP item that will call it |
 //!
 //! Findings print as `file:line: rule-id: message`; `--json` emits the
 //! same findings machine-readably; `--allow RULE` downgrades one rule
@@ -59,6 +60,7 @@ pub const RULES: &[&str] = &[
     rules::journal_exhaustive::RULE,
     rules::no_sleep_in_reactor::RULE,
     rules::no_blocking_dial::RULE,
+    rules::orphan_pub::RULE,
 ];
 
 /// What the rules key off: which files are hot paths, which crates are
@@ -92,6 +94,12 @@ pub struct LintConfig {
     /// non-test code there must never `thread::sleep` — a blocked shard
     /// stalls every connection the epoll loop drives.
     pub reactor_path_fragments: Vec<String>,
+    /// Crates whose `pub` items `orphan-pub` does not check: the
+    /// benchmark (pinned by its own gate), the linter, and the vendored
+    /// proptest shim.
+    pub orphan_exempt_crates: Vec<String>,
+    /// `orphan-pub`'s allowlist: orphans a ROADMAP item will call.
+    pub orphan_allow: Vec<rules::orphan_pub::Allowed>,
     /// Rules downgraded to advisory: still reported, but exempt from
     /// the nonzero exit.
     pub allow: BTreeSet<String>,
@@ -171,6 +179,8 @@ impl Default for LintConfig {
                 "core/src/echo.rs".into(),
                 "core/src/pool.rs".into(),
             ],
+            orphan_exempt_crates: vec!["perf".into(), "lint".into(), "proptest".into()],
+            orphan_allow: rules::orphan_pub::parse_allowlist(rules::orphan_pub::ALLOWLIST),
             allow: BTreeSet::new(),
         }
     }
@@ -187,7 +197,7 @@ impl LintConfig {
 
 /// Lints one file's source text under its workspace-relative path.
 /// Used directly by the fixture tests; [`lint_workspace`] adds the
-/// cross-file codec rule on top.
+/// cross-file rules on top.
 pub fn lint_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
     let scan = FileScan::new(path, src);
     let mut findings = Vec::new();
@@ -223,6 +233,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Find
     rules::lock_order::check(&lock_graph, &mut findings);
     rules::msg_exhaustive::check(&sources, cfg, &mut findings);
     rules::journal_exhaustive::check(&sources, cfg, &mut findings);
+    rules::orphan_pub::check(&sources, cfg, &mut findings);
     findings.sort();
     Ok(findings)
 }

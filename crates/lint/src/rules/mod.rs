@@ -1,7 +1,8 @@
 //! The rule implementations. Each module exposes a `RULE` id and a
 //! `check` entry point; file-local rules take one [`FileScan`], the
-//! cross-file rules ([`lock_order`], [`msg_exhaustive`]) accumulate
-//! over the whole workspace.
+//! cross-file rules ([`lock_order`], [`msg_exhaustive`],
+//! [`journal_exhaustive`], [`orphan_pub`]) accumulate over the whole
+//! workspace.
 //!
 //! [`FileScan`]: crate::scan::FileScan
 
@@ -13,4 +14,5 @@ pub mod no_blocking_dial;
 pub mod no_panic;
 pub mod no_sleep_in_reactor;
 pub mod ordering;
+pub mod orphan_pub;
 pub mod safety;

@@ -121,7 +121,8 @@ fn list_rules_names_the_full_catalogue() {
             "msg-exhaustive",
             "journal-exhaustive",
             "no-sleep-in-reactor",
-            "no-blocking-dial"
+            "no-blocking-dial",
+            "orphan-pub"
         ]
     );
 }

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeSet;
 
+use flashflow_lint::rules::orphan_pub::Allowed;
 use flashflow_lint::rules::{self, lock_order};
 use flashflow_lint::scan::FileScan;
 use flashflow_lint::{lint_file, CodecConfig, Finding, JournalConfig, LintConfig};
@@ -173,6 +174,52 @@ fn journal_exhaustive_fixtures() {
     assert!(bad.iter().any(|f| f.msg.contains("recovery fold")), "{bad:?}");
 }
 
+/// The orphan-pub rule over a synthetic workspace: library crate `fx`
+/// holding `fixture` at `path`, re-exporting `REEXPORTED` from its
+/// `lib.rs`, and a binary crate that calls `snapshot` and nothing else.
+fn orphan_findings(crate_name: &str, fixture: &str, allow: Vec<Allowed>) -> Vec<Finding> {
+    let cfg = LintConfig { orphan_allow: allow, ..LintConfig::default() };
+    let lib = format!("crates/{crate_name}/src/lib.rs");
+    let file = format!("crates/{crate_name}/src/fx.rs");
+    let sources = vec![
+        (lib, "pub mod fx;\npub use fx::REEXPORTED;\n".to_string()),
+        (file, fixture.to_string()),
+        ("crates/app/src/main.rs".to_string(), "fn main() {\n    fx::snapshot();\n}\n".into()),
+    ];
+    let mut findings = Vec::new();
+    rules::orphan_pub::check(&sources, &cfg, &mut findings);
+    findings
+}
+
+#[test]
+fn orphan_pub_fixtures() {
+    let good = orphan_findings("fx", include_str!("fixtures/orphan_pub_good.rs"), vec![]);
+    assert_eq!(good, vec![], "signature-reached, pub(crate) and test-only items are silent");
+
+    let bad_src = include_str!("fixtures/orphan_pub_bad.rs");
+    let bad = orphan_findings("fx", bad_src, vec![]);
+    assert_eq!(rules_of(&bad), vec!["orphan-pub"; 3], "{bad:?}");
+    for name in ["struct Unused", "const REEXPORTED", "fn total"] {
+        assert!(bad.iter().any(|f| f.msg.contains(name)), "{name} flagged: {bad:?}");
+    }
+    assert_eq!(
+        bad[0].to_string().split(':').take(2).collect::<Vec<_>>(),
+        ["crates/fx/src/fx.rs", "4"]
+    );
+
+    // An allowlist line silences exactly its item.
+    let allow = rules::orphan_pub::parse_allowlist(
+        "# comment\ncrates/fx/src/fx.rs Unused item 3: a caller is planned\n",
+    );
+    assert_eq!(allow[0].item, Some(3));
+    let allowed = orphan_findings("fx", bad_src, allow);
+    assert_eq!(allowed.len(), 2, "{allowed:?}");
+    assert!(allowed.iter().all(|f| !f.msg.contains("Unused")), "{allowed:?}");
+
+    // The benchmark, the linter and the proptest shim are out of scope.
+    assert_eq!(orphan_findings("perf", bad_src, vec![]), vec![]);
+}
+
 #[test]
 fn no_sleep_in_reactor_fixtures() {
     let cfg = LintConfig::default();
@@ -290,8 +337,9 @@ fn rule_set_is_closed_under_the_ids_fixtures_use() {
         "journal-exhaustive",
         "no-sleep-in-reactor",
         "no-blocking-dial",
+        "orphan-pub",
     ] {
         assert!(seen.contains(id), "{id} missing from RULES");
     }
-    assert_eq!(seen.len(), 9);
+    assert_eq!(seen.len(), 10);
 }

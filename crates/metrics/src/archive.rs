@@ -127,11 +127,6 @@ impl Archive {
     pub fn relay_ids(&self) -> std::ops::Range<usize> {
         0..self.relays.len()
     }
-
-    /// Total advertised bandwidth over present relays at `t`.
-    pub fn total_advertised(&self, t: usize) -> f64 {
-        self.relay_ids().filter_map(|r| self.advertised(r, t)).sum()
-    }
 }
 
 /// Computes the trailing-window maximum of `values` for a window of
@@ -195,13 +190,6 @@ mod tests {
         // After, weights split 1:3.
         assert_eq!(a.normalized_weight(0, 7), Some(0.25));
         assert_eq!(a.normalized_weight(1, 7), Some(0.75));
-    }
-
-    #[test]
-    fn total_advertised_sums_present() {
-        let a = tiny_archive();
-        assert_eq!(a.total_advertised(0), 10.0);
-        assert_eq!(a.total_advertised(9), 40.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::archive::{trailing_max, Archive};
 
 /// Per-relay trailing-max capacity estimates (Eq. 1) for window `p`
 /// steps: `result[r][i]` corresponds to the relay's local step `i`.
-pub fn capacity_estimates(archive: &Archive, p: usize) -> Vec<Vec<f64>> {
+fn capacity_estimates(archive: &Archive, p: usize) -> Vec<Vec<f64>> {
     archive.relay_ids().map(|r| trailing_max(&archive.relay(r).advertised, p)).collect()
 }
 

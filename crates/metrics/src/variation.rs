@@ -49,7 +49,7 @@ pub fn mean_weight_rsd_per_relay(archive: &Archive, p: usize, min_steps: usize) 
 
 /// The mean over all positions of the RSD of each trailing window of
 /// `p` samples (windows shorter than 2 samples are skipped).
-pub fn mean_trailing_rsd(values: &[f64], p: usize) -> Option<f64> {
+fn mean_trailing_rsd(values: &[f64], p: usize) -> Option<f64> {
     assert!(p >= 1, "window must be positive");
     let mut sum = 0.0;
     let mut n = 0usize;

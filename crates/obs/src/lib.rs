@@ -17,7 +17,7 @@
 //!   single relaxed fetch-add, cheap enough for the blast hot path.
 //! * [`event`] / [`sink`] — structured [`Event`]s with period → group →
 //!   item → channel [`Scope`]s, emitted through a shared [`EventSink`]
-//!   to human-text stderr, JSONL files, and a bounded in-memory ring;
+//!   to human-text stderr and JSONL files;
 //!   [`Span`]s carry scope prefixes through the layers.
 //! * [`export`] — [`PeriodExport`], the JSON period result file with
 //!   per-target [`Percentiles`] summaries and a one-screen CI text

@@ -5,23 +5,18 @@
 //! human text (stderr) or JSONL (a file, a pipe) — and written as one
 //! `write_all` under the output lock, so concurrent session threads can
 //! never tear each other's lines (the historical `eprintln!` logging
-//! interleaved mid-line under load). Independently of outputs, the sink
-//! keeps a bounded in-memory ring of recent events for live consumers
-//! such as `flashflow-top`.
+//! interleaved mid-line under load). A sink with no outputs drops its
+//! events.
 //!
 //! A [`Span`] is a sink plus a fixed [`Scope`] prefix; child spans add
 //! coordinates (period → group → item → channel) so deep layers emit
 //! fully-addressed events without threading indices by hand.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::event::{Event, Scope, Value};
-
-/// Default capacity of the in-memory event ring.
-const DEFAULT_RING: usize = 4096;
 
 enum Format {
     Text,
@@ -36,8 +31,6 @@ struct Output {
 struct SinkInner {
     start: Instant,
     outputs: Mutex<Vec<Output>>,
-    ring: Mutex<VecDeque<Event>>,
-    ring_cap: usize,
 }
 
 /// A shared destination for structured events. Clones share state.
@@ -53,15 +46,10 @@ impl Default for EventSink {
 }
 
 impl EventSink {
-    /// A sink with no outputs (events still land in the ring).
+    /// A sink with no outputs.
     pub fn new() -> Self {
         EventSink {
-            inner: Arc::new(SinkInner {
-                start: Instant::now(),
-                outputs: Mutex::new(Vec::new()),
-                ring: Mutex::new(VecDeque::new()),
-                ring_cap: DEFAULT_RING,
-            }),
+            inner: Arc::new(SinkInner { start: Instant::now(), outputs: Mutex::new(Vec::new()) }),
         }
     }
 
@@ -106,30 +94,18 @@ impl EventSink {
     }
 
     fn deliver(&self, event: Event) {
-        {
-            let mut outputs = self.inner.outputs.lock().expect("outputs lock");
-            for output in outputs.iter_mut() {
-                let mut line = match output.format {
-                    Format::Text => event.to_text_line(),
-                    Format::Jsonl => event.to_json_line(),
-                };
-                line.push('\n');
-                // One write per line keeps lines atomic even if the
-                // descriptor is shared with another process.
-                let _ = output.writer.write_all(line.as_bytes());
-                let _ = output.writer.flush();
-            }
+        let mut outputs = self.inner.outputs.lock().expect("outputs lock");
+        for output in outputs.iter_mut() {
+            let mut line = match output.format {
+                Format::Text => event.to_text_line(),
+                Format::Jsonl => event.to_json_line(),
+            };
+            line.push('\n');
+            // One write per line keeps lines atomic even if the
+            // descriptor is shared with another process.
+            let _ = output.writer.write_all(line.as_bytes());
+            let _ = output.writer.flush();
         }
-        let mut ring = self.inner.ring.lock().expect("ring lock");
-        if ring.len() == self.inner.ring_cap {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    /// A copy of the retained recent events, oldest first.
-    pub fn ring(&self) -> Vec<Event> {
-        self.inner.ring.lock().expect("ring lock").iter().cloned().collect()
     }
 
     /// Seconds elapsed since the sink was created (the timescale of
@@ -248,24 +224,20 @@ mod tests {
     }
 
     #[test]
-    fn spans_narrow_scope_and_events_reach_ring_and_writer() {
+    fn spans_narrow_scope_and_events_reach_the_writer() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = EventSink::new().with_jsonl(Box::new(SharedBuf(buf.clone())));
-        let span = Span::root(sink.clone()).period(7).group(1).item(2);
+        let span = Span::root(sink).period(7).group(1).item(2);
         span.emit("slot.go", fields![at = 0.5f64]);
         span.channel(3).emit("channel.open", fields![addr = "127.0.0.1:1"]);
 
-        let ring = sink.ring();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].scope.period, Some(7));
-        assert_eq!(ring[1].scope.channel, Some(3));
-
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let back = Event::parse_json_line(lines[0]).unwrap();
-        assert_eq!(back.kind, "slot.go");
-        assert_eq!(back.scope.item, Some(2));
+        let events: Vec<Event> = text.lines().map(|l| Event::parse_json_line(l).unwrap()).collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, "slot.go");
+        assert_eq!(events[0].scope.period, Some(7));
+        assert_eq!(events[0].scope.item, Some(2));
+        assert_eq!(events[1].scope.channel, Some(3));
     }
 
     #[test]
@@ -292,17 +264,5 @@ mod tests {
         for line in lines {
             Event::parse_json_line(line).unwrap_or_else(|e| panic!("torn line {line:?}: {e}"));
         }
-    }
-
-    #[test]
-    fn ring_is_bounded() {
-        let sink = EventSink::new();
-        let span = Span::root(sink.clone());
-        for i in 0..(DEFAULT_RING as u64 + 10) {
-            span.emit("tick", fields![i = i]);
-        }
-        let ring = sink.ring();
-        assert_eq!(ring.len(), DEFAULT_RING);
-        assert_eq!(ring[0].u64_field("i"), Some(10));
     }
 }

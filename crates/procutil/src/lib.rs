@@ -17,7 +17,7 @@ pub mod peer;
 pub mod persist;
 pub mod reactor;
 
-pub use metrics_endpoint::{fetch_metrics, spawn_metrics_endpoint, start_metrics_endpoint};
+pub use metrics_endpoint::{fetch_metrics, start_metrics_endpoint};
 pub use net::listen_reuseaddr;
 pub use persist::{append_line, append_lines, append_torn_line, atomic_write, journal_writer};
 
@@ -197,7 +197,7 @@ pub fn parse_speedup(s: &str) -> Result<f64, String> {
 ///
 /// # Errors
 /// Prefixes `apply`'s (or the file's) error with file and line.
-pub fn apply_config_file(
+fn apply_config_file(
     path: &str,
     apply: &mut dyn FnMut(&str, &str) -> Result<(), String>,
 ) -> Result<(), String> {
@@ -218,7 +218,7 @@ pub fn apply_config_file(
 
 /// Drives a `--key value` command line: `--help`/`-h` yields `usage`
 /// as the error, `--config FILE` loads a file through
-/// [`apply_config_file`], and every other flag is handed to `apply`.
+/// `apply_config_file`, and every other flag is handed to `apply`.
 ///
 /// # Errors
 /// The usage string, or whatever `apply` rejected.

@@ -36,7 +36,7 @@ const TOKEN_LISTENER: u64 = 1;
 ///
 /// # Errors
 /// The listener's nonblocking-mode switch, or the poller's set-up.
-pub fn spawn_metrics_endpoint(
+fn spawn_metrics_endpoint(
     listener: TcpListener,
     token: [u8; AUTH_TOKEN_LEN],
     registry: MetricsRegistry,

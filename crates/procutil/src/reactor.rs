@@ -292,7 +292,7 @@ impl Poller {
     ///
     /// # Errors
     /// The `epoll_ctl(2)` errno.
-    pub fn register_exclusive(&self, fd: i32, token: u64) -> io::Result<()> {
+    fn register_exclusive(&self, fd: i32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLEXCLUSIVE, token)
     }
 
@@ -1061,6 +1061,19 @@ mod tests {
     use flashflow_simnet::time::SimTime;
     use std::io::{Read as _, Write as _};
 
+    /// A `Write` that appends into a shared buffer.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().expect("buffer lock").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     /// Echoes raw bytes until the peer hangs up.
     struct RawEcho {
         t: TcpTransport,
@@ -1313,7 +1326,8 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new();
-        let sink = flashflow_obs::EventSink::new();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = flashflow_obs::EventSink::new().with_jsonl(Box::new(SharedBuf(events.clone())));
         let obs = ReactorObs {
             registry: registry.clone(),
             prefix: "test.reactor".to_string(),
@@ -1343,7 +1357,10 @@ mod tests {
         }
         assert!(stalls.get() > 0, "stall counter never incremented");
         assert!(
-            sink.ring().iter().any(|e| e.kind == "reactor.stall"),
+            String::from_utf8_lossy(&events.lock().expect("events lock"))
+                .lines()
+                .filter_map(|l| flashflow_obs::Event::parse_json_line(l).ok())
+                .any(|e| e.kind == "reactor.stall"),
             "no reactor.stall event emitted"
         );
 

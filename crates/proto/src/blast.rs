@@ -67,7 +67,7 @@ pub const BLAST_FRAME_TAG: u8 = 0xD2;
 /// Data-plane wire version, carried in every hello. Version 2 added the
 /// keyed frame tag; version 3 cut the keystream from a fixed table, so a
 /// v2 peer is refused at its hello instead of counting bytes corrupt.
-pub const DATA_PLANE_VERSION: u8 = 3;
+const DATA_PLANE_VERSION: u8 = 3;
 
 /// Encoded size of a [`DataChannelHello`]:
 /// tag + version + nonce (u64) + channel (u32).
@@ -197,7 +197,6 @@ const fn splitmix64(mut x: u64) -> u64 {
 }
 
 const BINDING_SALT: u64 = 0xB1D1_0000_ECC0_0001;
-const TOKEN_KEY_SALT: u64 = 0x7C8E_0000_4E40_0002;
 const SECRET_KEY_SALT: u64 = 0x5EC2_0000_7A60_0003;
 const FRAME_TAG_SALT: u64 = 0xF2A6_0000_1A90_0004;
 
@@ -223,26 +222,13 @@ pub fn secret_channel_key(secret: u64) -> u64 {
     splitmix64(secret ^ SECRET_KEY_SALT) ^ secret.rotate_left(17)
 }
 
-/// The frame-tag key derived from a pre-shared control token (for a
-/// channel whose two ends both hold the token, which never crosses a
-/// data connection).
-pub fn channel_key(token: &[u8; crate::msg::AUTH_TOKEN_LEN]) -> u64 {
-    let mut key = TOKEN_KEY_SALT;
-    for chunk in token.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        key = splitmix64(key ^ u64::from_be_bytes(word));
-    }
-    key
-}
-
 /// The keyed integrity tag stamped into every blast frame header: a
 /// PRF of the secret channel key and the frame's identity. The
 /// keystream alone ([`BlastPattern`]) detects *corruption* but is
 /// derived from the hello nonce, which crosses the wire in the clear —
 /// a MITM who reads it could forge whole frames that verify. The tag is
-/// keyed by a secret that never crosses the data channel (the control
-/// token, or the `MeasureCmd`'s measurement secret), so forged frames
+/// keyed by a secret that never crosses the data channel (the
+/// `MeasureCmd`'s measurement secret), so forged frames
 /// fail the tag check and are counted instead of credited. Because the
 /// tag binds the sequence number, a MITM's remaining move is re-sending
 /// captured frames — which the receiver's monotone sequence window
@@ -512,11 +498,6 @@ impl<T: Transport> TrafficSource<T> {
     /// The transport (flush nudges, fault tripping in tests).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
-    }
-
-    /// Unbinds, returning the transport.
-    pub fn into_transport(self) -> T {
-        self.transport
     }
 
     /// Sends the hello, binding this channel to its control session.
@@ -1737,10 +1718,6 @@ mod tests {
         assert_ne!(binding_nonce(secret), secret, "nonce is not the secret itself");
         assert_ne!(binding_nonce(secret), secret_channel_key(secret));
         assert_ne!(binding_nonce(1), binding_nonce(2));
-        let t1 = [1u8; crate::msg::AUTH_TOKEN_LEN];
-        let t2 = [2u8; crate::msg::AUTH_TOKEN_LEN];
-        assert_ne!(channel_key(&t1), channel_key(&t2));
-        assert_eq!(channel_key(&t1), channel_key(&t1));
     }
 
     #[test]
@@ -1773,7 +1750,7 @@ mod tests {
         assert_eq!(sink.corrupt_total(), 0);
 
         // Second session reuses the same wire with a different nonce.
-        let mut src2 = TrafficSource::new(src1.into_transport(), 222, 0);
+        let mut src2 = TrafficSource::new(src1.transport, 222, 0);
         src2.set_rate_cap(1_000);
         src2.greet(SimTime::from_secs(1));
         src2.start(SimTime::from_secs(1));

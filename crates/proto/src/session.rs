@@ -321,11 +321,6 @@ impl CoordinatorSession {
         self
     }
 
-    /// The prior-conversation nonce this session resumes from, if any.
-    pub fn resume_prior(&self) -> Option<u64> {
-        self.resume_prior
-    }
-
     /// Opens the conversation: queues `Auth` and starts the handshake
     /// timer.
     ///
@@ -598,18 +593,12 @@ impl MeasurerSession {
 
     /// Seeds this session with the nonces earlier sessions on the same
     /// peer accepted, so a replayed `Auth` is rejected across
-    /// conversations. A long-lived peer extracts the window with
-    /// [`MeasurerSession::take_replay_window`] when a conversation ends
-    /// and threads it into the next session.
+    /// conversations. A long-lived peer keeps the nonces its sessions
+    /// accepted ([`MeasurerSession::accepted_nonce`]) and threads them
+    /// into the next session.
     pub fn with_replay_window(mut self, window: ReplayWindow) -> Self {
         self.replay = window;
         self
-    }
-
-    /// Hands the replay window (including this session's accepted nonce)
-    /// back to the driver, leaving an empty one behind.
-    pub fn take_replay_window(&mut self) -> ReplayWindow {
-        std::mem::take(&mut self.replay)
     }
 
     /// The `Auth` nonce this session accepted, once the handshake has
@@ -646,11 +635,6 @@ impl MeasurerSession {
     /// True once the session can make no further progress.
     pub fn is_terminal(&self) -> bool {
         matches!(self.phase, MeasurerPhase::Done | MeasurerPhase::Failed)
-    }
-
-    /// Seconds reported so far.
-    pub fn seconds_sent(&self) -> u32 {
-        self.seconds_sent
     }
 
     /// When the current waiting state times out: `None` in a state
@@ -1188,7 +1172,7 @@ mod tests {
         first.receive(now, &encode(&auth));
         assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
         assert_eq!(first.accepted_nonce(), Some(0x1111), "accepted nonce exposed");
-        let window = first.take_replay_window();
+        let window = std::mem::take(&mut first.replay);
         assert!(window.contains(0x1111));
 
         // ...and a later session on the same peer rejects the replay.
@@ -1202,7 +1186,7 @@ mod tests {
 
         // A fresh nonce on the same window is fine.
         let mut third = MeasurerSession::new(token, PeerRole::Measurer, 3, t)
-            .with_replay_window(second.take_replay_window());
+            .with_replay_window(std::mem::take(&mut second.replay));
         third.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x2222 }));
         assert_eq!(third.phase(), MeasurerPhase::AwaitCmd);
     }
@@ -1218,14 +1202,14 @@ mod tests {
         first.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x1111 }));
         assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
         assert!(!first.resumed(), "a plain Auth is not a resumption");
-        let window = first.take_replay_window();
+        let window = std::mem::take(&mut first.replay);
 
         // ...then crashes. Its successor re-derives the same nonce
         // lineage and resumes instead of replaying Auth: full handshake
         // driven end to end through a resuming CoordinatorSession.
         let mut coord =
             CoordinatorSession::new(token, PeerRole::Measurer, spec(), 0x2222, t).resuming(0x1111);
-        assert_eq!(coord.resume_prior(), Some(0x1111));
+        assert_eq!(coord.resume_prior, Some(0x1111));
         let mut second =
             MeasurerSession::new(token, PeerRole::Measurer, 2, t).with_replay_window(window);
         coord.start(now);
@@ -1234,7 +1218,7 @@ mod tests {
         assert_eq!(second.phase(), MeasurerPhase::AwaitGo);
         assert!(second.resumed(), "conversation marked as resumed");
         assert_eq!(second.accepted_nonce(), Some(0x2222), "fresh nonce claimed");
-        assert!(second.take_replay_window().contains(0x2222));
+        assert!(second.replay.contains(0x2222));
     }
 
     #[test]
@@ -1265,7 +1249,7 @@ mod tests {
         let mut first = MeasurerSession::new(token, PeerRole::Measurer, 2, t);
         first.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x1 }));
         let mut second = MeasurerSession::new(token, PeerRole::Measurer, 3, t)
-            .with_replay_window(first.take_replay_window());
+            .with_replay_window(std::mem::take(&mut first.replay));
         second.receive(
             now,
             &encode(&Msg::Resume {

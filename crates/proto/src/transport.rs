@@ -267,11 +267,6 @@ impl Duplex {
         }
     }
 
-    /// True when nothing is in flight in either direction.
-    pub fn is_idle(&self) -> bool {
-        self.a_to_b.is_empty() && self.b_to_a.is_empty()
-    }
-
     /// True while bytes are queued toward `at` (delivered or not).
     fn has_in_flight(&self, at: End) -> bool {
         match at {
@@ -356,7 +351,7 @@ mod tests {
         assert!(d.recv(End::B, SimTime::from_secs_f64(0.039)).is_empty());
         let got = d.recv(End::B, SimTime::from_secs_f64(0.040));
         assert_eq!(got, b"hello world");
-        assert!(d.is_idle());
+        assert!(d.a_to_b.is_empty() && d.b_to_a.is_empty());
     }
 
     #[test]

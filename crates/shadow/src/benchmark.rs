@@ -221,16 +221,6 @@ impl BenchmarkDriver {
         }
     }
 
-    /// Completed TTLB samples for a class (seconds).
-    pub fn ttlb_of(&self, class: SizeClass) -> Vec<f64> {
-        self.records.iter().filter(|r| r.class == class).filter_map(|r| r.ttlb).collect()
-    }
-
-    /// All TTFB samples (seconds).
-    pub fn ttfb_all(&self) -> Vec<f64> {
-        self.records.iter().filter_map(|r| r.ttfb).collect()
-    }
-
     /// Failure (timeout) rate for a class, or overall when `None`.
     pub fn failure_rate(&self, class: Option<SizeClass>) -> f64 {
         let subset: Vec<&TransferRecord> =
@@ -280,8 +270,11 @@ mod tests {
         // An unloaded network should complete almost everything.
         assert!(bench.failure_rate(None) < 0.2, "failure {}", bench.failure_rate(None));
         // TTLBs ordered by size on average.
-        let small = flashflow_simnet::stats::median(&bench.ttlb_of(SizeClass::Small)).unwrap();
-        let large = flashflow_simnet::stats::median(&bench.ttlb_of(SizeClass::Large)).unwrap();
+        let ttlb_of = |class: SizeClass| -> Vec<f64> {
+            bench.records.iter().filter(|r| r.class == class).filter_map(|r| r.ttlb).collect()
+        };
+        let small = flashflow_simnet::stats::median(&ttlb_of(SizeClass::Small)).unwrap();
+        let large = flashflow_simnet::stats::median(&ttlb_of(SizeClass::Large)).unwrap();
         assert!(large > small, "small {small}, large {large}");
     }
 
@@ -303,7 +296,7 @@ mod tests {
             net.tor.tick();
             bench.on_tick(&mut net.tor);
         }
-        let ttfbs = bench.ttfb_all();
+        let ttfbs: Vec<f64> = bench.records.iter().filter_map(|r| r.ttfb).collect();
         assert!(!ttfbs.is_empty());
         for t in ttfbs {
             // At least 1.5× a minimal 4-link circuit RTT.

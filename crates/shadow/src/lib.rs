@@ -23,8 +23,7 @@ pub mod prelude {
     pub use crate::benchmark::{BenchmarkDriver, SizeClass, TransferRecord};
     pub use crate::config::ShadowConfig;
     pub use crate::run::{
-        run_experiment, run_measurement_phase, run_performance, Experiment, LoadResult,
-        MeasurementPhase, System,
+        run_experiment, run_measurement_phase, Experiment, LoadResult, MeasurementPhase, System,
     };
     pub use crate::sample::{build_network, sample_circuit, PrivateNetwork};
     pub use crate::tgen::{MarkovDriver, MarkovParams};

@@ -194,7 +194,7 @@ pub fn run_measurement_phase(cfg: &ShadowConfig) -> MeasurementPhase {
 /// FlashFlow whole-network measurement with the Markov driver ticking
 /// between slots: a [`measure_period`] from the relays' observed
 /// bandwidths, returning per-relay estimates in bytes/s.
-pub fn measure_network_with_background(
+fn measure_network_with_background(
     net: &mut PrivateNetwork,
     markov: &mut MarkovDriver,
     team: &Team,
@@ -255,12 +255,7 @@ impl LoadResult {
 /// Runs one performance simulation: fresh network (same seed), the given
 /// weights installed for circuit selection, `load × markov_clients`
 /// background clients plus the benchmark clients.
-pub fn run_performance(
-    cfg: &ShadowConfig,
-    system: System,
-    weights: &[f64],
-    load: f64,
-) -> LoadResult {
+fn run_performance(cfg: &ShadowConfig, system: System, weights: &[f64], load: f64) -> LoadResult {
     let mut net = build_network(cfg);
     assert_eq!(weights.len(), net.relays.len(), "weights mismatch");
     let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x5045_5246 ^ (load * 100.0) as u64);

@@ -36,12 +36,6 @@ pub struct PrivateNetwork {
 }
 
 impl PrivateNetwork {
-    /// Ground-truth capacity of a relay.
-    pub fn capacity_of(&self, relay: RelayId) -> f64 {
-        let idx = self.relays.iter().position(|r| *r == relay).expect("relay in network");
-        self.capacities[idx]
-    }
-
     /// Total ground-truth network capacity (bytes/s).
     pub fn total_capacity(&self) -> f64 {
         self.capacities.iter().sum()

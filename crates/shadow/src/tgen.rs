@@ -122,17 +122,6 @@ impl MarkovDriver {
         self.weights = weights.to_vec();
     }
 
-    /// Number of clients currently mid-fetch.
-    pub fn active_fetches(&self, tor: &TorNet) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| match &c.state {
-                ClientState::Fetching { flow } => tor.net.engine().flow_is_active(*flow),
-                _ => false,
-            })
-            .count()
-    }
-
     /// Advances client state machines; call once per tick (after
     /// `tor.tick()`).
     pub fn on_tick(&mut self, tor: &mut TorNet) {

@@ -178,13 +178,6 @@ impl Engine {
         self.resource_bytes_last_tick[id.index()]
     }
 
-    /// Average rate over the most recent tick on `id`.
-    pub fn resource_rate_last_tick(&self, id: ResourceId) -> Rate {
-        Rate::from_bytes_per_sec(
-            self.resource_bytes_last_tick[id.index()] / self.cfg.tick.as_secs_f64(),
-        )
-    }
-
     fn alloc_slot(&mut self, state: FlowState) -> FlowId {
         if let Some(slot) = self.free.pop() {
             let generation = self.slots[slot].generation + 1;
@@ -251,15 +244,6 @@ impl Engine {
     /// Replaces a flow's application-level rate cap.
     pub fn set_flow_cap(&mut self, id: FlowId, cap: Option<f64>) {
         self.state_mut(id).spec.cap = cap;
-    }
-
-    /// Replaces a flow's share weight.
-    ///
-    /// # Panics
-    /// Panics if `weight` is not strictly positive and finite.
-    pub fn set_flow_weight(&mut self, id: FlowId, weight: f64) {
-        assert!(weight.is_finite() && weight > 0.0, "bad weight {weight}");
-        self.state_mut(id).spec.weight = weight;
     }
 
     /// Stops a flow (it stops consuming capacity but its statistics remain
@@ -440,15 +424,6 @@ impl Engine {
         }
         completed
     }
-
-    /// Runs until `deadline` (no-op if already past).
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<FlowId> {
-        let mut completed = Vec::new();
-        while self.now < deadline {
-            completed.extend(self.tick().completed);
-        }
-        completed
-    }
 }
 
 #[cfg(test)]
@@ -557,7 +532,9 @@ mod tests {
         let _a = eng.start_flow(FlowSpec::new(vec![pipe]));
         let _b = eng.start_flow(FlowSpec::new(vec![pipe]));
         eng.tick();
-        let rate = eng.resource_rate_last_tick(pipe);
+        let rate = Rate::from_bytes_per_sec(
+            eng.resource_bytes_last_tick(pipe) / eng.cfg.tick.as_secs_f64(),
+        );
         assert!((rate.as_mbit() - 100.0).abs() < 1e-6);
     }
 

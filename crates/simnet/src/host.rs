@@ -110,7 +110,7 @@ impl HostProfile {
     }
 
     /// US-NW (Santa Rosa, CA): virtual, 8 cores, ~946 Mbit/s.
-    pub fn us_nw() -> Self {
+    fn us_nw() -> Self {
         HostProfile {
             name: "US-NW".into(),
             nic_up: Rate::from_mbit(946.0),
@@ -223,18 +223,13 @@ pub struct Net {
 
 /// Per-second-of-RTT coefficient of the WAN loss model: paths with
 /// longer RTTs cross more congested infrastructure and see more loss.
-pub const WAN_LOSS_PER_RTT_SEC: f64 = 5e-4;
+const WAN_LOSS_PER_RTT_SEC: f64 = 5e-4;
 
 impl Net {
     /// Creates an empty network with the default engine configuration.
     pub fn new() -> Self {
-        Net::with_config(EngineConfig::default())
-    }
-
-    /// Creates an empty network with a custom engine configuration.
-    pub fn with_config(cfg: EngineConfig) -> Self {
         Net {
-            engine: Engine::new(cfg),
+            engine: Engine::new(EngineConfig::default()),
             hosts: Vec::new(),
             rtt: HashMap::new(),
             default_rtt: SimDuration::from_millis(80),
@@ -260,11 +255,6 @@ impl Net {
     /// assert exact rates leave it off.
     pub fn enable_jitter(&mut self, seed: u64) {
         self.jitter_rng = Some(SimRng::seed_from_u64(seed ^ 0x4a49_5454_4552));
-    }
-
-    /// True if capacity jitter is enabled.
-    pub fn jitter_enabled(&self) -> bool {
-        self.jitter_rng.is_some()
     }
 
     /// Forks a jitter RNG stream (used by higher layers to jitter their
@@ -328,11 +318,6 @@ impl Net {
         }
         self.hosts.push(HostEntry { profile, tx, rx });
         HostId(self.hosts.len() - 1)
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 
     /// A host's profile.
@@ -399,7 +384,7 @@ impl Net {
 
     /// A flow spec from `a` to `b` over their NIC resources. Extra
     /// resources (relay CPU, token buckets) can be appended by the caller.
-    pub fn flow_between(&self, a: HostId, b: HostId) -> FlowSpec {
+    fn flow_between(&self, a: HostId, b: HostId) -> FlowSpec {
         FlowSpec::new(vec![self.tx(a), self.rx(b)])
     }
 

@@ -155,11 +155,6 @@ impl Resource {
             self.tokens = (refilled - used_bytes).clamp(0.0, burst_bytes);
         }
     }
-
-    /// Current token-bucket fill level (zero for other kinds).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +190,7 @@ mod tests {
         r.consume(r.effective_capacity(1.0, 0.0), 1.0); // drain completely
                                                         // Idle for one second at 10 MB/s refill, capped at 5 MB burst depth.
         r.consume(0.0, 1.0);
-        assert!((r.tokens() - 5e6).abs() < 1.0);
+        assert!((r.tokens - 5e6).abs() < 1.0);
     }
 
     #[test]
@@ -212,7 +207,7 @@ mod tests {
     fn set_capacity_clamps_tokens() {
         let mut r = Resource::token_bucket("limit", Rate::from_mbit(80.0), 10e6);
         r.set_capacity(Rate::from_mbit(40.0));
-        assert!(r.tokens() <= 10e6);
+        assert!(r.tokens <= 10e6);
         assert_eq!(r.capacity(), Rate::from_mbit(40.0));
     }
 }

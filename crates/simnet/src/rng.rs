@@ -45,17 +45,6 @@ impl SimRng {
         SimRng::seed_from_u64(self.next_u64() ^ 0xA5A5_A5A5_DEAD_BEEF)
     }
 
-    /// Derives a child generator labeled by `tag`, independent of draw order.
-    pub fn fork_named(&self, tag: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tag.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Mix the fork tag with our current state without advancing it.
-        SimRng::seed_from_u64(h ^ self.s[0].rotate_left(17) ^ self.s[2])
-    }
-
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -150,30 +139,6 @@ impl SimRng {
         x_min / (1.0 - self.next_f64()).powf(1.0 / alpha)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` without replacement.
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} of {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        // Partial Fisher–Yates: first k positions are the sample.
-        for i in 0..k {
-            let j = i + self.gen_index(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
-
     /// Picks one element of a slice uniformly.
     ///
     /// # Panics
@@ -225,16 +190,6 @@ mod tests {
         let mut a = SimRng::seed_from_u64(1);
         let mut b = SimRng::seed_from_u64(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fork_named_is_order_independent() {
-        let base = SimRng::seed_from_u64(99);
-        let mut x = base.fork_named("alpha");
-        let mut y = base.fork_named("alpha");
-        assert_eq!(x.next_u64(), y.next_u64());
-        let mut z = base.fork_named("beta");
-        assert_ne!(x.next_u64(), z.next_u64());
     }
 
     #[test]
@@ -293,18 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = SimRng::seed_from_u64(23);
-        let picked = rng.sample_indices(50, 20);
-        assert_eq!(picked.len(), 20);
-        let mut sorted = picked.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 20);
-        assert!(picked.iter().all(|&i| i < 50));
-    }
-
-    #[test]
     fn weighted_choice_respects_weights() {
         let mut rng = SimRng::seed_from_u64(31);
         let weights = [1.0, 0.0, 3.0];
@@ -316,15 +259,5 @@ mod tests {
         assert_eq!(counts[1], 0);
         let frac0 = counts[0] as f64 / N as f64;
         assert!((frac0 - 0.25).abs() < 0.02, "frac0 {frac0}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from_u64(37);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

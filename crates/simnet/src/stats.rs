@@ -78,7 +78,6 @@ pub fn min_max(values: &[f64]) -> Option<(f64, f64)> {
 /// ```
 /// use flashflow_simnet::stats::Ecdf;
 /// let cdf = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
 /// assert_eq!(cdf.quantile(0.0), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -105,12 +104,6 @@ impl Ecdf {
     /// Always false: construction rejects empty samples.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Fraction of the sample that is ≤ `x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        let count = self.sorted.partition_point(|v| *v <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// The `q`-quantile of the sample (linear interpolation).
@@ -239,10 +232,9 @@ mod tests {
     #[test]
     fn ecdf_fractions() {
         let cdf = Ecdf::new(vec![1.0, 1.0, 2.0, 3.0]);
-        assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.5);
-        assert_eq!(cdf.fraction_at_or_below(3.0), 1.0);
         assert_eq!(cdf.len(), 4);
+        assert_eq!(cdf.quantile(0.0), 1.0);
+        assert_eq!(cdf.quantile(1.0), 3.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::units::Rate;
 pub const MSS: f64 = 1460.0;
 
 /// TCP initial congestion window (RFC 6928) in segments.
-pub const INITIAL_WINDOW_SEGMENTS: f64 = 10.0;
+const INITIAL_WINDOW_SEGMENTS: f64 = 10.0;
 
 /// Kernel socket-buffer configuration (Appendix D).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +66,7 @@ impl KernelProfile {
 
     /// The buffer bytes that actually bound in-flight data: the smaller
     /// direction times the efficiency factor.
-    pub fn effective_window_bytes(&self) -> f64 {
+    fn effective_window_bytes(&self) -> f64 {
         self.max_rx_buffer.min(self.max_tx_buffer) * self.buffer_efficiency
     }
 
@@ -74,7 +74,7 @@ impl KernelProfile {
     ///
     /// # Panics
     /// Panics if `rtt` is zero.
-    pub fn bdp_cap(&self, rtt: SimDuration) -> Rate {
+    fn bdp_cap(&self, rtt: SimDuration) -> Rate {
         let rtt_s = rtt.as_secs_f64();
         assert!(rtt_s > 0.0, "rtt must be positive");
         Rate::from_bytes_per_sec(self.effective_window_bytes() / rtt_s)
@@ -127,7 +127,7 @@ impl TcpProfile {
 
     /// The Mathis-equation throughput ceiling for this path, or infinity
     /// on loss-free paths.
-    pub fn mathis_cap(&self) -> f64 {
+    fn mathis_cap(&self) -> f64 {
         let eff_loss = self.loss_rate * self.kernel.loss_recovery;
         if eff_loss <= 0.0 {
             return f64::INFINITY;
@@ -162,7 +162,7 @@ impl TcpProfile {
     /// Slow-start envelope: the rate the window allows after `elapsed`
     /// time, before hitting the steady-state cap. The initial window is
     /// ten segments per RTT, doubling each RTT.
-    pub fn ramp_cap(&self, elapsed: SimDuration) -> f64 {
+    fn ramp_cap(&self, elapsed: SimDuration) -> f64 {
         let rtt_s = self.rtt.as_secs_f64();
         if rtt_s <= 0.0 {
             return self.steady_cap();
@@ -171,18 +171,6 @@ impl TcpProfile {
         let doublings = (elapsed.as_secs_f64() / rtt_s).min(60.0);
         let ramped = initial * 2f64.powf(doublings);
         ramped.min(self.steady_cap())
-    }
-
-    /// Time for the ramp to reach the steady-state cap.
-    pub fn ramp_time(&self) -> SimDuration {
-        let rtt_s = self.rtt.as_secs_f64();
-        let initial = INITIAL_WINDOW_SEGMENTS * MSS / rtt_s;
-        let steady = self.steady_cap();
-        if steady <= initial {
-            return SimDuration::ZERO;
-        }
-        let doublings = (steady / initial).log2();
-        SimDuration::from_secs_f64(doublings * rtt_s)
     }
 }
 
@@ -200,7 +188,7 @@ impl TcpState {
     }
 
     /// The per-socket cap for the upcoming tick.
-    pub fn current_cap(&self, profile: &TcpProfile) -> f64 {
+    fn current_cap(&self, profile: &TcpProfile) -> f64 {
         profile.ramp_cap(SimDuration::from_secs_f64(self.elapsed))
     }
 
@@ -251,7 +239,7 @@ mod tests {
         let p = TcpProfile::new(SimDuration::from_millis(100));
         let at_start = p.ramp_cap(SimDuration::ZERO);
         assert!((at_start - 10.0 * MSS / 0.1).abs() < 1e-6);
-        let done = p.ramp_cap(p.ramp_time() + SimDuration::from_secs(1));
+        let done = p.ramp_cap(SimDuration::from_secs(60));
         assert!((done - p.steady_cap()).abs() < 1e-6);
     }
 

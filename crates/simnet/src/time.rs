@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Nanoseconds in one second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An instant in simulated time, measured in nanoseconds since simulation
 /// start.
@@ -105,11 +105,6 @@ impl SimDuration {
     /// Builds a duration from whole hours.
     pub fn from_hours(hours: u64) -> Self {
         SimDuration::from_secs(hours * 3600)
-    }
-
-    /// Builds a duration from whole days.
-    pub fn from_days(days: u64) -> Self {
-        SimDuration::from_secs(days * 86_400)
     }
 
     /// Raw nanoseconds.
@@ -236,7 +231,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2000));
         assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3000));
         assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3600));
-        assert_eq!(SimDuration::from_days(1), SimDuration::from_hours(24));
     }
 
     #[test]

@@ -4,13 +4,6 @@
 //! (`f64`), while the paper reports **Mbit/s** and **Gbit/s**. These helpers
 //! keep conversions explicit so a stray factor of 8 can't sneak in.
 
-/// Bytes in one KiB.
-pub const KIB: f64 = 1024.0;
-/// Bytes in one MiB.
-pub const MIB: f64 = 1024.0 * 1024.0;
-/// Bytes in one GiB.
-pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-
 /// A transfer rate in bytes per second.
 ///
 /// ```
@@ -70,11 +63,6 @@ impl Rate {
     /// Gigabits per second.
     pub fn as_gbit(self) -> f64 {
         self.as_mbit() / 1000.0
-    }
-
-    /// Bytes transferred at this rate over `secs` seconds.
-    pub fn bytes_over(self, secs: f64) -> f64 {
-        self.0 * secs
     }
 
     /// The smaller of two rates.
@@ -140,12 +128,6 @@ mod tests {
         assert_eq!(Rate::from_gbit(1.0).as_mbit(), 1000.0);
         assert_eq!(Rate::from_mbit(8.0).bytes_per_sec(), 1e6);
         assert_eq!(Rate::from_kbit(8000.0), Rate::from_mbit(8.0));
-    }
-
-    #[test]
-    fn bytes_over_integrates() {
-        let r = Rate::from_mbit(80.0); // 10 MB/s
-        assert_eq!(r.bytes_over(3.0), 30e6);
     }
 
     #[test]

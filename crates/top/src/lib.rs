@@ -21,7 +21,7 @@ const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█
 
 /// Renders `values` as a unicode sparkline of at most `width` cells
 /// (keeping the most recent values), scaled against the slice maximum.
-pub fn sparkline(values: &[f64], width: usize) -> String {
+fn sparkline(values: &[f64], width: usize) -> String {
     if values.is_empty() || width == 0 {
         return String::new();
     }

@@ -19,12 +19,12 @@ use std::collections::BTreeMap;
 use flashflow_obs::{Event, Json, Value};
 
 /// The causal phases of one item-attempt, in order.
-pub const PHASES: [&str; 5] = ["handshake", "go", "slots", "report", "ledger"];
+const PHASES: [&str; 5] = ["handshake", "go", "slots", "report", "ledger"];
 
 /// Maps an event kind to its timeline phase. Kinds outside the
 /// vocabulary (process lifecycle, connection plumbing) return `None`
 /// and still count toward the trace's event total.
-pub fn phase_of(kind: &str) -> Option<&'static str> {
+fn phase_of(kind: &str) -> Option<&'static str> {
     match kind {
         "session.prepare" | "peer.ready" | "session.resumed" => Some("handshake"),
         "slot.go" | "session.go" => Some("go"),
@@ -95,7 +95,7 @@ pub struct ItemTimeline {
 
 impl ItemTimeline {
     /// The union of phases present across all lanes, in causal order.
-    pub fn phases_present(&self) -> Vec<&'static str> {
+    fn phases_present(&self) -> Vec<&'static str> {
         PHASES
             .iter()
             .copied()

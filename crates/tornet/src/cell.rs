@@ -21,9 +21,6 @@
 pub const CELL_LEN: usize = 514;
 /// Bytes of payload in each cell.
 pub const PAYLOAD_LEN: usize = CELL_LEN - 5;
-/// TLS + TCP + IP framing overhead per cell on the wire, used when
-/// converting between Tor throughput and network throughput.
-pub const WIRE_OVERHEAD: usize = 43;
 
 /// Cell commands used by the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,11 +120,6 @@ impl Cell {
         let mut payload = [0u8; PAYLOAD_LEN];
         payload.copy_from_slice(&bytes[5..]);
         Some(Cell { circ_id, command, payload })
-    }
-
-    /// Bytes this cell occupies on the wire including TLS/TCP/IP framing.
-    pub fn wire_len() -> usize {
-        CELL_LEN + WIRE_OVERHEAD
     }
 }
 

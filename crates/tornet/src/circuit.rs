@@ -2,8 +2,8 @@
 //!
 //! A Tor client builds a circuit through a sequence of relays by
 //! exchanging `Create`/`Created` handshakes hop by hop, then relays data
-//! in 514-byte cells subject to circuit-level (1000-cell) and stream-level
-//! (500-cell) packaging windows replenished by SENDME credits.
+//! in 514-byte cells subject to a circuit-level (1000-cell) packaging
+//! window.
 //!
 //! FlashFlow adds a one-hop *measurement circuit* built with
 //! `MeasureOpen`: a key exchange is performed but the circuit is never
@@ -14,59 +14,35 @@ use crate::cell::{Cell, CircId, Command, PAYLOAD_LEN};
 use crate::crypto::{OnionCrypto, PublicKey, RelayLayer, SecretKey, SharedKey};
 
 /// Initial circuit-level packaging window, in cells.
-pub const CIRCUIT_WINDOW_INIT: i32 = 1000;
-/// Cells acknowledged by one circuit-level SENDME.
-pub const CIRCUIT_SENDME_INC: i32 = 100;
-/// Initial stream-level packaging window, in cells.
-pub const STREAM_WINDOW_INIT: i32 = 500;
-/// Cells acknowledged by one stream-level SENDME.
-pub const STREAM_SENDME_INC: i32 = 50;
+const CIRCUIT_WINDOW_INIT: i32 = 1000;
 
 /// Errors from window accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowError {
     /// Tried to package a cell with an empty window.
     Exhausted,
-    /// Received more SENDME credit than the protocol allows.
-    OverCredit,
 }
 
 impl std::fmt::Display for WindowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WindowError::Exhausted => write!(f, "packaging window exhausted"),
-            WindowError::OverCredit => write!(f, "sendme credit exceeds window maximum"),
         }
     }
 }
 
 impl std::error::Error for WindowError {}
 
-/// A packaging window with SENDME replenishment.
+/// A circuit's packaging window: the cells it may still send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     current: i32,
-    init: i32,
-    increment: i32,
 }
 
 impl Window {
-    /// A circuit-level window (1000 / 100).
+    /// A circuit-level window (1000 cells).
     pub fn circuit() -> Self {
-        Window {
-            current: CIRCUIT_WINDOW_INIT,
-            init: CIRCUIT_WINDOW_INIT,
-            increment: CIRCUIT_SENDME_INC,
-        }
-    }
-
-    /// A stream-level window (500 / 50).
-    pub fn stream() -> Self {
-        Window {
-            current: STREAM_WINDOW_INIT,
-            init: STREAM_WINDOW_INIT,
-            increment: STREAM_SENDME_INC,
-        }
+        Window { current: CIRCUIT_WINDOW_INIT }
     }
 
     /// Remaining cells that may be packaged.
@@ -84,25 +60,6 @@ impl Window {
         }
         self.current -= 1;
         Ok(())
-    }
-
-    /// Applies one SENDME credit.
-    ///
-    /// # Errors
-    /// [`WindowError::OverCredit`] if the credit would push the window
-    /// above its initial value.
-    pub fn sendme(&mut self) -> Result<(), WindowError> {
-        if self.current + self.increment > self.init {
-            return Err(WindowError::OverCredit);
-        }
-        self.current += self.increment;
-        Ok(())
-    }
-
-    /// True when the receiving side should emit a SENDME: the sender has
-    /// consumed a whole increment since the last credit.
-    pub fn needs_sendme(cells_delivered_since_credit: i32, increment: i32) -> bool {
-        cells_delivered_since_credit >= increment
     }
 }
 
@@ -172,8 +129,6 @@ pub struct RelayCircuit {
     /// Outbound (next-hop) circuit id, if extended.
     pub outbound_id: Option<CircId>,
     layer: RelayLayer,
-    /// Cells forwarded toward the exit since the last SENDME sent.
-    pub delivered_since_sendme: i32,
 }
 
 impl RelayCircuit {
@@ -183,19 +138,12 @@ impl RelayCircuit {
             inbound_id,
             outbound_id: None,
             layer: RelayLayer::new(own_secret.shared_with(client_public)),
-            delivered_since_sendme: 0,
         }
     }
 
     /// Processes an outbound cell: peels this relay's onion layer.
     pub fn relay_outbound(&mut self, cell: &mut Cell) {
         self.layer.peel_outbound(&mut cell.payload);
-        self.delivered_since_sendme += 1;
-    }
-
-    /// Processes an inbound cell: adds this relay's onion layer.
-    pub fn relay_inbound(&mut self, cell: &mut Cell) {
-        self.layer.add_inbound(&mut cell.payload);
     }
 }
 
@@ -263,21 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn window_exhausts_and_replenishes() {
+    fn window_exhausts() {
         let mut w = Window::circuit();
         for _ in 0..CIRCUIT_WINDOW_INIT {
             w.package().unwrap();
         }
         assert_eq!(w.package(), Err(WindowError::Exhausted));
-        w.sendme().unwrap();
-        assert_eq!(w.available(), CIRCUIT_SENDME_INC);
-        w.package().unwrap();
-    }
-
-    #[test]
-    fn window_rejects_over_credit() {
-        let mut w = Window::stream();
-        assert_eq!(w.sendme(), Err(WindowError::OverCredit));
+        assert_eq!(w.available(), 0);
     }
 
     #[test]
@@ -311,7 +251,7 @@ mod tests {
         // And back: exit packages the response, client decrypts.
         let mut response = Cell::with_payload(CircId(5), Command::Relay, b"200 OK");
         for relay in relays.iter_mut().rev() {
-            relay.relay_inbound(&mut response);
+            relay.layer.add_inbound(&mut response.payload);
         }
         client.deliver(&mut response);
         assert_eq!(&response.payload[..6], b"200 OK");
@@ -340,12 +280,6 @@ mod tests {
         let sealed = measurer.seal(&random_bytes);
         // Malicious: echo without processing.
         assert_ne!(&MeasurementCircuit::open_echo(&sealed)[..64], &random_bytes[..]);
-    }
-
-    #[test]
-    fn window_needs_sendme_threshold() {
-        assert!(!Window::needs_sendme(99, CIRCUIT_SENDME_INC));
-        assert!(Window::needs_sendme(100, CIRCUIT_SENDME_INC));
     }
 
     #[test]

@@ -15,29 +15,6 @@ use flashflow_simnet::units::Rate;
 
 use crate::relay::RelayId;
 
-/// A relay's self-published server descriptor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Descriptor {
-    /// Which relay published it.
-    pub relay: RelayId,
-    /// The observed bandwidth (best 10-second average over 5 days).
-    pub observed: Rate,
-    /// Any configured rate limit.
-    pub rate_limit: Option<Rate>,
-    /// When it was published.
-    pub published_at: SimTime,
-}
-
-impl Descriptor {
-    /// The advertised bandwidth: `min(observed, rate_limit)` (§2).
-    pub fn advertised(&self) -> Rate {
-        match self.rate_limit {
-            Some(limit) => self.observed.min(limit),
-            None => self.observed,
-        }
-    }
-}
-
 /// One relay's entry in a consensus. `K` names the relay: a simulated
 /// network's [`RelayId`] by default, or whatever key a deployment's
 /// roster already has (the vote only orders and matches keys).
@@ -68,7 +45,7 @@ impl<K: Ord + Copy> Consensus<K> {
     }
 
     /// Total weight across relays.
-    pub fn total_weight(&self) -> f64 {
+    fn total_weight(&self) -> f64 {
         self.entries.iter().map(|e| e.weight).sum()
     }
 
@@ -94,7 +71,7 @@ impl<K: Ord + Copy> Consensus<K> {
 
 /// The low-median Tor's voting uses: for an even count, take the lower of
 /// the two middle values (matching `dirvote.c`).
-pub fn low_median(values: &mut [f64]) -> Option<f64> {
+fn low_median(values: &mut [f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -163,19 +140,6 @@ mod tests {
     fn rid(i: usize) -> RelayId {
         // RelayIds are opaque outside the crate; build via transparent ctor.
         RelayId(i)
-    }
-
-    #[test]
-    fn advertised_is_min_of_observed_and_limit() {
-        let d = Descriptor {
-            relay: rid(0),
-            observed: Rate::from_mbit(500.0),
-            rate_limit: Some(Rate::from_mbit(250.0)),
-            published_at: SimTime::ZERO,
-        };
-        assert_eq!(d.advertised(), Rate::from_mbit(250.0));
-        let unlimited = Descriptor { rate_limit: None, ..d };
-        assert_eq!(unlimited.advertised(), Rate::from_mbit(500.0));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! real-world confidentiality. DESIGN.md §1 records this substitution.
 
 /// The Mersenne prime 2^61 - 1: modulus of the handshake group.
-pub const DH_MODULUS: u64 = (1 << 61) - 1;
+const DH_MODULUS: u64 = (1 << 61) - 1;
 /// Generator of a large subgroup mod [`DH_MODULUS`].
-pub const DH_GENERATOR: u64 = 7;
+const DH_GENERATOR: u64 = 7;
 
 fn mulmod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
@@ -84,7 +84,7 @@ impl SharedKey {
 /// A deterministic keystream generator (xoshiro256** keyed by the shared
 /// key and a direction nonce) applied as an XOR stream cipher.
 #[derive(Debug, Clone)]
-pub struct StreamCipher {
+struct StreamCipher {
     s: [u64; 4],
     buffer: u64,
     buffered: usize,
@@ -153,9 +153,9 @@ pub struct OnionCrypto {
 }
 
 /// Nonce tag for the forward (client → exit) direction.
-pub const NONCE_FORWARD: u64 = 0xF0F0_0001;
+const NONCE_FORWARD: u64 = 0xF0F0_0001;
 /// Nonce tag for the backward (exit → client) direction.
-pub const NONCE_BACKWARD: u64 = 0x0B0B_0002;
+const NONCE_BACKWARD: u64 = 0x0B0B_0002;
 
 impl OnionCrypto {
     /// Builds the client-side layered state from the per-hop shared keys,
@@ -216,16 +216,6 @@ impl RelayLayer {
     pub fn add_inbound(&mut self, payload: &mut [u8]) {
         self.backward.apply(payload);
     }
-}
-
-/// A 64-bit FNV-1a digest used for cell integrity spot checks.
-pub fn digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -323,15 +313,6 @@ mod tests {
             cells.push(cell);
         }
         assert_eq!(cells.len(), 50);
-    }
-
-    #[test]
-    fn digest_detects_mutation() {
-        let d1 = digest(b"cell contents");
-        let mut mutated = *b"cell contents";
-        mutated[3] ^= 1;
-        assert_ne!(d1, digest(&mutated));
-        assert_eq!(d1, digest(b"cell contents"));
     }
 
     #[test]

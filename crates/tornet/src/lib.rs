@@ -30,7 +30,7 @@ pub mod sched;
 pub mod prelude {
     pub use crate::cell::{Cell, CircId, Command, CELL_LEN, PAYLOAD_LEN};
     pub use crate::circuit::{ClientCircuit, MeasurementCircuit, MeasurementTarget, Window};
-    pub use crate::consensus::{Consensus, ConsensusEntry, Descriptor, DirAuths};
+    pub use crate::consensus::{Consensus, ConsensusEntry, DirAuths};
     pub use crate::crypto::{PublicKey, SecretKey, SharedKey};
     pub use crate::netbuild::TorNet;
     pub use crate::observed::ObservedBandwidth;

@@ -29,7 +29,7 @@ use crate::sched::{background_allowance, RatioGovernor, Scheduler};
 
 /// Per-relay CPU overhead fraction per crossing socket (calibrated so the
 /// Appendix C sockets sweep declines gently past its peak).
-pub const CPU_SOCKET_OVERHEAD: f64 = 0.0013;
+const CPU_SOCKET_OVERHEAD: f64 = 0.0013;
 
 /// A measurement in progress at a relay, tracked for the governor.
 #[derive(Debug)]
@@ -96,7 +96,8 @@ impl TorNet {
     ) -> RelayId {
         let limiter = match config.rate_limit {
             Some(rate) => {
-                let burst = config.burst_bytes.unwrap_or_else(|| rate.bytes_per_sec());
+                // `RelayBandwidthBurst`: one second of the rate limit.
+                let burst = rate.bytes_per_sec();
                 self.net.engine_mut().add_resource(Resource::token_bucket(
                     format!("{}/limit", config.name),
                     rate,
@@ -137,11 +138,6 @@ impl TorNet {
         &self.relays[id.0]
     }
 
-    /// Mutable access to a relay.
-    pub fn relay_mut(&mut self, id: RelayId) -> &mut Relay {
-        &mut self.relays[id.0]
-    }
-
     /// Iterates over all relay ids.
     pub fn relay_ids(&self) -> impl Iterator<Item = RelayId> {
         (0..self.relays.len()).map(RelayId)
@@ -149,14 +145,14 @@ impl TorNet {
 
     /// The resources normal (client) traffic crosses at a relay, in path
     /// order: host rx, limiter, background gate, CPU, host tx.
-    pub fn background_segment(&self, id: RelayId) -> Vec<flashflow_simnet::resource::ResourceId> {
+    fn background_segment(&self, id: RelayId) -> Vec<flashflow_simnet::resource::ResourceId> {
         let r = &self.relays[id.0];
         vec![self.net.rx(r.host), r.limiter, r.bg_gate, r.cpu, self.net.tx(r.host)]
     }
 
     /// The resources measurement traffic crosses at a relay (no
     /// background gate).
-    pub fn measurement_segment(&self, id: RelayId) -> Vec<flashflow_simnet::resource::ResourceId> {
+    fn measurement_segment(&self, id: RelayId) -> Vec<flashflow_simnet::resource::ResourceId> {
         let r = &self.relays[id.0];
         vec![self.net.rx(r.host), r.limiter, r.cpu, self.net.tx(r.host)]
     }
@@ -164,7 +160,7 @@ impl TorNet {
     /// Flow spec for a download from `server` through `path` (exit first
     /// in the transmission direction: the path slice is ordered
     /// client-side first, as circuits are built) to `client`.
-    pub fn circuit_flow_spec(&self, server: HostId, path: &[RelayId], client: HostId) -> FlowSpec {
+    fn circuit_flow_spec(&self, server: HostId, path: &[RelayId], client: HostId) -> FlowSpec {
         assert!(!path.is_empty(), "circuit needs at least one relay");
         let mut resources = vec![self.net.tx(server)];
         // Data flows server → exit → … → guard → client.
@@ -178,7 +174,7 @@ impl TorNet {
     /// Flow spec for FlashFlow's echo loop: measurer → target → measurer.
     /// The rate of this flow is the target's forwarded measurement
     /// throughput.
-    pub fn echo_flow_spec(&self, measurer: HostId, target: RelayId) -> FlowSpec {
+    fn echo_flow_spec(&self, measurer: HostId, target: RelayId) -> FlowSpec {
         let r = &self.relays[target.0];
         let mut resources = vec![self.net.tx(measurer)];
         resources.extend(self.measurement_segment(target));

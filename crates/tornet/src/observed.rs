@@ -17,11 +17,9 @@ use std::collections::VecDeque;
 use flashflow_simnet::units::Rate;
 
 /// Length of the sliding throughput window, in seconds.
-pub const WINDOW_SECS: usize = 10;
+const WINDOW_SECS: usize = 10;
 /// Days of throughput history retained.
-pub const HISTORY_DAYS: u64 = 5;
-/// Interval between server-descriptor publications.
-pub const DESCRIPTOR_INTERVAL_SECS: u64 = 18 * 3600;
+const HISTORY_DAYS: u64 = 5;
 
 /// Tracks a relay's observed bandwidth from its per-second forwarded
 /// byte counts.

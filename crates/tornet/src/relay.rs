@@ -56,9 +56,6 @@ pub struct RelayConfig {
     pub name: String,
     /// `RelayBandwidthRate`: sustained rate limit, if any.
     pub rate_limit: Option<Rate>,
-    /// `RelayBandwidthBurst`: burst depth in bytes (defaults to one second
-    /// of the rate limit).
-    pub burst_bytes: Option<f64>,
     /// Maximum normal-traffic fraction `r` enforced during measurement.
     pub ratio: f64,
     /// Reporting honesty during measurements.
@@ -72,7 +69,6 @@ impl RelayConfig {
         RelayConfig {
             name: name.into(),
             rate_limit: None,
-            burst_bytes: None,
             ratio: 0.25,
             reporting: BackgroundReporting::Honest,
         }
@@ -81,12 +77,6 @@ impl RelayConfig {
     /// Applies a `RelayBandwidthRate` limit.
     pub fn with_rate_limit(mut self, limit: Rate) -> Self {
         self.rate_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the burst depth in bytes.
-    pub fn with_burst(mut self, burst_bytes: f64) -> Self {
-        self.burst_bytes = Some(burst_bytes);
         self
     }
 
@@ -141,18 +131,6 @@ pub struct Relay {
     /// measurement.
     pub(crate) bg_report_acc: SecondsAccumulator,
     pub(crate) bg_actual_acc: SecondsAccumulator,
-}
-
-impl Relay {
-    /// True while a measurement governor is installed.
-    pub fn under_measurement(&self) -> bool {
-        self.governor.is_some()
-    }
-
-    /// The measurement ratio currently enforced, if measuring.
-    pub fn active_ratio(&self) -> Option<f64> {
-        self.governor.map(|g| g.r)
-    }
 }
 
 #[cfg(test)]

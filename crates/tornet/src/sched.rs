@@ -18,7 +18,7 @@ use flashflow_simnet::units::Rate;
 /// Per-socket throughput ceiling under KIST with few sockets. Calibrated
 /// so that the Appendix C lab relay saturates its 1,248 Mbit/s CPU at
 /// roughly 13 sockets, as the paper reports.
-pub const KIST_PER_SOCKET_CAP: Rate = Rate::from_const_mbit(96.0);
+const KIST_PER_SOCKET_CAP: Rate = Rate::from_const_mbit(96.0);
 
 /// Which cell scheduler handles a bundle of sockets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
