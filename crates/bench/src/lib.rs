@@ -46,19 +46,6 @@ impl Boxplot {
     }
 }
 
-impl From<Boxplot> for flashflow_obs::Percentiles {
-    fn from(b: Boxplot) -> flashflow_obs::Percentiles {
-        flashflow_obs::Percentiles {
-            p5: b.p5,
-            q1: b.q1,
-            median: b.median,
-            mean: b.mean,
-            q3: b.q3,
-            p95: b.p95,
-        }
-    }
-}
-
 impl std::fmt::Display for Boxplot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -166,18 +153,5 @@ mod tests {
     #[test]
     fn boxplot_empty_is_none() {
         assert!(Boxplot::of(&[]).is_none());
-    }
-
-    /// `flashflow-obs` reimplements the quantile (it cannot depend on
-    /// simnet without a cycle); the two must agree exactly, so a
-    /// `PeriodExport` summary and a paper boxplot of the same series
-    /// are the same numbers.
-    #[test]
-    fn obs_percentiles_conform_to_boxplot() {
-        let mut v: Vec<f64> = (0..137).map(|i| f64::from((i * 7919) % 1000)).collect();
-        v.push(0.25);
-        let from_boxplot: flashflow_obs::Percentiles = Boxplot::of(&v).unwrap().into();
-        let direct = flashflow_obs::Percentiles::of(&v).unwrap();
-        assert_eq!(direct, from_boxplot);
     }
 }

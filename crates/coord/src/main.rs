@@ -323,15 +323,12 @@ fn main() {
         if cfg.once || procutil::drain_requested() {
             break;
         }
-        // Sleep in drain-poll steps so SIGTERM between periods is
-        // honored promptly.
-        let mut remaining = cfg.interval_secs.max(0.0);
-        while remaining > 0.0 && !procutil::drain_requested() {
-            let step = remaining.min(0.05);
-            std::thread::sleep(Duration::from_secs_f64(step));
-            remaining -= step;
-        }
-        if procutil::drain_requested() {
+        // Sleep on the drain latch, so SIGTERM between periods is
+        // honored at once; an interval past any instant waits for it.
+        let next = Duration::try_from_secs_f64(cfg.interval_secs.max(0.0))
+            .ok()
+            .and_then(|interval| Instant::now().checked_add(interval));
+        if procutil::wait_for_drain(next, &|| false) {
             println!("drained");
             break;
         }

@@ -1,10 +1,11 @@
-//! BWAuths: driving a measurement period and aggregating across
-//! authorities (§4.3, §4 "Trust and Diversity").
+//! BWAuths: driving a measurement period (§4.3).
 //!
 //! Each BWAuth owns a measurement team, runs [`measure_period`] over the
 //! relays — measuring several concurrently when team capacity allows —
-//! and emits a *bandwidth file* with a capacity estimate per relay. The
-//! DirAuths then take the median across BWAuths, so a minority of
+//! and emits a *bandwidth file* with a capacity estimate per relay. Its
+//! [`BandwidthFile::weights`] are one vote for
+//! `flashflow_tornet::consensus::DirAuths`, which takes the median
+//! across BWAuths (§4 "Trust and Diversity"), so a minority of
 //! malicious authorities cannot move a relay's weight.
 //!
 //! The deployed twin is [`measure_echo_period`]: one round against
@@ -261,30 +262,6 @@ impl EchoRound {
     }
 }
 
-/// Aggregates several BWAuths' bandwidth files by taking, for each relay
-/// measured by a majority of them, the low-median capacity — the DirAuth
-/// rule that makes a minority of lying authorities harmless.
-pub fn aggregate_bwauths(files: &[BandwidthFile]) -> BTreeMap<RelayId, Rate> {
-    assert!(!files.is_empty(), "need at least one bandwidth file");
-    let majority = files.len() / 2 + 1;
-    let mut per_relay: BTreeMap<RelayId, Vec<f64>> = BTreeMap::new();
-    for file in files {
-        for (relay, entry) in &file.entries {
-            if entry.end != SequenceEnd::VerificationFailed {
-                per_relay.entry(*relay).or_default().push(entry.capacity.bytes_per_sec());
-            }
-        }
-    }
-    per_relay
-        .into_iter()
-        .filter(|(_, v)| v.len() >= majority)
-        .map(|(relay, mut v)| {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (relay, Rate::from_bytes_per_sec(v[(v.len() - 1) / 2]))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,59 +359,5 @@ mod tests {
             assert_eq!(entry.rounds as usize, single.rounds.len(), "limit {limit:?}");
             assert_eq!(entry.capacity, single.estimate, "limit {limit:?}");
         }
-    }
-
-    #[test]
-    fn aggregate_takes_median() {
-        let mk = |caps: &[(usize, f64)]| {
-            let mut f = BandwidthFile::default();
-            for (i, c) in caps {
-                let relay = fake_relay(*i);
-                f.entries.insert(
-                    relay,
-                    BwEntry {
-                        relay,
-                        capacity: Rate::from_mbit(*c),
-                        end: SequenceEnd::Converged,
-                        rounds: 1,
-                    },
-                );
-            }
-            f
-        };
-        let agg = aggregate_bwauths(&[
-            mk(&[(0, 100.0), (1, 10.0)]),
-            mk(&[(0, 110.0), (1, 12.0)]),
-            mk(&[(0, 5000.0)]), // outlier / liar, and missing relay 1
-        ]);
-        assert!((agg[&fake_relay(0)].as_mbit() - 110.0).abs() < 1e-9);
-        assert!((agg[&fake_relay(1)].as_mbit() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregate_drops_minority_relays() {
-        let mut f1 = BandwidthFile::default();
-        let relay = fake_relay(0);
-        f1.entries.insert(
-            relay,
-            BwEntry {
-                relay,
-                capacity: Rate::from_mbit(10.0),
-                end: SequenceEnd::Converged,
-                rounds: 1,
-            },
-        );
-        let agg = aggregate_bwauths(&[f1, BandwidthFile::default(), BandwidthFile::default()]);
-        assert!(agg.is_empty());
-    }
-
-    fn fake_relay(i: usize) -> RelayId {
-        let mut tor = TorNet::new();
-        let h = tor.add_host(HostProfile::new("h", Rate::from_gbit(1.0)));
-        let mut last = None;
-        for k in 0..=i {
-            last = Some(tor.add_relay(h, RelayConfig::new(format!("r{k}"))));
-        }
-        last.unwrap()
     }
 }

@@ -1,8 +1,9 @@
 //! The bridge from the measurement engine's typed events to
 //! `flashflow-obs` telemetry: mirrors every [`EngineEvent`] of a round
-//! as a structured [`Event`] on a [`Span`], emits the post-run audit
-//! trail (divergent audit rows, per-target estimates, pool stats),
-//! and builds the period's machine-readable [`PeriodExport`].
+//! as a structured [`Event`] on a [`Span`] and emits the post-run
+//! audit trail (divergent audit rows, per-target estimates, pool
+//! stats). The period's machine-readable result is the coordinator's
+//! `period.json`.
 //!
 //! The engine itself stays telemetry-free — it already *is* an event
 //! stream — so this module is a pure translation layer: engine events
@@ -16,9 +17,7 @@
 //! consumer like `flashflow-top` read the relay's echo claim without
 //! double-counting the measurers' received-blast reports.
 
-use flashflow_obs::{
-    Event, Percentiles, PeriodExport, PoolSummary, Span, TargetSummary, Value, EXPORT_SCHEMA,
-};
+use flashflow_obs::{Event, Span, Value};
 
 use crate::bwauth::EchoPeriodFile;
 use crate::echo::{EchoDeployment, EchoItem};
@@ -157,52 +156,6 @@ fn emit_pool_stats(span: &Span, stats: &PoolStats) {
             idle = stats.idle,
         ],
     );
-}
-
-/// Builds the machine-readable [`PeriodExport`] of an echo period: one
-/// [`TargetSummary`] per item with percentile summaries of the
-/// per-second echo (`x_j`), background (`y_j`), and combined (`z_j`)
-/// series — the same series the capacity estimate was computed from.
-pub fn period_export(
-    deployment: &EchoDeployment,
-    items: &[EchoItem],
-    file: &EchoPeriodFile,
-) -> PeriodExport {
-    let targets = items
-        .iter()
-        .zip(&file.entries)
-        .enumerate()
-        .map(|(group, (item, entry))| {
-            let (x, y) = file.peers.merged_series(group);
-            let (seconds, _) = crate::measure::estimate(&x, &y, deployment.ratio);
-            let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-            TargetSummary {
-                relay_fp: hex_fp(&item.relay_fp),
-                capacity_bytes_per_sec: entry.capacity.bytes_per_sec(),
-                clean: entry.clean,
-                divergent_rows: entry.divergent_rows as u64,
-                seconds: x.len() as u64,
-                echo: Percentiles::of(&x),
-                bg: Percentiles::of(&y),
-                combined: Percentiles::of(&z),
-            }
-        })
-        .collect();
-    PeriodExport {
-        schema: EXPORT_SCHEMA,
-        ratio: deployment.ratio,
-        targets,
-        pool: Some(PoolSummary {
-            dials: file.pool.dials,
-            reuses: file.pool.reuses,
-            discarded: file.pool.discarded,
-            idle: file.pool.idle,
-        }),
-        // The coordinator has no reactor of its own; harnesses that
-        // fetch peer metrics snapshots fill this block via
-        // `ReactorSummary::from_snapshot`.
-        reactor: None,
-    }
 }
 
 /// Lowercase-hex rendering of a wire fingerprint.

@@ -1,15 +1,15 @@
 //! A minimal JSON value, encoder, and parser.
 //!
 //! The build environment has no crates.io access, so the workspace
-//! cannot pull `serde_json`; everything machine-readable this crate
-//! emits (JSONL events, registry snapshots, period exports, bench
-//! records) goes through this module instead. The subset implemented is
-//! exactly what those producers need — objects, arrays, strings with
-//! standard escapes, booleans, null, and numbers — with one deliberate
-//! extension over a naive float-only model: integers are carried as
-//! `i128` so `u64` byte counters round-trip exactly instead of being
-//! flattened through an `f64` (which silently loses precision past
-//! 2^53).
+//! cannot pull `serde_json`; everything machine-readable the workspace
+//! emits (JSONL events, registry snapshots, the coordinator's period
+//! and consensus files, bench records) goes through this module
+//! instead. The subset implemented is exactly what those producers
+//! need — objects, arrays, strings with standard escapes, booleans,
+//! null, and numbers — with one deliberate extension over a naive
+//! float-only model: integers are carried as `i128` so `u64` byte
+//! counters round-trip exactly instead of being flattened through an
+//! `f64` (which silently loses precision past 2^53).
 //!
 //! [`Json::encode`] writes a document into one `String` in one pass:
 //! each run of string bytes that needs no escape is one push, and

@@ -1,10 +1,10 @@
 //! # flashflow-obs
 //!
 //! The workspace's telemetry core: metric registries, structured
-//! events, sinks, and machine-readable period exports — with **zero
-//! dependencies** (std only), because the build environment is offline
-//! and because every other crate (including the wire-protocol hot path)
-//! must be able to depend on this one without cycles.
+//! events and sinks — with **zero dependencies** (std only), because
+//! the build environment is offline and because every other crate
+//! (including the wire-protocol hot path) must be able to depend on
+//! this one without cycles.
 //!
 //! The pieces, bottom up:
 //!
@@ -19,20 +19,13 @@
 //!   item → channel [`Scope`]s, emitted through a shared [`EventSink`]
 //!   to human-text stderr and JSONL files;
 //!   [`Span`]s carry scope prefixes through the layers.
-//! * [`export`] — [`PeriodExport`], the JSON period result file with
-//!   per-target [`Percentiles`] summaries and a one-screen CI text
-//!   summary.
 
 pub mod event;
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod sink;
 
 pub use event::{Event, Scope, Value};
-pub use export::{
-    fmt_rate, Percentiles, PeriodExport, PoolSummary, ReactorSummary, TargetSummary, EXPORT_SCHEMA,
-};
 pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,

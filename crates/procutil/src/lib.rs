@@ -23,7 +23,7 @@ pub use persist::{append_line, append_lines, append_torn_line, atomic_write, jou
 
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
@@ -252,11 +252,11 @@ pub fn hello_window(speedup: f64) -> Duration {
     Duration::from_secs_f64((10.0 / speedup).clamp(0.05, 30.0))
 }
 
-/// Parks the calling supervisor thread until SIGTERM arrives (`true`)
-/// or `done` holds (`false`), asleep on the drain latch: whatever makes
-/// `done` true must call [`stop_serving`]. Never call this from a
-/// reactor shard.
-pub fn wait_for_drain(done: &dyn Fn() -> bool) -> bool {
+/// Parks the calling thread until SIGTERM arrives (`true`), or `done`
+/// holds or the instant `until` passes (`false`), asleep on the drain
+/// latch: whatever makes `done` true must call [`stop_serving`]. Never
+/// call this from a reactor shard.
+pub fn wait_for_drain(until: Option<Instant>, done: &dyn Fn() -> bool) -> bool {
     let poller = drain_latch().and_then(|latch| {
         let poller = Poller::new()?;
         poller.register(latch.fd(), 0, Interest::READ)?;
@@ -267,15 +267,16 @@ pub fn wait_for_drain(done: &dyn Fn() -> bool) -> bool {
         if drain_requested() {
             return true;
         }
-        if done() {
+        let now = Instant::now();
+        if done() || until.is_some_and(|until| now >= until) {
             return false;
         }
+        let timeout = until.map_or(Duration::from_secs(3600), |until| until - now);
         // The latch stays readable once woken, so a wake between the
         // checks above and this wait is not lost. Without a poller (no
         // fds left), fall back to polling.
-        if poller.as_ref().map_or(true, |p| p.wait(&mut events, Duration::from_secs(3600)).is_err())
-        {
-            std::thread::sleep(Duration::from_millis(2));
+        if poller.as_ref().map_or(true, |p| p.wait(&mut events, timeout).is_err()) {
+            std::thread::sleep(timeout.min(Duration::from_millis(2)));
         }
     }
 }
@@ -332,5 +333,16 @@ mod tests {
             "file first, CLI overrides after"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wait_for_drain_wakes_at_its_instant() {
+        // No SIGTERM and nothing done: the wait sleeps to its instant,
+        // returns `false`, and does not oversleep it.
+        let until = Instant::now() + Duration::from_millis(60);
+        assert!(!wait_for_drain(Some(until), &|| false));
+        let woke = Instant::now();
+        assert!(woke >= until, "woke {:?} early", until - woke);
+        assert!(woke - until < Duration::from_millis(250), "woke {:?} late", woke - until);
     }
 }

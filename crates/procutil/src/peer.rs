@@ -408,7 +408,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
         (1, error)
     })?;
     let _ = peer.spawner.set(reactor.spawner());
-    if crate::wait_for_drain(&|| peer.quota_reached()) {
+    if crate::wait_for_drain(None, &|| peer.quota_reached()) {
         peer.span.event(&format!("{name}.drain"));
     }
     // Stop serving: running slots finish, handshakes abort, data

@@ -4,7 +4,7 @@
 //!
 //! Two disciplines cover every file the system writes:
 //!
-//! * **whole documents** (a period export, a consensus) go through
+//! * **whole documents** (a period file, a consensus) go through
 //!   [`atomic_write`] — write a sibling temp file, fsync it, rename it
 //!   over the target, fsync the directory. A reader (or a restarted
 //!   process) sees either the old complete document or the new complete

@@ -8,11 +8,12 @@
 //!   whose every line must parse back into an [`Event`], carrying
 //!   `period.start` → role-tagged `sample`s → `target.estimate` →
 //!   `pool.stats` → `period.done`;
-//! - the same period builds a [`PeriodExport`] that round-trips
-//!   through its own JSON and whose capacities equal the audit
-//!   ledger's, with a text summary naming every target;
+//! - the period's `target.estimate` capacities equal the audit
+//!   ledger's, and its pool counters show a cold round dialing every
+//!   conversation and a warm one reusing them;
 //! - the relay's token-gated `--metrics-addr` endpoint serves a
-//!   [`RegistrySnapshot`] whose echo counters moved;
+//!   [`RegistrySnapshot`] whose echo counters moved, and both peers'
+//!   snapshots carry every reactor shard's instruments;
 //! - `flashflow-top --replay` renders the coordinator's JSONL into
 //!   per-target sparkline rows;
 //! - and a `--claim-bg` lying relay writes `bg.divergence` events
@@ -29,11 +30,9 @@ use std::time::{Duration, Instant};
 
 use flashflow_core::bwauth::measure_echo_period_observed;
 use flashflow_core::echo::{item_trace_id, EchoDeployment, EchoItem, EchoMeasurer};
-use flashflow_core::observe::{count_kind, hex_fp, period_export};
+use flashflow_core::observe::{count_kind, hex_fp};
 use flashflow_core::pool::ConnectionPool;
-use flashflow_obs::{
-    Event, EventSink, Json, PeriodExport, ReactorSummary, RegistrySnapshot, Span, Value,
-};
+use flashflow_obs::{Event, EventSink, Json, RegistrySnapshot, Span, Value};
 use flashflow_procutil::fetch_metrics;
 use flashflow_proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 
@@ -244,7 +243,7 @@ fn parse_jsonl(path: &PathBuf) -> Vec<Event> {
 }
 
 #[test]
-fn observed_period_exports_metrics_and_renders_in_top() {
+fn observed_period_serves_metrics_and_renders_in_top() {
     let jsonl_path = scratch_path("coordinator.jsonl");
 
     // Measurer 0 gets a metrics endpoint and a session quota above the
@@ -312,37 +311,16 @@ fn observed_period_exports_metrics_and_renders_in_top() {
         assert_eq!(event.f64_field("capacity"), Some(entry.capacity.bytes_per_sec()));
     }
 
-    // --- the machine-readable export matches the ledger ------------
-    let export = period_export(&dep, &period_items, &file);
-    let round_tripped =
-        PeriodExport::parse(&export.to_json_string()).expect("export JSON parses back");
-    assert_eq!(round_tripped, export, "PeriodExport must round-trip through its own JSON");
-    let text = export.text_summary();
-    for (target, entry) in export.targets.iter().zip(&file.entries) {
-        assert_eq!(
-            target.capacity_bytes_per_sec,
-            entry.capacity.bytes_per_sec(),
-            "export capacity diverged from the audit ledger"
-        );
-        assert!(
-            text.contains(&target.relay_fp[..8]),
-            "text summary must name target {}: {text}",
-            target.relay_fp
-        );
-    }
+    // --- the pool: a cold round dials, a warm one reuses -----------
     // Every item of a round runs at once, so a cold round dials one
     // connection per conversation; the next round on the same pool
     // dials nothing and reuses them all.
     let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
-    let pool_summary = export.pool.expect("pool stats must reach the export");
-    assert_eq!((pool_summary.dials, pool_summary.reuses), (peers_per_round, 0));
-    let warm_items = round_items(1);
-    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &warm_items, &pool);
+    assert_eq!((file.pool.dials, file.pool.reuses), (peers_per_round, 0), "{:?}", file.pool);
+    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &round_items(1), &pool);
     assert!(warm.peers.all_clean(), "the warm round must stay clean");
-    let warm_summary =
-        period_export(&dep, &warm_items, &warm).pool.expect("pool stats must reach the export");
-    assert_eq!(warm_summary.dials, peers_per_round, "the warm round dialed: {warm_summary:?}");
-    assert!(warm_summary.reuses >= peers_per_round, "warm round reused too few: {warm_summary:?}");
+    assert_eq!(warm.pool.dials, peers_per_round, "the warm round dialed: {:?}", warm.pool);
+    assert!(warm.pool.reuses >= peers_per_round, "warm round reused too few: {:?}", warm.pool);
 
     // --- the relay's metrics endpoint saw the traffic --------------
     let body = fetch_metrics(metrics_addr, &token_for(9), Duration::from_secs(5))
@@ -379,9 +357,12 @@ fn observed_period_exports_metrics_and_renders_in_top() {
                 .1
         };
         let mut dwell_turns = 0u64;
+        let mut dwell_us = 0u64;
         let mut dispatches = 0u64;
         for shard in 0..shards {
-            dwell_turns += histogram(&format!("{prefix}.shard{shard}.epoll_dwell_us")).count;
+            let dwell = histogram(&format!("{prefix}.shard{shard}.epoll_dwell_us"));
+            dwell_turns += dwell.count;
+            dwell_us += dwell.sum;
             dispatches += histogram(&format!("{prefix}.shard{shard}.dispatch_us")).count;
             assert!(
                 histogram(&format!("{prefix}.shard{shard}.tick_jitter_us")).count > 0,
@@ -395,16 +376,20 @@ fn observed_period_exports_metrics_and_renders_in_top() {
                 );
             }
         }
+        let shard_gauges = format!("{prefix}.shard");
+        let counted = snapshot
+            .gauges
+            .iter()
+            .filter(|(n, _)| n.starts_with(&shard_gauges) && n.ends_with(".slab_live"))
+            .count();
+        assert_eq!(counted, shards, "{prefix} snapshot has {counted} shards, not {shards}");
         assert!(dwell_turns > 0, "{prefix} epoll shards never woke");
+        assert!(dwell_us > 0, "{prefix} epoll shards never slept: dwell mean is zero");
         assert!(dispatches > 0, "{prefix} shards dispatched no ready events");
         assert!(
             snapshot.counters.iter().any(|(n, _)| *n == format!("{prefix}.stalls")),
             "stall counter missing from {prefix} snapshot"
         );
-        let summary = ReactorSummary::from_snapshot(snapshot, prefix)
-            .unwrap_or_else(|| panic!("ReactorSummary::from_snapshot found no {prefix} shards"));
-        assert_eq!(summary.shards, shards as u64, "summary miscounted {prefix} shards");
-        assert!(summary.dwell_mean_us > 0.0, "summary dwell mean is zero for {prefix}");
     };
     assert_reactor_telemetry(&snapshot, "relay.reactor", 4);
 

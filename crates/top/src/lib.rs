@@ -5,16 +5,17 @@
 //! offline, and a status screen needs nothing more than clear + home).
 //!
 //! The event vocabulary consumed here is the one `flashflow-core`'s
-//! observe bridge emits (`period.start`, `sample`,
+//! observe bridge emits once per round (`period.start`, `sample`,
 //! `divergence`, `item.complete`, `pool.stats`, `target.estimate`,
-//! `period.done`); unknown kinds are ignored, so process-level events
-//! from the measurer/relay binaries can share the same file.
+//! `period.done`), plus `flashflow-coord`'s `period.complete`; unknown
+//! kinds are ignored, so process-level events from the measurer/relay
+//! binaries can share the same file.
 
 pub mod trace;
 
 use std::collections::BTreeMap;
 
-use flashflow_obs::{fmt_rate, Event};
+use flashflow_obs::Event;
 
 /// The eight-level block glyphs a sparkline is drawn with.
 const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -37,6 +38,21 @@ fn sparkline(values: &[f64], width: usize) -> String {
             }
         })
         .collect()
+}
+
+/// Formats a bytes-per-second rate with a decimal unit
+/// (`"36.0 MB/s"`), stable across platforms for golden tests.
+fn fmt_rate(bytes_per_sec: f64) -> String {
+    let magnitude = bytes_per_sec.abs();
+    if magnitude >= 1e9 {
+        format!("{:.1} GB/s", bytes_per_sec / 1e9)
+    } else if magnitude >= 1e6 {
+        format!("{:.1} MB/s", bytes_per_sec / 1e6)
+    } else if magnitude >= 1e3 {
+        format!("{:.1} kB/s", bytes_per_sec / 1e3)
+    } else {
+        format!("{bytes_per_sec:.0} B/s")
+    }
 }
 
 /// What a [`TargetView`] is keyed by: the item-attempt's trace id, or,
@@ -112,7 +128,8 @@ pub struct PoolView {
 pub struct TopState {
     /// Per-item target views.
     pub targets: BTreeMap<ViewKey, TargetView>,
-    /// Items the period announced.
+    /// Items the period's rounds announced so far, summed over every
+    /// `period.start` (the observe bridge emits one per round).
     pub items_total: Option<u64>,
     /// Items completed so far.
     pub items_done: u64,
@@ -124,8 +141,12 @@ pub struct TopState {
     pub peers_failed: u64,
     /// Latest pool counters.
     pub pool: PoolView,
-    /// True once `period.done` arrived.
-    pub period_done: bool,
+    /// Rounds started (`period.start`).
+    pub rounds_started: u64,
+    /// Rounds audited (`period.done`).
+    pub rounds_done: u64,
+    /// True once the coordinator's `period.complete` arrived.
+    pub period_complete: bool,
     /// Timestamp of the newest event folded in.
     pub last_ts: f64,
     /// Events folded in so far.
@@ -145,7 +166,12 @@ impl TopState {
         self.last_ts = self.last_ts.max(ev.ts);
         let key = ViewKey::of(ev);
         match ev.kind.as_str() {
-            "period.start" => self.items_total = ev.u64_field("items"),
+            "period.start" => {
+                self.rounds_started += 1;
+                if let Some(items) = ev.u64_field("items") {
+                    self.items_total = Some(self.items_total.unwrap_or(0) + items);
+                }
+            }
             // Only the target's own report carries the echo claim;
             // measurer samples describe received blast and would
             // double-count the same bytes.
@@ -191,9 +217,17 @@ impl TopState {
                     seen: true,
                 };
             }
-            "period.done" => self.period_done = true,
+            "period.done" => self.rounds_done += 1,
+            "period.complete" => self.period_complete = true,
             _ => {}
         }
+    }
+
+    /// True once the period is over: the coordinator said so
+    /// (`period.complete`), or every round that started has been
+    /// audited.
+    pub fn period_done(&self) -> bool {
+        self.period_complete || (self.rounds_started > 0 && self.rounds_done >= self.rounds_started)
     }
 
     /// Draws the dashboard body (no cursor control), `width` columns
@@ -214,7 +248,7 @@ impl TopState {
             self.peers_done,
             self.peers_failed,
             self.events_seen,
-            if self.period_done { " · period done" } else { "" },
+            if self.period_done() { " · period done" } else { "" },
         );
         for (key, view) in &self.targets {
             let label = match (view.fp.as_deref(), key) {
@@ -337,6 +371,37 @@ mod tests {
         assert!(body.contains("pool: 4 dials"), "{body}");
         let frame = state.render_ansi(100);
         assert!(frame.starts_with("\x1b[2J\x1b[H"));
+    }
+
+    #[test]
+    fn a_period_is_done_when_every_started_round_is() {
+        // Two rounds in flight, as a coordinator's stream interleaves
+        // them: round 1 starts before round 0 is audited.
+        let start = |items: u64| ev("period.start", None, vec![("items", Value::U64(items))]);
+        let done = || ev("period.done", None, vec![]);
+        let mut state = TopState::new();
+        for event in [start(8), start(5), done()] {
+            state.apply(&event);
+        }
+        assert!(!state.period_done(), "round 1 is still running");
+        assert_eq!(state.items_total, Some(13), "the rounds' items add up");
+        state.apply(&done());
+        assert!(state.period_done());
+        assert!(state.render(100).contains("period done"));
+
+        let mut closed = TopState::new();
+        for event in [start(8), start(5), ev("period.complete", None, vec![])] {
+            closed.apply(&event);
+        }
+        assert!(closed.period_done(), "period.complete ends the period");
+    }
+
+    #[test]
+    fn rates_take_a_decimal_unit() {
+        assert_eq!(fmt_rate(16.0), "16 B/s");
+        assert_eq!(fmt_rate(150_000.0), "150.0 kB/s");
+        assert_eq!(fmt_rate(36e6), "36.0 MB/s");
+        assert_eq!(fmt_rate(2.5e9), "2.5 GB/s");
     }
 
     #[test]

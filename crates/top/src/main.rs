@@ -29,7 +29,7 @@ const USAGE: &str =
   --token-hex HEX    auth token for --metrics (64 hex chars)
   --interval SECS    redraw period for --follow/--watch (default 1.0)
   --width COLS       frame width (default 100)
-  --exit-on-done B   with --follow: exit once period.done arrives (default true)
+  --exit-on-done B   with --follow: exit once the period finishes (default true)
   --watch B          with --metrics/--coord: poll and redraw instead of one shot
   --config FILE      key=value file of the same settings";
 
@@ -175,7 +175,7 @@ fn follow(path: &str, cfg: &Config) -> Result<(), String> {
             }
         }
         print!("{}", state.render_ansi(cfg.width));
-        if cfg.exit_on_done && state.period_done {
+        if cfg.exit_on_done && state.period_done() {
             return Ok(());
         }
         std::thread::sleep(Duration::from_secs_f64(cfg.interval.max(0.05)));

@@ -236,10 +236,8 @@ impl TraceReport {
                 (true, Some(false)) => "complete, unclean",
                 _ => "complete",
             };
-            let cap = item
-                .capacity
-                .map(flashflow_obs::fmt_rate)
-                .unwrap_or_else(|| "no estimate".to_string());
+            let cap =
+                item.capacity.map(crate::fmt_rate).unwrap_or_else(|| "no estimate".to_string());
             let _ = writeln!(out, "trace {:016x} · fp {label} · {cap} · {verdict}", item.trace);
             let chain: Vec<String> = PHASES
                 .iter()

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --example measure_network`
 
+use std::collections::BTreeMap;
+
 use flashflow_repro::core::prelude::*;
 use flashflow_repro::simnet::prelude::*;
 use flashflow_repro::tornet::prelude::*;
@@ -50,13 +52,15 @@ fn main() {
         println!("bwauth-{i}: measured {} relays", file.entries.len());
         files.push(file);
     }
-    let consensus_caps = aggregate_bwauths(&files);
+    let votes: Vec<_> = files.iter().map(BandwidthFile::weights).collect();
+    let consensus = DirAuths::new(votes.len()).vote(SimTime::ZERO, &votes, &BTreeMap::new());
+    let consensus_caps: BTreeMap<_, _> =
+        consensus.entries.iter().map(|e| (e.relay, e.weight)).collect();
 
     // Compare against ground truth.
     let mut errors: Vec<f64> = Vec::new();
     for (relay, true_cap) in &relays {
-        let est = consensus_caps[relay];
-        errors.push((1.0 - est.bytes_per_sec() / true_cap.bytes_per_sec()).abs());
+        errors.push((1.0 - consensus_caps[relay] / true_cap.bytes_per_sec()).abs());
     }
     let med = median(&errors).unwrap();
     println!("median capacity error vs ground truth: {:.1}%", med * 100.0);

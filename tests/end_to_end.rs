@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full FlashFlow pipeline against a
 //! simulated network, exercising simnet + tornet + core together.
 
+use std::collections::BTreeMap;
+
 use flashflow_repro::core::prelude::*;
 use flashflow_repro::simnet::prelude::*;
 use flashflow_repro::tornet::prelude::*;
@@ -128,8 +130,10 @@ fn multi_bwauth_median_defeats_one_liar_authority() {
     if let Some(entry) = files[2].entries.get_mut(&pet) {
         entry.capacity = Rate::from_bytes_per_sec(entry.capacity.bytes_per_sec() * 100.0);
     }
-    let agg = aggregate_bwauths(&files);
-    let est = agg[&pet].as_mbit();
+    let votes: Vec<_> = files.iter().map(BandwidthFile::weights).collect();
+    let consensus = DirAuths::new(votes.len()).vote(SimTime::ZERO, &votes, &BTreeMap::new());
+    let weight = consensus.entries.iter().find(|e| e.relay == pet).expect("pet is voted").weight;
+    let est = Rate::from_bytes_per_sec(weight).as_mbit();
     assert!((80.0..140.0).contains(&est), "median should resist the liar: {est}");
 }
 
