@@ -41,129 +41,43 @@
 //!    its port during the interval: the dead peer's parked connection
 //!    is discarded and redialed at checkout, and period 2 is all clean.
 
-use std::io::{BufRead, BufReader, Read as _};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_coord::journal;
+use flashflow_harness::{
+    bin, drain_all, read_jsonl, spawn_measurer, spawn_relay, thread_count, token_hex, Proc, RELAY,
+    SPEEDUP,
+};
 use flashflow_obs::{Event, Json};
-use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
-/// Both sides run their clocks at this multiple of wall time.
-const SPEEDUP: f64 = 10.0;
-
-fn token_for(peer_ix: usize) -> [u8; AUTH_TOKEN_LEN] {
-    [peer_ix as u8 + 0x31; AUTH_TOKEN_LEN]
+/// A team measurer that serves until SIGTERM (no `--sessions`): the
+/// daemon's peers must outlive any one coordinator incarnation. Every
+/// measurer holds peer 0's token, the team's one `--token-hex`.
+fn team_measurer() -> (Proc, SocketAddr) {
+    spawn_measurer(0, None, &[])
 }
 
-fn token_hex(peer_ix: usize) -> String {
-    token_for(peer_ix).iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Locates a sibling workspace binary next to this test's own
-/// executable, asking cargo to (re)build it first (fast no-op when
-/// current; a filtered `cargo test -p flashflow-coord` does not build
-/// other packages' binaries by itself).
-fn sibling_bin(name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test exe path");
-    path.pop(); // deps/
-    path.pop(); // target/<profile>/
-    let release = path.ends_with("release");
-    path.push(name);
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut build = Command::new(cargo);
-    build.args(["build", "-p", name, "--bin", name]);
-    if release {
-        build.arg("--release");
-    }
-    let status = build.status().expect("spawn cargo build for sibling binary");
-    assert!(status.success(), "building {name} failed");
-    assert!(path.exists(), "sibling binary {name} not found at {path:?}");
-    path
-}
-
-fn child_stderr() -> Stdio {
-    if std::env::var_os("FF_COORD_DEBUG").is_some() {
-        Stdio::inherit()
-    } else {
-        Stdio::null()
-    }
-}
-
-/// Spawns a process and reads its advertised `listening <addr>` line.
-fn spawn_listener(bin: PathBuf, args: &[String]) -> (Child, SocketAddr) {
-    let mut child = Command::new(&bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(child_stderr())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read advertised address");
-    let addr = line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
-        .parse()
-        .expect("parse advertised address");
-    (child, addr)
-}
-
-/// Spawns a measurer that serves until SIGTERM (no `--sessions`): the
-/// daemon's peers must outlive any one coordinator incarnation.
-fn spawn_measurer(peer_ix: usize) -> (Child, SocketAddr) {
-    spawn_measurer_at(peer_ix, "127.0.0.1:0")
-}
-
-/// Like [`spawn_measurer`] with an explicit `--listen` address — how a
+/// [`team_measurer`] on an explicit `--listen` address — how a
 /// replacement process re-takes a dead measurer's configured port.
-fn spawn_measurer_at(peer_ix: usize, listen: &str) -> (Child, SocketAddr) {
-    let args: Vec<String> = [
-        "--listen",
-        listen,
-        "--role",
-        "measurer",
-        "--token-hex",
-        &token_hex(peer_ix),
-        "--speedup",
-        &SPEEDUP.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    spawn_listener(sibling_bin("flashflow-measurer"), &args)
+fn team_measurer_at(listen: SocketAddr) -> (Proc, SocketAddr) {
+    spawn_measurer(0, None, &["--listen", &listen.to_string()])
 }
 
-fn spawn_relay() -> (Child, SocketAddr) {
-    let args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--token-hex",
-        &token_hex(9),
-        "--background",
-        "20000",
-        "--speedup",
-        &SPEEDUP.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    spawn_listener(sibling_bin("flashflow-relay"), &args)
+fn target_relay() -> (Proc, SocketAddr) {
+    spawn_relay(None, &["--background", "20000"])
 }
 
-/// Spawns `flashflow-coord` against the peers; stdout is piped for the
-/// caller to drain.
+/// Spawns `flashflow-coord` against the peers.
 fn spawn_coord(
     state_dir: &Path,
     measurers: &[SocketAddr],
     relay: SocketAddr,
     relays: usize,
     slot_secs: u32,
-) -> Child {
+) -> Proc {
     spawn_coord_with(state_dir, measurers, relay, relays, slot_secs, &[])
 }
 
@@ -175,7 +89,7 @@ fn spawn_coord_with(
     relays: usize,
     slot_secs: u32,
     extra: &[(&str, String)],
-) -> Child {
+) -> Proc {
     let mut args: Vec<String> = Vec::new();
     for (k, v) in [
         ("--state-dir", state_dir.display().to_string()),
@@ -184,7 +98,7 @@ fn spawn_coord_with(
         ("--relays", relays.to_string()),
         ("--relay", relay.to_string()),
         ("--token-hex", token_hex(0)),
-        ("--relay-token-hex", token_hex(9)),
+        ("--relay-token-hex", token_hex(RELAY)),
         ("--measurer-rate", "200000".to_string()),
         ("--slot-secs", slot_secs.to_string()),
         ("--speedup", SPEEDUP.to_string()),
@@ -202,66 +116,7 @@ fn spawn_coord_with(
         args.push("--measurer".to_string());
         args.push(m.to_string());
     }
-    Command::new(PathBuf::from(env!("CARGO_BIN_EXE_flashflow-coord")))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(child_stderr())
-        .spawn()
-        .expect("spawn flashflow-coord")
-}
-
-/// Waits for a child to exit 0 (30 s deadline) and returns its stdout.
-fn wait_success(name: &str, mut child: Child) -> String {
-    let mut stdout = child.stdout.take().expect("child stdout");
-    let reader = thread::spawn(move || {
-        let mut text = String::new();
-        let _ = stdout.read_to_string(&mut text);
-        text
-    });
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            panic!("{name} did not exit");
-        }
-        thread::sleep(Duration::from_millis(10));
-    };
-    let text = reader.join().expect("join stdout reader");
-    assert!(status.success(), "{name} exited with {status}; stdout:\n{text}");
-    text
-}
-
-/// SIGTERMs the long-lived peers and asserts they drain to exit 0 —
-/// the "no orphaned sessions" check: a peer wedged on a parked
-/// conversation would blow the deadline instead.
-fn terminate_peers(children: Vec<(&'static str, Child)>) {
-    for (name, mut child) in children {
-        // SAFETY: `kill(2)` has this exact POSIX prototype on every
-        // libc we target; the pid comes from a live `Child` this test
-        // owns, so signal 15 cannot stray outside the harness.
-        unsafe {
-            // SAFETY: `kill(2)`'s POSIX prototype, declared verbatim.
-            extern "C" {
-                fn kill(pid: i32, sig: i32) -> i32;
-            }
-            assert_eq!(kill(child.id() as i32, 15), 0, "SIGTERM {name}");
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                break status;
-            }
-            if Instant::now() >= deadline {
-                let _ = child.kill();
-                panic!("{name} did not drain after SIGTERM");
-            }
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "{name} exited with {status}");
-    }
+    Proc::spawn("flashflow-coord", &bin("flashflow-coord"), args)
 }
 
 fn temp_state_dir(tag: &str) -> PathBuf {
@@ -281,12 +136,12 @@ fn read_consensus(state_dir: &Path) -> Json {
 fn daemon_measures_the_roster_and_emits_a_consensus() {
     const RELAYS: usize = 4;
     let state_dir = temp_state_dir("e2e");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0); // same team token: one --token-hex
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
-    let coord = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 2);
-    let stdout = wait_success("flashflow-coord", coord);
+    let mut coord = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 2);
+    let stdout = coord.exit_zero();
     assert!(
         stdout.contains(&format!("coordinating {RELAYS} relays")),
         "missing roster banner:\n{stdout}"
@@ -318,7 +173,7 @@ fn daemon_measures_the_roster_and_emits_a_consensus() {
     assert_eq!(balance.get("baseline").unwrap().as_str(), Some("torflow"));
     assert!(balance.get("max_abs_diff").unwrap().as_f64().unwrap().is_finite());
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -327,9 +182,9 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
     const RELAYS: usize = 3;
     let state_dir = temp_state_dir("crash");
     let journal_path = state_dir.join("journal.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // Incarnation 1: slot long enough (8 sped-up seconds ≈ 0.8 s wall
     // per item, one item per round) that the kill lands mid-roster.
@@ -348,8 +203,7 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
     // sessions are parked with the item's nonces in their replay
     // windows.
     thread::sleep(Duration::from_millis(200));
-    first.kill().expect("SIGKILL coordinator");
-    let _ = first.wait();
+    first.kill();
 
     let killed_state = journal::recover(&journal_path).expect("recover after kill");
     assert!(!killed_state.period_done, "the kill must land mid-period");
@@ -361,8 +215,7 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
 
     // Incarnation 2: same state dir, same peers. It must finish the
     // period — resuming, not restarting.
-    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
-    let stdout = wait_success("flashflow-coord (restarted)", second);
+    let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(
         stdout.contains(&format!("period 1 complete entries {RELAYS}")),
         "restart must complete period 1:\n{stdout}"
@@ -403,7 +256,7 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
 
     // And the peers drain cleanly: the SIGKILL orphaned nothing they
     // cannot let go of.
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -412,9 +265,9 @@ fn sigkill_with_two_rounds_in_flight_resumes_both() {
     const RELAYS: usize = 4;
     let state_dir = temp_state_dir("two-in-flight");
     let journal_path = state_dir.join("journal.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // One item per round, 0.8 s of wall per slot. Round n+1 is staged
     // once round n's Go is out, so for most of round n's slot the
@@ -435,8 +288,7 @@ fn sigkill_with_two_rounds_in_flight_resumes_both() {
     // kill between the journal write and the first `Auth` would leave
     // nothing to resume, and the item would fall back to a fresh `Auth`.
     thread::sleep(Duration::from_millis(100));
-    first.kill().expect("SIGKILL coordinator");
-    let _ = first.wait();
+    first.kill();
 
     let killed = journal::recover(&journal_path).expect("recover after kill");
     assert_eq!(killed.rounds_done, 0, "the kill must land inside round n");
@@ -444,8 +296,7 @@ fn sigkill_with_two_rounds_in_flight_resumes_both() {
     assert_eq!(interrupted.len(), 2, "both rounds in flight: {interrupted:?}");
     assert!(killed.done.is_empty(), "{:?}", killed.done);
 
-    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
-    let stdout = wait_success("flashflow-coord (restarted)", second);
+    let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(
         stdout.contains(&format!("period 1 complete entries {RELAYS}")),
         "restart must complete period 1:\n{stdout}"
@@ -474,7 +325,7 @@ fn sigkill_with_two_rounds_in_flight_resumes_both() {
     assert!(state.period_done && state.in_flight.is_empty());
     assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -485,12 +336,12 @@ fn the_next_round_handshakes_during_the_slot_and_goes_when_it_ends() {
     let slot_wall = f64::from(SLOT_SECS) / SPEEDUP;
     let state_dir = temp_state_dir("slot-clock");
     let log_path = state_dir.join("coord.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // One item per round, so each trace is one round.
-    let coord = spawn_coord_with(
+    let mut coord = spawn_coord_with(
         &state_dir,
         &[a0, a1],
         relay_addr,
@@ -498,14 +349,10 @@ fn the_next_round_handshakes_during_the_slot_and_goes_when_it_ends() {
         SLOT_SECS,
         &[("--log-json", log_path.display().to_string())],
     );
-    let stdout = wait_success("flashflow-coord", coord);
+    let stdout = coord.exit_zero();
     assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
 
-    let text = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
-    let events: Vec<Event> = text
-        .lines()
-        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
-        .collect();
+    let events = read_jsonl(&log_path);
     // Per round, in slot order: its Go, its last peer.ready, its last
     // peer.done. The Go is read on the loop's clock (`at_secs`, sped
     // up): `ts` is stamped when the event is written, after the step
@@ -541,7 +388,7 @@ fn the_next_round_handshakes_during_the_slot_and_goes_when_it_ends() {
         );
     }
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -550,9 +397,9 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
     const RELAYS: usize = 3;
     let state_dir = temp_state_dir("refused");
     let journal_path = state_dir.join("journal.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // Incarnation 1: killed mid-item, exactly like the crash-recovery
     // scenario — the journal is left with an in-flight item whose
@@ -568,8 +415,7 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
         thread::sleep(Duration::from_millis(20));
     }
     thread::sleep(Duration::from_millis(200));
-    first.kill().expect("SIGKILL coordinator");
-    let _ = first.wait();
+    first.kill();
 
     let killed_state = journal::recover(&journal_path).expect("recover after kill");
     assert!(!killed_state.period_done, "the kill must land mid-period");
@@ -585,16 +431,14 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
     // replacement has a fresh replay window: it has witnessed nothing,
     // so the coming `Resume` lineage proof *must* fail against it.
     let mut m1 = m1;
-    m1.kill().expect("SIGKILL measurer-1");
-    let _ = m1.wait();
-    let (m1, a1_again) = spawn_measurer_at(0, &a1.to_string());
+    m1.kill();
+    let (m1, a1_again) = team_measurer_at(a1);
     assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
 
     // Incarnation 2: resumes the in-flight item. The restarted measurer
     // refuses the `Resume` (AuthFailed), and the daemon must fall back
     // to a fresh `Auth` attempt — finishing the period regardless.
-    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
-    let stdout = wait_success("flashflow-coord (restarted)", second);
+    let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(
         stdout.contains(&format!("period 1 complete entries {RELAYS}")),
         "restart must complete period 1:\n{stdout}"
@@ -639,7 +483,7 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
     let doc = read_consensus(&state_dir);
     assert_eq!(doc.get("measured").unwrap().as_u64(), Some(RELAYS as u64));
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -648,9 +492,9 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     const RELAYS: usize = 3;
     let state_dir = temp_state_dir("refused-last");
     let journal_path = state_dir.join("journal.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // Incarnation 1: one item per round, 0.8 s of wall per slot. Once
     // rounds 0 and 1 are journaled done, round 2 (the last) is mid-slot.
@@ -665,8 +509,7 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
         thread::sleep(Duration::from_millis(2));
     }
     thread::sleep(Duration::from_millis(100));
-    first.kill().expect("SIGKILL coordinator");
-    let _ = first.wait();
+    first.kill();
     let killed = journal::recover(&journal_path).expect("recover after kill");
     assert_eq!(killed.done.len(), RELAYS - 1, "{:?}", killed.done);
     assert_eq!(killed.in_flight.len(), 1, "the last round in flight: {:?}", killed.in_flight);
@@ -675,13 +518,11 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     // its fresh-`Auth` retry is queued once that round has ended, with
     // no planned round after it.
     let mut m1 = m1;
-    m1.kill().expect("SIGKILL measurer-1");
-    let _ = m1.wait();
-    let (m1, a1_again) = spawn_measurer_at(0, &a1.to_string());
+    m1.kill();
+    let (m1, a1_again) = team_measurer_at(a1);
     assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
 
-    let second = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8);
-    let stdout = wait_success("flashflow-coord (restarted)", second);
+    let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
 
     let text = std::fs::read_to_string(&journal_path).expect("journal");
@@ -703,7 +544,7 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
     assert_eq!(read_consensus(&state_dir).get("measured").unwrap().as_u64(), Some(RELAYS as u64));
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
@@ -713,9 +554,9 @@ fn a_measurer_restarted_between_periods_is_redialed_and_period_two_is_clean() {
     let state_dir = temp_state_dir("restart-between");
     let journal_path = state_dir.join("journal.jsonl");
     let log_path = state_dir.join("coord.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // A continuous daemon whose 2 s interval is inside the pool's reuse
     // window: the surviving peers' parked connections are reused in
@@ -745,16 +586,15 @@ fn a_measurer_restarted_between_periods_is_redialed_and_period_two_is_clean() {
     // Inside the interval: the measurer dies without a goodbye and a
     // replacement re-takes its port.
     let mut m1 = m1;
-    m1.kill().expect("SIGKILL measurer-1");
-    let _ = m1.wait();
-    let (m1, a1_again) = spawn_measurer_at(0, &a1.to_string());
+    m1.kill();
+    let (m1, a1_again) = team_measurer_at(a1);
     assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
 
     while periods_done() < 2 {
         assert!(Instant::now() < deadline, "period 2 never finished");
         thread::sleep(Duration::from_millis(5));
     }
-    terminate_peers(vec![("flashflow-coord", coord)]);
+    drain_all([coord]);
 
     // Every item of period 2 measured once, clean.
     let text = std::fs::read_to_string(&journal_path).expect("journal");
@@ -773,11 +613,7 @@ fn a_measurer_restarted_between_periods_is_redialed_and_period_two_is_clean() {
     // The pool snapshot that closes period 1 against the first one of
     // period 2: the dead peer's parked connection was discarded and a
     // fresh one dialed, with no probe anywhere.
-    let log = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
-    let events: Vec<Event> = log
-        .lines()
-        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
-        .collect();
+    let events = read_jsonl(&log_path);
     let period_two = events
         .iter()
         .position(|e| e.kind == "coord.period" && e.scope.period == Some(2))
@@ -794,20 +630,8 @@ fn a_measurer_restarted_between_periods_is_redialed_and_period_two_is_clean() {
     assert!(discarded_2 > discarded_1, "dead parked connection discarded: {stats:?}");
     assert!(dials_2 > dials_1, "dead peer redialed: {stats:?}");
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
-}
-
-/// The `Threads:` figure from `/proc/<pid>/status`.
-fn thread_count(pid: u32) -> u64 {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read /proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line")
-        .trim()
-        .parse()
-        .expect("thread count")
 }
 
 #[test]
@@ -818,13 +642,13 @@ fn a_round_runs_its_items_concurrently_on_one_thread() {
     let slot_wall = f64::from(SLOT_SECS) / SPEEDUP;
     let state_dir = temp_state_dir("concurrent");
     let log_path = state_dir.join("coord.jsonl");
-    let (m0, a0) = spawn_measurer(0);
-    let (m1, a1) = spawn_measurer(0);
-    let (relay, relay_addr) = spawn_relay();
+    let (m0, a0) = team_measurer();
+    let (m1, a1) = team_measurer();
+    let (relay, relay_addr) = target_relay();
 
     // Team capacity worth three items (two measurers at 200 kB/s each
     // per item) and nothing said about how to run them.
-    let coord = spawn_coord_with(
+    let mut coord = spawn_coord_with(
         &state_dir,
         &[a0, a1],
         relay_addr,
@@ -844,17 +668,13 @@ fn a_round_runs_its_items_concurrently_on_one_thread() {
         assert!(Instant::now() < deadline, "no slot.go logged");
         thread::sleep(Duration::from_millis(10));
     }
-    let threads = thread_count(coord.id());
+    let threads = thread_count(coord.pid());
     assert!(threads <= 2, "the coordinator runs {threads} threads mid-round");
 
-    let stdout = wait_success("flashflow-coord", coord);
+    let stdout = coord.exit_zero();
     assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
 
-    let text = std::fs::read_to_string(&log_path).expect("coordinator JSONL");
-    let events: Vec<Event> = text
-        .lines()
-        .map(|line| Event::parse_json_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
-        .collect();
+    let events = read_jsonl(&log_path);
     let ts_of = |kind: &str| -> Vec<f64> {
         events.iter().filter(|e| e.kind == kind).map(|e| e.ts).collect()
     };
@@ -876,6 +696,6 @@ fn a_round_runs_its_items_concurrently_on_one_thread() {
     let state = journal::recover(&state_dir.join("journal.jsonl")).expect("recover");
     assert!(state.period_done && state.done.values().all(|d| d.clean), "{:?}", state.done);
 
-    terminate_peers(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
     let _ = std::fs::remove_dir_all(&state_dir);
 }

@@ -22,13 +22,14 @@
 //! stop reading at its backlog high-water mark, wait without spinning,
 //! and still drain on SIGTERM).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::ExitStatus;
 use std::time::{Duration, Instant};
 
-use flashflow_obs::{Event, Value};
+use flashflow_harness::{bin, cpu_secs, read_jsonl, release_bin, voluntary_switches, Proc};
+use flashflow_obs::Value;
 use flashflow_proto::blast::{binding_nonce, secret_channel_key, DataChannelHello, TrafficSource};
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::{
@@ -45,68 +46,16 @@ const WATCH: Duration = Duration::from_secs(3);
 const CPU_BUDGET_SECS: f64 = 0.3;
 const EXIT_BUDGET: Duration = Duration::from_secs(1);
 
-/// Builds (if stale) and locates a workspace binary beside this test's
-/// own executable.
-fn sibling_bin(name: &str) -> PathBuf {
-    let mut profile = std::env::current_exe().expect("test exe path");
-    profile.pop(); // deps/
-    built_bin(name, profile.ends_with("release"))
-}
-
-/// Builds (if stale) and locates a workspace binary in this test's
-/// target directory, optimised or not.
-fn built_bin(name: &str, release: bool) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test exe path");
-    path.pop(); // deps/
-    path.pop(); // <profile>/
-    path.pop(); // the target directory
-    path.push(if release { "release" } else { "debug" });
-    path.push(name);
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut build = Command::new(cargo);
-    build.args(["build", "-p", name, "--bin", name]);
-    if release {
-        build.arg("--release");
-    }
-    assert!(build.status().expect("spawn cargo build").success(), "building {name} failed");
-    path
-}
-
-fn spawn_listener(bin: PathBuf) -> (Child, SocketAddr) {
-    spawn_listener_with(bin, &[])
-}
-
-fn spawn_listener_with(bin: PathBuf, extra: &[&str]) -> (Child, SocketAddr) {
-    let mut child = Command::new(&bin)
-        .args(["--listen", "127.0.0.1:0", "--io-threads", "2"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
-    let mut line = String::new();
-    BufReader::new(child.stdout.take().expect("child stdout"))
-        .read_line(&mut line)
-        .expect("read advertised address");
-    let addr = line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
-        .parse()
-        .expect("parse advertised address");
+/// Serves `bin` on loopback with two shards, `extra` flags after.
+fn serve(bin: PathBuf, extra: &[&str]) -> (Proc, SocketAddr) {
+    let name = bin.file_name().expect("binary name").to_string_lossy().into_owned();
+    let mut child = Proc::spawn(
+        &name,
+        &bin,
+        [&["--listen", "127.0.0.1:0", "--io-threads", "2"], extra].concat(),
+    );
+    let addr = child.advertised("listening");
     (child, addr)
-}
-
-/// User + system CPU seconds the process has consumed so far.
-fn cpu_secs(pid: u32) -> f64 {
-    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
-    // Fields after the parenthesised command name: state is the first,
-    // utime and stime the 12th and 13th, in USER_HZ (100) ticks.
-    let rest = stat.rsplit_once(')').expect("comm field").1;
-    let ticks = |ix: usize| -> f64 {
-        rest.split_whitespace().nth(ix).expect("stat field").parse().expect("tick count")
-    };
-    (ticks(11) + ticks(12)) / 100.0
 }
 
 fn hostile_dial(addr: SocketAddr, nonce: u64, half_close: bool) -> TcpStream {
@@ -121,7 +70,7 @@ fn hostile_dial(addr: SocketAddr, nonce: u64, half_close: bool) -> TcpStream {
 }
 
 fn stays_quiet_and_drains(bin: PathBuf) {
-    let (child, addr) = spawn_listener(bin);
+    let (child, addr) = serve(bin, &[]);
     let _closed = hostile_dial(addr, 0xBAD0_0000_0000_D1A1, true);
     let _held = hostile_dial(addr, 0xBAD0_0000_0000_D1A2, false);
     assert_quiet_then_drains(child);
@@ -130,13 +79,13 @@ fn stays_quiet_and_drains(bin: PathBuf) {
 /// Watches the process's CPU over [`WATCH`], then SIGTERMs it: it must
 /// have stayed inside [`CPU_BUDGET_SECS`] and exit 0 inside
 /// [`EXIT_BUDGET`].
-fn assert_quiet_then_drains(child: Child) {
+fn assert_quiet_then_drains(child: Proc) {
     assert_quiet_for_then_drains(child, WATCH, CPU_BUDGET_SECS);
 }
 
 /// [`assert_quiet_then_drains`] over `watch`, within `budget` CPU-s.
-fn assert_quiet_for_then_drains(mut child: Child, watch: Duration, budget: f64) {
-    let pid = child.id();
+fn assert_quiet_for_then_drains(mut child: Proc, watch: Duration, budget: f64) {
+    let pid = child.pid();
     std::thread::sleep(Duration::from_millis(100));
     let before = cpu_secs(pid);
     std::thread::sleep(watch);
@@ -150,49 +99,34 @@ fn assert_quiet_for_then_drains(mut child: Child, watch: Duration, budget: f64) 
 }
 
 /// SIGTERMs the process and waits up to [`EXIT_BUDGET`] for it to exit
-/// (`None`: it did not, and was killed).
-fn sigterm(child: &mut Child) -> Option<std::process::ExitStatus> {
-    let pid = child.id().to_string();
-    let term = Command::new("kill").args(["-TERM", &pid]).status().expect("kill");
-    assert!(term.success(), "kill -TERM failed");
-    let sent = Instant::now();
-    loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            return Some(status);
-        }
-        if sent.elapsed() > EXIT_BUDGET {
-            let _ = child.kill();
-            let _ = child.wait();
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+/// (`None`: it did not).
+fn sigterm(child: &mut Proc) -> Option<ExitStatus> {
+    child.sigterm();
+    child.wait_until(Instant::now() + EXIT_BUDGET)
 }
 
 /// The process exited 0 within [`EXIT_BUDGET`] of its SIGTERM.
-fn assert_drained(status: Option<std::process::ExitStatus>) {
+fn assert_drained(status: Option<ExitStatus>) {
     let status = status.unwrap_or_else(|| panic!("SIGTERM not honoured within {EXIT_BUDGET:?}"));
     assert!(status.success(), "drained exit must be 0, got {status:?}");
 }
 
 #[test]
 fn relay_shrugs_off_hostile_dials() {
-    stays_quiet_and_drains(PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")));
+    stays_quiet_and_drains(bin("flashflow-relay"));
 }
 
 #[test]
 fn measurer_shrugs_off_hostile_dials() {
-    stays_quiet_and_drains(sibling_bin("flashflow-measurer"));
+    stays_quiet_and_drains(bin("flashflow-measurer"));
 }
 
 #[test]
 fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
     let log = std::env::temp_dir().join(format!("ff-hostile-claimed-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log);
-    let (child, addr) = spawn_listener_with(
-        sibling_bin("flashflow-measurer"),
-        &["--log-json", log.to_str().expect("utf-8 temp path")],
-    );
+    let (child, addr) =
+        serve(bin("flashflow-measurer"), &["--log-json", log.to_str().expect("utf-8 temp path")]);
 
     // A real handshake under the built-in loopback token: once `AuthOk`
     // is back, the process has claimed this nonce for a live session.
@@ -214,10 +148,8 @@ fn measurer_refuses_a_data_hello_naming_a_claimed_nonce() {
     let closed = dial.read(&mut [0u8; 256]);
     assert!(matches!(closed, Ok(0)), "the dial was not closed at once: {closed:?}");
 
-    let kinds_naming_the_nonce: Vec<String> = std::fs::read_to_string(&log)
-        .expect("read the event log")
-        .lines()
-        .map(|line| Event::parse_json_line(line).expect("well-formed JSONL"))
+    let kinds_naming_the_nonce: Vec<String> = read_jsonl(&log)
+        .into_iter()
         .filter(|ev| ev.field("nonce") == Some(&Value::U64(nonce)))
         .map(|ev| ev.kind)
         .collect();
@@ -289,10 +221,7 @@ fn complete_conversation(stream: &mut TcpStream, nonce: u64) {
 /// handshake.
 #[test]
 fn replayed_opener_is_answered_once_across_fresh_and_warm_connections() {
-    let (child, addr) = spawn_listener_with(
-        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
-        &["--speedup", "50"],
-    );
+    let (child, addr) = serve(bin("flashflow-relay"), &["--speedup", "50"]);
     let token = [0x42u8; AUTH_TOKEN_LEN];
     for (round, warm_first) in [(0u64, true), (1, false)] {
         let mut warm = TcpStream::connect(addr).expect("dial warm");
@@ -341,7 +270,7 @@ const IDLE_BUDGET_SECS: f64 = 0.08 * 2.0;
 /// it ships: unoptimised, the shard's own per-connection bookkeeping
 /// alone comes close to it.
 fn idle_control_connections_cost_no_tick_work(name: &str) {
-    let (child, addr) = spawn_listener_with(built_bin(name, true), &["--io-threads", "1"]);
+    let (child, addr) = serve(release_bin(name), &["--io-threads", "1"]);
     let idle: Vec<TcpStream> = (0..IDLE_CONTROLS)
         .map(|_| {
             let mut dial = TcpStream::connect(addr).expect("dial control");
@@ -372,29 +301,14 @@ fn measurer_idle_control_connections_cost_no_tick_work() {
 /// a metrics endpoint polling its listener made about 1,700.
 const IDLE_WAKEUPS_PER_SEC: f64 = 150.0;
 
-/// Voluntary context switches so far, summed over every thread of
-/// process `pid`: each is a sleep, so their rate is the wakeup rate.
-fn voluntary_switches(pid: u32) -> u64 {
-    std::fs::read_dir(format!("/proc/{pid}/task"))
-        .expect("list the process's threads")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
-        .filter_map(|status| {
-            let line = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
-            line.trim().parse::<u64>().ok()
-        })
-        .sum()
-}
-
 /// A peer with nothing to serve, its metrics endpoint up, sleeps: its
 /// shard wakes for the sweep and its supervisor and endpoint threads
 /// not at all. SIGTERM still wakes it, and it drains to exit 0. The
 /// rate is the optimised binary's, as it ships.
 fn idle_peer_stays_asleep(name: &str) {
-    let (mut child, _) = spawn_listener_with(
-        built_bin(name, true),
-        &["--io-threads", "1", "--metrics-addr", "127.0.0.1:0"],
-    );
-    let pid = child.id();
+    let (mut child, _) =
+        serve(release_bin(name), &["--io-threads", "1", "--metrics-addr", "127.0.0.1:0"]);
+    let pid = child.pid();
     std::thread::sleep(Duration::from_millis(200));
     let (before, from) = (voluntary_switches(pid), Instant::now());
     std::thread::sleep(Duration::from_secs(2));
@@ -425,10 +339,7 @@ fn measurer_idle_peer_stays_asleep() {
 /// process exits 0.
 #[test]
 fn relay_parks_an_echo_channel_whose_measurer_never_reads() {
-    let (child, addr) = spawn_listener_with(
-        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
-        &["--io-threads", "1"],
-    );
+    let (child, addr) = serve(bin("flashflow-relay"), &["--io-threads", "1"]);
     let secret = 0x0E70_0000_5EC2_0001u64;
     let token = [0x42u8; AUTH_TOKEN_LEN];
     let mut control = TcpStream::connect(addr).expect("dial control");

@@ -21,225 +21,29 @@
 //!   `--log-json` stream — the operator-side ground truth for the
 //!   ledger's divergence flags.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::process::Command;
+use std::time::Duration;
 
 use flashflow_core::bwauth::measure_echo_period_observed;
-use flashflow_core::echo::{item_trace_id, EchoDeployment, EchoItem, EchoMeasurer};
+use flashflow_core::echo::item_trace_id;
 use flashflow_core::observe::{count_kind, hex_fp};
 use flashflow_core::pool::ConnectionPool;
+use flashflow_harness::{
+    bin, deployment, exit_zero_all, read_jsonl, round_items, spawn_measurer, spawn_relay, token,
+    ITEMS, MEASURER_CAPS, RELAY, SLOT_SECS,
+};
 use flashflow_obs::{Event, EventSink, Json, RegistrySnapshot, Span, Value};
 use flashflow_procutil::fetch_metrics;
-use flashflow_proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
-const ITEMS: usize = 3;
-const SLOT_SECS: u32 = 5;
-const SPEEDUP: f64 = 10.0;
-const MEASURER_CAPS: [u64; 2] = [300_000, 150_000];
-const SOCKETS: u32 = 2;
-const BG_OFFERED: u64 = 40_000;
-const BG_ALLOWANCE: u64 = 20_000;
-const RATIO: f64 = 0.25;
-
-fn token_for(peer_ix: usize) -> [u8; AUTH_TOKEN_LEN] {
-    [peer_ix as u8 + 0x21; AUTH_TOKEN_LEN]
-}
-
-fn token_hex(peer_ix: usize) -> String {
-    token_for(peer_ix).iter().map(|b| format!("{b:02x}")).collect()
-}
-
+/// This file's measurement secrets: [`round_items`]`(SECRET, round)`.
+const SECRET: u64 = 0x0B5E_0000_0000_0000;
 /// A scratch file path unique to this test process.
 fn scratch_path(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("flashflow-obs-{}-{name}", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
-}
-
-/// See `three_party.rs`: locates a sibling workspace binary, asking
-/// cargo to (re)build it first so a filtered test run still works.
-fn sibling_bin(name: &str) -> PathBuf {
-    sibling_bin_of(name, name)
-}
-
-/// The general form, for binaries whose package name differs from the
-/// binary name (`flashflow-trace` lives in the `flashflow-top` crate).
-fn sibling_bin_of(package: &str, name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test exe path");
-    path.pop(); // deps/
-    path.pop(); // target/<profile>/
-    let release = path.ends_with("release");
-    path.push(name);
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut build = Command::new(cargo);
-    build.args(["build", "-p", package, "--bin", name]);
-    if release {
-        build.arg("--release");
-    }
-    let status = build.status().expect("spawn cargo build for sibling binary");
-    assert!(status.success(), "building {name} failed");
-    assert!(path.exists(), "sibling binary {name} not found at {path:?}");
-    path
-}
-
-/// Spawns a process and reads its advertised stdout lines: always
-/// `listening <addr>`, plus `metrics <addr>` when `expect_metrics`.
-fn spawn_advertised(
-    bin: PathBuf,
-    args: &[String],
-    expect_metrics: bool,
-) -> (Child, SocketAddr, Option<SocketAddr>) {
-    let stderr =
-        if std::env::var_os("FF_RELAY_DEBUG").is_some() { Stdio::inherit() } else { Stdio::null() };
-    let mut child = Command::new(&bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut read_addr = |prefix: &str| -> SocketAddr {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read advertised address");
-        line.trim()
-            .strip_prefix(prefix)
-            .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
-            .parse()
-            .expect("parse advertised address")
-    };
-    let listen = read_addr("listening ");
-    let metrics = expect_metrics.then(|| read_addr("metrics "));
-    (child, listen, metrics)
-}
-
-fn spawn_measurer(
-    peer_ix: usize,
-    sessions: usize,
-    extra: &[(&str, String)],
-) -> (Child, SocketAddr, Option<SocketAddr>) {
-    let mut args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--role",
-        "measurer",
-        "--token-hex",
-        &token_hex(peer_ix),
-        "--speedup",
-        &SPEEDUP.to_string(),
-        "--sessions",
-        &sessions.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    for (k, v) in extra {
-        args.push((*k).to_string());
-        args.push(v.clone());
-    }
-    let expect_metrics = extra.iter().any(|(k, _)| *k == "--metrics-addr");
-    spawn_advertised(sibling_bin("flashflow-measurer"), &args, expect_metrics)
-}
-
-fn relay_args(extra: &[(&str, String)], sessions: usize) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--token-hex",
-        &token_hex(9),
-        "--background",
-        &BG_OFFERED.to_string(),
-        "--speedup",
-        &SPEEDUP.to_string(),
-        "--sessions",
-        &sessions.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    for (k, v) in extra {
-        args.push((*k).to_string());
-        args.push(v.clone());
-    }
-    args
-}
-
-fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDeployment {
-    EchoDeployment {
-        measurers: measurer_addrs
-            .iter()
-            .zip(MEASURER_CAPS)
-            .enumerate()
-            .map(|(ix, (&addr, rate_cap))| EchoMeasurer {
-                addr,
-                token: token_for(ix),
-                rate_cap,
-                sockets: SOCKETS,
-            })
-            .collect(),
-        relay: TargetEndpoint::from_addr(relay_addr).expect("the relay listens on IPv4 loopback"),
-        relay_token: token_for(9),
-        speedup: SPEEDUP,
-        ratio: RATIO,
-    }
-}
-
-fn items() -> Vec<EchoItem> {
-    round_items(0)
-}
-
-/// The items of round `round`: the same relays every round, under
-/// secrets no earlier round used.
-fn round_items(round: u64) -> Vec<EchoItem> {
-    (0..ITEMS)
-        .map(|ix| {
-            let mut fp = [0u8; FINGERPRINT_LEN];
-            fp[0] = ix as u8 + 1;
-            let secret = 0x0B5E_0000_0000_0000 + (round << 32) + ix as u64 * 0x1_0001;
-            EchoItem {
-                relay_fp: fp,
-                slot_secs: SLOT_SECS,
-                bg_allowance: BG_ALLOWANCE,
-                measurement_secret: secret,
-                attempt: 0,
-                resume: false,
-                trace_id: item_trace_id(secret, 0),
-            }
-        })
-        .collect()
-}
-
-fn wait_exit_zero(children: Vec<(&'static str, Child)>) {
-    for (name, mut child) in children {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                break status;
-            }
-            if Instant::now() >= deadline {
-                let _ = child.kill();
-                panic!("{name} did not exit");
-            }
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "{name} exited with {status}");
-    }
-}
-
-/// Reads a JSONL file back into events, asserting every line parses.
-fn parse_jsonl(path: &PathBuf) -> Vec<Event> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read JSONL at {path:?}: {e}"));
-    text.lines()
-        .map(|line| {
-            Event::parse_json_line(line)
-                .unwrap_or_else(|e| panic!("malformed JSONL line {line:?}: {e}"))
-        })
-        .collect()
 }
 
 #[test]
@@ -251,19 +55,14 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     // the reactor-telemetry assertions below run; it is killed at the
     // end alongside the relay. Measurer 1 drains on its quota as usual
     // (two rounds: the observed one and the warm-pool one).
-    let (mut m0, a0, m0_metrics) =
-        spawn_measurer(0, 99, &[("--metrics-addr", "127.0.0.1:0".to_string())]);
-    let m0_metrics = m0_metrics.expect("measurer advertised its metrics endpoint");
-    let (m1, a1, _) = spawn_measurer(1, 2 * ITEMS, &[]);
+    let (mut m0, a0) = spawn_measurer(0, Some(99), &["--metrics-addr", "127.0.0.1:0"]);
+    let m0_metrics = m0.advertised("metrics");
+    let (m1, a1) = spawn_measurer(1, Some(2 * ITEMS), &[]);
     // The relay's session quota is left above the period's demand so it
     // is still alive (and serving metrics) after the period completes;
     // it is killed at the end instead of draining on its own.
-    let (mut relay, relay_addr, metrics_addr) = spawn_advertised(
-        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
-        &relay_args(&[("--metrics-addr", "127.0.0.1:0".to_string())], 99),
-        true,
-    );
-    let metrics_addr = metrics_addr.expect("relay advertised its metrics endpoint");
+    let (mut relay, relay_addr) = spawn_relay(Some(99), &["--metrics-addr", "127.0.0.1:0"]);
+    let metrics_addr = relay.advertised("metrics");
 
     let sink = EventSink::new()
         .with_jsonl_path(jsonl_path.to_str().expect("utf-8 temp path"))
@@ -271,14 +70,14 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     let span = Span::root(sink.clone()).period(0);
 
     let dep = deployment([a0, a1], relay_addr);
-    let period_items = items();
+    let period_items = round_items(SECRET, 0);
     let pool = ConnectionPool::new();
     let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
     assert_eq!(file.entries.len(), ITEMS);
     assert!(file.peers.all_clean(), "honest observed period must stay clean");
 
     // --- the JSONL stream is schema-valid and complete -------------
-    let events = parse_jsonl(&jsonl_path);
+    let events = read_jsonl(&jsonl_path);
     assert_eq!(count_kind(&events, "period.start"), 1);
     assert_eq!(count_kind(&events, "period.done"), 1);
     assert_eq!(count_kind(&events, "target.estimate"), ITEMS);
@@ -317,13 +116,13 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     // dials nothing and reuses them all.
     let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
     assert_eq!((file.pool.dials, file.pool.reuses), (peers_per_round, 0), "{:?}", file.pool);
-    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &round_items(1), &pool);
+    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &round_items(SECRET, 1), &pool);
     assert!(warm.peers.all_clean(), "the warm round must stay clean");
     assert_eq!(warm.pool.dials, peers_per_round, "the warm round dialed: {:?}", warm.pool);
     assert!(warm.pool.reuses >= peers_per_round, "warm round reused too few: {:?}", warm.pool);
 
     // --- the relay's metrics endpoint saw the traffic --------------
-    let body = fetch_metrics(metrics_addr, &token_for(9), Duration::from_secs(5))
+    let body = fetch_metrics(metrics_addr, &token(RELAY), Duration::from_secs(5))
         .expect("fetch relay metrics snapshot");
     let snapshot = RegistrySnapshot::parse(&body).expect("snapshot JSON parses");
     let counter = |name: &str| -> u64 {
@@ -393,7 +192,7 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     };
     assert_reactor_telemetry(&snapshot, "relay.reactor", 4);
 
-    let measurer_body = fetch_metrics(m0_metrics, &token_for(0), Duration::from_secs(5))
+    let measurer_body = fetch_metrics(m0_metrics, &token(0), Duration::from_secs(5))
         .expect("fetch measurer metrics snapshot");
     let measurer_snapshot =
         RegistrySnapshot::parse(&measurer_body).expect("measurer snapshot JSON parses");
@@ -409,7 +208,7 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     }
 
     // --- flashflow-top replays the stream into sparklines ----------
-    let top = Command::new(sibling_bin("flashflow-top"))
+    let top = Command::new(bin("flashflow-top"))
         .args(["--replay", jsonl_path.to_str().expect("utf-8 temp path")])
         .output()
         .expect("run flashflow-top");
@@ -430,11 +229,8 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     drop(pool);
     drop(file);
     drop(warm);
-    wait_exit_zero(vec![("measurer-1", m1)]);
-    for held_open in [&mut m0, &mut relay] {
-        held_open.kill().expect("kill held-open peer");
-        let _ = held_open.wait();
-    }
+    exit_zero_all([m1]);
+    drop((m0, relay)); // held open: dropping kills them
     let _ = std::fs::remove_file(&jsonl_path);
 }
 
@@ -443,21 +239,13 @@ fn lying_relay_writes_bg_divergence_into_its_own_jsonl() {
     let relay_log = scratch_path("relay.jsonl");
     let claim = 300_000u64;
 
-    let (m0, a0, _) = spawn_measurer(0, 1, &[]);
-    let (m1, a1, _) = spawn_measurer(1, 1, &[]);
-    let (relay, relay_addr, _) = spawn_advertised(
-        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
-        &relay_args(
-            &[
-                ("--claim-bg", claim.to_string()),
-                ("--log-json", relay_log.to_str().expect("utf-8 temp path").to_string()),
-            ],
-            1,
-        ),
-        false,
-    );
+    let (m0, a0) = spawn_measurer(0, Some(1), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(1), &[]);
+    let relay_log_arg = relay_log.to_str().expect("utf-8 temp path");
+    let (relay, relay_addr) =
+        spawn_relay(Some(1), &["--claim-bg", &claim.to_string(), "--log-json", relay_log_arg]);
 
-    let one_item = vec![items().remove(0)];
+    let one_item = vec![round_items(SECRET, 0).remove(0)];
     let pool = ConnectionPool::new();
     let file = flashflow_core::bwauth::measure_echo_period(
         &deployment([a0, a1], relay_addr),
@@ -471,11 +259,10 @@ fn lying_relay_writes_bg_divergence_into_its_own_jsonl() {
 
     drop(pool);
     drop(file);
-    // The relay exits on its session quota, closing (and flushing) its
-    // JSONL stream before we read it.
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    // The relay's JSONL stream is flushed before we read it.
+    exit_zero_all([m0, m1, relay]);
 
-    let events = parse_jsonl(&relay_log);
+    let events = read_jsonl(&relay_log);
     let divergences: Vec<&Event> = events.iter().filter(|e| e.kind == "bg.divergence").collect();
     assert!(!divergences.is_empty(), "lying relay must log its own claimed-vs-metered divergence");
     for event in &divergences {
@@ -508,28 +295,23 @@ fn trace_pipeline_reconstructs_complete_timelines() {
     let m1_log = scratch_path("trace-m1.jsonl");
     let arg = |p: &PathBuf| p.to_str().expect("utf-8 temp path").to_string();
 
-    let (m0, a0, _) = spawn_measurer(0, ITEMS, &[("--log-json", arg(&m0_log))]);
-    let (m1, a1, _) = spawn_measurer(1, ITEMS, &[("--log-json", arg(&m1_log))]);
-    let (relay, relay_addr, _) = spawn_advertised(
-        PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")),
-        &relay_args(&[("--log-json", arg(&relay_log))], ITEMS),
-        false,
-    );
+    let (m0, a0) = spawn_measurer(0, Some(ITEMS), &["--log-json", &arg(&m0_log)]);
+    let (m1, a1) = spawn_measurer(1, Some(ITEMS), &["--log-json", &arg(&m1_log)]);
+    let (relay, relay_addr) = spawn_relay(Some(ITEMS), &["--log-json", &arg(&relay_log)]);
 
     let sink = EventSink::new().with_jsonl_path(&arg(&coord_log)).expect("open coordinator JSONL");
     let span = Span::root(sink).period(0);
     let dep = deployment([a0, a1], relay_addr);
-    let period_items = items();
+    let period_items = round_items(SECRET, 0);
     let pool = ConnectionPool::new();
     let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
     assert!(file.peers.all_clean(), "honest observed period must stay clean");
     drop(pool);
     drop(file);
-    // Every peer drains on its session quota, flushing its JSONL
-    // stream, before the join tool reads the files.
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    // Every stream is flushed before the join tool reads the files.
+    exit_zero_all([m0, m1, relay]);
 
-    let trace_bin = sibling_bin_of("flashflow-top", "flashflow-trace");
+    let trace_bin = bin("flashflow-trace");
     let logs = [&coord_log, &relay_log, &m0_log, &m1_log];
     let out = Command::new(&trace_bin)
         .arg("--json")

@@ -6,19 +6,14 @@
 //! witness: a thread-per-connection relay would show ~1000 threads
 //! here; the reactor shows a dozen.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use flashflow_harness::{bin, thread_count, token, token_hex, Proc, RELAY};
 use flashflow_proto::blast::{
     binding_nonce, secret_channel_key, BlastEvent, BlastParser, TrafficSource,
 };
 use flashflow_proto::endpoint::Endpoint;
-use flashflow_proto::msg::{
-    MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
-};
+use flashflow_proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERPRINT_LEN};
 use flashflow_proto::session::{CoordPhase, CoordinatorSession, SessionTimeouts};
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::Transport;
@@ -36,56 +31,6 @@ const SECRET: u64 = 0x7E5_7000_1000;
 const LANE_BYTES: u64 = 2048;
 const SLOT_SECS: u32 = 2;
 
-fn token() -> [u8; AUTH_TOKEN_LEN] {
-    [0x2A; AUTH_TOKEN_LEN]
-}
-
-fn token_hex() -> String {
-    token().iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// The `Threads:` figure from `/proc/<pid>/status`.
-fn thread_count(pid: u32) -> u64 {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read /proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line")
-        .trim()
-        .parse()
-        .expect("thread count")
-}
-
-fn spawn_relay() -> (Child, SocketAddr) {
-    let stderr =
-        if std::env::var_os("FF_RELAY_DEBUG").is_some() { Stdio::inherit() } else { Stdio::null() };
-    let mut child = Command::new(PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay")))
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--token-hex",
-            &token_hex(),
-            "--sessions",
-            "1",
-            "--io-threads",
-            &IO_THREADS.to_string(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .expect("spawn flashflow-relay");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read advertised address");
-    let addr = line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
-        .parse()
-        .expect("parse advertised address");
-    (child, addr)
-}
-
 /// One blast channel: a capped keyed source and the verifying parser
 /// for its echo stream.
 struct Lane {
@@ -97,8 +42,20 @@ struct Lane {
 
 #[test]
 fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
-    let (mut relay, addr) = spawn_relay();
-    let pid = relay.id();
+    let (hex, io_threads) = (token_hex(RELAY), IO_THREADS.to_string());
+    let args = [
+        "--listen",
+        "127.0.0.1:0",
+        "--token-hex",
+        &hex,
+        "--sessions",
+        "1",
+        "--io-threads",
+        &io_threads,
+    ];
+    let mut relay = Proc::spawn("relay", &bin("flashflow-relay"), args);
+    let addr = relay.advertised("listening");
+    let pid = relay.pid();
     let key = secret_channel_key(SECRET);
     let nonce = binding_nonce(SECRET);
 
@@ -116,7 +73,7 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
     };
     let control = TcpTransport::connect(addr).expect("dial control");
     let session = CoordinatorSession::new(
-        token(),
+        token(RELAY),
         PeerRole::Target,
         spec,
         0xD15C_0000_0001,
@@ -212,16 +169,5 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
     drop(lanes);
 
     // Session quota reached, channels gone: the relay drains and exits 0.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = relay.try_wait().expect("try_wait") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            relay.kill().ok();
-            panic!("relay did not exit after drain");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "relay exited {status:?}");
+    relay.exit_zero();
 }

@@ -17,217 +17,27 @@
 //! including a measurer SIGTERMed mid-slot, which must finish the slot
 //! it is running before it goes.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use flashflow_core::bwauth::measure_echo_period;
-use flashflow_core::echo::{
-    item_trace_id, run_round, run_rounds, EchoDeployment, EchoItem, EchoMeasurer, RoundSource,
-};
+use flashflow_core::echo::{run_round, run_rounds, EchoItem, RoundSource};
 use flashflow_core::engine::EngineEvent;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
-use flashflow_proto::frame::{encode, FrameDecoder};
-use flashflow_proto::msg::{
-    AbortReason, Msg, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
+use flashflow_harness::{
+    deployment, drain_all, exit_zero_all, round_items, spawn_measurer, spawn_relay,
+    thread_cpu_secs, token, BG_ALLOWANCE, ITEMS, MEASURER_CAPS, RATIO, SLOT_SECS, SOCKETS,
 };
+use flashflow_proto::frame::{encode, FrameDecoder};
+use flashflow_proto::msg::{AbortReason, Msg, PeerRole};
 use flashflow_proto::session::CoordPhase;
 use flashflow_simnet::stats::median;
 
-const ITEMS: usize = 3;
-const SLOT_SECS: u32 = 5;
-/// Both sides run their clocks at this multiple of wall time.
-const SPEEDUP: f64 = 10.0;
-/// Echo blast caps of the two measurer processes ((sped-up) bytes/sec).
-const MEASURER_CAPS: [u64; 2] = [300_000, 150_000];
-/// Echo sockets each measurer opens to the relay.
-const SOCKETS: u32 = 2;
-/// Client traffic the relay process offers / is allowed ((sped-up) B/s).
-const BG_OFFERED: u64 = 40_000;
-const BG_ALLOWANCE: u64 = 20_000;
-/// Paper ratio r.
-const RATIO: f64 = 0.25;
-
-fn token_for(peer_ix: usize) -> [u8; AUTH_TOKEN_LEN] {
-    [peer_ix as u8 + 0x21; AUTH_TOKEN_LEN]
-}
-
-fn token_hex(peer_ix: usize) -> String {
-    token_for(peer_ix).iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Locates a sibling workspace binary next to this test's own
-/// executable (`target/<profile>/<name>`), asking cargo to (re)build it
-/// first — a filtered `cargo test -p flashflow-relay` run does not
-/// build other packages' binaries, and a *stale* sibling from an older
-/// protocol version fails the handshake in confusing ways (the build
-/// is a fast no-op when already current).
-fn sibling_bin(name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test exe path");
-    path.pop(); // deps/
-    path.pop(); // target/<profile>/
-    let release = path.ends_with("release");
-    path.push(name);
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut build = Command::new(cargo);
-    build.args(["build", "-p", name, "--bin", name]);
-    if release {
-        build.arg("--release");
-    }
-    let status = build.status().expect("spawn cargo build for sibling binary");
-    assert!(status.success(), "building {name} failed");
-    assert!(path.exists(), "sibling binary {name} not found at {path:?}");
-    path
-}
-
-/// A child's stderr event lines, each stamped with when this process
-/// read it: the children's own timestamps count from their own starts.
-type StderrLog = Arc<Mutex<Vec<(Instant, String)>>>;
-
-/// Spawns a process and reads its advertised `listening <addr>` line;
-/// with `log`, its stderr lines are collected there as they arrive.
-fn spawn_listener(bin: PathBuf, args: &[String], log: Option<StderrLog>) -> (Child, SocketAddr) {
-    // FF_RELAY_DEBUG=1 streams the children's stderr into the test
-    // output for debugging.
-    let debug = std::env::var_os("FF_RELAY_DEBUG").is_some();
-    let stderr = match (&log, debug) {
-        (Some(_), _) => Stdio::piped(),
-        (None, true) => Stdio::inherit(),
-        (None, false) => Stdio::null(),
-    };
-    let mut child = Command::new(&bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin:?}: {e}"));
-    if let Some(log) = log {
-        let stderr = child.stderr.take().expect("child stderr");
-        thread::spawn(move || {
-            for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-                if debug {
-                    eprintln!("{line}");
-                }
-                log.lock().expect("stderr log").push((Instant::now(), line));
-            }
-        });
-    }
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read advertised address");
-    let addr = line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected stdout line: {line:?}"))
-        .parse()
-        .expect("parse advertised address");
-    (child, addr)
-}
-
-fn spawn_measurer(peer_ix: usize, sessions: usize) -> (Child, SocketAddr) {
-    spawn_listener(sibling_bin("flashflow-measurer"), &measurer_args(peer_ix, sessions), None)
-}
-
-fn measurer_args(peer_ix: usize, sessions: usize) -> Vec<String> {
-    [
-        "--listen",
-        "127.0.0.1:0",
-        "--role",
-        "measurer",
-        "--token-hex",
-        &token_hex(peer_ix),
-        "--speedup",
-        &SPEEDUP.to_string(),
-        "--sessions",
-        &sessions.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
-
-fn spawn_relay(extra: &[(&str, String)], sessions: usize) -> (Child, SocketAddr) {
-    spawn_listener(relay_bin(), &relay_args(extra, sessions), None)
-}
-
-fn relay_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_flashflow-relay"))
-}
-
-fn relay_args(extra: &[(&str, String)], sessions: usize) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--token-hex",
-        &token_hex(9),
-        "--background",
-        &BG_OFFERED.to_string(),
-        "--speedup",
-        &SPEEDUP.to_string(),
-        "--sessions",
-        &sessions.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    for (k, v) in extra {
-        args.push((*k).to_string());
-        args.push(v.clone());
-    }
-    args
-}
-
-fn deployment(measurer_addrs: [SocketAddr; 2], relay_addr: SocketAddr) -> EchoDeployment {
-    EchoDeployment {
-        measurers: measurer_addrs
-            .iter()
-            .zip(MEASURER_CAPS)
-            .enumerate()
-            .map(|(ix, (&addr, rate_cap))| EchoMeasurer {
-                addr,
-                token: token_for(ix),
-                rate_cap,
-                sockets: SOCKETS,
-            })
-            .collect(),
-        relay: TargetEndpoint::from_addr(relay_addr).expect("the relay listens on IPv4 loopback"),
-        relay_token: token_for(9),
-        speedup: SPEEDUP,
-        ratio: RATIO,
-    }
-}
-
-fn items() -> Vec<EchoItem> {
-    round_items(0)
-}
-
-/// The items of round `round`: the same relays every round, under
-/// secrets no earlier round used.
-fn round_items(round: u64) -> Vec<EchoItem> {
-    (0..ITEMS)
-        .map(|ix| {
-            let mut fp = [0u8; FINGERPRINT_LEN];
-            fp[0] = ix as u8 + 1;
-            // Fresh per item; unpredictability is the coordinator's
-            // job in deployment, distinctness is what the test needs.
-            let secret = 0x3A11_0000_0000_0000 + (round << 32) + ix as u64 * 0x1_0001;
-            EchoItem {
-                relay_fp: fp,
-                slot_secs: SLOT_SECS,
-                bg_allowance: BG_ALLOWANCE,
-                measurement_secret: secret,
-                attempt: 0,
-                resume: false,
-                trace_id: item_trace_id(secret, 0),
-            }
-        })
-        .collect()
-}
+/// This file's measurement secrets: [`round_items`]`(SECRET, round)`.
+const SECRET: u64 = 0x3A11_0000_0000_0000;
 
 /// Measures the box's sleep-pacing skew: how much longer a run of
 /// short `thread::sleep`s takes than ideal. The echo data plane paces
@@ -255,23 +65,6 @@ fn estimate_tolerance(skew: f64) -> f64 {
     (0.05 * skew).min(0.20)
 }
 
-fn wait_exit_zero(children: Vec<(&'static str, Child)>) {
-    for (name, mut child) in children {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                break status;
-            }
-            if Instant::now() >= deadline {
-                let _ = child.kill();
-                panic!("{name} did not exit");
-            }
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "{name} exited with {status}");
-    }
-}
-
 /// The deterministic reference: the identical rates, scripted over
 /// in-memory Duplex links (measurers report their caps as echoed
 /// bytes, the relay reports the admitted background).
@@ -297,14 +90,14 @@ fn three_party_topology_estimates_match_duplex_reference() {
 
     // Two rounds' worth of sessions: the second round rides the
     // connections the first one warmed.
-    let (m0, a0) = spawn_measurer(0, 2 * ITEMS);
-    let (m1, a1) = spawn_measurer(1, 2 * ITEMS);
-    let (relay, relay_addr) = spawn_relay(&[], 2 * ITEMS);
+    let (m0, a0) = spawn_measurer(0, Some(2 * ITEMS), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(2 * ITEMS), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(2 * ITEMS), &[]);
     let dep = deployment([a0, a1], relay_addr);
     let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
 
     let pool = ConnectionPool::new();
-    let file = measure_echo_period(&dep, &items(), &pool);
+    let file = measure_echo_period(&dep, &round_items(SECRET, 0), &pool);
     let tolerance = estimate_tolerance(skew_before.max(pacing_skew()));
     // Every item of a round runs at once, so a cold round dials one
     // connection per conversation.
@@ -369,7 +162,7 @@ fn three_party_topology_estimates_match_duplex_reference() {
 
     // Warm connections rode the pool into the next round: it dialed
     // nothing and reused one connection per conversation.
-    let second = measure_echo_period(&dep, &round_items(1), &pool);
+    let second = measure_echo_period(&dep, &round_items(SECRET, 1), &pool);
     assert!(second.peers.all_clean(), "second round had failures: {:?}", second.events);
     assert_eq!(pool.dials(), peers_per_round, "the warm round dialed");
     assert!(pool.reuses() >= peers_per_round, "warm round reused only {}", pool.reuses());
@@ -377,7 +170,7 @@ fn three_party_topology_estimates_match_duplex_reference() {
     drop(pool);
     drop(file);
     drop(second);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    exit_zero_all([m0, m1, relay]);
 }
 
 #[test]
@@ -385,8 +178,8 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
     // One measurer process is down (its address refuses connections):
     // the item must complete degraded — unclean, with the surviving
     // measurer's echo still measured — not panic the coordinator.
-    let (m0, a0) = spawn_measurer(0, 1);
-    let (relay, relay_addr) = spawn_relay(&[], 1);
+    let (m0, a0) = spawn_measurer(0, Some(1), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(1), &[]);
     // A port that refused: bind, read the addr, drop the listener.
     let dead_addr = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -394,7 +187,7 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
     };
 
     let pool = ConnectionPool::new();
-    let one_item = vec![items().remove(0)];
+    let one_item = vec![round_items(SECRET, 0).remove(0)];
     let file = measure_echo_period(&deployment([a0, dead_addr], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
@@ -410,7 +203,7 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
 
     drop(pool);
     drop(file);
-    wait_exit_zero(vec![("measurer-0", m0), ("relay", relay)]);
+    exit_zero_all([m0, relay]);
 }
 
 #[test]
@@ -418,12 +211,12 @@ fn background_inflating_relay_is_flagged_in_the_ledger() {
     // The TorMult-shaped lie: the relay claims 6× more background than
     // the plausibility bound allows for what it demonstrably echoed.
     let claim = 300_000u64;
-    let (m0, a0) = spawn_measurer(0, 1);
-    let (m1, a1) = spawn_measurer(1, 1);
-    let (relay, relay_addr) = spawn_relay(&[("--claim-bg", claim.to_string())], 1);
+    let (m0, a0) = spawn_measurer(0, Some(1), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(1), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(1), &["--claim-bg", &claim.to_string()]);
 
     let pool = ConnectionPool::new();
-    let one_item = vec![items().remove(0)];
+    let one_item = vec![round_items(SECRET, 0).remove(0)];
     let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
@@ -443,7 +236,7 @@ fn background_inflating_relay_is_flagged_in_the_ledger() {
 
     drop(pool);
     drop(file);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    exit_zero_all([m0, m1, relay]);
 }
 
 #[test]
@@ -452,12 +245,12 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
     // measurers' verifying parsers refuse to credit them, so the
     // reported echo collapses — and the relay's own (inflated) echo
     // claim diverges from the aggregated measurer reports.
-    let (m0, a0) = spawn_measurer(0, 1);
-    let (m1, a1) = spawn_measurer(1, 1);
-    let (relay, relay_addr) = spawn_relay(&[("--corrupt-echo", "true".to_string())], 1);
+    let (m0, a0) = spawn_measurer(0, Some(1), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(1), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(1), &["--corrupt-echo", "true"]);
 
     let pool = ConnectionPool::new();
-    let one_item = vec![items().remove(0)];
+    let one_item = vec![round_items(SECRET, 0).remove(0)];
     let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
     let entry = &file.entries[0];
@@ -475,7 +268,7 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
 
     drop(pool);
     drop(file);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    exit_zero_all([m0, m1, relay]);
 }
 
 #[test]
@@ -483,26 +276,25 @@ fn sigtermed_measurer_finishes_its_slot_aborts_parked_handshakes_and_exits_zero(
     // Long enough (1 s of wall time) that the SIGTERM lands mid-slot.
     const DRAIN_SLOT_SECS: u32 = 10;
     // Measurer 0 has quota to spare: only the SIGTERM ends it.
-    let (m0, a0) = spawn_measurer(0, 99);
-    let (m1, a1) = spawn_measurer(1, 1);
-    let (relay, relay_addr) = spawn_relay(&[], 1);
+    let (mut m0, a0) = spawn_measurer(0, Some(99), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(1), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(1), &[]);
 
     // A second coordinator connection that stops after `AuthOk`: still
     // mid-handshake when the drain starts, it must be told so.
     let mut parked = TcpStream::connect(a0).expect("dial parked conversation");
-    let auth = Msg::Auth { token: token_for(0), role: PeerRole::Measurer, nonce: 0xF00 };
+    let auth = Msg::Auth { token: token(0), role: PeerRole::Measurer, nonce: 0xF00 };
     parked.write_all(&encode(&auth)).expect("send Auth");
 
     let pool = ConnectionPool::new();
-    let item = EchoItem { slot_secs: DRAIN_SLOT_SECS, ..items().remove(0) };
+    let item = EchoItem { slot_secs: DRAIN_SLOT_SECS, ..round_items(SECRET, 0).remove(0) };
     let mut events = Vec::new();
     let mut termed = false;
     let snapshot = run_round(&deployment([a0, a1], relay_addr), &[item], &pool, &mut |ev| {
         events.push(ev);
         // Mid-slot (first sample seen): ask measurer 0 to drain.
         if !termed && matches!(ev, EngineEvent::Sample { .. }) {
-            let kill = Command::new("kill").args(["-TERM", &m0.id().to_string()]).status();
-            assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
+            m0.sigterm();
             termed = true;
         }
     });
@@ -539,20 +331,7 @@ fn sigtermed_measurer_finishes_its_slot_aborts_parked_handshakes_and_exits_zero(
     );
 
     drop(pool);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
-}
-
-/// User + system CPU seconds the calling thread has used: its
-/// `/proc/self/task/<tid>/stat` line, which `/proc/thread-self` names.
-fn thread_cpu_secs() -> f64 {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read thread stat");
-    // Fields after the parenthesised command name: state is the first,
-    // utime and stime the 12th and 13th, in USER_HZ (100) ticks.
-    let rest = stat.rsplit_once(')').expect("comm field").1;
-    let ticks = |ix: usize| -> f64 {
-        rest.split_whitespace().nth(ix).expect("stat field").parse().expect("tick count")
-    };
-    (ticks(11) + ticks(12)) / 100.0
+    exit_zero_all([m0, m1, relay]);
 }
 
 /// Copies one direction of a proxied connection until either side ends.
@@ -568,9 +347,9 @@ fn hung_up_measurer_degrades_its_item_without_spinning_the_round() {
     // Measurer 0 sits behind a proxy. Its first connection — item 0's
     // control session — hangs up once the `Auth` is in; the others are
     // piped through to the real process.
-    let (m0, a0) = spawn_measurer(0, ITEMS - 1);
-    let (m1, a1) = spawn_measurer(1, ITEMS);
-    let (relay, relay_addr) = spawn_relay(&[], ITEMS);
+    let (m0, a0) = spawn_measurer(0, Some(ITEMS - 1), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(ITEMS), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(ITEMS), &[]);
     let proxy = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
     let proxy_addr = proxy.local_addr().expect("proxy addr");
     thread::spawn(move || {
@@ -590,10 +369,14 @@ fn hung_up_measurer_degrades_its_item_without_spinning_the_round() {
     let pool = ConnectionPool::new();
     let mut events = Vec::new();
     let (cpu_before, started) = (thread_cpu_secs(), Instant::now());
-    let snapshot =
-        run_round(&deployment([proxy_addr, a1], relay_addr), &items(), &pool, &mut |ev| {
+    let snapshot = run_round(
+        &deployment([proxy_addr, a1], relay_addr),
+        &round_items(SECRET, 0),
+        &pool,
+        &mut |ev| {
             events.push(ev);
-        });
+        },
+    );
     let (cpu, wall) = (thread_cpu_secs() - cpu_before, started.elapsed().as_secs_f64());
 
     assert!(!snapshot.item_clean(0), "the hung-up peer's item must degrade: {events:?}");
@@ -616,20 +399,7 @@ fn hung_up_measurer_degrades_its_item_without_spinning_the_round() {
     );
 
     drop(pool);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
-}
-
-/// The events of kind `kind` in a child's stderr log: when each line
-/// arrived, and the line.
-fn logged(log: &StderrLog, kind: &str) -> Vec<(Instant, String)> {
-    log.lock()
-        .expect("stderr log")
-        .iter()
-        .filter(|(_, line)| {
-            line.split_once(']').and_then(|(_, rest)| rest.split_whitespace().next()) == Some(kind)
-        })
-        .cloned()
-        .collect()
+    exit_zero_all([m0, m1, relay]);
 }
 
 /// The integer field `key` of a text event line.
@@ -642,30 +412,34 @@ fn field(line: &str, key: &str) -> u64 {
 
 #[test]
 fn echo_channels_hang_up_with_the_slot_and_report_every_verified_byte() {
-    let logs: [StderrLog; 3] = Default::default();
-    let measurer_bin = sibling_bin("flashflow-measurer");
-    let (m0, a0) =
-        spawn_listener(measurer_bin.clone(), &measurer_args(0, 1), Some(Arc::clone(&logs[0])));
-    let (m1, a1) = spawn_listener(measurer_bin, &measurer_args(1, 1), Some(Arc::clone(&logs[1])));
-    let (relay, relay_addr) =
-        spawn_listener(relay_bin(), &relay_args(&[], 1), Some(Arc::clone(&logs[2])));
+    let (m0, a0) = spawn_measurer(0, Some(1), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(1), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(1), &[]);
 
     let pool = ConnectionPool::new();
     let mut reported = [0u64; 2];
-    let snapshot = run_round(&deployment([a0, a1], relay_addr), &items()[..1], &pool, &mut |ev| {
-        if let EngineEvent::Sample { peer, measured_bytes, .. } = ev {
-            if let Some(sum) = reported.get_mut(peer.index()) {
-                *sum += measured_bytes;
+    let snapshot = run_round(
+        &deployment([a0, a1], relay_addr),
+        &round_items(SECRET, 0)[..1],
+        &pool,
+        &mut |ev| {
+            if let EngineEvent::Sample { peer, measured_bytes, .. } = ev {
+                if let Some(sum) = reported.get_mut(peer.index()) {
+                    *sum += measured_bytes;
+                }
             }
-        }
-    });
+        },
+    );
     assert!(snapshot.all_clean(), "the round must run clean");
     drop(pool);
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    let mut peers = [m0, m1, relay];
+    for peer in &mut peers {
+        peer.exit_zero();
+    }
 
     let mut last_stop = None;
-    for (ix, log) in logs[..2].iter().enumerate() {
-        let stops = logged(log, "session.stop");
+    for (ix, measurer) in peers[..2].iter().enumerate() {
+        let stops = measurer.logged("session.stop");
         let [(stopped, stop)] = &stops[..] else { panic!("measurer {ix}: stops {stops:?}") };
         last_stop = last_stop.max(Some(*stopped));
         // The per-second reports add up to the tally the slot closed
@@ -673,7 +447,7 @@ fn echo_channels_hang_up_with_the_slot_and_report_every_verified_byte() {
         let tally = field(stop, "verified");
         assert!(tally > 0, "measurer {ix} verified nothing");
         assert_eq!(reported[ix], tally, "measurer {ix}: reports vs the tally at Stop");
-        let closed = logged(log, "echo.closed");
+        let closed = measurer.logged("echo.closed");
         assert_eq!(closed.len(), SOCKETS as usize, "measurer {ix}: {closed:?}");
         let credited: u64 = closed.iter().map(|(_, line)| field(line, "verified")).sum();
         assert_eq!(credited, tally, "measurer {ix}: channel credits vs the tally");
@@ -681,7 +455,7 @@ fn echo_channels_hang_up_with_the_slot_and_report_every_verified_byte() {
     let last_stop = last_stop.expect("both measurers stopped");
     // Each channel hangs up at its first wakeup or tick after the close,
     // and the relay reads the EOF on its socket's readiness.
-    let closed = logged(&logs[2], "channel.closed");
+    let closed = peers[2].logged("channel.closed");
     assert_eq!(closed.len(), 2 * SOCKETS as usize, "relay: {closed:?}");
     for (at, line) in &closed {
         let late = at.saturating_duration_since(last_stop);
@@ -799,15 +573,18 @@ impl Recorded {
 
 #[test]
 fn a_staged_round_that_cannot_dial_never_freezes_the_running_one() {
-    let (m0, a0) = spawn_measurer(0, 99);
-    let (m1, a1) = spawn_measurer(1, 99);
-    let (relay, relay_addr) = spawn_relay(&[], 99);
+    let (m0, a0) = spawn_measurer(0, Some(99), &[]);
+    let (m1, a1) = spawn_measurer(1, Some(99), &[]);
+    let (relay, relay_addr) = spawn_relay(Some(99), &[]);
     // Round 0 (two items) dials measurer 1 through its stand-in; round 1
     // (one item) is staged while round 0 blasts, and dials it again.
     let run = |base: u64, later: LaterDials| {
         let (stand_in, hold) = measurer_stand_in(a1, 2, later);
         let mut source = Recorded {
-            rounds: vec![round_items(base)[..2].to_vec(), round_items(base + 1)[..1].to_vec()],
+            rounds: vec![
+                round_items(SECRET, base)[..2].to_vec(),
+                round_items(SECRET, base + 1)[..1].to_vec(),
+            ],
             staged: 0,
             events: Vec::new(),
             peers: vec![None, None],
@@ -853,9 +630,5 @@ fn a_staged_round_that_cannot_dial_never_freezes_the_running_one() {
         );
     }
 
-    for child in [&m0, &m1, &relay] {
-        let kill = Command::new("kill").args(["-TERM", &child.id().to_string()]).status();
-        assert!(kill.expect("send SIGTERM").success(), "kill -TERM failed");
-    }
-    wait_exit_zero(vec![("measurer-0", m0), ("measurer-1", m1), ("relay", relay)]);
+    drain_all([m0, m1, relay]);
 }
