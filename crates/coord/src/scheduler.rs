@@ -5,15 +5,18 @@
 //! split over measurers with unequal capacities, packs as many relays
 //! into a slot as the team's spare capacity allows, and re-measures a
 //! relay whose estimate the allocation may have clipped from
-//! `max(z, 2·z₀)`. That loop exists once, in
-//! `flashflow_core::sequence::measure_period` (the decision alone is
-//! `sequence::judge`), over plain numbers and a caller-supplied slot
-//! executor, so this daemon can run it with a round of processes as the
-//! executor: `EchoEntry.capacity` is the estimate, the round's summed
-//! `rate_cap` the allocation. ROADMAP's "the daemon runs the paper's
-//! schedule" item makes that switch and deletes this module; it waits on
-//! relays with a forwarding limit, because an unbounded relay can never
-//! pass the acceptance test.
+//! `max(z, 2·z₀)`. That loop exists once, as
+//! `flashflow_core::sequence::Sequencer`: a state machine with no I/O
+//! that hands slots out and takes their results back. The daemon's
+//! rounds are pushed, not pulled (`echo::run_rounds` asks its
+//! `RoundSource` for a round when it can stage one, with two in flight),
+//! so `RosterWalk` will drive a `Sequencer` directly: `next_round` maps
+//! to `next_slot`, and `finished` maps to `complete` after
+//! `measure::estimate` turns the round's record into each item's
+//! estimate, the round's summed `rate_cap` being the allocation.
+//! ROADMAP's "the daemon runs the paper's schedule" item makes that
+//! switch and deletes this module; it waits on relays with a forwarding
+//! limit, because an unbounded relay can never pass the acceptance test.
 //!
 //! Until then: every item costs the same fixed blast (the deployment
 //! commands one `rate_cap` per measurer whatever the relay's prior),
@@ -24,7 +27,7 @@
 //! opens every item's sessions before its first tick and releases each
 //! item's `Go` as soon as that item's own peers are armed.
 //!
-//! Packing is largest prior first (`measure_period`'s `Order::Packed`,
+//! Packing is largest prior first (the `Sequencer`'s `Order::Packed`,
 //! not §4.3's secret `Order::Secret`), deterministic given the same
 //! pending set — which matters because a restarted coordinator replans
 //! from its journal and should walk the remainder in a predictable

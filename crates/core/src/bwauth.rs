@@ -274,7 +274,7 @@ mod tests {
         let m1 = tor.add_host(HostProfile::us_e());
         let m2 = tor.add_host(HostProfile::host_nl());
         let mut relays = Vec::new();
-        for (i, limit) in [100.0, 200.0, 150.0, 50.0].iter().enumerate() {
+        for (i, limit) in [100.0, 200.0, 150.0, 50.0, 80.0].iter().enumerate() {
             let h = tor.add_host(HostProfile::new(format!("rh{i}"), Rate::from_gbit(1.0)));
             tor.net.set_rtt(m1, h, SimDuration::from_millis(60));
             tor.net.set_rtt(m2, h, SimDuration::from_millis(120));
@@ -291,14 +291,32 @@ mod tests {
 
     #[test]
     fn measures_whole_set_accurately() {
-        let (mut tor, team, relays) = testbed();
-        let mut auth = BwAuth::new("bwauth-1", team, Params::paper(), 11);
-        let file = auth.measure_network(&mut tor, &relays, &|_| TargetBehavior::Honest);
-        assert_eq!(file.entries.len(), 4);
-        for (relay, prior) in &relays {
-            let entry = &file.entries[relay];
-            let err = (entry.capacity.as_mbit() - prior.as_mbit()).abs() / prior.as_mbit();
-            assert!(err < 0.25, "relay {relay:?}: {} vs {}", entry.capacity, prior);
+        // Priors at `scale` × each relay's limit, except the last relay's,
+        // which is zero and gets one full-team measurement. Too low a
+        // prior is clipped and re-measured; too high a one just
+        // over-allocates.
+        for scale in [1.0, 0.2, 3.0] {
+            let (mut tor, team, limits) = testbed();
+            let last = limits.len() - 1;
+            let priors: Vec<(RelayId, Rate)> = limits
+                .iter()
+                .enumerate()
+                .map(|(i, &(relay, limit))| {
+                    let scale = if i == last { 0.0 } else { scale };
+                    (relay, Rate::from_bytes_per_sec(limit.bytes_per_sec() * scale))
+                })
+                .collect();
+            let mut auth = BwAuth::new("bwauth-1", team, Params::paper(), 11);
+            let file = auth.measure_network(&mut tor, &priors, &|_| TargetBehavior::Honest);
+            assert_eq!(file.entries.len(), limits.len());
+            for (relay, limit) in &limits {
+                let entry = &file.entries[relay];
+                let err = (entry.capacity.as_mbit() - limit.as_mbit()).abs() / limit.as_mbit();
+                assert_eq!(entry.end, SequenceEnd::Converged, "{scale}× relay {relay:?}");
+                assert!(err < 0.25, "{scale}× relay {relay:?}: {} vs {}", entry.capacity, limit);
+            }
+            let remeasured = file.entries.values().any(|e| e.rounds > 1);
+            assert!(remeasured || scale != 0.2, "0.2× priors must be clipped and re-measured");
         }
     }
 

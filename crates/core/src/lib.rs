@@ -28,7 +28,7 @@
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events and round audits |
 //! | [`proto_driver`] | §4.1, §7 | the in-memory round executor: one engine over simulated links, its one parameter the peer behaviour — `TorNet` flows (`SlotRunner`) or fixed-rate reference peers (`run_scripted`, what harnesses and benches compare a deployment against) |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
-//! | [`sequence`] | §4.2, §4.3, §7 | the accept-or-double rule over plain numbers (`judge`) and the one slot packer that applies it (`measure_period`): per-measurer spare capacity, largest prior first (`Order::Packed`, §7's slot count) or §4.3's seeded uniform draw (`Order::Secret`), generic over the relay key and the slot executor |
+//! | [`sequence`] | §4.2, §4.3, §7 | the accept-or-double rule over plain numbers and the one slot packer that applies it, a sans-IO state machine (`Sequencer`: `next_slot` hands a slot out, `complete` takes its results back) that `measure_period` drives one slot at a time and a daemon can drive with slots in flight: per-measurer spare capacity, largest prior first (`Order::Packed`, §7's slot count) or §4.3's seeded uniform draw (`Order::Secret`), generic over the relay key |
 //! | [`bwauth`] | §4.3, §7 | a BWAuth's period on the direct executor, bandwidth files (whose `weights` are a vote for `flashflow_tornet::consensus::DirAuths`), echo-topology rounds |
 //! | [`security`] | §5 | analytical attack bounds |
 //! | [`sybil`] | §5 | simultaneous measurement of a declared family vs. one at a time |
@@ -105,8 +105,8 @@ pub mod prelude {
         capacity_on_demand_failure_probability, max_inflation_factor, summarize,
     };
     pub use crate::sequence::{
-        judge, measure_period, measure_relay, new_relay_prior, perfect_slot, Order, SequenceEnd,
-        SequenceOutcome, Settled, SlotItem, SlotResult, ToMeasure, Verdict,
+        measure_period, measure_relay, new_relay_prior, perfect_slot, Order, SequenceEnd,
+        SequenceOutcome, Sequencer, Settled, SlotItem, SlotResult, ToMeasure,
     };
     pub use crate::sybil::{measure_family, FamilyMeasurement};
     pub use crate::team::{Measurer, Team};

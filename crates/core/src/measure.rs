@@ -116,7 +116,8 @@ impl Measurement {
         self.estimate.bytes_per_sec() < params.acceptance_threshold(self.allocated.bytes_per_sec())
     }
 
-    /// The numbers [`judge`](crate::sequence::judge) decides on.
+    /// The numbers a [`Sequencer`](crate::sequence::Sequencer) judges a
+    /// measurement by.
     pub fn slot_result(&self) -> SlotResult {
         SlotResult {
             estimate: self.estimate.bytes_per_sec(),

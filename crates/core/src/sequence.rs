@@ -8,15 +8,12 @@
 //! `z < Σaᵢ(1−ε₁)/m` — i.e. only if the estimate is small enough that it
 //! could not have been clipped by the allocation itself. Otherwise it
 //! sets `z₀ ← max(z, 2z₀)` (at least doubling the allocation) and
-//! retries. [`judge`] is that decision over plain numbers, and
-//! [`measure_period`] the one slot packer: it packs relays into slots
-//! by spare per-measurer capacity, in one of two [`Order`]s —
-//! [`Order::Packed`] (largest prior first, §7's slot count) or
-//! [`Order::Secret`] (§4.3's seeded uniform draw among the slots with
-//! room) — runs each slot through a caller-supplied executor and
-//! re-queues what `judge` sends back, whether the executor is the fluid
-//! simulation, protocol sessions, a round of real processes, or
-//! [`perfect_slot`]'s priors.
+//! retries. [`Sequencer`] is the one slot packer that applies the rule,
+//! in one of two [`Order`]s: [`Order::Packed`] (largest prior first, §7's
+//! slot count) or [`Order::Secret`] (§4.3's seeded draw). It does no I/O,
+//! so any executor drives it: [`measure_period`] runs one slot at a time
+//! through a closure (the fluid simulation, protocol sessions, or
+//! [`perfect_slot`]'s priors), and a daemon can keep slots in flight.
 
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::stats::quantile;
@@ -56,7 +53,7 @@ pub struct SlotResult {
 
 /// [`judge`]'s decision on one measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Verdict {
+enum Verdict {
     /// The sequence is over.
     Accept(SequenceEnd),
     /// Inconclusive: measure again from this prior (bytes/s), which the
@@ -84,7 +81,7 @@ fn team_limit(team_total: f64, params: &Params) -> f64 {
 /// allocated; otherwise retry from `max(z, 2·z₀)` clamped to what the
 /// team can serve — unless this round already had the whole team or was
 /// the last of `max_rounds`, where the estimate stands as a lower bound.
-pub fn judge(
+fn judge(
     result: &SlotResult,
     z0: f64,
     team_total: f64,
@@ -105,7 +102,7 @@ pub fn judge(
     Verdict::Retry(result.estimate.max(2.0 * z0).min(team_limit(team_total, params)))
 }
 
-/// The order [`measure_period`] packs slots in.
+/// The order a [`Sequencer`] packs slots in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Order {
     /// Largest prior first: each slot takes every waiting relay whose
@@ -126,7 +123,7 @@ pub enum Order {
     },
 }
 
-/// A relay handed to [`measure_period`]. A `(key, z₀)` pair converts to
+/// A relay handed to a [`Sequencer`]. A `(key, z₀)` pair converts to
 /// one present from the start of the period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToMeasure<K> {
@@ -206,18 +203,11 @@ impl<K> Slot<K> {
     }
 }
 
-/// Measures every relay in `relays` (key and prior in bytes/s, see
-/// [`ToMeasure`]) to the end of its §4.2 sequence, at most `max_rounds`
-/// measurements each.
-///
-/// A relay joins a slot when its `f·z₀` still fits the measurers'
-/// unreserved capacity; `order` decides which slot that is
-/// ([`Order::Packed`]: largest prior first, [`Order::Secret`]: §4.3's
-/// seeded draw). `run_slot` executes one packed slot, given its index
-/// and items, and returns one [`SlotResult`] per item, in order. Empty
-/// slots are skipped but keep their index. [`judge`] then settles each
-/// relay or re-queues it with its next prior, from the next slot on.
-/// Returns the relays in the order they settled.
+/// Measures every relay in `relays` to the end of its §4.2 sequence, at
+/// most `max_rounds` measurements each: a [`Sequencer`] driven one slot
+/// at a time. `run_slot` executes a slot, given its index and items, and
+/// returns one [`SlotResult`] per item, in order. Returns the relays in
+/// the order they settled.
 ///
 /// # Panics
 /// Panics if `max_rounds` is zero, the team has no capacity, or
@@ -230,73 +220,144 @@ pub fn measure_period<K: Copy>(
     max_rounds: u32,
     mut run_slot: impl FnMut(usize, &[SlotItem<K>]) -> Vec<SlotResult>,
 ) -> Vec<Settled<K>> {
-    assert!(max_rounds >= 1, "need at least one round");
-    let f = params.excess_factor();
-    let team_total = team.total_capacity().bytes_per_sec();
-    let limit = team_limit(team_total, params);
-    // Slots planned ahead (the secret draws), and the waiting relays:
-    // (relay, prior, measurements so far, first slot it may join). `min`
-    // also maps a NaN prior to the limit.
-    let (mut planned, mut rng) = match order {
-        Order::Secret { seed } => {
-            let slots = params.slots_per_period() as usize;
-            ((0..slots).map(|_| Slot::new(team)).collect(), Some(SimRng::seed_from_u64(seed)))
-        }
-        Order::Packed => (Vec::new(), None),
-    };
-    let mut queue: Vec<(K, f64, u32, usize)> = Vec::new();
-    let mut feasible = Vec::new();
-    for relay in relays {
-        let ToMeasure { key, z0, arrives } = relay.into();
-        let z0 = z0.min(limit);
-        if let (Some(rng), None) = (&mut rng, arrives) {
-            feasible.clear();
-            feasible.extend((0..planned.len()).filter(|&s| planned[s].fits(f * z0)));
-            if !feasible.is_empty() {
-                planned[feasible[rng.gen_index(feasible.len())]].join(team, params, key, z0, 0);
-                continue;
-            }
-        }
-        queue.push((key, z0, 0, arrives.unwrap_or(0)));
+    let mut sequencer = Sequencer::new(team, params, order, relays, max_rounds);
+    while let Some((index, items)) = sequencer.next_slot() {
+        let results = run_slot(index, &items);
+        sequencer.complete(&items, &results);
     }
-    let mut settled = Vec::new();
+    sequencer.into_settled()
+}
 
-    let mut planned = planned.into_iter();
-    let mut index = 0;
-    while planned.len() > 0 || !queue.is_empty() {
-        let mut slot = planned.next().unwrap_or_else(|| Slot::new(team));
-        if order == Order::Packed {
-            queue.sort_by(|a, b| b.1.total_cmp(&a.1));
-        }
-        queue.retain(|&(key, z0, rounds, from)| {
-            let joins = from <= index && slot.fits(f * z0);
-            if joins {
-                slot.join(team, params, key, z0, rounds);
+/// One period as a state machine with no I/O: [`next_slot`](Self::next_slot)
+/// packs and hands out a slot, [`complete`](Self::complete) takes its
+/// results back and settles or re-queues each relay. A relay joins a slot
+/// when its `f·z₀` still fits the measurers' unreserved capacity, and the
+/// [`Order`] decides which slot. The caller may stage later slots before
+/// earlier ones complete: a re-queued relay waits from the first slot not
+/// yet handed out. The state is a fold over the seed, priors and calls.
+pub struct Sequencer<K> {
+    team: Team,
+    params: Params,
+    order: Order,
+    max_rounds: u32,
+    /// Slots planned ahead (the secret draws), from `index` on.
+    planned: std::vec::IntoIter<Slot<K>>,
+    /// The waiting relays: (relay, prior, measurements so far, first
+    /// slot it may join).
+    queue: Vec<(K, f64, u32, usize)>,
+    /// The index of the next slot to pack.
+    index: usize,
+    in_flight: usize,
+    settled: Vec<Settled<K>>,
+}
+
+impl<K: Copy> Sequencer<K> {
+    /// Starts a period over `relays` (see [`ToMeasure`]); under
+    /// [`Order::Secret`] this draws the present relays' slots. A prior
+    /// the team cannot serve, or one that is not a positive number, gets
+    /// one full-team measurement. Panics if `max_rounds` is zero.
+    pub fn new(
+        team: &Team,
+        params: &Params,
+        order: Order,
+        relays: impl IntoIterator<Item = impl Into<ToMeasure<K>>>,
+        max_rounds: u32,
+    ) -> Self {
+        assert!(max_rounds >= 1, "need at least one round");
+        let f = params.excess_factor();
+        let limit = team_limit(team.total_capacity().bytes_per_sec(), params);
+        let (mut planned, mut rng) = match order {
+            Order::Secret { seed } => {
+                let slots = params.slots_per_period() as usize;
+                ((0..slots).map(|_| Slot::new(team)).collect(), Some(SimRng::seed_from_u64(seed)))
             }
-            !joins
-        });
-        if slot.items.is_empty() {
-            assert!(queue.iter().all(|w| w.3 > index), "slot packing made no progress");
-            index += 1;
-            continue;
+            Order::Packed => (Vec::new(), None),
+        };
+        let mut queue = Vec::new();
+        let mut feasible = Vec::new();
+        for relay in relays {
+            let ToMeasure { key, z0, arrives } = relay.into();
+            let z0 = if z0 > 0.0 { z0.min(limit) } else { limit };
+            if let (Some(rng), None) = (&mut rng, arrives) {
+                feasible.clear();
+                feasible.extend((0..planned.len()).filter(|&s| planned[s].fits(f * z0)));
+                if !feasible.is_empty() {
+                    planned[feasible[rng.gen_index(feasible.len())]].join(team, params, key, z0, 0);
+                    continue;
+                }
+            }
+            queue.push((key, z0, 0, arrives.unwrap_or(0)));
         }
+        Sequencer {
+            team: team.clone(),
+            params: *params,
+            order,
+            max_rounds,
+            planned: planned.into_iter(),
+            queue,
+            index: 0,
+            in_flight: 0,
+            settled: Vec::new(),
+        }
+    }
 
-        let results = run_slot(index, &slot.items);
-        assert_eq!(results.len(), slot.items.len(), "one result per slot item");
-        index += 1;
-        for (item, result) in slot.items.iter().zip(&results) {
+    /// Packs the next slot that is not empty and hands it out with its
+    /// index; empty slots are skipped but keep their index. `None` means
+    /// that nothing can be staged until a handed-out slot completes, or,
+    /// with none in flight, that the period is over.
+    pub fn next_slot(&mut self) -> Option<(usize, Vec<SlotItem<K>>)> {
+        let f = self.params.excess_factor();
+        while self.planned.len() > 0 || !self.queue.is_empty() {
+            let mut slot = self.planned.next().unwrap_or_else(|| Slot::new(&self.team));
+            if self.order == Order::Packed {
+                self.queue.sort_by(|a, b| b.1.total_cmp(&a.1));
+            }
+            let at = self.index;
+            self.queue.retain(|&(key, z0, rounds, from)| {
+                let joins = from <= at && slot.fits(f * z0);
+                if joins {
+                    slot.join(&self.team, &self.params, key, z0, rounds);
+                }
+                !joins
+            });
+            self.index += 1;
+            if !slot.items.is_empty() {
+                self.in_flight += 1;
+                return Some((at, slot.items));
+            }
+            assert!(self.queue.iter().all(|w| w.3 > at), "slot packing made no progress");
+        }
+        None
+    }
+
+    /// Takes a handed-out slot's `items` back with their results, in
+    /// order, and settles each relay or re-queues it with its next prior.
+    ///
+    /// # Panics
+    /// Panics if no slot is in flight or the counts differ.
+    pub fn complete(&mut self, items: &[SlotItem<K>], results: &[SlotResult]) {
+        assert_eq!(results.len(), items.len(), "one result per slot item");
+        self.in_flight = self.in_flight.checked_sub(1).expect("a slot in flight");
+        let team_total = self.team.total_capacity().bytes_per_sec();
+        for (item, result) in items.iter().zip(results) {
             let rounds = item.rounds + 1;
-            match judge(result, item.z0, team_total, rounds, max_rounds, params) {
+            match judge(result, item.z0, team_total, rounds, self.max_rounds, &self.params) {
                 Verdict::Accept(end) => {
                     let estimate =
                         if end == SequenceEnd::VerificationFailed { 0.0 } else { result.estimate };
-                    settled.push(Settled { key: item.key, estimate, end, rounds });
+                    self.settled.push(Settled { key: item.key, estimate, end, rounds });
                 }
-                Verdict::Retry(next) => queue.push((item.key, next, rounds, index)),
+                Verdict::Retry(next) => self.queue.push((item.key, next, rounds, self.index)),
             }
         }
     }
-    settled
+
+    /// The relays in the order they settled. Panics if a handed-out slot
+    /// has not completed.
+    pub fn into_settled(self) -> Vec<Settled<K>> {
+        assert_eq!(self.in_flight, 0, "a handed-out slot has not completed");
+        self.settled
+    }
 }
 
 /// The slot executor for relays whose priors are exact: each estimate
@@ -505,23 +566,25 @@ mod rule_tests {
 
     #[test]
     fn nan_and_oversized_priors_get_one_full_team_measurement() {
+        // So do priors that are not positive: a zero prior would
+        // allocate nothing, a negative one less than nothing.
         let p = Params::paper();
-        let truth = [5000.0, 5000.0, 100.0];
+        let truth = [5000.0, 5000.0, 5000.0, 5000.0, 5000.0, 100.0];
         let mut slots = Vec::new();
         let settled = measure_period(
             &team(),
             &p,
             Order::Packed,
-            [(0, f64::NAN), (1, 1e12), (2, 100.0)],
+            [(0, f64::NAN), (1, 1e12), (2, 0.0), (3, -1.0), (4, f64::NEG_INFINITY), (5, 100.0)],
             6,
             saturating(&truth, &mut slots),
         );
-        assert_eq!(slots, vec![vec![0], vec![1], vec![2]]);
-        for s in &settled[..2] {
-            assert_eq!((s.end, s.rounds), (SequenceEnd::TeamExhausted, 1));
+        assert_eq!(slots, (0..6).map(|k| vec![k]).collect::<Vec<_>>());
+        for s in &settled[..5] {
+            assert_eq!((s.end, s.rounds), (SequenceEnd::TeamExhausted, 1), "relay {}", s.key);
             assert!((s.estimate - TEAM).abs() < 1e-6, "lower bound {}", s.estimate);
         }
-        assert_eq!(settled[2].end, SequenceEnd::Converged);
+        assert_eq!(settled[5].end, SequenceEnd::Converged);
     }
 
     #[test]

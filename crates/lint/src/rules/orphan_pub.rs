@@ -5,8 +5,10 @@
 //! item nobody names is surface without a user: it is read, kept
 //! compiling and documented, and it tells the reader a caller exists.
 //!
-//! Three things do not count as a caller, and one thing does:
+//! Four things do not count as a caller, and one thing does:
 //! - the item's own file, tests included;
+//! - a definition of the same name elsewhere (`fn hops` in two files
+//!   are two orphans, not each other's caller);
 //! - a `use` statement in its own crate's `lib.rs` (a re-export only
 //!   moves the orphan);
 //! - a doc comment (comments are not identifiers);
@@ -87,12 +89,14 @@ pub fn orphans(sources: &[(String, String)], cfg: &LintConfig) -> Vec<(Finding, 
         .map(|s| s.path)
         .collect();
     // name -> the files naming it; a name inside a `use` statement of
-    // a `lib.rs` is recorded as that lib's re-export instead.
+    // a `lib.rs` is recorded as that lib's re-export instead, and the
+    // name a definition introduces is not recorded.
     let mut named: BTreeMap<&str, BTreeSet<(usize, bool)>> = BTreeMap::new();
     for (fi, scan) in scans.iter().enumerate() {
         let uses = if libs.contains(scan.path) { use_statements(scan) } else { Vec::new() };
-        for &ix in &scan.sig {
-            if scan.toks[ix].kind == TokKind::Ident {
+        for (s, &ix) in scan.sig.iter().enumerate() {
+            let defined = s > 0 && DEFINERS.contains(&scan.text(scan.sig[s - 1]));
+            if scan.toks[ix].kind == TokKind::Ident && !defined {
                 let reexport = uses.iter().any(|&(lo, hi)| lo <= ix && ix <= hi);
                 named.entry(scan.text(ix)).or_default().insert((fi, reexport));
             }
@@ -169,6 +173,9 @@ struct PubItem {
 
 /// The item keywords the rule checks.
 const KINDS: [&str; 7] = ["fn", "struct", "enum", "const", "trait", "type", "static"];
+
+/// The keywords whose next identifier is the name being defined.
+const DEFINERS: [&str; 8] = ["fn", "struct", "enum", "const", "trait", "type", "static", "mod"];
 
 fn pub_items(scan: &FileScan<'_>) -> Vec<PubItem> {
     let mut items = Vec::new();

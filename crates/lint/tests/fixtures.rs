@@ -221,6 +221,20 @@ fn orphan_pub_fixtures() {
 }
 
 #[test]
+fn orphan_pub_definitions_are_not_callers() {
+    let twin = include_str!("fixtures/orphan_pub_twin.rs");
+    let sources = vec![
+        ("crates/fx/src/lib.rs".to_string(), "pub mod a;\npub mod b;\n".to_string()),
+        ("crates/fx/src/a.rs".to_string(), twin.to_string()),
+        ("crates/fx/src/b.rs".to_string(), twin.to_string()),
+    ];
+    let mut bad = Vec::new();
+    rules::orphan_pub::check(&sources, &LintConfig::default(), &mut bad);
+    assert_eq!(rules_of(&bad), vec!["orphan-pub"; 2], "{bad:?}");
+    assert!(bad.iter().all(|f| f.msg.contains("fn hops")), "{bad:?}");
+}
+
+#[test]
 fn no_sleep_in_reactor_fixtures() {
     let cfg = LintConfig::default();
     let bad_src = include_str!("fixtures/no_sleep_in_reactor_bad.rs");

@@ -139,12 +139,6 @@ impl BenchmarkDriver {
         }
     }
 
-    /// Replaces the circuit-selection weights.
-    pub fn set_weights(&mut self, weights: &[f64]) {
-        assert_eq!(weights.len(), self.relays.len(), "weights mismatch");
-        self.weights = weights.to_vec();
-    }
-
     /// Advances the benchmark state machines; call after `tor.tick()`.
     pub fn on_tick(&mut self, tor: &mut TorNet) {
         let now = tor.now();

@@ -115,13 +115,6 @@ impl MarkovDriver {
         }
     }
 
-    /// Replaces the circuit-selection weights (e.g. after a new
-    /// consensus).
-    pub fn set_weights(&mut self, weights: &[f64]) {
-        assert_eq!(weights.len(), self.relays.len(), "weights mismatch");
-        self.weights = weights.to_vec();
-    }
-
     /// Advances client state machines; call once per tick (after
     /// `tor.tick()`).
     pub fn on_tick(&mut self, tor: &mut TorNet) {

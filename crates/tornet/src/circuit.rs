@@ -80,7 +80,6 @@ pub struct ClientCircuit {
     crypto: OnionCrypto,
     /// Circuit-level packaging window.
     pub window: Window,
-    hops: usize,
 }
 
 impl ClientCircuit {
@@ -91,17 +90,7 @@ impl ClientCircuit {
         assert!(!hop_publics.is_empty(), "a circuit needs at least one hop");
         let keys: Vec<SharedKey> =
             own_secrets.iter().zip(hop_publics).map(|(s, p)| s.shared_with(*p)).collect();
-        ClientCircuit {
-            circ_id,
-            crypto: OnionCrypto::new(&keys),
-            window: Window::circuit(),
-            hops: keys.len(),
-        }
-    }
-
-    /// Number of hops in the circuit.
-    pub fn hops(&self) -> usize {
-        self.hops
+        ClientCircuit { circ_id, crypto: OnionCrypto::new(&keys), window: Window::circuit() }
     }
 
     /// Packages application data into an onion-encrypted relay cell.

@@ -167,11 +167,6 @@ impl OnionCrypto {
         }
     }
 
-    /// Number of hops.
-    pub fn hops(&self) -> usize {
-        self.forward.len()
-    }
-
     /// Client-side encryption for an outbound payload: applies each hop's
     /// forward cipher from the last hop inward, so that each relay peels
     /// exactly one layer.

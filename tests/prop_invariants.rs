@@ -21,6 +21,45 @@ fn arb_params() -> impl Strategy<Value = Params> {
     )
 }
 
+/// What [`clipped_period`] returns: each slot with its index and the last
+/// index handed out when it completed, then the settled relays.
+type Ran = (Vec<(usize, Vec<SlotItem<usize>>, usize)>, Vec<Settled<usize>>);
+
+/// A period of `Sequencer` slots, each run while up to `lookahead` later
+/// slots are staged behind it, against relays that forward `truth[key]`
+/// bytes/s or whatever was allocated, whichever is less.
+fn clipped_period(
+    team: &Team,
+    params: &Params,
+    order: Order,
+    priors: &[(usize, f64)],
+    truth: &[f64],
+    lookahead: usize,
+) -> Ran {
+    let mut sequencer =
+        Sequencer::new(team, params, order, priors.iter().copied(), BwAuth::MAX_ROUNDS);
+    let mut staged = std::collections::VecDeque::new();
+    let mut ran = Vec::new();
+    loop {
+        while staged.len() <= lookahead {
+            let Some(slot) = sequencer.next_slot() else { break };
+            staged.push_back(slot);
+        }
+        let Some((index, items)) = staged.pop_front() else { break };
+        let results: Vec<SlotResult> = items
+            .iter()
+            .map(|item| {
+                let allocated: f64 = item.allocation.iter().map(|a| a.bytes_per_sec()).sum();
+                SlotResult { estimate: truth[item.key].min(allocated), allocated, verified: true }
+            })
+            .collect();
+        sequencer.complete(&items, &results);
+        let horizon = staged.back().map_or(index, |(later, _)| *later);
+        ran.push((index, items, horizon));
+    }
+    (ran, sequencer.into_settled())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -103,9 +142,11 @@ proptest! {
     #[test]
     fn schedule_never_overpacks(
         caps_mbit in prop::collection::vec(1.0f64..900.0, 1..60),
+        factors in prop::collection::vec(0.25f64..4.0, 60),
         team_mbit in prop::collection::vec(300.0f64..1500.0, 1..6),
         seed in 0u64..1000,
         slots in 1u64..40,
+        lookahead in 0usize..2,
     ) {
         let paper = Params::paper();
         let params = Params { period: paper.slot * slots, ..paper };
@@ -115,20 +156,21 @@ proptest! {
         let team = Team::with_capacities(&members);
         let priors: Vec<(usize, f64)> =
             caps_mbit.iter().map(|c| Rate::from_mbit(*c).bytes_per_sec()).enumerate().collect();
+        let truth = |cap: f64| -> Vec<f64> {
+            priors.iter().map(|&(k, z0)| z0 * factors[k].min(cap)).collect()
+        };
         for order in [Order::Packed, Order::Secret { seed }] {
-            let mut ran: Vec<(usize, Vec<SlotItem<usize>>)> = Vec::new();
-            measure_period(&team, &params, order, priors.iter().copied(), 1, |index, slot| {
-                ran.push((index, slot.to_vec()));
-                perfect_slot(index, slot)
-            });
-            // Every relay lands in exactly one slot, slots run in order…
-            let mut keys: Vec<usize> =
-                ran.iter().flat_map(|(_, slot)| slot.iter().map(|item| item.key)).collect();
+            let run = |truth: &[f64], lookahead| {
+                clipped_period(&team, &params, order, &priors, truth, lookahead)
+            };
+            let (ran, settled) = run(&truth(f64::INFINITY), lookahead);
+            // Every relay settles exactly once, slots run in order…
+            let mut keys: Vec<usize> = settled.iter().map(|s| s.key).collect();
             keys.sort_unstable();
             prop_assert_eq!(keys, (0..priors.len()).collect::<Vec<_>>());
             prop_assert!(ran.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", order);
-            // …and none reserves more of a measurer than it has.
-            for (index, slot) in &ran {
+            for (n, (index, slot, horizon)) in ran.iter().enumerate() {
+                // …none reserves more of a measurer than it has…
                 for (m, (_, capacity)) in members.iter().enumerate() {
                     let reserved: f64 =
                         slot.iter().map(|item| item.allocation[m].bytes_per_sec()).sum();
@@ -137,10 +179,29 @@ proptest! {
                         "{:?} slot {} measurer {}: {} > {}", order, index, m, reserved, capacity
                     );
                 }
+                // …and a relay clipped in slot n waits behind every slot
+                // staged before n completed: n + 1 + lookahead, if one was.
+                for item in slot {
+                    let next = ran[n + 1..].iter().find(|r| r.1.iter().any(|i| i.key == item.key));
+                    if let Some((again, _, _)) = next {
+                        prop_assert!(again > horizon, "{:?} relay {} in {}", order, item.key, index);
+                    }
+                }
             }
             if order == Order::Packed {
-                prop_assert!(ran.iter().enumerate().all(|(i, (index, _))| i == *index));
+                prop_assert!(ran.iter().enumerate().all(|(i, (index, _, _))| i == *index));
             }
+            // With nothing clipped, each relay is measured once, and
+            // lookahead changes nothing.
+            let strip = |(ran, settled): Ran| {
+                let slots: Vec<(usize, Vec<SlotItem<usize>>)> =
+                    ran.into_iter().map(|(index, slot, _)| (index, slot)).collect();
+                (slots, settled)
+            };
+            let unclipped = truth(1.0);
+            let once = strip(run(&unclipped, 0));
+            prop_assert_eq!(once.0.iter().map(|(_, slot)| slot.len()).sum::<usize>(), priors.len());
+            prop_assert_eq!(once, strip(run(&unclipped, 1)), "{:?}", order);
         }
     }
 
