@@ -55,7 +55,7 @@ impl ObservationMatrix {
     /// Builds honest observations for relays with the given capacities:
     /// a pair's per-stream throughput is limited by the slower of the
     /// two, with multiplicative noise.
-    pub fn honest(capacities: &[f64], noise: f64, rng: &mut SimRng) -> Self {
+    fn honest(capacities: &[f64], noise: f64, rng: &mut SimRng) -> Self {
         let n = capacities.len();
         let mut m = ObservationMatrix::zeros(n);
         for i in 0..n {

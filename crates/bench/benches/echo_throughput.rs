@@ -36,8 +36,7 @@ use std::time::{Duration, Instant};
 use flashflow_obs::{EventSink, Json, MetricsRegistry, Span};
 use flashflow_procutil::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, ReactorObs, Step};
 use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastCounters, BlastEvent, BlastParser, Echoer,
-    TrafficSource,
+    binding_nonce, secret_channel_key, BlastCounters, BlastParser, Echoer, TrafficSource,
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{Duplex, Transport};
@@ -124,14 +123,13 @@ fn main() {
             let mut src = TrafficSource::new(t, nonce, chan as u32).with_key(key);
             src.greet(SimTime::ZERO);
             src.start(SimTime::ZERO);
-            lanes.push((src, BlastParser::new().with_key(key), 0u64));
+            lanes.push((src, BlastParser::new().with_key(key)));
         }
         let t0 = Instant::now();
-        let spin = |lanes: &mut Vec<(TrafficSource<TcpTransport>, BlastParser, u64)>,
-                    pumping: bool| {
+        let spin = |lanes: &mut Vec<(TrafficSource<TcpTransport>, BlastParser)>, pumping: bool| {
             let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64());
             let mut idle = true;
-            for (src, back, verified) in lanes.iter_mut() {
+            for (src, back) in lanes.iter_mut() {
                 // The source pauses itself at its backlog bound, so it
                 // runs exactly as fast as the kernel + echoer drain.
                 if pumping && src.pump(now) {
@@ -140,12 +138,8 @@ fn main() {
                 if let Ok(bytes) = src.transport_mut().recv(now) {
                     if !bytes.is_empty() {
                         idle = false;
-                        for ev in back.push(&bytes).expect("echo framing intact") {
-                            if let BlastEvent::Data { bytes, corrupt } = ev {
-                                assert_eq!(corrupt, 0, "echo must verify");
-                                *verified += bytes;
-                            }
-                        }
+                        back.push(&bytes).expect("echo framing intact");
+                        assert_eq!(back.corrupt_total(), 0, "echo must verify");
                     }
                 }
             }
@@ -156,15 +150,14 @@ fn main() {
                 thread::sleep(Duration::from_micros(100));
             }
         }
-        let blast_elapsed = t0.elapsed();
-        for (src, ..) in lanes.iter_mut() {
-            src.stop(SimTime::from_secs_f64(blast_elapsed.as_secs_f64()));
+        for (src, _) in lanes.iter_mut() {
+            src.stop();
         }
         // Drain: everything sent must come back verified.
-        let sent: u64 = lanes.iter().map(|(s, ..)| s.sent_total()).sum();
+        let sent: u64 = lanes.iter().map(|(s, _)| s.sent_total()).sum();
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            let back: u64 = lanes.iter().map(|(.., v)| *v).sum();
+            let back: u64 = lanes.iter().map(|(_, b)| b.received_total()).sum();
             if back >= sent {
                 break;
             }
@@ -174,7 +167,7 @@ fn main() {
             }
         }
         let elapsed = t0.elapsed();
-        let back: u64 = lanes.iter().map(|(.., v)| *v).sum();
+        let back: u64 = lanes.iter().map(|(_, b)| b.received_total()).sum();
         total_sent += sent;
         total_back += back;
         println!(
@@ -444,24 +437,19 @@ fn reactor_round(addr: SocketAddr, key: u64, nonce: u64) {
     let t = TcpTransport::connect(addr).expect("dial reactor");
     let mut src = TrafficSource::new(t, nonce, 0).with_key(key);
     let mut back = BlastParser::new().with_key(key);
-    let mut verified = 0u64;
     src.greet(SimTime::ZERO);
     src.start(SimTime::ZERO);
     let deadline = Instant::now() + Duration::from_secs(60);
     while src.sent_total() < REACTOR_STREAM {
         src.pump(SimTime::ZERO);
-        while verified < src.sent_total() {
+        while back.received_total() < src.sent_total() {
             let bytes = src.transport_mut().recv(SimTime::ZERO).expect("echo channel open");
             if bytes.is_empty() {
                 thread::yield_now();
             }
-            for ev in back.push(&bytes).expect("echo framing intact") {
-                if let BlastEvent::Data { bytes, corrupt } = ev {
-                    assert_eq!(corrupt, 0, "echo must verify");
-                    verified += bytes;
-                }
-            }
-            assert!(Instant::now() < deadline, "echo never drained: {verified}");
+            back.push(&bytes).expect("echo framing intact");
+            assert_eq!(back.corrupt_total(), 0, "echo must verify");
+            assert!(Instant::now() < deadline, "echo never drained: {}", back.received_total());
         }
     }
 }

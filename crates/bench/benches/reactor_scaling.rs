@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use flashflow_obs::Json;
 use flashflow_procutil::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, Step};
 use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastEvent, BlastParser, Echoer, TrafficSource,
+    binding_nonce, secret_channel_key, BlastParser, Echoer, TrafficSource,
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::Transport;
@@ -113,7 +113,6 @@ fn accept_factory(key: u64) -> Arc<AcceptFn> {
 struct Lane {
     source: TrafficSource<TcpTransport>,
     echo: BlastParser,
-    verified: u64,
 }
 
 /// Dials `channels` lanes, blasts for `wall`, verifies the echo, and
@@ -130,7 +129,7 @@ fn run_round(addr: SocketAddr, channels: usize, wall: Duration) -> (u64, u64, f6
         source.set_rate_cap(RATE_CAP);
         source.greet(SimTime::ZERO);
         source.start(SimTime::ZERO);
-        lanes.push(Lane { source, echo: BlastParser::new().with_key(key), verified: 0 });
+        lanes.push(Lane { source, echo: BlastParser::new().with_key(key) });
     }
     let t0 = Instant::now();
     let mut rx = Vec::new();
@@ -144,12 +143,8 @@ fn run_round(addr: SocketAddr, channels: usize, wall: Duration) -> (u64, u64, f6
             if let Ok(got) = lane.source.transport_mut().recv_into(now, &mut rx) {
                 if got > 0 {
                     idle = false;
-                    for ev in lane.echo.push(&rx).expect("echo framing intact") {
-                        if let BlastEvent::Data { bytes, corrupt } = ev {
-                            assert_eq!(corrupt, 0, "echo must verify");
-                            lane.verified += bytes;
-                        }
-                    }
+                    lane.echo.push(&rx).expect("echo framing intact");
+                    assert_eq!(lane.echo.corrupt_total(), 0, "echo must verify");
                 }
             }
         }
@@ -161,15 +156,14 @@ fn run_round(addr: SocketAddr, channels: usize, wall: Duration) -> (u64, u64, f6
         }
     }
     let blast_secs = t0.elapsed().as_secs_f64();
-    let stop_at = SimTime::from_secs_f64(blast_secs);
     for lane in &mut lanes {
-        lane.source.stop(stop_at);
+        lane.source.stop();
     }
     // Drain: everything sent must come back verified.
     let sent: u64 = lanes.iter().map(|l| l.source.sent_total()).sum();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let back: u64 = lanes.iter().map(|l| l.verified).sum();
+        let back: u64 = lanes.iter().map(|l| l.echo.received_total()).sum();
         if back >= sent {
             break;
         }
@@ -178,7 +172,7 @@ fn run_round(addr: SocketAddr, channels: usize, wall: Duration) -> (u64, u64, f6
             std::thread::sleep(Duration::from_micros(200));
         }
     }
-    let back: u64 = lanes.iter().map(|l| l.verified).sum();
+    let back: u64 = lanes.iter().map(|l| l.echo.received_total()).sum();
     assert_eq!(back, sent, "bytes lost in the echo round trip");
     (sent, back, blast_secs)
 }

@@ -88,7 +88,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// The journal file path.
-    pub fn journal_path(&self) -> PathBuf {
+    fn journal_path(&self) -> PathBuf {
         self.state_dir.join("journal.jsonl")
     }
 

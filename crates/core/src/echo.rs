@@ -105,7 +105,7 @@ pub struct EchoDeployment {
 
 impl EchoDeployment {
     /// The relay's listener as a dialable address.
-    pub fn relay_addr(&self) -> SocketAddr {
+    fn relay_addr(&self) -> SocketAddr {
         SocketAddr::from((self.relay.ip, self.relay.port))
     }
 

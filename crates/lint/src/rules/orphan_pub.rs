@@ -5,10 +5,16 @@
 //! item nobody names is surface without a user: it is read, kept
 //! compiling and documented, and it tells the reader a caller exists.
 //!
-//! Four things do not count as a caller, and one thing does:
+//! A call (`name(`, `.name(`), a path (`Type::name`), a type use or
+//! any other mention in an expression counts as a caller. These do not:
 //! - the item's own file, tests included;
 //! - a definition of the same name elsewhere (`fn hops` in two files
 //!   are two orphans, not each other's caller);
+//! - a namesake: a binding in a `let`, `for`, `match` arm or closure
+//!   parameter pattern, a field, parameter or struct-pattern name
+//!   before its `:`, a field access (`circuit.hops` without a call),
+//!   and a bare name the same file binds (`x + hops` after
+//!   `let hops`);
 //! - a `use` statement in its own crate's `lib.rs` (a re-export only
 //!   moves the orphan);
 //! - a doc comment (comments are not identifiers);
@@ -16,8 +22,11 @@
 //!   `pub` item of its own file is reached through that item
 //!   (`RegistrySnapshot::histograms` reaches `HistogramSnapshot`).
 //!
-//! The scan is by name, so it can only under-report: a method that
-//! shares a name with any identifier elsewhere counts as reached.
+//! The scan is by name and reads tokens, not a parse tree. It
+//! under-reports where a call has a namesake (a local closure `hops`
+//! called as `hops()` reaches `fn hops`), and could over-report a
+//! function passed by its bare name (`.map(hops)`) in a file that also
+//! binds a local `hops`.
 //!
 //! Known orphans that a ROADMAP item will call are listed in
 //! `crates/lint/orphan-pub.allow`, one line per item naming that
@@ -90,13 +99,14 @@ pub fn orphans(sources: &[(String, String)], cfg: &LintConfig) -> Vec<(Finding, 
         .collect();
     // name -> the files naming it; a name inside a `use` statement of
     // a `lib.rs` is recorded as that lib's re-export instead, and the
-    // name a definition introduces is not recorded.
+    // name a definition or a namesake introduces is not recorded.
     let mut named: BTreeMap<&str, BTreeSet<(usize, bool)>> = BTreeMap::new();
     for (fi, scan) in scans.iter().enumerate() {
         let uses = if libs.contains(scan.path) { use_statements(scan) } else { Vec::new() };
+        let namesake = namesakes(scan);
         for (s, &ix) in scan.sig.iter().enumerate() {
             let defined = s > 0 && DEFINERS.contains(&scan.text(scan.sig[s - 1]));
-            if scan.toks[ix].kind == TokKind::Ident && !defined {
+            if scan.toks[ix].kind == TokKind::Ident && !defined && !namesake[s] {
                 let reexport = uses.iter().any(|&(lo, hi)| lo <= ix && ix <= hi);
                 named.entry(scan.text(ix)).or_default().insert((fi, reexport));
             }
@@ -264,6 +274,111 @@ fn signature(scan: &FileScan<'_>, kind: &str, k: usize) -> Vec<String> {
         if kind != "struct" || depth == 0 || field_pub {
             out.push(t.to_string());
         }
+    }
+    out
+}
+
+/// Which significant tokens (by `sig` position) are namesakes: an
+/// identifier that names a binding, a field or a parameter rather than
+/// using an item of that name (see the module doc).
+fn namesakes(scan: &FileScan<'_>) -> Vec<bool> {
+    let words: Vec<&str> = scan.sig.iter().map(|&ix| scan.text(ix)).collect();
+    let word = |s: usize| words.get(s).copied().unwrap_or("");
+    let before = |s: usize, n: usize| s.checked_sub(n).map_or("", word);
+    let ident = |s: usize| scan.sig.get(s).is_some_and(|&ix| scan.toks[ix].kind == TokKind::Ident);
+    let path_after = |s: usize| word(s + 1) == ":" && word(s + 2) == ":";
+    let path_before = |s: usize| before(s, 1) == ":" && before(s, 2) == ":";
+    // A lone `:`, not half of a `::`.
+    let colon = |s: usize| word(s) == ":" && word(s + 1) != ":" && before(s, 1) != ":";
+    // The first position from `from` at bracket depth 0 where `stop`
+    // holds, or the bracket that closes the enclosing one.
+    let scan_to = |from: usize, stop: &dyn Fn(usize) -> bool| {
+        let mut depth = 0usize;
+        for s in from..words.len() {
+            match word(s) {
+                _ if depth == 0 && stop(s) => return s,
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth == 0 => return s,
+                ")" | "]" | "}" => depth -= 1,
+                _ => {}
+            }
+        }
+        words.len()
+    };
+    let mut out = vec![false; words.len()];
+    // The bindings of the pattern in `from..to`: lower-case names that
+    // are not called, paths or struct patterns, skipping a closure
+    // parameter's `: Type`.
+    let bind = |out: &mut [bool], from: usize, to: usize| {
+        let (mut depth, mut typed) = (0usize, false);
+        for (s, namesake) in out.iter_mut().enumerate().take(to).skip(from) {
+            match word(s) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                "," if depth == 0 => typed = false,
+                _ if depth == 0 && colon(s) => typed = true,
+                w if !typed
+                    && ident(s)
+                    && w.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                    && !matches!(word(s + 1), "(" | "{" | "!")
+                    && !path_after(s)
+                    && !path_before(s) =>
+                {
+                    *namesake = true;
+                }
+                _ => {}
+            }
+        }
+    };
+    for s in 0..words.len() {
+        match word(s) {
+            "let" => {
+                bind(&mut out, s + 1, scan_to(s + 1, &|t| matches!(word(t), "=" | ";") || colon(t)))
+            }
+            "for" if word(s + 1) != "<" => {
+                let end = scan_to(s + 1, &|t| matches!(word(t), "in" | "{" | ";"));
+                if word(end) == "in" {
+                    bind(&mut out, s + 1, end);
+                }
+            }
+            // A closure's parameters: a `|` where an operand is due.
+            "|" if matches!(before(s, 1), "(" | "," | "=" | "{" | ";" | "move" | "return")
+                && !matches!(word(s + 1), "|" | "=") =>
+            {
+                bind(&mut out, s + 1, scan_to(s + 1, &|t| word(t) == "|"));
+            }
+            // A `match` arm's pattern: back from its `=>` to the `,`, `{`
+            // or `}` before it, then forward to the arrow or a guard.
+            "=" if word(s + 1) == ">" => {
+                let (mut start, mut depth) = (s, 0usize);
+                while start > 0 {
+                    match word(start - 1) {
+                        ")" | "]" => depth += 1,
+                        "(" | "[" if depth > 0 => depth -= 1,
+                        "," | "{" | "}" | ";" | "(" | "[" if depth == 0 => break,
+                        _ => {}
+                    }
+                    start -= 1;
+                }
+                let arrow = |t: usize| word(t) == "=" && word(t + 1) == ">";
+                bind(&mut out, start, scan_to(start, &|t| arrow(t) || word(t) == "if"));
+            }
+            _ => {}
+        }
+        // `name: ...` names a field, a parameter or a struct-pattern
+        // field.
+        if ident(s) && colon(s + 1) {
+            out[s] = true;
+        }
+    }
+    // A bare name the file binds reads that binding; `.name` without a
+    // call reads a field.
+    let bound: BTreeSet<&str> =
+        words.iter().zip(&out).filter(|(_, &b)| b).map(|(w, _)| *w).collect();
+    for (s, namesake) in out.iter_mut().enumerate() {
+        let bare = bound.contains(word(s)) && !matches!(word(s + 1), "(" | "!") && !path_before(s);
+        let access = before(s, 1) == "." && before(s, 2) != "." && word(s + 1) != "(";
+        *namesake |= ident(s) && !path_after(s) && (bare || access);
     }
     out
 }

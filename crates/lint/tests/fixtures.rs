@@ -235,6 +235,28 @@ fn orphan_pub_definitions_are_not_callers() {
 }
 
 #[test]
+fn orphan_pub_namesakes_are_not_callers() {
+    let sources = vec![
+        ("crates/fx/src/lib.rs".to_string(), "pub mod circuit;\n".to_string()),
+        (
+            "crates/fx/src/circuit.rs".to_string(),
+            include_str!("fixtures/orphan_pub_namesakes.rs").to_string(),
+        ),
+        (
+            "crates/app/src/main.rs".to_string(),
+            include_str!("fixtures/orphan_pub_namesake_caller.rs").to_string(),
+        ),
+    ];
+    let mut found = Vec::new();
+    rules::orphan_pub::check(&sources, &LintConfig::default(), &mut found);
+    let names: BTreeSet<&str> =
+        found.iter().filter_map(|f| f.msg.split('`').nth(1)?.strip_prefix("pub fn ")).collect();
+    let orphans = ["hops", "window", "credit", "total", "span", "step", "limit"];
+    assert_eq!(names, BTreeSet::from(orphans), "{found:?}");
+    assert_eq!(rules_of(&found), vec!["orphan-pub"; orphans.len()], "{found:?}");
+}
+
+#[test]
 fn no_sleep_in_reactor_fixtures() {
     let cfg = LintConfig::default();
     let bad_src = include_str!("fixtures/no_sleep_in_reactor_bad.rs");

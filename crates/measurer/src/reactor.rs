@@ -77,6 +77,19 @@ fn burst_interval(speedup: f64, cap: u64) -> Duration {
     Duration::from_secs_f64(secs)
 }
 
+/// Each echo channel's share of a slot's `rate_cap` (0 = uncapped) over
+/// the `sockets` it commands: an even split, the first channels
+/// absorbing the remainder. A share of 0 would leave its channel
+/// uncapped, so a cap below the channel count dials only `rate_cap`
+/// channels of 1 byte per second each.
+fn channel_caps(sockets: u32, rate_cap: u64) -> Vec<u64> {
+    let mut n = u64::from(sockets.clamp(1, MAX_SOCKETS));
+    if rate_cap > 0 {
+        n = n.min(rate_cap);
+    }
+    (0..n).map(|chan| rate_cap / n + u64::from(chan < rate_cap % n)).collect()
+}
+
 /// The first instant after `now` on the process's grid of `every`-long
 /// burst intervals. Every paced channel bursts on the grid of its
 /// interval, counted from one process-wide origin, so the channels one
@@ -282,17 +295,18 @@ impl EchoPlane<'_> {
         let Some(addr) = spec.target.socket_addr() else { return 0 };
         let nonce = binding_nonce(spec.measurement_secret);
         let key = secret_channel_key(spec.measurement_secret);
-        let n = spec.sockets.clamp(1, MAX_SOCKETS);
-        let window = IN_FLIGHT_WINDOW / u64::from(n);
+        let caps = channel_caps(spec.sockets, spec.rate_cap);
+        let n = caps.len() as u64;
+        let window = IN_FLIGHT_WINDOW / n;
         // A paced channel reads a burst's echo at its next burst, so it
         // sends one burst ahead: `Go` is now, and the blast clock runs
         // from one burst interval earlier. What the slot's last report
         // counts then runs up to the channel's last burst, not the one
         // before.
-        let every = burst_interval(self.speedup, spec.rate_cap / u64::from(n));
+        let every = burst_interval(self.speedup, spec.rate_cap / n);
         let t0 = Instant::now().checked_sub(every).unwrap_or_else(Instant::now);
         let mut dialed = 0;
-        for chan in 0..n {
+        for (chan, cap) in (0u32..).zip(caps) {
             let span = span.channel(u64::from(chan));
             let stream = match reactor::dial(addr) {
                 Ok(stream) => stream,
@@ -304,15 +318,12 @@ impl EchoPlane<'_> {
                     continue;
                 }
             };
-            // Even split; the first channels absorb the remainder.
-            let cap = spec.rate_cap;
-            let share = cap / u64::from(n) + u64::from(u64::from(chan) < cap % u64::from(n));
             let channel = EchoChannel {
                 fd: stream.as_raw_fd(),
                 link: Link::Dialing(stream),
                 hello: DataChannelHello { nonce, channel: chan },
                 key,
-                cap: share,
+                cap,
                 window,
                 echo: BlastParser::new().with_key(key).with_counters(self.counters.clone()),
                 tally: Arc::clone(self.tally),
@@ -981,6 +992,26 @@ mod tests {
         let (_, switches) = run.shard.expect("the shard ticked");
         let most = 2.0 / every.as_secs_f64();
         assert!(switches <= most, "{switches:.0} wakeups per s, most {most:.0}");
+    }
+
+    #[test]
+    fn a_capped_slot_never_opens_an_uncapped_channel() {
+        // One byte per second over two sockets: one channel at 1 B/s,
+        // not a second one blasting at full speed.
+        assert_eq!(channel_caps(2, 1), [1]);
+        assert_eq!(channel_caps(16, 5), [1; 5]);
+        assert_eq!(channel_caps(3, 7), [3, 2, 2]);
+        assert_eq!(channel_caps(40, 0), [0; MAX_SOCKETS as usize], "uncapped stays uncapped");
+        for sockets in 0..=MAX_SOCKETS + 2 {
+            let commanded = u64::from(sockets.clamp(1, MAX_SOCKETS));
+            for rate_cap in (1..=40).chain([1_000_003, 125_000_000]) {
+                let caps = channel_caps(sockets, rate_cap);
+                assert_eq!(caps.len() as u64, commanded.min(rate_cap), "{sockets} × {rate_cap}");
+                assert_eq!(caps.iter().sum::<u64>(), rate_cap, "{sockets} × {rate_cap}");
+                assert!(caps.iter().all(|&cap| cap >= 1), "{sockets} × {rate_cap}: {caps:?}");
+                assert!(caps[0] - caps[caps.len() - 1] <= 1, "{sockets} × {rate_cap}: {caps:?}");
+            }
+        }
     }
 
     /// A paced burst is 4 ms of its rate, shorter where a sped-up second

@@ -300,7 +300,7 @@ impl<R: Role> Peer<R> {
         true
     }
 
-    pub fn draining(&self) -> bool {
+    fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 

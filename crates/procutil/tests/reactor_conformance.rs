@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use flashflow_procutil::reactor::{self, AcceptFn, Driven, Reactor, ReactorConfig, Step};
 use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastEvent, BlastParser, Echoer, TrafficSource,
-    ECHO_BACKLOG_HIGH_WATER,
+    binding_nonce, secret_channel_key, BlastParser, Echoer, TrafficSource, ECHO_BACKLOG_HIGH_WATER,
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{Duplex, Transport};
@@ -134,41 +133,35 @@ fn verified_round_trip(addr: SocketAddr, channel: u32, wall: Duration) -> u64 {
     src.greet(SimTime::ZERO);
     src.start(SimTime::ZERO);
     let mut echo = BlastParser::new().with_key(key);
-    let mut verified = 0u64;
     let t0 = Instant::now();
     let mut rx = Vec::new();
-    let mut drain = |src: &mut TrafficSource<TcpTransport>,
-                     echo: &mut BlastParser,
-                     verified: &mut u64,
-                     now: SimTime| {
-        if let Ok(got) = src.transport_mut().recv_into(now, &mut rx) {
-            if got > 0 {
-                for ev in echo.push(&rx).expect("echo framing intact") {
-                    if let BlastEvent::Data { bytes, corrupt } = ev {
-                        assert_eq!(corrupt, 0, "echo must verify");
-                        *verified += bytes;
-                    }
+    let mut drain =
+        |src: &mut TrafficSource<TcpTransport>, echo: &mut BlastParser, now: SimTime| {
+            if let Ok(got) = src.transport_mut().recv_into(now, &mut rx) {
+                if got > 0 {
+                    echo.push(&rx).expect("echo framing intact");
+                    assert_eq!(echo.corrupt_total(), 0, "echo must verify");
                 }
             }
-        }
-    };
+        };
     while t0.elapsed() < wall {
         let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64());
         src.pump(now);
-        drain(&mut src, &mut echo, &mut verified, now);
+        drain(&mut src, &mut echo, now);
         std::thread::sleep(Duration::from_micros(200));
     }
-    src.stop(SimTime::from_secs_f64(t0.elapsed().as_secs_f64()));
+    src.stop();
     let sent = src.sent_total();
     assert!(sent > 0, "nothing was blasted");
     let deadline = Instant::now() + Duration::from_secs(60);
-    while verified < sent {
+    while echo.received_total() < sent {
+        let verified = echo.received_total();
         assert!(Instant::now() < deadline, "echo never drained: {verified}/{sent}");
         let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64());
-        drain(&mut src, &mut echo, &mut verified, now);
+        drain(&mut src, &mut echo, now);
         std::thread::sleep(Duration::from_micros(200));
     }
-    assert_eq!(verified, sent, "bytes lost in the reactor echo round trip");
+    assert_eq!(echo.received_total(), sent, "bytes lost in the reactor echo round trip");
     sent
 }
 
@@ -233,12 +226,9 @@ fn reactor_reassembles_frames_dripped_at_arbitrary_boundaries() {
         match client.read(&mut buf) {
             Ok(0) => panic!("reactor closed the channel mid-echo"),
             Ok(n) => {
-                for ev in parser.push(&buf[..n]).expect("echo framing intact") {
-                    if let BlastEvent::Data { bytes, corrupt } = ev {
-                        assert_eq!(corrupt, 0, "frame corrupted across a drip boundary");
-                        verified += bytes;
-                    }
-                }
+                parser.push(&buf[..n]).expect("echo framing intact");
+                assert_eq!(parser.corrupt_total(), 0, "frame corrupted across a drip boundary");
+                verified = parser.received_total();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -291,7 +281,7 @@ fn reactor_flushes_echo_backlog_through_write_readiness() {
         "no echo write ever blocked (client send buffer filled: {saw_backpressure}); \
          burst too small?"
     );
-    src.stop(SimTime::from_secs_f64(1.0));
+    src.stop();
     let sent = src.sent_total();
 
     let mut echo = BlastParser::new().with_key(key);
@@ -305,12 +295,9 @@ fn reactor_flushes_echo_backlog_through_write_readiness() {
             .recv_into(SimTime::from_secs_f64(2.0), &mut rx)
             .expect("return stream open");
         if got > 0 {
-            for ev in echo.push(&rx).expect("no torn frame ever surfaces") {
-                if let BlastEvent::Data { bytes, corrupt } = ev {
-                    assert_eq!(corrupt, 0, "frame torn at the WouldBlock boundary");
-                    verified += bytes;
-                }
-            }
+            echo.push(&rx).expect("no torn frame ever surfaces");
+            assert_eq!(echo.corrupt_total(), 0, "frame torn at the WouldBlock boundary");
+            verified = echo.received_total();
         } else {
             // Nudge our own queued outbox along, as a driver's pump would.
             let _ = src.transport_mut().send(SimTime::from_secs_f64(2.0), &[]);

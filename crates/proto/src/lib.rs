@@ -14,7 +14,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`msg`] | message vocabulary: `Auth`, `AuthOk`, `MeasureCmd`, `Ready`, `Go`, `SecondReport`, `SlotDone`, `Abort` |
-//! | [`blast`] | the data plane: pattern-stamped bulk traffic, per-second byte counters, `DataChannelHello` session binding |
+//! | [`blast`] | the data plane: pattern-stamped bulk traffic, verified byte totals, `DataChannelHello` session binding |
 //! | [`frame`] | length-prefixed, versioned binary codec with a total decoder and typed error taxonomy |
 //! | [`session`] | `CoordinatorSession` / `MeasurerSession` state machines with timeout, abort, and handshake-replay handling |
 //! | [`transport`] | the [`Transport`](transport::Transport) trait and the simulated in-memory stream |
@@ -65,8 +65,8 @@ pub mod transport;
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use crate::blast::{
-        binding_nonce, frame_tag, secret_channel_key, BackgroundMeter, BlastError, BlastEvent,
-        BlastParser, BlastPattern, ByteCounter, DataChannelHello, Echoer, TrafficSource,
+        binding_nonce, frame_tag, secret_channel_key, BackgroundMeter, BlastError, BlastParser,
+        BlastPattern, ByteCounter, DataChannelHello, Echoer, TrafficSource,
     };
     pub use crate::endpoint::Endpoint;
     pub use crate::fault::{FaultMode, FaultyTransport};

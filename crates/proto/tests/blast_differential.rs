@@ -10,9 +10,9 @@
 //! streams (valid frames, flipped bytes at and around word boundaries,
 //! forged tags, replayed sequence numbers, same-nonce and new-nonce
 //! re-hellos, an optional framing error, a missing opening hello or a
-//! cut at the end), every chunking of the stream must give the parser
-//! the oracle's totals, the oracle's sticky error, and — when the
-//! stream has no framing error — the oracle's coalesced event sequence.
+//! cut at the end), every chunking of the stream must leave the parser,
+//! after every push, with the totals and the sticky error the oracle
+//! reached at that offset.
 //!
 //! The same chunkings run through a relay-side [`Echoer`] over a
 //! `Duplex`: its echo must be exactly the oracle's accepted units (every
@@ -29,8 +29,8 @@
 //! their bytes.
 
 use flashflow_proto::blast::{
-    frame_tag, BlastError, BlastEvent, BlastParser, BlastPattern, DataChannelHello, Echoer,
-    BLAST_CHUNK, BLAST_FRAME_TAG, BLAST_HEADER_LEN, DATA_HELLO_TAG, HELLO_LEN, MAX_BLAST_PAYLOAD,
+    frame_tag, BlastError, BlastParser, BlastPattern, DataChannelHello, Echoer, BLAST_CHUNK,
+    BLAST_FRAME_TAG, BLAST_HEADER_LEN, DATA_HELLO_TAG, HELLO_LEN, MAX_BLAST_PAYLOAD,
 };
 use flashflow_proto::transport::{Duplex, Transport};
 use flashflow_simnet::time::SimTime;
@@ -55,43 +55,60 @@ fn keystream(nonce: u64, seq: u64, len: usize) -> Vec<u8> {
     (0..len).map(|p| splitmix64((p / 8) as u64).to_be_bytes()[p % 8] ^ mask[p % 8]).collect()
 }
 
-/// What one pass over a stream observed.
-#[derive(Debug, Default)]
+/// What a reader of a stream had counted at one offset.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Outcome {
     received: u64,
     corrupt: u64,
     forged: u64,
     replayed: u64,
-    /// Events with adjacent `Data` merged (how a push coalesces them
-    /// depends on the chunking; their sums do not).
-    events: Vec<BlastEvent>,
     error: Option<BlastError>,
 }
 
-impl Outcome {
-    fn record(&mut self, event: BlastEvent) {
-        if let (
-            BlastEvent::Data { bytes, corrupt },
-            Some(BlastEvent::Data { bytes: total, corrupt: total_corrupt }),
-        ) = (event, self.events.last_mut())
-        {
-            *total += bytes;
-            *total_corrupt += corrupt;
-        } else {
-            self.events.push(event);
+/// A tag-valid frame's payload: how many of its bytes arrived, and
+/// which of those fail the keystream.
+struct Payload {
+    arrived: usize,
+    corrupt_at: Vec<usize>,
+}
+
+/// The oracle's reading of a whole stream.
+struct Reading {
+    /// In stream order, one per hello or header that arrived whole (and
+    /// one for a framing error): the offset where it ends, the counts
+    /// from there on, and the payload that follows it, which counts
+    /// byte by byte.
+    marks: Vec<(usize, Outcome, Option<Payload>)>,
+    /// The accepted units, in order: what the relay must echo.
+    echo: Vec<u8>,
+}
+
+impl Reading {
+    /// What a reader must have counted once the first `cut` bytes of
+    /// the stream arrived.
+    fn at(&self, cut: usize) -> Outcome {
+        let marks = self.marks.partition_point(|&(end, ..)| end <= cut);
+        let Some((end, mut out, payload)) = marks.checked_sub(1).map(|m| &self.marks[m]) else {
+            return Outcome::default();
+        };
+        if let Some(payload) = payload {
+            let got = (cut - end).min(payload.arrived);
+            out.received += got as u64;
+            out.corrupt += payload.corrupt_at.partition_point(|&at| at < got) as u64;
         }
+        out
     }
 }
 
 /// The reference: one sequential walk over the whole stream, each
-/// frame's keystream filled into a buffer and compared bytewise. Also
-/// returns the accepted units, in order: what the relay must echo.
-fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
+/// frame's keystream filled into a buffer and compared bytewise.
+fn oracle(stream: &[u8]) -> Reading {
+    let mut reading = Reading { marks: Vec::new(), echo: Vec::new() };
     let mut out = Outcome::default();
-    let mut echo = Vec::new();
     let mut nonce: Option<u64> = None;
     let mut next_seq = 0u64;
     let mut rest = stream;
+    let at = |rest: &[u8]| stream.len() - rest.len();
     while let Some(&tag) = rest.first() {
         match tag {
             DATA_HELLO_TAG => {
@@ -103,95 +120,102 @@ fn oracle(stream: &[u8]) -> (Outcome, Vec<u8>) {
                             next_seq = 0;
                         }
                         nonce = Some(hello.nonce);
-                        out.record(BlastEvent::Hello(hello));
-                        echo.extend_from_slice(raw);
+                        reading.echo.extend_from_slice(raw);
                     }
-                    Err(e) => {
-                        out.error = Some(e);
-                        break;
-                    }
+                    Err(e) => out.error = Some(e),
                 }
+                reading.marks.push((at(rest), out, None));
             }
             BLAST_FRAME_TAG => {
                 let Some(raw) = rest.first_chunk::<BLAST_HEADER_LEN>() else { break };
                 rest = &rest[BLAST_HEADER_LEN..];
-                let Some(nonce) = nonce else {
-                    out.error = Some(BlastError::MissingHello);
-                    break;
-                };
                 let seq = u64::from_be_bytes(raw[1..9].try_into().unwrap());
                 let len = u32::from_be_bytes(raw[9..13].try_into().unwrap());
                 let tag = u64::from_be_bytes(raw[13..21].try_into().unwrap());
+                let Some(nonce) = nonce else {
+                    out.error = Some(BlastError::MissingHello);
+                    reading.marks.push((at(rest), out, None));
+                    break;
+                };
                 if len as usize > MAX_BLAST_PAYLOAD {
                     out.error = Some(BlastError::OversizedFrame(len));
+                    reading.marks.push((at(rest), out, None));
                     break;
                 }
                 let arrived = (len as usize).min(rest.len());
                 let (payload, after) = rest.split_at(arrived);
+                let end = at(rest);
                 rest = after;
                 if tag != frame_tag(KEY, nonce, seq, len) {
                     out.forged += u64::from(len);
-                    out.record(BlastEvent::Forged { bytes: u64::from(len) });
+                    reading.marks.push((end, out, None));
                 } else if seq < next_seq {
                     out.replayed += u64::from(len);
-                    out.record(BlastEvent::Replayed { bytes: u64::from(len) });
+                    reading.marks.push((end, out, None));
                 } else {
                     next_seq = seq + 1;
                     let keystream = keystream(nonce, seq, len as usize);
-                    let corrupt =
-                        payload.iter().zip(&keystream).filter(|(a, b)| a != b).count() as u64;
+                    let corrupt_at: Vec<usize> =
+                        (0..arrived).filter(|&i| payload[i] != keystream[i]).collect();
+                    let header = out;
                     out.received += arrived as u64;
-                    out.corrupt += corrupt;
-                    echo.extend_from_slice(raw);
-                    echo.extend_from_slice(payload);
-                    if arrived > 0 {
-                        out.record(BlastEvent::Data { bytes: arrived as u64, corrupt });
-                    }
+                    out.corrupt += corrupt_at.len() as u64;
+                    reading.echo.extend_from_slice(raw);
+                    reading.echo.extend_from_slice(payload);
+                    reading.marks.push((end, header, Some(Payload { arrived, corrupt_at })));
                 }
             }
             other => {
                 out.error = Some(BlastError::BadTag(other));
-                break;
+                reading.marks.push((at(rest) + 1, out, None));
             }
         }
+        if out.error.is_some() {
+            break;
+        }
     }
-    (out, echo)
+    reading
 }
 
-/// Feeds `stream` to a fresh parser cut at `cuts` (ascending offsets).
-fn parse(stream: &[u8], cuts: &[usize]) -> Outcome {
+/// The offsets at which a push of `stream` cut at `cuts` (ascending)
+/// ends, the last at the stream's end.
+fn ends<'a>(stream: &[u8], cuts: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    cuts.iter().copied().chain([stream.len()])
+}
+
+/// Feeds `stream` to a fresh parser cut at `cuts`; returns what it had
+/// counted after each push.
+fn parse(stream: &[u8], cuts: &[usize]) -> Vec<Outcome> {
     let mut parser = BlastParser::new().with_key(KEY);
-    let mut out = Outcome::default();
     let mut from = 0;
-    for &to in cuts.iter().chain([&stream.len()]) {
-        match parser.push(&stream[from..to]) {
-            Ok(events) => events.into_iter().for_each(|e| out.record(e)),
-            Err(e) => {
-                out.error = Some(e);
-                assert_eq!(parser.push(&stream[to..]), Err(e), "a framing error is sticky");
-                break;
+    ends(stream, cuts)
+        .map(|to| {
+            let error = parser.push(&stream[from..to]).err();
+            from = to;
+            Outcome {
+                received: parser.received_total(),
+                corrupt: parser.corrupt_total(),
+                forged: parser.forged_total(),
+                replayed: parser.replayed_total(),
+                error,
             }
-        }
-        from = to;
-    }
-    out.received = parser.received_total();
-    out.corrupt = parser.corrupt_total();
-    out.forged = parser.forged_total();
-    out.replayed = parser.replayed_total();
-    out
+        })
+        .collect()
 }
 
-/// The parser's answer under one chunking must be the oracle's.
-fn check(stream: &[u8], cuts: &[usize], want: &Outcome, want_echo: &[u8], how: &str) {
-    let got = parse(stream, cuts);
-    // A push that hits the framing error returns only the error, so
-    // which events surfaced before it depends on the chunking; the
-    // totals and the error do not.
-    let same_events = want.error.is_some() || got.events == want.events;
-    let same_totals = (got.received, got.corrupt, got.forged, got.replayed, got.error)
-        == (want.received, want.corrupt, want.forged, want.replayed, want.error);
-    assert!(same_events && same_totals, "{how} (cuts {cuts:?}):\n got {got:?}\nwant {want:?}");
-    check_echo(stream, cuts, want, want_echo, how);
+/// The parser's answer under one chunking must be the oracle's, after
+/// every push: a framing error stays once it surfaced, and the totals
+/// stop there.
+fn check(stream: &[u8], cuts: &[usize], want: &Reading, how: &str) {
+    for (push, (to, got)) in ends(stream, cuts).zip(parse(stream, cuts)).enumerate() {
+        let expected = want.at(to);
+        assert!(
+            got == expected,
+            "{how} (cuts {cuts:?}): push {push} (to {to} of {}):\n got {got:?}\nwant {expected:?}",
+            stream.len()
+        );
+    }
+    check_echo(stream, cuts, &want.at(stream.len()), &want.echo, how);
 }
 
 /// Blasts `stream`, cut at `cuts`, at an [`Echoer`] over a `Duplex`, and
@@ -201,7 +225,7 @@ fn check_echo(stream: &[u8], cuts: &[usize], want: &Outcome, want_echo: &[u8], h
     let (mut measurer, relay) = Duplex::loopback().into_endpoints();
     let mut echoer = Echoer::new(relay).with_key(KEY);
     let mut from = 0;
-    for &to in cuts.iter().chain([&stream.len()]) {
+    for to in ends(stream, cuts) {
         measurer.send(now, &stream[from..to]).expect("open duplex");
         if echoer.pump(now).is_err() {
             break;
@@ -343,27 +367,27 @@ proptest! {
         ending in 0u8..8,
     ) {
         let Script { stream, units } = script(seed, steps, ending);
-        let (want, echo) = oracle(&stream);
+        let want = oracle(&stream);
         let mut rng = TestRng::from_seed(seed ^ 0xC0FFEE);
 
-        check(&stream, &[], &want, &echo, "one push");
+        check(&stream, &[], &want, "one push");
         // Split inside (and on both edges of) every hello and header.
         for &unit in &units {
             for at in unit..=(unit + BLAST_HEADER_LEN).min(stream.len()) {
-                check(&stream, &[at], &want, &echo, "header split");
+                check(&stream, &[at], &want, "header split");
             }
         }
         for round in 0..4 {
             let mut cuts: Vec<usize> =
                 (0..1 + rng.gen_index(12)).map(|_| rng.gen_index(stream.len() + 1)).collect();
             cuts.sort_unstable();
-            check(&stream, &cuts, &want, &echo, &format!("random split {round}"));
+            check(&stream, &cuts, &want, &format!("random split {round}"));
         }
         // Socket-sized pieces that share no factor with a frame.
         let mss: Vec<usize> = (1448..stream.len()).step_by(1448).collect();
-        check(&stream, &mss, &want, &echo, "mss pushes");
+        check(&stream, &mss, &want, "mss pushes");
         let bytes: Vec<usize> = (1..stream.len()).collect();
-        check(&stream, &bytes, &want, &echo, "1-byte pushes");
+        check(&stream, &bytes, &want, "1-byte pushes");
     }
 }
 
@@ -375,7 +399,8 @@ fn oracle_sees_what_the_generator_planted() {
     let mut seen = Outcome::default();
     let mut errors = 0;
     for seed in 0..64u64 {
-        let (got, _) = oracle(&script(seed, 9, (seed % 8) as u8).stream);
+        let stream = script(seed, 9, (seed % 8) as u8).stream;
+        let got = oracle(&stream).at(stream.len());
         seen.received += got.received;
         seen.corrupt += got.corrupt;
         seen.forged += got.forged;
@@ -458,8 +483,8 @@ proptest! {
             // Pushes that start payload fragments at every offset mod 8
             // and end some of them at the table's last byte.
             let cuts: Vec<usize> = (cut..stream.len()).step_by(cut + 1447).collect();
-            let got = parse(&stream, &cuts);
-            let (want, _) = oracle(&stream);
+            let got = *parse(&stream, &cuts).last().expect("one push at least");
+            let want = oracle(&stream).at(stream.len());
             prop_assert_eq!((got.received, got.corrupt), (want.received, want.corrupt), "{}", how);
             prop_assert_eq!((got.forged, got.replayed, got.error), (0, 0, None), "{}", how);
             prop_assert_eq!(got.received, frames * len as u64, "{}", how);

@@ -218,7 +218,6 @@ impl DataConn {
         echoer.set_corrupt_echo(relay.cfg.corrupt_echo);
         let t0 = Instant::now();
         let now = peer.snow(t0);
-        echoer.start(now);
         let mut conn = DataConn {
             peer: Arc::clone(peer),
             span,
@@ -470,7 +469,7 @@ mod tests {
 
         // The measurer drains its echo: forwarding resumes and every
         // byte verifies.
-        source.stop(SimTime::ZERO);
+        source.stop();
         let mut back = BlastParser::new().with_key(key);
         let mut rx = Vec::new();
         let sent = source.sent_total();

@@ -9,9 +9,7 @@
 use std::time::{Duration, Instant};
 
 use flashflow_harness::{bin, thread_count, token, token_hex, Proc, RELAY};
-use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastEvent, BlastParser, TrafficSource,
-};
+use flashflow_proto::blast::{binding_nonce, secret_channel_key, BlastParser, TrafficSource};
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERPRINT_LEN};
 use flashflow_proto::session::{CoordPhase, CoordinatorSession, SessionTimeouts};
@@ -36,7 +34,6 @@ const SLOT_SECS: u32 = 2;
 struct Lane {
     source: TrafficSource<TcpTransport>,
     echo: BlastParser,
-    verified: u64,
     stopped: bool,
 }
 
@@ -101,12 +98,7 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
         source.set_rate_cap(8 * 1024);
         source.greet(SimTime::ZERO);
         source.start(SimTime::ZERO);
-        lanes.push(Lane {
-            source,
-            echo: BlastParser::new().with_key(key),
-            verified: 0,
-            stopped: false,
-        });
+        lanes.push(Lane { source, echo: BlastParser::new().with_key(key), stopped: false });
         if chan % 64 == 0 {
             // Keep the control session serviced while dialing.
             coord.pump(SimTime::from_secs_f64(t0.elapsed().as_secs_f64()));
@@ -135,7 +127,7 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
         for lane in &mut lanes {
             if !lane.stopped {
                 if lane.source.sent_total() >= LANE_BYTES {
-                    lane.source.stop(now);
+                    lane.source.stop();
                     lane.stopped = true;
                 } else {
                     lane.source.pump(now);
@@ -143,15 +135,11 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
             }
             if let Ok(got) = lane.source.transport_mut().recv_into(now, &mut rx) {
                 if got > 0 {
-                    for ev in lane.echo.push(&rx).expect("echo framing intact") {
-                        if let BlastEvent::Data { bytes, corrupt } = ev {
-                            assert_eq!(corrupt, 0, "echo must verify");
-                            lane.verified += bytes;
-                        }
-                    }
+                    lane.echo.push(&rx).expect("echo framing intact");
+                    assert_eq!(lane.echo.corrupt_total(), 0, "echo must verify");
                 }
             }
-            if !(lane.stopped && lane.verified >= lane.source.sent_total()) {
+            if !(lane.stopped && lane.echo.received_total() >= lane.source.sent_total()) {
                 all_done = false;
             }
         }
@@ -163,7 +151,8 @@ fn relay_serves_1000_channels_on_a_fixed_thread_budget() {
     assert_eq!(coord.session().phase(), CoordPhase::Done, "control conversation completed");
     for (chan, lane) in lanes.iter().enumerate() {
         assert!(lane.source.sent_total() >= LANE_BYTES, "channel {chan} under-blasted");
-        assert_eq!(lane.verified, lane.source.sent_total(), "channel {chan} lost echoed bytes");
+        let verified = lane.echo.received_total();
+        assert_eq!(verified, lane.source.sent_total(), "channel {chan} lost echoed bytes");
     }
     drop(coord);
     drop(lanes);

@@ -40,7 +40,7 @@ impl SizeClass {
     }
 
     /// The benchmark timeout.
-    pub fn timeout(self) -> SimDuration {
+    fn timeout(self) -> SimDuration {
         match self {
             SizeClass::Small => SimDuration::from_secs(15),
             SizeClass::Medium => SimDuration::from_secs(60),

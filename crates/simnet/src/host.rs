@@ -357,7 +357,7 @@ impl Net {
     /// Rough path efficiency as a function of RTT: long WAN paths lose
     /// throughput to recovery stalls and queueing (the paper's IN host is
     /// the slowest measurer for exactly this reason).
-    pub fn path_efficiency(&self, a: HostId, b: HostId) -> f64 {
+    fn path_efficiency(&self, a: HostId, b: HostId) -> f64 {
         let rtt_s = self.rtt(a, b).as_secs_f64();
         (1.0 / (1.0 + 1.2 * rtt_s)).clamp(0.5, 1.0)
     }

@@ -116,12 +116,6 @@ impl Ecdf {
         self.quantile(0.5)
     }
 
-    /// Iterates `(value, cumulative_fraction)` pairs, one per sample point.
-    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let n = self.sorted.len() as f64;
-        self.sorted.iter().enumerate().map(move |(i, &v)| (v, (i + 1) as f64 / n))
-    }
-
     /// Renders the CDF sampled at `n` evenly spaced quantiles, for printing.
     pub fn sampled(&self, n: usize) -> Vec<(f64, f64)> {
         assert!(n >= 2, "need at least two sample points");
@@ -235,17 +229,6 @@ mod tests {
         assert_eq!(cdf.len(), 4);
         assert_eq!(cdf.quantile(0.0), 1.0);
         assert_eq!(cdf.quantile(1.0), 3.0);
-    }
-
-    #[test]
-    fn ecdf_points_monotone() {
-        let cdf = Ecdf::new(vec![5.0, 3.0, 8.0, 1.0]);
-        let pts: Vec<_> = cdf.points().collect();
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::time::SimDuration;
 use crate::units::Rate;
 
 /// Standard Ethernet-ish maximum segment size in bytes.
-pub const MSS: f64 = 1460.0;
+const MSS: f64 = 1460.0;
 
 /// TCP initial congestion window (RFC 6928) in segments.
 const INITIAL_WINDOW_SEGMENTS: f64 = 10.0;

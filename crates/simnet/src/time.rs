@@ -126,12 +126,6 @@ impl SimDuration {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Checked division of two durations, returning the ratio.
-    pub fn ratio(self, other: SimDuration) -> f64 {
-        assert!(!other.is_zero(), "division by zero duration");
-        self.0 as f64 / other.0 as f64
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -252,12 +246,5 @@ mod tests {
         let d = SimDuration::from_secs_f64(0.1);
         assert_eq!(d.as_nanos(), 100_000_000);
         assert!((d.as_secs_f64() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_divides() {
-        let a = SimDuration::from_secs(30);
-        let b = SimDuration::from_secs(60);
-        assert_eq!(a.ratio(b), 0.5);
     }
 }

@@ -45,11 +45,6 @@ impl Window {
         Window { current: CIRCUIT_WINDOW_INIT }
     }
 
-    /// Remaining cells that may be packaged.
-    pub fn available(&self) -> i32 {
-        self.current
-    }
-
     /// Consumes one cell of window.
     ///
     /// # Errors
@@ -206,7 +201,7 @@ mod tests {
             w.package().unwrap();
         }
         assert_eq!(w.package(), Err(WindowError::Exhausted));
-        assert_eq!(w.available(), 0);
+        assert_eq!(w.current, 0);
     }
 
     #[test]

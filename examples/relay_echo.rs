@@ -14,8 +14,8 @@
 
 use flashflow_repro::core::proto_driver::{run_in_memory, PeerBehaviour};
 use flashflow_repro::proto::blast::{
-    binding_nonce, secret_channel_key, BackgroundMeter, BlastEvent, BlastParser, ByteCounter,
-    Echoer, TrafficSource,
+    binding_nonce, secret_channel_key, BackgroundMeter, BlastParser, ByteCounter, Echoer,
+    TrafficSource,
 };
 use flashflow_repro::proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERPRINT_LEN};
 use flashflow_repro::proto::session::MeasurerAction;
@@ -66,17 +66,12 @@ impl PeerBehaviour for EchoTopology {
             echoer.pump(now).expect("clean inbound stream");
             relay_echo_delta += echoer.echoed_total() - before;
             let bytes = src.transport_mut().recv(now).expect("echo stream open");
-            for ev in m.back.push(&bytes).expect("clean echo stream") {
-                if let BlastEvent::Data { bytes, corrupt } = ev {
-                    m.verified.add(now, bytes - corrupt);
-                }
-            }
+            let credited = m.back.received_total() - m.back.corrupt_total();
+            m.back.push(&bytes).expect("clean echo stream");
+            m.verified.add(now, m.back.received_total() - m.back.corrupt_total() - credited);
         }
-        if self.relay_echoed.is_running() && relay_echo_delta > 0 {
-            self.relay_echoed.add(now, relay_echo_delta);
-        } else {
-            self.relay_echoed.roll(now);
-        }
+        // Bytes echoed before the relay's Start are dropped by `start`.
+        self.relay_echoed.add(now, relay_echo_delta);
         self.meter.tick(now);
     }
 
@@ -102,8 +97,7 @@ impl PeerBehaviour for EchoTopology {
                 src.set_rate_cap(spec.rate_cap);
                 src.greet(now);
                 src.start(now);
-                let mut echoer = Echoer::new(relay_end).with_key(self.key);
-                echoer.start(now);
+                let echoer = Echoer::new(relay_end).with_key(self.key);
                 m.lane = Some((src, echoer));
                 m.verified.start(now);
             }
