@@ -5,8 +5,9 @@
 //! Every item is a real protocol conversation — handshake, Go barrier,
 //! 30 `SecondReport`s, `SlotDone` — between the coordinator engine and
 //! fixed-rate peers over in-memory `Duplex` transports: each round is
-//! one `proto_driver::run_scripted` call, on the same executor that
-//! runs a `SlotRunner` batch. The run verifies every one of the 6500
+//! one `proto_driver::run_scripted` call on `run_in_memory`, the
+//! in-memory round executor that `examples/relay_echo.rs` and the
+//! protocol tests drive too. The run verifies every one of the 6500
 //! items completed cleanly with the expected sample count, and prints
 //! the wall clock it took.
 //!

@@ -138,7 +138,13 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
         "sockets" => cfg.sockets = num(key, value)?,
         "slot-secs" => cfg.slot_secs = num(key, value)?,
         "bg-allowance" => cfg.bg_allowance = num(key, value)?,
-        "ratio" => cfg.ratio = num(key, value)?,
+        "ratio" => {
+            // The §4.1 clamp `y ≤ x·r/(1−r)` holds only for `r` in [0, 1).
+            cfg.ratio = num(key, value)?;
+            if !(0.0..1.0).contains(&cfg.ratio) {
+                return Err(format!("ratio: must be in [0, 1), got {value}\n{USAGE}"));
+            }
+        }
         "speedup" => cfg.speedup = procutil::parse_speedup(value)?,
         // Accepted and ignored: every item of a round runs at once on
         // one engine, so there is no worker count to set — but the
@@ -377,6 +383,20 @@ mod tests {
             parse("--relays 0").unwrap_err(),
             format!("relays: the shadow roster needs at least 3\n{USAGE}")
         );
+    }
+
+    #[test]
+    fn ratio_must_be_in_zero_to_one() {
+        for (line, ratio) in [("", 0.25), ("--ratio 0", 0.0), ("--ratio 0.99", 0.99)] {
+            let cfg = parse(line).unwrap_or_else(|msg| panic!("{line:?} refused: {msg}"));
+            assert_eq!(cfg.ratio, ratio, "{line:?}");
+        }
+        for value in ["1", "1.5", "-0.1", "NaN", "inf"] {
+            let line = format!("--ratio {value}");
+            let msg = parse(&line).expect_err(&line);
+            assert_eq!(msg, format!("ratio: must be in [0, 1), got {value}\n{USAGE}"), "{line:?}");
+        }
+        assert!(parse("--ratio half").unwrap_err().starts_with("ratio: "));
     }
 
     #[test]

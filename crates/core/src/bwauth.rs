@@ -48,7 +48,7 @@ pub struct BandwidthFile {
 
 impl BandwidthFile {
     /// The file for a finished [`measure_period`].
-    pub fn from_settled(settled: &[Settled<RelayId>]) -> Self {
+    fn from_settled(settled: &[Settled<RelayId>]) -> Self {
         let entries = settled.iter().map(|s| {
             let capacity = Rate::from_bytes_per_sec(s.estimate);
             (s.key, BwEntry { relay: s.key, capacity, end: s.end, rounds: s.rounds })

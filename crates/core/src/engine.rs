@@ -675,13 +675,6 @@ impl MeasurementEngine {
 /// bytes that never moved (TorMult-style inflation) do not.
 const DIVERGENCE_TOLERANCE: f64 = 0.10;
 
-/// The paper's deployment background ratio `r`: during a slot a relay
-/// may carry at most `r` of its capacity as client traffic, so a
-/// claimed `bg_j` beyond `r/(1−r)` of that second's echoed measurement
-/// bytes is not physically plausible and flags the row. Callers with no
-/// deployment ratio of their own pass it to [`EngineSnapshot::rows`].
-pub const DEFAULT_BACKGROUND_RATIO: f64 = 0.25;
-
 /// One second of one peer's slot, as the snapshot recorded it: what the
 /// peer **reported** across the control channel next to what this
 /// coordinator could **cross-check** it against: the aggregated
@@ -706,8 +699,9 @@ pub struct LedgerRow {
     /// True when the row fails a cross-check: `reported` vs `counted`
     /// beyond `DIVERGENCE_TOLERANCE`, 10 %, (gated, for targets, on the
     /// relay claiming a nonzero echo — a reporting-only target has no
-    /// echo claim to check), or a target's `bg` claim beyond the
-    /// [background plausibility bound](DEFAULT_BACKGROUND_RATIO).
+    /// echo claim to check), or a target's `bg` claim beyond `r/(1−r)`
+    /// of the row's `counted` echo for the ratio `r` passed to
+    /// [`EngineSnapshot::rows`].
     pub divergent: bool,
 }
 
@@ -1183,7 +1177,8 @@ mod tests {
         EngineSnapshot { peers, items: 1 }
     }
 
-    const R: f64 = DEFAULT_BACKGROUND_RATIO;
+    /// The paper's background ratio `r`.
+    const R: f64 = 0.25;
 
     #[test]
     fn target_rows_cross_check_echo_against_aggregated_measurer_reports() {

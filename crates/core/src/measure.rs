@@ -43,7 +43,7 @@ pub struct Assignment {
 /// Builds the per-measurer assignments for a measurement from a team and
 /// its per-measurer allocations (§4.1): one process per core (at least
 /// one), each rate-limited to `a_i/k_i`, sockets split evenly.
-pub fn assignments_for(team: &Team, allocations: &[Rate], params: &Params) -> Vec<Assignment> {
+fn assignments_for(team: &Team, allocations: &[Rate], params: &Params) -> Vec<Assignment> {
     assert_eq!(team.measurers.len(), allocations.len(), "allocation length mismatch");
     let shares = team.socket_shares(allocations, params);
     team.measurers

@@ -17,12 +17,9 @@
 //! peer side's plumbing: each `MeasurerSession` bound to the other end of
 //! its simulated link, the per-tick order. It returns the engine's
 //! [`EngineSnapshot`], the same record a deployment round returns. What
-//! the peers *do* is its one parameter, a [`PeerBehaviour`]:
-//!
-//! * [`SlotRunner`]: `TorNet` flows under the ratio governor, the
-//!   fluid-simulation front end;
-//! * [`run_scripted`]: fixed-rate [`ScriptedPeer`]s, the deterministic
-//!   reference a deployment's numbers are compared against.
+//! the peers *do* is its one parameter, a [`PeerBehaviour`];
+//! [`run_scripted`] runs fixed-rate [`ScriptedPeer`]s, the deterministic
+//! reference a deployment's numbers are compared against.
 //!
 //! Swap the transports and peers for TCP sockets and real measurer
 //! processes and the engine code does not change — see
@@ -47,26 +44,15 @@
 
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::fault::{FaultMode, FaultyTransport};
-use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
+use flashflow_proto::msg::{MeasureSpec, PeerRole, AUTH_TOKEN_LEN};
 use flashflow_proto::session::{
     CoordinatorSession, MeasurerAction, MeasurerSession, SessionTimeouts,
 };
 use flashflow_proto::transport::{Duplex, DuplexEnd};
-use flashflow_simnet::engine::FlowId;
-use flashflow_simnet::host::HostId;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::stats::SecondsAccumulator;
 use flashflow_simnet::time::{SimDuration, SimTime};
-use flashflow_simnet::units::Rate;
-use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::RelayId;
 
-use crate::alloc::AllocError;
-use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine, DEFAULT_BACKGROUND_RATIO};
-use crate::measure::{assignments_for, BatchItem, Measurement};
-use crate::params::Params;
-use crate::team::Team;
-use crate::verify::{spot_check, TargetBehavior};
+use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine};
 
 /// What the peers of an in-memory round do: the one parameter of
 /// [`run_in_memory`]. A peer is named by its index in the slice handed to
@@ -87,8 +73,6 @@ pub trait PeerBehaviour {
     fn stall_after(&self, _peer: usize) -> Option<u32> {
         None
     }
-    /// Sees every engine event as the round collects it.
-    fn observe(&mut self, _event: &EngineEvent) {}
 }
 
 /// What an in-memory round left behind: every engine event in order,
@@ -186,10 +170,7 @@ pub fn run_in_memory(
         for p in locals.iter_mut() {
             p.endpoint.tick(now);
         }
-        while let Some(event) = engine.poll_event() {
-            behaviour.observe(&event);
-            events.push(event);
-        }
+        events.extend(std::iter::from_fn(|| engine.poll_event()));
     }
     RoundRun { events, peers: engine.snapshot() }
 }
@@ -274,454 +255,12 @@ fn scripted(
     (Scripted { now: SimTime::ZERO, peers: items.concat(), started }, peers)
 }
 
-/// Fault injection for tests and failure-mode experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerFault {
-    /// The measurer crashes after reporting this many seconds: flows
-    /// stop and its end of the control connection goes dark (a
-    /// transport-level blackhole; no further frames in either
-    /// direction).
-    StallAfterSeconds(u32),
-}
-
-/// Binds a fault to one measurer of one batch item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Index into the batch.
-    pub item: usize,
-    /// The measurer host to break.
-    pub host: HostId,
-    /// How it breaks.
-    pub fault: PeerFault,
-}
-
-/// A peer whose session ended in failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerFailure {
-    /// The measurer host, or `None` for the target's reporting session.
-    pub host: Option<HostId>,
-    /// The peer's protocol role.
-    pub role: PeerRole,
-    /// The abort reason its coordinator session recorded.
-    pub reason: AbortReason,
-}
-
-/// A measurement that ran through the protocol, with provenance.
-#[derive(Debug, Clone)]
-pub struct ProtoMeasurement {
-    /// The aggregate result (same type the direct path produces).
-    pub measurement: Measurement,
-    /// Peers that were aborted; empty for a clean slot.
-    pub failures: Vec<PeerFailure>,
-    /// Control frames sent by the coordinator, across its sessions.
-    pub frames_tx: u64,
-    /// Control frames received by the coordinator, across its sessions.
-    pub frames_rx: u64,
-    /// The per-second audit rows: each peer's reported rates, a
-    /// target's next to the measurers' aggregated echo.
-    pub rows: Vec<crate::engine::LedgerRow>,
-}
-
-impl ProtoMeasurement {
-    /// True if every peer completed its session cleanly.
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Deterministic 20-byte fingerprint for a simulated relay.
-pub fn fingerprint_for(relay: RelayId) -> [u8; FINGERPRINT_LEN] {
-    let mut fp = [0u8; FINGERPRINT_LEN];
-    let ix = relay.index() as u64;
-    fp[..8].copy_from_slice(&ix.to_be_bytes());
-    // Spread the index through the rest so fingerprints look distinct.
-    let mut h = ix.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xF1A5_00F1_A500_F1A5;
-    for b in fp[8..].iter_mut() {
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        *b = (h & 0xFF) as u8;
-    }
-    fp
-}
-
-/// One peer of a [`SlotRunner`] batch and its traffic.
-struct TorPeer {
-    item: usize,
-    /// The measurer host, or `None` for the target's reporting session.
-    host: Option<HostId>,
-    processes: u32,
-    stall: Option<u32>,
-    /// Blast flows (measurer role only), live once started.
-    flows: Vec<FlowId>,
-    acc: SecondsAccumulator,
-    started: bool,
-    /// Stopped, or failed before it started.
-    ended: bool,
-}
-
-impl TorPeer {
-    fn new(item: usize, host: Option<HostId>, processes: u32, stall: Option<u32>) -> Self {
-        TorPeer {
-            item,
-            host,
-            processes,
-            stall,
-            flows: Vec::new(),
-            acc: SecondsAccumulator::new(),
-            started: false,
-            ended: false,
-        }
-    }
-}
-
-/// [`SlotRunner`]'s behaviour: each measurer is `TorNet` blast flows, each
-/// target its relay's background reports, under the ratio governor.
-struct TorPeers<'t> {
-    tor: &'t mut TorNet,
-    items: &'t [BatchItem],
-    peers: Vec<TorPeer>,
-    governed: Vec<bool>,
-}
-
-impl TorPeers<'_> {
-    /// Installs `item`'s ratio governor once its surviving measurers are
-    /// all blasting (uniform control latency makes this one tick).
-    fn govern(&mut self, item: usize) {
-        let measurers = self.peers.iter().filter(|p| p.item == item && p.host.is_some());
-        if self.governed[item] || !measurers.clone().all(|p| p.started || p.ended) {
-            return;
-        }
-        let flows: Vec<FlowId> = measurers.flat_map(|p| p.flows.iter().copied()).collect();
-        if !flows.is_empty() {
-            self.tor.begin_measurement(self.items[item].target, flows);
-            self.governed[item] = true;
-        }
-    }
-
-    fn stop_flows(&mut self, peer: usize) {
-        for f in &self.peers[peer].flows {
-            self.tor.net.engine_mut().stop_flow(*f);
-        }
-    }
-}
-
-impl PeerBehaviour for TorPeers<'_> {
-    fn now(&self) -> SimTime {
-        self.tor.now()
-    }
-
-    fn advance(&mut self) {
-        self.tor.tick();
-        let engine = self.tor.net.engine();
-        let dt = engine.tick_duration().as_secs_f64();
-        for p in self.peers.iter_mut().filter(|p| p.host.is_some() && p.started && !p.ended) {
-            let bytes: f64 = p.flows.iter().map(|f| engine.flow_bytes_last_tick(*f)).sum();
-            p.acc.push(bytes, dt);
-        }
-    }
-
-    fn act(&mut self, peer: usize, action: MeasurerAction, _now: SimTime) {
-        let p = &mut self.peers[peer];
-        match action {
-            MeasurerAction::Prepare { .. } => {}
-            MeasurerAction::Start { spec } => {
-                p.started = true;
-                if let Some(host) = p.host {
-                    let target = self.items[p.item].target;
-                    let k = p.processes;
-                    let per_process_cap =
-                        Rate::from_bytes_per_sec(spec.rate_cap as f64 / f64::from(k));
-                    let per_process_sockets = (spec.sockets / k).max(1);
-                    for _ in 0..k {
-                        let flow = self.tor.start_measurement_flow(
-                            host,
-                            target,
-                            per_process_sockets,
-                            Some(per_process_cap),
-                        );
-                        p.flows.push(flow);
-                    }
-                    let item = p.item;
-                    self.govern(item);
-                }
-            }
-            MeasurerAction::Stop => {
-                p.ended = true;
-                self.stop_flows(peer);
-            }
-        }
-    }
-
-    fn second(&self, peer: usize, j: u32) -> Option<(u64, u64)> {
-        let p = &self.peers[peer];
-        match p.host {
-            Some(_) => p.acc.seconds().get(j as usize).map(|x| (0, x.round() as u64)),
-            None => self
-                .tor
-                .relay_background_seconds(self.items[p.item].target)
-                .get(j as usize)
-                .map(|s| (s.reported_background.round() as u64, 0)),
-        }
-    }
-
-    fn stall_after(&self, peer: usize) -> Option<u32> {
-        self.peers[peer].stall
-    }
-
-    fn observe(&mut self, event: &EngineEvent) {
-        match *event {
-            EngineEvent::PeerFailed { peer, .. } => {
-                // One that failed before starting degrades its item
-                // instead of holding the governor back.
-                let p = &mut self.peers[peer.index()];
-                p.ended = true;
-                let item = p.item;
-                self.govern(item);
-            }
-            EngineEvent::ItemComplete { item } => {
-                // Tear the item down so the network returns to normal.
-                if self.governed[item] {
-                    self.tor.end_measurement(self.items[item].target);
-                }
-                for peer in 0..self.peers.len() {
-                    if self.peers[peer].item == item {
-                        self.stop_flows(peer);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Runs protocol-driven measurement slots against the fluid simulation:
-/// the sim-facing front end of [`run_in_memory`].
-///
-/// ```no_run
-/// # use flashflow_core::prelude::*;
-/// # use flashflow_simnet::prelude::*;
-/// # use flashflow_tornet::prelude::*;
-/// # fn demo(tor: &mut TorNet, relay: RelayId, team: &Team, rng: &mut SimRng) {
-/// let params = Params::paper();
-/// let result = SlotRunner::new(&params)
-///     .measure(tor, relay, team, Rate::from_mbit(250.0), rng)
-///     .unwrap();
-/// assert!(result.clean());
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlotRunner<'a> {
-    params: &'a Params,
-    faults: Vec<FaultSpec>,
-}
-
-impl<'a> SlotRunner<'a> {
-    /// A runner with no faults.
-    pub fn new(params: &'a Params) -> Self {
-        SlotRunner { params, faults: Vec::new() }
-    }
-
-    /// Injects peer faults (failure-mode experiments).
-    #[must_use]
-    pub fn with_faults(mut self, faults: Vec<FaultSpec>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Runs a batch of concurrent measurements entirely through
-    /// protocol sessions. The contract mirrors
-    /// [`run_concurrent_measurements`](crate::measure::run_concurrent_measurements):
-    /// one result per item, in order.
-    ///
-    /// # Panics
-    /// Panics if any item has no participating measurer or the slot is
-    /// zero seconds.
-    pub fn run(
-        &self,
-        tor: &mut TorNet,
-        items: &[BatchItem],
-        rng: &mut SimRng,
-    ) -> Vec<ProtoMeasurement> {
-        let slot_secs = self.params.slot.as_secs() as u32;
-        assert!(slot_secs > 0, "slot must be at least one second");
-        // Batch item `ix` is round item `ix`: its measurers, then its
-        // target's reporting session.
-        let mut specs = Vec::new();
-        let mut peers = Vec::new();
-        for (ix, item) in items.iter().enumerate() {
-            let relay_fp = fingerprint_for(item.target);
-            let mut active = item.assignments.iter().filter(|a| !a.allocation.is_zero()).peekable();
-            assert!(
-                active.peek().is_some(),
-                "measurement needs at least one participating measurer"
-            );
-            for a in active {
-                let spec = MeasureSpec {
-                    relay_fp,
-                    slot_secs,
-                    sockets: a.sockets,
-                    rate_cap: a.allocation.bytes_per_sec() as u64,
-                    ..MeasureSpec::default()
-                };
-                let fault = self.faults.iter().find(|f| f.item == ix && f.host == a.host);
-                let stall =
-                    fault.map(|&FaultSpec { fault: PeerFault::StallAfterSeconds(n), .. }| n);
-                specs.push((ix, PeerRole::Measurer, spec));
-                peers.push(TorPeer::new(ix, Some(a.host), a.processes.max(1), stall));
-            }
-            specs.push((
-                ix,
-                PeerRole::Target,
-                MeasureSpec { relay_fp, slot_secs, ..MeasureSpec::default() },
-            ));
-            peers.push(TorPeer::new(ix, None, 0, None));
-        }
-        let mut behaviour = TorPeers { tor, items, peers, governed: vec![false; items.len()] };
-        let run = run_in_memory(&mut behaviour, &specs, rng);
-        let TorPeers { tor, peers, .. } = behaviour;
-
-        // Aggregate exactly as §4.1 specifies, from what crossed the
-        // wire — only peers whose sessions completed cleanly contribute
-        // (the snapshot enforces the quarantine).
-        items
-            .iter()
-            .enumerate()
-            .map(|(ix, item)| {
-                let ratio = tor.relay(item.target).config.ratio;
-                let (seconds, estimate) = run.peers.estimate(ix, ratio);
-                let total_measurement_bytes: f64 = seconds.iter().map(|s| s.x).sum();
-                let verification = spot_check(
-                    total_measurement_bytes,
-                    self.params.check_probability,
-                    item.behavior,
-                    rng,
-                );
-                let allocated: Rate = item
-                    .assignments
-                    .iter()
-                    .filter(|a| !a.allocation.is_zero())
-                    .map(|a| a.allocation)
-                    .sum();
-                let failures = run
-                    .events
-                    .iter()
-                    .filter_map(|event| match *event {
-                        EngineEvent::PeerFailed { peer, reason } => {
-                            let (p, role) = (&peers[peer.index()], run.peers.role(peer));
-                            (p.item == ix).then_some(PeerFailure { host: p.host, role, reason })
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let (mut frames_tx, mut frames_rx) = (0u64, 0u64);
-                for peer in run.peers.peers().filter(|p| run.peers.item(*p) == ix) {
-                    let (tx, rx) = run.peers.frames(peer);
-                    frames_tx += tx;
-                    frames_rx += rx;
-                }
-                ProtoMeasurement {
-                    measurement: Measurement { estimate, seconds, allocated, verification },
-                    failures,
-                    frames_tx,
-                    frames_rx,
-                    rows: run.peers.rows(ix, DEFAULT_BACKGROUND_RATIO),
-                }
-            })
-            .collect()
-    }
-
-    /// Runs one protocol-driven measurement of `target` with the given
-    /// assignments (the protocol twin of
-    /// [`run_measurement`](crate::measure::run_measurement)).
-    ///
-    /// # Panics
-    /// Panics if no assignment participates.
-    pub fn run_one(
-        &self,
-        tor: &mut TorNet,
-        target: RelayId,
-        assignments: &[crate::measure::Assignment],
-        behavior: TargetBehavior,
-        rng: &mut SimRng,
-    ) -> ProtoMeasurement {
-        let items = vec![BatchItem { target, assignments: assignments.to_vec(), behavior }];
-        self.run(tor, &items, rng).pop().expect("one item yields one measurement")
-    }
-
-    /// Convenience: allocate from `team` for prior `z0` and run one
-    /// protocol-driven measurement of an honest target (the protocol
-    /// twin of [`measure_once`](crate::measure::measure_once)).
-    ///
-    /// # Errors
-    /// Propagates allocation failure when the team lacks capacity.
-    pub fn measure(
-        &self,
-        tor: &mut TorNet,
-        target: RelayId,
-        team: &Team,
-        z0: Rate,
-        rng: &mut SimRng,
-    ) -> Result<ProtoMeasurement, AllocError> {
-        let reserved = vec![Rate::ZERO; team.len()];
-        let allocations = team.allocate(z0, self.params, &reserved)?;
-        let assignments = assignments_for(team, &allocations, self.params);
-        Ok(self.run_one(tor, target, &assignments, TargetBehavior::Honest, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::PeerId;
-    use flashflow_simnet::host::HostProfile;
-    use flashflow_tornet::relay::RelayConfig;
-
-    fn testbed(limit_mbit: f64) -> (TorNet, Team, RelayId) {
-        let mut tor = TorNet::new();
-        let m1 = tor.add_host(HostProfile::us_e());
-        let m2 = tor.add_host(HostProfile::host_nl());
-        let target_host = tor.add_host(HostProfile::us_sw());
-        tor.net.set_rtt(m1, target_host, SimDuration::from_millis(62));
-        tor.net.set_rtt(m2, target_host, SimDuration::from_millis(137));
-        let relay = tor.add_relay(
-            target_host,
-            RelayConfig::new("target").with_rate_limit(Rate::from_mbit(limit_mbit)),
-        );
-        let team =
-            Team::with_capacities(&[(m1, Rate::from_mbit(941.0)), (m2, Rate::from_mbit(1611.0))]);
-        (tor, team, relay)
-    }
-
-    #[test]
-    fn protocol_slot_measures_rate_limited_relay() {
-        let (mut tor, team, relay) = testbed(250.0);
-        let params = Params::paper();
-        let mut rng = SimRng::seed_from_u64(7);
-        let m = SlotRunner::new(&params)
-            .measure(&mut tor, relay, &team, Rate::from_mbit(250.0), &mut rng)
-            .unwrap();
-        assert!(m.clean(), "failures: {:?}", m.failures);
-        let est = m.measurement.estimate.as_mbit();
-        assert!((200.0..=270.0).contains(&est), "estimate {est} Mbit/s");
-        assert_eq!(m.measurement.seconds.len(), 30);
-        assert!(m.measurement.verified());
-        // Greedy allocation fits f·z0 on the larger measurer alone, so
-        // two sessions run (one measurer + the target): Auth +
-        // MeasureCmd + Go toward each; AuthOk + Ready + 30 reports +
-        // SlotDone back from each.
-        assert_eq!(m.frames_tx, 2 * 3);
-        assert_eq!(m.frames_rx, 2 * 33);
-    }
-
-    #[test]
-    fn fingerprints_are_distinct_and_stable() {
-        let (mut tor, _, _) = testbed(100.0);
-        let h = tor.add_host(HostProfile::new("x", Rate::from_gbit(1.0)));
-        let r1 = tor.add_relay(h, RelayConfig::new("a"));
-        let r2 = tor.add_relay(h, RelayConfig::new("b"));
-        assert_ne!(fingerprint_for(r1), fingerprint_for(r2));
-        assert_eq!(fingerprint_for(r1), fingerprint_for(r1));
-    }
+    use crate::params::Params;
+    use flashflow_proto::msg::AbortReason;
 
     /// Item `g`'s events: its Go, samples and completion.
     fn events_of(events: &[EngineEvent], g: usize) -> Vec<&EngineEvent> {
@@ -812,7 +351,7 @@ mod tests {
         // Its clean measurer and target still merge; the stalled one's two
         // seconds do not.
         assert!(!run.peers.item_clean(0));
-        let rows = run.peers.rows(0, DEFAULT_BACKGROUND_RATIO);
+        let rows = run.peers.rows(0, Params::paper().ratio);
         assert_eq!(rows.iter().filter(|r| r.peer == PeerId::from_index(0)).count(), 2);
         let (x, y) = run.peers.merged_series(0);
         assert_eq!((x, y), (vec![50.0; 3], vec![30.0; 3]));

@@ -555,10 +555,6 @@ pub struct MeasurerSession {
     decoder: FrameDecoder,
     outbound: VecDeque<Vec<u8>>,
     actions: VecDeque<MeasurerAction>,
-    /// Frames successfully decoded from the coordinator.
-    pub frames_rx: u64,
-    /// Frames queued for the coordinator.
-    pub frames_tx: u64,
 }
 
 impl MeasurerSession {
@@ -586,8 +582,6 @@ impl MeasurerSession {
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
             actions: VecDeque::new(),
-            frames_rx: 0,
-            frames_tx: 0,
         }
     }
 
@@ -652,7 +646,6 @@ impl MeasurerSession {
         loop {
             match self.decoder.next_msg() {
                 Ok(Some(msg)) => {
-                    self.frames_rx += 1;
                     self.on_msg(now, msg);
                     if self.is_terminal() {
                         return;
@@ -797,7 +790,6 @@ impl MeasurerSession {
     }
 
     fn send(&mut self, msg: Msg) {
-        self.frames_tx += 1;
         self.outbound.push_back(encode(&msg));
     }
 

@@ -43,14 +43,19 @@ struct Config {
     metrics: Option<String>,
     coord: Option<String>,
     token: Option<[u8; AUTH_TOKEN_LEN]>,
-    interval: f64,
+    interval: Duration,
     width: usize,
     exit_on_done: bool,
     watch: bool,
 }
 
 fn parse_config(args: impl Iterator<Item = String>) -> Result<Config, String> {
-    let mut cfg = Config { interval: 1.0, width: 100, exit_on_done: true, ..Config::default() };
+    let mut cfg = Config {
+        interval: Duration::from_secs(1),
+        width: 100,
+        exit_on_done: true,
+        ..Config::default()
+    };
     let mut apply = |key: &str, value: &str| -> Result<(), String> {
         match key {
             "replay" => cfg.replay = Some(value.to_string()),
@@ -59,7 +64,10 @@ fn parse_config(args: impl Iterator<Item = String>) -> Result<Config, String> {
             "coord" => cfg.coord = Some(value.to_string()),
             "token-hex" => cfg.token = Some(procutil::parse_token_hex(value)?),
             "interval" => {
-                cfg.interval = value.parse().map_err(|e| format!("--interval: {e}"))?;
+                let secs: f64 = value.parse().map_err(|e| format!("--interval: {e}"))?;
+                let interval = Duration::try_from_secs_f64(secs)
+                    .map_err(|e| format!("--interval: {value}: {e}"))?;
+                cfg.interval = interval.max(Duration::from_millis(50));
             }
             "width" => cfg.width = value.parse().map_err(|e| format!("--width: {e}"))?,
             "exit-on-done" => {
@@ -178,7 +186,7 @@ fn follow(path: &str, cfg: &Config) -> Result<(), String> {
         if cfg.exit_on_done && state.period_done() {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_secs_f64(cfg.interval.max(0.05)));
+        std::thread::sleep(cfg.interval);
     }
 }
 
@@ -227,7 +235,7 @@ fn coord(dir: &str, cfg: &Config) -> Result<(), String> {
             .map_err(|e| format!("--coord {dir}: {e}"))?;
         if cfg.watch {
             print!("\x1b[2J\x1b[H{}", render_coord(&state));
-            std::thread::sleep(Duration::from_secs_f64(cfg.interval.max(0.05)));
+            std::thread::sleep(cfg.interval);
         } else {
             print!("{}", render_coord(&state));
             return Ok(());
@@ -244,7 +252,7 @@ fn metrics(addr: &str, cfg: &Config) -> Result<(), String> {
         let snap = RegistrySnapshot::parse(&body)?;
         if cfg.watch {
             print!("\x1b[2J\x1b[H{}", snap.to_text());
-            std::thread::sleep(Duration::from_secs_f64(cfg.interval.max(0.05)));
+            std::thread::sleep(cfg.interval);
         } else {
             print!("{}", snap.to_text());
             return Ok(());
@@ -293,6 +301,19 @@ mod tests {
         assert!(panel.contains("50.0%"), "{panel}");
         assert!(panel.contains("roster 2/4 measured, 2 remaining, 1 in flight"), "{panel}");
         assert!(panel.contains("rounds 1 done (2.0/hour), 1 resumed session starts"), "{panel}");
+    }
+
+    #[test]
+    fn interval_must_fit_a_duration() {
+        let parse = |value: &str| parse_config(["--interval", value].map(String::from).into_iter());
+        for (value, want) in [("2.5", 2500), ("0", 50), ("0.01", 50)] {
+            let cfg = parse(value).unwrap_or_else(|msg| panic!("{value:?} refused: {msg}"));
+            assert_eq!(cfg.interval, Duration::from_millis(want), "{value:?}");
+        }
+        for value in ["inf", "1e20", "NaN", "-1", "soon"] {
+            let msg = parse(value).err().unwrap_or_else(|| panic!("{value:?} accepted"));
+            assert!(msg.starts_with("--interval: "), "{value:?}: {msg}");
+        }
     }
 
     #[test]
