@@ -44,11 +44,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use flashflow_core::bwauth::EchoRound;
 use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
-use flashflow_core::engine::{EngineEvent, EngineSnapshot};
+use flashflow_core::engine::{EngineEvent, EngineSnapshot, PeerId};
 // Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
 pub use flashflow_core::observe::hex_fp as hex;
+use flashflow_core::observe::RoundSpans;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, Counter, Gauge, Json, MetricsRegistry, Span};
 use flashflow_proto::msg::{AbortReason, FINGERPRINT_LEN};
@@ -323,10 +323,14 @@ struct Attempt {
     resume: bool,
 }
 
-/// A staged round: the roster items it carries, and its recording.
+/// A staged round: the items it commands, the roster items they are,
+/// its telemetry, and the peers that refused its handshake.
 struct StagedRound {
+    items: Vec<EchoItem>,
     ixs: Vec<usize>,
-    record: EchoRound,
+    spans: RoundSpans,
+    /// Peers that aborted with `AuthFailed`.
+    auth_failed: Vec<PeerId>,
 }
 
 /// [`run_period`]'s side of the staged-round loop: it hands out the
@@ -437,22 +441,32 @@ impl RoundSource for RosterWalk<'_> {
                 items = items.len() as u64
             ],
         );
-        let record = EchoRound::start(self.deployment, &items, Some(self.span));
-        self.staged
-            .insert(round, StagedRound { ixs: attempts.iter().map(|a| a.ix).collect(), record });
+        let staged = StagedRound {
+            spans: RoundSpans::start(self.span, self.deployment, &items),
+            items: items.clone(),
+            ixs: attempts.iter().map(|a| a.ix).collect(),
+            auth_failed: Vec::new(),
+        };
+        self.staged.insert(round, staged);
         Some(items)
     }
 
     fn event(&mut self, round: usize, event: EngineEvent) {
         if let Some(staged) = self.staged.get_mut(&round) {
-            staged.record.observe(event);
+            staged.spans.engine_event(&event);
+            if let EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed } = event {
+                staged.auth_failed.push(peer);
+            }
         }
     }
 
     fn finished(&mut self, round: usize, peers: EngineSnapshot) {
-        let Some(StagedRound { ixs, record }) = self.staged.remove(&round) else { return };
-        let items = record.items().to_vec();
-        let file = record.finish(peers, self.pool);
+        let Some(StagedRound { items, ixs, spans, auth_failed }) = self.staged.remove(&round)
+        else {
+            return;
+        };
+        let ratio = self.deployment.ratio;
+        spans.audit(&items, &peers, &self.pool.stats(), ratio);
         if self.error.is_some() {
             return;
         }
@@ -464,22 +478,14 @@ impl RoundSource for RosterWalk<'_> {
         // been offered to anyone, so surviving peers (which simply see
         // a new conversation) and restarted peers (fresh windows)
         // both accept it.
-        let refused = |g: usize| {
-            items[g].resume
-                && file.events.iter().any(|ev| {
-                    matches!(
-                        *ev,
-                        EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed }
-                            if file.peers.item(peer) == g
-                    )
-                })
-        };
+        let refused =
+            |g: usize| items[g].resume && auth_failed.iter().any(|&peer| peers.item(peer) == g);
         // The round's completions and its `RoundDone`: one write, one
         // fsync, with no `ItemDone` for a refused item — its retry is a
         // round of its own.
         let mut records = Vec::with_capacity(ixs.len() + 1);
         let mut retry = Vec::new();
-        for (g, (entry, &ix)) in file.entries.iter().zip(&ixs).enumerate() {
+        for (g, &ix) in ixs.iter().enumerate() {
             if refused(g) {
                 let attempt = items[g].attempt + 1;
                 self.resume_refused += 1;
@@ -496,10 +502,10 @@ impl RoundSource for RosterWalk<'_> {
                 continue;
             }
             let item = DoneItem {
-                fp: hex(&entry.relay_fp),
-                capacity: entry.capacity.bytes_per_sec(),
-                clean: entry.clean,
-                divergent: entry.divergent_rows as u64,
+                fp: hex(&items[g].relay_fp),
+                capacity: peers.estimate(g, ratio).1.bytes_per_sec(),
+                clean: peers.item_clean(g),
+                divergent: peers.divergent_count(g, ratio) as u64,
             };
             records.push(Record::ItemDone {
                 ix: ix as u64,

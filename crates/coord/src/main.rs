@@ -136,7 +136,14 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
         "relay-token-hex" => cfg.relay_token = procutil::parse_token_hex(value)?,
         "measurer-rate" => cfg.measurer_rate = num(key, value)?,
         "sockets" => cfg.sockets = num(key, value)?,
-        "slot-secs" => cfg.slot_secs = num(key, value)?,
+        "slot-secs" => {
+            // A slot of no seconds gets no reports: every item would
+            // wait out its report timeout and journal a capacity of 0.
+            cfg.slot_secs = num(key, value)?;
+            if cfg.slot_secs == 0 {
+                return Err(format!("slot-secs: must be at least 1\n{USAGE}"));
+            }
+        }
         "bg-allowance" => cfg.bg_allowance = num(key, value)?,
         "ratio" => {
             // The §4.1 clamp `y ≤ x·r/(1−r)` holds only for `r` in [0, 1).
@@ -397,6 +404,20 @@ mod tests {
             assert_eq!(msg, format!("ratio: must be in [0, 1), got {value}\n{USAGE}"), "{line:?}");
         }
         assert!(parse("--ratio half").unwrap_err().starts_with("ratio: "));
+    }
+
+    #[test]
+    fn slot_secs_must_be_positive() {
+        for (line, slot_secs) in [("", 3), ("--slot-secs 1", 1), ("--slot-secs 3100", 3100)] {
+            let cfg = parse(line).unwrap_or_else(|msg| panic!("{line:?} refused: {msg}"));
+            assert_eq!(cfg.slot_secs, slot_secs, "{line:?}");
+        }
+        let msg = parse("--slot-secs 0").expect_err("a slot of no seconds");
+        assert_eq!(msg, format!("slot-secs: must be at least 1\n{USAGE}"));
+        for value in ["-1", "1.5", "many"] {
+            let line = format!("--slot-secs {value}");
+            assert!(parse(&line).expect_err(&line).starts_with("slot-secs: "), "{line:?}");
+        }
     }
 
     #[test]

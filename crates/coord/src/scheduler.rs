@@ -21,11 +21,11 @@
 //! Until then: every item costs the same fixed blast (the deployment
 //! commands one `rate_cap` per measurer whatever the relay's prior),
 //! each relay is measured once, and a round carries as many items as
-//! that fixed cost fits into the team budget. Each round is one
-//! `measure_echo_period` call whose items run concurrently by
-//! construction: they are the items of one `MeasurementEngine`, which
-//! opens every item's sessions before its first tick and releases each
-//! item's `Go` as soon as that item's own peers are armed.
+//! that fixed cost fits into the team budget. Each round is one round
+//! of `echo::run_rounds`, whose items run concurrently by construction:
+//! they are the items of one `MeasurementEngine`, which opens every
+//! item's sessions before its first tick and releases each item's `Go`
+//! as soon as that item's own peers are armed.
 //!
 //! Packing is largest prior first (the `Sequencer`'s `Order::Packed`,
 //! not §4.3's secret `Order::Secret`), deterministic given the same

@@ -7,11 +7,6 @@
 //! `flashflow_tornet::consensus::DirAuths`, which takes the median
 //! across BWAuths (§4 "Trust and Diversity"), so a minority of
 //! malicious authorities cannot move a relay's weight.
-//!
-//! The deployed twin is [`measure_echo_period`]: one round against
-//! real processes, whose [`EchoPeriodFile`] takes every estimate and
-//! audit count from the round's
-//! [`EngineSnapshot`](crate::engine::EngineSnapshot).
 
 use std::collections::BTreeMap;
 
@@ -115,150 +110,6 @@ impl BwAuth {
                 measured.iter().map(Measurement::slot_result).collect()
             });
         BandwidthFile::from_settled(&settled)
-    }
-}
-
-/// One relay's entry in an [`EchoPeriodFile`]: the estimate a period of
-/// the deployed echo topology produced, with its audit provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EchoEntry {
-    /// The relay measured (fingerprint, as commanded over the wire).
-    pub relay_fp: [u8; flashflow_proto::msg::FINGERPRINT_LEN],
-    /// The accepted capacity estimate: median over seconds of echoed
-    /// measurement bytes plus ratio-clamped reported background.
-    pub capacity: Rate,
-    /// True if every session of the item ended cleanly (an unclean item
-    /// still gets a degraded estimate from its surviving peers).
-    pub clean: bool,
-    /// Audit rows that failed a cross-check (echo claim vs aggregated
-    /// measurer reports, background-claim plausibility). A nonzero
-    /// count marks the estimate untrustworthy, like a failed spot check
-    /// in the simulation path.
-    pub divergent_rows: usize,
-}
-
-/// The bandwidth file an echo-topology round produces: the deployment
-/// twin of [`BandwidthFile`], keyed by wire fingerprint because the
-/// peers are real processes rather than simulated [`RelayId`]s, with
-/// the round's raw audit trail beside the estimates.
-#[derive(Debug)]
-pub struct EchoPeriodFile {
-    /// One entry per item, in item order.
-    pub entries: Vec<EchoEntry>,
-    /// Every engine event of the round, per-item order preserved.
-    pub events: Vec<crate::engine::EngineEvent>,
-    /// Final state and reports of every conversation, peers numbered
-    /// item by item with the relay last; item `g` of its per-item views
-    /// is `entries[g]`.
-    pub peers: crate::engine::EngineSnapshot,
-    /// The pool's dial/reuse/probe/discard counts after the round.
-    pub pool: crate::pool::PoolStats,
-}
-
-/// Runs one round of measurements against **spawned processes** in the
-/// paper's echo topology: for each item, k `flashflow-measurer`
-/// processes blast the `flashflow-relay` process, which echoes and
-/// reports background. Every item runs at the same time — they are the
-/// items of one engine on the calling thread (see
-/// [`crate::echo::run_round`]). Warm control connections ride `pool`
-/// across rounds.
-///
-/// The per-item estimate is §4.1's: `z_j = x_j + min(y_j, r·z_j)` per
-/// second (echoed measurement bytes plus ratio-clamped background),
-/// median over seconds — computed from clean sessions only, with the
-/// snapshot's cross-check rows surfaced per entry.
-pub fn measure_echo_period(
-    deployment: &crate::echo::EchoDeployment,
-    items: &[crate::echo::EchoItem],
-    pool: &crate::pool::ConnectionPool,
-) -> EchoPeriodFile {
-    measure_echo_period_observed(deployment, items, pool, None)
-}
-
-/// [`measure_echo_period`] with telemetry: when `span` is given, every
-/// engine event is mirrored onto it live (`sample`, `peer.*`,
-/// `item.complete`, …) and the post-run audit trail (`divergence`,
-/// `target.estimate`, `pool.stats`, `period.done`) follows — the stream
-/// `flashflow-top` renders and the JSONL schema the CI job validates.
-/// See [`crate::observe`].
-pub fn measure_echo_period_observed(
-    deployment: &crate::echo::EchoDeployment,
-    items: &[crate::echo::EchoItem],
-    pool: &crate::pool::ConnectionPool,
-    span: Option<&flashflow_obs::Span>,
-) -> EchoPeriodFile {
-    let mut round = EchoRound::start(deployment, items, span);
-    let peers = crate::echo::run_round(deployment, items, pool, &mut |event| round.observe(event));
-    round.finish(peers, pool)
-}
-
-/// One echo round being recorded: its events and, when given a span,
-/// its telemetry, fed while the round runs and turned
-/// into the round's [`EchoPeriodFile`] when it ends.
-/// [`measure_echo_period_observed`] wraps one around
-/// [`crate::echo::run_round`]; a caller that keeps two rounds in flight
-/// with [`crate::echo::run_rounds`] keeps one per staged round.
-pub struct EchoRound {
-    items: Vec<crate::echo::EchoItem>,
-    ratio: f64,
-    spans: Option<crate::observe::RoundSpans>,
-    events: Vec<crate::engine::EngineEvent>,
-}
-
-impl EchoRound {
-    /// Starts recording a round of `items` against `deployment`. With a
-    /// `span`, emits `period.start` on it and mirrors every event (see
-    /// [`crate::observe`]).
-    pub fn start(
-        deployment: &crate::echo::EchoDeployment,
-        items: &[crate::echo::EchoItem],
-        span: Option<&flashflow_obs::Span>,
-    ) -> EchoRound {
-        EchoRound {
-            items: items.to_vec(),
-            ratio: deployment.ratio,
-            spans: span.map(|span| crate::observe::RoundSpans::start(span, deployment, items)),
-            events: Vec::new(),
-        }
-    }
-
-    /// The round's items, in engine item order.
-    pub fn items(&self) -> &[crate::echo::EchoItem] {
-        &self.items
-    }
-
-    /// Records one engine event of the round.
-    pub fn observe(&mut self, event: crate::engine::EngineEvent) {
-        if let Some(spans) = &self.spans {
-            spans.engine_event(&event);
-        }
-        self.events.push(event);
-    }
-
-    /// Ends the round: §4.1's estimate per item from the round's
-    /// record `peers`, with the audit trail emitted after it and
-    /// `pool`'s counters as they stand now.
-    pub fn finish(
-        self,
-        peers: crate::engine::EngineSnapshot,
-        pool: &crate::pool::ConnectionPool,
-    ) -> EchoPeriodFile {
-        let EchoRound { items, ratio, spans, events } = self;
-        let entries = items
-            .iter()
-            .enumerate()
-            .map(|(g, item)| EchoEntry {
-                relay_fp: item.relay_fp,
-                capacity: peers.estimate(g, ratio).1,
-                clean: peers.item_clean(g),
-                divergent_rows: peers.divergent_count(g, ratio),
-            })
-            .collect();
-        let file = EchoPeriodFile { entries, events, peers, pool: pool.stats() };
-        if let Some(spans) = &spans {
-            spans.audit(&items, &file, ratio);
-        }
-        file
     }
 }
 

@@ -47,9 +47,11 @@
 //!
 //! A source may have no round when asked and one once a round ends (a
 //! retry), so the loop asks again after every round it finishes.
-//! [`run_round`] is the one-round case of the same loop, and
-//! [`crate::bwauth::measure_echo_period`] turns what it returns into a
-//! fingerprint-keyed bandwidth file.
+//! [`run_round`] is the one-round case of the same loop. Either way a
+//! round's record is the [`EngineSnapshot`] it ends with: item `g`'s
+//! estimate, audit rows and cleanliness are read off it directly, and
+//! [`crate::observe::RoundSpans`] mirrors the round's events and that
+//! audit onto telemetry.
 
 use std::io;
 use std::net::SocketAddr;
@@ -336,9 +338,12 @@ impl Staged {
         for (g, item) in items.iter().enumerate() {
             add_item(&mut builder, g, deployment, item, pool, &mut dialed);
         }
-        // 60 sped-up seconds of hard wall: far beyond one slot.
-        let wall = SimDuration::from_secs_f64(60.0 * deployment.speedup.max(1.0));
-        builder = builder.hard_deadline(now + wall);
+        let slot = items.iter().map(|item| item.slot_secs).max().unwrap_or(0);
+        let slot = SimDuration::from_secs(u64::from(slot));
+        // 60 wall seconds past the slot's end: far beyond the handshake
+        // and the report lag.
+        let margin = SimDuration::from_secs_f64(60.0 * deployment.speedup.max(1.0));
+        builder = builder.hard_deadline(hard_deadline(now, gate, slot, margin));
         if let Some(gate) = gate {
             builder = builder.go_not_before(gate);
         }
@@ -361,13 +366,12 @@ impl Staged {
             }
             None => engine.abort_all(AbortReason::Shutdown),
         }
-        let slot = items.iter().map(|item| item.slot_secs).max().unwrap_or(0);
         Staged {
             round,
             engine,
             reuse: dialed.into_iter().map(|d| d.map(|(handle, _)| handle)).collect(),
             watched,
-            slot: SimDuration::from_secs(u64::from(slot)),
+            slot,
             gate,
             settled: vec![false; items.len()],
             last_go: None,
@@ -452,6 +456,19 @@ impl Staged {
         drop(engine);
         source.finished(round, peers);
     }
+}
+
+/// The hard deadline of a round staged at `now` whose `Go`s leave no
+/// earlier than `gate`: `margin` past the end of its `slot`, which
+/// starts at the gate or, with none (or one already past), now. A slot
+/// longer than the margin must still get to run.
+fn hard_deadline(
+    now: SimTime,
+    gate: Option<SimTime>,
+    slot: SimDuration,
+    margin: SimDuration,
+) -> SimTime {
+    gate.map_or(now, |gate| gate.max(now)) + slot + margin
 }
 
 /// True if the loop may stage another round now: none is in flight, or
@@ -719,17 +736,20 @@ mod tests {
     /// Hands its rounds out in order and records every event. `later`
     /// is a round it has only once round 0 has finished, the way a
     /// refused `Resume` becomes a retry.
+    #[derive(Default)]
     struct Recorder {
         rounds: Vec<Vec<EchoItem>>,
         later: Option<Vec<EchoItem>>,
         staged: usize,
         events: Vec<(usize, EngineEvent)>,
         clean: BTreeMap<usize, bool>,
+        /// §4.1's estimate of every item, in the order the rounds ended.
+        estimates: Vec<f64>,
     }
 
     impl Recorder {
         fn new(rounds: Vec<Vec<EchoItem>>) -> Recorder {
-            Recorder { rounds, later: None, staged: 0, events: Vec::new(), clean: BTreeMap::new() }
+            Recorder { rounds, ..Recorder::default() }
         }
     }
 
@@ -744,6 +764,8 @@ mod tests {
         }
         fn finished(&mut self, round: usize, peers: EngineSnapshot) {
             self.clean.insert(round, peers.all_clean());
+            let estimates = (0..peers.item_count()).map(|g| peers.estimate(g, 0.25).1);
+            self.estimates.extend(estimates.map(|estimate| estimate.bytes_per_sec()));
             if round == 0 {
                 self.rounds.extend(self.later.take());
             }
@@ -818,6 +840,9 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         assert_eq!(source.clean.len(), ROUNDS);
         assert!(source.clean.values().all(|&clean| clean), "{:?}", source.events);
+        // The stand-ins report 1,000 measured bytes and no background
+        // each second, so §4.1's estimate is exactly that over TCP too.
+        assert_eq!(source.estimates, vec![1_000.0; 2 * ROUNDS], "{:?}", source.events);
         // Two rounds in flight, never three: four connections per round,
         // and round n+2 reuses round n's.
         assert_eq!(pool.dials(), 8, "{:?}", pool.stats());
@@ -849,5 +874,18 @@ mod tests {
                 assert!(go < gate + SimDuration::from_millis(500), "round {}: Go at {go}", n + 1);
             }
         }
+    }
+
+    #[test]
+    fn the_hard_deadline_is_a_margin_past_the_slot_end() {
+        let (slot, margin) = (SimDuration::from_secs(3_100), SimDuration::from_secs(3_000));
+        let at = SimTime::from_secs;
+        // A slot longer than the margin (62 wall seconds at speedup 50)
+        // still ends before the deadline, with the margin to spare.
+        assert_eq!(hard_deadline(at(10), None, slot, margin), at(6_110));
+        // A staged round's slot starts at its gate...
+        assert_eq!(hard_deadline(at(10), Some(at(500)), slot, margin), at(6_600));
+        // ...unless the gate is already past.
+        assert_eq!(hard_deadline(at(900), Some(at(500)), slot, margin), at(7_000));
     }
 }

@@ -14,7 +14,7 @@
 //!   simulated time and in-memory transports, with the fluid
 //!   simulation's flows or fixed-rate reference peers behind them),
 //! * real TCP connections to measurer processes (wall-clock time mapped
-//!   to [`SimTime`], see `examples/tcp_coordinator.rs`),
+//!   to [`SimTime`], see [`crate::echo::run_rounds`]),
 //! * fault-injection harnesses
 //!   ([`FaultyTransport`](flashflow_proto::fault::FaultyTransport)
 //!   underneath — a mid-slot disconnect aborts the affected session in
@@ -345,8 +345,8 @@ impl MeasurementEngine {
         // zero-latency transports deliver within the same step. That
         // push can also *receive* (a fast peer's final reports), so
         // pick up any actions and completions it produced — otherwise a
-        // conversation finishing here would end run_to_completion with
-        // its samples still queued and no ItemComplete ever emitted.
+        // conversation finishing here would end the round with its
+        // samples still queued and no ItemComplete ever emitted.
         self.pump_bounded(now);
         self.drain_actions();
         self.note_completed_items();
@@ -357,24 +357,6 @@ impl MeasurementEngine {
         for _ in 0..MAX_PUMP_ROUNDS {
             if !self.pump(now) {
                 break;
-            }
-        }
-    }
-
-    /// Steps the engine on `clock` until every conversation is terminal,
-    /// returning all events in order. The clock is called once per step
-    /// and may sleep to pace real-time transports; it must be
-    /// non-decreasing. With a [`EngineBuilder::hard_deadline`] set,
-    /// termination is guaranteed even against a wedged driver-side peer.
-    pub fn run_to_completion(&mut self, mut clock: impl FnMut() -> SimTime) -> Vec<EngineEvent> {
-        let mut events = Vec::new();
-        loop {
-            let live = self.step(clock());
-            while let Some(ev) = self.poll_event() {
-                events.push(ev);
-            }
-            if !live {
-                return events;
             }
         }
     }
@@ -1266,13 +1248,16 @@ mod tests {
         );
         let mut engine = builder.hard_deadline(SimTime::from_secs(3)).build(SimTime::ZERO);
         // The peer never answers and the session timeouts are absurd;
-        // only the hard wall ends this.
-        let mut now = SimTime::ZERO;
-        let events = engine.run_to_completion(|| {
-            let t = now;
-            now += SimDuration::from_secs(1);
-            t
-        });
+        // only the hard wall ends this, within a step of it.
+        let mut events = Vec::new();
+        for second in 0..=4 {
+            let live = engine.step(SimTime::from_secs(second));
+            events.extend(std::iter::from_fn(|| engine.poll_event()));
+            if !live {
+                break;
+            }
+        }
+        assert!(engine.is_finished(), "{events:?}");
         assert!(events
             .iter()
             .any(|e| matches!(e, EngineEvent::PeerFailed { reason: AbortReason::Shutdown, .. })));

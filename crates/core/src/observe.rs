@@ -1,7 +1,8 @@
 //! The bridge from the measurement engine's typed events to
 //! `flashflow-obs` telemetry: mirrors every [`EngineEvent`] of a round
-//! as a structured [`Event`] on a [`Span`] and emits the post-run
-//! audit trail (divergent audit rows, per-target estimates, pool
+//! as a structured [`Event`](flashflow_obs::Event) on a [`Span`] and
+//! emits the post-run audit trail, read from the round's
+//! [`EngineSnapshot`] (divergent audit rows, per-target estimates, pool
 //! stats). The period's machine-readable result is the coordinator's
 //! `period.json`.
 //!
@@ -17,11 +18,10 @@
 //! consumer like `flashflow-top` read the relay's echo claim without
 //! double-counting the measurers' received-blast reports.
 
-use flashflow_obs::{Event, Span, Value};
+use flashflow_obs::{Span, Value};
 
-use crate::bwauth::EchoPeriodFile;
 use crate::echo::{EchoDeployment, EchoItem};
-use crate::engine::{EngineEvent, PeerId};
+use crate::engine::{EngineEvent, EngineSnapshot, PeerId};
 use crate::pool::PoolStats;
 
 /// Builds a `fields` vector tersely (local shorthand; the values go
@@ -109,13 +109,15 @@ impl RoundSpans {
         }
     }
 
-    /// Emits the post-run audit trail of the round: per item, one
-    /// `divergence` event per audit row flagged under background ratio
-    /// `ratio` and its `target.estimate`; then the `pool.stats`
-    /// snapshot and `period.done`.
-    pub fn audit(&self, items: &[EchoItem], file: &EchoPeriodFile, ratio: f64) {
-        for (group, (item, entry)) in items.iter().zip(&file.entries).enumerate() {
-            for row in file.peers.rows(group, ratio).iter().filter(|row| row.divergent) {
+    /// Emits the post-run audit trail of the round from its record
+    /// `peers`: per item, one `divergence` event per audit row flagged
+    /// under background ratio `ratio` and its `target.estimate`; then
+    /// the `pool.stats` snapshot `pool` and `period.done`.
+    pub fn audit(&self, items: &[EchoItem], peers: &EngineSnapshot, pool: &PoolStats, ratio: f64) {
+        for (group, item) in items.iter().enumerate() {
+            let rows = peers.rows(group, ratio);
+            let divergent: Vec<_> = rows.iter().filter(|row| row.divergent).collect();
+            for row in &divergent {
                 self.items[group].item(0).emit(
                     "divergence",
                     fields![
@@ -131,17 +133,14 @@ impl RoundSpans {
                 "target.estimate",
                 fields![
                     fp = hex_fp(&item.relay_fp),
-                    capacity = entry.capacity.bytes_per_sec(),
-                    clean = entry.clean,
-                    divergent_rows = entry.divergent_rows,
+                    capacity = peers.estimate(group, ratio).1.bytes_per_sec(),
+                    clean = peers.item_clean(group),
+                    divergent_rows = divergent.len(),
                 ],
             );
         }
-        emit_pool_stats(&self.period, &file.pool);
-        self.period.emit(
-            "period.done",
-            fields![items = file.entries.len(), clean = file.peers.all_clean()],
-        );
+        emit_pool_stats(&self.period, pool);
+        self.period.emit("period.done", fields![items = items.len(), clean = peers.all_clean()]);
     }
 }
 
@@ -167,12 +166,6 @@ pub fn hex_fp(fp: &[u8]) -> String {
         out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     out
-}
-
-/// Replays a slice of obs [`Event`]s (a sink ring or parsed JSONL) —
-/// convenience for tests that assert on emitted streams.
-pub fn count_kind(events: &[Event], kind: &str) -> usize {
-    events.iter().filter(|e| e.kind == kind).count()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //!
 //! Swap the transports and peers for TCP sockets and real measurer
 //! processes and the engine code does not change — see
-//! `examples/tcp_coordinator.rs` and the `flashflow-measurer` binary crate.
+//! [`crate::echo::run_rounds`] and the `flashflow-measurer` binary crate.
 //!
 //! One slot, per peer (measurers and the reporting target):
 //!

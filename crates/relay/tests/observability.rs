@@ -25,9 +25,9 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use flashflow_core::bwauth::measure_echo_period_observed;
-use flashflow_core::echo::item_trace_id;
-use flashflow_core::observe::{count_kind, hex_fp};
+use flashflow_core::echo::{item_trace_id, run_round, EchoDeployment, EchoItem};
+use flashflow_core::engine::EngineSnapshot;
+use flashflow_core::observe::{hex_fp, RoundSpans};
 use flashflow_core::pool::ConnectionPool;
 use flashflow_harness::{
     bin, deployment, exit_zero_all, read_jsonl, round_items, spawn_measurer, spawn_relay, token,
@@ -39,6 +39,26 @@ use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
 /// This file's measurement secrets: [`round_items`]`(SECRET, round)`.
 const SECRET: u64 = 0x0B5E_0000_0000_0000;
+
+/// Runs one round of `items` with its telemetry on `span`: its events
+/// as they happen, then its audit trail.
+fn observed_round(
+    deployment: &EchoDeployment,
+    items: &[EchoItem],
+    pool: &ConnectionPool,
+    span: &Span,
+) -> EngineSnapshot {
+    let spans = RoundSpans::start(span, deployment, items);
+    let peers = run_round(deployment, items, pool, &mut |event| spans.engine_event(&event));
+    spans.audit(items, &peers, &pool.stats(), deployment.ratio);
+    peers
+}
+
+/// How many of `events` are of kind `kind`.
+fn count_kind(events: &[Event], kind: &str) -> usize {
+    events.iter().filter(|e| e.kind == kind).count()
+}
+
 /// A scratch file path unique to this test process.
 fn scratch_path(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("flashflow-obs-{}-{name}", std::process::id()));
@@ -72,9 +92,10 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     let dep = deployment([a0, a1], relay_addr);
     let period_items = round_items(SECRET, 0);
     let pool = ConnectionPool::new();
-    let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
-    assert_eq!(file.entries.len(), ITEMS);
-    assert!(file.peers.all_clean(), "honest observed period must stay clean");
+    let peers = observed_round(&dep, &period_items, &pool, &span);
+    let cold = pool.stats();
+    assert_eq!(peers.item_count(), ITEMS);
+    assert!(peers.all_clean(), "honest observed period must stay clean");
 
     // --- the JSONL stream is schema-valid and complete -------------
     let events = read_jsonl(&jsonl_path);
@@ -98,7 +119,7 @@ fn observed_period_serves_metrics_and_renders_in_top() {
         );
     }
     let estimates: Vec<&Event> = events.iter().filter(|e| e.kind == "target.estimate").collect();
-    for (group, (item, entry)) in period_items.iter().zip(&file.entries).enumerate() {
+    for (group, item) in period_items.iter().enumerate() {
         let event = estimates
             .iter()
             .find(|e| e.scope.group == Some(group as u64))
@@ -107,7 +128,8 @@ fn observed_period_serves_metrics_and_renders_in_top() {
             event.field("fp").and_then(Value::as_str),
             Some(hex_fp(&item.relay_fp).as_str())
         );
-        assert_eq!(event.f64_field("capacity"), Some(entry.capacity.bytes_per_sec()));
+        let capacity = peers.estimate(group, dep.ratio).1.bytes_per_sec();
+        assert_eq!(event.f64_field("capacity"), Some(capacity));
     }
 
     // --- the pool: a cold round dials, a warm one reuses -----------
@@ -115,11 +137,12 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     // connection per conversation; the next round on the same pool
     // dials nothing and reuses them all.
     let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
-    assert_eq!((file.pool.dials, file.pool.reuses), (peers_per_round, 0), "{:?}", file.pool);
-    let warm = flashflow_core::bwauth::measure_echo_period(&dep, &round_items(SECRET, 1), &pool);
-    assert!(warm.peers.all_clean(), "the warm round must stay clean");
-    assert_eq!(warm.pool.dials, peers_per_round, "the warm round dialed: {:?}", warm.pool);
-    assert!(warm.pool.reuses >= peers_per_round, "warm round reused too few: {:?}", warm.pool);
+    assert_eq!((cold.dials, cold.reuses), (peers_per_round, 0), "{cold:?}");
+    let warm = run_round(&dep, &round_items(SECRET, 1), &pool, &mut |_| {});
+    assert!(warm.all_clean(), "the warm round must stay clean");
+    let warm = pool.stats();
+    assert_eq!(warm.dials, peers_per_round, "the warm round dialed: {warm:?}");
+    assert!(warm.reuses >= peers_per_round, "warm round reused too few: {warm:?}");
 
     // --- the relay's metrics endpoint saw the traffic --------------
     let body = fetch_metrics(metrics_addr, &token(RELAY), Duration::from_secs(5))
@@ -227,8 +250,6 @@ fn observed_period_serves_metrics_and_renders_in_top() {
     assert!(rendered.contains("pool:"), "pool stats line missing from render: {rendered}");
 
     drop(pool);
-    drop(file);
-    drop(warm);
     exit_zero_all([m1]);
     drop((m0, relay)); // held open: dropping kills them
     let _ = std::fs::remove_file(&jsonl_path);
@@ -247,18 +268,14 @@ fn lying_relay_writes_bg_divergence_into_its_own_jsonl() {
 
     let one_item = vec![round_items(SECRET, 0).remove(0)];
     let pool = ConnectionPool::new();
-    let file = flashflow_core::bwauth::measure_echo_period(
-        &deployment([a0, a1], relay_addr),
-        &one_item,
-        &pool,
-    );
+    let dep = deployment([a0, a1], relay_addr);
+    let peers = run_round(&dep, &one_item, &pool, &mut |_| {});
     assert!(
-        file.entries[0].divergent_rows > 0,
+        peers.divergent_count(0, dep.ratio) > 0,
         "the coordinator's ledger must flag the inflated claim"
     );
 
     drop(pool);
-    drop(file);
     // The relay's JSONL stream is flushed before we read it.
     exit_zero_all([m0, m1, relay]);
 
@@ -304,10 +321,9 @@ fn trace_pipeline_reconstructs_complete_timelines() {
     let dep = deployment([a0, a1], relay_addr);
     let period_items = round_items(SECRET, 0);
     let pool = ConnectionPool::new();
-    let file = measure_echo_period_observed(&dep, &period_items, &pool, Some(&span));
-    assert!(file.peers.all_clean(), "honest observed period must stay clean");
+    let peers = observed_round(&dep, &period_items, &pool, &span);
+    assert!(peers.all_clean(), "honest observed period must stay clean");
     drop(pool);
-    drop(file);
     // Every stream is flushed before the join tool reads the files.
     exit_zero_all([m0, m1, relay]);
 

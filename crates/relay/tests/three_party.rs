@@ -22,9 +22,8 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_core::bwauth::measure_echo_period;
-use flashflow_core::echo::{run_round, run_rounds, EchoItem, RoundSource};
-use flashflow_core::engine::EngineEvent;
+use flashflow_core::echo::{run_round, run_rounds, EchoDeployment, EchoItem, RoundSource};
+use flashflow_core::engine::{EngineEvent, EngineSnapshot};
 use flashflow_core::pool::ConnectionPool;
 use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
 use flashflow_harness::{
@@ -38,6 +37,18 @@ use flashflow_simnet::stats::median;
 
 /// This file's measurement secrets: [`round_items`]`(SECRET, round)`.
 const SECRET: u64 = 0x3A11_0000_0000_0000;
+
+/// Runs one round of `items` and returns its record with every engine
+/// event of the round.
+fn measure(
+    deployment: &EchoDeployment,
+    items: &[EchoItem],
+    pool: &ConnectionPool,
+) -> (EngineSnapshot, Vec<EngineEvent>) {
+    let mut events = Vec::new();
+    let peers = run_round(deployment, items, pool, &mut |event| events.push(event));
+    (peers, events)
+}
 
 /// Measures the box's sleep-pacing skew: how much longer a run of
 /// short `thread::sleep`s takes than ideal. The echo data plane paces
@@ -97,23 +108,20 @@ fn three_party_topology_estimates_match_duplex_reference() {
     let peers_per_round = ITEMS as u64 * (MEASURER_CAPS.len() as u64 + 1);
 
     let pool = ConnectionPool::new();
-    let file = measure_echo_period(&dep, &round_items(SECRET, 0), &pool);
+    let (peers, events) = measure(&dep, &round_items(SECRET, 0), &pool);
     let tolerance = estimate_tolerance(skew_before.max(pacing_skew()));
     // Every item of a round runs at once, so a cold round dials one
     // connection per conversation.
     assert_eq!((pool.dials(), pool.reuses()), (peers_per_round, 0));
 
-    assert_eq!(file.entries.len(), ITEMS);
-    for (g, entry) in file.entries.iter().enumerate() {
-        let failures: Vec<_> = file
-            .events
+    assert_eq!(peers.item_count(), ITEMS);
+    for (g, reference) in reference.into_iter().enumerate() {
+        let failures: Vec<_> = events
             .iter()
-            .filter(|e| {
-                matches!(e, EngineEvent::PeerFailed { peer, .. } if file.peers.item(*peer) == g)
-            })
+            .filter(|e| matches!(e, EngineEvent::PeerFailed { peer, .. } if peers.item(*peer) == g))
             .collect();
         assert!(
-            entry.clean,
+            peers.item_clean(g),
             "item {g}: a session failed against the spawned processes: {failures:?}"
         );
         // Scheduler contention can tear individual seconds'
@@ -124,14 +132,13 @@ fn three_party_topology_estimates_match_duplex_reference() {
         // the adversarial cases below assert ≥ SLOT_SECS−1 — so that
         // same threshold is the discrimination boundary: honest must
         // stay strictly under it.
+        let divergent = peers.divergent_count(g, RATIO);
         assert!(
-            entry.divergent_rows < SLOT_SECS as usize - 1,
-            "item {g}: honest topology flagged {} rows: {:?}",
-            entry.divergent_rows,
-            file.peers.rows(g, RATIO)
+            divergent < SLOT_SECS as usize - 1,
+            "item {g}: honest topology flagged {divergent} rows: {:?}",
+            peers.rows(g, RATIO)
         );
-        let est = entry.capacity.bytes_per_sec();
-        let reference = reference[g];
+        let est = peers.estimate(g, RATIO).1.bytes_per_sec();
         let rel = (est - reference).abs() / reference;
         assert!(
             rel < tolerance,
@@ -145,11 +152,10 @@ fn three_party_topology_estimates_match_duplex_reference() {
     // The relay reported real background: every target row carries a
     // bg column near the allowance, cross-checked against the
     // aggregated measurer echo.
-    let target_rows: Vec<_> = file
-        .peers
+    let target_rows: Vec<_> = peers
         .rows(0, RATIO)
         .into_iter()
-        .filter(|r| file.peers.role(r.peer) == PeerRole::Target)
+        .filter(|r| peers.role(r.peer) == PeerRole::Target)
         .collect();
     assert_eq!(target_rows.len(), SLOT_SECS as usize);
     for row in &target_rows {
@@ -162,14 +168,12 @@ fn three_party_topology_estimates_match_duplex_reference() {
 
     // Warm connections rode the pool into the next round: it dialed
     // nothing and reused one connection per conversation.
-    let second = measure_echo_period(&dep, &round_items(SECRET, 1), &pool);
-    assert!(second.peers.all_clean(), "second round had failures: {:?}", second.events);
+    let (second, events) = measure(&dep, &round_items(SECRET, 1), &pool);
+    assert!(second.all_clean(), "second round had failures: {events:?}");
     assert_eq!(pool.dials(), peers_per_round, "the warm round dialed");
     assert!(pool.reuses() >= peers_per_round, "warm round reused only {}", pool.reuses());
 
     drop(pool);
-    drop(file);
-    drop(second);
     exit_zero_all([m0, m1, relay]);
 }
 
@@ -188,12 +192,11 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![round_items(SECRET, 0).remove(0)];
-    let file = measure_echo_period(&deployment([a0, dead_addr], relay_addr), &one_item, &pool);
+    let (peers, _) = measure(&deployment([a0, dead_addr], relay_addr), &one_item, &pool);
 
-    let entry = &file.entries[0];
-    assert!(!entry.clean, "a failed dial must mark the item unclean");
+    assert!(!peers.item_clean(0), "a failed dial must mark the item unclean");
     // The surviving measurer still demonstrated its share.
-    let (x, _) = file.peers.merged_series(0);
+    let (x, _) = peers.merged_series(0);
     let survivor_rate = MEASURER_CAPS[0] as f64;
     let mid = x.get(2).copied().unwrap_or(0.0);
     assert!(
@@ -202,7 +205,6 @@ fn unreachable_measurer_degrades_the_item_instead_of_killing_the_period() {
     );
 
     drop(pool);
-    drop(file);
     exit_zero_all([m0, relay]);
 }
 
@@ -217,25 +219,21 @@ fn background_inflating_relay_is_flagged_in_the_ledger() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![round_items(SECRET, 0).remove(0)];
-    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
+    let (peers, _) = measure(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
-    let entry = &file.entries[0];
-    assert!(entry.clean, "the lie is in the numbers, not the protocol");
+    assert!(peers.item_clean(0), "the lie is in the numbers, not the protocol");
+    let rows = peers.rows(0, RATIO);
     assert!(
-        entry.divergent_rows >= SLOT_SECS as usize - 1,
-        "inflated background claims must flag the audit rows: {:?}",
-        file.peers.rows(0, RATIO)
+        peers.divergent_count(0, RATIO) >= SLOT_SECS as usize - 1,
+        "inflated background claims must flag the audit rows: {rows:?}"
     );
-    let flagged_bg = file
-        .peers
-        .rows(0, RATIO)
+    let flagged_bg = rows
         .iter()
-        .filter(|r| file.peers.role(r.peer) == PeerRole::Target && r.divergent)
+        .filter(|r| peers.role(r.peer) == PeerRole::Target && r.divergent)
         .all(|r| r.bg == claim);
     assert!(flagged_bg, "the flagged rows carry the inflated claim");
 
     drop(pool);
-    drop(file);
     exit_zero_all([m0, m1, relay]);
 }
 
@@ -251,23 +249,21 @@ fn garbage_echoing_relay_is_not_credited_and_diverges() {
 
     let pool = ConnectionPool::new();
     let one_item = vec![round_items(SECRET, 0).remove(0)];
-    let file = measure_echo_period(&deployment([a0, a1], relay_addr), &one_item, &pool);
+    let (peers, _) = measure(&deployment([a0, a1], relay_addr), &one_item, &pool);
 
-    let entry = &file.entries[0];
+    let estimate = peers.estimate(0, RATIO).1.bytes_per_sec();
     let honest_x: u64 = MEASURER_CAPS.iter().sum();
     assert!(
-        entry.capacity.bytes_per_sec() < honest_x as f64 * 0.10,
-        "garbage echo must not be credited as measurement bytes: estimated {} B/s",
-        entry.capacity.bytes_per_sec()
+        estimate < honest_x as f64 * 0.10,
+        "garbage echo must not be credited as measurement bytes: estimated {estimate} B/s"
     );
     assert!(
-        entry.divergent_rows > 0,
+        peers.divergent_count(0, RATIO) > 0,
         "the relay's echo claim must diverge from what the measurers verified: {:?}",
-        file.peers.rows(0, RATIO)
+        peers.rows(0, RATIO)
     );
 
     drop(pool);
-    drop(file);
     exit_zero_all([m0, m1, relay]);
 }
 
