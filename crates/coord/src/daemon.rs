@@ -8,10 +8,10 @@
 //!   ([`crate::journal::recover`]) and removes already-completed relays
 //!   from the plan;
 //! * relays the journal shows *in flight* are re-commanded as attempt
-//!   `n+1` with the **journaled** secret, so their control sessions
-//!   open with the v5 `Resume` handshake and the peers re-adopt the
-//!   parked conversations instead of replay-rejecting the re-derived
-//!   nonces;
+//!   `n+1` with the **journaled** secret: attempt `n+1` derives nonces
+//!   no peer has witnessed, so its control sessions open with a plain
+//!   `Auth` whether the peer kept its replay window or restarted, and
+//!   the slot runs again from zero;
 //! * every item start and completion is journaled before/after the
 //!   round runs, so the next incarnation — however this one dies —
 //!   knows exactly what remains. A round pays one fsync on each side:
@@ -25,12 +25,10 @@
 //! one blasts, and the current one's reports, ledger and completions
 //! are handled during the next one's slot. So the journal can hold
 //! round n+1's starts before round n's completions, and a crash there
-//! leaves both rounds in flight; the restart resumes both. The rounds
-//! are asked for lazily, one per staging. A resumed item whose `Resume`
-//! a restarted peer refused is retried with a fresh `Auth` as one more
-//! staged round. `draining` (SIGTERM) is polled before each staging:
-//! nothing new is staged, and the rounds already staged finish and are
-//! journaled.
+//! leaves both rounds in flight; the restart re-commands both. The
+//! plan's rounds are asked for lazily, one per staging. `draining`
+//! (SIGTERM) is polled before each staging: nothing new is staged, and
+//! the rounds already staged finish and are journaled.
 //!
 //! When the roster is complete the loop closes: the accumulated
 //! estimates become one BWAuth's vote, `flashflow-tornet`'s
@@ -39,19 +37,18 @@
 //! baseline weight set the paper compares against (§8), and the
 //! consensus document is written atomically next to the journal.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
-use flashflow_core::engine::{EngineEvent, EngineSnapshot, PeerId};
+use flashflow_core::engine::{EngineEvent, EngineSnapshot};
 // Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
 pub use flashflow_core::observe::hex_fp as hex;
 use flashflow_core::observe::RoundSpans;
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, Counter, Gauge, Json, MetricsRegistry, Span};
-use flashflow_proto::msg::{AbortReason, FINGERPRINT_LEN};
 use flashflow_simnet::time::SimTime;
 use flashflow_simnet::units::Rate;
 use flashflow_tornet::consensus::DirAuths;
@@ -72,7 +69,7 @@ pub struct DaemonConfig {
     /// Roster size override (`None` keeps the source's default).
     pub relays: Option<usize>,
     /// Root for per-item measurement secrets (fresh attempts only; the
-    /// journal is the authority for resumed ones).
+    /// journal is the authority for re-commanded ones).
     pub secret_seed: u64,
     /// Slot length commanded per item (sped-up seconds).
     pub slot_secs: u32,
@@ -111,11 +108,8 @@ pub struct CoordMetrics {
     pub rounds: Counter,
     /// Items measured to completion.
     pub items_done: Counter,
-    /// Items re-commanded with a `Resume` handshake after a restart.
+    /// In-flight items re-commanded as attempt `n+1` after a restart.
     pub items_resumed: Counter,
-    /// Resumed items whose `Resume` a peer refused (restarted peer,
-    /// lost replay window) and that were re-run with a fresh `Auth`.
-    pub resume_refused: Counter,
     /// Periods completed (consensus emitted).
     pub periods: Counter,
     /// Current roster size.
@@ -131,7 +125,6 @@ impl CoordMetrics {
             rounds: registry.counter("coord.rounds_done"),
             items_done: registry.counter("coord.items_done"),
             items_resumed: registry.counter("coord.items_resumed"),
-            resume_refused: registry.counter("coord.resume_refused"),
             periods: registry.counter("coord.periods_done"),
             roster_total: registry.gauge("coord.roster_total"),
             roster_remaining: registry.gauge("coord.roster_remaining"),
@@ -148,11 +141,9 @@ pub struct PeriodOutcome {
     pub measured: usize,
     /// Relays skipped because the journal already had them done.
     pub recovered_done: usize,
-    /// Relays re-commanded with attempt `n+1` (resumed sessions).
+    /// Relays the journal showed in flight, re-commanded as attempt
+    /// `n+1`.
     pub resumed: usize,
-    /// Resumed relays whose `Resume` was refused and that fell back to
-    /// a fresh `Auth` attempt.
-    pub resume_refused: usize,
     /// Rounds this incarnation ran.
     pub rounds: usize,
     /// True if SIGTERM cut the roster walk short (no consensus; the
@@ -242,22 +233,19 @@ pub fn run_period(
         total_rounds: rounds.len(),
         planned: rounds.into_iter(),
         in_flight,
-        retries: VecDeque::new(),
         staged: BTreeMap::new(),
         next_round: 0,
         done,
         pending: pending.len(),
         measured: 0,
         resumed: 0,
-        resume_refused: 0,
         rounds_run: 0,
         drained: false,
         error: None,
     };
     run_rounds(deployment, pool, &mut walk);
     let closing = Instant::now();
-    let RosterWalk { measured, resumed, resume_refused, rounds_run, done, drained, error, .. } =
-        walk;
+    let RosterWalk { measured, resumed, rounds_run, done, drained, error, .. } = walk;
     if let Some(e) = error {
         return Err(e);
     }
@@ -267,7 +255,6 @@ pub fn run_period(
             measured,
             recovered_done,
             resumed,
-            resume_refused,
             rounds: rounds_run,
             drained: true,
             consensus_entries: 0,
@@ -306,37 +293,23 @@ pub fn run_period(
         measured,
         recovered_done,
         resumed,
-        resume_refused,
         rounds: rounds_run,
         drained: false,
         consensus_entries: consensus,
     })
 }
 
-/// One attempt at a roster item, ready to be staged.
-struct Attempt {
-    ix: usize,
-    fp: [u8; FINGERPRINT_LEN],
-    secret: u64,
-    attempt: u32,
-    /// Open with the `Resume` handshake (the journaled conversation).
-    resume: bool,
-}
-
 /// A staged round: the items it commands, the roster items they are,
-/// its telemetry, and the peers that refused its handshake.
+/// and its telemetry.
 struct StagedRound {
     items: Vec<EchoItem>,
     ixs: Vec<usize>,
     spans: RoundSpans,
-    /// Peers that aborted with `AuthFailed`.
-    auth_failed: Vec<PeerId>,
 }
 
 /// [`run_period`]'s side of the staged-round loop: it hands out the
 /// plan's rounds one at a time, journals each round's starts as it is
-/// staged and its completions as it ends, and turns a refused `Resume`
-/// into one more staged round.
+/// staged and its completions as it ends.
 struct RosterWalk<'a> {
     cfg: &'a DaemonConfig,
     roster: &'a Roster,
@@ -353,9 +326,6 @@ struct RosterWalk<'a> {
     planned: std::vec::IntoIter<Round>,
     /// What the journal showed in flight when this incarnation started.
     in_flight: BTreeMap<u64, InFlightItem>,
-    /// Fresh-`Auth` retries of refused resumes, staged before the plan
-    /// goes on.
-    retries: VecDeque<Vec<Attempt>>,
     /// Rounds staged and not yet ended, by staging number.
     staged: BTreeMap<usize, StagedRound>,
     next_round: usize,
@@ -364,7 +334,6 @@ struct RosterWalk<'a> {
     pending: usize,
     measured: usize,
     resumed: usize,
-    resume_refused: usize,
     rounds_run: usize,
     drained: bool,
     /// The first journal write that failed: nothing more is staged, and
@@ -373,39 +342,49 @@ struct RosterWalk<'a> {
 }
 
 impl RosterWalk<'_> {
-    /// The next attempt at roster item `ix`. The journal is the
-    /// authority for a resumed item's secret: attempt n+1 must re-derive
-    /// attempt n's nonces from the *same* secret, or the `Resume`
-    /// lineage proof fails.
-    fn attempt_at(&mut self, ix: usize) -> Attempt {
+    /// Opens the next attempt at roster item `ix`: mints and emits the
+    /// attempt's trace id, and returns the item to command with the
+    /// `ItemStart` the caller journals (batched with the rest of the
+    /// round) before any session opens. An item the journal shows in
+    /// flight is re-commanded as attempt `n+1` with its journaled secret.
+    fn start_item(&mut self, ix: usize) -> (EchoItem, Record) {
         let fp = self.roster.entries[ix].fp;
-        match self.in_flight.get(&(ix as u64)) {
+        let (secret, attempt) = match self.in_flight.get(&(ix as u64)) {
             Some(parked) => {
                 let attempt = u32::try_from(parked.attempt + 1).unwrap_or(1);
                 self.resumed += 1;
                 self.metrics.items_resumed.inc();
                 self.span.emit("item.resumed", fields![ix = ix as u64, attempt = attempt]);
-                Attempt { ix, fp, secret: parked.secret, attempt, resume: true }
+                (parked.secret, attempt)
             }
-            None => Attempt {
-                ix,
-                fp,
-                secret: roster::item_secret(self.cfg.secret_seed, self.period, ix),
-                attempt: 0,
-                resume: false,
-            },
-        }
+            None => (roster::item_secret(self.cfg.secret_seed, self.period, ix), 0),
+        };
+        let start = Record::ItemStart {
+            ix: ix as u64,
+            fp: hex(&fp),
+            secret,
+            attempt: u64::from(attempt),
+            ts: journal::now_ts(),
+        };
+        let trace_id = flashflow_core::echo::item_trace_id(secret, attempt);
+        self.span.emit("item.trace", fields![ix = ix as u64, attempt = attempt, trace = trace_id]);
+        let item = EchoItem {
+            relay_fp: fp,
+            slot_secs: self.cfg.slot_secs,
+            bg_allowance: self.cfg.bg_allowance,
+            measurement_secret: secret,
+            attempt,
+            trace_id,
+        };
+        (item, start)
     }
 }
 
 impl RoundSource for RosterWalk<'_> {
     fn next_round(&mut self) -> Option<Vec<EchoItem>> {
-        // Asked again after every round ends (a refused `Resume` may
-        // have queued a retry), so a drain or an error is reported once.
-        if self.error.is_some()
-            || self.drained
-            || (self.retries.is_empty() && self.planned.len() == 0)
-        {
+        // Asked again after every round ends, so a drain or an error is
+        // reported once.
+        if self.error.is_some() || self.drained || self.planned.len() == 0 {
             return None;
         }
         // SIGTERM stops the staging; the rounds already staged finish.
@@ -414,17 +393,9 @@ impl RoundSource for RosterWalk<'_> {
             self.span.emit("coord.drain", fields![pending = (self.pending - self.measured) as u64]);
             return None;
         }
-        let attempts = match self.retries.pop_front() {
-            Some(retry) => retry,
-            None => {
-                let round = self.planned.next()?;
-                round.items.iter().map(|&ix| self.attempt_at(ix)).collect()
-            }
-        };
-        let (items, starts): (Vec<EchoItem>, Vec<Record>) = attempts
-            .iter()
-            .map(|a| start_item(self.cfg, self.span, a.ix, a.fp, a.secret, a.attempt, a.resume))
-            .unzip();
+        let ixs = self.planned.next()?.items;
+        let (items, starts): (Vec<EchoItem>, Vec<Record>) =
+            ixs.iter().map(|&ix| self.start_item(ix)).unzip();
         // One write, one fsync: every start is durable before any
         // session of the round opens.
         if let Err(e) = journal::append_all(self.journal_path, &starts) {
@@ -441,28 +412,19 @@ impl RoundSource for RosterWalk<'_> {
                 items = items.len() as u64
             ],
         );
-        let staged = StagedRound {
-            spans: RoundSpans::start(self.span, self.deployment, &items),
-            items: items.clone(),
-            ixs: attempts.iter().map(|a| a.ix).collect(),
-            auth_failed: Vec::new(),
-        };
-        self.staged.insert(round, staged);
+        let spans = RoundSpans::start(self.span, self.deployment, &items);
+        self.staged.insert(round, StagedRound { items: items.clone(), ixs, spans });
         Some(items)
     }
 
     fn event(&mut self, round: usize, event: EngineEvent) {
         if let Some(staged) = self.staged.get_mut(&round) {
             staged.spans.engine_event(&event);
-            if let EngineEvent::PeerFailed { peer, reason: AbortReason::AuthFailed } = event {
-                staged.auth_failed.push(peer);
-            }
         }
     }
 
     fn finished(&mut self, round: usize, peers: EngineSnapshot) {
-        let Some(StagedRound { items, ixs, spans, auth_failed }) = self.staged.remove(&round)
-        else {
+        let Some(StagedRound { items, ixs, spans }) = self.staged.remove(&round) else {
             return;
         };
         let ratio = self.deployment.ratio;
@@ -470,37 +432,10 @@ impl RoundSource for RosterWalk<'_> {
         if self.error.is_some() {
             return;
         }
-        // A resumed item whose peer aborted the handshake with
-        // `AuthFailed` hit a peer that cannot honor the `Resume`
-        // lineage — it restarted since the prior attempt and lost its
-        // replay window, so *no* retry of the proof can succeed. Fall
-        // back to a fresh `Auth` as attempt `n+1`: its nonce has never
-        // been offered to anyone, so surviving peers (which simply see
-        // a new conversation) and restarted peers (fresh windows)
-        // both accept it.
-        let refused =
-            |g: usize| items[g].resume && auth_failed.iter().any(|&peer| peers.item(peer) == g);
         // The round's completions and its `RoundDone`: one write, one
-        // fsync, with no `ItemDone` for a refused item — its retry is a
-        // round of its own.
+        // fsync.
         let mut records = Vec::with_capacity(ixs.len() + 1);
-        let mut retry = Vec::new();
         for (g, &ix) in ixs.iter().enumerate() {
-            if refused(g) {
-                let attempt = items[g].attempt + 1;
-                self.resume_refused += 1;
-                self.metrics.resume_refused.inc();
-                self.span.emit(
-                    "item.resume_refused",
-                    fields![ix = ix as u64, attempt = u64::from(attempt)],
-                );
-                // A fresh attempt is a fresh trace: `start_item` re-mints
-                // it when the retry is staged, so the retry's telemetry
-                // never merges into the refused attempt's timeline.
-                let (fp, secret) = (items[g].relay_fp, items[g].measurement_secret);
-                retry.push(Attempt { ix, fp, secret, attempt, resume: false });
-                continue;
-            }
             let item = DoneItem {
                 fp: hex(&items[g].relay_fp),
                 capacity: peers.estimate(g, ratio).1.bytes_per_sec(),
@@ -527,50 +462,12 @@ impl RoundSource for RosterWalk<'_> {
             self.error = Some(e);
             return;
         }
-        if !retry.is_empty() {
-            self.retries.push_back(retry);
-        }
         self.measured += measured;
         self.metrics.items_done.add(measured as u64);
         self.metrics.roster_remaining.set((self.pending - self.measured) as i64);
         self.rounds_run += 1;
         self.metrics.rounds.inc();
     }
-}
-
-/// Opens one attempt at a roster item: mints and emits the attempt's
-/// trace id, and returns the item to command with the `ItemStart` the
-/// caller journals (batched with the rest of the round) before any
-/// session opens. `resume` opens the sessions with the `Resume`
-/// handshake (the journaled conversation) instead of a fresh `Auth`.
-fn start_item(
-    cfg: &DaemonConfig,
-    span: &Span,
-    ix: usize,
-    fp: [u8; FINGERPRINT_LEN],
-    secret: u64,
-    attempt: u32,
-    resume: bool,
-) -> (EchoItem, Record) {
-    let start = Record::ItemStart {
-        ix: ix as u64,
-        fp: hex(&fp),
-        secret,
-        attempt: u64::from(attempt),
-        ts: journal::now_ts(),
-    };
-    let trace_id = flashflow_core::echo::item_trace_id(secret, attempt);
-    span.emit("item.trace", fields![ix = ix as u64, attempt = attempt, trace = trace_id]);
-    let item = EchoItem {
-        relay_fp: fp,
-        slot_secs: cfg.slot_secs,
-        bg_allowance: cfg.bg_allowance,
-        measurement_secret: secret,
-        attempt,
-        resume,
-        trace_id,
-    };
-    (item, start)
 }
 
 /// Writes the period's bandwidth file (the deployment twin of the
@@ -620,14 +517,21 @@ fn vote_consensus(
     span: &Span,
 ) -> io::Result<usize> {
     // The vote is keyed by roster index: the consensus machinery only
-    // orders and matches relay keys.
+    // orders and matches relay keys. An item whose every session failed
+    // (not clean, estimated at 0) measured nothing: the relay gets no
+    // vote, exactly like one the period never reached, rather than a
+    // weight of 0.
     let advertised: BTreeMap<usize, Rate> =
         roster.entries.iter().map(|e| (e.ix, Rate::from_bytes_per_sec(e.prior))).collect();
     let weights: BTreeMap<usize, f64> = roster
         .entries
         .iter()
-        .filter_map(|e| Some((e.ix, done.get(&(e.ix as u64))?.capacity)))
+        .filter_map(|e| {
+            let d = done.get(&(e.ix as u64))?;
+            (d.clean || d.capacity > 0.0).then_some((e.ix, d.capacity))
+        })
         .collect();
+    let measured = weights.len();
     let votes = vec![weights; cfg.dirauths.max(1)];
     let consensus = DirAuths::new(cfg.dirauths.max(1)).vote(SimTime::ZERO, &votes, &advertised);
 
@@ -663,7 +567,7 @@ fn vote_consensus(
         ("schema".into(), Json::Str("flashflow.coord.consensus.v1".into())),
         ("dirauths".into(), Json::Int(cfg.dirauths.max(1) as i128)),
         ("roster".into(), Json::Int(roster.entries.len() as i128)),
-        ("measured".into(), Json::Int(done.len() as i128)),
+        ("measured".into(), Json::Int(measured as i128)),
         ("entries".into(), Json::Arr(entries)),
         (
             "balance".into(),
@@ -795,6 +699,62 @@ mod tests {
             let norm = e.get("normalized").unwrap().as_f64().unwrap();
             assert!((norm - measured.capacity / total).abs() < 1e-12, "{ix}: {norm}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_item_whose_every_session_failed_gets_no_vote() {
+        let dir = temp_dir("vote-failed");
+        let cfg = DaemonConfig {
+            state_dir: dir.clone(),
+            source: RosterSource::Shadow,
+            seed: 5,
+            relays: Some(4),
+            secret_seed: 1,
+            slot_secs: 1,
+            bg_allowance: 0,
+            team_capacity: 1e9,
+            round_max: 0,
+            dirauths: 3,
+        };
+        let roster = roster::build(cfg.source, cfg.seed, cfg.relays);
+        let span = Span::root(EventSink::new());
+        let entries = |done: &BTreeMap<u64, DoneItem>| {
+            let n = vote_consensus(&cfg, &roster, done, &span).expect("vote");
+            let text = std::fs::read_to_string(cfg.consensus_path()).expect("consensus written");
+            let doc = Json::parse(text.trim()).expect("valid json");
+            let entries = doc.get("entries").unwrap().as_arr().unwrap().to_vec();
+            assert_eq!(entries.len(), n);
+            assert_eq!(doc.get("measured").unwrap().as_u64(), Some(n as u64));
+            entries
+        };
+        // Relay 2's every session failed: capacity 0, not clean.
+        let failed = |ix: usize| DoneItem {
+            fp: hex(&roster.entries[ix].fp),
+            capacity: 0.0,
+            clean: false,
+            divergent: 0,
+        };
+        let mut done: BTreeMap<u64, DoneItem> = roster
+            .entries
+            .iter()
+            .map(|e| {
+                let d = DoneItem { fp: hex(&e.fp), capacity: e.prior, clean: true, divergent: 0 };
+                (e.ix as u64, d)
+            })
+            .collect();
+        done.insert(2, failed(2));
+        let voted = entries(&done);
+        let ixs: Vec<u64> = voted.iter().map(|e| e.get("ix").unwrap().as_u64().unwrap()).collect();
+        assert_eq!(ixs, [0, 1, 3]);
+        let norm_sum: f64 =
+            voted.iter().map(|e| e.get("normalized").unwrap().as_f64().unwrap()).sum();
+        assert!((norm_sum - 1.0).abs() < 1e-9, "normalized weights sum to 1: {norm_sum}");
+
+        // On its own, it leaves the consensus empty rather than voting
+        // every weight 0.
+        let alone = BTreeMap::from([(0, failed(0))]);
+        assert!(entries(&alone).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,9 +14,9 @@
 //!
 //! 1. which relays of the current period are **done** (never re-measure
 //!    them),
-//! 2. which were **in flight** (re-run them as attempt `n+1`, resuming
-//!    the parked control sessions with attempt `n`'s journaled secret —
-//!    see `flashflow_core::echo::peer_nonce`),
+//! 2. which were **in flight** (re-run them as attempt `n+1` with
+//!    attempt `n`'s journaled secret: each attempt derives fresh
+//!    handshake nonces — see `flashflow_core::echo::peer_nonce`),
 //! 3. whether the period **completed** (start the next one).
 //!
 //! Everything else (estimates, round boundaries, timestamps) rides
@@ -52,8 +52,8 @@ pub enum Record {
         fp: String,
         /// The item's measurement secret (nonce/tag derivation root).
         secret: u64,
-        /// Which attempt this is; `> 0` means the control sessions
-        /// opened with a `Resume` handshake.
+        /// Which attempt this is; `> 0` means an earlier attempt was
+        /// in flight when a coordinator stopped.
         attempt: u64,
         /// Wall-clock seconds since the UNIX epoch.
         ts: f64,
@@ -239,7 +239,7 @@ pub struct JournalState {
     /// Completed items of the current period, by roster index.
     pub done: BTreeMap<u64, DoneItem>,
     /// Started-but-not-completed items of the current period: the ones
-    /// a restart re-runs with `attempt + 1` and a `Resume` handshake.
+    /// a restart re-runs as attempt `attempt + 1`, with the same secret.
     pub in_flight: BTreeMap<u64, InFlightItem>,
     /// Rounds the current period completed.
     pub rounds_done: u64,

@@ -17,11 +17,10 @@
 //!   and tolerates a torn final line, so a SIGKILLed coordinator
 //!   restarts exactly where it stopped: completed relays are never
 //!   re-measured, and relays that were mid-measurement are re-run as
-//!   attempt `n+1`, whose control sessions open with the protocol-v5
-//!   `Resume` handshake (the measurer/relay processes' replay windows
-//!   witnessed attempt `n`'s nonces, so they re-adopt the parked
-//!   conversations instead of rejecting the re-derived nonces as
-//!   replays).
+//!   attempt `n+1` with their journaled secret. Each attempt derives
+//!   its own handshake nonces, so attempt `n+1` opens with a plain
+//!   `Auth` that no peer's replay window has seen, whether the peer
+//!   kept running or restarted too.
 //! * [`daemon`] — the period loop itself: recover → plan rounds →
 //!   [`run_rounds`](flashflow_core::echo::run_rounds), which stages
 //!   round n+1 while round n blasts → journal every item (one fsync as
@@ -34,8 +33,9 @@
 //! The binary (`src/main.rs`) wires this to the shared process
 //! scaffolding: `--config` files, SIGTERM drain, `--log-json`
 //! structured events, and a token-gated `--metrics-addr` endpoint whose
-//! counters (`coord.roster_done`, `coord.sessions_resumed`, …) feed
-//! `flashflow-top --coord`.
+//! metrics (`coord.items_done`, `coord.items_resumed`,
+//! `coord.rounds_done`, `coord.periods_done`, `coord.roster_total`,
+//! `coord.roster_remaining`) feed `flashflow-top --coord`.
 
 pub mod daemon;
 pub mod journal;

@@ -8,11 +8,11 @@
 //! alongside for the paper's §8 comparison).
 //!
 //! Crash recovery is the point: SIGKILL this process mid-roster,
-//! restart it against the same `--state-dir`, and it resumes exactly
+//! restart it against the same `--state-dir`, and it continues exactly
 //! where it stopped. Completed relays are never re-measured; relays the
 //! journal shows in flight are re-commanded as attempt `n+1` with the
-//! journaled secret, so the control sessions open with the v5 `Resume`
-//! handshake and the peers re-adopt the parked conversations.
+//! journaled secret, whose fresh per-attempt nonces open the control
+//! sessions with a plain `Auth` (the slot runs again from zero).
 //!
 //! ```text
 //! flashflow-coord [--config FILE] --state-dir DIR
@@ -28,8 +28,8 @@
 //!
 //! Stdout carries one line per lifecycle event a spawning harness wants
 //! to key on — `coordinating <n> relays`, `metrics <addr>`,
-//! `period <n> complete entries <k>`, `drained` — everything else goes
-//! to stderr (or `--log-json` as structured JSONL). On SIGTERM the
+//! `period <n> complete entries <k> resumed <r>`, `drained` — everything
+//! else goes to stderr (or `--log-json` as structured JSONL). On SIGTERM the
 //! daemon stages no further round; the rounds already staged (the one
 //! blasting and the one handshaking behind it) finish and are
 //! journaled, and it exits 0. The next start continues the period.
@@ -320,11 +320,10 @@ fn main() {
             }
             Ok(outcome) => {
                 println!(
-                    "period {} complete entries {} resumed {} resume_refused {}",
+                    "period {} complete entries {} resumed {}",
                     outcome.period,
                     outcome.measured + outcome.recovered_done,
                     outcome.resumed,
-                    outcome.resume_refused,
                 );
             }
             Err(e) => {

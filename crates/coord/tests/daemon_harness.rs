@@ -12,30 +12,29 @@
 //!    the journal proves an item is in flight), restarted against the
 //!    same state directory, and must finish the period **without
 //!    re-measuring a completed relay**, re-running the interrupted item
-//!    as attempt `n+1` (journal shows a resumed `item.start`), against
-//!    the *same* long-lived peer processes — which then drain to exit 0
-//!    on SIGTERM, proving the parked sessions were re-adopted, not
-//!    orphaned.
-//! 3. **Refused resume** — the daemon is SIGKILLed mid-roster *and* one
-//!    measurer is killed and restarted on the same `--listen` port
-//!    before the daemon comes back. The replacement's fresh replay
-//!    window cannot honor the `Resume` lineage proof, so it refuses the
-//!    resumed handshake — and the daemon must fall back to a fresh
-//!    `Auth` as attempt `n+1` (journal shows both starts) and still
-//!    finish the period with every relay measured exactly once, all
-//!    clean.
+//!    as attempt `n+1` (journal shows an `item.start` with attempt > 0),
+//!    against the *same* long-lived peer processes — which then drain to
+//!    exit 0 on SIGTERM, proving the killed coordinator's sessions
+//!    orphaned nothing.
+//! 3. **Peer restarted while the daemon was down** — the daemon is
+//!    SIGKILLed mid-roster *and* one measurer is killed and restarted on
+//!    the same `--listen` port before the daemon comes back. The
+//!    interrupted item's attempt 1 opens with a plain `Auth` whose
+//!    nonces neither the surviving peers nor the replacement (fresh
+//!    replay window) have seen, so it runs clean at attempt exactly 1
+//!    and the period finishes with every relay measured exactly once.
 //! 4. **Concurrent round** — given team capacity for three items, the
 //!    daemon measures a three-relay roster in one round whose three
 //!    `Go` barriers release together, on one coordinator thread.
 //! 5. **Two rounds in flight** — the daemon is SIGKILLed while the
 //!    journal holds round n+1's starts but not round n's end; the
-//!    restart resumes both rounds' items as attempt n+1 and measures
+//!    restart re-commands both rounds' items as attempt n+1 and measures
 //!    every relay exactly once.
 //! 6. **Slot clock** — round n+1 is armed before round n's last
 //!    `peer.done`, and consecutive rounds' `Go`s are a slot apart.
-//! 7. **Refused resume, last round** — like 3, but the refused item is
-//!    the only one left: its retry is queued after every planned round
-//!    has been staged, and the period still waits for it.
+//! 7. **Peer restarted while the daemon was down, last round** — like
+//!    3, but the interrupted item is the only one left: it is the whole
+//!    of the restart's plan, and runs clean at attempt exactly 1.
 //! 8. **Peer restart between periods** — a continuous daemon measures a
 //!    second period after one measurer was SIGKILLed and respawned on
 //!    its port during the interval: the dead peer's parked connection
@@ -132,6 +131,38 @@ fn read_consensus(state_dir: &Path) -> Json {
     Json::parse(text.trim()).expect("consensus parses")
 }
 
+/// The journal of a period a restarted daemon finished: every relay
+/// done exactly once, and each `interrupted` item started at attempts 0
+/// and 1 only (no fallback round) and done clean.
+fn assert_interrupted_items_ran_clean_at_attempt_one(
+    journal_path: &Path,
+    interrupted: &[u64],
+    relays: usize,
+) {
+    let text = std::fs::read_to_string(journal_path).expect("journal");
+    let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
+    let mut done_count = std::collections::BTreeMap::new();
+    let mut attempts: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+    for record in &records {
+        match record {
+            journal::Record::ItemDone { ix, .. } => *done_count.entry(*ix).or_insert(0u32) += 1,
+            journal::Record::ItemStart { ix, attempt, .. } => {
+                attempts.entry(*ix).or_default().push(*attempt);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(done_count.len(), relays, "every relay measured: {done_count:?}");
+    assert!(done_count.values().all(|&n| n == 1), "no relay may be measured twice: {done_count:?}");
+    let state = journal::recover(journal_path).expect("recover final");
+    assert!(state.period_done && state.in_flight.is_empty());
+    for ix in interrupted {
+        assert_eq!(attempts[ix], vec![0, 1], "item {ix} must re-run once, at attempt 1");
+        assert!(state.done[ix].clean, "item {ix} must re-run clean: {:?}", state.done);
+    }
+    assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
+}
+
 #[test]
 fn daemon_measures_the_roster_and_emits_a_consensus() {
     const RELAYS: usize = 4;
@@ -199,9 +230,8 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
         assert!(Instant::now() < deadline, "no item.start journaled; journal:\n{text}");
         thread::sleep(Duration::from_millis(20));
     }
-    // ...then SIGKILL mid-measurement. No drain, no goodbye: the peers'
-    // sessions are parked with the item's nonces in their replay
-    // windows.
+    // ...then SIGKILL mid-measurement. No drain, no goodbye: the item's
+    // nonces sit in the peers' replay windows.
     thread::sleep(Duration::from_millis(200));
     first.kill();
 
@@ -214,7 +244,7 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
     );
 
     // Incarnation 2: same state dir, same peers. It must finish the
-    // period — resuming, not restarting.
+    // period it found in the journal, not begin a new one.
     let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(
         stdout.contains(&format!("period 1 complete entries {RELAYS}")),
@@ -222,8 +252,8 @@ fn sigkilled_daemon_resumes_the_roster_without_remeasuring() {
     );
 
     // The journal tells the whole story: one period, every relay done
-    // exactly once, and the interrupted item re-commanded as a resumed
-    // attempt.
+    // exactly once, and the interrupted item re-commanded as attempt
+    // n+1.
     let text = std::fs::read_to_string(&journal_path).expect("journal");
     let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
     let period_starts =
@@ -284,9 +314,8 @@ fn sigkill_with_two_rounds_in_flight_resumes_both() {
         thread::sleep(Duration::from_millis(2));
     }
     // Let round n+1's handshakes reach the peers (a few milliseconds on
-    // loopback), so their replay windows hold both rounds' nonces: a
-    // kill between the journal write and the first `Auth` would leave
-    // nothing to resume, and the item would fall back to a fresh `Auth`.
+    // loopback), so their replay windows hold both rounds' nonces when
+    // the restart re-commands both items as attempt n+1.
     thread::sleep(Duration::from_millis(100));
     first.kill();
 
@@ -393,9 +422,9 @@ fn the_next_round_handshakes_during_the_slot_and_goes_when_it_ends() {
 }
 
 #[test]
-fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
+fn a_measurer_restarted_while_the_daemon_was_down_runs_the_interrupted_item_at_attempt_one() {
     const RELAYS: usize = 3;
-    let state_dir = temp_state_dir("refused");
+    let state_dir = temp_state_dir("peer-restart");
     let journal_path = state_dir.join("journal.jsonl");
     let (m0, a0) = team_measurer();
     let (m1, a1) = team_measurer();
@@ -424,62 +453,27 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
         "the kill landed too late to exercise recovery (done: {:?})",
         killed_state.done.keys().collect::<Vec<_>>()
     );
+    let interrupted: Vec<u64> = killed_state.in_flight.keys().copied().collect();
+    assert!(!interrupted.is_empty(), "the kill must leave an item in flight");
 
     // Kill one measurer too — and restart it on the *same* port (the
     // process's SO_REUSEADDR listener makes the rebind race-free even
     // with the dead incarnation's connections in TIME_WAIT). The
-    // replacement has a fresh replay window: it has witnessed nothing,
-    // so the coming `Resume` lineage proof *must* fail against it.
+    // replacement has a fresh replay window and has witnessed nothing.
     let mut m1 = m1;
     m1.kill();
     let (m1, a1_again) = team_measurer_at(a1);
     assert_eq!(a1_again, a1, "the replacement must re-take the configured port");
 
-    // Incarnation 2: resumes the in-flight item. The restarted measurer
-    // refuses the `Resume` (AuthFailed), and the daemon must fall back
-    // to a fresh `Auth` attempt — finishing the period regardless.
+    // Incarnation 2: re-commands the in-flight item as attempt 1, whose
+    // plain `Auth` every peer accepts, the replacement included.
     let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(
         stdout.contains(&format!("period 1 complete entries {RELAYS}")),
         "restart must complete period 1:\n{stdout}"
     );
 
-    // The journal shows the full lineage: a resumed start (attempt
-    // n+1 ≥ 1) *and* a fresh-fallback start (attempt n+2 ≥ 2) for the
-    // interrupted item, one completion per relay, everything clean.
-    let text = std::fs::read_to_string(&journal_path).expect("journal");
-    let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
-    let mut done_count = std::collections::BTreeMap::new();
-    let mut max_attempt = std::collections::BTreeMap::new();
-    for record in &records {
-        match record {
-            journal::Record::ItemDone { ix, .. } => *done_count.entry(*ix).or_insert(0u32) += 1,
-            journal::Record::ItemStart { ix, attempt, .. } => {
-                let slot = max_attempt.entry(*ix).or_insert(0u64);
-                *slot = (*slot).max(*attempt);
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(done_count.len(), RELAYS, "every relay measured: {done_count:?}");
-    assert!(done_count.values().all(|&n| n == 1), "no relay may be measured twice: {done_count:?}");
-    assert!(
-        max_attempt.values().any(|&a| a >= 2),
-        "the refused resume must journal a fresh-Auth fallback start (attempts: {max_attempt:?})"
-    );
-
-    let state = journal::recover(&journal_path).expect("recover final");
-    assert!(state.period_done);
-    assert!(state.in_flight.is_empty());
-    // The fallback's fresh handshake must have produced a *clean*
-    // measurement — a degraded one would mean the daemon accepted the
-    // refused attempt's crippled estimate instead of re-running.
-    assert!(
-        state.done.values().all(|d| d.clean),
-        "refused item must re-run clean: {:?}",
-        state.done
-    );
-
+    assert_interrupted_items_ran_clean_at_attempt_one(&journal_path, &interrupted, RELAYS);
     let doc = read_consensus(&state_dir);
     assert_eq!(doc.get("measured").unwrap().as_u64(), Some(RELAYS as u64));
 
@@ -488,9 +482,9 @@ fn restarted_measurer_refuses_resume_and_the_item_falls_back_to_fresh_auth() {
 }
 
 #[test]
-fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
+fn a_measurer_restarted_while_the_daemon_was_down_runs_the_last_round_at_attempt_one() {
     const RELAYS: usize = 3;
-    let state_dir = temp_state_dir("refused-last");
+    let state_dir = temp_state_dir("peer-restart-last");
     let journal_path = state_dir.join("journal.jsonl");
     let (m0, a0) = team_measurer();
     let (m1, a1) = team_measurer();
@@ -513,10 +507,10 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     let killed = journal::recover(&journal_path).expect("recover after kill");
     assert_eq!(killed.done.len(), RELAYS - 1, "{:?}", killed.done);
     assert_eq!(killed.in_flight.len(), 1, "the last round in flight: {:?}", killed.in_flight);
+    let interrupted: Vec<u64> = killed.in_flight.keys().copied().collect();
 
-    // A restarted measurer refuses the `Resume` of the only round left;
-    // its fresh-`Auth` retry is queued once that round has ended, with
-    // no planned round after it.
+    // A restarted measurer serves the only round left: attempt 1 of the
+    // interrupted item is the restart's whole plan.
     let mut m1 = m1;
     m1.kill();
     let (m1, a1_again) = team_measurer_at(a1);
@@ -525,23 +519,7 @@ fn a_refused_resume_in_the_last_round_is_retried_before_the_period_closes() {
     let stdout = spawn_coord(&state_dir, &[a0, a1], relay_addr, RELAYS, 8).exit_zero();
     assert!(stdout.contains(&format!("period 1 complete entries {RELAYS}")), "{stdout}");
 
-    let text = std::fs::read_to_string(&journal_path).expect("journal");
-    let records: Vec<journal::Record> = text.lines().filter_map(journal::Record::parse).collect();
-    let mut done_count = std::collections::BTreeMap::new();
-    let mut max_attempt = 0;
-    for record in &records {
-        match record {
-            journal::Record::ItemDone { ix, .. } => *done_count.entry(*ix).or_insert(0u32) += 1,
-            journal::Record::ItemStart { attempt, .. } => max_attempt = max_attempt.max(*attempt),
-            _ => {}
-        }
-    }
-    assert_eq!(done_count.len(), RELAYS, "every relay measured: {done_count:?}");
-    assert!(done_count.values().all(|&n| n == 1), "one item.done per relay: {done_count:?}");
-    assert!(max_attempt >= 2, "the refused resume must be retried with a fresh Auth");
-    let state = journal::recover(&journal_path).expect("recover final");
-    assert!(state.period_done && state.in_flight.is_empty());
-    assert!(state.done.values().all(|d| d.clean), "{:?}", state.done);
+    assert_interrupted_items_ran_clean_at_attempt_one(&journal_path, &interrupted, RELAYS);
     assert_eq!(read_consensus(&state_dir).get("measured").unwrap().as_u64(), Some(RELAYS as u64));
 
     drain_all([m0, m1, relay]);

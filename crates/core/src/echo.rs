@@ -46,7 +46,8 @@
 //! flight abort.
 //!
 //! A source may have no round when asked and one once a round ends (a
-//! retry), so the loop asks again after every round it finishes.
+//! re-measurement planned from the results), so the loop asks again
+//! after every round it finishes.
 //! [`run_round`] is the one-round case of the same loop. Either way a
 //! round's record is the [`EngineSnapshot`] it ends with: item `g`'s
 //! estimate, audit rows and cleanliness are read off it directly, and
@@ -143,17 +144,8 @@ pub struct EchoItem {
     /// not complete. Each attempt derives its own nonces (see
     /// `peer_nonce`), so re-running never replays.
     pub attempt: u32,
-    /// Open the control sessions with a v5 `Resume` handshake proving
-    /// attempt `n-1`'s lineage (requires `attempt > 0`): peers whose
-    /// replay windows witnessed the prior attempt re-adopt the parked
-    /// conversation instead of rejecting the re-derived nonce as a
-    /// replay. `false` opens with a plain `Auth` — the right call when
-    /// a `Resume` was already *refused* (the peer restarted and lost
-    /// its window, so no lineage proof can succeed) and the item falls
-    /// back to a fresh handshake whose nonce no peer has witnessed.
-    pub resume: bool,
     /// The item-attempt's correlation key, carried in every peer's
-    /// `MeasureCmd` (and `Resume`) so coordinator, measurer, and relay
+    /// `MeasureCmd` so coordinator, measurer, and relay
     /// telemetry join on it — see [`MeasureSpec::trace_id`]. Derived
     /// deterministically per attempt (see [`item_trace_id`]) so a
     /// restarted coordinator re-mints the same id from its journal.
@@ -181,12 +173,13 @@ pub fn item_trace_id(secret: u64, attempt: u32) -> u64 {
 
 /// The control-session handshake nonce for one peer of one attempt at
 /// an echo item, derived deterministically from the item's journaled
-/// measurement secret — which is exactly why a restarted coordinator
-/// *must* resume rather than re-`Auth`: attempt `n` re-derives attempt
-/// `n`'s nonces bit-for-bit, and a peer that witnessed them would
-/// correctly reject the replay. Peer index `0` is the target relay;
-/// measurer `ix` uses `ix + 1`. The attempt number occupies high bits
-/// so attempts never collide with peer indices.
+/// measurement secret. Attempt `n` re-derives attempt `n`'s nonces
+/// bit-for-bit, and a peer that witnessed them would correctly reject
+/// the replay; so a restarted coordinator re-commands an in-flight item
+/// as attempt `n+1`, whose plain `Auth` nonces no peer has seen. Peer
+/// index `0` is the target relay; measurer `ix` uses `ix + 1`. The
+/// attempt number occupies high bits so attempts never collide with
+/// peer indices.
 fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
     secret ^ (0xEC40_0000 + u64::from(peer_ix)) ^ (u64::from(attempt) << 32)
 }
@@ -234,13 +227,7 @@ fn add_item(
         let (conn, peer) = checkout_or_dead(pool, addr);
         dialed.push(peer);
         let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
-        let mut session = CoordinatorSession::new(token, role, spec, nonce, timeouts);
-        if item.resume {
-            if let Some(prior) = item.attempt.checked_sub(1) {
-                session = session.resuming(peer_nonce(item.measurement_secret, peer_ix, prior));
-            }
-        }
-        builder.add_peer(g, session, conn);
+        builder.add_peer(g, CoordinatorSession::new(token, role, spec, nonce, timeouts), conn);
     };
     for (ix, m) in deployment.measurers.iter().enumerate() {
         let spec = MeasureSpec {
@@ -522,7 +509,7 @@ pub fn run_rounds(
     let mut rounds: Vec<Staged> = Vec::with_capacity(2);
     let mut staged = 0;
     // The source had no round when last asked; a round ending may give
-    // it one (a retry), so every finished round clears this.
+    // it one (a re-measurement), so every finished round clears this.
     let mut exhausted = false;
     loop {
         let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * speedup);
@@ -728,14 +715,13 @@ mod tests {
             bg_allowance: 0,
             measurement_secret: secret,
             attempt: 0,
-            resume: false,
             trace_id: secret,
         }
     }
 
     /// Hands its rounds out in order and records every event. `later`
     /// is a round it has only once round 0 has finished, the way a
-    /// refused `Resume` becomes a retry.
+    /// re-measurement is planned from a round's results.
     #[derive(Default)]
     struct Recorder {
         rounds: Vec<Vec<EchoItem>>,
@@ -777,7 +763,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let deployment = deployment(&stop);
         // The source has nothing more while round 0 blasts (its `Go` is
-        // out, so the loop asks), and a retry once it has ended.
+        // out, so the loop asks), and a re-measurement once it has ended.
         let mut source = Recorder::new(vec![vec![item(100)]]);
         source.later = Some(vec![item(200)]);
         run_rounds(&deployment, &ConnectionPool::new(), &mut source);

@@ -201,7 +201,6 @@ mod tests {
                 bg_allowance: 0,
                 measurement_secret: 0,
                 attempt: 0,
-                resume: false,
                 trace_id: 0x70 + g,
             })
             .collect();

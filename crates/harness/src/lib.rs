@@ -438,7 +438,6 @@ pub fn round_items(base: u64, round: u64) -> Vec<EchoItem> {
                 bg_allowance: BG_ALLOWANCE,
                 measurement_secret: secret,
                 attempt: 0,
-                resume: false,
                 trace_id: item_trace_id(secret, 0),
             }
         })

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use flashflow_obs::{fields, Counter, EventSink, MetricsRegistry, Span, Value};
+use flashflow_obs::{fields, EventSink, MetricsRegistry, Span, Value};
 use flashflow_proto::blast::{DataChannelHello, DATA_HELLO_TAG, HELLO_LEN};
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole, AUTH_TOKEN_LEN};
@@ -192,7 +192,7 @@ pub trait DataConn: Send {
 pub trait Role: Send + Sync + Sized + 'static {
     /// `relay` or `measurer`: the prefix of the process's lifecycle
     /// events (`<NAME>.start`) and of the metrics the library registers
-    /// (`<NAME>.sessions_resumed`, `<NAME>.reactor.*`).
+    /// (`<NAME>.reactor.*`).
     const NAME: &'static str;
     /// The `--help` text, covering common and role flags.
     const USAGE: &'static str;
@@ -264,9 +264,6 @@ pub struct Peer<R: Role> {
     draining: AtomicBool,
     /// Control conversations completed (the `--sessions` quota).
     sessions_done: AtomicU64,
-    /// Conversations re-adopted via the `Resume` handshake (a restarted
-    /// coordinator picking its parked sessions back up).
-    resumed: Counter,
     /// The serving reactor's adoption handle, set once it runs.
     spawner: OnceLock<Spawner>,
 }
@@ -277,8 +274,8 @@ const DRAIN_QUIET: Duration = Duration::from_millis(500);
 
 impl<R: Role> Peer<R> {
     /// The state a peer process's connections share, before its reactor
-    /// runs; `<NAME>.sessions_resumed` registers in `registry`.
-    pub fn new(settings: Settings, role: R, span: Span, registry: &MetricsRegistry) -> Peer<R> {
+    /// runs.
+    pub fn new(settings: Settings, role: R, span: Span) -> Peer<R> {
         Peer {
             settings,
             role,
@@ -286,7 +283,6 @@ impl<R: Role> Peer<R> {
             replay: Mutex::new(ReplayWindow::default()),
             draining: AtomicBool::new(false),
             sessions_done: AtomicU64::new(0),
-            resumed: registry.counter(&format!("{}.sessions_resumed", R::NAME)),
             spawner: OnceLock::new(),
         }
     }
@@ -387,7 +383,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     let mut start = role.start_fields();
     start.extend(fields![speedup = settings.speedup]);
     span.emit(&format!("{name}.start"), start);
-    let peer = Arc::new(Peer::new(settings, role, span, &registry));
+    let peer = Arc::new(Peer::new(settings, role, span));
     // The reactor owns the listener from here: `--io-threads` epoll
     // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
     // state machine; this thread sleeps until SIGTERM or the quota.
@@ -734,18 +730,7 @@ impl<R: Role> Conversation<R> {
         let Some(endpoint) = self.endpoint.as_mut() else { return };
         let Some(nonce) = endpoint.session().accepted_nonce() else { return };
         self.claimed_nonce = Some(nonce);
-        if crate::lock_recover(&peer.replay).witness(nonce) {
-            if endpoint.session().resumed() {
-                peer.resumed.inc();
-                // A resumed conversation learns its trace id from the
-                // Resume opener itself, before the re-sent MeasureCmd
-                // arrives.
-                if let Some(trace) = endpoint.session().resume_trace_id().filter(|&t| t != 0) {
-                    self.span = self.span.trace(trace);
-                }
-                self.span.emit("session.resumed", fields![nonce = nonce]);
-            }
-        } else {
+        if !crate::lock_recover(&peer.replay).witness(nonce) {
             // The loser never reaches `on_command`, so its `release`
             // cannot undo the winner's registration.
             self.span.event("session.replay_drop");
@@ -1003,7 +988,6 @@ mod tests {
             Settings { speedup: 1000.0, ..Settings::default() },
             Bare,
             Span::root(EventSink::new()),
-            &MetricsRegistry::new(),
         ));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");

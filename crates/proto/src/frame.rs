@@ -143,14 +143,6 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             body.push(MsgType::Abort as u8);
             body.push(*reason as u8);
         }
-        Msg::Resume { token, role, nonce_prior, nonce, trace_id } => {
-            body.push(MsgType::Resume as u8);
-            body.extend_from_slice(token);
-            body.push(*role as u8);
-            body.extend_from_slice(&nonce_prior.to_be_bytes());
-            body.extend_from_slice(&nonce.to_be_bytes());
-            body.extend_from_slice(&trace_id.to_be_bytes());
-        }
     }
     let payload_len = (body.len() - LEN_PREFIX) as u32;
     body[..LEN_PREFIX].copy_from_slice(&payload_len.to_be_bytes());
@@ -286,19 +278,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, WireError> {
             b.finish()?;
             Msg::Abort { reason }
         }
-        MsgType::Resume => {
-            let mut b = Body::new("Resume", body);
-            let mut token = [0u8; AUTH_TOKEN_LEN];
-            token.copy_from_slice(b.take(AUTH_TOKEN_LEN)?);
-            let role_byte = b.u8()?;
-            let role = PeerRole::from_u8(role_byte)
-                .ok_or(WireError::BadEnumValue { field: "Resume.role", value: role_byte })?;
-            let nonce_prior = b.u64()?;
-            let nonce = b.u64()?;
-            let trace_id = b.u64()?;
-            b.finish()?;
-            Msg::Resume { token, role, nonce_prior, nonce, trace_id }
-        }
     };
     Ok(msg)
 }
@@ -392,13 +371,6 @@ mod tests {
             Msg::SecondReport { second: 12, bg_bytes: 1_000_000, measured_bytes: 31_250_000 },
             Msg::SlotDone,
             Msg::Abort { reason: AbortReason::ReportTimeout },
-            Msg::Resume {
-                token: [7u8; AUTH_TOKEN_LEN],
-                role: PeerRole::Measurer,
-                nonce_prior: 0x0123_4567_89AB_CDEF,
-                nonce: 0xFEDC_BA98_7654_3210,
-                trace_id: 0x7ACE_0002_0000_0001,
-            },
         ]
     }
 
@@ -461,12 +433,13 @@ mod tests {
         assert!(matches!(dec.next_msg().unwrap_err(), WireError::UnknownType(0xEE)));
     }
 
-    /// Protocol v7 dropped the keepalive: its old type tags are unknown
-    /// now, and a v6 peer is refused at its first frame.
+    /// Protocol v7 dropped the keepalive (tags 9 and 10) and v8 the
+    /// crash-recovery opener (tag 11): those tags are unknown now, and a
+    /// v7 peer is refused at its first frame.
     #[test]
-    fn v7_retired_keepalive_tags_and_v6_frames_are_refused() {
-        assert_eq!(PROTOCOL_VERSION, 7);
-        for tag in [9u8, 10] {
+    fn v8_retired_keepalive_and_resume_tags_and_v7_frames_are_refused() {
+        assert_eq!(PROTOCOL_VERSION, 8);
+        for tag in [9u8, 10, 11] {
             let mut frame = encode(&Msg::Ready);
             frame[LEN_PREFIX + 1] = tag;
             let mut dec = FrameDecoder::new();
@@ -474,10 +447,10 @@ mod tests {
             assert_eq!(dec.next_msg().unwrap_err(), WireError::UnknownType(tag));
         }
         let mut frame = encode(&Msg::Ready);
-        frame[LEN_PREFIX] = 6;
+        frame[LEN_PREFIX] = 7;
         let mut dec = FrameDecoder::new();
         dec.push(&frame);
-        assert_eq!(dec.next_msg().unwrap_err(), WireError::BadVersion { got: 6 });
+        assert_eq!(dec.next_msg().unwrap_err(), WireError::BadVersion { got: 7 });
     }
 
     #[test]

@@ -34,10 +34,14 @@
 /// record per item-attempt); version 7 removed the connection
 /// keepalive (type tags 9 and 10 are now unknown: a pooled connection
 /// is reused only inside the serving peer's accept window, so no wire
-/// message checks its liveness).
+/// message checks its liveness); version 8 removed `Resume` (type tag
+/// 11 is now unknown: every attempt derives its own nonces from the
+/// measurement secret, so a restarted coordinator re-commands an
+/// in-flight item with a plain `Auth` for attempt `n+1`, which no
+/// replay window has seen).
 /// An older peer is rejected with a clean `BadVersion` error instead of
 /// a confusing body-layout failure.
-pub const PROTOCOL_VERSION: u8 = 7;
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Length of the pre-shared authentication token.
 pub const AUTH_TOKEN_LEN: usize = 32;
@@ -261,33 +265,6 @@ pub enum Msg {
         /// Why.
         reason: AbortReason,
     },
-    /// Coordinator → peer: authenticate *and* re-adopt a conversation
-    /// begun by an earlier coordinator incarnation. Nonces are derived
-    /// deterministically from a journaled measurement secret, so a
-    /// restarted coordinator replaying its own `Auth` would be rejected
-    /// by the peer's replay window; `Resume` instead *proves lineage* —
-    /// `prior_nonce` must already be in the peer's window (only the
-    /// coordinator that ran the earlier attempt knows it), while `nonce`
-    /// must be fresh exactly like an `Auth` nonce. The peer answers with
-    /// a normal [`Msg::AuthOk`] echoing `nonce`.
-    Resume {
-        /// The pre-shared token for this peer.
-        token: [u8; AUTH_TOKEN_LEN],
-        /// The role the coordinator expects the peer to play.
-        role: PeerRole,
-        /// The nonce of the conversation being resumed; rejected with
-        /// `AuthFailed` if the peer has *not* witnessed it (a resume
-        /// claim with no lineage is just a guess).
-        nonce_prior: u64,
-        /// Fresh challenge for this attempt, with `Auth` semantics:
-        /// rejected if already witnessed, echoed in `AuthOk`.
-        nonce: u64,
-        /// Correlation key of the *resumed* attempt (see
-        /// [`MeasureSpec::trace_id`]): the re-adopted conversation's
-        /// telemetry joins the new attempt's stream under this id even
-        /// before the re-sent `MeasureCmd` arrives.
-        trace_id: u64,
-    },
 }
 
 /// Wire type tags; `Msg` and frame decoding agree through these.
@@ -302,7 +279,6 @@ pub(crate) enum MsgType {
     SecondReport = 6,
     SlotDone = 7,
     Abort = 8,
-    Resume = 11,
 }
 
 impl MsgType {
@@ -316,7 +292,6 @@ impl MsgType {
             6 => Some(MsgType::SecondReport),
             7 => Some(MsgType::SlotDone),
             8 => Some(MsgType::Abort),
-            11 => Some(MsgType::Resume),
             _ => None,
         }
     }
@@ -334,7 +309,6 @@ impl Msg {
             Msg::SecondReport { .. } => "SecondReport",
             Msg::SlotDone => "SlotDone",
             Msg::Abort { .. } => "Abort",
-            Msg::Resume { .. } => "Resume",
         }
     }
 }

@@ -235,9 +235,6 @@ pub struct CoordinatorSession {
     role: PeerRole,
     spec: MeasureSpec,
     nonce: u64,
-    /// When set, `start()` opens with [`Msg::Resume`] proving lineage
-    /// from the conversation that accepted this nonce.
-    resume_prior: Option<u64>,
     timeouts: SessionTimeouts,
     deadline: Option<SimTime>,
     seconds_received: u32,
@@ -269,7 +266,6 @@ impl CoordinatorSession {
             role,
             spec,
             nonce,
-            resume_prior: None,
             timeouts,
             deadline: None,
             seconds_received: 0,
@@ -307,20 +303,6 @@ impl CoordinatorSession {
         self.nonce
     }
 
-    /// Marks this session as **resuming** a conversation an earlier
-    /// coordinator incarnation opened with `prior_nonce`: `start()` then
-    /// sends [`Msg::Resume`] instead of [`Msg::Auth`]. The peer accepts
-    /// iff it has witnessed `prior_nonce` (proof of lineage) and this
-    /// session's own nonce is fresh; everything after the handshake is
-    /// unchanged. A crashed coordinator whose nonces derive from a
-    /// journaled secret *must* resume — replaying the derived `Auth`
-    /// nonce would be correctly rejected by the peer's replay window.
-    #[must_use]
-    pub fn resuming(mut self, prior_nonce: u64) -> Self {
-        self.resume_prior = Some(prior_nonce);
-        self
-    }
-
     /// Opens the conversation: queues `Auth` and starts the handshake
     /// timer.
     ///
@@ -328,17 +310,7 @@ impl CoordinatorSession {
     /// Panics unless the session is `Idle`.
     pub fn start(&mut self, now: SimTime) {
         assert_eq!(self.phase, CoordPhase::Idle, "start() on a started session");
-        let opener = match self.resume_prior {
-            Some(nonce_prior) => Msg::Resume {
-                token: self.token,
-                role: self.role,
-                nonce_prior,
-                nonce: self.nonce,
-                trace_id: self.spec.trace_id,
-            },
-            None => Msg::Auth { token: self.token, role: self.role, nonce: self.nonce },
-        };
-        self.send(opener);
+        self.send(Msg::Auth { token: self.token, role: self.role, nonce: self.nonce });
         self.phase = CoordPhase::AwaitAuthOk;
         self.deadline = Some(now + self.timeouts.handshake);
     }
@@ -547,11 +519,6 @@ pub struct MeasurerSession {
     replay: ReplayWindow,
     /// The `Auth` nonce accepted by this session, once past that step.
     accepted_nonce: Option<u64>,
-    /// True when the conversation was opened by an accepted `Resume`.
-    resumed: bool,
-    /// The trace id an accepted `Resume` carried (the resumed attempt's
-    /// correlation key), available before the re-sent `MeasureCmd`.
-    resume_trace_id: Option<u64>,
     decoder: FrameDecoder,
     outbound: VecDeque<Vec<u8>>,
     actions: VecDeque<MeasurerAction>,
@@ -577,8 +544,6 @@ impl MeasurerSession {
             seconds_sent: 0,
             replay: ReplayWindow::default(),
             accepted_nonce: None,
-            resumed: false,
-            resume_trace_id: None,
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
             actions: VecDeque::new(),
@@ -603,22 +568,6 @@ impl MeasurerSession {
     /// connections replaying the same opener.
     pub fn accepted_nonce(&self) -> Option<u64> {
         self.accepted_nonce
-    }
-
-    /// True when this conversation was opened by an accepted
-    /// [`Msg::Resume`] — a restarted coordinator re-adopting a prior
-    /// attempt rather than a fresh `Auth` (surfaced so processes can
-    /// count resumptions).
-    pub fn resumed(&self) -> bool {
-        self.resumed
-    }
-
-    /// The trace id the accepted [`Msg::Resume`] carried, if this
-    /// conversation was resumed: the correlation key of the attempt
-    /// being re-adopted, so a peer can scope its telemetry before the
-    /// re-sent `MeasureCmd` (whose spec repeats the id) arrives.
-    pub fn resume_trace_id(&self) -> Option<u64> {
-        self.resume_trace_id
     }
 
     /// Current phase.
@@ -731,35 +680,6 @@ impl MeasurerSession {
                     return;
                 }
                 self.accepted_nonce = Some(nonce);
-                self.send(Msg::AuthOk { session: self.session_id, nonce });
-                self.phase = MeasurerPhase::AwaitCmd;
-                self.deadline = Some(now + self.timeouts.handshake);
-            }
-            (
-                MeasurerPhase::AwaitAuth,
-                Msg::Resume { token, role, nonce_prior, nonce, trace_id },
-            ) => {
-                if token != self.expected_token || role != self.expected_role {
-                    self.fail(AbortReason::AuthFailed, true);
-                    return;
-                }
-                // Lineage: the prior nonce must already be in the window
-                // — only the coordinator that ran the earlier attempt
-                // knows a nonce this peer accepted. A resume claim
-                // naming an unwitnessed nonce is just a guess.
-                if !self.replay.contains(nonce_prior) {
-                    self.fail(AbortReason::AuthFailed, true);
-                    return;
-                }
-                // Freshness: the new nonce has `Auth` semantics — a
-                // witnessed one is a replayed resume.
-                if !self.replay.witness(nonce) {
-                    self.fail(AbortReason::AuthFailed, true);
-                    return;
-                }
-                self.accepted_nonce = Some(nonce);
-                self.resumed = true;
-                self.resume_trace_id = Some(trace_id);
                 self.send(Msg::AuthOk { session: self.session_id, nonce });
                 self.phase = MeasurerPhase::AwaitCmd;
                 self.deadline = Some(now + self.timeouts.handshake);
@@ -1181,92 +1101,6 @@ mod tests {
             .with_replay_window(std::mem::take(&mut second.replay));
         third.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x2222 }));
         assert_eq!(third.phase(), MeasurerPhase::AwaitCmd);
-    }
-
-    #[test]
-    fn resume_with_witnessed_prior_nonce_reopens_a_conversation() {
-        let token = [9u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let now = SimTime::ZERO;
-
-        // A first coordinator incarnation opens a conversation...
-        let mut first = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
-        first.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x1111 }));
-        assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
-        assert!(!first.resumed(), "a plain Auth is not a resumption");
-        let window = std::mem::take(&mut first.replay);
-
-        // ...then crashes. Its successor re-derives the same nonce
-        // lineage and resumes instead of replaying Auth: full handshake
-        // driven end to end through a resuming CoordinatorSession.
-        let mut coord =
-            CoordinatorSession::new(token, PeerRole::Measurer, spec(), 0x2222, t).resuming(0x1111);
-        assert_eq!(coord.resume_prior, Some(0x1111));
-        let mut second =
-            MeasurerSession::new(token, PeerRole::Measurer, 2, t).with_replay_window(window);
-        coord.start(now);
-        pump(now, &mut coord, &mut second);
-        assert_eq!(coord.phase(), CoordPhase::Armed, "resume handshake completed");
-        assert_eq!(second.phase(), MeasurerPhase::AwaitGo);
-        assert!(second.resumed(), "conversation marked as resumed");
-        assert_eq!(second.accepted_nonce(), Some(0x2222), "fresh nonce claimed");
-        assert!(second.replay.contains(0x2222));
-    }
-
-    #[test]
-    fn resume_without_lineage_or_with_stale_nonce_is_rejected() {
-        let token = [9u8; AUTH_TOKEN_LEN];
-        let t = SessionTimeouts::default();
-        let now = SimTime::ZERO;
-
-        // No lineage: the named prior nonce was never witnessed here.
-        let mut meas = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
-        meas.receive(
-            now,
-            &encode(&Msg::Resume {
-                token,
-                role: PeerRole::Measurer,
-                nonce_prior: 0xAAAA,
-                nonce: 0xBBBB,
-                trace_id: 0,
-            }),
-        );
-        assert_eq!(meas.phase(), MeasurerPhase::Failed, "unwitnessed prior nonce is a guess");
-        let mut dec = FrameDecoder::new();
-        dec.push(&meas.poll_outbound().expect("abort frame"));
-        assert_eq!(dec.next_msg().unwrap(), Some(Msg::Abort { reason: AbortReason::AuthFailed }));
-
-        // Stale freshness: a resume whose *new* nonce was already
-        // witnessed is a replayed resume, rejected like a replayed Auth.
-        let mut first = MeasurerSession::new(token, PeerRole::Measurer, 2, t);
-        first.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x1 }));
-        let mut second = MeasurerSession::new(token, PeerRole::Measurer, 3, t)
-            .with_replay_window(std::mem::take(&mut first.replay));
-        second.receive(
-            now,
-            &encode(&Msg::Resume {
-                token,
-                role: PeerRole::Measurer,
-                nonce_prior: 0x1,
-                nonce: 0x1,
-                trace_id: 0,
-            }),
-        );
-        assert_eq!(second.phase(), MeasurerPhase::Failed, "replayed resume nonce rejected");
-
-        // Wrong token fails exactly like Auth.
-        let mut meas = MeasurerSession::new(token, PeerRole::Measurer, 4, t);
-        meas.receive(
-            now,
-            &encode(&Msg::Resume {
-                token: [0; AUTH_TOKEN_LEN],
-                role: PeerRole::Measurer,
-                nonce_prior: 0x1,
-                nonce: 0x2,
-                trace_id: 0,
-            }),
-        );
-        assert_eq!(meas.phase(), MeasurerPhase::Failed);
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn arb_fp() -> impl Strategy<Value = [u8; FINGERPRINT_LEN]> {
 fn arb_msg() -> impl Strategy<Value = Msg> {
     // Pick a variant, then fill its fields from independent draws.
     (
-        0u8..9,
+        0u8..8,
         arb_token(),
         arb_fp(),
         (any::<u64>(), any::<u64>(), any::<u64>()),
@@ -63,13 +63,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 4 => Msg::Go,
                 5 => Msg::SecondReport { second: x, bg_bytes: b, measured_bytes: c },
                 6 => Msg::SlotDone,
-                7 => Msg::Resume {
-                    token,
-                    role: PeerRole::from_u8(role).expect("role in range"),
-                    nonce_prior: a,
-                    nonce: c,
-                    trace_id: b ^ c,
-                },
                 _ => Msg::Abort { reason: AbortReason::from_u8(reason).expect("reason in range") },
             },
         )

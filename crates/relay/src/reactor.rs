@@ -319,7 +319,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let relay = Relay::new(Config { background: 40_000, ..Config::default() }, &registry);
         let span = Span::root(EventSink::new());
-        let peer = Peer::new(Settings::default(), relay, span.clone(), &registry);
+        let peer = Peer::new(Settings::default(), relay, span.clone());
         let relay = &peer.role;
         let spec = MeasureSpec { slot_secs: 3, rate_cap: 20_000, ..MeasureSpec::default() };
         let mut conv = relay.conversation();
@@ -417,7 +417,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let relay = Relay::new(Config::default(), &registry);
         let span = Span::root(EventSink::new());
-        let peer = Arc::new(Peer::new(Settings::default(), relay, span.clone(), &registry));
+        let peer = Arc::new(Peer::new(Settings::default(), relay, span.clone()));
         let secret = 0x0E70_5EC2;
         let (nonce, key) = (binding_nonce(secret), secret_channel_key(secret));
         peer.role.echo.register(nonce, key, 0);

@@ -26,7 +26,7 @@ const PHASES: [&str; 5] = ["handshake", "go", "slots", "report", "ledger"];
 /// and still count toward the trace's event total.
 fn phase_of(kind: &str) -> Option<&'static str> {
     match kind {
-        "session.prepare" | "peer.ready" | "session.resumed" => Some("handshake"),
+        "session.prepare" | "peer.ready" => Some("handshake"),
         "slot.go" | "session.go" => Some("go"),
         "sample" | "channel.bound" => Some("slots"),
         "session.stop" | "peer.done" => Some("report"),
