@@ -73,8 +73,6 @@ pub struct DaemonConfig {
     pub secret_seed: u64,
     /// Slot length commanded per item (sped-up seconds).
     pub slot_secs: u32,
-    /// Background allowance commanded of the relay (bytes/s).
-    pub bg_allowance: u64,
     /// Aggregate team blast budget for round packing (bytes/s).
     pub team_capacity: f64,
     /// Hard cap on items per round (`0` = capacity-bound only).
@@ -371,7 +369,8 @@ impl RosterWalk<'_> {
         let item = EchoItem {
             relay_fp: fp,
             slot_secs: self.cfg.slot_secs,
-            bg_allowance: self.cfg.bg_allowance,
+            // Uncapped: `--ratio`'s clamp bounds what the estimate credits.
+            bg_allowance: 0,
             measurement_secret: secret,
             attempt,
             trace_id,
@@ -608,7 +607,6 @@ mod tests {
             relays: Some(4),
             secret_seed: 1,
             slot_secs: 1,
-            bg_allowance: 0,
             team_capacity: 1e9,
             round_max: 0,
             dirauths: 3,
@@ -660,7 +658,6 @@ mod tests {
             relays: Some(2500),
             secret_seed: 1,
             slot_secs: 1,
-            bg_allowance: 0,
             team_capacity: 1e9,
             round_max: 0,
             dirauths: 3,
@@ -712,7 +709,6 @@ mod tests {
             relays: Some(4),
             secret_seed: 1,
             slot_secs: 1,
-            bg_allowance: 0,
             team_capacity: 1e9,
             round_max: 0,
             dirauths: 3,

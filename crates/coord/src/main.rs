@@ -20,7 +20,7 @@
 //!     --measurer ADDR [--measurer ADDR ...] --relay ADDR
 //!     [--token-hex HEX64] [--relay-token-hex HEX64]
 //!     [--measurer-rate BYTES] [--sockets N] [--slot-secs N]
-//!     [--bg-allowance BYTES] [--ratio X] [--speedup X]
+//!     [--ratio X] [--speedup X]
 //!     [--round-max N] [--team-capacity BYTES] [--dirauths N]
 //!     [--once true] [--interval-secs N] [--log-json FILE]
 //!     [--metrics-addr ADDR]
@@ -61,7 +61,6 @@ struct Config {
     measurer_rate: u64,
     sockets: u32,
     slot_secs: u32,
-    bg_allowance: u64,
     ratio: f64,
     speedup: f64,
     round_max: usize,
@@ -90,7 +89,6 @@ impl Default for Config {
             measurer_rate: 1_250_000,
             sockets: 2,
             slot_secs: 3,
-            bg_allowance: 0,
             ratio: 0.25,
             speedup: 1.0,
             round_max: 0,
@@ -109,7 +107,7 @@ const USAGE: &str = "usage: flashflow-coord [--config FILE] --state-dir DIR \
                      --measurer ADDR [--measurer ADDR ...] --relay ADDR \
                      [--token-hex HEX64] [--relay-token-hex HEX64] \
                      [--measurer-rate BYTES] [--sockets N] [--slot-secs N] \
-                     [--bg-allowance BYTES] [--ratio X] [--speedup X] \
+                     [--ratio X] [--speedup X] \
                      [--round-max N] [--team-capacity BYTES] [--dirauths N] \
                      [--once true|false] [--interval-secs N] [--log-json FILE] \
                      [--metrics-addr ADDR]";
@@ -144,7 +142,6 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
                 return Err(format!("slot-secs: must be at least 1\n{USAGE}"));
             }
         }
-        "bg-allowance" => cfg.bg_allowance = num(key, value)?,
         "ratio" => {
             // The §4.1 clamp `y ≤ x·r/(1−r)` holds only for `r` in [0, 1).
             cfg.ratio = num(key, value)?;
@@ -282,7 +279,6 @@ fn main() {
         relays: cfg.relays,
         secret_seed: cfg.secret_seed,
         slot_secs: cfg.slot_secs,
-        bg_allowance: cfg.bg_allowance,
         team_capacity,
         round_max: cfg.round_max,
         dirauths: cfg.dirauths.max(1),
@@ -417,6 +413,15 @@ mod tests {
             let line = format!("--slot-secs {value}");
             assert!(parse(&line).expect_err(&line).starts_with("slot-secs: "), "{line:?}");
         }
+    }
+
+    #[test]
+    fn the_relay_background_allowance_is_not_a_setting() {
+        // The daemon commands no allowance (0: the relay admits its
+        // whole offered background), so there is nothing to set.
+        let msg = parse("--bg-allowance 5").expect_err("--bg-allowance");
+        assert_eq!(msg, format!("unknown setting \"bg-allowance\"\n{USAGE}"));
+        assert!(!USAGE.contains("bg-allowance"), "{USAGE}");
     }
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
         let true_capacity = 200.0;
         let est = m.estimate.as_mbit();
         assert!(
-            est <= true_capacity * params.max_inflation_factor() * 1.02,
+            est <= true_capacity * crate::security::max_inflation_factor(params.ratio) * 1.02,
             "estimate {est} exceeds the 1.33 bound"
         );
         assert!(est > true_capacity * 0.9, "liar should still get ≈ its capacity");

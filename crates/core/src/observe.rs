@@ -10,9 +10,9 @@
 //! stream — so this module is a pure translation layer: engine events
 //! in, obs events out, re-keyed the way the stream's consumers
 //! (`flashflow-top`, `flashflow-trace`) read it. An item of the round
-//! is `scope.group` (with `scope.item` always 0), peers are numbered
-//! within their item, and peer-scoped events carry the one piece of
-//! context the engine does not: **roles**. In the echo topology the
+//! is `scope.group`, peers are numbered within their item, and
+//! peer-scoped events carry the one piece of context the engine does
+//! not: **roles**. In the echo topology the
 //! target relay is always the last peer of its item (see
 //! [`crate::echo::run_round`]), and the `role` field is what lets a
 //! consumer like `flashflow-top` read the relay's echo claim without
@@ -79,11 +79,11 @@ impl RoundSpans {
                 span.emit("peer.ready", fields![peer = peer, role = role]);
             }
             EngineEvent::GoReleased { item, at } => {
-                self.items[item].item(0).emit("slot.go", fields![at_secs = at.as_secs_f64()])
+                self.items[item].emit("slot.go", fields![at_secs = at.as_secs_f64()])
             }
             EngineEvent::Sample { peer, second, bg_bytes, measured_bytes, .. } => {
                 let (span, peer, role) = self.peer(peer);
-                span.item(0).emit(
+                span.emit(
                     "sample",
                     fields![
                         peer = peer,
@@ -105,7 +105,7 @@ impl RoundSpans {
                     fields![peer = peer, role = role, reason = format!("{reason:?}")],
                 );
             }
-            EngineEvent::ItemComplete { item } => self.items[item].item(0).event("item.complete"),
+            EngineEvent::ItemComplete { item } => self.items[item].event("item.complete"),
         }
     }
 
@@ -118,7 +118,7 @@ impl RoundSpans {
             let rows = peers.rows(group, ratio);
             let divergent: Vec<_> = rows.iter().filter(|row| row.divergent).collect();
             for row in &divergent {
-                self.items[group].item(0).emit(
+                self.items[group].emit(
                     "divergence",
                     fields![
                         peer = self.peer(row.peer).1,
@@ -236,7 +236,6 @@ mod tests {
         let ring = &ring[1..];
         assert_eq!(ring[0].kind, "sample");
         assert_eq!(ring[0].scope.group, Some(3));
-        assert_eq!(ring[0].scope.item, Some(0));
         assert_eq!(ring[0].scope.trace, Some(0x73));
         assert_eq!(ring[0].u64_field("peer"), Some(2));
         assert_eq!(ring[0].field("role").and_then(Value::as_str), Some("target"));
@@ -246,7 +245,6 @@ mod tests {
         assert_eq!(ring[1].f64_field("at_secs"), Some(1.5));
         assert_eq!(ring[2].kind, "peer.done");
         assert_eq!(ring[2].scope.group, Some(3));
-        assert_eq!(ring[2].scope.item, None);
         assert_eq!(ring[2].u64_field("peer"), Some(0));
         assert_eq!(ring[2].field("role").and_then(Value::as_str), Some("measurer"));
     }

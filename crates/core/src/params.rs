@@ -64,12 +64,6 @@ impl Params {
         allocated_bytes_per_sec * (1.0 - self.epsilon1) / self.multiplier
     }
 
-    /// The §5 inflation bound from lying about background traffic:
-    /// `1/(1−r)`.
-    pub fn max_inflation_factor(&self) -> f64 {
-        1.0 / (1.0 - self.ratio)
-    }
-
     /// Number of measurement slots in one period.
     pub fn slots_per_period(&self) -> u64 {
         self.period.as_nanos() / self.slot.as_nanos()
@@ -152,7 +146,8 @@ mod tests {
     #[test]
     fn inflation_bound_is_1_33() {
         let p = Params::paper();
-        assert!((p.max_inflation_factor() - 4.0 / 3.0).abs() < 1e-12);
+        let bound = crate::security::max_inflation_factor(p.ratio);
+        assert!((bound - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

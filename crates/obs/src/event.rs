@@ -1,6 +1,6 @@
 //! Structured events: one record per observable occurrence, carrying a
 //! monotonic timestamp, a dotted `kind`, the scope coordinates of the
-//! period hierarchy (period → group → item → channel, plus the
+//! period hierarchy (period → group → channel, plus the
 //! cross-process trace id), and free-form typed fields.
 //!
 //! Every event has two faithful encodings: a single JSONL line (for
@@ -137,8 +137,6 @@ pub struct Scope {
     pub period: Option<u64>,
     /// Item group index within the period.
     pub group: Option<u64>,
-    /// Item index within the group.
-    pub item: Option<u64>,
     /// Data channel index.
     pub channel: Option<u64>,
     /// Control session id (process side).
@@ -157,17 +155,16 @@ impl Scope {
         Scope::default()
     }
 
-    const KEYS: [&'static str; 6] = ["period", "group", "item", "channel", "session", "trace"];
+    const KEYS: [&'static str; 5] = ["period", "group", "channel", "session", "trace"];
 
-    fn slots(&self) -> [Option<u64>; 6] {
-        [self.period, self.group, self.item, self.channel, self.session, self.trace]
+    fn slots(&self) -> [Option<u64>; 5] {
+        [self.period, self.group, self.channel, self.session, self.trace]
     }
 
     fn set(&mut self, key: &str, value: u64) {
         match key {
             "period" => self.period = Some(value),
             "group" => self.group = Some(value),
-            "item" => self.item = Some(value),
             "channel" => self.channel = Some(value),
             "session" => self.session = Some(value),
             "trace" => self.trace = Some(value),
@@ -208,7 +205,7 @@ impl Event {
     /// The event as one JSONL line (no trailing newline):
     /// `{"ts":…,"kind":…,<scope coords>,<fields…>}`. Scope coordinates
     /// and fields share the flat object; scope keys come first and are
-    /// reserved (an event field named e.g. `"item"` would collide, so
+    /// reserved (an event field named e.g. `"group"` would collide, so
     /// field names must avoid `ts`, `kind`, and the scope keys).
     pub fn to_json_line(&self) -> String {
         let mut pairs: Vec<(String, Json)> = vec![
@@ -257,7 +254,7 @@ impl Event {
     }
 
     /// The event as one human-readable text line (no trailing newline):
-    /// `[   12.345] kind period=0 item=2 bytes=4096 …`.
+    /// `[   12.345] kind period=0 group=2 bytes=4096 …`.
     pub fn to_text_line(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -299,7 +296,7 @@ mod tests {
         Event {
             ts: 12.5,
             kind: "session.sample".to_string(),
-            scope: Scope { period: Some(1), item: Some(2), ..Scope::root() },
+            scope: Scope { period: Some(1), group: Some(2), ..Scope::root() },
             fields: vec![
                 ("peer".to_string(), Value::U64(3)),
                 ("bytes".to_string(), Value::U64(u64::MAX)),
@@ -340,7 +337,7 @@ mod tests {
         fn any_event_round_trips_through_jsonl(
             ts in 0.0f64..1.0e6,
             period in 0u64..1000,
-            item in 0u64..64,
+            group in 0u64..64,
             n_fields in 0usize..6,
             u in proptest::collection::vec(0u64..=u64::MAX, 6),
             f in proptest::collection::vec(-1.0e9f64..1.0e9, 6),
@@ -360,7 +357,7 @@ mod tests {
             let ev = Event {
                 ts,
                 kind: format!("kind.{period}"),
-                scope: Scope { period: Some(period), item: Some(item), ..Scope::root() },
+                scope: Scope { period: Some(period), group: Some(group), ..Scope::root() },
                 fields,
             };
             let line = ev.to_json_line();

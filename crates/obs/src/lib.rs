@@ -16,7 +16,7 @@
 //!   `Arc<Atomic…>` clones: updating one from a frame parser is a
 //!   single relaxed fetch-add, cheap enough for the blast hot path.
 //! * [`event`] / [`sink`] — structured [`Event`]s with period → group →
-//!   item → channel [`Scope`]s, emitted through a shared [`EventSink`]
+//!   channel [`Scope`]s, emitted through a shared [`EventSink`]
 //!   to human-text stderr and JSONL files;
 //!   [`Span`]s carry scope prefixes through the layers.
 

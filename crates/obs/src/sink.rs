@@ -9,7 +9,7 @@
 //! events.
 //!
 //! A [`Span`] is a sink plus a fixed [`Scope`] prefix; child spans add
-//! coordinates (period → group → item → channel) so deep layers emit
+//! coordinates (period → group → channel) so deep layers emit
 //! fully-addressed events without threading indices by hand.
 
 use std::io::Write;
@@ -155,14 +155,6 @@ impl Span {
         child
     }
 
-    /// A child span scoped to item `item`.
-    #[must_use]
-    pub fn item(&self, item: u64) -> Span {
-        let mut child = self.clone();
-        child.scope.item = Some(item);
-        child
-    }
-
     /// A child span scoped to data channel `channel`.
     #[must_use]
     pub fn channel(&self, channel: u64) -> Span {
@@ -227,7 +219,7 @@ mod tests {
     fn spans_narrow_scope_and_events_reach_the_writer() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = EventSink::new().with_jsonl(Box::new(SharedBuf(buf.clone())));
-        let span = Span::root(sink).period(7).group(1).item(2);
+        let span = Span::root(sink).period(7).group(2);
         span.emit("slot.go", fields![at = 0.5f64]);
         span.channel(3).emit("channel.open", fields![addr = "127.0.0.1:1"]);
 
@@ -236,7 +228,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, "slot.go");
         assert_eq!(events[0].scope.period, Some(7));
-        assert_eq!(events[0].scope.item, Some(2));
+        assert_eq!(events[0].scope.group, Some(2));
         assert_eq!(events[1].scope.channel, Some(3));
     }
 

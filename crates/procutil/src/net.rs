@@ -12,67 +12,43 @@
 //!
 //! `std` offers no hook between `socket(2)` and `bind(2)`, and
 //! crates.io is unreachable, so the socket is built with the raw
-//! syscalls (same policy as [`crate::reactor`]'s epoll layer) and then
-//! handed to `TcpListener` via `FromRawFd`.
+//! syscalls (the [`crate::reactor`] layer's `socket`, `close` and
+//! address encoder, which its nonblocking `dial` uses) and then handed
+//! to `TcpListener` via `FromRawFd`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::FromRawFd;
 
+use crate::reactor::{close, family, sockaddr, socket, SOCK_CLOEXEC, SOCK_STREAM};
+
 // SAFETY: the exact libc prototypes on every Linux we target (see
-// `socket(2)`, `setsockopt(2)`, `bind(2)`, `listen(2)`, `close(2)`):
-// integer fds, pointer + length option/address buffers, C `int`
-// returns with errno.
+// `setsockopt(2)`, `bind(2)`, `listen(2)`): integer fds, pointer +
+// length option/address buffers, C `int` returns with errno. `bind`'s
+// address is a `struct sockaddr_in` / `sockaddr_in6` byte image whose
+// length travels with it.
 extern "C" {
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
-    fn bind(fd: i32, addr: *const SockAddrIn, addrlen: u32) -> i32;
+    fn bind(fd: i32, addr: *const u8, addrlen: u32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
-    fn close(fd: i32) -> i32;
 }
 
-const AF_INET: i32 = 2;
-const SOCK_STREAM: i32 = 1;
-const SOCK_CLOEXEC: i32 = 0x80000;
 const SOL_SOCKET: i32 = 1;
 const SO_REUSEADDR: i32 = 2;
-
-/// The kernel's `struct sockaddr_in` (IPv4 only: every FlashFlow
-/// endpoint is an IPv4 address — see `TargetEndpoint`).
-#[repr(C)]
-struct SockAddrIn {
-    family: u16,
-    /// Network byte order.
-    port: u16,
-    /// Network byte order.
-    addr: u32,
-    zero: [u8; 8],
-}
 
 /// Binds a listening socket with `SO_REUSEADDR`, so a restarted process
 /// can re-take its configured port while the previous incarnation's
 /// connections are still in `TIME_WAIT`.
 ///
-/// `addr` resolves like `TcpListener::bind`'s argument; the first
-/// resolved IPv4 address is used (IPv6 endpoints fall back to a plain
-/// `bind` without the option — FlashFlow's wire format is IPv4-only
-/// anyway).
+/// `addr` resolves like `TcpListener::bind`'s argument; the resolved
+/// addresses are tried in order and the first that binds is used.
 ///
 /// # Errors
 /// Address resolution and any of the underlying syscalls.
 pub fn listen_reuseaddr<A: ToSocketAddrs>(addr: A) -> io::Result<TcpListener> {
     let mut last_err = None;
     for resolved in addr.to_socket_addrs()? {
-        let SocketAddr::V4(v4) = resolved else {
-            match TcpListener::bind(resolved) {
-                Ok(l) => return Ok(l),
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            }
-        };
-        match listen_v4_reuseaddr(v4.ip().octets(), v4.port()) {
+        match listen_on(resolved) {
             Ok(l) => return Ok(l),
             Err(e) => last_err = Some(e),
         }
@@ -82,12 +58,13 @@ pub fn listen_reuseaddr<A: ToSocketAddrs>(addr: A) -> io::Result<TcpListener> {
     }))
 }
 
-fn listen_v4_reuseaddr(ip: [u8; 4], port: u16) -> io::Result<TcpListener> {
+fn listen_on(addr: SocketAddr) -> io::Result<TcpListener> {
     // SAFETY: plain syscalls on a socket this function owns end to
     // end; on any failure the fd is closed before the error returns,
-    // and on success its ownership moves into the `TcpListener`.
+    // and on success its ownership moves into the `TcpListener`. The
+    // address buffer is a live stack array of at least `len` bytes.
     unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        let fd = socket(family(addr), SOCK_STREAM | SOCK_CLOEXEC, 0);
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -100,14 +77,8 @@ fn listen_v4_reuseaddr(ip: [u8; 4], port: u16) -> io::Result<TcpListener> {
         if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, std::ptr::addr_of!(one).cast::<u8>(), 4) != 0 {
             return Err(fail(fd));
         }
-        let sa = SockAddrIn {
-            family: AF_INET as u16,
-            port: port.to_be(),
-            addr: u32::from_be_bytes(ip).to_be(),
-            zero: [0; 8],
-        };
-        #[allow(clippy::cast_possible_truncation)]
-        if bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) != 0 {
+        let (raw, len) = sockaddr(addr);
+        if bind(fd, raw.as_ptr(), len) != 0 {
             return Err(fail(fd));
         }
         if listen(fd, 1024) != 0 {
@@ -137,6 +108,19 @@ mod tests {
         conn.read_exact(&mut buf).expect("recv");
         assert_eq!(&buf, b"hi");
         client.join().expect("client thread");
+    }
+
+    #[test]
+    fn an_ipv6_address_binds_through_the_same_encoder() {
+        // Only where the host has IPv6 loopback at all.
+        if std::net::TcpListener::bind("[::1]:0").is_err() {
+            return;
+        }
+        let listener = listen_reuseaddr("[::1]:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        assert!(addr.is_ipv6() && addr.port() != 0, "{addr}");
+        let _client = TcpStream::connect(addr).expect("connect");
+        listener.accept().expect("accept");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! dial opening with a [`DataChannelHello`] — inside the hello window,
 //! then runs either the warm-reuse control conversation skeleton or the
 //! role's [`DataConn`]. A role supplies its own flags, its
-//! per-conversation state and hooks, and its data-connection type; the
-//! role is a generic parameter, so nothing on the per-byte path goes
-//! through a `dyn` call.
+//! per-conversation state, the hooks the skeleton calls at the
+//! conversation's protocol events (command, `Go`, each second's report,
+//! stop, end), and its data-connection type; the role is a generic
+//! parameter, so nothing on the per-byte path goes through a `dyn`
+//! call.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -187,8 +189,9 @@ pub trait DataConn: Send {
 
 /// What one kind of peer does differently from the other. The library
 /// calls the conversation hooks from [`Role::on_command`] to
-/// [`Role::release`] in that order over one control conversation; every
-/// hook runs on a reactor shard and must not block.
+/// [`Role::release`] in that order over one control conversation, each
+/// at its protocol event and never on a bare step; every hook runs on a
+/// reactor shard and must not block.
 pub trait Role: Send + Sync + Sized + 'static {
     /// `relay` or `measurer`: the prefix of the process's lifecycle
     /// events (`<NAME>.start`) and of the metrics the library registers
@@ -233,11 +236,6 @@ pub trait Role: Send + Sync + Sized + 'static {
     );
     /// The slot is over (or the session died) after `seconds` reports.
     fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32, snow: SimTime);
-    /// One step of clock-driven work, on every step once `Go` arrived:
-    /// at each report, on readiness, and on every sweep while the
-    /// process drains (before `Go`, only on readiness); `live` is false
-    /// once the session is terminal.
-    fn drive(&self, _conv: &mut Self::Conv, _span: &Span, _snow: SimTime, _live: bool) {}
     /// The `(background, measured)` byte columns of report `second`.
     fn second_report(&self, conv: &mut Self::Conv, span: &Span, second: u32) -> (u64, u64);
     /// The conversation ended: undo what **it** registered.
@@ -761,7 +759,7 @@ impl<R: Role> Conversation<R> {
         let Some(endpoint) = self.endpoint.as_mut() else {
             return Step::Done;
         };
-        // The blast and background clocks run sped up, like the reports.
+        // The blast clock runs sped up, like the reports.
         let snow = SimTime::from_secs_f64(elapsed * peer.settings.speedup);
         endpoint.tick(now);
         // Drain: finish a running slot, but abort a conversation still
@@ -805,7 +803,6 @@ impl<R: Role> Conversation<R> {
                 }
             }
         }
-        peer.role.drive(&mut self.conv, &self.span, snow, !endpoint.is_terminal());
         if let Some(slot_secs) = self.slot_secs {
             // One report per (sped-up) second, paced off the Go instant.
             let report_every = Duration::from_secs_f64(1.0 / peer.settings.speedup);

@@ -83,8 +83,8 @@ extern "C" {
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    pub(crate) fn close(fd: i32) -> i32;
+    pub(crate) fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
 }
 
@@ -106,9 +106,9 @@ const EFD_CLOEXEC: i32 = 0x80000;
 
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
-const SOCK_STREAM: i32 = 1;
+pub(crate) const SOCK_STREAM: i32 = 1;
 const SOCK_NONBLOCK: i32 = 0x800;
-const SOCK_CLOEXEC: i32 = 0x80000;
+pub(crate) const SOCK_CLOEXEC: i32 = 0x80000;
 /// `connect(2)` on a nonblocking socket: the handshake continues in
 /// the kernel and completes (or fails) as write readiness.
 const EINPROGRESS: i32 = 115;
@@ -119,7 +119,7 @@ const ENOSYS: i32 = 38;
 /// `sockaddr_in6` (28 bytes): family in host order, port and address in
 /// network order, IPv6 flow info and scope id in host order (as
 /// `std` passes them).
-fn sockaddr(addr: SocketAddr) -> ([u8; 28], u32) {
+pub(crate) fn sockaddr(addr: SocketAddr) -> ([u8; 28], u32) {
     let mut raw = [0u8; 28];
     raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
     match addr {
@@ -138,6 +138,11 @@ fn sockaddr(addr: SocketAddr) -> ([u8; 28], u32) {
     }
 }
 
+/// The `socket(2)` domain of `addr`.
+pub(crate) fn family(addr: SocketAddr) -> i32 {
+    i32::from(if addr.is_ipv4() { AF_INET } else { AF_INET6 })
+}
+
 /// Starts a TCP connection to `addr` without blocking: the returned
 /// stream is nonblocking and close-on-exec, and its handshake is still
 /// in flight. Register it for write readiness and ask [`dialed`] on the
@@ -147,10 +152,9 @@ fn sockaddr(addr: SocketAddr) -> ([u8; 28], u32) {
 /// The `socket(2)` errno, or a `connect(2)` errno other than
 /// `EINPROGRESS` (a refusal the kernel already knows about).
 pub fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
-    let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
     // SAFETY: no pointers cross; the returned fd (or -1) is checked
     // before use.
-    let fd = unsafe { socket(i32::from(family), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    let fd = unsafe { socket(family(addr), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }

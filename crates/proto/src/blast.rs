@@ -24,8 +24,9 @@
 //!   measurer's `EchoTally` holds the slot's verified echo, the relay's
 //!   `EchoCounters` its echoed bytes, and each control session reports a
 //!   second as the growth of that sum;
-//! - a [`BackgroundMeter`] is the one per-second series kept here: the
-//!   relay's admitted client traffic, read back second by second.
+//! - a [`ByteCounter`] splits the bytes a caller records into whole
+//!   seconds on its clock, for an in-process topology that reports
+//!   per-second columns itself.
 //!
 //! A data connection opens with a [`DataChannelHello`] carrying the
 //! binding nonce of a commanded measurement, so the relay binds it to a
@@ -46,7 +47,7 @@
 //! conformance suite runs them across all three).
 
 use flashflow_obs::Counter;
-use flashflow_simnet::time::{SimDuration, SimTime};
+use flashflow_simnet::time::SimTime;
 
 use crate::transport::{Transport, TransportError};
 
@@ -358,7 +359,6 @@ pub struct ByteCounter {
     epoch: Option<SimTime>,
     completed: Vec<u64>,
     current: u64,
-    total: u64,
 }
 
 impl ByteCounter {
@@ -372,14 +372,12 @@ impl ByteCounter {
         self.epoch = Some(now);
         self.completed.clear();
         self.current = 0;
-        self.total = 0;
     }
 
     /// Records `bytes` as of `now` (rolls completed seconds first).
     pub fn add(&mut self, now: SimTime, bytes: u64) {
         self.roll(now);
         self.current += bytes;
-        self.total += bytes;
     }
 
     /// Finalizes every second wholly elapsed by `now`.
@@ -395,11 +393,6 @@ impl ByteCounter {
     /// Byte counts of every completed second, in order.
     pub fn completed(&self) -> &[u64] {
         &self.completed
-    }
-
-    /// Total bytes recorded, completed seconds and the partial one.
-    fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -1094,104 +1087,6 @@ impl<T: Transport> Echoer<T> {
     }
 }
 
-/// The target relay's client traffic alongside a measurement: an
-/// offered background rate, admitted up to a cap while the measurement
-/// window runs (the paper caps client traffic at the `r` fraction of
-/// capacity during a slot, so the echo gets the rest), accounted per
-/// second on the caller's clock.
-///
-/// The *admitted* series is what an honest relay reports as its
-/// `bg_bytes` column; a lying relay reports something else, which is
-/// exactly what the coordinator's plausibility check is for.
-#[derive(Debug, Clone)]
-pub struct BackgroundMeter {
-    /// Offered client traffic in bytes per second.
-    offered: u64,
-    /// Admission cap in bytes per second while set (the measurement
-    /// window); `None` admits the full offered rate.
-    cap: Option<u64>,
-    counter: ByteCounter,
-    /// Fractional-byte carry between ticks.
-    carry: f64,
-    last: Option<SimTime>,
-}
-
-impl BackgroundMeter {
-    /// A meter for `offered` bytes/second of client traffic.
-    pub fn new(offered: u64) -> Self {
-        BackgroundMeter { offered, cap: None, counter: ByteCounter::new(), carry: 0.0, last: None }
-    }
-
-    /// The offered client rate.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Caps admission at `bytes_per_sec` (the measurement window's
-    /// allowance); `0` means uncapped.
-    pub fn set_cap(&mut self, bytes_per_sec: u64) {
-        self.cap = if bytes_per_sec == 0 { None } else { Some(bytes_per_sec) };
-    }
-
-    /// The rate actually admitted right now.
-    pub fn admitted_rate(&self) -> u64 {
-        self.cap.map_or(self.offered, |cap| self.offered.min(cap))
-    }
-
-    /// Starts the per-second accounting clock.
-    pub fn start(&mut self, now: SimTime) {
-        self.counter.start(now);
-        self.carry = 0.0;
-        self.last = Some(now);
-    }
-
-    /// Accrues admitted bytes for the time elapsed since the last tick,
-    /// second by second: a late tick's span is split at every second
-    /// boundary it crossed, so no second is credited more than its own
-    /// share of the admitted rate. A `now` behind the last tick is a
-    /// no-op.
-    pub fn tick(&mut self, now: SimTime) {
-        let (Some(mut last), Some(epoch)) = (self.last, self.counter.epoch) else { return };
-        while last < now {
-            let second = last.saturating_duration_since(epoch).as_secs();
-            let until = now.min(epoch + SimDuration::from_secs(second + 1));
-            self.carry += self.admitted_rate() as f64 * until.duration_since(last).as_secs_f64();
-            let whole = self.carry.floor();
-            if whole > 0.0 {
-                // Credited at the piece's *start*, so bytes accrued over
-                // a span ending exactly on a second boundary land in the
-                // second they were admitted in, not the next one.
-                self.counter.add(last, whole as u64);
-                self.carry -= whole;
-            }
-            last = until;
-        }
-        self.counter.roll(last);
-        self.last = Some(last);
-    }
-
-    /// Total admitted bytes since [`BackgroundMeter::start`].
-    pub fn admitted_total(&self) -> u64 {
-        self.counter.total()
-    }
-
-    /// Admitted bytes of second `second` (zero-based since
-    /// [`BackgroundMeter::start`]). A caller whose own clock says that
-    /// second is over may ask a hair before this meter's last tick got
-    /// there; the meter first advances to the second's end.
-    pub fn admitted_in(&mut self, second: u32) -> u64 {
-        if let Some(epoch) = self.counter.epoch {
-            self.tick(epoch + SimDuration::from_secs(u64::from(second) + 1));
-        }
-        self.counter.completed().get(second as usize).copied().unwrap_or(0)
-    }
-
-    /// Admitted bytes per completed second.
-    pub fn completed_seconds(&self) -> &[u64] {
-        self.counter.completed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1253,7 +1148,6 @@ mod tests {
         // A jump across seconds zero-fills the gap.
         c.roll(SimTime::from_secs_f64(14.0));
         assert_eq!(c.completed(), &[100, 50, 0, 0]);
-        assert_eq!(c.total(), 150);
     }
 
     #[test]
@@ -1567,45 +1461,6 @@ mod tests {
         back.push(&m_end.recv(now).unwrap()).expect("headers forwarded intact");
         assert_eq!(echo.echoed_total(), 4 * 33, "the relay claims the echo");
         assert_eq!((back.received_total(), back.corrupt_total()), (4 * 33, 4 * 33));
-    }
-
-    #[test]
-    fn background_meter_caps_admission_during_the_window() {
-        let mut meter = BackgroundMeter::new(10_000);
-        assert_eq!(meter.admitted_rate(), 10_000, "uncapped admits the offered rate");
-        meter.set_cap(4_000);
-        assert_eq!(meter.admitted_rate(), 4_000);
-        meter.start(SimTime::ZERO);
-        for tick in 1..=30u64 {
-            meter.tick(SimTime::from_secs_f64(tick as f64 * 0.1));
-        }
-        assert_eq!(meter.completed_seconds().len(), 3);
-        for (ix, &sec) in meter.completed_seconds().iter().enumerate() {
-            assert!((3_998..=4_002).contains(&sec), "capped second {ix} admitted {sec}");
-        }
-        // Cap above the offer: the offer is the binding constraint.
-        meter.set_cap(50_000);
-        assert_eq!(meter.admitted_rate(), 10_000);
-        // Cap zero = uncapped.
-        meter.set_cap(0);
-        assert_eq!(meter.admitted_rate(), 10_000);
-    }
-
-    #[test]
-    fn background_meter_splits_a_late_tick_at_second_boundaries() {
-        // One tick at 0.9 s, the next not until 2.3 s: the 1.4 s span
-        // must land in three different seconds, none above the cap.
-        let mut meter = BackgroundMeter::new(40_000);
-        meter.set_cap(20_000);
-        meter.start(SimTime::ZERO);
-        meter.tick(SimTime::from_secs_f64(0.9));
-        meter.tick(SimTime::from_secs_f64(2.3));
-        assert_eq!(meter.completed_seconds(), &[20_000, 20_000]);
-        assert_eq!(meter.admitted_total(), 46_000);
-        // A tick behind the meter's clock neither rewinds nor recounts.
-        meter.tick(SimTime::from_secs(1));
-        meter.tick(SimTime::from_secs(3));
-        assert_eq!(meter.completed_seconds(), &[20_000, 20_000, 20_000]);
     }
 
     #[test]

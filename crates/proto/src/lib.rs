@@ -65,8 +65,8 @@ pub mod transport;
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use crate::blast::{
-        binding_nonce, frame_tag, secret_channel_key, BackgroundMeter, BlastError, BlastParser,
-        BlastPattern, ByteCounter, DataChannelHello, Echoer, TrafficSource,
+        binding_nonce, frame_tag, secret_channel_key, BlastError, BlastParser, BlastPattern,
+        ByteCounter, DataChannelHello, Echoer, TrafficSource,
     };
     pub use crate::endpoint::Endpoint;
     pub use crate::fault::{FaultMode, FaultyTransport};

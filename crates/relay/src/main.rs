@@ -33,19 +33,18 @@
 //!   measurers' accepted frames back, leaving forged and replayed ones
 //!   out. The relay generates no keystream itself. Concurrent channels
 //!   from multiple measurers aggregate into one measurement's counters.
-//! * A [`BackgroundMeter`](flashflow_proto::blast::BackgroundMeter)
-//!   simulates the relay's client traffic:
-//!   `--background RATE` bytes/second offered, admitted up to the
-//!   commanded allowance while a slot runs (the paper's `r`-ratio cap).
-//!   Per-second `SecondReport`s carry **both** columns: background
-//!   admitted and measurement bytes echoed.
+//! * The relay's client traffic is one number: `--background RATE`
+//!   bytes/second offered, admitted up to the commanded allowance for
+//!   the whole slot (the paper's `r`-ratio cap; 0 is uncapped). Every
+//!   per-second `SecondReport` carries **both** columns: that admitted
+//!   rate, and the measurement bytes echoed in the second.
 //!
 //! Adversarial knobs (for the audit-path tests; a real relay would
-//! simply lie): `--claim-bg BYTES` reports a fixed background figure
-//! regardless of what the meter admitted (TorMult-style inflation of
-//! the self-reported channel), and `--corrupt-echo true` echoes
-//! keystream-violating garbage (a forged echo, which measurers count
-//! corrupt and refuse to credit).
+//! simply lie), at most one at a time: `--claim-bg BYTES` reports a
+//! fixed background figure regardless of what was admitted
+//! (TorMult-style inflation of the self-reported channel), and
+//! `--corrupt-echo true` echoes keystream-violating garbage (a forged
+//! echo, which measurers count corrupt and refuse to credit).
 //!
 //! Liveness, replay protection, `--config` files, and SIGTERM draining
 //! are the peer library's, identical to the measurer process; stdout
@@ -59,8 +58,8 @@
 //! `MetricsRegistry` snapshots (echo-plane byte counters, background
 //! accounting) over TCP. When `--claim-bg` makes the relay lie, each
 //! reported second also emits a `bg.divergence` event carrying the
-//! claimed and metered figures — the ground truth the audit tests
-//! cross-check against the coordinator's ledger flags.
+//! claimed and admitted (`metered`) figures — the ground truth the
+//! audit tests cross-check against the coordinator's ledger flags.
 //!
 //! ```text
 //! flashflow-relay [--config FILE] [--listen ADDR] [--token-hex HEX64]
@@ -84,11 +83,19 @@ use flashflow_proto::blast::BlastCounters;
 struct Config {
     /// Offered client traffic in bytes/second (simulated background).
     background: u64,
-    /// Adversarial: report this background figure instead of what the
-    /// meter actually admitted.
-    claim_bg: Option<u64>,
-    /// Adversarial: echo keystream-violating garbage.
-    corrupt_echo: bool,
+    lie: Lie,
+}
+
+/// How the relay lies (the audit-path tests' adversary): at most one
+/// lie, so giving both flags is refused at parse.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Lie {
+    #[default]
+    Honest,
+    /// `--claim-bg N`: report N background bytes a second, whatever was admitted.
+    ClaimBg(u64),
+    /// `--corrupt-echo true`: echo keystream-violating garbage.
+    CorruptEcho,
 }
 
 const USAGE: &str = "usage: flashflow-relay [--config FILE] [--listen ADDR] \

@@ -2,8 +2,8 @@
 //! ([`procutil::peer`]) and its data connection. The library drives the
 //! connection shell and the control conversation; this module says what
 //! a conversation means to the echo plane — register the commanded
-//! measurement, meter background traffic, report both columns each
-//! second — and serves bound echo channels with an [`Echoer`] that
+//! measurement, fix its admitted background rate, report both columns
+//! each second — and serves bound echo channels with an [`Echoer`] that
 //! verifies the blast and forwards the measurers' accepted frames back.
 
 use std::sync::atomic::Ordering;
@@ -13,7 +13,7 @@ use std::time::Instant;
 use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_procutil as procutil;
 use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BackgroundMeter, BlastCounters, DataChannelHello, Echoer,
+    binding_nonce, secret_channel_key, BlastCounters, DataChannelHello, Echoer,
     ECHO_BACKLOG_HIGH_WATER,
 };
 use flashflow_proto::msg::{MeasureSpec, PeerRole};
@@ -22,11 +22,14 @@ use flashflow_simnet::time::SimTime;
 use procutil::peer::{Bind, Peer, Role};
 use procutil::reactor::Step;
 
-use crate::{Config, EchoCounters, EchoPlane, Measurement, Relay};
+use crate::{Config, EchoCounters, EchoPlane, Lie, Measurement, Relay};
+
+const TWO_LIES: &str = "claim-bg and corrupt-echo true: give at most one of them";
 
 /// The relay's state for one control conversation.
 pub struct Conv {
-    meter: BackgroundMeter,
+    /// Background bytes admitted each second: `min(--background, allowance)`.
+    admitted: u64,
     /// The binding nonce this conversation registered, with the
     /// measurement's aggregate counters.
     registered: Option<(u64, Arc<EchoCounters>)>,
@@ -51,10 +54,16 @@ impl Role for Relay {
             "background" => {
                 cfg.background = value.parse().map_err(|e| format!("background: {e}"))?;
             }
-            "claim-bg" => cfg.claim_bg = Some(value.parse().map_err(|e| format!("claim-bg: {e}"))?),
-            "corrupt-echo" => {
-                cfg.corrupt_echo = value.parse().map_err(|e| format!("corrupt-echo: {e}"))?;
+            "claim-bg" if cfg.lie == Lie::CorruptEcho => return Err(TWO_LIES.to_string()),
+            "claim-bg" => {
+                cfg.lie = Lie::ClaimBg(value.parse().map_err(|e| format!("claim-bg: {e}"))?)
             }
+            "corrupt-echo" => match value.parse().map_err(|e| format!("corrupt-echo: {e}"))? {
+                true if matches!(cfg.lie, Lie::ClaimBg(_)) => return Err(TWO_LIES.to_string()),
+                true => cfg.lie = Lie::CorruptEcho,
+                false if cfg.lie == Lie::CorruptEcho => cfg.lie = Lie::Honest,
+                false => {}
+            },
             _ => return Ok(false),
         }
         Ok(true)
@@ -78,12 +87,7 @@ impl Role for Relay {
     }
 
     fn start_fields(&self) -> Vec<(String, Value)> {
-        fields![
-            background = self.cfg.background,
-            claim_bg = self.cfg.claim_bg.unwrap_or(0),
-            lying = self.cfg.claim_bg.is_some(),
-            corrupt_echo = self.cfg.corrupt_echo,
-        ]
+        fields![background = self.cfg.background, lie = format!("{:?}", self.cfg.lie)]
     }
 
     fn session_role(&self) -> PeerRole {
@@ -91,11 +95,7 @@ impl Role for Relay {
     }
 
     fn conversation(&self) -> Conv {
-        Conv {
-            meter: BackgroundMeter::new(self.cfg.background),
-            registered: None,
-            echoed_through: 0,
-        }
+        Conv { admitted: self.cfg.background, registered: None, echoed_through: 0 }
     }
 
     /// Registers the commanded measurement with the data plane the
@@ -105,15 +105,15 @@ impl Role for Relay {
         let nonce = binding_nonce(spec.measurement_secret);
         let key = secret_channel_key(spec.measurement_secret);
         conv.registered = Some((nonce, self.echo.register(nonce, key, spec.trace_id)));
-        // The commanded rate cap is the relay's background allowance.
-        conv.meter.set_cap(spec.rate_cap);
+        // The rate cap is the slot's background allowance; 0 is uncapped.
+        let cap = if spec.rate_cap == 0 { u64::MAX } else { spec.rate_cap };
+        conv.admitted = self.cfg.background.min(cap);
         span.emit("session.registered", fields![nonce = nonce, bg_allowance = spec.rate_cap]);
     }
 
-    fn on_start(_peer: &Peer<Relay>, conv: &mut Conv, span: &Span, _: &MeasureSpec, snow: SimTime) {
+    fn on_start(_peer: &Peer<Relay>, conv: &mut Conv, span: &Span, _: &MeasureSpec, _: SimTime) {
         conv.echoed_through = 0;
-        conv.meter.start(snow);
-        span.emit("session.go", fields![bg_rate = conv.meter.admitted_rate()]);
+        span.emit("session.go", fields![bg_rate = conv.admitted]);
     }
 
     fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, _snow: SimTime) {
@@ -121,34 +121,25 @@ impl Role for Relay {
         span.emit("session.stop", fields![seconds = seconds, channels = channels]);
     }
 
-    fn drive(&self, conv: &mut Conv, _span: &Span, snow: SimTime, _live: bool) {
-        conv.meter.tick(snow);
-    }
-
     fn second_report(&self, conv: &mut Conv, span: &Span, second: u32) -> (u64, u64) {
         let echoed = conv.counter(|c| c.echoed.load(Ordering::Relaxed));
         let echo_delta = echoed - conv.echoed_through;
         conv.echoed_through = echoed;
-        // The claim is the meter's own bucket for `second`, not "what
-        // accrued since the last report": a late report tick must not
-        // fold part of the next second into this one and push an honest
-        // relay over its allowance.
-        let metered = conv.meter.admitted_in(second);
-        let bg = match self.cfg.claim_bg {
-            // The liar: a fixed per-second claim, regardless of what the
-            // meter admitted. The lie leaves a trail: both figures go
-            // into the event stream, which is what the audit tests
-            // cross-check against the coordinator's ledger flags.
-            Some(claim) => {
+        let bg = match self.cfg.lie {
+            // The liar: a fixed per-second claim, regardless of what was
+            // admitted. The lie leaves a trail: both figures go into the
+            // event stream, which is what the audit tests cross-check
+            // against the coordinator's ledger flags.
+            Lie::ClaimBg(claim) => {
                 span.emit(
                     "bg.divergence",
-                    fields![second = second, claimed = claim, metered = metered],
+                    fields![second = second, claimed = claim, metered = conv.admitted],
                 );
                 claim
             }
-            None => metered,
+            _ => conv.admitted,
         };
-        self.bg_admitted.add(metered);
+        self.bg_admitted.add(conv.admitted);
         self.bg_reported.add(bg);
         self.seconds_reported.inc();
         (bg, echo_delta)
@@ -215,7 +206,7 @@ impl DataConn {
         let mut echoer = Echoer::new(transport)
             .with_key(measurement.key)
             .with_counters(relay.blast.clone(), relay.echoed_bytes.clone());
-        echoer.set_corrupt_echo(relay.cfg.corrupt_echo);
+        echoer.set_corrupt_echo(relay.cfg.lie == Lie::CorruptEcho);
         let t0 = Instant::now();
         let now = peer.snow(t0);
         let mut conn = DataConn {
@@ -305,7 +296,7 @@ impl procutil::peer::DataConn for DataConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashflow_obs::EventSink;
+    use flashflow_obs::{Event, EventSink};
     use flashflow_proto::blast::{BlastParser, TrafficSource};
     use flashflow_proto::transport::Transport;
     use procutil::peer::{DataConn as _, Settings};
@@ -314,30 +305,106 @@ mod tests {
     use std::sync::Mutex;
     use std::time::Duration;
 
-    #[test]
-    fn one_late_tick_reports_two_seconds_each_within_the_allowance() {
+    /// A JSONL sink into a shared buffer, and the events it holds.
+    fn captured() -> (EventSink, impl Fn() -> Vec<Event>) {
+        #[derive(Clone)]
+        struct Shared(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for Shared {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().expect("buffer").extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
+        let sink = EventSink::new().with_jsonl(Box::new(buf.clone()));
+        let events = move || {
+            let text = String::from_utf8(buf.0.lock().expect("buffer").clone()).expect("utf-8");
+            text.lines().map(|l| Event::parse_json_line(l).expect("event line")).collect()
+        };
+        (sink, events)
+    }
+
+    /// One conversation of a relay offering `background` B/s under
+    /// `allowance`: its reports of `seconds`, asked in that order, the
+    /// events it emitted and its `relay.bg.admitted_bytes`.
+    fn reports(
+        lie: Lie,
+        background: u64,
+        allowance: u64,
+        seconds: &[u32],
+    ) -> (Vec<(u64, u64)>, Vec<Event>, u64) {
         let registry = MetricsRegistry::new();
-        let relay = Relay::new(Config { background: 40_000, ..Config::default() }, &registry);
-        let span = Span::root(EventSink::new());
+        let relay = Relay::new(Config { background, lie }, &registry);
+        let (sink, events) = captured();
+        let span = Span::root(sink);
         let peer = Peer::new(Settings::default(), relay, span.clone());
         let relay = &peer.role;
-        let spec = MeasureSpec { slot_secs: 3, rate_cap: 20_000, ..MeasureSpec::default() };
+        let spec = MeasureSpec { slot_secs: 4, rate_cap: allowance, ..MeasureSpec::default() };
         let mut conv = relay.conversation();
         relay.on_command(&mut conv, &span, &spec);
-        Relay::on_start(&peer, &mut conv, &span, &spec, SimTime::from_secs(5));
-        relay.drive(&mut conv, &span, SimTime::from_secs_f64(5.9), true);
-        // The shard stalls: the next step lands 2.3 s into the slot and
-        // owes two reports at once.
-        relay.drive(&mut conv, &span, SimTime::from_secs_f64(7.3), true);
-        let first = relay.second_report(&mut conv, &span, 0);
-        let second = relay.second_report(&mut conv, &span, 1);
-        assert_eq!((first, second), ((20_000, 0), (20_000, 0)), "cap is 20 kB/s");
-        // A report the library paces a hair ahead of the meter's clock
-        // still gets its whole second, and the meter does not recount it.
-        let third = relay.second_report(&mut conv, &span, 2);
-        relay.drive(&mut conv, &span, SimTime::from_secs_f64(8.5), true);
-        assert_eq!(third, (20_000, 0));
-        assert_eq!(conv.meter.admitted_total(), 70_000);
+        Relay::on_start(&peer, &mut conv, &span, &spec, SimTime::ZERO);
+        let got = seconds.iter().map(|&j| relay.second_report(&mut conv, &span, j)).collect();
+        (got, events(), relay.bg_admitted.get())
+    }
+
+    #[test]
+    fn every_reported_second_admits_min_of_background_and_allowance() {
+        for (background, allowance, admitted) in
+            [(40_000, 20_000, 20_000), (10_000, 50_000, 10_000), (40_000, 0, 40_000), (0, 9, 0)]
+        {
+            // A report depends on neither when nor in which order the
+            // library asks for it (a stalled shard asks for several at once).
+            for seconds in [[0, 1, 2, 3], [3, 0, 2, 1]] {
+                let (got, events, total) = reports(Lie::Honest, background, allowance, &seconds);
+                assert!(
+                    got.iter().all(|&r| r == (admitted, 0)),
+                    "{background}/{allowance}: {got:?}"
+                );
+                assert_eq!(total, 4 * admitted);
+                let go = events.iter().find(|e| e.kind == "session.go").expect("session.go");
+                assert_eq!(go.u64_field("bg_rate"), Some(admitted));
+                assert!(events.iter().all(|e| e.kind != "bg.divergence"), "{events:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_claiming_relay_reports_its_claim_and_logs_the_admitted_rate() {
+        let (got, events, total) = reports(Lie::ClaimBg(90_000), 40_000, 20_000, &[0, 1]);
+        assert_eq!(got, [(90_000, 0), (90_000, 0)]);
+        assert_eq!(total, 2 * 20_000, "the metric counts what was admitted, not the claim");
+        let divergences: Vec<_> = events.iter().filter(|e| e.kind == "bg.divergence").collect();
+        assert_eq!(divergences.len(), 2);
+        for (second, event) in divergences.iter().enumerate() {
+            assert_eq!(event.u64_field("second"), Some(second as u64));
+            assert_eq!(event.u64_field("claimed"), Some(90_000));
+            assert_eq!(event.u64_field("metered"), Some(20_000));
+        }
+    }
+
+    #[test]
+    fn a_relay_tells_at_most_one_lie() {
+        let parse = |args: &[&str]| {
+            let mut cfg = Config::default();
+            let args = args.iter().map(|a| (*a).to_string());
+            Settings::parse(args, crate::USAGE, &mut |k, v| Relay::apply(&mut cfg, k, v))
+                .map(|_| cfg.lie)
+        };
+        assert_eq!(parse(&[]), Ok(Lie::Honest));
+        assert_eq!(parse(&["--claim-bg", "7"]), Ok(Lie::ClaimBg(7)));
+        assert_eq!(parse(&["--corrupt-echo", "true"]), Ok(Lie::CorruptEcho));
+        assert_eq!(parse(&["--corrupt-echo", "false"]), Ok(Lie::Honest));
+        assert_eq!(parse(&["--corrupt-echo", "true", "--corrupt-echo", "false"]), Ok(Lie::Honest));
+        assert_eq!(parse(&["--claim-bg", "7", "--corrupt-echo", "false"]), Ok(Lie::ClaimBg(7)));
+        for both in [
+            &["--claim-bg", "7", "--corrupt-echo", "true"],
+            &["--corrupt-echo", "true", "--claim-bg", "7"],
+        ] {
+            assert_eq!(parse(both), Err(TWO_LIES.to_string()), "{both:?}");
+        }
     }
 
     /// This thread's CPU time (user + system) in seconds, from its

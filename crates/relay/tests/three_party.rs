@@ -590,38 +590,61 @@ fn a_staged_round_that_cannot_dial_never_freezes_the_running_one() {
         source
     };
 
-    let reference = run(10, LaterDials::Piped);
-    for peers in &reference.peers {
-        assert!(peers.as_ref().expect("round ended").all_clean(), "{:?}", reference.events);
+    // Scheduler noise only ever adds lag, so each side's least lag over
+    // a few runs is what the two are compared by: a bad dial that holds
+    // the running round back delays it in every run.
+    const RUNS: u64 = 3;
+    const SLACK: f64 = 0.002; // two loop waits
+    let mut reference_lag = f64::INFINITY;
+    for ix in 0..RUNS {
+        let reference = run(10 + 2 * ix, LaterDials::Piped);
+        for peers in &reference.peers {
+            assert!(peers.as_ref().expect("round ended").all_clean(), "{:?}", reference.events);
+        }
+        reference_lag = reference_lag.min(reference.done_lag());
     }
     for (base, later, reason) in [
         (20, LaterDials::Refused, AbortReason::ConnectionLost),
         (30, LaterDials::Unanswered, AbortReason::HandshakeTimeout),
     ] {
-        let bad = run(base, later);
-        let [Some(running), Some(staged)] = &bad.peers[..] else { panic!("{later:?}: unfinished") };
-        assert!(running.all_clean(), "{later:?}: the running round degraded: {:?}", bad.events);
-        // Only the staged item failed: its measurer-1 session, and — when
-        // that session holds the item's `Go` until the handshake timeout
-        // — possibly the armed peers that waited with it.
-        let failed: Vec<_> = bad
-            .events
-            .iter()
-            .filter_map(|(r, _, e)| match e {
-                EngineEvent::PeerFailed { peer, reason } => Some((*r, peer.index(), *reason)),
-                _ => None,
-            })
-            .collect();
-        assert!(failed.contains(&(1, 1, reason)), "{later:?}: {failed:?}");
-        assert!(failed.iter().all(|&(round, ..)| round == 1), "{later:?}: {failed:?}");
-        assert!(!staged.item_clean(0), "{later:?}: the staged item must degrade");
+        let mut lags = Vec::new();
+        // A run within the bound settles the least lag; only noise makes
+        // a second or third run necessary.
+        for ix in 0..RUNS {
+            let bad = run(base + 2 * ix, later);
+            let [Some(running), Some(staged)] = &bad.peers[..] else {
+                panic!("{later:?}: unfinished")
+            };
+            assert!(running.all_clean(), "{later:?}: the running round degraded: {:?}", bad.events);
+            // Only the staged item failed: its measurer-1 session, and —
+            // when that session holds the item's `Go` until the handshake
+            // timeout — possibly the armed peers that waited with it.
+            let failed: Vec<_> = bad
+                .events
+                .iter()
+                .filter_map(|(r, _, e)| match e {
+                    EngineEvent::PeerFailed { peer, reason } => Some((*r, peer.index(), *reason)),
+                    _ => None,
+                })
+                .collect();
+            assert!(failed.contains(&(1, 1, reason)), "{later:?}: {failed:?}");
+            assert!(failed.iter().all(|&(round, ..)| round == 1), "{later:?}: {failed:?}");
+            assert!(!staged.item_clean(0), "{later:?}: the staged item must degrade");
+            lags.push(bad.done_lag());
+            if bad.done_lag() <= reference_lag + SLACK {
+                break;
+            }
+        }
         // The running round's peers finished when they finish without
-        // the bad dial (within two loop waits).
-        let (lag, reference_lag) = (bad.done_lag(), reference.done_lag());
+        // the bad dial.
+        let lag = lags.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(
-            lag <= reference_lag + 0.002,
-            "{later:?}: round 0 ended {:.2} ms after its Go, {:.2} ms without the bad dial",
+            lag <= reference_lag + SLACK,
+            "{later:?}: round 0 ended at least {:.2} ms after its Go over {} runs ({:.2?} ms), \
+             {:.2} ms without the bad dial",
             lag * 1e3,
+            lags.len(),
+            lags.iter().map(|l| l * 1e3).collect::<Vec<_>>(),
             reference_lag * 1e3
         );
     }

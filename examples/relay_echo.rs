@@ -14,8 +14,7 @@
 
 use flashflow_repro::core::proto_driver::{run_in_memory, PeerBehaviour};
 use flashflow_repro::proto::blast::{
-    binding_nonce, secret_channel_key, BackgroundMeter, BlastParser, ByteCounter, Echoer,
-    TrafficSource,
+    binding_nonce, secret_channel_key, BlastParser, ByteCounter, Echoer, TrafficSource,
 };
 use flashflow_repro::proto::msg::{MeasureSpec, PeerRole, TargetEndpoint, FINGERPRINT_LEN};
 use flashflow_repro::proto::session::MeasurerAction;
@@ -46,7 +45,9 @@ struct EchoTopology {
     nonce: u64,
     key: u64,
     measurers: Vec<Measurer>,
-    meter: BackgroundMeter,
+    /// The relay's admitted background: `BG_OFFERED`, capped at the
+    /// commanded allowance for the whole slot.
+    bg: u64,
     relay_echoed: ByteCounter,
 }
 
@@ -72,7 +73,6 @@ impl PeerBehaviour for EchoTopology {
         }
         // Bytes echoed before the relay's Start are dropped by `start`.
         self.relay_echoed.add(now, relay_echo_delta);
-        self.meter.tick(now);
     }
 
     fn act(&mut self, peer: usize, action: MeasurerAction, now: SimTime) {
@@ -83,12 +83,10 @@ impl PeerBehaviour for EchoTopology {
             (None, MeasurerAction::Prepare { spec }) => {
                 assert_eq!(binding_nonce(spec.measurement_secret), self.nonce);
                 assert_eq!(secret_channel_key(spec.measurement_secret), self.key);
-                self.meter.set_cap(spec.rate_cap);
+                self.bg =
+                    if spec.rate_cap == 0 { BG_OFFERED } else { BG_OFFERED.min(spec.rate_cap) };
             }
-            (None, MeasurerAction::Start { .. }) => {
-                self.meter.start(now);
-                self.relay_echoed.start(now);
-            }
+            (None, MeasurerAction::Start { .. }) => self.relay_echoed.start(now),
             // A measurer dials its own echo lane at Go (a fresh Duplex
             // stands in for the TCP dial to the relay's listener).
             (Some(m), MeasurerAction::Start { spec }) => {
@@ -110,10 +108,7 @@ impl PeerBehaviour for EchoTopology {
         let j = j as usize;
         match self.measurers.get(peer) {
             Some(m) => Some((0, *m.verified.completed().get(j)?)),
-            None => Some((
-                *self.meter.completed_seconds().get(j)?,
-                *self.relay_echoed.completed().get(j)?,
-            )),
+            None => Some((self.bg, *self.relay_echoed.completed().get(j)?)),
         }
     }
 }
@@ -150,7 +145,7 @@ fn main() {
                 verified: ByteCounter::new(),
             })
             .collect(),
-        meter: BackgroundMeter::new(BG_OFFERED),
+        bg: BG_OFFERED,
         relay_echoed: ByteCounter::new(),
     };
     let run = run_in_memory(&mut topology, &peers, &mut SimRng::seed_from_u64(7));
