@@ -1,7 +1,11 @@
 //! The period loop: recover → schedule → measure → journal → consensus.
 //!
-//! [`run_period`] drives one full roster pass against live
-//! `flashflow-measurer` / `flashflow-relay` processes. It is restart
+//! [`run_period`] drives one full roster pass through its round
+//! [`Executor`]: `flashflow-coord` runs the rounds against live
+//! `flashflow-measurer` / `flashflow-relay` processes
+//! ([`flashflow_core::echo::run_rounds`]), and a test can run the same
+//! period with no process, socket or wall clock
+//! ([`flashflow_core::proto_driver::simulate_rounds`]). It is restart
 //! shaped end to end:
 //!
 //! * before commanding anything it replays the journal
@@ -19,8 +23,8 @@
 //!   leaves, and its `ItemDone`s plus `RoundDone` are one write once
 //!   the round has ended.
 //!
-//! Rounds are staged and finalized one at a time on
-//! [`flashflow_core::echo::run_rounds`]' slot clock, two in flight: the
+//! Rounds are staged and finalized one at a time on the round loop's
+//! slot clock, two in flight: the
 //! next round is planned, journaled and handshaken while the current
 //! one blasts, and the current one's reports, ledger and completions
 //! are handled during the next one's slot. So the journal can hold
@@ -42,7 +46,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use flashflow_core::echo::{run_rounds, EchoDeployment, EchoItem, RoundSource};
+use flashflow_core::echo::{EchoDeployment, EchoItem, RoundSource};
 use flashflow_core::engine::{EngineEvent, EngineSnapshot};
 // Lowercase hex of a fingerprint; `flashflow-perf` imports it by this path.
 pub use flashflow_core::observe::hex_fp as hex;
@@ -130,6 +134,18 @@ impl CoordMetrics {
     }
 }
 
+/// How [`run_period`] runs its rounds.
+pub struct Executor<'a> {
+    /// Runs every round the source hands out, to the end:
+    /// [`flashflow_core::echo::run_rounds`] over the deployment and a
+    /// pool, or [`flashflow_core::proto_driver::simulate_rounds`].
+    pub rounds: &'a mut dyn FnMut(&mut dyn RoundSource),
+    /// The pool the rounds check their connections out of, whose
+    /// counters each round's audit reports (`pool.stats`); `None` for
+    /// rounds with no sockets.
+    pub pool: Option<&'a ConnectionPool>,
+}
+
 /// What one [`run_period`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeriodOutcome {
@@ -152,8 +168,8 @@ pub struct PeriodOutcome {
 }
 
 /// Runs one measurement period: walks the remainder of `roster` (built
-/// from `cfg`'s source, seed and size) in rounds against the
-/// deployment's processes, journaling every step, and —
+/// from `cfg`'s source, seed and size) in rounds of `deployment`'s
+/// peers on `executor`, journaling every step, and —
 /// when the roster completes — votes and writes the consensus.
 /// `draining` is polled before each round is staged (SIGTERM lets the
 /// staged rounds finish and leaves a resumable journal rather than
@@ -167,7 +183,7 @@ pub fn run_period(
     cfg: &DaemonConfig,
     roster: &Roster,
     deployment: &EchoDeployment,
-    pool: &ConnectionPool,
+    executor: Executor<'_>,
     span: &Span,
     metrics: &CoordMetrics,
     draining: &dyn Fn() -> bool,
@@ -221,7 +237,7 @@ pub fn run_period(
     let mut walk = RosterWalk {
         cfg,
         deployment,
-        pool,
+        pool: executor.pool,
         span,
         metrics,
         draining,
@@ -241,7 +257,7 @@ pub fn run_period(
         drained: false,
         error: None,
     };
-    run_rounds(deployment, pool, &mut walk);
+    (executor.rounds)(&mut walk);
     let closing = Instant::now();
     let RosterWalk { measured, resumed, rounds_run, done, drained, error, .. } = walk;
     if let Some(e) = error {
@@ -312,7 +328,7 @@ struct RosterWalk<'a> {
     cfg: &'a DaemonConfig,
     roster: &'a Roster,
     deployment: &'a EchoDeployment,
-    pool: &'a ConnectionPool,
+    pool: Option<&'a ConnectionPool>,
     span: &'a Span,
     metrics: &'a CoordMetrics,
     draining: &'a dyn Fn() -> bool,
@@ -427,7 +443,7 @@ impl RoundSource for RosterWalk<'_> {
             return;
         };
         let ratio = self.deployment.ratio;
-        spans.audit(&items, &peers, &self.pool.stats(), ratio);
+        spans.audit(&items, &peers, self.pool.map(ConnectionPool::stats).as_ref(), ratio);
         if self.error.is_some() {
             return;
         }

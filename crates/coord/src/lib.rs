@@ -22,7 +22,8 @@
 //!   `Auth` that no peer's replay window has seen, whether the peer
 //!   kept running or restarted too.
 //! * [`daemon`] — the period loop itself: recover → plan rounds →
-//!   [`run_rounds`](flashflow_core::echo::run_rounds), which stages
+//!   the round loop it is handed ([`run_rounds`](flashflow_core::echo::run_rounds)
+//!   over processes, or the same loop in memory), which stages
 //!   round n+1 while round n blasts → journal every item (one fsync as
 //!   a round is staged, one as it ends) → vote a consensus through
 //!   `flashflow-tornet`'s [`DirAuths`](flashflow_tornet::consensus::DirAuths)

@@ -38,9 +38,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use flashflow_coord::daemon::{run_period, CoordMetrics, DaemonConfig};
+use flashflow_coord::daemon::{run_period, CoordMetrics, DaemonConfig, Executor};
 use flashflow_coord::roster::RosterSource;
-use flashflow_core::echo::{EchoDeployment, EchoMeasurer};
+use flashflow_core::echo::{run_rounds, EchoDeployment, EchoMeasurer, RoundSource};
 use flashflow_core::pool::ConnectionPool;
 use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
 use flashflow_procutil as procutil;
@@ -301,11 +301,13 @@ fn main() {
     let pool = ConnectionPool::new();
     let mut exit = 0;
     loop {
+        let mut sockets = |walk: &mut dyn RoundSource| run_rounds(&deployment, &pool, walk);
+        let executor = Executor { rounds: &mut sockets, pool: Some(&pool) };
         match run_period(
             &dcfg,
             &roster,
             &deployment,
-            &pool,
+            executor,
             &span,
             &metrics,
             &procutil::drain_requested,

@@ -34,25 +34,23 @@
 //!   session handshake timeout, so an armed session never waits for its
 //!   `Go` longer than its own timeout allows.
 //!
-//! Both rounds' engines are stepped together, and between steps the
-//! loop waits in `epoll_pwait2` on one set holding both rounds' control
-//! sockets: a peer's frame is answered when it lands, and the wait is
-//! at most a millisecond, less when a `Go` gate or a staging time falls
-//! due sooner. The wait has the kernel timer's resolution, so the loop
-//! sleeps up to a gate rather than polling. Dials never block (see
-//! [`crate::pool`]): a connecting socket is watched for write
-//! readiness, and a dial that is refused or never answered degrades
-//! only its own item. If the socket set fails, only the rounds in
-//! flight abort.
+//! The loop is written once over its link layer: how a peer is
+//! connected, what time it is, and how the loop waits between steps.
+//! Over sockets it waits in `epoll_pwait2` on one set holding both
+//! rounds' control sockets, at most a millisecond and less when a `Go`
+//! gate or a staging time falls due sooner: a peer's frame is answered
+//! when it lands, and the loop sleeps up to a gate rather than polling.
+//! Dials never block (see [`crate::pool`]); a dial that is refused or
+//! never answered degrades only its own item, and a failed socket set
+//! aborts only the rounds in flight. [`crate::proto_driver`] runs the
+//! same loop on in-memory links and a simulated clock.
 //!
 //! A source may have no round when asked and one once a round ends (a
 //! re-measurement planned from the results), so the loop asks again
-//! after every round it finishes.
-//! [`run_round`] is the one-round case of the same loop. Either way a
-//! round's record is the [`EngineSnapshot`] it ends with: item `g`'s
-//! estimate, audit rows and cleanliness are read off it directly, and
-//! [`crate::observe::RoundSpans`] mirrors the round's events and that
-//! audit onto telemetry.
+//! after every round it finishes. [`run_round`] is the one-round case.
+//! Either way a round's record is the [`EngineSnapshot`] it ends with,
+//! and [`crate::observe::RoundSpans`] mirrors its events and audit onto
+//! telemetry.
 
 use std::io;
 use std::net::SocketAddr;
@@ -63,16 +61,11 @@ use flashflow_proto::msg::{
     AbortReason, MeasureSpec, PeerRole, TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN,
 };
 use flashflow_proto::session::{CoordPhase, CoordinatorSession, SessionTimeouts};
-use flashflow_simnet::time::{SimDuration, SimTime};
-
 use flashflow_proto::transport::{Duplex, Transport};
+use flashflow_simnet::time::{SimDuration, SimTime};
 
 use crate::engine::{EngineBuilder, EngineEvent, EngineSnapshot, MeasurementEngine};
 use crate::pool::{ChannelKind, ConnectionPool, ReuseHandle};
-
-/// What the round loop keeps of a checked-out peer: the grant it
-/// approves reuse through, and the socket it waits on.
-type Dialed = (ReuseHandle, i32);
 
 /// One measurer process the deployment commands.
 #[derive(Debug, Clone, Copy)]
@@ -112,7 +105,7 @@ impl EchoDeployment {
         SocketAddr::from((self.relay.ip, self.relay.port))
     }
 
-    fn timeouts(&self) -> SessionTimeouts {
+    pub(crate) fn timeouts(&self) -> SessionTimeouts {
         // Sped-up clocks shrink the default timeouts to fractions of a
         // wall second — too tight for a loaded CI box. Scale them so
         // only the hard deadline bounds a genuinely wedged run.
@@ -184,48 +177,34 @@ fn peer_nonce(secret: u64, peer_ix: u32, attempt: u32) -> u64 {
     secret ^ (0xEC40_0000 + u64::from(peer_ix)) ^ (u64::from(attempt) << 32)
 }
 
-/// A checked-out connection to a peer, or the degraded stand-in for a
-/// peer that could not be dialed: a pre-closed in-memory end, so the
-/// session fails with `ConnectionLost` on its first send and the item
-/// *degrades* (that peer's samples quarantined, everyone else's kept)
-/// instead of panicking the coordinator and killing the whole period.
-fn checkout_or_dead(
-    pool: &ConnectionPool,
-    addr: SocketAddr,
-) -> (Box<dyn Transport>, Option<Dialed>) {
-    match pool.checkout(addr, ChannelKind::Control) {
-        Ok(conn) => {
-            let dialed = (conn.reuse_handle(), conn.raw_fd());
-            (Box::new(conn) as Box<dyn Transport>, Some(dialed))
-        }
-        Err(e) => {
-            eprintln!("echo item: dialing {addr} failed ({e}); peer degraded");
-            let (a, mut b) = Duplex::loopback().into_endpoints();
-            b.close();
-            (Box::new(a), None)
-        }
-    }
+/// One peer the round loop connects: where it listens, the token it
+/// expects, and which conversation of its item it is.
+pub(crate) struct Dial {
+    pub(crate) addr: SocketAddr,
+    pub(crate) token: [u8; AUTH_TOKEN_LEN],
+    pub(crate) role: PeerRole,
+    pub(crate) relay_fp: [u8; FINGERPRINT_LEN],
+    /// Which of the deployment's measurers it is; `None` for the relay.
+    pub(crate) measurer: Option<usize>,
 }
 
 /// Adds one echo item to `builder` as engine item `g`: control sessions
-/// to every measurer and then the relay (always the item's last peer)
-/// over pooled connections, specs carrying the relay's data endpoint
-/// and the item's measurement secret. Each peer's reuse handle and fd
-/// (`None` for a peer whose dial failed — its session aborts with
-/// `ConnectionLost` and only this item degrades) is pushed onto
-/// `dialed` in peer order.
-fn add_item(
+/// to every measurer and then the relay (always the item's last peer),
+/// each over a transport `links` connects into `link`, specs carrying
+/// the relay's data endpoint and the item's measurement secret.
+fn add_item<L: Links>(
     builder: &mut EngineBuilder,
     g: usize,
     deployment: &EchoDeployment,
     item: &EchoItem,
-    pool: &ConnectionPool,
-    dialed: &mut Vec<Option<Dialed>>,
+    links: &mut L,
+    link: &mut L::Round,
 ) {
     let timeouts = deployment.timeouts();
     let mut add = |peer_ix: u32, addr, token, role, spec| {
-        let (conn, peer) = checkout_or_dead(pool, addr);
-        dialed.push(peer);
+        let measurer = (peer_ix as usize).checked_sub(1);
+        let conn =
+            links.connect(link, Dial { addr, token, role, relay_fp: item.relay_fp, measurer });
         let nonce = peer_nonce(item.measurement_secret, peer_ix, item.attempt);
         builder.add_peer(g, CoordinatorSession::new(token, role, spec, nonce, timeouts), conn);
     };
@@ -280,22 +259,162 @@ pub trait RoundSource {
     fn finished(&mut self, round: usize, peers: EngineSnapshot);
 }
 
-/// The poller token of peer `peer` of round `round`.
-fn token(round: usize, peer: usize) -> u64 {
-    ((round as u64) << 32) | peer as u64
+/// The world the round loop's peers live in: its clock, how a peer is
+/// connected, and how the loop waits between steps. [`drive`] is the
+/// same loop over [`Sockets`] and over `proto_driver`'s in-memory links.
+pub(crate) trait Links {
+    /// What the links keep of one round's peers.
+    type Round: Default;
+    /// The loop's clock.
+    fn now(&self) -> SimTime;
+    /// A control transport to `peer`, kept track of in `round`.
+    fn connect(&mut self, round: &mut Self::Round, peer: Dial) -> Box<dyn Transport>;
+    /// Round `round`'s engine is built over `link`'s transports.
+    fn watch(&mut self, _round: usize, _link: &mut Self::Round, _engine: &mut MeasurementEngine) {}
+    /// Waits for the peers of `rounds` until `wake` at the latest (the
+    /// next `Go` gate or staging time after `now`, if any). An error
+    /// aborts every round in flight.
+    fn wait(
+        &mut self,
+        now: SimTime,
+        rounds: &mut [Staged<Self::Round>],
+        wake: Option<SimTime>,
+    ) -> io::Result<()>;
+    /// A round ended; `engine` is its last state.
+    fn release(&mut self, _link: Self::Round, _engine: &MeasurementEngine) {}
 }
 
-/// One staged round: its engine, and what the loop tracks of it.
-struct Staged {
-    /// Staging order: what the source's callbacks name the round by.
-    round: usize,
-    engine: MeasurementEngine,
+/// Socket links: control connections checked out of a pool, every
+/// round's sockets in one `epoll` set, and the wall clock times the
+/// deployment's speedup.
+struct Sockets<'a> {
+    pool: &'a ConnectionPool,
+    /// Made when a round is staged with none; dropped when a wait fails.
+    poller: Option<Poller>,
+    ready: Vec<Event>,
+    t0: Instant,
+    speedup: f64,
+}
+
+/// What [`Sockets`] keeps of one round's peers.
+#[derive(Default)]
+struct SocketRound {
     /// Per peer, the grant that approves reuse (`None` for a degraded
     /// stand-in).
     reuse: Vec<Option<ReuseHandle>>,
     /// Per peer, the socket still watched, and whether it is armed for
     /// write readiness.
     watched: Vec<Option<(i32, bool)>>,
+}
+
+/// The poller token of peer `peer` of round `round`.
+fn token(round: usize, peer: usize) -> u64 {
+    ((round as u64) << 32) | peer as u64
+}
+
+impl Links for Sockets<'_> {
+    type Round = SocketRound;
+
+    fn now(&self) -> SimTime {
+        SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * self.speedup)
+    }
+
+    /// A checked-out connection, or the degraded stand-in for a peer
+    /// that could not be dialed: a pre-closed in-memory end, so the
+    /// session fails with `ConnectionLost` on its first send and the item
+    /// *degrades* (that peer's samples quarantined, everyone else's kept)
+    /// instead of panicking the coordinator and killing the whole period.
+    fn connect(&mut self, round: &mut SocketRound, peer: Dial) -> Box<dyn Transport> {
+        match self.pool.checkout(peer.addr, ChannelKind::Control) {
+            Ok(conn) => {
+                round.reuse.push(Some(conn.reuse_handle()));
+                round.watched.push(Some((conn.raw_fd(), false)));
+                Box::new(conn)
+            }
+            Err(e) => {
+                eprintln!("echo item: dialing {} failed ({e}); peer degraded", peer.addr);
+                round.reuse.push(None);
+                round.watched.push(None);
+                let (a, mut b) = Duplex::loopback().into_endpoints();
+                b.close();
+                Box::new(a)
+            }
+        }
+    }
+
+    /// Watches the round's sockets, making the set if there is none
+    /// (every round in flight without one was aborted). A round that
+    /// cannot watch its sockets aborts every session rather than step
+    /// blind.
+    fn watch(&mut self, round: usize, link: &mut SocketRound, engine: &mut MeasurementEngine) {
+        if self.poller.is_none() {
+            self.poller = Poller::new()
+                .map_err(|e| eprintln!("echo rounds: cannot watch the peer sockets ({e})"))
+                .ok();
+        }
+        let Some(poller) = &self.poller else {
+            link.watched.fill(None);
+            return engine.abort_all(AbortReason::Shutdown);
+        };
+        for peer in 0..link.watched.len() {
+            let Some((fd, _)) = link.watched[peer] else { continue };
+            if let Err(e) = poller.register(fd, token(round, peer), Interest::READ) {
+                eprintln!("echo round: cannot watch the peer sockets ({e}); round aborted");
+                link.watched[peer..].fill(None);
+                return engine.abort_all(AbortReason::Shutdown);
+            }
+        }
+    }
+
+    /// Re-arms every round's sockets, then waits in `epoll_pwait2` for
+    /// at most [`STEP_WAIT`], less if `wake` falls due sooner. A failed
+    /// wait drops the set; the next round staged makes a fresh one.
+    fn wait(
+        &mut self,
+        now: SimTime,
+        rounds: &mut [Staged<SocketRound>],
+        wake: Option<SimTime>,
+    ) -> io::Result<()> {
+        let Some(poller) = &self.poller else { return Ok(()) };
+        let timeout = wake.map_or(STEP_WAIT, |at| {
+            STEP_WAIT.min(Duration::from_secs_f64((at - now).as_secs_f64() / self.speedup))
+        });
+        let waited = rounds
+            .iter_mut()
+            .try_for_each(|round| round.rearm(poller))
+            .and_then(|()| poller.wait(&mut self.ready, timeout));
+        if waited.is_err() {
+            rounds.iter_mut().for_each(|round| round.link.watched.fill(None));
+            self.poller = None;
+        }
+        waited
+    }
+
+    /// Stops watching the round's sockets and parks what ended cleanly
+    /// (everything else really closes when the engine drops).
+    fn release(&mut self, link: SocketRound, engine: &MeasurementEngine) {
+        if let Some(poller) = &self.poller {
+            for &(fd, _) in link.watched.iter().flatten() {
+                let _ = poller.deregister(fd);
+            }
+        }
+        for (peer, handle) in engine.peers().zip(&link.reuse) {
+            if let Some(handle) = handle {
+                if engine.phase(peer) == CoordPhase::Done {
+                    handle.approve();
+                }
+            }
+        }
+    }
+}
+
+/// One staged round: its engine, what its links keep of its peers, and
+/// what the loop tracks of it.
+pub(crate) struct Staged<R> {
+    /// Staging order: what the source's callbacks name the round by.
+    round: usize,
+    engine: MeasurementEngine,
+    pub(crate) link: R,
     /// One slot on the loop's clock: the longest of its items'.
     slot: SimDuration,
     /// No `Go` of this round leaves before this.
@@ -306,24 +425,24 @@ struct Staged {
     last_go: Option<SimTime>,
 }
 
-impl Staged {
+impl<R> Staged<R> {
     /// Builds round `round`'s engine at `now` (queueing every `Auth`)
-    /// over connections checked out of `pool`, and watches their
-    /// sockets. A round that cannot watch its sockets aborts every
-    /// session rather than step blind.
-    fn stage(
+    /// over peers `links` connects, and has the links watch them.
+    fn stage<L: Links<Round = R>>(
+        links: &mut L,
         deployment: &EchoDeployment,
-        pool: &ConnectionPool,
-        poller: Option<&Poller>,
         round: usize,
         items: &[EchoItem],
         now: SimTime,
         gate: Option<SimTime>,
-    ) -> Staged {
+    ) -> Staged<R>
+    where
+        R: Default,
+    {
         let mut builder = MeasurementEngine::builder();
-        let mut dialed = Vec::new();
+        let mut link = R::default();
         for (g, item) in items.iter().enumerate() {
-            add_item(&mut builder, g, deployment, item, pool, &mut dialed);
+            add_item(&mut builder, g, deployment, item, links, &mut link);
         }
         let slot = items.iter().map(|item| item.slot_secs).max().unwrap_or(0);
         let slot = SimDuration::from_secs(u64::from(slot));
@@ -335,34 +454,8 @@ impl Staged {
             builder = builder.go_not_before(gate);
         }
         let mut engine = builder.build(now);
-        let mut watched = vec![None; dialed.len()];
-        let mut watch = |poller: &Poller| -> io::Result<()> {
-            for (peer, dialed) in dialed.iter().enumerate() {
-                if let Some((_, fd)) = *dialed {
-                    poller.register(fd, token(round, peer), Interest::READ)?;
-                    watched[peer] = Some((fd, false));
-                }
-            }
-            Ok(())
-        };
-        match poller.map(&mut watch) {
-            Some(Ok(())) => {}
-            Some(Err(e)) => {
-                eprintln!("echo round: cannot watch the peer sockets ({e}); round aborted");
-                engine.abort_all(AbortReason::Shutdown);
-            }
-            None => engine.abort_all(AbortReason::Shutdown),
-        }
-        Staged {
-            round,
-            engine,
-            reuse: dialed.into_iter().map(|d| d.map(|(handle, _)| handle)).collect(),
-            watched,
-            slot,
-            gate,
-            settled: vec![false; items.len()],
-            last_go: None,
-        }
+        links.watch(round, &mut link, &mut engine);
+        Staged { round, engine, link, slot, gate, settled: vec![false; items.len()], last_go: None }
     }
 
     /// One engine step at `now`, its events handed to `source`.
@@ -390,13 +483,25 @@ impl Staged {
         Some(self.last_go.map_or(SimTime::ZERO, |go| go + self.slot - lead))
     }
 
+    /// Ends a finished round: its links let its peers go, and its record
+    /// goes to `source`.
+    fn finish<L: Links<Round = R>>(self, links: &mut L, source: &mut dyn RoundSource) {
+        let Staged { round, engine, link, .. } = self;
+        links.release(link, &engine);
+        let peers = engine.snapshot();
+        drop(engine);
+        source.finished(round, peers);
+    }
+}
+
+impl Staged<SocketRound> {
     /// Drops the sockets of terminal sessions from the poller — a
     /// terminal endpoint no longer reads, so a socket its peer hung up on
     /// would stay readable and spin the loop — and arms the others for
     /// write readiness exactly while their transport holds a backlog: a
     /// connecting socket's queued `Auth`, or send-buffer backpressure.
     fn rearm(&mut self, poller: &Poller) -> io::Result<()> {
-        for (peer, watched) in self.engine.peers().zip(&mut self.watched) {
+        for (peer, watched) in self.engine.peers().zip(&mut self.link.watched) {
             let Some((fd, writable)) = *watched else { continue };
             if matches!(self.engine.phase(peer), CoordPhase::Done | CoordPhase::Failed) {
                 *watched = None;
@@ -413,35 +518,6 @@ impl Staged {
             }
         }
         Ok(())
-    }
-
-    /// Gives up on the poller: every session aborts (the round ends on
-    /// its next step), and no socket is watched any more.
-    fn abort_blind(&mut self) {
-        self.engine.abort_all(AbortReason::Shutdown);
-        self.watched.iter_mut().for_each(|watched| *watched = None);
-    }
-
-    /// Ends a finished round: stops watching its sockets, parks what
-    /// ended cleanly (everything else really closes when the engine
-    /// drops), and hands the round's record to `source`.
-    fn finish(self, poller: Option<&Poller>, source: &mut dyn RoundSource) {
-        let Staged { round, engine, reuse, watched, .. } = self;
-        if let Some(poller) = poller {
-            for &(fd, _) in watched.iter().flatten() {
-                let _ = poller.deregister(fd);
-            }
-        }
-        for (peer, handle) in engine.peers().zip(&reuse) {
-            if let Some(handle) = handle {
-                if engine.phase(peer) == CoordPhase::Done {
-                    handle.approve();
-                }
-            }
-        }
-        let peers = engine.snapshot();
-        drop(engine);
-        source.finished(round, peers);
     }
 }
 
@@ -461,7 +537,7 @@ fn hard_deadline(
 /// True if the loop may stage another round now: none is in flight, or
 /// the one in flight has every `Go` out and is close enough to its slot
 /// end. Never more than two rounds at once.
-fn may_stage(rounds: &[Staged], now: SimTime, lead: SimDuration) -> bool {
+fn may_stage<R>(rounds: &[Staged<R>], now: SimTime, lead: SimDuration) -> bool {
     match rounds {
         [] => true,
         [running] => running.next_stage_at(lead).is_some_and(|at| now >= at),
@@ -469,19 +545,61 @@ fn may_stage(rounds: &[Staged], now: SimTime, lead: SimDuration) -> bool {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// How many of the round loop's next waits fail on purpose.
-    static FAIL_WAITS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// `poller.wait`, which a test can make fail.
-fn wait_on(poller: &Poller, ready: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-    #[cfg(test)]
-    if FAIL_WAITS.with(|left| left.replace(left.get().saturating_sub(1))) > 0 {
-        return Err(io::Error::other("injected wait failure"));
+/// The round loop over `links`: [`run_rounds`] over sockets, and
+/// `proto_driver`'s in-memory rounds.
+pub(crate) fn drive<L: Links>(
+    links: &mut L,
+    deployment: &EchoDeployment,
+    source: &mut dyn RoundSource,
+) {
+    let lead = deployment.timeouts().handshake / 2;
+    let mut rounds: Vec<Staged<L::Round>> = Vec::with_capacity(2);
+    let mut staged = 0;
+    // The source had no round when last asked; a round ending may give
+    // it one (a re-measurement), so every finished round clears this.
+    let mut exhausted = false;
+    loop {
+        let now = links.now();
+        // Newest first: at a gate, the staged round's `Go` leaves before
+        // the running round's tail is read.
+        for round in rounds.iter_mut().rev() {
+            round.step(now, source);
+        }
+        let (done, running): (Vec<_>, Vec<_>) =
+            rounds.into_iter().partition(|round| round.engine.is_finished());
+        rounds = running;
+        for round in done {
+            round.finish(links, source);
+            exhausted = false;
+        }
+        if !exhausted && may_stage(&rounds, now, lead) {
+            match source.next_round() {
+                Some(items) => {
+                    // The slot clock: the new round starts its slot when
+                    // the running one's ends.
+                    let gate = rounds.first().and_then(|r| r.last_go.map(|go| go + r.slot));
+                    rounds.push(Staged::stage(links, deployment, staged, &items, now, gate));
+                    staged += 1;
+                    // Step at once: the new round's `Auth`s go out now.
+                    continue;
+                }
+                None => exhausted = true,
+            }
+        }
+        if rounds.is_empty() {
+            break;
+        }
+        // Wake for the next frame, a `Go` gate, or the next staging.
+        let staging = match (&rounds[..], exhausted) {
+            ([running], false) => running.next_stage_at(lead),
+            _ => None,
+        };
+        let wake = rounds.iter().filter_map(|r| r.gate).chain(staging).filter(|&at| at > now).min();
+        if let Err(e) = links.wait(now, &mut rounds, wake) {
+            eprintln!("echo rounds: waiting on the peer sockets failed ({e}); rounds aborted");
+            rounds.iter_mut().for_each(|round| round.engine.abort_all(AbortReason::Shutdown));
+        }
     }
-    poller.wait(ready, timeout)
 }
 
 /// Runs `source`'s rounds against `deployment` on the calling thread,
@@ -501,94 +619,19 @@ pub fn run_rounds(
     pool: &ConnectionPool,
     source: &mut dyn RoundSource,
 ) {
-    let mut poller: Option<Poller> = None;
-    let mut ready: Vec<Event> = Vec::new();
-    let lead = deployment.timeouts().handshake / 2;
     let speedup = deployment.speedup;
-    let t0 = Instant::now();
-    let mut rounds: Vec<Staged> = Vec::with_capacity(2);
-    let mut staged = 0;
-    // The source had no round when last asked; a round ending may give
-    // it one (a re-measurement), so every finished round clears this.
-    let mut exhausted = false;
-    loop {
-        let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * speedup);
-        // Newest first: at a gate, the staged round's `Go` leaves before
-        // the running round's tail is read.
-        for round in rounds.iter_mut().rev() {
-            round.step(now, source);
-        }
-        let (done, running): (Vec<Staged>, Vec<Staged>) =
-            rounds.into_iter().partition(|round| round.engine.is_finished());
-        rounds = running;
-        for round in done {
-            round.finish(poller.as_ref(), source);
-            exhausted = false;
-        }
-        if !exhausted && may_stage(&rounds, now, lead) {
-            match source.next_round() {
-                Some(items) => {
-                    // Every round in flight without a poller was aborted,
-                    // so a fresh one only has to watch the new round.
-                    if poller.is_none() {
-                        poller = Poller::new()
-                            .map_err(|e| {
-                                eprintln!("echo rounds: cannot watch the peer sockets ({e})");
-                            })
-                            .ok();
-                    }
-                    // The slot clock: the new round starts its slot when
-                    // the running one's ends.
-                    let gate = rounds.first().and_then(|r| r.last_go.map(|go| go + r.slot));
-                    let round =
-                        Staged::stage(deployment, pool, poller.as_ref(), staged, &items, now, gate);
-                    rounds.push(round);
-                    staged += 1;
-                    // Step at once: the new round's `Auth`s go out now.
-                    continue;
-                }
-                None => exhausted = true,
-            }
-        }
-        if rounds.is_empty() {
-            break;
-        }
-        // Wake for the next frame, a `Go` gate, or the next staging.
-        let mut wait = STEP_WAIT;
-        let mut until = |at: SimTime| {
-            if at > now {
-                wait = wait.min(Duration::from_secs_f64((at - now).as_secs_f64() / speedup));
-            }
-        };
-        for round in &rounds {
-            round.gate.into_iter().for_each(&mut until);
-        }
-        if let ([running], false) = (&rounds[..], exhausted) {
-            running.next_stage_at(lead).into_iter().for_each(&mut until);
-        }
-        let Some(watching) = &poller else { continue };
-        let waited = rounds
-            .iter_mut()
-            .try_for_each(|round| round.rearm(watching))
-            .and_then(|()| wait_on(watching, &mut ready, wait));
-        if let Err(e) = waited {
-            eprintln!("echo rounds: waiting on the peer sockets failed ({e}); rounds aborted");
-            rounds.iter_mut().for_each(Staged::abort_blind);
-            poller = None;
-        }
-    }
+    let mut sockets =
+        Sockets { pool, poller: None, ready: Vec::new(), t0: Instant::now(), speedup };
+    drive(&mut sockets, deployment, source);
 }
 
-/// Runs one round of echo items to completion on the calling thread:
-/// [`run_rounds`] with a source of one round. `emit` sees every engine
-/// event, in engine order, as it happens. The returned snapshot is the
-/// round's record, detached so the engine could be dropped (which is
-/// what hands the clean connections back to `pool`).
-pub fn run_round(
-    deployment: &EchoDeployment,
+/// One round of `items`, run by `run` as a source of one round. `emit`
+/// sees every engine event, in engine order, as it happens; the round's
+/// record is returned.
+pub(crate) fn one_round(
     items: &[EchoItem],
-    pool: &ConnectionPool,
     emit: &mut dyn FnMut(EngineEvent),
+    run: impl FnOnce(&mut dyn RoundSource),
 ) -> EngineSnapshot {
     struct One<'a> {
         items: Option<Vec<EchoItem>>,
@@ -607,110 +650,60 @@ pub fn run_round(
         }
     }
     let mut one = One { items: Some(items.to_vec()), emit, peers: None };
-    run_rounds(deployment, pool, &mut one);
+    run(&mut one);
     one.peers.expect("the loop stages its first round and runs it to the end")
+}
+
+/// Runs one round of echo items to completion on the calling thread:
+/// [`run_rounds`] with a source of one round. `emit` sees every engine
+/// event, in engine order, as it happens. The returned snapshot is the
+/// round's record, detached so the engine could be dropped (which is
+/// what hands the clean connections back to `pool`).
+pub fn run_round(
+    deployment: &EchoDeployment,
+    items: &[EchoItem],
+    pool: &ConnectionPool,
+    emit: &mut dyn FnMut(EngineEvent),
+) -> EngineSnapshot {
+    one_round(items, emit, |one| run_rounds(deployment, pool, one))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    use flashflow_proto::endpoint::Endpoint;
-    use flashflow_proto::session::{MeasurerAction, MeasurerSession};
-    use flashflow_proto::tcp::TcpTransport;
-    use flashflow_proto::transport::LeasedTransport;
+    use crate::proto_driver::{
+        simulate_rounds, InMemory, PeerBehaviour, Scripted, ScriptedRelay, SimPeer,
+    };
+    use flashflow_proto::session::MeasurerAction;
 
     const TOKEN: [u8; AUTH_TOKEN_LEN] = [0x5A; AUTH_TOKEN_LEN];
     const SPEEDUP: f64 = 20.0;
     const SLOT_SECS: u32 = 4;
+    const FP: [u8; FINGERPRINT_LEN] = [1; FINGERPRINT_LEN];
 
-    /// A stand-in peer process on threads: serves `role` conversations
-    /// back to back on every connection it accepts, reporting one second
-    /// per sped-up second after `Go` (or, if `flood`, the whole slot at
-    /// `Go`), until `stop`.
-    fn peer(role: PeerRole, flood: bool, stop: &Arc<AtomicBool>) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let stop = Arc::clone(stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let stop = Arc::clone(&stop);
-                        std::thread::spawn(move || converse(stream, role, flood, &stop));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        });
-        addr
-    }
-
-    fn converse(stream: TcpStream, role: PeerRole, flood: bool, stop: &AtomicBool) {
-        let mut leased = LeasedTransport::new(TcpTransport::from_stream(stream).expect("wrap"));
-        let t0 = Instant::now();
-        for id in 0.. {
-            let session = MeasurerSession::new(TOKEN, role, id, SessionTimeouts::default());
-            let mut endpoint = Endpoint::new(session, leased);
-            let mut started = None;
-            let mut reported = 0;
-            while !endpoint.is_terminal() {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64());
-                endpoint.pump(now);
-                while let Some(action) = endpoint.session_mut().poll_action() {
-                    if let MeasurerAction::Start { spec } = action {
-                        started = Some((Instant::now(), spec.slot_secs));
-                    }
-                }
-                if let Some((go, slot)) = started {
-                    let due =
-                        if flood { slot } else { (go.elapsed().as_secs_f64() * SPEEDUP) as u32 };
-                    while reported < slot.min(due) && !endpoint.is_terminal() {
-                        endpoint.session_mut().report_second(0, 1_000);
-                        reported += 1;
-                    }
-                }
-                endpoint.tick(now);
-                endpoint.flush(now);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            leased = endpoint.into_parts().1;
-            if !leased.inner_mut().is_reusable() {
-                return;
-            }
-        }
-    }
-
-    /// A deployment of one stand-in measurer and a stand-in relay, both
-    /// serving until `stop`.
-    fn deployment(stop: &Arc<AtomicBool>) -> EchoDeployment {
-        let measurer = EchoMeasurer {
-            addr: peer(PeerRole::Measurer, false, stop),
-            token: TOKEN,
-            rate_cap: 1_000,
-            sockets: 1,
-        };
-        let relay = TargetEndpoint::from_addr(peer(PeerRole::Target, false, stop)).expect("IPv4");
+    /// A deployment of one measurer and the relay, both in memory.
+    fn deployment() -> EchoDeployment {
+        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
+        let measurer = EchoMeasurer { addr, token: TOKEN, rate_cap: 1_000, sockets: 1 };
         EchoDeployment {
             measurers: vec![measurer],
-            relay,
+            relay: TargetEndpoint::NONE,
             relay_token: TOKEN,
             speedup: SPEEDUP,
             ratio: 0.25,
         }
     }
 
+    /// Peers reporting 1,000 measured bytes and no background a second.
+    fn scripted() -> Scripted {
+        Scripted::new([(FP, ScriptedRelay { measured: vec![1_000], background: 0 })])
+    }
+
     fn item(secret: u64) -> EchoItem {
         EchoItem {
-            relay_fp: [1; FINGERPRINT_LEN],
+            relay_fp: FP,
             slot_secs: SLOT_SECS,
             bg_allowance: 0,
             measurement_secret: secret,
@@ -731,6 +724,8 @@ mod tests {
         clean: BTreeMap<usize, bool>,
         /// §4.1's estimate of every item, in the order the rounds ended.
         estimates: Vec<f64>,
+        /// The most rounds staged and not yet finished at once.
+        most_in_flight: usize,
     }
 
     impl Recorder {
@@ -743,6 +738,7 @@ mod tests {
         fn next_round(&mut self) -> Option<Vec<EchoItem>> {
             let round = self.rounds.get(self.staged).cloned();
             self.staged += usize::from(round.is_some());
+            self.most_in_flight = self.most_in_flight.max(self.staged - self.clean.len());
             round
         }
         fn event(&mut self, round: usize, event: EngineEvent) {
@@ -760,31 +756,41 @@ mod tests {
 
     #[test]
     fn a_round_the_source_gains_when_the_last_round_ends_still_runs() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let deployment = deployment(&stop);
         // The source has nothing more while round 0 blasts (its `Go` is
         // out, so the loop asks), and a re-measurement once it has ended.
         let mut source = Recorder::new(vec![vec![item(100)]]);
         source.later = Some(vec![item(200)]);
-        run_rounds(&deployment, &ConnectionPool::new(), &mut source);
-        // ORDERING: a stop flag the peer threads poll; nothing is
-        // published through it.
-        stop.store(true, Ordering::Relaxed);
+        simulate_rounds(&deployment(), &mut scripted(), &mut source);
         assert_eq!(source.clean, BTreeMap::from([(0, true), (1, true)]), "{:?}", source.events);
+    }
+
+    /// The scripted peers, but the measurer reports its whole slot at
+    /// `Go`.
+    struct Flood(Scripted);
+
+    impl PeerBehaviour for Flood {
+        fn tick(&self) -> SimDuration {
+            self.0.tick()
+        }
+        fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime) {
+            self.0.act(peer, action, now);
+        }
+        fn second(&self, peer: SimPeer, j: u32, now: SimTime) -> Option<(u64, u64)> {
+            let ahead = if peer.measurer.is_some() {
+                SimDuration::from_secs(3_600)
+            } else {
+                SimDuration::ZERO
+            };
+            self.0.second(peer, j, now + ahead)
+        }
     }
 
     #[test]
     fn a_measurer_reporting_its_whole_slot_at_go_is_flooded() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut deployment = deployment(&stop);
-        deployment.measurers[0].addr = peer(PeerRole::Measurer, true, &stop);
         // A slot long enough that the last reports lead the coordinator's
-        // clock by more than the cap for over a second of real time.
+        // clock by more than the cap.
         let mut source = Recorder::new(vec![vec![EchoItem { slot_secs: 40, ..item(100) }]]);
-        run_rounds(&deployment, &ConnectionPool::new(), &mut source);
-        // ORDERING: a stop flag the peer threads poll; nothing is
-        // published through it.
-        stop.store(true, Ordering::Relaxed);
+        simulate_rounds(&deployment(), &mut Flood(scripted()), &mut source);
         let flooded = source.events.iter().any(|(_, e)| {
             matches!(e, EngineEvent::PeerFailed { peer, reason: AbortReason::Flooded }
                 if peer.index() == 0)
@@ -793,17 +799,38 @@ mod tests {
         assert_eq!(source.clean, BTreeMap::from([(0, false)]));
     }
 
+    /// Links whose first wait fails.
+    struct FailFirstWait<L>(L, bool);
+
+    impl<L: Links> Links for FailFirstWait<L> {
+        type Round = L::Round;
+        fn now(&self) -> SimTime {
+            self.0.now()
+        }
+        fn connect(&mut self, round: &mut L::Round, peer: Dial) -> Box<dyn Transport> {
+            self.0.connect(round, peer)
+        }
+        fn wait(
+            &mut self,
+            now: SimTime,
+            rounds: &mut [Staged<L::Round>],
+            wake: Option<SimTime>,
+        ) -> io::Result<()> {
+            if std::mem::take(&mut self.1) {
+                return Err(io::Error::other("injected wait failure"));
+            }
+            self.0.wait(now, rounds, wake)
+        }
+    }
+
     #[test]
     fn a_failed_wait_aborts_only_the_rounds_in_flight() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let deployment = deployment(&stop);
+        let deployment = deployment();
         let mut source = Recorder::new((0..3).map(|n| vec![item(100 + n)]).collect());
+        let mut behaviour = scripted();
         // The first wait comes while round 0 handshakes, alone in flight.
-        FAIL_WAITS.with(|left| left.set(1));
-        run_rounds(&deployment, &ConnectionPool::new(), &mut source);
-        // ORDERING: a stop flag the peer threads poll; nothing is
-        // published through it.
-        stop.store(true, Ordering::Relaxed);
+        let mut links = FailFirstWait(InMemory::new(&deployment, &mut behaviour), true);
+        drive(&mut links, &deployment, &mut source);
         let clean = BTreeMap::from([(0, false), (1, true), (2, true)]);
         assert_eq!(source.clean, clean, "{:?}", source.events);
         let aborted = |e: &EngineEvent| {
@@ -814,24 +841,17 @@ mod tests {
 
     #[test]
     fn the_staged_round_handshakes_during_the_slot_and_goes_when_it_ends() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let deployment = deployment(&stop);
         const ROUNDS: usize = 3;
         let mut source =
             Recorder::new((0..ROUNDS as u64).map(|n| vec![item(100 + n), item(200 + n)]).collect());
-        let pool = ConnectionPool::new();
-        run_rounds(&deployment, &pool, &mut source);
-        // ORDERING: a stop flag the peer threads poll; nothing is
-        // published through it.
-        stop.store(true, Ordering::Relaxed);
+        simulate_rounds(&deployment(), &mut scripted(), &mut source);
         assert_eq!(source.clean.len(), ROUNDS);
         assert!(source.clean.values().all(|&clean| clean), "{:?}", source.events);
-        // The stand-ins report 1,000 measured bytes and no background
-        // each second, so §4.1's estimate is exactly that over TCP too.
+        // The peers report 1,000 measured bytes and no background each
+        // second, so §4.1's estimate is exactly that.
         assert_eq!(source.estimates, vec![1_000.0; 2 * ROUNDS], "{:?}", source.events);
-        // Two rounds in flight, never three: four connections per round,
-        // and round n+2 reuses round n's.
-        assert_eq!(pool.dials(), 8, "{:?}", pool.stats());
+        // Two rounds in flight, never three.
+        assert_eq!(source.most_in_flight, 2, "{:?}", source.events);
 
         let events = &source.events;
         let last = |round: usize, want: fn(&EngineEvent) -> bool| {

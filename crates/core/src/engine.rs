@@ -8,13 +8,14 @@
 //! fires timeouts, and surfaces everything that matters as typed
 //! [`EngineEvent`]s — it never touches a network model, a socket
 //! library, or a clock. Time enters exclusively through
-//! [`MeasurementEngine::step`], so the same engine drives:
+//! [`MeasurementEngine::step`], so one round loop
+//! ([`crate::echo::run_rounds`]) drives it over either link layer:
 //!
-//! * the in-memory executor (`proto_driver::run_in_memory` feeds it
-//!   simulated time and in-memory transports, with the fluid
-//!   simulation's flows or fixed-rate reference peers behind them),
-//! * real TCP connections to measurer processes (wall-clock time mapped
-//!   to [`SimTime`], see [`crate::echo::run_rounds`]),
+//! * real TCP connections to measurer and relay processes (wall-clock
+//!   time mapped to [`SimTime`]),
+//! * in-memory links on a simulated clock, with a peer behaviour such
+//!   as fixed-rate reference peers behind them
+//!   ([`crate::proto_driver::simulate_rounds`]),
 //! * fault-injection harnesses
 //!   ([`FaultyTransport`](flashflow_proto::fault::FaultyTransport)
 //!   underneath — a mid-slot disconnect aborts the affected session in
@@ -286,10 +287,8 @@ impl MeasurementEngine {
     }
 
     /// Moves bytes once on every channel; returns `true` if anything
-    /// moved. Drivers that interleave their own peer-side pumping (the
-    /// sim does) alternate with this until the tick quiesces; everyone
-    /// else just calls [`MeasurementEngine::step`].
-    pub fn pump(&mut self, now: SimTime) -> bool {
+    /// moved.
+    fn pump(&mut self, now: SimTime) -> bool {
         let mut moved = false;
         for c in &mut self.channels {
             moved |= c.endpoint.pump(now);
@@ -299,10 +298,8 @@ impl MeasurementEngine {
 
     /// Completes one tick at `now` *without* pumping: drains session
     /// actions into events, releases due `Go` barriers, fires
-    /// timeouts, and emits [`EngineEvent::ItemComplete`]s. Use after one
-    /// or more [`MeasurementEngine::pump`] calls; or use
-    /// [`MeasurementEngine::step`] which does both.
-    pub fn finish_tick(&mut self, now: SimTime) {
+    /// timeouts, and emits [`EngineEvent::ItemComplete`]s.
+    fn finish_tick(&mut self, now: SimTime) {
         if let Some(deadline) = self.hard_deadline {
             if now >= deadline {
                 self.abort_all(AbortReason::Shutdown);
@@ -329,8 +326,9 @@ impl MeasurementEngine {
         self.note_completed_items();
     }
 
-    /// One full engine tick: pump to quiescence, then
-    /// [`MeasurementEngine::finish_tick`]. Returns `true` while the
+    /// One full engine tick: pump to quiescence, then drain session
+    /// actions into events, release due `Go` barriers, fire timeouts,
+    /// and emit [`EngineEvent::ItemComplete`]s. Returns `true` while the
     /// engine still has live conversations.
     ///
     /// Pumping is bounded (64 rounds) so a peer that floods

@@ -112,8 +112,15 @@ impl RoundSpans {
     /// Emits the post-run audit trail of the round from its record
     /// `peers`: per item, one `divergence` event per audit row flagged
     /// under background ratio `ratio` and its `target.estimate`; then
-    /// the `pool.stats` snapshot `pool` and `period.done`.
-    pub fn audit(&self, items: &[EchoItem], peers: &EngineSnapshot, pool: &PoolStats, ratio: f64) {
+    /// the `pool.stats` snapshot `pool`, if the round had one, and
+    /// `period.done`.
+    pub fn audit(
+        &self,
+        items: &[EchoItem],
+        peers: &EngineSnapshot,
+        pool: Option<&PoolStats>,
+        ratio: f64,
+    ) {
         for (group, item) in items.iter().enumerate() {
             let rows = peers.rows(group, ratio);
             let divergent: Vec<_> = rows.iter().filter(|row| row.divergent).collect();
@@ -139,7 +146,9 @@ impl RoundSpans {
                 ],
             );
         }
-        emit_pool_stats(&self.period, pool);
+        if let Some(pool) = pool {
+            emit_pool_stats(&self.period, pool);
+        }
         self.period.emit("period.done", fields![items = items.len(), clean = peers.all_clean()]);
     }
 }

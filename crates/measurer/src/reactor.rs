@@ -239,7 +239,7 @@ impl Role for Measurer {
         echo.dial(spec, span, &|channel| peer.spawn(channel));
     }
 
-    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, _snow: SimTime) {
+    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32) {
         // Every channel hangs up at its next wakeup or tick; the relay's
         // echo side sees EOF.
         let verified = conv.tally.close();

@@ -235,7 +235,7 @@ pub trait Role: Send + Sync + Sized + 'static {
         snow: SimTime,
     );
     /// The slot is over (or the session died) after `seconds` reports.
-    fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32, snow: SimTime);
+    fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32);
     /// The `(background, measured)` byte columns of report `second`.
     fn second_report(&self, conv: &mut Self::Conv, span: &Span, second: u32) -> (u64, u64);
     /// The conversation ended: undo what **it** registered.
@@ -799,7 +799,7 @@ impl<R: Role> Conversation<R> {
                     R::on_start(peer, &mut self.conv, &self.span, &spec, snow);
                 }
                 MeasurerAction::Stop => {
-                    peer.role.on_stop(&mut self.conv, &self.span, self.reported, snow);
+                    peer.role.on_stop(&mut self.conv, &self.span, self.reported);
                 }
             }
         }
@@ -919,7 +919,7 @@ mod tests {
         }
         fn conversation(&self) {}
         fn on_start(_: &Peer<Self>, _: &mut (), _: &Span, _: &MeasureSpec, _: SimTime) {}
-        fn on_stop(&self, _conv: &mut (), _span: &Span, _seconds: u32, _snow: SimTime) {}
+        fn on_stop(&self, _conv: &mut (), _span: &Span, _seconds: u32) {}
         fn second_report(&self, _conv: &mut (), _span: &Span, _second: u32) -> (u64, u64) {
             (0, 0)
         }

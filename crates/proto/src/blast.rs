@@ -23,10 +23,7 @@
 //! - the serving processes sum their channels per measurement: the
 //!   measurer's `EchoTally` holds the slot's verified echo, the relay's
 //!   `EchoCounters` its echoed bytes, and each control session reports a
-//!   second as the growth of that sum;
-//! - a [`ByteCounter`] splits the bytes a caller records into whole
-//!   seconds on its clock, for an in-process topology that reports
-//!   per-second columns itself.
+//!   second as the growth of that sum.
 //!
 //! A data connection opens with a [`DataChannelHello`] carrying the
 //! binding nonce of a commanded measurement, so the relay binds it to a
@@ -343,57 +340,6 @@ impl BlastPattern {
 /// An 8-byte chunk as a native-endian word.
 fn word(bytes: &[u8]) -> u64 {
     u64::from_ne_bytes(bytes.try_into().expect("8 bytes"))
-}
-
-/// Per-second byte accounting on a caller-injected clock.
-///
-/// Seconds are aligned to [`ByteCounter::start`]; bytes recorded with
-/// [`ByteCounter::add`] accrue to the second in progress, and each call
-/// first finalizes every second wholly elapsed by its `now` (a jump
-/// across several seconds finalizes the in-progress one and zero-fills
-/// the skipped ones). The trailing partial second is never
-/// reported — exactly the `SecondReport` contract of "one report per
-/// *completed* second".
-#[derive(Debug, Clone, Default)]
-pub struct ByteCounter {
-    epoch: Option<SimTime>,
-    completed: Vec<u64>,
-    current: u64,
-}
-
-impl ByteCounter {
-    /// An idle counter; call [`ByteCounter::start`] to begin a slot.
-    pub fn new() -> Self {
-        ByteCounter::default()
-    }
-
-    /// Starts (or restarts) counting with second 0 beginning at `now`.
-    pub fn start(&mut self, now: SimTime) {
-        self.epoch = Some(now);
-        self.completed.clear();
-        self.current = 0;
-    }
-
-    /// Records `bytes` as of `now` (rolls completed seconds first).
-    pub fn add(&mut self, now: SimTime, bytes: u64) {
-        self.roll(now);
-        self.current += bytes;
-    }
-
-    /// Finalizes every second wholly elapsed by `now`.
-    fn roll(&mut self, now: SimTime) {
-        let Some(epoch) = self.epoch else { return };
-        let elapsed_secs = now.saturating_duration_since(epoch).as_secs() as usize;
-        while self.completed.len() < elapsed_secs {
-            let bytes = std::mem::take(&mut self.current);
-            self.completed.push(bytes);
-        }
-    }
-
-    /// Byte counts of every completed second, in order.
-    pub fn completed(&self) -> &[u64] {
-        &self.completed
-    }
 }
 
 /// Where a [`TrafficSource`] stands.
@@ -1135,19 +1081,6 @@ mod tests {
         let text = BlastError::BadVersion(2).to_string();
         assert_eq!(text, format!("data-plane version 2 (expected {DATA_PLANE_VERSION})"));
         assert!(text.ends_with("(expected 3)"), "{text}");
-    }
-
-    #[test]
-    fn byte_counter_finalizes_whole_seconds_only() {
-        let mut c = ByteCounter::new();
-        c.start(SimTime::from_secs(10));
-        c.add(SimTime::from_secs_f64(10.5), 100);
-        assert!(c.completed().is_empty(), "partial second not reported");
-        c.add(SimTime::from_secs_f64(11.2), 50);
-        assert_eq!(c.completed(), &[100]);
-        // A jump across seconds zero-fills the gap.
-        c.roll(SimTime::from_secs_f64(14.0));
-        assert_eq!(c.completed(), &[100, 50, 0, 0]);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// True once the fault has fired.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
-
     /// The wrapped transport.
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
@@ -189,7 +184,7 @@ mod tests {
         // through the write and everything after is swallowed.
         let mut rx = FaultyTransport::new(b, FaultMode::Blackhole).trip_after_bytes(4);
         assert_eq!(rx.recv(t).unwrap(), b"0123");
-        assert!(rx.is_tripped());
+        assert!(rx.tripped);
         a.send(t, b"more").unwrap();
         assert_eq!(rx.recv(t).unwrap(), b"");
     }

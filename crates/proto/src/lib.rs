@@ -66,7 +66,7 @@ pub mod transport;
 pub mod prelude {
     pub use crate::blast::{
         binding_nonce, frame_tag, secret_channel_key, BlastError, BlastParser, BlastPattern,
-        ByteCounter, DataChannelHello, Echoer, TrafficSource,
+        DataChannelHello, Echoer, TrafficSource,
     };
     pub use crate::endpoint::Endpoint;
     pub use crate::fault::{FaultMode, FaultyTransport};

@@ -116,7 +116,7 @@ impl Role for Relay {
         span.emit("session.go", fields![bg_rate = conv.admitted]);
     }
 
-    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32, _snow: SimTime) {
+    fn on_stop(&self, conv: &mut Conv, span: &Span, seconds: u32) {
         let channels = conv.counter(|c| c.channels.load(Ordering::Relaxed));
         span.emit("session.stop", fields![seconds = seconds, channels = channels]);
     }

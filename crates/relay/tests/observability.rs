@@ -50,7 +50,7 @@ fn observed_round(
 ) -> EngineSnapshot {
     let spans = RoundSpans::start(span, deployment, items);
     let peers = run_round(deployment, items, pool, &mut |event| spans.engine_event(&event));
-    spans.audit(items, &peers, &pool.stats(), deployment.ratio);
+    spans.audit(items, &peers, Some(&pool.stats()), deployment.ratio);
     peers
 }
 

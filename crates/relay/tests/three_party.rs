@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use flashflow_core::echo::{run_round, run_rounds, EchoDeployment, EchoItem, RoundSource};
 use flashflow_core::engine::{EngineEvent, EngineSnapshot};
 use flashflow_core::pool::ConnectionPool;
-use flashflow_core::proto_driver::{run_scripted, ScriptedPeer};
+use flashflow_core::proto_driver::{run_scripted, Scripted, ScriptedRelay};
 use flashflow_harness::{
     deployment, drain_all, exit_zero_all, round_items, spawn_measurer, spawn_relay,
     thread_cpu_secs, token, BG_ALLOWANCE, ITEMS, MEASURER_CAPS, RATIO, SLOT_SECS, SOCKETS,
@@ -76,18 +76,20 @@ fn estimate_tolerance(skew: f64) -> f64 {
     (0.05 * skew).min(0.20)
 }
 
-/// The deterministic reference: the identical rates, scripted over
-/// in-memory Duplex links (measurers report their caps as echoed
-/// bytes, the relay reports the admitted background).
+/// The deterministic reference: the process round's deployment shape
+/// and items, scripted over in-memory Duplex links (measurers report
+/// their caps as echoed bytes, the relay reports the admitted
+/// background).
 fn duplex_reference_estimates() -> Vec<f64> {
-    let mut peers: Vec<ScriptedPeer> =
-        MEASURER_CAPS.iter().map(|&cap| ScriptedPeer::measurer(cap)).collect();
-    peers.push(ScriptedPeer::target(BG_ALLOWANCE));
-    let run = run_scripted(&vec![peers; ITEMS], SLOT_SECS);
-    assert!(run.peers.all_clean(), "reference run had failures");
+    let unused = SocketAddr::from(([127, 0, 0, 1], 0));
+    let items = round_items(SECRET, 0);
+    let script = ScriptedRelay { measured: MEASURER_CAPS.to_vec(), background: BG_ALLOWANCE };
+    let mut scripted = Scripted::new(items.iter().map(|item| (item.relay_fp, script.clone())));
+    let peers = run_scripted(&deployment([unused; 2], unused), &items, &mut scripted, &mut |_| {});
+    assert!(peers.all_clean(), "reference run had failures");
     (0..ITEMS)
         .map(|g| {
-            let (seconds, estimate) = run.peers.estimate(g, RATIO);
+            let (seconds, estimate) = peers.estimate(g, RATIO);
             assert!(!seconds.is_empty(), "reference item {g} produced no seconds");
             estimate.bytes_per_sec()
         })

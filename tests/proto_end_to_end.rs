@@ -5,8 +5,16 @@
 //! shared state.
 
 use flashflow_repro::core::prelude::*;
-use flashflow_repro::core::proto_driver::{run_scripted, ScriptedPeer};
+use flashflow_repro::core::proto_driver::{run_scripted, Scripted, ScriptedRelay};
+use flashflow_repro::proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 use flashflow_repro::simnet::prelude::*;
+
+/// The relay with roster key `key`, as a fingerprint.
+fn fp(key: usize) -> [u8; FINGERPRINT_LEN] {
+    let mut fp = [0; FINGERPRINT_LEN];
+    fp[..8].copy_from_slice(&(key as u64).to_be_bytes());
+    fp
+}
 
 #[test]
 fn bwauth_period_runs_over_protocol_backend() {
@@ -28,29 +36,51 @@ fn bwauth_period_runs_over_protocol_backend() {
         .flat_map(|mbit| factors.map(|_| Rate::from_mbit(*mbit).bytes_per_sec()))
         .collect();
     let priors = capacity.iter().enumerate().map(|(i, c)| (i, c * factors[i % factors.len()]));
+    // Two in-memory measurers (their scripts, not their rate caps, say
+    // what they report) and the relay.
+    let measurer = EchoMeasurer {
+        addr: ([127, 0, 0, 1], 0).into(),
+        token: [0x21; AUTH_TOKEN_LEN],
+        rate_cap: 0,
+        sockets: 1,
+    };
+    let deployment = EchoDeployment {
+        measurers: vec![measurer; 2],
+        relay: TargetEndpoint::NONE,
+        relay_token: [0x29; AUTH_TOKEN_LEN],
+        speedup: 1.0,
+        ratio: params.ratio,
+    };
 
     let settled =
         measure_period(&team, &params, Order::Packed, priors, BwAuth::MAX_ROUNDS, |_, slot| {
             // Each measurer blasts its allocation `aᵢ`; the relay echoes at
             // most its capacity `c`, shared in proportion to `aᵢ`.
-            let items: Vec<Vec<ScriptedPeer>> = slot
+            let scripted = slot.iter().map(|item| {
+                let total: f64 = item.allocation.iter().map(|a| a.bytes_per_sec()).sum();
+                let share = (capacity[item.key] / total).min(1.0);
+                let measured =
+                    item.allocation.iter().map(|a| (a.bytes_per_sec() * share) as u64).collect();
+                (fp(item.key), ScriptedRelay { measured, background: 0 })
+            });
+            let items: Vec<EchoItem> = slot
                 .iter()
-                .map(|item| {
-                    let total: f64 = item.allocation.iter().map(|a| a.bytes_per_sec()).sum();
-                    let share = (capacity[item.key] / total).min(1.0);
-                    let measurers = item.allocation.iter().filter(|a| !a.is_zero());
-                    measurers
-                        .map(|a| ScriptedPeer::measurer((a.bytes_per_sec() * share) as u64))
-                        .chain([ScriptedPeer::target(0)])
-                        .collect()
+                .map(|item| EchoItem {
+                    relay_fp: fp(item.key),
+                    slot_secs,
+                    bg_allowance: 0,
+                    measurement_secret: item.key as u64,
+                    attempt: item.rounds,
+                    trace_id: 0,
                 })
                 .collect();
-            let run = run_scripted(&items, slot_secs);
-            assert!(run.peers.all_clean(), "a session failed");
+            let peers =
+                run_scripted(&deployment, &items, &mut Scripted::new(scripted), &mut |_| {});
+            assert!(peers.all_clean(), "a session failed");
             slot.iter()
                 .enumerate()
                 .map(|(g, item)| SlotResult {
-                    estimate: run.peers.estimate(g, params.ratio).1.bytes_per_sec(),
+                    estimate: peers.estimate(g, params.ratio).1.bytes_per_sec(),
                     allocated: item.allocation.iter().map(|a| a.bytes_per_sec()).sum(),
                     verified: true,
                 })
