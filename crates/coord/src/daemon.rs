@@ -77,11 +77,13 @@ pub struct DaemonConfig {
     pub secret_seed: u64,
     /// Slot length commanded per item (sped-up seconds).
     pub slot_secs: u32,
-    /// Aggregate team blast budget for round packing (bytes/s).
-    pub team_capacity: f64,
+    /// Aggregate team blast budget for round packing (bytes/s). `None`
+    /// budgets one item's blast, the whole team's commanded rates, so
+    /// rounds run one item each.
+    pub team_capacity: Option<f64>,
     /// Hard cap on items per round (`0` = capacity-bound only).
     pub round_max: usize,
-    /// Directory authorities voting the consensus.
+    /// Directory authorities voting the consensus (0 votes as 1).
     pub dirauths: usize,
 }
 
@@ -230,8 +232,8 @@ pub fn run_period(
     metrics.roster_remaining.set(pending.len() as i64);
     let per_item_blast: f64 =
         deployment.measurers.iter().map(|m| m.rate_cap as f64).sum::<f64>().max(1.0);
-    let plan =
-        PlanConfig { team_capacity: cfg.team_capacity, per_item_blast, round_max: cfg.round_max };
+    let team_capacity = cfg.team_capacity.unwrap_or(per_item_blast);
+    let plan = PlanConfig { team_capacity, per_item_blast, round_max: cfg.round_max };
     let rounds = plan_rounds(&pending, &plan);
 
     let mut walk = RosterWalk {
@@ -548,7 +550,7 @@ fn vote_consensus(
         .collect();
     let measured = weights.len();
     let votes = vec![weights; cfg.dirauths.max(1)];
-    let consensus = DirAuths::new(cfg.dirauths.max(1)).vote(SimTime::ZERO, &votes, &advertised);
+    let consensus = DirAuths::new(votes.len()).vote(SimTime::ZERO, &votes, &advertised);
 
     // The §8 baseline: what TorFlow would have voted from the same
     // priors (as self-reports) and measurements (as probe speeds).
@@ -580,7 +582,7 @@ fn vote_consensus(
     let mean_diff = if count > 0 { sum_diff / count as f64 } else { 0.0 };
     let doc = Json::Obj(vec![
         ("schema".into(), Json::Str("flashflow.coord.consensus.v1".into())),
-        ("dirauths".into(), Json::Int(cfg.dirauths.max(1) as i128)),
+        ("dirauths".into(), Json::Int(votes.len() as i128)),
         ("roster".into(), Json::Int(roster.entries.len() as i128)),
         ("measured".into(), Json::Int(measured as i128)),
         ("entries".into(), Json::Arr(entries)),
@@ -623,7 +625,7 @@ mod tests {
             relays: Some(4),
             secret_seed: 1,
             slot_secs: 1,
-            team_capacity: 1e9,
+            team_capacity: Some(1e9),
             round_max: 0,
             dirauths: 3,
         };
@@ -674,7 +676,7 @@ mod tests {
             relays: Some(2500),
             secret_seed: 1,
             slot_secs: 1,
-            team_capacity: 1e9,
+            team_capacity: Some(1e9),
             round_max: 0,
             dirauths: 3,
         };
@@ -725,7 +727,7 @@ mod tests {
             relays: Some(4),
             secret_seed: 1,
             slot_secs: 1,
-            team_capacity: 1e9,
+            team_capacity: Some(1e9),
             round_max: 0,
             dirauths: 3,
         };

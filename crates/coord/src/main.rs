@@ -64,8 +64,7 @@ struct Config {
     ratio: f64,
     speedup: f64,
     round_max: usize,
-    /// `None` derives the budget from the team's commanded rates
-    /// (one item per round).
+    /// `None` budgets one item's blast (one item per round).
     team_capacity: Option<f64>,
     dirauths: usize,
     once: bool,
@@ -156,7 +155,13 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
         "shards" => drop(num::<usize>(key, value)?),
         "round-max" => cfg.round_max = num(key, value)?,
         "team-capacity" => cfg.team_capacity = Some(num(key, value)?),
-        "dirauths" => cfg.dirauths = num(key, value)?,
+        "dirauths" => {
+            // A vote of no authorities makes no consensus.
+            cfg.dirauths = num(key, value)?;
+            if cfg.dirauths == 0 {
+                return Err(format!("dirauths: must be at least 1\n{USAGE}"));
+            }
+        }
         "once" => cfg.once = num(key, value)?,
         "interval-secs" => cfg.interval_secs = num(key, value)?,
         "log-json" => cfg.log_json = Some(value.to_string()),
@@ -266,12 +271,6 @@ fn main() {
         }
     }
 
-    // One item per round costs the whole team's commanded blast; the
-    // default budget therefore serializes rounds (one item each) unless
-    // the operator grants more.
-    let team_capacity = cfg.team_capacity.unwrap_or_else(|| {
-        deployment.measurers.iter().map(|m| m.rate_cap as f64).sum::<f64>().max(1.0)
-    });
     let dcfg = DaemonConfig {
         state_dir,
         source: cfg.source,
@@ -279,9 +278,9 @@ fn main() {
         relays: cfg.relays,
         secret_seed: cfg.secret_seed,
         slot_secs: cfg.slot_secs,
-        team_capacity,
+        team_capacity: cfg.team_capacity,
         round_max: cfg.round_max,
-        dirauths: cfg.dirauths.max(1),
+        dirauths: cfg.dirauths,
     };
     let building = Instant::now();
     let roster = flashflow_coord::roster::build(dcfg.source, dcfg.seed, dcfg.relays);
@@ -414,6 +413,20 @@ mod tests {
         for value in ["-1", "1.5", "many"] {
             let line = format!("--slot-secs {value}");
             assert!(parse(&line).expect_err(&line).starts_with("slot-secs: "), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn dirauths_must_be_positive() {
+        for (line, dirauths) in [("", 3), ("--dirauths 1", 1), ("--dirauths 9", 9)] {
+            let cfg = parse(line).unwrap_or_else(|msg| panic!("{line:?} refused: {msg}"));
+            assert_eq!(cfg.dirauths, dirauths, "{line:?}");
+        }
+        let msg = parse("--dirauths 0").expect_err("a vote of no authorities");
+        assert_eq!(msg, format!("dirauths: must be at least 1\n{USAGE}"));
+        for value in ["-1", "1.5", "many"] {
+            let line = format!("--dirauths {value}");
+            assert!(parse(&line).expect_err(&line).starts_with("dirauths: "), "{line:?}");
         }
     }
 

@@ -673,10 +673,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    use crate::proto_driver::{
-        simulate_rounds, InMemory, PeerBehaviour, Scripted, ScriptedRelay, SimPeer,
-    };
-    use flashflow_proto::session::MeasurerAction;
+    use crate::proto_driver::{simulate_rounds, InMemory, Scripted, ScriptedRelay};
 
     const TOKEN: [u8; AUTH_TOKEN_LEN] = [0x5A; AUTH_TOKEN_LEN];
     const SPEEDUP: f64 = 20.0;
@@ -762,41 +759,6 @@ mod tests {
         source.later = Some(vec![item(200)]);
         simulate_rounds(&deployment(), &mut scripted(), &mut source);
         assert_eq!(source.clean, BTreeMap::from([(0, true), (1, true)]), "{:?}", source.events);
-    }
-
-    /// The scripted peers, but the measurer reports its whole slot at
-    /// `Go`.
-    struct Flood(Scripted);
-
-    impl PeerBehaviour for Flood {
-        fn tick(&self) -> SimDuration {
-            self.0.tick()
-        }
-        fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime) {
-            self.0.act(peer, action, now);
-        }
-        fn second(&self, peer: SimPeer, j: u32, now: SimTime) -> Option<(u64, u64)> {
-            let ahead = if peer.measurer.is_some() {
-                SimDuration::from_secs(3_600)
-            } else {
-                SimDuration::ZERO
-            };
-            self.0.second(peer, j, now + ahead)
-        }
-    }
-
-    #[test]
-    fn a_measurer_reporting_its_whole_slot_at_go_is_flooded() {
-        // A slot long enough that the last reports lead the coordinator's
-        // clock by more than the cap.
-        let mut source = Recorder::new(vec![vec![EchoItem { slot_secs: 40, ..item(100) }]]);
-        simulate_rounds(&deployment(), &mut Flood(scripted()), &mut source);
-        let flooded = source.events.iter().any(|(_, e)| {
-            matches!(e, EngineEvent::PeerFailed { peer, reason: AbortReason::Flooded }
-                if peer.index() == 0)
-        });
-        assert!(flooded, "{:?}", source.events);
-        assert_eq!(source.clean, BTreeMap::from([(0, false)]));
     }
 
     /// Links whose first wait fails.

@@ -26,7 +26,7 @@
 //! | [`pool`] | §7 | warm TCP connections to measurer processes, reused inside the peer's accept window |
 //! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
 //! | [`observe`] | §7 | bridge from engine events to `flashflow-obs` telemetry: mirrored round events and each round's audit, read from its `EngineSnapshot` |
-//! | [`proto_driver`] | §4.1, §7 | `echo`'s round loop on in-memory links and a simulated clock (`simulate_rounds`, one round: `run_scripted`), its one parameter the peer behaviour; fixed-rate reference peers keyed by relay fingerprint (`Scripted`) are what tests, harnesses, benches and an in-memory daemon period run through it |
+//! | [`proto_driver`] | §4.1, §7 | `echo`'s round loop on in-memory links that own a simulated clock (a wait wakes at the loop's gate or staging time, a landing frame, a peer's next report at its `Go` + (j+1) s, or 100 ms on) (`simulate_rounds`, one round: `run_scripted`), its one parameter the peer behaviour (what a peer does, no clock); fixed-rate reference peers keyed by relay fingerprint (`Scripted`) are what tests, harnesses, benches and an in-memory daemon period run through it |
 //! | [`verify`] | §4.1, §5 | random cell spot-checks |
 //! | [`sequence`] | §4.2, §4.3, §7 | the accept-or-double rule over plain numbers and the one slot packer that applies it, a sans-IO state machine (`Sequencer`: `next_slot` hands a slot out, `complete` takes its results back) that `measure_period` drives one slot at a time and a daemon can drive with slots in flight: per-measurer spare capacity, largest prior first (`Order::Packed`, §7's slot count) or §4.3's seeded uniform draw (`Order::Secret`), generic over the relay key |
 //! | [`bwauth`] | §4.3, §7 | a BWAuth's period on the direct executor, bandwidth files (whose `weights` are a vote for `flashflow_tornet::consensus::DirAuths`) |

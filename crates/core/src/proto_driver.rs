@@ -13,14 +13,15 @@
 //! the frames said, not from shared state. [`run_scripted`] is the
 //! one-round case, as [`crate::echo::run_round`] is over sockets.
 //!
-//! What the peers *do* is the one parameter, a [`PeerBehaviour`].
-//! Nothing sleeps: each wait of the loop moves the simulated clock to
-//! the behaviour's next tick or the loop's next wake (a `Go` gate, a
-//! staging time), whichever is first, so a gate is never overslept, and
-//! then steps every peer. A peer that stops reporting is aborted by its
-//! session's report timeout, as a silent process is
-//! ([`flashflow_proto::session`] has the conversation and its
-//! robustness rules). [`Scripted`] is the fixed-rate behaviour keyed by
+//! The links own the clock, and nothing sleeps: each wait moves it to
+//! the earliest of the loop's wake (a `Go` gate, a staging time), the
+//! next frame landing on any link, the next report a started peer owes
+//! (second `j` at its `Go` + (j+1) s, as the peer processes report) and
+//! one 100 ms step on, then steps every peer. A peer that stops
+//! reporting is aborted by its session's report timeout, as a silent
+//! process is ([`flashflow_proto::session`] has the conversation and its
+//! robustness rules). What the peers *do* is the one parameter, a
+//! [`PeerBehaviour`]; [`Scripted`] is the fixed-rate behaviour keyed by
 //! relay fingerprint, the deterministic reference a deployment's
 //! numbers are compared against.
 
@@ -36,19 +37,20 @@ use flashflow_simnet::time::{SimDuration, SimTime};
 use crate::echo::{drive, one_round, Dial, EchoDeployment, EchoItem, Links, RoundSource, Staged};
 use crate::engine::{EngineEvent, EngineSnapshot};
 
+/// The longest one wait moves the clock: how late a coordinator timeout can fire.
+const STEP: SimDuration = SimDuration::from_millis(100);
+
 /// What the peers of in-memory rounds do: the one parameter of
 /// [`simulate_rounds`].
 pub trait PeerBehaviour {
-    /// The longest the clock moves in one wait of the loop.
-    fn tick(&self) -> SimDuration;
-    /// Moves the world's traffic to `now`.
+    /// Moves the world's traffic to `now`, at every wait of the loop.
     fn advance(&mut self, _now: SimTime) {}
     /// Carries out one of `peer`'s session actions; only these start or
     /// stop traffic.
-    fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime);
-    /// Second `j` of `peer`'s slot as `(bg, measured)` bytes, once it has
-    /// completed by `now`.
-    fn second(&self, peer: SimPeer, j: u32, now: SimTime) -> Option<(u64, u64)>;
+    fn act(&mut self, _peer: SimPeer, _action: MeasurerAction, _now: SimTime) {}
+    /// Second `j` of `peer`'s slot as `(bg, measured)` bytes, asked once
+    /// it is due; `None` silences the peer for the rest of its slot.
+    fn second(&mut self, peer: SimPeer, j: u32) -> Option<(u64, u64)>;
 }
 
 /// A peer of an in-memory round, as its behaviour sees it.
@@ -83,8 +85,17 @@ impl<'a, B: PeerBehaviour> InMemory<'a, B> {
 pub(crate) struct LocalPeer {
     who: SimPeer,
     endpoint: Endpoint<MeasurerSession, DuplexEnd>,
-    started: bool,
+    /// When its `Go` came and its slot's seconds, until it goes silent.
+    slot: Option<(SimTime, u32)>,
     reported: u32,
+}
+
+impl LocalPeer {
+    /// When the peer owes its next report, if it owes one.
+    fn next_report(&self) -> Option<SimTime> {
+        let (go, secs) = self.slot.filter(|_| !self.endpoint.is_terminal())?;
+        (self.reported < secs).then(|| go + SimDuration::from_secs(u64::from(self.reported) + 1))
+    }
 }
 
 impl<B: PeerBehaviour> Links for InMemory<'_, B> {
@@ -100,34 +111,38 @@ impl<B: PeerBehaviour> Links for InMemory<'_, B> {
         let session = MeasurerSession::new(peer.token, peer.role, who.id as u64, self.timeouts);
         let (coord_end, peer_end) = Duplex::new(SimDuration::from_millis(40), 97).into_endpoints();
         let endpoint = Endpoint::new(session, peer_end);
-        round.push(LocalPeer { who, endpoint, started: false, reported: 0 });
+        round.push(LocalPeer { who, endpoint, slot: None, reported: 0 });
         Box::new(coord_end)
     }
 
-    /// Moves the clock to the behaviour's next tick or `wake`, whichever
-    /// is first, and steps every peer: it reports its completed seconds,
-    /// pumps, hands its actions to the behaviour, ticks, and flushes its
-    /// answers.
+    /// Moves the clock to the earliest of `wake`, the next landing frame,
+    /// the next report owed and one `STEP` on, and steps every peer: it
+    /// reports, pumps, hands its actions to the behaviour, ticks, flushes.
     fn wait(
         &mut self,
-        _: SimTime,
+        now: SimTime,
         rounds: &mut [Staged<Vec<LocalPeer>>],
         wake: Option<SimTime>,
     ) -> io::Result<()> {
-        let tick = self.now + self.behaviour.tick();
-        let now = wake.map_or(tick, |wake| wake.min(tick));
+        let peers = rounds.iter().flat_map(|round| &round.link);
+        let due = peers.flat_map(|p| [p.endpoint.transport().next_delivery(), p.next_report()]);
+        let now = due.flatten().chain(wake).filter(|&at| at > now).fold(now + STEP, SimTime::min);
         self.now = now;
         self.behaviour.advance(now);
         let behaviour = &mut *self.behaviour;
         for p in rounds.iter_mut().flat_map(|round| &mut round.link) {
-            while p.started && !p.endpoint.is_terminal() {
-                let Some((bg, measured)) = behaviour.second(p.who, p.reported, now) else { break };
-                p.endpoint.session_mut().report_second(bg, measured);
+            while p.next_report().is_some_and(|at| at <= now) {
+                match behaviour.second(p.who, p.reported) {
+                    Some((bg, measured)) => p.endpoint.session_mut().report_second(bg, measured),
+                    None => p.slot = None,
+                }
                 p.reported += 1;
             }
             p.endpoint.pump(now);
             while let Some(action) = p.endpoint.session_mut().poll_action() {
-                p.started |= matches!(action, MeasurerAction::Start { .. });
+                if let MeasurerAction::Start { spec } = &action {
+                    p.slot = Some((now, spec.slot_secs));
+                }
                 behaviour.act(p.who, action, now);
             }
             // A peer mid-handshake whose coordinator went silent gives up.
@@ -171,42 +186,27 @@ pub struct ScriptedRelay {
     pub background: u64,
 }
 
-/// Fixed-rate peers keyed by relay fingerprint, on a clock of 100 ms
-/// per tick: a peer reports its relay's script for every whole second
-/// of its slot that has passed. A relay with no script reports zeros.
+/// Fixed-rate peers keyed by relay fingerprint: every second, a peer
+/// reports its relay's script. A relay with no script reports zeros.
 #[derive(Debug, Default)]
 pub struct Scripted {
     relays: HashMap<[u8; FINGERPRINT_LEN], ScriptedRelay>,
-    /// When each started peer's slot started, by id.
-    started: HashMap<usize, SimTime>,
 }
 
 impl Scripted {
     /// Peers reporting `relays`' scripts.
     pub fn new(relays: impl IntoIterator<Item = ([u8; FINGERPRINT_LEN], ScriptedRelay)>) -> Self {
-        Scripted { relays: relays.into_iter().collect(), started: HashMap::new() }
+        Scripted { relays: relays.into_iter().collect() }
     }
 }
 
 impl PeerBehaviour for Scripted {
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(100)
-    }
-
-    fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime) {
-        if let MeasurerAction::Start { .. } = action {
-            self.started.insert(peer.id, now);
-        }
-    }
-
-    fn second(&self, peer: SimPeer, j: u32, now: SimTime) -> Option<(u64, u64)> {
-        let elapsed = now.duration_since(*self.started.get(&peer.id)?).as_secs();
+    fn second(&mut self, peer: SimPeer, _: u32) -> Option<(u64, u64)> {
         let relay = self.relays.get(&peer.relay_fp);
-        let report = match peer.measurer {
+        Some(match peer.measurer {
             Some(ix) => (0, relay.and_then(|r| r.measured.get(ix)).copied().unwrap_or(0)),
             None => (relay.map_or(0, |r| r.background), 0),
-        };
-        (u64::from(j) < elapsed).then_some(report)
+        })
     }
 }
 
@@ -301,19 +301,74 @@ mod tests {
         }
     }
 
+    /// One way across a link.
+    const LATENCY: SimDuration = SimDuration::from_millis(40);
+
+    #[test]
+    fn go_leaves_four_one_way_latencies_after_staging() {
+        // `Auth` out at 0, `AuthOk` back, `MeasureCmd` out, `Ready` back:
+        // each frame is answered the instant it lands.
+        let mut scripted = Scripted::new((0..3).map(|g| (fp(g), ScriptedRelay::default())));
+        let (peers, events) = run(&deployment(2), &items(3, 2), &mut scripted);
+        assert!(peers.all_clean());
+        let gos: Vec<_> = events
+            .iter()
+            .filter_map(|e| match *e {
+                EngineEvent::GoReleased { at, .. } => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gos, vec![SimTime::ZERO + LATENCY * 4; 3], "{events:?}");
+    }
+
+    /// Fixed-rate peers that record when each peer's `Go` came and when
+    /// each of its seconds was asked for.
+    #[derive(Default)]
+    struct Clocked {
+        now: SimTime,
+        go: HashMap<usize, SimTime>,
+        asked: Vec<(usize, u32, SimTime)>,
+    }
+
+    impl PeerBehaviour for Clocked {
+        fn advance(&mut self, now: SimTime) {
+            self.now = now;
+        }
+        fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime) {
+            if let MeasurerAction::Start { .. } = action {
+                self.go.insert(peer.id, now);
+            }
+        }
+        fn second(&mut self, peer: SimPeer, j: u32) -> Option<(u64, u64)> {
+            self.asked.push((peer.id, j, self.now));
+            Some((0, 100))
+        }
+    }
+
+    #[test]
+    fn every_peer_reports_second_j_at_its_go_plus_j_plus_one_seconds() {
+        const SLOT_SECS: u32 = 4;
+        let mut clocked = Clocked::default();
+        let (peers, events) = run(&deployment(2), &items(2, SLOT_SECS), &mut clocked);
+        assert!(peers.all_clean(), "{events:?}");
+        // Every peer's `Go` landed one latency after the engine sent it.
+        let sent = SimTime::ZERO + LATENCY * 4;
+        assert_eq!(clocked.go, (0..6).map(|id| (id, sent + LATENCY)).collect());
+        let due = |j: u32| sent + LATENCY + SimDuration::from_secs(u64::from(j) + 1);
+        let want: Vec<_> =
+            (0..6).flat_map(|id| (0..SLOT_SECS).map(move |j| (id, j, due(j)))).collect();
+        let mut asked = clocked.asked;
+        asked.sort();
+        assert_eq!(asked, want);
+    }
+
     /// Fixed-rate peers of which peer 0 goes silent after two reported
     /// seconds.
     struct FirstStalls(Scripted);
 
     impl PeerBehaviour for FirstStalls {
-        fn tick(&self) -> SimDuration {
-            self.0.tick()
-        }
-        fn act(&mut self, peer: SimPeer, action: MeasurerAction, now: SimTime) {
-            self.0.act(peer, action, now);
-        }
-        fn second(&self, peer: SimPeer, j: u32, now: SimTime) -> Option<(u64, u64)> {
-            self.0.second(peer, j, now).filter(|_| peer.id != 0 || j < 2)
+        fn second(&mut self, peer: SimPeer, j: u32) -> Option<(u64, u64)> {
+            self.0.second(peer, j).filter(|_| peer.id != 0 || j < 2)
         }
     }
 

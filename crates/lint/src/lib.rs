@@ -90,8 +90,9 @@ pub struct LintConfig {
     /// Path fragments naming reactor modules (matched as substrings of
     /// the workspace-relative path) — the event loop, the roles' hooks,
     /// the peer library they plug into, and the coordinator's round
-    /// loop and connection pool, which wait on socket readiness too:
-    /// non-test code there must never `thread::sleep` — a blocked shard
+    /// loop and connection pool, which wait on socket readiness too, and
+    /// the loop's in-memory links, whose clock is simulated: non-test
+    /// code there must never `thread::sleep` — a blocked shard
     /// stalls every connection the epoll loop drives.
     pub reactor_path_fragments: Vec<String>,
     /// Crates whose `pub` items `orphan-pub` does not check: the
@@ -178,6 +179,7 @@ impl Default for LintConfig {
                 "peer.rs".into(),
                 "core/src/echo.rs".into(),
                 "core/src/pool.rs".into(),
+                "core/src/proto_driver.rs".into(),
             ],
             orphan_exempt_crates: vec!["perf".into(), "lint".into(), "proptest".into()],
             orphan_allow: rules::orphan_pub::parse_allowlist(rules::orphan_pub::ALLOWLIST),

@@ -275,12 +275,15 @@ fn no_sleep_in_reactor_fixtures() {
 }
 
 /// The coordinator's round loop and connection pool wait on socket
-/// readiness; a sleep-step creeping back into either is caught.
+/// readiness, and the loop's in-memory links on a simulated clock; a
+/// sleep-step creeping back into any of them is caught.
 #[test]
 fn coordinator_round_loop_and_pool_are_in_scope_for_no_sleep() {
     let cfg = LintConfig::default();
     let sleeps = include_str!("fixtures/no_sleep_round_loop_bad.rs");
-    for path in ["crates/core/src/echo.rs", "crates/core/src/pool.rs"] {
+    for path in
+        ["crates/core/src/echo.rs", "crates/core/src/pool.rs", "crates/core/src/proto_driver.rs"]
+    {
         let found = lint_file(path, sleeps, &cfg);
         assert_eq!(rules_of(&found), vec!["no-sleep-in-reactor"; 2], "{path}: {found:?}");
     }

@@ -314,6 +314,14 @@ impl DuplexEnd {
     pub fn end(&self) -> End {
         self.end
     }
+
+    /// When the earliest piece queued toward either end lands, delivered
+    /// or not; `None` once both directions are empty.
+    pub fn next_delivery(&self) -> Option<SimTime> {
+        let shared = self.shared.borrow();
+        let Duplex { a_to_b, b_to_a } = &shared.duplex;
+        [a_to_b, b_to_a].iter().filter_map(|pipe| pipe.queue.front().map(|&(at, _)| at)).min()
+    }
 }
 
 impl Transport for DuplexEnd {
@@ -381,6 +389,21 @@ mod tests {
         assert_eq!(b.recv(t1).unwrap(), b"hello");
         b.send(t1, b"hi").unwrap();
         assert_eq!(a.recv(t1 + SimDuration::from_millis(10)).unwrap(), b"hi");
+    }
+
+    #[test]
+    fn next_delivery_is_the_earliest_piece_toward_either_end() {
+        let (mut a, mut b) = Duplex::new(SimDuration::from_millis(40), 3).into_endpoints();
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        assert_eq!((a.next_delivery(), b.next_delivery()), (None, None));
+        a.send(at(10), b"hello").unwrap();
+        b.send(at(5), b"hi").unwrap();
+        // Both ends see both directions: the B → A piece lands first.
+        assert_eq!((a.next_delivery(), b.next_delivery()), (Some(at(45)), Some(at(45))));
+        assert_eq!(a.recv(at(45)).unwrap(), b"hi");
+        assert_eq!((a.next_delivery(), b.next_delivery()), (Some(at(50)), Some(at(50))));
+        assert_eq!(b.recv(at(50)).unwrap(), b"hello");
+        assert_eq!((a.next_delivery(), b.next_delivery()), (None, None));
     }
 
     #[test]

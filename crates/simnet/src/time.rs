@@ -84,7 +84,7 @@ impl SimDuration {
     }
 
     /// Builds a duration from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 

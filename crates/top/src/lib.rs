@@ -252,7 +252,7 @@ impl TopState {
         );
         for (key, view) in &self.targets {
             let label = match (view.fp.as_deref(), key) {
-                (Some(fp), _) => fp[..fp.len().min(8)].to_string(),
+                (Some(fp), _) => fp.chars().take(8).collect(),
                 (None, ViewKey::Trace(trace)) => format!("{trace:08x}"),
                 (None, ViewKey::Group(group)) => format!("group {group}"),
             };
@@ -394,6 +394,19 @@ mod tests {
             closed.apply(&event);
         }
         assert!(closed.period_done(), "period.complete ends the period");
+    }
+
+    #[test]
+    fn a_multibyte_fingerprint_is_labelled_by_characters() {
+        // A replayed file's `fp` is any string; here a two-byte
+        // character straddles byte 8.
+        let mut state = TopState::new();
+        let fields =
+            vec![("fp", Value::Str("abcdefg\u{e9}xyz".into())), ("capacity", Value::F64(1.0))];
+        state.apply(&ev("target.estimate", Some(0), fields));
+        let body = state.render(100);
+        assert!(body.contains("abcdefg\u{e9}"), "{body}");
+        assert!(!body.contains("abcdefg\u{e9}x"), "{body}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use flashflow_repro::proto::blast::{
 use flashflow_repro::proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 use flashflow_repro::proto::session::MeasurerAction;
 use flashflow_repro::proto::transport::{Duplex, DuplexEnd, Transport as _};
-use flashflow_repro::simnet::time::{SimDuration, SimTime};
+use flashflow_repro::simnet::time::SimTime;
 
 const SLOT_SECS: u32 = 5;
 const RATIO: f64 = 0.25;
@@ -84,8 +84,8 @@ struct Measurer {
 }
 
 /// The in-process data plane: the deployment's measurers and its relay.
-/// Each tick the measurers blast, the relay echoes, and the measurers
-/// verify.
+/// At every wait of the in-memory links (at least every 100 ms) the
+/// measurers blast, the relay echoes, and the measurers verify.
 struct EchoTopology {
     nonce: u64,
     key: u64,
@@ -97,10 +97,6 @@ struct EchoTopology {
 }
 
 impl PeerBehaviour for EchoTopology {
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(50)
-    }
-
     fn advance(&mut self, now: SimTime) {
         let mut relay_echo_delta = 0u64;
         for m in self.measurers.iter_mut() {
@@ -147,7 +143,7 @@ impl PeerBehaviour for EchoTopology {
     }
 
     /// Reports: one per completed second on each peer's own counters.
-    fn second(&self, peer: SimPeer, j: u32, _: SimTime) -> Option<(u64, u64)> {
+    fn second(&mut self, peer: SimPeer, j: u32) -> Option<(u64, u64)> {
         let j = j as usize;
         match peer.measurer {
             Some(ix) => Some((0, *self.measurers[ix].verified.completed().get(j)?)),

@@ -27,7 +27,7 @@ fn config(state_dir: PathBuf) -> DaemonConfig {
         relays: Some(RELAYS),
         secret_seed: 3,
         slot_secs: 2,
-        team_capacity: (ITEMS_PER_ROUND as u64 * CAPS.iter().sum::<u64>()) as f64,
+        team_capacity: Some((ITEMS_PER_ROUND as u64 * CAPS.iter().sum::<u64>()) as f64),
         round_max: 0,
         dirauths: 3,
     }
