@@ -42,7 +42,7 @@ use flashflow_coord::daemon::{run_period, CoordMetrics, DaemonConfig, Executor};
 use flashflow_coord::roster::RosterSource;
 use flashflow_core::echo::{run_rounds, EchoDeployment, EchoMeasurer, RoundSource};
 use flashflow_core::pool::ConnectionPool;
-use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
+use flashflow_obs::{fields, MetricsRegistry};
 use flashflow_procutil as procutil;
 use flashflow_proto::msg::{TargetEndpoint, AUTH_TOKEN_LEN};
 
@@ -163,7 +163,14 @@ fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
             }
         }
         "once" => cfg.once = num(key, value)?,
-        "interval-secs" => cfg.interval_secs = num(key, value)?,
+        "interval-secs" => {
+            // A negative or NaN wait is no interval at all; `inf` waits
+            // for SIGTERM.
+            cfg.interval_secs = num(key, value)?;
+            if cfg.interval_secs.is_nan() || cfg.interval_secs < 0.0 {
+                return Err(format!("interval-secs: must be at least 0, got {value}\n{USAGE}"));
+            }
+        }
         "log-json" => cfg.log_json = Some(value.to_string()),
         "metrics-addr" => cfg.metrics_addr = Some(value.to_string()),
         other => return Err(format!("unknown setting {other:?}\n{USAGE}")),
@@ -242,34 +249,25 @@ fn main() {
         eprintln!("timer slack left at the default: {e}");
     }
 
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &cfg.log_json {
-        // The shared journal discipline (O_APPEND, one write per line):
-        // a crash tears at most the final line.
-        sink = match procutil::journal_writer(std::path::Path::new(path)) {
-            Ok(file) => sink.with_jsonl(Box::new(file)),
-            Err(e) => {
-                eprintln!("open --log-json {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let span = Span::root(sink);
     let registry = MetricsRegistry::new();
     let metrics = CoordMetrics::register(&registry);
-    let mut metrics_thread = None;
-    if let Some(maddr) = &cfg.metrics_addr {
-        match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok((bound, thread)) => {
-                println!("metrics {bound}");
-                metrics_thread = Some(thread);
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
+    let mut telemetry = match procutil::Telemetry::open(
+        cfg.log_json.as_deref(),
+        cfg.metrics_addr.as_deref(),
+        cfg.token,
+        &registry,
+        cfg.speedup,
+    ) {
+        Ok(telemetry) => telemetry,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(1);
         }
+    };
+    if let Some(bound) = telemetry.metrics {
+        println!("metrics {bound}");
     }
+    let span = telemetry.span.clone();
 
     let dcfg = DaemonConfig {
         state_dir,
@@ -334,7 +332,7 @@ fn main() {
         }
         // Sleep on the drain latch, so SIGTERM between periods is
         // honored at once; an interval past any instant waits for it.
-        let next = Duration::try_from_secs_f64(cfg.interval_secs.max(0.0))
+        let next = Duration::try_from_secs_f64(cfg.interval_secs)
             .ok()
             .and_then(|interval| Instant::now().checked_add(interval));
         if procutil::wait_for_drain(next, &|| false) {
@@ -342,10 +340,7 @@ fn main() {
             break;
         }
     }
-    procutil::stop_serving();
-    if metrics_thread.is_some_and(|thread| thread.join().is_err()) {
-        span.emit("coord.fatal", fields![error = "metrics endpoint panicked"]);
-    }
+    telemetry.close("coord");
     span.emit("coord.exit", fields![code = u64::from(exit != 0)]);
     std::process::exit(exit);
 }
@@ -428,6 +423,24 @@ mod tests {
             let line = format!("--dirauths {value}");
             assert!(parse(&line).expect_err(&line).starts_with("dirauths: "), "{line:?}");
         }
+    }
+
+    #[test]
+    fn interval_secs_must_not_be_negative() {
+        for (line, interval) in
+            [("", 1.0), ("--interval-secs 0", 0.0), ("--interval-secs 2.5", 2.5)]
+        {
+            let cfg = parse(line).unwrap_or_else(|msg| panic!("{line:?} refused: {msg}"));
+            assert_eq!(cfg.interval_secs, interval, "{line:?}");
+        }
+        // Documented: an infinite interval waits for SIGTERM.
+        assert_eq!(parse("--interval-secs inf").expect("inf").interval_secs, f64::INFINITY);
+        for value in ["-1", "-0.5", "NaN", "-inf"] {
+            let line = format!("--interval-secs {value}");
+            let msg = parse(&line).expect_err(&line);
+            assert_eq!(msg, format!("interval-secs: must be at least 0, got {value}\n{USAGE}"));
+        }
+        assert!(parse("--interval-secs soon").unwrap_err().starts_with("interval-secs: "));
     }
 
     #[test]

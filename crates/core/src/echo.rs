@@ -104,16 +104,6 @@ impl EchoDeployment {
     fn relay_addr(&self) -> SocketAddr {
         SocketAddr::from((self.relay.ip, self.relay.port))
     }
-
-    pub(crate) fn timeouts(&self) -> SessionTimeouts {
-        // Sped-up clocks shrink the default timeouts to fractions of a
-        // wall second — too tight for a loaded CI box. Scale them so
-        // only the hard deadline bounds a genuinely wedged run.
-        SessionTimeouts {
-            handshake: SimDuration::from_secs_f64(10.0 * self.speedup.max(1.0)),
-            report: SimDuration::from_secs_f64(5.0 * self.speedup.max(1.0)),
-        }
-    }
 }
 
 /// One measurement item of an echo period.
@@ -200,7 +190,7 @@ fn add_item<L: Links>(
     links: &mut L,
     link: &mut L::Round,
 ) {
-    let timeouts = deployment.timeouts();
+    let timeouts = SessionTimeouts::for_speedup(deployment.speedup);
     let mut add = |peer_ix: u32, addr, token, role, spec| {
         let measurer = (peer_ix as usize).checked_sub(1);
         let conn =
@@ -552,7 +542,7 @@ pub(crate) fn drive<L: Links>(
     deployment: &EchoDeployment,
     source: &mut dyn RoundSource,
 ) {
-    let lead = deployment.timeouts().handshake / 2;
+    let lead = SessionTimeouts::for_speedup(deployment.speedup).handshake / 2;
     let mut rounds: Vec<Staged<L::Round>> = Vec::with_capacity(2);
     let mut staged = 0;
     // The source had no round when last asked; a round ending may give
@@ -671,7 +661,11 @@ pub fn run_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    use flashflow_proto::fault::{FaultMode, FaultyTransport};
 
     use crate::proto_driver::{simulate_rounds, InMemory, Scripted, ScriptedRelay};
 
@@ -709,15 +703,18 @@ mod tests {
         }
     }
 
-    /// Hands its rounds out in order and records every event. `later`
-    /// is a round it has only once round 0 has finished, the way a
-    /// re-measurement is planned from a round's results.
+    /// Hands its rounds out in order and records every event, and when
+    /// `clock` said it came. `later` is a round it has only once round 0
+    /// has finished, the way a re-measurement is planned from a round's
+    /// results.
     #[derive(Default)]
     struct Recorder {
         rounds: Vec<Vec<EchoItem>>,
         later: Option<Vec<EchoItem>>,
         staged: usize,
         events: Vec<(usize, EngineEvent)>,
+        clock: Rc<Cell<SimTime>>,
+        at: Vec<SimTime>,
         clean: BTreeMap<usize, bool>,
         /// §4.1's estimate of every item, in the order the rounds ended.
         estimates: Vec<f64>,
@@ -740,6 +737,7 @@ mod tests {
         }
         fn event(&mut self, round: usize, event: EngineEvent) {
             self.events.push((round, event));
+            self.at.push(self.clock.get());
         }
         fn finished(&mut self, round: usize, peers: EngineSnapshot) {
             self.clean.insert(round, peers.all_clean());
@@ -799,6 +797,108 @@ mod tests {
             matches!(e, EngineEvent::PeerFailed { reason: AbortReason::Shutdown, .. })
         };
         assert!(source.events.iter().any(|(r, e)| *r == 0 && aborted(e)), "{:?}", source.events);
+    }
+
+    /// Links whose dial to measurer 1 in round 1 (its third) is
+    /// refused at once (`Disconnect`) or never answered (`Blackhole`),
+    /// per `fault`; `clock` follows the loop's.
+    struct BadDial<L> {
+        links: L,
+        fault: Option<FaultMode>,
+        dials: usize,
+        clock: Rc<Cell<SimTime>>,
+    }
+
+    impl<L: Links> Links for BadDial<L> {
+        type Round = L::Round;
+        fn now(&self) -> SimTime {
+            self.clock.set(self.links.now());
+            self.clock.get()
+        }
+        fn connect(&mut self, round: &mut L::Round, peer: Dial) -> Box<dyn Transport> {
+            let measurer_1 = peer.measurer == Some(1);
+            let conn = self.links.connect(round, peer);
+            self.dials += usize::from(measurer_1);
+            match self.fault {
+                Some(mode) if measurer_1 && self.dials == 3 => {
+                    let mut faulty = FaultyTransport::new(conn, mode);
+                    faulty.trip();
+                    Box::new(faulty)
+                }
+                _ => conn,
+            }
+        }
+        fn wait(
+            &mut self,
+            now: SimTime,
+            rounds: &mut [Staged<L::Round>],
+            wake: Option<SimTime>,
+        ) -> io::Result<()> {
+            self.links.wait(now, rounds, wake)
+        }
+    }
+
+    /// Every `PeerDone` of round 0, as time since its last `Go`.
+    fn done_lags(source: &Recorder) -> Vec<SimDuration> {
+        let of_round_0 = || source.events.iter().zip(&source.at).filter(|((r, _), _)| *r == 0);
+        let go = of_round_0()
+            .filter_map(|((_, e), _)| match e {
+                EngineEvent::GoReleased { at, .. } => Some(*at),
+                _ => None,
+            })
+            .max()
+            .expect("round 0 went");
+        let done = of_round_0().filter(|((_, e), _)| matches!(e, EngineEvent::PeerDone { .. }));
+        done.map(|(_, at)| *at - go).collect()
+    }
+
+    #[test]
+    fn a_staged_round_that_cannot_dial_never_freezes_the_running_one() {
+        // Two measurers; round 0 (two items) is running when round 1
+        // (one item) is staged and dials measurer 1 a third time.
+        let mut deployment = deployment();
+        deployment.measurers.push(deployment.measurers[0]);
+        let run = |fault: Option<FaultMode>| {
+            let mut source = Recorder::new(vec![vec![item(10), item(11)], vec![item(12)]]);
+            let mut behaviour = scripted();
+            let links = InMemory::new(&deployment, &mut behaviour);
+            let clock = Rc::clone(&source.clock);
+            drive(&mut BadDial { links, fault, dials: 0, clock }, &deployment, &mut source);
+            source
+        };
+        let reference = run(None);
+        assert_eq!(
+            reference.clean,
+            BTreeMap::from([(0, true), (1, true)]),
+            "{:?}",
+            reference.events
+        );
+        let reference_lags = done_lags(&reference);
+        assert_eq!(reference_lags.len(), 6, "{:?}", reference.events);
+
+        for (fault, reason) in [
+            (FaultMode::Disconnect, AbortReason::ConnectionLost),
+            (FaultMode::Blackhole, AbortReason::HandshakeTimeout),
+        ] {
+            let bad = run(Some(fault));
+            // The running round stays clean; only the staged item fails,
+            // its measurer-1 session first among any peers that waited
+            // with it.
+            assert_eq!(bad.clean, BTreeMap::from([(0, true), (1, false)]), "{fault:?}");
+            let failed: Vec<_> = bad
+                .events
+                .iter()
+                .filter_map(|(r, e)| match e {
+                    EngineEvent::PeerFailed { peer, reason } => Some((*r, peer.index(), *reason)),
+                    _ => None,
+                })
+                .collect();
+            assert!(failed.contains(&(1, 1, reason)), "{fault:?}: {failed:?}");
+            assert!(failed.iter().all(|&(round, ..)| round == 1), "{fault:?}: {failed:?}");
+            // Round 0's peers finish exactly when they do without the
+            // bad dial.
+            assert_eq!(done_lags(&bad), reference_lags, "{fault:?}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::collections::VecDeque;
 
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::msg::{AbortReason, PeerRole};
-use flashflow_proto::session::{CoordAction, CoordPhase, CoordinatorSession};
+use flashflow_proto::session::{CoordAction, CoordPhase, CoordinatorSession, SessionState as _};
 use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
 use flashflow_simnet::units::Rate;

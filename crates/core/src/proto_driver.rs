@@ -1,36 +1,36 @@
 //! The round loop in memory (§4.1, §7): a deployment's peers as
-//! sessions at the far end of simulated links.
+//! conversations at the far end of simulated links.
 //!
 //! [`crate::echo::run_rounds`] runs rounds against measurer and relay
 //! processes over TCP. [`simulate_rounds`] runs the same loop (its
 //! staging, `Go` gates, per-attempt nonces, hard deadline and
 //! [`RoundSource`]) with every peer in memory: each control session's
 //! transport is one end of a [`Duplex`] link (40 ms one way, re-chunked
-//! at 97 bytes so every message is reassembled), its far end a
-//! [`MeasurerSession`] expecting the deployment's token, and **only**
-//! session actions start or stop traffic. Per-second byte counts cross
-//! the link as `SecondReport` frames; the estimate is computed from what
-//! the frames said, not from shared state. [`run_scripted`] is the
+//! at 97 bytes so every message is reassembled), its far end the
+//! processes' own peer conversation ([`PeerConversation`]), and **only**
+//! session actions start or stop traffic. Each simulated peer process
+//! (each deployment measurer, and the relay) has one replay window its
+//! conversations claim their `Auth` nonce in, as a process does.
+//! Per-second byte counts cross the link as `SecondReport` frames, so
+//! the estimate comes from what the frames said. [`run_scripted`] is the
 //! one-round case, as [`crate::echo::run_round`] is over sockets.
 //!
 //! The links own the clock, and nothing sleeps: each wait moves it to
 //! the earliest of the loop's wake (a `Go` gate, a staging time), the
-//! next frame landing on any link, the next report a started peer owes
-//! (second `j` at its `Go` + (j+1) s, as the peer processes report) and
-//! one 100 ms step on, then steps every peer. A peer that stops
-//! reporting is aborted by its session's report timeout, as a silent
-//! process is ([`flashflow_proto::session`] has the conversation and its
-//! robustness rules). What the peers *do* is the one parameter, a
-//! [`PeerBehaviour`]; [`Scripted`] is the fixed-rate behaviour keyed by
-//! relay fingerprint, the deterministic reference a deployment's
+//! next frame landing on any link, the next deadline of any peer's
+//! conversation (a session timeout, or report `j` at its `Go` + (j+1) s)
+//! and one 100 ms step on, then steps every conversation. What the peers
+//! *do* is the one parameter, a [`PeerBehaviour`], which supplies the
+//! conversation's hooks; [`Scripted`] is the fixed-rate behaviour keyed
+//! by relay fingerprint, the deterministic reference a deployment's
 //! numbers are compared against.
 
 use std::collections::HashMap;
 use std::io;
 
-use flashflow_proto::endpoint::Endpoint;
+use flashflow_procutil::peer::{Hooks, PeerConversation};
 use flashflow_proto::msg::FINGERPRINT_LEN;
-use flashflow_proto::session::{MeasurerAction, MeasurerSession, SessionTimeouts};
+use flashflow_proto::session::{MeasurerAction, MeasurerSession, ReplayWindow, SessionTimeouts};
 use flashflow_proto::transport::{Duplex, DuplexEnd, Transport};
 use flashflow_simnet::time::{SimDuration, SimTime};
 
@@ -73,28 +73,46 @@ pub(crate) struct InMemory<'a, B> {
     timeouts: SessionTimeouts,
     /// Peers connected so far: the next one's id.
     connected: usize,
+    /// One replay window per simulated peer process: each of the
+    /// deployment's measurers in order, then the relay.
+    windows: Vec<ReplayWindow>,
 }
 
 impl<'a, B: PeerBehaviour> InMemory<'a, B> {
     pub(crate) fn new(deployment: &EchoDeployment, behaviour: &'a mut B) -> Self {
-        InMemory { behaviour, now: SimTime::ZERO, timeouts: deployment.timeouts(), connected: 0 }
+        InMemory {
+            behaviour,
+            now: SimTime::ZERO,
+            timeouts: SessionTimeouts::for_speedup(deployment.speedup),
+            connected: 0,
+            windows: vec![ReplayWindow::default(); deployment.measurers.len() + 1],
+        }
     }
 }
 
-/// The peer half of one conversation.
+/// The peer half of one conversation, and who it is.
 pub(crate) struct LocalPeer {
     who: SimPeer,
-    endpoint: Endpoint<MeasurerSession, DuplexEnd>,
-    /// When its `Go` came and its slot's seconds, until it goes silent.
-    slot: Option<(SimTime, u32)>,
-    reported: u32,
+    talk: PeerConversation<DuplexEnd>,
 }
 
-impl LocalPeer {
-    /// When the peer owes its next report, if it owes one.
-    fn next_report(&self) -> Option<SimTime> {
-        let (go, secs) = self.slot.filter(|_| !self.endpoint.is_terminal())?;
-        (self.reported < secs).then(|| go + SimDuration::from_secs(u64::from(self.reported) + 1))
+/// A behaviour's hooks for one peer's conversation, claiming in the
+/// replay window of the process it stands for.
+struct SimHooks<'a, B> {
+    behaviour: &'a mut B,
+    who: SimPeer,
+    window: &'a mut ReplayWindow,
+}
+
+impl<B: PeerBehaviour> Hooks for SimHooks<'_, B> {
+    fn claim(&mut self, nonce: u64) -> bool {
+        self.window.witness(nonce)
+    }
+    fn act(&mut self, action: MeasurerAction, now: SimTime, _reported: u32) {
+        self.behaviour.act(self.who, action, now);
+    }
+    fn second(&mut self, second: u32) -> Option<(u64, u64)> {
+        self.behaviour.second(self.who, second)
     }
 }
 
@@ -110,14 +128,13 @@ impl<B: PeerBehaviour> Links for InMemory<'_, B> {
         self.connected += 1;
         let session = MeasurerSession::new(peer.token, peer.role, who.id as u64, self.timeouts);
         let (coord_end, peer_end) = Duplex::new(SimDuration::from_millis(40), 97).into_endpoints();
-        let endpoint = Endpoint::new(session, peer_end);
-        round.push(LocalPeer { who, endpoint, slot: None, reported: 0 });
+        round.push(LocalPeer { who, talk: PeerConversation::new(session, peer_end) });
         Box::new(coord_end)
     }
 
     /// Moves the clock to the earliest of `wake`, the next landing frame,
-    /// the next report owed and one `STEP` on, and steps every peer: it
-    /// reports, pumps, hands its actions to the behaviour, ticks, flushes.
+    /// the next conversation deadline and one `STEP` on, and steps every
+    /// peer's conversation.
     fn wait(
         &mut self,
         now: SimTime,
@@ -125,29 +142,16 @@ impl<B: PeerBehaviour> Links for InMemory<'_, B> {
         wake: Option<SimTime>,
     ) -> io::Result<()> {
         let peers = rounds.iter().flat_map(|round| &round.link);
-        let due = peers.flat_map(|p| [p.endpoint.transport().next_delivery(), p.next_report()]);
+        let due =
+            peers.flat_map(|p| [p.talk.endpoint().transport().next_delivery(), p.talk.deadline()]);
         let now = due.flatten().chain(wake).filter(|&at| at > now).fold(now + STEP, SimTime::min);
         self.now = now;
         self.behaviour.advance(now);
-        let behaviour = &mut *self.behaviour;
+        let relay = self.windows.len() - 1;
         for p in rounds.iter_mut().flat_map(|round| &mut round.link) {
-            while p.next_report().is_some_and(|at| at <= now) {
-                match behaviour.second(p.who, p.reported) {
-                    Some((bg, measured)) => p.endpoint.session_mut().report_second(bg, measured),
-                    None => p.slot = None,
-                }
-                p.reported += 1;
-            }
-            p.endpoint.pump(now);
-            while let Some(action) = p.endpoint.session_mut().poll_action() {
-                if let MeasurerAction::Start { spec } = &action {
-                    p.slot = Some((now, spec.slot_secs));
-                }
-                behaviour.act(p.who, action, now);
-            }
-            // A peer mid-handshake whose coordinator went silent gives up.
-            p.endpoint.tick(now);
-            p.endpoint.flush(now);
+            let window = &mut self.windows[p.who.measurer.unwrap_or(relay)];
+            let mut hooks = SimHooks { behaviour: &mut *self.behaviour, who: p.who, window };
+            p.talk.step(now, true, false, &mut hooks);
         }
         Ok(())
     }
@@ -319,6 +323,28 @@ mod tests {
             })
             .collect();
         assert_eq!(gos, vec![SimTime::ZERO + LATENCY * 4; 3], "{events:?}");
+    }
+
+    #[test]
+    fn a_replayed_opener_is_refused_by_the_peer_that_accepted_it() {
+        // Item 1 repeats item 0's secret and attempt, so each of its
+        // peers is presented the `Auth` nonce it accepted for item 0.
+        let mut items = items(2, 2);
+        items[1].measurement_secret = items[0].measurement_secret;
+        let mut scripted = Scripted::new((0..2).map(|g| (fp(g), ScriptedRelay::default())));
+        let (peers, events) = run(&deployment(2), &items, &mut scripted);
+        assert!(peers.item_clean(0), "{events:?}");
+        assert!(!peers.item_clean(1), "{events:?}");
+        let mut failed: Vec<_> = events
+            .iter()
+            .filter_map(|e| match *e {
+                EngineEvent::PeerFailed { peer, reason } => Some((peer.index(), reason)),
+                _ => None,
+            })
+            .collect();
+        failed.sort_by_key(|&(peer, _)| peer);
+        // Item 1's measurers and relay are peers 3, 4 and 5.
+        assert_eq!(failed, (3..6).map(|p| (p, AbortReason::AuthFailed)).collect::<Vec<_>>());
     }
 
     /// Fixed-rate peers that record when each peer's `Go` came and when

@@ -180,6 +180,8 @@ impl Default for LintConfig {
                 "core/src/echo.rs".into(),
                 "core/src/pool.rs".into(),
                 "core/src/proto_driver.rs".into(),
+                "proto/src/session.rs".into(),
+                "proto/src/endpoint.rs".into(),
             ],
             orphan_exempt_crates: vec!["perf".into(), "lint".into(), "proptest".into()],
             orphan_allow: rules::orphan_pub::parse_allowlist(rules::orphan_pub::ALLOWLIST),

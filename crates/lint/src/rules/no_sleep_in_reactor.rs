@@ -9,10 +9,12 @@
 //!
 //! Scope: non-test code in files whose path contains a configured
 //! fragment — `reactor`, `peer.rs`, the coordinator's
-//! `core/src/echo.rs` round loop and `core/src/pool.rs` checkout, and
-//! the loop's in-memory links in `core/src/proto_driver.rs` (whose
-//! clock only moves by simulation, so nothing there may sleep) by
-//! default. Test modules and `tests/`/`benches/` trees are
+//! `core/src/echo.rs` round loop and `core/src/pool.rs` checkout, the
+//! loop's in-memory links in `core/src/proto_driver.rs` (whose clock
+//! only moves by simulation, so nothing there may sleep), and the
+//! `proto/src/session.rs` and `proto/src/endpoint.rs` that both hosts
+//! of the peer conversation step (the session owns the peer's report
+//! clock) by default. Test modules and `tests/`/`benches/` trees are
 //! exempt: a harness thread sleeping between assertions blocks nobody's
 //! data plane.
 

@@ -281,14 +281,22 @@ fn no_sleep_in_reactor_fixtures() {
 fn coordinator_round_loop_and_pool_are_in_scope_for_no_sleep() {
     let cfg = LintConfig::default();
     let sleeps = include_str!("fixtures/no_sleep_round_loop_bad.rs");
-    for path in
-        ["crates/core/src/echo.rs", "crates/core/src/pool.rs", "crates/core/src/proto_driver.rs"]
-    {
+    for path in [
+        "crates/core/src/echo.rs",
+        "crates/core/src/pool.rs",
+        "crates/core/src/proto_driver.rs",
+        // Both hosts of the peer conversation step these, and the
+        // session owns the peer's report clock.
+        "crates/proto/src/session.rs",
+        "crates/proto/src/endpoint.rs",
+    ] {
         let found = lint_file(path, sleeps, &cfg);
         assert_eq!(rules_of(&found), vec!["no-sleep-in-reactor"; 2], "{path}: {found:?}");
     }
-    // The rest of core is simulation and policy code; it may sleep.
+    // The rest of core is simulation and policy code, and the rest of
+    // proto neither steps a host nor keeps a clock; they may sleep.
     assert_eq!(lint_file("crates/core/src/engine.rs", sleeps, &cfg), vec![]);
+    assert_eq!(lint_file("crates/proto/src/msg.rs", sleeps, &cfg), vec![]);
 }
 
 /// The coordinator's round loop and the pool it checks connections out

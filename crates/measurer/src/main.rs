@@ -62,10 +62,10 @@
 //! reactor shard, and exits 0.
 //!
 //! Replay protection across sessions: the process keeps one shared
-//! `ReplayWindow`. Each session starts from a clone of it, and the
-//! moment a session accepts an `Auth` nonce it *claims* it in the
-//! shared window under the lock — of two concurrent connections
-//! replaying one opener, exactly one wins.
+//! `ReplayWindow`, and the moment a session accepts an `Auth` nonce it
+//! *claims* it in the shared window under the lock: a replayed opener
+//! is refused, and of two concurrent connections replaying one opener,
+//! exactly one wins.
 //!
 //! **Observability**: process logging goes through one `flashflow-obs`
 //! `EventSink` — human text on stderr by default, and with

@@ -223,13 +223,7 @@ impl Role for Measurer {
         Conv::default()
     }
 
-    fn on_start(
-        peer: &Peer<Measurer>,
-        conv: &mut Conv,
-        span: &Span,
-        spec: &MeasureSpec,
-        _: SimTime,
-    ) {
+    fn on_start(peer: &Peer<Measurer>, conv: &mut Conv, span: &Span, spec: &MeasureSpec) {
         conv.slot_secs = spec.slot_secs;
         let echo = EchoPlane {
             speedup: peer.settings.speedup,

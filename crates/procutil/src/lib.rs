@@ -8,8 +8,8 @@
 //! so a fix to the serving path cannot silently miss one of the
 //! binaries; each binary keeps only its role (what a conversation means
 //! to its data plane). The pieces the coordinator and the tools also
-//! use — signal flag, command-line parsing, durable writes, the metrics
-//! endpoint — sit beside it.
+//! use — signal flag, command-line parsing, durable writes, the
+//! telemetry shell and its metrics endpoint — sit beside it.
 
 mod metrics_endpoint;
 pub mod net;
@@ -17,7 +17,7 @@ pub mod peer;
 pub mod persist;
 pub mod reactor;
 
-pub use metrics_endpoint::{fetch_metrics, start_metrics_endpoint};
+pub use metrics_endpoint::{fetch_metrics, Telemetry};
 pub use net::listen_reuseaddr;
 pub use persist::{append_line, append_lines, append_torn_line, atomic_write, journal_writer};
 

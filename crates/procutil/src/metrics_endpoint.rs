@@ -1,6 +1,7 @@
-//! The `--metrics-addr` TCP endpoint both standalone processes expose:
-//! connect, present the process's auth token, receive one JSON registry
-//! snapshot, done.
+//! A process's telemetry shell ([`Telemetry`]: its event stream and
+//! its metrics endpoint), and the `--metrics-addr` TCP endpoint every
+//! standalone process exposes: connect, present the process's auth
+//! token, receive one JSON registry snapshot, done.
 //!
 //! The gate is deliberately the same secret that authorizes control
 //! sessions — an unauthenticated scraper on a public address would leak
@@ -13,14 +14,68 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use flashflow_obs::MetricsRegistry;
+use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
 use flashflow_proto::msg::AUTH_TOKEN_LEN;
 
 use crate::reactor::{Interest, Poller};
-use crate::{drain_latch, hello_window};
+use crate::{drain_latch, hello_window, journal_writer};
+
+/// A process's telemetry: the root span of its event stream (text on
+/// stderr, and JSONL in `--log-json`) and, with `--metrics-addr`, the
+/// token-gated endpoint serving its metrics.
+pub struct Telemetry {
+    /// The root span every event of the process hangs off.
+    pub span: Span,
+    /// Where the metrics endpoint listens, for the process's
+    /// `metrics <addr>` stdout line.
+    pub metrics: Option<SocketAddr>,
+    endpoint: Option<JoinHandle<()>>,
+}
+
+impl Telemetry {
+    /// Opens `log_json` with the shared journal discipline (O_APPEND,
+    /// one write per line: a crash tears at most the final line) and
+    /// starts the metrics endpoint on `metrics_addr`, serving `registry`
+    /// to whoever presents `token`.
+    ///
+    /// # Errors
+    /// The message for the operator: the log could not be opened, or
+    /// the endpoint not started.
+    pub fn open(
+        log_json: Option<&str>,
+        metrics_addr: Option<&str>,
+        token: [u8; AUTH_TOKEN_LEN],
+        registry: &MetricsRegistry,
+        speedup: f64,
+    ) -> Result<Telemetry, String> {
+        let mut sink = EventSink::new().with_stderr_text();
+        if let Some(path) = log_json {
+            let file = journal_writer(Path::new(path))
+                .map_err(|e| format!("open --log-json {path}: {e}"))?;
+            sink = sink.with_jsonl(Box::new(file));
+        }
+        let mut telemetry = Telemetry { span: Span::root(sink), metrics: None, endpoint: None };
+        if let Some(addr) = metrics_addr {
+            let (bound, thread) = start_metrics_endpoint(addr, token, registry.clone(), speedup)?;
+            telemetry.metrics = Some(bound);
+            telemetry.endpoint = Some(thread);
+        }
+        Ok(telemetry)
+    }
+
+    /// Stops serving ([`crate::stop_serving`]) and joins the metrics
+    /// endpoint, emitting `<name>.fatal` if its thread panicked.
+    pub fn close(&mut self, name: &str) {
+        crate::stop_serving();
+        if self.endpoint.take().is_some_and(|thread| thread.join().is_err()) {
+            self.span.emit(&format!("{name}.fatal"), fields![error = "metrics endpoint panicked"]);
+        }
+    }
+}
 
 const TOKEN_LATCH: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
@@ -67,16 +122,13 @@ fn spawn_metrics_endpoint(
 }
 
 /// Binds `addr` and spawns the snapshot endpoint on it. Returns the
-/// bound address (for the process's `metrics <addr>` stdout line) and
-/// the endpoint's thread, which the process joins once it stops
-/// serving, so a panic in it is reported rather than lost. One call
-/// with one string error so the binaries share a single graceful
-/// failure path instead of each panicking its own way.
+/// bound address and the endpoint's thread, which [`Telemetry::close`]
+/// joins, so a panic in it is reported rather than lost.
 ///
 /// # Errors
 /// Describes which step failed: the bind, the local-address query, or
 /// the endpoint spawn.
-pub fn start_metrics_endpoint(
+fn start_metrics_endpoint(
     addr: &str,
     token: [u8; AUTH_TOKEN_LEN],
     registry: MetricsRegistry,

@@ -10,13 +10,20 @@
 //! the reactor-driven connection shell: a fresh connection is identified
 //! by its first bytes — a framed **control** conversation, or a **data**
 //! dial opening with a [`DataChannelHello`] — inside the hello window,
-//! then runs either the warm-reuse control conversation skeleton or the
-//! role's [`DataConn`]. A role supplies its own flags, its
-//! per-conversation state, the hooks the skeleton calls at the
-//! conversation's protocol events (command, `Go`, each second's report,
-//! stop, end), and its data-connection type; the role is a generic
-//! parameter, so nothing on the per-byte path goes through a `dyn`
-//! call.
+//! then runs either warm-reuse control conversations or the role's
+//! [`DataConn`]. A role supplies its own flags, its per-conversation
+//! state, the hooks a conversation calls at its protocol events
+//! (command, `Go`, each second's report, stop, end), and its
+//! data-connection type; the role is a generic parameter, so nothing on
+//! the per-byte path goes through a `dyn` call.
+//!
+//! A control conversation is one sans-IO [`PeerConversation`] over its
+//! session: pump, claim the accepted nonce in the process's replay
+//! window, tick, abort a handshake on drain, hand actions to its
+//! [`Hooks`], send the reports its session makes due, flush, and three
+//! terminal flushes. The reactor hosts it here, on the sped-up clock
+//! ([`Peer::snow`]); `flashflow_core::proto_driver` hosts the same type
+//! on in-memory links, so a simulated peer runs the processes' code.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -24,18 +31,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use flashflow_obs::{fields, EventSink, MetricsRegistry, Span, Value};
+use flashflow_obs::{fields, MetricsRegistry, Span, Value};
 use flashflow_proto::blast::{DataChannelHello, DATA_HELLO_TAG, HELLO_LEN};
 use flashflow_proto::endpoint::Endpoint;
 use flashflow_proto::msg::{AbortReason, MeasureSpec, PeerRole, AUTH_TOKEN_LEN};
 use flashflow_proto::session::{
-    MeasurerAction, MeasurerPhase, MeasurerSession, ReplayWindow, SessionTimeouts,
+    MeasurerAction, MeasurerPhase, MeasurerSession, ReplayWindow, SessionState as _,
+    SessionTimeouts,
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{LeasedTransport, Transport};
 use flashflow_simnet::time::SimTime;
 
 use crate::reactor::{AcceptFn, Driven, Reactor, ReactorConfig, ReactorObs, Spawner, Step};
+use crate::Telemetry;
 
 /// The serving reactor's sweep: how often every connection it drives, a
 /// role's own included, is stepped without readiness or a deadline of
@@ -224,16 +233,9 @@ pub trait Role: Send + Sync + Sized + 'static {
     /// A `MeasureCmd` was accepted; `Ready` has not reached the wire
     /// yet.
     fn on_command(&self, _conv: &mut Self::Conv, _span: &Span, _spec: &MeasureSpec) {}
-    /// `Go` arrived: the slot starts at `snow` on the sped-up clock. The
-    /// peer is passed whole so a role can start connections of its own
-    /// ([`Peer::spawn`]).
-    fn on_start(
-        peer: &Peer<Self>,
-        conv: &mut Self::Conv,
-        span: &Span,
-        spec: &MeasureSpec,
-        snow: SimTime,
-    );
+    /// `Go` arrived: the slot starts. The peer is passed whole so a role
+    /// can start connections of its own ([`Peer::spawn`]).
+    fn on_start(peer: &Peer<Self>, conv: &mut Self::Conv, span: &Span, spec: &MeasureSpec);
     /// The slot is over (or the session died) after `seconds` reports.
     fn on_stop(&self, conv: &mut Self::Conv, span: &Span, seconds: u32);
     /// The `(background, measured)` byte columns of report `second`.
@@ -344,28 +346,18 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
         .local_addr()
         .map_err(|e| (1, format!("query bound address for {}: {e}", settings.listen)))?;
     check_token_policy(addr, settings.token_explicit).map_err(|msg| (2, msg))?;
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &settings.log_json {
-        // Opened with the shared journal discipline (O_APPEND, one
-        // write per line): a crash tears at most the final line.
-        let file = crate::journal_writer(std::path::Path::new(path))
-            .map_err(|e| (1, format!("open --log-json {path}: {e}")))?;
-        sink = sink.with_jsonl(Box::new(file));
-    }
-    let span = Span::root(sink);
     let registry = MetricsRegistry::new();
+    let mut telemetry = Telemetry::open(
+        settings.log_json.as_deref(),
+        settings.metrics_addr.as_deref(),
+        settings.token,
+        &registry,
+        settings.speedup,
+    )
+    .map_err(|msg| (1, msg))?;
     let mut advertised = format!("listening {addr}\n");
-    let mut metrics = None;
-    if let Some(maddr) = &settings.metrics_addr {
-        let (bound, thread) = crate::start_metrics_endpoint(
-            maddr,
-            settings.token,
-            registry.clone(),
-            settings.speedup,
-        )
-        .map_err(|msg| (1, msg))?;
+    if let Some(bound) = telemetry.metrics {
         advertised += &format!("metrics {bound}\n");
-        metrics = Some(thread);
     }
     // The machine-readable stdout lines. A failed flush means whoever
     // spawned us cannot learn the bound address — serving anyway would
@@ -380,8 +372,8 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     let role = R::new(role_cfg, &registry);
     let mut start = role.start_fields();
     start.extend(fields![speedup = settings.speedup]);
-    span.emit(&format!("{name}.start"), start);
-    let peer = Arc::new(Peer::new(settings, role, span));
+    telemetry.span.emit(&format!("{name}.start"), start);
+    let peer = Arc::new(Peer::new(settings, role, telemetry.span.clone()));
     // The reactor owns the listener from here: `--io-threads` epoll
     // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
     // state machine; this thread sleeps until SIGTERM or the quota.
@@ -412,10 +404,7 @@ fn serve<R: Role>(args: impl Iterator<Item = String>) -> Result<(), (i32, String
     if let Err(e) = reactor.join() {
         peer.span.emit(&format!("{name}.fatal"), fields![error = e]);
     }
-    crate::stop_serving();
-    if metrics.is_some_and(|thread| thread.join().is_err()) {
-        peer.span.emit(&format!("{name}.fatal"), fields![error = "metrics endpoint panicked"]);
-    }
+    telemetry.close(name);
     let sessions = peer.sessions_done.load(Ordering::SeqCst);
     peer.span.emit(&format!("{name}.exit"), fields![sessions = sessions]);
     Ok(())
@@ -626,27 +615,192 @@ impl<R: Role> Conn<R> {
     }
 }
 
-/// One control connection serving conversations back to back on a
-/// leased transport, so a coordinator-side pool reuses warm connections
-/// across measurement items instead of dialing fresh per item. The
-/// protocol skeleton lives here; what a conversation means to the data
-/// plane is the role's ([`Role::Conv`] and the hooks around it).
+/// What a peer does at its control conversation's protocol events; a
+/// [`PeerConversation`] calls nothing else. The reactor host's come from
+/// its [`Role`], an in-memory host's from its behaviour.
+pub trait Hooks {
+    /// Witnesses the `Auth` nonce the session accepted in the peer
+    /// process's replay window; `false` (a replay) refuses the
+    /// conversation.
+    fn claim(&mut self, nonce: u64) -> bool;
+    /// Carries out one session action at `now`, after `reported`
+    /// seconds of the slot were reported.
+    fn act(&mut self, action: MeasurerAction, now: SimTime, reported: u32);
+    /// Report `second`'s `(background, measured)` bytes, asked once it
+    /// is due; `None` silences the peer for the rest of its slot.
+    fn second(&mut self, second: u32) -> Option<(u64, u64)>;
+}
+
+/// The peer half of one control conversation, with no I/O or clock of
+/// its own: its host says when the transport is readable and what time
+/// it is on the session's clock, and [`PeerConversation::step`] takes
+/// the conversation's steps in one order, over sockets or in memory.
+pub struct PeerConversation<T: Transport> {
+    endpoint: Endpoint<MeasurerSession, T>,
+    /// The session's accepted nonce went to [`Hooks::claim`].
+    claimed: bool,
+    /// [`Hooks::second`] declined a report: the slot reports no more.
+    silent: bool,
+    /// Terminal sessions get three flush steps before the conversation
+    /// ends, so the tail (`SlotDone` / `Abort`) leaves a slow socket.
+    terminal_flushes: u8,
+}
+
+impl<T: Transport> PeerConversation<T> {
+    /// A conversation of `session` over `transport`.
+    pub fn new(session: MeasurerSession, transport: T) -> Self {
+        let endpoint = Endpoint::new(session, transport);
+        PeerConversation { endpoint, claimed: false, silent: false, terminal_flushes: 0 }
+    }
+
+    /// The session and its transport.
+    pub fn endpoint(&self) -> &Endpoint<MeasurerSession, T> {
+        &self.endpoint
+    }
+
+    /// One step at `now`: read (only if `read`, so an idle step makes no
+    /// syscall), claim the accepted nonce, tick, abort a handshake while
+    /// `draining`, hand the actions to `hooks`, send the reports that are
+    /// due, and flush, so a reply leaves in the step that heard the
+    /// question. `true` once the session is terminal and three steps
+    /// have flushed its tail: the conversation is over.
+    pub fn step(
+        &mut self,
+        now: SimTime,
+        read: bool,
+        draining: bool,
+        hooks: &mut impl Hooks,
+    ) -> bool {
+        // Bytes fed before the first step may carry the opener: claim it
+        // before the pump flushes its `AuthOk`.
+        self.claim(hooks);
+        if read {
+            self.endpoint.pump(now);
+            self.claim(hooks);
+        }
+        self.endpoint.tick(now);
+        let session = self.endpoint.session_mut();
+        // Drain: finish a running slot, but abort a conversation still
+        // in its handshake.
+        let handshaking = matches!(
+            session.phase(),
+            MeasurerPhase::AwaitAuth | MeasurerPhase::AwaitCmd | MeasurerPhase::AwaitGo
+        );
+        if draining && handshaking {
+            session.abort(AbortReason::Shutdown);
+        }
+        while let Some(action) = session.poll_action() {
+            hooks.act(action, now, session.seconds_reported());
+        }
+        while !self.silent && session.next_report().is_some_and(|due| due <= now) {
+            match hooks.second(session.seconds_reported()) {
+                Some((bg, measured)) => session.report_second(bg, measured),
+                None => self.silent = true,
+            }
+        }
+        self.endpoint.flush(now);
+        if self.endpoint.is_terminal() {
+            self.terminal_flushes = self.terminal_flushes.saturating_add(1);
+        }
+        self.terminal_flushes >= 3
+    }
+
+    /// When the conversation next has clock-driven work: its session's
+    /// timeout or next report, whichever is first, or [`SimTime::ZERO`]
+    /// (due at once) for the step that arms a fresh session's accept
+    /// deadline and for the terminal flushes.
+    pub fn deadline(&self) -> Option<SimTime> {
+        let session = self.endpoint.session();
+        let unarmed = session.phase() == MeasurerPhase::AwaitAuth && session.deadline().is_none();
+        if session.is_terminal() || unarmed {
+            return Some(SimTime::ZERO);
+        }
+        let report = session.next_report().filter(|_| !self.silent);
+        session.deadline().into_iter().chain(report).min()
+    }
+
+    /// Claims a newly accepted nonce: of two conversations presenting
+    /// one opener, exactly one witnesses it first. The loser's queued
+    /// `AuthOk` and actions are discarded before its `Abort`, so its
+    /// coordinator never sees a handshake and its hooks never act.
+    fn claim(&mut self, hooks: &mut impl Hooks) {
+        let Some(nonce) = self.endpoint.session().accepted_nonce() else { return };
+        if std::mem::replace(&mut self.claimed, true) || hooks.claim(nonce) {
+            return;
+        }
+        let session = self.endpoint.session_mut();
+        while session.poll_outbound().is_some() {}
+        while session.poll_action().is_some() {}
+        session.abort(AbortReason::AuthFailed);
+    }
+}
+
+/// A role's [`Hooks`] over one conversation of the reactor host.
+struct RoleHooks<'a, R: Role> {
+    peer: &'a Peer<R>,
+    conv: &'a mut R::Conv,
+    span: &'a mut Span,
+}
+
+impl<R: Role> Hooks for RoleHooks<'_, R> {
+    /// Claims in the process-wide window, which every shard shares.
+    fn claim(&mut self, nonce: u64) -> bool {
+        let fresh = crate::lock_recover(&self.peer.replay).witness(nonce);
+        if !fresh {
+            self.span.event("session.replay_drop");
+        }
+        fresh
+    }
+
+    fn act(&mut self, action: MeasurerAction, _now: SimTime, reported: u32) {
+        let (peer, conv) = (self.peer, &mut *self.conv);
+        match action {
+            MeasurerAction::Prepare { spec } => {
+                // `Ready` goes out with this step's flush, after the role
+                // registers here, so a data dial that waits for `Go`
+                // always finds the registration.
+                peer.role.on_command(conv, self.span, &spec);
+                // Every event from here on carries the coordinator's
+                // trace id for this item-attempt.
+                if spec.trace_id != 0 {
+                    *self.span = self.span.trace(spec.trace_id);
+                }
+                self.span.emit(
+                    "session.prepare",
+                    fields![
+                        fp = format!("{:02x}{:02x}", spec.relay_fp[0], spec.relay_fp[1]),
+                        slot_secs = spec.slot_secs,
+                        sockets = spec.sockets,
+                    ],
+                );
+            }
+            MeasurerAction::Start { spec } => R::on_start(peer, conv, self.span, &spec),
+            MeasurerAction::Stop => peer.role.on_stop(conv, self.span, reported),
+        }
+    }
+
+    fn second(&mut self, second: u32) -> Option<(u64, u64)> {
+        Some(self.peer.role.second_report(self.conv, self.span, second))
+    }
+}
+
+/// The reactor host of [`PeerConversation`]: one control connection
+/// serving conversations back to back on a leased transport, so a
+/// coordinator-side pool reuses warm connections across measurement
+/// items. It keeps the session clock ([`Peer::snow`] since the
+/// conversation began: every timeout and report instant is the same
+/// wall time at any speedup), the write backlog, the session quota and
+/// the warm restart; what a conversation means to the data plane is the
+/// role's ([`Role::Conv`] and its hooks).
 struct Conversation<R: Role> {
     peer: Arc<Peer<R>>,
     conn_id: u64,
     /// Conversations started on this connection.
     started: u64,
-    endpoint: Option<Endpoint<MeasurerSession, LeasedTransport<TcpTransport>>>,
+    talk: Option<PeerConversation<LeasedTransport<TcpTransport>>>,
     span: Span,
+    /// The session clock's origin.
     t0: Instant,
-    /// The commanded slot length, once `Go` arrives.
-    slot_secs: Option<u32>,
-    started_at: Instant,
-    reported: u32,
-    claimed_nonce: Option<u64>,
-    /// Terminal sessions get three flush steps before the conversation
-    /// ends, so the tail (`SlotDone` / `Abort`) leaves a slow socket.
-    terminal_flushes: u8,
     /// Unflushed outbound bytes at the end of the last step; the shard
     /// re-arms the socket for write readiness while this holds.
     backlog: bool,
@@ -664,14 +818,9 @@ impl<R: Role> Conversation<R> {
             peer: Arc::clone(peer),
             conn_id,
             started: 0,
-            endpoint: None,
+            talk: None,
             span: peer.span.clone(),
             t0: Instant::now(),
-            slot_secs: None,
-            started_at: Instant::now(),
-            reported: 0,
-            claimed_nonce: None,
-            terminal_flushes: 0,
             backlog: false,
             conv: peer.role.conversation(),
         };
@@ -689,175 +838,63 @@ impl<R: Role> Conversation<R> {
         let session_id = self.conn_id * 1_000 + self.started;
         self.started += 1;
         self.span = peer.span.session(session_id);
-        let window = crate::lock_recover(&peer.replay).clone();
         let session = MeasurerSession::new(
             peer.settings.token,
             peer.role.session_role(),
             session_id,
-            SessionTimeouts::default(),
-        )
-        .with_replay_window(window);
-        let mut endpoint = Endpoint::new(session, leased);
+            SessionTimeouts::for_speedup(peer.settings.speedup),
+        );
+        let mut talk = PeerConversation::new(session, leased);
         self.t0 = Instant::now();
         if let Some(bytes) = preread {
-            endpoint.session_mut().receive(SimTime::ZERO, &bytes);
+            talk.endpoint.session_mut().receive(SimTime::ZERO, &bytes);
         }
-        self.slot_secs = None;
-        self.started_at = Instant::now();
-        self.reported = 0;
-        self.claimed_nonce = None;
-        self.terminal_flushes = 0;
         self.conv = peer.role.conversation();
-        self.endpoint = Some(endpoint);
-        // The pre-read bytes may have carried the whole opener.
-        self.claim_opener();
-    }
-
-    /// Claims the nonce the session accepted, if it accepted one since
-    /// the last call, in the process-wide window: of two concurrent
-    /// connections replaying the same opener, exactly one witnesses it
-    /// first and the loser is dropped — a session-local window cannot
-    /// arbitrate that. Runs after every read and before anything is
-    /// flushed, and the loser's queued `AuthOk` is discarded before its
-    /// `Abort`, so the loser's coordinator never sees a handshake.
-    fn claim_opener(&mut self) {
-        if self.claimed_nonce.is_some() {
-            return;
-        }
-        let peer = &self.peer;
-        let Some(endpoint) = self.endpoint.as_mut() else { return };
-        let Some(nonce) = endpoint.session().accepted_nonce() else { return };
-        self.claimed_nonce = Some(nonce);
-        if !crate::lock_recover(&peer.replay).witness(nonce) {
-            // The loser never reaches `on_command`, so its `release`
-            // cannot undo the winner's registration.
-            self.span.event("session.replay_drop");
-            while endpoint.session_mut().poll_outbound().is_some() {}
-            endpoint.session_mut().abort(AbortReason::AuthFailed);
-        }
+        self.talk = Some(talk);
     }
 
     /// One step of the conversation, on socket readiness or at its
-    /// [`Conversation::deadline`]: read (on readiness only: an idle
-    /// connection's tick makes no syscall), act, and flush every frame
-    /// the step queued before returning, so a reply leaves in the step
-    /// that heard the question. A sweep before the deadline is skipped,
-    /// unless the process drains.
+    /// [`Conversation::deadline`]; a sweep before the deadline is
+    /// skipped, unless the process drains.
     fn step(&mut self, why: Why) -> Step {
         if let (Why::Tick, Some(due)) = (why, self.deadline()) {
             if !self.peer.draining() && Instant::now() < due {
                 return Step::Continue;
             }
         }
-        let elapsed = self.t0.elapsed().as_secs_f64();
-        let now = SimTime::from_secs_f64(elapsed);
-        if let (Why::Ready, Some(endpoint)) = (why, self.endpoint.as_mut()) {
-            endpoint.pump(now);
-        }
-        self.claim_opener();
-        let peer = &self.peer;
-        let Some(endpoint) = self.endpoint.as_mut() else {
+        let Some(talk) = self.talk.as_mut() else {
             return Step::Done;
         };
-        // The blast clock runs sped up, like the reports.
-        let snow = SimTime::from_secs_f64(elapsed * peer.settings.speedup);
-        endpoint.tick(now);
-        // Drain: finish a running slot, but abort a conversation still
-        // in its handshake — the Abort frame is flushed below.
-        if peer.draining()
-            && matches!(
-                endpoint.session().phase(),
-                MeasurerPhase::AwaitAuth | MeasurerPhase::AwaitCmd | MeasurerPhase::AwaitGo
-            )
-        {
-            endpoint.session_mut().abort(AbortReason::Shutdown);
+        let peer = &*self.peer;
+        let now = peer.snow(self.t0);
+        let mut hooks = RoleHooks { peer, conv: &mut self.conv, span: &mut self.span };
+        if talk.step(now, matches!(why, Why::Ready), peer.draining(), &mut hooks) {
+            return self.finish_conversation();
         }
-        while let Some(action) = endpoint.session_mut().poll_action() {
-            match action {
-                MeasurerAction::Prepare { spec } => {
-                    // `Ready` goes out with this step's flush, after
-                    // the role registers here, so a data dial that
-                    // waits for `Go` always finds the registration.
-                    peer.role.on_command(&mut self.conv, &self.span, &spec);
-                    // Every event from here on carries the coordinator's
-                    // trace id for this item-attempt.
-                    if spec.trace_id != 0 {
-                        self.span = self.span.trace(spec.trace_id);
-                    }
-                    self.span.emit(
-                        "session.prepare",
-                        fields![
-                            fp = format!("{:02x}{:02x}", spec.relay_fp[0], spec.relay_fp[1]),
-                            slot_secs = spec.slot_secs,
-                            sockets = spec.sockets,
-                        ],
-                    );
-                }
-                MeasurerAction::Start { spec } => {
-                    self.slot_secs = Some(spec.slot_secs);
-                    self.started_at = Instant::now();
-                    R::on_start(peer, &mut self.conv, &self.span, &spec, snow);
-                }
-                MeasurerAction::Stop => {
-                    peer.role.on_stop(&mut self.conv, &self.span, self.reported);
-                }
-            }
-        }
-        if let Some(slot_secs) = self.slot_secs {
-            // One report per (sped-up) second, paced off the Go instant.
-            let report_every = Duration::from_secs_f64(1.0 / peer.settings.speedup);
-            while self.reported < slot_secs
-                && !endpoint.is_terminal()
-                && self.started_at.elapsed() >= report_every * (self.reported + 1)
-            {
-                let (bg, measured) =
-                    peer.role.second_report(&mut self.conv, &self.span, self.reported);
-                endpoint.session_mut().report_second(bg, measured);
-                self.reported += 1;
-            }
-        }
-        endpoint.flush(now);
-        if endpoint.is_terminal() {
-            self.terminal_flushes += 1;
-            if self.terminal_flushes >= 3 {
-                return self.finish_conversation();
-            }
-        }
-        self.backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
+        self.backlog = talk.endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
         Step::Continue
     }
 
-    /// When the conversation next has clock-driven work: the earliest of
-    /// its next report, its session's deadline, and — for the step that
-    /// arms a fresh session's accept deadline and for the terminal
-    /// flushes — now.
+    /// [`PeerConversation::deadline`] on the wall clock, a microsecond
+    /// late so the step it wakes is not a float's rounding early.
     fn deadline(&self) -> Option<Instant> {
-        let session = self.endpoint.as_ref()?.session();
-        if session.is_terminal()
-            || (session.phase() == MeasurerPhase::AwaitAuth && session.deadline().is_none())
-        {
-            return Some(Instant::now());
-        }
-        let timeout = session.deadline().map(|d| self.t0 + Duration::from_nanos(d.as_nanos()));
-        let report = self.slot_secs.filter(|&secs| self.reported < secs).map(|_| {
-            let report_every = Duration::from_secs_f64(1.0 / self.peer.settings.speedup);
-            self.started_at + report_every * (self.reported + 1)
-        });
-        timeout.into_iter().chain(report).min()
+        let at = self.talk.as_ref()?.deadline()?;
+        let wall = Duration::from_secs_f64(at.as_secs_f64() / self.peer.settings.speedup);
+        Some(self.t0 + wall + Duration::from_micros(1))
     }
 
     /// Ends the current conversation: release what it registered, count
     /// the session, and either start the next conversation on the warm
     /// transport or finish the connection.
     fn finish_conversation(&mut self) -> Step {
-        let Some(endpoint) = self.endpoint.take() else {
+        let Some(PeerConversation { endpoint, claimed, .. }) = self.talk.take() else {
             return Step::Done;
         };
         let reusable = endpoint.session().phase() == MeasurerPhase::Done
             && endpoint.transport_error().is_none();
         let (_session, leased) = endpoint.into_parts();
         self.peer.role.release(&mut self.conv);
-        if self.claimed_nonce.is_some() {
+        if claimed {
             self.peer.sessions_done.fetch_add(1, Ordering::SeqCst);
             if self.peer.quota_reached() {
                 crate::stop_serving();
@@ -878,8 +915,10 @@ mod tests {
     use std::io::Read as _;
     use std::net::TcpListener;
 
+    use flashflow_obs::EventSink;
     use flashflow_proto::frame::{encode, FrameDecoder};
     use flashflow_proto::msg::{Msg, FINGERPRINT_LEN};
+    use flashflow_proto::transport::Duplex;
 
     use crate::reactor::{Interest, Poller};
 
@@ -918,7 +957,7 @@ mod tests {
             PeerRole::Target
         }
         fn conversation(&self) {}
-        fn on_start(_: &Peer<Self>, _: &mut (), _: &Span, _: &MeasureSpec, _: SimTime) {}
+        fn on_start(_: &Peer<Self>, _: &mut (), _: &Span, _: &MeasureSpec) {}
         fn on_stop(&self, _conv: &mut (), _span: &Span, _seconds: u32) {}
         fn second_report(&self, _conv: &mut (), _span: &Span, _second: u32) -> (u64, u64) {
             (0, 0)
@@ -931,6 +970,57 @@ mod tests {
             _hello: DataChannelHello,
         ) -> Bind<NoData> {
             Bind::Refused
+        }
+    }
+
+    /// Hooks that record the actions reaching them, claiming in their
+    /// own window.
+    struct Recorded {
+        window: ReplayWindow,
+        acted: Vec<MeasurerAction>,
+    }
+
+    impl Hooks for Recorded {
+        fn claim(&mut self, nonce: u64) -> bool {
+            self.window.witness(nonce)
+        }
+        fn act(&mut self, action: MeasurerAction, _now: SimTime, _reported: u32) {
+            self.acted.push(action);
+        }
+        fn second(&mut self, _second: u32) -> Option<(u64, u64)> {
+            Some((0, 0))
+        }
+    }
+
+    /// A recorded opener replayed together with its command reaches no
+    /// hook, and its coordinator hears nothing but the refusal; a fresh
+    /// opener on the same window is served.
+    #[test]
+    fn a_replayed_opener_and_its_command_reach_no_hook() {
+        let token = [5; AUTH_TOKEN_LEN];
+        let spec = MeasureSpec { slot_secs: 1, ..MeasureSpec::default() };
+        let mut hooks = Recorded { window: ReplayWindow::default(), acted: Vec::new() };
+        assert!(hooks.window.witness(0xA1), "accepted by an earlier conversation");
+        for (nonce, served) in [(0xA1, false), (0xA2, true)] {
+            let (mut coord, end) = Duplex::loopback().into_endpoints();
+            let session =
+                MeasurerSession::new(token, PeerRole::Target, 1, SessionTimeouts::DEFAULT);
+            let mut talk = PeerConversation::new(session, end);
+            let mut opener = encode(&Msg::Auth { token, role: PeerRole::Target, nonce });
+            opener.extend(encode(&Msg::MeasureCmd(spec)));
+            coord.send(SimTime::ZERO, &opener).expect("send");
+            talk.step(SimTime::ZERO, true, false, &mut hooks);
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&coord.recv(SimTime::ZERO).expect("recv"));
+            let answers: Vec<_> =
+                std::iter::from_fn(|| decoder.next_msg().expect("frame")).collect();
+            if served {
+                assert_eq!(hooks.acted, vec![MeasurerAction::Prepare { spec }]);
+                assert!(matches!(answers[..], [Msg::AuthOk { .. }, Msg::Ready]), "{answers:?}");
+            } else {
+                assert_eq!(hooks.acted, vec![], "the replay reached a hook");
+                assert_eq!(answers, vec![Msg::Abort { reason: AbortReason::AuthFailed }]);
+            }
         }
     }
 

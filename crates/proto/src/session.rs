@@ -27,8 +27,9 @@
 //! Handshake freshness: every `Auth` carries a coordinator-chosen random
 //! nonce that the peer must echo in `AuthOk`. The coordinator rejects an
 //! `AuthOk` with the wrong nonce (a replayed or pre-recorded response),
-//! and a peer that threads a [`ReplayWindow`] across its sessions rejects
-//! an `Auth` nonce it has already seen (a replayed handshake opener).
+//! and a peer that claims every session's accepted nonce in one
+//! [`ReplayWindow`] refuses an `Auth` nonce it has already seen (a
+//! replayed handshake opener).
 
 use std::collections::{HashSet, VecDeque};
 
@@ -59,9 +60,10 @@ pub trait SessionState {
     fn is_terminal(&self) -> bool;
 }
 
-/// A bounded set of `Auth` nonces a peer has accepted, threaded across
-/// that peer's sessions so a replayed handshake opener is rejected even
-/// though each conversation gets a fresh [`MeasurerSession`].
+/// A bounded set of `Auth` nonces a peer process has accepted: each of
+/// its conversations claims its session's
+/// [`MeasurerSession::accepted_nonce`] here, so a replayed handshake
+/// opener is refused even though each conversation gets a fresh session.
 ///
 /// Semantics (the contract tests and the measurer binary rely on):
 ///
@@ -136,10 +138,7 @@ impl ReplayWindow {
         self.order.is_empty()
     }
 
-    /// The remembered nonces, least recently seen first (inspection and
-    /// window merging; a process serving concurrent sessions should
-    /// claim nonces via [`MeasurerSession::accepted_nonce`] instead of
-    /// bulk-merging windows after the fact).
+    /// The remembered nonces, least recently seen first.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.order.iter().copied()
     }
@@ -156,13 +155,25 @@ pub struct SessionTimeouts {
 }
 
 impl SessionTimeouts {
-    /// The timeouts serving peers run every session with. `handshake`
-    /// is also how long a parked connection's next session waits for
-    /// its `Auth`.
+    /// The timeouts of a session on an unsped clock. `handshake` is also
+    /// how long a parked connection's next session waits for its `Auth`.
     pub const DEFAULT: SessionTimeouts = SessionTimeouts {
         handshake: SimDuration::from_secs(10),
         report: SimDuration::from_secs(5),
     };
+
+    /// [`SessionTimeouts::DEFAULT`] on a clock sped up `speedup` times:
+    /// the same wall time at any speedup of at least 1, so a sped-up
+    /// deployment's timeouts are not fractions of a wall second that a
+    /// loaded box cannot meet. The coordinator and every peer, in a
+    /// process or in memory, run their sessions with these.
+    pub fn for_speedup(speedup: f64) -> SessionTimeouts {
+        let scale = speedup.max(1.0);
+        SessionTimeouts {
+            handshake: SessionTimeouts::DEFAULT.handshake * scale,
+            report: SessionTimeouts::DEFAULT.report * scale,
+        }
+    }
 }
 
 impl Default for SessionTimeouts {
@@ -176,10 +187,11 @@ impl Default for SessionTimeouts {
 /// [`AbortReason::Flooded`].
 ///
 /// Peers run the coordinator's own clock (a sped-up deployment runs
-/// every process at the same speedup), and a peer reports second `j`
-/// only once it has passed after the `Go` it received, so honest
-/// reports trail the coordinator's clock; latency jitter and coalesced
-/// TCP delivery bunch them by a second or two at most. A peer blasting
+/// every process at the same speedup), and a [`MeasurerSession`] makes
+/// second `j` due only at the `Go` it received plus `j + 1` seconds
+/// ([`MeasurerSession::next_report`]), so honest reports trail the
+/// coordinator's clock; latency jitter and coalesced TCP delivery bunch
+/// them by a second or two at most. A peer blasting
 /// a whole slot's worth of reports at once is inflating or probing, and
 /// buffering its backlog is how memory grows without bound.
 pub const DEFAULT_REPORT_AHEAD_CAP: u32 = 8;
@@ -283,11 +295,6 @@ impl CoordinatorSession {
         self.phase
     }
 
-    /// True once the session can make no further progress.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.phase, CoordPhase::Done | CoordPhase::Failed)
-    }
-
     /// The command this session was built around.
     pub fn spec(&self) -> MeasureSpec {
         self.spec
@@ -325,63 +332,6 @@ impl CoordinatorSession {
         self.phase = CoordPhase::Running;
         self.go_at = Some(now);
         self.deadline = Some(now + self.timeouts.report);
-    }
-
-    /// Feeds received bytes; decoded frames advance the state machine.
-    pub fn receive(&mut self, now: SimTime, bytes: &[u8]) {
-        if self.is_terminal() {
-            return;
-        }
-        self.decoder.push(bytes);
-        loop {
-            match self.decoder.next_msg() {
-                Ok(Some(msg)) => {
-                    self.frames_rx += 1;
-                    self.on_msg(now, msg);
-                    if self.is_terminal() {
-                        return;
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    self.fail(AbortReason::Malformed, true);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Advances time; fires the current deadline if passed.
-    pub fn on_tick(&mut self, now: SimTime) {
-        if self.is_terminal() {
-            return;
-        }
-        let Some(deadline) = self.deadline else { return };
-        if now < deadline {
-            return;
-        }
-        let reason = match self.phase {
-            CoordPhase::Running => AbortReason::ReportTimeout,
-            _ => AbortReason::HandshakeTimeout,
-        };
-        self.fail(reason, true);
-    }
-
-    /// Aborts locally (e.g. operator shutdown); notifies the peer.
-    pub fn abort(&mut self, reason: AbortReason) {
-        if !self.is_terminal() {
-            self.fail(reason, true);
-        }
-    }
-
-    /// Next encoded frame to put on the wire, if any.
-    pub fn poll_outbound(&mut self) -> Option<Vec<u8>> {
-        self.outbound.pop_front()
-    }
-
-    /// Next action for the driver, if any.
-    pub fn poll_action(&mut self) -> Option<CoordAction> {
-        self.actions.pop_front()
     }
 
     fn on_msg(&mut self, now: SimTime, msg: Msg) {
@@ -515,8 +465,9 @@ pub struct MeasurerSession {
     timeouts: SessionTimeouts,
     deadline: Option<SimTime>,
     spec: Option<MeasureSpec>,
+    /// When `Go` arrived: the origin of the slot's report clock.
+    go_at: Option<SimTime>,
     seconds_sent: u32,
-    replay: ReplayWindow,
     /// The `Auth` nonce accepted by this session, once past that step.
     accepted_nonce: Option<u64>,
     decoder: FrameDecoder,
@@ -525,8 +476,7 @@ pub struct MeasurerSession {
 }
 
 impl MeasurerSession {
-    /// A session expecting `expected_token` for `expected_role`, with an
-    /// empty replay window (see [`MeasurerSession::with_replay_window`]).
+    /// A session expecting `expected_token` for `expected_role`.
     pub fn new(
         expected_token: [u8; AUTH_TOKEN_LEN],
         expected_role: PeerRole,
@@ -541,8 +491,8 @@ impl MeasurerSession {
             timeouts,
             deadline: None,
             spec: None,
+            go_at: None,
             seconds_sent: 0,
-            replay: ReplayWindow::default(),
             accepted_nonce: None,
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
@@ -550,22 +500,11 @@ impl MeasurerSession {
         }
     }
 
-    /// Seeds this session with the nonces earlier sessions on the same
-    /// peer accepted, so a replayed `Auth` is rejected across
-    /// conversations. A long-lived peer keeps the nonces its sessions
-    /// accepted ([`MeasurerSession::accepted_nonce`]) and threads them
-    /// into the next session.
-    pub fn with_replay_window(mut self, window: ReplayWindow) -> Self {
-        self.replay = window;
-        self
-    }
-
     /// The `Auth` nonce this session accepted, once the handshake has
-    /// passed that step. A process serving **concurrent** sessions uses
-    /// this to claim the nonce in a process-wide [`ReplayWindow`] the
-    /// moment it is accepted (see the `flashflow-measurer` binary) — a
-    /// session-local window alone cannot arbitrate two simultaneous
-    /// connections replaying the same opener.
+    /// passed that step. The peer claims it in its process-wide
+    /// [`ReplayWindow`] before the `AuthOk` leaves, and refuses the
+    /// conversation if the window already held it; of two concurrent
+    /// connections replaying one opener, exactly one claims it first.
     pub fn accepted_nonce(&self) -> Option<u64> {
         self.accepted_nonce
     }
@@ -575,61 +514,29 @@ impl MeasurerSession {
         self.phase
     }
 
-    /// True once the session can make no further progress.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.phase, MeasurerPhase::Done | MeasurerPhase::Failed)
-    }
-
     /// When the current waiting state times out: `None` in a state
     /// without one, and before the first tick arms the accept deadline.
     pub fn deadline(&self) -> Option<SimTime> {
         self.deadline
     }
 
-    /// Feeds received bytes; decoded frames advance the state machine.
-    pub fn receive(&mut self, now: SimTime, bytes: &[u8]) {
-        if self.is_terminal() {
-            return;
-        }
-        self.decoder.push(bytes);
-        loop {
-            match self.decoder.next_msg() {
-                Ok(Some(msg)) => {
-                    self.on_msg(now, msg);
-                    if self.is_terminal() {
-                        return;
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    self.fail(AbortReason::Malformed, true);
-                    return;
-                }
-            }
-        }
+    /// When the running slot's next report is due: second `j` at the
+    /// `Go` it received plus `j + 1` seconds, on the clock the session is
+    /// fed. `None` outside a running slot, so nothing is due after the
+    /// last second.
+    pub fn next_report(&self) -> Option<SimTime> {
+        let (spec, go) = self.spec.zip(self.go_at)?;
+        let running = self.phase == MeasurerPhase::Running && self.seconds_sent < spec.slot_secs;
+        running.then(|| go + SimDuration::from_secs(u64::from(self.seconds_sent) + 1))
     }
 
-    /// Advances time; a peer mid-handshake whose coordinator goes silent
-    /// gives up rather than holding resources forever — including a
-    /// coordinator that connects and never says anything at all: the
-    /// first tick arms an accept-time deadline for the initial `Auth`,
-    /// so a silent connection cannot hold a session (and its serving
-    /// thread, in a measurer process) open indefinitely.
-    pub fn on_tick(&mut self, now: SimTime) {
-        if self.is_terminal() {
-            return;
-        }
-        if self.deadline.is_none() && self.phase == MeasurerPhase::AwaitAuth {
-            self.deadline = Some(now + self.timeouts.handshake);
-            return;
-        }
-        let Some(deadline) = self.deadline else { return };
-        if now >= deadline {
-            self.fail(AbortReason::HandshakeTimeout, true);
-        }
+    /// Seconds of the slot reported so far.
+    pub fn seconds_reported(&self) -> u32 {
+        self.seconds_sent
     }
 
-    /// Reports one completed second of the running slot. Queues the
+    /// Reports one completed second of the running slot, whether or not
+    /// [`MeasurerSession::next_report`] has come. Queues the
     /// `SecondReport`, and `SlotDone` after the final second (the driver
     /// then receives [`MeasurerAction::Stop`]).
     ///
@@ -649,33 +556,10 @@ impl MeasurerSession {
         }
     }
 
-    /// Aborts locally; notifies the coordinator.
-    pub fn abort(&mut self, reason: AbortReason) {
-        if !self.is_terminal() {
-            self.fail(reason, true);
-        }
-    }
-
-    /// Next encoded frame to put on the wire, if any.
-    pub fn poll_outbound(&mut self) -> Option<Vec<u8>> {
-        self.outbound.pop_front()
-    }
-
-    /// Next action for the driver, if any.
-    pub fn poll_action(&mut self) -> Option<MeasurerAction> {
-        self.actions.pop_front()
-    }
-
     fn on_msg(&mut self, now: SimTime, msg: Msg) {
         match (self.phase, msg) {
             (MeasurerPhase::AwaitAuth, Msg::Auth { token, role, nonce }) => {
                 if token != self.expected_token || role != self.expected_role {
-                    self.fail(AbortReason::AuthFailed, true);
-                    return;
-                }
-                // A nonce this peer has already accepted is a replayed
-                // handshake — reject it even though the token matches.
-                if !self.replay.witness(nonce) {
                     self.fail(AbortReason::AuthFailed, true);
                     return;
                 }
@@ -694,6 +578,7 @@ impl MeasurerSession {
             (MeasurerPhase::AwaitGo, Msg::Go) => {
                 let spec = self.spec.expect("AwaitGo implies spec");
                 self.phase = MeasurerPhase::Running;
+                self.go_at = Some(now);
                 // While running, the peer's own liveness is driven by the
                 // slot itself; the coordinator enforces report gaps.
                 self.deadline = None;
@@ -729,46 +614,126 @@ impl MeasurerSession {
 impl SessionState for CoordinatorSession {
     type Action = CoordAction;
 
-    fn receive(&mut self, now: SimTime, bytes: &[u8]) {
-        CoordinatorSession::receive(self, now, bytes);
-    }
-    fn poll_outbound(&mut self) -> Option<Vec<u8>> {
-        CoordinatorSession::poll_outbound(self)
-    }
-    fn poll_action(&mut self) -> Option<CoordAction> {
-        CoordinatorSession::poll_action(self)
-    }
-    fn on_tick(&mut self, now: SimTime) {
-        CoordinatorSession::on_tick(self, now);
-    }
-    fn abort(&mut self, reason: AbortReason) {
-        CoordinatorSession::abort(self, reason);
-    }
     fn is_terminal(&self) -> bool {
-        CoordinatorSession::is_terminal(self)
+        matches!(self.phase, CoordPhase::Done | CoordPhase::Failed)
+    }
+
+    fn receive(&mut self, now: SimTime, bytes: &[u8]) {
+        if self.is_terminal() {
+            return;
+        }
+        self.decoder.push(bytes);
+        loop {
+            match self.decoder.next_msg() {
+                Ok(Some(msg)) => {
+                    self.frames_rx += 1;
+                    self.on_msg(now, msg);
+                    if self.is_terminal() {
+                        return;
+                    }
+                }
+                Ok(None) => return,
+                Err(_) => {
+                    self.fail(AbortReason::Malformed, true);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        if self.is_terminal() {
+            return;
+        }
+        let Some(deadline) = self.deadline else { return };
+        if now < deadline {
+            return;
+        }
+        let reason = match self.phase {
+            CoordPhase::Running => AbortReason::ReportTimeout,
+            _ => AbortReason::HandshakeTimeout,
+        };
+        self.fail(reason, true);
+    }
+
+    /// Aborts locally (e.g. operator shutdown); notifies the peer.
+    fn abort(&mut self, reason: AbortReason) {
+        if !self.is_terminal() {
+            self.fail(reason, true);
+        }
+    }
+
+    fn poll_outbound(&mut self) -> Option<Vec<u8>> {
+        self.outbound.pop_front()
+    }
+
+    fn poll_action(&mut self) -> Option<CoordAction> {
+        self.actions.pop_front()
     }
 }
 
 impl SessionState for MeasurerSession {
     type Action = MeasurerAction;
 
-    fn receive(&mut self, now: SimTime, bytes: &[u8]) {
-        MeasurerSession::receive(self, now, bytes);
-    }
-    fn poll_outbound(&mut self) -> Option<Vec<u8>> {
-        MeasurerSession::poll_outbound(self)
-    }
-    fn poll_action(&mut self) -> Option<MeasurerAction> {
-        MeasurerSession::poll_action(self)
-    }
-    fn on_tick(&mut self, now: SimTime) {
-        MeasurerSession::on_tick(self, now);
-    }
-    fn abort(&mut self, reason: AbortReason) {
-        MeasurerSession::abort(self, reason);
-    }
     fn is_terminal(&self) -> bool {
-        MeasurerSession::is_terminal(self)
+        matches!(self.phase, MeasurerPhase::Done | MeasurerPhase::Failed)
+    }
+
+    fn receive(&mut self, now: SimTime, bytes: &[u8]) {
+        if self.is_terminal() {
+            return;
+        }
+        self.decoder.push(bytes);
+        loop {
+            match self.decoder.next_msg() {
+                Ok(Some(msg)) => {
+                    self.on_msg(now, msg);
+                    if self.is_terminal() {
+                        return;
+                    }
+                }
+                Ok(None) => return,
+                Err(_) => {
+                    self.fail(AbortReason::Malformed, true);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Advances time; a peer mid-handshake whose coordinator goes silent
+    /// gives up rather than holding resources forever — including a
+    /// coordinator that connects and never says anything at all: the
+    /// first tick arms an accept-time deadline for the initial `Auth`,
+    /// so a silent connection cannot hold a session (and its serving
+    /// thread, in a measurer process) open indefinitely.
+    fn on_tick(&mut self, now: SimTime) {
+        if self.is_terminal() {
+            return;
+        }
+        if self.deadline.is_none() && self.phase == MeasurerPhase::AwaitAuth {
+            self.deadline = Some(now + self.timeouts.handshake);
+            return;
+        }
+        let Some(deadline) = self.deadline else { return };
+        if now >= deadline {
+            self.fail(AbortReason::HandshakeTimeout, true);
+        }
+    }
+
+    /// Aborts locally; notifies the coordinator.
+    fn abort(&mut self, reason: AbortReason) {
+        if !self.is_terminal() {
+            self.fail(reason, true);
+        }
+    }
+
+    fn poll_outbound(&mut self) -> Option<Vec<u8>> {
+        self.outbound.pop_front()
+    }
+
+    fn poll_action(&mut self) -> Option<MeasurerAction> {
+        self.actions.pop_front()
     }
 }
 
@@ -1072,35 +1037,25 @@ mod tests {
     }
 
     #[test]
-    fn replayed_auth_nonce_is_rejected_across_sessions() {
+    fn the_accepted_auth_nonce_is_exposed_for_the_peer_to_claim() {
         let token = [9u8; AUTH_TOKEN_LEN];
         let t = SessionTimeouts::default();
-        let now = SimTime::ZERO;
-        let auth = Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x1111 };
-
-        // First conversation accepts the nonce...
-        let mut first = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
-        assert_eq!(first.accepted_nonce(), None);
-        first.receive(now, &encode(&auth));
-        assert_eq!(first.phase(), MeasurerPhase::AwaitCmd);
-        assert_eq!(first.accepted_nonce(), Some(0x1111), "accepted nonce exposed");
-        let window = std::mem::take(&mut first.replay);
-        assert!(window.contains(0x1111));
-
-        // ...and a later session on the same peer rejects the replay.
-        let mut second =
-            MeasurerSession::new(token, PeerRole::Measurer, 2, t).with_replay_window(window);
-        second.receive(now, &encode(&auth));
-        assert_eq!(second.phase(), MeasurerPhase::Failed);
-        let mut dec = FrameDecoder::new();
-        dec.push(&second.poll_outbound().expect("abort frame"));
-        assert_eq!(dec.next_msg().unwrap(), Some(Msg::Abort { reason: AbortReason::AuthFailed }));
-
-        // A fresh nonce on the same window is fine.
-        let mut third = MeasurerSession::new(token, PeerRole::Measurer, 3, t)
-            .with_replay_window(std::mem::take(&mut second.replay));
-        third.receive(now, &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 0x2222 }));
-        assert_eq!(third.phase(), MeasurerPhase::AwaitCmd);
+        let mut meas = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
+        assert_eq!(meas.accepted_nonce(), None);
+        meas.receive(
+            SimTime::ZERO,
+            &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 7 }),
+        );
+        assert_eq!(meas.phase(), MeasurerPhase::AwaitCmd);
+        assert_eq!(meas.accepted_nonce(), Some(7));
+        // A refused `Auth` exposes nothing to claim.
+        let mut refused = MeasurerSession::new(token, PeerRole::Target, 2, t);
+        refused.receive(
+            SimTime::ZERO,
+            &encode(&Msg::Auth { token, role: PeerRole::Measurer, nonce: 8 }),
+        );
+        assert_eq!(refused.phase(), MeasurerPhase::Failed);
+        assert_eq!(refused.accepted_nonce(), None);
     }
 
     #[test]
@@ -1217,6 +1172,37 @@ mod tests {
             pump(now, &mut coord, &mut meas);
         }
         assert_eq!(coord.phase(), CoordPhase::Done);
+    }
+
+    #[test]
+    fn report_j_is_due_at_go_plus_j_plus_one_seconds() {
+        let token = [7u8; AUTH_TOKEN_LEN];
+        let t = SessionTimeouts::default();
+        let mut coord = CoordinatorSession::new(token, PeerRole::Measurer, spec(), 0xA5, t);
+        let mut meas = MeasurerSession::new(token, PeerRole::Measurer, 1, t);
+        let staged = SimTime::from_secs(7);
+        coord.start(staged);
+        pump(staged, &mut coord, &mut meas);
+        assert_eq!(meas.next_report(), None, "nothing is due before Go");
+        let go = staged + SimDuration::from_millis(250);
+        coord.go(go);
+        pump(go, &mut coord, &mut meas);
+        for j in 0..u64::from(spec().slot_secs) {
+            assert_eq!(meas.next_report(), Some(go + SimDuration::from_secs(j + 1)), "second {j}");
+            meas.report_second(0, 10);
+        }
+        assert_eq!(meas.phase(), MeasurerPhase::Done);
+        assert_eq!(meas.next_report(), None, "nothing is due after the last second");
+    }
+
+    #[test]
+    fn scaled_timeouts_keep_their_wall_time() {
+        let at = |speedup: f64| SessionTimeouts::for_speedup(speedup);
+        assert_eq!(at(1.0), SessionTimeouts::DEFAULT);
+        assert_eq!(at(0.5), SessionTimeouts::DEFAULT, "a slowed clock is not stretched");
+        let fast = at(50.0);
+        assert_eq!(fast.handshake, SimDuration::from_secs(500));
+        assert_eq!(fast.report, SimDuration::from_secs(250));
     }
 
     #[test]

@@ -18,7 +18,8 @@ use flashflow_proto::fault::{FaultMode, FaultyTransport};
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::{MeasureSpec, Msg, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 use flashflow_proto::session::{
-    CoordPhase, CoordinatorSession, MeasurerAction, MeasurerPhase, MeasurerSession, SessionTimeouts,
+    CoordPhase, CoordinatorSession, MeasurerAction, MeasurerPhase, MeasurerSession, SessionState,
+    SessionTimeouts,
 };
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::{Duplex, Transport};

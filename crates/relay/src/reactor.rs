@@ -18,7 +18,6 @@ use flashflow_proto::blast::{
 };
 use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_simnet::time::SimTime;
 use procutil::peer::{Bind, Peer, Role};
 use procutil::reactor::Step;
 
@@ -111,7 +110,7 @@ impl Role for Relay {
         span.emit("session.registered", fields![nonce = nonce, bg_allowance = spec.rate_cap]);
     }
 
-    fn on_start(_peer: &Peer<Relay>, conv: &mut Conv, span: &Span, _: &MeasureSpec, _: SimTime) {
+    fn on_start(_peer: &Peer<Relay>, conv: &mut Conv, span: &Span, _: &MeasureSpec) {
         conv.echoed_through = 0;
         span.emit("session.go", fields![bg_rate = conv.admitted]);
     }
@@ -299,6 +298,7 @@ mod tests {
     use flashflow_obs::{Event, EventSink};
     use flashflow_proto::blast::{BlastParser, TrafficSource};
     use flashflow_proto::transport::Transport;
+    use flashflow_simnet::time::SimTime;
     use procutil::peer::{DataConn as _, Settings};
     use procutil::reactor::{Driven, Reactor, ReactorConfig};
     use std::net::TcpListener;
@@ -345,7 +345,7 @@ mod tests {
         let spec = MeasureSpec { slot_secs: 4, rate_cap: allowance, ..MeasureSpec::default() };
         let mut conv = relay.conversation();
         relay.on_command(&mut conv, &span, &spec);
-        Relay::on_start(&peer, &mut conv, &span, &spec, SimTime::ZERO);
+        Relay::on_start(&peer, &mut conv, &span, &spec);
         let got = seconds.iter().map(|&j| relay.second_report(&mut conv, &span, j)).collect();
         (got, events(), relay.bg_admitted.get())
     }
