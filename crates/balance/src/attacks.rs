@@ -10,7 +10,8 @@
 //!
 //! The TorFlow/EigenSpeed numbers are *demonstrated* factors from prior
 //! work, reproduced here as executable scenarios; the PeerFlow and
-//! FlashFlow numbers are analytical bounds.
+//! FlashFlow numbers are analytical bounds (FlashFlow's is
+//! `flashflow_core::security::max_inflation_factor`).
 
 use std::collections::BTreeMap;
 
@@ -92,13 +93,6 @@ pub fn peerflow_advantage_bound(tau: f64) -> f64 {
     2.0 / tau
 }
 
-/// FlashFlow's analytical inflation bound `1/(1−r)` (§5); the executable
-/// scenario lives in `flashflow-core`'s tests and the Table 2 binary.
-pub fn flashflow_advantage_bound(r: f64) -> f64 {
-    assert!((0.0..1.0).contains(&r), "r out of range");
-    1.0 / (1.0 - r)
-}
-
 fn fake_relays(n: usize) -> Vec<flashflow_tornet::relay::RelayId> {
     use flashflow_simnet::host::HostProfile;
     let mut tor = flashflow_tornet::netbuild::TorNet::new();
@@ -137,6 +131,5 @@ mod tests {
     #[test]
     fn bounds_match_table2() {
         assert!((peerflow_advantage_bound(0.2) - 10.0).abs() < 1e-12);
-        assert!((flashflow_advantage_bound(0.25) - 4.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -15,9 +15,7 @@ pub mod torflow;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::attacks::{
-        flashflow_advantage_bound, peerflow_advantage_bound, torflow_attack, AttackOutcome,
-    };
+    pub use crate::attacks::{peerflow_advantage_bound, torflow_attack, AttackOutcome};
     pub use crate::eigenspeed::{
         eigenspeed, EigenSpeedConfig, EigenSpeedResult, ObservationMatrix,
     };

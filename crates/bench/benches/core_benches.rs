@@ -13,10 +13,10 @@ use std::time::Instant;
 
 use flashflow_bench::{gbit_team, packed_slots};
 use flashflow_core::alloc::greedy_allocate;
-use flashflow_core::measure::measure_once;
 use flashflow_core::params::Params;
-use flashflow_core::sequence::{measure_period, perfect_slot, Order};
+use flashflow_core::sequence::{measure_period, measure_relay, perfect_slot, Order};
 use flashflow_core::team::Team;
+use flashflow_core::verify::TargetBehavior;
 use flashflow_simnet::flow::{max_min_rates, AllocFlow};
 use flashflow_simnet::host::HostProfile;
 use flashflow_simnet::resource::ResourceId;
@@ -115,10 +115,12 @@ fn bench_measurement_slot() {
         let team =
             Team::with_capacities(&[(m1, Rate::from_mbit(941.0)), (m2, Rate::from_mbit(1611.0))]);
         let mut rng = SimRng::seed_from_u64(3);
-        measure_once(&mut tor, relay, &team, Rate::from_mbit(250.0), &Params::paper(), &mut rng)
+        let prior = Rate::from_mbit(250.0);
+        let honesty = TargetBehavior::Honest;
+        measure_relay(&mut tor, relay, &team, prior, &Params::paper(), honesty, &mut rng, 1)
             .unwrap()
     });
-    report("core/measure_once_30s_slot", ns);
+    report("core/measure_relay_one_round_30s_slot", ns);
 }
 
 fn bench_archive_analysis() {

@@ -5,34 +5,27 @@
 //! Paper: 99.8% of runs inside the (−20%, +5%) error bounds; 95% within
 //! ±11%.
 
-use flashflow_bench::{compare, header, print_cdf};
-use flashflow_core::measure::{run_measurement, Assignment};
+use flashflow_bench::{compare, header, print_cdf, sufficient_subsets, Lab};
+use flashflow_core::measure::{run_concurrent_measurements, Assignment, BatchItem};
 use flashflow_core::params::Params;
 use flashflow_core::verify::TargetBehavior;
-use flashflow_simnet::host::Net;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
-use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::RelayConfig;
 
 /// Ground-truth Tor capacity of a limit on US-SW (measured once on a
 /// jitter-free run, like the paper's two-hop lab calibration).
 fn ground_truth(limit: Option<f64>, params: &Params) -> f64 {
-    let (net, ids) = Net::table1_seeded(None);
-    let mut tor = TorNet::from_net(net);
-    let mut config = RelayConfig::new("target");
-    if let Some(l) = limit {
-        config = config.with_rate_limit(Rate::from_mbit(l));
-    }
-    let relay = tor.add_relay(ids[0], config);
+    let mut lab = Lab::new(None, limit);
     let mut rng = SimRng::seed_from_u64(0xC0DE);
-    let assignments = vec![
-        Assignment { host: ids[4], allocation: Rate::from_mbit(1611.0), processes: 2, sockets: 80 },
-        Assignment { host: ids[2], allocation: Rate::from_mbit(941.0), processes: 2, sockets: 80 },
-    ];
-    let m =
-        run_measurement(&mut tor, relay, &assignments, params, TargetBehavior::Honest, &mut rng);
-    m.estimate.bytes_per_sec()
+    let assign = |host: usize, mbit: f64| Assignment {
+        host: lab.hosts[host],
+        allocation: Rate::from_mbit(mbit),
+        processes: 2,
+        sockets: 80,
+    };
+    let assignments = vec![assign(4, 1611.0), assign(2, 941.0)];
+    let item = BatchItem { target: lab.target, assignments, behavior: TargetBehavior::Honest };
+    run_concurrent_measurements(&mut lab.tor, &[item], params, &mut rng)[0].estimate.bytes_per_sec()
 }
 
 fn main() {
@@ -54,48 +47,14 @@ fn main() {
         let gt = ground_truth(limit, &params);
         let needed = params.excess_factor() * gt;
         let mut fractions = Vec::new();
-        // All 15 non-empty subsets of the four measurers.
-        for subset_mask in 1u32..16 {
-            let subset: Vec<(usize, f64)> = members
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| subset_mask & (1 << k) != 0)
-                .map(|(_, m)| *m)
-                .collect();
-            let total: f64 = subset.iter().map(|(_, c)| c * 1e6 / 8.0).sum();
-            let share = needed / subset.len() as f64;
-            // Paper: even split across the subset; requires sufficiency.
-            if total < needed || subset.iter().any(|(_, c)| c * 1e6 / 8.0 < share) {
-                continue;
-            }
+        // Paper: every subset of the four measurers that can take an
+        // even split of the demand.
+        for (subset_mask, subset) in sufficient_subsets(&members, needed) {
             for run in 0..7u64 {
                 let jitter_seed = seed ^ (subset_mask as u64) << 8 ^ run << 32;
-                let (net, ids) = Net::table1_seeded(Some(jitter_seed));
-                let mut tor = TorNet::from_net(net);
-                let mut config = RelayConfig::new("target");
-                if let Some(l) = limit {
-                    config = config.with_rate_limit(Rate::from_mbit(l));
-                }
-                let relay = tor.add_relay(ids[0], config);
-                let sockets_each = (params.sockets as usize / subset.len()).max(1) as u32;
-                let assignments: Vec<Assignment> = subset
-                    .iter()
-                    .map(|(host_idx, _)| Assignment {
-                        host: ids[*host_idx],
-                        allocation: Rate::from_bytes_per_sec(share),
-                        processes: 1,
-                        sockets: sockets_each,
-                    })
-                    .collect();
                 let mut rng = SimRng::seed_from_u64(jitter_seed ^ 0xF00D);
-                let m = run_measurement(
-                    &mut tor,
-                    relay,
-                    &assignments,
-                    &params,
-                    TargetBehavior::Honest,
-                    &mut rng,
-                );
+                let mut lab = Lab::new(Some(jitter_seed), limit);
+                let m = lab.measure_split(&subset, needed, &params, &mut rng);
                 fractions.push(m.estimate.bytes_per_sec() / gt);
             }
         }

@@ -5,15 +5,10 @@
 //! Paper: m = 2.25 is the smallest multiplier with no outliers below
 //! 0.8× ground truth.
 
-use flashflow_bench::{header, Boxplot};
-use flashflow_core::measure::{run_measurement, Assignment};
+use flashflow_bench::{header, sufficient_subsets, Boxplot, Lab};
 use flashflow_core::params::Params;
-use flashflow_core::verify::TargetBehavior;
-use flashflow_simnet::host::Net;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
-use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::RelayConfig;
 
 fn main() {
     let seed = 15;
@@ -35,45 +30,11 @@ fn main() {
         let mut fractions = Vec::new();
         for (limit, gt) in limits.iter().zip(&gts) {
             let needed = m * gt;
-            for subset_mask in 1u32..16 {
-                let subset: Vec<(usize, f64)> = members
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| subset_mask & (1 << k) != 0)
-                    .map(|(_, v)| *v)
-                    .collect();
-                let share = needed / subset.len() as f64;
-                let total: f64 = subset.iter().map(|(_, c)| c * 1e6 / 8.0).sum();
-                if total < needed || subset.iter().any(|(_, c)| c * 1e6 / 8.0 < share) {
-                    continue;
-                }
+            for (subset_mask, subset) in sufficient_subsets(&members, needed) {
                 let jitter_seed = seed ^ (subset_mask as u64) << 16 ^ (m * 100.0) as u64;
-                let (net, ids) = Net::table1_seeded(Some(jitter_seed));
-                let mut tor = TorNet::from_net(net);
-                let mut config = RelayConfig::new("target");
-                if let Some(l) = limit {
-                    config = config.with_rate_limit(Rate::from_mbit(*l));
-                }
-                let relay = tor.add_relay(ids[0], config);
-                let sockets_each = (params.sockets as usize / subset.len()).max(1) as u32;
-                let assignments: Vec<Assignment> = subset
-                    .iter()
-                    .map(|(host_idx, _)| Assignment {
-                        host: ids[*host_idx],
-                        allocation: Rate::from_bytes_per_sec(share),
-                        processes: 1,
-                        sockets: sockets_each,
-                    })
-                    .collect();
                 let mut rng = SimRng::seed_from_u64(jitter_seed ^ 0xBEEF);
-                let meas = run_measurement(
-                    &mut tor,
-                    relay,
-                    &assignments,
-                    &params,
-                    TargetBehavior::Honest,
-                    &mut rng,
-                );
+                let mut lab = Lab::new(Some(jitter_seed), *limit);
+                let meas = lab.measure_split(&subset, needed, &params, &mut rng);
                 fractions.push(meas.estimate.bytes_per_sec() / gt);
             }
         }

@@ -5,22 +5,19 @@
 //! Paper: the 30-second median has the tightest range (0.84–1.01 of
 //! ground truth) and is chosen as the deployment setting.
 
-use flashflow_bench::{compare, header, print_cdf};
-use flashflow_core::measure::{estimate, run_measurement, Assignment, SecondSample};
+use flashflow_bench::{compare, header, print_cdf, Lab};
+use flashflow_core::measure::{estimate, SecondSample};
 use flashflow_core::params::Params;
-use flashflow_core::verify::TargetBehavior;
-use flashflow_simnet::host::Net;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
-use flashflow_tornet::netbuild::TorNet;
-use flashflow_tornet::relay::RelayConfig;
 
 fn main() {
     let seed = 16;
     header("fig16", "Measurement duration strategies (median of first k seconds)", seed);
     let mut params = Params::paper();
     params.slot = flashflow_simnet::time::SimDuration::from_secs(60);
-    let members = [(2usize, 941.0), (3, 1076.0), (4, 1611.0)];
+    // US-E, IN and NL.
+    let members = [2, 3, 4];
     let limits: [Option<f64>; 4] = [Some(250.0), Some(500.0), Some(750.0), None];
 
     // Collect 60-second per-second series across configurations.
@@ -31,34 +28,10 @@ fn main() {
             .unwrap_or(Rate::from_mbit(890.0).bytes_per_sec());
         for run in 0..6u64 {
             let jitter_seed = seed ^ (li as u64) << 8 ^ run << 24;
-            let (net, ids) = Net::table1_seeded(Some(jitter_seed));
-            let mut tor = TorNet::from_net(net);
-            let mut config = RelayConfig::new("target");
-            if let Some(l) = limit {
-                config = config.with_rate_limit(Rate::from_mbit(*l));
-            }
-            let relay = tor.add_relay(ids[0], config);
-            let needed = params.multiplier * gt;
-            let share = needed / members.len() as f64;
-            let assignments: Vec<Assignment> = members
-                .iter()
-                .map(|(host_idx, _)| Assignment {
-                    host: ids[*host_idx],
-                    allocation: Rate::from_bytes_per_sec(share),
-                    processes: 1,
-                    sockets: 53,
-                })
-                .collect();
             let mut rng = SimRng::seed_from_u64(jitter_seed ^ 0xD00D);
-            let m = run_measurement(
-                &mut tor,
-                relay,
-                &assignments,
-                &params,
-                TargetBehavior::Honest,
-                &mut rng,
-            );
-            runs.push((m.seconds, tor.relay(relay).config.ratio, gt));
+            let mut lab = Lab::new(Some(jitter_seed), *limit);
+            let m = lab.measure_split(&members, params.multiplier * gt, &params, &mut rng);
+            runs.push((m.seconds, lab.tor.relay(lab.target).config.ratio, gt));
         }
     }
 

@@ -3,10 +3,11 @@
 //! whole-network measurement speed.
 
 use flashflow_balance::attacks::{
-    eigenspeed_drift_attack, flashflow_advantage_bound, peerflow_advantage_bound, torflow_attack,
+    eigenspeed_drift_attack, peerflow_advantage_bound, torflow_attack,
 };
 use flashflow_bench::{compare, gbit_team, header, packed_slots};
 use flashflow_core::params::Params;
+use flashflow_core::security::max_inflation_factor;
 use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::units::Rate;
 
@@ -31,7 +32,7 @@ fn main() {
     let tf = torflow_attack(10_000, 177.0);
     let es = eigenspeed_drift_attack(100, 3, 7, 2.0, 7);
     let pf_bound = peerflow_advantage_bound(0.2);
-    let ff_bound = flashflow_advantage_bound(params.ratio);
+    let ff_bound = max_inflation_factor(params.ratio);
 
     println!(
         "{:<12} {:>10} {:>12} {:>10} {:>10}",

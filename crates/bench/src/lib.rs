@@ -6,12 +6,17 @@
 //! paper's published values alongside for comparison, and is
 //! deterministic given its default seed.
 
+use flashflow_core::measure::{run_concurrent_measurements, Assignment, BatchItem, Measurement};
 use flashflow_core::params::Params;
 use flashflow_core::sequence::{measure_period, perfect_slot, Order};
 use flashflow_core::team::Team;
-use flashflow_simnet::host::{HostProfile, Net};
+use flashflow_core::verify::TargetBehavior;
+use flashflow_simnet::host::{HostId, HostProfile, Net};
+use flashflow_simnet::rng::SimRng;
 use flashflow_simnet::stats::{mean, quantile, Ecdf};
 use flashflow_simnet::units::Rate;
+use flashflow_tornet::netbuild::TorNet;
+use flashflow_tornet::relay::{RelayConfig, RelayId};
 
 /// Five-number summary matching the paper's boxplots (Figure 9): 5th
 /// percentile, first quartile, median, mean, third quartile, 95th
@@ -116,6 +121,68 @@ pub fn packed_slots(team: &Team, params: &Params, priors: impl IntoIterator<Item
     slots
 }
 
+/// The lab of §6 and Appendix E: the Table-1 hosts, with capacity jitter
+/// drawn from `jitter` or none, and one relay, `target`, on US-SW.
+/// Figs 6, 15 and 16 measure it from subsets of the other four hosts.
+pub struct Lab {
+    /// The network.
+    pub tor: TorNet,
+    /// The Table-1 hosts in paper order (US-SW, US-NW, US-E, IN, NL).
+    pub hosts: Vec<HostId>,
+    /// The relay under test.
+    pub target: RelayId,
+}
+
+impl Lab {
+    /// Builds the lab with the target rate-limited to `limit` Mbit/s, or
+    /// unlimited.
+    pub fn new(jitter: Option<u64>, limit: Option<f64>) -> Lab {
+        let (net, hosts) = Net::table1_seeded(jitter);
+        let mut tor = TorNet::from_net(net);
+        let mut config = RelayConfig::new("target");
+        if let Some(l) = limit {
+            config = config.with_rate_limit(Rate::from_mbit(l));
+        }
+        let target = tor.add_relay(hosts[0], config);
+        Lab { tor, hosts, target }
+    }
+
+    /// Measures the target once, `demand` bytes/s split evenly over the
+    /// hosts `members` (indices into [`hosts`](Self::hosts)): one process
+    /// and an even share of the `s` sockets each.
+    pub fn measure_split(
+        &mut self,
+        members: &[usize],
+        demand: f64,
+        params: &Params,
+        rng: &mut SimRng,
+    ) -> Measurement {
+        let allocation = Rate::from_bytes_per_sec(demand / members.len() as f64);
+        let sockets = (params.sockets as usize / members.len()).max(1) as u32;
+        let assignments = members
+            .iter()
+            .map(|&m| Assignment { host: self.hosts[m], allocation, processes: 1, sockets })
+            .collect();
+        let item = BatchItem { target: self.target, assignments, behavior: TargetBehavior::Honest };
+        run_concurrent_measurements(&mut self.tor, &[item], params, rng).remove(0)
+    }
+}
+
+/// The non-empty subsets of `members` (host index, capacity in Mbit/s)
+/// whose every member can carry an even split of `demand` bytes/s, as
+/// (bitmask over `members`, their host indices).
+pub fn sufficient_subsets(members: &[(usize, f64)], demand: f64) -> Vec<(u32, Vec<usize>)> {
+    (1..1u32 << members.len())
+        .filter_map(|mask| {
+            let subset: Vec<(usize, f64)> =
+                (0..members.len()).filter(|k| mask & (1 << k) != 0).map(|k| members[k]).collect();
+            let share = demand / subset.len() as f64;
+            let sufficient = subset.iter().all(|(_, c)| c * 1e6 / 8.0 >= share);
+            sufficient.then(|| (mask, subset.iter().map(|(host, _)| *host).collect()))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +215,30 @@ mod tests {
         let slots = packed_slots(&gbit_team(3), &params, priors);
         assert_eq!(slots, 10);
         assert_eq!(params.slot.as_secs() * slots as u64, 300);
+    }
+
+    #[test]
+    fn sufficient_subsets_of_fig06_team() {
+        // Fig 6's members and its demand, f × ground truth, at 10, 250,
+        // 500, 750 Mbit/s and unlimited (the last two CPU-bound alike).
+        let members = [(1, 946.0), (2, 941.0), (3, 1076.0), (4, 1611.0)];
+        let cpu_bound = 271_966_188.948_675_4;
+        let demands = [3_691_406.25, 92_285_156.25, 184_570_312.5, cpu_bound, cpu_bound];
+        let masks: Vec<Vec<u32>> = demands
+            .iter()
+            .map(|&d| sufficient_subsets(&members, d).into_iter().map(|(mask, _)| mask).collect())
+            .collect();
+        let every: Vec<u32> = (1..16).collect();
+        assert_eq!(masks[0], every);
+        assert_eq!(masks[1], every);
+        assert_eq!(masks[2], [3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]);
+        assert_eq!(masks[3], [7, 11, 13, 14, 15]);
+        assert_eq!(masks[4], [7, 11, 13, 14, 15]);
+        // 52 subsets, 7 runs each: fig 6's 364 runs.
+        assert_eq!(masks.iter().map(Vec::len).sum::<usize>() * 7, 364);
+        // Each subset lists its members' host indices.
+        let (_, hosts) = &sufficient_subsets(&members, cpu_bound)[0];
+        assert_eq!(hosts, &[1, 2, 3]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
-use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
+use crate::measure::{measure_slot, Measurement};
 use crate::params::Params;
 use crate::sequence::{measure_period, Order, SequenceEnd, Settled};
 use crate::team::Team;
@@ -105,8 +105,7 @@ impl BwAuth {
         let priors = relays.iter().map(|(relay, z0)| (*relay, z0.bytes_per_sec()));
         let settled =
             measure_period(team, params, Order::Packed, priors, Self::MAX_ROUNDS, |_, slot| {
-                let batch = batch_for(team, params, slot, behavior_of);
-                let measured = run_concurrent_measurements(tor, &batch, params, rng);
+                let measured = measure_slot(tor, team, params, slot, behavior_of, rng);
                 measured.iter().map(Measurement::slot_result).collect()
             });
         BandwidthFile::from_settled(&settled)

@@ -21,7 +21,7 @@
 //! | [`params`] | §6.1, App. E | deployment parameters, excess factor `f` |
 //! | [`team`] | §4, §4.2 | measurement teams, measuring measurers |
 //! | [`alloc`] | §4.2 | greedy capacity allocation |
-//! | [`measure`] | §4.1 | one (or many concurrent) measurement slots, and §4.1's estimate (`estimate`) every executor computes |
+//! | [`measure`] | §4.1 | one slot of concurrent measurements, hand-assigned (`run_concurrent_measurements`) or as a `Sequencer` packed it (`measure_slot`), and §4.1's estimate (`estimate`) every executor computes |
 //! | [`engine`] | §4.1, §7 | transport-agnostic coordinator event loop (`MeasurementEngine`) and a round's record (`EngineSnapshot`): every peer's reports, the audit rows, the quarantine and the estimate |
 //! | [`pool`] | §7 | warm TCP connections to measurer processes, reused inside the peer's accept window |
 //! | [`echo`] | §4.1, §4.3, §7 | the deployed echo topology: coordinator-side wiring for measurers blasting a target relay that echoes back, and the loop that runs each round's items concurrently on one engine, with the next round handshaking while the current one blasts |
@@ -55,9 +55,11 @@
 //! ]);
 //! let params = Params::paper();
 //! let mut rng = SimRng::seed_from_u64(1);
-//! let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(250.0),
-//!                      &params, &mut rng).unwrap();
-//! let mbit = m.estimate.as_mbit();
+//! // One round of the relay's §4.2 sequence, from a correct prior.
+//! let out = measure_relay(&mut tor, relay, &team, Rate::from_mbit(250.0),
+//!                         &params, TargetBehavior::Honest, &mut rng, 1).unwrap();
+//! assert_eq!(out.end, SequenceEnd::Converged);
+//! let mbit = out.rounds[0].estimate.as_mbit();
 //! assert!((200.0..=270.0).contains(&mbit));
 //! ```
 
@@ -89,8 +91,8 @@ pub mod prelude {
         EngineBuilder, EngineEvent, EngineSnapshot, LedgerRow, MeasurementEngine, PeerId,
     };
     pub use crate::measure::{
-        batch_for, estimate, measure_once, run_concurrent_measurements, run_measurement,
-        Assignment, BatchItem, Measurement, SecondSample,
+        estimate, measure_slot, run_concurrent_measurements, Assignment, BatchItem, Measurement,
+        SecondSample,
     };
     pub use crate::params::Params;
     pub use crate::pool::{ChannelKind, ConnectionPool, PooledConn, ReuseHandle};

@@ -12,6 +12,16 @@
 //!   clamped to `x_j · r/(1−r)` so a lying relay gains at most `1/(1−r)`;
 //!
 //! and estimates capacity as `z = median(x_j + ŷ_j)`.
+//!
+//! [`run_concurrent_measurements`] runs one slot of measurements on the
+//! fluid simulation, each item with its own per-measurer
+//! [`Assignment`]s; [`measure_slot`] runs a slot a
+//! [`Sequencer`](crate::sequence::Sequencer) packed, splitting each
+//! item's allocation over the team. One relay's §4.2 sequence is
+//! [`measure_relay`](crate::sequence::measure_relay) (one round of it is
+//! `max_rounds` 1), and a whole period is
+//! [`measure_period`](crate::sequence::measure_period) with
+//! [`measure_slot`] as its executor.
 
 use flashflow_simnet::engine::FlowId;
 use flashflow_simnet::host::HostId;
@@ -110,12 +120,6 @@ impl Measurement {
         self.verification.passed()
     }
 
-    /// §4.2's acceptance test: is the estimate small enough, relative to
-    /// the allocated capacity, to be conclusive?
-    pub fn conclusive(&self, params: &Params) -> bool {
-        self.estimate.bytes_per_sec() < params.acceptance_threshold(self.allocated.bytes_per_sec())
-    }
-
     /// The numbers a [`Sequencer`](crate::sequence::Sequencer) judges a
     /// measurement by.
     pub fn slot_result(&self) -> SlotResult {
@@ -138,22 +142,27 @@ pub struct BatchItem {
     pub behavior: TargetBehavior,
 }
 
-/// The batch for a slot [`measure_period`](crate::sequence::measure_period)
-/// packed: each item's allocation split into per-measurer assignments,
-/// with `behavior_of` supplying each relay's echo honesty.
-pub fn batch_for(
+/// Measures a slot a [`Sequencer`](crate::sequence::Sequencer) packed:
+/// each item's allocation split over the team's measurers, with
+/// `behavior_of` supplying each relay's echo honesty, and every item
+/// measured at once. Returns one [`Measurement`] per item, in order.
+pub fn measure_slot(
+    tor: &mut TorNet,
     team: &Team,
     params: &Params,
     slot: &[SlotItem<RelayId>],
     behavior_of: &dyn Fn(RelayId) -> TargetBehavior,
-) -> Vec<BatchItem> {
-    slot.iter()
+    rng: &mut SimRng,
+) -> Vec<Measurement> {
+    let items: Vec<BatchItem> = slot
+        .iter()
         .map(|item| BatchItem {
             target: item.key,
             assignments: assignments_for(team, &item.allocation, params),
             behavior: behavior_of(item.key),
         })
-        .collect()
+        .collect();
+    run_concurrent_measurements(tor, &items, params, rng)
 }
 
 /// Runs several measurements *concurrently* in one slot — a FlashFlow
@@ -233,50 +242,10 @@ pub fn run_concurrent_measurements(
     results
 }
 
-/// Runs one measurement of `target` with the given assignments.
-///
-/// `behavior` selects the target's echo honesty for the spot-check layer
-/// (the fluid layer models throughput; forged echoes are a protocol-layer
-/// property).
-///
-/// # Panics
-/// Panics if no assignment participates.
-pub fn run_measurement(
-    tor: &mut TorNet,
-    target: RelayId,
-    assignments: &[Assignment],
-    params: &Params,
-    behavior: TargetBehavior,
-    rng: &mut SimRng,
-) -> Measurement {
-    let items = vec![BatchItem { target, assignments: assignments.to_vec(), behavior }];
-    run_concurrent_measurements(tor, &items, params, rng)
-        .pop()
-        .expect("one item yields one measurement")
-}
-
-/// Convenience: allocate from `team` for prior `z0` and run one
-/// measurement of an honest target.
-///
-/// # Errors
-/// Propagates allocation failure when the team lacks capacity.
-pub fn measure_once(
-    tor: &mut TorNet,
-    target: RelayId,
-    team: &Team,
-    z0: Rate,
-    params: &Params,
-    rng: &mut SimRng,
-) -> Result<Measurement, crate::alloc::AllocError> {
-    let reserved = vec![Rate::ZERO; team.len()];
-    let allocations = team.allocate(z0, params, &reserved)?;
-    let assignments = assignments_for(team, &allocations, params);
-    Ok(run_measurement(tor, target, &assignments, params, TargetBehavior::Honest, rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::{measure_relay, SequenceEnd, SequenceOutcome};
     use flashflow_simnet::host::HostProfile;
     use flashflow_simnet::time::SimDuration;
     use flashflow_tornet::relay::RelayConfig;
@@ -298,17 +267,38 @@ mod tests {
         (tor, team, relay)
     }
 
+    /// One round of `relay`'s sequence from prior `z0` Mbit/s, honest.
+    fn one_round(
+        tor: &mut TorNet,
+        relay: RelayId,
+        team: &Team,
+        z0: f64,
+        seed: u64,
+    ) -> SequenceOutcome {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let prior = Rate::from_mbit(z0);
+        measure_relay(
+            tor,
+            relay,
+            team,
+            prior,
+            &Params::paper(),
+            TargetBehavior::Honest,
+            &mut rng,
+            1,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn measures_rate_limited_relay_accurately() {
         let (mut tor, team, relay) = testbed(Some(250.0));
-        let params = Params::paper();
-        let mut rng = SimRng::seed_from_u64(42);
-        let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(250.0), &params, &mut rng)
-            .unwrap();
+        let out = one_round(&mut tor, relay, &team, 250.0, 42);
+        let m = &out.rounds[0];
         let est = m.estimate.as_mbit();
         assert!((200.0..=270.0).contains(&est), "estimate {est} Mbit/s");
         assert!(m.verified());
-        assert!(m.conclusive(&params), "should be conclusive with a correct prior");
+        assert_eq!(out.end, SequenceEnd::Converged, "should be conclusive with a correct prior");
         assert_eq!(m.seconds.len(), 30);
     }
 
@@ -318,11 +308,13 @@ mod tests {
         // the estimate saturates the allocation and fails the acceptance
         // test.
         let (mut tor, team, relay) = testbed(None);
-        let params = Params::paper();
-        let mut rng = SimRng::seed_from_u64(43);
-        let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(100.0), &params, &mut rng)
-            .unwrap();
-        assert!(!m.conclusive(&params), "estimate {} should be inconclusive", m.estimate);
+        let out = one_round(&mut tor, relay, &team, 100.0, 43);
+        let estimate = out.rounds[0].estimate;
+        assert_eq!(
+            out.end,
+            SequenceEnd::TeamExhausted,
+            "estimate {estimate} should be inconclusive"
+        );
     }
 
     #[test]
@@ -340,9 +332,7 @@ mod tests {
         let team =
             Team::with_capacities(&[(m1, Rate::from_mbit(941.0)), (m2, Rate::from_mbit(1611.0))]);
         let params = Params::paper();
-        let mut rng = SimRng::seed_from_u64(44);
-        let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(200.0), &params, &mut rng)
-            .unwrap();
+        let m = &one_round(&mut tor, relay, &team, 200.0, 44).rounds[0];
         // The liar forwards no client traffic; its estimate is at most
         // 1/(1-r) = 1.33× its true capacity.
         let true_capacity = 200.0;
@@ -362,14 +352,9 @@ mod tests {
         let reserved = vec![Rate::ZERO; team.len()];
         let allocations = team.allocate(Rate::from_mbit(500.0), &params, &reserved).unwrap();
         let assignments = assignments_for(&team, &allocations, &params);
-        let m = run_measurement(
-            &mut tor,
-            relay,
-            &assignments,
-            &params,
-            TargetBehavior::Forging { fraction: 1.0 },
-            &mut rng,
-        );
+        let behavior = TargetBehavior::Forging { fraction: 1.0 };
+        let items = [BatchItem { target: relay, assignments, behavior }];
+        let m = &run_concurrent_measurements(&mut tor, &items, &params, &mut rng)[0];
         assert!(!m.verified(), "forging an entire slot must be caught");
     }
 

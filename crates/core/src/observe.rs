@@ -18,19 +18,11 @@
 //! consumer like `flashflow-top` read the relay's echo claim without
 //! double-counting the measurers' received-blast reports.
 
-use flashflow_obs::{Span, Value};
+use flashflow_obs::{fields, Span};
 
 use crate::echo::{EchoDeployment, EchoItem};
 use crate::engine::{EngineEvent, EngineSnapshot, PeerId};
 use crate::pool::PoolStats;
-
-/// Builds a `fields` vector tersely (local shorthand; the values go
-/// through [`Value::from`]).
-macro_rules! fields {
-    ($($key:ident = $value:expr),* $(,)?) => {
-        vec![$((stringify!($key).to_string(), Value::from($value))),*]
-    };
-}
 
 /// The telemetry context of one round: where its events go and how the
 /// engine's dense [`PeerId`]s map onto the stream's coordinates.
@@ -180,7 +172,7 @@ pub fn hex_fp(fp: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashflow_obs::{Event, EventSink};
+    use flashflow_obs::{Event, EventSink, Value};
     use flashflow_simnet::time::SimTime;
     use std::sync::{Arc, Mutex};
 

@@ -22,7 +22,7 @@ use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
 use crate::alloc::AllocError;
-use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
+use crate::measure::{measure_slot, Measurement};
 use crate::params::Params;
 use crate::team::Team;
 use crate::verify::TargetBehavior;
@@ -423,8 +423,7 @@ pub fn measure_relay(
     let mut rounds: Vec<Measurement> = Vec::new();
     let relay = [(target, prior.bytes_per_sec())];
     let settled = measure_period(team, params, Order::Packed, relay, max_rounds, |_, slot| {
-        let batch = batch_for(team, params, slot, &|_| behavior);
-        rounds.extend(run_concurrent_measurements(tor, &batch, params, rng));
+        rounds.extend(measure_slot(tor, team, params, slot, &|_| behavior, rng));
         vec![rounds.last().expect("one item yields one measurement").slot_result()]
     });
     let Settled { estimate, end, .. } = settled[0];

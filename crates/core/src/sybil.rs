@@ -16,7 +16,7 @@ use flashflow_simnet::units::Rate;
 use flashflow_tornet::netbuild::TorNet;
 use flashflow_tornet::relay::RelayId;
 
-use crate::measure::{batch_for, run_concurrent_measurements, Measurement};
+use crate::measure::{measure_slot, Measurement};
 use crate::params::Params;
 use crate::sequence::{measure_period, Order};
 use crate::team::Team;
@@ -83,8 +83,7 @@ pub fn measure_family(
         let priors = members.iter().map(|(relay, prior)| (*relay, prior.bytes_per_sec()));
         let settled = measure_period(team, params, Order::Packed, priors, 1, |_, slot| {
             assert_eq!(slot.len(), members.len(), "team capacity");
-            let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
-            let measured = run_concurrent_measurements(tor, &batch, params, rng);
+            let measured = measure_slot(tor, team, params, slot, &|_| TargetBehavior::Honest, rng);
             measured.iter().map(Measurement::slot_result).collect()
         });
         settled.iter().map(|s| (s.key, Rate::from_bytes_per_sec(s.estimate))).collect()

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use flashflow_core::measure::{batch_for, run_concurrent_measurements, Measurement};
+use flashflow_core::measure::{measure_slot, Measurement};
 use flashflow_core::params::Params;
 use flashflow_core::sequence::{measure_period, Order};
 use flashflow_core::team::Team;
@@ -210,8 +210,8 @@ fn measure_network_with_background(
         .map(|r| (*r, net.tor.relay(*r).observed.observed().bytes_per_sec().max(1e6)))
         .collect();
     let settled = measure_period(team, params, Order::Packed, priors, 5, |_, slot| {
-        let batch = batch_for(team, params, slot, &|_| TargetBehavior::Honest);
-        let measured = run_concurrent_measurements(&mut net.tor, &batch, params, rng);
+        let measured =
+            measure_slot(&mut net.tor, team, params, slot, &|_| TargetBehavior::Honest, rng);
         // Let the background clients respawn with the elapsed slot time.
         markov.on_tick(&mut net.tor);
         measured.iter().map(Measurement::slot_result).collect()

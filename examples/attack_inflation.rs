@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example attack_inflation`
 
-use flashflow_repro::balance::attacks::{flashflow_advantage_bound, torflow_attack};
+use flashflow_repro::balance::attacks::torflow_attack;
 use flashflow_repro::core::prelude::*;
 use flashflow_repro::simnet::prelude::*;
 use flashflow_repro::tornet::prelude::*;
@@ -27,8 +27,10 @@ fn main() {
     let team =
         Team::with_capacities(&[(us_e, Rate::from_mbit(941.0)), (nl, Rate::from_mbit(1611.0))]);
     let mut rng = SimRng::seed_from_u64(2);
-    let m =
-        measure_once(&mut tor, liar, &team, true_capacity, &params, &mut rng).expect("allocatable");
+    let honesty = TargetBehavior::Honest;
+    let out = measure_relay(&mut tor, liar, &team, true_capacity, &params, honesty, &mut rng, 1)
+        .expect("allocatable");
+    let m = &out.rounds[0];
     let gained = m.estimate.as_mbit() / true_capacity.as_mbit();
     println!(
         "FlashFlow: liar with true capacity {} measured at {} => {:.2}x \
@@ -36,9 +38,9 @@ fn main() {
         true_capacity,
         m.estimate,
         gained,
-        flashflow_advantage_bound(params.ratio)
+        max_inflation_factor(params.ratio)
     );
-    assert!(gained <= flashflow_advantage_bound(params.ratio) * 1.02);
+    assert!(gained <= max_inflation_factor(params.ratio) * 1.02);
 
     // --- TorFlow: the same adversary simply lies in its descriptor ---
     let outcome = torflow_attack(10_000, 177.0);

@@ -39,8 +39,11 @@ fn measures_every_paper_capacity_accurately() {
         let relay = tor.add_relay(ids[0], config);
         let params = Params::paper();
         let mut rng = SimRng::seed_from_u64(500 + limit.unwrap_or(0.0) as u64);
-        let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(expected), &params, &mut rng)
+        let prior = Rate::from_mbit(expected);
+        let honesty = TargetBehavior::Honest;
+        let out = measure_relay(&mut tor, relay, &team, prior, &params, honesty, &mut rng, 1)
             .expect("team capacity suffices");
+        let m = &out.rounds[0];
         let err = (m.estimate.as_mbit() - expected).abs() / expected;
         assert!(err < 0.20, "limit {limit:?}: estimate {} vs {expected} Mbit/s", m.estimate);
         assert!(m.verified());
@@ -91,7 +94,10 @@ fn inflation_bound_holds_across_ratios() {
         let mut params = Params::paper();
         params.ratio = r;
         let mut rng = SimRng::seed_from_u64(700);
-        let m = measure_once(&mut tor, relay, &team, truth, &params, &mut rng).unwrap();
+        let honesty = TargetBehavior::Honest;
+        let out =
+            measure_relay(&mut tor, relay, &team, truth, &params, honesty, &mut rng, 1).unwrap();
+        let m = &out.rounds[0];
         let inflation = m.estimate.as_mbit() / truth.as_mbit();
         let bound = 1.0 / (1.0 - r);
         assert!(

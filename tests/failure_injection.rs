@@ -5,6 +5,18 @@ use flashflow_repro::core::prelude::*;
 use flashflow_repro::simnet::prelude::*;
 use flashflow_repro::tornet::prelude::*;
 
+/// One round of `relay`'s §4.2 sequence from `prior`, honest.
+fn one_round(
+    tor: &mut TorNet,
+    relay: RelayId,
+    team: &Team,
+    prior: Rate,
+    params: &Params,
+    rng: &mut SimRng,
+) -> SequenceOutcome {
+    measure_relay(tor, relay, team, prior, params, TargetBehavior::Honest, rng, 1).unwrap()
+}
+
 fn base() -> (TorNet, Team, Vec<HostId>) {
     let (net, ids) = Net::table1();
     let tor = TorNet::from_net(net);
@@ -55,13 +67,13 @@ fn relay_rate_limit_change_mid_period_tracked_next_measurement() {
     let params = Params::paper();
     let mut rng = SimRng::seed_from_u64(1);
     let m1 =
-        measure_once(&mut tor, relay, &team, Rate::from_mbit(400.0), &params, &mut rng).unwrap();
+        &one_round(&mut tor, relay, &team, Rate::from_mbit(400.0), &params, &mut rng).rounds[0];
     assert!((m1.estimate.as_mbit() - 400.0).abs() < 60.0);
 
     // Operator reconfigures the limit downward.
     let limiter = tor.relay(relay).limiter;
     tor.net.engine_mut().resource_mut(limiter).set_capacity(Rate::from_mbit(150.0));
-    let m2 = measure_once(&mut tor, relay, &team, m1.estimate, &params, &mut rng).unwrap();
+    let m2 = &one_round(&mut tor, relay, &team, m1.estimate, &params, &mut rng).rounds[0];
     assert!(
         m2.estimate.as_mbit() < 200.0,
         "second measurement must see the new limit: {}",
@@ -93,9 +105,9 @@ fn zero_capacity_relay_yields_zero_not_panic() {
         .add_relay(ids[0], RelayConfig::new("dead").with_rate_limit(Rate::from_bytes_per_sec(1.0)));
     let params = Params::paper();
     let mut rng = SimRng::seed_from_u64(9);
-    let m = measure_once(&mut tor, relay, &team, Rate::from_mbit(10.0), &params, &mut rng).unwrap();
-    assert!(m.estimate.as_mbit() < 0.1);
-    assert!(m.conclusive(&params), "a dead relay is conclusively dead");
+    let out = one_round(&mut tor, relay, &team, Rate::from_mbit(10.0), &params, &mut rng);
+    assert!(out.rounds[0].estimate.as_mbit() < 0.1);
+    assert_eq!(out.end, SequenceEnd::Converged, "a dead relay is conclusively dead");
 }
 
 #[test]
