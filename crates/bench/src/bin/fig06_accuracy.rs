@@ -5,28 +5,9 @@
 //! Paper: 99.8% of runs inside the (−20%, +5%) error bounds; 95% within
 //! ±11%.
 
-use flashflow_bench::{compare, header, print_cdf, sufficient_subsets, Lab};
-use flashflow_core::measure::{run_concurrent_measurements, Assignment, BatchItem};
+use flashflow_bench::{compare, ground_truth, header, print_cdf, sufficient_subsets, Lab};
 use flashflow_core::params::Params;
-use flashflow_core::verify::TargetBehavior;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::units::Rate;
-
-/// Ground-truth Tor capacity of a limit on US-SW (measured once on a
-/// jitter-free run, like the paper's two-hop lab calibration).
-fn ground_truth(limit: Option<f64>, params: &Params) -> f64 {
-    let mut lab = Lab::new(None, limit);
-    let mut rng = SimRng::seed_from_u64(0xC0DE);
-    let assign = |host: usize, mbit: f64| Assignment {
-        host: lab.hosts[host],
-        allocation: Rate::from_mbit(mbit),
-        processes: 2,
-        sockets: 80,
-    };
-    let assignments = vec![assign(4, 1611.0), assign(2, 941.0)];
-    let item = BatchItem { target: lab.target, assignments, behavior: TargetBehavior::Honest };
-    run_concurrent_measurements(&mut lab.tor, &[item], params, &mut rng)[0].estimate.bytes_per_sec()
-}
 
 fn main() {
     let seed = 6;

@@ -5,10 +5,9 @@
 //! Paper: m = 2.25 is the smallest multiplier with no outliers below
 //! 0.8× ground truth.
 
-use flashflow_bench::{header, sufficient_subsets, Boxplot, Lab};
+use flashflow_bench::{ground_truth, header, sufficient_subsets, Boxplot, Lab};
 use flashflow_core::params::Params;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::units::Rate;
 
 fn main() {
     let seed = 15;
@@ -16,13 +15,7 @@ fn main() {
     let params = Params::paper();
     let members = [(1usize, 946.0), (2, 941.0), (3, 1076.0), (4, 1611.0)];
     let limits: [Option<f64>; 5] = [Some(10.0), Some(250.0), Some(500.0), Some(750.0), None];
-    let gts: Vec<f64> = limits
-        .iter()
-        .map(|l| {
-            l.map(|v| Rate::from_mbit(v).bytes_per_sec())
-                .unwrap_or(Rate::from_mbit(890.0).bytes_per_sec())
-        })
-        .collect();
+    let gts: Vec<f64> = limits.iter().map(|&limit| ground_truth(limit, &params)).collect();
 
     println!("{:>6} {:>60}", "m", "estimate / ground truth");
     let mut first_clean = None;

@@ -5,11 +5,10 @@
 //! Paper: the 30-second median has the tightest range (0.84–1.01 of
 //! ground truth) and is chosen as the deployment setting.
 
-use flashflow_bench::{compare, header, print_cdf, Lab};
+use flashflow_bench::{compare, ground_truth, header, print_cdf, Lab};
 use flashflow_core::measure::{estimate, SecondSample};
 use flashflow_core::params::Params;
 use flashflow_simnet::rng::SimRng;
-use flashflow_simnet::units::Rate;
 
 fn main() {
     let seed = 16;
@@ -23,9 +22,7 @@ fn main() {
     // Collect 60-second per-second series across configurations.
     let mut runs: Vec<(Vec<SecondSample>, f64, f64)> = Vec::new(); // (seconds, ratio, ground truth)
     for (li, limit) in limits.iter().enumerate() {
-        let gt = limit
-            .map(|v| Rate::from_mbit(v).bytes_per_sec())
-            .unwrap_or(Rate::from_mbit(890.0).bytes_per_sec());
+        let gt = ground_truth(*limit, &params);
         for run in 0..6u64 {
             let jitter_seed = seed ^ (li as u64) << 8 ^ run << 24;
             let mut rng = SimRng::seed_from_u64(jitter_seed ^ 0xD00D);

@@ -168,6 +168,25 @@ impl Lab {
     }
 }
 
+/// Ground-truth Tor capacity, in bytes/s, of the lab's target at
+/// `limit` Mbit/s (or unlimited): measured once on a jitter-free run,
+/// like the paper's two-hop lab calibration. US-SW's CPU bound is below
+/// 750 Mbit/s, so the 750 limit and the unlimited target share one
+/// truth. Figs 6, 15 and 16 demand a multiple of it and divide by it.
+pub fn ground_truth(limit: Option<f64>, params: &Params) -> f64 {
+    let mut lab = Lab::new(None, limit);
+    let mut rng = SimRng::seed_from_u64(0xC0DE);
+    let assign = |host: usize, mbit: f64| Assignment {
+        host: lab.hosts[host],
+        allocation: Rate::from_mbit(mbit),
+        processes: 2,
+        sockets: 80,
+    };
+    let assignments = vec![assign(4, 1611.0), assign(2, 941.0)];
+    let item = BatchItem { target: lab.target, assignments, behavior: TargetBehavior::Honest };
+    run_concurrent_measurements(&mut lab.tor, &[item], params, &mut rng)[0].estimate.bytes_per_sec()
+}
+
 /// The non-empty subsets of `members` (host index, capacity in Mbit/s)
 /// whose every member can carry an even split of `demand` bytes/s, as
 /// (bitmask over `members`, their host indices).

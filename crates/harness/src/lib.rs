@@ -367,23 +367,49 @@ pub const RATIO: f64 = 0.25;
 /// its `listening` line. Without `sessions` it serves until SIGTERM.
 /// `extra` flags come last, and a repeated flag's last value wins.
 pub fn spawn_measurer(ix: usize, sessions: Option<usize>, extra: &[&str]) -> (Proc, SocketAddr) {
-    let token = token_hex(ix);
-    let args = ["--listen", "127.0.0.1:0", "--role", "measurer", "--token-hex", &token];
-    spawn_peer(&format!("measurer-{ix}"), "flashflow-measurer", &args, sessions, extra)
+    measurer_from(&bin("flashflow-measurer"), ix, sessions, extra)
 }
 
 /// Spawns the topology's relay under [`token`]`(`[`RELAY`]`)`, offering
 /// background traffic, and reads its `listening` line; `sessions` and
 /// `extra` as for [`spawn_measurer`].
 pub fn spawn_relay(sessions: Option<usize>, extra: &[&str]) -> (Proc, SocketAddr) {
+    relay_from(&bin("flashflow-relay"), sessions, extra)
+}
+
+/// The whole topology — measurers 0 and 1, then the relay, as
+/// [`spawn_measurer`] and [`spawn_relay`] spawn them — from the
+/// shipped build ([`release_bin`]), whatever the test's profile: for a
+/// test whose sped-up clock an unoptimised peer cannot keep.
+pub fn spawn_shipped_topology(sessions: Option<usize>, extra: &[&str]) -> [(Proc, SocketAddr); 3] {
+    let measurer = release_bin("flashflow-measurer");
+    [
+        measurer_from(&measurer, 0, sessions, extra),
+        measurer_from(&measurer, 1, sessions, extra),
+        relay_from(&release_bin("flashflow-relay"), sessions, extra),
+    ]
+}
+
+fn measurer_from(
+    exe: &Path,
+    ix: usize,
+    sessions: Option<usize>,
+    extra: &[&str],
+) -> (Proc, SocketAddr) {
+    let token = token_hex(ix);
+    let args = ["--listen", "127.0.0.1:0", "--role", "measurer", "--token-hex", &token];
+    spawn_peer(&format!("measurer-{ix}"), exe, &args, sessions, extra)
+}
+
+fn relay_from(exe: &Path, sessions: Option<usize>, extra: &[&str]) -> (Proc, SocketAddr) {
     let (token, bg) = (token_hex(RELAY), BG_OFFERED.to_string());
     let args = ["--listen", "127.0.0.1:0", "--token-hex", &token, "--background", &bg];
-    spawn_peer("relay", "flashflow-relay", &args, sessions, extra)
+    spawn_peer("relay", exe, &args, sessions, extra)
 }
 
 fn spawn_peer(
     name: &str,
-    bin_name: &str,
+    exe: &Path,
     args: &[&str],
     sessions: Option<usize>,
     extra: &[&str],
@@ -394,7 +420,7 @@ fn spawn_peer(
         args.extend(["--sessions", sessions]);
     }
     args.extend(extra);
-    let mut proc = Proc::spawn(name, &bin(bin_name), args);
+    let mut proc = Proc::spawn(name, exe, args);
     let addr = proc.advertised("listening");
     (proc, addr)
 }

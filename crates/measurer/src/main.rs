@@ -28,12 +28,16 @@
 //!   readiness: an uncapped channel blasts whenever its socket takes
 //!   bytes, one `send` per pump, keeping at most its even share of the
 //!   slot's 8 MiB in flight (sent, not yet back in its echo), and
-//!   verifies the echo whenever it arrives; a paced one acts at its
-//!   own deadline, once per burst (4 ms of wall time, shorter at a high
-//!   `--speedup`): it sends its allowance, a burst ahead, verifies the
-//!   echo that came back, and arms its next burst, so its shard wakes
-//!   once per burst, and it is never armed for write readiness while it
-//!   has nothing queued. The channels and their
+//!   verifies the echo whenever it arrives; a paced one acts at the
+//!   points of its slot's report grid, counted from `Go`: at most 4 ms
+//!   of wall time apart at any `--speedup`, at least two a sped-up
+//!   second, the last half an interval before the second's report.
+//!   Each point but a second's last sends an even share of the second's
+//!   allowance (at most one pump) and verifies the echo that came back;
+//!   the last only verifies, so every report counts exactly the
+//!   commanded bytes, and the grid stops at the slot's end. Its shard
+//!   wakes once per point, and it is never armed for write readiness
+//!   while it has nothing queued. The channels and their
 //!   conversation share one atomic tally of verified bytes, which the
 //!   conversation closes with the slot's last report: a channel that
 //!   finds it closed hangs up at its next wakeup.

@@ -8,13 +8,14 @@
 //! Each echo channel is a reactor connection of its own ([`EchoChannel`]):
 //! dialed without blocking ([`reactor::dial`]), handed to the serving
 //! reactor ([`Peer::spawn`]), and driven on its own socket's readiness —
-//! or, paced, on its own burst deadlines ([`Driven::deadline`]): the
-//! shard it runs on wakes once per burst, not once per shard tick.
+//! or, paced, at the points of its slot's report grid ([`ReportGrid`]),
+//! its own deadlines ([`Driven::deadline`]): the shard it runs on wakes
+//! once per burst, not once per shard tick.
 
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flashflow_obs::{fields, MetricsRegistry, Span, Value};
@@ -26,7 +27,7 @@ use flashflow_proto::blast::{
 use flashflow_proto::msg::{MeasureSpec, PeerRole};
 use flashflow_proto::tcp::TcpTransport;
 use flashflow_proto::transport::Transport;
-use flashflow_simnet::time::SimTime;
+use flashflow_simnet::time::{SimDuration, SimTime};
 use procutil::peer::{Bind, Peer, Role};
 use procutil::reactor::{self, Driven, Step};
 
@@ -53,28 +54,65 @@ const PUMP_ROUNDS: u32 = 8;
 /// channel count.
 const IN_FLIGHT_WINDOW: u64 = 8 << 20;
 
-/// Longest wall time between a paced channel's bursts. Each burst is
-/// one `send` and one wakeup of the channel's shard, so fewer, larger
-/// bursts cost less CPU per byte; the echo a burst's channel has not
-/// read back yet when a report falls is at most about one burst.
+/// Longest wall time between two points of a paced channel's grid.
+/// Each point is one `send` and one wakeup of the channel's shard, so
+/// fewer, larger bursts cost less CPU per byte.
 const MAX_BURST_INTERVAL: Duration = Duration::from_millis(4);
 
-/// Fewest bursts per sped-up second: at a high `--speedup` a second is
-/// short (20 ms of wall at 50x), and the burst must stay a small part
-/// of it.
-const MIN_BURSTS_PER_SECOND: f64 = 20.0;
+/// A slot's report grid: the instants its paced channels act at,
+/// counted from the session's `Go`. Each sped-up second holds B ≥ 2
+/// evenly spaced points, the last half an interval before the second's
+/// report. All but that last point send 1/(B − 1) of the second's
+/// allowance; the last only reads, so the echo of everything the second
+/// sent is verified before its report, which then counts exactly the
+/// commanded bytes. The grid ends with the slot.
+#[derive(Clone, Copy, Debug)]
+struct ReportGrid {
+    /// The session's `Go`: report j falls j + 1 sped-up seconds later.
+    go: Instant,
+    /// Wall nanoseconds per sped-up second.
+    second_ns: u64,
+    /// Points per sped-up second: B.
+    per_second: u64,
+    /// Points in the slot.
+    points: u64,
+}
 
-/// The wall time between the bursts of a channel paced at `cap` bytes
-/// per sped-up second on a clock `speedup` times wall time: 4 ms, or a
-/// 20th of a sped-up second if that is shorter, and never longer than
-/// it takes the rate to fill one pump ([`MAX_TICK_BYTES`]).
-fn burst_interval(speedup: f64, cap: u64) -> Duration {
-    let second = 1.0 / speedup;
-    let mut secs = MAX_BURST_INTERVAL.as_secs_f64().min(second / MIN_BURSTS_PER_SECOND);
-    if cap > 0 {
-        secs = secs.min(MAX_TICK_BYTES as f64 / cap as f64 * second);
+impl ReportGrid {
+    /// The grid of a `slot_secs`-second slot on a clock `speedup` times
+    /// wall time, whose largest channel is paced at `cap` bytes per
+    /// sped-up second: points at most [`MAX_BURST_INTERVAL`] apart, and
+    /// each send at most one pump ([`MAX_TICK_BYTES`]). B is counted in
+    /// whole nanoseconds, so float rounding cannot add a point.
+    fn new(go: Instant, speedup: f64, slot_secs: u32, cap: u64) -> ReportGrid {
+        let second_ns = ((1e9 / speedup).round() as u64).max(1);
+        let interval_ns = MAX_BURST_INTERVAL.as_nanos() as u64;
+        let per_second =
+            second_ns.div_ceil(interval_ns).max(cap.div_ceil(MAX_TICK_BYTES) + 1).max(2);
+        ReportGrid { go, second_ns, per_second, points: per_second * u64::from(slot_secs) }
     }
-    Duration::from_secs_f64(secs)
+
+    /// Point `p`'s wall instant: (2p + 1)/2B sped-up seconds after `Go`.
+    fn at(&self, p: u64) -> Instant {
+        let ns =
+            u128::from(2 * p + 1) * u128::from(self.second_ns) / u128::from(2 * self.per_second);
+        self.go + Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+    }
+
+    /// Whether point `p` is its second's last, which only reads.
+    fn reads_only(&self, p: u64) -> bool {
+        p % self.per_second == self.per_second - 1
+    }
+
+    /// The sped-up instant point `p` has sent through: point i of second
+    /// j, j + (i + 1)/(B − 1) seconds, so the second's last send (and its
+    /// reading point) stands exactly at the second's end.
+    fn through(&self, p: u64) -> SimTime {
+        let sends = self.per_second - 1;
+        let (second, ix) = (p / self.per_second, p % self.per_second);
+        let part = SimDuration::from_secs_f64((ix + 1).min(sends) as f64 / sends as f64);
+        SimTime::from_secs(second) + part
+    }
 }
 
 /// Each echo channel's share of a slot's `rate_cap` (0 = uncapped) over
@@ -88,18 +126,6 @@ fn channel_caps(sockets: u32, rate_cap: u64) -> Vec<u64> {
         n = n.min(rate_cap);
     }
     (0..n).map(|chan| rate_cap / n + u64::from(chan < rate_cap % n)).collect()
-}
-
-/// The first instant after `now` on the process's grid of `every`-long
-/// burst intervals. Every paced channel bursts on the grid of its
-/// interval, counted from one process-wide origin, so the channels one
-/// shard drives come due together and wake it once for all of them.
-fn next_burst_after(now: Instant, every: Duration) -> Instant {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    let origin = *ORIGIN.get_or_init(Instant::now);
-    let every_ns = every.as_nanos().max(1);
-    let passed = now.saturating_duration_since(origin).as_nanos() / every_ns + 1;
-    origin + Duration::from_nanos(u64::try_from(passed * every_ns).unwrap_or(u64::MAX))
 }
 
 /// Whether `source` is under its `window` (its channel's share of
@@ -280,25 +306,16 @@ impl EchoPlane<'_> {
     /// dialed: a channel whose dial fails at once is skipped — the slot
     /// degrades rather than wedging, and the coordinator sees it in the
     /// reported rates.
-    fn dial(
-        &self,
-        spec: &MeasureSpec,
-        span: &Span,
-        spawn: &dyn Fn(Box<dyn Driven>) -> bool,
-    ) -> u32 {
+    fn dial(&self, spec: &MeasureSpec, span: &Span, spawn: &dyn Fn(Box<dyn Driven>)) -> u32 {
         let Some(addr) = spec.target.socket_addr() else { return 0 };
         let nonce = binding_nonce(spec.measurement_secret);
         let key = secret_channel_key(spec.measurement_secret);
         let caps = channel_caps(spec.sockets, spec.rate_cap);
         let n = caps.len() as u64;
         let window = IN_FLIGHT_WINDOW / n;
-        // A paced channel reads a burst's echo at its next burst, so it
-        // sends one burst ahead: `Go` is now, and the blast clock runs
-        // from one burst interval earlier. What the slot's last report
-        // counts then runs up to the channel's last burst, not the one
-        // before.
-        let every = burst_interval(self.speedup, spec.rate_cap / n);
-        let t0 = Instant::now().checked_sub(every).unwrap_or_else(Instant::now);
+        // `Go` is now: the slot's channels share one report grid, sized
+        // for the largest of them (the first).
+        let grid = ReportGrid::new(Instant::now(), self.speedup, spec.slot_secs, caps[0]);
         let mut dialed = 0;
         for (chan, cap) in (0u32..).zip(caps) {
             let span = span.channel(u64::from(chan));
@@ -325,14 +342,12 @@ impl EchoPlane<'_> {
                 wants_write: true,
                 rx: Vec::new(),
                 span,
-                t0,
-                speedup: self.speedup,
-                every,
-                next_burst: Instant::now(),
+                grid,
+                next: 0,
+                through: SimTime::ZERO,
             };
-            if spawn(Box::new(channel)) {
-                dialed += 1;
-            }
+            spawn(Box::new(channel));
+            dialed += 1;
         }
         span.emit(
             "echo.channels",
@@ -360,12 +375,12 @@ enum Link {
 /// One echo channel to the target relay, driven by the reactor: an
 /// uncapped channel stays armed for read and write readiness, blasting
 /// whenever the socket takes bytes and verifying the echo as it
-/// arrives; a paced one acts at its own deadline, once per burst
-/// interval ([`burst_interval`]): it sends its allowance, one burst
-/// ahead, reads the echo that came back, and arms the next deadline.
-/// Between bursts it is armed only for hang-ups and, while its
-/// transport holds a backlog, write readiness. Either credits what it
-/// verified to the slot's [`EchoTally`].
+/// arrives; a paced one acts at the points of its slot's
+/// [`ReportGrid`], its deadlines: it sends what the point allows (none
+/// at a second's last point), reads the echo that came back, and arms
+/// the next point. Between points it is armed only for hang-ups and,
+/// while its transport holds a backlog, write readiness. Either credits
+/// what it verified to the slot's [`EchoTally`].
 struct EchoChannel {
     /// Cached at dial: [`Driven::fd`] must stay stable across states.
     fd: i32,
@@ -386,24 +401,19 @@ struct EchoChannel {
     /// Reused receive buffer.
     rx: Vec<u8>,
     span: Span,
-    /// Origin of the channel's sped-up clock and of its blast: `Go`,
-    /// less one burst interval.
-    t0: Instant,
-    speedup: f64,
-    /// Wall time between a paced channel's bursts.
-    every: Duration,
-    /// A paced channel's next burst: its deadline.
-    next_burst: Instant,
+    /// Where a paced channel bursts; its blast clock runs from `Go`.
+    grid: ReportGrid,
+    /// A paced channel's next grid point: its deadline.
+    next: u64,
+    /// The sped-up instant the paced blast has been allowed through (the
+    /// last point acted at); an uncapped blast ignores it.
+    through: SimTime,
 }
 
 impl EchoChannel {
-    fn now(&self) -> SimTime {
-        SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * self.speedup)
-    }
-
     /// Settles an in-flight dial on a wakeup: `Some` is the step to
     /// return (still dialing, or failed), `None` means blasting.
-    fn finish_dial(&mut self, now: SimTime) -> Option<Step> {
+    fn finish_dial(&mut self) -> Option<Step> {
         let stream = match std::mem::replace(&mut self.link, Link::Closed) {
             Link::Dialing(stream) => stream,
             link => {
@@ -425,11 +435,9 @@ impl EchoChannel {
                     TrafficSource::new(transport, self.hello.nonce, self.hello.channel)
                         .with_key(self.key);
                 source.set_rate_cap(self.cap);
-                source.greet(now);
+                source.greet(self.through);
                 source.start(SimTime::ZERO);
                 self.link = Link::Blasting(Box::new(source));
-                // The first burst goes out in this wakeup.
-                self.next_burst = next_burst_after(Instant::now(), self.every);
                 None
             }
             Err(e) => {
@@ -462,15 +470,16 @@ impl EchoChannel {
         Step::Done
     }
 
-    /// Sends and verifies: pumps the source, then drains the echo into
-    /// the parser, for up to [`PUMP_ROUNDS`] rounds while the pump keeps
-    /// sending. Hangs up once the relay did, the stream broke, or the
-    /// slot closed.
-    fn exchange(&mut self, now: SimTime) -> Step {
+    /// Sends (if `send`) and verifies: pumps the source, then drains the
+    /// echo into the parser, for up to [`PUMP_ROUNDS`] rounds while the
+    /// pump keeps sending. Hangs up once the relay did, the stream broke,
+    /// or the slot closed.
+    fn exchange(&mut self, send: bool) -> Step {
+        let now = self.through;
         let Link::Blasting(source) = &mut self.link else { return Step::Continue };
         let mut hung_up = false;
         for _ in 0..PUMP_ROUNDS {
-            let sent = window_open(source, &self.echo, self.window) && source.pump(now);
+            let sent = send && window_open(source, &self.echo, self.window) && source.pump(now);
             // Reading also flushes the transport's queued outbox.
             let got = match source.transport_mut().recv_into(now, &mut self.rx) {
                 Ok(got) => got,
@@ -517,43 +526,48 @@ impl Driven for EchoChannel {
         if self.tally.is_closed() {
             return self.close();
         }
-        let now = self.now();
-        if let Some(step) = self.finish_dial(now) {
+        if let Some(step) = self.finish_dial() {
             return step;
         }
-        self.exchange(now)
+        // A paced channel sends only at its grid's points: readiness
+        // flushes its backlog and reads.
+        self.exchange(self.cap == 0)
     }
 
     /// The stop check, and, once its deadline falls, a paced channel's
-    /// burst: it sends its allowance, reads the echo, and arms the next
-    /// deadline on the grid of burst intervals (a burst the shard ran
-    /// late does not push the rest back). An uncapped channel moves
-    /// bytes on readiness only.
+    /// grid point: the latest one due (a point the shard ran late for is
+    /// skipped, its allowance carried by the next; the rest are not
+    /// pushed back). An uncapped channel moves bytes on readiness only.
     fn on_tick(&mut self) -> Step {
         if self.tally.is_closed() {
             return self.close();
         }
         let wall = Instant::now();
-        if self.cap == 0 || wall < self.next_burst {
+        if self.deadline().is_none_or(|due| wall < due) {
             return Step::Continue;
         }
-        self.next_burst = next_burst_after(wall, self.every);
-        let now = self.now();
-        self.exchange(now)
+        let mut point = self.next;
+        while point + 1 < self.grid.points && self.grid.at(point + 1) <= wall {
+            point += 1;
+        }
+        self.next = point + 1;
+        self.through = self.grid.through(point);
+        self.exchange(!self.grid.reads_only(point))
     }
 
-    /// A blasting paced channel's next burst.
+    /// A blasting paced channel's next grid point, until the slot's end.
     fn deadline(&self) -> Option<Instant> {
-        (self.cap > 0 && matches!(self.link, Link::Blasting(_))).then_some(self.next_burst)
+        let blasting = self.cap > 0 && matches!(self.link, Link::Blasting(_));
+        (blasting && self.next < self.grid.points).then(|| self.grid.at(self.next))
     }
 
     fn wants_write(&self) -> bool {
         self.wants_write
     }
 
-    /// A paced channel reads at its bursts: waking it for every echo
-    /// that lands would cost its shard one more wakeup per burst, for
-    /// bytes the next burst reads anyway.
+    /// A paced channel reads at its grid's points: waking it for every
+    /// echo that lands would cost its shard one more wakeup per burst,
+    /// for bytes the next point reads anyway.
     fn wants_read(&self) -> bool {
         self.cap == 0
     }
@@ -723,18 +737,25 @@ mod tests {
         shard: Option<(f64, f64)>,
     }
 
-    /// Runs one echo channel capped at `rate_cap` (0 = uncapped) on a
-    /// one-shard reactor whose sweep is `tick` apart, against an echo
-    /// peer, until `enough` bytes verified or `wall` passed, then closes
-    /// the tally just after the channel's next tick, as a report falls.
-    fn one_channel(rate_cap: u64, tick: Duration, wall: Duration, enough: u64) -> Run {
+    /// Runs one echo channel of a `slot_secs`-second slot, capped at
+    /// `rate_cap` (0 = uncapped), on a one-shard reactor whose sweep is
+    /// `tick` apart, against an echo peer, until `enough` bytes verified
+    /// or `wall` passed, then closes the tally just after the channel's
+    /// next tick, as a report falls.
+    fn one_channel(
+        rate_cap: u64,
+        slot_secs: u32,
+        tick: Duration,
+        wall: Duration,
+        enough: u64,
+    ) -> Run {
         const SECRET: u64 = 0x5EED_EC40;
         let _serial = serialised();
         let (peer, target) = echo_peer(secret_channel_key(SECRET));
         let shard = Reactor::serve(None, ReactorConfig { shards: 1, tick }, Arc::new(|_, _| None))
             .expect("start measurer shard");
         let spec = MeasureSpec {
-            slot_secs: 1,
+            slot_secs,
             sockets: 1,
             rate_cap,
             target: TargetEndpoint::from_addr(target).expect("IPv4 loopback"),
@@ -748,7 +769,6 @@ mod tests {
         let dialed_at = Instant::now();
         let spawn = |channel| {
             shard.adopt(Box::new(Sampled { inner: channel, cpu: Arc::clone(&cpu) }));
-            true
         };
         assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), 1);
         while dialed_at.elapsed() < wall && tally.verified() < enough {
@@ -850,10 +870,7 @@ mod tests {
         let tally = Arc::new(EchoTally::default());
         let counters = BlastCounters::default();
         let plane = EchoPlane { speedup: 1.0, counters: &counters, tally: &tally };
-        let spawn = |channel| {
-            shard.adopt(channel);
-            true
-        };
+        let spawn = |channel| shard.adopt(channel);
         assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), sockets);
 
         // The swallowed count grows while the windows are open, then
@@ -928,22 +945,22 @@ mod tests {
     #[test]
     fn an_uncapped_channel_runs_on_readiness_not_on_the_tick() {
         let wall = Duration::from_millis(if cfg!(debug_assertions) { 1000 } else { 250 });
-        let Run { verified, elapsed, .. } = one_channel(0, SLOW_SWEEP, wall, 16 << 20);
+        let Run { verified, elapsed, .. } = one_channel(0, 1, SLOW_SWEEP, wall, 16 << 20);
         assert!(
             verified >= 16 << 20,
             "verified {verified} B in {elapsed:?}: the channel waited for ticks"
         );
     }
 
-    /// A paced channel sends its allowance and reads its echo at its own
-    /// burst deadlines, and is never armed for write readiness while it
+    /// A paced channel sends its allowance and reads its echo at its
+    /// grid's points, and is never armed for write readiness while it
     /// has nothing queued: it keeps its rate and leaves the shard idle.
-    /// (It sends a burst ahead, so it may verify up to a burst, 0.4 % of
-    /// the 2.5 s run, more than the commanded bytes.)
+    /// (Its sends run ahead of the clock by up to a point's share, 0.2 %
+    /// of the 2.5 s run, within a 3 s slot.)
     #[test]
     fn a_paced_channel_keeps_its_rate_without_spinning_the_shard() {
         const RATE: u64 = 4_000_000;
-        let run = one_channel(RATE, SLOW_SWEEP, Duration::from_millis(2500), u64::MAX);
+        let run = one_channel(RATE, 3, SLOW_SWEEP, Duration::from_millis(2500), u64::MAX);
         let Run { verified, elapsed, .. } = run;
         let commanded = RATE as f64 * elapsed.as_secs_f64();
         let ratio = verified as f64 / commanded;
@@ -955,17 +972,18 @@ mod tests {
         assert!(share < 0.25, "the shard spun: {share:.2} CPU-s per s");
     }
 
-    /// A paced channel reads a burst's echo at its next burst, so it
-    /// sends a burst ahead: a report just after a burst finds the tally
-    /// level with the commanded bytes (or ahead, by what of that burst's
-    /// own echo it already read). Sent on time, the tally would trail by
-    /// up to a burst.
+    /// A paced channel reads each second's last sends at the second's
+    /// last point, half an interval before the report, and its blast
+    /// clock stops with the slot: a report after the slot's end finds the
+    /// tally level with the slot's commanded bytes, however late it
+    /// comes.
     #[test]
     fn a_paced_channel_is_level_with_its_rate_when_the_slot_ends() {
         const RATE: u64 = 4_000_000;
         let Run { verified, elapsed, .. } =
-            one_channel(RATE, SLOW_SWEEP, Duration::from_secs(1), u64::MAX);
-        let commanded = RATE as f64 * elapsed.as_secs_f64();
+            one_channel(RATE, 1, SLOW_SWEEP, Duration::from_secs(1), u64::MAX);
+        assert!(elapsed >= Duration::from_secs(1), "closed after {elapsed:?}");
+        let commanded = RATE as f64;
         let ratio = verified as f64 / commanded;
         assert!(
             (0.98..=1.05).contains(&ratio),
@@ -974,15 +992,16 @@ mod tests {
     }
 
     /// On a shard with the peers' sweep, a 10 MB/s paced channel wakes
-    /// its shard about once per burst interval (4 ms), not once per
+    /// its shard about once per grid point (4 ms), not once per
     /// millisecond: the shard thread sleeps in `epoll_pwait2` at most
-    /// twice per burst, counting the sweeps and the odd flush.
+    /// twice per point, counting the sweeps and the odd flush.
     #[test]
     fn a_paced_channel_wakes_its_shard_once_per_burst() {
         const RATE: u64 = 10_000_000;
-        let every = burst_interval(1.0, RATE);
+        let grid = ReportGrid::new(Instant::now(), 1.0, 2, RATE);
+        let every = grid.at(1) - grid.at(0);
         assert_eq!(every, MAX_BURST_INTERVAL);
-        let run = one_channel(RATE, procutil::peer::TICK, Duration::from_secs(1), u64::MAX);
+        let run = one_channel(RATE, 2, procutil::peer::TICK, Duration::from_secs(1), u64::MAX);
         let (_, switches) = run.shard.expect("the shard ticked");
         let most = 2.0 / every.as_secs_f64();
         assert!(switches <= most, "{switches:.0} wakeups per s, most {most:.0}");
@@ -1008,31 +1027,97 @@ mod tests {
         }
     }
 
-    /// A paced burst is 4 ms of its rate, shorter where a sped-up second
-    /// is short, and never more than one pump.
+    /// A paced channel's grid points are 4 ms apart at 1× and at 50×,
+    /// at least two to a sped-up second however short it is, and closer
+    /// only where a rate would fill a pump in less: no send is more than
+    /// one pump.
     #[test]
-    fn burst_intervals_shrink_with_the_speedup_and_the_rate() {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        assert!((ms(burst_interval(1.0, 10_000_000)) - 4.0).abs() < 1e-9);
-        // At 50x a second is 20 ms of wall: a burst every millisecond.
-        assert!((ms(burst_interval(50.0, 100_000)) - 1.0).abs() < 1e-9);
+    fn report_grids_space_points_4_ms_apart_at_any_speedup() {
+        let go = Instant::now();
+        let interval = |grid: &ReportGrid| grid.at(1) - grid.at(0);
+        // 1e9 / 4e6 is 250, where 1.0 / 0.004 in floats is 250.00000000000003.
+        let one = ReportGrid::new(go, 1.0, 1, 10_000_000);
+        assert_eq!((one.per_second, interval(&one)), (250, MAX_BURST_INTERVAL));
+        // At 50x a second is 20 ms of wall: five points.
+        let fifty = ReportGrid::new(go, 50.0, 1, 100_000);
+        assert_eq!((fifty.per_second, interval(&fifty)), (5, MAX_BURST_INTERVAL));
+        // A 1 ms second still reads once after sending.
+        assert_eq!(ReportGrid::new(go, 1000.0, 1, 100_000).per_second, 2);
         // 128 MB/s would fill a pump in about 2 ms.
-        let full = burst_interval(1.0, 128_000_000);
-        assert!((full.as_secs_f64() * 128e6 - MAX_TICK_BYTES as f64).abs() < 1.0, "{full:?}");
+        const FAST: u64 = 128_000_000;
+        let full = ReportGrid::new(go, 1.0, 2, FAST);
+        assert!(interval(&full) < MAX_BURST_INTERVAL, "{:?}", interval(&full));
+        let allowed = |p| (FAST as f64 * full.through(p).as_secs_f64()) as u64;
+        let mut before = 0;
+        for p in 0..full.points {
+            let sent = allowed(p) - before;
+            assert!(sent <= MAX_TICK_BYTES, "point {p} sends {sent} B");
+            before = allowed(p);
+            if full.reads_only(p) {
+                // The second's last point adds nothing: its sends are done.
+                assert_eq!(sent, 0, "point {p}");
+                assert_eq!(before, FAST * (p / full.per_second + 1), "point {p}");
+            }
+        }
     }
 
-    /// Channels with one burst interval burst on one grid, whenever
-    /// each started: a shard driving several wakes once per burst.
+    /// Every channel of a slot acts on one grid, counted from the
+    /// session's `Go`: each second's points are evenly spaced, the last
+    /// half an interval before the second's report, and none falls after
+    /// the slot.
     #[test]
-    fn paced_channels_burst_on_one_grid() {
-        let every = Duration::from_millis(4);
-        let now = Instant::now();
-        let first = next_burst_after(now, every);
-        assert!(first > now && first <= now + every, "{:?} out", first - now);
-        for later in [1_300, 4_000, 5_300, 12_999] {
-            let next = next_burst_after(now + Duration::from_micros(later), every);
-            assert_eq!((next - first).as_nanos() % every.as_nanos(), 0, "{later} us later");
+    fn a_slots_channels_share_its_report_grid_half_an_interval_before_each_report() {
+        let go = Instant::now();
+        let ms = |n: u64| Duration::from_millis(n);
+        let grid = ReportGrid::new(go, 50.0, 3, 100_000);
+        assert_eq!((grid.per_second, grid.points), (5, 15));
+        for p in 0..grid.points {
+            assert_eq!(grid.at(p) - go, ms(2 + 4 * p), "point {p}");
+            assert_eq!(grid.reads_only(p), p % 5 == 4, "point {p}");
         }
+        for second in 1..=3 {
+            assert_eq!(grid.at(5 * second - 1) + ms(2), go + ms(20 * second), "report {second}");
+        }
+
+        // The slot's channels, once connected, all wait for its first
+        // point.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let spec = MeasureSpec {
+            slot_secs: 3,
+            sockets: 3,
+            rate_cap: 300_001,
+            target: TargetEndpoint::from_addr(listener.local_addr().expect("addr"))
+                .expect("IPv4 loopback"),
+            measurement_secret: 0x5EED_0002,
+            ..MeasureSpec::default()
+        };
+        let tally = Arc::new(EchoTally::default());
+        let counters = BlastCounters::default();
+        let plane = EchoPlane { speedup: 50.0, counters: &counters, tally: &tally };
+        let channels = Mutex::new(Vec::new());
+        let spawn = |channel| channels.lock().expect("channels").push(channel);
+        let before = Instant::now();
+        assert_eq!(plane.dial(&spec, &Span::root(EventSink::new()), &spawn), 3);
+        let mut channels = channels.into_inner().expect("channels");
+        let connected_by = Instant::now() + Duration::from_secs(5);
+        let firsts = loop {
+            let dues: Vec<_> = channels
+                .iter_mut()
+                .map(|channel| {
+                    assert_eq!(channel.on_ready(), Step::Continue);
+                    channel.deadline()
+                })
+                .collect();
+            if let Some(dues) = dues.into_iter().collect::<Option<Vec<_>>>() {
+                break dues;
+            }
+            assert!(Instant::now() < connected_by, "the dials never connected");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(firsts.windows(2).all(|pair| pair[0] == pair[1]), "{firsts:?}");
+        let go = firsts[0] - ms(2);
+        assert!(before <= go && go <= Instant::now(), "the grid starts at the dial");
+        tally.close();
     }
 
     #[test]

@@ -288,12 +288,11 @@ impl<R: Role> Peer<R> {
     }
 
     /// Hands a connection the role started (an outbound dial) to the
-    /// serving reactor, where it is driven on its own readiness. Returns
-    /// `false`, dropping `conn`, when no reactor runs yet.
-    pub fn spawn(&self, conn: Box<dyn Driven>) -> bool {
-        let Some(spawner) = self.spawner.get() else { return false };
-        spawner.adopt(conn);
-        true
+    /// serving reactor, where it is driven on its own readiness. The
+    /// reactor serves before the process's startup stores its spawner,
+    /// so a session accepted at once can reach `Go` first: wait for it.
+    pub fn spawn(&self, conn: Box<dyn Driven>) {
+        self.spawner.wait().adopt(conn);
     }
 
     fn draining(&self) -> bool {

@@ -17,6 +17,7 @@
 //! including a measurer SIGTERMed mid-slot, which must finish the slot
 //! it is running before it goes.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -28,7 +29,8 @@ use flashflow_core::pool::ConnectionPool;
 use flashflow_core::proto_driver::{run_scripted, Scripted, ScriptedRelay};
 use flashflow_harness::{
     deployment, drain_all, exit_zero_all, round_items, spawn_measurer, spawn_relay,
-    thread_cpu_secs, token, BG_ALLOWANCE, ITEMS, MEASURER_CAPS, RATIO, SLOT_SECS, SOCKETS,
+    spawn_shipped_topology, thread_cpu_secs, token, BG_ALLOWANCE, ITEMS, MEASURER_CAPS, RATIO,
+    SLOT_SECS, SOCKETS,
 };
 use flashflow_proto::frame::{encode, FrameDecoder};
 use flashflow_proto::msg::{AbortReason, Msg, PeerRole};
@@ -177,6 +179,59 @@ fn three_party_topology_estimates_match_duplex_reference() {
 
     drop(pool);
     exit_zero_all([m0, m1, relay]);
+}
+
+/// At 50× a sped-up second is 20 ms of wall time, five 4 ms grid
+/// points: each measurer's paced channels send the second's allowance
+/// at the first four and read the last sends' echo at the fifth, half an
+/// interval before the report. So every second's report is exactly the
+/// measurer's cap, and the relay's echo claim agrees with their sum on
+/// every row of an honest item. (The peers are the shipped build: an
+/// unoptimised one stalls its shards for longer than a 20 ms second.)
+#[test]
+fn paced_reports_are_exact_and_agree_with_an_honest_relay_at_50x() {
+    const FAST: [&str; 2] = ["--speedup", "50"];
+    const SLOT: u32 = 3;
+    // A shard preempted past a report moves a point's bytes into the
+    // next second; a grid that reads too late does it in every round.
+    // So one exact round of a few settles the claim.
+    const ROUNDS: u64 = 3;
+    let [(m0, a0), (m1, a1), (relay, relay_addr)] = spawn_shipped_topology(None, &FAST);
+    let dep = EchoDeployment { speedup: 50.0, ..deployment([a0, a1], relay_addr) };
+    // Each measurer's per-second reports, in ascending order of cap.
+    let mut commanded: Vec<_> = MEASURER_CAPS.iter().map(|&cap| vec![cap; SLOT as usize]).collect();
+    commanded.sort_unstable();
+    let pool = ConnectionPool::new();
+    for round in 0..ROUNDS {
+        let items: Vec<_> = round_items(SECRET, round)
+            .into_iter()
+            .map(|item| EchoItem { slot_secs: SLOT, ..item })
+            .collect();
+        let (peers, events) = measure(&dep, &items, &pool);
+        assert!(peers.all_clean(), "round {round} must run clean: {events:?}");
+        let inexact = (0..ITEMS).find_map(|g| {
+            let rows = peers.rows(g, RATIO);
+            let mut reports = BTreeMap::<usize, Vec<u64>>::new();
+            for row in rows.iter().filter(|r| peers.role(r.peer) == PeerRole::Measurer) {
+                reports.entry(row.peer.index()).or_default().push(row.reported);
+            }
+            let mut reports: Vec<_> = reports.into_values().collect();
+            reports.sort_unstable();
+            let exact = reports == commanded && peers.divergent_count(g, RATIO) == 0;
+            (!exact).then(|| format!("item {g}: {rows:?}"))
+        });
+        match inexact {
+            None => break,
+            Some(item) => assert!(
+                round + 1 < ROUNDS,
+                "no round of {ROUNDS} reported every measurer's cap each second with no \
+                 divergent row; the last: {item}"
+            ),
+        }
+    }
+
+    drop(pool);
+    drain_all([m0, m1, relay]);
 }
 
 #[test]

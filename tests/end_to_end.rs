@@ -19,6 +19,12 @@ fn table1_team(tor: &mut TorNet) -> (Team, Vec<HostId>) {
     (team, ids)
 }
 
+/// US-SW's CPU bound in Mbit/s: the lab's calibrated truth for a 750
+/// Mbit/s limit and for no limit alike (92,094,370.86 B/s from
+/// `flashflow_bench::ground_truth`, the jitter-free run figs 6, 15 and
+/// 16 divide by).
+const US_SW_CPU_BOUND_MBIT: f64 = 736.755;
+
 #[test]
 fn measures_every_paper_capacity_accurately() {
     // The Fig. 6 capacities: 10/250/500/750/unlimited Mbit/s targets on
@@ -27,8 +33,8 @@ fn measures_every_paper_capacity_accurately() {
         (Some(10.0), 10.0),
         (Some(250.0), 250.0),
         (Some(500.0), 500.0),
-        (Some(750.0), 750.0),
-        (None, 890.0), // CPU-bound ground truth on US-SW
+        (Some(750.0), US_SW_CPU_BOUND_MBIT),
+        (None, US_SW_CPU_BOUND_MBIT),
     ] {
         let mut tor = TorNet::new();
         let (team, ids) = table1_team(&mut tor);
